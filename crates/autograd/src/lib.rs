@@ -43,7 +43,7 @@ mod ops_lstm;
 mod plan;
 
 pub use graph::{Graph, Var, IGNORE_INDEX};
-pub use plan::{with_fuse_override, CaptureSpec, Feeds, Plan, PlanStats};
+pub use plan::{CaptureSpec, Feeds, Plan, PlanStats};
 
 #[cfg(test)]
 mod lib_tests {

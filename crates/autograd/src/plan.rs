@@ -31,12 +31,7 @@ use legw_tensor::{
     col2im_into, gemm_into, im2col_into, lstm_cell_backward_into, lstm_cell_forward_into,
     Conv2dGeom, Tensor,
 };
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
-
-#[path = "plan_fuse.rs"]
-mod plan_fuse;
 
 /// What to capture from a tape: which leaves are per-step inputs, which
 /// are parameters (gradient targets), and what the step produces.
@@ -76,10 +71,6 @@ pub struct PlanStats {
     /// Forward / backward instruction counts.
     pub fwd_instrs: usize,
     pub bwd_instrs: usize,
-    /// Counts before the plan optimizer ran (equal to `fwd_instrs` /
-    /// `bwd_instrs` when fusion is disabled).
-    pub fwd_instrs_pre: usize,
-    pub bwd_instrs_pre: usize,
     /// Physical arena slots and their total size in bytes.
     pub arena_slots: usize,
     pub arena_bytes: usize,
@@ -88,7 +79,8 @@ pub struct PlanStats {
     pub peak_live_bytes: usize,
     /// Bytes of op-private state buffers (gates, probs, im2col columns…).
     pub state_bytes: usize,
-    /// Bytes of the shared scratch buffers (add-mode GEMM detours\n    /// plus the f64 column-sum accumulators).
+    /// Bytes of the shared scratch buffers (add-mode GEMM detours plus the
+    /// f64 column-sum accumulators).
     pub scratch_bytes: usize,
 }
 
@@ -142,29 +134,6 @@ enum UnKind {
     AddScalar(f32),
 }
 
-/// One step of a fused elementwise pipeline ([`Instr::FusedEw`]): the value
-/// flowing through the chain enters as `t`; each stage maps it with exactly
-/// the scalar expression of the standalone instruction it replaced.
-#[derive(Clone, Copy, Debug)]
-enum FusedStage {
-    /// `t ∘ other[i]` (or `other[i] ∘ t` when `swapped`).
-    Bin { kind: EwKind, other: Loc, swapped: bool },
-    /// Unary map (sigmoid / tanh / relu / scale / add-scalar).
-    Un { kind: UnKind },
-    /// `t + bias[i % cols]` — AddBias over row-major `[rows, cols]`.
-    BiasCol { bias: Loc, cols: usize },
-    /// `t * s[i / cols]` — RowScale over row-major `[rows, cols]`.
-    RowScaleS { s: Loc, cols: usize },
-    /// `t * mask[i]` — dropout (forward and backward share the expression).
-    Mask { mask: u32 },
-    /// `(y[i] * (1 - y[i])) * t` — sigmoid backward via the saved output.
-    GradSigmoid { y: Loc },
-    /// `(1 - y[i]²) * t` — tanh backward via the saved output.
-    GradTanh { y: Loc },
-    /// `(x[i] > 0) * t` — relu backward via the saved input.
-    GradRelu { x: Loc },
-}
-
 // ------------------------------------------------------------- instructions
 
 /// One replay instruction. Dimensions are baked at capture; operands are
@@ -196,19 +165,14 @@ enum Instr {
     PreactSeqF { x: Loc, w: Loc, bias: Loc, dst: Dst, rows: usize, k: usize, n4: usize },
     RecurStepF { seq: Loc, h: Loc, w_h: Loc, dst: Dst, t: usize, batch: usize, hid: usize, n4: usize },
 
-    // ---- either list (created only by the plan optimizer, never emitted)
-    /// A fused chain of elementwise instructions: `dst (+)= expr(a0, …)`
-    /// where `expr` threads `a0` through `stages` one element at a time.
-    /// Each stage applies its original instruction's scalar expression in
-    /// chain order, so the fused sweep rounds identically to running the
-    /// originals — minus the intermediate buffers.
-    FusedEw { a0: Loc, stages: Vec<FusedStage>, dst: Dst, mode: Mode, n: usize },
-    /// `dst += op(a) · op(b)` accumulated in-engine. Only created for
-    /// single-k-block shapes, where the engine performs exactly one `+=` of
-    /// the same micro-tile product the scratch detour would have added.
-    GemmAcc { ta: bool, tb: bool, a: Loc, b: Loc, m: usize, k: usize, n: usize, dst: Dst },
-
     // ---- backward
+    /// `dst += op(a) · op(b)` accumulated in-engine: what an add-mode
+    /// gradient GEMM becomes when its inner dimension is a single k-block
+    /// ([`legw_tensor::gemm_single_k_block`]). The engine then performs
+    /// exactly one `+=` per element of the same micro-tile product the
+    /// scratch detour of `Gemm { mode: Add }` would have added, so the bits
+    /// match the tape without the scratch.
+    GemmAcc { ta: bool, tb: bool, a: Loc, b: Loc, m: usize, k: usize, n: usize, dst: Dst },
     /// `dst (+)= up * c`; `c == 1.0` is the plain gradient copy.
     ScaleG { up: Loc, dst: Dst, mode: Mode, n: usize, c: f32 },
     MulG { up: Loc, other: Loc, dst: Dst, mode: Mode, n: usize },
@@ -238,9 +202,9 @@ enum Instr {
     MaxPoolG { up: Loc, dst: Dst, mode: Mode, am: u32, x_len: usize, out_len: usize },
     GapG { up: Loc, dst: Dst, mode: Mode, nc: usize, hw: usize },
     BnG { up: Loc, gamma: Loc, xhat: u32, rt: u32, dg: Option<(Dst, Mode)>, dbt: Option<(Dst, Mode)>, dx: Option<(Dst, Mode)>, n: usize, c: usize, hw: usize },
-    /// `direct` (set by the plan optimizer when both destinations are
-    /// plain stores) writes them in place instead of via scratch.
-    LstmG { gates: u32, tanh_c: u32, c_prev: Loc, dh: Option<Loc>, dc: Option<Loc>, dpre: (Dst, Mode), dcp: (Dst, Mode), b: usize, hid: usize, direct: bool },
+    /// Writes both destinations in place when both are plain stores
+    /// ([`lstm_g_in_place`]); bounces through scratch otherwise.
+    LstmG { gates: u32, tanh_c: u32, c_prev: Loc, dh: Option<Loc>, dc: Option<Loc>, dpre: (Dst, Mode), dcp: (Dst, Mode), b: usize, hid: usize },
     /// LstmRecurStep's dSeq row scatter: `seq_grad[tB..(t+1)B] += up`,
     /// zeroing the whole block first on the step that creates it.
     RecurSeqG { up: Loc, dst: Dst, zero_first: bool, t: usize, batch: usize, cols: usize, dst_len: usize },
@@ -311,8 +275,6 @@ pub struct Plan {
     /// Per param, whether any gradient statically flows to it.
     par_grad_present: Vec<bool>,
     stats: PlanStats,
-    /// Instruction histogram before optimization — for [`Plan::describe`].
-    pre_counts: Vec<(&'static str, usize)>,
 }
 
 impl Plan {
@@ -428,19 +390,15 @@ impl Plan {
         self.replay_backward_loss(inputs, params);
     }
 
-    /// One-line schedule summary: instruction counts by kind (`pre->post`
-    /// where the optimizer changed them), arena footprint and scratch
-    /// sizes. Surfaces via `LEGW_PLAN_DEBUG=1` logging in the executor.
+    /// One-line schedule summary: instruction counts by kind (in first-
+    /// appearance order), arena footprint and scratch sizes.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
-        let post = plan_fuse::histogram(&self.prog.fwd, &self.prog.bwd);
         let s = &self.stats;
         let mut out = format!(
-            "plan: nodes={} instrs fwd={}->{} bwd={}->{} slots={} arena={}B peak_live={}B state={}B scratch={}B |",
+            "plan: nodes={} instrs fwd={} bwd={} slots={} arena={}B peak_live={}B state={}B scratch={}B |",
             s.nodes,
-            s.fwd_instrs_pre,
             s.fwd_instrs,
-            s.bwd_instrs_pre,
             s.bwd_instrs,
             s.arena_slots,
             s.arena_bytes,
@@ -448,18 +406,16 @@ impl Plan {
             s.state_bytes,
             s.scratch_bytes
         );
-        for (name, pre) in &self.pre_counts {
-            let after = post.iter().find(|(k, _)| k == name).map_or(0, |(_, c)| *c);
-            if after == *pre {
-                let _ = write!(out, " {name}={pre}");
-            } else {
-                let _ = write!(out, " {name}={pre}->{after}");
+        let mut counts: Vec<(&'static str, usize)> = Vec::new();
+        for ins in self.prog.fwd.iter().chain(&self.prog.bwd) {
+            let name = kind_name(ins);
+            match counts.iter_mut().find(|(n, _)| *n == name) {
+                Some(e) => e.1 += 1,
+                None => counts.push((name, 1)),
             }
         }
-        for (name, c) in &post {
-            if !self.pre_counts.iter().any(|(k, _)| k == name) {
-                let _ = write!(out, " {name}=0->{c}");
-            }
+        for (name, c) in counts {
+            let _ = write!(out, " {name}={c}");
         }
         out
     }
@@ -637,50 +593,6 @@ impl Store {
     }
 }
 
-// ------------------------------------------------------------- fuse toggle
-
-thread_local! {
-    /// Per-thread override of the `LEGW_PLAN_FUSE` default, installed by
-    /// [`with_fuse_override`]. Captures run on whatever thread the executor
-    /// schedules them on, so the override is thread-local by design.
-    static FUSE_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the plan optimizer forced on or off for captures on this
-/// thread, restoring the previous setting afterwards (even on panic).
-pub fn with_fuse_override<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FUSE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FUSE_OVERRIDE.with(|c| c.replace(Some(enabled))));
-    f()
-}
-
-/// Process-wide default from `LEGW_PLAN_FUSE`: the optimizer is on unless
-/// the variable says otherwise.
-fn env_plan_fuse() -> bool {
-    static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("LEGW_PLAN_FUSE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "off" | "no" => false,
-            "1" | "true" | "on" | "yes" | "" => true,
-            other => {
-                eprintln!("LEGW_PLAN_FUSE: unrecognized value {other:?}, defaulting to on");
-                true
-            }
-        },
-        Err(_) => true,
-    })
-}
-
-/// Whether [`Plan::capture`] should run the plan optimizer.
-fn fuse_enabled() -> bool {
-    FUSE_OVERRIDE.with(|c| c.get()).unwrap_or_else(env_plan_fuse)
-}
-
 // ---------------------------------------------------------------- executor
 
 /// Store-or-add `f(i)` over `dst`: `Mode::Store` writes the contribution,
@@ -748,113 +660,6 @@ fn par_sweep_map(dst: &mut [f32], src: &[f32], sweep: fn(Kernel, &mut [f32])) {
     legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |_, chunk| sweep(kern, chunk));
 }
 
-/// Stack-block size for [`fused_apply`] (4 KiB of f32).
-const FUSE_BLOCK: usize = 1024;
-
-/// Evaluates a [`Instr::FusedEw`] stage pipeline over `dst`.
-///
-/// The naive interpretation — one `match` over the stage list per element —
-/// defeats auto-vectorization (a scalarized `fast_tanh` alone costs more
-/// than the memory round-trip fusion saves). Instead the sweep runs in
-/// [`FUSE_BLOCK`]-element stack blocks: the block is loaded from the lead
-/// operand once, then each stage runs as its own tight loop over the block.
-/// Per element this applies the exact same scalar expressions in the exact
-/// same order as the unfused instructions (and as the per-element
-/// interpretation), so the result is bitwise identical; only the loop
-/// nesting differs.
-fn fused_apply(dst: &mut [f32], mode: Mode, lead: &[f32], stages: &[FusedStage], ops: &[&[f32]]) {
-    // Read the dispatched kernel once on the issuing thread — pool workers
-    // can't see this thread's override, so it rides in via the closure.
-    let kern = kernels::selected();
-    let run = |start: usize, out: &mut [f32]| {
-        let mut t = [0.0f32; FUSE_BLOCK];
-        let mut off = 0;
-        while off < out.len() {
-            let len = FUSE_BLOCK.min(out.len() - off);
-            let base = start + off;
-            let tb = &mut t[..len];
-            tb.copy_from_slice(&lead[base..base + len]);
-            for (s, op) in stages.iter().zip(ops) {
-                eval_stage(kern, s, op, base, tb);
-            }
-            match mode {
-                Mode::Store => out[off..off + len].copy_from_slice(tb),
-                Mode::Add => {
-                    for (d, v) in out[off..off + len].iter_mut().zip(tb.iter()) {
-                        *d += *v;
-                    }
-                }
-            }
-            off += len;
-        }
-    };
-    if dst.len() <= EW_CHUNK {
-        return run(0, dst);
-    }
-    let pool = legw_parallel::current();
-    if pool.threads() == 1 {
-        return run(0, dst);
-    }
-    legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, run);
-}
-
-/// One fused stage over one stack block. `base` is the block's absolute
-/// element offset (index context for the positional stages); `op` is the
-/// stage's operand slice (empty for operand-less stages).
-fn eval_stage(kern: Kernel, s: &FusedStage, op: &[f32], base: usize, t: &mut [f32]) {
-    match s {
-        FusedStage::Bin { kind, swapped, .. } => {
-            let o = &op[base..base + t.len()];
-            match (kind, swapped) {
-                (EwKind::Add, false) => t.iter_mut().zip(o).for_each(|(t, o)| *t += *o),
-                (EwKind::Add, true) => t.iter_mut().zip(o).for_each(|(t, o)| *t = *o + *t),
-                (EwKind::Sub, false) => t.iter_mut().zip(o).for_each(|(t, o)| *t -= *o),
-                (EwKind::Sub, true) => t.iter_mut().zip(o).for_each(|(t, o)| *t = *o - *t),
-                (EwKind::Mul, false) => t.iter_mut().zip(o).for_each(|(t, o)| *t *= *o),
-                (EwKind::Mul, true) => t.iter_mut().zip(o).for_each(|(t, o)| *t = *o * *t),
-            }
-        }
-        FusedStage::Un { kind } => match kind {
-            // The activation stages go through the runtime-dispatched
-            // sweeps (bitwise-equal across variants, so fused-vs-unfused
-            // equivalence is preserved whatever the CPU).
-            UnKind::Sigmoid => kernels::sigmoid_sweep(kern, t),
-            UnKind::Tanh => kernels::tanh_sweep(kern, t),
-            UnKind::Relu => t.iter_mut().for_each(|t| *t = t.max(0.0)),
-            UnKind::Scale(c) => t.iter_mut().for_each(|t| *t *= c),
-            UnKind::AddScalar(c) => t.iter_mut().for_each(|t| *t += c),
-        },
-        FusedStage::BiasCol { cols, .. } => {
-            for (j, t) in t.iter_mut().enumerate() {
-                *t += op[(base + j) % cols];
-            }
-        }
-        FusedStage::RowScaleS { cols, .. } => {
-            for (j, t) in t.iter_mut().enumerate() {
-                *t *= op[(base + j) / cols];
-            }
-        }
-        FusedStage::Mask { .. } => {
-            let o = &op[base..base + t.len()];
-            t.iter_mut().zip(o).for_each(|(t, o)| *t *= *o);
-        }
-        FusedStage::GradSigmoid { .. } => {
-            let o = &op[base..base + t.len()];
-            t.iter_mut().zip(o).for_each(|(t, y)| *t = (*y * (1.0 - *y)) * *t);
-        }
-        FusedStage::GradTanh { .. } => {
-            let o = &op[base..base + t.len()];
-            t.iter_mut().zip(o).for_each(|(t, y)| *t = (1.0 - *y * *y) * *t);
-        }
-        FusedStage::GradRelu { .. } => {
-            let o = &op[base..base + t.len()];
-            t.iter_mut()
-                .zip(o)
-                .for_each(|(t, x)| *t = (if *x > 0.0 { 1.0 } else { 0.0 }) * *t);
-        }
-    }
-}
-
 /// Short display name of an instruction's kind — powers [`Plan::describe`].
 fn kind_name(ins: &Instr) -> &'static str {
     match ins {
@@ -870,7 +675,6 @@ fn kind_name(ins: &Instr) -> &'static str {
         Instr::RowScale { .. } => "RowScale",
         Instr::Gemm { .. } => "Gemm",
         Instr::GemmAcc { .. } => "GemmAcc",
-        Instr::FusedEw { .. } => "FusedEw",
         Instr::ConcatColsF { .. } => "ConcatColsF",
         Instr::SliceColsF { .. } => "SliceColsF",
         Instr::CopyBlock { .. } => "CopyBlock",
@@ -1006,31 +810,6 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
                 // product with exactly one `+=` per element — no scratch.
                 debug_assert!(legw_tensor::gemm_single_k_block(*k));
                 gemm_into(*ta, *tb, av, bv, *m, *k, *n, buf.s(), true);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::FusedEw { a0, stages, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let lead = st.read(*a0, inputs, params);
-                // Operand slices aligned with `stages` (empty for the
-                // operand-less kinds).
-                let ops: Vec<&[f32]> = stages
-                    .iter()
-                    .map(|s| match s {
-                        FusedStage::Bin { other, .. } => st.read(*other, inputs, params),
-                        FusedStage::BiasCol { bias, .. } => st.read(*bias, inputs, params),
-                        FusedStage::RowScaleS { s, .. } => st.read(*s, inputs, params),
-                        FusedStage::Mask { mask } => st.masks[*mask as usize].as_slice(),
-                        FusedStage::GradSigmoid { y } | FusedStage::GradTanh { y } => {
-                            st.read(*y, inputs, params)
-                        }
-                        FusedStage::GradRelu { x } => st.read(*x, inputs, params),
-                        FusedStage::Un { .. } => &[],
-                    })
-                    .collect();
-                debug_assert_eq!(buf.s().len(), *n);
-                fused_apply(buf.s(), *mode, lead, stages, &ops);
             }
             st.put(*dst, buf);
         }
@@ -1793,13 +1572,12 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
                 st.put(*d, buf);
             }
         }
-        Instr::LstmG { gates, tanh_c, c_prev, dh, dc, dpre, dcp, b, hid, direct } => {
-            if *direct {
-                // Both destinations are plain stores: write them in place and
-                // skip the scratch bounce. The optimizer only sets `direct`
-                // when physical aliasing is impossible (births before deaths
-                // — see `plan_fuse`), so the two buffers and every operand
-                // are distinct.
+        Instr::LstmG { gates, tanh_c, c_prev, dh, dc, dpre, dcp, b, hid } => {
+            if lstm_g_in_place(*dpre, *dcp) {
+                // Both destinations are born at this schedule position, and
+                // the slot allocator assigns births before deaths, so neither
+                // shares a physical slot with the other or with an operand
+                // still live here: write them in place, no scratch bounce.
                 let mut b0 = st.take(dpre.0);
                 let mut b1 = st.take(dcp.0);
                 {
@@ -1887,6 +1665,55 @@ fn contribute(j: usize, contrib: &mut [usize], present: &mut [bool]) -> Mode {
     let m = if contrib[j] == 0 { Mode::Store } else { Mode::Add };
     contrib[j] += 1;
     m
+}
+
+/// A gradient GEMM `dst (+)= op(a) · op(b)` over `[m, k, n]`. An add-mode
+/// product whose inner dimension is a single k-block accumulates in-engine
+/// ([`Instr::GemmAcc`]); a longer one keeps `Gemm { mode: Add }`'s scratch
+/// detour, because accumulating across k-blocks would reassociate the
+/// partial sums.
+fn grad_gemm(
+    ta: bool,
+    tb: bool,
+    a: Loc,
+    b: Loc,
+    [m, k, n]: [usize; 3],
+    dst: Dst,
+    mode: Mode,
+) -> Instr {
+    if mode == Mode::Add && legw_tensor::gemm_single_k_block(k) {
+        Instr::GemmAcc { ta, tb, a, b, m, k, n, dst }
+    } else {
+        Instr::Gemm { ta, tb, a, b, m, k, n, dst, mode }
+    }
+}
+
+/// Whether an `LstmG` writes its two destinations in place: both must be
+/// plain stores, since the kernel overwrites rather than accumulates.
+fn lstm_g_in_place(dpre: (Dst, Mode), dcp: (Dst, Mode)) -> bool {
+    dpre.1 == Mode::Store && dcp.1 == Mode::Store
+}
+
+/// f32 scratch elements an instruction needs at replay. The capture sizes
+/// the shared scratch buffer to the max over the schedule; the executor only
+/// ever slices that buffer, so a wrong value here would panic rather than
+/// reallocate.
+fn scratch_req(ins: &Instr) -> usize {
+    match ins {
+        Instr::Gemm { m, n, mode: Mode::Add, .. } => m * n,
+        Instr::EmbedG { mode: Mode::Add, vocab, dim, .. } => vocab * dim,
+        Instr::ConvG { dw, dx, geom, batch, oc, .. } => {
+            let ckk = geom.c * geom.kh * geom.kw;
+            let dw_need = matches!(dw, Some((_, Mode::Add))).then_some(oc * ckk).unwrap_or(0);
+            let dx_need = matches!(dx, Some((_, Mode::Add)))
+                .then_some(batch * geom.c * geom.h * geom.w)
+                .unwrap_or(0);
+            dw_need.max(dx_need)
+        }
+        Instr::MaxPoolG { mode: Mode::Add, x_len, .. } => *x_len,
+        Instr::LstmG { dpre, dcp, b, hid, .. } if !lstm_g_in_place(*dpre, *dcp) => b * 5 * hid,
+        _ => 0,
+    }
 }
 
 fn vl(loc: &mut Loc, f: &mut dyn FnMut(&mut u32)) {
@@ -2079,20 +1906,6 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
         Instr::GemmAcc { a, b, dst, .. } => {
             vl(a, f);
             vl(b, f);
-            vd(dst, f);
-        }
-        Instr::FusedEw { a0, stages, dst, .. } => {
-            vl(a0, f);
-            for s in stages {
-                match s {
-                    FusedStage::Bin { other, .. } => vl(other, f),
-                    FusedStage::BiasCol { bias, .. } => vl(bias, f),
-                    FusedStage::RowScaleS { s, .. } => vl(s, f),
-                    FusedStage::GradSigmoid { y } | FusedStage::GradTanh { y } => vl(y, f),
-                    FusedStage::GradRelu { x } => vl(x, f),
-                    FusedStage::Un { .. } | FusedStage::Mask { .. } => {}
-                }
-            }
             vd(dst, f);
         }
     }
@@ -2517,17 +2330,6 @@ impl Capturer {
         } else {
             spec.loss.map(|l| Dst::Slot((n + l.0) as u32))
         };
-        let mut seed_vids: Vec<u32> = Vec::new();
-        if let Some(Dst::Slot(v)) = loss_grad {
-            seed_vids.push(v);
-        }
-        for t in seed_targets.iter().flatten() {
-            if let (Dst::Slot(v), _) = t {
-                if !seed_vids.contains(v) {
-                    seed_vids.push(*v);
-                }
-            }
-        }
 
         // ---- backward emission (node i's rule at position 2N-1-i)
         let mut bwd: Vec<Instr> = Vec::new();
@@ -2629,31 +2431,13 @@ impl Capturer {
                         let nn = shape(b.0)[1];
                         if rg(*a) {
                             let mode = contribute(a.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: false,
-                                tb: true,
-                                a: up,
-                                b: val_loc[b.0],
-                                m,
-                                k: nn,
-                                n: kk,
-                                dst: gdst(a.0),
-                                mode,
-                            });
+                            let (b, dims) = (val_loc[b.0], [m, nn, kk]);
+                            bwd.push(grad_gemm(false, true, up, b, dims, gdst(a.0), mode));
                         }
                         if rg(*b) {
                             let mode = contribute(b.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: true,
-                                tb: false,
-                                a: val_loc[a.0],
-                                b: up,
-                                m: kk,
-                                k: m,
-                                n: nn,
-                                dst: gdst(b.0),
-                                mode,
-                            });
+                            let (a, dims) = (val_loc[a.0], [kk, m, nn]);
+                            bwd.push(grad_gemm(true, false, a, up, dims, gdst(b.0), mode));
                         }
                     }
                     Op::Scale(x, c) => {
@@ -2962,7 +2746,6 @@ impl Capturer {
                             dcp,
                             b,
                             hid,
-                            direct: false,
                         });
                     }
                     Op::LstmCellC { h_out } => {
@@ -2997,7 +2780,6 @@ impl Capturer {
                                     dcp,
                                     b,
                                     hid,
-                                    direct: false,
                                 });
                             }
                         }
@@ -3007,31 +2789,13 @@ impl Capturer {
                         let n4 = shape(w_x.0)[1];
                         if rg(*x_pack) {
                             let mode = contribute(x_pack.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: false,
-                                tb: true,
-                                a: up,
-                                b: val_loc[w_x.0],
-                                m: rows,
-                                k: n4,
-                                n: kk,
-                                dst: gdst(x_pack.0),
-                                mode,
-                            });
+                            let (w, dims) = (val_loc[w_x.0], [rows, n4, kk]);
+                            bwd.push(grad_gemm(false, true, up, w, dims, gdst(x_pack.0), mode));
                         }
                         if rg(*w_x) {
                             let mode = contribute(w_x.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: true,
-                                tb: false,
-                                a: val_loc[x_pack.0],
-                                b: up,
-                                m: kk,
-                                k: rows,
-                                n: n4,
-                                dst: gdst(w_x.0),
-                                mode,
-                            });
+                            let (x, dims) = (val_loc[x_pack.0], [kk, rows, n4]);
+                            bwd.push(grad_gemm(true, false, x, up, dims, gdst(w_x.0), mode));
                         }
                         if rg(*bias) {
                             bwd.push(Instr::ColSumG {
@@ -3048,31 +2812,13 @@ impl Capturer {
                         let n4 = shape(w_h.0)[1];
                         if rg(*h) {
                             let mode = contribute(h.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: false,
-                                tb: true,
-                                a: up,
-                                b: val_loc[w_h.0],
-                                m: *batch,
-                                k: n4,
-                                n: hid,
-                                dst: gdst(h.0),
-                                mode,
-                            });
+                            let (w, dims) = (val_loc[w_h.0], [*batch, n4, hid]);
+                            bwd.push(grad_gemm(false, true, up, w, dims, gdst(h.0), mode));
                         }
                         if rg(*w_h) {
                             let mode = contribute(w_h.0, &mut contrib, &mut grads_present);
-                            bwd.push(Instr::Gemm {
-                                ta: true,
-                                tb: false,
-                                a: val_loc[h.0],
-                                b: up,
-                                m: hid,
-                                k: *batch,
-                                n: n4,
-                                dst: gdst(w_h.0),
-                                mode,
-                            });
+                            let (hv, dims) = (val_loc[h.0], [hid, *batch, n4]);
+                            bwd.push(grad_gemm(true, false, hv, up, dims, gdst(w_h.0), mode));
                         }
                         if rg(*seq) {
                             let zero_first = contrib[seq.0] == 0;
@@ -3096,19 +2842,9 @@ impl Capturer {
             }
         }
 
-        // ---- plan optimizer: peephole elementwise fusion, gradient-copy
-        // propagation and scratch-free instruction folds. Runs before
-        // liveness so fused-away intermediates never get arena slots.
-        let (fwd_pre, bwd_pre) = (fwd.len(), bwd.len());
-        let pre_counts = plan_fuse::histogram(&fwd, &bwd);
-        if fuse_enabled() {
-            plan_fuse::optimize(&mut fwd, &mut fpos, &mut bwd, &mut bpos, &seed_vids);
-        }
-        // Shared f32 scratch sized from the final schedule's largest
-        // consumer; the executor only ever slices it, so replays can never
-        // grow it.
-        let scratch =
-            fwd.iter().chain(bwd.iter()).map(plan_fuse::scratch_req).max().unwrap_or(0);
+        // Shared f32 scratch sized from the schedule's largest consumer; the
+        // executor only ever slices it, so replays can never grow it.
+        let scratch = fwd.iter().chain(bwd.iter()).map(scratch_req).max().unwrap_or(0);
 
         // ---- liveness over the 2N-position schedule
         let mut uses: HashMap<u32, (usize, usize)> = HashMap::new();
@@ -3128,8 +2864,11 @@ impl Capturer {
             for (ins, &pos) in bwd.iter_mut().zip(bpos.iter()) {
                 visit_slots(ins, &mut |v| touch(*v, pos));
             }
-            for &vid in &seed_vids {
-                touch(vid, n);
+            // The replay driver writes the seeds between the two sweeps.
+            for d in loss_grad.iter().chain(seed_targets.iter().flatten().map(|(d, _)| d)) {
+                if let Dst::Slot(vid) = d {
+                    touch(*vid, n);
+                }
             }
         }
         let numel_of = |vid: u32| -> usize {
@@ -3203,8 +2942,6 @@ impl Capturer {
             nodes: n,
             fwd_instrs: fwd.len(),
             bwd_instrs: bwd.len(),
-            fwd_instrs_pre: fwd_pre,
-            bwd_instrs_pre: bwd_pre,
             arena_slots: phys_sizes.len(),
             arena_bytes: phys_sizes.iter().sum::<usize>() * 4,
             peak_live_bytes: peak,
@@ -3254,7 +2991,6 @@ impl Capturer {
             loss_out,
             par_grad_present: spec.params.iter().map(|&v| contrib[v.0] > 0).collect(),
             stats,
-            pre_counts,
         })
     }
 }
@@ -3674,108 +3410,89 @@ mod tests {
         }
     }
 
-    // ---- plan optimizer (fusion / copy-prop / folds) ---------------------
+    // ---- the two arms small shapes never reach ---------------------------
+    //
+    // Every add-mode gradient GEMM with a single-k-block inner dimension is
+    // emitted as `GemmAcc`, and every `LstmG` with two store destinations
+    // runs in place, so the fixtures above never execute the scratch-detour
+    // `Gemm { mode: Add }` arm or the scratch-bounce `LstmG` arm.
+
+    /// `a` and `w` each feed two matmuls, so the second gradient contribution
+    /// to either is add-mode with inner dimension `K_DEEP`.
+    const K_DEEP: usize = 300;
+
+    fn deep_k_tape(a: &Tensor, w: &Tensor) -> (Graph, Vec<Var>, Var) {
+        let mut g = Graph::new();
+        let av = g.param(a.clone());
+        let wv = g.param(w.clone());
+        let y1 = g.matmul(av, wv);
+        let t1 = g.tanh(y1);
+        let y2 = g.matmul(av, wv);
+        let prod = g.mul(t1, y2);
+        let loss = g.mean_all(prod);
+        (g, vec![av, wv], loss)
+    }
 
     #[test]
-    fn fused_lstm_replay_matches_unfused_bitwise() {
-        // LSTM chain: exercises the LstmG direct rewrite and the
-        // Gemm{Add}->GemmAcc fold (all inner dims here are single-k-block).
-        let ps0 = lstm_params(141);
-        let x0 = t(150, &[T * B, IN]);
-        let lab0 = vec![1usize, 0];
-        let tape = lstm_tape(&x0, &ps0.iter().collect::<Vec<_>>(), &lab0);
-        let spec = CaptureSpec {
-            inputs: &tape.inputs,
-            params: &tape.params,
-            loss: Some(tape.loss),
-            outputs: &[],
-        };
-        let mut fused =
-            with_fuse_override(true, || Plan::capture(&tape.g, &spec)).expect("fused capture");
-        let mut plain =
-            with_fuse_override(false, || Plan::capture(&tape.g, &spec)).expect("unfused capture");
+    fn add_mode_gemm_past_one_k_block_matches_tape_bitwise() {
+        assert!(!legw_tensor::gemm_single_k_block(K_DEEP));
+        let (a0, w0) = (t(300, &[K_DEEP, 3]), t(301, &[3, K_DEEP]));
+        let (g0, params, loss) = deep_k_tape(&a0, &w0);
+        let spec = CaptureSpec { inputs: &[], params: &params, loss: Some(loss), outputs: &[] };
+        let mut plan = Plan::capture(&g0, &spec).expect("deep-k capture");
+        // dA is [K_DEEP, 3] and dW is [3, K_DEEP]: both detour through scratch.
+        assert!(plan.stats().scratch_bytes >= 3 * K_DEEP * 4, "{}", plan.describe());
+        assert!(!plan.describe().contains("GemmAcc"), "{}", plan.describe());
 
-        // fuse=0 must reproduce the raw emission exactly.
-        let (fs, us) = (fused.stats(), plain.stats());
-        assert_eq!(us.fwd_instrs, us.fwd_instrs_pre);
-        assert_eq!(us.bwd_instrs, us.bwd_instrs_pre);
-        assert_eq!(fs.fwd_instrs_pre, us.fwd_instrs);
-        assert_eq!(fs.bwd_instrs_pre, us.bwd_instrs);
-        // LstmG direct + GemmAcc folds drop every scratch consumer here.
-        assert!(
-            fs.scratch_bytes < us.scratch_bytes,
-            "optimizer should shrink scratch: {} vs {}",
-            fs.scratch_bytes,
-            us.scratch_bytes
-        );
-
-        let ps1 = lstm_params(151);
-        let x1 = t(152, &[T * B, IN]);
-        let lab1 = vec![3usize, 2];
-        let pr: Vec<&Tensor> = ps1.iter().collect();
-        let zeros = Tensor::zeros(&[B, H]);
-        let ins: Vec<&Tensor> = vec![&x1, &zeros, &zeros];
-        let feeds = Feeds { labels: &[&lab1], ..Feeds::default() };
-        fused.replay_step(&ins, &pr, &feeds);
-        plain.replay_step(&ins, &pr, &feeds);
-        assert_bits(&[fused.loss()], &[plain.loss()], "fused lstm loss");
-        for k in 0..pr.len() {
+        let (a1, w1) = (t(310, &[K_DEEP, 3]), t(311, &[3, K_DEEP]));
+        plan.replay_step(&[], &[&a1, &w1], &Feeds::default());
+        let (mut fresh, fparams, floss) = deep_k_tape(&a1, &w1);
+        fresh.backward(floss);
+        assert_bits(&[plan.loss()], fresh.value(floss).as_slice(), "deep-k loss");
+        for (k, &pvar) in fparams.iter().enumerate() {
             assert_bits(
-                fused.param_grad(k).expect("fused grad").as_slice(),
-                plain.param_grad(k).expect("plain grad").as_slice(),
-                "fused lstm grad",
+                plan.param_grad(k).expect("grad present").as_slice(),
+                fresh.grad(pvar).expect("tape grad").as_slice(),
+                "deep-k grad",
             );
         }
     }
 
-    #[test]
-    fn fused_mixed_replay_matches_unfused_with_fewer_instrs() {
-        // Mixed tape: mul->sigmoid and row_scale->tanh and scale->add_scalar
-        // chains exercise the FusedEw peephole; add_scalar's backward
-        // ScaleG{c=1} exercises copy-prop.
-        let table0 = t(200, &[7, 6]);
-        let sv0 = t(201, &[4, 1]);
-        let x20 = t(202, &[2, 12]);
-        let ids0 = vec![2usize, 5, 0, 3];
-        let mask0 = t(203, &[4, 6]);
-        let tape = mixed_tape(&x20, &table0, &sv0, &ids0, &mask0);
-        let spec = CaptureSpec {
-            inputs: &[tape.x2],
-            params: &tape.params,
-            loss: Some(tape.loss),
-            outputs: &[],
-        };
-        let mut fused =
-            with_fuse_override(true, || Plan::capture(&tape.g, &spec)).expect("fused capture");
-        let mut plain =
-            with_fuse_override(false, || Plan::capture(&tape.g, &spec)).expect("unfused capture");
-        let (fs, us) = (fused.stats(), plain.stats());
-        assert!(
-            fs.fwd_instrs + fs.bwd_instrs < us.fwd_instrs + us.bwd_instrs,
-            "optimizer should remove instructions: fused {}+{} vs unfused {}+{}",
-            fs.fwd_instrs,
-            fs.bwd_instrs,
-            us.fwd_instrs,
-            us.bwd_instrs
-        );
-        assert!(fs.peak_live_bytes <= us.peak_live_bytes);
+    /// `c_prev` is read again *after* the cell, so that reader's backward
+    /// stores `c_prev`'s gradient first and the cell's `LstmG` must add.
+    fn shared_c_prev_tape(x: &Tensor, w: &Tensor, cp: &Tensor) -> (Graph, Var, Vec<Var>, Var) {
+        let mut g = Graph::new();
+        let xv = g.input(x.clone());
+        let wv = g.param(w.clone());
+        let cpv = g.param(cp.clone());
+        let pre = g.matmul(xv, wv);
+        let c_prev = g.tanh(cpv);
+        let (h, c) = g.lstm_cell(pre, c_prev);
+        let z = g.mul(h, c_prev);
+        let s = g.add(z, c);
+        let loss = g.mean_all(s);
+        (g, xv, vec![wv, cpv], loss)
+    }
 
-        let table1 = t(210, &[7, 6]);
-        let sv1 = t(211, &[4, 1]);
-        let x21 = t(212, &[2, 12]);
-        let ids1 = vec![6usize, 1, 4, 2];
-        let mask1 = t(213, &[4, 6]);
-        let feeds = Feeds { ids: &[&ids1], masks: &[&mask1], ..Feeds::default() };
-        for plan in [&mut fused, &mut plain] {
-            plan.replay_forward(&[&x21], &[&table1, &sv1], &feeds);
-            plan.replay_backward_loss(&[&x21], &[&table1, &sv1]);
-        }
-        assert_bits(&[fused.loss()], &[plain.loss()], "fused mixed loss");
-        for k in 0..2 {
+    #[test]
+    fn lstm_cell_with_shared_c_prev_matches_tape_bitwise() {
+        let (x0, w0, cp0) = (t(320, &[B, IN]), t(321, &[IN, 4 * H]), t(322, &[B, H]));
+        let (g0, xv, params, loss) = shared_c_prev_tape(&x0, &w0, &cp0);
+        let spec = CaptureSpec { inputs: &[xv], params: &params, loss: Some(loss), outputs: &[] };
+        let mut plan = Plan::capture(&g0, &spec).expect("shared c_prev capture");
+        // Only the scratch-bounce LstmG needs f32 scratch on this tape.
+        assert_eq!(plan.stats().scratch_bytes, B * 5 * H * 4, "{}", plan.describe());
+
+        let (x1, w1, cp1) = (t(330, &[B, IN]), t(331, &[IN, 4 * H]), t(332, &[B, H]));
+        plan.replay_step(&[&x1], &[&w1, &cp1], &Feeds::default());
+        let (mut fresh, _, fparams, floss) = shared_c_prev_tape(&x1, &w1, &cp1);
+        fresh.backward(floss);
+        assert_bits(&[plan.loss()], fresh.value(floss).as_slice(), "shared c_prev loss");
+        for (k, &pvar) in fparams.iter().enumerate() {
             assert_bits(
-                fused.param_grad(k).expect("fused grad").as_slice(),
-                plain.param_grad(k).expect("plain grad").as_slice(),
-                "fused mixed grad",
+                plan.param_grad(k).expect("grad present").as_slice(),
+                fresh.grad(pvar).expect("tape grad").as_slice(),
+                "shared c_prev grad",
             );
         }
     }
@@ -3871,6 +3588,9 @@ mod tests {
         // liveness must let at least one slot be reused on a T-step chain:
         // distinct intermediate values outnumber physical slots
         assert!(st.arena_slots < st.nodes);
+        // Every add-mode GEMM here folds into GemmAcc and every LstmG runs
+        // in place, so only the bias gradient's f64 column sums need scratch.
+        assert_eq!(st.scratch_bytes, 4 * H * 8, "{}", plan.describe());
     }
 
     #[test]

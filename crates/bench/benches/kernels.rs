@@ -237,33 +237,6 @@ fn bench_plan_replay(c: &mut Criterion) {
             black_box(loss)
         });
     });
-    // Fused vs unfused replay of the same captured step: the PR 8
-    // optimizer pass (copy-prop, FusedEw chains, GemmAcc folding,
-    // in-place LstmG) against the PR 6 schedule, on identical data.
-    g.bench_function("mnist_b64_plan_replay_fused", |b| {
-        let mut plan = legw_autograd::with_fuse_override(true, || {
-            model.capture_step_plan(&ps, &bx, &by)
-        })
-        .expect("MNIST-LSTM step tape is plan-capturable");
-        b.iter(|| {
-            let loss = model.replay_step_plan(&mut plan, &ps, &bx, &by);
-            let mut buf = GradBuffer::for_params(&ps);
-            plan.write_grads_to(&mut buf);
-            black_box(loss)
-        });
-    });
-    g.bench_function("mnist_b64_plan_replay_unfused", |b| {
-        let mut plan = legw_autograd::with_fuse_override(false, || {
-            model.capture_step_plan(&ps, &bx, &by)
-        })
-        .expect("MNIST-LSTM step tape is plan-capturable");
-        b.iter(|| {
-            let loss = model.replay_step_plan(&mut plan, &ps, &bx, &by);
-            let mut buf = GradBuffer::for_params(&ps);
-            plan.write_grads_to(&mut buf);
-            black_box(loss)
-        });
-    });
     g.bench_function("mnist_b64_tape_forward", |b| {
         b.iter(|| {
             let (graph, _, loss, _) = model.forward_loss(&ps, &bx, &by);

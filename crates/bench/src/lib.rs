@@ -123,22 +123,14 @@ pub fn quick_mode() -> bool {
 /// Installs the `LEGW_THREADS` budget into the kernel thread pool and pins
 /// the SIMD kernel choice (`LEGW_KERNEL`, else CPUID-best) for the whole
 /// run. Bench binaries call this at the top of `main`, before the first
-/// kernel runs; the variables themselves are parsed by
-/// [`legw::ExecConfig::from_env`] — the library's single environment read —
-/// this merely forwards the result.
+/// kernel runs. `LEGW_THREADS` is parsed by [`legw::ExecConfig::from_env`]
+/// and `LEGW_KERNEL` by `legw_tensor::kernels` — each variable's single
+/// read site; this merely forwards the results.
 pub fn init_threads_from_env() {
-    let cfg = legw::ExecConfig::from_env();
-    if let Some(t) = cfg.threads {
+    if let Some(t) = legw::ExecConfig::from_env().threads {
         legw_parallel::set_default_threads(t);
     }
-    match cfg.kernel {
-        Some(k) => {
-            legw_tensor::kernels::force(k);
-        }
-        None => {
-            legw_tensor::kernels::init();
-        }
-    }
+    legw_tensor::kernels::init();
 }
 
 #[cfg(test)]

@@ -32,12 +32,13 @@
 //! trainer path.
 //!
 //! Configuration is explicit: build an [`ExecConfig`] (or parse the
-//! `LEGW_SHARDS` / `LEGW_THREADS` / `LEGW_REDUCE_OVERLAP` /
-//! `LEGW_PLAN_FUSE` environment variables with [`ExecConfig::from_env`] —
-//! the one place in the library that reads them) and hand it to
-//! [`Executor::new`]. The four training
-//! workloads plug in through the [`ShardStep`](crate::steps::ShardStep)
-//! trait and run via [`Executor::step`](crate::steps).
+//! `LEGW_SHARDS` / `LEGW_THREADS` / `LEGW_REDUCE_OVERLAP` environment
+//! variables with [`ExecConfig::from_env`] — the one place in the library
+//! that reads those three; `LEGW_KERNEL` is read once, by
+//! `legw_tensor::kernels`) and hand it to [`Executor::new`]. The four
+//! training workloads plug in through the
+//! [`ShardStep`](crate::steps::ShardStep) trait and run via
+//! [`Executor::step`](crate::steps).
 
 use crate::reduce_sched::{tree_reduce, ReduceScheduler};
 use legw_nn::GradBuffer;
@@ -70,27 +71,21 @@ pub struct ExecConfig {
     /// `false` exists for benchmarking the barrier path and as an escape
     /// hatch.
     pub reduce_overlap: bool,
-    /// Plan-optimizer override for captures made through this executor
-    /// (see `legw-autograd`'s plan module): `Some(b)` forces fusion on/off
-    /// for [`step_planned`](crate::plan_cache) captures; `None` (default)
-    /// inherits the `LEGW_PLAN_FUSE` environment toggle read by the
-    /// autograd crate at first capture. Replays are bitwise identical
-    /// either way — the setting only trades schedule size for debuggability.
-    pub plan_fuse: Option<bool>,
     /// SIMD kernel variant for the runtime-dispatched tensor kernels
     /// (GEMM micro-tile, `matvec` dot, activation sweeps, fused LSTM gate
     /// row). `Some(k)` asks [`Executor::new`] to install `k` as the
     /// process-wide selection (first-wins, like `threads`; ignored with a
     /// stderr warning if a different selection is already fixed or the CPU
-    /// can't run it). `None` (default) leaves selection to the
-    /// `LEGW_KERNEL` variable / CPUID detection at init. Every variant is
+    /// can't run it). `None` (default, and what [`ExecConfig::from_env`]
+    /// yields) leaves selection to `legw_tensor::kernels`: the `LEGW_KERNEL`
+    /// variable if set, CPUID detection otherwise. Every variant is
     /// bitwise-equal, so this is a performance knob, never a numerics one.
     pub kernel: Option<legw_tensor::kernels::Kernel>,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self { shards: 1, threads: None, reduce_overlap: true, plan_fuse: None, kernel: None }
+        Self { shards: 1, threads: None, reduce_overlap: true, kernel: None }
     }
 }
 
@@ -113,13 +108,6 @@ impl ExecConfig {
         self
     }
 
-    /// Forces the plan optimizer on/off for captures made through this
-    /// executor, overriding the `LEGW_PLAN_FUSE` environment toggle.
-    pub fn with_plan_fuse(mut self, on: bool) -> Self {
-        self.plan_fuse = Some(on);
-        self
-    }
-
     /// Requests a specific SIMD kernel variant (see [`ExecConfig::kernel`]).
     pub fn with_kernel(mut self, k: legw_tensor::kernels::Kernel) -> Self {
         self.kernel = Some(k);
@@ -127,22 +115,19 @@ impl ExecConfig {
     }
 
     /// Reads `LEGW_SHARDS` (positive integer, default 1), `LEGW_THREADS`
-    /// (positive integer, default machine parallelism),
-    /// `LEGW_REDUCE_OVERLAP` (`0`/`false`/`off`/`no` disable, default on),
-    /// `LEGW_PLAN_FUSE` (same boolean grammar; unset leaves the plan
-    /// optimizer at the autograd crate's own default) and `LEGW_KERNEL`
-    /// (`scalar`/`avx2`/`avx512`; unset leaves SIMD kernel selection to
-    /// CPUID detection — the tensor crate also honours the variable
-    /// directly for standalone use, with identical grammar).
+    /// (positive integer, default machine parallelism) and
+    /// `LEGW_REDUCE_OVERLAP` (`0`/`false`/`off`/`no` disable, default on).
+    /// `kernel` stays `None`: `LEGW_KERNEL` is read, validated and warned
+    /// about by `legw_tensor::kernels` itself, for every entry point.
     ///
     /// A variable that is *set* but malformed (unparsable, zero, or an
     /// unrecognised boolean) falls back to the default **with a warning on
     /// stderr** — a typo in an experiment script must not silently demote
     /// the run to serial.
     ///
-    /// This is the **only** place the library consults these variables —
-    /// call it at the composition root (trainers, binaries) and pass the
-    /// config down explicitly.
+    /// This is the **only** place the library consults these three
+    /// variables — call it at the composition root (trainers, binaries) and
+    /// pass the config down explicitly.
     pub fn from_env() -> Self {
         fn positive(key: &str) -> Option<usize> {
             let raw = std::env::var(key).ok()?;
@@ -171,25 +156,11 @@ impl ExecConfig {
                 }
             }
         }
-        fn kernel_var() -> Option<legw_tensor::kernels::Kernel> {
-            let raw = std::env::var("LEGW_KERNEL").ok()?;
-            match legw_tensor::kernels::Kernel::parse(&raw) {
-                Some(k) => Some(k),
-                None => {
-                    eprintln!(
-                        "legw: ignoring LEGW_KERNEL={raw:?} (expected scalar/avx2/avx512); \
-                         falling back to runtime detection"
-                    );
-                    None
-                }
-            }
-        }
         Self {
             shards: positive("LEGW_SHARDS").unwrap_or(1),
             threads: positive("LEGW_THREADS"),
             reduce_overlap: boolean("LEGW_REDUCE_OVERLAP").unwrap_or(true),
-            plan_fuse: boolean("LEGW_PLAN_FUSE"),
-            kernel: kernel_var(),
+            kernel: None,
         }
     }
 }
@@ -240,7 +211,6 @@ pub struct StepOutcome {
 pub struct Executor {
     shards: usize,
     overlap: bool,
-    plan_fuse: Option<bool>,
     /// Pool the shard closures run on (absent for the serial executor).
     /// Sized so `run(n ≤ shards)` gives each shard its own concurrent
     /// worker (the caller participates as one of them).
@@ -295,16 +265,14 @@ impl Executor {
         }
         let shards = config.shards.max(1);
         let overlap = config.reduce_overlap;
-        let plan_fuse = config.plan_fuse;
         if shards == 1 {
-            return Self { shards, overlap, plan_fuse, shard_pool: None, intra: Vec::new() };
+            return Self { shards, overlap, shard_pool: None, intra: Vec::new() };
         }
         let budget = default_threads();
         let intra_threads = (budget / shards).max(1);
         Self {
             shards,
             overlap,
-            plan_fuse,
             shard_pool: Some(ThreadPool::new(shards)),
             intra: (0..shards).map(|_| Arc::new(ThreadPool::new(intra_threads))).collect(),
         }
@@ -318,12 +286,6 @@ impl Executor {
     /// True when gradient reduction streams as shards complete.
     pub fn reduce_overlap(&self) -> bool {
         self.overlap
-    }
-
-    /// The plan-optimizer override captures made through this executor run
-    /// under (`None` = inherit the `LEGW_PLAN_FUSE` environment toggle).
-    pub fn plan_fuse(&self) -> Option<bool> {
-        self.plan_fuse
     }
 
     /// Contiguous example ranges for a batch of `n` examples: at most
@@ -601,21 +563,13 @@ mod tests {
         let cfg = ExecConfig::default();
         assert_eq!(
             cfg,
-            ExecConfig {
-                shards: 1,
-                threads: None,
-                reduce_overlap: true,
-                plan_fuse: None,
-                kernel: None
-            }
+            ExecConfig { shards: 1, threads: None, reduce_overlap: true, kernel: None }
         );
         let cfg = cfg.with_shards(0).with_reduce_overlap(false);
         assert_eq!(cfg.shards, 1, "shards clamp to >= 1");
         assert!(!cfg.reduce_overlap);
         let cfg = cfg.with_threads(6);
         assert_eq!(cfg.threads, Some(6));
-        let cfg = cfg.with_plan_fuse(false);
-        assert_eq!(cfg.plan_fuse, Some(false));
         let cfg = cfg.with_kernel(legw_tensor::kernels::Kernel::Scalar);
         assert_eq!(cfg.kernel, Some(legw_tensor::kernels::Kernel::Scalar));
     }

@@ -28,19 +28,12 @@
 
 use crate::exec::{Executor, ShardOut, StepOutcome};
 use crate::steps::{MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
-use legw_autograd::{with_fuse_override, PlanStats};
+use legw_autograd::PlanStats;
 use legw_models::StepPlan;
 use legw_nn::{DropCtx, GradBuffer, ParamSet};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
-/// `LEGW_PLAN_DEBUG=1` makes [`Executor::step_planned`] print each shard's
-/// schedule summary to stderr on first capture.
-fn plan_debug() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("LEGW_PLAN_DEBUG").is_ok_and(|v| v.trim() == "1"))
-}
+use std::sync::Mutex;
 
 /// A [`ShardStep`] whose shards can be captured into reusable plans.
 pub trait PlannedStep: ShardStep {
@@ -76,11 +69,6 @@ pub trait PlannedStep: ShardStep {
     /// plan's exact peak live set right after capture, so even the *first*
     /// replay allocates nothing.
     fn plan_stats(&self, _state: &Self::PlanState) -> Option<PlanStats> {
-        None
-    }
-
-    /// One-line schedule summary for the `LEGW_PLAN_DEBUG=1` capture log.
-    fn plan_describe(&self, _state: &Self::PlanState) -> Option<String> {
         None
     }
 }
@@ -243,22 +231,11 @@ impl Executor {
                         key,
                         || {
                             // The capture runs on this shard's worker
-                            // thread, so the fuse override (thread-local)
-                            // and the pool prewarm (thread-local free list)
-                            // both land where the replays will run.
-                            let captured = match self.plan_fuse() {
-                                Some(b) => with_fuse_override(b, || w.capture(ps_ref, s)),
-                                None => w.capture(ps_ref, s),
-                            };
-                            if let Some(p) = &captured {
-                                if let Some(stats) = w.plan_stats(p) {
-                                    legw_tensor::pool::prewarm(stats.peak_live_bytes);
-                                }
-                                if plan_debug() {
-                                    if let Some(d) = w.plan_describe(p) {
-                                        eprintln!("legw: shard {i} captured {d}");
-                                    }
-                                }
+                            // thread, so the pool prewarm (thread-local
+                            // free list) lands where the replays will run.
+                            let captured = w.capture(ps_ref, s);
+                            if let Some(stats) = captured.as_ref().and_then(|p| w.plan_stats(p)) {
+                                legw_tensor::pool::prewarm(stats.peak_live_bytes);
                             }
                             captured
                         },
@@ -299,10 +276,6 @@ impl PlannedStep for MnistStep<'_> {
     fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
         Some(plan.stats())
     }
-
-    fn plan_describe(&self, plan: &StepPlan) -> Option<String> {
-        Some(plan.describe())
-    }
 }
 
 impl PlannedStep for PtbStep<'_> {
@@ -336,10 +309,6 @@ impl PlannedStep for PtbStep<'_> {
     fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
         Some(plan.stats())
     }
-
-    fn plan_describe(&self, plan: &StepPlan) -> Option<String> {
-        Some(plan.describe())
-    }
 }
 
 impl PlannedStep for ResnetStep<'_> {
@@ -369,10 +338,6 @@ impl PlannedStep for ResnetStep<'_> {
 
     fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
         Some(plan.stats())
-    }
-
-    fn plan_describe(&self, plan: &StepPlan) -> Option<String> {
-        Some(plan.describe())
     }
 }
 
@@ -405,9 +370,5 @@ impl PlannedStep for Seq2SeqStep<'_> {
 
     fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
         Some(plan.stats())
-    }
-
-    fn plan_describe(&self, plan: &StepPlan) -> Option<String> {
-        Some(plan.describe())
     }
 }

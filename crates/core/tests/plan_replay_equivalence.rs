@@ -15,12 +15,6 @@
 //!   per-op contributions — a documented reassociation bounded at ≤1e-5
 //!   relative (see DESIGN.md §11).
 //!
-//! Every model-family suite runs its full shard matrix twice — once with
-//! the plan optimizer forced on ([`ExecConfig::with_plan_fuse`]) and once
-//! forced off — because fused replays must be bitwise identical to
-//! unfused replays (and both to the tape): fusion only removes memory
-//! round-trips, never a rounding step.
-//!
 //! Plus cache-invalidation coverage: a partial final batch and a changed
 //! source length must transparently capture fresh plans in the same
 //! [`PlanCache`] rather than replaying a mismatched one.
@@ -87,14 +81,13 @@ fn assert_close(
 #[test]
 fn mnist_plan_replay_matches_tape_bitwise() {
     let data = SynthMnist::generate(11, 72, 8);
-    for (shards, fuse) in SHARD_COUNTS.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+    for shards in SHARD_COUNTS {
         let mut rng = StdRng::seed_from_u64(21);
         let mut ps_t = ParamSet::new();
         let model = MnistLstm::new(&mut ps_t, &mut rng, 10, 10);
         let mut ps_p = ps_t.clone();
 
-        let exec =
-            Executor::new(ExecConfig::default().with_shards(shards).with_plan_fuse(fuse));
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let cache = PlanCache::for_executor(&exec);
         for step in 0..STEPS {
             let idx: Vec<usize> = (step * 24..(step + 1) * 24).collect();
@@ -122,14 +115,13 @@ fn mnist_plan_replay_matches_tape_bitwise() {
 fn ptb_plan_replay_matches_tape_bitwise_with_dropout() {
     let data = SynthPtb::generate(5, 40, 5, 6000, 1200);
     let cfg = PtbLmConfig { vocab: 40, embed: 14, hidden: 14, layers: 2, keep: 0.7 };
-    for (shards, fuse) in SHARD_COUNTS.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+    for shards in SHARD_COUNTS {
         let mut rng = StdRng::seed_from_u64(23);
         let mut ps_t = ParamSet::new();
         let model = PtbLm::new(&mut ps_t, &mut rng, cfg);
         let mut ps_p = ps_t.clone();
 
-        let exec =
-            Executor::new(ExecConfig::default().with_shards(shards).with_plan_fuse(fuse));
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let cache = PlanCache::for_executor(&exec);
         let windows = data.batches(true, 8, 6);
         let mut state_t = LmState::zeros(&cfg, 8);
@@ -162,15 +154,14 @@ fn ptb_plan_replay_matches_tape_bitwise_with_dropout() {
 #[test]
 fn resnet_plan_replay_matches_tape_bitwise_including_bn_stats() {
     let data = SynthImageNet::generate(6, 5, 72, 12);
-    for (shards, fuse) in SHARD_COUNTS.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+    for shards in SHARD_COUNTS {
         let mut rng = StdRng::seed_from_u64(29);
         let mut ps_t = ParamSet::new();
         let mut model_t = ResNet::new(&mut ps_t, &mut rng, 4, 5);
         let mut ps_p = ps_t.clone();
         let mut model_p = model_t.clone();
 
-        let exec =
-            Executor::new(ExecConfig::default().with_shards(shards).with_plan_fuse(fuse));
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let cache = PlanCache::for_executor(&exec);
         for step in 0..STEPS {
             let idx: Vec<usize> = (step * 16..(step + 1) * 16).collect();
@@ -204,7 +195,7 @@ fn resnet_plan_replay_matches_tape_bitwise_including_bn_stats() {
 #[test]
 fn seq2seq_plan_replay_matches_tape_with_documented_embedding_tolerance() {
     let data = SynthTranslation::generate(13, 10, 96, 12, 3, 5);
-    for (shards, fuse) in SHARD_COUNTS.into_iter().flat_map(|s| [(s, true), (s, false)]) {
+    for shards in SHARD_COUNTS {
         let mut rng = StdRng::seed_from_u64(31);
         let mut ps_t = ParamSet::new();
         let cfg =
@@ -212,8 +203,7 @@ fn seq2seq_plan_replay_matches_tape_with_documented_embedding_tolerance() {
         let model = Seq2Seq::new(&mut ps_t, &mut rng, cfg);
         let mut ps_p = ps_t.clone();
 
-        let exec =
-            Executor::new(ExecConfig::default().with_shards(shards).with_plan_fuse(fuse));
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let cache = PlanCache::for_executor(&exec);
         let batches = data.batches(true, 8);
         for (step, b) in batches.iter().take(STEPS).enumerate() {

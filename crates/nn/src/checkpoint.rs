@@ -16,9 +16,7 @@
 //! crc32 u32   (IEEE, over every preceding byte including the magic)
 //! ```
 //!
-//! Version 1 (magic, version, count, params without `payload_len`, no
-//! config, no CRC) is still loadable; [`save_v1`] writes it for
-//! compatibility tests. Gradients are never persisted (transient state).
+//! Gradients are never persisted (transient state).
 //!
 //! Restores are **all-or-nothing**: the stream is parsed and validated
 //! into scratch storage first and committed to the [`ParamSet`] only once
@@ -34,6 +32,9 @@ const VERSION: u16 = 2;
 /// The only payload dtype today. Tagged in the header so a future
 /// reduced-precision artifact can be detected instead of misread.
 const DTYPE_F32: u8 = 0;
+/// Bytes of the smallest parameter record: `name_len`, an empty name,
+/// `ndim`, one dim, `payload_len`, an empty payload.
+const MIN_PARAM_RECORD: usize = 2 + 1 + 4 + 8;
 
 /// Why a checkpoint failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,30 +198,6 @@ pub fn save_to(ps: &ParamSet, config: Option<&[u8]>, out: &mut impl BufMut) {
     out.put_u32_le(crc);
 }
 
-/// Writes the legacy v1 layout (no dtype tag, payload lengths, config or
-/// CRC). Kept so the v1-compatibility path stays testable.
-pub fn save_v1(ps: &ParamSet) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + ps.num_scalars() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(1);
-    buf.put_u32_le(ps.len() as u32);
-    for (_, p) in ps.iter() {
-        let name = p.name.as_bytes();
-        assert!(name.len() <= u16::MAX as usize, "parameter name too long");
-        buf.put_u16_le(name.len() as u16);
-        buf.put_slice(name);
-        let dims = p.value.shape();
-        buf.put_u8(dims.len() as u8);
-        for &d in dims {
-            buf.put_u32_le(d as u32);
-        }
-        for &v in p.value.as_slice() {
-            buf.put_f32_le(v);
-        }
-    }
-    buf.freeze()
-}
-
 // ---------------------------------------------------------------- load
 
 /// CRC-tracking reader over any [`Buf`].
@@ -277,7 +254,7 @@ impl<'a, B: Buf> Reader<'a, B> {
 /// One parameter parsed out of the stream, not yet committed.
 type Staged = (String, Vec<usize>, Vec<f32>);
 
-fn parse_param<B: Buf>(r: &mut Reader<'_, B>, with_len: bool) -> Result<Staged, CheckpointError> {
+fn parse_param<B: Buf>(r: &mut Reader<'_, B>) -> Result<Staged, CheckpointError> {
     let name_len = r.u16("name length")? as usize;
     let name_bytes = r.bytes(name_len, "name")?;
     let name =
@@ -290,14 +267,18 @@ fn parse_param<B: Buf>(r: &mut Reader<'_, B>, with_len: bool) -> Result<Staged, 
     for _ in 0..ndim {
         dims.push(r.u32("dims")? as usize);
     }
-    let numel: usize = dims.iter().product();
-    if with_len {
-        let plen = r.u64("payload length")?;
-        if plen != numel as u64 * 4 {
-            return Err(CheckpointError::BadField { what: "payload length", name });
-        }
+    // The dims come from the blob: four u32s can overflow `usize`.
+    let payload_bytes = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .and_then(|numel| numel.checked_mul(4));
+    let Some(payload_bytes) = payload_bytes else {
+        return Err(CheckpointError::BadField { what: "dims", name });
+    };
+    if r.u64("payload length")? != payload_bytes as u64 {
+        return Err(CheckpointError::BadField { what: "payload length", name });
     }
-    let raw = r.bytes(numel * 4, "payload")?;
+    let raw = r.bytes(payload_bytes, "payload")?;
     let vals: Vec<f32> = raw
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -305,9 +286,9 @@ fn parse_param<B: Buf>(r: &mut Reader<'_, B>, with_len: bool) -> Result<Staged, 
     Ok((name, dims, vals))
 }
 
-/// Parses and fully validates a checkpoint stream (either version) without
-/// touching any `ParamSet`. Returns the staged parameters and the config
-/// section, if present.
+/// Parses and fully validates a checkpoint stream without touching any
+/// `ParamSet`. Returns the staged parameters and the config section, if
+/// present.
 fn parse(src: &mut impl Buf) -> Result<(Vec<Staged>, Option<Vec<u8>>), CheckpointError> {
     let mut r = Reader::new(src);
     let magic = r.fixed::<4>("magic")?;
@@ -315,36 +296,28 @@ fn parse(src: &mut impl Buf) -> Result<(Vec<Staged>, Option<Vec<u8>>), Checkpoin
         return Err(CheckpointError::NotACheckpoint);
     }
     let version = r.u16("version")?;
-    match version {
-        1 => {
-            let count = r.u32("count")? as usize;
-            let mut staged = Vec::with_capacity(count);
-            for _ in 0..count {
-                staged.push(parse_param(&mut r, false)?);
-            }
-            Ok((staged, None))
-        }
-        2 => {
-            let dtype = r.u8("dtype")?;
-            if dtype != DTYPE_F32 {
-                return Err(CheckpointError::UnsupportedDtype(dtype));
-            }
-            let count = r.u32("count")? as usize;
-            let mut staged = Vec::with_capacity(count);
-            for _ in 0..count {
-                staged.push(parse_param(&mut r, true)?);
-            }
-            let config_len = r.u32("config length")? as usize;
-            let config = if config_len == 0 { None } else { Some(r.bytes(config_len, "config")?) };
-            let computed = !r.crc;
-            let stored = r.raw_u32("crc")?;
-            if stored != computed {
-                return Err(CheckpointError::CrcMismatch { stored, computed });
-            }
-            Ok((staged, config))
-        }
-        v => Err(CheckpointError::UnsupportedVersion(v)),
+    if version != VERSION {
+        return Err(CheckpointError::UnsupportedVersion(version));
     }
+    let dtype = r.u8("dtype")?;
+    if dtype != DTYPE_F32 {
+        return Err(CheckpointError::UnsupportedDtype(dtype));
+    }
+    let count = r.u32("count")? as usize;
+    // `count` comes from the blob: reserve no more than the bytes that are
+    // actually there could hold.
+    let mut staged = Vec::with_capacity(count.min(r.src.remaining() / MIN_PARAM_RECORD));
+    for _ in 0..count {
+        staged.push(parse_param(&mut r)?);
+    }
+    let config_len = r.u32("config length")? as usize;
+    let config = if config_len == 0 { None } else { Some(r.bytes(config_len, "config")?) };
+    let computed = !r.crc;
+    let stored = r.raw_u32("crc")?;
+    if stored != computed {
+        return Err(CheckpointError::CrcMismatch { stored, computed });
+    }
+    Ok((staged, config))
 }
 
 /// Validates the staged parameters against the store, then commits. Called
@@ -377,8 +350,7 @@ fn commit(ps: &mut ParamSet, staged: Vec<Staged>) -> Result<(), CheckpointError>
 
 /// Restores parameter values into an existing, structurally identical
 /// [`ParamSet`] (names and shapes must match in order — the normal flow is
-/// to rebuild the model from its constructor, then load). Accepts both v1
-/// and v2 blobs.
+/// to rebuild the model from its constructor, then load).
 ///
 /// # Errors
 /// On any mismatch, truncation or corruption the store is left untouched.
@@ -388,8 +360,7 @@ pub fn load(ps: &mut ParamSet, buf: &[u8]) -> Result<(), CheckpointError> {
 }
 
 /// Streaming variant of [`load`]: consumes the checkpoint from any
-/// [`Buf`] and returns the model-config section if one is present (v2
-/// only — v1 blobs have none).
+/// [`Buf`] and returns the model-config section if one is present.
 pub fn load_from(
     ps: &mut ParamSet,
     src: &mut impl Buf,
@@ -440,16 +411,6 @@ mod tests {
         let blob = save(&ps);
         let mut fresh = scrambled();
         load(&mut fresh, &blob).unwrap();
-        assert_matches(&ps, &fresh);
-    }
-
-    #[test]
-    fn v1_blobs_still_load() {
-        let ps = store();
-        let blob = save_v1(&ps);
-        let mut fresh = scrambled();
-        let config = load_from(&mut fresh, &mut &blob[..]).unwrap();
-        assert!(config.is_none(), "v1 has no config section");
         assert_matches(&ps, &fresh);
     }
 
@@ -520,13 +481,52 @@ mod tests {
             load(&mut ps, &bad),
             Err(CheckpointError::CrcMismatch { .. })
         ));
-        // unknown version
-        let mut wrong_ver = blob.to_vec();
-        wrong_ver[4] = 9;
+        // unknown version, and the retired v1 layout
+        for v in [9u8, 1] {
+            let mut wrong_ver = blob.to_vec();
+            wrong_ver[4] = v;
+            assert_eq!(
+                load(&mut ps, &wrong_ver),
+                Err(CheckpointError::UnsupportedVersion(v as u16))
+            );
+        }
+    }
+
+    /// Header fields must not drive allocation or unchecked arithmetic: a
+    /// few hostile bytes get a typed error, not an abort or a panic.
+    #[test]
+    fn hostile_header_fields_yield_typed_errors() {
+        let mut ps = store();
+        let header = |count: u32| {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&VERSION.to_le_bytes());
+            b.push(DTYPE_F32);
+            b.extend_from_slice(&count.to_le_bytes());
+            b
+        };
+        // count = u32::MAX with nothing behind it
+        assert_eq!(load(&mut ps, &header(u32::MAX)), Err(CheckpointError::Truncated("name length")));
+
+        // one parameter record named "w", up to its payload
+        let param = |dims: &[u32], payload_len: u64| {
+            let mut b = header(1);
+            b.extend_from_slice(&1u16.to_le_bytes());
+            b.push(b'w');
+            b.push(dims.len() as u8);
+            for d in dims {
+                b.extend_from_slice(&d.to_le_bytes());
+            }
+            b.extend_from_slice(&payload_len.to_le_bytes());
+            b
+        };
+        // four dims whose product overflows usize
         assert_eq!(
-            load(&mut ps, &wrong_ver),
-            Err(CheckpointError::UnsupportedVersion(9))
+            load(&mut ps, &param(&[u32::MAX; 4], u64::MAX)),
+            Err(CheckpointError::BadField { what: "dims", name: "w".into() })
         );
+        // dims that multiply fine but promise far more payload than exists
+        let blob = param(&[1 << 16, 1 << 16], 1 << 34);
+        assert_eq!(load(&mut ps, &blob), Err(CheckpointError::Truncated("payload")));
     }
 
     #[test]
@@ -543,14 +543,6 @@ mod tests {
         assert!(load(&mut fresh, &blob[..blob.len() - 9]).is_err());
         for ((_, p), want) in fresh.iter().zip(&before) {
             assert_eq!(p.value.as_slice(), &want[..], "store mutated by failed load");
-        }
-
-        // Same for a v1 blob, where the seed implementation had the bug.
-        let v1 = save_v1(&ps);
-        let mut fresh = scrambled();
-        assert!(load(&mut fresh, &v1[..v1.len() - 3]).is_err());
-        for ((_, p), want) in fresh.iter().zip(&before) {
-            assert_eq!(p.value.as_slice(), &want[..], "store mutated by failed v1 load");
         }
 
         // And for a structural mismatch detected after a clean parse.

@@ -143,11 +143,14 @@ impl ModelConfig {
                 let width = u32_field(&mut buf)?;
                 let n_classes = u32_field(&mut buf)?;
                 let layers = u32_field(&mut buf)?;
-                let mut bn_stats = Vec::with_capacity(layers);
+                // `layers` comes from the blob, and the smallest layer record
+                // is its 4-byte channel count: reserve no more than fits.
+                let mut bn_stats = Vec::with_capacity(layers.min(buf.remaining() / 4));
                 for _ in 0..layers {
                     let ch = u32_field(&mut buf)?;
-                    if buf.remaining() < 8 * ch {
-                        return Err(ArtifactError::BadConfig("truncated BN statistics"));
+                    match ch.checked_mul(8) {
+                        Some(need) if buf.remaining() >= need => {}
+                        _ => return Err(ArtifactError::BadConfig("truncated BN statistics")),
                     }
                     let read = |n: usize, buf: &mut &[u8]| -> Vec<f32> {
                         (0..n).map(|_| buf.get_f32_le()).collect()
@@ -263,6 +266,25 @@ mod tests {
         assert_eq!(
             ModelConfig::decode(&ok),
             Err(ArtifactError::BadConfig("trailing bytes"))
+        );
+        // Header-driven sizes: u32::MAX layers with nothing behind them, and
+        // one layer claiming u32::MAX channels, must not drive allocation.
+        let resnet = |layers: u32| {
+            let mut b = vec![TAG_RESNET];
+            for v in [4u32, 6, layers] {
+                b.extend_from_slice(&v.to_le_bytes());
+            }
+            b
+        };
+        assert_eq!(
+            ModelConfig::decode(&resnet(u32::MAX)),
+            Err(ArtifactError::BadConfig("truncated field"))
+        );
+        let mut huge_layer = resnet(1);
+        huge_layer.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            ModelConfig::decode(&huge_layer),
+            Err(ArtifactError::BadConfig("truncated BN statistics"))
         );
     }
 

@@ -18,12 +18,10 @@
 //!
 //! 1. a thread-local [`with_override`] scope (tests and benches comparing
 //!    variants in one process);
-//! 2. an explicit [`force`] call (`ExecConfig::with_kernel`, or the
-//!    `LEGW_KERNEL=scalar|avx2|avx512` environment override parsed at the
-//!    composition root);
-//! 3. the `LEGW_KERNEL` variable itself, consulted lazily at first kernel
-//!    use so standalone `legw-tensor` users get the override without an
-//!    executor (same precedent as `LEGW_PLAN_FUSE` in `legw-autograd`);
+//! 2. an explicit [`force`] call (`ExecConfig::with_kernel`);
+//! 3. the `LEGW_KERNEL=scalar|avx2|avx512` variable, read here and nowhere
+//!    else — at [`init`] or lazily at first kernel use, so standalone
+//!    `legw-tensor` users get the override without an executor;
 //! 4. CPUID feature detection.
 //!
 //! A requested variant the CPU cannot run is never installed — it warns on

@@ -8,7 +8,6 @@
 #   scripts/bench_smoke.sh lstm_cell       # fused vs unfused LSTM cell op
 #   scripts/bench_smoke.sh lstm_seq        # hoisted vs stepwise sequence path
 #   scripts/bench_smoke.sh plan_replay     # compiled-plan replay vs tape rebuild
-#                                          # (incl. fused-vs-unfused optimizer A/B)
 #   LEGW_THREADS=1 scripts/bench_smoke.sh  # pin the worker pool
 #   LEGW_SHARDS=4 scripts/bench_smoke.sh sharded   # executor shard sweep
 #
