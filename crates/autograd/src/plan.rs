@@ -444,14 +444,6 @@ impl Plan {
         }
     }
 
-    /// Number of captured parameters / outputs.
-    pub fn num_params(&self) -> usize {
-        self.par_shapes.len()
-    }
-    pub fn num_outputs(&self) -> usize {
-        self.out_of_k.len()
-    }
-
     /// Batch statistics `(mean, var)` of BatchNorm op `i` (node order)
     /// from the last forward replay — what a layer's running averages
     /// consume.

@@ -122,7 +122,7 @@ pub fn quick_mode() -> bool {
 
 /// Installs the `LEGW_THREADS` budget into the kernel thread pool and pins
 /// the SIMD kernel choice (`LEGW_KERNEL`, else CPUID-best) for the whole
-/// run. Bench binaries call this at the top of `main`, before the first
+/// run. `repro` and `tune` call this at the top of `main`, before the first
 /// kernel runs. `LEGW_THREADS` is parsed by [`legw::ExecConfig::from_env`]
 /// and `LEGW_KERNEL` by `legw_tensor::kernels` — each variable's single
 /// read site; this merely forwards the results.

@@ -24,10 +24,8 @@
 pub mod presets;
 pub mod scaling;
 
-use serde::{Deserialize, Serialize};
-
 /// A single accelerator's throughput model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceSpec {
     /// Human-readable name.
     pub name: String,
@@ -55,7 +53,7 @@ impl DeviceSpec {
 }
 
 /// A homogeneous cluster with a ring all-reduce interconnect.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// Per-device model.
     pub device: DeviceSpec,
@@ -92,7 +90,7 @@ impl ClusterSpec {
 }
 
 /// A training job: dataset size, gradient payload, and epoch budget.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainingJob {
     /// Samples per epoch.
     pub n_samples: usize,

@@ -12,12 +12,13 @@
 //!    `Binding::write_grads_to` concurrently, on its own tape, into its
 //!    own [`GradBuffer`] — no shared `&mut ParamSet`;
 //! 3. shard buffers are weighted by shard example counts and merged with
-//!    the fixed-order pairwise tree of [`crate::reduce_sched`]. By default
-//!    the merge is *streaming*: each shard's buffer enters the tree the
-//!    moment it completes, so reduction latency hides behind still-running
-//!    shards instead of waiting for the slowest one. The merge schedule is
-//!    data-independent, so the result is byte-identical to the post-barrier
-//!    reduce (and across runs) regardless of worker timing;
+//!    the fixed-order pairwise tree of [`crate::reduce_sched`]. On a
+//!    parallel executor the merge is *streaming*: each shard's buffer
+//!    enters the tree the moment it completes, so reduction latency hides
+//!    behind still-running shards instead of waiting for the slowest one.
+//!    The merge schedule is data-independent, so the result is
+//!    byte-identical to the serial executor's post-barrier reduce (and
+//!    across runs) regardless of worker timing;
 //! 4. the combined gradient is applied to the `ParamSet` and the caller
 //!    performs the single optimizer step.
 //!
@@ -32,9 +33,9 @@
 //! trainer path.
 //!
 //! Configuration is explicit: build an [`ExecConfig`] (or parse the
-//! `LEGW_SHARDS` / `LEGW_THREADS` / `LEGW_REDUCE_OVERLAP` environment
-//! variables with [`ExecConfig::from_env`] — the one place in the library
-//! that reads those three; `LEGW_KERNEL` is read once, by
+//! `LEGW_SHARDS` / `LEGW_THREADS` environment variables with
+//! [`ExecConfig::from_env`] — the one place in the library that reads
+//! those two; `LEGW_KERNEL` is read once, by
 //! `legw_tensor::kernels`) and hand it to [`Executor::new`]. The four
 //! training workloads plug in through the
 //! [`ShardStep`](crate::steps::ShardStep) trait and run via
@@ -46,10 +47,9 @@ use legw_parallel::{default_threads, with_pool, ThreadPool};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// Executor configuration: how many shards each batch is split into, the
-/// total worker-thread budget, and whether gradient reduction streams
-/// (overlaps with still-running shards) or waits for the post-shard
-/// barrier. Build with the `with_*` methods or [`ExecConfig::from_env`]:
+/// Executor configuration: how many shards each batch is split into and
+/// the total worker-thread budget. Build with the `with_*` methods or
+/// [`ExecConfig::from_env`]:
 ///
 /// ```no_run
 /// use legw::exec::{ExecConfig, Executor};
@@ -66,31 +66,16 @@ pub struct ExecConfig {
     /// once the global budget is fixed, and [`Executor::new`] warns on
     /// stderr when that happens.
     pub threads: Option<usize>,
-    /// Stream the gradient tree-reduce as shards complete (default) rather
-    /// than running it after the all-shards barrier. Same bits either way;
-    /// `false` exists for benchmarking the barrier path and as an escape
-    /// hatch.
-    pub reduce_overlap: bool,
-    /// SIMD kernel variant for the runtime-dispatched tensor kernels
-    /// (GEMM micro-tile, `matvec` dot, activation sweeps, fused LSTM gate
-    /// row). `Some(k)` asks [`Executor::new`] to install `k` as the
-    /// process-wide selection (first-wins, like `threads`; ignored with a
-    /// stderr warning if a different selection is already fixed or the CPU
-    /// can't run it). `None` (default, and what [`ExecConfig::from_env`]
-    /// yields) leaves selection to `legw_tensor::kernels`: the `LEGW_KERNEL`
-    /// variable if set, CPUID detection otherwise. Every variant is
-    /// bitwise-equal, so this is a performance knob, never a numerics one.
-    pub kernel: Option<legw_tensor::kernels::Kernel>,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self { shards: 1, threads: None, reduce_overlap: true, kernel: None }
+        Self { shards: 1, threads: None }
     }
 }
 
 impl ExecConfig {
-    /// `shards` shards, default threads, streaming reduction.
+    /// Sets the maximum number of shards per batch.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -102,30 +87,16 @@ impl ExecConfig {
         self
     }
 
-    /// Enables/disables streaming reduction.
-    pub fn with_reduce_overlap(mut self, on: bool) -> Self {
-        self.reduce_overlap = on;
-        self
-    }
-
-    /// Requests a specific SIMD kernel variant (see [`ExecConfig::kernel`]).
-    pub fn with_kernel(mut self, k: legw_tensor::kernels::Kernel) -> Self {
-        self.kernel = Some(k);
-        self
-    }
-
-    /// Reads `LEGW_SHARDS` (positive integer, default 1), `LEGW_THREADS`
-    /// (positive integer, default machine parallelism) and
-    /// `LEGW_REDUCE_OVERLAP` (`0`/`false`/`off`/`no` disable, default on).
-    /// `kernel` stays `None`: `LEGW_KERNEL` is read, validated and warned
+    /// Reads `LEGW_SHARDS` (positive integer, default 1) and `LEGW_THREADS`
+    /// (positive integer, default machine parallelism). The SIMD tier is
+    /// not part of this config: `LEGW_KERNEL` is read, validated and warned
     /// about by `legw_tensor::kernels` itself, for every entry point.
     ///
-    /// A variable that is *set* but malformed (unparsable, zero, or an
-    /// unrecognised boolean) falls back to the default **with a warning on
-    /// stderr** — a typo in an experiment script must not silently demote
-    /// the run to serial.
+    /// A variable that is *set* but malformed (unparsable or zero) falls
+    /// back to the default **with a warning on stderr** — a typo in an
+    /// experiment script must not silently demote the run to serial.
     ///
-    /// This is the **only** place the library consults these three
+    /// This is the **only** place the library consults these two
     /// variables — call it at the composition root (trainers, binaries) and
     /// pass the config down explicitly.
     pub fn from_env() -> Self {
@@ -142,26 +113,7 @@ impl ExecConfig {
                 }
             }
         }
-        fn boolean(key: &str) -> Option<bool> {
-            let raw = std::env::var(key).ok()?;
-            match raw.trim().to_ascii_lowercase().as_str() {
-                "0" | "false" | "off" | "no" => Some(false),
-                "1" | "true" | "on" | "yes" | "" => Some(true),
-                other => {
-                    eprintln!(
-                        "legw: ignoring {key}={other:?} (expected 0/false/off/no or \
-                         1/true/on/yes); falling back to the default"
-                    );
-                    None
-                }
-            }
-        }
-        Self {
-            shards: positive("LEGW_SHARDS").unwrap_or(1),
-            threads: positive("LEGW_THREADS"),
-            reduce_overlap: boolean("LEGW_REDUCE_OVERLAP").unwrap_or(true),
-            kernel: None,
-        }
+        Self { shards: positive("LEGW_SHARDS").unwrap_or(1), threads: positive("LEGW_THREADS") }
     }
 }
 
@@ -210,7 +162,6 @@ pub struct StepOutcome {
 /// The data-parallel step executor. See the module docs for the design.
 pub struct Executor {
     shards: usize,
-    overlap: bool,
     /// Pool the shard closures run on (absent for the serial executor).
     /// Sized so `run(n ≤ shards)` gives each shard its own concurrent
     /// worker (the caller participates as one of them).
@@ -239,40 +190,17 @@ impl Executor {
                 );
             }
         }
-        // SIMD kernel selection happens here, at executor init, not on a
-        // hot path: either install the requested variant (first-wins, same
-        // contract as the thread budget) or eagerly resolve detection.
-        match config.kernel {
-            Some(k) => {
-                if !legw_tensor::kernels::force(k) {
-                    eprintln!(
-                        "legw: ExecConfig.kernel = {} ignored: {}",
-                        k.name(),
-                        if legw_tensor::kernels::supported(k) {
-                            format!(
-                                "the process-wide kernel selection is already fixed at {}",
-                                legw_tensor::kernels::init().name()
-                            )
-                        } else {
-                            "this CPU does not support it".to_string()
-                        }
-                    );
-                }
-            }
-            None => {
-                legw_tensor::kernels::init();
-            }
-        }
+        // Resolve the SIMD kernel selection here, at executor init, not on
+        // a hot path.
+        legw_tensor::kernels::init();
         let shards = config.shards.max(1);
-        let overlap = config.reduce_overlap;
         if shards == 1 {
-            return Self { shards, overlap, shard_pool: None, intra: Vec::new() };
+            return Self { shards, shard_pool: None, intra: Vec::new() };
         }
         let budget = default_threads();
         let intra_threads = (budget / shards).max(1);
         Self {
             shards,
-            overlap,
             shard_pool: Some(ThreadPool::new(shards)),
             intra: (0..shards).map(|_| Arc::new(ThreadPool::new(intra_threads))).collect(),
         }
@@ -281,11 +209,6 @@ impl Executor {
     /// Maximum number of shards a batch is split into.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// True when gradient reduction streams as shards complete.
-    pub fn reduce_overlap(&self) -> bool {
-        self.overlap
     }
 
     /// Contiguous example ranges for a batch of `n` examples: at most
@@ -297,8 +220,8 @@ impl Executor {
     /// Runs `f` once per shard (concurrently when this executor is
     /// parallel), combining the shard gradients with the fixed-order tree
     /// reduction — streaming through [`ReduceScheduler`] as shards finish
-    /// when [`ExecConfig::reduce_overlap`] is on, after the all-shards
-    /// barrier otherwise. Returns the combined buffer, the aggregate
+    /// on a parallel executor, with [`tree_reduce`] after the last shard on
+    /// the serial one. Returns the combined buffer, the aggregate
     /// loss/divergence outcome, and the per-shard extras in shard order.
     ///
     /// `weights` are the [`Reduce::WeightedMean`] combination weights
@@ -306,8 +229,8 @@ impl Executor {
     ///
     /// Determinism: `f` must be deterministic per shard; the merge
     /// schedule is data-independent (same pairs, same left/right roles —
-    /// see [`crate::reduce_sched`]), so repeated runs and both reduction
-    /// modes are byte-identical.
+    /// see [`crate::reduce_sched`]), so repeated runs and both executors
+    /// are byte-identical.
     pub fn run_shards<S, E, F>(
         &self,
         reduce: Reduce,
@@ -331,7 +254,7 @@ impl Executor {
         // Combination fractions are fixed before any shard runs — this is
         // what lets the streaming path scale a buffer the moment its shard
         // completes. The fraction is computed in f64 and cast once at
-        // scale time, exactly as the post-barrier path always did.
+        // scale time, on both paths.
         let fracs: Option<Vec<f64>> = match reduce {
             Reduce::WeightedMean if n > 1 => {
                 let total: f64 = weights.iter().sum();
@@ -341,7 +264,7 @@ impl Executor {
         };
 
         let (combined, losses, extras) = match &self.shard_pool {
-            Some(pool) if n > 1 && self.overlap => {
+            Some(pool) if n > 1 => {
                 // Streaming reduction: the completing worker scales its own
                 // buffer and offers it to the scheduler, which immediately
                 // performs every tree merge the arrival enables.
@@ -365,28 +288,13 @@ impl Executor {
                 (sched.finish(), losses, extras)
             }
             _ => {
-                // Post-barrier reduction: collect every shard, then scale
-                // and tree-reduce in shard order on the calling thread.
-                let outs: Vec<ShardOut<E>> = match &self.shard_pool {
-                    None => shards.iter().enumerate().map(|(i, s)| f(i, s)).collect(),
-                    Some(_) if n == 1 => vec![f(0, &shards[0])],
-                    Some(pool) => {
-                        let slots: Vec<Mutex<Option<ShardOut<E>>>> =
-                            (0..n).map(|_| Mutex::new(None)).collect();
-                        pool.run(n, |i| {
-                            let out = with_pool(&self.intra[i], || f(i, &shards[i]));
-                            *slots[i].lock().unwrap() = Some(out);
-                        });
-                        slots
-                            .into_iter()
-                            .map(|s| s.into_inner().unwrap().expect("shard task did not report"))
-                            .collect()
-                    }
-                };
+                // Serial executor, or a single shard: run every shard in
+                // order on the calling thread, then scale and tree-reduce.
                 let mut losses = Vec::with_capacity(n);
                 let mut bufs = Vec::with_capacity(n);
                 let mut extras = Vec::with_capacity(n);
-                for o in outs {
+                for (i, s) in shards.iter().enumerate() {
+                    let o = f(i, s);
                     losses.push(o.loss);
                     bufs.push(o.grads);
                     extras.push(o.extra);
@@ -523,30 +431,27 @@ mod tests {
         assert!(out.diverged);
     }
 
+    /// The streaming reduce of a parallel executor against the serial
+    /// executor's post-barrier `tree_reduce`, for both `Reduce` kinds.
     #[test]
     fn parallel_executor_matches_serial_bitwise() {
         let serial = serial();
-        let parallel = Executor::new(ExecConfig::default().with_shards(3));
-        let cases = [(0.3f32, 1.0, 2.0), (0.7, 2.0, 3.0), (0.11, 3.0, 1.0)];
-        let (gs, os) = run_synthetic(&serial, Reduce::WeightedMean, &cases);
-        for _ in 0..3 {
-            let (gp, op) = run_synthetic(&parallel, Reduce::WeightedMean, &cases);
-            assert_eq!(gs, gp, "tree reduce must not depend on worker timing");
-            assert_eq!(os.loss, op.loss);
-        }
-    }
-
-    #[test]
-    fn streaming_and_barrier_reduction_agree_bitwise() {
+        let parallel = Executor::new(ExecConfig::default().with_shards(4));
         let cases = [(0.3f32, 1.0, 2.0), (0.7, 2.0, 3.0), (0.11, 3.0, 1.0), (0.013, 0.5, 5.0)];
-        let on = Executor::new(ExecConfig::default().with_shards(4));
-        let off = Executor::new(ExecConfig::default().with_shards(4).with_reduce_overlap(false));
-        assert!(on.reduce_overlap() && !off.reduce_overlap());
         for reduce in [Reduce::WeightedMean, Reduce::Sum] {
-            let (g_on, o_on) = run_synthetic(&on, reduce, &cases);
-            let (g_off, o_off) = run_synthetic(&off, reduce, &cases);
-            assert_eq!(g_on.to_bits(), g_off.to_bits());
-            assert_eq!(o_on.loss.to_bits(), o_off.loss.to_bits());
+            // An odd and an even shard count.
+            for shards in [&cases[..3], &cases[..]] {
+                let (gs, os) = run_synthetic(&serial, reduce, shards);
+                for _ in 0..3 {
+                    let (gp, op) = run_synthetic(&parallel, reduce, shards);
+                    assert_eq!(
+                        gs.to_bits(),
+                        gp.to_bits(),
+                        "tree reduce must not depend on worker timing"
+                    );
+                    assert_eq!(os.loss.to_bits(), op.loss.to_bits());
+                }
+            }
         }
     }
 
@@ -561,16 +466,10 @@ mod tests {
     #[test]
     fn config_builder_and_defaults() {
         let cfg = ExecConfig::default();
-        assert_eq!(
-            cfg,
-            ExecConfig { shards: 1, threads: None, reduce_overlap: true, kernel: None }
-        );
-        let cfg = cfg.with_shards(0).with_reduce_overlap(false);
+        assert_eq!(cfg, ExecConfig { shards: 1, threads: None });
+        let cfg = cfg.with_shards(0);
         assert_eq!(cfg.shards, 1, "shards clamp to >= 1");
-        assert!(!cfg.reduce_overlap);
         let cfg = cfg.with_threads(6);
         assert_eq!(cfg.threads, Some(6));
-        let cfg = cfg.with_kernel(legw_tensor::kernels::Kernel::Scalar);
-        assert_eq!(cfg.kernel, Some(legw_tensor::kernels::Kernel::Scalar));
     }
 }

@@ -11,7 +11,6 @@ use legw_optim::{build, SolverKind};
 use legw_schedules::BaselineSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One probe of `L(x,g)` at the current parameters.
 ///
@@ -57,7 +56,7 @@ pub fn local_lipschitz(
 }
 
 /// One `(iteration, L)` sample of a Lipschitz trace.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LipschitzSample {
     /// Optimizer iteration at which the probe was taken.
     pub iteration: usize,

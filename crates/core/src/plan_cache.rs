@@ -143,13 +143,6 @@ impl<P> PlanCache<P> {
         self.len() == 0
     }
 
-    /// Drops every cached plan (e.g. after a config change).
-    pub fn clear(&self) {
-        for s in &self.slots {
-            s.lock().unwrap().map.clear();
-        }
-    }
-
     /// Runs `f` on the plan cached under `(slot, key)`, calling `make` to
     /// capture it on first sight. `make` returning `None` (the plan
     /// interpreter cannot cover the tape) caches nothing and skips `f`, so

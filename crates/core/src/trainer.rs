@@ -8,17 +8,16 @@
 use crate::exec::{ExecConfig, Executor};
 use crate::plan_cache::PlanCache;
 use crate::steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep};
-use legw_data::{Classification, SynthImageNet, SynthMnist, SynthPtb, SynthTranslation};
+use legw_data::{SynthImageNet, SynthMnist, SynthPtb, SynthTranslation};
 use legw_models::{LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
 use legw_optim::{build, SolverKind};
 use legw_schedules::BaselineSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one training run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainReport {
     /// The application's final quality metric (accuracy / perplexity / BLEU
     /// / top-1 — see the producing function).
@@ -357,12 +356,6 @@ pub fn train_resnet(
         report.secondary_metric = Some(tk);
     }
     report
-}
-
-/// Helper shared by examples/benches: evaluates a freshly initialised
-/// (untrained) classifier, giving the chance-level floor for a dataset.
-pub fn untrained_accuracy(data: &Classification) -> f64 {
-    1.0 / data.n_classes as f64
 }
 
 #[cfg(test)]

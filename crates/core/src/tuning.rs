@@ -1,10 +1,8 @@
 //! Grid-search tuning — the machinery behind the paper's "comprehensive
 //! tuning" baselines (§5.3) and the tuned-Adam comparisons (§5.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a grid search.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TuneResult {
     /// The hyper-parameter value that won.
     pub best_value: f64,

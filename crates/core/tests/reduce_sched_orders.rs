@@ -1,12 +1,13 @@
 //! Adversarial-order properties of the streaming gradient reduction
 //! ([`legw::reduce_sched`]): whatever order shard buffers arrive in, the
 //! scheduler must produce the *bit-identical* result of the serial
-//! fixed-order tree reduce — and the executor's streaming mode must be
-//! byte-equal to the post-barrier mode for every training workload.
+//! fixed-order tree reduce — and a parallel executor's streaming reduce
+//! must be byte-equal to the serial executor's post-barrier reduce for
+//! every training workload.
 
 use legw::exec::{ExecConfig, Executor};
 use legw::reduce_sched::{tree_reduce, ReduceScheduler};
-use legw::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep};
+use legw::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
 use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{MnistLstm, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::{GradBuffer, ParamId, ParamSet};
@@ -129,7 +130,8 @@ fn concurrent_completions_from_real_threads_match_serial_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor streaming vs post-barrier: byte-equal for all four workloads.
+// Parallel executor (streaming) vs serial executor (post-barrier): byte-equal
+// for all four workloads.
 
 /// Shard counts exercised, including a prime and one exceeding some
 /// batches (ranges cap at the batch size).
@@ -139,22 +141,41 @@ fn grad_bits(ps: &ParamSet) -> Vec<u32> {
     ps.iter().flat_map(|(_, p)| p.grad.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()).collect()
 }
 
-fn exec_with(shards: usize, overlap: bool) -> Executor {
-    Executor::new(ExecConfig::default().with_shards(shards).with_reduce_overlap(overlap))
+/// One step of `w` split for a `shards`-wide parallel executor. `streaming`
+/// runs it there; otherwise the *same* shards go through the serial
+/// executor, whose reduce is the post-barrier [`tree_reduce`].
+fn step_with<W: ShardStep>(
+    shards: usize,
+    streaming: bool,
+    w: &W,
+    ps: &mut ParamSet,
+) -> (u64, Vec<W::Extra>) {
+    let parallel = Executor::new(ExecConfig::default().with_shards(shards));
+    if streaming {
+        let (out, extras) = parallel.step(w, ps);
+        return (out.loss.to_bits(), extras);
+    }
+    let split = w.split(&parallel);
+    let weights: Vec<f64> = split.iter().map(|s| w.weight(s)).collect();
+    let ps_ref: &ParamSet = ps;
+    let (grads, out, extras) = Executor::new(ExecConfig::default())
+        .run_shards(w.reduce(), &split, &weights, |i, s| w.run_shard(ps_ref, i, s));
+    grads.apply_with_sq_norm(ps);
+    (out.loss.to_bits(), extras)
 }
 
-fn mnist_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
+fn mnist_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {
     let data = SynthMnist::generate(7, 32, 8);
     let (bx, by) = data.train.gather(&(0..19).collect::<Vec<_>>());
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(3);
     let model = MnistLstm::new(&mut ps, &mut rng, 8, 8);
-    let (out, _) = exec_with(shards, overlap)
-        .step(&MnistStep { model: &model, bx: &bx, by: &by }, &mut ps);
-    (out.loss.to_bits(), grad_bits(&ps))
+    let step = MnistStep { model: &model, bx: &bx, by: &by };
+    let (loss, _) = step_with(shards, streaming, &step, &mut ps);
+    (loss, grad_bits(&ps))
 }
 
-fn ptb_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
+fn ptb_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {
     use legw_models::{LmState, PtbLm, PtbLmConfig};
     let data = legw_data::SynthPtb::generate(31, 24, 6, 4_000, 800);
     let cfg = PtbLmConfig { vocab: 24, embed: 10, hidden: 10, layers: 2, keep: 0.8 };
@@ -169,22 +190,23 @@ fn ptb_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
         state: &state,
         drop: Some(DropPlan { seed: 5, step: 2 }),
     };
-    let (out, _) = exec_with(shards, overlap).step(&step, &mut ps);
-    (out.loss.to_bits(), grad_bits(&ps))
+    let (loss, _) = step_with(shards, streaming, &step, &mut ps);
+    (loss, grad_bits(&ps))
 }
 
-fn seq2seq_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
+fn seq2seq_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {
     let data = SynthTranslation::generate(9, 12, 16, 4, 2, 5);
     let b = data.batches(true, 11).into_iter().next().unwrap();
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(4);
     let cfg = Seq2SeqConfig::compact(data.vocab, data.max_len() + 1);
     let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
-    let (out, _) = exec_with(shards, overlap).step(&Seq2SeqStep { model: &model, batch: &b }, &mut ps);
-    (out.loss.to_bits(), grad_bits(&ps))
+    let step = Seq2SeqStep { model: &model, batch: &b };
+    let (loss, _) = step_with(shards, streaming, &step, &mut ps);
+    (loss, grad_bits(&ps))
 }
 
-fn resnet_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
+fn resnet_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {
     let data = legw_data::SynthImageNet::generate_sized(4, 8, 32, 8, 16);
     let (bx, by) = data.train.gather(&(0..14).collect::<Vec<_>>());
     let mut ps = ParamSet::new();
@@ -192,9 +214,9 @@ fn resnet_bits(shards: usize, overlap: bool) -> (u64, Vec<u32>) {
     let mut model = ResNet::new(&mut ps, &mut rng, 8, 8);
     let snapshot = model.clone();
     let step = ResnetStep { model: &snapshot, bx: &bx, by: &by };
-    let (out, stats) = exec_with(shards, overlap).step(&step, &mut ps);
+    let (loss, stats) = step_with(shards, streaming, &step, &mut ps);
     ResnetStep::fold_stats(&mut model, &stats);
-    (out.loss.to_bits(), grad_bits(&ps))
+    (loss, grad_bits(&ps))
 }
 
 #[test]

@@ -141,25 +141,6 @@ impl MnistLstm {
         plan.replay_step(ps, &[&packed, &h0, &c0], &feeds)
     }
 
-    /// Forward-only replay of a captured step — loss without gradients,
-    /// for benchmarking the replay interpreter against tape construction.
-    pub fn replay_forward_plan(
-        &self,
-        plan: &mut StepPlan,
-        ps: &ParamSet,
-        batch: &Tensor,
-        labels: &[usize],
-    ) -> f32 {
-        let b = batch.dim(0);
-        let packed = SynthMnist::row_steps_packed(batch);
-        let h0 = Tensor::zeros(&[b, self.cell.hidden()]);
-        let c0 = Tensor::zeros(&[b, self.cell.hidden()]);
-        let label_feed: [&[usize]; 1] = [labels];
-        let feeds = Feeds { labels: &label_feed, ..Feeds::default() };
-        plan.replay_forward(ps, &[&packed, &h0, &c0], &feeds);
-        plan.loss()
-    }
-
     /// Builds a loss-free inference tape on a gathered batch `[B, 784]`,
     /// returning the graph/binding and the logits variable.
     pub fn forward_infer(&self, ps: &ParamSet, batch: &Tensor) -> (Graph, Binding, Var) {

@@ -1,7 +1,6 @@
 //! Data-parallel helpers built on [`ThreadPool::run`].
 
 use crate::pool::ThreadPool;
-use parking_lot::Mutex;
 use std::ops::Range;
 
 /// Splits `0..len` into at most `max_parts` near-equal contiguous ranges.
@@ -108,47 +107,6 @@ where
     pool.run(total, |idx| body(idx / tiles_n, idx % tiles_n));
 }
 
-/// Parallel map-reduce over `0..len`.
-///
-/// `map(range) -> A` produces a partial result per contiguous range;
-/// partials are folded with `reduce` starting from `identity`. The fold
-/// order is the range order, so `reduce` need not be commutative — only
-/// associative with respect to the chosen chunking (floating-point sums over
-/// different chunkings may of course differ in the last ulps).
-pub fn par_map_reduce<A, M, R>(
-    pool: &ThreadPool,
-    len: usize,
-    min_chunk: usize,
-    identity: A,
-    map: M,
-    reduce: R,
-) -> A
-where
-    A: Send,
-    M: Fn(Range<usize>) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    let min_chunk = min_chunk.max(1);
-    if len == 0 {
-        return identity;
-    }
-    if len <= min_chunk || pool.threads() == 1 {
-        return reduce(identity, map(0..len));
-    }
-    let max_parts = (len / min_chunk).max(1).min(pool.threads() * 4);
-    let ranges = split_evenly(len, max_parts);
-    let slots: Vec<Mutex<Option<A>>> = (0..ranges.len()).map(|_| Mutex::new(None)).collect();
-    pool.run(ranges.len(), |i| {
-        *slots[i].lock() = Some(map(ranges[i].clone()));
-    });
-    let mut acc = identity;
-    for slot in slots {
-        let part = slot.into_inner().expect("partial result missing");
-        acc = reduce(acc, part);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,36 +191,6 @@ mod tests {
         par_tiles_2d(&p, 3, 0, |_, _| panic!("no tiles"));
     }
 
-    #[test]
-    fn par_map_reduce_sums() {
-        let p = pool();
-        let total = par_map_reduce(&p, 10_000, 128, 0u64, |r| r.map(|i| i as u64).sum(), |a, b| a + b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn par_map_reduce_empty_returns_identity() {
-        let p = pool();
-        let total = par_map_reduce(&p, 0, 8, 42u64, |_| panic!("no work"), |a, b| a + b);
-        assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn par_map_reduce_is_ordered() {
-        // Concatenation is associative but not commutative; the result must
-        // respect range order.
-        let p = pool();
-        let s = par_map_reduce(
-            &p,
-            26,
-            2,
-            String::new(),
-            |r| r.map(|i| (b'a' + i as u8) as char).collect::<String>(),
-            |a, b| a + &b,
-        );
-        assert_eq!(s, "abcdefghijklmnopqrstuvwxyz");
-    }
-
     proptest! {
         #[test]
         fn prop_split_evenly_partition(len in 0usize..500, parts in 0usize..32) {
@@ -283,14 +211,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_par_sum_matches_serial(v in proptest::collection::vec(-1000i64..1000, 0..2000), chunk in 1usize..64) {
-            let p = ThreadPool::new(3);
-            let par = par_map_reduce(&p, v.len(), chunk, 0i64, |r| v[r].iter().sum(), |a, b| a + b);
-            let ser: i64 = v.iter().sum();
-            prop_assert_eq!(par, ser);
-        }
-
-        #[test]
         fn prop_par_chunks_mut_equiv_serial(len in 0usize..800, chunk in 1usize..97) {
             let p = ThreadPool::new(4);
             let mut a = vec![0usize; len];
@@ -301,68 +221,5 @@ mod tests {
             for (i, x) in b.iter_mut().enumerate() { *x = i * 3 + 1; }
             prop_assert_eq!(a, b);
         }
-    }
-}
-
-/// Parallel map over a slice, preserving order.
-///
-/// Each element is processed independently on the pool; results land in a
-/// pre-sized output vector, so ordering is deterministic regardless of
-/// scheduling.
-pub fn par_map<T, R, F>(pool: &ThreadPool, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let min_chunk = min_chunk.max(1);
-    if n <= min_chunk || pool.threads() == 1 {
-        return items.iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    parallel_for(pool, n, min_chunk, |r| {
-        for i in r {
-            *slots[i].lock() = Some(f(&items[i]));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("par_map slot unfilled"))
-        .collect()
-}
-
-#[cfg(test)]
-mod par_map_tests {
-    use super::*;
-
-    #[test]
-    fn preserves_order_and_values() {
-        let pool = ThreadPool::new(4);
-        let items: Vec<u64> = (0..500).collect();
-        let out = par_map(&pool, &items, 16, |&x| x * x);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i as u64) * (i as u64));
-        }
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        let pool = ThreadPool::new(3);
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&pool, &empty, 8, |&x| x).is_empty());
-        let one = [7u32];
-        assert_eq!(par_map(&pool, &one, 8, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn non_copy_results() {
-        let pool = ThreadPool::new(2);
-        let items = ["a", "bb", "ccc"];
-        let out = par_map(&pool, &items, 1, |s| s.to_uppercase());
-        assert_eq!(out, vec!["A".to_string(), "BB".into(), "CCC".into()]);
     }
 }

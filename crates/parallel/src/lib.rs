@@ -11,9 +11,9 @@
 //!   finished. Because the call blocks until completion, the closure may
 //!   borrow from the caller's stack (the same soundness argument as rayon's
 //!   `scope`).
-//! * [`parallel_for`], [`par_chunks_mut`], [`par_map_reduce`],
-//!   [`par_tiles_2d`] — the data-parallel helpers the tensor kernels are
-//!   built on (the last one is the 2-D grid launch used by blocked GEMM).
+//! * [`parallel_for`], [`par_chunks_mut`], [`par_tiles_2d`] — the
+//!   data-parallel helpers the tensor kernels are built on (the last one
+//!   is the 2-D grid launch used by blocked GEMM).
 //! * [`global`] — a process-wide lazily initialised pool (size taken from
 //!   [`set_default_threads`] if called before first use, otherwise the
 //!   machine's available parallelism). This crate reads no environment
@@ -49,7 +49,7 @@ mod scope;
 
 pub use latch::CountLatch;
 pub use pool::ThreadPool;
-pub use iter::{par_chunks_mut, par_map, par_map_reduce, par_tiles_2d, parallel_for, split_evenly};
+pub use iter::{par_chunks_mut, par_tiles_2d, parallel_for, split_evenly};
 pub use scope::{current, with_pool, PoolHandle};
 
 use std::sync::OnceLock;

@@ -4,15 +4,13 @@
 //! an extension so the ablation harness can compare it against LR decay
 //! under LEGW warmup.
 
-use serde::{Deserialize, Serialize};
-
 /// A stepwise-growing batch schedule: the batch is multiplied by `factor`
 /// at each milestone epoch, clamped to `max_batch`.
 ///
 /// Growing the batch by `f` has the same gradient-variance effect as
 /// decaying the LR by `1/f` under the linear-scaling heuristic — the
 /// equivalence the ablation experiment checks empirically.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchGrowth {
     base_batch: usize,
     milestones: Vec<f64>,

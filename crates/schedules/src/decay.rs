@@ -1,10 +1,8 @@
 //! Post-warmup decay shapes used in the paper's experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// The decay applied to the peak learning rate as a function of training
 /// progress (in epochs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Decay {
     /// No decay — the MNIST-LSTM experiments use a constant LR (§5.1.1).
     Constant,

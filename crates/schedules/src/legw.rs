@@ -2,10 +2,9 @@
 //! grid the comparison baselines of Figure 5 live on.
 
 use crate::schedule::BaselineSchedule;
-use serde::{Deserialize, Serialize};
 
 /// How the peak LR responds to a batch-size change by factor `k`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScalingRule {
     /// `lr × √k` — keeps gradient-estimator variance constant
     /// (Krizhevsky 2014); the rule LEGW makes practical.
@@ -28,7 +27,7 @@ impl ScalingRule {
 }
 
 /// How the warmup length responds to a batch-size change.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WarmupRule {
     /// Warmup epochs × k — **linear-epoch gradual warmup**, the paper's rule.
     LinearEpochs,

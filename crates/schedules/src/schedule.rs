@@ -1,10 +1,9 @@
 //! The complete LR policy for one batch size.
 
 use crate::decay::Decay;
-use serde::{Deserialize, Serialize};
 
 /// Shape of the warmup ramp from 0 to the peak LR.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WarmupShape {
     /// Linear ramp `e/w` — Goyal et al.'s gradual warmup, what LEGW uses.
     #[default]
@@ -31,14 +30,13 @@ impl WarmupShape {
 /// `lr(e) = peak · ramp(e) · decay(e)` where `ramp` rises from 0 to 1
 /// across the warmup window with a [`WarmupShape`] (linear by default —
 /// Goyal et al.'s *gradual warmup*) and `decay` is a [`Decay`] factor.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BaselineSchedule {
     batch_size: usize,
     peak_lr: f64,
     warmup_epochs: f64,
     total_epochs: f64,
     decay: Decay,
-    #[serde(default)]
     warmup_shape: WarmupShape,
 }
 

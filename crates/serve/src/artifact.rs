@@ -168,6 +168,33 @@ impl ModelConfig {
         }
         Ok(cfg)
     }
+
+    /// A lower bound on the parameter elements the family's constructor
+    /// allocates for these dimensions, or `None` when it overflows `usize`:
+    /// the sum over a few of the family's real weight matrices, chosen so
+    /// that every dimension appears in at least one.
+    fn min_param_elems(&self) -> Option<usize> {
+        let x4 = |h: usize| h.checked_mul(4);
+        // `(rows, cols)` per matrix.
+        let mats = match *self {
+            Self::MnistLstm { proj, hidden } => {
+                vec![(28, proj), (proj.checked_add(hidden)?, x4(hidden)?)]
+            }
+            // Every layer's cell holds at least its `[hidden, 4·hidden]`
+            // recurrent half.
+            Self::PtbLm { vocab, embed, hidden, layers } => {
+                vec![(vocab, embed), (layers.checked_mul(hidden)?, x4(hidden)?)]
+            }
+            Self::Seq2Seq { vocab, embed, hidden, attn, .. } => {
+                vec![(vocab, embed), (embed.checked_add(hidden)?, x4(hidden)?), (hidden, attn)]
+            }
+            // The first block's 3×3 conv and the classifier head.
+            Self::ResNet { width, n_classes, .. } => {
+                vec![(width, width.checked_mul(9)?), (x4(width)?, n_classes)]
+            }
+        };
+        mats.into_iter().try_fold(0usize, |acc, (r, c)| acc.checked_add(r.checked_mul(c)?))
+    }
 }
 
 /// A model restored from a frozen artifact, ready for an
@@ -199,9 +226,18 @@ pub fn freeze(cfg: &ModelConfig, ps: &ParamSet) -> Bytes {
 /// overwritten by the checkpoint), but parameter *names and shapes* are a
 /// pure function of the config, so the checkpoint's name/shape validation
 /// cross-checks the config against the payload before anything mutates.
+///
+/// The config's dimensions come from the blob and drive the constructors'
+/// allocations, so a config naming more parameters than the blob could
+/// hold — every parameter is stored as f32 in the payload — is rejected
+/// before anything is built.
 pub fn restore(blob: &[u8]) -> Result<(FrozenModel, ParamSet), ArtifactError> {
     let cfg_bytes = checkpoint::read_config(blob)?.ok_or(ArtifactError::MissingConfig)?;
     let cfg = ModelConfig::decode(&cfg_bytes)?;
+    match cfg.min_param_elems() {
+        Some(n) if n <= blob.len() / 4 => {}
+        _ => return Err(ArtifactError::BadConfig("model larger than artifact")),
+    }
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
     let model = match cfg {
@@ -286,6 +322,42 @@ mod tests {
             ModelConfig::decode(&huge_layer),
             Err(ArtifactError::BadConfig("truncated BN statistics"))
         );
+    }
+
+    #[test]
+    fn restore_rejects_models_larger_than_the_artifact() {
+        // Valid CRC, no parameters, dimensions only a far larger blob could
+        // back: one dimension at a time (the bound is exceeded), then all at
+        // once (it overflows `usize`). Nothing may be constructed.
+        const M: usize = u32::MAX as usize;
+        let hostile = [
+            ModelConfig::MnistLstm { proj: M, hidden: 1 },
+            ModelConfig::MnistLstm { proj: 1, hidden: M },
+            ModelConfig::MnistLstm { proj: M, hidden: M },
+            ModelConfig::PtbLm { vocab: M, embed: 1, hidden: 1, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: M, hidden: 1, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: 1, hidden: M, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: 1, hidden: 1, layers: M },
+            ModelConfig::PtbLm { vocab: M, embed: M, hidden: M, layers: M },
+            ModelConfig::Seq2Seq { vocab: M, embed: 1, hidden: 1, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: M, hidden: 1, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 1, hidden: M, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 1, hidden: 1, attn: M, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: M, embed: M, hidden: M, attn: M, max_decode: M },
+            ModelConfig::ResNet { width: M, n_classes: 1, bn_stats: vec![] },
+            ModelConfig::ResNet { width: 1, n_classes: M, bn_stats: vec![] },
+            ModelConfig::ResNet { width: M, n_classes: M, bn_stats: vec![] },
+        ];
+        for cfg in &hostile {
+            let blob = freeze(cfg, &ParamSet::new());
+            assert!(blob.len() <= 64, "{cfg:?}: {} bytes", blob.len());
+            assert_eq!(
+                restore(&blob).err(),
+                Some(ArtifactError::BadConfig("model larger than artifact")),
+                "{cfg:?}"
+            );
+        }
+        assert_eq!(ModelConfig::MnistLstm { proj: M, hidden: M }.min_param_elems(), None);
     }
 
     #[test]

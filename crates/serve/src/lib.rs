@@ -11,13 +11,12 @@
 //! * [`session`] — [`InferEngine`]: frozen params + a shape-keyed cache of
 //!   *forward-only* plans ([`legw_models::Infer`]), so steady-state serving
 //!   runs tape-free with no gradient buffers and no backward schedule.
-//!   [`InferSession`] adds per-client recurrent-state carryover (the PTB
-//!   LM's `LmState` survives across requests).
 //! * [`server`] — [`Server`]: a dynamic batcher that coalesces concurrent
 //!   single-row queries into one batched forward under a max-latency
 //!   deadline ([`BatchConfig`]), grouping compatible requests
 //!   ([`legw_models::Infer::coalesce_key`]) and scattering outputs back to
-//!   the waiting clients.
+//!   the waiting clients. [`ServerSession`] carries per-client recurrent
+//!   state across requests (the PTB LM's `LmState`).
 //!
 //! The serving forward is the *same math* as the training-path forward:
 //! equivalence (bitwise for MNIST/PTB/ResNet, token-for-token for seq2seq
@@ -29,4 +28,4 @@ pub mod session;
 
 pub use artifact::{freeze, restore, ArtifactError, FrozenModel, ModelConfig};
 pub use server::{BatchConfig, Server, ServerSession, ServerStats};
-pub use session::{InferEngine, InferSession, DEFAULT_PLAN_CAPACITY};
+pub use session::{InferEngine, DEFAULT_PLAN_CAPACITY};

@@ -4,7 +4,6 @@
 use legw::PlanCache;
 use legw_models::{Infer, StepPlan};
 use legw_nn::ParamSet;
-use std::sync::Arc;
 
 /// Default bound on cached plans per engine: generous for honest traffic
 /// (a server sees a handful of batch shapes), finite against adversarial
@@ -32,7 +31,7 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 /// bandwidth. Off by default; never used in training.
 ///
 /// `run` takes `&self`: the cache synchronises internally, so one engine
-/// can be shared across threads behind an [`Arc`].
+/// can be shared across threads behind an [`std::sync::Arc`].
 pub struct InferEngine<M: Infer> {
     model: M,
     ps: ParamSet,
@@ -124,40 +123,5 @@ impl<M: Infer> InferEngine<M> {
         self.run(std::slice::from_ref(&req), std::slice::from_ref(&state))
             .pop()
             .expect("one row in, one row out")
-    }
-}
-
-/// A stateful client session over a shared engine: carries the model's
-/// per-row recurrent state across queries (for the PTB LM, the `(h, c)`
-/// stack of its private track), so consecutive requests continue one
-/// stream exactly like training-time truncated BPTT carries state across
-/// windows.
-pub struct InferSession<M: Infer> {
-    engine: Arc<InferEngine<M>>,
-    state: M::RowState,
-}
-
-impl<M: Infer> InferSession<M> {
-    /// A fresh session (zero recurrent state) on a shared engine.
-    pub fn new(engine: Arc<InferEngine<M>>) -> Self {
-        let state = engine.model().zero_state();
-        Self { engine, state }
-    }
-
-    /// Runs one request, carrying this session's state forward.
-    pub fn query(&mut self, req: M::Req) -> M::Out {
-        let (out, next) = self.engine.run_one(req, self.state.clone());
-        self.state = next;
-        out
-    }
-
-    /// Drops the carried state (start a new stream).
-    pub fn reset(&mut self) {
-        self.state = self.engine.model().zero_state();
-    }
-
-    /// The current carried state.
-    pub fn state(&self) -> &M::RowState {
-        &self.state
     }
 }

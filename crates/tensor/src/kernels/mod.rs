@@ -18,7 +18,7 @@
 //!
 //! 1. a thread-local [`with_override`] scope (tests and benches comparing
 //!    variants in one process);
-//! 2. an explicit [`force`] call (`ExecConfig::with_kernel`);
+//! 2. an explicit [`force`] call (a program pinning a tier in code);
 //! 3. the `LEGW_KERNEL=scalar|avx2|avx512` variable, read here and nowhere
 //!    else — at [`init`] or lazily at first kernel use, so standalone
 //!    `legw-tensor` users get the override without an executor;

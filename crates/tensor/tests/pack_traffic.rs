@@ -1,15 +1,23 @@
-//! Packed-panel byte accounting for the bf16 storage mode.
+//! Exact-delta checks of the two process-wide counter sets: packed-panel
+//! bytes ([`legw_tensor::pack_traffic`]) and buffer-pool traffic
+//! ([`legw_tensor::pool::stats`]).
 //!
 //! Deliberately a **single test in its own integration binary**: the
-//! [`legw_tensor::pack_traffic`] counters are process-wide, so this is the
-//! only code in the process issuing GEMMs and the before/after deltas are
-//! exact — the bf16 mode must pack *exactly half* the bytes of the f32
-//! mode for the same shapes (same panel layout, 2-byte vs 4-byte
-//! elements).
+//! counters are process-wide, so the before/after deltas are exact only
+//! when this is the one thread in the process issuing GEMMs and allocating
+//! tensors. The two phases therefore run in sequence inside one `#[test]`
+//! — two tests would run on parallel harness threads.
 
-use legw_tensor::{pack_traffic, with_bf16_gemm, Tensor};
+use legw_tensor::{pack_traffic, pool, with_bf16_gemm, Tensor};
 
 #[test]
+fn process_wide_counters_move_by_exact_deltas() {
+    bf16_mode_packs_exactly_half_the_bytes();
+    pool_counters_track_allocations_and_recycles();
+}
+
+/// The bf16 mode must pack *exactly half* the bytes of the f32 mode for the
+/// same shapes (same panel layout, 2-byte vs 4-byte elements).
 fn bf16_mode_packs_exactly_half_the_bytes() {
     // Shapes with edge tiles and k > KC so panel padding and multi-k-block
     // repacking are in the byte count on both sides.
@@ -42,4 +50,27 @@ fn bf16_mode_packs_exactly_half_the_bytes() {
         f32_bytes,
         "bf16 mode must pack exactly half the bytes ({bf16_bytes} vs {f32_bytes})"
     );
+}
+
+/// A take that follows a drop of the same size recycles and does not
+/// allocate, and the live-bytes gauge and its high-water mark follow.
+fn pool_counters_track_allocations_and_recycles() {
+    let len = 96 * 1024; // larger than anything the GEMM phase left pooled
+    drop(Tensor::zeros(&[len]));
+    let warm = pool::stats();
+    let t = Tensor::zeros(&[len]);
+    let after_take = pool::stats();
+    assert_eq!(
+        after_take.recycles - warm.recycles,
+        1,
+        "steady-state take must recycle, not allocate"
+    );
+    assert_eq!(after_take.allocations, warm.allocations);
+    assert!(after_take.live_bytes >= len * 4);
+    assert!(after_take.high_water_bytes >= after_take.live_bytes);
+    drop(t);
+    let after_drop = pool::stats();
+    assert!(after_drop.live_bytes <= after_take.live_bytes - len * 4);
+    let delta = after_drop.since(&warm);
+    assert_eq!((delta.allocations, delta.recycles), (0, 1));
 }

@@ -15,8 +15,13 @@
 #   * each crates/*/tests/*.rs            (suite `<crate>/<file>`)
 #   * each root tests/*.rs                (suite `legw_repro/<file>`)
 #
-# One line per suite; logs under perf-stub/tests/. Like cargo, every suite
-# runs from its package directory. Not covered: doctests, examples, benches.
+# and builds, without running, the targets no test links:
+#
+#   * each crates/*/src/bin/*.rs          (`<crate>/bin/<file>`)
+#   * each examples/*.rs                  (`legw_repro/examples/<file>`)
+#
+# One line per suite or target; logs under perf-stub/tests/. Like cargo,
+# every suite runs from its package directory. Not covered: doctests.
 # The stub `rand` draws different numbers than the published crate, so a
 # seed-sensitive assertion can differ from a cargo run.
 set -euo pipefail
@@ -52,15 +57,22 @@ lib() {
 workspace=(legw_parallel legw_tensor legw_autograd legw_nn legw_optim legw_schedules legw_data
   legw_models legw legw_serve)
 "${rc[@]}" --crate-type rlib --crate-name proptest "$stubs/proptest.rs" -o "$out/libproptest.rlib"
-lib legw_cluster_sim crates/cluster-sim/src/lib.rs serde
+lib legw_cluster_sim crates/cluster-sim/src/lib.rs
 lib legw_repro src/lib.rs "${workspace[@]}" legw_cluster_sim
-lib legw_bench crates/bench/src/lib.rs "${workspace[@]}" legw_cluster_sim rand serde
+lib legw_bench crates/bench/src/lib.rs "${workspace[@]}" legw_cluster_sim rand
 
 all=("${workspace[@]}" legw_cluster_sim legw_repro legw_bench legw_perf
-  parking_lot crossbeam rand bytes serde proptest)
+  parking_lot crossbeam rand bytes proptest)
 logs="$out/tests"
 mkdir -p "$logs"
 failed=0
+
+# fail <name> <log>: report a failed suite or target.
+fail() {
+  echo "FAIL  $1  (see $2)"
+  grep -E '^test .* FAILED|panicked at|^error' "$2" | head -n 20 | sed 's/^/        /' || true
+  failed=1
+}
 
 # suite <name> <package dir> <crate_name> <src>: compile <src> as a test
 # harness against every library but itself (with the variables cargo would
@@ -77,9 +89,22 @@ suite() {
     "${ext[@]}" -o "$bin" >"$log" 2>&1 && (cd "$dir" && "$bin") >>"$log" 2>&1; then
     echo "ok    $name  $(sed -n 's/^test result: ok. \(.*\); 0 measured.*/\1/p' "$log")"
   else
-    echo "FAIL  $name  (see $log)"
-    grep -E '^test .* FAILED|panicked at|^error' "$log" | head -n 20 | sed 's/^/        /' || true
-    failed=1
+    fail "$name" "$log"
+  fi
+}
+
+# build <name> <crate_name> <src>: compile <src> as a binary against every
+# library, do not run it, print one line.
+build() {
+  local name=$1 crate=$2 src=$3
+  [[ "$name" == *"$filter"* ]] || return 0
+  local bin="$logs/${name//\//__}" ext=()
+  local log="$bin.log"
+  for d in "${all[@]}"; do ext+=(--extern "$d=$out/lib$d.rlib"); done
+  if "${rc[@]}" --crate-name "$crate" "$src" "${ext[@]}" -o "$bin" >"$log" 2>&1; then
+    echo "ok    $name  built"
+  else
+    fail "$name" "$log"
   fi
 }
 
@@ -92,14 +117,23 @@ for manifest in crates/*/Cargo.toml; do
     stem=$(basename "$t" .rs)
     suite "$crate/$stem" "$dir" "$stem" "$t"
   done
+  for b in "$dir"/src/bin/*.rs; do
+    [[ -e $b ]] || continue
+    stem=$(basename "$b" .rs)
+    build "$crate/bin/$stem" "$stem" "$b"
+  done
 done
 for t in tests/*.rs; do
   stem=$(basename "$t" .rs)
   suite "legw_repro/$stem" . "$stem" "$t"
 done
+for e in examples/*.rs; do
+  stem=$(basename "$e" .rs)
+  build "legw_repro/examples/$stem" "$stem" "$e"
+done
 
 if [[ $failed == 0 ]]; then
-  echo "offline_check: all suites passed"
+  echo "offline_check: all suites passed, all targets built"
 else
   echo "offline_check: FAILURES above"
   exit 1
