@@ -12,6 +12,7 @@
 
 use crate::{quick_mode, Table};
 use legw::apps::{self, App};
+use legw::{ExecConfig, Executor};
 use legw_data::SynthMnist;
 use legw_models::MnistLstm;
 use legw_nn::ParamSet;
@@ -128,9 +129,9 @@ pub fn batch_growth_ablation(seed: u64) -> (f64, f64) {
     (acc_decay, acc_growth)
 }
 
-/// A training loop with a dynamic batch size (the trainer crate's loops use
-/// a fixed batch; this demonstrates the same components composing into the
-/// Smith-et-al. regime).
+/// A training loop with a dynamic batch size (`legw::trainer::train` runs
+/// at the schedule's one batch size; this demonstrates the same components
+/// composing into the Smith-et-al. regime).
 fn train_mnist_with_batch_growth(
     data: &SynthMnist,
     proj: usize,
@@ -174,7 +175,7 @@ fn train_mnist_with_batch_growth(
             }
         }
     }
-    model.evaluate(&ps, &data.test, 256)
+    Executor::new(ExecConfig::default()).eval_mnist(&model, &ps, &data.test, 256)
 }
 
 /// Warmup-ramp shape ablation: LEGW with its linear ramp vs the slow-start

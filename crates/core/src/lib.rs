@@ -4,20 +4,26 @@
 //! turns the substrates (tensors, autograd, layers, optimizers, schedules,
 //! synthetic data, models) into the paper's experiments.
 //!
-//! * [`trainer`] — end-to-end training loops for the four applications of
-//!   Table 1, driven by a [`legw_schedules::BaselineSchedule`] and any
-//!   [`legw_optim::SolverKind`], with divergence detection and per-epoch
-//!   metric histories.
-//! * [`exec`] — the data-parallel step executor the trainers run on:
+//! * [`trainer`] — the one training loop, [`trainer::train`]: driven by a
+//!   [`legw_schedules::BaselineSchedule`] and any optimizer, with
+//!   divergence detection and per-epoch metric histories, generic over a
+//!   [`trainer::Workload`] (the four applications of Table 1 are its four
+//!   implementors) and run on the [`exec::Executor`] its caller hands it,
+//!   so the trained `ParamSet` stays with the caller. `train_<family>` are
+//!   its environment-configured constructors.
+//! * [`exec`] — the data-parallel step executor the loop runs on:
 //!   batches are sharded over [`exec::ExecConfig::shards`] workers and
 //!   shard gradients are combined with a deterministic fixed-order tree
 //!   reduction — streamed through [`reduce_sched`] as shards complete —
-//!   before the single optimizer step. The four workloads plug in via the
-//!   [`steps::ShardStep`] trait.
+//!   before the single optimizer step. The four workloads' steps plug in
+//!   via the one [`steps::ShardStep`] trait (split, weigh, run on the tape,
+//!   key, capture, replay).
 //! * [`plan_cache`] — compiled execution plans: one recorded step per
 //!   (worker, shape) is frozen into a `legw_autograd` plan and replayed
 //!   tape-free and allocation-free by [`exec::Executor::step_planned`],
-//!   with transparent fallback to the tape path on unseen shapes.
+//!   with transparent fallback to the tape path when a capture declines.
+//! * [`eval`] — the one held-out evaluation sweep of each model family
+//!   (`Executor::eval_*`), sharded like training.
 //! * [`apps`] — the Table 1 registry: per-application synthetic dataset
 //!   parameters, tuned baseline schedules, and a single entry point
 //!   ([`apps::run`]) the figure/table harness calls.
@@ -40,7 +46,6 @@
 //! ```
 
 pub mod apps;
-pub mod convergence;
 pub mod eval;
 pub mod exec;
 pub mod lipschitz;
@@ -51,6 +56,6 @@ pub mod trainer;
 pub mod tuning;
 
 pub use exec::{ExecConfig, Executor, StepOutcome};
-pub use plan_cache::{PlanCache, PlannedStep};
+pub use plan_cache::PlanCache;
 pub use steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
-pub use trainer::TrainReport;
+pub use trainer::{train, TrainReport, Workload};

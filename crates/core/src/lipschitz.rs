@@ -4,6 +4,7 @@
 //! right roughly linearly with batch size, so warmup should lengthen
 //! linearly in epochs.
 
+use crate::trainer::{env_executor, train, MnistWorkload};
 use legw_data::SynthMnist;
 use legw_models::MnistLstm;
 use legw_nn::ParamSet;
@@ -67,7 +68,9 @@ pub struct LipschitzSample {
 }
 
 /// Trains the MNIST-LSTM model while probing `L(x,g)` on a fixed probe
-/// batch every `probe_every` iterations — the Figure 3 experiment.
+/// batch every `probe_every` iterations — the Figure 3 experiment:
+/// [`train`] over [`MnistWorkload`] with the probe as its `before_step`,
+/// on the environment-configured executor like `train_mnist`.
 ///
 /// Returns the probe trace. The probe batch is the first `probe_batch`
 /// training samples, fixed across the run and across batch sizes so traces
@@ -96,37 +99,18 @@ pub fn mnist_lipschitz_trace(
         bd.write_grads(&g, ps);
     };
 
-    let batch = schedule.batch_size();
-    let ipe = data.train.iters_per_epoch(batch);
-    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
+    let ipe = data.train.iters_per_epoch(schedule.batch_size());
     let mut trace = Vec::new();
-    let mut iter = 0usize;
-    while iter < total_iters {
-        for (bx, by) in data.train.epoch_batches(batch, &mut rng) {
-            if iter >= total_iters {
-                break;
-            }
-            if iter % probe_every == 0 {
-                let l = local_lipschitz(&mut ps, 1e-2, &mut grad_fn);
-                trace.push(LipschitzSample {
-                    iteration: iter,
-                    epoch: iter as f64 / ipe as f64,
-                    value: l,
-                });
-            }
-            let lr = schedule.lr_at_iter(iter, ipe) as f32;
-            let (mut g, bd, loss, _) = model.forward_loss(&ps, &bx, &by);
-            if !g.value(loss).item().is_finite() {
-                return trace;
-            }
-            g.backward(loss);
-            bd.write_grads(&g, &mut ps);
-            ps.clip_grad_norm(crate::trainer::RNN_CLIP);
-            opt.step(&mut ps, lr);
-            ps.zero_grad();
-            iter += 1;
+    let mut w = MnistWorkload { model: &model, data };
+    train(&mut w, &mut ps, opt.as_mut(), schedule, &mut rng, &env_executor(), |iter, ps| {
+        if iter % probe_every == 0 {
+            trace.push(LipschitzSample {
+                iteration: iter,
+                epoch: iter as f64 / ipe as f64,
+                value: local_lipschitz(ps, 1e-2, &mut grad_fn),
+            });
         }
-    }
+    });
     trace
 }
 

@@ -1,77 +1,34 @@
 //! Compiled-plan execution of the sharded training step.
 //!
-//! [`super::steps::ShardStep`] rebuilds a fresh autograd tape per shard per
-//! step. For the shape-static workloads that tape is identical every step
-//! modulo the batch data, so `legw-autograd`'s `Plan` can freeze one step's
-//! tape into a static schedule and replay it with zero tape recording and
+//! [`Executor::step`] rebuilds a fresh autograd tape per shard per step.
+//! For the shape-static workloads that tape is identical every step modulo
+//! the batch data, so `legw-autograd`'s `Plan` can freeze one step's tape
+//! into a static schedule and replay it with zero tape recording and
 //! (steady-state) zero pool allocation. This module threads that through
 //! the executor:
 //!
-//! * [`PlannedStep`] — a [`ShardStep`] that can additionally capture a
-//!   per-shard plan and replay it. A workload opts in per shard via
-//!   [`PlannedStep::plan_key`]: `Some(key)` promises the shard's tape
-//!   structure is a pure function of `key` (shapes, lengths, dropout
-//!   arity); `None` keeps the tape path for that shard.
 //! * [`PlanCache`] — one key→plan map per shard index. Keying by shard
 //!   index keeps replay buffers thread-local (a plan's arena is mutable
-//!   scratch) and keying by shape makes ragged tails safe: a partial final
-//!   batch simply captures its own plan, it never replays a mismatched one.
+//!   scratch) and keying by shape ([`ShardStep::plan_key`]) makes ragged
+//!   tails safe: a partial final batch simply captures its own plan, it
+//!   never replays a mismatched one.
 //! * [`Executor::step_planned`] — drop-in variant of [`Executor::step`]:
-//!   per shard, look up (or capture) the plan and replay it; fall back to
-//!   [`ShardStep::run_shard`] transparently when the workload declines a
-//!   key or the capture fails. Identical reduction, loss bookkeeping, and
-//!   gradient application.
+//!   per shard, look up (or [`ShardStep::capture`]) the plan and
+//!   [`ShardStep::replay`] it; fall back to [`ShardStep::run_shard`]
+//!   transparently when the capture fails. Identical reduction, loss
+//!   bookkeeping, and gradient application.
 //!
 //! First sight of a key costs one extra forward (the capture tape runs the
 //! model once, then the replay recomputes it); every later step with that
 //! key skips tape construction entirely.
 
-use crate::exec::{Executor, ShardOut, StepOutcome};
-use crate::steps::{MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
-use legw_autograd::PlanStats;
+use crate::exec::{Executor, StepOutcome};
+use crate::steps::ShardStep;
 use legw_models::StepPlan;
-use legw_nn::{DropCtx, GradBuffer, ParamSet};
+use legw_nn::ParamSet;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// A [`ShardStep`] whose shards can be captured into reusable plans.
-pub trait PlannedStep: ShardStep {
-    /// Per-(shard, shape) replay state — typically a
-    /// [`legw_models::StepPlan`].
-    type PlanState: Send;
-
-    /// The cache key identifying this shard's tape structure, or `None` to
-    /// run this shard on the tape path. Two shards of one workload with
-    /// equal keys must build structurally identical tapes (same ops, same
-    /// shapes) — only the fed data may differ.
-    fn plan_key(&self, shard: &Self::Shard) -> Option<Vec<usize>>;
-
-    /// Captures a plan for this shard, or `None` when the tape contains
-    /// something the plan interpreter does not cover (the executor then
-    /// falls back to [`ShardStep::run_shard`] — and retries the capture on
-    /// the shape's next occurrence).
-    fn capture(&self, ps: &ParamSet, shard: &Self::Shard) -> Option<Self::PlanState>;
-
-    /// Replays the captured plan for one shard. Must produce the same
-    /// [`ShardOut`] as [`ShardStep::run_shard`] (bitwise, or to the
-    /// documented ≤1e-5 for reassociated reductions).
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        state: &mut Self::PlanState,
-        index: usize,
-        shard: &Self::Shard,
-    ) -> ShardOut<Self::Extra>;
-
-    /// Static statistics of a captured plan, when the state exposes them.
-    /// `Some` lets the executor pre-size the worker's buffer pool to the
-    /// plan's exact peak live set right after capture, so even the *first*
-    /// replay allocates nothing.
-    fn plan_stats(&self, _state: &Self::PlanState) -> Option<PlanStats> {
-        None
-    }
-}
 
 /// One shard slot: the key→plan map plus the logical clock driving LRU
 /// eviction. Each cached plan carries the tick of its last use.
@@ -192,17 +149,17 @@ impl<P> PlanCache<P> {
 
 impl Executor {
     /// [`Executor::step`] with per-shard plan replay: each shard looks up
-    /// its [`PlannedStep::plan_key`] in `cache`, captures on first sight,
-    /// and replays thereafter; shards without a key (or whose capture
-    /// fails) run the ordinary tape path. Reduction and gradient
-    /// application are shared with [`Executor::step`], so the two are
-    /// interchangeable step-by-step — including mid-run shape changes,
-    /// which simply miss the cache and capture fresh plans.
-    pub fn step_planned<W: PlannedStep>(
+    /// its [`ShardStep::plan_key`] in `cache`, captures on first sight, and
+    /// replays thereafter; a shard whose capture fails runs the ordinary
+    /// tape path. Reduction and gradient application are shared with
+    /// [`Executor::step`], so the two are interchangeable step-by-step —
+    /// including mid-run shape changes, which simply miss the cache and
+    /// capture fresh plans.
+    pub fn step_planned<W: ShardStep>(
         &self,
         w: &W,
         ps: &mut ParamSet,
-        cache: &PlanCache<W::PlanState>,
+        cache: &PlanCache<StepPlan>,
     ) -> (StepOutcome, Vec<W::Extra>) {
         let shards = w.split(self);
         assert!(
@@ -213,155 +170,32 @@ impl Executor {
         );
         let weights: Vec<f64> = shards.iter().map(|s| w.weight(s)).collect();
         let ps_ref: &ParamSet = ps;
-        let (grads, mut out, extras) =
-            self.run_shards(w.reduce(), &shards, &weights, |i, s| match w.plan_key(s) {
-                // Shard i's slot is only ever touched by shard task i, so
-                // the slot lock is uncontended; it exists to keep
-                // `PlanCache` Sync across the worker threads.
-                Some(key) => cache
-                    .with_plan(
-                        i,
-                        key,
-                        || {
-                            // The capture runs on this shard's worker
-                            // thread, so the pool prewarm (thread-local
-                            // free list) lands where the replays will run.
-                            let captured = w.capture(ps_ref, s);
-                            if let Some(stats) = captured.as_ref().and_then(|p| w.plan_stats(p)) {
-                                legw_tensor::pool::prewarm(stats.peak_live_bytes);
-                            }
-                            captured
-                        },
-                        |p| w.replay(ps_ref, p, i, s),
-                    )
-                    .unwrap_or_else(|| w.run_shard(ps_ref, i, s)),
-                None => w.run_shard(ps_ref, i, s),
-            });
+        let (grads, mut out, extras) = self.run_shards(w.reduce(), &shards, &weights, |i, s| {
+            // Shard i's slot is only ever touched by shard task i, so the
+            // slot lock is uncontended; it exists to keep `PlanCache` Sync
+            // across the worker threads.
+            cache
+                .with_plan(
+                    i,
+                    w.plan_key(s),
+                    || {
+                        // Pre-size this worker's buffer pool to the plan's
+                        // exact peak live set, so even the *first* replay
+                        // allocates nothing. The capture runs on the
+                        // shard's worker thread, so the prewarm
+                        // (thread-local free list) lands where the replays
+                        // will run.
+                        let captured = w.capture(ps_ref, s);
+                        if let Some(plan) = &captured {
+                            legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
+                        }
+                        captured
+                    },
+                    |p| w.replay(ps_ref, p, s),
+                )
+                .unwrap_or_else(|| w.run_shard(ps_ref, i, s))
+        });
         out.grad_sq_norm = grads.apply_with_sq_norm(ps);
         (out, extras)
-    }
-}
-
-impl PlannedStep for MnistStep<'_> {
-    type PlanState = StepPlan;
-
-    fn plan_key(&self, (_, sy): &Self::Shard) -> Option<Vec<usize>> {
-        Some(vec![sy.len()])
-    }
-
-    fn capture(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_step_plan(ps, sx, sy)
-    }
-
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        plan: &mut StepPlan,
-        _i: usize,
-        (sx, sy): &Self::Shard,
-    ) -> ShardOut<()> {
-        let loss = self.model.replay_step_plan(plan, ps, sx, sy) as f64;
-        let mut buf = GradBuffer::for_params(ps);
-        plan.write_grads_to(&mut buf);
-        ShardOut { grads: buf, loss, extra: () }
-    }
-
-    fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
-        Some(plan.stats())
-    }
-}
-
-impl PlannedStep for PtbStep<'_> {
-    type PlanState = StepPlan;
-
-    /// Tracks × window length × dropout arity. Dropout masks are feeds, so
-    /// the *step* is not part of the key — one plan serves the whole run.
-    fn plan_key(&self, (sw, _, _): &Self::Shard) -> Option<Vec<usize>> {
-        Some(vec![sw.tracks(), sw.inputs.len(), usize::from(self.drop.is_some())])
-    }
-
-    fn capture(&self, ps: &ParamSet, (sw, ss, row0): &Self::Shard) -> Option<StepPlan> {
-        let ctx = self.drop.map(|d| DropCtx { seed: d.seed, step: d.step, row0: *row0 });
-        self.model.capture_window_plan(ps, sw, ss, ctx.as_ref())
-    }
-
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        plan: &mut StepPlan,
-        _i: usize,
-        (sw, ss, row0): &Self::Shard,
-    ) -> ShardOut<legw_models::LmState> {
-        let ctx = self.drop.map(|d| DropCtx { seed: d.seed, step: d.step, row0: *row0 });
-        let (nll, next) = self.model.replay_window_plan(plan, ps, sw, ss, ctx.as_ref());
-        let mut buf = GradBuffer::for_params(ps);
-        plan.write_grads_to(&mut buf);
-        ShardOut { grads: buf, loss: nll, extra: next }
-    }
-
-    fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
-        Some(plan.stats())
-    }
-}
-
-impl PlannedStep for ResnetStep<'_> {
-    type PlanState = StepPlan;
-
-    fn plan_key(&self, (sx, _, _): &Self::Shard) -> Option<Vec<usize>> {
-        Some(sx.shape().to_vec())
-    }
-
-    fn capture(&self, ps: &ParamSet, (sx, sy, _): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_step_plan(ps, sx, sy)
-    }
-
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        plan: &mut StepPlan,
-        _i: usize,
-        (sx, sy, cell): &Self::Shard,
-    ) -> ShardOut<(f32, legw_models::ResNet)> {
-        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
-        let loss = m.replay_step_plan(plan, ps, sx, sy) as f64;
-        let mut buf = GradBuffer::for_params(ps);
-        plan.write_grads_to(&mut buf);
-        ShardOut { grads: buf, loss, extra: (sy.len() as f32, m) }
-    }
-
-    fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
-        Some(plan.stats())
-    }
-}
-
-impl PlannedStep for Seq2SeqStep<'_> {
-    type PlanState = StepPlan;
-
-    /// Batch size × source length key the *encoder* plan; the
-    /// token-dependent decoder runs on a fresh tape every step inside
-    /// [`legw_models::Seq2Seq::planned_loss_grads`], so decoder lengths and
-    /// loss scales need not be keyed.
-    fn plan_key(&self, (sb, _): &Self::Shard) -> Option<Vec<usize>> {
-        Some(vec![sb.batch_size(), sb.src.len()])
-    }
-
-    fn capture(&self, ps: &ParamSet, (sb, _): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_encoder_plan(ps, sb)
-    }
-
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        plan: &mut StepPlan,
-        _i: usize,
-        (sb, scale): &Self::Shard,
-    ) -> ShardOut<()> {
-        let mut buf = GradBuffer::for_params(ps);
-        let nll = self.model.planned_loss_grads(ps, sb, scale.as_deref(), plan, &mut buf);
-        ShardOut { grads: buf, loss: nll, extra: () }
-    }
-
-    fn plan_stats(&self, plan: &StepPlan) -> Option<PlanStats> {
-        Some(plan.stats())
     }
 }

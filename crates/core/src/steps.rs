@@ -1,12 +1,13 @@
 //! The four training workloads as pluggable [`ShardStep`] implementations.
 //!
-//! PR 2/3 grew one bespoke `Executor::step_*` method per model family, each
-//! repeating the same plumbing: slice the batch into shard ranges, run
-//! forward/backward per shard into a [`GradBuffer`], hand the buffers to
-//! the reduction, apply the combined gradient. [`ShardStep`] factors that
-//! spine out: a workload says how to *split* its batch, what each shard
-//! *weighs*, and how to *run* one shard; [`Executor::step`] owns the rest.
-//! Trainers call `exec.step(&MnistStep { .. }, &mut ps)` and friends.
+//! A workload says how to *split* its batch, what each shard *weighs*, how
+//! to *run* one shard on a fresh tape, and how to *key*, *capture* and
+//! *replay* that shard as a compiled plan. The executor owns the rest —
+//! shard scheduling, the gradient reduction, applying the combined
+//! gradient — in two drivers over the one trait: [`Executor::step`] runs
+//! every shard on the tape (the reference the bitwise suites compare
+//! against), [`Executor::step_planned`](crate::plan_cache) replays cached
+//! plans and is what [`crate::trainer::train`] steps through.
 //!
 //! Workload-specific post-processing stays next to the workload:
 //! [`PtbStep::merge_states`] reassembles the carried LSTM state and
@@ -15,7 +16,7 @@
 
 use crate::exec::{Executor, Reduce, ShardOut, StepOutcome};
 use legw_data::{LmBatch, TranslationBatch};
-use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
+use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, StepPlan};
 use legw_nn::{DropCtx, GradBuffer, ParamSet};
 use legw_tensor::Tensor;
 use std::sync::Mutex;
@@ -43,6 +44,24 @@ pub trait ShardStep: Sync {
     /// the executor may run it on any worker thread.
     fn run_shard(&self, ps: &ParamSet, index: usize, shard: &Self::Shard)
         -> ShardOut<Self::Extra>;
+
+    /// The plan-cache key identifying this shard's tape structure. Two
+    /// shards of one workload with equal keys must build structurally
+    /// identical tapes (same ops, same shapes) — only the fed data may
+    /// differ.
+    fn plan_key(&self, shard: &Self::Shard) -> Vec<usize>;
+
+    /// Captures a plan for this shard, or `None` when the tape contains
+    /// something the plan interpreter does not cover (the executor then
+    /// falls back to [`ShardStep::run_shard`] — and retries the capture on
+    /// the shape's next occurrence).
+    fn capture(&self, ps: &ParamSet, shard: &Self::Shard) -> Option<StepPlan>;
+
+    /// Replays the captured plan for one shard. Must produce the same
+    /// [`ShardOut`] as [`ShardStep::run_shard`] (bitwise, or to the
+    /// documented ≤1e-5 for reassociated reductions).
+    fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, shard: &Self::Shard)
+        -> ShardOut<Self::Extra>;
 }
 
 impl Executor {
@@ -62,8 +81,8 @@ impl Executor {
     }
 }
 
-/// Shared tail of every shard body: backward, drain the tape's gradients
-/// into a fresh buffer.
+/// Shared tail of every tape shard body: backward, drain the tape's
+/// gradients into a fresh buffer.
 fn collect_grads(
     mut g: legw_autograd::Graph,
     bd: legw_nn::Binding,
@@ -73,6 +92,14 @@ fn collect_grads(
     g.backward(loss);
     let mut buf = GradBuffer::for_params(ps);
     bd.write_grads_to(&g, &mut buf);
+    buf
+}
+
+/// Shared tail of every replayed shard body: drain the plan's gradients
+/// into a fresh buffer.
+fn plan_grads(plan: &StepPlan, ps: &ParamSet) -> GradBuffer {
+    let mut buf = GradBuffer::for_params(ps);
+    plan.write_grads_to(&mut buf);
     buf
 }
 
@@ -112,6 +139,19 @@ impl ShardStep for MnistStep<'_> {
         let lv = g.value(loss).item() as f64;
         ShardOut { grads: collect_grads(g, bd, loss, ps), loss: lv, extra: () }
     }
+
+    fn plan_key(&self, (_, sy): &Self::Shard) -> Vec<usize> {
+        vec![sy.len()]
+    }
+
+    fn capture(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> Option<StepPlan> {
+        self.model.capture_step_plan(ps, sx, sy)
+    }
+
+    fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sx, sy): &Self::Shard) -> ShardOut<()> {
+        let loss = self.model.replay_step_plan(plan, ps, sx, sy) as f64;
+        ShardOut { grads: plan_grads(plan, ps), loss, extra: () }
+    }
 }
 
 /// The per-step dropout stream key for workloads with stochastic layers:
@@ -146,6 +186,12 @@ impl PtbStep<'_> {
         } else {
             LmState::concat(&states)
         }
+    }
+
+    /// The dropout stream of the shard whose first track is global row
+    /// `row0`.
+    fn drop_ctx(&self, row0: usize) -> Option<DropCtx> {
+        self.drop.map(|d| DropCtx { seed: d.seed, step: d.step, row0 })
     }
 }
 
@@ -186,12 +232,30 @@ impl ShardStep for PtbStep<'_> {
         _i: usize,
         (sw, ss, row0): &Self::Shard,
     ) -> ShardOut<LmState> {
-        let ctx = self.drop.map(|d| DropCtx { seed: d.seed, step: d.step, row0: *row0 });
-        let (mut g, bd, loss, nll, next) = self.model.forward_loss_with(ps, sw, ss, ctx.as_ref());
-        g.backward(loss);
-        let mut buf = GradBuffer::for_params(ps);
-        bd.write_grads_to(&g, &mut buf);
-        ShardOut { grads: buf, loss: nll, extra: next }
+        let ctx = self.drop_ctx(*row0);
+        let (g, bd, loss, nll, next) = self.model.forward_loss_with(ps, sw, ss, ctx.as_ref());
+        ShardOut { grads: collect_grads(g, bd, loss, ps), loss: nll, extra: next }
+    }
+
+    /// Tracks × window length × dropout arity. Dropout masks are feeds, so
+    /// the *step* is not part of the key — one plan serves the whole run.
+    fn plan_key(&self, (sw, _, _): &Self::Shard) -> Vec<usize> {
+        vec![sw.tracks(), sw.inputs.len(), usize::from(self.drop.is_some())]
+    }
+
+    fn capture(&self, ps: &ParamSet, (sw, ss, row0): &Self::Shard) -> Option<StepPlan> {
+        self.model.capture_window_plan(ps, sw, ss, self.drop_ctx(*row0).as_ref())
+    }
+
+    fn replay(
+        &self,
+        ps: &ParamSet,
+        plan: &mut StepPlan,
+        (sw, ss, row0): &Self::Shard,
+    ) -> ShardOut<LmState> {
+        let ctx = self.drop_ctx(*row0);
+        let (nll, next) = self.model.replay_window_plan(plan, ps, sw, ss, ctx.as_ref());
+        ShardOut { grads: plan_grads(plan, ps), loss: nll, extra: next }
     }
 }
 
@@ -246,6 +310,29 @@ impl ShardStep for Seq2SeqStep<'_> {
     fn run_shard(&self, ps: &ParamSet, _i: usize, (sb, scale): &Self::Shard) -> ShardOut<()> {
         let (g, bd, loss, nll) = self.model.forward_loss_scaled(ps, sb, scale.as_deref());
         ShardOut { grads: collect_grads(g, bd, loss, ps), loss: nll, extra: () }
+    }
+
+    /// Batch size × source length key the *encoder* plan; the
+    /// token-dependent decoder runs on a fresh tape every step inside
+    /// [`legw_models::Seq2Seq::planned_loss_grads`], so decoder lengths and
+    /// loss scales need not be keyed.
+    fn plan_key(&self, (sb, _): &Self::Shard) -> Vec<usize> {
+        vec![sb.batch_size(), sb.src.len()]
+    }
+
+    fn capture(&self, ps: &ParamSet, (sb, _): &Self::Shard) -> Option<StepPlan> {
+        self.model.capture_encoder_plan(ps, sb)
+    }
+
+    fn replay(
+        &self,
+        ps: &ParamSet,
+        plan: &mut StepPlan,
+        (sb, scale): &Self::Shard,
+    ) -> ShardOut<()> {
+        let mut buf = GradBuffer::for_params(ps);
+        let nll = self.model.planned_loss_grads(ps, sb, scale.as_deref(), plan, &mut buf);
+        ShardOut { grads: buf, loss: nll, extra: () }
     }
 }
 
@@ -319,6 +406,27 @@ impl ShardStep for ResnetStep<'_> {
             loss: lv,
             extra: (sy.len() as f32, m),
         }
+    }
+
+    fn plan_key(&self, (sx, _, _): &Self::Shard) -> Vec<usize> {
+        sx.shape().to_vec()
+    }
+
+    fn capture(&self, ps: &ParamSet, (sx, sy, _): &Self::Shard) -> Option<StepPlan> {
+        self.model.capture_step_plan(ps, sx, sy)
+    }
+
+    /// Replays fold the step's BatchNorm batch statistics into the shard
+    /// clone like the tape path.
+    fn replay(
+        &self,
+        ps: &ParamSet,
+        plan: &mut StepPlan,
+        (sx, sy, cell): &Self::Shard,
+    ) -> ShardOut<(f32, ResNet)> {
+        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
+        let loss = m.replay_step_plan(plan, ps, sx, sy) as f64;
+        ShardOut { grads: plan_grads(plan, ps), loss, extra: (sy.len() as f32, m) }
     }
 }
 

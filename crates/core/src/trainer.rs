@@ -1,26 +1,35 @@
-//! Training loops for the four applications, schedule-driven and
-//! divergence-aware. Every step runs through the data-parallel
-//! [`Executor`](crate::exec::Executor), configured from the environment at
-//! the top of each loop ([`ExecConfig::from_env`] — serial by default; set
-//! `LEGW_SHARDS` to shard batches across workers) and driven through the
-//! per-workload [`ShardStep`](crate::steps::ShardStep) implementations.
+//! The training loop. [`train`] is the one schedule-driven,
+//! divergence-aware loop every application runs through; what differs
+//! between the four applications of Table 1 is a [`Workload`]. The caller
+//! owns the `ParamSet`, the model the workload borrows, the optimizer, the
+//! RNG and the [`Executor`], so what was trained stays with it.
+//!
+//! `train_{mnist,ptb,seq2seq,resnet}` are the environment-configured
+//! constructors: seed the RNG, build model and optimizer, take the executor
+//! from [`ExecConfig::from_env`] (serial by default; set `LEGW_SHARDS` to
+//! shard batches across workers), call [`train`].
 
-use crate::exec::{ExecConfig, Executor};
+use crate::exec::{ExecConfig, Executor, StepOutcome};
 use crate::plan_cache::PlanCache;
 use crate::steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep};
-use legw_data::{SynthImageNet, SynthMnist, SynthPtb, SynthTranslation};
-use legw_models::{LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
+use legw_data::{
+    Batches, LmBatch, SynthImageNet, SynthMnist, SynthPtb, SynthTranslation, TranslationBatch,
+};
+use legw_models::{
+    LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig, StepPlan,
+};
 use legw_nn::ParamSet;
-use legw_optim::{build, SolverKind};
+use legw_optim::{build, Optimizer, SolverKind};
 use legw_schedules::BaselineSchedule;
+use legw_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Outcome of one training run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainReport {
     /// The application's final quality metric (accuracy / perplexity / BLEU
-    /// / top-1 — see the producing function).
+    /// / top-1 — see the producing workload).
     pub final_metric: f64,
     /// Secondary metric when the application has one (ImageNet top-5).
     pub secondary_metric: Option<f64>,
@@ -39,35 +48,306 @@ pub struct TrainReport {
 /// practice; applied identically to every method under comparison).
 pub const RNN_CLIP: f32 = 5.0;
 
-fn check_divergence(loss_diverged: bool, ps: &ParamSet) -> bool {
-    loss_diverged || ps.any_nonfinite_fast()
+/// What differs between the applications [`train`] runs.
+pub trait Workload {
+    /// One training batch.
+    type Batch;
+    /// The batches of one epoch, in order.
+    type Epoch: Iterator<Item = Self::Batch>;
+
+    /// Whether the loop clips the global gradient norm to [`RNN_CLIP`].
+    const CLIPS: bool;
+
+    /// Optimizer steps per epoch at `batch` examples per step.
+    fn iters_per_epoch(&self, batch: usize) -> usize;
+
+    /// Starts an epoch: draws its batch order from `rng` and resets any
+    /// state carried from step to step.
+    fn epoch(&mut self, batch: usize, rng: &mut StdRng) -> Self::Epoch;
+
+    /// The gradients of optimizer step `iter`: one
+    /// [`Executor::step_planned`] plus the family's post-step fold.
+    fn step(
+        &mut self,
+        exec: &Executor,
+        cache: &PlanCache<StepPlan>,
+        ps: &mut ParamSet,
+        iter: usize,
+        batch: &Self::Batch,
+    ) -> StepOutcome;
+
+    /// The held-out `(metric, secondary metric)` of a run training at
+    /// `batch` examples per step.
+    fn eval(&self, exec: &Executor, ps: &ParamSet, batch: usize) -> (f64, Option<f64>);
+
+    /// What a diverged run reports in place of [`Workload::eval`]: the
+    /// worst value of each metric.
+    fn diverged_metrics(&self) -> (f64, Option<f64>);
 }
 
-trait FastFinite {
-    fn any_nonfinite_fast(&self) -> bool;
-}
+/// Trains `w` under `schedule` on `exec`: per optimizer step one
+/// [`Workload::step`], a divergence scan, the clip, `opt.step` at the
+/// schedule's learning rate and `zero_grad`; per epoch one
+/// [`Workload::eval`] into the report's history.
+///
+/// `before_step(iter, ps)` sees the parameters each step is about to use.
+/// It observes and must not steer: it has to leave `ps` as it found it,
+/// the way [`local_lipschitz`](crate::lipschitz::local_lipschitz) restores
+/// what it perturbs.
+pub fn train<W: Workload>(
+    w: &mut W,
+    ps: &mut ParamSet,
+    opt: &mut dyn Optimizer,
+    schedule: &BaselineSchedule,
+    rng: &mut StdRng,
+    exec: &Executor,
+    mut before_step: impl FnMut(usize, &mut ParamSet),
+) -> TrainReport {
+    // Shape-keyed compiled plans: after the first batch of each shard
+    // shape, steps replay tape-free (see crate::plan_cache).
+    let cache = PlanCache::for_executor(exec);
 
-impl FastFinite for ParamSet {
-    fn any_nonfinite_fast(&self) -> bool {
-        // Chunked scan exploiting `x * 0.0`: the product is +/-0 for every
-        // finite x and NaN for NaN/±Inf, so a chunk is all-finite iff the
-        // sum of products compares equal to zero. Branch-free per element
-        // (vectorises), and — unlike the old `value_norm().is_finite()`
-        // proxy — cannot overflow to Inf on large-but-finite parameters
-        // and falsely flag divergence.
-        for (_, p) in self.iter() {
-            for chunk in p.value.as_slice().chunks(4096) {
-                let acc: f32 = chunk.iter().map(|&v| v * 0.0).sum();
-                if acc != 0.0 {
-                    return true;
-                }
+    let batch = schedule.batch_size();
+    let ipe = w.iters_per_epoch(batch);
+    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
+    let mut report = TrainReport::default();
+
+    let mut iter = 0usize;
+    'outer: while iter < total_iters {
+        let mut epoch_loss = 0.0f64;
+        let mut epoch_count = 0usize;
+        for b in w.epoch(batch, rng) {
+            if iter >= total_iters {
+                break;
             }
+            before_step(iter, ps);
+            let lr = schedule.lr_at_iter(iter, ipe) as f32;
+            let out = w.step(exec, &cache, ps, iter, &b);
+            epoch_loss += out.loss;
+            epoch_count += 1;
+            if out.diverged || ps.has_nonfinite_value() {
+                report.diverged = true;
+                break 'outer;
+            }
+            if W::CLIPS {
+                // The executor accumulated Σg² while applying the combined
+                // gradient, so clipping needs no extra full-parameter sweep.
+                ps.clip_grad_norm_from(out.grad_sq_norm.sqrt() as f32, RNN_CLIP);
+            }
+            opt.step(ps, lr);
+            ps.zero_grad();
+            iter += 1;
         }
-        false
+        if epoch_count > 0 {
+            report.epoch_losses.push(epoch_loss / epoch_count as f64);
+        }
+        let (metric, secondary) = w.eval(exec, ps, batch);
+        report.history.push((iter as f64 / ipe as f64, metric));
+        report.secondary_metric = secondary;
+    }
+    report.iterations = iter;
+    (report.final_metric, report.secondary_metric) =
+        if report.diverged { w.diverged_metrics() } else { w.eval(exec, ps, batch) };
+    report
+}
+
+/// The MNIST-LSTM classifier (§5.1.1). Metric: test accuracy. The model is
+/// borrowed, so a `before_step` probe can read it while the loop runs.
+pub struct MnistWorkload<'a> {
+    pub model: &'a MnistLstm,
+    pub data: &'a SynthMnist,
+}
+
+impl<'a> Workload for MnistWorkload<'a> {
+    type Batch = (Tensor, Vec<usize>);
+    type Epoch = Batches<'a>;
+    const CLIPS: bool = true;
+
+    fn iters_per_epoch(&self, batch: usize) -> usize {
+        self.data.train.iters_per_epoch(batch)
+    }
+
+    fn epoch(&mut self, batch: usize, rng: &mut StdRng) -> Batches<'a> {
+        self.data.train.epoch_batches(batch, rng)
+    }
+
+    fn step(
+        &mut self,
+        exec: &Executor,
+        cache: &PlanCache<StepPlan>,
+        ps: &mut ParamSet,
+        _iter: usize,
+        (bx, by): &Self::Batch,
+    ) -> StepOutcome {
+        exec.step_planned(&MnistStep { model: self.model, bx, by }, ps, cache).0
+    }
+
+    fn eval(&self, exec: &Executor, ps: &ParamSet, _batch: usize) -> (f64, Option<f64>) {
+        (exec.eval_mnist(self.model, ps, &self.data.test, 256), None)
+    }
+
+    fn diverged_metrics(&self) -> (f64, Option<f64>) {
+        (0.0, None)
     }
 }
 
-/// Trains the MNIST-LSTM classifier (§5.1.1). Metric: test accuracy.
+/// The PTB language model (§5.1.2). Metric: validation perplexity (lower is
+/// better); a diverged run reports perplexity = vocab size. Carries the
+/// recurrent state from window to window and zeroes it at each epoch.
+pub struct PtbWorkload<'a> {
+    pub model: &'a PtbLm,
+    pub data: &'a SynthPtb,
+    pub seq_len: usize,
+    /// Seed of the counter-based dropout streams: masks are a pure
+    /// function of (this seed, optimizer step, global row), so they replay
+    /// exactly and are identical for every shard count.
+    pub seed: u64,
+    /// The carried recurrent state; `None` until an epoch starts (its
+    /// batch sizes it).
+    pub state: Option<LmState>,
+}
+
+impl Workload for PtbWorkload<'_> {
+    type Batch = LmBatch;
+    type Epoch = std::vec::IntoIter<LmBatch>;
+    const CLIPS: bool = true;
+
+    fn iters_per_epoch(&self, batch: usize) -> usize {
+        self.data.iters_per_epoch(batch, self.seq_len)
+    }
+
+    fn epoch(&mut self, batch: usize, _rng: &mut StdRng) -> Self::Epoch {
+        self.state = Some(LmState::zeros(self.model.config(), batch));
+        self.data.batches(true, batch, self.seq_len).into_iter()
+    }
+
+    /// One compiled plan per (shard, window shape) serves the whole run:
+    /// dropout masks enter as per-step feeds.
+    fn step(
+        &mut self,
+        exec: &Executor,
+        cache: &PlanCache<StepPlan>,
+        ps: &mut ParamSet,
+        iter: usize,
+        window: &LmBatch,
+    ) -> StepOutcome {
+        let step = PtbStep {
+            model: self.model,
+            window,
+            state: self.state.as_ref().expect("step outside an epoch"),
+            drop: Some(DropPlan { seed: self.seed, step: iter as u64 }),
+        };
+        let (out, shard_states) = exec.step_planned(&step, ps, cache);
+        self.state = Some(PtbStep::merge_states(shard_states));
+        out
+    }
+
+    fn eval(&self, exec: &Executor, ps: &ParamSet, batch: usize) -> (f64, Option<f64>) {
+        let tracks = batch.min(32);
+        (exec.eval_ptb_perplexity(self.model, ps, self.data, tracks, self.seq_len), None)
+    }
+
+    fn diverged_metrics(&self) -> (f64, Option<f64>) {
+        (self.model.config().vocab as f64, None)
+    }
+}
+
+/// The GNMT-style seq2seq model (§5.1.3). Metric: test BLEU. Compiled
+/// plans cover the shape-static encoder, keyed by (batch, source length);
+/// the attention decoder stays tape-driven.
+pub struct Seq2SeqWorkload<'a> {
+    pub model: &'a Seq2Seq,
+    pub data: &'a SynthTranslation,
+}
+
+impl Workload for Seq2SeqWorkload<'_> {
+    type Batch = TranslationBatch;
+    type Epoch = std::vec::IntoIter<TranslationBatch>;
+    const CLIPS: bool = true;
+
+    fn iters_per_epoch(&self, batch: usize) -> usize {
+        self.data.iters_per_epoch(batch)
+    }
+
+    fn epoch(&mut self, batch: usize, _rng: &mut StdRng) -> Self::Epoch {
+        self.data.batches(true, batch).into_iter()
+    }
+
+    fn step(
+        &mut self,
+        exec: &Executor,
+        cache: &PlanCache<StepPlan>,
+        ps: &mut ParamSet,
+        _iter: usize,
+        batch: &TranslationBatch,
+    ) -> StepOutcome {
+        exec.step_planned(&Seq2SeqStep { model: self.model, batch }, ps, cache).0
+    }
+
+    fn eval(&self, exec: &Executor, ps: &ParamSet, _batch: usize) -> (f64, Option<f64>) {
+        (exec.eval_seq2seq_bleu(self.model, ps, self.data, 64), None)
+    }
+
+    fn diverged_metrics(&self) -> (f64, Option<f64>) {
+        (0.0, None)
+    }
+}
+
+/// The ResNet stand-in (§6). Metric: test top-1; secondary: top-`top_k`
+/// (the ImageNet experiments report top-5; with fewer classes we use
+/// top-3). Not clipped. Every step folds the shards' BatchNorm batch
+/// statistics into the model, which is why it is borrowed mutably.
+pub struct ResnetWorkload<'a> {
+    pub model: &'a mut ResNet,
+    pub data: &'a SynthImageNet,
+    pub top_k: usize,
+}
+
+impl<'a> Workload for ResnetWorkload<'a> {
+    type Batch = (Tensor, Vec<usize>);
+    type Epoch = Batches<'a>;
+    const CLIPS: bool = false;
+
+    fn iters_per_epoch(&self, batch: usize) -> usize {
+        self.data.train.iters_per_epoch(batch)
+    }
+
+    fn epoch(&mut self, batch: usize, rng: &mut StdRng) -> Batches<'a> {
+        self.data.train.epoch_batches(batch, rng)
+    }
+
+    fn step(
+        &mut self,
+        exec: &Executor,
+        cache: &PlanCache<StepPlan>,
+        ps: &mut ParamSet,
+        _iter: usize,
+        (bx, by): &Self::Batch,
+    ) -> StepOutcome {
+        let (out, stats) = exec.step_planned(&ResnetStep { model: self.model, bx, by }, ps, cache);
+        ResnetStep::fold_stats(self.model, &stats);
+        out
+    }
+
+    fn eval(&self, exec: &Executor, ps: &ParamSet, _batch: usize) -> (f64, Option<f64>) {
+        let (t1, tk) = exec.eval_resnet(self.model, ps, &self.data.test, 128, self.top_k);
+        (t1, Some(tk))
+    }
+
+    fn diverged_metrics(&self) -> (f64, Option<f64>) {
+        (0.0, Some(0.0))
+    }
+}
+
+/// The executor of the `train_<family>` constructors (and of
+/// [`mnist_lipschitz_trace`](crate::lipschitz::mnist_lipschitz_trace)),
+/// configured by `LEGW_SHARDS` / `LEGW_THREADS` — this crate's one
+/// [`ExecConfig::from_env`] call.
+pub(crate) fn env_executor() -> Executor {
+    Executor::new(ExecConfig::from_env())
+}
+
+/// Trains a fresh MNIST-LSTM classifier: [`train`] over [`MnistWorkload`].
 pub fn train_mnist(
     data: &SynthMnist,
     proj: usize,
@@ -80,64 +360,12 @@ pub fn train_mnist(
     let mut ps = ParamSet::new();
     let model = MnistLstm::new(&mut ps, &mut rng, proj, hidden);
     let mut opt = build(solver, 0.0);
-    let exec = Executor::new(ExecConfig::from_env());
-    // Shape-keyed compiled plans: after the first batch of each shard
-    // shape, steps replay tape-free (see crate::plan_cache).
-    let cache = PlanCache::for_executor(&exec);
-
-    let batch = schedule.batch_size();
-    let ipe = data.train.iters_per_epoch(batch);
-    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
-    let mut report = TrainReport {
-        final_metric: 0.0,
-        secondary_metric: None,
-        history: Vec::new(),
-        epoch_losses: Vec::new(),
-        diverged: false,
-        iterations: 0,
-    };
-
-    let mut iter = 0usize;
-    'outer: while iter < total_iters {
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_count = 0usize;
-        for (bx, by) in data.train.epoch_batches(batch, &mut rng) {
-            if iter >= total_iters {
-                break;
-            }
-            let lr = schedule.lr_at_iter(iter, ipe) as f32;
-            let (out, _) =
-                exec.step_planned(&MnistStep { model: &model, bx: &bx, by: &by }, &mut ps, &cache);
-            epoch_loss += out.loss;
-            epoch_count += 1;
-            if check_divergence(out.diverged, &ps) {
-                report.diverged = true;
-                break 'outer;
-            }
-            // The executor accumulated Σg² while applying the combined
-            // gradient, so clipping needs no extra full-parameter sweep.
-            ps.clip_grad_norm_from(out.grad_sq_norm.sqrt() as f32, RNN_CLIP);
-            opt.step(&mut ps, lr);
-            ps.zero_grad();
-            iter += 1;
-        }
-        if epoch_count > 0 {
-            report.epoch_losses.push(epoch_loss / epoch_count as f64);
-        }
-        let acc = exec.eval_mnist(&model, &ps, &data.test, 256);
-        report.history.push((iter as f64 / ipe as f64, acc));
-    }
-    report.iterations = iter;
-    report.final_metric = if report.diverged {
-        0.0
-    } else {
-        exec.eval_mnist(&model, &ps, &data.test, 256)
-    };
-    report
+    let mut w = MnistWorkload { model: &model, data };
+    train(&mut w, &mut ps, opt.as_mut(), schedule, &mut rng, &env_executor(), |_, _| {})
 }
 
-/// Trains the PTB language model (§5.1.2). Metric: validation perplexity
-/// (lower is better). Divergence reports perplexity = vocab size.
+/// Trains a fresh PTB language model: [`train`] over [`PtbWorkload`], with
+/// `seed` also keying the dropout streams.
 pub fn train_ptb(
     data: &SynthPtb,
     cfg: PtbLmConfig,
@@ -150,74 +378,11 @@ pub fn train_ptb(
     let mut ps = ParamSet::new();
     let model = PtbLm::new(&mut ps, &mut rng, cfg);
     let mut opt = build(solver, 0.0);
-    let exec = Executor::new(ExecConfig::from_env());
-    // One compiled plan per (shard, window shape); dropout masks enter as
-    // per-step feeds, so a single plan serves the whole run.
-    let cache = PlanCache::for_executor(&exec);
-
-    let batch = schedule.batch_size();
-    let ipe = data.iters_per_epoch(batch, seq_len);
-    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
-    let mut report = TrainReport {
-        final_metric: cfg.vocab as f64,
-        secondary_metric: None,
-        history: Vec::new(),
-        epoch_losses: Vec::new(),
-        diverged: false,
-        iterations: 0,
-    };
-
-    let mut iter = 0usize;
-    'outer: while iter < total_iters {
-        let mut state = LmState::zeros(&cfg, batch);
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_count = 0usize;
-        for window in data.batches(true, batch, seq_len) {
-            if iter >= total_iters {
-                break;
-            }
-            let lr = schedule.lr_at_iter(iter, ipe) as f32;
-            // Counter-based dropout streams: masks are a pure function of
-            // (run seed, optimizer step, global row), so they replay
-            // exactly and are identical for every shard count.
-            let step = PtbStep {
-                model: &model,
-                window: &window,
-                state: &state,
-                drop: Some(DropPlan { seed, step: iter as u64 }),
-            };
-            let (out, shard_states) = exec.step_planned(&step, &mut ps, &cache);
-            let next_state = PtbStep::merge_states(shard_states);
-            epoch_loss += out.loss;
-            epoch_count += 1;
-            if check_divergence(out.diverged, &ps) {
-                report.diverged = true;
-                break 'outer;
-            }
-            state = next_state;
-            // The executor accumulated Σg² while applying the combined
-            // gradient, so clipping needs no extra full-parameter sweep.
-            ps.clip_grad_norm_from(out.grad_sq_norm.sqrt() as f32, RNN_CLIP);
-            opt.step(&mut ps, lr);
-            ps.zero_grad();
-            iter += 1;
-        }
-        if epoch_count > 0 {
-            report.epoch_losses.push(epoch_loss / epoch_count as f64);
-        }
-        let ppl = exec.eval_ptb_perplexity(&model, &ps, data, batch.min(32), seq_len);
-        report.history.push((iter as f64 / ipe as f64, ppl));
-    }
-    report.iterations = iter;
-    report.final_metric = if report.diverged {
-        cfg.vocab as f64
-    } else {
-        exec.eval_ptb_perplexity(&model, &ps, data, batch.min(32), seq_len)
-    };
-    report
+    let mut w = PtbWorkload { model: &model, data, seq_len, seed, state: None };
+    train(&mut w, &mut ps, opt.as_mut(), schedule, &mut rng, &env_executor(), |_, _| {})
 }
 
-/// Trains the GNMT-style seq2seq model (§5.1.3). Metric: test BLEU.
+/// Trains a fresh seq2seq model: [`train`] over [`Seq2SeqWorkload`].
 pub fn train_seq2seq(
     data: &SynthTranslation,
     cfg: Seq2SeqConfig,
@@ -229,61 +394,11 @@ pub fn train_seq2seq(
     let mut ps = ParamSet::new();
     let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
     let mut opt = build(solver, 0.0);
-    let exec = Executor::new(ExecConfig::from_env());
-    // Compiled plans cover the shape-static encoder, keyed by
-    // (batch, source length); the attention decoder stays tape-driven.
-    let cache = PlanCache::for_executor(&exec);
-
-    let batch = schedule.batch_size();
-    let ipe = data.iters_per_epoch(batch);
-    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
-    let mut report = TrainReport {
-        final_metric: 0.0,
-        secondary_metric: None,
-        history: Vec::new(),
-        epoch_losses: Vec::new(),
-        diverged: false,
-        iterations: 0,
-    };
-
-    let mut iter = 0usize;
-    'outer: while iter < total_iters {
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_count = 0usize;
-        for b in data.batches(true, batch) {
-            if iter >= total_iters {
-                break;
-            }
-            let lr = schedule.lr_at_iter(iter, ipe) as f32;
-            let (out, _) =
-                exec.step_planned(&Seq2SeqStep { model: &model, batch: &b }, &mut ps, &cache);
-            epoch_loss += out.loss;
-            epoch_count += 1;
-            if check_divergence(out.diverged, &ps) {
-                report.diverged = true;
-                break 'outer;
-            }
-            // The executor accumulated Σg² while applying the combined
-            // gradient, so clipping needs no extra full-parameter sweep.
-            ps.clip_grad_norm_from(out.grad_sq_norm.sqrt() as f32, RNN_CLIP);
-            opt.step(&mut ps, lr);
-            ps.zero_grad();
-            iter += 1;
-        }
-        if epoch_count > 0 {
-            report.epoch_losses.push(epoch_loss / epoch_count as f64);
-        }
-        let bleu = exec.eval_seq2seq_bleu(&model, &ps, data, 64);
-        report.history.push((iter as f64 / ipe as f64, bleu));
-    }
-    report.iterations = iter;
-    report.final_metric =
-        if report.diverged { 0.0 } else { exec.eval_seq2seq_bleu(&model, &ps, data, 64) };
-    report
+    let mut w = Seq2SeqWorkload { model: &model, data };
+    train(&mut w, &mut ps, opt.as_mut(), schedule, &mut rng, &env_executor(), |_, _| {})
 }
 
-/// Trains the ResNet stand-in (§6). Metric: test top-1; secondary: top-k
-/// (the ImageNet experiments report top-5; with fewer classes we use top-3).
+/// Trains a fresh ResNet: [`train`] over [`ResnetWorkload`].
 pub fn train_resnet(
     data: &SynthImageNet,
     width: usize,
@@ -297,65 +412,8 @@ pub fn train_resnet(
     let mut ps = ParamSet::new();
     let mut model = ResNet::new(&mut ps, &mut rng, width, data.n_classes);
     let mut opt = build(solver, weight_decay);
-    let exec = Executor::new(ExecConfig::from_env());
-    // Compiled plans keyed by image-batch shape; replays fold each step's
-    // BatchNorm batch statistics into the shard clone like the tape path.
-    let cache = PlanCache::for_executor(&exec);
-
-    let batch = schedule.batch_size();
-    let ipe = data.train.iters_per_epoch(batch);
-    let total_iters = (schedule.total_epochs() * ipe as f64).round() as usize;
-    let mut report = TrainReport {
-        final_metric: 0.0,
-        secondary_metric: None,
-        history: Vec::new(),
-        epoch_losses: Vec::new(),
-        diverged: false,
-        iterations: 0,
-    };
-
-    let mut iter = 0usize;
-    'outer: while iter < total_iters {
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_count = 0usize;
-        for (bx, by) in data.train.epoch_batches(batch, &mut rng) {
-            if iter >= total_iters {
-                break;
-            }
-            let lr = schedule.lr_at_iter(iter, ipe) as f32;
-            let (out, stats) = exec.step_planned(
-                &ResnetStep { model: &model, bx: &bx, by: &by },
-                &mut ps,
-                &cache,
-            );
-            ResnetStep::fold_stats(&mut model, &stats);
-            epoch_loss += out.loss;
-            epoch_count += 1;
-            if check_divergence(out.diverged, &ps) {
-                report.diverged = true;
-                break 'outer;
-            }
-            opt.step(&mut ps, lr);
-            ps.zero_grad();
-            iter += 1;
-        }
-        if epoch_count > 0 {
-            report.epoch_losses.push(epoch_loss / epoch_count as f64);
-        }
-        let (t1, tk) = exec.eval_resnet(&model, &ps, &data.test, 128, top_k);
-        report.history.push((iter as f64 / ipe as f64, t1));
-        report.secondary_metric = Some(tk);
-    }
-    report.iterations = iter;
-    if report.diverged {
-        report.final_metric = 0.0;
-        report.secondary_metric = Some(0.0);
-    } else {
-        let (t1, tk) = exec.eval_resnet(&model, &ps, &data.test, 128, top_k);
-        report.final_metric = t1;
-        report.secondary_metric = Some(tk);
-    }
-    report
+    let mut w = ResnetWorkload { model: &mut model, data, top_k };
+    train(&mut w, &mut ps, opt.as_mut(), schedule, &mut rng, &env_executor(), |_, _| {})
 }
 
 #[cfg(test)]

@@ -183,8 +183,8 @@ fn resnet_plan_replay_matches_tape_bitwise_including_bn_stats() {
         assert_bitwise(&named_values(&ps_t), &named_values(&ps_p), "resnet params");
         // Running statistics travel outside the ParamSet; compare via an
         // eval forward, which folds them into the output.
-        let (t1_t, _) = model_t.evaluate(&ps_t, &data.test, 6, 3);
-        let (t1_p, _) = model_p.evaluate(&ps_p, &data.test, 6, 3);
+        let (t1_t, _) = exec.eval_resnet(&model_t, &ps_t, &data.test, 6, 3);
+        let (t1_p, _) = exec.eval_resnet(&model_p, &ps_p, &data.test, 6, 3);
         assert_eq!(t1_t.to_bits(), t1_p.to_bits(), "resnet eval after fold s{shards}");
     }
 }

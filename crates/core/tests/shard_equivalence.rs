@@ -141,23 +141,55 @@ fn fused_grad_norm_matches_explicit_sweep() {
     }
 }
 
-/// Sharded epoch-end evaluation reproduces the serial sweep: exactly for
-/// the chunked evaluators (identical work items, integer/concatenation
-/// combine) and within fp tolerance for the track-sliced PTB stream.
+/// Sharded epoch-end evaluation reproduces the serial sweep — written out
+/// here from the models' public forwards, since the library holds one
+/// sweep per family: exactly for the chunked evaluators (identical work
+/// items, integer/concatenation combine) and within fp tolerance for the
+/// track-sliced PTB stream, whose one-shard sweep is exact too.
 #[test]
 fn sharded_eval_matches_serial() {
-    use legw_models::{PtbLm, PtbLmConfig};
+    use legw_data::{metrics, SynthImageNet};
+    use legw_models::{LmState, PtbLm, PtbLmConfig, ResNet};
 
     // MNIST: integer correct counts — identical at every shard count.
     let data = SynthMnist::generate(17, 48, 40);
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(13);
     let model = MnistLstm::new(&mut ps, &mut rng, 8, 8);
-    let serial_acc = model.evaluate(&ps, &data.test, 16);
+    let mut correct = 0.0;
+    for start in (0..40).step_by(16) {
+        let (bx, by) = data.test.gather(&(start..(start + 16).min(40)).collect::<Vec<_>>());
+        let (_, _, _, logits) = model.forward_loss(&ps, &bx, &by);
+        correct += metrics::accuracy(&logits, &by) * by.len() as f64;
+    }
+    let serial_acc = correct / 40.0;
     for shards in SHARD_COUNTS {
         let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let acc = exec.eval_mnist(&model, &ps, &data.test, 16);
         assert!((acc - serial_acc).abs() < 1e-12, "mnist shards={shards}: {acc} vs {serial_acc}");
+    }
+
+    // ResNet in evaluation mode (running statistics primed by one training
+    // forward): integer top-1 / top-k counts.
+    let idata = SynthImageNet::generate_sized(11, 4, 48, 24, 16);
+    let mut ps = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut model = ResNet::new(&mut ps, &mut rng, 4, 4);
+    let (bx, by) = idata.train.gather(&(0..24).collect::<Vec<_>>());
+    let _ = model.forward_loss(&ps, &bx, &by);
+    let (mut top1, mut top2) = (0.0, 0.0);
+    for start in (0..24).step_by(6) {
+        let (bx, by) = idata.test.gather(&(start..start + 6).collect::<Vec<_>>());
+        let (g, _, logits) = model.forward_infer(&ps, &bx);
+        top1 += metrics::accuracy(g.value(logits), &by) * 6.0;
+        top2 += metrics::top_k_accuracy(g.value(logits), &by, 2) * 6.0;
+    }
+    assert!(top2 >= top1, "top-k must dominate top-1");
+    for shards in SHARD_COUNTS {
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
+        let (t1, t2) = exec.eval_resnet(&model, &ps, &idata.test, 6, 2);
+        assert!((t1 - top1 / 24.0).abs() < 1e-12, "resnet top-1 shards={shards}: {t1}");
+        assert!((t2 - top2 / 24.0).abs() < 1e-12, "resnet top-2 shards={shards}: {t2}");
     }
 
     // Seq2seq BLEU: identical decode batches — identical score.
@@ -166,7 +198,13 @@ fn sharded_eval_matches_serial() {
     let mut rng = StdRng::seed_from_u64(19);
     let cfg = Seq2SeqConfig::compact(tdata.vocab, tdata.max_len() + 1);
     let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
-    let serial_bleu = model.evaluate_bleu(&ps, &tdata, 4);
+    let (mut cands, mut refs) = (Vec::new(), Vec::new());
+    for b in tdata.batches(false, 4) {
+        cands.extend(model.greedy_decode(&ps, &b));
+        refs.extend(b.refs.clone());
+    }
+    let serial_bleu = metrics::corpus_bleu(&cands, &refs);
+    assert!((0.0..30.0).contains(&serial_bleu), "untrained BLEU {serial_bleu}");
     for shards in SHARD_COUNTS {
         let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let bleu = exec.eval_seq2seq_bleu(&model, &ps, &tdata, 4);
@@ -177,13 +215,22 @@ fn sharded_eval_matches_serial() {
     }
 
     // PTB: track-sliced; weighted mean matches within fp tolerance, and
-    // the single-shard path matches the historical sweep exactly.
+    // the single-shard sweep matches the full-batch sweep exactly.
     let pdata = legw_data::SynthPtb::generate(23, 24, 6, 6000, 1200);
     let cfg = PtbLmConfig { vocab: 24, embed: 10, hidden: 10, layers: 2, keep: 1.0 };
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(29);
     let model = PtbLm::new(&mut ps, &mut rng, cfg);
-    let serial_ppl = model.evaluate_perplexity(&ps, &pdata, 8, 12);
+    let windows = pdata.batches(false, 8, 12);
+    let mut state = LmState::zeros(&cfg, 8);
+    let mut total = 0.0f64;
+    for w in &windows {
+        let (_, _, _, nll, next) = model.forward_loss(&ps, w, &state);
+        total += nll;
+        state = next;
+    }
+    let serial_ppl = (total / windows.len() as f64).exp();
+    assert!(serial_ppl > pdata.perplexity_floor());
     let one = Executor::new(ExecConfig::default()).eval_ptb_perplexity(&model, &ps, &pdata, 8, 12);
     assert_eq!(one.to_bits(), serial_ppl.to_bits(), "single-shard PTB eval must be exact");
     for shards in SHARD_COUNTS {

@@ -27,7 +27,6 @@ mod imagenet;
 mod lm;
 pub mod metrics;
 mod mnist;
-pub mod serialize;
 mod translation;
 
 pub use classification::{Batches, Classification};

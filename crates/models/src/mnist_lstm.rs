@@ -9,7 +9,7 @@
 
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
-use legw_data::{metrics, Classification, SynthMnist};
+use legw_data::SynthMnist;
 use legw_nn::{Binding, Linear, LstmCell, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
@@ -173,28 +173,6 @@ impl MnistLstm {
         plan.replay_forward(ps, &[&packed, &h0, &c0], &Feeds::default());
         plan.output(0)
     }
-
-    /// Top-1 accuracy over a dataset, evaluated in chunks of `chunk`.
-    pub fn evaluate(&self, ps: &ParamSet, data: &Classification, chunk: usize) -> f64 {
-        let mut correct = 0.0;
-        let mut total = 0usize;
-        let n = data.len();
-        let mut i = 0;
-        // One tape reused across chunks: reset() keeps the node Vec's
-        // capacity, so only the first chunk pays the growth.
-        let mut g = Graph::new();
-        while i < n {
-            let idx: Vec<usize> = (i..(i + chunk).min(n)).collect();
-            let (batch, labels) = data.gather(&idx);
-            g.reset();
-            let mut bd = Binding::new();
-            let logits = self.forward(&mut g, &mut bd, ps, &batch);
-            correct += metrics::accuracy(g.value(logits), &labels) * labels.len() as f64;
-            total += labels.len();
-            i += chunk;
-        }
-        correct / total.max(1) as f64
-    }
 }
 
 impl crate::planned::Infer for MnistLstm {
@@ -355,14 +333,5 @@ mod tests {
             assert_eq!(a.len(), 10);
             assert_eq!(a, b, "frozen-path logits must match the tape bitwise");
         }
-    }
-
-    #[test]
-    fn evaluate_runs_in_chunks_and_is_chance_level_untrained() {
-        let (ps, m, d) = tiny();
-        let acc = m.evaluate(&ps, &d.test, 7);
-        assert!((0.0..=1.0).contains(&acc));
-        // untrained should be near 10% (allow broad band)
-        assert!(acc < 0.5, "untrained accuracy suspiciously high: {acc}");
     }
 }

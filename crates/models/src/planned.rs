@@ -111,12 +111,6 @@ impl StepPlan {
     pub fn stats(&self) -> PlanStats {
         self.plan.stats()
     }
-
-    /// One-line schedule summary (instruction counts by kind, arena and
-    /// scratch footprints) — see [`Plan::describe`].
-    pub fn describe(&self) -> String {
-        self.plan.describe()
-    }
 }
 
 /// Splits a row-major tensor into one `Vec<f32>` per leading-dimension

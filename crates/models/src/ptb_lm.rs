@@ -3,7 +3,7 @@
 
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
-use legw_data::{LmBatch, SynthPtb};
+use legw_data::LmBatch;
 use legw_nn::{Binding, DropCtx, Dropout, Embedding, Linear, Lstm, LstmState, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
@@ -361,34 +361,6 @@ impl PtbLm {
         );
         (plan.output(0), carried)
     }
-
-    /// Mean NLL (nats/token) over a full split; exp of this is perplexity.
-    pub fn evaluate_nll(&self, ps: &ParamSet, data: &SynthPtb, train_split: bool, batch: usize, seq_len: usize) -> f64 {
-        let mut state = LmState::zeros(&self.cfg, batch);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        // One tape reused across windows: reset() keeps the node Vec's
-        // capacity, so only the first window pays the growth.
-        let mut g = Graph::new();
-        for window in data.batches(train_split, batch, seq_len) {
-            g.reset();
-            let (_bd, loss, finals) = self.window_tape(&mut g, ps, &window, &state, None, false);
-            total += g.value(loss).item() as f64;
-            count += 1;
-            state = LmState(
-                finals
-                    .iter()
-                    .map(|s| (g.value(s.h).clone(), g.value(s.c).clone()))
-                    .collect(),
-            );
-        }
-        total / count.max(1) as f64
-    }
-
-    /// Perplexity over the validation stream.
-    pub fn evaluate_perplexity(&self, ps: &ParamSet, data: &SynthPtb, batch: usize, seq_len: usize) -> f64 {
-        self.evaluate_nll(ps, data, false, batch, seq_len).exp()
-    }
 }
 
 impl crate::planned::Infer for PtbLm {
@@ -464,6 +436,7 @@ impl crate::planned::Infer for PtbLm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legw_data::SynthPtb;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn tiny() -> (ParamSet, PtbLm, SynthPtb) {
@@ -473,13 +446,6 @@ mod tests {
         let m = PtbLm::new(&mut ps, &mut rng, cfg);
         let d = SynthPtb::generate(4, 30, 4, 4000, 800);
         (ps, m, d)
-    }
-
-    #[test]
-    fn untrained_nll_near_uniform() {
-        let (ps, m, d) = tiny();
-        let nll = m.evaluate_nll(&ps, &d, false, 4, 8);
-        assert!((nll - (30f64).ln()).abs() < 0.6, "nll {nll} vs ln30 {}", 30f64.ln());
     }
 
     #[test]
@@ -606,13 +572,5 @@ mod tests {
                 assert_eq!(ca.as_slice(), cb.as_slice(), "carried c must match");
             }
         }
-    }
-
-    #[test]
-    fn perplexity_bounded_by_vocab_for_sane_models() {
-        let (ps, m, d) = tiny();
-        let ppl = m.evaluate_perplexity(&ps, &d, 4, 8);
-        assert!(ppl > d.perplexity_floor());
-        assert!(ppl < 30.0 * 3.0, "untrained ppl should be near vocab size, got {ppl}");
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
-use legw_data::{metrics, Classification};
 use legw_nn::{BatchNorm2d, Binding, Conv2d, Linear, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
@@ -304,36 +303,6 @@ impl ResNet {
             bn.set_stats_weighted(&sources);
         }
     }
-
-    /// `(top-1, top-k)` accuracy over a dataset in evaluation mode.
-    pub fn evaluate(
-        &mut self,
-        ps: &ParamSet,
-        data: &Classification,
-        chunk: usize,
-        k: usize,
-    ) -> (f64, f64) {
-        let mut top1 = 0.0;
-        let mut topk = 0.0;
-        let mut total = 0usize;
-        let n = data.len();
-        let mut i = 0;
-        // One tape reused across chunks: reset() keeps the node Vec's
-        // capacity, so only the first chunk pays the growth.
-        let mut g = Graph::new();
-        while i < n {
-            let idx: Vec<usize> = (i..(i + chunk).min(n)).collect();
-            let (batch, labels) = data.gather(&idx);
-            g.reset();
-            let mut bd = Binding::new();
-            let logits = self.forward(&mut g, &mut bd, ps, &batch, false);
-            top1 += metrics::accuracy(g.value(logits), &labels) * labels.len() as f64;
-            topk += metrics::top_k_accuracy(g.value(logits), &labels, k) * labels.len() as f64;
-            total += labels.len();
-            i += chunk;
-        }
-        (top1 / total.max(1) as f64, topk / total.max(1) as f64)
-    }
 }
 
 impl crate::planned::Infer for ResNet {
@@ -461,19 +430,5 @@ mod tests {
             assert_eq!(a.len(), 6);
             assert_eq!(a, b, "frozen-path logits must match the eval tape bitwise");
         }
-    }
-
-    #[test]
-    fn eval_mode_uses_running_stats_consistently() {
-        let (mut ps, mut m, d) = tiny();
-        // prime running stats with a couple of training passes
-        let (batch, labels) = d.train.gather(&(0..12).collect::<Vec<_>>());
-        for _ in 0..3 {
-            let _ = m.forward_loss(&ps, &batch, &labels);
-        }
-        ps.zero_grad();
-        let (t1, tk) = m.evaluate(&ps, &d.test, 6, 3);
-        assert!((0.0..=1.0).contains(&t1));
-        assert!(tk >= t1, "top-k must dominate top-1");
     }
 }

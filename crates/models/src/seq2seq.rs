@@ -9,7 +9,7 @@
 
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
-use legw_data::{metrics, SynthTranslation, TranslationBatch, EOS};
+use legw_data::{TranslationBatch, EOS};
 use legw_nn::{
     BahdanauAttention, Binding, Embedding, GradBuffer, Linear, LstmCell, LstmState, ParamSet,
 };
@@ -383,26 +383,13 @@ impl Seq2Seq {
     /// until [`EOS`] or `max_decode`. Returns one hypothesis per sequence.
     pub fn greedy_decode(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<Vec<usize>> {
         let mut g = Graph::new();
-        self.greedy_decode_into(&mut g, ps, batch)
-    }
-
-    /// [`Seq2Seq::greedy_decode`] onto a caller-owned tape (reset here), so
-    /// evaluation loops reuse one node allocation across batches.
-    fn greedy_decode_into(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> Vec<Vec<usize>> {
-        g.reset();
-        let b = batch.batch_size();
         let mut bd = Binding::new();
-        let enc = self.encode(g, &mut bd, ps, &batch.src);
-        self.greedy_loop(g, &mut bd, ps, &enc, b)
+        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
+        self.greedy_loop(&mut g, &mut bd, ps, &enc, batch.batch_size())
     }
 
     /// The feedback decode loop over an already-encoded source — shared by
-    /// the tape path ([`Seq2Seq::greedy_decode_into`]) and the frozen-plan
+    /// the tape path ([`Seq2Seq::greedy_decode`]) and the frozen-plan
     /// path ([`Seq2Seq::greedy_decode_planned`]), so both decode
     /// identically by construction.
     fn greedy_loop(
@@ -492,20 +479,6 @@ impl Seq2Seq {
         };
         self.greedy_loop(&mut g, &mut bd, ps, &enc, b)
     }
-
-    /// Corpus BLEU over a split (paper metric, higher is better).
-    pub fn evaluate_bleu(&self, ps: &ParamSet, data: &SynthTranslation, batch: usize) -> f64 {
-        let mut cands = Vec::new();
-        let mut refs = Vec::new();
-        // One tape reused across batches via greedy_decode_into.
-        let mut g = Graph::new();
-        for b in data.batches(false, batch) {
-            let hyps = self.greedy_decode_into(&mut g, ps, &b);
-            cands.extend(hyps);
-            refs.extend(b.refs.clone());
-        }
-        metrics::corpus_bleu(&cands, &refs)
-    }
 }
 
 impl crate::planned::Infer for Seq2Seq {
@@ -551,6 +524,7 @@ impl crate::planned::Infer for Seq2Seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legw_data::SynthTranslation;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn tiny() -> (ParamSet, Seq2Seq, SynthTranslation) {
@@ -593,14 +567,6 @@ mod tests {
             assert!(h.len() <= 8);
             assert!(h.iter().all(|&t| t < d.vocab && t != EOS));
         }
-    }
-
-    #[test]
-    fn evaluate_bleu_is_bounded_and_low_untrained() {
-        let (ps, m, d) = tiny();
-        let bleu = m.evaluate_bleu(&ps, &d, 8);
-        assert!((0.0..=100.0).contains(&bleu));
-        assert!(bleu < 30.0, "untrained BLEU suspiciously high: {bleu}");
     }
 
     /// Hoisted vs stepwise encoder through the full teacher-forced pass:

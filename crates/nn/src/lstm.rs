@@ -332,18 +332,6 @@ impl Lstm {
         }
         (outputs, state)
     }
-
-    /// Detaches states from the tape: re-enters the current values as fresh
-    /// inputs of a (possibly different) graph — the truncated-BPTT boundary.
-    pub fn detach_state(old_graph: &Graph, new_graph: &mut Graph, state: &[LstmState]) -> Vec<LstmState> {
-        state
-            .iter()
-            .map(|s| LstmState {
-                h: new_graph.input(old_graph.value(s.h).clone()),
-                c: new_graph.input(old_graph.value(s.c).clone()),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -660,25 +648,5 @@ mod tests {
             residual_out.sub(&expected).l2_norm() < 1e-6,
             "residual output must equal plain output + layer-0 output"
         );
-    }
-
-    #[test]
-    fn detach_state_moves_values_not_tape() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(17);
-        let lstm = Lstm::new(&mut ps, &mut rng, "d", 2, 3, 1);
-        let mut g1 = Graph::new();
-        let mut bd1 = Binding::new();
-        let s0 = lstm.zero_state(&mut g1, 1);
-        let x = g1.input(Tensor::ones(&[1, 2]));
-        let (_, s1) = lstm.forward_seq(&mut g1, &mut bd1, &ps, &[x], s0);
-
-        let mut g2 = Graph::new();
-        let s2 = Lstm::detach_state(&g1, &mut g2, &s1);
-        assert_eq!(g2.value(s2[0].h).as_slice(), g1.value(s1[0].h).as_slice());
-        // detached states are inputs: they require no grad
-        let sum = g2.sum_all(s2[0].h);
-        g2.backward(sum); // must be a no-op, not a panic
-        assert!(g2.grad(s2[0].h).is_none());
     }
 }

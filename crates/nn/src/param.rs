@@ -138,9 +138,17 @@ impl ParamSet {
         norm
     }
 
-    /// True if any parameter or gradient contains NaN/Inf.
-    pub fn any_nonfinite(&self) -> bool {
-        self.params.iter().any(|p| !p.value.all_finite() || !p.grad.all_finite())
+    /// True if any parameter value is NaN/±Inf — the per-step divergence
+    /// scan of the training loop. Chunked scan exploiting `x * 0.0`: the
+    /// product is ±0 for every finite x and NaN for NaN/±Inf, so a chunk is
+    /// all-finite iff the sum of products compares equal to zero.
+    /// Branch-free per element (vectorises), and — unlike a
+    /// `value_norm().is_finite()` proxy — cannot overflow to Inf on
+    /// large-but-finite parameters and falsely flag divergence.
+    pub fn has_nonfinite_value(&self) -> bool {
+        self.params.iter().any(|p| {
+            p.value.as_slice().chunks(4096).any(|c| c.iter().map(|&v| v * 0.0).sum::<f32>() != 0.0)
+        })
     }
 
     /// Flat copy of all parameter values (for checkpoint/perturb-restore in
@@ -344,11 +352,23 @@ mod tests {
     }
 
     #[test]
-    fn any_nonfinite_detects() {
+    fn has_nonfinite_value_detects_nan_and_inf_but_not_large_finite_values() {
         let mut ps = ParamSet::new();
-        let id = ps.add("w", Tensor::ones(&[1]));
-        assert!(!ps.any_nonfinite());
-        ps.get_mut(id).value = Tensor::from_vec(vec![f32::NAN], &[1]);
-        assert!(ps.any_nonfinite());
+        // Longer than one 4096-element scan chunk, at the largest finite
+        // magnitude (whose norm overflows f32).
+        let id = ps.add("w", Tensor::from_vec(vec![f32::MAX; 5000], &[5000]));
+        assert!(!ps.has_nonfinite_value());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0usize, 4999] {
+                let mut v = vec![-f32::MAX; 5000];
+                v[at] = bad;
+                ps.get_mut(id).value = Tensor::from_vec(v, &[5000]);
+                assert!(ps.has_nonfinite_value(), "{bad} at {at}");
+            }
+        }
+        // Gradients are not scanned: the loop checks values only.
+        ps.get_mut(id).value = Tensor::ones(&[5000]);
+        ps.get_mut(id).grad = Tensor::from_vec(vec![f32::NAN; 5000], &[5000]);
+        assert!(!ps.has_nonfinite_value());
     }
 }

@@ -169,6 +169,18 @@ impl ModelConfig {
         Ok(cfg)
     }
 
+    /// The constructor dimensions. A model needs every one of them ≥ 1.
+    fn dims(&self) -> Vec<usize> {
+        match *self {
+            Self::MnistLstm { proj, hidden } => vec![proj, hidden],
+            Self::PtbLm { vocab, embed, hidden, layers } => vec![vocab, embed, hidden, layers],
+            Self::Seq2Seq { vocab, embed, hidden, attn, max_decode } => {
+                vec![vocab, embed, hidden, attn, max_decode]
+            }
+            Self::ResNet { width, n_classes, .. } => vec![width, n_classes],
+        }
+    }
+
     /// A lower bound on the parameter elements the family's constructor
     /// allocates for these dimensions, or `None` when it overflows `usize`:
     /// the sum over a few of the family's real weight matrices, chosen so
@@ -195,6 +207,15 @@ impl ModelConfig {
         };
         mats.into_iter().try_fold(0usize, |acc, (r, c)| acc.checked_add(r.checked_mul(c)?))
     }
+}
+
+/// The channel count of every BatchNorm layer `ResNet::new` builds for
+/// `width`, in `ResNet::bn_running_stats` order: the stem's, then `bn1` and
+/// `bn2` of each of the three stages, followed by the projection's in the
+/// two stages that change shape.
+fn resnet_bn_channels(width: usize) -> [usize; 9] {
+    let w = width;
+    [w, w, w, 2 * w, 2 * w, 2 * w, 4 * w, 4 * w, 4 * w]
 }
 
 /// A model restored from a frozen artifact, ready for an
@@ -228,15 +249,27 @@ pub fn freeze(cfg: &ModelConfig, ps: &ParamSet) -> Bytes {
 /// cross-checks the config against the payload before anything mutates.
 ///
 /// The config's dimensions come from the blob and drive the constructors'
-/// allocations, so a config naming more parameters than the blob could
-/// hold — every parameter is stored as f32 in the payload — is rejected
-/// before anything is built.
+/// allocations and assertions, so a config no constructor can build is
+/// rejected before one runs: a zero dimension, more parameters than the
+/// blob could hold — every parameter is stored as f32 in the payload — or
+/// BatchNorm statistics that are not the ones a ResNet of that width has.
 pub fn restore(blob: &[u8]) -> Result<(FrozenModel, ParamSet), ArtifactError> {
     let cfg_bytes = checkpoint::read_config(blob)?.ok_or(ArtifactError::MissingConfig)?;
     let cfg = ModelConfig::decode(&cfg_bytes)?;
+    if cfg.dims().contains(&0) {
+        return Err(ArtifactError::BadConfig("zero dimension"));
+    }
     match cfg.min_param_elems() {
         Some(n) if n <= blob.len() / 4 => {}
         _ => return Err(ArtifactError::BadConfig("model larger than artifact")),
+    }
+    if let ModelConfig::ResNet { width, bn_stats, .. } = &cfg {
+        // `decode` reads each layer's mean and variance at one length, and
+        // `4 * width` did not overflow in `min_param_elems`.
+        let channels = resnet_bn_channels(*width);
+        if !bn_stats.iter().map(|(mean, _)| mean.len()).eq(channels) {
+            return Err(ArtifactError::BadConfig("batch-norm statistics do not match the model"));
+        }
     }
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
@@ -358,6 +391,55 @@ mod tests {
             );
         }
         assert_eq!(ModelConfig::MnistLstm { proj: M, hidden: M }.min_param_elems(), None);
+    }
+
+    #[test]
+    fn restore_rejects_configs_no_constructor_can_build() {
+        // Valid CRC, every dimension of every family set to zero in turn:
+        // a typed error, not a constructor assertion.
+        let zeroed = [
+            ModelConfig::MnistLstm { proj: 0, hidden: 1 },
+            ModelConfig::MnistLstm { proj: 1, hidden: 0 },
+            ModelConfig::PtbLm { vocab: 0, embed: 1, hidden: 1, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: 0, hidden: 1, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: 1, hidden: 0, layers: 1 },
+            ModelConfig::PtbLm { vocab: 1, embed: 1, hidden: 1, layers: 0 },
+            ModelConfig::Seq2Seq { vocab: 0, embed: 1, hidden: 1, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 0, hidden: 1, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 1, hidden: 0, attn: 1, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 1, hidden: 1, attn: 0, max_decode: 1 },
+            ModelConfig::Seq2Seq { vocab: 1, embed: 1, hidden: 1, attn: 1, max_decode: 0 },
+            ModelConfig::ResNet { width: 0, n_classes: 1, bn_stats: vec![] },
+            ModelConfig::ResNet { width: 1, n_classes: 0, bn_stats: vec![] },
+        ];
+        for cfg in &zeroed {
+            let blob = freeze(cfg, &ParamSet::new());
+            assert_eq!(
+                restore(&blob).err(),
+                Some(ArtifactError::BadConfig("zero dimension")),
+                "{cfg:?}"
+            );
+        }
+
+        // A real ResNet's parameters with BatchNorm statistics that are not
+        // its own: none, one layer short, one layer at the wrong width.
+        let mut ps = ParamSet::new();
+        let model = ResNet::new(&mut ps, &mut StdRng::seed_from_u64(1), 4, 6);
+        let stats = model.bn_running_stats();
+        assert!(stats.iter().map(|(mean, _)| mean.len()).eq(resnet_bn_channels(4)));
+        let mut short = stats.clone();
+        short.pop();
+        let mut narrow = stats.clone();
+        narrow[3] = (vec![0.0; 4], vec![1.0; 4]);
+        for bn_stats in [vec![], short, narrow] {
+            let blob = freeze(&ModelConfig::ResNet { width: 4, n_classes: 6, bn_stats }, &ps);
+            assert_eq!(
+                restore(&blob).err(),
+                Some(ArtifactError::BadConfig("batch-norm statistics do not match the model"))
+            );
+        }
+        let blob = freeze(&ModelConfig::ResNet { width: 4, n_classes: 6, bn_stats: stats }, &ps);
+        assert!(restore(&blob).is_ok());
     }
 
     #[test]

@@ -331,18 +331,6 @@ pub fn sigmoid_sweep(k: Kernel, v: &mut [f32]) {
     }
 }
 
-/// `dst[i] = fast_tanh(src[i])` with the given variant.
-pub fn tanh_map(k: Kernel, src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
-    tanh_sweep(k, dst);
-}
-
-/// `dst[i] = fast_sigmoid(src[i])` with the given variant.
-pub fn sigmoid_map(k: Kernel, src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
-    sigmoid_sweep(k, dst);
-}
-
 /// Dot product with the scalar kernel's exact 8-lane accumulation order.
 /// AVX-512 deliberately routes to the 256-bit kernel (see module docs).
 pub(crate) fn dot(k: Kernel, x: &[f32], y: &[f32]) -> f32 {

@@ -4,19 +4,30 @@
 //! cargo run --release --example serve_mnist
 //! ```
 //!
-//! Trains the MNIST-LSTM for a few SGD steps, freezes the parameters into a
-//! versioned artifact (checkpoint v2 + model-config header), restores the
-//! artifact into an [`InferEngine`] that knows nothing about the training
-//! code path, and serves it two ways:
+//! Trains the MNIST-LSTM through the library's one training loop
+//! ([`train`] over [`MnistWorkload`] — the loop borrows the model and the
+//! parameters, so both are still the caller's when it returns), freezes the
+//! trained parameters into a versioned artifact (checkpoint v2 +
+//! model-config header), restores the artifact into an [`InferEngine`] that
+//! knows nothing about the training code path, and serves it two ways:
 //!
 //! 1. directly, through a stateless [`InferEngine::run_one`] loop, and
 //! 2. behind a dynamic-batching [`Server`] with several concurrent client
 //!    threads, whose single-row queries are coalesced into batched forwards
 //!    under a max-latency deadline.
+//!
+//! Exits non-zero unless the restored engine classifies at least 12 of its
+//! 16 held-out rows correctly and every batched answer equals the direct
+//! one — `scripts/offline_check.sh` runs it as the end-to-end check of
+//! train → freeze → restore → serve.
 
+use legw_repro::core::trainer::{train, MnistWorkload};
+use legw_repro::core::{ExecConfig, Executor};
 use legw_repro::data::SynthMnist;
 use legw_repro::models::MnistLstm;
 use legw_repro::nn::ParamSet;
+use legw_repro::optim::{build, SolverKind};
+use legw_repro::schedules::BaselineSchedule;
 use legw_repro::serve::{freeze, restore, BatchConfig, FrozenModel, InferEngine, ModelConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,28 +37,26 @@ use std::time::Duration;
 const PROJ: usize = 32;
 const HIDDEN: usize = 32;
 
+fn argmax(logits: &[f32]) -> usize {
+    logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
+}
+
 fn main() {
-    // --- Train (briefly) -------------------------------------------------
+    // --- Train -----------------------------------------------------------
     let data = SynthMnist::generate(7, 1024, 256);
     let mut rng = StdRng::seed_from_u64(42);
     let mut ps = ParamSet::new();
     let model = MnistLstm::new(&mut ps, &mut rng, PROJ, HIDDEN);
-
-    let idx: Vec<usize> = (0..64).collect();
-    let (batch, labels) = data.train.gather(&idx);
-    for step in 0..20 {
-        let (mut g, bd, loss, _) = model.forward_loss(&ps, &batch, &labels);
-        let lv = g.value(loss).item();
-        if step % 5 == 0 {
-            println!("train step {step:2}: loss {lv:.4}");
-        }
-        g.backward(loss);
-        bd.write_grads(&g, &mut ps);
-        for (_, p) in ps.iter_mut() {
-            let grad = p.grad.clone();
-            p.value.axpy(-0.5, &grad);
-            p.grad.fill_(0.0);
-        }
+    let mut opt = build(SolverKind::Momentum, 0.0);
+    let schedule = BaselineSchedule::constant(32, 0.2, 0.0625, 6.0);
+    // The executor is the caller's too: serial here; `with_shards(n)`
+    // would shard every batch over n workers.
+    let exec = Executor::new(ExecConfig::default());
+    let mut workload = MnistWorkload { model: &model, data: &data };
+    let report =
+        train(&mut workload, &mut ps, opt.as_mut(), &schedule, &mut rng, &exec, |_, _| {});
+    for ((epoch, acc), loss) in report.history.iter().zip(&report.epoch_losses) {
+        println!("epoch {epoch:.0}: mean loss {loss:.4}, test accuracy {acc:.4}");
     }
 
     // --- Freeze ----------------------------------------------------------
@@ -68,17 +77,9 @@ fn main() {
     let (eval_batch, eval_labels) = data.test.gather(&(0..16).collect::<Vec<_>>());
     let rows: Vec<Vec<f32>> =
         eval_batch.as_slice().chunks(784).map(|c| c.to_vec()).collect();
-    let mut correct = 0usize;
-    for (row, label) in rows.iter().zip(&eval_labels) {
-        let (logits, ()) = engine.run_one(row.clone(), ());
-        let pred = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap();
-        correct += usize::from(pred == *label);
-    }
+    let direct: Vec<usize> =
+        rows.iter().map(|row| argmax(&engine.run_one(row.clone(), ()).0)).collect();
+    let correct = direct.iter().zip(&eval_labels).filter(|(p, l)| p == l).count();
     println!(
         "direct serving: {}/{} eval rows correct, {} cached forward plan(s)",
         correct,
@@ -96,18 +97,16 @@ fn main() {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let mut session = server.session();
-            let rows = rows.clone();
+            let (rows, direct) = (rows.clone(), direct.clone());
             std::thread::spawn(move || {
-                for q in 0..QUERIES {
-                    let out = session.query(rows[(c * QUERIES + q) % rows.len()].clone());
-                    assert_eq!(out.len(), 10);
-                }
+                (0..QUERIES)
+                    .map(|q| (c * QUERIES + q) % rows.len())
+                    .filter(|&i| argmax(&session.query(rows[i].clone())) != direct[i])
+                    .count()
             })
         })
         .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
+    let mismatched: usize = handles.into_iter().map(|h| h.join().expect("client thread")).sum();
     let stats = server.shutdown();
     println!(
         "batched serving: {} requests in {} batches (mean batch {:.2}, largest {}), max queue wait {:?}",
@@ -117,4 +116,12 @@ fn main() {
         stats.largest_batch,
         stats.max_queue_wait
     );
+
+    if correct < 12 || mismatched > 0 {
+        eprintln!(
+            "error: {correct}/16 rows correct (need 12), {mismatched} batched answer(s) \
+             differ from the direct one"
+        );
+        std::process::exit(1);
+    }
 }

@@ -15,10 +15,14 @@
 #   * each crates/*/tests/*.rs            (suite `<crate>/<file>`)
 #   * each root tests/*.rs                (suite `legw_repro/<file>`)
 #
-# and builds, without running, the targets no test links:
+# and builds the targets no test links:
 #
 #   * each crates/*/src/bin/*.rs          (`<crate>/bin/<file>`)
 #   * each examples/*.rs                  (`legw_repro/examples/<file>`)
+#
+# Of those it also runs the two examples that finish in seconds: quickstart,
+# and serve_mnist, which exits non-zero unless train -> freeze -> restore ->
+# serve ends in a model that answers its held-out rows.
 #
 # One line per suite or target; logs under perf-stub/tests/. Like cargo,
 # every suite runs from its package directory. Not covered: doctests.
@@ -93,16 +97,20 @@ suite() {
   fi
 }
 
-# build <name> <crate_name> <src>: compile <src> as a binary against every
-# library, do not run it, print one line.
+# build <name> <crate_name> <src> [run]: compile <src> as a binary against
+# every library, run it from the repo root if asked to, print one line.
 build() {
-  local name=$1 crate=$2 src=$3
+  local name=$1 crate=$2 src=$3 run=${4:-}
   [[ "$name" == *"$filter"* ]] || return 0
   local bin="$logs/${name//\//__}" ext=()
   local log="$bin.log"
   for d in "${all[@]}"; do ext+=(--extern "$d=$out/lib$d.rlib"); done
-  if "${rc[@]}" --crate-name "$crate" "$src" "${ext[@]}" -o "$bin" >"$log" 2>&1; then
+  if ! "${rc[@]}" --crate-name "$crate" "$src" "${ext[@]}" -o "$bin" >"$log" 2>&1; then
+    fail "$name" "$log"
+  elif [[ -z $run ]]; then
     echo "ok    $name  built"
+  elif "$bin" >>"$log" 2>&1; then
+    echo "ok    $name  ran"
   else
     fail "$name" "$log"
   fi
@@ -129,7 +137,10 @@ for t in tests/*.rs; do
 done
 for e in examples/*.rs; do
   stem=$(basename "$e" .rs)
-  build "legw_repro/examples/$stem" "$stem" "$e"
+  case $stem in
+    quickstart | serve_mnist) build "legw_repro/examples/$stem" "$stem" "$e" run ;;
+    *) build "legw_repro/examples/$stem" "$stem" "$e" ;;
+  esac
 done
 
 if [[ $failed == 0 ]]; then

@@ -1,7 +1,8 @@
 //! Integration tests for the extension features: model checkpointing and
 //! dynamic batch-size schedules.
 
-use legw_repro::data::{serialize, SynthMnist};
+use legw_repro::core::{ExecConfig, Executor};
+use legw_repro::data::SynthMnist;
 use legw_repro::models::MnistLstm;
 use legw_repro::nn::{checkpoint, ParamSet};
 use legw_repro::schedules::BatchGrowth;
@@ -26,16 +27,17 @@ fn checkpoint_roundtrips_a_trained_model_and_preserves_predictions() {
             p.grad.fill_(0.0);
         }
     }
-    let acc_before = model.evaluate(&ps, &data.test, 64);
+    let exec = Executor::new(ExecConfig::default());
+    let acc_before = exec.eval_mnist(&model, &ps, &data.test, 64);
     let blob = checkpoint::save(&ps);
 
     // fresh model with a different seed, then restore
     let mut rng2 = StdRng::seed_from_u64(999);
     let mut ps2 = ParamSet::new();
     let model2 = MnistLstm::new(&mut ps2, &mut rng2, 16, 16);
-    let acc_fresh = model2.evaluate(&ps2, &data.test, 64);
+    let acc_fresh = exec.eval_mnist(&model2, &ps2, &data.test, 64);
     checkpoint::load(&mut ps2, &blob).expect("structural match");
-    let acc_restored = model2.evaluate(&ps2, &data.test, 64);
+    let acc_restored = exec.eval_mnist(&model2, &ps2, &data.test, 64);
 
     assert!((acc_restored - acc_before).abs() < 1e-12, "restored model must predict identically");
     // overwhelmingly likely distinct from the fresh random model
@@ -43,15 +45,6 @@ fn checkpoint_roundtrips_a_trained_model_and_preserves_predictions() {
         (acc_fresh - acc_restored).abs() > 1e-9 || acc_fresh != acc_before,
         "restore visibly changed the model"
     );
-}
-
-#[test]
-fn dataset_serialization_roundtrip_via_public_api() {
-    let d = SynthMnist::generate(32, 40, 8);
-    let buf = serialize::encode_classification(&d.train);
-    let back = serialize::decode_classification(&buf).unwrap();
-    assert_eq!(back.labels, d.train.labels);
-    assert_eq!(back.features.as_slice(), d.train.features.as_slice());
 }
 
 #[test]
