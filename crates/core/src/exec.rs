@@ -22,11 +22,12 @@
 //! 4. the combined gradient is applied to the `ParamSet` and the caller
 //!    performs the single optimizer step.
 //!
-//! Nested-parallelism budget: shard tasks run on a dedicated `P`-thread
-//! pool, and each shard installs a private `max(1, T/P)`-thread intra-op
-//! pool via [`legw_parallel::with_pool`], so the tensor kernels inside a
-//! shard never contend with other shards' fork/join latches and the
-//! total thread budget stays at `T` ([`ExecConfig::with_threads`]).
+//! Nested-parallelism budget: shard tasks run on a dedicated `P`-lane
+//! pool (`P − 1` workers plus the stepping thread), and each shard installs
+//! a private `max(1, T/P)`-lane intra-op pool via
+//! [`legw_parallel::with_pool`], so the tensor kernels inside a shard never
+//! queue behind another shard's fork/joins and the threads at work stay at
+//! `T` ([`ExecConfig::with_threads`]).
 //!
 //! With one shard (the default) every step runs on the caller's thread
 //! against the global pool and is bit-identical to the historical serial
@@ -162,9 +163,9 @@ pub struct StepOutcome {
 /// The data-parallel step executor. See the module docs for the design.
 pub struct Executor {
     shards: usize,
-    /// Pool the shard closures run on (absent for the serial executor).
-    /// Sized so `run(n ≤ shards)` gives each shard its own concurrent
-    /// worker (the caller participates as one of them).
+    /// Pool the shard closures run on (absent for the serial executor):
+    /// `shards` lanes, so `run(n ≤ shards)` gives each shard its own
+    /// concurrent thread (the caller participates as one of them).
     shard_pool: Option<ThreadPool>,
     /// Per-shard intra-op pools installed via `with_pool` while the shard
     /// closure runs.

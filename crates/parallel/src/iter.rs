@@ -67,9 +67,11 @@ where
         }
         return;
     }
-    // SAFETY: each task touches the disjoint half-open range
-    // [i*chunk_len, min((i+1)*chunk_len, len)), so no two tasks alias.
     struct SendPtr<T>(*mut T);
+    // SAFETY: the pointer is only used to carve out `&mut [T]` chunks that
+    // are pairwise disjoint (below), each handed to exactly one task, so
+    // sharing the wrapper shares no `T`; a task may run on another thread,
+    // which moves its `&mut [T]` there and needs `T: Send`.
     unsafe impl<T: Send> Sync for SendPtr<T> {}
     impl<T> SendPtr<T> {
         // Method access keeps the closure capturing the whole wrapper (which
@@ -82,6 +84,12 @@ where
     pool.run(n_chunks, |i| {
         let start = i * chunk_len;
         let end = (start + chunk_len).min(len);
+        debug_assert!(start < end && end <= len, "chunk {i} outside the slice");
+        // SAFETY: `i < n_chunks = ceil(len / chunk_len)`, so
+        // `start < end <= len` lies inside `data`, which `run` keeps mutably
+        // borrowed until every task has finished. `run` hands each `i` to
+        // one task only, and chunk `i` is the half-open range
+        // [i*chunk_len, min((i+1)*chunk_len, len)): no two chunks overlap.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
         body(start, chunk);
     });

@@ -1,13 +1,15 @@
 //! # legw-parallel
 //!
-//! A small, dependency-light data-parallelism substrate used by the rest of
+//! A small, dependency-free data-parallelism substrate used by the rest of
 //! the LEGW reproduction stack. It provides:
 //!
-//! * [`ThreadPool`] — a persistent pool of worker threads fed through a
-//!   crossbeam channel. Workers stay alive for the lifetime of the pool, so
-//!   hot training loops pay no thread-spawn cost per kernel launch.
+//! * [`ThreadPool`] — a fixed number of *lanes*: `threads − 1` persistent
+//!   worker threads plus whichever thread calls `run`. Workers stay alive for
+//!   the lifetime of the pool, and stay *awake* between the kernels of one
+//!   step, so hot training loops pay neither a thread spawn nor a thread
+//!   wake-up per kernel launch.
 //! * [`ThreadPool::run`] — a blocking fork/join primitive: run a closure for
-//!   every task index `0..n` across the pool and return once all tasks have
+//!   every task index `0..n` across the lanes and return once all tasks have
 //!   finished. Because the call blocks until completion, the closure may
 //!   borrow from the caller's stack (the same soundness argument as rayon's
 //!   `scope`).
@@ -24,12 +26,46 @@
 //!   executor) can give each outer worker its own small intra-op pool
 //!   instead of oversubscribing the global one.
 //!
-//! The design follows the classic channel + latch structure: jobs are
-//! `Box<dyn FnOnce() + Send>` values pushed into an unbounded channel;
-//! completion is tracked with a [`CountLatch`] built from an atomic counter
-//! and a `parking_lot` mutex/condvar pair. Panics inside tasks are caught and
-//! re-raised on the submitting thread so a failed kernel cannot deadlock the
-//! latch.
+//! ## How a fork/join is dispatched and completed
+//!
+//! Everything is built on `std::sync`; the crate has no dependencies.
+//!
+//! *Lanes.* `ThreadPool::new(t)` spawns `t − 1` workers, because the caller
+//! of `run` always takes part and `run` never engages more than
+//! `min(t − 1, tasks − 1)` helpers. A one-lane pool owns no thread and runs
+//! everything inline.
+//!
+//! *Dispatch: spin, then park.* `run` puts a refcounted control block
+//! `{next, done, tasks, panicked}` on a mutex-protected queue, once per helper
+//! it would like. A worker with nothing to do polls the queue length (an
+//! atomic, no lock) for a bounded time — one private constant, 200 µs — and
+//! only then registers as a sleeper under the queue lock and waits on a
+//! condvar; a submit issues a wake-up only if it finds a registered sleeper.
+//! Between two kernels of a training step, tens of µs apart, a worker is
+//! therefore still polling and picks the next run up in well under a µs,
+//! where a sleep + wake costs 30–45 µs; an idle pool is asleep a quarter of a
+//! millisecond after its last run and uses no CPU.
+//!
+//! *Completion counts tasks, not helpers.* Every thread in a run — the caller
+//! first among them — claims indices from `next` and bumps `done` after each
+//! body returns; the run is complete when `done == tasks`, which the caller
+//! awaits by polling for the same bound and then parking until the thread that
+//! finished the last task unparks it. A caller that drained every task itself
+//! returns at once, without waiting for a helper to wake up and report that it
+//! had nothing to do. Since the caller alone can finish any run, completion
+//! never depends on a free worker: `run` cannot deadlock when nested to any
+//! depth or called from every lane at once.
+//!
+//! *Why a late helper is safe.* A helper may reach its queue entry after the
+//! caller has returned and its stack frame — the closure included — is gone.
+//! The control block is refcounted, so the counters it reads are valid; it
+//! finds `next ≥ tasks`, claims nothing and drops the entry. The closure
+//! pointer is only ever followed for a claimed index `i < tasks`, and while a
+//! claimed task is unfinished `done < tasks` keeps the caller inside `run`.
+//!
+//! Panics inside tasks are caught and re-raised on the submitting thread once
+//! every task has finished, so a failed kernel neither deadlocks the run nor
+//! kills a worker.
 //!
 //! ```
 //! let pool = legw_parallel::ThreadPool::new(4);
@@ -42,12 +78,10 @@
 //! assert_eq!(out[123], 246);
 //! ```
 
-mod latch;
 mod pool;
 mod iter;
 mod scope;
 
-pub use latch::CountLatch;
 pub use pool::ThreadPool;
 pub use iter::{par_chunks_mut, par_tiles_2d, parallel_for, split_evenly};
 pub use scope::{current, with_pool, PoolHandle};
@@ -65,7 +99,7 @@ pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| ThreadPool::new(default_threads()))
 }
 
-/// Installs the worker-thread budget [`global`] (and [`default_threads`])
+/// Installs the thread budget (lanes) [`global`] (and [`default_threads`])
 /// will report. First caller wins; calls after the global pool has been
 /// created (or after an earlier install) have no effect. Returns whether
 /// this call's value took.

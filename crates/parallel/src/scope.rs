@@ -7,9 +7,8 @@
 //! smaller dedicated pool with [`with_pool`] for the duration of a
 //! closure. This splits an explicit thread budget (`P` shard workers ×
 //! `T/P` intra-op threads each) instead of letting every shard fan out
-//! onto the same `T`-thread pool, which would oversubscribe the machine
-//! and, worse, let one shard's fork/join latch wait starve another
-//! shard's queued kernel jobs.
+//! onto the same `T`-lane pool, where the shards' kernels would queue
+//! behind one another for the same few workers.
 //!
 //! The override is per-thread and restored (even on panic) when the
 //! closure returns, so scoping one shard never affects kernels launched

@@ -6,7 +6,7 @@
 #   scripts/check.sh fast       # skip clippy (build + test only)
 #
 # Requires network access (or a primed cargo registry cache) the first
-# time, to fetch the workspace's five external crates. In a fully offline
+# time, to fetch the workspace's three external crates. In a fully offline
 # container, scripts/offline_check.sh runs the same test suites with plain
 # rustc against checked-in stand-ins for those crates, and builds the
 # binaries and examples.
