@@ -20,6 +20,22 @@
 //! graph (documented at the call sites) and f32 reassociation bounds the
 //! difference at ~1e-5.
 //!
+//! **Weights are packed once per replay.** A GEMM whose B operand is a
+//! parameter — or a row-slice / reshape of one, like the `W_x` / `W_h`
+//! halves of an LSTM kernel — does not read it from the arena and pack it
+//! inside the call. The capture gives each such operand a plan-owned
+//! [`PackedB`] panel, keyed by *(tape node, transpose form)* and reserved
+//! then; the interpreter packs it straight from the caller's parameter at
+//! its first read in a replay and every later read — the other 27 steps of
+//! a 28-step recurrence, every row tile of a conv — multiplies through
+//! [`gemm_into_packed`], bitwise-equal to the packing call. A panel lives
+//! for one replay: [`Plan::replay_forward`] starts a new generation, the
+//! backward replays that follow keep it (they are handed the same tensors
+//! by contract), and nothing is ever looked up by address or kept across
+//! an optimizer step, so there is no invalidation protocol to get wrong.
+//! Where every reader of a weight slice became such a GEMM, the slice is
+//! not copied into the arena at all.
+//!
 //! Dynamic per-step data — embedding ids, cross-entropy labels, dropout
 //! masks — is fed at replay time through [`Feeds`]; everything
 //! shape-changing invalidates the plan (callers key plans by shape and
@@ -28,8 +44,8 @@
 use crate::graph::{Graph, Op, Var, IGNORE_INDEX};
 use legw_tensor::kernels::{self, Kernel};
 use legw_tensor::{
-    col2im_into, gemm_into, im2col_into, lstm_cell_backward_into, lstm_cell_forward_into,
-    Conv2dGeom, Tensor,
+    col2im_into, gemm_into, gemm_into_packed, im2col_into, lstm_cell_backward_into,
+    lstm_cell_forward_into, Conv2dGeom, PackedB, Tensor,
 };
 use std::collections::HashMap;
 
@@ -82,6 +98,11 @@ pub struct PlanStats {
     /// Bytes of the shared scratch buffers (add-mode GEMM detours plus the
     /// f64 column-sum accumulators).
     pub scratch_bytes: usize,
+    /// Weight operands held as packed GEMM panels (one per tape node and
+    /// transpose form), and the bytes they hold right now — nothing before
+    /// the first replay; reserved at capture, so a replay allocates none.
+    pub panels: usize,
+    pub panel_bytes: usize,
 }
 
 // ---------------------------------------------------------------- locations
@@ -108,6 +129,17 @@ enum Dst {
     Out(u32),
     /// Gradient tensor of parameter `k`.
     ParGrad(u32),
+}
+
+/// The right-hand operand of a GEMM-like instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rhs {
+    /// Read where the value lives and packed inside the call, every call.
+    Loc(Loc),
+    /// A weight — a parameter, or a row-slice / reshape of one — read
+    /// through plan-owned panel `k`: packed from the caller's parameter at
+    /// its first read in a replay, reused by every later read of that replay.
+    Panel(u32),
 }
 
 /// First contribution to a gradient stores; later ones add — mirroring
@@ -147,7 +179,7 @@ enum Instr {
     RowScale { x: Loc, s: Loc, dst: Dst, rows: usize, cols: usize },
     /// `dst (+)= op(a) · op(b)`; `Mode::Add` detours through scratch so the
     /// elementwise add matches the tape's separate-GEMM-then-axpy bitwise.
-    Gemm { ta: bool, tb: bool, a: Loc, b: Loc, m: usize, k: usize, n: usize, dst: Dst, mode: Mode },
+    Gemm { ta: bool, tb: bool, a: Loc, b: Rhs, m: usize, k: usize, n: usize, dst: Dst, mode: Mode },
     ConcatColsF { parts: Vec<(Loc, usize)>, dst: Dst, rows: usize, total: usize },
     SliceColsF { x: Loc, dst: Dst, rows: usize, cols: usize, start: usize, end: usize },
     /// Contiguous block copy: ConcatRows parts and SliceRows forward.
@@ -157,13 +189,13 @@ enum Instr {
     EmbedF { table: Loc, feed: u32, dst: Dst, vocab: usize, dim: usize, count: usize },
     SoftmaxF { x: Loc, dst: Dst, m: usize, n: usize },
     CeF { logits: Loc, probs: u32, labels: u32, rt: u32, dst: Dst, b: usize, v: usize },
-    ConvF { x: Loc, w: Loc, cols: u32, out2: u32, dst: Dst, geom: Conv2dGeom, batch: usize, oc: usize },
+    ConvF { x: Loc, w: Rhs, cols: u32, out2: u32, dst: Dst, geom: Conv2dGeom, batch: usize, oc: usize },
     MaxPoolF { x: Loc, dst: Dst, am: u32, nc: usize, h: usize, w: usize },
     GapF { x: Loc, dst: Dst, nc: usize, hw: usize },
     BnF { x: Loc, gamma: Loc, beta: Loc, xhat: u32, rt: u32, dst: Dst, n: usize, c: usize, hw: usize, eps: f32 },
     LstmF { preact: Loc, c_prev: Loc, gates: u32, tanh_c: u32, c_dst: Dst, h_dst: Dst, b: usize, hid: usize },
-    PreactSeqF { x: Loc, w: Loc, bias: Loc, dst: Dst, rows: usize, k: usize, n4: usize },
-    RecurStepF { seq: Loc, h: Loc, w_h: Loc, dst: Dst, t: usize, batch: usize, hid: usize, n4: usize },
+    PreactSeqF { x: Loc, w: Rhs, bias: Loc, dst: Dst, rows: usize, k: usize, n4: usize },
+    RecurStepF { seq: Loc, h: Loc, w_h: Rhs, dst: Dst, t: usize, batch: usize, hid: usize, n4: usize },
 
     // ---- backward
     /// `dst += op(a) · op(b)` accumulated in-engine: what an add-mode
@@ -172,7 +204,7 @@ enum Instr {
     /// exactly one `+=` per element of the same micro-tile product the
     /// scratch detour of `Gemm { mode: Add }` would have added, so the bits
     /// match the tape without the scratch.
-    GemmAcc { ta: bool, tb: bool, a: Loc, b: Loc, m: usize, k: usize, n: usize, dst: Dst },
+    GemmAcc { ta: bool, tb: bool, a: Loc, b: Rhs, m: usize, k: usize, n: usize, dst: Dst },
     /// `dst (+)= up * c`; `c == 1.0` is the plain gradient copy.
     ScaleG { up: Loc, dst: Dst, mode: Mode, n: usize, c: f32 },
     MulG { up: Loc, other: Loc, dst: Dst, mode: Mode, n: usize },
@@ -198,7 +230,8 @@ enum Instr {
     EmbedG { up: Loc, feed: u32, dst: Dst, mode: Mode, vocab: usize, dim: usize, count: usize },
     SoftmaxG { up: Loc, y: Loc, dst: Dst, mode: Mode, m: usize, n: usize },
     CeG { up: Loc, probs: u32, labels: u32, rt: u32, dst: Dst, mode: Mode, b: usize, v: usize },
-    ConvG { up: Loc, w: Loc, cols: u32, out2: u32, dw: Option<(Dst, Mode)>, dx: Option<(Dst, Mode)>, geom: Conv2dGeom, batch: usize, oc: usize },
+    /// `w` is read by the `dx` GEMM only.
+    ConvG { up: Loc, w: Rhs, cols: u32, out2: u32, dw: Option<(Dst, Mode)>, dx: Option<(Dst, Mode)>, geom: Conv2dGeom, batch: usize, oc: usize },
     MaxPoolG { up: Loc, dst: Dst, mode: Mode, am: u32, x_len: usize, out_len: usize },
     GapG { up: Loc, dst: Dst, mode: Mode, nc: usize, hw: usize },
     BnG { up: Loc, gamma: Loc, xhat: u32, rt: u32, dg: Option<(Dst, Mode)>, dbt: Option<(Dst, Mode)>, dx: Option<(Dst, Mode)>, n: usize, c: usize, hw: usize },
@@ -235,6 +268,20 @@ struct Prog {
     seed_targets: Vec<Option<(Dst, usize)>>,
 }
 
+/// The packed form of one weight operand, owned by the plan: elements
+/// `off..off + len` of parameter `par` — the parameter itself, or the
+/// row-slice / reshape of it one tape node stood for — as the B of GEMMs
+/// that read it with this `tb`.
+struct Panel {
+    par: u32,
+    off: usize,
+    len: usize,
+    tb: bool,
+    packed: PackedB,
+    /// [`Store::epoch`] of the replay that packed it.
+    epoch: u64,
+}
+
 /// All mutable replay storage, preallocated at capture.
 struct Store {
     slots: Vec<Vec<f32>>,
@@ -251,6 +298,11 @@ struct Store {
     argmax: Vec<Vec<u32>>,
     ce_active: Vec<usize>,
     bn: Vec<BnRt>,
+    panels: Vec<Panel>,
+    /// Counts forward replays. A panel is current iff it was packed in this
+    /// epoch: parameters are only guaranteed unchanged from a forward replay
+    /// to the backward replays that follow it, so no panel outlives that.
+    epoch: u64,
     /// 1-element tensor used to displace an output/pargrad tensor while an
     /// instruction writes it (an `Arc` clone, so displacement never
     /// allocates).
@@ -307,6 +359,9 @@ impl Plan {
     pub fn replay_forward(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
         self.check_bindings(inputs, params);
         self.load_feeds(feeds);
+        // New parameter values may arrive with every forward replay: whatever
+        // the weight panels hold is stale from here on.
+        self.st.epoch += 1;
         // Split borrows: the program is read-only while the store mutates.
         let (prog, st) = (&self.prog, &mut self.st);
         for ins in &prog.fwd {
@@ -316,7 +371,9 @@ impl Plan {
 
     /// Runs the backward schedule seeded with `dL/dL = 1` (loss mode).
     /// `inputs` / `params` must be the same tensors passed to the
-    /// preceding [`Plan::replay_forward`].
+    /// preceding [`Plan::replay_forward`], unchanged since, and the kernel
+    /// tier and bf16 scope must be the ones it ran under: the weight panels
+    /// it packed are reused here.
     ///
     /// # Panics
     /// If the plan was captured without `spec.loss`.
@@ -348,7 +405,8 @@ impl Plan {
     /// Runs the backward schedule from explicit per-output seed gradients
     /// (seed mode), one per `spec.outputs` entry, mirroring
     /// `Graph::backward_seeded` run for every output. Seeds for
-    /// non-differentiable outputs are ignored.
+    /// non-differentiable outputs are ignored. The same contract as
+    /// [`Plan::replay_backward_loss`] binds `inputs` / `params`.
     pub fn replay_backward(&mut self, inputs: &[&Tensor], params: &[&Tensor], seeds: &[&Tensor]) {
         assert_eq!(
             seeds.len(),
@@ -394,9 +452,9 @@ impl Plan {
     /// appearance order), arena footprint and scratch sizes.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
-        let s = &self.stats;
+        let s = self.stats();
         let mut out = format!(
-            "plan: nodes={} instrs fwd={} bwd={} slots={} arena={}B peak_live={}B state={}B scratch={}B |",
+            "plan: nodes={} instrs fwd={} bwd={} slots={} arena={}B peak_live={}B state={}B scratch={}B panels={} ({}B) |",
             s.nodes,
             s.fwd_instrs,
             s.bwd_instrs,
@@ -404,7 +462,9 @@ impl Plan {
             s.arena_bytes,
             s.peak_live_bytes,
             s.state_bytes,
-            s.scratch_bytes
+            s.scratch_bytes,
+            s.panels,
+            s.panel_bytes
         );
         let mut counts: Vec<(&'static str, usize)> = Vec::new();
         for ins in self.prog.fwd.iter().chain(&self.prog.bwd) {
@@ -457,7 +517,10 @@ impl Plan {
 
     /// Footprint of the compiled schedule.
     pub fn stats(&self) -> PlanStats {
-        self.stats
+        PlanStats {
+            panel_bytes: self.st.panels.iter().map(|p| p.packed.bytes()).sum(),
+            ..self.stats
+        }
     }
 
     fn check_bindings(&self, inputs: &[&Tensor], params: &[&Tensor]) {
@@ -575,6 +638,46 @@ impl Store {
 
     fn put_state(&mut self, i: u32, v: Vec<f32>) {
         self.states[i as usize] = v;
+    }
+
+    /// Brings `b`, when it is a panel, up to this replay's parameter values:
+    /// packed at its first read since the last forward replay began, left
+    /// alone at every later one.
+    fn refresh(&mut self, b: Rhs, params: &[&Tensor]) {
+        if let Rhs::Panel(i) = b {
+            let p = &mut self.panels[i as usize];
+            if p.epoch != self.epoch {
+                let w = params[p.par as usize].as_slice();
+                p.packed.pack(p.tb, &w[p.off..p.off + p.len]);
+                p.epoch = self.epoch;
+            }
+        }
+    }
+
+    /// `out (+)= op(a) · op(b)` — the one GEMM every GEMM-like instruction
+    /// issues. A panel `b` must have been [`Store::refresh`]ed by the caller
+    /// (which needs `&mut self`, while `a` usually borrows from `self`).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        &self,
+        ta: bool,
+        tb: bool,
+        a: &[f32],
+        b: Rhs,
+        [m, k, n]: [usize; 3],
+        out: &mut [f32],
+        acc: bool,
+        inputs: &[&Tensor],
+        params: &[&Tensor],
+    ) {
+        match b {
+            Rhs::Loc(l) => gemm_into(ta, tb, a, self.read(l, inputs, params), m, k, n, out, acc),
+            Rhs::Panel(i) => {
+                let p = &self.panels[i as usize];
+                debug_assert!(p.epoch == self.epoch && p.tb == tb, "stale or foreign panel");
+                gemm_into_packed(ta, a, &p.packed, m, out, acc)
+            }
+        }
     }
 
     fn dst_is_slot(&self, d: Dst) -> usize {
@@ -764,12 +867,12 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             st.put(*dst, buf);
         }
         Instr::Gemm { ta, tb, a, b, m, k, n, dst, mode } => {
+            st.refresh(*b, params);
             let mut buf = st.take(*dst);
             match mode {
                 Mode::Store => {
                     let av = st.read(*a, inputs, params);
-                    let bv = st.read(*b, inputs, params);
-                    gemm_into(*ta, *tb, av, bv, *m, *k, *n, buf.s(), false);
+                    st.gemm(*ta, *tb, av, *b, [*m, *k, *n], buf.s(), false, inputs, params);
                 }
                 Mode::Add => {
                     // fresh product then elementwise add — the tape computes
@@ -778,12 +881,11 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
                     let mut scr = std::mem::take(&mut st.scratch);
                     {
                         let av = st.read(*a, inputs, params);
-                        let bv = st.read(*b, inputs, params);
                         // Capture sized the scratch over every consumer in
                         // the final schedule; a replay must never grow it.
                         debug_assert!(scr.len() >= *m * *n, "scratch undersized for Gemm Add");
                         let s = &mut scr[..*m * *n];
-                        gemm_into(*ta, *tb, av, bv, *m, *k, *n, s, false);
+                        st.gemm(*ta, *tb, av, *b, [*m, *k, *n], s, false, inputs, params);
                         for (d, &sv) in buf.s().iter_mut().zip(s.iter()) {
                             *d += sv;
                         }
@@ -794,14 +896,14 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             st.put(*dst, buf);
         }
         Instr::GemmAcc { ta, tb, a, b, m, k, n, dst } => {
+            st.refresh(*b, params);
             let mut buf = st.take(*dst);
             {
                 let av = st.read(*a, inputs, params);
-                let bv = st.read(*b, inputs, params);
                 // Single k-block: the engine adds the identical micro-tile
                 // product with exactly one `+=` per element — no scratch.
                 debug_assert!(legw_tensor::gemm_single_k_block(*k));
-                gemm_into(*ta, *tb, av, bv, *m, *k, *n, buf.s(), true);
+                st.gemm(*ta, *tb, av, *b, [*m, *k, *n], buf.s(), true, inputs, params);
             }
             st.put(*dst, buf);
         }
@@ -910,17 +1012,17 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             st.ce_active[*rt as usize] = active;
         }
         Instr::ConvF { x, w, cols, out2, dst, geom, batch, oc } => {
+            st.refresh(*w, params);
             let mut colv = st.take_state(*cols);
             let mut o2 = st.take_state(*out2);
             let mut buf = st.take(*dst);
             {
                 let xv = st.read(*x, inputs, params);
-                let wv = st.read(*w, inputs, params);
                 im2col_into(xv, *batch, geom, &mut colv);
                 let (oh, ow) = (geom.oh(), geom.ow());
                 let rows = *batch * oh * ow;
                 let ckk = geom.c * geom.kh * geom.kw;
-                gemm_into(false, true, &colv, wv, rows, ckk, *oc, &mut o2, false);
+                st.gemm(false, true, &colv, *w, [rows, ckk, *oc], &mut o2, false, inputs, params);
                 // permute [N·OH·OW, OC] → [N,OC,OH,OW]
                 let o = buf.s();
                 for ni in 0..*batch {
@@ -1059,28 +1161,28 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             st.put_state(*gates, gv);
         }
         Instr::PreactSeqF { x, w, bias, dst, rows, k, n4 } => {
+            st.refresh(*w, params);
             let mut buf = st.take(*dst);
             {
                 let xv = st.read(*x, inputs, params);
-                let wv = st.read(*w, inputs, params);
                 let bv = st.read(*bias, inputs, params);
                 let o = buf.s();
                 for r in 0..*rows {
                     o[r * *n4..(r + 1) * *n4].copy_from_slice(bv);
                 }
-                gemm_into(false, false, xv, wv, *rows, *k, *n4, o, true);
+                st.gemm(false, false, xv, *w, [*rows, *k, *n4], o, true, inputs, params);
             }
             st.put(*dst, buf);
         }
         Instr::RecurStepF { seq, h, w_h, dst, t, batch, hid, n4 } => {
+            st.refresh(*w_h, params);
             let mut buf = st.take(*dst);
             {
                 let sv = st.read(*seq, inputs, params);
                 let hv = st.read(*h, inputs, params);
-                let wv = st.read(*w_h, inputs, params);
                 let o = buf.s();
                 o.copy_from_slice(&sv[*t * *batch * *n4..(*t + 1) * *batch * *n4]);
-                gemm_into(false, false, hv, wv, *batch, *hid, *n4, o, true);
+                st.gemm(false, false, hv, *w_h, [*batch, *hid, *n4], o, true, inputs, params);
             }
             st.put(*dst, buf);
         }
@@ -1423,11 +1525,11 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             if let Some((d, mode)) = dx {
                 // dcols = up2 · W, overwriting the cols buffer (dW above was
                 // its last reader), then fold back to the input image
+                st.refresh(*w, params);
                 let mut colv = st.take_state(*cols);
                 {
                     let up2 = &st.states[*out2 as usize];
-                    let wv = st.read(*w, inputs, params);
-                    gemm_into(false, false, up2, wv, rows, *oc, ckk, &mut colv, false);
+                    st.gemm(false, false, up2, *w, [rows, *oc, ckk], &mut colv, false, inputs, params);
                 }
                 st.put_state(*cols, colv);
                 let mut buf = st.take(*d);
@@ -1668,7 +1770,7 @@ fn grad_gemm(
     ta: bool,
     tb: bool,
     a: Loc,
-    b: Loc,
+    b: Rhs,
     [m, k, n]: [usize; 3],
     dst: Dst,
     mode: Mode,
@@ -1714,6 +1816,13 @@ fn vl(loc: &mut Loc, f: &mut dyn FnMut(&mut u32)) {
     }
 }
 
+/// A panel reads the caller's parameter, not the arena.
+fn vr(rhs: &mut Rhs, f: &mut dyn FnMut(&mut u32)) {
+    if let Rhs::Loc(l) = rhs {
+        vl(l, f)
+    }
+}
+
 fn vd(dst: &mut Dst, f: &mut dyn FnMut(&mut u32)) {
     if let Dst::Slot(v) = dst {
         f(v)
@@ -1744,9 +1853,9 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
             vl(s, f);
             vd(dst, f);
         }
-        Instr::Gemm { a, b, dst, .. } => {
+        Instr::Gemm { a, b, dst, .. } | Instr::GemmAcc { a, b, dst, .. } => {
             vl(a, f);
-            vl(b, f);
+            vr(b, f);
             vd(dst, f);
         }
         Instr::ConcatColsF { parts, dst, .. } => {
@@ -1785,7 +1894,7 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
         }
         Instr::ConvF { x, w, dst, .. } => {
             vl(x, f);
-            vl(w, f);
+            vr(w, f);
             vd(dst, f);
         }
         Instr::MaxPoolF { x, dst, .. } => {
@@ -1810,14 +1919,14 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
         }
         Instr::PreactSeqF { x, w, bias, dst, .. } => {
             vl(x, f);
-            vl(w, f);
+            vr(w, f);
             vl(bias, f);
             vd(dst, f);
         }
         Instr::RecurStepF { seq, h, w_h, dst, .. } => {
             vl(seq, f);
             vl(h, f);
-            vl(w_h, f);
+            vr(w_h, f);
             vd(dst, f);
         }
         Instr::ScaleG { up, dst, .. }
@@ -1867,7 +1976,7 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
         }
         Instr::ConvG { up, w, dw, dx, .. } => {
             vl(up, f);
-            vl(w, f);
+            vr(w, f);
             if let Some((d, _)) = dw {
                 vd(d, f);
             }
@@ -1894,11 +2003,6 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
             }
             vd(&mut dpre.0, f);
             vd(&mut dcp.0, f);
-        }
-        Instr::GemmAcc { a, b, dst, .. } => {
-            vl(a, f);
-            vl(b, f);
-            vd(dst, f);
         }
     }
 }
@@ -1992,6 +2096,44 @@ impl Capturer {
         };
         let gloc = |i: usize| -> Loc { Loc::Slot((n + i) as u32) };
 
+        // ---- weight views: nodes whose value is a contiguous block
+        // `(param, offset, len)` of a caller parameter — the parameter leaf,
+        // or a chain of row-slices / reshapes of it. A GEMM reading one as
+        // its B operand packs straight from the parameter into a plan-owned
+        // panel, keyed by (tape node, transpose form): by what the operand
+        // *is*, never by where its bytes happen to sit at replay (two
+        // same-shaped slices may share one physical arena slot).
+        let mut view: Vec<Option<(u32, usize, usize)>> = vec![None; n];
+        for i in 0..n {
+            view[i] = match &g.nodes[i].op {
+                Op::Leaf => match val_loc[i] {
+                    Loc::Par(k) => Some((k, 0, numel(i))),
+                    _ => None,
+                },
+                Op::Reshape(x) => view[x.0],
+                Op::SliceRows(x, start, end) => {
+                    let cols = shape(x.0)[1];
+                    view[x.0].map(|(k, off, _)| (k, off + start * cols, (end - start) * cols))
+                }
+                _ => None,
+            };
+        }
+        let mut panels: Vec<Panel> = Vec::new();
+        let mut panel_of: HashMap<(usize, bool), u32> = HashMap::new();
+        // The B operand `node` of a `[·, k] × [k, n]` GEMM (stored `[n, k]`
+        // when `tb`): its panel when it is a weight view, its location
+        // otherwise. Storage is reserved here, so replays allocate nothing.
+        let mut rhs = |node: usize, tb: bool, k: usize, n: usize| -> Rhs {
+            let Some((par, off, len)) = view[node] else {
+                return Rhs::Loc(val_loc[node]);
+            };
+            debug_assert_eq!(len, k * n, "weight view does not match its GEMM");
+            Rhs::Panel(*panel_of.entry((node, tb)).or_insert_with(|| {
+                panels.push(Panel { par, off, len, tb, packed: PackedB::new(k, n), epoch: 0 });
+                (panels.len() - 1) as u32
+            }))
+        };
+
         // ---- forward emission (node i's instructions sit at position i)
         let mut fwd: Vec<Instr> = Vec::new();
         let mut fpos: Vec<usize> = Vec::new();
@@ -2045,7 +2187,7 @@ impl Capturer {
                     ta: false,
                     tb: false,
                     a: val_loc[a.0],
-                    b: val_loc[b.0],
+                    b: rhs(b.0, false, shape(a.0)[1], shape(b.0)[1]),
                     m: shape(a.0)[0],
                     k: shape(a.0)[1],
                     n: shape(b.0)[1],
@@ -2198,7 +2340,7 @@ impl Capturer {
                     state_sizes.push(rows * oc); // row-major conv output
                     fwd.push(Instr::ConvF {
                         x: val_loc[x.0],
-                        w: val_loc[w.0],
+                        w: rhs(w.0, true, ckk, oc),
                         cols: aux[i][0],
                         out2: aux[i][1],
                         dst: vdst(i),
@@ -2266,7 +2408,7 @@ impl Capturer {
                 }
                 Op::LstmPreactSeq { x_pack, w_x, bias } => fwd.push(Instr::PreactSeqF {
                     x: val_loc[x_pack.0],
-                    w: val_loc[w_x.0],
+                    w: rhs(w_x.0, false, shape(x_pack.0)[1], shape(w_x.0)[1]),
                     bias: val_loc[bias.0],
                     dst: vdst(i),
                     rows: shape(x_pack.0)[0],
@@ -2276,7 +2418,7 @@ impl Capturer {
                 Op::LstmRecurStep { seq, h, w_h, t, batch } => fwd.push(Instr::RecurStepF {
                     seq: val_loc[seq.0],
                     h: val_loc[h.0],
-                    w_h: val_loc[w_h.0],
+                    w_h: rhs(w_h.0, false, shape(h.0)[1], shape(w_h.0)[1]),
                     dst: vdst(i),
                     t: *t,
                     batch: *batch,
@@ -2423,13 +2565,13 @@ impl Capturer {
                         let nn = shape(b.0)[1];
                         if rg(*a) {
                             let mode = contribute(a.0, &mut contrib, &mut grads_present);
-                            let (b, dims) = (val_loc[b.0], [m, nn, kk]);
+                            let (b, dims) = (rhs(b.0, true, nn, kk), [m, nn, kk]);
                             bwd.push(grad_gemm(false, true, up, b, dims, gdst(a.0), mode));
                         }
                         if rg(*b) {
                             let mode = contribute(b.0, &mut contrib, &mut grads_present);
                             let (a, dims) = (val_loc[a.0], [kk, m, nn]);
-                            bwd.push(grad_gemm(true, false, a, up, dims, gdst(b.0), mode));
+                            bwd.push(grad_gemm(true, false, a, Rhs::Loc(up), dims, gdst(b.0), mode));
                         }
                     }
                     Op::Scale(x, c) => {
@@ -2651,9 +2793,13 @@ impl Capturer {
                             (gdst(x.0), mode)
                         });
                         if dw.is_some() || dx.is_some() {
+                            let ckk = geom.c * geom.kh * geom.kw;
                             bwd.push(Instr::ConvG {
                                 up,
-                                w: val_loc[w.0],
+                                w: match dx {
+                                    Some(_) => rhs(w.0, false, oc, ckk),
+                                    None => Rhs::Loc(val_loc[w.0]),
+                                },
                                 cols: aux[i][0],
                                 out2: aux[i][1],
                                 dw,
@@ -2781,13 +2927,13 @@ impl Capturer {
                         let n4 = shape(w_x.0)[1];
                         if rg(*x_pack) {
                             let mode = contribute(x_pack.0, &mut contrib, &mut grads_present);
-                            let (w, dims) = (val_loc[w_x.0], [rows, n4, kk]);
+                            let (w, dims) = (rhs(w_x.0, true, n4, kk), [rows, n4, kk]);
                             bwd.push(grad_gemm(false, true, up, w, dims, gdst(x_pack.0), mode));
                         }
                         if rg(*w_x) {
                             let mode = contribute(w_x.0, &mut contrib, &mut grads_present);
                             let (x, dims) = (val_loc[x_pack.0], [kk, rows, n4]);
-                            bwd.push(grad_gemm(true, false, x, up, dims, gdst(w_x.0), mode));
+                            bwd.push(grad_gemm(true, false, x, Rhs::Loc(up), dims, gdst(w_x.0), mode));
                         }
                         if rg(*bias) {
                             bwd.push(Instr::ColSumG {
@@ -2804,13 +2950,13 @@ impl Capturer {
                         let n4 = shape(w_h.0)[1];
                         if rg(*h) {
                             let mode = contribute(h.0, &mut contrib, &mut grads_present);
-                            let (w, dims) = (val_loc[w_h.0], [*batch, n4, hid]);
+                            let (w, dims) = (rhs(w_h.0, true, n4, hid), [*batch, n4, hid]);
                             bwd.push(grad_gemm(false, true, up, w, dims, gdst(h.0), mode));
                         }
                         if rg(*w_h) {
                             let mode = contribute(w_h.0, &mut contrib, &mut grads_present);
                             let (hv, dims) = (val_loc[h.0], [hid, *batch, n4]);
-                            bwd.push(grad_gemm(true, false, hv, up, dims, gdst(w_h.0), mode));
+                            bwd.push(grad_gemm(true, false, hv, Rhs::Loc(up), dims, gdst(w_h.0), mode));
                         }
                         if rg(*seq) {
                             let zero_first = contrib[seq.0] == 0;
@@ -2833,6 +2979,24 @@ impl Capturer {
                 }
             }
         }
+
+        // ---- a weight view whose every reader became a panel GEMM is no
+        // longer read from the arena: drop the copy that would fill its slot
+        // (nothing but that copy touches the slot, so it never enters
+        // liveness either). A view some other instruction still reads — or
+        // one that is a plan output — keeps its copy.
+        let mut touches: HashMap<u32, usize> = HashMap::new();
+        for ins in fwd.iter_mut().chain(bwd.iter_mut()) {
+            visit_slots(ins, &mut |v| *touches.entry(*v).or_default() += 1);
+        }
+        let (mut fwd, fpos): (Vec<Instr>, Vec<usize>) = fwd
+            .into_iter()
+            .zip(fpos)
+            .filter(|(ins, _)| {
+                !matches!(ins, Instr::CopyBlock { dst: Dst::Slot(v), .. }
+                    if view[*v as usize].is_some() && touches[v] == 1)
+            })
+            .unzip();
 
         // Shared f32 scratch sized from the schedule's largest consumer; the
         // executor only ever slices it, so replays can never grow it.
@@ -2939,6 +3103,8 @@ impl Capturer {
             peak_live_bytes: peak,
             state_bytes: state_sizes.iter().sum::<usize>() * 4,
             scratch_bytes: scratch * 4 + colsum * 8,
+            panels: panels.len(),
+            panel_bytes: 0,
         };
         let st = Store {
             slots: phys_sizes.iter().map(|&s| vec![0.0f32; s]).collect(),
@@ -2972,6 +3138,8 @@ impl Capturer {
                     inv_std: vec![0.0; c],
                 })
                 .collect(),
+            panels,
+            epoch: 0,
             placeholder: Tensor::zeros(&[1]),
         };
         Some(Plan {
@@ -3244,6 +3412,161 @@ mod tests {
             }
         }
         assert!(clean, "steady-state replay touched the buffer pool");
+    }
+
+    // ---- weight panels --------------------------------------------------
+
+    /// The `LstmCell` wiring: one fused `[IN + H, 4H]` kernel whose
+    /// row-slices `W_x` / `W_h` feed the hoisted projection and the
+    /// recurrent steps. With `reg`, `W_h` also feeds an elementwise L2 term
+    /// — a reader that is not a GEMM.
+    fn fused_lstm_tape(x_pack: &Tensor, ps: &[&Tensor], labels: &[usize], reg: bool) -> LstmTape {
+        let mut g = Graph::new();
+        let xv = g.input(x_pack.clone());
+        let h0 = g.input(Tensor::zeros(&[B, H]));
+        let c0 = g.input(Tensor::zeros(&[B, H]));
+        let pv: Vec<Var> = ps.iter().map(|p| g.param((*p).clone())).collect();
+        let (w, bias, w_o) = (pv[0], pv[1], pv[2]);
+        let w_x = g.slice_rows(w, 0, IN);
+        let w_h = g.slice_rows(w, IN, IN + H);
+        let seq = g.lstm_preact_seq(xv, w_x, bias);
+        let (mut h, mut c) = (h0, c0);
+        for step in 0..T {
+            let pre = g.lstm_recur_step(seq, step, B, h, w_h);
+            let (h2, c2) = g.lstm_cell(pre, c);
+            h = h2;
+            c = c2;
+        }
+        let logits = g.matmul(h, w_o);
+        let mut loss = g.softmax_cross_entropy(logits, labels);
+        if reg {
+            let sq = g.mul(w_h, w_h);
+            let l2 = g.sum_all(sq);
+            loss = g.add(loss, l2);
+        }
+        LstmTape { g, inputs: vec![xv, h0, c0], params: pv, loss }
+    }
+
+    fn fused_lstm_params(seed: u64) -> Vec<Tensor> {
+        vec![t(seed, &[IN + H, 4 * H]), t(seed + 1, &[4 * H]), t(seed + 2, &[H, C])]
+    }
+
+    /// Captures the fused-kernel chain and drops the capture tape, so the
+    /// parameter tensors are unshared again (as in the trainer, where an
+    /// optimizer step then updates them in place).
+    fn fused_lstm_plan(ps: &[Tensor], reg: bool) -> Plan {
+        let tape = fused_lstm_tape(&t(200, &[T * B, IN]), &ps.iter().collect::<Vec<_>>(), &[0, 1], reg);
+        let spec = CaptureSpec {
+            inputs: &tape.inputs,
+            params: &tape.params,
+            loss: Some(tape.loss),
+            outputs: &[],
+        };
+        Plan::capture(&tape.g, &spec).expect("fused lstm capture")
+    }
+
+    /// One replayed step against a tape rebuilt from the same values, under
+    /// whatever kernel tier and bf16 scope the caller set: loss and every
+    /// gradient bitwise.
+    fn assert_fused_step_matches_tape(plan: &mut Plan, ps: &[Tensor], seed: u64, reg: bool, what: &str) {
+        let x = t(seed, &[T * B, IN]);
+        let lab = vec![(seed % C as u64) as usize, 2];
+        let pr: Vec<&Tensor> = ps.iter().collect();
+        let zeros = Tensor::zeros(&[B, H]);
+        plan.replay_step(&[&x, &zeros, &zeros], &pr, &Feeds { labels: &[&lab], ..Feeds::default() });
+        let mut fresh = fused_lstm_tape(&x, &pr, &lab, reg);
+        fresh.g.backward(fresh.loss);
+        assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), what);
+        for (k, &pvar) in fresh.params.iter().enumerate() {
+            assert_bits(
+                plan.param_grad(k).expect("grad present").as_slice(),
+                fresh.g.grad(pvar).expect("tape grad").as_slice(),
+                what,
+            );
+        }
+    }
+
+    fn count_kind(plan: &Plan, kind: &str) -> usize {
+        plan.prog.fwd.iter().chain(&plan.prog.bwd).filter(|i| kind_name(i) == kind).count()
+    }
+
+    #[test]
+    fn panels_follow_in_place_parameter_updates() {
+        // No stale weights: the optimizer writes new values into the same
+        // allocations between replays, so a panel kept across replays, or
+        // looked up by address, would replay the old weights.
+        let mut ps = fused_lstm_params(201);
+        let mut plan = fused_lstm_plan(&ps, false);
+        assert_fused_step_matches_tape(&mut plan, &ps, 210, false, "first replay");
+        for round in 0..2 {
+            let before: Vec<*const f32> = ps.iter().map(|p| p.as_slice().as_ptr()).collect();
+            for (k, p) in ps.iter_mut().enumerate() {
+                let grad = plan.param_grad(k).expect("grad present").clone();
+                p.axpy(-0.5, &grad);
+            }
+            let after: Vec<*const f32> = ps.iter().map(|p| p.as_slice().as_ptr()).collect();
+            assert_eq!(before, after, "the update must be in place for this test to bite");
+            assert_fused_step_matches_tape(&mut plan, &ps, 211 + round, false, "after an in-place update");
+        }
+    }
+
+    #[test]
+    fn one_plan_follows_the_bf16_scope_and_the_kernel_tier() {
+        // Panel layout depends on the tier (NR 8 or 16) and the element
+        // type: a replay under another mode than the last one must re-lay
+        // its panels, and equal the tape run under that same mode.
+        let ps = fused_lstm_params(221);
+        let mut plan = fused_lstm_plan(&ps, false);
+        legw_tensor::with_bf16_gemm(|| {
+            assert_fused_step_matches_tape(&mut plan, &ps, 230, false, "bf16 replay")
+        });
+        assert_fused_step_matches_tape(&mut plan, &ps, 231, false, "f32 replay after bf16");
+        for tier in [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512] {
+            if kernels::supported(tier) {
+                kernels::with_override(tier, || {
+                    assert_fused_step_matches_tape(&mut plan, &ps, 232, false, tier.name());
+                    legw_tensor::with_bf16_gemm(|| {
+                        assert_fused_step_matches_tape(&mut plan, &ps, 233, false, tier.name())
+                    });
+                });
+            }
+        }
+        assert_fused_step_matches_tape(&mut plan, &ps, 234, false, "back on the default tier");
+    }
+
+    #[test]
+    fn weight_slices_read_only_by_gemms_lose_their_copy() {
+        let ps = fused_lstm_params(241);
+        // W_x (forward form), W_h and W_o (forward and transposed forms).
+        let mut plain = fused_lstm_plan(&ps, false);
+        assert_eq!(plain.stats().panels, 5, "{}", plain.describe());
+        assert_eq!(count_kind(&plain, "CopyBlock"), 0, "{}", plain.describe());
+        assert_eq!(plain.stats().panel_bytes, 0, "nothing is packed before a replay");
+        assert_fused_step_matches_tape(&mut plain, &ps, 250, false, "both slices dropped");
+        let held = plain.stats().panel_bytes;
+        assert!(held >= 4 * ((IN + 2 * H) * 4 * H + 2 * H * C), "{held} panel bytes");
+        assert_fused_step_matches_tape(&mut plain, &ps, 251, false, "second replay");
+        assert_eq!(plain.stats().panel_bytes, held, "panels are repacked in place");
+
+        // An elementwise reader of W_h still needs the slice in the arena:
+        // its copy (and only its) stays, and the GEMMs still use the panel.
+        let mut reg = fused_lstm_plan(&ps, true);
+        assert_eq!(reg.stats().panels, 5);
+        assert_eq!(count_kind(&reg, "CopyBlock"), 1, "{}", reg.describe());
+        assert!(reg.stats().arena_bytes >= plain.stats().arena_bytes + 4 * H * 4 * H);
+        assert_fused_step_matches_tape(&mut reg, &ps, 252, true, "W_h read by a non-GEMM too");
+    }
+
+    #[test]
+    #[should_panic(expected = "PackedB is unpacked")]
+    fn backward_replay_before_any_forward_is_refused() {
+        // The panels of a fresh plan hold nothing; reading one must fail
+        // loudly, not multiply by an empty or stale panel.
+        let ps = fused_lstm_params(261);
+        let mut plan = fused_lstm_plan(&ps, false);
+        let x = t(262, &[T * B, IN]);
+        let zeros = Tensor::zeros(&[B, H]);
+        plan.replay_backward_loss(&[&x, &zeros, &zeros], &ps.iter().collect::<Vec<_>>());
     }
 
     // ---- conv / batch norm / pooling ------------------------------------

@@ -87,33 +87,40 @@ fn ptb_frozen_forward_matches_live_bitwise_with_state() {
 
 #[test]
 fn seq2seq_frozen_decode_matches_live_tokens() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(17);
-    let cfg = Seq2SeqConfig { vocab: 23, embed: 12, hidden: 12, attn: 8, max_decode: 8 };
-    let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
+    // embed = hidden makes every W_x / W_h row-slice of the two first-layer
+    // encoder cells the same size, so in a forward-only plan they would
+    // share one arena slot: a packed weight looked up by where its bytes sit
+    // at replay serves the wrong cell's. 32/32 is the benchmark's
+    // `seq2seq_b16` encoder, where exactly that was first seen.
+    for (embed, hidden) in [(12, 12), (32, 32)] {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        let cfg = Seq2SeqConfig { vocab: 23, embed, hidden, attn: 8, max_decode: 8 };
+        let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
 
-    let blob = freeze(
-        &ModelConfig::Seq2Seq { vocab: 23, embed: 12, hidden: 12, attn: 8, max_decode: 8 },
-        &ps,
-    );
-    let (frozen, ps2) = restore(&blob).expect("round-trip restore");
-    let FrozenModel::Seq2Seq(served) = frozen else { panic!("wrong family") };
-    let engine = InferEngine::new(served, ps2);
+        let blob = freeze(
+            &ModelConfig::Seq2Seq { vocab: 23, embed, hidden, attn: 8, max_decode: 8 },
+            &ps,
+        );
+        let (frozen, ps2) = restore(&blob).expect("round-trip restore");
+        let FrozenModel::Seq2Seq(served) = frozen else { panic!("wrong family") };
+        let engine = InferEngine::new(served, ps2);
 
-    // Ragged sources: the Infer impl PAD-coalesces like evaluation batches.
-    let reqs: Vec<Vec<usize>> = vec![vec![3, 8, 12], vec![4, 5, 6, 7, 9], vec![10, 11]];
-    let states = vec![(); reqs.len()];
-    let live: Vec<Vec<usize>> = model
-        .infer_tape(&ps, &model.assemble(&reqs, &states))
-        .into_iter()
-        .map(|(o, ())| o)
-        .collect();
-    for _ in 0..2 {
-        let served: Vec<Vec<usize>> =
-            engine.run(&reqs, &states).into_iter().map(|(o, ())| o).collect();
-        assert_eq!(served, live, "frozen greedy decode must match token-for-token");
+        // Ragged sources: the Infer impl PAD-coalesces like evaluation batches.
+        let reqs: Vec<Vec<usize>> = vec![vec![3, 8, 12], vec![4, 5, 6, 7, 9], vec![10, 11]];
+        let states = vec![(); reqs.len()];
+        let live: Vec<Vec<usize>> = model
+            .infer_tape(&ps, &model.assemble(&reqs, &states))
+            .into_iter()
+            .map(|(o, ())| o)
+            .collect();
+        for _ in 0..2 {
+            let served: Vec<Vec<usize>> =
+                engine.run(&reqs, &states).into_iter().map(|(o, ())| o).collect();
+            assert_eq!(served, live, "frozen greedy decode must match token-for-token");
+        }
+        assert_eq!(engine.cached_plans(), 1);
     }
-    assert_eq!(engine.cached_plans(), 1);
 }
 
 #[test]

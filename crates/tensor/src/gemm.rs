@@ -21,12 +21,28 @@
 //!   the gather pattern of the pack loop, so there is a single compute
 //!   kernel instead of three divergent hand-written loops. Edge tiles are
 //!   zero-padded at pack time, which keeps the microkernel free of bounds
-//!   logic. Packing is also where the **bf16 storage mode** lives: inside
-//!   a [`with_bf16`] scope the panels are narrowed f32→bf16
+//!   logic; the pack loops write every element of a panel exactly once
+//!   (data, then the edge padding), so nothing is zero-filled first.
+//!   Packing is also where the **bf16 storage mode** lives: inside a
+//!   [`with_bf16`] scope the panels are narrowed f32→bf16
 //!   (round-to-nearest-even) as they are packed — halving packed bytes and
 //!   pack traffic — and widened back (exactly) inside the micro-tile, with
 //!   all accumulation still in f32. Only the packed panels change layout;
 //!   operands and outputs stay f32.
+//! * **Packing B ahead of the call** — packing B costs `O(k·n)` against
+//!   `O(m·k·n)` of arithmetic, so for skinny `m` (a batch-32 recurrent
+//!   step, an `m = 1` serving row) it is a third to a half of the call,
+//!   and [`gemm_into`] pays it inside every `(row tile, column tile,
+//!   k-block)` of every call. A [`PackedB`] holds *all* of B in the same
+//!   micro-panel layout, one `kb × n_pad` block per [`KC`] slice of k
+//!   (`n_pad` = n rounded up to `NR`), packed once by the same pack loop;
+//!   [`gemm_into_packed`] then runs the same blocked engine and hands each
+//!   tile the sub-range of those panels it would otherwise have packed —
+//!   same packed values, same micro-tile order, bitwise-equal output. The
+//!   layout depends on `(k, n, NR, f32|bf16)` only, never on `m`, the
+//!   block sizes or the thread count, so one `PackedB` serves any number
+//!   of calls until B's values change. Compiled plans own one per weight
+//!   operand and refresh it once per replay (`legw-autograd`, `plan.rs`).
 //! * **Cache blocking + 2-D parallelism** — the output is cut into an
 //!   ([`MC`] × [`NC`]) block grid; each grid cell is an independent task
 //!   dispatched via [`legw_parallel::par_tiles_2d`], and loops over shared
@@ -35,10 +51,11 @@
 //!   the LSTM-gate and im2col shapes large-batch training produces — still
 //!   fan out over every worker instead of leaving threads idle the way the
 //!   old row-chunk decomposition did.
-//! * **Scratch reuse** — packing buffers are thread-local (one pair per
-//!   packed element type) and persist across calls, and outputs come from
-//!   the [`crate::pool`] recycler, so the steady-state training loop
-//!   performs no per-call heap allocation here.
+//! * **Scratch reuse** — the per-call packing buffers are thread-local (one
+//!   pair per packed element type), grow to `MC·KC` / `KC·NC` once and are
+//!   then sliced, never cleared; a [`PackedB`] keeps its allocation across
+//!   repacks; and outputs come from the [`crate::pool`] recycler, so the
+//!   steady-state training loop performs no per-call heap allocation here.
 
 use crate::kernels::{self, Kernel, Micro, PackElem};
 use crate::pool::Buffer;
@@ -126,10 +143,14 @@ pub fn bf16_enabled() -> bool {
 }
 
 /// Packed-element plumbing the blocked engine needs beyond
-/// [`PackElem`]: a per-thread scratch pair and a traffic counter.
+/// [`PackElem`]: a per-thread scratch pair, a traffic counter, and this
+/// element type's view of a [`PackedB`]'s storage.
 trait PackScratch: PackElem {
     fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
     fn counter() -> &'static AtomicU64;
+    /// The vector of `p` that holds panels of this element type.
+    fn panels(p: &PackedB) -> &Vec<Self>;
+    fn panels_mut(p: &mut PackedB) -> &mut Vec<Self>;
 }
 
 impl PackScratch for f32 {
@@ -141,6 +162,12 @@ impl PackScratch for f32 {
     }
     fn counter() -> &'static AtomicU64 {
         &PACKED_F32_BYTES
+    }
+    fn panels(p: &PackedB) -> &Vec<f32> {
+        &p.f32_panels
+    }
+    fn panels_mut(p: &mut PackedB) -> &mut Vec<f32> {
+        &mut p.f32_panels
     }
 }
 
@@ -154,6 +181,57 @@ impl PackScratch for u16 {
     fn counter() -> &'static AtomicU64 {
         &PACKED_BF16_BYTES
     }
+    fn panels(p: &PackedB) -> &Vec<u16> {
+        &p.bf16_panels
+    }
+    fn panels_mut(p: &mut PackedB) -> &mut Vec<u16> {
+        &mut p.bf16_panels
+    }
+}
+
+/// Evaluates `$body` with `$M` naming the micro-tile type of `($kernel,
+/// $bf16)` — the one dispatch table behind every entry point, so the tier
+/// and element type are fixed once per call, on the calling thread, and
+/// worker tasks inherit them through monomorphisation.
+macro_rules! with_micro {
+    ($kernel:expr, $bf16:expr, $M:ident => $body:expr) => {{
+        use crate::kernels::scalar::ScalarMicro;
+        #[cfg(target_arch = "x86_64")]
+        use crate::kernels::{avx2::Avx2Micro, avx512::Avx512Micro};
+        match ($kernel, $bf16) {
+            (Kernel::Scalar, false) => {
+                type $M = ScalarMicro<f32>;
+                $body
+            }
+            (Kernel::Scalar, true) => {
+                type $M = ScalarMicro<u16>;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Kernel::Avx2, false) => {
+                type $M = Avx2Micro<f32>;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Kernel::Avx2, true) => {
+                type $M = Avx2Micro<u16>;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Kernel::Avx512, false) => {
+                type $M = Avx512Micro<f32>;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Kernel::Avx512, true) => {
+                type $M = Avx512Micro<u16>;
+                $body
+            }
+            // selected() never returns a vector variant off x86-64.
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("vector kernel selected on non-x86_64"),
+        }
+    }};
 }
 
 /// Computes `C = A·B` into a pooled buffer.
@@ -177,14 +255,31 @@ pub(crate) fn gemm(
     out
 }
 
-/// Thin wrapper over a raw output pointer: tasks write disjoint row/column
-/// tiles, so sharing the base pointer across the pool is sound.
+/// Thin wrapper over a raw output pointer, shared by the tile tasks of one
+/// GEMM call.
 struct OutPtr(*mut f32);
+// SAFETY: the pointer is the base of the `out: &mut [f32]` the GEMM call
+// holds for its whole duration, and is only dereferenced inside
+// `macro_kernel`, where tile `(ti, tj)` writes output rows
+// `ti·mc..` × columns `tj·nc..` and nothing else. The tile grid partitions
+// the output, `par_tiles_2d` runs each `(ti, tj)` exactly once, and the
+// fork/join returns before the borrow ends — so moving the wrapper to
+// another thread never lets two threads touch the same element.
 unsafe impl Send for OutPtr {}
+// SAFETY: as for `Send` above — the tasks that share the wrapper each write
+// their own tile of the partition and read nothing through it.
 unsafe impl Sync for OutPtr {}
 impl OutPtr {
     fn get(&self) -> *mut f32 {
         self.0
+    }
+}
+
+/// An empty product still has defined beta semantics: beta = 0 must leave
+/// C = 0, beta = 1 leaves C untouched.
+fn empty_product(out: &mut [f32], acc: bool) {
+    if !acc {
+        out.iter_mut().for_each(|x| *x = 0.0);
     }
 }
 
@@ -194,7 +289,7 @@ impl OutPtr {
 /// element is overwritten, so `out` may hold garbage on entry). With
 /// `acc = true` it computes `C += A·B` (beta = 1), which is what the
 /// sequence-hoisted LSTM recurrent step uses to fold `h·W_h` into the
-/// pre-computed input-projection block. Also the test and bench hook — lets
+/// pre-computed input-projection block. Also the test hook — lets
 /// single- vs multi-threaded execution be compared without touching the
 /// global pool.
 ///
@@ -219,43 +314,148 @@ pub(crate) fn gemm_into(
     assert_eq!(b.len(), k * n, "gemm B size");
     assert_eq!(out.len(), m * n, "gemm C size");
     if m == 0 || n == 0 || k == 0 {
-        // An empty reduction still has defined beta semantics: beta = 0
-        // must leave C = 0, beta = 1 leaves C untouched.
-        if !acc {
-            out.iter_mut().for_each(|x| *x = 0.0);
-        }
-        return;
+        return empty_product(out, acc);
     }
-    use crate::kernels::scalar::ScalarMicro;
-    #[cfg(target_arch = "x86_64")]
-    use crate::kernels::{avx2::Avx2Micro, avx512::Avx512Micro};
-    match (kernels::selected(), bf16_enabled()) {
-        (Kernel::Scalar, false) => {
-            gemm_blocked::<ScalarMicro<f32>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
+    with_micro!(kernels::selected(), bf16_enabled(), M => {
+        let b = BOperand::Raw { b, trans: trans_b };
+        gemm_blocked::<M>(pool, trans_a, a, b, m, k, n, out, acc)
+    })
+}
+
+// ------------------------------------------------------------ pre-packed B
+
+/// All of one GEMM's B operand in micro-panel layout, packed once and read
+/// by any number of [`gemm_into_packed`] calls — see the module docs,
+/// "Packing B ahead of the call".
+///
+/// The layout is fixed by `(k, n)`, the kernel tier's `NR` and the packed
+/// element type, so a `PackedB` is tied to the tier and the
+/// [`with_bf16`](crate::with_bf16_gemm) mode it was packed under;
+/// [`gemm_into_packed`] refuses it under any other. It does not remember
+/// *which* values it packed: whoever owns it repacks when B changes.
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// `(tier, bf16)` of the last [`PackedB::pack`]; `None` before it.
+    packed_for: Option<(Kernel, bool)>,
+    /// The panels live in the vector of the mode's element type; the other
+    /// one is empty.
+    f32_panels: Vec<f32>,
+    bf16_panels: Vec<u16>,
+}
+
+impl PackedB {
+    /// An unpacked holder for a `k × n` operand, with storage reserved for
+    /// the tier and bf16 mode current on this thread — so a first
+    /// [`PackedB::pack`] under the same mode allocates nothing.
+    pub fn new(k: usize, n: usize) -> PackedB {
+        let (kernel, bf16) = (kernels::selected(), bf16_enabled());
+        let len = with_micro!(kernel, bf16, M => k * n.next_multiple_of(M::NR));
+        let (f32_len, bf16_len) = if bf16 { (0, len) } else { (len, 0) };
+        PackedB {
+            k,
+            n,
+            packed_for: None,
+            f32_panels: Vec::with_capacity(f32_len),
+            bf16_panels: Vec::with_capacity(bf16_len),
         }
-        (Kernel::Scalar, true) => {
-            gemm_blocked::<ScalarMicro<u16>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Avx2, false) => {
-            gemm_blocked::<Avx2Micro<f32>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Avx2, true) => {
-            gemm_blocked::<Avx2Micro<u16>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Avx512, false) => {
-            gemm_blocked::<Avx512Micro<f32>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Avx512, true) => {
-            gemm_blocked::<Avx512Micro<u16>>(pool, trans_a, trans_b, a, b, m, k, n, out, acc)
-        }
-        // selected() never returns a vector variant off x86-64.
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector kernel selected on non-x86_64"),
     }
+
+    /// Packs (or repacks) `b` — stored `[k, n]`, or `[n, k]` when `trans_b`
+    /// — for the tier and bf16 mode current on this thread. Repacking under
+    /// an unchanged mode overwrites in place; large operands fork over
+    /// micro-panels on the current pool.
+    pub fn pack(&mut self, trans_b: bool, b: &[f32]) {
+        assert_eq!(b.len(), self.k * self.n, "PackedB source size");
+        let mode = (kernels::selected(), bf16_enabled());
+        with_micro!(mode.0, mode.1, M => self.pack_as::<M>(&current(), trans_b, b));
+        // A switch of element type frees what the other one held.
+        if mode.1 {
+            self.f32_panels = Vec::new();
+        } else {
+            self.bf16_panels = Vec::new();
+        }
+        self.packed_for = Some(mode);
+    }
+
+    /// Bytes of packed storage held (0 before the first pack).
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.f32_panels[..]) + std::mem::size_of_val(&self.bf16_panels[..])
+    }
+
+    fn pack_as<M: Micro>(&mut self, pool: &ThreadPool, trans_b: bool, b: &[f32])
+    where
+        M::E: PackScratch,
+    {
+        let (k, n) = (self.k, self.n);
+        let n_pad = n.next_multiple_of(M::NR);
+        let buf = M::E::panels_mut(self);
+        // A no-op once the layout is settled: every element is overwritten
+        // below, so only growth (first pack, or a new tier) fills.
+        buf.resize(k * n_pad, M::E::default());
+        let ldb = if trans_b { k } else { n };
+        // Micro-panels per task: all of them for a small operand, about two
+        // tasks per lane for one worth forking over.
+        let tasks = if k * n >= crate::PAR_THRESHOLD { 2 * pool.threads() } else { 1 };
+        let group = (n_pad / M::NR).div_ceil(tasks).max(1);
+        for k0 in (0..k).step_by(KC) {
+            let kb = KC.min(k - k0);
+            let block = &mut buf[k0 * n_pad..(k0 + kb) * n_pad];
+            par_chunks_mut(pool, block, group * kb * M::NR, |start, chunk| {
+                // Chunks are whole micro-panels of `kb·NR` elements each.
+                let j0 = start / kb;
+                let nb = (chunk.len() / kb).min(n - j0);
+                pack_b::<M::E>(chunk, b, trans_b, ldb, k0, kb, j0, nb, M::NR);
+            });
+        }
+        M::E::counter().fetch_add(std::mem::size_of_val(&buf[..]) as u64, Ordering::Relaxed);
+    }
+}
+
+/// `out (+)= op(a) · B` with B taken from `b`'s panels instead of being
+/// packed inside the call: the same blocked engine, micro-tile and
+/// operation order as [`gemm_into`], hence the same bits. `a` is `[m, k]`
+/// (`[k, m]` when `trans_a`) and `out` is `[m, n]`, with `k` and `n` those
+/// `b` was created for. Runs on the current thread pool.
+///
+/// # Panics
+/// If `b` was never packed, or was last packed under another kernel tier or
+/// bf16 mode than the one current on this thread — its panels would have
+/// another micro-panel width or element type than the tile dispatched.
+pub fn gemm_into_packed(
+    trans_a: bool,
+    a: &[f32],
+    b: &PackedB,
+    m: usize,
+    out: &mut [f32],
+    acc: bool,
+) {
+    let (k, n) = (b.k, b.n);
+    assert_eq!(a.len(), m * k, "gemm_into_packed lhs length");
+    assert_eq!(out.len(), m * n, "gemm_into_packed out length");
+    let mode = (kernels::selected(), bf16_enabled());
+    assert_eq!(
+        b.packed_for,
+        Some(mode),
+        "PackedB is unpacked, or was packed under another (kernel tier, bf16 mode) than this one"
+    );
+    if m == 0 || n == 0 || k == 0 {
+        return empty_product(out, acc);
+    }
+    with_micro!(mode.0, mode.1, M => {
+        let panels = <<M as Micro>::E as PackScratch>::panels(b);
+        gemm_blocked::<M>(&current(), trans_a, a, BOperand::Packed(panels), m, k, n, out, acc)
+    })
+}
+
+/// Where the blocked engine gets B's micro-panels from.
+#[derive(Clone, Copy)]
+enum BOperand<'a, E> {
+    /// An unpacked operand (`[k, n]`, or `[n, k]` when `trans`): every tile
+    /// packs the block it needs into its thread's scratch.
+    Raw { b: &'a [f32], trans: bool },
+    /// The panels of a [`PackedB`], shared read-only by every tile.
+    Packed(&'a [E]),
 }
 
 /// The blocked engine, monomorphised per micro-tile variant. The loop
@@ -265,9 +465,8 @@ pub(crate) fn gemm_into(
 fn gemm_blocked<M: Micro>(
     pool: &ThreadPool,
     trans_a: bool,
-    trans_b: bool,
     a: &[f32],
-    b: &[f32],
+    b: BOperand<'_, M::E>,
     m: usize,
     k: usize,
     n: usize,
@@ -277,7 +476,11 @@ fn gemm_blocked<M: Micro>(
     M::E: PackScratch,
 {
     let lda = if trans_a { m } else { k };
-    let ldb = if trans_b { k } else { n };
+    let n_pad = n.next_multiple_of(M::NR);
+    if let BOperand::Packed(p) = b {
+        // One `kb × n_pad` block per k-slice: Σ kb · n_pad.
+        debug_assert_eq!(p.len(), k * n_pad, "PackedB panel length");
+    }
 
     let parallel = m * n * k >= PAR_FLOPS && pool.threads() > 1;
     let (mc, nc) =
@@ -289,23 +492,45 @@ fn gemm_blocked<M: Micro>(
         let mb = mc.min(m - i0);
         let j0 = tj * nc;
         let nb = nc.min(n - j0);
-        M::E::with_scratch(|apack, bpack| {
+        // Column tiles start on a micro-panel boundary (`nc` is a multiple
+        // of NR), which is what lets a tile address whole panels of a
+        // `PackedB`.
+        debug_assert_eq!(j0 % M::NR, 0, "column tile off the micro-panel grid");
+        M::E::with_scratch(|abuf, bbuf| {
             for k0 in (0..k).step_by(KC) {
                 let kb = KC.min(k - k0);
-                pack_a::<M::E>(apack, a, trans_a, lda, i0, mb, k0, kb, M::MR);
-                pack_b::<M::E>(bpack, b, trans_b, ldb, k0, kb, j0, nb, M::NR);
+                let ap = scratch_prefix(abuf, mb.div_ceil(M::MR) * kb * M::MR);
+                pack_a::<M::E>(ap, a, trans_a, lda, i0, mb, k0, kb, M::MR);
+                let b_len = nb.div_ceil(M::NR) * kb * M::NR;
+                let (bp, packed_here): (&[M::E], usize) = match b {
+                    BOperand::Raw { b, trans } => {
+                        let ldb = if trans { k } else { n };
+                        let bp = scratch_prefix(bbuf, b_len);
+                        pack_b::<M::E>(bp, b, trans, ldb, k0, kb, j0, nb, M::NR);
+                        (&*bp, ap.len() + b_len)
+                    }
+                    // Block `k0` starts at `k0 · n_pad`; inside it the
+                    // micro-panel of column `j0` starts at `(j0 / NR) · kb · NR`.
+                    BOperand::Packed(p) => (&p[k0 * n_pad + j0 * kb..][..b_len], ap.len()),
+                };
                 M::E::counter().fetch_add(
-                    ((apack.len() + bpack.len()) * std::mem::size_of::<M::E>()) as u64,
+                    (packed_here * std::mem::size_of::<M::E>()) as u64,
                     Ordering::Relaxed,
                 );
                 // Only the first k-block of a beta=0 GEMM overwrites; later
                 // k-blocks always accumulate partial sums.
                 let acc_block = acc || k0 > 0;
-                // SAFETY: this (ti, tj) task exclusively owns output rows
-                // i0..i0+mb × columns j0..j0+nb; tiles are disjoint; the
-                // dispatch layer only selects variants this CPU supports.
+                // SAFETY: this (ti, tj) task is the only one that writes
+                // output rows i0..i0+mb × columns j0..j0+nb — the tile grid
+                // partitions `out`, which has `m·n` elements (asserted by
+                // the entry points) and stays mutably borrowed until every
+                // tile has run; `ap` / `bp` hold the `mb×kb` / `kb×nb`
+                // blocks in micro-panel layout (packed just above, or a
+                // `PackedB` whose tier and element type the entry point
+                // checked against `M`); and the dispatch layer only selects
+                // variants this CPU supports.
                 unsafe {
-                    macro_kernel::<M>(apack, bpack, mb, nb, kb, base.get(), n, i0, j0, acc_block)
+                    macro_kernel::<M>(ap, bp, mb, nb, kb, base.get(), n, i0, j0, acc_block)
                 };
             }
         });
@@ -346,14 +571,25 @@ fn plan_blocks(m: usize, n: usize, threads: usize, mr: usize, nr: usize) -> (usi
     (mc, nc)
 }
 
+/// The first `len` elements of a per-thread scratch vector, which grows on
+/// demand and is never cleared: what is handed out holds whatever an
+/// earlier call left there, and the pack loops overwrite all of it.
+fn scratch_prefix<E: PackElem>(buf: &mut Vec<E>, len: usize) -> &mut [E] {
+    if buf.len() < len {
+        buf.resize(len, E::default());
+    }
+    &mut buf[..len]
+}
+
 /// Packs the `mb×kb` block of A starting at `(i0, k0)` into `mr`-row
 /// micro-panels, k-major within each panel, converting each element via
 /// [`PackElem::pack`] (identity for f32, round-to-nearest-even for bf16).
-/// Rows past `mb` in the last panel are zero-filled so the microkernel
-/// needs no M-edge handling.
+/// `dst` is exactly the panels' length and every element of it is written:
+/// rows past `mb` in the last panel are zeroed so the microkernel needs no
+/// M-edge handling.
 #[allow(clippy::too_many_arguments)]
 fn pack_a<E: PackElem>(
-    buf: &mut Vec<E>,
+    dst: &mut [E],
     a: &[f32],
     trans: bool,
     lda: usize,
@@ -363,13 +599,10 @@ fn pack_a<E: PackElem>(
     kb: usize,
     mr: usize,
 ) {
-    let panels = mb.div_ceil(mr);
-    buf.clear();
-    buf.resize(panels * kb * mr, E::default());
-    for p in 0..panels {
+    debug_assert_eq!(dst.len(), mb.div_ceil(mr) * kb * mr, "packed A length");
+    for (p, dst) in dst.chunks_exact_mut(kb * mr).enumerate() {
         let r0 = i0 + p * mr;
         let rows = mr.min(i0 + mb - r0);
-        let dst = &mut buf[p * kb * mr..(p + 1) * kb * mr];
         if trans {
             // A stored [k, m]: row kk of the source is already contiguous
             // in i, so each k-step is a straight converting copy.
@@ -388,15 +621,23 @@ fn pack_a<E: PackElem>(
                 }
             }
         }
+        if rows < mr {
+            for kk in 0..kb {
+                dst[kk * mr + rows..(kk + 1) * mr].fill(E::default());
+            }
+        }
     }
 }
 
 /// Packs the `kb×nb` block of B starting at `(k0, j0)` into `nr`-column
-/// micro-panels, k-major within each panel, zero-padding the N edge and
-/// converting via [`PackElem::pack`].
+/// micro-panels, k-major within each panel, converting via
+/// [`PackElem::pack`]. `dst` is exactly the panels' length and every
+/// element of it is written: columns past `nb` in the last panel are
+/// zeroed. The one pack loop behind both the per-tile scratch and
+/// [`PackedB`].
 #[allow(clippy::too_many_arguments)]
 fn pack_b<E: PackElem>(
-    buf: &mut Vec<E>,
+    dst: &mut [E],
     b: &[f32],
     trans: bool,
     ldb: usize,
@@ -406,13 +647,10 @@ fn pack_b<E: PackElem>(
     nb: usize,
     nr: usize,
 ) {
-    let panels = nb.div_ceil(nr);
-    buf.clear();
-    buf.resize(panels * kb * nr, E::default());
-    for p in 0..panels {
+    debug_assert_eq!(dst.len(), nb.div_ceil(nr) * kb * nr, "packed B length");
+    for (p, dst) in dst.chunks_exact_mut(kb * nr).enumerate() {
         let c0 = j0 + p * nr;
         let cols = nr.min(j0 + nb - c0);
-        let dst = &mut buf[p * kb * nr..(p + 1) * kb * nr];
         if trans {
             // B stored [n, k]: gather each column's k-slice with stride nr.
             for c in 0..cols {
@@ -430,6 +668,11 @@ fn pack_b<E: PackElem>(
                 }
             }
         }
+        if cols < nr {
+            for kk in 0..kb {
+                dst[kk * nr + cols..(kk + 1) * nr].fill(E::default());
+            }
+        }
     }
 }
 
@@ -440,8 +683,11 @@ fn pack_b<E: PackElem>(
 ///
 /// # Safety
 /// The caller must own output rows `i0..i0+mb` × columns `j0..j0+nb` of the
-/// `ldc`-stride matrix at `out` exclusively, and `M` must be runnable on
-/// this CPU (guaranteed by the dispatch layer).
+/// `ldc`-stride matrix at `out` exclusively for the duration of the call,
+/// all of them inside the allocation `out` points into; `apack` / `bpack`
+/// must hold `⌈mb/MR⌉` / `⌈nb/NR⌉` micro-panels of `kb` k-steps in `M`'s
+/// layout; and `M` must be runnable on this CPU (guaranteed by the
+/// dispatch layer).
 #[allow(clippy::too_many_arguments)]
 unsafe fn macro_kernel<M: Micro>(
     apack: &[M::E],
@@ -455,12 +701,19 @@ unsafe fn macro_kernel<M: Micro>(
     j0: usize,
     acc: bool,
 ) {
+    debug_assert_eq!(apack.len(), mb.div_ceil(M::MR) * kb * M::MR, "A panels");
+    debug_assert_eq!(bpack.len(), nb.div_ceil(M::NR) * kb * M::NR, "B panels");
+    debug_assert!(j0 + nb <= ldc, "column block outside the output row");
     for jp in 0..nb.div_ceil(M::NR) {
         let bp = &bpack[jp * kb * M::NR..(jp + 1) * kb * M::NR];
         let cols = M::NR.min(nb - jp * M::NR);
         for ip in 0..mb.div_ceil(M::MR) {
             let ap = &apack[ip * kb * M::MR..(ip + 1) * kb * M::MR];
             let rows = M::MR.min(mb - ip * M::MR);
+            // SAFETY: the `rows×cols` corner stored at this offset lies
+            // inside the caller's `mb×nb` rectangle (`ip·MR + rows ≤ mb`,
+            // `jp·NR + cols ≤ nb`), which the caller owns; the panels are
+            // `kb` k-steps long as sliced above.
             M::tile(
                 kb,
                 ap,
@@ -504,7 +757,9 @@ pub(crate) fn gemv(pool: &ThreadPool, a: &[f32], v: &[f32], m: usize, k: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legw_parallel::with_pool;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Scalar reference: C[i,j] = Σ_l A[i,l]·B[l,j] with explicit layouts.
     fn naive(
@@ -541,7 +796,68 @@ mod tests {
             .collect()
     }
 
-    fn check_case(pool: &ThreadPool, trans_a: bool, trans_b: bool, m: usize, k: usize, n: usize) {
+    /// Runs `f` once per (supported kernel tier, packed element type):
+    /// the modes a `PackedB` layout depends on.
+    fn for_each_mode(mut f: impl FnMut()) {
+        for tier in [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512] {
+            if kernels::supported(tier) {
+                kernels::with_override(tier, || {
+                    f();
+                    with_bf16(&mut f);
+                });
+            }
+        }
+    }
+
+    /// The packed-B leg: under the current tier and element type,
+    /// `gemm_into_packed` over `pb` must reproduce `gemm_into` over the
+    /// unpacked `b` bit for bit, from the same initial output.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_packed_matches_unpacked(
+        pool: &Arc<ThreadPool>,
+        trans_a: bool,
+        trans_b: bool,
+        a: &[f32],
+        b: &[f32],
+        pb: &PackedB,
+        [m, k, n]: [usize; 3],
+        acc: bool,
+    ) {
+        // Poison a beta=0 output (it must be fully overwritten); start a
+        // beta=1 output from values both sides share.
+        let init = if acc { lcg(77 + (m * n) as u64, m * n) } else { vec![f32::NAN; m * n] };
+        let mut want = init.clone();
+        gemm_into(pool, trans_a, trans_b, a, b, m, k, n, &mut want, acc);
+        let mut got = init;
+        with_pool(pool, || gemm_into_packed(trans_a, a, pb, m, &mut got, acc));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "packed B ({:?}, bf16 {}) ({trans_a},{trans_b}) acc={acc} threads={} \
+                 m={m} k={k} n={n} idx={i}: {g} vs {w}",
+                kernels::selected(),
+                bf16_enabled(),
+                pool.threads(),
+            );
+        }
+    }
+
+    /// Packs `b` on `pool` under the current mode.
+    fn packed(pool: &Arc<ThreadPool>, trans_b: bool, b: &[f32], k: usize, n: usize) -> PackedB {
+        let mut pb = PackedB::new(k, n);
+        with_pool(pool, || pb.pack(trans_b, b));
+        pb
+    }
+
+    fn check_case(
+        pool: &Arc<ThreadPool>,
+        trans_a: bool,
+        trans_b: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let a = lcg(m as u64 * 31 + k as u64, m * k);
         let b = lcg(n as u64 * 17 + k as u64 + 1, k * n);
         let want = naive(trans_a, trans_b, &a, &b, m, k, n);
@@ -554,6 +870,14 @@ mod tests {
                 "({trans_a},{trans_b}) m={m} k={k} n={n} idx={i}: {g} vs {w}"
             );
         }
+        for_each_mode(|| {
+            let pb = packed(pool, trans_b, &b, k, n);
+            for acc in [false, true] {
+                assert_packed_matches_unpacked(
+                    pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], acc,
+                );
+            }
+        });
     }
 
     /// Block-boundary extents: 1, MR±1, MR, MC−1, MC, MC+1, and a couple of
@@ -564,7 +888,7 @@ mod tests {
 
     #[test]
     fn boundary_sweep_all_variants_single_thread() {
-        let pool = ThreadPool::new(1);
+        let pool = Arc::new(ThreadPool::new(1));
         for &m in &boundary_dims() {
             for &(k, n) in &[(KC - 1, MR + 1), (MR, MC + 1), (KC + 1, NR - 1)] {
                 check_case(&pool, false, false, m, k, n);
@@ -576,7 +900,7 @@ mod tests {
 
     #[test]
     fn boundary_sweep_all_variants_multi_thread() {
-        let pool = ThreadPool::new(4);
+        let pool = Arc::new(ThreadPool::new(4));
         for &n in &boundary_dims() {
             for &(m, k) in &[(MC + 1, KC + 1), (2 * MC, MR - 1), (MR + 1, KC)] {
                 check_case(&pool, false, false, m, k, n);
@@ -588,11 +912,126 @@ mod tests {
 
     #[test]
     fn k_block_boundaries() {
-        let pool = ThreadPool::new(2);
+        let pool = Arc::new(ThreadPool::new(2));
         for &k in &[1, MR, KC - 1, KC, KC + 1, 2 * KC + 3] {
             check_case(&pool, false, false, MR + 3, k, NR + 5);
             check_case(&pool, true, true, MR + 3, k, NR + 5);
         }
+    }
+
+    #[test]
+    fn one_packed_b_serves_every_m_and_pool_size() {
+        // The layout depends on (k, n, tier, element type) only: pack once
+        // on one pool, then read it at three row counts on pools of four
+        // sizes — serial and forked, default and shrunk blocks, both A
+        // layouts, both store modes. k spans two k-blocks and n is past one
+        // column block with a ragged last micro-panel, and B is large
+        // enough for the pack itself to fork.
+        let (k, n) = (KC + 3, NC + 5);
+        let pools: Vec<Arc<ThreadPool>> =
+            (1..=4).map(|t| Arc::new(ThreadPool::new(t))).collect();
+        for trans_b in [false, true] {
+            let b = lcg(41 + trans_b as u64, k * n);
+            for_each_mode(|| {
+                let pb = packed(&pools[2], trans_b, &b, k, n);
+                for m in [1, MR + 1, MC + 1] {
+                    for trans_a in [false, true] {
+                        let a = lcg(43 + m as u64, m * k);
+                        for pool in &pools {
+                            for acc in [false, true] {
+                                assert_packed_matches_unpacked(
+                                    pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], acc,
+                                );
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn repack_follows_new_values_and_new_modes() {
+        // One holder, repacked in place with other values, then under every
+        // other mode: each pack must fully replace the one before it.
+        let pool = Arc::new(ThreadPool::new(2));
+        let (m, k, n) = (MR + 1, KC + 1, NR + 3);
+        let a = lcg(51, m * k);
+        let mut pb = PackedB::new(k, n);
+        for seed in [52, 53] {
+            let b = lcg(seed, k * n);
+            for_each_mode(|| {
+                with_pool(&pool, || pb.pack(true, &b));
+                assert_packed_matches_unpacked(&pool, false, true, &a, &b, &pb, [m, k, n], false);
+            });
+        }
+    }
+
+    #[test]
+    fn packed_b_is_refused_under_another_mode() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (m, k, n) = (3, 5, 7);
+        let a = lcg(61, m * k);
+        let b = lcg(62, k * n);
+        let run = |pb: &PackedB| {
+            let mut out = vec![0.0f32; m * n];
+            catch_unwind(AssertUnwindSafe(|| gemm_into_packed(false, &a, pb, m, &mut out, false)))
+        };
+        kernels::with_override(Kernel::Scalar, || {
+            // never packed
+            assert!(run(&PackedB::new(k, n)).is_err(), "an unpacked PackedB must be refused");
+            let mut pb = PackedB::new(k, n);
+            pb.pack(false, &b);
+            assert!(run(&pb).is_ok());
+            // other element type, both directions
+            assert!(with_bf16(|| run(&pb)).is_err(), "f32 panels under bf16 mode");
+            with_bf16(|| pb.pack(false, &b));
+            assert!(run(&pb).is_err(), "bf16 panels under f32 mode");
+            assert!(with_bf16(|| run(&pb)).is_ok());
+        });
+        // other tier — even Scalar → AVX2, whose tiles have the same extents
+        for other in [Kernel::Avx2, Kernel::Avx512] {
+            if kernels::supported(other) {
+                let mut pb = PackedB::new(k, n);
+                kernels::with_override(Kernel::Scalar, || pb.pack(false, &b));
+                assert!(
+                    kernels::with_override(other, || run(&pb)).is_err(),
+                    "scalar-tier panels under {other:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stale_scratch_does_not_leak_into_results() {
+        // Scratch is sliced, not cleared: fill this thread's A and B scratch
+        // to the brim with NaN from a full-block product, then run small
+        // edge shapes whose panels are shorter than what is left behind and
+        // end in padded rows/columns. Any element the pack loops failed to
+        // overwrite would surface as NaN.
+        let pool = Arc::new(ThreadPool::new(1));
+        for_each_mode(|| {
+            let nan_a = vec![f32::NAN; MC * KC];
+            let nan_b = vec![f32::NAN; KC * NC];
+            let mut sink = vec![0.0f32; MC * NC];
+            gemm_into(&pool, false, false, &nan_a, &nan_b, MC, KC, NC, &mut sink, false);
+            assert!(sink[0].is_nan(), "the poisoning product ran");
+            for &(m, k, n) in &[(1, 1, 1), (MR + 1, 3, NR + 3), (3, KC - 1, 2 * NR + 1)] {
+                let a = vec![1.0f32; m * k];
+                let b = vec![0.5f32; k * n];
+                for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_into(&pool, ta, tb, &a, &b, m, k, n, &mut got, false);
+                    // k halves sum exactly in f32 (and in bf16 storage)
+                    assert!(
+                        got.iter().all(|&x| x == 0.5 * k as f32),
+                        "({ta},{tb}) m={m} k={k} n={n}: {got:?}"
+                    );
+                    let pb = packed(&pool, tb, &b, k, n);
+                    assert_packed_matches_unpacked(&pool, ta, tb, &a, &b, &pb, [m, k, n], false);
+                }
+            }
+        });
     }
 
     #[test]
@@ -659,7 +1098,7 @@ mod tests {
             // sample each extent from the block-boundary set
             let dims = [1usize, MR - 1, MR, MR + 1, 2 * MR + 3, MC - 1, MC, MC + 1];
             let (m, k, n) = (dims[mi], dims[ki], dims[ni]);
-            let pool = ThreadPool::new(threads);
+            let pool = Arc::new(ThreadPool::new(threads));
             let a = lcg(1 + m as u64 + 7 * k as u64, m * k);
             let b = lcg(2 + n as u64 + 13 * k as u64, k * n);
             let want = naive(trans_a, trans_b, &a, &b, m, k, n);
@@ -668,6 +1107,12 @@ mod tests {
             for (g, w) in got.iter().zip(want.iter()) {
                 prop_assert!((g - w).abs() <= 1e-3 * (1.0 + w.abs()), "{g} vs {w}");
             }
+            for_each_mode(|| {
+                let pb = packed(&pool, trans_b, &b, k, n);
+                assert_packed_matches_unpacked(
+                    &pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], false,
+                );
+            });
         }
 
         #[test]
@@ -695,7 +1140,7 @@ mod tests {
     fn accumulate_spans_k_blocks() {
         // k > KC: the first k-block must respect beta=1 and later k-blocks
         // must not re-trigger an overwrite.
-        let pool = ThreadPool::new(2);
+        let pool = Arc::new(ThreadPool::new(2));
         let (m, k, n) = (MR + 3, 2 * KC + 5, NR + 1);
         let a = lcg(21, m * k);
         let b = lcg(22, k * n);
@@ -707,6 +1152,12 @@ mod tests {
             let w = c0 + p;
             assert!((g - w).abs() <= 1e-3 * (1.0 + w.abs()), "{g} vs {w}");
         }
+        // Same through pre-packed panels: three k-blocks of one PackedB,
+        // the first of which must add, not overwrite.
+        for_each_mode(|| {
+            let pb = packed(&pool, false, &b, k, n);
+            assert_packed_matches_unpacked(&pool, false, false, &a, &b, &pb, [m, k, n], true);
+        });
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!   selected once per process (see the [`kernels`] module), so portable
 //!   builds keep their vector kernels; all variants are bitwise-equal. An
 //!   opt-in bf16 packed-storage mode ([`with_bf16_gemm`]) halves packed
-//!   panel bytes for frozen-weight serving, accumulating in f32.
+//!   panel bytes for frozen-weight serving, accumulating in f32. A B
+//!   operand read by many calls (a weight) can be packed once into a
+//!   [`PackedB`] and multiplied through [`gemm_into_packed`], bitwise-equal
+//!   to [`gemm_into`].
 //! * Axis [reductions](Tensor::sum_axis), softmax/log-softmax rows, argmax.
 //! * [`im2col`]/[`col2im`] for convolution lowered onto matmul.
 //! * Seeded random initialisers (uniform, Gaussian via Box–Muller) — the
@@ -55,7 +58,9 @@ mod shape;
 mod tensor;
 
 pub use conv::{col2im, col2im_into, im2col, im2col_into, Conv2dGeom};
-pub use gemm::{bf16_enabled, pack_traffic, with_bf16 as with_bf16_gemm, PackTraffic};
+pub use gemm::{
+    bf16_enabled, gemm_into_packed, pack_traffic, with_bf16 as with_bf16_gemm, PackTraffic, PackedB,
+};
 pub use lstm_cell::{
     lstm_cell_backward, lstm_cell_backward_into, lstm_cell_forward, lstm_cell_forward_into,
     LstmCellFwd,

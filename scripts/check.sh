@@ -35,11 +35,18 @@ cargo test -q -p legw-serve -- --test-threads=1
 # -C target-cpu=native — see .cargo/config.toml) and picks its SIMD tier
 # at runtime, so `cargo test` above already exercises the detected-best
 # kernels on a baseline-x86-64 binary. This leg re-runs the tensor suite
-# (which includes the cross-variant bitwise dispatch tests) and the
-# serving bf16/LRU suite with the selector forced to the scalar fallback,
-# pinning the no-SIMD path that machines without AVX2 would take.
+# (which includes the cross-variant bitwise dispatch tests), plan replay
+# against the tape, and the serving suites (frozen forward, bf16/LRU) with
+# the selector forced to the scalar fallback, pinning the no-SIMD path that
+# machines without AVX2 would take — and the 8-column packed-panel layout
+# an AVX-512 machine never otherwise lays out. scripts/offline_check.sh
+# runs the same legs.
 echo "== LEGW_KERNEL=scalar cargo test -q -p legw-tensor"
 LEGW_KERNEL=scalar cargo test -q -p legw-tensor
+echo "== LEGW_KERNEL=scalar cargo test -q -p legw --test plan_replay_equivalence"
+LEGW_KERNEL=scalar cargo test -q -p legw --test plan_replay_equivalence
+echo "== LEGW_KERNEL=scalar cargo test -q -p legw-serve --test freeze_equivalence"
+LEGW_KERNEL=scalar cargo test -q -p legw-serve --test freeze_equivalence
 echo "== LEGW_KERNEL=scalar cargo test -q -p legw-serve --test bf16_serving"
 LEGW_KERNEL=scalar cargo test -q -p legw-serve --test bf16_serving -- --test-threads=1
 

@@ -24,7 +24,12 @@
 # and serve_mnist, which exits non-zero unless train -> freeze -> restore ->
 # serve ends in a model that answers its held-out rows.
 #
-# One line per suite or target; logs under perf-stub/tests/. Like cargo,
+# Last, the forced-tier legs scripts/check.sh has: the already-built binaries
+# of the suites whose GEMMs lay panels out per kernel tier run again under
+# LEGW_KERNEL=scalar (and =avx2 where the CPU has it), since everything above
+# only ever sees the detected tier. Nothing is recompiled.
+#
+# One line per suite, target or leg; logs under perf-stub/tests/. Like cargo,
 # every suite runs from its package directory. Not covered: doctests.
 # The stub `rand` draws different numbers than the published crate, so a
 # seed-sensitive assertion can differ from a cargo run.
@@ -144,6 +149,34 @@ for e in examples/*.rs; do
     quickstart | serve_mnist) build "legw_repro/examples/$stem" "$stem" "$e" run ;;
     *) build "legw_repro/examples/$stem" "$stem" "$e" ;;
   esac
+done
+
+# rerun <tier> <suite name> <package dir>: run a suite's binary, built above,
+# with the kernel selector pinned to <tier>.
+rerun() {
+  local tier=$1 name=$2 dir=$3
+  [[ "$name" == *"$filter"* ]] || return 0
+  local bin="$logs/${name//\//__}"
+  local log="$bin.$tier.log"
+  if (cd "$dir" && LEGW_KERNEL=$tier "$bin") >"$log" 2>&1; then
+    echo "ok    $name [LEGW_KERNEL=$tier]  $(sed -n 's/^test result: ok. \(.*\); 0 measured.*/\1/p' "$log")"
+  else
+    fail "$name [LEGW_KERNEL=$tier]" "$log"
+  fi
+}
+
+# Packed-panel layouts differ per tier (micro-panels 8 or 16 columns wide), so
+# the suites that multiply through them also run on the tiers detection did
+# not pick: the tensor crate, its cross-tier dispatch matrix, plan replay
+# against the tape, and the two serving suites (frozen forward, bf16 panels).
+tiers=(scalar)
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then tiers+=(avx2); fi
+for tier in "${tiers[@]}"; do
+  rerun "$tier" legw_tensor crates/tensor
+  rerun "$tier" legw_tensor/kernel_dispatch crates/tensor
+  rerun "$tier" legw/plan_replay_equivalence crates/core
+  rerun "$tier" legw_serve/freeze_equivalence crates/serve
+  rerun "$tier" legw_serve/bf16_serving crates/serve
 done
 
 if [[ $failed == 0 ]]; then
