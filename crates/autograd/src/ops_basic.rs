@@ -371,11 +371,11 @@ mod tests {
     #[test]
     fn activation_grads() {
         let x = Tensor::from_vec(vec![-1.5, -0.2, 0.0, 0.3, 2.0, -3.0], &[2, 3]);
-        grad_check(&[x.clone()], |g, vs| {
+        grad_check(std::slice::from_ref(&x), |g, vs| {
             let s = g.sigmoid(vs[0]);
             g.sum_all(s)
         });
-        grad_check(&[x.clone()], |g, vs| {
+        grad_check(std::slice::from_ref(&x), |g, vs| {
             let t = g.tanh(vs[0]);
             g.sum_all(t)
         });

@@ -133,10 +133,10 @@ impl Graph {
         let mut mean = vec![0.0f64; c];
         let mut var = vec![0.0f64; c];
         for ni in 0..n {
-            for ci in 0..c {
+            for (ci, mu) in mean.iter_mut().enumerate() {
                 let base = (ni * c + ci) * hw;
                 for &v in &src[base..base + hw] {
-                    mean[ci] += v as f64;
+                    *mu += v as f64;
                 }
             }
         }
@@ -201,10 +201,10 @@ impl Graph {
         let src = x.as_slice();
         let mut mean = vec![0.0f64; c];
         for ni in 0..n {
-            for ci in 0..c {
+            for (ci, mu) in mean.iter_mut().enumerate() {
                 let base = (ni * c + ci) * hw;
                 for &v in &src[base..base + hw] {
-                    mean[ci] += v as f64;
+                    *mu += v as f64;
                 }
             }
         }

@@ -383,12 +383,10 @@ impl Plan {
         // outputs' seed slots take part in it — zero them (an unseeded
         // output contributes nothing; `0.0 + x` differs from the tape only
         // on the sign of a `-0.0`, documented in the module header).
-        for target in &self.prog.seed_targets {
-            if let Some((dst, _)) = target {
-                if *dst != seed {
-                    let s = self.st.dst_is_slot(*dst);
-                    self.st.slots[s].fill(0.0);
-                }
+        for (dst, _) in self.prog.seed_targets.iter().flatten() {
+            if *dst != seed {
+                let s = self.st.dst_is_slot(*dst);
+                self.st.slots[s].fill(0.0);
             }
         }
         {
@@ -1641,6 +1639,8 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
                     let m = (n * hw) as f32;
                     let o = buf.s();
                     for ni in 0..n {
+                        // `ci` indexes four per-channel arrays and the flat base.
+                        #[allow(clippy::needless_range_loop)]
                         for ci in 0..c {
                             let base = (ni * c + ci) * hw;
                             let coef = gm[ci] * r.inv_std[ci] / m;
@@ -1987,10 +1987,8 @@ fn visit_slots(ins: &mut Instr, f: &mut dyn FnMut(&mut u32)) {
         Instr::BnG { up, gamma, dg, dbt, dx, .. } => {
             vl(up, f);
             vl(gamma, f);
-            for o in [dg, dbt, dx] {
-                if let Some((d, _)) = o {
-                    vd(d, f);
-                }
+            for (d, _) in [dg, dbt, dx].into_iter().flatten() {
+                vd(d, f);
             }
         }
         Instr::LstmG { c_prev, dh, dc, dpre, dcp, .. } => {
@@ -2144,6 +2142,8 @@ impl Capturer {
         let mut argmax_lens: Vec<usize> = Vec::new();
         let mut bn_cs: Vec<usize> = Vec::new();
         let mut aux: Vec<[u32; 4]> = vec![[0; 4]; n];
+        // `i` is the node id: it indexes `g.nodes`, `val_loc` and `aux` alike.
+        #[allow(clippy::needless_range_loop)]
         for i in 0..n {
             let before = fwd.len();
             match &g.nodes[i].op {

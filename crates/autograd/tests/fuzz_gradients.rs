@@ -8,7 +8,7 @@
 use legw_autograd::check::grad_check_tol;
 use legw_autograd::{Graph, Var};
 use legw_tensor::Tensor;
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 /// The unary/binary op vocabulary the fuzzer draws from. Each entry maps a
 /// current variable (and optionally the auxiliary input) to a new variable,
@@ -63,10 +63,9 @@ fn op_strategy() -> impl Strategy<Value = FuzzOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn random_op_chains_grad_check(
-        ops in proptest::collection::vec(op_strategy(), 1..6),
+        ops in legw_propcheck::collection::vec(op_strategy(), 1..6),
         rows in 1usize..4,
         cols_half in 1usize..3,
         seed in 0u64..10_000,

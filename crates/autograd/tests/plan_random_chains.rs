@@ -8,7 +8,7 @@
 
 use legw_autograd::{CaptureSpec, Feeds, Graph, Plan, Var};
 use legw_tensor::Tensor;
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 enum ChainOp {
@@ -65,10 +65,9 @@ fn build(x: &Tensor, w: &Tensor, ops: &[ChainOp]) -> (Graph, Var, Var, Var) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn random_chains_replay_bitwise_against_the_tape(
-        ops in proptest::collection::vec(op_strategy(), 2..6),
+        ops in legw_propcheck::collection::vec(op_strategy(), 2..6),
         rows in 1usize..5,
         cols in 1usize..6,
         seed in 0u64..10_000,

@@ -95,9 +95,13 @@ pub fn legw_vs_tuned_adam(app: App, seed: u64) -> Vec<(usize, f64, f64, f64)> {
     rows
 }
 
+/// `(app_name, rows)` per application, rows as [`legw_vs_tuned_adam`]
+/// returns them.
+pub type AppRows = Vec<(&'static str, Vec<(usize, f64, f64, f64)>)>;
+
 /// Figure 6 — LEGW vs tuned Adam across batch sizes for the four LSTM
 /// applications. Returns `(app_name, rows)` per app.
-pub fn fig6(seed: u64) -> Vec<(&'static str, Vec<(usize, f64, f64, f64)>)> {
+pub fn fig6(seed: u64) -> AppRows {
     run_legw_vs_adam(
         "Figure 6 — LEGW vs carefully tuned Adam (same epoch budgets)",
         "fig6",
@@ -112,7 +116,7 @@ pub fn fig6(seed: u64) -> Vec<(&'static str, Vec<(usize, f64, f64, f64)>)> {
 }
 
 /// Figure 10 (appendix) — the two large applications only.
-pub fn fig10(seed: u64) -> Vec<(&'static str, Vec<(usize, f64, f64, f64)>)> {
+pub fn fig10(seed: u64) -> AppRows {
     run_legw_vs_adam(
         "Figure 10 — LEGW vs tuned Adam: PTB-large and GNMT",
         "fig10",
@@ -126,7 +130,7 @@ fn run_legw_vs_adam(
     id: &str,
     apps_list: &[(App, &'static str)],
     seed: u64,
-) -> Vec<(&'static str, Vec<(usize, f64, f64, f64)>)> {
+) -> AppRows {
     let mut t = Table::new(title, &["app", "batch", "LEGW", "Adam (tuned)", "adam lr"]);
     let mut out = Vec::new();
     for &(app, name) in apps_list {

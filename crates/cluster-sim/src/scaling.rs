@@ -153,7 +153,7 @@ mod tests {
         let j = job();
         let c = cluster();
         let (b, t) = knee_batch(&j, &c, 64, 65536, 1.05);
-        assert!(b >= 64 && b <= 65536);
+        assert!((64..=65536).contains(&b));
         assert!(b.is_power_of_two() || b == 64);
         assert!(t > 0.0);
         // a stricter threshold can only stop earlier

@@ -75,6 +75,9 @@ pub struct LipschitzSample {
 /// Returns the probe trace. The probe batch is the first `probe_batch`
 /// training samples, fixed across the run and across batch sizes so traces
 /// are comparable.
+// A whole experiment in one call: the data, the model's two widths, the
+// training recipe and the probe's two settings.
+#[allow(clippy::too_many_arguments)]
 pub fn mnist_lipschitz_trace(
     data: &SynthMnist,
     proj: usize,

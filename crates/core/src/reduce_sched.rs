@@ -146,7 +146,7 @@ impl ReduceScheduler {
             }
             let act = {
                 let mut st = self.state.lock().unwrap();
-                if pos % (2 * width) == 0 && pos + width < self.n {
+                if pos.is_multiple_of(2 * width) && pos + width < self.n {
                     // `carry` is a full left subtree at stride `width`;
                     // partner is the right subtree starting at pos+width.
                     let q = pos + width;

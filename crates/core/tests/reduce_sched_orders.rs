@@ -12,7 +12,7 @@ use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{MnistLstm, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::{GradBuffer, ParamId, ParamSet};
 use legw_tensor::Tensor;
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -8,7 +8,7 @@ use legw::{DropPlan, ExecConfig, Executor, MnistStep, PtbStep, Seq2SeqStep};
 use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{MnistLstm, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

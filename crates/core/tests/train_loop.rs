@@ -14,8 +14,11 @@ use legw_schedules::BaselineSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Epoch losses, history, final and secondary metric, iterations, diverged.
+type ReportBits = (Vec<u64>, Vec<(u64, u64)>, u64, Option<u64>, usize, bool);
+
 /// Every number of a report as bit patterns, for exact comparison.
-fn bits(r: &TrainReport) -> (Vec<u64>, Vec<(u64, u64)>, u64, Option<u64>, usize, bool) {
+fn bits(r: &TrainReport) -> ReportBits {
     (
         r.epoch_losses.iter().map(|l| l.to_bits()).collect(),
         r.history.iter().map(|(e, m)| (e.to_bits(), m.to_bits())).collect(),

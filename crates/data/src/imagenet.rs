@@ -71,7 +71,7 @@ impl SynthImageNet {
         side: usize,
     ) -> Self {
         assert!(n_classes >= 2);
-        assert!(side >= 8 && side % 4 == 0, "side must be a multiple of 4, got {side}");
+        assert!(side >= 8 && side.is_multiple_of(4), "side must be a multiple of 4, got {side}");
         let mut rng = StdRng::seed_from_u64(seed);
         let specs: Vec<ClassSpec> = (0..n_classes)
             .map(|_| ClassSpec {

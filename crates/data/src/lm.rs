@@ -95,7 +95,7 @@ impl SynthPtb {
         assert!(batch > 0 && seq_len > 0);
         let track_len = stream.len() / batch;
         assert!(
-            track_len >= seq_len + 1,
+            track_len > seq_len,
             "stream of {} tokens too short for batch {batch} × seq {seq_len}",
             stream.len()
         );

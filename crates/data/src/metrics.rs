@@ -106,7 +106,7 @@ pub fn corpus_bleu(candidates: &[Vec<usize>], references: &[Vec<usize>]) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     #[test]
     fn accuracy_counts_matches() {
@@ -161,7 +161,7 @@ mod tests {
     fn bleu_brevity_penalty_punishes_short_candidates() {
         let long_ref = vec![vec![1, 2, 3, 4, 5, 6, 7, 8]];
         let full = corpus_bleu(&long_ref, &long_ref);
-        let short = corpus_bleu(&[vec![1, 2, 3, 4]].to_vec(), &long_ref);
+        let short = corpus_bleu(&[vec![1, 2, 3, 4]], &long_ref);
         assert!(short < full * 0.8, "short {short} vs full {full}");
     }
 
@@ -180,8 +180,8 @@ mod tests {
     proptest! {
         #[test]
         fn prop_bleu_in_range(
-            seqs in proptest::collection::vec(
-                proptest::collection::vec(0usize..10, 1..12),
+            seqs in legw_propcheck::collection::vec(
+                legw_propcheck::collection::vec(0usize..10, 1..12),
                 1..8,
             )
         ) {

@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(steps[0].shape(), &[3, 28]);
         // step t row s equals pixels [t*28 .. t*28+28] of sample s
         let t = 5;
-        let expect = &batch.as_slice()[1 * 784 + t * 28..1 * 784 + t * 28 + 28];
+        let expect = &batch.as_slice()[784 + t * 28..784 + t * 28 + 28];
         let got: Vec<f32> = (0..28).map(|j| steps[t].at2(1, j)).collect();
         assert_eq!(&got[..], expect);
     }

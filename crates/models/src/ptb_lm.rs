@@ -181,7 +181,7 @@ impl PtbLm {
     /// the mean per-token loss variable, and the final per-layer states.
     fn window_tape(
         &self,
-        mut g: &mut Graph,
+        g: &mut Graph,
         ps: &ParamSet,
         batch: &LmBatch,
         state: &LmState,
@@ -204,27 +204,27 @@ impl PtbLm {
             .iter()
             .enumerate()
             .map(|(t, ids)| {
-                let e = self.embedding.forward(&mut g, &mut bd, ps, ids);
+                let e = self.embedding.forward(g, &mut bd, ps, ids);
                 match dropout {
-                    Some((d, ctx)) => d.forward_train(&mut g, e, ctx, 2 * t as u64),
+                    Some((d, ctx)) => d.forward_train(g, e, ctx, 2 * t as u64),
                     None => e,
                 }
             })
             .collect();
         let (outputs, final_states) = if stepwise {
-            self.lstm.forward_seq_stepwise(&mut g, &mut bd, ps, &xs, states)
+            self.lstm.forward_seq_stepwise(g, &mut bd, ps, &xs, states)
         } else {
-            self.lstm.forward_seq(&mut g, &mut bd, ps, &xs, states)
+            self.lstm.forward_seq(g, &mut bd, ps, &xs, states)
         };
 
         let t_len = outputs.len();
         let mut total: Option<Var> = None;
         for (t, (out, tgt)) in outputs.iter().zip(&batch.targets).enumerate() {
             let h = match dropout {
-                Some((d, ctx)) => d.forward_train(&mut g, *out, ctx, 2 * t as u64 + 1),
+                Some((d, ctx)) => d.forward_train(g, *out, ctx, 2 * t as u64 + 1),
                 None => *out,
             };
-            let logits = self.head.forward(&mut g, &mut bd, ps, h);
+            let logits = self.head.forward(g, &mut bd, ps, h);
             let step_loss = g.softmax_cross_entropy(logits, tgt);
             total = Some(match total {
                 Some(acc) => g.add(acc, step_loss),

@@ -24,7 +24,6 @@
 //! store untouched.
 
 use crate::param::ParamSet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use legw_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"LGWP";
@@ -117,18 +116,18 @@ fn crc32_update(crc: u32, data: &[u8]) -> u32 {
 
 // ---------------------------------------------------------------- save
 
-/// CRC-tracking writer over any [`BufMut`].
-struct Writer<'a, B: BufMut> {
-    out: &'a mut B,
+/// CRC-tracking writer into a `Vec<u8>`.
+struct Writer {
+    out: Vec<u8>,
     crc: u32,
 }
 
-impl<'a, B: BufMut> Writer<'a, B> {
-    fn new(out: &'a mut B) -> Self {
-        Self { out, crc: 0xFFFF_FFFF }
+impl Writer {
+    fn with_capacity(n: usize) -> Self {
+        Self { out: Vec::with_capacity(n), crc: 0xFFFF_FFFF }
     }
     fn slice(&mut self, s: &[u8]) {
-        self.out.put_slice(s);
+        self.out.extend_from_slice(s);
         self.crc = crc32_update(self.crc, s);
     }
     fn u8(&mut self, v: u8) {
@@ -143,29 +142,24 @@ impl<'a, B: BufMut> Writer<'a, B> {
     fn u64(&mut self, v: u64) {
         self.slice(&v.to_le_bytes());
     }
-    fn finish(self) -> u32 {
-        !self.crc
+    /// Appends the CRC of everything written and hands the blob back.
+    fn finish(mut self) -> Vec<u8> {
+        let crc = !self.crc;
+        self.out.extend_from_slice(&crc.to_le_bytes());
+        self.out
     }
 }
 
 /// Serializes all parameter values (not gradients) in the v2 format with
 /// no config section.
-pub fn save(ps: &ParamSet) -> Bytes {
+pub fn save(ps: &ParamSet) -> Vec<u8> {
     save_with_config(ps, None)
 }
 
 /// [`save`] plus an opaque model-config section (the freeze path stores
 /// the model hyperparameters there so a server can rebuild the model).
-pub fn save_with_config(ps: &ParamSet, config: Option<&[u8]>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + ps.num_scalars() * 4);
-    save_to(ps, config, &mut buf);
-    buf.freeze()
-}
-
-/// Streaming variant of [`save_with_config`]: appends the checkpoint to
-/// any [`BufMut`] (a `Vec<u8>`, a `BytesMut`, …).
-pub fn save_to(ps: &ParamSet, config: Option<&[u8]>, out: &mut impl BufMut) {
-    let mut w = Writer::new(out);
+pub fn save_with_config(ps: &ParamSet, config: Option<&[u8]>) -> Vec<u8> {
+    let mut w = Writer::with_capacity(64 + ps.num_scalars() * 4);
     w.slice(MAGIC);
     w.u16(VERSION);
     w.u8(DTYPE_F32);
@@ -194,39 +188,33 @@ pub fn save_to(ps: &ParamSet, config: Option<&[u8]>, out: &mut impl BufMut) {
     assert!(config.len() <= u32::MAX as usize, "config section too long");
     w.u32(config.len() as u32);
     w.slice(config);
-    let crc = w.finish();
-    out.put_u32_le(crc);
+    w.finish()
 }
 
 // ---------------------------------------------------------------- load
 
-/// CRC-tracking reader over any [`Buf`].
-struct Reader<'a, B: Buf> {
-    src: &'a mut B,
+/// CRC-tracking cursor over the blob. Every read is bounded by the bytes
+/// that are left, so no length field can make it read or allocate past them.
+struct Reader<'a> {
+    src: &'a [u8],
     crc: u32,
 }
 
-impl<'a, B: Buf> Reader<'a, B> {
-    fn new(src: &'a mut B) -> Self {
+impl<'a> Reader<'a> {
+    fn new(src: &'a [u8]) -> Self {
         Self { src, crc: 0xFFFF_FFFF }
     }
-    fn fixed<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CheckpointError> {
-        if self.src.remaining() < N {
+    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CheckpointError> {
+        if self.src.len() < n {
             return Err(CheckpointError::Truncated(what));
         }
-        let mut a = [0u8; N];
-        self.src.copy_to_slice(&mut a);
-        self.crc = crc32_update(self.crc, &a);
-        Ok(a)
+        let (head, rest) = self.src.split_at(n);
+        self.src = rest;
+        self.crc = crc32_update(self.crc, head);
+        Ok(head)
     }
-    fn bytes(&mut self, n: usize, what: &'static str) -> Result<Vec<u8>, CheckpointError> {
-        if self.src.remaining() < n {
-            return Err(CheckpointError::Truncated(what));
-        }
-        let mut v = vec![0u8; n];
-        self.src.copy_to_slice(&mut v);
-        self.crc = crc32_update(self.crc, &v);
-        Ok(v)
+    fn fixed<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CheckpointError> {
+        Ok(self.bytes(N, what)?.try_into().expect("bytes(N) is N long"))
     }
     fn u8(&mut self, what: &'static str) -> Result<u8, CheckpointError> {
         Ok(self.fixed::<1>(what)?[0])
@@ -240,25 +228,16 @@ impl<'a, B: Buf> Reader<'a, B> {
     fn u64(&mut self, what: &'static str) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.fixed(what)?))
     }
-    /// Reads the trailing CRC field itself — excluded from the running CRC.
-    fn raw_u32(&mut self, what: &'static str) -> Result<u32, CheckpointError> {
-        if self.src.remaining() < 4 {
-            return Err(CheckpointError::Truncated(what));
-        }
-        let mut a = [0u8; 4];
-        self.src.copy_to_slice(&mut a);
-        Ok(u32::from_le_bytes(a))
-    }
 }
 
 /// One parameter parsed out of the stream, not yet committed.
 type Staged = (String, Vec<usize>, Vec<f32>);
 
-fn parse_param<B: Buf>(r: &mut Reader<'_, B>) -> Result<Staged, CheckpointError> {
+fn parse_param(r: &mut Reader<'_>) -> Result<Staged, CheckpointError> {
     let name_len = r.u16("name length")? as usize;
-    let name_bytes = r.bytes(name_len, "name")?;
-    let name =
-        String::from_utf8(name_bytes).map_err(|_| CheckpointError::NonUtf8Name)?;
+    let name = std::str::from_utf8(r.bytes(name_len, "name")?)
+        .map_err(|_| CheckpointError::NonUtf8Name)?
+        .to_owned();
     let ndim = r.u8("ndim")? as usize;
     if ndim == 0 || ndim > 4 {
         return Err(CheckpointError::BadField { what: "ndim", name });
@@ -289,8 +268,8 @@ fn parse_param<B: Buf>(r: &mut Reader<'_, B>) -> Result<Staged, CheckpointError>
 /// Parses and fully validates a checkpoint stream without touching any
 /// `ParamSet`. Returns the staged parameters and the config section, if
 /// present.
-fn parse(src: &mut impl Buf) -> Result<(Vec<Staged>, Option<Vec<u8>>), CheckpointError> {
-    let mut r = Reader::new(src);
+fn parse(blob: &[u8]) -> Result<(Vec<Staged>, Option<Vec<u8>>), CheckpointError> {
+    let mut r = Reader::new(blob);
     let magic = r.fixed::<4>("magic")?;
     if &magic != MAGIC {
         return Err(CheckpointError::NotACheckpoint);
@@ -306,14 +285,15 @@ fn parse(src: &mut impl Buf) -> Result<(Vec<Staged>, Option<Vec<u8>>), Checkpoin
     let count = r.u32("count")? as usize;
     // `count` comes from the blob: reserve no more than the bytes that are
     // actually there could hold.
-    let mut staged = Vec::with_capacity(count.min(r.src.remaining() / MIN_PARAM_RECORD));
+    let mut staged = Vec::with_capacity(count.min(r.src.len() / MIN_PARAM_RECORD));
     for _ in 0..count {
         staged.push(parse_param(&mut r)?);
     }
     let config_len = r.u32("config length")? as usize;
-    let config = if config_len == 0 { None } else { Some(r.bytes(config_len, "config")?) };
+    let config = if config_len == 0 { None } else { Some(r.bytes(config_len, "config")?.to_vec()) };
+    // The CRC field is not part of what it sums: take the sum before reading it.
     let computed = !r.crc;
-    let stored = r.raw_u32("crc")?;
+    let stored = r.u32("crc")?;
     if stored != computed {
         return Err(CheckpointError::CrcMismatch { stored, computed });
     }
@@ -355,27 +335,15 @@ fn commit(ps: &mut ParamSet, staged: Vec<Staged>) -> Result<(), CheckpointError>
 /// # Errors
 /// On any mismatch, truncation or corruption the store is left untouched.
 pub fn load(ps: &mut ParamSet, buf: &[u8]) -> Result<(), CheckpointError> {
-    let mut src = buf;
-    load_from(ps, &mut src).map(|_| ())
-}
-
-/// Streaming variant of [`load`]: consumes the checkpoint from any
-/// [`Buf`] and returns the model-config section if one is present.
-pub fn load_from(
-    ps: &mut ParamSet,
-    src: &mut impl Buf,
-) -> Result<Option<Vec<u8>>, CheckpointError> {
-    let (staged, config) = parse(src)?;
-    commit(ps, staged)?;
-    Ok(config)
+    let (staged, _config) = parse(buf)?;
+    commit(ps, staged)
 }
 
 /// Fully validates a blob (structure and CRC) and returns its config
 /// section without needing a [`ParamSet`] — the restore path reads this
 /// first to learn which model to construct.
 pub fn read_config(buf: &[u8]) -> Result<Option<Vec<u8>>, CheckpointError> {
-    let mut src = buf;
-    let (_, config) = parse(&mut src)?;
+    let (_, config) = parse(buf)?;
     Ok(config)
 }
 
@@ -420,19 +388,10 @@ mod tests {
         let blob = save_with_config(&ps, Some(b"model-config"));
         assert_eq!(read_config(&blob).unwrap().as_deref(), Some(&b"model-config"[..]));
         let mut fresh = scrambled();
-        let config = load_from(&mut fresh, &mut &blob[..]).unwrap();
-        assert_eq!(config.as_deref(), Some(&b"model-config"[..]));
+        load(&mut fresh, &blob).unwrap();
         assert_matches(&ps, &fresh);
         // no config → None, not Some(empty)
         assert_eq!(read_config(&save(&ps)).unwrap(), None);
-    }
-
-    #[test]
-    fn streaming_save_to_matches_save() {
-        let ps = store();
-        let mut v: Vec<u8> = Vec::new();
-        save_to(&ps, Some(b"cfg"), &mut v);
-        assert_eq!(&v[..], &save_with_config(&ps, Some(b"cfg"))[..]);
     }
 
     #[test]
@@ -474,7 +433,7 @@ mod tests {
             Err(CheckpointError::Truncated(_))
         ));
         // flip one payload bit → CRC catches it
-        let mut bad = blob.to_vec();
+        let mut bad = blob.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         assert!(matches!(
@@ -483,7 +442,7 @@ mod tests {
         ));
         // unknown version, and the retired v1 layout
         for v in [9u8, 1] {
-            let mut wrong_ver = blob.to_vec();
+            let mut wrong_ver = blob.clone();
             wrong_ver[4] = v;
             assert_eq!(
                 load(&mut ps, &wrong_ver),

@@ -19,6 +19,9 @@ impl Conv2d {
     /// Creates a `k×k` convolution with He-normal initialisation.
     /// `geom_template` carries channel/kernel/stride/pad; the spatial size
     /// is filled in per call from the input.
+    // The usual (store, rng, name) of every layer constructor plus the
+    // five numbers that define a convolution.
+    #[allow(clippy::too_many_arguments)]
     pub fn new<R: Rng>(
         ps: &mut ParamSet,
         rng: &mut R,

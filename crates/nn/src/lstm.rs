@@ -126,6 +126,9 @@ impl LstmCell {
     /// Numerical note: `x·W_x + h·W_h` splits the stepwise path's single
     /// `[x,h]·W` k-sum at the `in_dim` boundary, so results match the
     /// stepwise reference to ~1e-5 relative, not bitwise.
+    // The usual (graph, binding, store) of every forward plus the packed
+    // block, its two extents and the carried state.
+    #[allow(clippy::too_many_arguments)]
     pub fn forward_seq_packed(
         &self,
         g: &mut Graph,
@@ -473,7 +476,7 @@ mod tests {
         assert_fused_matches_unfused(8, 16, 16, 31); // aligned
     }
 
-    proptest::proptest! {
+    legw_propcheck::proptest! {
         /// Random-shape sweep of fused-vs-unfused cell equivalence.
         #[test]
         fn fused_step_matches_unfused_sweep(
@@ -512,7 +515,8 @@ mod tests {
         let h0 = Tensor::rand_uniform(&mut rng, &[batch, hidden], -0.8, 0.8);
         let c0 = Tensor::rand_uniform(&mut rng, &[batch, hidden], -0.8, 0.8);
 
-        let run = |hoisted: bool| -> (Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        type Rows = Vec<Vec<f32>>;
+        let run = |hoisted: bool| -> (Rows, Rows, Rows) {
             let mut g = Graph::new();
             let mut bd = Binding::new();
             let s0: Vec<LstmState> = (0..layers)
@@ -572,8 +576,7 @@ mod tests {
         assert_hoisted_matches_stepwise(8, 8, 16, 16, 2, usize::MAX, 61); // aligned
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+    legw_propcheck::proptest! {
         /// Random-shape sweep of hoisted-vs-stepwise stack equivalence,
         /// including non-multiple-of-8 widths.
         #[test]

@@ -4,7 +4,7 @@
 use legw_nn::ParamSet;
 use legw_optim::{build, Adam, Momentum, Nesterov, Optimizer, Sgd, SolverKind};
 use legw_tensor::Tensor;
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 fn one_param(vals: &[f32]) -> (ParamSet, legw_nn::ParamId) {
     let mut ps = ParamSet::new();
@@ -16,7 +16,7 @@ proptest! {
     /// With zero gradients and zero weight decay, no solver moves.
     #[test]
     fn zero_gradient_means_no_motion(
-        vals in proptest::collection::vec(-5f32..5.0, 1..8),
+        vals in legw_propcheck::collection::vec(-5f32..5.0, 1..8),
         steps in 1usize..5,
     ) {
         for kind in [
@@ -63,7 +63,7 @@ proptest! {
     /// gradient sequence.
     #[test]
     fn zero_momentum_reduces_to_sgd(
-        grads in proptest::collection::vec(-2f32..2.0, 1..10),
+        grads in legw_propcheck::collection::vec(-2f32..2.0, 1..10),
         lr in 0.01f32..0.5,
     ) {
         let run = |mut opt: Box<dyn Optimizer>| {

@@ -118,7 +118,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pool() -> ThreadPool {

@@ -1,6 +1,32 @@
-//! Minimal proptest stub for offline verification: the `proptest!` macro
-//! runs each property 32 times with a deterministic splitmix64 stream.
+//! The workspace's property-test harness, under the `proptest` macro names
+//! the test files were written against: `proptest!` runs each property
+//! [`CASES`] times over a deterministic splitmix64 stream seeded from the
+//! length of the property's name, so a failure repeats on every run. There is
+//! no shrinking; a failing property panics with its name, the case index and
+//! the seed.
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Cases per property.
+pub const CASES: u32 = 32;
+
+/// Runs `case` [`CASES`] times on one stream; what `proptest!` expands to.
+/// A panicking case is re-raised with the property's name, the case index
+/// and the stream's seed in front of its message.
+pub fn run(name: &str, mut case: impl FnMut(&mut TestRng)) {
+    let seed = 0x5eed ^ name.len() as u64;
+    let mut rng = TestRng::new(seed);
+    for i in 0..CASES {
+        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| case(&mut rng))) {
+            let msg = match (cause.downcast_ref::<String>(), cause.downcast_ref::<&str>()) {
+                (Some(s), _) => s.as_str(),
+                (None, Some(s)) => s,
+                (None, None) => "(non-string panic payload)",
+            };
+            panic!("property `{name}` failed at case {i} of {CASES} (seed {seed:#x}): {msg}");
+        }
+    }
+}
 
 pub struct TestRng {
     s: u64,
@@ -38,8 +64,6 @@ macro_rules! int_strategy {
 int_strategy!(usize);
 int_strategy!(u64);
 int_strategy!(u32);
-int_strategy!(i32);
-int_strategy!(i64);
 
 impl Strategy for Range<f32> {
     type Value = f32;
@@ -68,7 +92,9 @@ impl<T: Clone> Strategy for Just<T> {
 }
 
 /// Uniform choice among boxed samplers — the `prop_oneof!` backing type.
-pub struct OneOf<T>(pub Vec<Box<dyn Fn(&mut TestRng) -> T>>);
+pub struct OneOf<T>(pub Vec<Sampler<T>>);
+/// One alternative of a [`OneOf`].
+pub type Sampler<T> = Box<dyn Fn(&mut TestRng) -> T>;
 impl<T> Strategy for OneOf<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> T {
@@ -82,7 +108,7 @@ macro_rules! prop_oneof {
     ($($s:expr),+ $(,)?) => {{
         $crate::OneOf(vec![$(
             Box::new(move |rng: &mut $crate::TestRng| $crate::Strategy::sample(&($s), rng))
-                as Box<dyn Fn(&mut $crate::TestRng) -> _>
+                as $crate::Sampler<_>
         ),+])
     }};
 }
@@ -119,19 +145,19 @@ pub mod collection {
 }
 
 pub mod prelude {
-    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Just, Strategy};
-
-    pub struct ProptestConfig;
-    impl ProptestConfig {
-        pub fn with_cases(_n: u32) -> Self {
-            ProptestConfig
-        }
-    }
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Just, Strategy,
+    };
 }
 
+/// Skips the rest of the case (it still counts towards [`CASES`]).
 #[macro_export]
 macro_rules! prop_assume {
-    ($cond:expr) => { if !$cond { continue; } };
+    ($cond:expr) => {
+        if !$cond {
+            return;
+        }
+    };
 }
 #[macro_export]
 macro_rules! prop_assert {
@@ -144,17 +170,41 @@ macro_rules! prop_assert_eq {
 
 #[macro_export]
 macro_rules! proptest {
-    (#![proptest_config($cfg:expr)] $($rest:tt)*) => { $crate::proptest!{ $($rest)* } };
     ($($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
             fn $name() {
-                let mut rng = $crate::TestRng::new(0x5eed ^ stringify!($name).len() as u64);
-                for _case in 0..32u32 {
-                    $(let $arg = $crate::Strategy::sample(&($strat), &mut rng);)+
+                $crate::run(stringify!($name), |rng| {
+                    $(let $arg = $crate::Strategy::sample(&($strat), rng);)+
                     $body
-                }
+                });
             }
         )*
     };
+}
+
+#[cfg(test)]
+mod tests {
+    proptest! {
+        #[test]
+        fn samples_stay_in_range(n in 3usize..9, x in -1f32..1.0, v in crate::collection::vec(0u32..5, 1..4)) {
+            prop_assert!((3..9).contains(&n));
+            prop_assert!((-1.0..1.0).contains(&x));
+            prop_assert!(!v.is_empty() && v.len() < 4 && v.iter().all(|&e| e < 5));
+        }
+
+        #[test]
+        fn assume_skips_the_case(n in 0usize..4) {
+            prop_assume!(n > 100);
+            unreachable!("every case is skipped");
+        }
+
+        #[test]
+        #[should_panic(expected = "property `fails_from_its_third_case` failed at case 2 of 32 (seed 0x5ef4): third case")]
+        fn fails_from_its_third_case(_n in 0usize..4) {
+            static CALLS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+            let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(call < 2, "third case");
+        }
+    }
 }

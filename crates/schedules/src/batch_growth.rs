@@ -68,7 +68,7 @@ impl BatchGrowth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     #[test]
     fn grows_at_milestones_and_clamps() {

@@ -60,7 +60,7 @@ impl Decay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     #[test]
     fn constant_is_one_everywhere() {

@@ -85,7 +85,7 @@ pub fn scale_with(
 mod tests {
     use super::*;
     use crate::decay::Decay;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     fn gnmt_base() -> BaselineSchedule {
         // Table 2 row 1: batch 256, LR 2^-0.5/10^3, warmup 0.0145 epochs

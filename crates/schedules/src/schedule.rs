@@ -190,7 +190,7 @@ impl BaselineSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     #[test]
     fn warmup_ramp_is_linear_and_reaches_peak() {

@@ -2,7 +2,7 @@
 //! scaling.
 
 use legw_schedules::{BaselineSchedule, Legw, WarmupShape};
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 #[test]
 fn shapes_agree_at_endpoints() {

@@ -9,7 +9,6 @@
 //! are a pure function of the constructor arguments — then reloads the
 //! checkpointed values all-or-nothing under the v2 CRC.
 
-use bytes::{Buf, BufMut, Bytes};
 use legw_models::{MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::checkpoint::{self, CheckpointError};
 use legw_nn::ParamSet;
@@ -70,58 +69,45 @@ const TAG_S2S: u8 = 2;
 const TAG_RESNET: u8 = 3;
 
 impl ModelConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Self::MnistLstm { proj, hidden } => {
-                out.put_u8(TAG_MNIST);
-                out.put_u32_le(*proj as u32);
-                out.put_u32_le(*hidden as u32);
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut header = |tag: u8, fields: &[usize]| {
+            out.push(tag);
+            for &f in fields {
+                out.extend_from_slice(&(f as u32).to_le_bytes());
             }
+        };
+        match self {
+            Self::MnistLstm { proj, hidden } => header(TAG_MNIST, &[*proj, *hidden]),
             Self::PtbLm { vocab, embed, hidden, layers } => {
-                out.put_u8(TAG_PTB);
-                out.put_u32_le(*vocab as u32);
-                out.put_u32_le(*embed as u32);
-                out.put_u32_le(*hidden as u32);
-                out.put_u32_le(*layers as u32);
+                header(TAG_PTB, &[*vocab, *embed, *hidden, *layers])
             }
             Self::Seq2Seq { vocab, embed, hidden, attn, max_decode } => {
-                out.put_u8(TAG_S2S);
-                out.put_u32_le(*vocab as u32);
-                out.put_u32_le(*embed as u32);
-                out.put_u32_le(*hidden as u32);
-                out.put_u32_le(*attn as u32);
-                out.put_u32_le(*max_decode as u32);
+                header(TAG_S2S, &[*vocab, *embed, *hidden, *attn, *max_decode])
             }
             Self::ResNet { width, n_classes, bn_stats } => {
-                out.put_u8(TAG_RESNET);
-                out.put_u32_le(*width as u32);
-                out.put_u32_le(*n_classes as u32);
-                out.put_u32_le(bn_stats.len() as u32);
+                header(TAG_RESNET, &[*width, *n_classes, bn_stats.len()]);
                 for (mean, var) in bn_stats {
                     debug_assert_eq!(mean.len(), var.len());
-                    out.put_u32_le(mean.len() as u32);
-                    for &m in mean {
-                        out.put_f32_le(m);
-                    }
-                    for &v in var {
-                        out.put_f32_le(v);
+                    out.extend_from_slice(&(mean.len() as u32).to_le_bytes());
+                    for v in mean.iter().chain(var) {
+                        out.extend_from_slice(&v.to_le_bytes());
                     }
                 }
             }
         }
+        out
     }
 
-    fn decode(mut buf: &[u8]) -> Result<Self, ArtifactError> {
+    fn decode(buf: &[u8]) -> Result<Self, ArtifactError> {
         let u32_field = |buf: &mut &[u8]| -> Result<usize, ArtifactError> {
-            if buf.remaining() < 4 {
-                return Err(ArtifactError::BadConfig("truncated field"));
-            }
-            Ok(buf.get_u32_le() as usize)
+            let (field, rest) =
+                buf.split_first_chunk::<4>().ok_or(ArtifactError::BadConfig("truncated field"))?;
+            *buf = rest;
+            Ok(u32::from_le_bytes(*field) as usize)
         };
-        if buf.remaining() < 1 {
-            return Err(ArtifactError::BadConfig("empty config"));
-        }
-        let cfg = match buf.get_u8() {
+        let (&tag, mut buf) = buf.split_first().ok_or(ArtifactError::BadConfig("empty config"))?;
+        let cfg = match tag {
             TAG_MNIST => Self::MnistLstm {
                 proj: u32_field(&mut buf)?,
                 hidden: u32_field(&mut buf)?,
@@ -145,25 +131,29 @@ impl ModelConfig {
                 let layers = u32_field(&mut buf)?;
                 // `layers` comes from the blob, and the smallest layer record
                 // is its 4-byte channel count: reserve no more than fits.
-                let mut bn_stats = Vec::with_capacity(layers.min(buf.remaining() / 4));
+                let mut bn_stats = Vec::with_capacity(layers.min(buf.len() / 4));
+                let floats = |raw: &[u8]| -> Vec<f32> {
+                    raw.chunks_exact(4)
+                        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
+                        .collect()
+                };
                 for _ in 0..layers {
                     let ch = u32_field(&mut buf)?;
-                    match ch.checked_mul(8) {
-                        Some(need) if buf.remaining() >= need => {}
-                        _ => return Err(ArtifactError::BadConfig("truncated BN statistics")),
-                    }
-                    let read = |n: usize, buf: &mut &[u8]| -> Vec<f32> {
-                        (0..n).map(|_| buf.get_f32_le()).collect()
+                    // `ch` means and `ch` variances, if the blob has that many.
+                    let Some((stats, rest)) =
+                        ch.checked_mul(8).and_then(|need| buf.split_at_checked(need))
+                    else {
+                        return Err(ArtifactError::BadConfig("truncated BN statistics"));
                     };
-                    let mean = read(ch, &mut buf);
-                    let var = read(ch, &mut buf);
-                    bn_stats.push((mean, var));
+                    buf = rest;
+                    let (mean, var) = stats.split_at(ch * 4);
+                    bn_stats.push((floats(mean), floats(var)));
                 }
                 Self::ResNet { width, n_classes, bn_stats }
             }
             _ => return Err(ArtifactError::BadConfig("unknown model tag")),
         };
-        if buf.remaining() > 0 {
+        if !buf.is_empty() {
             return Err(ArtifactError::BadConfig("trailing bytes"));
         }
         Ok(cfg)
@@ -236,10 +226,8 @@ pub enum FrozenModel {
 /// into the config section. The caller provides the `ModelConfig` matching
 /// the model the `ParamSet` was trained with — for ResNet that includes
 /// the current running statistics ([`ResNet::bn_running_stats`]).
-pub fn freeze(cfg: &ModelConfig, ps: &ParamSet) -> Bytes {
-    let mut cfg_bytes = Vec::new();
-    cfg.encode(&mut cfg_bytes);
-    checkpoint::save_with_config(ps, Some(&cfg_bytes))
+pub fn freeze(cfg: &ModelConfig, ps: &ParamSet) -> Vec<u8> {
+    checkpoint::save_with_config(ps, Some(&cfg.encode()))
 }
 
 /// Rebuilds the model named by the artifact's config section and reloads
@@ -312,9 +300,7 @@ mod tests {
             },
         ];
         for cfg in &cfgs {
-            let mut bytes = Vec::new();
-            cfg.encode(&mut bytes);
-            assert_eq!(&ModelConfig::decode(&bytes).unwrap(), cfg);
+            assert_eq!(&ModelConfig::decode(&cfg.encode()).unwrap(), cfg);
         }
     }
 
@@ -325,8 +311,7 @@ mod tests {
             ModelConfig::decode(&[9, 0, 0, 0, 0]),
             Err(ArtifactError::BadConfig("unknown model tag"))
         );
-        let mut ok = Vec::new();
-        ModelConfig::MnistLstm { proj: 1, hidden: 2 }.encode(&mut ok);
+        let mut ok = ModelConfig::MnistLstm { proj: 1, hidden: 2 }.encode();
         assert_eq!(
             ModelConfig::decode(&ok[..ok.len() - 1]),
             Err(ArtifactError::BadConfig("truncated field"))

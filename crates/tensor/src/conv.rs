@@ -189,7 +189,7 @@ fn fold_cols(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     fn geom(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Conv2dGeom {
         Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad }
@@ -246,7 +246,7 @@ mod tests {
                                 for kx in 0..3 {
                                     let iy = oy as isize + ky as isize - 1;
                                     let ix = ox as isize + kx as isize - 1;
-                                    if iy >= 0 && iy < 5 && ix >= 0 && ix < 5 {
+                                    if (0..5).contains(&iy) && (0..5).contains(&ix) {
                                         let xi = x.as_slice()
                                             [((ni * 2 + ci) * 5 + iy as usize) * 5 + ix as usize];
                                         let wi = wgt.at2(o, (ci * 3 + ky) * 3 + kx);
@@ -291,7 +291,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn prop_adjoint_identity(
             h in 3usize..8, w in 3usize..8, k in 1usize..4,

@@ -30,11 +30,11 @@ pub(crate) const A1: f32 = 4.893_524_6e-3;
 pub(crate) const A3: f32 = 6.372_619_3e-4;
 pub(crate) const A5: f32 = 1.485_722_4e-5;
 pub(crate) const A7: f32 = 5.122_297_1e-8;
-pub(crate) const A9: f32 = -8.604_671_5e-11;
-pub(crate) const A11: f32 = 2.000_187_9e-13;
+pub(crate) const A9: f32 = -8.604_672e-11;
+pub(crate) const A11: f32 = 2.000_188e-13;
 pub(crate) const A13: f32 = -2.760_768_5e-16;
 /// Even denominator coefficients (degree 6).
-pub(crate) const B0: f32 = 4.893_525_2e-3;
+pub(crate) const B0: f32 = 4.893_525e-3;
 pub(crate) const B2: f32 = 2.268_434_6e-3;
 pub(crate) const B4: f32 = 1.185_347_1e-4;
 pub(crate) const B6: f32 = 1.198_258_4e-6;

@@ -758,7 +758,7 @@ pub(crate) fn gemv(pool: &ThreadPool, a: &[f32], v: &[f32], m: usize, k: usize, 
 mod tests {
     use super::*;
     use legw_parallel::with_pool;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
     use std::sync::Arc;
 
     /// Scalar reference: C[i,j] = Σ_l A[i,l]·B[l,j] with explicit layouts.
@@ -1088,11 +1088,10 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn prop_packed_matches_naive(
             mi in 0usize..8, ki in 0usize..8, ni in 0usize..8,
-            trans_a in proptest::bool::ANY, trans_b in proptest::bool::ANY,
+            trans_a in legw_propcheck::bool::ANY, trans_b in legw_propcheck::bool::ANY,
             threads in 1usize..5,
         ) {
             // sample each extent from the block-boundary set

@@ -287,7 +287,9 @@ pub trait Micro {
     /// The caller must (a) own the `rows×cols` output region at `out`
     /// exclusively, and (b) only invoke a variant whose instruction set
     /// [`supported`] reports available — dispatch guarantees (b).
-    #[allow(clippy::missing_safety_doc)]
+    // One flat call per micro-tile from the GEMM's innermost loop: the
+    // eight scalars are the tile's whole description.
+    #[allow(clippy::missing_safety_doc, clippy::too_many_arguments)]
     unsafe fn tile(
         kb: usize,
         ap: &[Self::E],

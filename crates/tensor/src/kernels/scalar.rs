@@ -54,7 +54,13 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
                 }
             }
         }
+        debug_assert!(rows <= TILE && cols <= TILE && cols <= ldc);
         for (r, tr) in t.iter().enumerate().take(rows) {
+            // SAFETY: the caller owns the `rows×cols` region at `out`
+            // exclusively (the trait's contract), row `r < rows` of it
+            // starts `r·ldc` elements in, and `cols <= ldc` keeps one
+            // row's window clear of the next — so `dst` is in bounds and
+            // the only live reference to those elements.
             let dst = std::slice::from_raw_parts_mut(out.add(r * ldc), cols);
             if acc {
                 for (d, &v) in dst.iter_mut().zip(tr[..cols].iter()) {

@@ -45,14 +45,29 @@ pub struct LstmCellFwd {
     pub tanh_c: Tensor,
 }
 
-/// Shared pointer for disjoint row-range writes from the parallel loop.
-struct SendPtr(*mut f32);
+/// An output slice shared by the row tasks of one cell call: each task
+/// writes the rows of its own range through the raw pointer.
+struct SendPtr {
+    ptr: *mut f32,
+    len: usize,
+}
+// SAFETY: the pointer is the base of the `&mut [f32]` the wrapper was built
+// from, which the calling cell function holds for its whole duration. It is
+// only dereferenced in `fwd_rows` / `bwd_rows`, where row `r` touches its own
+// `r·width..(r+1)·width` window and nothing else. `parallel_for` hands every
+// row to exactly one task and its fork/join returns before that borrow ends —
+// so moving the wrapper to another thread never lets two threads touch the
+// same element, nor any thread touch one after the slice is gone.
+unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send` above — the tasks sharing the wrapper each write the
+// windows of their own disjoint row range and read nothing through it.
 unsafe impl Sync for SendPtr {}
 impl SendPtr {
-    /// # Safety
-    /// Caller must hand out non-overlapping `offset..offset+len` windows.
-    unsafe fn slice(&self, offset: usize, len: usize) -> &mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(offset), len)
+    fn new(out: &mut [f32]) -> Self {
+        Self { ptr: out.as_mut_ptr(), len: out.len() }
+    }
+    fn get(&self) -> *mut f32 {
+        self.ptr
     }
 }
 
@@ -71,13 +86,19 @@ fn fwd_rows(
     for r in rows {
         let pa_r = &pa[r * 4 * hid..(r + 1) * 4 * hid];
         let cp_r = &cp[r * hid..(r + 1) * hid];
-        // Safety: row ranges from the parallel loop are disjoint.
+        debug_assert!((r + 1) * 4 * hid <= gates.len);
+        debug_assert!((r + 1) * hid <= c_out.len.min(tanh_c.len).min(h_out.len));
+        // SAFETY: row `r`'s window lies inside each of the four slices (the
+        // entry point asserts their `[B, 4H]` / `[B, H]` lengths and
+        // `r < B`), the slices are distinct `&mut` borrows, and no other
+        // task is given row `r` — so these are the only live references to
+        // those elements.
         let (g_r, c_r, t_r, h_r) = unsafe {
             (
-                gates.slice(r * 4 * hid, 4 * hid),
-                c_out.slice(r * hid, hid),
-                tanh_c.slice(r * hid, hid),
-                h_out.slice(r * hid, hid),
+                std::slice::from_raw_parts_mut(gates.get().add(r * 4 * hid), 4 * hid),
+                std::slice::from_raw_parts_mut(c_out.get().add(r * hid), hid),
+                std::slice::from_raw_parts_mut(tanh_c.get().add(r * hid), hid),
+                std::slice::from_raw_parts_mut(h_out.get().add(r * hid), hid),
             )
         };
         kernels::lstm_gate_row(kern, pa_r, cp_r, hid, g_r, c_r, t_r, h_r);
@@ -108,10 +129,10 @@ pub fn lstm_cell_forward_into(
     assert_eq!(c_out.len(), b * hid);
     assert_eq!(tanh_c.len(), b * hid);
     assert_eq!(h_out.len(), b * hid);
-    let gp = SendPtr(gates.as_mut_ptr());
-    let op = SendPtr(c_out.as_mut_ptr());
-    let tp = SendPtr(tanh_c.as_mut_ptr());
-    let hp = SendPtr(h_out.as_mut_ptr());
+    let gp = SendPtr::new(gates);
+    let op = SendPtr::new(c_out);
+    let tp = SendPtr::new(tanh_c);
+    let hp = SendPtr::new(h_out);
     let min_rows = (PAR_THRESHOLD / (4 * hid).max(1)).max(1);
     // Read once on the calling thread: pool workers don't see this
     // thread's kernel override, so the choice rides in via the closure.
@@ -173,9 +194,16 @@ fn bwd_rows(
         let cp_r = &cp[r * hid..(r + 1) * hid];
         let dh_r = dh.map(|s| &s[r * hid..(r + 1) * hid]);
         let dc_r = dc.map(|s| &s[r * hid..(r + 1) * hid]);
-        // Safety: row ranges from the parallel loop are disjoint.
-        let (dp_r, dcp_r) =
-            unsafe { (dpre.slice(r * 4 * hid, 4 * hid), dc_prev.slice(r * hid, hid)) };
+        debug_assert!((r + 1) * 4 * hid <= dpre.len && (r + 1) * hid <= dc_prev.len);
+        // SAFETY: as in `fwd_rows` — row `r`'s window lies inside both
+        // slices (lengths asserted at the entry point), they are distinct
+        // `&mut` borrows, and no other task is given row `r`.
+        let (dp_r, dcp_r) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(dpre.get().add(r * 4 * hid), 4 * hid),
+                std::slice::from_raw_parts_mut(dc_prev.get().add(r * hid), hid),
+            )
+        };
         for j in 0..hid {
             let i = g_r[j];
             let f = g_r[hid + j];
@@ -255,8 +283,8 @@ pub fn lstm_cell_backward_into(
     assert_eq!(c_prev.len(), b * hid);
     assert_eq!(dpre.len(), b * 4 * hid);
     assert_eq!(dc_prev.len(), b * hid);
-    let dp = SendPtr(dpre.as_mut_ptr());
-    let dcp = SendPtr(dc_prev.as_mut_ptr());
+    let dp = SendPtr::new(dpre);
+    let dcp = SendPtr::new(dc_prev);
     let min_rows = (PAR_THRESHOLD / (4 * hid).max(1)).max(1);
     let pool = current();
     parallel_for(&pool, b, min_rows, |rows| {
@@ -427,10 +455,10 @@ mod tests {
             hid,
             preact.as_slice(),
             c_prev.as_slice(),
-            &SendPtr(gates.as_mut_ptr()),
-            &SendPtr(c_out.as_mut_ptr()),
-            &SendPtr(tanh_c.as_mut_ptr()),
-            &SendPtr(h_out.as_mut_ptr()),
+            &SendPtr::new(&mut gates),
+            &SendPtr::new(&mut c_out),
+            &SendPtr::new(&mut tanh_c),
+            &SendPtr::new(&mut h_out),
         );
         assert!(par.h.as_slice().iter().zip(&h_out).all(|(a, b)| a.to_bits() == b.to_bits()));
         assert!(par.c.as_slice().iter().zip(&c_out).all(|(a, b)| a.to_bits() == b.to_bits()));
@@ -447,8 +475,8 @@ mod tests {
             c_prev.as_slice(),
             Some(dh.as_slice()),
             Some(dc.as_slice()),
-            &SendPtr(dpre.as_mut_ptr()),
-            &SendPtr(dcp.as_mut_ptr()),
+            &SendPtr::new(&mut dpre),
+            &SendPtr::new(&mut dcp),
         );
         assert!(dp1.as_slice().iter().zip(&dpre).all(|(a, b)| a.to_bits() == b.to_bits()));
         assert!(dc1.as_slice().iter().zip(&dcp).all(|(a, b)| a.to_bits() == b.to_bits()));

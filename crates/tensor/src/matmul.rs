@@ -145,7 +145,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.dim(0), a.dim(1));
@@ -293,7 +293,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
         fn prop_matmul_associates_with_naive(m in 1usize..12, k in 1usize..12, n in 1usize..12, seed in 0u64..1000) {
             let a = rng_tensor(seed, &[m, k]);

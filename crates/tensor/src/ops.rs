@@ -49,9 +49,9 @@ fn broadcast_index(flat: usize, out: &Shape, operand: &Shape) -> usize {
     let pstr = operand.strides();
     let mut rem = flat;
     let mut idx = 0usize;
-    for i in 0..on {
-        let coord = rem / ostr[i];
-        rem %= ostr[i];
+    for (i, &stride) in ostr.iter().enumerate().take(on) {
+        let coord = rem / stride;
+        rem %= stride;
         // align from trailing end
         if i + pn >= on {
             let pi = i + pn - on;
@@ -325,7 +325,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d)
@@ -461,7 +461,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_add_commutes(v in proptest::collection::vec(-10f32..10.0, 1..64)) {
+        fn prop_add_commutes(v in legw_propcheck::collection::vec(-10f32..10.0, 1..64)) {
             let n = v.len();
             let a = Tensor::from_vec(v.clone(), &[n]);
             let b = Tensor::from_vec(v.iter().map(|x| x * 0.5 + 1.0).collect(), &[n]);
@@ -471,7 +471,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_mul_by_ones_is_identity(v in proptest::collection::vec(-10f32..10.0, 1..64)) {
+        fn prop_mul_by_ones_is_identity(v in legw_propcheck::collection::vec(-10f32..10.0, 1..64)) {
             let n = v.len();
             let a = Tensor::from_vec(v, &[n]);
             let ones = Tensor::ones(&[n]);
@@ -492,7 +492,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_sigmoid_in_unit_interval(v in proptest::collection::vec(-50f32..50.0, 1..32)) {
+        fn prop_sigmoid_in_unit_interval(v in legw_propcheck::collection::vec(-50f32..50.0, 1..32)) {
             let n = v.len();
             let s = Tensor::from_vec(v, &[n]).sigmoid();
             for &x in s.as_slice() {

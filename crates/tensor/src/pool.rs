@@ -20,9 +20,14 @@
 //! * **Bounded** — at most [`MAX_POOLED`] buffers / [`MAX_POOL_FLOATS`]
 //!   floats per thread; tiny buffers (< [`MIN_POOL_ELEMS`] elements) skip
 //!   the pool entirely since the allocator already handles them well.
+//! * **The heap under it keeps its pages** — what the list turns away goes
+//!   back to the allocator, which must not hand it on to the kernel between
+//!   one tape and the next: see [`settle_heap`].
 
 use std::cell::RefCell;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Once;
 
 /// Buffers below this many elements are never pooled.
 const MIN_POOL_ELEMS: usize = 1024;
@@ -43,7 +48,44 @@ struct FreeList {
 }
 
 thread_local! {
-    static POOL: RefCell<FreeList> = RefCell::new(FreeList::default());
+    static POOL: RefCell<FreeList> = {
+        settle_heap();
+        RefCell::new(FreeList::default())
+    };
+}
+
+/// Size of the one block [`settle_heap`] allocates and frees.
+const SETTLE_BYTES: usize = 4 << 20;
+
+/// Keeps glibc from returning a dropped tape's memory to the kernel. Runs
+/// once per process, before the first buffer is taken or given.
+///
+/// A tape holds every intermediate until it is dropped: one 64-row
+/// `Seq2Seq::greedy_decode` batch is about 350 pool-sized buffers, 3.3 MiB, of
+/// which the free list keeps [`MAX_POOLED`]. The rest is freed at once, and
+/// when more than `M_TRIM_THRESHOLD` lies free at the top of the heap glibc
+/// shrinks the heap — so the next batch faults the same pages back in. On
+/// the benchmark box that was 1.5 M minor faults in a 27 s `seq2seq_b16` run
+/// and 14 ms instead of 8 ms per `eval_seq2seq_bleu` call. Worse, it came
+/// and went: the threshold starts at 128 KiB and glibc moves it (mallopt(3),
+/// "dynamic mmap threshold") to twice the size of the largest `mmap`ped
+/// block freed so far, and a live block above the tape stops the trim
+/// altogether, so the same call ran fast or slow for seconds on end depending
+/// on what else the process had allocated, and a run's median landed on
+/// either side.
+///
+/// Freeing one `mmap`ped block of [`SETTLE_BYTES`] is that documented
+/// adjustment, made up front: blocks up to 4 MiB then come from the heap and
+/// up to 8 MiB may lie free at its top. The block is never touched, so it
+/// costs an `mmap`/`munmap` pair and no memory; workloads with larger
+/// buffers move the thresholds further, as before (starting at 8 MiB cost
+/// `resnet_b128_lars` 7 % of its eval throughput, at 4 MiB nothing
+/// resolvable: its multi-MiB buffers are better off `mmap`ped afresh than
+/// cleared on the heap). An allocator without the adjustment sees a no-op.
+fn settle_heap() {
+    static ONCE: Once = Once::new();
+    // `black_box`: an unused allocation may otherwise be optimised out.
+    ONCE.call_once(|| drop(black_box(Vec::<u8>::with_capacity(SETTLE_BYTES))));
 }
 
 /// Takes a `len`-long vector — recycled if the pool has a fit. With
@@ -356,6 +398,37 @@ mod tests {
             assert!(p.bufs.len() <= MAX_POOLED);
             assert!(p.total <= MAX_POOL_FLOATS);
         });
+    }
+
+    /// Minor page faults taken by this thread so far.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn thread_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs");
+        // Fields after the parenthesised command name: state, ppid, pgrp,
+        // session, tty, tpgid, flags, minflt.
+        let after_comm = stat.rsplit(')').next().unwrap();
+        after_comm.split_whitespace().nth(7).unwrap().parse().unwrap()
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn dropped_tape_keeps_its_pages() {
+        settle_heap();
+        // A tape's worth of pool-sized buffers, written, then dropped at
+        // once: 6 MiB, under the 8 MiB that may now lie free.
+        let tape = || {
+            let bufs: Vec<Vec<f32>> = (0..192).map(|_| vec![1.0f32; 8192]).collect();
+            black_box(&bufs);
+        };
+        tape();
+        tape();
+        let before = thread_faults();
+        for _ in 0..4 {
+            tape();
+        }
+        let faults = thread_faults() - before;
+        // Re-faulting even one of the four would be 1536 pages.
+        assert!(faults < 512, "{faults} page faults rebuilding a dropped tape");
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use legw_propcheck::prelude::*;
 
     #[test]
     fn sum_mean_max_min() {
@@ -195,7 +195,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_softmax_invariant_to_row_shift(
-            v in proptest::collection::vec(-5f32..5.0, 3..12),
+            v in legw_propcheck::collection::vec(-5f32..5.0, 3..12),
             shift in -100f32..100.0,
         ) {
             let n = v.len();

@@ -16,7 +16,7 @@
 
 use legw_tensor::kernels::{self, Kernel};
 use legw_tensor::{lstm_cell_forward, with_bf16_gemm, Tensor};
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
 
@@ -250,14 +250,13 @@ fn bf16_accuracy_delta_bounded_and_recorded() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Randomised shape fuzz over the full variant matrix: M, N off the
     /// tile grid and k occasionally > KC.
     #[test]
     fn prop_gemm_variants_agree(
         m in 1usize..40, k in 1usize..320, n in 1usize..40,
-        trans_a in proptest::bool::ANY, trans_b in proptest::bool::ANY,
+        trans_a in legw_propcheck::bool::ANY, trans_b in legw_propcheck::bool::ANY,
     ) {
         let a = lcg(m as u64 * 7 + k as u64, m * k);
         let b = lcg(n as u64 * 13 + k as u64, k * n);

@@ -18,7 +18,7 @@
 //!
 //! Exits non-zero unless the restored engine classifies at least 12 of its
 //! 16 held-out rows correctly and every batched answer equals the direct
-//! one — `scripts/offline_check.sh` runs it as the end-to-end check of
+//! one — `scripts/check.sh` runs it as the end-to-end check of
 //! train → freeze → restore → serve.
 
 use legw_repro::core::trainer::{train, MnistWorkload};

@@ -2,7 +2,7 @@
 //! dataset epoch arithmetic.
 
 use legw_repro::schedules::{scale_with, BaselineSchedule, Decay, Legw, ScalingRule, WarmupRule};
-use proptest::prelude::*;
+use legw_propcheck::prelude::*;
 
 proptest! {
     /// LEGW commutes with composition: scaling b→kb→mb equals b→(km)b.
