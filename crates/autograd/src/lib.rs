@@ -36,6 +36,7 @@
 
 pub mod check;
 mod graph;
+mod opk;
 mod ops_basic;
 mod ops_conv;
 mod ops_loss;

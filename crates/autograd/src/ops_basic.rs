@@ -2,6 +2,7 @@
 //! and the backward dispatcher.
 
 use crate::graph::{Graph, Op, Var};
+use crate::opk::{self, Mode};
 use legw_tensor::Tensor;
 
 impl Graph {
@@ -155,14 +156,14 @@ impl Graph {
 
     /// Sum of all elements → scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum());
+        let v = Tensor::scalar(opk::sum_all(self.value(a).as_slice(), false));
         let rg = self.requires(a);
         self.push(v, rg, Op::SumAll(a))
     }
 
     /// Mean of all elements → scalar.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean());
+        let v = Tensor::scalar(opk::sum_all(self.value(a).as_slice(), true));
         let rg = self.requires(a);
         self.push(v, rg, Op::MeanAll(a))
     }
@@ -205,12 +206,13 @@ impl Graph {
                 self.accumulate(*bias, up.sum_axis(0));
             }
             Op::RowScale(x, s) => {
-                let sv = self.value(*s).clone();
-                let xv = self.value(*x).clone();
-                let dx = up.mul(&sv); // broadcast [m,1]
-                let ds = up.mul(&xv).sum_axis(1).reshape(&[xv.dim(0), 1]);
+                let xv = self.value(*x);
+                let (m, n) = (xv.dim(0), xv.dim(1));
+                let dx = up.mul(self.value(*s)); // broadcast [m,1]
+                let mut ds = vec![0.0f32; m];
+                opk::row_scale_ds(&mut ds, Mode::Store, up.as_slice(), xv.as_slice(), n);
                 self.accumulate(*x, dx);
-                self.accumulate(*s, ds);
+                self.accumulate(*s, Tensor::from_vec(ds, &[m, 1]));
             }
             Op::Matmul(a, b) => {
                 // dA = up · Bᵀ, dB = Aᵀ · up
@@ -253,13 +255,8 @@ impl Graph {
             Op::SliceCols(a, start, end) => {
                 let xv = self.value(*a);
                 let (m, n) = (xv.dim(0), xv.dim(1));
-                let (start, end) = (*start, *end);
                 let mut dx = vec![0.0f32; m * n];
-                let us = up.as_slice();
-                let w = end - start;
-                for r in 0..m {
-                    dx[r * n + start..r * n + end].copy_from_slice(&us[r * w..(r + 1) * w]);
-                }
+                opk::cols_scatter(&mut dx, Mode::Store, up.as_slice(), n, *start, *end);
                 self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
             }
             Op::ConcatRows(parts, row_counts) => {
@@ -272,12 +269,12 @@ impl Graph {
                     off += rc;
                 }
             }
-            Op::SliceRows(a, start, end) => {
+            Op::SliceRows(a, start, _) => {
                 let xv = self.value(*a);
                 let (m, n) = (xv.dim(0), xv.dim(1));
-                let (start, end) = (*start, *end);
+                // `dx` is born zero, so only the block is written.
                 let mut dx = vec![0.0f32; m * n];
-                dx[start * n..end * n].copy_from_slice(up.as_slice());
+                opk::block(&mut dx, Mode::Store, up.as_slice(), start * n, false);
                 self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
             }
             Op::SumAll(a) => {

@@ -4,42 +4,8 @@
 //! Feature maps are `[N, C, H, W]` row-major throughout.
 
 use crate::graph::{Graph, Op, Var};
+use crate::opk::{self, Mode};
 use legw_tensor::{col2im, im2col, Conv2dGeom, Tensor};
-
-/// Permutes a channels-last matmul result `[N·OH·OW, OC]` into `[N,OC,OH,OW]`.
-fn to_nchw(m: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
-    let src = m.as_slice();
-    let mut out = vec![0.0f32; n * oc * oh * ow];
-    for ni in 0..n {
-        for y in 0..oh {
-            for x in 0..ow {
-                let row = ((ni * oh + y) * ow + x) * oc;
-                for o in 0..oc {
-                    out[((ni * oc + o) * oh + y) * ow + x] = src[row + o];
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, oc, oh, ow])
-}
-
-/// Inverse of [`to_nchw`]: `[N,OC,OH,OW]` → `[N·OH·OW, OC]`.
-fn from_nchw(m: &Tensor) -> Tensor {
-    let (n, oc, oh, ow) = (m.dim(0), m.dim(1), m.dim(2), m.dim(3));
-    let src = m.as_slice();
-    let mut out = vec![0.0f32; n * oc * oh * ow];
-    for ni in 0..n {
-        for o in 0..oc {
-            for y in 0..oh {
-                for x in 0..ow {
-                    out[((ni * oh + y) * ow + x) * oc + o] =
-                        src[((ni * oc + o) * oh + y) * ow + x];
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n * oh * ow, oc])
-}
 
 impl Graph {
     /// 2-D convolution of `x [N,C,H,W]` with weight `w [OC, C·KH·KW]`,
@@ -55,7 +21,9 @@ impl Graph {
         let cols = im2col(xv, &geom);
         let out2 = cols.matmul_t(wv); // [N·OH·OW, OC]
         let (oh, ow) = (geom.oh(), geom.ow());
-        let v = to_nchw(&out2, n, oc, oh, ow);
+        let mut out = vec![0.0f32; n * oc * oh * ow];
+        opk::to_nchw(out2.as_slice(), n, oc, oh, ow, &mut out);
+        let v = Tensor::from_vec(out, &[n, oc, oh, ow]);
         let rg = self.requires(x) || self.requires(w);
         self.push(v, rg, Op::Conv2d { x, w, geom, batch: n, cols })
     }
@@ -67,30 +35,9 @@ impl Graph {
         let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
         assert!(h % 2 == 0 && w % 2 == 0, "max_pool_2x2 needs even H,W, got {h}x{w}");
         let (oh, ow) = (h / 2, w / 2);
-        let src = xv.as_slice();
         let mut out = vec![0.0f32; n * c * oh * ow];
         let mut argmax = vec![0u32; n * c * oh * ow];
-        for nc in 0..n * c {
-            let base = nc * h * w;
-            for y in 0..oh {
-                for xx in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut bidx = 0usize;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = base + (2 * y + dy) * w + 2 * xx + dx;
-                            if src[idx] > best {
-                                best = src[idx];
-                                bidx = idx;
-                            }
-                        }
-                    }
-                    let oidx = nc * oh * ow + y * ow + xx;
-                    out[oidx] = best;
-                    argmax[oidx] = bidx as u32;
-                }
-            }
-        }
+        opk::max_pool_fwd(xv.as_slice(), n * c, h, w, &mut out, &mut argmax);
         let v = Tensor::from_vec(out, &[n, c, oh, ow]);
         let rg = self.requires(x);
         self.push(v, rg, Op::MaxPool2x2 { x, argmax })
@@ -100,16 +47,9 @@ impl Graph {
     pub fn global_avg_pool(&mut self, x: Var) -> Var {
         let xv = self.value(x);
         assert_eq!(xv.ndim(), 4);
-        let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
-        let hw = h * w;
-        let src = xv.as_slice();
-        let mut out = Vec::with_capacity(n * c);
-        for nc in 0..n * c {
-            out.push(
-                src[nc * hw..(nc + 1) * hw].iter().map(|&v| v as f64).sum::<f64>() as f32
-                    / hw as f32,
-            );
-        }
+        let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
+        let mut out = vec![0.0f32; n * c];
+        opk::gap_fwd(xv.as_slice(), hw, &mut out);
         let v = Tensor::from_vec(out, &[n, c]);
         let rg = self.requires(x);
         self.push(v, rg, Op::GlobalAvgPool { x, hw })
@@ -121,60 +61,29 @@ impl Graph {
     /// Returns the normalised tensor; also exposes the batch statistics via
     /// the return of [`Graph::batch_norm_stats`] for running-average updates.
     pub fn batch_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let xv = self.value(x).clone();
+        let xv = self.value(x);
         assert_eq!(xv.ndim(), 4, "batch_norm input must be [N,C,H,W]");
-        let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
+        let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
         assert_eq!(self.value(gamma).shape(), &[c]);
         assert_eq!(self.value(beta).shape(), &[c]);
-        let m = (n * h * w) as f64;
         let src = xv.as_slice();
-        let hw = h * w;
 
-        let mut mean = vec![0.0f64; c];
-        let mut var = vec![0.0f64; c];
-        for ni in 0..n {
-            for (ci, mu) in mean.iter_mut().enumerate() {
-                let base = (ni * c + ci) * hw;
-                for &v in &src[base..base + hw] {
-                    *mu += v as f64;
-                }
-            }
-        }
-        for mu in &mut mean {
-            *mu /= m;
-        }
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * hw;
-                for &v in &src[base..base + hw] {
-                    let d = v as f64 - mean[ci];
-                    var[ci] += d * d;
-                }
-            }
-        }
-        for va in &mut var {
-            *va /= m;
-        }
-
-        let inv_std: Vec<f32> =
-            var.iter().map(|&v| (1.0 / (v + eps as f64).sqrt()) as f32).collect();
-        let gm = self.value(gamma).as_slice().to_vec();
-        let bt = self.value(beta).as_slice().to_vec();
-
+        let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
+        opk::bn_stats(src, [n, c, hw], &mut mean, &mut var);
+        let mut inv_std = vec![0.0f32; c];
         let mut xh = vec![0.0f32; src.len()];
         let mut out = vec![0.0f32; src.len()];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * hw;
-                let mu = mean[ci] as f32;
-                let is = inv_std[ci];
-                for k in 0..hw {
-                    let xhat = (src[base + k] - mu) * is;
-                    xh[base + k] = xhat;
-                    out[base + k] = gm[ci] * xhat + bt[ci];
-                }
-            }
-        }
+        opk::bn_fwd(
+            src,
+            [n, c, hw],
+            (&mean, &var),
+            eps,
+            self.value(gamma).as_slice(),
+            self.value(beta).as_slice(),
+            &mut inv_std,
+            &mut xh,
+            &mut out,
+        );
         let x_hat = Tensor::from_vec(xh, xv.shape());
         let v = Tensor::from_vec(out, xv.shape());
         let rg = self.requires(x) || self.requires(gamma) || self.requires(beta);
@@ -195,35 +104,9 @@ impl Graph {
     /// Per-channel batch mean and (biased) variance of `[N,C,H,W]` — what a
     /// layer needs to maintain running statistics for inference.
     pub fn batch_norm_stats(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let hw = h * w;
-        let m = (n * hw) as f64;
-        let src = x.as_slice();
-        let mut mean = vec![0.0f64; c];
-        for ni in 0..n {
-            for (ci, mu) in mean.iter_mut().enumerate() {
-                let base = (ni * c + ci) * hw;
-                for &v in &src[base..base + hw] {
-                    *mu += v as f64;
-                }
-            }
-        }
-        for mu in &mut mean {
-            *mu /= m;
-        }
-        let mut var = vec![0.0f64; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * hw;
-                for &v in &src[base..base + hw] {
-                    let d = v as f64 - mean[ci];
-                    var[ci] += d * d;
-                }
-            }
-        }
-        for va in &mut var {
-            *va /= m;
-        }
+        let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
+        let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
+        opk::bn_stats(x.as_slice(), [n, c, hw], &mut mean, &mut var);
         (
             mean.into_iter().map(|x| x as f32).collect(),
             var.into_iter().map(|x| x as f32).collect(),
@@ -276,7 +159,10 @@ impl Graph {
     pub(crate) fn backward_conv(&mut self, op: &Op, _v: Var, up: &Tensor) {
         match op {
             Op::Conv2d { x, w, geom, batch, cols } => {
-                let up2 = from_nchw(up); // [N·OH·OW, OC]
+                let (oc, oh, ow) = (up.dim(1), up.dim(2), up.dim(3));
+                let mut up2 = vec![0.0f32; up.numel()];
+                opk::from_nchw(up.as_slice(), *batch, oc, oh, ow, &mut up2);
+                let up2 = Tensor::from_vec(up2, &[batch * oh * ow, oc]);
                 if self.requires(*w) {
                     // dW = up2ᵀ · cols → [OC, CKK]
                     let dw = up2.t_matmul(cols);
@@ -291,46 +177,20 @@ impl Graph {
             Op::MaxPool2x2 { x, argmax } => {
                 let xv = self.value(*x);
                 let mut dx = vec![0.0f32; xv.numel()];
-                let us = up.as_slice();
-                for (o, &src_idx) in argmax.iter().enumerate() {
-                    dx[src_idx as usize] += us[o];
-                }
+                opk::max_pool_bwd(&mut dx, Mode::Store, &mut [], up.as_slice(), argmax);
                 self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
             }
             Op::GlobalAvgPool { x, hw } => {
                 let xv = self.value(*x);
-                let (n, c) = (xv.dim(0), xv.dim(1));
                 let mut dx = vec![0.0f32; xv.numel()];
-                let us = up.as_slice();
-                let inv = 1.0 / *hw as f32;
-                for nc in 0..n * c {
-                    let g = us[nc] * inv;
-                    dx[nc * hw..(nc + 1) * hw].iter_mut().for_each(|v| *v = g);
-                }
+                opk::gap_bwd(&mut dx, Mode::Store, up.as_slice(), *hw);
                 self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
             }
             Op::BatchNorm { x, gamma, beta, x_hat, inv_std, eps: _ } => {
                 let xv = self.value(*x).clone();
-                let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
-                let hw = h * w;
-                let m = (n * hw) as f32;
-                let us = up.as_slice();
-                let xh = x_hat.as_slice();
-                let gm = self.value(*gamma).as_slice().to_vec();
-                let is = inv_std.as_slice().to_vec();
-
-                // per-channel sums
-                let mut sum_up = vec![0.0f64; c];
-                let mut sum_up_xh = vec![0.0f64; c];
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        for k in 0..hw {
-                            sum_up[ci] += us[base + k] as f64;
-                            sum_up_xh[ci] += (us[base + k] * xh[base + k]) as f64;
-                        }
-                    }
-                }
+                let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
+                let (mut sum_up, mut sum_up_xh) = (vec![0.0f64; c], vec![0.0f64; c]);
+                opk::bn_bwd_sums(up.as_slice(), x_hat.as_slice(), c, hw, &mut sum_up, &mut sum_up_xh);
                 if self.requires(*gamma) {
                     let dg: Vec<f32> = sum_up_xh.iter().map(|&v| v as f32).collect();
                     self.accumulate(*gamma, Tensor::from_vec(dg, &[c]));
@@ -341,18 +201,16 @@ impl Graph {
                 }
                 if self.requires(*x) {
                     let mut dx = vec![0.0f32; xv.numel()];
-                    for ni in 0..n {
-                        for ci in 0..c {
-                            let base = (ni * c + ci) * hw;
-                            let coef = gm[ci] * is[ci] / m;
-                            let su = sum_up[ci] as f32;
-                            let suxh = sum_up_xh[ci] as f32;
-                            for k in 0..hw {
-                                dx[base + k] =
-                                    coef * (m * us[base + k] - su - xh[base + k] * suxh);
-                            }
-                        }
-                    }
+                    opk::bn_bwd_dx(
+                        &mut dx,
+                        Mode::Store,
+                        up.as_slice(),
+                        x_hat.as_slice(),
+                        [n, c, hw],
+                        self.value(*gamma).as_slice(),
+                        inv_std.as_slice(),
+                        (&sum_up, &sum_up_xh),
+                    );
                     self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
                 }
             }

@@ -2,6 +2,7 @@
 //! ignore-index masking for padded sequence batches).
 
 use crate::graph::{Graph, Op, Var, IGNORE_INDEX};
+use crate::opk::{self, Mode};
 use legw_tensor::Tensor;
 
 impl Graph {
@@ -9,13 +10,9 @@ impl Graph {
     pub fn embedding(&mut self, table: Var, ids: &[usize]) -> Var {
         let t = self.value(table);
         assert_eq!(t.ndim(), 2, "embedding table must be 2-D");
-        let (vocab, dim) = (t.dim(0), t.dim(1));
-        let src = t.as_slice();
-        let mut out = Vec::with_capacity(ids.len() * dim);
-        for &id in ids {
-            assert!(id < vocab, "embedding id {id} out of vocab {vocab}");
-            out.extend_from_slice(&src[id * dim..(id + 1) * dim]);
-        }
+        let dim = t.dim(1);
+        let mut out = vec![0.0f32; ids.len() * dim];
+        opk::embed_fwd(t.as_slice(), ids, dim, &mut out);
         let v = Tensor::from_vec(out, &[ids.len(), dim]);
         let rg = self.requires(table);
         self.push(v, rg, Op::Embedding { table, ids: ids.to_vec() })
@@ -38,20 +35,9 @@ impl Graph {
         assert_eq!(lv.ndim(), 2, "logits must be [B,V]");
         let (b, vsz) = (lv.dim(0), lv.dim(1));
         assert_eq!(labels.len(), b, "one label per logit row");
-        let probs = lv.softmax_rows();
-        let p = probs.as_slice();
-        let mut total = 0.0f64;
-        let mut active = 0usize;
-        for (i, &y) in labels.iter().enumerate() {
-            if y == IGNORE_INDEX {
-                continue;
-            }
-            assert!(y < vsz, "label {y} out of vocab {vsz}");
-            // clamp avoids -inf on underflowed probabilities
-            total -= (p[i * vsz + y].max(1e-30) as f64).ln();
-            active += 1;
-        }
-        let mean = if active == 0 { 0.0 } else { (total / active as f64) as f32 };
+        let mut probs = vec![0.0f32; b * vsz];
+        let (mean, active) = opk::ce_fwd(lv.as_slice(), labels, vsz, &mut probs);
+        let probs = Tensor::from_vec(probs, &[b, vsz]);
         let rg = self.requires(logits);
         self.push(
             Tensor::scalar(mean),
@@ -71,53 +57,23 @@ impl Graph {
                 let t = self.value(*table);
                 let (vocab, dim) = (t.dim(0), t.dim(1));
                 let mut dt = vec![0.0f32; vocab * dim];
-                let us = up.as_slice();
-                for (i, &id) in ids.iter().enumerate() {
-                    let dst = &mut dt[id * dim..(id + 1) * dim];
-                    let src = &us[i * dim..(i + 1) * dim];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d += s;
-                    }
-                }
+                opk::embed_bwd(&mut dt, Mode::Store, &mut [], up.as_slice(), ids, dim);
                 self.accumulate(*table, Tensor::from_vec(dt, &[vocab, dim]));
             }
             Op::SoftmaxRows(a) => {
-                // dx_ij = y_ij (up_ij − Σ_k up_ik y_ik)
-                let y = self.nodes[v.0].value.clone();
+                let y = &self.nodes[v.0].value;
                 let (m, n) = (y.dim(0), y.dim(1));
-                let ys = y.as_slice();
-                let us = up.as_slice();
                 let mut dx = vec![0.0f32; m * n];
-                for i in 0..m {
-                    let row = i * n..(i + 1) * n;
-                    let dot: f32 = ys[row.clone()]
-                        .iter()
-                        .zip(&us[row.clone()])
-                        .map(|(a, b)| a * b)
-                        .sum();
-                    for j in 0..n {
-                        dx[i * n + j] = ys[i * n + j] * (us[i * n + j] - dot);
-                    }
-                }
+                opk::softmax_bwd(&mut dx, Mode::Store, up.as_slice(), y.as_slice(), n);
                 self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
             }
             Op::SoftmaxCrossEntropy { logits, labels, probs, active } => {
                 if *active == 0 {
-                    return;
+                    return; // no contribution: the subtree stays gradient-free
                 }
-                let seed = up.item() / *active as f32;
                 let (b, vsz) = (probs.dim(0), probs.dim(1));
                 let mut dl = vec![0.0f32; b * vsz];
-                let p = probs.as_slice();
-                for (i, &y) in labels.iter().enumerate() {
-                    if y == IGNORE_INDEX {
-                        continue;
-                    }
-                    for j in 0..vsz {
-                        let indicator = if j == y { 1.0 } else { 0.0 };
-                        dl[i * vsz + j] = seed * (p[i * vsz + j] - indicator);
-                    }
-                }
+                opk::ce_bwd(&mut dl, Mode::Store, up.item(), probs.as_slice(), labels, *active, vsz);
                 self.accumulate(*logits, Tensor::from_vec(dl, &[b, vsz]));
             }
             _ => unreachable!("backward_loss called with non-loss op"),

@@ -25,6 +25,7 @@
 //! no gradient at all (e.g. only the cell state feeds the loss).
 
 use crate::graph::{Graph, Op, Var};
+use crate::opk::{self, Mode};
 use legw_tensor::{lstm_cell_backward, lstm_cell_forward, Tensor};
 
 impl Graph {
@@ -144,12 +145,9 @@ impl Graph {
                         let z = self.nodes[seq.0].value.zeros_like();
                         self.nodes[seq.0].grad = Some(z);
                     }
-                    let cols = up.dim(1);
                     let g = self.nodes[seq.0].grad.as_mut().unwrap();
-                    let dst = &mut g.as_mut_slice()[t * batch * cols..(t + 1) * batch * cols];
-                    for (d, &s) in dst.iter_mut().zip(up.as_slice()) {
-                        *d += s;
-                    }
+                    let off = t * batch * up.dim(1);
+                    opk::block(g.as_mut_slice(), Mode::Add, up.as_slice(), off, false);
                 }
             }
             _ => unreachable!("backward_lstm on non-LSTM op"),

@@ -13,12 +13,11 @@
 //! [`Plan::replay_forward`] / [`Plan::replay_backward_loss`] then re-run
 //! the step on new data with no tape recording, no shape checks, and no
 //! per-node allocation: every instruction writes into storage that was
-//! sized at capture. The interpreters mirror the tape kernels
-//! operation-for-operation (same loop order, same rounding chains, same
-//! f64 accumulators), so a replayed step is bitwise identical to
-//! rebuilding the tape — except where a plan intentionally splits a
-//! graph (documented at the call sites) and f32 reassociation bounds the
-//! difference at ~1e-5.
+//! sized at capture. Every instruction calls the body its tape op calls —
+//! the slice kernels of [`crate::opk`] and `legw_tensor`'s `_into`
+//! functions — so a replayed step is bitwise identical to rebuilding the
+//! tape, except where a plan intentionally splits a graph (documented at
+//! the call sites) and f32 reassociation bounds the difference at ~1e-5.
 //!
 //! **Weights are packed once per replay.** A GEMM whose B operand is a
 //! parameter — or a row-slice / reshape of one, like the `W_x` / `W_h`
@@ -41,11 +40,13 @@
 //! shape-changing invalidates the plan (callers key plans by shape and
 //! fall back to the tape on unseen shapes).
 
-use crate::graph::{Graph, Op, Var, IGNORE_INDEX};
+use crate::graph::{Graph, Op, Var};
+use crate::opk::{self, apply, Mode};
 use legw_tensor::kernels::{self, Kernel};
 use legw_tensor::{
-    col2im_into, gemm_into, gemm_into_packed, im2col_into, lstm_cell_backward_into,
-    lstm_cell_forward_into, Conv2dGeom, PackedB, Tensor,
+    col2im_into, col_sums_into, concat_cols_into, gemm_into, gemm_into_packed, im2col_into,
+    lstm_cell_backward_into, lstm_cell_forward_into, repeat_rows_into, slice_cols_into,
+    softmax_rows_into, Conv2dGeom, PackedB, Tensor,
 };
 use std::collections::HashMap;
 
@@ -142,14 +143,6 @@ enum Rhs {
     Panel(u32),
 }
 
-/// First contribution to a gradient stores; later ones add — mirroring
-/// `Graph::accumulate`'s store-then-axpy behaviour bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    Store,
-    Add,
-}
-
 #[derive(Clone, Copy, Debug)]
 enum EwKind {
     Add,
@@ -177,8 +170,9 @@ enum Instr {
     Unary { kind: UnKind, a: Loc, dst: Dst, n: usize },
     AddBias { x: Loc, bias: Loc, dst: Dst, rows: usize, cols: usize },
     RowScale { x: Loc, s: Loc, dst: Dst, rows: usize, cols: usize },
-    /// `dst (+)= op(a) · op(b)`; `Mode::Add` detours through scratch so the
-    /// elementwise add matches the tape's separate-GEMM-then-axpy bitwise.
+    /// `dst (+)= op(a) · op(b)`; `Mode::Add` detours through scratch
+    /// ([`opk::store_or_add`]): the tape adds a finished product, and
+    /// accumulating in-engine across k-blocks would reassociate.
     Gemm { ta: bool, tb: bool, a: Loc, b: Rhs, m: usize, k: usize, n: usize, dst: Dst, mode: Mode },
     ConcatColsF { parts: Vec<(Loc, usize)>, dst: Dst, rows: usize, total: usize },
     SliceColsF { x: Loc, dst: Dst, rows: usize, cols: usize, start: usize, end: usize },
@@ -220,7 +214,8 @@ enum Instr {
     /// ConcatCols backward for one part: read a column block of `up`.
     ColsBlockG { up: Loc, dst: Dst, mode: Mode, rows: usize, up_cols: usize, off: usize, width: usize },
     /// SliceCols backward: scatter `up [rows, end-start]` into a wider
-    /// gradient, reproducing the tape's zero padding (and its zero-adds).
+    /// gradient whose other columns receive the dense gradient's literal
+    /// zeros (an add-mode destination really runs `d += 0.0` there).
     ColsScatterG { up: Loc, dst: Dst, mode: Mode, rows: usize, dst_cols: usize, start: usize, end: usize },
     /// Contiguous row-block gradient: ConcatRows part (read a block of
     /// `up`) or SliceRows (scatter into a zero-padded block when
@@ -247,6 +242,7 @@ enum Instr {
 
 /// Per-BatchNorm runtime scratch: f64 accumulators sized `[C]` plus the
 /// f32 batch statistics exposed for running-average updates.
+#[derive(Default)]
 struct BnRt {
     mean: Vec<f64>,
     var: Vec<f64>,
@@ -330,10 +326,13 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Compiles the recorded tape into a plan. Returns `None` when the
-    /// graph cannot be captured (a `requires_grad` leaf missing from
-    /// `spec.params`, a leaf listed as output, a non-scalar or
-    /// non-differentiable loss…): callers fall back to the tape.
+    /// Compiles the recorded tape into a plan. Returns `None` only when
+    /// `spec` does not describe the tape: an empty tape, a `spec.params` /
+    /// `spec.inputs` entry that is not a leaf of that kind or is listed
+    /// twice, a `requires_grad` leaf missing from `spec.params`, a leaf or
+    /// repeated output, a non-scalar or non-differentiable loss. No op is
+    /// beyond a plan — the capture matches `Op` exhaustively, so a new op
+    /// fails to compile, not to capture. Callers fall back to the tape.
     ///
     /// Call after the forward pass — running `backward` first is fine
     /// (the sweep restores every op it visits).
@@ -583,20 +582,6 @@ impl DstBuf {
     }
 }
 
-impl BnRt {
-    fn empty() -> Self {
-        BnRt {
-            mean: Vec::new(),
-            var: Vec::new(),
-            sum_up: Vec::new(),
-            sum_up_xh: Vec::new(),
-            mean_f32: Vec::new(),
-            var_f32: Vec::new(),
-            inv_std: Vec::new(),
-        }
-    }
-}
-
 impl Store {
     fn read<'a>(&'a self, loc: Loc, inputs: &'a [&'a Tensor], params: &'a [&'a Tensor]) -> &'a [f32] {
         match loc {
@@ -628,6 +613,24 @@ impl Store {
             (Dst::ParGrad(i), DstBuf::T(t)) => self.pargrads[i as usize] = t,
             _ => unreachable!("dst kind changed between take and put"),
         }
+    }
+
+    /// Runs `f(dst, self)` with destination `d` moved out of the store, so
+    /// `f` reads any operand while it writes this one.
+    fn write(&mut self, d: Dst, f: impl FnOnce(&mut [f32], &Store)) {
+        let mut buf = self.take(d);
+        f(buf.s(), self);
+        self.put(d, buf);
+    }
+
+    /// [`Store::write`] that also hands `f` the shared scratch buffer, for
+    /// bodies that bounce an add-mode contribution through it
+    /// ([`opk::store_or_add`]). Capture sized the scratch over every
+    /// consumer in the final schedule; a replay never grows it.
+    fn write_scr(&mut self, d: Dst, f: impl FnOnce(&mut [f32], &mut [f32], &Store)) {
+        let mut scr = std::mem::take(&mut self.scratch);
+        self.write(d, |o, st| f(o, &mut scr, st));
+        self.scratch = scr;
     }
 
     fn take_state(&mut self, i: u32) -> Vec<f32> {
@@ -688,24 +691,6 @@ impl Store {
 
 // ---------------------------------------------------------------- executor
 
-/// Store-or-add `f(i)` over `dst`: `Mode::Store` writes the contribution,
-/// `Mode::Add` does `dst[i] += f(i)` — the exact elementwise chain of
-/// `Graph::accumulate`'s store / axpy branches.
-fn apply(dst: &mut [f32], mode: Mode, f: impl Fn(usize) -> f32) {
-    match mode {
-        Mode::Store => {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = f(i);
-            }
-        }
-        Mode::Add => {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d += f(i);
-            }
-        }
-    }
-}
-
 /// Elementwise sweeps longer than this fan out in fixed-size chunks over
 /// the ambient thread pool. Chunks are disjoint and every element is a pure
 /// function of the operands, so any thread count produces the serial
@@ -722,18 +707,9 @@ fn par_apply(dst: &mut [f32], mode: Mode, f: impl Fn(usize) -> f32 + Sync) {
     if pool.threads() == 1 {
         return apply(dst, mode, f);
     }
-    match mode {
-        Mode::Store => legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |start, chunk| {
-            for (off, d) in chunk.iter_mut().enumerate() {
-                *d = f(start + off);
-            }
-        }),
-        Mode::Add => legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |start, chunk| {
-            for (off, d) in chunk.iter_mut().enumerate() {
-                *d += f(start + off);
-            }
-        }),
-    }
+    legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |start, chunk| {
+        apply(chunk, mode, |off| f(start + off))
+    });
 }
 
 /// `dst[i] = f(src[i])` through a runtime-dispatched activation sweep,
@@ -808,204 +784,105 @@ fn kind_name(ins: &Instr) -> &'static str {
     }
 }
 
-/// Executes one instruction against the store. Elementwise sweeps go
-/// through [`par_apply`] (bitwise equal to the tape's chunk-parallel maps,
-/// which apply the same pure per-element function); GEMMs run on the
-/// ambient thread pool — the same engine the tape's `matmul` family uses.
+/// Executes one instruction against the store: take the destination, read
+/// the operands, call the op's body — a one-operation closure under
+/// [`par_apply`], or the kernel in [`crate::opk`] / `legw_tensor` that the
+/// tape op calls too — and put the destination back. GEMMs run on the
+/// ambient thread pool, the same engine the tape's `matmul` family uses.
 fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
     match ins {
         // ------------------------------------------------------------ forward
-        Instr::Ew { kind, a, b, dst, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let av = st.read(*a, inputs, params);
-                let bv = st.read(*b, inputs, params);
-                debug_assert_eq!(buf.s().len(), *n);
-                match kind {
-                    EwKind::Add => par_apply(buf.s(), Mode::Store, |i| av[i] + bv[i]),
-                    EwKind::Sub => par_apply(buf.s(), Mode::Store, |i| av[i] - bv[i]),
-                    EwKind::Mul => par_apply(buf.s(), Mode::Store, |i| av[i] * bv[i]),
-                }
+        Instr::Ew { kind, a, b, dst, n } => st.write(*dst, |o, st| {
+            let (av, bv) = (st.read(*a, inputs, params), st.read(*b, inputs, params));
+            debug_assert_eq!(o.len(), *n);
+            match kind {
+                EwKind::Add => par_apply(o, Mode::Store, |i| av[i] + bv[i]),
+                EwKind::Sub => par_apply(o, Mode::Store, |i| av[i] - bv[i]),
+                EwKind::Mul => par_apply(o, Mode::Store, |i| av[i] * bv[i]),
             }
-            st.put(*dst, buf);
-        }
-        Instr::Unary { kind, a, dst, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let av = st.read(*a, inputs, params);
-                debug_assert_eq!(buf.s().len(), *n);
-                match kind {
-                    UnKind::Sigmoid => par_sweep_map(buf.s(), av, kernels::sigmoid_sweep),
-                    UnKind::Tanh => par_sweep_map(buf.s(), av, kernels::tanh_sweep),
-                    UnKind::Relu => par_apply(buf.s(), Mode::Store, |i| av[i].max(0.0)),
-                    UnKind::Scale(c) => par_apply(buf.s(), Mode::Store, |i| av[i] * c),
-                    UnKind::AddScalar(c) => par_apply(buf.s(), Mode::Store, |i| av[i] + c),
-                }
+        }),
+        Instr::Unary { kind, a, dst, n } => st.write(*dst, |o, st| {
+            let av = st.read(*a, inputs, params);
+            debug_assert_eq!(o.len(), *n);
+            match kind {
+                UnKind::Sigmoid => par_sweep_map(o, av, kernels::sigmoid_sweep),
+                UnKind::Tanh => par_sweep_map(o, av, kernels::tanh_sweep),
+                UnKind::Relu => par_apply(o, Mode::Store, |i| av[i].max(0.0)),
+                UnKind::Scale(c) => par_apply(o, Mode::Store, |i| av[i] * c),
+                UnKind::AddScalar(c) => par_apply(o, Mode::Store, |i| av[i] + c),
             }
-            st.put(*dst, buf);
-        }
-        Instr::AddBias { x, bias, dst, rows, cols } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                let bv = st.read(*bias, inputs, params);
-                debug_assert_eq!(buf.s().len(), rows * cols);
-                par_apply(buf.s(), Mode::Store, |i| xv[i] + bv[i % cols]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::RowScale { x, s, dst, rows, cols } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                let sv = st.read(*s, inputs, params);
-                debug_assert_eq!(buf.s().len(), rows * cols);
-                par_apply(buf.s(), Mode::Store, |i| xv[i] * sv[i / cols]);
-            }
-            st.put(*dst, buf);
-        }
+        }),
+        Instr::AddBias { x, bias, dst, rows, cols } => st.write(*dst, |o, st| {
+            let (xv, bv) = (st.read(*x, inputs, params), st.read(*bias, inputs, params));
+            debug_assert_eq!(o.len(), rows * cols);
+            par_apply(o, Mode::Store, |i| xv[i] + bv[i % cols]);
+        }),
+        Instr::RowScale { x, s, dst, rows, cols } => st.write(*dst, |o, st| {
+            let (xv, sv) = (st.read(*x, inputs, params), st.read(*s, inputs, params));
+            debug_assert_eq!(o.len(), rows * cols);
+            par_apply(o, Mode::Store, |i| xv[i] * sv[i / cols]);
+        }),
         Instr::Gemm { ta, tb, a, b, m, k, n, dst, mode } => {
             st.refresh(*b, params);
-            let mut buf = st.take(*dst);
-            match mode {
-                Mode::Store => {
-                    let av = st.read(*a, inputs, params);
-                    st.gemm(*ta, *tb, av, *b, [*m, *k, *n], buf.s(), false, inputs, params);
-                }
-                Mode::Add => {
-                    // fresh product then elementwise add — the tape computes
-                    // the gradient GEMM into a new tensor and axpy-adds it,
-                    // and in-engine accumulation (acc=true) would reassociate
-                    let mut scr = std::mem::take(&mut st.scratch);
-                    {
-                        let av = st.read(*a, inputs, params);
-                        // Capture sized the scratch over every consumer in
-                        // the final schedule; a replay must never grow it.
-                        debug_assert!(scr.len() >= *m * *n, "scratch undersized for Gemm Add");
-                        let s = &mut scr[..*m * *n];
-                        st.gemm(*ta, *tb, av, *b, [*m, *k, *n], s, false, inputs, params);
-                        for (d, &sv) in buf.s().iter_mut().zip(s.iter()) {
-                            *d += sv;
-                        }
-                    }
-                    st.scratch = scr;
-                }
-            }
-            st.put(*dst, buf);
+            st.write_scr(*dst, |o, scr, st| {
+                let av = st.read(*a, inputs, params);
+                opk::store_or_add(o, *mode, scr, |out| {
+                    st.gemm(*ta, *tb, av, *b, [*m, *k, *n], out, false, inputs, params)
+                });
+            });
         }
         Instr::GemmAcc { ta, tb, a, b, m, k, n, dst } => {
             st.refresh(*b, params);
-            let mut buf = st.take(*dst);
-            {
+            st.write(*dst, |o, st| {
                 let av = st.read(*a, inputs, params);
                 // Single k-block: the engine adds the identical micro-tile
                 // product with exactly one `+=` per element — no scratch.
                 debug_assert!(legw_tensor::gemm_single_k_block(*k));
-                st.gemm(*ta, *tb, av, *b, [*m, *k, *n], buf.s(), true, inputs, params);
-            }
-            st.put(*dst, buf);
+                st.gemm(*ta, *tb, av, *b, [*m, *k, *n], o, true, inputs, params);
+            });
         }
-        Instr::ConcatColsF { parts, dst, rows, total } => {
-            let mut buf = st.take(*dst);
-            {
-                let o = buf.s();
-                let mut off = 0usize;
-                for (loc, w) in parts {
-                    let src = st.read(*loc, inputs, params);
-                    for r in 0..*rows {
-                        o[r * *total + off..r * *total + off + w]
-                            .copy_from_slice(&src[r * w..(r + 1) * w]);
-                    }
-                    off += w;
-                }
+        Instr::ConcatColsF { parts, dst, rows, total } => st.write(*dst, |o, st| {
+            let mut off = 0usize;
+            for (loc, w) in parts {
+                concat_cols_into(st.read(*loc, inputs, params), *rows, *w, o, *total, off);
+                off += w;
             }
-            st.put(*dst, buf);
-        }
-        Instr::SliceColsF { x, dst, rows, cols, start, end } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                let o = buf.s();
-                let w = *end - *start;
-                for r in 0..*rows {
-                    o[r * w..(r + 1) * w]
-                        .copy_from_slice(&xv[r * *cols + *start..r * *cols + *end]);
-                }
-            }
-            st.put(*dst, buf);
-        }
-        Instr::CopyBlock { src, src_off, dst, dst_off, len } => {
-            let mut buf = st.take(*dst);
-            {
-                let sv = st.read(*src, inputs, params);
-                buf.s()[*dst_off..*dst_off + *len]
-                    .copy_from_slice(&sv[*src_off..*src_off + *len]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::SumAllF { x, dst, n, mean } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                let s = xv.iter().map(|&t| t as f64).sum::<f64>() as f32;
-                buf.s()[0] = if *mean { s / *n as f32 } else { s };
-            }
-            st.put(*dst, buf);
-        }
-        Instr::DropoutF { x, mask, dst, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                let mv = st.masks[*mask as usize].as_slice();
-                debug_assert_eq!(buf.s().len(), *n);
-                par_apply(buf.s(), Mode::Store, |i| xv[i] * mv[i]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::EmbedF { table, feed, dst, vocab, dim, count } => {
-            let mut buf = st.take(*dst);
-            {
-                let tv = st.read(*table, inputs, params);
-                let ids = &st.ids[*feed as usize];
-                debug_assert_eq!(ids.len(), *count);
-                let o = buf.s();
-                for (i, &id) in ids.iter().enumerate() {
-                    assert!(id < *vocab, "embedding id {id} out of vocab {vocab}");
-                    o[i * *dim..(i + 1) * *dim]
-                        .copy_from_slice(&tv[id * *dim..(id + 1) * *dim]);
-                }
-            }
-            st.put(*dst, buf);
-        }
-        Instr::SoftmaxF { x, dst, m, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                softmax_rows_into(xv, *m, *n, buf.s());
-            }
-            st.put(*dst, buf);
-        }
+        }),
+        Instr::SliceColsF { x, dst, rows, cols, start, end } => st.write(*dst, |o, st| {
+            slice_cols_into(st.read(*x, inputs, params), *rows, *cols, *start, *end, o);
+        }),
+        Instr::CopyBlock { src, src_off, dst, dst_off, len } => st.write(*dst, |o, st| {
+            let sv = st.read(*src, inputs, params);
+            o[*dst_off..*dst_off + *len].copy_from_slice(&sv[*src_off..*src_off + *len]);
+        }),
+        Instr::SumAllF { x, dst, n, mean } => st.write(*dst, |o, st| {
+            let xv = st.read(*x, inputs, params);
+            debug_assert_eq!(xv.len(), *n);
+            o[0] = opk::sum_all(xv, *mean);
+        }),
+        Instr::DropoutF { x, mask, dst, n } => st.write(*dst, |o, st| {
+            let xv = st.read(*x, inputs, params);
+            let mv = st.masks[*mask as usize].as_slice();
+            debug_assert_eq!(o.len(), *n);
+            par_apply(o, Mode::Store, |i| xv[i] * mv[i]);
+        }),
+        Instr::EmbedF { table, feed, dst, vocab, dim, count } => st.write(*dst, |o, st| {
+            let tv = st.read(*table, inputs, params);
+            let ids = &st.ids[*feed as usize];
+            debug_assert!(ids.len() == *count && tv.len() == vocab * dim);
+            opk::embed_fwd(tv, ids, *dim, o);
+        }),
+        Instr::SoftmaxF { x, dst, m, n } => st.write(*dst, |o, st| {
+            softmax_rows_into(st.read(*x, inputs, params), *m, *n, o);
+        }),
         Instr::CeF { logits, probs, labels, rt, dst, b, v } => {
             let mut pv = st.take_state(*probs);
-            let mut buf = st.take(*dst);
             let mut active = 0usize;
-            {
-                let lv = st.read(*logits, inputs, params);
+            st.write(*dst, |o, st| {
                 let lab = &st.labels[*labels as usize];
                 debug_assert_eq!(lab.len(), *b);
-                softmax_rows_into(lv, *b, *v, &mut pv);
-                let mut total = 0.0f64;
-                for (i, &y) in lab.iter().enumerate() {
-                    if y == IGNORE_INDEX {
-                        continue;
-                    }
-                    assert!(y < *v, "label {y} out of vocab {v}");
-                    total -= (pv[i * *v + y].max(1e-30) as f64).ln();
-                    active += 1;
-                }
-                buf.s()[0] = if active == 0 { 0.0 } else { (total / active as f64) as f32 };
-            }
-            st.put(*dst, buf);
+                (o[0], active) = opk::ce_fwd(st.read(*logits, inputs, params), lab, *v, &mut pv);
+            });
             st.put_state(*probs, pv);
             st.ce_active[*rt as usize] = active;
         }
@@ -1013,133 +890,40 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
             st.refresh(*w, params);
             let mut colv = st.take_state(*cols);
             let mut o2 = st.take_state(*out2);
-            let mut buf = st.take(*dst);
-            {
-                let xv = st.read(*x, inputs, params);
-                im2col_into(xv, *batch, geom, &mut colv);
+            st.write(*dst, |o, st| {
+                im2col_into(st.read(*x, inputs, params), *batch, geom, &mut colv);
                 let (oh, ow) = (geom.oh(), geom.ow());
-                let rows = *batch * oh * ow;
-                let ckk = geom.c * geom.kh * geom.kw;
-                st.gemm(false, true, &colv, *w, [rows, ckk, *oc], &mut o2, false, inputs, params);
-                // permute [N·OH·OW, OC] → [N,OC,OH,OW]
-                let o = buf.s();
-                for ni in 0..*batch {
-                    for y in 0..oh {
-                        for xx in 0..ow {
-                            let row = ((ni * oh + y) * ow + xx) * *oc;
-                            for oi in 0..*oc {
-                                o[((ni * *oc + oi) * oh + y) * ow + xx] = o2[row + oi];
-                            }
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
+                let dims = [*batch * oh * ow, geom.c * geom.kh * geom.kw, *oc];
+                st.gemm(false, true, &colv, *w, dims, &mut o2, false, inputs, params);
+                opk::to_nchw(&o2, *batch, *oc, oh, ow, o);
+            });
             st.put_state(*out2, o2);
             st.put_state(*cols, colv);
         }
         Instr::MaxPoolF { x, dst, am, nc, h, w } => {
             let mut amv = std::mem::take(&mut st.argmax[*am as usize]);
-            let mut buf = st.take(*dst);
-            {
-                let src = st.read(*x, inputs, params);
-                let (oh, ow) = (*h / 2, *w / 2);
-                let o = buf.s();
-                for nci in 0..*nc {
-                    let base = nci * *h * *w;
-                    for y in 0..oh {
-                        for xx in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut bidx = 0usize;
-                            for dy in 0..2 {
-                                for dxx in 0..2 {
-                                    let idx = base + (2 * y + dy) * *w + 2 * xx + dxx;
-                                    if src[idx] > best {
-                                        best = src[idx];
-                                        bidx = idx;
-                                    }
-                                }
-                            }
-                            let oidx = nci * oh * ow + y * ow + xx;
-                            o[oidx] = best;
-                            amv[oidx] = bidx as u32;
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
+            st.write(*dst, |o, st| {
+                opk::max_pool_fwd(st.read(*x, inputs, params), *nc, *h, *w, o, &mut amv);
+            });
             st.argmax[*am as usize] = amv;
         }
-        Instr::GapF { x, dst, nc, hw } => {
-            let mut buf = st.take(*dst);
-            {
-                let src = st.read(*x, inputs, params);
-                let o = buf.s();
-                for nci in 0..*nc {
-                    o[nci] = src[nci * *hw..(nci + 1) * *hw]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>() as f32
-                        / *hw as f32;
-                }
-            }
-            st.put(*dst, buf);
-        }
+        Instr::GapF { x, dst, nc, hw } => st.write(*dst, |o, st| {
+            debug_assert_eq!(o.len(), *nc);
+            opk::gap_fwd(st.read(*x, inputs, params), *hw, o);
+        }),
         Instr::BnF { x, gamma, beta, xhat, rt, dst, n, c, hw, eps } => {
             let mut xh = st.take_state(*xhat);
-            let mut r = std::mem::replace(&mut st.bn[*rt as usize], BnRt::empty());
-            let mut buf = st.take(*dst);
-            {
+            let mut r = std::mem::take(&mut st.bn[*rt as usize]);
+            st.write(*dst, |o, st| {
                 let src = st.read(*x, inputs, params);
                 let gm = st.read(*gamma, inputs, params);
                 let bt = st.read(*beta, inputs, params);
-                let (n, c, hw) = (*n, *c, *hw);
-                let m = (n * hw) as f64;
-                r.mean.iter_mut().for_each(|v| *v = 0.0);
-                r.var.iter_mut().for_each(|v| *v = 0.0);
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        for &v in &src[base..base + hw] {
-                            r.mean[ci] += v as f64;
-                        }
-                    }
-                }
-                for mu in &mut r.mean {
-                    *mu /= m;
-                }
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        for &v in &src[base..base + hw] {
-                            let d = v as f64 - r.mean[ci];
-                            r.var[ci] += d * d;
-                        }
-                    }
-                }
-                for va in &mut r.var {
-                    *va /= m;
-                }
-                for ci in 0..c {
-                    r.inv_std[ci] = (1.0 / (r.var[ci] + *eps as f64).sqrt()) as f32;
-                    r.mean_f32[ci] = r.mean[ci] as f32;
-                    r.var_f32[ci] = r.var[ci] as f32;
-                }
-                let o = buf.s();
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        let mu = r.mean[ci] as f32;
-                        let is = r.inv_std[ci];
-                        for k in 0..hw {
-                            let xhat_v = (src[base + k] - mu) * is;
-                            xh[base + k] = xhat_v;
-                            o[base + k] = gm[ci] * xhat_v + bt[ci];
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
+                let dims = [*n, *c, *hw];
+                opk::bn_stats(src, dims, &mut r.mean, &mut r.var);
+                opk::bn_fwd(src, dims, (&r.mean, &r.var), *eps, gm, bt, &mut r.inv_std, &mut xh, o);
+                apply(&mut r.mean_f32, Mode::Store, |ci| r.mean[ci] as f32);
+                apply(&mut r.var_f32, Mode::Store, |ci| r.var[ci] as f32);
+            });
             st.bn[*rt as usize] = r;
             st.put_state(*xhat, xh);
         }
@@ -1160,513 +944,192 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
         }
         Instr::PreactSeqF { x, w, bias, dst, rows, k, n4 } => {
             st.refresh(*w, params);
-            let mut buf = st.take(*dst);
-            {
+            st.write(*dst, |o, st| {
                 let xv = st.read(*x, inputs, params);
-                let bv = st.read(*bias, inputs, params);
-                let o = buf.s();
-                for r in 0..*rows {
-                    o[r * *n4..(r + 1) * *n4].copy_from_slice(bv);
-                }
+                repeat_rows_into(st.read(*bias, inputs, params), *rows, o);
                 st.gemm(false, false, xv, *w, [*rows, *k, *n4], o, true, inputs, params);
-            }
-            st.put(*dst, buf);
+            });
         }
         Instr::RecurStepF { seq, h, w_h, dst, t, batch, hid, n4 } => {
             st.refresh(*w_h, params);
-            let mut buf = st.take(*dst);
-            {
+            st.write(*dst, |o, st| {
                 let sv = st.read(*seq, inputs, params);
                 let hv = st.read(*h, inputs, params);
-                let o = buf.s();
                 o.copy_from_slice(&sv[*t * *batch * *n4..(*t + 1) * *batch * *n4]);
                 st.gemm(false, false, hv, *w_h, [*batch, *hid, *n4], o, true, inputs, params);
-            }
-            st.put(*dst, buf);
+            });
         }
 
         // ----------------------------------------------------------- backward
-        Instr::ScaleG { up, dst, mode, n, c } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| us[i] * c);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::MulG { up, other, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let ov = st.read(*other, inputs, params);
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| us[i] * ov[i]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::DropoutG { up, mask, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let mv = st.masks[*mask as usize].as_slice();
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| us[i] * mv[i]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::SigmoidG { up, y, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let yv = st.read(*y, inputs, params);
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| (yv[i] * (1.0 - yv[i])) * us[i]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::TanhG { up, y, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let yv = st.read(*y, inputs, params);
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| (1.0 - yv[i] * yv[i]) * us[i]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::ReluG { up, x, dst, mode, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let xv = st.read(*x, inputs, params);
-                debug_assert_eq!(us.len(), *n);
-                par_apply(buf.s(), *mode, |i| (if xv[i] > 0.0 { 1.0 } else { 0.0 }) * us[i]);
-            }
-            st.put(*dst, buf);
-        }
+        Instr::ScaleG { up, dst, mode, n, c } => st.write(*dst, |o, st| {
+            let us = st.read(*up, inputs, params);
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| us[i] * c);
+        }),
+        Instr::MulG { up, other, dst, mode, n } => st.write(*dst, |o, st| {
+            let (us, ov) = (st.read(*up, inputs, params), st.read(*other, inputs, params));
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| us[i] * ov[i]);
+        }),
+        Instr::DropoutG { up, mask, dst, mode, n } => st.write(*dst, |o, st| {
+            let us = st.read(*up, inputs, params);
+            let mv = st.masks[*mask as usize].as_slice();
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| us[i] * mv[i]);
+        }),
+        Instr::SigmoidG { up, y, dst, mode, n } => st.write(*dst, |o, st| {
+            let (us, yv) = (st.read(*up, inputs, params), st.read(*y, inputs, params));
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| (yv[i] * (1.0 - yv[i])) * us[i]);
+        }),
+        Instr::TanhG { up, y, dst, mode, n } => st.write(*dst, |o, st| {
+            let (us, yv) = (st.read(*up, inputs, params), st.read(*y, inputs, params));
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| (1.0 - yv[i] * yv[i]) * us[i]);
+        }),
+        Instr::ReluG { up, x, dst, mode, n } => st.write(*dst, |o, st| {
+            let (us, xv) = (st.read(*up, inputs, params), st.read(*x, inputs, params));
+            debug_assert_eq!(us.len(), *n);
+            par_apply(o, *mode, |i| (if xv[i] > 0.0 { 1.0 } else { 0.0 }) * us[i]);
+        }),
         Instr::ColSumG { up, dst, mode, rows, cols } => {
-            // Row-major sweep with per-column f64 accumulators: each column
-            // still sums its rows in ascending order (bitwise-identical to a
-            // column-at-a-time loop and to the tape's `sum_axis(0)`), but the
-            // upstream matrix is read contiguously instead of strided.
-            let mut buf = st.take(*dst);
             let mut acc = std::mem::take(&mut st.colsum);
-            {
-                let us = st.read(*up, inputs, params);
-                let (rows, cols) = (*rows, *cols);
-                let acc = &mut acc[..cols];
-                acc.iter_mut().for_each(|a| *a = 0.0);
-                for i in 0..rows {
-                    let row = &us[i * cols..(i + 1) * cols];
-                    for (a, &x) in acc.iter_mut().zip(row) {
-                        *a += x as f64;
-                    }
-                }
-                apply(buf.s(), *mode, |j| acc[j] as f32);
-            }
+            st.write(*dst, |o, st| {
+                let acc = &mut acc[..*cols];
+                col_sums_into(st.read(*up, inputs, params), *rows, *cols, acc);
+                apply(o, *mode, |j| acc[j] as f32);
+            });
             st.colsum = acc;
-            st.put(*dst, buf);
         }
-        Instr::RowScaleDx { up, s, dst, mode, rows, cols } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let sv = st.read(*s, inputs, params);
-                debug_assert_eq!(us.len(), *rows * *cols);
-                let cols = *cols;
-                apply(buf.s(), *mode, |i| us[i] * sv[i / cols]);
-            }
-            st.put(*dst, buf);
-        }
-        Instr::RowScaleDs { up, x, dst, mode, rows, cols } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let xv = st.read(*x, inputs, params);
-                debug_assert_eq!(buf.s().len(), *rows);
-                let cols = *cols;
-                // tape: up.mul(x) rounds each product to f32, sum_axis(1)
-                // then accumulates those f32 values in f64 per row
-                apply(buf.s(), *mode, |r| {
-                    let mut acc = 0.0f64;
-                    for j in 0..cols {
-                        acc += (us[r * cols + j] * xv[r * cols + j]) as f64;
-                    }
-                    acc as f32
-                });
-            }
-            st.put(*dst, buf);
-        }
+        Instr::RowScaleDx { up, s, dst, mode, rows, cols } => st.write(*dst, |o, st| {
+            let (us, sv) = (st.read(*up, inputs, params), st.read(*s, inputs, params));
+            debug_assert_eq!(us.len(), *rows * *cols);
+            apply(o, *mode, |i| us[i] * sv[i / *cols]);
+        }),
+        Instr::RowScaleDs { up, x, dst, mode, rows, cols } => st.write(*dst, |o, st| {
+            let (us, xv) = (st.read(*up, inputs, params), st.read(*x, inputs, params));
+            debug_assert_eq!(o.len(), *rows);
+            opk::row_scale_ds(o, *mode, us, xv, *cols);
+        }),
         Instr::ColsBlockG { up, dst, mode, rows, up_cols, off, width } => {
-            let mut buf = st.take(*dst);
-            {
+            st.write(*dst, |o, st| {
                 let us = st.read(*up, inputs, params);
-                debug_assert_eq!(buf.s().len(), *rows * *width);
-                let (up_cols, off, width) = (*up_cols, *off, *width);
-                apply(buf.s(), *mode, |i| us[(i / width) * up_cols + off + i % width]);
-            }
-            st.put(*dst, buf);
+                debug_assert_eq!(o.len(), *rows * *width);
+                apply(o, *mode, |i| us[(i / *width) * *up_cols + *off + i % *width]);
+            })
         }
         Instr::ColsScatterG { up, dst, mode, rows, dst_cols, start, end } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                debug_assert_eq!(buf.s().len(), *rows * *dst_cols);
-                let (dst_cols, start, end) = (*dst_cols, *start, *end);
-                let w = end - start;
-                // outside the block the tape's dense gradient contributes
-                // literal zeros (its Add path runs `d += 0.0`)
-                apply(buf.s(), *mode, |i| {
-                    let (r, j) = (i / dst_cols, i % dst_cols);
-                    if j >= start && j < end {
-                        us[r * w + (j - start)]
-                    } else {
-                        0.0
-                    }
-                });
-            }
-            st.put(*dst, buf);
+            st.write(*dst, |o, st| {
+                debug_assert_eq!(o.len(), *rows * *dst_cols);
+                opk::cols_scatter(o, *mode, st.read(*up, inputs, params), *dst_cols, *start, *end);
+            })
         }
         Instr::BlockG { up, up_off, dst, dst_off, len, dst_len, zero_rest, mode } => {
-            let mut buf = st.take(*dst);
-            {
+            st.write(*dst, |o, st| {
                 let us = st.read(*up, inputs, params);
-                let o = buf.s();
                 debug_assert_eq!(o.len(), *dst_len);
-                let (up_off, dst_off, len) = (*up_off, *dst_off, *len);
-                match mode {
-                    Mode::Store => {
-                        if *zero_rest {
-                            o[..dst_off].fill(0.0);
-                            o[dst_off + len..].fill(0.0);
-                        }
-                        o[dst_off..dst_off + len]
-                            .copy_from_slice(&us[up_off..up_off + len]);
-                    }
-                    Mode::Add => {
-                        if *zero_rest {
-                            for d in &mut o[..dst_off] {
-                                *d += 0.0;
-                            }
-                            for d in &mut o[dst_off + len..] {
-                                *d += 0.0;
-                            }
-                        }
-                        for (d, &s) in o[dst_off..dst_off + len]
-                            .iter_mut()
-                            .zip(&us[up_off..up_off + len])
-                        {
-                            *d += s;
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
+                opk::block(o, *mode, &us[*up_off..*up_off + *len], *dst_off, *zero_rest);
+            })
         }
-        Instr::SumAllG { up, dst, mode, n, mean } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let g = if *mean { us[0] / *n as f32 } else { us[0] };
-                apply(buf.s(), *mode, |_| g);
-            }
-            st.put(*dst, buf);
-        }
+        Instr::SumAllG { up, dst, mode, n, mean } => st.write(*dst, |o, st| {
+            let us = st.read(*up, inputs, params);
+            let g = if *mean { us[0] / *n as f32 } else { us[0] };
+            apply(o, *mode, |_| g);
+        }),
         Instr::EmbedG { up, feed, dst, mode, vocab, dim, count } => {
-            let mut buf = st.take(*dst);
-            let mut scr = std::mem::take(&mut st.scratch);
-            {
-                let us = st.read(*up, inputs, params);
+            st.write_scr(*dst, |o, scr, st| {
                 let ids = &st.ids[*feed as usize];
-                debug_assert_eq!(ids.len(), *count);
-                let (dim, total) = (*dim, *vocab * *dim);
-                match mode {
-                    Mode::Store => {
-                        let o = buf.s();
-                        o.fill(0.0);
-                        for (i, &id) in ids.iter().enumerate() {
-                            for j in 0..dim {
-                                o[id * dim + j] += us[i * dim + j];
-                            }
-                        }
-                    }
-                    Mode::Add => {
-                        let s = &mut scr[..total];
-                        s.fill(0.0);
-                        for (i, &id) in ids.iter().enumerate() {
-                            for j in 0..dim {
-                                s[id * dim + j] += us[i * dim + j];
-                            }
-                        }
-                        for (d, &sv) in buf.s().iter_mut().zip(s.iter()) {
-                            *d += sv;
-                        }
-                    }
-                }
-            }
-            st.scratch = scr;
-            st.put(*dst, buf);
+                debug_assert!(ids.len() == *count && o.len() == vocab * dim);
+                opk::embed_bwd(o, *mode, scr, st.read(*up, inputs, params), ids, *dim);
+            })
         }
-        Instr::SoftmaxG { up, y, dst, mode, m, n } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let yv = st.read(*y, inputs, params);
-                let (m, n) = (*m, *n);
-                let o = buf.s();
-                for i in 0..m {
-                    let mut dot = 0.0f32;
-                    for j in 0..n {
-                        dot += yv[i * n + j] * us[i * n + j];
-                    }
-                    match mode {
-                        Mode::Store => {
-                            for j in 0..n {
-                                o[i * n + j] = yv[i * n + j] * (us[i * n + j] - dot);
-                            }
-                        }
-                        Mode::Add => {
-                            for j in 0..n {
-                                o[i * n + j] += yv[i * n + j] * (us[i * n + j] - dot);
-                            }
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
-        }
-        Instr::CeG { up, probs, labels, rt, dst, mode, b, v } => {
-            let active = st.ce_active[*rt as usize];
-            if active == 0 {
-                // the tape skips the contribution entirely (whole subtree
-                // stays gradient-free); a Store destination still needs
-                // defined contents for downstream reads
-                if *mode == Mode::Store {
-                    let mut buf = st.take(*dst);
-                    buf.s().fill(0.0);
-                    st.put(*dst, buf);
-                }
-                return;
-            }
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let p = &st.states[*probs as usize];
-                let lab = &st.labels[*labels as usize];
-                let seed = us[0] / active as f32;
-                let (b, v) = (*b, *v);
-                let o = buf.s();
-                for i in 0..b {
-                    let y = lab[i];
-                    for j in 0..v {
-                        let val = if y == IGNORE_INDEX {
-                            0.0
-                        } else {
-                            let indicator = if j == y { 1.0 } else { 0.0 };
-                            seed * (p[i * v + j] - indicator)
-                        };
-                        match mode {
-                            Mode::Store => o[i * v + j] = val,
-                            Mode::Add => o[i * v + j] += val,
-                        }
-                    }
-                }
-            }
-            st.put(*dst, buf);
-        }
+        Instr::SoftmaxG { up, y, dst, mode, m, n } => st.write(*dst, |o, st| {
+            let (us, yv) = (st.read(*up, inputs, params), st.read(*y, inputs, params));
+            debug_assert_eq!(o.len(), m * n);
+            opk::softmax_bwd(o, *mode, us, yv, *n);
+        }),
+        Instr::CeG { up, probs, labels, rt, dst, mode, b, v } => st.write(*dst, |o, st| {
+            let lab = &st.labels[*labels as usize];
+            debug_assert_eq!(lab.len(), *b);
+            let (seed, active) = (st.read(*up, inputs, params)[0], st.ce_active[*rt as usize]);
+            opk::ce_bwd(o, *mode, seed, &st.states[*probs as usize], lab, active, *v);
+        }),
         Instr::ConvG { up, w, cols, out2, dw, dx, geom, batch, oc } => {
             let (oh, ow) = (geom.oh(), geom.ow());
             let rows = *batch * oh * ow;
             let ckk = geom.c * geom.kh * geom.kw;
             // up2 = from_nchw(up), reusing the forward's out2 buffer
             let mut o2 = st.take_state(*out2);
-            {
-                let us = st.read(*up, inputs, params);
-                for ni in 0..*batch {
-                    for oi in 0..*oc {
-                        for y in 0..oh {
-                            for xx in 0..ow {
-                                o2[((ni * oh + y) * ow + xx) * *oc + oi] =
-                                    us[((ni * *oc + oi) * oh + y) * ow + xx];
-                            }
-                        }
-                    }
-                }
-            }
+            opk::from_nchw(st.read(*up, inputs, params), *batch, *oc, oh, ow, &mut o2);
             st.put_state(*out2, o2);
             if let Some((d, mode)) = dw {
                 // dW = up2ᵀ · cols → [OC, CKK]
-                let mut buf = st.take(*d);
-                match mode {
-                    Mode::Store => {
-                        let up2 = &st.states[*out2 as usize];
-                        let colv = &st.states[*cols as usize];
-                        gemm_into(true, false, up2, colv, *oc, rows, ckk, buf.s(), false);
-                    }
-                    Mode::Add => {
-                        let mut scr = std::mem::take(&mut st.scratch);
-                        {
-                            let up2 = &st.states[*out2 as usize];
-                            let colv = &st.states[*cols as usize];
-                            let s = &mut scr[..*oc * ckk];
-                            gemm_into(true, false, up2, colv, *oc, rows, ckk, s, false);
-                            for (dv, &sv) in buf.s().iter_mut().zip(s.iter()) {
-                                *dv += sv;
-                            }
-                        }
-                        st.scratch = scr;
-                    }
-                }
-                st.put(*d, buf);
+                st.write_scr(*d, |o, scr, st| {
+                    let (up2, colv) = (&st.states[*out2 as usize], &st.states[*cols as usize]);
+                    opk::store_or_add(o, *mode, scr, |out| {
+                        gemm_into(true, false, up2, colv, *oc, rows, ckk, out, false)
+                    });
+                });
             }
             if let Some((d, mode)) = dx {
                 // dcols = up2 · W, overwriting the cols buffer (dW above was
                 // its last reader), then fold back to the input image
                 st.refresh(*w, params);
                 let mut colv = st.take_state(*cols);
-                {
-                    let up2 = &st.states[*out2 as usize];
-                    st.gemm(false, false, up2, *w, [rows, *oc, ckk], &mut colv, false, inputs, params);
-                }
+                let up2 = &st.states[*out2 as usize];
+                st.gemm(false, false, up2, *w, [rows, *oc, ckk], &mut colv, false, inputs, params);
+                st.write_scr(*d, |o, scr, _| {
+                    opk::store_or_add(o, *mode, scr, |out| col2im_into(&colv, *batch, geom, out));
+                });
                 st.put_state(*cols, colv);
-                let mut buf = st.take(*d);
-                match mode {
-                    Mode::Store => {
-                        let colv = &st.states[*cols as usize];
-                        col2im_into(colv, *batch, geom, buf.s());
-                    }
-                    Mode::Add => {
-                        let mut scr = std::mem::take(&mut st.scratch);
-                        {
-                            let colv = &st.states[*cols as usize];
-                            let x_len = *batch * geom.c * geom.h * geom.w;
-                            let s = &mut scr[..x_len];
-                            col2im_into(colv, *batch, geom, s);
-                            for (dv, &sv) in buf.s().iter_mut().zip(s.iter()) {
-                                *dv += sv;
-                            }
-                        }
-                        st.scratch = scr;
-                    }
-                }
-                st.put(*d, buf);
             }
         }
         Instr::MaxPoolG { up, dst, mode, am, x_len, out_len } => {
-            let mut buf = st.take(*dst);
-            let mut scr = std::mem::take(&mut st.scratch);
-            {
+            st.write_scr(*dst, |o, scr, st| {
                 let us = st.read(*up, inputs, params);
-                let amv = &st.argmax[*am as usize];
-                debug_assert_eq!(us.len(), *out_len);
-                match mode {
-                    Mode::Store => {
-                        let o = buf.s();
-                        o.fill(0.0);
-                        for (oi, &src_idx) in amv.iter().enumerate() {
-                            o[src_idx as usize] += us[oi];
-                        }
-                    }
-                    Mode::Add => {
-                        let s = &mut scr[..*x_len];
-                        s.fill(0.0);
-                        for (oi, &src_idx) in amv.iter().enumerate() {
-                            s[src_idx as usize] += us[oi];
-                        }
-                        for (d, &sv) in buf.s().iter_mut().zip(s.iter()) {
-                            *d += sv;
-                        }
-                    }
-                }
-            }
-            st.scratch = scr;
-            st.put(*dst, buf);
+                debug_assert!(o.len() == *x_len && us.len() == *out_len);
+                opk::max_pool_bwd(o, *mode, scr, us, &st.argmax[*am as usize]);
+            })
         }
-        Instr::GapG { up, dst, mode, nc, hw } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                debug_assert_eq!(us.len(), *nc);
-                let inv = 1.0 / *hw as f32;
-                let hw = *hw;
-                apply(buf.s(), *mode, |i| us[i / hw] * inv);
-            }
-            st.put(*dst, buf);
-        }
+        Instr::GapG { up, dst, mode, nc, hw } => st.write(*dst, |o, st| {
+            let us = st.read(*up, inputs, params);
+            debug_assert_eq!(us.len(), *nc);
+            opk::gap_bwd(o, *mode, us, *hw);
+        }),
         Instr::BnG { up, gamma, xhat, rt, dg, dbt, dx, n, c, hw } => {
-            let (n, c, hw) = (*n, *c, *hw);
-            let mut r = std::mem::replace(&mut st.bn[*rt as usize], BnRt::empty());
+            let mut r = std::mem::take(&mut st.bn[*rt as usize]);
             {
                 let us = st.read(*up, inputs, params);
                 let xh = &st.states[*xhat as usize];
-                r.sum_up.iter_mut().for_each(|v| *v = 0.0);
-                r.sum_up_xh.iter_mut().for_each(|v| *v = 0.0);
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        for k in 0..hw {
-                            r.sum_up[ci] += us[base + k] as f64;
-                            r.sum_up_xh[ci] += (us[base + k] * xh[base + k]) as f64;
-                        }
-                    }
-                }
+                opk::bn_bwd_sums(us, xh, *c, *hw, &mut r.sum_up, &mut r.sum_up_xh);
             }
-            st.bn[*rt as usize] = r;
-            if let Some((d, mode)) = dg {
-                let mut buf = st.take(*d);
-                {
-                    let r = &st.bn[*rt as usize];
-                    apply(buf.s(), *mode, |ci| r.sum_up_xh[ci] as f32);
+            for (d, sums) in [(dg, &r.sum_up_xh), (dbt, &r.sum_up)] {
+                if let Some((d, mode)) = d {
+                    st.write(*d, |o, _| apply(o, *mode, |ci| sums[ci] as f32));
                 }
-                st.put(*d, buf);
-            }
-            if let Some((d, mode)) = dbt {
-                let mut buf = st.take(*d);
-                {
-                    let r = &st.bn[*rt as usize];
-                    apply(buf.s(), *mode, |ci| r.sum_up[ci] as f32);
-                }
-                st.put(*d, buf);
             }
             if let Some((d, mode)) = dx {
-                let mut buf = st.take(*d);
-                {
+                st.write(*d, |o, st| {
                     let us = st.read(*up, inputs, params);
                     let gm = st.read(*gamma, inputs, params);
-                    let r = &st.bn[*rt as usize];
                     let xh = &st.states[*xhat as usize];
-                    let m = (n * hw) as f32;
-                    let o = buf.s();
-                    for ni in 0..n {
-                        // `ci` indexes four per-channel arrays and the flat base.
-                        #[allow(clippy::needless_range_loop)]
-                        for ci in 0..c {
-                            let base = (ni * c + ci) * hw;
-                            let coef = gm[ci] * r.inv_std[ci] / m;
-                            let su = r.sum_up[ci] as f32;
-                            let suxh = r.sum_up_xh[ci] as f32;
-                            match mode {
-                                Mode::Store => {
-                                    for k in 0..hw {
-                                        o[base + k] = coef
-                                            * (m * us[base + k] - su - xh[base + k] * suxh);
-                                    }
-                                }
-                                Mode::Add => {
-                                    for k in 0..hw {
-                                        o[base + k] += coef
-                                            * (m * us[base + k] - su - xh[base + k] * suxh);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                st.put(*d, buf);
+                    let sums = (&r.sum_up[..], &r.sum_up_xh[..]);
+                    opk::bn_bwd_dx(o, *mode, us, xh, [*n, *c, *hw], gm, &r.inv_std, sums);
+                });
             }
+            st.bn[*rt as usize] = r;
         }
         Instr::LstmG { gates, tanh_c, c_prev, dh, dc, dpre, dcp, b, hid } => {
+            // Runs the fused backward into `dpre_s` / `dcp_s`.
+            let run = |st: &Store, dpre_s: &mut [f32], dcp_s: &mut [f32]| {
+                let gv = &st.states[*gates as usize];
+                let tv = &st.states[*tanh_c as usize];
+                let cp = st.read(*c_prev, inputs, params);
+                let dh_s = (*dh).map(|l| st.read(l, inputs, params));
+                let dc_s = (*dc).map(|l| st.read(l, inputs, params));
+                lstm_cell_backward_into(gv, tv, cp, dh_s, dc_s, *b, *hid, dpre_s, dcp_s);
+            };
+            // preact first, then c_prev — the tape's accumulate order
             if lstm_g_in_place(*dpre, *dcp) {
                 // Both destinations are born at this schedule position, and
                 // the slot allocator assigns births before deaths, so neither
@@ -1674,78 +1137,28 @@ fn exec(ins: &Instr, st: &mut Store, inputs: &[&Tensor], params: &[&Tensor]) {
                 // still live here: write them in place, no scratch bounce.
                 let mut b0 = st.take(dpre.0);
                 let mut b1 = st.take(dcp.0);
-                {
-                    let gv = &st.states[*gates as usize];
-                    let tv = &st.states[*tanh_c as usize];
-                    let cp = st.read(*c_prev, inputs, params);
-                    let dh_s = (*dh).map(|l| st.read(l, inputs, params));
-                    let dc_s = (*dc).map(|l| st.read(l, inputs, params));
-                    lstm_cell_backward_into(gv, tv, cp, dh_s, dc_s, *b, *hid, b0.s(), b1.s());
-                }
-                // preact first, then c_prev — the tape's accumulate order
+                run(st, b0.s(), b1.s());
                 st.put(dpre.0, b0);
                 st.put(dcp.0, b1);
             } else {
                 let mut scr = std::mem::take(&mut st.scratch);
-                {
-                    let gv = &st.states[*gates as usize];
-                    let tv = &st.states[*tanh_c as usize];
-                    let cp = st.read(*c_prev, inputs, params);
-                    let dh_s = (*dh).map(|l| st.read(l, inputs, params));
-                    let dc_s = (*dc).map(|l| st.read(l, inputs, params));
-                    let (spre, rest) = scr.split_at_mut(*b * 4 * *hid);
-                    let scp = &mut rest[..*b * *hid];
-                    lstm_cell_backward_into(gv, tv, cp, dh_s, dc_s, *b, *hid, spre, scp);
-                }
-                // preact first, then c_prev — the tape's accumulate order
-                let (d0, m0) = *dpre;
-                let mut buf = st.take(d0);
-                apply(buf.s(), m0, |i| scr[i]);
-                st.put(d0, buf);
-                let off = *b * 4 * *hid;
-                let (d1, m1) = *dcp;
-                let mut buf = st.take(d1);
-                apply(buf.s(), m1, |i| scr[off + i]);
-                st.put(d1, buf);
+                let (spre, rest) = scr.split_at_mut(*b * 4 * *hid);
+                let scp = &mut rest[..*b * *hid];
+                run(st, spre, scp);
+                let (spre, scp) = (&*spre, &*scp);
+                st.write(dpre.0, |o, _| apply(o, dpre.1, |i| spre[i]));
+                st.write(dcp.0, |o, _| apply(o, dcp.1, |i| scp[i]));
                 st.scratch = scr;
             }
         }
         Instr::RecurSeqG { up, dst, zero_first, t, batch, cols, dst_len } => {
-            let mut buf = st.take(*dst);
-            {
-                let us = st.read(*up, inputs, params);
-                let o = buf.s();
+            st.write(*dst, |o, st| {
                 debug_assert_eq!(o.len(), *dst_len);
                 if *zero_first {
                     o.fill(0.0);
                 }
-                let blk = &mut o[*t * *batch * *cols..(*t + 1) * *batch * *cols];
-                for (d, &s) in blk.iter_mut().zip(us.iter()) {
-                    *d += s;
-                }
-            }
-            st.put(*dst, buf);
-        }
-    }
-}
-
-/// Row softmax into a caller slice — the serial kernel from
-/// `Tensor::softmax_rows`, reproduced exactly (forward values must match
-/// the tape bit for bit).
-fn softmax_rows_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let row = &src[i * n..(i + 1) * n];
-        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut z = 0.0f64;
-        for (o, &x) in orow.iter_mut().zip(row.iter()) {
-            let e = (x - mx).exp();
-            *o = e;
-            z += e as f64;
-        }
-        let inv = (1.0 / z) as f32;
-        for o in orow.iter_mut() {
-            *o *= inv;
+                opk::block(o, Mode::Add, st.read(*up, inputs, params), *t * *batch * *cols, false);
+            })
         }
     }
 }
@@ -3639,6 +3052,36 @@ mod tests {
 
     fn tape_conv_out(t: &ConvTape) -> Var {
         t.conv_out
+    }
+
+    /// A window with no element above `-inf` used to record argmax 0 and
+    /// send its gradient to element 0 of the whole tensor — another
+    /// sample's plane. It must stay inside the window, on both executors.
+    #[test]
+    fn max_pool_window_without_a_maximum_keeps_its_gradient() {
+        let ninf = f32::NEG_INFINITY;
+        let pooled = |x: &Tensor| {
+            let mut g = Graph::new();
+            let xv = g.param(x.clone());
+            let p = g.max_pool_2x2(xv);
+            let loss = g.sum_all(p);
+            (g, xv, loss)
+        };
+        // sample 0: an ordinary window; sample 1: all -inf
+        let x0 = Tensor::from_vec(vec![1., 5., 2., 3., ninf, ninf, ninf, ninf], &[2, 1, 2, 2]);
+        let want0 = [0., 1., 0., 0., 1., 0., 0., 0.];
+        let (mut g, xv, loss) = pooled(&x0);
+        g.backward(loss);
+        assert_eq!(g.grad(xv).unwrap().as_slice(), &want0, "tape");
+
+        let spec = CaptureSpec { inputs: &[], params: &[xv], loss: Some(loss), outputs: &[] };
+        let mut plan = Plan::capture(&g, &spec).expect("pool capture");
+        // replay with the empty window in the other sample
+        let x1 = Tensor::from_vec(vec![ninf, ninf, ninf, ninf, 1., 2., 7., 3.], &[2, 1, 2, 2]);
+        plan.replay_step(&[], &[&x1], &Feeds::default());
+        assert_eq!(plan.param_grad(0).unwrap().as_slice(), &[1., 0., 0., 0., 0., 0., 1., 0.], "plan");
+        plan.replay_step(&[], &[&x0], &Feeds::default());
+        assert_eq!(plan.param_grad(0).unwrap().as_slice(), &want0, "plan, first input");
     }
 
     // ---- mixed elementwise / embedding / reorder ops --------------------

@@ -5,7 +5,6 @@
 //! library holds the shared plumbing: aligned table printing, CSV capture
 //! into `results/`, and batch-sweep helpers.
 
-use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -31,11 +30,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Convenience for building a row from displayable values.
-    pub fn row_of(&mut self, cells: &[&dyn Display]) {
-        self.row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Number of data rows.

@@ -75,16 +75,6 @@ pub fn tpu_v2_pod() -> ClusterSpec {
     }
 }
 
-/// A single TPU-v2 "cluster".
-pub fn tpu_v2_single() -> ClusterSpec {
-    ClusterSpec::single(tpu_v2())
-}
-
-/// A single V100 "cluster".
-pub fn v100_single() -> ClusterSpec {
-    ClusterSpec::single(v100())
-}
-
 /// The four LSTM applications of Figure 4 plus ImageNet: job description
 /// and the single-device cluster it runs on, with the paper's sample
 /// counts, Table 1 epoch budgets, and gradient payloads estimated from the

@@ -21,7 +21,8 @@
 //! * [`plan_cache`] — compiled execution plans: one recorded step per
 //!   (worker, shape) is frozen into a `legw_autograd` plan and replayed
 //!   tape-free and allocation-free by [`exec::Executor::step_planned`],
-//!   with transparent fallback to the tape path when a capture declines.
+//!   with transparent fallback to the tape path when a capture declines
+//!   (only a mis-specified one does: every tape op has a plan instruction).
 //! * [`eval`] — the one held-out evaluation sweep of each model family
 //!   (`Executor::eval_*`), sharded like training.
 //! * [`apps`] — the Table 1 registry: per-application synthetic dataset

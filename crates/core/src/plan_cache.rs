@@ -101,9 +101,9 @@ impl<P> PlanCache<P> {
     }
 
     /// Runs `f` on the plan cached under `(slot, key)`, calling `make` to
-    /// capture it on first sight. `make` returning `None` (the plan
-    /// interpreter cannot cover the tape) caches nothing and skips `f`, so
-    /// the caller can fall back to its tape path. The slot lock is held
+    /// capture it on first sight. `make` returning `None` (a mis-specified
+    /// capture) caches nothing and skips `f`, so the caller can fall back
+    /// to its tape path. The slot lock is held
     /// across `f` — a plan's replay arena is mutable scratch, so this is
     /// what serialises concurrent users of one slot (e.g. the inference
     /// server's batch worker vs. ad-hoc engine calls).

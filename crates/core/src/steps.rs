@@ -51,10 +51,10 @@ pub trait ShardStep: Sync {
     /// differ.
     fn plan_key(&self, shard: &Self::Shard) -> Vec<usize>;
 
-    /// Captures a plan for this shard, or `None` when the tape contains
-    /// something the plan interpreter does not cover (the executor then
-    /// falls back to [`ShardStep::run_shard`] — and retries the capture on
-    /// the shape's next occurrence).
+    /// Captures a plan for this shard, or `None` when the capture is
+    /// mis-specified (see [`StepPlan::capture`]; no op is beyond a plan). The
+    /// executor then falls back to [`ShardStep::run_shard`] — and retries
+    /// the capture on the shape's next occurrence.
     fn capture(&self, ps: &ParamSet, shard: &Self::Shard) -> Option<StepPlan>;
 
     /// Replays the captured plan for one shard. Must produce the same

@@ -110,8 +110,8 @@ impl MnistLstm {
     /// Captures one training step into a replayable [`StepPlan`]. The
     /// tape's input signature is `[packed rows, h0, c0]` (the order
     /// [`MnistLstm::forward`] creates them); labels enter as a feed.
-    /// Returns `None` if the tape has an op the plan interpreter does not
-    /// cover — callers keep the tape path.
+    /// Returns `None` only if the capture is mis-specified (see
+    /// [`StepPlan::capture`]) — callers keep the tape path.
     pub fn capture_step_plan(
         &self,
         ps: &ParamSet,

@@ -27,9 +27,11 @@ pub struct StepPlan {
 impl StepPlan {
     /// Captures the tape `g` into a plan. `inputs` are the tape's
     /// [`Graph::input`] leaves in creation order; `params` are the
-    /// binding's bound parameters in binding order. Returns `None` when
-    /// the tape contains something the plan interpreter does not cover —
-    /// callers fall back to the tape path.
+    /// binding's bound parameters in binding order. Returns `None` only
+    /// for a mis-specified capture (an empty tape, a leaf that is neither an
+    /// input nor bound, a non-scalar loss, a leaf or repeated output — see
+    /// [`Plan::capture`]); there is no op a plan cannot replay. Callers
+    /// fall back to the tape path.
     pub fn capture(g: &Graph, bd: &Binding, loss: Option<Var>, outputs: &[Var]) -> Option<Self> {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
@@ -165,7 +167,8 @@ pub trait Infer {
     fn infer_key(&self, batch: &Self::Batch) -> Vec<usize>;
 
     /// Captures a forward-only plan for this batch shape. `None` means
-    /// the plan interpreter cannot cover the tape — callers fall back to
+    /// the capture was mis-specified (see [`StepPlan::capture`]), never that
+    /// the tape holds an op a plan cannot replay — callers fall back to
     /// [`Infer::infer_tape`].
     fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> Option<StepPlan>;
 

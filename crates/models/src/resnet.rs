@@ -187,7 +187,7 @@ impl ResNet {
     /// Replays a captured step on a fresh same-shape batch: forward +
     /// backward without a tape, then folds each BatchNorm's batch
     /// statistics into the running averages (the tape order of BN ops
-    /// equals [`ResNet::batch_norms`] order). Returns the loss; gradients
+    /// equals `ResNet::batch_norms` order). Returns the loss; gradients
     /// are read with [`StepPlan::write_grads_to`].
     pub fn replay_step_plan(
         &mut self,
@@ -268,7 +268,7 @@ impl ResNet {
     }
 
     /// Running statistics `(mean, var)` of every BatchNorm layer in
-    /// [`ResNet::batch_norms`] order — the non-parameter state a frozen
+    /// `ResNet::batch_norms` order — the non-parameter state a frozen
     /// artifact must carry alongside the checkpointed `ParamSet`.
     pub fn bn_running_stats(&self) -> Vec<(Vec<f32>, Vec<f32>)> {
         self.batch_norms()

@@ -212,7 +212,7 @@ impl Seq2Seq {
     }
 
     /// [`Seq2Seq::forward_loss`] over the retained stepwise encoder
-    /// ([`Seq2Seq::encode_stepwise`]) — the cross-check / benchmark twin of
+    /// (`Seq2Seq::encode_stepwise`) — the cross-check / benchmark twin of
     /// the hoisted path. The attention-coupled decoder is per-step in both.
     pub fn forward_loss_stepwise(
         &self,

@@ -15,8 +15,8 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 /// The first batch of a given shape pays one tape build (the capture);
 /// every later batch of that shape replays the plan with zero tape
 /// recording, no gradient buffers, and (steady-state) zero pool
-/// allocation. Tapes the plan interpreter cannot cover fall back to the
-/// live-graph forward transparently.
+/// allocation. A capture that declines (a mis-specified one; no tape op is
+/// beyond a plan) falls back to the live-graph forward transparently.
 ///
 /// The plan cache is bounded ([`DEFAULT_PLAN_CAPACITY`] shapes, LRU):
 /// unlike training, a server's shape set is driven by client traffic, so

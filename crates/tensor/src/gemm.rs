@@ -414,7 +414,7 @@ impl PackedB {
 
 /// `out (+)= op(a) · B` with B taken from `b`'s panels instead of being
 /// packed inside the call: the same blocked engine, micro-tile and
-/// operation order as [`gemm_into`], hence the same bits. `a` is `[m, k]`
+/// operation order as [`crate::gemm_into`], hence the same bits. `a` is `[m, k]`
 /// (`[k, m]` when `trans_a`) and `out` is `[m, n]`, with `k` and `n` those
 /// `b` was created for. Runs on the current thread pool.
 ///

@@ -40,6 +40,9 @@ trait Load8: PackElem {
 impl Load8 for f32 {
     #[inline(always)]
     unsafe fn load8(p: *const f32) -> __m256 {
+        // SAFETY: the caller guarantees `p..p+8` readable (the trait's
+        // contract) and the unaligned load asks for nothing more; AVX is on
+        // in the `#[target_feature]` caller this is inlined into.
         _mm256_loadu_ps(p)
     }
 }
@@ -49,6 +52,9 @@ impl Load8 for u16 {
     unsafe fn load8(p: *const u16) -> __m256 {
         // bf16 widen: zero-extend 8×u16 to 8×u32, shift into the high
         // half — exactly `f32::from_bits((b as u32) << 16)` per lane.
+        // SAFETY: the caller guarantees `p..p+8` readable — 16 bytes, what
+        // the unaligned 128-bit load reads; the widening intrinsics are
+        // AVX2, on in the `#[target_feature]` caller this is inlined into.
         let raw = _mm_loadu_si128(p as *const __m128i);
         let wide = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(raw));
         _mm256_castsi256_ps(wide)
@@ -63,6 +69,8 @@ impl<E: Load8> Micro for Avx2Micro<E> {
     const MR: usize = MR;
     const NR: usize = NR;
 
+    /// # Safety
+    /// The contract of [`Micro::tile`].
     #[inline]
     unsafe fn tile(
         kb: usize,
@@ -74,11 +82,23 @@ impl<E: Load8> Micro for Avx2Micro<E> {
         cols: usize,
         acc: bool,
     ) {
+        debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * NR, "packed panels shorter than kb");
+        debug_assert!(rows <= MR && cols <= NR && cols <= ldc, "tile corner {rows}x{cols}, ldc {ldc}");
+        // SAFETY: AVX2 — dispatch only selects this variant after
+        // `supported(Kernel::Avx2)` (contract (b) of `Micro::tile`). The
+        // panels hold `kb` full micro-panels (the packed layout, asserted
+        // above), and the caller owns the `rows×cols` corner at `out`
+        // (contract (a)): `tile_impl`'s own requirements.
         tile_impl::<E>(kb, ap.as_ptr(), bp.as_ptr(), out, ldc, rows, cols, acc);
     }
 }
 
 /// Free function carrying the `#[target_feature]` (trait methods cannot).
+///
+/// # Safety
+/// AVX2 must be available. `ap` must be readable for `kb·MR` elements and
+/// `bp` for `kb·NR`; `rows <= MR`, `cols <= NR`, and the caller must own rows
+/// `0..rows` of `cols` elements each at `out`, `ldc` apart, exclusively.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_impl<E: Load8>(
@@ -93,6 +113,9 @@ unsafe fn tile_impl<E: Load8>(
 ) {
     let mut t = [_mm256_setzero_ps(); MR];
     for kk in 0..kb {
+        // SAFETY: `kk < kb`, so `bp + kk·NR .. + NR` and `ap + kk·MR + r`
+        // (`r < MR`) lie inside the `kb·NR` / `kb·MR` elements the caller
+        // vouches for.
         let b = E::load8(bp.add(kk * NR));
         for (r, tr) in t.iter_mut().enumerate() {
             let a = _mm256_set1_ps((*ap.add(kk * MR + r)).unpack());
@@ -103,6 +126,9 @@ unsafe fn tile_impl<E: Load8>(
     }
     if rows == MR && cols == NR {
         for (r, tr) in t.iter().enumerate() {
+            // SAFETY: a full tile — the caller owns `MR` rows of `NR = 8`
+            // elements at `out + r·ldc`, exactly what one 256-bit
+            // load/store touches.
             let dst = out.add(r * ldc);
             if acc {
                 _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), *tr));
@@ -115,9 +141,12 @@ unsafe fn tile_impl<E: Load8>(
         // the scalar loop (same per-element add as the vector path).
         let mut spill = [[0.0f32; NR]; MR];
         for (r, tr) in t.iter().enumerate() {
+            // SAFETY: `spill[r]` is a local array of `NR = 8` floats.
             _mm256_storeu_ps(spill[r].as_mut_ptr(), *tr);
         }
         for (r, sr) in spill.iter().enumerate().take(rows) {
+            // SAFETY: `r < rows`: the caller owns `cols` elements at
+            // `out + r·ldc` and nothing else references them during the call.
             let dst = std::slice::from_raw_parts_mut(out.add(r * ldc), cols);
             if acc {
                 for (d, &v) in dst.iter_mut().zip(sr[..cols].iter()) {
@@ -134,18 +163,26 @@ unsafe fn tile_impl<E: Load8>(
 /// one vector register *is* the lane array, the horizontal reduction spills
 /// it and sums lanes in the same sequential order, and the tail is the
 /// same scalar loop.
+///
+/// # Safety
+/// AVX2 must be available (`kernels::dot` routes here only for variants
+/// `supported` reports); `y` must be at least as long as `x`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
     const L: usize = 8;
+    debug_assert!(y.len() >= x.len(), "dot: y shorter than x");
     let chunks = x.len() / L;
     let mut acc = _mm256_setzero_ps();
     for i in 0..chunks {
+        // SAFETY: `i < x.len() / 8`, so `i·8 + 8 <= x.len() <= y.len()`:
+        // both 8-float loads stay inside their slices.
         let xv = _mm256_loadu_ps(x.as_ptr().add(i * L));
         let yv = _mm256_loadu_ps(y.as_ptr().add(i * L));
         // mul + add (two roundings), like the scalar lanes.
         acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, yv));
     }
     let mut lanes = [0.0f32; L];
+    // SAFETY: `lanes` is a local array of 8 floats.
     _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
     let mut s = lanes.iter().sum::<f32>();
     for i in chunks * L..x.len() {
@@ -159,6 +196,10 @@ pub(crate) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// 8-lane `fast_tanh`: the same clamp → odd-13/even-6 rational → clamp →
 /// saturate pipeline as the scalar, FMA for FMA (`mul_add` ↔ `fmadd`),
 /// with NaN-exact min/max ordering.
+///
+/// # Safety
+/// AVX2 and FMA must be available; register arithmetic only, no memory
+/// access.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 pub(crate) unsafe fn tanh8(x: __m256) -> __m256 {
@@ -200,6 +241,9 @@ pub(crate) unsafe fn tanh8(x: __m256) -> __m256 {
 /// 8-lane `fast_sigmoid`: `0.5·tanh(0.5x) + 0.5` with the scalar's
 /// separate mul and add roundings (the scalar uses plain `*`/`+` here,
 /// so no fmadd).
+///
+/// # Safety
+/// As [`tanh8`]: AVX2 and FMA must be available; no memory access.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 pub(crate) unsafe fn sigmoid8(x: __m256) -> __m256 {
@@ -209,12 +253,18 @@ pub(crate) unsafe fn sigmoid8(x: __m256) -> __m256 {
 }
 
 /// In-place 8-wide `fast_tanh` sweep; scalar tail.
+///
+/// # Safety
+/// AVX2 and FMA must be available (`kernels::tanh_sweep` checks before it
+/// routes here).
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn tanh_sweep(v: &mut [f32]) {
     let n = v.len();
     let p = v.as_mut_ptr();
     let mut i = 0;
     while i + 8 <= n {
+        // SAFETY: `i + 8 <= v.len()`: the 8-float load and store at `p + i`
+        // stay inside `v`, which this call borrows mutably.
         _mm256_storeu_ps(p.add(i), tanh8(_mm256_loadu_ps(p.add(i))));
         i += 8;
     }
@@ -222,12 +272,18 @@ pub(crate) unsafe fn tanh_sweep(v: &mut [f32]) {
 }
 
 /// In-place 8-wide `fast_sigmoid` sweep; scalar tail.
+///
+/// # Safety
+/// AVX2 and FMA must be available (`kernels::sigmoid_sweep` checks before
+/// it routes here).
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn sigmoid_sweep(v: &mut [f32]) {
     let n = v.len();
     let p = v.as_mut_ptr();
     let mut i = 0;
     while i + 8 <= n {
+        // SAFETY: `i + 8 <= v.len()`: the 8-float load and store at `p + i`
+        // stay inside `v`, which this call borrows mutably.
         _mm256_storeu_ps(p.add(i), sigmoid8(_mm256_loadu_ps(p.add(i))));
         i += 8;
     }
@@ -236,6 +292,11 @@ pub(crate) unsafe fn sigmoid_sweep(v: &mut [f32]) {
 
 /// 8-wide fused LSTM gate row; the tail runs the scalar row kernel over
 /// the remaining elements (same scalars, so the seam is invisible).
+///
+/// # Safety
+/// AVX2 and FMA must be available (`kernels::lstm_gate_row` routes here only
+/// for variants `supported` reports). `pa_r` and `g_r` must hold at least
+/// `4·hid` elements, `cp_r`, `c_r`, `t_r` and `h_r` at least `hid`.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn lstm_gate_row(
@@ -253,8 +314,15 @@ pub(crate) unsafe fn lstm_gate_row(
     let c_o = c_r.as_mut_ptr();
     let t_o = t_r.as_mut_ptr();
     let h_o = h_r.as_mut_ptr();
+    debug_assert!(pa_r.len() >= 4 * hid && g_r.len() >= 4 * hid, "gate rows shorter than 4·hid");
+    debug_assert!(cp_r.len().min(c_r.len()).min(t_r.len()).min(h_r.len()) >= hid, "state rows shorter than hid");
     let mut j = 0;
     while j + 8 <= hid {
+        // SAFETY: `j + 8 <= hid`, so every 8-float window below — at `j` in
+        // the `hid`-long rows, at `q·hid + j` (`q < 4`) in the `4·hid`-long
+        // ones — ends inside its slice (lengths asserted above); the four
+        // output rows are distinct `&mut` borrows, so no store aliases a
+        // load.
         let i = sigmoid8(_mm256_loadu_ps(pa.add(j)));
         let f = sigmoid8(_mm256_loadu_ps(pa.add(hid + j)));
         let gg = tanh8(_mm256_loadu_ps(pa.add(2 * hid + j)));

@@ -39,6 +39,9 @@ trait Load16: PackElem {
 impl Load16 for f32 {
     #[inline(always)]
     unsafe fn load16(p: *const f32) -> __m512 {
+        // SAFETY: the caller guarantees `p..p+16` readable (the trait's
+        // contract); AVX-512F is on in the `#[target_feature]` caller this
+        // is inlined into.
         _mm512_loadu_ps(p)
     }
 }
@@ -48,6 +51,9 @@ impl Load16 for u16 {
     unsafe fn load16(p: *const u16) -> __m512 {
         // bf16 widen: zero-extend 16×u16 to 16×u32, shift into the high
         // half — exactly `f32::from_bits((b as u32) << 16)` per lane.
+        // SAFETY: the caller guarantees `p..p+16` readable — 32 bytes, what
+        // the unaligned 256-bit load reads; the widening intrinsics are
+        // AVX-512F, on in the `#[target_feature]` caller this is inlined into.
         let raw = _mm256_loadu_si256(p as *const __m256i);
         let wide = _mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(raw));
         _mm512_castsi512_ps(wide)
@@ -62,6 +68,8 @@ impl<E: Load16> Micro for Avx512Micro<E> {
     const MR: usize = MR;
     const NR: usize = NR;
 
+    /// # Safety
+    /// The contract of [`Micro::tile`].
     #[inline]
     unsafe fn tile(
         kb: usize,
@@ -73,11 +81,23 @@ impl<E: Load16> Micro for Avx512Micro<E> {
         cols: usize,
         acc: bool,
     ) {
+        debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * NR, "packed panels shorter than kb");
+        debug_assert!(rows <= MR && cols <= NR && cols <= ldc, "tile corner {rows}x{cols}, ldc {ldc}");
+        // SAFETY: AVX-512F — dispatch only selects this variant after
+        // `supported(Kernel::Avx512)` (contract (b) of `Micro::tile`). The
+        // panels hold `kb` full micro-panels (the packed layout, asserted
+        // above), and the caller owns the `rows×cols` corner at `out`
+        // (contract (a)): `tile_impl`'s own requirements.
         tile_impl::<E>(kb, ap.as_ptr(), bp.as_ptr(), out, ldc, rows, cols, acc);
     }
 }
 
 /// Free function carrying the `#[target_feature]` (trait methods cannot).
+///
+/// # Safety
+/// AVX-512F must be available. `ap` must be readable for `kb·MR` elements
+/// and `bp` for `kb·NR`; `rows <= MR`, `cols <= NR`, and the caller must own
+/// rows `0..rows` of `cols` elements each at `out`, `ldc` apart, exclusively.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_impl<E: Load16>(
@@ -92,6 +112,9 @@ unsafe fn tile_impl<E: Load16>(
 ) {
     let mut t = [_mm512_setzero_ps(); MR];
     for kk in 0..kb {
+        // SAFETY: `kk < kb`, so `bp + kk·NR .. + NR` and `ap + kk·MR + r`
+        // (`r < MR`) lie inside the `kb·NR` / `kb·MR` elements the caller
+        // vouches for.
         let b = E::load16(bp.add(kk * NR));
         for (r, tr) in t.iter_mut().enumerate() {
             let a = _mm512_set1_ps((*ap.add(kk * MR + r)).unpack());
@@ -102,6 +125,8 @@ unsafe fn tile_impl<E: Load16>(
     }
     if cols == NR {
         for (r, tr) in t.iter().enumerate().take(rows) {
+            // SAFETY: `r < rows` and `cols == NR = 16`: the caller owns the
+            // 16 elements at `out + r·ldc` one 512-bit load/store touches.
             let dst = out.add(r * ldc);
             if acc {
                 _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_loadu_ps(dst), *tr));
@@ -114,6 +139,10 @@ unsafe fn tile_impl<E: Load16>(
         // anything beyond the output row) untouched.
         let mask: __mmask16 = (1u16 << cols) - 1;
         for (r, tr) in t.iter().enumerate().take(rows) {
+            // SAFETY: `r < rows`; the mask enables lanes `0..cols` only
+            // (`cols < 16`), and masked-off lanes are neither read nor
+            // written nor faulted on, so only the `cols` elements the caller
+            // owns at `out + r·ldc` are touched.
             let dst = out.add(r * ldc);
             if acc {
                 let prev = _mm512_maskz_loadu_ps(mask, dst);
@@ -129,6 +158,9 @@ unsafe fn tile_impl<E: Load16>(
 
 /// 16-lane `fast_tanh`; same pipeline as `avx2::tanh8` with mask-register
 /// select for the saturated tails.
+///
+/// # Safety
+/// AVX-512F must be available; register arithmetic only, no memory access.
 #[target_feature(enable = "avx512f")]
 #[inline]
 pub(crate) unsafe fn tanh16(x: __m512) -> __m512 {
@@ -170,6 +202,9 @@ pub(crate) unsafe fn tanh16(x: __m512) -> __m512 {
 
 /// 16-lane `fast_sigmoid`: `0.5·tanh(0.5x) + 0.5`, separate mul/add
 /// roundings like the scalar.
+///
+/// # Safety
+/// As [`tanh16`]: AVX-512F must be available; no memory access.
 #[target_feature(enable = "avx512f")]
 #[inline]
 pub(crate) unsafe fn sigmoid16(x: __m512) -> __m512 {
@@ -179,12 +214,18 @@ pub(crate) unsafe fn sigmoid16(x: __m512) -> __m512 {
 }
 
 /// In-place 16-wide `fast_tanh` sweep; scalar tail.
+///
+/// # Safety
+/// AVX-512F must be available (`kernels::tanh_sweep` checks before it
+/// routes here).
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn tanh_sweep(v: &mut [f32]) {
     let n = v.len();
     let p = v.as_mut_ptr();
     let mut i = 0;
     while i + 16 <= n {
+        // SAFETY: `i + 16 <= v.len()`: the 16-float load and store at
+        // `p + i` stay inside `v`, which this call borrows mutably.
         _mm512_storeu_ps(p.add(i), tanh16(_mm512_loadu_ps(p.add(i))));
         i += 16;
     }
@@ -192,12 +233,18 @@ pub(crate) unsafe fn tanh_sweep(v: &mut [f32]) {
 }
 
 /// In-place 16-wide `fast_sigmoid` sweep; scalar tail.
+///
+/// # Safety
+/// AVX-512F must be available (`kernels::sigmoid_sweep` checks before it
+/// routes here).
 #[target_feature(enable = "avx512f")]
 pub(crate) unsafe fn sigmoid_sweep(v: &mut [f32]) {
     let n = v.len();
     let p = v.as_mut_ptr();
     let mut i = 0;
     while i + 16 <= n {
+        // SAFETY: `i + 16 <= v.len()`: the 16-float load and store at
+        // `p + i` stay inside `v`, which this call borrows mutably.
         _mm512_storeu_ps(p.add(i), sigmoid16(_mm512_loadu_ps(p.add(i))));
         i += 16;
     }
@@ -205,6 +252,11 @@ pub(crate) unsafe fn sigmoid_sweep(v: &mut [f32]) {
 }
 
 /// 16-wide fused LSTM gate row; scalar tail via the shared helper.
+///
+/// # Safety
+/// AVX-512F must be available (`kernels::lstm_gate_row` routes here only for
+/// variants `supported` reports). `pa_r` and `g_r` must hold at least `4·hid`
+/// elements, `cp_r`, `c_r`, `t_r` and `h_r` at least `hid`.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn lstm_gate_row(
@@ -222,8 +274,15 @@ pub(crate) unsafe fn lstm_gate_row(
     let c_o = c_r.as_mut_ptr();
     let t_o = t_r.as_mut_ptr();
     let h_o = h_r.as_mut_ptr();
+    debug_assert!(pa_r.len() >= 4 * hid && g_r.len() >= 4 * hid, "gate rows shorter than 4·hid");
+    debug_assert!(cp_r.len().min(c_r.len()).min(t_r.len()).min(h_r.len()) >= hid, "state rows shorter than hid");
     let mut j = 0;
     while j + 16 <= hid {
+        // SAFETY: `j + 16 <= hid`, so every 16-float window below — at `j`
+        // in the `hid`-long rows, at `q·hid + j` (`q < 4`) in the `4·hid`-long
+        // ones — ends inside its slice (lengths asserted above); the four
+        // output rows are distinct `&mut` borrows, so no store aliases a
+        // load.
         let i = sigmoid16(_mm512_loadu_ps(pa.add(j)));
         let f = sigmoid16(_mm512_loadu_ps(pa.add(hid + j)));
         let gg = tanh16(_mm512_loadu_ps(pa.add(2 * hid + j)));

@@ -285,8 +285,10 @@ pub trait Micro {
     ///
     /// # Safety
     /// The caller must (a) own the `rows×cols` output region at `out`
-    /// exclusively, and (b) only invoke a variant whose instruction set
-    /// [`supported`] reports available — dispatch guarantees (b).
+    /// (`rows <= MR`, `cols <= NR`, rows `ldc >= cols` apart) exclusively,
+    /// (b) only invoke a variant whose instruction set [`supported`] reports
+    /// available — dispatch guarantees (b) — and (c) pass panels of at least
+    /// `kb·MR` (`ap`) and `kb·NR` (`bp`) elements.
     // One flat call per micro-tile from the GEMM's innermost loop: the
     // eight scalars are the tile's whole description.
     #[allow(clippy::missing_safety_doc, clippy::too_many_arguments)]
@@ -306,13 +308,20 @@ pub trait Micro {
 
 /// In-place `fast_tanh` over a slice with the given variant. Bitwise-equal
 /// to the scalar map for every variant.
+///
+/// # Panics
+/// If this CPU cannot run `k` (see [`supported`]).
 pub fn tanh_sweep(k: Kernel, v: &mut [f32]) {
+    assert!(supported(k), "kernel {k:?} not supported by this CPU");
     match k {
         Kernel::Scalar => scalar::tanh_sweep(v),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only hands out supported variants.
+        // SAFETY: `supported(Avx2)` above saw AVX2 and FMA, the features the
+        // callee enables; it indexes only inside `v`.
         Kernel::Avx2 => unsafe { avx2::tanh_sweep(v) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported(Avx512)` above saw AVX-512F, the feature the
+        // callee enables; it indexes only inside `v`.
         Kernel::Avx512 => unsafe { avx512::tanh_sweep(v) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::tanh_sweep(v),
@@ -320,13 +329,20 @@ pub fn tanh_sweep(k: Kernel, v: &mut [f32]) {
 }
 
 /// In-place `fast_sigmoid` over a slice with the given variant.
+///
+/// # Panics
+/// If this CPU cannot run `k` (see [`supported`]).
 pub fn sigmoid_sweep(k: Kernel, v: &mut [f32]) {
+    assert!(supported(k), "kernel {k:?} not supported by this CPU");
     match k {
         Kernel::Scalar => scalar::sigmoid_sweep(v),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only hands out supported variants.
+        // SAFETY: `supported(Avx2)` above saw AVX2 and FMA, the features the
+        // callee enables; it indexes only inside `v`.
         Kernel::Avx2 => unsafe { avx2::sigmoid_sweep(v) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `supported(Avx512)` above saw AVX-512F, the feature the
+        // callee enables; it indexes only inside `v`.
         Kernel::Avx512 => unsafe { avx512::sigmoid_sweep(v) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::sigmoid_sweep(v),
@@ -335,12 +351,18 @@ pub fn sigmoid_sweep(k: Kernel, v: &mut [f32]) {
 
 /// Dot product with the scalar kernel's exact 8-lane accumulation order.
 /// AVX-512 deliberately routes to the 256-bit kernel (see module docs).
+/// `k` is the caller's [`selected`] variant, read once per GEMV.
 pub(crate) fn dot(k: Kernel, x: &[f32], y: &[f32]) -> f32 {
+    assert!(y.len() >= x.len(), "dot: {} against {} elements", x.len(), y.len());
+    debug_assert!(supported(k));
     match k {
         Kernel::Scalar => scalar::dot(x, y),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only hands out supported variants; Avx512
-        // implies AVX2.
+        // SAFETY: `k` came from `selected()`, which yields only variants
+        // `supported` confirmed (`force`, `with_override` and
+        // `default_kernel` each check), and every AVX-512F CPU has AVX2,
+        // the feature the callee enables. `y` is at least as long as `x`
+        // (asserted above), the bound its raw loads rely on.
         Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::dot(x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::dot(x, y),
@@ -350,7 +372,8 @@ pub(crate) fn dot(k: Kernel, x: &[f32], y: &[f32]) -> f32 {
 /// One fused LSTM gate row: activates the `[i|f|ĝ|o]` pre-activation row
 /// and produces the new cell state, its tanh, and the hidden state. All
 /// variants are bitwise-equal to the scalar loop (mul/mul/add cell update,
-/// no FMA contraction — matching the unfused tape ops).
+/// no FMA contraction — matching the unfused tape ops). `k` is the
+/// caller's [`selected`] variant, read once per cell.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn lstm_gate_row(
     k: Kernel,
@@ -362,12 +385,22 @@ pub(crate) fn lstm_gate_row(
     t_r: &mut [f32],
     h_r: &mut [f32],
 ) {
+    assert!(pa_r.len() >= 4 * hid && g_r.len() >= 4 * hid, "gate rows shorter than 4·hid");
+    assert!(
+        cp_r.len().min(c_r.len()).min(t_r.len()).min(h_r.len()) >= hid,
+        "state rows shorter than hid"
+    );
+    debug_assert!(supported(k));
     match k {
         Kernel::Scalar => scalar::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only hands out supported variants.
+        // SAFETY: `k` came from `selected()`, which yields only variants
+        // `supported` confirmed, so AVX2 and FMA are present; the row
+        // lengths the callee's raw loads and stores rely on are asserted
+        // above.
         Kernel::Avx2 => unsafe { avx2::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for `Avx2`, with AVX-512F the confirmed feature.
         Kernel::Avx512 => unsafe { avx512::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r),

@@ -25,6 +25,8 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
     const MR: usize = TILE;
     const NR: usize = TILE;
 
+    /// # Safety
+    /// The contract of [`Micro::tile`].
     unsafe fn tile(
         kb: usize,
         ap: &[E],

@@ -66,8 +66,9 @@ pub use lstm_cell::{
     LstmCellFwd,
 };
 pub use matmul::gemm_into;
+pub use reduce::{col_sums_into, softmax_rows_into};
 pub use shape::{broadcast_shapes, Shape};
-pub use tensor::Tensor;
+pub use tensor::{concat_cols_into, repeat_rows_into, slice_cols_into, Tensor};
 
 /// True when a GEMM with this inner dimension runs as a single k-block.
 /// For such shapes `gemm_into(..., acc = true)` accumulates the product

@@ -158,11 +158,6 @@ impl Tensor {
         binary_op(self, rhs, |a, b| a * b)
     }
 
-    /// Elementwise quotient with broadcasting.
-    pub fn div(&self, rhs: &Tensor) -> Tensor {
-        binary_op(self, rhs, |a, b| a / b)
-    }
-
     /// Elementwise maximum with broadcasting.
     pub fn maximum(&self, rhs: &Tensor) -> Tensor {
         binary_op(self, rhs, f32::max)
@@ -181,11 +176,6 @@ impl Tensor {
     }
 
     // -------------------------------------------------------------- unary ops
-
-    /// Elementwise negation.
-    pub fn neg(&self) -> Tensor {
-        unary_op(self, |x| -x)
-    }
 
     /// Elementwise `exp`.
     pub fn exp(&self) -> Tensor {

@@ -4,7 +4,7 @@
 //! matmul, im2col, and gradient accumulation allocates an output buffer,
 //! uses it briefly, and drops it when the autograd tape is discarded. Paying
 //! the allocator (and page-faulting fresh zero pages) for each of those is
-//! measurable churn at large batch sizes, so [`Buffer`] — the storage behind
+//! measurable churn at large batch sizes, so `Buffer` — the storage behind
 //! every [`crate::Tensor`] — returns its `Vec<f32>` to a thread-local free
 //! list on drop, and new kernel outputs are carved from that list when a
 //! fitting buffer is available.
@@ -15,14 +15,14 @@
 //!   reused by that worker. Training loops allocate and free on the main
 //!   thread, which is where the hits land.
 //! * **First fit with a waste cap** — a pooled buffer is reused when its
-//!   capacity is at least the request and at most [`WASTE_FACTOR`]× the
+//!   capacity is at least the request and at most `WASTE_FACTOR`× the
 //!   request, so a giant buffer is never pinned under a tiny tensor.
-//! * **Bounded** — at most [`MAX_POOLED`] buffers / [`MAX_POOL_FLOATS`]
-//!   floats per thread; tiny buffers (< [`MIN_POOL_ELEMS`] elements) skip
+//! * **Bounded** — at most `MAX_POOLED` buffers / `MAX_POOL_FLOATS`
+//!   floats per thread; tiny buffers (< `MIN_POOL_ELEMS` elements) skip
 //!   the pool entirely since the allocator already handles them well.
 //! * **The heap under it keeps its pages** — what the list turns away goes
 //!   back to the allocator, which must not hand it on to the kernel between
-//!   one tape and the next: see [`settle_heap`].
+//!   one tape and the next: see `settle_heap`.
 
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -154,12 +154,12 @@ fn give(v: Vec<f32>) {
 /// Pre-sizes this thread's free list for a workload whose peak live set is
 /// `bytes` (e.g. a compiled plan's `PlanStats::peak_live_bytes`): seeds a
 /// doubling ladder of power-of-two buffers, two per rung, from
-/// [`MIN_POOL_ELEMS`] up to the first power of two covering the peak. The
+/// `MIN_POOL_ELEMS` up to the first power of two covering the peak. The
 /// take-side fit test accepts a buffer whose capacity is within
-/// [`WASTE_FACTOR`]× of the request, so for any request of `len ≥ 1` the
+/// `WASTE_FACTOR`× of the request, so for any request of `len ≥ 1` the
 /// rung at `len.next_power_of_two().max(MIN_POOL_ELEMS)` qualifies —
 /// after prewarming, first-use requests up to the peak hit the pool
-/// instead of the allocator. Offers go through the normal [`give`] path,
+/// instead of the allocator. Offers go through the normal `give` path,
 /// so the per-thread buffer/byte budgets still apply; a second prewarm of
 /// an already-warm pool is a bounded no-op once the caps are reached.
 /// Returns the number of buffers offered. Seeded capacity never touches
@@ -212,7 +212,7 @@ pub struct PoolStats {
     pub allocations: usize,
     /// Buffers recycled from a thread-local free list (pool hits).
     pub recycles: usize,
-    /// Bytes currently held by live [`Buffer`]s (excludes pooled free lists).
+    /// Bytes currently held by live `Buffer`s (excludes pooled free lists).
     pub live_bytes: usize,
     /// Maximum `live_bytes` ever observed.
     pub high_water_bytes: usize,

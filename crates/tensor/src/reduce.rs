@@ -2,6 +2,40 @@
 
 use crate::tensor::Tensor;
 
+/// Row-wise softmax of the row-major `[m, n]` matrix `src` into `out`,
+/// numerically stabilised by the row max, with the normaliser accumulated in
+/// f64 — the kernel behind [`Tensor::softmax_rows`], on caller-owned storage.
+pub fn softmax_rows_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
+    assert!(src.len() == m * n && out.len() == m * n, "softmax_rows_into: [{m},{n}] buffers");
+    for (row, orow) in src.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0f64;
+        for (o, &x) in orow.iter_mut().zip(row.iter()) {
+            let e = (x - mx).exp();
+            *o = e;
+            z += e as f64;
+        }
+        let inv = (1.0 / z) as f32;
+        for o in orow.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
+/// Column sums of the row-major `[rows, cols]` matrix `src` into the f64
+/// accumulators `acc` (overwritten): each column adds its rows in ascending
+/// order while the matrix is read contiguously — the kernel behind
+/// [`Tensor::sum_axis`]`(0)`.
+pub fn col_sums_into(src: &[f32], rows: usize, cols: usize, acc: &mut [f64]) {
+    assert!(src.len() == rows * cols && acc.len() == cols, "col_sums_into: [{rows},{cols}] buffers");
+    acc.fill(0.0);
+    for row in src.chunks_exact(cols) {
+        for (a, &x) in acc.iter_mut().zip(row) {
+            *a += x as f64;
+        }
+    }
+}
+
 impl Tensor {
     /// Sum of all elements, accumulated in f64 for stability.
     pub fn sum(&self) -> f32 {
@@ -32,11 +66,7 @@ impl Tensor {
         match axis {
             0 => {
                 let mut out = vec![0.0f64; n];
-                for i in 0..m {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        *o += src[i * n + j] as f64;
-                    }
-                }
+                col_sums_into(src, m, n, &mut out);
                 Tensor::from_vec(out.into_iter().map(|x| x as f32).collect(), &[n])
             }
             1 => {
@@ -95,23 +125,8 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "softmax_rows expects 2-D, got {:?}", self.shape());
         let (m, n) = (self.dim(0), self.dim(1));
-        let src = self.as_slice();
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = &src[i * n..(i + 1) * n];
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut z = 0.0f64;
-            for (o, &x) in orow.iter_mut().zip(row.iter()) {
-                let e = (x - mx).exp();
-                *o = e;
-                z += e as f64;
-            }
-            let inv = (1.0 / z) as f32;
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
-        }
+        softmax_rows_into(self.as_slice(), m, n, &mut out);
         Tensor::from_vec(out, &[m, n])
     }
 

@@ -5,6 +5,36 @@ use crate::pool::Buffer;
 use crate::shape::Shape;
 use std::sync::Arc;
 
+/// Tiles the vector `v` into every row of the row-major `[rows, v.len()]`
+/// matrix `out` — the kernel behind [`Tensor::repeat_rows`].
+pub fn repeat_rows_into(v: &[f32], rows: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), rows * v.len(), "repeat_rows_into: [{rows},{}] output", v.len());
+    for row in out.chunks_exact_mut(v.len()) {
+        row.copy_from_slice(v);
+    }
+}
+
+/// Copies the row-major `[rows, width]` matrix `part` into columns
+/// `off..off + width` of the `[rows, total]` matrix `out` — one operand of
+/// [`Tensor::concat_cols`].
+pub fn concat_cols_into(part: &[f32], rows: usize, width: usize, out: &mut [f32], total: usize, off: usize) {
+    assert!(part.len() == rows * width && out.len() == rows * total && off + width <= total);
+    for (src, dst) in part.chunks_exact(width).zip(out.chunks_exact_mut(total)) {
+        dst[off..off + width].copy_from_slice(src);
+    }
+}
+
+/// Copies columns `start..end` of the row-major `[rows, cols]` matrix `src`
+/// into the `[rows, end - start]` matrix `out` — the kernel behind
+/// [`Tensor::slice_cols`].
+pub fn slice_cols_into(src: &[f32], rows: usize, cols: usize, start: usize, end: usize, out: &mut [f32]) {
+    assert!(start < end && end <= cols, "column slice {start}..{end} out of {cols}");
+    assert!(src.len() == rows * cols && out.len() == rows * (end - start));
+    for (src, dst) in src.chunks_exact(cols).zip(out.chunks_exact_mut(end - start)) {
+        dst.copy_from_slice(&src[start..end]);
+    }
+}
+
 /// A dense, row-major `f32` tensor.
 ///
 /// Cloning is O(1): the buffer is behind an [`Arc`] and only copied when a
@@ -12,7 +42,7 @@ use std::sync::Arc;
 /// This makes it cheap for the autograd tape to retain every intermediate
 /// value of a forward pass.
 ///
-/// Storage is a [`Buffer`] rather than a bare `Vec<f32>`: when the last
+/// Storage is a pooled `Buffer` rather than a bare `Vec<f32>`: when the last
 /// reference drops, the allocation rejoins a thread-local recycling pool
 /// (see [`crate::pool`]), so steady-state training loops stop paying the
 /// allocator for every kernel output.
@@ -196,10 +226,7 @@ impl Tensor {
         assert_eq!(v.ndim(), 1, "repeat_rows expects a vector, got {:?}", v.shape);
         let n = v.dim(0);
         let mut out = Buffer::dirty(rows * n);
-        let src = v.as_slice();
-        for r in 0..rows {
-            out[r * n..(r + 1) * n].copy_from_slice(src);
-        }
+        repeat_rows_into(v.as_slice(), rows, &mut out);
         Tensor::from_buffer(out, &[rows, n])
     }
 
@@ -281,13 +308,8 @@ impl Tensor {
         let mut out = vec![0.0f32; rows * total_cols];
         let mut col_off = 0;
         for p in parts {
-            let pc = p.dim(1);
-            let src = p.as_slice();
-            for r in 0..rows {
-                out[r * total_cols + col_off..r * total_cols + col_off + pc]
-                    .copy_from_slice(&src[r * pc..(r + 1) * pc]);
-            }
-            col_off += pc;
+            concat_cols_into(p.as_slice(), rows, p.dim(1), &mut out, total_cols, col_off);
+            col_off += p.dim(1);
         }
         Tensor::from_vec(out, &[rows, total_cols])
     }
@@ -296,15 +318,10 @@ impl Tensor {
     pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
         assert_eq!(self.ndim(), 2);
         let (rows, cols) = (self.dim(0), self.dim(1));
-        assert!(start <= end && end <= cols, "column slice {start}..{end} out of {cols}");
-        let width = end - start;
-        let src = self.as_slice();
-        let mut out = vec![0.0f32; rows * width];
-        for r in 0..rows {
-            out[r * width..(r + 1) * width]
-                .copy_from_slice(&src[r * cols + start..r * cols + end]);
-        }
-        Tensor::from_vec(out, &[rows, width])
+        assert!(start < end && end <= cols, "column slice {start}..{end} out of {cols}");
+        let mut out = vec![0.0f32; rows * (end - start)];
+        slice_cols_into(self.as_slice(), rows, cols, start, end, &mut out);
+        Tensor::from_vec(out, &[rows, end - start])
     }
 }
 
