@@ -16,8 +16,7 @@
 //! sized at capture. Every instruction calls the body its tape op calls —
 //! the slice kernels of [`crate::opk`] and `legw_tensor`'s `_into`
 //! functions — so a replayed step is bitwise identical to rebuilding the
-//! tape, except where a plan intentionally splits a graph (documented at
-//! the call sites) and f32 reassociation bounds the difference at ~1e-5.
+//! tape.
 //!
 //! **Weights are packed once per replay.** A GEMM whose B operand is a
 //! parameter — or a row-slice / reshape of one, like the `W_x` / `W_h`
@@ -60,11 +59,11 @@ pub struct CaptureSpec<'a> {
     /// this order). Must have `requires_grad == true`. Every
     /// `requires_grad` leaf on the tape must be listed here.
     pub params: &'a [Var],
-    /// Scalar loss node — when set, [`Plan::replay_backward_loss`] seeds
-    /// the sweep with `dL/dL = 1` exactly like [`Graph::backward`].
+    /// Scalar loss node — [`Plan::replay_backward_loss`] seeds the sweep
+    /// with `dL/dL = 1` exactly like [`Graph::backward`]. Required by
+    /// [`Plan::capture`]; optional for [`Plan::capture_forward`].
     pub loss: Option<Var>,
-    /// Non-leaf nodes whose values the caller reads after each replay
-    /// (and, in seed mode, the roots [`Plan::replay_backward`] seeds).
+    /// Non-leaf nodes whose values the caller reads after each replay.
     pub outputs: &'a [Var],
 }
 
@@ -253,15 +252,13 @@ struct BnRt {
     inv_std: Vec<f32>,
 }
 
-/// The static program: instruction lists plus seed bookkeeping.
+/// The static program: instruction lists plus the backward's root.
 struct Prog {
     fwd: Vec<Instr>,
     bwd: Vec<Instr>,
-    /// Loss-mode: the loss node's gradient slot (seeded with 1.0).
-    loss_grad: Option<Dst>,
-    /// Seed-mode: per `spec.outputs` entry, the gradient slot seeded by
-    /// [`Plan::replay_backward`] (`None` for non-differentiable outputs).
-    seed_targets: Vec<Option<(Dst, usize)>>,
+    /// The arena slot of the loss node's gradient (seeded with 1.0); `None`
+    /// in a forward-only plan.
+    loss_grad: Option<u32>,
 }
 
 /// The packed form of one weight operand, owned by the plan: elements
@@ -309,7 +306,7 @@ struct Store {
 ///
 /// Created by [`Plan::capture`]; replays are driven by
 /// [`Plan::replay_forward`] followed by [`Plan::replay_backward_loss`]
-/// (loss mode) or [`Plan::replay_backward`] (seed mode). At steady state a
+/// (together: [`Plan::replay_step`]). At steady state a
 /// replay performs **zero** buffer-pool allocations: every destination was
 /// sized at capture.
 pub struct Plan {
@@ -330,13 +327,17 @@ impl Plan {
     /// `spec` does not describe the tape: an empty tape, a `spec.params` /
     /// `spec.inputs` entry that is not a leaf of that kind or is listed
     /// twice, a `requires_grad` leaf missing from `spec.params`, a leaf or
-    /// repeated output, a non-scalar or non-differentiable loss. No op is
-    /// beyond a plan — the capture matches `Op` exhaustively, so a new op
-    /// fails to compile, not to capture. Callers fall back to the tape.
+    /// repeated output, a missing, non-scalar or non-differentiable loss. No
+    /// op is beyond a plan — the capture matches `Op` exhaustively, so a new
+    /// op fails to compile, not to capture. Callers fall back to the tape.
+    /// The backward sweep starts at the loss alone, exactly like
+    /// [`Graph::backward`]: `spec.outputs` are values, never gradient roots.
+    /// A capture without a loss is [`Plan::capture_forward`]'s.
     ///
     /// Call after the forward pass — running `backward` first is fine
     /// (the sweep restores every op it visits).
     pub fn capture(g: &Graph, spec: &CaptureSpec) -> Option<Plan> {
+        spec.loss?;
         Capturer::run(g, spec, false)
     }
 
@@ -347,8 +348,7 @@ impl Plan {
     /// intermediates die at their last forward use and the arena is much
     /// smaller than a training plan's. A `spec.loss` is still computed as
     /// a forward output (so [`Plan::loss`] works), but
-    /// [`Plan::replay_backward_loss`] / [`Plan::replay_backward`] panic on
-    /// a plan captured this way.
+    /// [`Plan::replay_backward_loss`] panics on a plan captured this way.
     pub fn capture_forward(g: &Graph, spec: &CaptureSpec) -> Option<Plan> {
         Capturer::run(g, spec, true)
     }
@@ -368,70 +368,17 @@ impl Plan {
         }
     }
 
-    /// Runs the backward schedule seeded with `dL/dL = 1` (loss mode).
+    /// Runs the backward schedule seeded with `dL/dL = 1`.
     /// `inputs` / `params` must be the same tensors passed to the
     /// preceding [`Plan::replay_forward`], unchanged since, and the kernel
     /// tier and bf16 scope must be the ones it ran under: the weight panels
     /// it packed are reused here.
     ///
     /// # Panics
-    /// If the plan was captured without `spec.loss`.
+    /// If the plan was captured with [`Plan::capture_forward`].
     pub fn replay_backward_loss(&mut self, inputs: &[&Tensor], params: &[&Tensor]) {
-        let seed = self.prog.loss_grad.expect("replay_backward_loss on a plan without a loss");
-        // The single backward schedule also serves seed mode, so the other
-        // outputs' seed slots take part in it — zero them (an unseeded
-        // output contributes nothing; `0.0 + x` differs from the tape only
-        // on the sign of a `-0.0`, documented in the module header).
-        for (dst, _) in self.prog.seed_targets.iter().flatten() {
-            if *dst != seed {
-                let s = self.st.dst_is_slot(*dst);
-                self.st.slots[s].fill(0.0);
-            }
-        }
-        {
-            let s = self.st.dst_is_slot(seed);
-            debug_assert_eq!(self.st.slots[s].len(), 1);
-            self.st.slots[s][0] = 1.0;
-        }
-        let (prog, st) = (&self.prog, &mut self.st);
-        for ins in &prog.bwd {
-            exec(ins, st, inputs, params);
-        }
-    }
-
-    /// Runs the backward schedule from explicit per-output seed gradients
-    /// (seed mode), one per `spec.outputs` entry, mirroring
-    /// `Graph::backward_seeded` run for every output. Seeds for
-    /// non-differentiable outputs are ignored. The same contract as
-    /// [`Plan::replay_backward_loss`] binds `inputs` / `params`.
-    pub fn replay_backward(&mut self, inputs: &[&Tensor], params: &[&Tensor], seeds: &[&Tensor]) {
-        assert_eq!(
-            seeds.len(),
-            self.prog.seed_targets.len(),
-            "one seed per captured output"
-        );
-        let seeded: Vec<Dst> = self
-            .prog
-            .seed_targets
-            .iter()
-            .flatten()
-            .map(|(d, _)| *d)
-            .collect();
-        if let Some(lg) = self.prog.loss_grad {
-            // A plan captured with both a loss and seedable outputs shares
-            // one backward schedule; in seed mode the loss is unseeded.
-            if !seeded.contains(&lg) {
-                let s = self.st.dst_is_slot(lg);
-                self.st.slots[s].fill(0.0);
-            }
-        }
-        for (seed, target) in seeds.iter().zip(&self.prog.seed_targets) {
-            if let Some((dst, n)) = target {
-                assert_eq!(seed.numel(), *n, "seed shape mismatch");
-                let s = self.st.dst_is_slot(*dst);
-                self.st.slots[s].copy_from_slice(seed.as_slice());
-            }
-        }
+        let seed = self.prog.loss_grad.expect("replay_backward_loss on a forward-only plan");
+        self.st.slots[seed as usize][0] = 1.0;
         let (prog, st) = (&self.prog, &mut self.st);
         for ins in &prog.bwd {
             exec(ins, st, inputs, params);
@@ -678,13 +625,6 @@ impl Store {
                 debug_assert!(p.epoch == self.epoch && p.tb == tb, "stale or foreign panel");
                 gemm_into_packed(ta, a, &p.packed, m, out, acc)
             }
-        }
-    }
-
-    fn dst_is_slot(&self, d: Dst) -> usize {
-        match d {
-            Dst::Slot(i) => i as usize,
-            _ => panic!("gradient seed target must be an arena slot"),
         }
     }
 }
@@ -1845,43 +1785,22 @@ impl Capturer {
         }
         let ce_n = labels.len();
 
-        // ---- seed bookkeeping (seeds land at schedule position N).
-        // Forward-only capture skips it entirely: `root_max` stays `None`,
-        // so no backward instruction is ever emitted and no gradient slot
-        // enters liveness.
+        // ---- the backward's one root, the loss, seeded at schedule
+        // position N. A forward-only capture has none, so no backward
+        // instruction is ever emitted and no gradient slot enters liveness.
         let mut grads_present = vec![false; n];
         let mut contrib = vec![0usize; n];
-        let mut root_max: Option<usize> = None;
-        if !forward_only {
-            if let Some(l) = spec.loss {
-                grads_present[l.0] = true;
-                contrib[l.0] = 1;
-                root_max = Some(l.0);
-            }
+        let root = spec.loss.filter(|_| !forward_only).map(|l| l.0);
+        if let Some(l) = root {
+            grads_present[l] = true;
+            contrib[l] = 1;
         }
-        let mut seed_targets: Vec<Option<(Dst, usize)>> = Vec::with_capacity(spec.outputs.len());
-        for &v in spec.outputs {
-            if !forward_only && g.nodes[v.0].requires_grad {
-                grads_present[v.0] = true;
-                if contrib[v.0] == 0 {
-                    contrib[v.0] = 1;
-                }
-                root_max = Some(root_max.map_or(v.0, |m| m.max(v.0)));
-                seed_targets.push(Some((Dst::Slot((n + v.0) as u32), numel(v.0))));
-            } else {
-                seed_targets.push(None);
-            }
-        }
-        let loss_grad: Option<Dst> = if forward_only {
-            None
-        } else {
-            spec.loss.map(|l| Dst::Slot((n + l.0) as u32))
-        };
+        let loss_grad: Option<u32> = root.map(|l| (n + l) as u32);
 
         // ---- backward emission (node i's rule at position 2N-1-i)
         let mut bwd: Vec<Instr> = Vec::new();
         let mut bpos: Vec<usize> = Vec::new();
-        if let Some(rm) = root_max {
+        if let Some(rm) = root {
             for i in (0..=rm).rev() {
                 if !grads_present[i] || !g.nodes[i].requires_grad {
                     continue;
@@ -2433,11 +2352,9 @@ impl Capturer {
             for (ins, &pos) in bwd.iter_mut().zip(bpos.iter()) {
                 visit_slots(ins, &mut |v| touch(*v, pos));
             }
-            // The replay driver writes the seeds between the two sweeps.
-            for d in loss_grad.iter().chain(seed_targets.iter().flatten().map(|(d, _)| d)) {
-                if let Dst::Slot(vid) = d {
-                    touch(*vid, n);
-                }
+            // The replay driver writes the loss seed between the two sweeps.
+            if let Some(vid) = loss_grad {
+                touch(vid, n);
             }
         }
         let numel_of = |vid: u32| -> usize {
@@ -2487,16 +2404,7 @@ impl Capturer {
         for ins in fwd.iter_mut().chain(bwd.iter_mut()) {
             visit_slots(ins, &mut |v| *v = slot_map[&*v]);
         }
-        let remap = |d: Dst| -> Dst {
-            if let Dst::Slot(v) = d {
-                Dst::Slot(slot_map[&v])
-            } else {
-                d
-            }
-        };
-        let loss_grad = loss_grad.map(remap);
-        let seed_targets: Vec<Option<(Dst, usize)>> =
-            seed_targets.into_iter().map(|o| o.map(|(d, s)| (remap(d), s))).collect();
+        let loss_grad = loss_grad.map(|v| slot_map[&v]);
 
         // ---- storage + stats
         let colsum = bwd
@@ -2556,7 +2464,7 @@ impl Capturer {
             placeholder: Tensor::zeros(&[1]),
         };
         Some(Plan {
-            prog: Prog { fwd, bwd, loss_grad, seed_targets },
+            prog: Prog { fwd, bwd, loss_grad },
             st,
             in_shapes: spec.inputs.iter().map(|&v| g.nodes[v.0].value.shape().to_vec()).collect(),
             par_shapes: spec.params.iter().map(|&v| g.nodes[v.0].value.shape().to_vec()).collect(),
@@ -2663,7 +2571,8 @@ mod tests {
     fn forward_only_capture_matches_tape_and_drops_backward() {
         let ps0 = mlp_params(11);
         let x0 = t(20, &[4, 8]);
-        // Loss-free inference tape: the logits are the only output.
+        // The logits are the only output; the training plan also gets a loss
+        // over them, which the forward-only capture leaves out.
         fn infer_tape(x: &Tensor, ps: &[&Tensor]) -> (Graph, Var, Vec<Var>, Var) {
             let mut g = Graph::new();
             let xv = g.input(x.clone());
@@ -2675,9 +2584,11 @@ mod tests {
             let o = g.add_bias(o, pv[3]);
             (g, xv, pv, o)
         }
-        let (g, xv, pv, o) = infer_tape(&x0, &ps0.iter().collect::<Vec<_>>());
+        let (mut g, xv, pv, o) = infer_tape(&x0, &ps0.iter().collect::<Vec<_>>());
+        let loss = g.sum_all(o);
         let spec = CaptureSpec { inputs: &[xv], params: &pv, loss: None, outputs: &[o] };
-        let mut full = Plan::capture(&g, &spec).expect("full capture");
+        let mut full = Plan::capture(&g, &CaptureSpec { loss: Some(loss), ..spec })
+            .expect("full capture");
         let mut fwd = Plan::capture_forward(&g, &spec).expect("forward-only capture");
         assert_eq!(fwd.stats().bwd_instrs, 0, "no backward schedule");
         assert!(fwd.param_grad(0).is_none(), "no gradient flows in a forward-only plan");
@@ -3255,45 +3166,6 @@ mod tests {
         }
     }
 
-    // ---- seed mode ------------------------------------------------------
-
-    #[test]
-    fn seed_mode_matches_backward_seeded() {
-        let w0 = t(120, &[5, 3]);
-        let x0 = t(121, &[2, 5]);
-        let build = |x: &Tensor, w: &Tensor| {
-            let mut g = Graph::new();
-            let xv = g.input(x.clone());
-            let wv = g.param(w.clone());
-            let mm = g.matmul(xv, wv);
-            let y = g.tanh(mm);
-            (g, xv, wv, y)
-        };
-        let (g0, xv, wv, y) = build(&x0, &w0);
-        let spec =
-            CaptureSpec { inputs: &[xv], params: &[wv], loss: None, outputs: &[y] };
-        let mut plan = Plan::capture(&g0, &spec).expect("seed capture");
-
-        let w1 = t(130, &[5, 3]);
-        let x1 = t(131, &[2, 5]);
-        let seed = t(132, &[2, 3]);
-        plan.replay_forward(&[&x1], &[&w1], &Feeds::default());
-        plan.replay_backward(&[&x1], &[&w1], &[&seed]);
-
-        let (mut gf, _, wvf, yf) = build(&x1, &w1);
-        gf.backward_seeded(yf, seed.clone());
-        assert_bits(
-            plan.output(0).as_slice(),
-            gf.value(yf).as_slice(),
-            "seed-mode output",
-        );
-        assert_bits(
-            plan.param_grad(0).unwrap().as_slice(),
-            gf.grad(wvf).unwrap().as_slice(),
-            "seed-mode grad",
-        );
-    }
-
     // ---- capture validation & stats -------------------------------------
 
     #[test]
@@ -3323,6 +3195,11 @@ mod tests {
         // leaf as output
         let bad2 = CaptureSpec { inputs: &[], params: &[w], loss: Some(loss), outputs: &[w] };
         assert!(Plan::capture(&g, &bad2).is_none());
+        // no loss: a training plan would have no backward root; loss-free
+        // captures are `capture_forward`'s
+        let no_loss = CaptureSpec { inputs: &[], params: &[w], loss: None, outputs: &[y] };
+        assert!(Plan::capture(&g, &no_loss).is_none());
+        assert!(Plan::capture_forward(&g, &no_loss).is_some());
     }
 
     #[test]
@@ -3349,35 +3226,5 @@ mod tests {
         // Every add-mode GEMM here folds into GemmAcc and every LstmG runs
         // in place, so only the bias gradient's f64 column sums need scratch.
         assert_eq!(st.scratch_bytes, 4 * H * 8, "{}", plan.describe());
-    }
-
-    #[test]
-    fn unused_output_grad_is_zeroed_in_loss_mode() {
-        // plan with both a loss and a differentiable side output: loss-mode
-        // replay must not leak the side output's stale seed into the sweep
-        let w0 = t(150, &[3, 3]);
-        let build = |w: &Tensor| {
-            let mut g = Graph::new();
-            let wv = g.param(w.clone());
-            let y = g.tanh(wv);
-            let loss = g.sum_all(y);
-            (g, wv, y, loss)
-        };
-        let (g0, wv, y, loss) = build(&w0);
-        let spec =
-            CaptureSpec { inputs: &[], params: &[wv], loss: Some(loss), outputs: &[y] };
-        let mut plan = Plan::capture(&g0, &spec).expect("capture");
-        // seed-mode replay first, to dirty the side output's grad slot
-        plan.replay_forward(&[], &[&w0], &Feeds::default());
-        plan.replay_backward(&[], &[&w0], &[&t(151, &[3, 3])]);
-        // now a loss-mode replay must match a fresh tape exactly
-        plan.replay_step(&[], &[&w0], &Feeds::default());
-        let (mut gf, wvf, _, lossf) = build(&w0);
-        gf.backward(lossf);
-        assert_bits(
-            plan.param_grad(0).unwrap().as_slice(),
-            gf.grad(wvf).unwrap().as_slice(),
-            "loss-mode after seed-mode",
-        );
     }
 }

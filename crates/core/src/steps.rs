@@ -58,8 +58,7 @@ pub trait ShardStep: Sync {
     fn capture(&self, ps: &ParamSet, shard: &Self::Shard) -> Option<StepPlan>;
 
     /// Replays the captured plan for one shard. Must produce the same
-    /// [`ShardOut`] as [`ShardStep::run_shard`] (bitwise, or to the
-    /// documented ≤1e-5 for reassociated reductions).
+    /// [`ShardOut`] as [`ShardStep::run_shard`], bitwise.
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, shard: &Self::Shard)
         -> ShardOut<Self::Extra>;
 }
@@ -312,16 +311,15 @@ impl ShardStep for Seq2SeqStep<'_> {
         ShardOut { grads: collect_grads(g, bd, loss, ps), loss: nll, extra: () }
     }
 
-    /// Batch size × source length key the *encoder* plan; the
-    /// token-dependent decoder runs on a fresh tape every step inside
-    /// [`legw_models::Seq2Seq::planned_loss_grads`], so decoder lengths and
-    /// loss scales need not be keyed.
-    fn plan_key(&self, (sb, _): &Self::Shard) -> Vec<usize> {
-        vec![sb.batch_size(), sb.src.len()]
+    /// Batch size × source length × decode steps × sharded. The loss
+    /// scales are plan inputs, so their values are not part of the key —
+    /// one plan per shard slot serves the whole run.
+    fn plan_key(&self, (sb, scale): &Self::Shard) -> Vec<usize> {
+        vec![sb.batch_size(), sb.src.len(), sb.dec_in.len(), usize::from(scale.is_some())]
     }
 
-    fn capture(&self, ps: &ParamSet, (sb, _): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_encoder_plan(ps, sb)
+    fn capture(&self, ps: &ParamSet, (sb, scale): &Self::Shard) -> Option<StepPlan> {
+        self.model.capture_step_plan(ps, sb, scale.as_deref())
     }
 
     fn replay(
@@ -330,9 +328,8 @@ impl ShardStep for Seq2SeqStep<'_> {
         plan: &mut StepPlan,
         (sb, scale): &Self::Shard,
     ) -> ShardOut<()> {
-        let mut buf = GradBuffer::for_params(ps);
-        let nll = self.model.planned_loss_grads(ps, sb, scale.as_deref(), plan, &mut buf);
-        ShardOut { grads: buf, loss: nll, extra: () }
+        let loss = self.model.replay_step_plan(plan, ps, sb, scale.as_deref());
+        ShardOut { grads: plan_grads(plan, ps), loss, extra: () }
     }
 }
 

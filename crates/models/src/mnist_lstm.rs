@@ -119,7 +119,7 @@ impl MnistLstm {
         labels: &[usize],
     ) -> Option<StepPlan> {
         let (g, bd, loss, _) = self.forward_loss(ps, batch, labels);
-        StepPlan::capture(&g, &bd, Some(loss), &[])
+        StepPlan::capture(&g, &bd, loss, &[])
     }
 
     /// Replays a captured step on a fresh batch of the same size:

@@ -25,17 +25,19 @@ pub struct StepPlan {
 }
 
 impl StepPlan {
-    /// Captures the tape `g` into a plan. `inputs` are the tape's
-    /// [`Graph::input`] leaves in creation order; `params` are the
-    /// binding's bound parameters in binding order. Returns `None` only
-    /// for a mis-specified capture (an empty tape, a leaf that is neither an
-    /// input nor bound, a non-scalar loss, a leaf or repeated output — see
-    /// [`Plan::capture`]); there is no op a plan cannot replay. Callers
-    /// fall back to the tape path.
-    pub fn capture(g: &Graph, bd: &Binding, loss: Option<Var>, outputs: &[Var]) -> Option<Self> {
+    /// Captures the training tape `g`, whose scalar loss is `loss`, into a
+    /// plan; `outputs` are further values read after each replay. The
+    /// plan's inputs are the tape's [`Graph::input`] leaves in creation
+    /// order; its parameters are the binding's bound parameters in binding
+    /// order. Returns `None` only for a mis-specified capture (an empty
+    /// tape, a leaf that is neither an input nor bound, a non-scalar loss, a
+    /// leaf or repeated output — see [`Plan::capture`]); there is no op a
+    /// plan cannot replay. Callers fall back to the tape path.
+    pub fn capture(g: &Graph, bd: &Binding, loss: Var, outputs: &[Var]) -> Option<Self> {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
-        let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss, outputs };
+        let spec =
+            CaptureSpec { inputs: g.input_vars(), params: &params, loss: Some(loss), outputs };
         Plan::capture(g, &spec).map(|plan| Self { plan, ids })
     }
 
@@ -43,7 +45,7 @@ impl StepPlan {
     /// [`StepPlan::capture`], but via [`Plan::capture_forward`] — no
     /// backward schedule, no gradient buffers, and a forward-liveness
     /// arena. Replays run through [`StepPlan::replay_forward`];
-    /// the backward entry points panic on a plan captured this way.
+    /// [`StepPlan::replay_step`] panics on a plan captured this way.
     pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Option<Self> {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
@@ -66,13 +68,6 @@ impl StepPlan {
     pub fn replay_forward(&mut self, ps: &ParamSet, inputs: &[&Tensor], feeds: &Feeds) {
         let pv = self.param_values(ps);
         self.plan.replay_forward(inputs, &pv, feeds);
-    }
-
-    /// Backward replay seeded at the plan outputs (one seed per output,
-    /// in output order) — the encoder half of a split plan/tape model.
-    pub fn replay_backward(&mut self, ps: &ParamSet, inputs: &[&Tensor], seeds: &[&Tensor]) {
-        let pv = self.param_values(ps);
-        self.plan.replay_backward(inputs, &pv, seeds);
     }
 
     /// The loss value of the last replay (loss-mode plans).

@@ -251,7 +251,7 @@ impl PtbLm {
         let mut g = Graph::new();
         let (bd, loss, finals) = self.window_tape(&mut g, ps, batch, state, drop, false);
         let outputs: Vec<Var> = finals.iter().flat_map(|s| [s.h, s.c]).collect();
-        StepPlan::capture(&g, &bd, Some(loss), &outputs)
+        StepPlan::capture(&g, &bd, loss, &outputs)
     }
 
     /// Replays a captured window on a fresh batch/state of the same shape:

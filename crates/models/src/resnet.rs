@@ -175,7 +175,7 @@ impl ResNet {
     ) -> Option<StepPlan> {
         let mut probe = self.clone();
         let (g, bd, loss, _) = probe.forward_loss(ps, images, labels);
-        let plan = StepPlan::capture(&g, &bd, Some(loss), &[])?;
+        let plan = StepPlan::capture(&g, &bd, loss, &[])?;
         debug_assert_eq!(
             plan.num_batch_norms(),
             self.batch_norms().len(),

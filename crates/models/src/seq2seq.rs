@@ -86,9 +86,10 @@ impl Seq2Seq {
     /// [`LstmCell::forward_seq`], so each layer's input projection is one
     /// `[T·B, in] × [in, 4H]` GEMM. The backward direction packs the
     /// sequence in reversed time order and un-reverses its outputs — the
-    /// recurrence itself is direction-agnostic. Matches the retained
-    /// [`Seq2Seq::encode_stepwise`] to ~1e-5 relative (the hoisting splits
-    /// each cell GEMM's k-sum at the input/hidden boundary).
+    /// recurrence itself is direction-agnostic. Matches the per-step
+    /// encoder the unit tests keep (`encode_stepwise`) to ~1e-5 relative
+    /// (the hoisting splits each cell GEMM's k-sum at the input/hidden
+    /// boundary).
     fn encode(
         &self,
         g: &mut Graph,
@@ -115,46 +116,6 @@ impl Seq2Seq {
             .collect();
         let s = self.enc_top.zero_state(g, b);
         let (states, top) = self.enc_top.forward_seq(g, bd, ps, &cats, s);
-        let proj = self.attention.project_encoder(g, bd, ps, &states);
-        Encoded { states, proj, last: top }
-    }
-
-    /// The pre-hoisting per-step encoder, kept as the cross-check twin of
-    /// [`Seq2Seq::encode`].
-    fn encode_stepwise(
-        &self,
-        g: &mut Graph,
-        bd: &mut Binding,
-        ps: &ParamSet,
-        src: &[Vec<usize>],
-    ) -> Encoded {
-        let b = src[0].len();
-        let t_len = src.len();
-        let embeds: Vec<Var> =
-            src.iter().map(|ids| self.embedding.forward(g, bd, ps, ids)).collect();
-
-        // bidirectional first layer
-        let mut fwd_states = Vec::with_capacity(t_len);
-        let mut s = self.enc_fwd.zero_state(g, b);
-        for &e in &embeds {
-            s = self.enc_fwd.step(g, bd, ps, e, s);
-            fwd_states.push(s.h);
-        }
-        let mut bwd_states = vec![None; t_len];
-        let mut s = self.enc_bwd.zero_state(g, b);
-        for t in (0..t_len).rev() {
-            s = self.enc_bwd.step(g, bd, ps, embeds[t], s);
-            bwd_states[t] = Some(s.h);
-        }
-
-        // unidirectional top layer over the concatenated bi outputs
-        let mut states = Vec::with_capacity(t_len);
-        let mut top = self.enc_top.zero_state(g, b);
-        for t in 0..t_len {
-            let cat = g.concat_cols(&[fwd_states[t], bwd_states[t].unwrap()]);
-            top = self.enc_top.step(g, bd, ps, cat, top);
-            states.push(top.h);
-        }
         let proj = self.attention.project_encoder(g, bd, ps, &states);
         Encoded { states, proj, last: top }
     }
@@ -200,51 +161,26 @@ impl Seq2Seq {
     /// serial loss averages each step over the *globally* active (unmasked)
     /// rows, so a shard must weight step `t` by `active_in_shard /
     /// active_in_batch`; the sum of the scaled shard losses then equals the
-    /// serial loss. A scale of exactly `1.0` adds no tape node, keeping the
-    /// single-shard path bit-identical to the unscaled one.
+    /// serial loss. Each scale enters the tape as a [`Graph::input`] leaf
+    /// multiplied into its step's loss, so the tape's structure does not
+    /// depend on the values and one captured plan serves every batch of a
+    /// shard ([`Seq2Seq::replay_step_plan`] feeds them). `None` records no
+    /// scale at all.
     pub fn forward_loss_scaled(
         &self,
         ps: &ParamSet,
         batch: &TranslationBatch,
         step_scale: Option<&[f32]>,
     ) -> (Graph, Binding, Var, f64) {
-        self.forward_loss_inner(ps, batch, step_scale, false)
-    }
-
-    /// [`Seq2Seq::forward_loss`] over the retained stepwise encoder
-    /// (`Seq2Seq::encode_stepwise`) — the cross-check / benchmark twin of
-    /// the hoisted path. The attention-coupled decoder is per-step in both.
-    pub fn forward_loss_stepwise(
-        &self,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> (Graph, Binding, Var, f64) {
-        self.forward_loss_inner(ps, batch, None, true)
-    }
-
-    fn forward_loss_inner(
-        &self,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-        step_scale: Option<&[f32]>,
-        stepwise_enc: bool,
-    ) -> (Graph, Binding, Var, f64) {
         let mut g = Graph::new();
         let mut bd = Binding::new();
-        let enc = if stepwise_enc {
-            self.encode_stepwise(&mut g, &mut bd, ps, &batch.src)
-        } else {
-            self.encode(&mut g, &mut bd, ps, &batch.src)
-        };
+        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
         let loss = self.decode_loss(&mut g, &mut bd, ps, &enc, batch, step_scale);
         let nll = g.value(loss).item() as f64;
         (g, bd, loss, nll)
     }
 
-    /// Teacher-forced decoder + loss over an already-encoded source —
-    /// shared by the tape path ([`Seq2Seq::forward_loss_inner`]) and the
-    /// encoder-plan path ([`Seq2Seq::planned_loss_grads`]), so both decode
-    /// identically by construction.
+    /// Teacher-forced decoder + loss over an already-encoded source.
     fn decode_loss(
         &self,
         g: &mut Graph,
@@ -269,9 +205,10 @@ impl Seq2Seq {
             s1 = ns1;
             let mut step_loss = g.softmax_cross_entropy(logits, &batch.dec_tgt[t]);
             if let Some(s) = step_scale {
-                if s[t] != 1.0 {
-                    step_loss = g.scale(step_loss, s[t]);
-                }
+                // One IEEE multiply forward and backward, like `g.scale`
+                // (and `x · 1 = x`), with the value fed rather than baked.
+                let st = g.input(Tensor::scalar(s[t]));
+                step_loss = g.mul(step_loss, st);
             }
             total = Some(match total {
                 Some(acc) => g.add(acc, step_loss),
@@ -281,101 +218,76 @@ impl Seq2Seq {
         g.scale(total.expect("non-empty batch"), 1.0 / steps as f32)
     }
 
-    /// Captures the encoder (the attention-free, shape-static part of the
-    /// model) into a seed-mode [`StepPlan`]. Plan outputs are the per-step
-    /// top states, their attention projections, and the final cell state —
-    /// everything the decoder consumes. The final *hidden* state is the
-    /// same tape node as the last per-step state, so it is not listed
-    /// twice; [`Seq2Seq::planned_loss_grads`] reconstructs it from
-    /// `states[t-1]`. The token-dependent, data-dependent decoder stays
-    /// tape-driven.
+    /// Captures one whole teacher-forced training step — encoder, attention
+    /// decoder, the per-step cross-entropies and their backward — into a
+    /// replayable [`StepPlan`]. Nothing in it is data-dependent: training
+    /// batches are padded to the corpus maximum, tokens and targets enter as
+    /// feeds and the shard loss scales as inputs, so one plan serves every
+    /// batch with the same `(batch, source length, decode steps, sharded)`.
+    /// Returns `None` only if the capture is mis-specified (see
+    /// [`StepPlan::capture`]) — callers keep the tape path.
+    pub fn capture_step_plan(
+        &self,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+        step_scale: Option<&[f32]>,
+    ) -> Option<StepPlan> {
+        let (g, bd, loss, _) = self.forward_loss_scaled(ps, batch, step_scale);
+        StepPlan::capture(&g, &bd, loss, &[])
+    }
+
+    /// Replays a captured step on a fresh batch of the same shape: forward +
+    /// backward without a tape, bitwise equal to
+    /// [`Seq2Seq::forward_loss_scaled`] + backward. Returns the mean
+    /// per-token NLL; gradients are read with [`StepPlan::write_grads_to`].
+    ///
+    /// Inputs follow [`Graph::input_vars`] order: the eight zero `[B, H]`
+    /// initial states (encoder forward, backward and top `h`/`c`, then
+    /// decoder layer 0's), then one loss scale per decode step when sharded.
+    /// Source then decoder-input tokens are the embedding feeds, the decoder
+    /// targets the label feeds.
+    pub fn replay_step_plan(
+        &self,
+        plan: &mut StepPlan,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+        step_scale: Option<&[f32]>,
+    ) -> f64 {
+        let zero_state = Tensor::zeros(&[batch.batch_size(), self.cfg.hidden]);
+        let scales: Vec<Tensor> =
+            step_scale.unwrap_or_default().iter().map(|&s| Tensor::scalar(s)).collect();
+        let mut inputs: Vec<&Tensor> = vec![&zero_state; 8];
+        inputs.extend(&scales);
+        let ids: Vec<&[usize]> =
+            batch.src.iter().chain(&batch.dec_in).map(|v| v.as_slice()).collect();
+        let labels: Vec<&[usize]> = batch.dec_tgt.iter().map(|v| v.as_slice()).collect();
+        let feeds = Feeds { ids: &ids, labels: &labels, ..Feeds::default() };
+        plan.replay_step(ps, &inputs, &feeds) as f64
+    }
+
+    /// [`Seq2Seq::capture_step_plan`] of an unsharded step. Kept only
+    /// because `crates/perf` calls it; goes with the next benchmark PR.
     pub fn capture_encoder_plan(
         &self,
         ps: &ParamSet,
         batch: &TranslationBatch,
     ) -> Option<StepPlan> {
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        let mut outputs: Vec<Var> = Vec::with_capacity(2 * enc.states.len() + 1);
-        outputs.extend(&enc.states);
-        outputs.extend(&enc.proj);
-        outputs.push(enc.last.c);
-        StepPlan::capture(&g, &bd, None, &outputs)
+        self.capture_step_plan(ps, batch, None)
     }
 
-    /// One training step with the encoder replayed from `enc_plan` and the
-    /// decoder on a fresh tape: encoder forward replay → decoder tape with
-    /// the encoder outputs re-entered as gradient-tracked leaves → decoder
-    /// backward → encoder backward replay seeded with the leaf gradients.
-    /// Accumulates all parameter gradients into `grads` and returns the
-    /// mean per-token NLL.
-    ///
-    /// Equivalence vs [`Seq2Seq::forward_loss_scaled`] + backward: bitwise
-    /// for all decoder-only parameters; ≤1e-5 relative for the parameters
-    /// shared across the boundary (embedding table, attention projections)
-    /// because the plan pre-sums the encoder-side contributions before the
-    /// single cross-boundary add, reassociating the tape's accumulation
-    /// order.
+    /// [`Seq2Seq::replay_step_plan`], then the plan's gradients accumulated
+    /// into `grads`. Kept only because `crates/perf` calls it; goes with the
+    /// next benchmark PR.
     pub fn planned_loss_grads(
         &self,
         ps: &ParamSet,
         batch: &TranslationBatch,
         step_scale: Option<&[f32]>,
-        enc_plan: &mut StepPlan,
+        plan: &mut StepPlan,
         grads: &mut GradBuffer,
     ) -> f64 {
-        let b = batch.batch_size();
-        let t_len = batch.src.len();
-        let h = self.cfg.hidden;
-
-        // Encoder forward replay. Inputs are the six zero [B, H] initial
-        // states `encode` records (fwd h/c, bwd h/c, top h/c); source
-        // token ids enter as embedding feeds in time order.
-        let zero_state = Tensor::zeros(&[b, h]);
-        let enc_inputs: Vec<&Tensor> = vec![&zero_state; 6];
-        let ids: Vec<&[usize]> = batch.src.iter().map(|v| v.as_slice()).collect();
-        let feeds = Feeds { ids: &ids, ..Feeds::default() };
-        enc_plan.replay_forward(ps, &enc_inputs, &feeds);
-
-        // Decoder tape over the replayed encoder outputs, re-entered as
-        // gradient-tracked leaves so backward leaves their grads behind.
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let states: Vec<Var> = (0..t_len).map(|t| g.param(enc_plan.output(t))).collect();
-        let proj: Vec<Var> =
-            (0..t_len).map(|t| g.param(enc_plan.output(t_len + t))).collect();
-        let last_c = g.param(enc_plan.output(2 * t_len));
-        let enc = Encoded {
-            last: LstmState { h: states[t_len - 1], c: last_c },
-            states,
-            proj,
-        };
-        let loss = self.decode_loss(&mut g, &mut bd, ps, &enc, batch, step_scale);
-        let nll = g.value(loss).item() as f64;
-        g.backward(loss);
-        bd.write_grads_to(&g, grads);
-
-        // Encoder backward replay, seeded with the decoder's gradients at
-        // the boundary leaves (zero where the decoder never touched one).
-        let zero_h = Tensor::zeros(&[b, h]);
-        let zero_a = Tensor::zeros(&[b, self.cfg.attn]);
-        let leaves: Vec<Var> = enc
-            .states
-            .iter()
-            .chain(&enc.proj)
-            .copied()
-            .chain([enc.last.c])
-            .collect();
-        let seeds: Vec<&Tensor> = leaves
-            .iter()
-            .enumerate()
-            .map(|(k, &v)| {
-                g.grad(v).unwrap_or(if k >= t_len && k < 2 * t_len { &zero_a } else { &zero_h })
-            })
-            .collect();
-        enc_plan.replay_backward(ps, &enc_inputs, &seeds);
-        enc_plan.write_grads_to(grads);
+        let nll = self.replay_step_plan(plan, ps, batch, step_scale);
+        plan.write_grads_to(grads);
         nll
     }
 
@@ -429,9 +341,13 @@ impl Seq2Seq {
         hyps
     }
 
-    /// Captures the encoder into a *forward-only* plan for frozen-model
-    /// serving — same tape and outputs as [`Seq2Seq::capture_encoder_plan`],
-    /// but with no backward schedule or gradient buffers.
+    /// Captures the encoder (the shape-static part of greedy decoding) into
+    /// a *forward-only* plan for evaluation and frozen-model serving. Plan
+    /// outputs are the per-step top states, their attention projections,
+    /// and the final cell state — everything the decoder consumes. The final
+    /// *hidden* state is the same tape node as the last per-step state, so
+    /// it is not listed twice; [`Seq2Seq::greedy_decode_planned`]
+    /// reconstructs it from `states[t-1]`.
     pub fn capture_infer_plan(
         &self,
         ps: &ParamSet,
@@ -569,6 +485,61 @@ mod tests {
         }
     }
 
+    /// The pre-hoisting per-step encoder and the teacher-forced pass over
+    /// it: the cross-check twin of [`Seq2Seq::encode`].
+    impl Seq2Seq {
+        fn encode_stepwise(
+            &self,
+            g: &mut Graph,
+            bd: &mut Binding,
+            ps: &ParamSet,
+            src: &[Vec<usize>],
+        ) -> Encoded {
+            let b = src[0].len();
+            let t_len = src.len();
+            let embeds: Vec<Var> =
+                src.iter().map(|ids| self.embedding.forward(g, bd, ps, ids)).collect();
+
+            // bidirectional first layer
+            let mut fwd_states = Vec::with_capacity(t_len);
+            let mut s = self.enc_fwd.zero_state(g, b);
+            for &e in &embeds {
+                s = self.enc_fwd.step(g, bd, ps, e, s);
+                fwd_states.push(s.h);
+            }
+            let mut bwd_states = vec![None; t_len];
+            let mut s = self.enc_bwd.zero_state(g, b);
+            for t in (0..t_len).rev() {
+                s = self.enc_bwd.step(g, bd, ps, embeds[t], s);
+                bwd_states[t] = Some(s.h);
+            }
+
+            // unidirectional top layer over the concatenated bi outputs
+            let mut states = Vec::with_capacity(t_len);
+            let mut top = self.enc_top.zero_state(g, b);
+            for t in 0..t_len {
+                let cat = g.concat_cols(&[fwd_states[t], bwd_states[t].unwrap()]);
+                top = self.enc_top.step(g, bd, ps, cat, top);
+                states.push(top.h);
+            }
+            let proj = self.attention.project_encoder(g, bd, ps, &states);
+            Encoded { states, proj, last: top }
+        }
+
+        fn forward_loss_stepwise(
+            &self,
+            ps: &ParamSet,
+            batch: &TranslationBatch,
+        ) -> (Graph, Binding, Var, f64) {
+            let mut g = Graph::new();
+            let mut bd = Binding::new();
+            let enc = self.encode_stepwise(&mut g, &mut bd, ps, &batch.src);
+            let loss = self.decode_loss(&mut g, &mut bd, ps, &enc, batch, None);
+            let nll = g.value(loss).item() as f64;
+            (g, bd, loss, nll)
+        }
+    }
+
     /// Hoisted vs stepwise encoder through the full teacher-forced pass:
     /// loss and every parameter gradient within 1e-5 relative.
     #[test]
@@ -622,6 +593,43 @@ mod tests {
         let taped = m.infer_tape(&ps, &batch);
         for ((a, ()), (b, ())) in planned.iter().zip(&taped) {
             assert_eq!(a, b, "frozen-path decode must match the tape token-for-token");
+        }
+    }
+
+    /// A whole-step plan captured on one batch and replayed on another of
+    /// the same shape: loss and every gradient bitwise equal to
+    /// `forward_loss_scaled` + `backward` on that batch — unscaled, and with
+    /// loss scales that differ between capture and replay (they are fed).
+    #[test]
+    fn step_plan_replays_another_batch_bitwise() {
+        let (ps, m, d) = tiny();
+        let batches = d.batches(true, 8);
+        let (cap, fresh) = (&batches[0], &batches[1]);
+        let steps = cap.dec_in.len();
+        assert_eq!(steps, fresh.dec_in.len(), "training batches pad to one length");
+        let cap_scale: Vec<f32> = (0..steps).map(|t| 0.25 + 0.1 * t as f32).collect();
+        let fresh_scale: Vec<f32> = (0..steps).map(|t| 0.7 - 0.05 * t as f32).collect();
+        let bits = |buf: &GradBuffer| -> Vec<Vec<u32>> {
+            ps.iter()
+                .map(|(id, _)| {
+                    let grad = buf.get(id).expect("every parameter gets a gradient");
+                    grad.as_slice().iter().map(|x| x.to_bits()).collect()
+                })
+                .collect()
+        };
+        for (cs, fs) in [(None, None), (Some(&cap_scale[..]), Some(&fresh_scale[..]))] {
+            let mut plan = m.capture_step_plan(&ps, cap, cs).expect("step tape must capture");
+            let nll_p = m.replay_step_plan(&mut plan, &ps, fresh, fs);
+            let mut grads_p = GradBuffer::for_params(&ps);
+            plan.write_grads_to(&mut grads_p);
+
+            let (mut g, bd, loss, nll_t) = m.forward_loss_scaled(&ps, fresh, fs);
+            g.backward(loss);
+            let mut grads_t = GradBuffer::for_params(&ps);
+            bd.write_grads_to(&g, &mut grads_t);
+
+            assert_eq!(nll_p.to_bits(), nll_t.to_bits(), "loss, scaled: {}", fs.is_some());
+            assert_eq!(bits(&grads_p), bits(&grads_t), "grads, scaled: {}", fs.is_some());
         }
     }
 
