@@ -1,109 +1,50 @@
-//! The tape: nodes, variables, and the reverse sweep.
+//! The tape: nodes, variables, and the backward pass that extends them.
 
-use legw_tensor::{Conv2dGeom, Tensor};
+use crate::opk::Mode;
+use crate::ops_basic::SCALE_G;
+use crate::table::{Attr, Entry, Io, Srcs, State};
+use legw_tensor::Tensor;
 
 /// A handle to a value on the tape. Cheap to copy; only valid for the
 /// [`Graph`] that created it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// One recorded operation with its output value and cached backward data.
+/// One tape entry: a value and what produced it.
 pub(crate) struct Node {
     pub value: Tensor,
-    pub grad: Option<Tensor>,
     pub requires_grad: bool,
     pub op: Op,
 }
 
-/// The differentiable operation set.
 pub(crate) enum Op {
-    /// A leaf: graph input or parameter (no parents).
+    /// A graph input, parameter or constant.
     Leaf,
-    /// Elementwise sum of two same-shaped tensors.
-    Add(Var, Var),
-    /// Elementwise difference of two same-shaped tensors.
-    Sub(Var, Var),
-    /// Hadamard product of two same-shaped tensors.
-    Mul(Var, Var),
-    /// `x [m,n] + b [n]`, broadcasting the bias over rows.
-    AddBias(Var, Var),
-    /// `out[b,·] = x[b,·] * s[b]` where `s` is `[m,1]` — row rescaling
-    /// (used by attention context accumulation).
-    RowScale(Var, Var),
-    /// Matrix product of 2-D tensors.
-    Matmul(Var, Var),
-    /// Multiply by a constant scalar.
-    Scale(Var, f32),
-    /// Add a constant scalar (the constant is carried so a captured plan can
-    /// re-execute the op; the backward never needs it).
-    AddScalar(Var, f32),
-    /// Logistic sigmoid (output cached in `value`).
-    Sigmoid(Var),
-    /// Hyperbolic tangent (output cached in `value`).
-    Tanh(Var),
-    /// Rectified linear unit.
-    Relu(Var),
-    /// View with a different shape.
-    Reshape(Var),
-    /// Concatenate 2-D tensors along columns; widths cached.
-    ConcatCols(Vec<Var>, Vec<usize>),
-    /// Columns `[start, end)` of a 2-D tensor.
-    SliceCols(Var, usize, usize),
-    /// Concatenate 2-D tensors along rows; row counts cached. The
-    /// sequence-hoisted LSTM path uses this to pack T per-step `[B, in]`
-    /// inputs into one `[T·B, in]` block.
-    ConcatRows(Vec<Var>, Vec<usize>),
-    /// Rows `[start, end)` of a 2-D tensor — a row-slice *view* of a larger
-    /// matrix (e.g. `W_x`/`W_h` halves of the fused LSTM kernel, which stay
-    /// one `ParamId` with one checkpoint layout). Backward scatters into the
-    /// full-size gradient.
-    SliceRows(Var, usize, usize),
-    /// Sum of all elements → `[1]`.
-    SumAll(Var),
-    /// Mean of all elements → `[1]`.
-    MeanAll(Var),
-    /// Dropout with a pre-sampled binary mask scaled by 1/keep.
-    Dropout(Var, Tensor),
-    /// Row lookup into an embedding table: `out[i,·] = table[ids[i],·]`.
-    Embedding { table: Var, ids: Vec<usize> },
-    /// Row-wise softmax of a 2-D tensor (output cached).
-    SoftmaxRows(Var),
-    /// Mean softmax cross-entropy between `logits [B,V]` and integer
-    /// `labels` (entries equal to `IGNORE_INDEX` are masked out).
-    /// Caches the probabilities and the count of active rows.
-    SoftmaxCrossEntropy { logits: Var, labels: Vec<usize>, probs: Tensor, active: usize },
-    /// 2-D convolution via im2col; caches the column matrix.
-    Conv2d { x: Var, w: Var, geom: Conv2dGeom, batch: usize, cols: Tensor },
-    /// 2×2 max pooling with stride 2; caches chosen input indices.
-    MaxPool2x2 { x: Var, argmax: Vec<u32> },
-    /// Global average pool `[N,C,H,W] → [N,C]`.
-    GlobalAvgPool { x: Var, hw: usize },
-    /// Per-channel batch normalisation over `(N,H,W)` with affine params.
-    /// Caches `x_hat`, the per-channel `inv_std`, and the normalised count.
-    /// `eps` is carried so a captured plan can re-derive `inv_std` from the
-    /// replayed batch statistics; the tape backward uses the cached tensor.
-    BatchNorm { x: Var, gamma: Var, beta: Var, x_hat: Tensor, inv_std: Tensor, eps: f32 },
-    /// Fused LSTM cell — the `h'` output of the tape's first two-output op
-    /// ([`Graph::lstm_cell`]). Carries the closed-form backward and its
-    /// cached intermediates: the activated gates `[σ(i)|σ(f)|tanh(ĝ)|σ(o)]`
-    /// and `tanh(c')`. `c_out` is the sibling `c'` node, pushed immediately
-    /// before this one.
-    LstmCell { preact: Var, c_prev: Var, gates: Tensor, tanh_c: Tensor, c_out: Var },
-    /// Fused LSTM cell — the `c'` sibling output. `h_out` is the `h'` node
-    /// (pushed immediately after); the shared backward rule runs when the
-    /// sweep visits `h'`, so this node only acts if `h'` got no gradient.
-    LstmCellC { h_out: Var },
-    /// Sequence-hoisted LSTM input projection:
-    /// `x_pack [T·B, in] · w_x [in, 4H] + bias [4H]` in ONE GEMM for the
-    /// whole sequence. Backward is closed-form with one big GEMM each for
-    /// `dW_x` and `dX_pack` (plus a column sum for the bias).
-    LstmPreactSeq { x_pack: Var, w_x: Var, bias: Var },
-    /// One timestep of the hoisted recurrence:
-    /// `out = seq[t·B..(t+1)·B, ·] + h · w_h` — a row-block copy of the
-    /// hoisted pre-activation block plus the small recurrent product,
-    /// computed with the accumulate (beta=1) GEMM store. Backward scatters
-    /// `dSeq` rows directly into the seq node's gradient slot.
-    LstmRecurStep { seq: Var, h: Var, w_h: Var, t: usize, batch: usize },
+    /// A value written by a later kernel node: an extra output of a
+    /// multi-output kernel, or a gradient accumulator.
+    Out,
+    /// A kernel invocation.
+    K(Ins),
+}
+
+/// A kernel invocation in the form plan instructions share: the kernel,
+/// its sources, its destinations with their [`Mode`], its constants, and
+/// the index of its [`State`] in [`Graph::states`]. A forward op's last
+/// destination is its own node; a gradient contribution writes only into
+/// accumulator nodes and holds no value of its own.
+pub(crate) struct Ins {
+    pub k: &'static Entry,
+    pub src: Vec<Var>,
+    pub dst: Vec<(Var, Mode)>,
+    pub a: Attr,
+    pub st: Option<u32>,
+}
+
+impl Ins {
+    /// The node this forward op recorded (its last output).
+    pub(crate) fn me(&self) -> Var {
+        self.dst.last().expect("kernel without an output").0
+    }
 }
 
 /// Label value marking a position to exclude from the cross-entropy mean
@@ -113,23 +54,43 @@ pub const IGNORE_INDEX: usize = usize::MAX;
 /// A reverse-mode tape. Create one per forward pass, or keep one around
 /// and [`Graph::reset`] it between passes so the node `Vec` allocation is
 /// reused (real training tapes run to thousands of nodes).
-#[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     /// Leaves recorded via [`Graph::input`], in creation order — the
     /// positional input signature a captured [`crate::Plan`] replays
     /// against.
     pub(crate) inputs: Vec<Var>,
+    /// Per-op state, indexed by [`Ins::st`].
+    pub(crate) states: Vec<State>,
+    /// Each node's gradient accumulator, once backward has reached it.
+    pub(crate) grads: Vec<Option<Var>>,
+    /// The first backward's root and the index of its first node.
+    pub(crate) bwd: Option<(Var, usize)>,
+    /// The value of nodes that hold none (gradient contributions).
+    empty: Tensor,
 }
 
 /// Initial node capacity: a PTB training tape records a few thousand nodes,
 /// so starting at 1024 avoids most of the early regrowth copies.
 const INITIAL_NODES: usize = 1024;
 
+impl Default for Graph {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Graph {
     /// An empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::with_capacity(INITIAL_NODES), inputs: Vec::new() }
+        Self {
+            nodes: Vec::with_capacity(INITIAL_NODES),
+            inputs: Vec::new(),
+            states: Vec::new(),
+            grads: Vec::new(),
+            bwd: None,
+            empty: Tensor::zeros(&[1]),
+        }
     }
 
     /// Clears the tape for reuse by the next forward pass, keeping the
@@ -138,6 +99,9 @@ impl Graph {
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.inputs.clear();
+        self.states.clear();
+        self.grads.clear();
+        self.bwd = None;
     }
 
     /// Number of recorded nodes.
@@ -151,12 +115,16 @@ impl Graph {
     }
 
     pub(crate) fn push(&mut self, value: Tensor, requires_grad: bool, op: Op) -> Var {
-        self.nodes.push(Node { value, grad: None, requires_grad, op });
+        self.nodes.push(Node { value, requires_grad, op });
         Var(self.nodes.len() - 1)
     }
 
     pub(crate) fn requires(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
+    }
+
+    pub(crate) fn shape(&self, v: Var) -> Vec<usize> {
+        self.nodes[v.0].value.shape().to_vec()
     }
 
     /// Records a constant input leaf (receives no gradient).
@@ -185,28 +153,104 @@ impl Graph {
 
     /// The accumulated gradient of `v`, if backward has reached it.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
-        self.nodes[v.0].grad.as_ref()
+        let g = self.grads.get(v.0).copied().flatten()?;
+        Some(&self.nodes[g.0].value)
     }
 
-    /// Accumulates `delta` into the gradient slot of `v`.
-    pub(crate) fn accumulate(&mut self, v: Var, delta: Tensor) {
-        if !self.nodes[v.0].requires_grad {
+    /// Records kernel `k` over `src` as a forward op with one output per
+    /// shape in `outs`, and runs it. The op's node holds the last output;
+    /// the others are [`Op::Out`] nodes right before it. Outputs are fresh
+    /// pooled buffers left as they come: a store overwrites all of them.
+    pub(crate) fn record(
+        &mut self,
+        k: &'static Entry,
+        src: &[Var],
+        outs: &[&[usize]],
+        a: Attr,
+        st: Option<State>,
+    ) -> Var {
+        let rg = src.iter().any(|&v| self.requires(v));
+        let dst = outs
+            .iter()
+            .map(|s| (self.push(Tensor::dirty(s), rg, Op::Out), Mode::Store))
+            .collect();
+        let st = st.map(|s| {
+            self.states.push(s);
+            (self.states.len() - 1) as u32
+        });
+        let ins = Ins { k, src: src.to_vec(), dst, a, st };
+        self.eval(&ins);
+        let me = ins.me();
+        self.nodes[me.0].op = Op::K(ins);
+        me
+    }
+
+    /// Appends gradient contribution `k` over `src`, its outputs going to
+    /// the gradients of `to` in order: the first contribution to a gradient
+    /// stores into a new accumulator, later ones add. An output for a
+    /// variable that needs no gradient lands in a throwaway accumulator;
+    /// nothing is appended if none of `to` needs one.
+    pub(crate) fn contrib(
+        &mut self,
+        k: &'static Entry,
+        src: &[Var],
+        to: &[Var],
+        a: Attr,
+        st: Option<u32>,
+    ) {
+        if !to.iter().any(|&v| self.requires(v)) {
             return;
         }
-        debug_assert_eq!(
-            self.nodes[v.0].value.shape(),
-            delta.shape(),
-            "gradient shape mismatch at node {}",
-            v.0
-        );
-        match &mut self.nodes[v.0].grad {
-            Some(g) => g.axpy(1.0, &delta),
-            slot @ None => *slot = Some(delta),
+        let mut dst = Vec::with_capacity(to.len());
+        for &v in to {
+            let rg = self.requires(v);
+            dst.push(match self.grads[v.0] {
+                Some(acc) if rg => (acc, Mode::Add),
+                _ => {
+                    let value = Tensor::dirty(self.nodes[v.0].value.shape());
+                    let acc = self.push(value, false, Op::Out);
+                    if rg {
+                        self.grads[v.0] = Some(acc);
+                    }
+                    (acc, Mode::Store)
+                }
+            });
+        }
+        let ins = Ins { k, src: src.to_vec(), dst, a, st };
+        self.eval(&ins);
+        self.push(self.empty.clone(), false, Op::K(ins));
+    }
+
+    /// Runs one kernel on the tape: its destinations are node values moved
+    /// out for the call, its sources the values of other nodes.
+    fn eval(&mut self, ins: &Ins) {
+        let (n, empty) = (ins.dst.len(), &self.empty);
+        let mut outs: [Option<Tensor>; 3] = std::array::from_fn(|j| {
+            let v = ins.dst.get(j)?.0;
+            Some(std::mem::replace(&mut self.nodes[v.0].value, empty.clone()))
+        });
+        let mode = std::array::from_fn(|j| ins.dst.get(j).map_or(Mode::Store, |d| d.1));
+        let lens: [usize; 3] = std::array::from_fn(|j| outs[j].as_ref().map_or(0, Tensor::numel));
+        let (f, d) = ins.k.scratch(&mode[..n], &lens[..n]);
+        let (mut scratch, mut acc) = ((f > 0).then(|| Tensor::dirty(&[f])), vec![0.0f64; d]);
+        let mut it = outs.iter_mut().map(|t| t.as_mut().map_or(&mut [][..], Tensor::as_mut_slice));
+        let mut io = Io {
+            a: &ins.a,
+            src: Srcs::Tape(&self.nodes, &ins.src),
+            out: std::array::from_fn(|_| it.next().unwrap_or_default()),
+            mode,
+            st: ins.st.map(|s| &mut self.states[s as usize]),
+            scratch: scratch.as_mut().map_or(&mut [], Tensor::as_mut_slice),
+            acc: &mut acc,
+        };
+        (ins.k.run)(&mut io);
+        for (&(v, _), t) in ins.dst.iter().zip(outs.into_iter().flatten()) {
+            self.nodes[v.0].value = t;
         }
     }
 
-    /// Runs the reverse sweep from `loss` (which must be a 1-element tensor),
-    /// seeding `dLoss/dLoss = 1`.
+    /// Differentiates `loss` (which must be a 1-element tensor), seeding
+    /// `dLoss/dLoss = 1`.
     ///
     /// # Panics
     /// If `loss` is not scalar-shaped.
@@ -220,31 +264,38 @@ impl Graph {
         self.backward_seeded(loss, Tensor::ones(self.nodes[loss.0].value.shape()));
     }
 
-    /// Reverse sweep with an explicit seed gradient for `root` (used by the
-    /// Hessian-vector estimator where the seed is not 1).
+    /// [`Graph::backward`] with an explicit gradient `seed` for `root`.
+    ///
+    /// The gradient computation is recorded on this tape, after the forward
+    /// it differentiates: visiting the nodes from `root` down, each op's
+    /// backward rule appends the kernel nodes that contribute to its
+    /// sources' gradients, which accumulate in that order. [`Graph::grad`]
+    /// reads the results, and a [`crate::Plan`] compiles the whole tape.
     pub fn backward_seeded(&mut self, root: Var, seed: Tensor) {
-        if !self.nodes[root.0].requires_grad {
+        if !self.requires(root) {
             return; // nothing on the tape depends on a parameter
         }
-        self.accumulate(root, seed);
+        let start = self.nodes.len();
+        self.bwd.get_or_insert((root, start));
+        self.grads.resize(start, None);
+        let seed = self.push(seed, false, Op::Leaf);
+        match self.grads[root.0] {
+            None => self.grads[root.0] = Some(seed),
+            Some(_) => self.contrib(&SCALE_G, &[seed], &[root], Attr::s(1.0), None),
+        }
         for i in (0..=root.0).rev() {
-            if self.nodes[i].grad.is_none() || !self.nodes[i].requires_grad {
+            let Op::K(ins) = &self.nodes[i].op else { continue };
+            let ups: Vec<Option<Var>> = ins.dst.iter().map(|&(v, _)| self.grads[v.0]).collect();
+            let Some(rule) = ins.k.grad else { continue };
+            if !self.nodes[i].requires_grad || ups.iter().all(Option::is_none) {
                 continue;
             }
-            self.step_backward(Var(i));
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+            if let Op::K(ins) = &op {
+                rule(self, ins, &ups);
+            }
+            self.nodes[i].op = op;
         }
-    }
-
-    /// Dispatches one node's backward rule. Implemented across the op
-    /// modules; this indirection keeps each rule next to its forward op.
-    fn step_backward(&mut self, v: Var) {
-        // Take the op out to appease the borrow checker; Leaf is put back.
-        let upstream = self.nodes[v.0].grad.clone().expect("step_backward without grad");
-        // SAFETY of logic: ops never reference later nodes, so mutating
-        // earlier grads while iterating downward is sound.
-        let op = std::mem::replace(&mut self.nodes[v.0].op, Op::Leaf);
-        self.dispatch_backward(&op, v, &upstream);
-        self.nodes[v.0].op = op;
     }
 
     /// Collects (var, gradient) pairs for all parameter leaves, in creation
@@ -255,8 +306,8 @@ impl Graph {
             .enumerate()
             .filter(|(_, n)| matches!(n.op, Op::Leaf) && n.requires_grad)
             .map(|(i, n)| {
-                let g = n.grad.clone().unwrap_or_else(|| n.value.zeros_like());
-                (Var(i), g)
+                let g = self.grad(Var(i)).cloned();
+                (Var(i), g.unwrap_or_else(|| n.value.zeros_like()))
             })
             .collect()
     }

@@ -2,11 +2,11 @@
 //!
 //! Reverse-mode automatic differentiation over [`legw_tensor::Tensor`].
 //!
-//! The design is a classic *tape*: a [`Graph`] records every operation of a
-//! forward pass as a node holding its output value and the information its
-//! backward rule needs. [`Graph::backward`] then walks the tape in reverse,
-//! accumulating gradients. Because tensors are copy-on-write, recording
-//! values on the tape costs O(1) per node.
+//! A [`Graph`] is a *tape*: each operation of a forward pass is a node
+//! holding its output value, the kernel that computed it and its operands.
+//! [`Graph::backward`] walks the tape in reverse and appends the gradient
+//! computation to it as ordinary kernel nodes, so forward and backward are
+//! one graph — which a [`Plan`] compiles into a replayable program.
 //!
 //! Variables are lightweight [`Var`] indices into the tape; parameters are
 //! leaves created with [`Graph::param`] and are the only leaves that receive
@@ -42,6 +42,7 @@ mod ops_conv;
 mod ops_loss;
 mod ops_lstm;
 mod plan;
+mod table;
 
 pub use graph::{Graph, Var, IGNORE_INDEX};
 pub use plan::{CaptureSpec, Feeds, Plan, PlanStats};

@@ -1,24 +1,18 @@
-//! Op kernels: one body per op, over slices, for both executors.
+//! Slice bodies for the ops whose arithmetic has a rounding chain of its
+//! own — a reduction or f64 accumulator, a normaliser, a scatter-add, a
+//! layout permute, the loss — and the elementwise sweeps every other kernel
+//! runs. The kernel table's entries (`ops_*.rs`) call these on whatever
+//! storage the tape or the plan hands them. (Row softmax, column sums,
+//! column concat/slice, im2col and the fused LSTM cell live one crate down,
+//! as `legw_tensor`'s `_into` functions.)
 //!
-//! Every op whose arithmetic has a rounding chain of its own — a reduction
-//! or f64 accumulator, a normaliser, a scatter-add, a layout permute, the
-//! loss — is written here once. The tape ops (`ops_*.rs`) allocate an output
-//! and call the body with [`Mode::Store`]; the plan interpreter
-//! (`plan.rs::exec`) calls the same body on storage sized at capture, with
-//! the [`Mode`] its capture assigned. A replayed step therefore equals a
-//! rebuilt tape bit for bit because both ran this code, not because two
-//! files were kept in step. (Row softmax, column sums, column concat/slice,
-//! im2col and the fused LSTM cell are shared the same way one crate down, as
-//! `legw_tensor`'s `_into` functions.)
-//!
-//! The write protocol is the plan's: the first contribution to a gradient
-//! stores, later ones add, exactly as `Graph::accumulate` does with a fresh
-//! tensor (`None => store`, `Some(g) => g.axpy(1.0, &delta)`). For any body
-//! taking `(dst, mode)`, `Add` into a prefilled `dst` equals `Store` into
-//! zeros followed by an elementwise `+=` — the identity that lets the tape's
-//! store-then-`accumulate` and the plan's in-place add share a function.
+//! The write protocol: the first contribution to a gradient stores, later
+//! ones add. For any body taking `(dst, mode)`, `Add` into a prefilled `dst`
+//! equals `Store` into zeros followed by an elementwise `+=` — so adding
+//! in place keeps the bits of computing a contribution whole and adding it.
 
 use crate::graph::IGNORE_INDEX;
+use legw_tensor::kernels::{self, Kernel};
 use legw_tensor::softmax_rows_into;
 
 /// How a body writes its destination.
@@ -44,12 +38,49 @@ pub(crate) fn apply(dst: &mut [f32], mode: Mode, f: impl Fn(usize) -> f32) {
     }
 }
 
+/// Elementwise sweeps longer than this fan out in fixed-size chunks over
+/// the ambient thread pool. Chunks are disjoint and every element is a pure
+/// function of the operands, so any thread count produces the serial
+/// sweep's bits; reductions stay serial.
+const EW_CHUNK: usize = 16 * 1024;
+
+/// [`apply`], chunked over [`legw_parallel::current`] when the sweep is
+/// large enough to amortize the fan-out.
+pub(crate) fn par_apply(dst: &mut [f32], mode: Mode, f: impl Fn(usize) -> f32 + Sync) {
+    if dst.len() <= EW_CHUNK {
+        return apply(dst, mode, f);
+    }
+    let pool = legw_parallel::current();
+    if pool.threads() == 1 {
+        return apply(dst, mode, f);
+    }
+    legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |start, chunk| {
+        apply(chunk, mode, |off| f(start + off))
+    });
+}
+
+/// `dst[i] = f(src[i])` through a runtime-dispatched activation sweep,
+/// chunked like [`par_apply`]; the kernel choice is read once on the issuing
+/// thread.
+pub(crate) fn par_sweep_map(dst: &mut [f32], src: &[f32], sweep: fn(Kernel, &mut [f32])) {
+    let kern = kernels::selected();
+    dst.copy_from_slice(src);
+    if dst.len() <= EW_CHUNK {
+        return sweep(kern, dst);
+    }
+    let pool = legw_parallel::current();
+    if pool.threads() == 1 {
+        return sweep(kern, dst);
+    }
+    legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |_, chunk| sweep(kern, chunk));
+}
+
 /// Runs `body` — a kernel that overwrites its whole output — under the write
 /// protocol: straight into `dst` for `Store`; for `Add`, into
 /// `scratch[..dst.len()]` and from there added elementwise. The detour is
-/// what keeps the bits: the tape computes each contribution into a fresh
-/// tensor and axpy-adds it, and accumulating inside the kernel (a GEMM with
-/// `acc`, a scatter straight into `dst`) would reassociate the sums.
+/// what keeps the bits of computing the contribution whole and adding it:
+/// accumulating inside the kernel (a GEMM with `acc`, a scatter straight
+/// into `dst`) would reassociate the sums.
 pub(crate) fn store_or_add(
     dst: &mut [f32],
     mode: Mode,

@@ -1,127 +1,365 @@
-//! Arithmetic, activation, shape, and reduction ops — forward constructors
-//! and the backward dispatcher.
+//! Arithmetic, activation, shape and reduction ops: their forward
+//! constructors, kernels and backward rules, and the gradient kernels those
+//! rules append.
 
-use crate::graph::{Graph, Op, Var};
-use crate::opk::{self, Mode};
-use legw_tensor::Tensor;
+use crate::graph::{Graph, Var};
+use crate::opk::{self, apply, par_apply, par_sweep_map, store_or_add, Mode};
+use crate::table::{Attr, Detour, Entry, Io, Role, State};
+use legw_tensor::{col_sums_into, concat_cols_into, kernels, slice_cols_into, Tensor};
+
+/// The gradient flowing into a single-output op.
+pub(crate) fn up(ups: &[Option<Var>]) -> Var {
+    ups[0].expect("backward visits an op only with a gradient")
+}
+
+/// `out = f(a, b)` elementwise.
+fn ew(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
+    let (a, b) = (io.src.get(0), io.src.get(1));
+    par_apply(io.out[0], Mode::Store, |i| f(a[i], b[i]));
+}
+
+/// `out (+)= f(up, other)` elementwise.
+fn ew_grad(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
+    let (u, o) = (io.src.get(0), io.src.get(1));
+    par_apply(io.out[0], io.mode[0], |i| f(u[i], o[i]));
+}
+
+/// `out = f(a, s)` elementwise, `s` the kernel's scalar.
+fn unary(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
+    let (a, s) = (io.src.get(0), io.a.s);
+    par_apply(io.out[0], Mode::Store, |i| f(a[i], s));
+}
+
+pub(crate) static EW_ADD: Entry = Entry::new("EwAdd", |io| ew(io, |a, b| a + b)).grad(|g, n, u| {
+    for &v in &n.src {
+        g.contrib(&SCALE_G, &[up(u)], &[v], Attr::s(1.0), None);
+    }
+});
+
+static EW_SUB: Entry = Entry::new("EwSub", |io| ew(io, |a, b| a - b)).grad(|g, n, u| {
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::s(1.0), None);
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[1]], Attr::s(-1.0), None);
+});
+
+static EW_MUL: Entry = Entry::new("EwMul", |io| ew(io, |a, b| a * b)).grad(|g, n, u| {
+    g.contrib(&MUL_G, &[up(u), n.src[1]], &[n.src[0]], Attr::default(), None);
+    g.contrib(&MUL_G, &[up(u), n.src[0]], &[n.src[1]], Attr::default(), None);
+});
+
+static ADD_BIAS: Entry = Entry::new("AddBias", |io| {
+    let (x, b) = (io.src.get(0), io.src.get(1));
+    let cols = b.len();
+    par_apply(io.out[0], Mode::Store, |i| x[i] + b[i % cols]);
+})
+.grad(|g, n, u| {
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::s(1.0), None);
+    g.contrib(&COL_SUM_G, &[up(u)], &[n.src[1]], Attr::default(), None);
+});
+
+static ROW_SCALE: Entry = Entry::new("RowScale", |io| {
+    let (x, s) = (io.src.get(0), io.src.get(1));
+    let cols = io.out[0].len() / s.len().max(1);
+    par_apply(io.out[0], Mode::Store, |i| x[i] * s[i / cols]);
+})
+.grad(|g, n, u| {
+    let [x, s] = [n.src[0], n.src[1]];
+    g.contrib(&ROW_SCALE_DX, &[up(u), s], &[x], Attr::default(), None);
+    g.contrib(&ROW_SCALE_DS, &[up(u), x], &[s], Attr::default(), None);
+});
+
+/// `[ta, tb, m, k, n]`: `out (+)= op(src 0) · op(src 1)` over `[m, k] × [k, n]`.
+/// An add-mode output detours through scratch ([`store_or_add`]): adding
+/// in-engine across k-blocks would reassociate the sums.
+pub(crate) static GEMM: Entry = Entry::new("Gemm", |io| {
+    let ([ta, tb, m, k, n], src) = (io.a.n, io.src);
+    store_or_add(io.out[0], io.mode[0], io.scratch, |o| {
+        src.gemm(ta != 0, tb != 0, src.get(0), 1, [m, k, n], o, false)
+    });
+})
+.grad(|g, n, u| {
+    // Forward matmuls only: dA = up · Bᵀ, dB = Aᵀ · up.
+    let ([_, _, m, k, nn], [a, b]) = (n.a.n, [n.src[0], n.src[1]]);
+    g.contrib(&GEMM, &[up(u), b], &[a], Attr::n(&[0, 1, m, nn, k]), None);
+    g.contrib(&GEMM, &[a, up(u)], &[b], Attr::n(&[1, 0, k, m, nn]), None);
+})
+.detour(Detour::Each)
+.panel(|a| Some((1, a.n[1] != 0, a.n[3], a.n[4])));
+
+/// An add-mode [`GEMM`] whose inner dimension is a single k-block
+/// ([`legw_tensor::gemm_single_k_block`]) accumulates in-engine: each output
+/// element then sees exactly one `+=` of the micro-tile product the scratch
+/// detour would have added, so the bits match without the scratch. Only a
+/// plan chooses it.
+pub(crate) static GEMM_ACC: Entry = Entry::new("GemmAcc", |io| {
+    let ([ta, tb, m, k, n], src) = (io.a.n, io.src);
+    debug_assert!(legw_tensor::gemm_single_k_block(k));
+    src.gemm(ta != 0, tb != 0, src.get(0), 1, [m, k, n], io.out[0], true);
+});
+
+static SCALE: Entry = Entry::new("Scale", |io| unary(io, |x, c| x * c))
+    .grad(|g, n, u| g.contrib(&SCALE_G, &[up(u)], &n.src, n.a, None));
+
+static ADD_SCALAR: Entry = Entry::new("AddScalar", |io| unary(io, |x, c| x + c))
+    .grad(|g, n, u| g.contrib(&SCALE_G, &[up(u)], &n.src, Attr::s(1.0), None));
+
+static SIGMOID: Entry =
+    Entry::new("Sigmoid", |io| par_sweep_map(io.out[0], io.src.get(0), kernels::sigmoid_sweep))
+        .grad(|g, n, u| g.contrib(&SIGMOID_G, &[up(u), n.me()], &n.src, Attr::default(), None));
+
+static TANH: Entry =
+    Entry::new("Tanh", |io| par_sweep_map(io.out[0], io.src.get(0), kernels::tanh_sweep))
+        .grad(|g, n, u| g.contrib(&TANH_G, &[up(u), n.me()], &n.src, Attr::default(), None));
+
+static RELU: Entry = Entry::new("Relu", |io| unary(io, |x, _| x.max(0.0)))
+    .grad(|g, n, u| g.contrib(&RELU_G, &[up(u), n.src[0]], &n.src, Attr::default(), None));
+
+/// `[src_off, dst_off]`: each source, from element `src_off` on, fills the
+/// next block of the output from `dst_off` on, as much as fits. Reshape,
+/// row slices and row concatenation; a plan runs one instruction per source.
+pub(crate) static COPY_BLOCK: Entry = Entry::new("CopyBlock", |io| {
+    let [so, mut off, ..] = io.a.n;
+    for j in 0..io.src.len() {
+        let s = &io.src.get(j)[so..];
+        let len = s.len().min(io.out[0].len() - off);
+        io.out[0][off..off + len].copy_from_slice(&s[..len]);
+        off += len;
+    }
+})
+.grad(|g, n, u| {
+    let ([so, mut off, ..], total) = (n.a.n, g.value(n.me()).numel());
+    for &v in &n.src {
+        let len = (g.value(v).numel() - so).min(total - off);
+        g.contrib(&BLOCK_G, &[up(u)], &[v], Attr::n(&[off, so]), None);
+        off += len;
+    }
+});
+
+/// `[rows]`: the sources side by side.
+static CONCAT_COLS: Entry = Entry::new("ConcatColsF", |io| {
+    let rows = io.a.n[0];
+    let total = io.out[0].len() / rows;
+    let mut off = 0;
+    for j in 0..io.src.len() {
+        let p = io.src.get(j);
+        concat_cols_into(p, rows, p.len() / rows, io.out[0], total, off);
+        off += p.len() / rows;
+    }
+})
+.grad(|g, n, u| {
+    let mut off = 0;
+    for &p in &n.src {
+        g.contrib(&COLS_BLOCK_G, &[up(u)], &[p], Attr::n(&[n.a.n[0], off]), None);
+        off += g.value(p).dim(1);
+    }
+});
+
+/// `[rows, start]`: columns `start..` of the source, as many as the output has.
+static SLICE_COLS: Entry = Entry::new("SliceColsF", |io| {
+    let ([rows, start, ..], x) = (io.a.n, io.src.get(0));
+    let end = start + io.out[0].len() / rows;
+    slice_cols_into(x, rows, x.len() / rows, start, end, io.out[0]);
+})
+.grad(|g, n, u| g.contrib(&COLS_SCATTER_G, &[up(u)], &n.src, n.a, None));
+
+/// `[mean]`: the sum, or the mean, of all elements, accumulated in f64.
+static SUM_ALL: Entry = Entry::new("SumAllF", |io| {
+    io.out[0][0] = opk::sum_all(io.src.get(0), io.a.n[0] != 0);
+})
+.grad(|g, n, u| g.contrib(&SUM_ALL_G, &[up(u)], &n.src, n.a, None));
+
+static DROPOUT: Entry = Entry::new("DropoutF", |io| {
+    let (x, m) = (io.src.get(0), mask(&io.st));
+    par_apply(io.out[0], Mode::Store, |i| x[i] * m[i]);
+})
+.grad(|g, n, u| g.contrib(&DROPOUT_G, &[up(u)], &n.src, Attr::default(), n.st))
+.role(Role::Mask);
+
+/// The dropout mask of an [`Io::st`].
+fn mask<'a>(st: &'a Option<&mut State>) -> &'a [f32] {
+    st.as_deref().and_then(|s| s.mask.as_ref()).expect("dropout without its mask").as_slice()
+}
+
+// ------------------------------------------------------------- gradients
+
+/// `out (+)= up · c`; `c = 1` is the plain gradient copy.
+pub(crate) static SCALE_G: Entry = Entry::new("ScaleG", |io| {
+    let (u, c) = (io.src.get(0), io.a.s);
+    par_apply(io.out[0], io.mode[0], |i| u[i] * c);
+});
+
+static MUL_G: Entry = Entry::new("MulG", |io| ew_grad(io, |u, o| u * o));
+
+static SIGMOID_G: Entry = Entry::new("SigmoidG", |io| ew_grad(io, |u, y| (y * (1.0 - y)) * u));
+
+static TANH_G: Entry = Entry::new("TanhG", |io| ew_grad(io, |u, y| (1.0 - y * y) * u));
+
+static RELU_G: Entry =
+    Entry::new("ReluG", |io| ew_grad(io, |u, x| (if x > 0.0 { 1.0 } else { 0.0 }) * u));
+
+static DROPOUT_G: Entry = Entry::new("DropoutG", |io| {
+    let (u, m) = (io.src.get(0), mask(&io.st));
+    par_apply(io.out[0], io.mode[0], |i| u[i] * m[i]);
+});
+
+/// Column sums of `up [rows, cols]` in f64 → `out [cols]`: the bias gradient.
+pub(crate) static COL_SUM_G: Entry = Entry::new("ColSumG", |io| {
+    let (u, cols) = (io.src.get(0), io.out[0].len());
+    let acc = &mut io.acc[..cols];
+    col_sums_into(u, u.len() / cols.max(1), cols, acc);
+    apply(io.out[0], io.mode[0], |j| acc[j] as f32);
+})
+.detour(Detour::F64);
+
+static ROW_SCALE_DX: Entry = Entry::new("RowScaleDx", |io| {
+    let (u, s) = (io.src.get(0), io.src.get(1));
+    let cols = u.len() / s.len().max(1);
+    apply(io.out[0], io.mode[0], |i| u[i] * s[i / cols]);
+});
+
+static ROW_SCALE_DS: Entry = Entry::new("RowScaleDs", |io| {
+    let (u, x) = (io.src.get(0), io.src.get(1));
+    let cols = u.len() / io.out[0].len().max(1);
+    opk::row_scale_ds(io.out[0], io.mode[0], u, x, cols);
+});
+
+/// `[rows, off]`: the `[rows, ·]` column block of `up` starting at `off`.
+static COLS_BLOCK_G: Entry = Entry::new("ColsBlockG", |io| {
+    let ([rows, off, ..], u) = (io.a.n, io.src.get(0));
+    let (w, uc) = (io.out[0].len() / rows, u.len() / rows);
+    apply(io.out[0], io.mode[0], |i| u[(i / w) * uc + off + i % w]);
+});
+
+/// `[rows, start]`: `up` scattered into columns `start..` of the wider
+/// gradient; its other columns receive the dense gradient's literal zeros.
+static COLS_SCATTER_G: Entry = Entry::new("ColsScatterG", |io| {
+    let ([rows, start, ..], u) = (io.a.n, io.src.get(0));
+    let (cols, end) = (io.out[0].len() / rows, start + u.len() / rows);
+    opk::cols_scatter(io.out[0], io.mode[0], u, cols, start, end);
+});
+
+/// `[up_off, dst_off]`: the block of `up` from `up_off` into the gradient
+/// from `dst_off`, as much as fits; the rest of the gradient receives zeros.
+static BLOCK_G: Entry = Entry::new("BlockG", |io| {
+    let ([uo, d, ..], u) = (io.a.n, io.src.get(0));
+    let len = (u.len() - uo).min(io.out[0].len() - d);
+    opk::block(io.out[0], io.mode[0], &u[uo..uo + len], d, true);
+});
+
+/// `[mean]`: every element receives `up`, or `up / n`.
+static SUM_ALL_G: Entry = Entry::new("SumAllG", |io| {
+    let u = io.src.get(0)[0];
+    let g = if io.a.n[0] != 0 { u / io.out[0].len() as f32 } else { u };
+    apply(io.out[0], io.mode[0], |_| g);
+});
 
 impl Graph {
+    fn binary(&mut self, k: &'static Entry, a: Var, b: Var, what: &str) -> Var {
+        let s = self.shape(a);
+        assert_eq!(s, self.shape(b), "{what} shape mismatch");
+        self.record(k, &[a, b], &[&s], Attr::default(), None)
+    }
+
+    fn unary(&mut self, k: &'static Entry, a: Var, s: f32) -> Var {
+        let shape = self.shape(a);
+        self.record(k, &[a], &[&shape], Attr::s(s), None)
+    }
+
     // ------------------------------------------------------------ arithmetic
 
     /// Elementwise sum of two same-shaped variables.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "add shape mismatch");
-        let v = self.value(a).add(self.value(b));
-        let rg = self.requires(a) || self.requires(b);
-        self.push(v, rg, Op::Add(a, b))
+        self.binary(&EW_ADD, a, b, "add")
     }
 
     /// Elementwise difference of two same-shaped variables.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "sub shape mismatch");
-        let v = self.value(a).sub(self.value(b));
-        let rg = self.requires(a) || self.requires(b);
-        self.push(v, rg, Op::Sub(a, b))
+        self.binary(&EW_SUB, a, b, "sub")
     }
 
     /// Hadamard product of two same-shaped variables.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "mul shape mismatch");
-        let v = self.value(a).mul(self.value(b));
-        let rg = self.requires(a) || self.requires(b);
-        self.push(v, rg, Op::Mul(a, b))
+        self.binary(&EW_MUL, a, b, "mul")
     }
 
     /// `x [m,n] + bias [n]`, broadcast over rows.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        assert_eq!(self.value(x).ndim(), 2, "add_bias x must be 2-D");
-        assert_eq!(
-            self.value(bias).shape(),
-            &[self.value(x).dim(1)],
-            "bias must be [cols] of x"
-        );
-        let v = self.value(x).add(self.value(bias));
-        let rg = self.requires(x) || self.requires(bias);
-        self.push(v, rg, Op::AddBias(x, bias))
+        let s = self.shape(x);
+        assert_eq!(s.len(), 2, "add_bias x must be 2-D");
+        assert_eq!(self.shape(bias), [s[1]], "bias must be [cols] of x");
+        self.record(&ADD_BIAS, &[x, bias], &[&s], Attr::default(), None)
     }
 
     /// Scales each row of `x [m,n]` by the scalar in `s [m,1]`.
     pub fn row_scale(&mut self, x: Var, s: Var) -> Var {
-        let (m, _n) = (self.value(x).dim(0), self.value(x).dim(1));
-        assert_eq!(self.value(s).shape(), &[m, 1], "row_scale scale must be [m,1]");
-        let v = self.value(x).mul(self.value(s));
-        let rg = self.requires(x) || self.requires(s);
-        self.push(v, rg, Op::RowScale(x, s))
+        let shape = self.shape(x);
+        assert_eq!(self.shape(s), [shape[0], 1], "row_scale scale must be [m,1]");
+        self.record(&ROW_SCALE, &[x, s], &[&shape], Attr::default(), None)
     }
 
     /// Matrix product of 2-D variables.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        let rg = self.requires(a) || self.requires(b);
-        self.push(v, rg, Op::Matmul(a, b))
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        assert_eq!(sa.len(), 2, "matmul lhs must be 2-D, got {sa:?}");
+        assert_eq!(sb.len(), 2, "matmul rhs must be 2-D, got {sb:?}");
+        assert_eq!(sa[1], sb[0], "matmul inner dims: {sa:?} @ {sb:?}");
+        let a_ = Attr::n(&[0, 0, sa[0], sa[1], sb[1]]);
+        self.record(&GEMM, &[a, b], &[&[sa[0], sb[1]]], a_, None)
     }
 
     /// Multiplies by a constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).scale(c);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Scale(a, c))
+        self.unary(&SCALE, a, c)
     }
 
     /// Adds a constant.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).add_scalar(c);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::AddScalar(a, c))
+        self.unary(&ADD_SCALAR, a, c)
     }
 
     // ----------------------------------------------------------- activations
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).sigmoid();
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Sigmoid(a))
+        self.unary(&SIGMOID, a, 0.0)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).tanh();
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Tanh(a))
+        self.unary(&TANH, a, 0.0)
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).relu();
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Relu(a))
+        self.unary(&RELU, a, 0.0)
     }
 
     // ----------------------------------------------------------------- shape
 
     /// Reinterprets under a new shape.
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
-        let v = self.value(a).reshape(dims);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Reshape(a))
+        let n = self.value(a).numel();
+        assert_eq!(n, dims.iter().product::<usize>(), "cannot reshape {n} elements to {dims:?}");
+        self.record(&COPY_BLOCK, &[a], &[dims], Attr::default(), None)
     }
 
     /// Concatenates 2-D variables along columns.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols of nothing");
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let widths: Vec<usize> = tensors.iter().map(|t| t.dim(1)).collect();
-        let v = Tensor::concat_cols(&tensors);
-        let rg = parts.iter().any(|&p| self.requires(p));
-        self.push(v, rg, Op::ConcatCols(parts.to_vec(), widths))
+        let rows = self.value(parts[0]).dim(0);
+        let mut total = 0;
+        for &p in parts {
+            let s = self.shape(p);
+            assert!(s.len() == 2 && s[0] == rows, "concat_cols expects 2-D parts of {rows} rows");
+            total += s[1];
+        }
+        self.record(&CONCAT_COLS, parts, &[&[rows, total]], Attr::n(&[rows]), None)
     }
 
     /// Extracts columns `[start, end)` of a 2-D variable.
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let v = self.value(a).slice_cols(start, end);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::SliceCols(a, start, end))
+        let s = self.shape(a);
+        assert!(s.len() == 2 && start < end && end <= s[1], "column slice {start}..{end} of {s:?}");
+        self.record(&SLICE_COLS, &[a], &[&[s[0], end - start]], Attr::n(&[s[0], start]), None)
     }
 
     /// Concatenates 2-D variables along rows (equal column counts). The
@@ -129,43 +367,35 @@ impl Graph {
     /// `[T·B, n]` block with this.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_rows of nothing");
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let cols = tensors[0].dim(1);
-        let row_counts: Vec<usize> = tensors
-            .iter()
-            .map(|t| {
-                assert_eq!(t.ndim(), 2, "concat_rows expects 2-D parts");
-                assert_eq!(t.dim(1), cols, "concat_rows column mismatch");
-                t.dim(0)
-            })
-            .collect();
-        let v = Tensor::concat_outer(&tensors);
-        let rg = parts.iter().any(|&p| self.requires(p));
-        self.push(v, rg, Op::ConcatRows(parts.to_vec(), row_counts))
+        let cols = self.value(parts[0]).dim(1);
+        let mut rows = 0;
+        for &p in parts {
+            let s = self.shape(p);
+            assert_eq!(s.len(), 2, "concat_rows expects 2-D parts");
+            assert_eq!(s[1], cols, "concat_rows column mismatch");
+            rows += s[0];
+        }
+        self.record(&COPY_BLOCK, parts, &[&[rows, cols]], Attr::default(), None)
     }
 
     /// Extracts rows `[start, end)` of a 2-D variable (e.g. the `W_x` or
     /// `W_h` half of the fused `[(in+hid), 4H]` LSTM kernel).
     pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let v = self.value(a).rows(start, end);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::SliceRows(a, start, end))
+        let s = self.shape(a);
+        assert!(s.len() == 2 && start <= end && end <= s[0], "row slice {start}..{end} of {s:?}");
+        self.record(&COPY_BLOCK, &[a], &[&[end - start, s[1]]], Attr::n(&[start * s[1]]), None)
     }
 
     // ------------------------------------------------------------ reductions
 
     /// Sum of all elements → scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(opk::sum_all(self.value(a).as_slice(), false));
-        let rg = self.requires(a);
-        self.push(v, rg, Op::SumAll(a))
+        self.record(&SUM_ALL, &[a], &[&[1]], Attr::n(&[0]), None)
     }
 
     /// Mean of all elements → scalar.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(opk::sum_all(self.value(a).as_slice(), true));
-        let rg = self.requires(a);
-        self.push(v, rg, Op::MeanAll(a))
+        self.record(&SUM_ALL, &[a], &[&[1]], Attr::n(&[1]), None)
     }
 
     // --------------------------------------------------------- regularisation
@@ -174,133 +404,10 @@ impl Graph {
     /// pre-sampled mask of `{0, 1/keep}` entries supplied by the caller
     /// (layers sample it from their RNG so the tape stays deterministic).
     pub fn dropout(&mut self, a: Var, mask: Tensor) -> Var {
-        assert_eq!(self.value(a).shape(), mask.shape(), "dropout mask shape mismatch");
-        let v = self.value(a).mul(&mask);
-        let rg = self.requires(a);
-        self.push(v, rg, Op::Dropout(a, mask))
-    }
-
-    // -------------------------------------------------------------- backward
-
-    /// One backward rule, dispatched by op kind. `up` is the upstream
-    /// gradient flowing into node `v`.
-    pub(crate) fn dispatch_backward(&mut self, op: &Op, v: Var, up: &Tensor) {
-        match op {
-            Op::Leaf => {}
-            Op::Add(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.clone());
-            }
-            Op::Sub(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.scale(-1.0));
-            }
-            Op::Mul(a, b) => {
-                let da = up.mul(self.value(*b));
-                let db = up.mul(self.value(*a));
-                self.accumulate(*a, da);
-                self.accumulate(*b, db);
-            }
-            Op::AddBias(x, bias) => {
-                self.accumulate(*x, up.clone());
-                self.accumulate(*bias, up.sum_axis(0));
-            }
-            Op::RowScale(x, s) => {
-                let xv = self.value(*x);
-                let (m, n) = (xv.dim(0), xv.dim(1));
-                let dx = up.mul(self.value(*s)); // broadcast [m,1]
-                let mut ds = vec![0.0f32; m];
-                opk::row_scale_ds(&mut ds, Mode::Store, up.as_slice(), xv.as_slice(), n);
-                self.accumulate(*x, dx);
-                self.accumulate(*s, Tensor::from_vec(ds, &[m, 1]));
-            }
-            Op::Matmul(a, b) => {
-                // dA = up · Bᵀ, dB = Aᵀ · up
-                let da = up.matmul_t(self.value(*b));
-                let db = self.value(*a).t_matmul(up);
-                self.accumulate(*a, da);
-                self.accumulate(*b, db);
-            }
-            Op::Scale(a, c) => self.accumulate(*a, up.scale(*c)),
-            Op::AddScalar(a, _) => self.accumulate(*a, up.clone()),
-            Op::Sigmoid(a) => {
-                let y = &self.nodes[v.0].value;
-                let d = y.map(|p| p * (1.0 - p)).mul(up);
-                self.accumulate(*a, d);
-            }
-            Op::Tanh(a) => {
-                let y = &self.nodes[v.0].value;
-                let d = y.map(|t| 1.0 - t * t).mul(up);
-                self.accumulate(*a, d);
-            }
-            Op::Relu(a) => {
-                let x = self.value(*a);
-                let d = x.map(|t| if t > 0.0 { 1.0 } else { 0.0 }).mul(up);
-                self.accumulate(*a, d);
-            }
-            Op::Reshape(a) => {
-                let target = self.value(*a).shape().to_vec();
-                self.accumulate(*a, up.reshape(&target));
-            }
-            Op::ConcatCols(parts, widths) => {
-                let mut off = 0;
-                let parts = parts.clone();
-                let widths = widths.clone();
-                for (p, w) in parts.iter().zip(widths.iter()) {
-                    let piece = up.slice_cols(off, off + w);
-                    self.accumulate(*p, piece);
-                    off += w;
-                }
-            }
-            Op::SliceCols(a, start, end) => {
-                let xv = self.value(*a);
-                let (m, n) = (xv.dim(0), xv.dim(1));
-                let mut dx = vec![0.0f32; m * n];
-                opk::cols_scatter(&mut dx, Mode::Store, up.as_slice(), n, *start, *end);
-                self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
-            }
-            Op::ConcatRows(parts, row_counts) => {
-                let mut off = 0;
-                let parts = parts.clone();
-                let row_counts = row_counts.clone();
-                for (p, rc) in parts.iter().zip(row_counts.iter()) {
-                    let piece = up.rows(off, off + rc);
-                    self.accumulate(*p, piece);
-                    off += rc;
-                }
-            }
-            Op::SliceRows(a, start, _) => {
-                let xv = self.value(*a);
-                let (m, n) = (xv.dim(0), xv.dim(1));
-                // `dx` is born zero, so only the block is written.
-                let mut dx = vec![0.0f32; m * n];
-                opk::block(&mut dx, Mode::Store, up.as_slice(), start * n, false);
-                self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
-            }
-            Op::SumAll(a) => {
-                let g = Tensor::full(self.value(*a).shape(), up.item());
-                self.accumulate(*a, g);
-            }
-            Op::MeanAll(a) => {
-                let n = self.value(*a).numel() as f32;
-                let g = Tensor::full(self.value(*a).shape(), up.item() / n);
-                self.accumulate(*a, g);
-            }
-            Op::Dropout(a, mask) => {
-                self.accumulate(*a, up.mul(mask));
-            }
-            Op::Embedding { .. }
-            | Op::SoftmaxRows(_)
-            | Op::SoftmaxCrossEntropy { .. } => self.backward_loss(op, v, up),
-            Op::Conv2d { .. }
-            | Op::MaxPool2x2 { .. }
-            | Op::GlobalAvgPool { .. }
-            | Op::BatchNorm { .. } => self.backward_conv(op, v, up),
-            Op::LstmCell { .. }
-            | Op::LstmCellC { .. }
-            | Op::LstmPreactSeq { .. }
-            | Op::LstmRecurStep { .. } => self.backward_lstm(op, v, up),
-        }
+        let s = self.shape(a);
+        assert_eq!(s, mask.shape(), "dropout mask shape mismatch");
+        let st = State { mask: Some(mask), ..State::default() };
+        self.record(&DROPOUT, &[a], &[&s], Attr::default(), Some(st))
     }
 }
 

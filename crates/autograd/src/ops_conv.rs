@@ -3,102 +3,168 @@
 //!
 //! Feature maps are `[N, C, H, W]` row-major throughout.
 
-use crate::graph::{Graph, Op, Var};
-use crate::opk::{self, Mode};
-use legw_tensor::{col2im, im2col, Conv2dGeom, Tensor};
+use crate::graph::{Graph, Var};
+use crate::ops_basic::up;
+use crate::opk::{self, apply, store_or_add};
+use crate::table::{buf, flags, Attr, BnStats, Detour, Entry, Role, State};
+use legw_tensor::{col2im_into, gemm_into, im2col_into, Conv2dGeom, Tensor};
+
+/// `[batch, oc, flags, ckk]`, the geometry in the state: im2col into the
+/// state's columns, one GEMM against `w [OC, C·KH·KW]` into its row-major
+/// product, then the permute.
+static CONV: Entry = Entry::new("ConvF", |io| {
+    let ([b, oc, _, ckk, _], src) = (io.a.n, io.src);
+    let st = io.st.as_deref_mut().expect("conv without its buffers");
+    let g = *st.geom.as_deref().expect("conv geometry");
+    let (oh, ow) = (g.oh(), g.ow());
+    let (cols, out2) = buf(&mut st.buf).split_at_mut(b * oh * ow * ckk);
+    im2col_into(src.get(0), b, &g, cols);
+    src.gemm(false, true, cols, 1, [b * oh * ow, ckk, oc], out2, false);
+    opk::to_nchw(out2, b, oc, oh, ow, io.out[0]);
+})
+.grad(|g, n, u| {
+    let [x, w] = [n.src[0], n.src[1]];
+    let to: Vec<Var> = [w, x].into_iter().filter(|&v| g.requires(v)).collect();
+    let flags = flags(&[g.requires(w), g.requires(x)]);
+    let a = Attr { n: [n.a.n[0], n.a.n[1], flags, n.a.n[3], 0], ..n.a };
+    g.contrib(&CONV_G, &[up(u), w], &to, a, n.st);
+})
+.panel(|a| Some((1, true, a.n[3], a.n[1])));
+
+/// `[nc, h, w]`: 2×2 stride-2 max pooling, recording each window's argmax.
+static MAX_POOL: Entry = Entry::new("MaxPoolF", |io| {
+    let [nc, h, w, ..] = io.a.n;
+    let st = io.st.as_deref_mut().expect("max pool without its argmax");
+    opk::max_pool_fwd(io.src.get(0), nc, h, w, io.out[0], &mut st.argmax);
+})
+.grad(|g, n, u| g.contrib(&MAX_POOL_G, &[up(u)], &n.src, Attr::default(), n.st));
+
+/// `[hw]`: the mean of each plane.
+static GAP: Entry = Entry::new("GapF", |io| opk::gap_fwd(io.src.get(0), io.a.n[0], io.out[0]))
+    .grad(|g, n, u| g.contrib(&GAP_G, &[up(u)], &n.src, n.a, None));
+
+/// `[n, c, hw]`, `s = eps`: batch statistics in f64, then `γ·x̂ + β`.
+static BN: Entry = Entry::new("BnF", |io| {
+    let ([n, c, hw, ..], eps) = (io.a.n, io.a.s);
+    let (x, gm, bt) = (io.src.get(0), io.src.get(1), io.src.get(2));
+    let st = io.st.as_deref_mut().expect("batch norm without its statistics");
+    let r = st.bn.as_deref_mut().expect("batch norm without its statistics");
+    opk::bn_stats(x, [n, c, hw], &mut r.mean, &mut r.var);
+    let (stats, xh) = ((&r.mean[..], &r.var[..]), buf(&mut st.buf));
+    opk::bn_fwd(x, [n, c, hw], stats, eps, gm, bt, &mut r.inv_std, xh, io.out[0]);
+    apply(&mut r.mean_f32, opk::Mode::Store, |ci| r.mean[ci] as f32);
+    apply(&mut r.var_f32, opk::Mode::Store, |ci| r.var[ci] as f32);
+})
+.grad(|g, n, u| {
+    let [x, gamma, beta] = [n.src[0], n.src[1], n.src[2]];
+    let to: Vec<Var> = [gamma, beta, x].into_iter().filter(|&v| g.requires(v)).collect();
+    let flags = flags(&[g.requires(gamma), g.requires(beta), g.requires(x)]);
+    let a = Attr { n: [n.a.n[0], n.a.n[1], n.a.n[2], flags, 0], ..n.a };
+    g.contrib(&BN_G, &[up(u), gamma], &to, a, n.st);
+})
+.role(Role::Bn);
+
+/// ConvF's backward: `up` permuted into the state's row-major buffer, then
+/// `dW = up2ᵀ · cols` (flag 1) and `dx = col2im(up2 · W)` (flag 2), the
+/// latter overwriting the columns, whose last reader `dW` was.
+static CONV_G: Entry = Entry::new("ConvG", |io| {
+    let ([b, oc, flags, ckk, _], src) = (io.a.n, io.src);
+    let st = io.st.as_deref_mut().expect("conv without its buffers");
+    let g = *st.geom.as_deref().expect("conv geometry");
+    let (oh, ow) = (g.oh(), g.ow());
+    let rows = b * oh * ow;
+    let (cols, up2) = buf(&mut st.buf).split_at_mut(rows * ckk);
+    opk::from_nchw(src.get(0), b, oc, oh, ow, up2);
+    let mut j = 0;
+    if flags & 1 != 0 {
+        store_or_add(io.out[0], io.mode[0], io.scratch, |o| {
+            gemm_into(true, false, up2, cols, oc, rows, ckk, o, false)
+        });
+        j = 1;
+    }
+    if flags & 2 != 0 {
+        src.gemm(false, false, up2, 1, [rows, oc, ckk], cols, false);
+        store_or_add(io.out[j], io.mode[j], io.scratch, |o| col2im_into(cols, b, &g, o));
+    }
+})
+.detour(Detour::Each)
+.panel(|a| (a.n[2] & 2 != 0).then(|| (1, false, a.n[1], a.n[3])));
+
+static MAX_POOL_G: Entry = Entry::new("MaxPoolG", |io| {
+    let st = io.st.as_deref().expect("max pool without its argmax");
+    opk::max_pool_bwd(io.out[0], io.mode[0], io.scratch, io.src.get(0), &st.argmax);
+})
+.detour(Detour::Each);
+
+static GAP_G: Entry =
+    Entry::new("GapG", |io| opk::gap_bwd(io.out[0], io.mode[0], io.src.get(0), io.a.n[0]));
+
+/// `[n, c, hw, flags]`: the per-channel sums, then whichever of `dγ`
+/// (flag 1), `dβ` (2) and `dx` (4) are wanted, in that order.
+static BN_G: Entry = Entry::new("BnG", |io| {
+    let ([n, c, hw, flags, ..], u, gm) = (io.a.n, io.src.get(0), io.src.get(1));
+    let st = io.st.as_deref_mut().expect("batch norm without its statistics");
+    let r = st.bn.as_deref_mut().expect("batch norm without its statistics");
+    let xh = buf(&mut st.buf);
+    opk::bn_bwd_sums(u, xh, c, hw, &mut r.sum_up, &mut r.sum_up_xh);
+    let mut j = 0;
+    for (bit, sums) in [(1, &r.sum_up_xh), (2, &r.sum_up)] {
+        if flags & bit != 0 {
+            apply(io.out[j], io.mode[j], |ci| sums[ci] as f32);
+            j += 1;
+        }
+    }
+    if flags & 4 != 0 {
+        let sums = (&r.sum_up[..], &r.sum_up_xh[..]);
+        opk::bn_bwd_dx(io.out[j], io.mode[j], u, xh, [n, c, hw], gm, &r.inv_std, sums);
+    }
+});
 
 impl Graph {
     /// 2-D convolution of `x [N,C,H,W]` with weight `w [OC, C·KH·KW]`,
     /// producing `[N, OC, OH, OW]`. Bias, if any, is added by the layer via
     /// a separate channel-affine step.
     pub fn conv2d(&mut self, x: Var, w: Var, geom: Conv2dGeom) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.ndim(), 4, "conv2d input must be [N,C,H,W]");
-        let n = xv.dim(0);
-        let wv = self.value(w);
-        assert_eq!(wv.dim(1), geom.c * geom.kh * geom.kw, "weight columns must be C·KH·KW");
-        let oc = wv.dim(0);
-        let cols = im2col(xv, &geom);
-        let out2 = cols.matmul_t(wv); // [N·OH·OW, OC]
-        let (oh, ow) = (geom.oh(), geom.ow());
-        let mut out = vec![0.0f32; n * oc * oh * ow];
-        opk::to_nchw(out2.as_slice(), n, oc, oh, ow, &mut out);
-        let v = Tensor::from_vec(out, &[n, oc, oh, ow]);
-        let rg = self.requires(x) || self.requires(w);
-        self.push(v, rg, Op::Conv2d { x, w, geom, batch: n, cols })
+        let (xs, ws) = (self.shape(x), self.shape(w));
+        assert_eq!(xs.len(), 4, "conv2d input must be [N,C,H,W]");
+        assert_eq!(ws[1], geom.c * geom.kh * geom.kw, "weight columns must be C·KH·KW");
+        let (n, oc, rows) = (xs[0], ws[0], xs[0] * geom.oh() * geom.ow());
+        let st = State { geom: Some(Box::new(geom)), ..State::buf(rows * (ws[1] + oc)) };
+        let a = Attr::n(&[n, oc, 0, ws[1]]);
+        self.record(&CONV, &[x, w], &[&[n, oc, geom.oh(), geom.ow()]], a, Some(st))
     }
 
     /// 2×2 max pooling with stride 2 on `[N,C,H,W]` (H, W must be even).
     pub fn max_pool_2x2(&mut self, x: Var) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.ndim(), 4);
-        let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
+        let s = self.shape(x);
+        assert_eq!(s.len(), 4);
+        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert!(h % 2 == 0 && w % 2 == 0, "max_pool_2x2 needs even H,W, got {h}x{w}");
-        let (oh, ow) = (h / 2, w / 2);
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0u32; n * c * oh * ow];
-        opk::max_pool_fwd(xv.as_slice(), n * c, h, w, &mut out, &mut argmax);
-        let v = Tensor::from_vec(out, &[n, c, oh, ow]);
-        let rg = self.requires(x);
-        self.push(v, rg, Op::MaxPool2x2 { x, argmax })
+        let st = State { argmax: vec![0; n * c * (h / 2) * (w / 2)], ..State::default() };
+        self.record(&MAX_POOL, &[x], &[&[n, c, h / 2, w / 2]], Attr::n(&[n * c, h, w]), Some(st))
     }
 
     /// Global average pooling `[N,C,H,W] → [N,C]`.
     pub fn global_avg_pool(&mut self, x: Var) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.ndim(), 4);
-        let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
-        let mut out = vec![0.0f32; n * c];
-        opk::gap_fwd(xv.as_slice(), hw, &mut out);
-        let v = Tensor::from_vec(out, &[n, c]);
-        let rg = self.requires(x);
-        self.push(v, rg, Op::GlobalAvgPool { x, hw })
+        let s = self.shape(x);
+        assert_eq!(s.len(), 4);
+        self.record(&GAP, &[x], &[&[s[0], s[1]]], Attr::n(&[s[2] * s[3]]), None)
     }
 
     /// Training-mode batch normalisation over `(N,H,W)` per channel with
     /// affine parameters `gamma [C]`, `beta [C]`.
     ///
-    /// Returns the normalised tensor; also exposes the batch statistics via
-    /// the return of [`Graph::batch_norm_stats`] for running-average updates.
+    /// Returns the normalised tensor; [`Graph::batch_norm_stats`] gives the
+    /// batch statistics for running-average updates.
     pub fn batch_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.ndim(), 4, "batch_norm input must be [N,C,H,W]");
-        let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
-        assert_eq!(self.value(gamma).shape(), &[c]);
-        assert_eq!(self.value(beta).shape(), &[c]);
-        let src = xv.as_slice();
-
-        let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
-        opk::bn_stats(src, [n, c, hw], &mut mean, &mut var);
-        let mut inv_std = vec![0.0f32; c];
-        let mut xh = vec![0.0f32; src.len()];
-        let mut out = vec![0.0f32; src.len()];
-        opk::bn_fwd(
-            src,
-            [n, c, hw],
-            (&mean, &var),
-            eps,
-            self.value(gamma).as_slice(),
-            self.value(beta).as_slice(),
-            &mut inv_std,
-            &mut xh,
-            &mut out,
-        );
-        let x_hat = Tensor::from_vec(xh, xv.shape());
-        let v = Tensor::from_vec(out, xv.shape());
-        let rg = self.requires(x) || self.requires(gamma) || self.requires(beta);
-        self.push(
-            v,
-            rg,
-            Op::BatchNorm {
-                x,
-                gamma,
-                beta,
-                x_hat,
-                inv_std: Tensor::from_vec(inv_std, &[c]),
-                eps,
-            },
-        )
+        let s = self.shape(x);
+        assert_eq!(s.len(), 4, "batch_norm input must be [N,C,H,W]");
+        let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
+        assert_eq!(self.shape(gamma), [c]);
+        assert_eq!(self.shape(beta), [c]);
+        let st = State { bn: Some(BnStats::zeros(c)), ..State::buf(n * c * hw) };
+        let a = Attr { s: eps, ..Attr::n(&[n, c, hw]) };
+        self.record(&BN, &[x, gamma, beta], &[&s], a, Some(st))
     }
 
     /// Per-channel batch mean and (biased) variance of `[N,C,H,W]` — what a
@@ -115,107 +181,27 @@ impl Graph {
 
     /// Inference-time channel affine `y[n,c,h,w] = x · scale[c] + shift[c]`
     /// with constant (non-learned) scale/shift — used by BatchNorm in eval
-    /// mode with running statistics folded into `scale`/`shift`.
+    /// mode with running statistics folded into `scale`/`shift`: a dropout
+    /// by the expanded scale, then an add of the expanded shift as a
+    /// constant leaf (pushed directly, not via [`Graph::input`], so a plan
+    /// captures it rather than expecting it as a replay input).
     pub fn channel_affine(&mut self, x: Var, scale: &[f32], shift: &[f32]) -> Var {
-        let xv = self.value(x);
-        assert_eq!(xv.ndim(), 4);
-        let (n, c, h, w) = (xv.dim(0), xv.dim(1), xv.dim(2), xv.dim(3));
-        assert_eq!(scale.len(), c);
-        assert_eq!(shift.len(), c);
-        let hw = h * w;
-        let shape = xv.shape().to_vec();
-        let src = xv.as_slice();
-        // Two tape nodes rather than one fused op: a Dropout (multiply by
-        // the expanded scale mask) followed by an Add with a constant
-        // shift leaf. Values and gradients are bit-identical to the fused
-        // form (mul then add, separately rounded, as before) — but each
-        // node now replays exactly under plan capture, where `DropoutF`
-        // recomputes `x · mask` and would silently drop a fused `+ shift`.
-        let mut scaled = vec![0.0f32; src.len()];
-        let mut mask = vec![0.0f32; src.len()];
-        let mut shift_full = vec![0.0f32; src.len()];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * hw;
-                for k in 0..hw {
-                    scaled[base + k] = src[base + k] * scale[ci];
-                }
-                mask[base..base + hw].iter_mut().for_each(|v| *v = scale[ci]);
-                shift_full[base..base + hw].iter_mut().for_each(|v| *v = shift[ci]);
+        let s = self.shape(x);
+        assert_eq!(s.len(), 4);
+        assert_eq!(scale.len(), s[1]);
+        assert_eq!(shift.len(), s[1]);
+        let hw = s[2] * s[3];
+        let expand = |per: &[f32]| {
+            let mut v = Vec::with_capacity(s[0] * s[1] * hw);
+            for _ in 0..s[0] {
+                per.iter().for_each(|&p| v.extend(std::iter::repeat_n(p, hw)));
             }
-        }
-        let rg = self.requires(x);
-        let scaled = self.push(
-            Tensor::from_vec(scaled, &shape),
-            rg,
-            Op::Dropout(x, Tensor::from_vec(mask, &shape)),
-        );
-        // Pushed directly (not via `Graph::input`) so the shift is captured
-        // as a plan constant, not a positional replay input.
-        let sh = self.push(Tensor::from_vec(shift_full, &shape), false, Op::Leaf);
+            Tensor::from_vec(v, &s)
+        };
+        let (mask, shift) = (expand(scale), expand(shift));
+        let scaled = self.dropout(x, mask);
+        let sh = self.push(shift, false, crate::graph::Op::Leaf);
         self.add(scaled, sh)
-    }
-
-    pub(crate) fn backward_conv(&mut self, op: &Op, _v: Var, up: &Tensor) {
-        match op {
-            Op::Conv2d { x, w, geom, batch, cols } => {
-                let (oc, oh, ow) = (up.dim(1), up.dim(2), up.dim(3));
-                let mut up2 = vec![0.0f32; up.numel()];
-                opk::from_nchw(up.as_slice(), *batch, oc, oh, ow, &mut up2);
-                let up2 = Tensor::from_vec(up2, &[batch * oh * ow, oc]);
-                if self.requires(*w) {
-                    // dW = up2ᵀ · cols → [OC, CKK]
-                    let dw = up2.t_matmul(cols);
-                    self.accumulate(*w, dw);
-                }
-                if self.requires(*x) {
-                    let dcols = up2.matmul(self.value(*w)); // [N·OH·OW, CKK]
-                    let dx = col2im(&dcols, *batch, geom);
-                    self.accumulate(*x, dx);
-                }
-            }
-            Op::MaxPool2x2 { x, argmax } => {
-                let xv = self.value(*x);
-                let mut dx = vec![0.0f32; xv.numel()];
-                opk::max_pool_bwd(&mut dx, Mode::Store, &mut [], up.as_slice(), argmax);
-                self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
-            }
-            Op::GlobalAvgPool { x, hw } => {
-                let xv = self.value(*x);
-                let mut dx = vec![0.0f32; xv.numel()];
-                opk::gap_bwd(&mut dx, Mode::Store, up.as_slice(), *hw);
-                self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
-            }
-            Op::BatchNorm { x, gamma, beta, x_hat, inv_std, eps: _ } => {
-                let xv = self.value(*x).clone();
-                let (n, c, hw) = (xv.dim(0), xv.dim(1), xv.dim(2) * xv.dim(3));
-                let (mut sum_up, mut sum_up_xh) = (vec![0.0f64; c], vec![0.0f64; c]);
-                opk::bn_bwd_sums(up.as_slice(), x_hat.as_slice(), c, hw, &mut sum_up, &mut sum_up_xh);
-                if self.requires(*gamma) {
-                    let dg: Vec<f32> = sum_up_xh.iter().map(|&v| v as f32).collect();
-                    self.accumulate(*gamma, Tensor::from_vec(dg, &[c]));
-                }
-                if self.requires(*beta) {
-                    let db: Vec<f32> = sum_up.iter().map(|&v| v as f32).collect();
-                    self.accumulate(*beta, Tensor::from_vec(db, &[c]));
-                }
-                if self.requires(*x) {
-                    let mut dx = vec![0.0f32; xv.numel()];
-                    opk::bn_bwd_dx(
-                        &mut dx,
-                        Mode::Store,
-                        up.as_slice(),
-                        x_hat.as_slice(),
-                        [n, c, hw],
-                        self.value(*gamma).as_slice(),
-                        inv_std.as_slice(),
-                        (&sum_up, &sum_up_xh),
-                    );
-                    self.accumulate(*x, Tensor::from_vec(dx, xv.shape()));
-                }
-            }
-            _ => unreachable!("backward_conv called with non-conv op"),
-        }
     }
 }
 

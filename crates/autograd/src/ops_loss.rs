@@ -1,28 +1,66 @@
 //! Embedding lookup, row softmax, and softmax cross-entropy (with
 //! ignore-index masking for padded sequence batches).
 
-use crate::graph::{Graph, Op, Var, IGNORE_INDEX};
-use crate::opk::{self, Mode};
-use legw_tensor::Tensor;
+use crate::graph::{Graph, Var, IGNORE_INDEX};
+use crate::ops_basic::up;
+use crate::opk;
+use crate::table::{buf, Attr, Detour, Entry, Role, State};
+use legw_tensor::softmax_rows_into;
+
+/// `[dim]`: `out[i, ·] = table[ids[i], ·]`, the ids a feed.
+static EMBED: Entry = Entry::new("EmbedF", |io| {
+    let ids = &io.st.as_deref().expect("embedding without its ids").ids;
+    opk::embed_fwd(io.src.get(0), ids, io.a.n[0], io.out[0]);
+})
+.grad(|g, n, u| g.contrib(&EMBED_G, &[up(u)], &n.src, n.a, n.st))
+.role(Role::Ids);
+
+/// `[cols]`: row softmax.
+static SOFTMAX: Entry = Entry::new("SoftmaxF", |io| {
+    let (x, n) = (io.src.get(0), io.a.n[0]);
+    softmax_rows_into(x, x.len() / n, n, io.out[0]);
+})
+.grad(|g, n, u| g.contrib(&SOFTMAX_G, &[up(u), n.me()], &n.src, n.a, None));
+
+/// `[v]`: mean cross-entropy of `logits [b, v]` against the label feed;
+/// keeps the probabilities and the active-row count for the backward.
+static CE: Entry = Entry::new("CeF", |io| {
+    let st = io.st.as_deref_mut().expect("cross-entropy without its labels");
+    let probs = buf(&mut st.buf);
+    (io.out[0][0], st.active) = opk::ce_fwd(io.src.get(0), &st.ids, io.a.n[0], probs);
+})
+.grad(|g, n, u| g.contrib(&CE_G, &[up(u)], &n.src, n.a, n.st))
+.role(Role::Labels);
+
+static EMBED_G: Entry = Entry::new("EmbedG", |io| {
+    let ids = &io.st.as_deref().expect("embedding without its ids").ids;
+    opk::embed_bwd(io.out[0], io.mode[0], io.scratch, io.src.get(0), ids, io.a.n[0]);
+})
+.detour(Detour::Each);
+
+static SOFTMAX_G: Entry = Entry::new("SoftmaxG", |io| {
+    opk::softmax_bwd(io.out[0], io.mode[0], io.src.get(0), io.src.get(1), io.a.n[0]);
+});
+
+static CE_G: Entry = Entry::new("CeG", |io| {
+    let st = io.st.as_deref_mut().expect("cross-entropy without its labels");
+    let (seed, v) = (io.src.get(0)[0], io.a.n[0]);
+    opk::ce_bwd(io.out[0], io.mode[0], seed, buf(&mut st.buf), &st.ids, st.active, v);
+});
 
 impl Graph {
     /// Looks up rows of an embedding table: `out[i,·] = table[ids[i],·]`.
     pub fn embedding(&mut self, table: Var, ids: &[usize]) -> Var {
-        let t = self.value(table);
-        assert_eq!(t.ndim(), 2, "embedding table must be 2-D");
-        let dim = t.dim(1);
-        let mut out = vec![0.0f32; ids.len() * dim];
-        opk::embed_fwd(t.as_slice(), ids, dim, &mut out);
-        let v = Tensor::from_vec(out, &[ids.len(), dim]);
-        let rg = self.requires(table);
-        self.push(v, rg, Op::Embedding { table, ids: ids.to_vec() })
+        let t = self.shape(table);
+        assert_eq!(t.len(), 2, "embedding table must be 2-D");
+        let st = State { ids: ids.to_vec(), ..State::default() };
+        self.record(&EMBED, &[table], &[&[ids.len(), t[1]]], Attr::n(&[t[1]]), Some(st))
     }
 
     /// Row-wise softmax (used for attention weights).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.value(a).softmax_rows();
-        let rg = self.requires(a);
-        self.push(v, rg, Op::SoftmaxRows(a))
+        let s = self.shape(a);
+        self.record(&SOFTMAX, &[a], &[&s], Attr::n(&[s[1]]), None)
     }
 
     /// Mean softmax cross-entropy of `logits [B,V]` against integer labels.
@@ -31,59 +69,23 @@ impl Graph {
     /// the mean nor to the gradient — used to mask padding in seq2seq
     /// batches. Returns a scalar. If every row is masked the loss is 0.
     pub fn softmax_cross_entropy(&mut self, logits: Var, labels: &[usize]) -> Var {
-        let lv = self.value(logits);
-        assert_eq!(lv.ndim(), 2, "logits must be [B,V]");
-        let (b, vsz) = (lv.dim(0), lv.dim(1));
-        assert_eq!(labels.len(), b, "one label per logit row");
-        let mut probs = vec![0.0f32; b * vsz];
-        let (mean, active) = opk::ce_fwd(lv.as_slice(), labels, vsz, &mut probs);
-        let probs = Tensor::from_vec(probs, &[b, vsz]);
-        let rg = self.requires(logits);
-        self.push(
-            Tensor::scalar(mean),
-            rg,
-            Op::SoftmaxCrossEntropy { logits, labels: labels.to_vec(), probs, active },
-        )
+        let s = self.shape(logits);
+        assert_eq!(s.len(), 2, "logits must be [B,V]");
+        assert_eq!(labels.len(), s[0], "one label per logit row");
+        let st = State { ids: labels.to_vec(), ..State::buf(s[0] * s[1]) };
+        self.record(&CE, &[logits], &[&[1]], Attr::n(&[s[1]]), Some(st))
     }
 
     /// The sentinel label excluded from [`Graph::softmax_cross_entropy`].
     pub fn ignore_index() -> usize {
         IGNORE_INDEX
     }
-
-    pub(crate) fn backward_loss(&mut self, op: &Op, v: Var, up: &Tensor) {
-        match op {
-            Op::Embedding { table, ids } => {
-                let t = self.value(*table);
-                let (vocab, dim) = (t.dim(0), t.dim(1));
-                let mut dt = vec![0.0f32; vocab * dim];
-                opk::embed_bwd(&mut dt, Mode::Store, &mut [], up.as_slice(), ids, dim);
-                self.accumulate(*table, Tensor::from_vec(dt, &[vocab, dim]));
-            }
-            Op::SoftmaxRows(a) => {
-                let y = &self.nodes[v.0].value;
-                let (m, n) = (y.dim(0), y.dim(1));
-                let mut dx = vec![0.0f32; m * n];
-                opk::softmax_bwd(&mut dx, Mode::Store, up.as_slice(), y.as_slice(), n);
-                self.accumulate(*a, Tensor::from_vec(dx, &[m, n]));
-            }
-            Op::SoftmaxCrossEntropy { logits, labels, probs, active } => {
-                if *active == 0 {
-                    return; // no contribution: the subtree stays gradient-free
-                }
-                let (b, vsz) = (probs.dim(0), probs.dim(1));
-                let mut dl = vec![0.0f32; b * vsz];
-                opk::ce_bwd(&mut dl, Mode::Store, up.item(), probs.as_slice(), labels, *active, vsz);
-                self.accumulate(*logits, Tensor::from_vec(dl, &[b, vsz]));
-            }
-            _ => unreachable!("backward_loss called with non-loss op"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legw_tensor::Tensor;
     use crate::check::grad_check;
 
     #[test]

@@ -1,5 +1,4 @@
-//! The fused LSTM cell op — the tape's first (and so far only) two-output
-//! node.
+//! The fused LSTM cell and the sequence-hoisted input projection.
 //!
 //! [`Graph::lstm_cell`] records the whole cell interior
 //!
@@ -7,26 +6,102 @@
 //! c' = σ(f)∘c + σ(i)∘tanh(ĝ)        h' = σ(o)∘tanh(c')
 //! ```
 //!
-//! as a *pair* of consecutive nodes instead of the ~8 separate elementwise
-//! ops the unfused formulation needs: first the `c'` node
-//! ([`Op::LstmCellC`]), then the `h'` node ([`Op::LstmCell`]) which owns
-//! the cached intermediates and the closed-form backward (implemented in
-//! `legw_tensor::lstm_cell_backward`).
+//! as one kernel with two outputs instead of the ~8 separate elementwise
+//! ops the unfused formulation needs: the `c'` node, then the `h'` node
+//! that holds the kernel, its cached intermediates and its closed-form
+//! backward (`legw_tensor::lstm_cell_backward_into`).
 //!
-//! ## Why consecutive siblings make two outputs safe on this tape
+//! ## Why consecutive outputs make two outputs safe on this tape
 //!
-//! The reverse sweep walks node indices downward and every consumer of
-//! either output was pushed *after* both siblings. So when the sweep
-//! reaches `h'` (the higher index), the gradient accumulated on `c'` is
-//! already final — the `h'` rule can read it and run the joint backward for
-//! both outputs at once, accumulating into `preact` and `c_prev`. When the
-//! sweep then reaches `c'`, its work is already done; the `c'` node only
-//! runs the rule itself (with `dh = 0`) in the corner case where `h'` got
-//! no gradient at all (e.g. only the cell state feeds the loss).
+//! Backward visits node indices downward and every consumer of either
+//! output was recorded *after* both. So when it reaches `h'`, the gradients
+//! of `c'` and `h'` are both final, and the one rule runs with whichever of
+//! them exists (`dh = 0` when only the cell state feeds the loss).
 
-use crate::graph::{Graph, Op, Var};
-use crate::opk::{self, Mode};
-use legw_tensor::{lstm_cell_backward, lstm_cell_forward, Tensor};
+use crate::graph::{Graph, Var};
+use crate::ops_basic::{up, COL_SUM_G, GEMM};
+use crate::opk::{self, apply, Mode};
+use crate::table::{buf, flags, Attr, Detour, Entry, State};
+use legw_tensor::{lstm_cell_backward_into, lstm_cell_forward_into, repeat_rows_into};
+
+/// `[b, hid]`: `(c', h')` from `preact [B, 4H]` (gates `i,f,ĝ,o`) and
+/// `c [B, H]`, keeping the activated gates and `tanh(c')`.
+static LSTM: Entry = Entry::new("LstmF", |io| {
+    let [b, hid, ..] = io.a.n;
+    let st = io.st.as_deref_mut().expect("lstm cell without its buffers");
+    let (gates, tanh_c) = buf(&mut st.buf).split_at_mut(b * 4 * hid);
+    let [c, h, _] = &mut io.out;
+    lstm_cell_forward_into(io.src.get(0), io.src.get(1), b, hid, gates, c, tanh_c, h);
+})
+.grad(|g, n, u| {
+    let (dc, dh) = (u[0], u[1]);
+    let src: Vec<Var> = [Some(n.src[1]), dh, dc].into_iter().flatten().collect();
+    let a = Attr::n(&[n.a.n[0], n.a.n[1], flags(&[dh.is_some(), dc.is_some()])]);
+    g.contrib(&LSTM_G, &src, &n.src, a, n.st);
+});
+
+/// `[rows, k, n4]`: `x_pack [T·B, in] · w_x [in, 4H] + bias [4H]` for the
+/// whole sequence, one GEMM accumulated onto the row-tiled bias. Equals
+/// `add_bias(matmul(x_pack, w_x), bias)` bitwise (f32 addition commutes).
+static PREACT_SEQ: Entry = Entry::new("PreactSeqF", |io| {
+    let ([rows, k, n4, ..], src) = (io.a.n, io.src);
+    repeat_rows_into(src.get(2), rows, io.out[0]);
+    src.gemm(false, false, src.get(0), 1, [rows, k, n4], io.out[0], true);
+})
+.grad(|g, n, u| {
+    let ([rows, k, n4, ..], [x, w, bias]) = (n.a.n, [n.src[0], n.src[1], n.src[2]]);
+    g.contrib(&GEMM, &[up(u), w], &[x], Attr::n(&[0, 1, rows, n4, k]), None);
+    g.contrib(&GEMM, &[x, up(u)], &[w], Attr::n(&[1, 0, k, rows, n4]), None);
+    g.contrib(&COL_SUM_G, &[up(u)], &[bias], Attr::default(), None);
+})
+.panel(|a| Some((1, false, a.n[1], a.n[2])));
+
+/// `[t, batch, hid, n4]`: rows `[t·batch, (t+1)·batch)` of the hoisted
+/// block plus `h [B, hid] · w_h [hid, 4H]`, accumulated in-engine.
+static RECUR_STEP: Entry = Entry::new("RecurStepF", |io| {
+    let ([t, batch, hid, n4, ..], src) = (io.a.n, io.src);
+    io.out[0].copy_from_slice(&src.get(0)[t * batch * n4..(t + 1) * batch * n4]);
+    src.gemm(false, false, src.get(1), 2, [batch, hid, n4], io.out[0], true);
+})
+.grad(|g, n, u| {
+    let ([t, batch, hid, n4, ..], [seq, h, w_h]) = (n.a.n, [n.src[0], n.src[1], n.src[2]]);
+    g.contrib(&GEMM, &[up(u), w_h], &[h], Attr::n(&[0, 1, batch, n4, hid]), None);
+    g.contrib(&GEMM, &[h, up(u)], &[w_h], Attr::n(&[1, 0, hid, batch, n4]), None);
+    g.contrib(&RECUR_SEQ_G, &[up(u)], &[seq], Attr::n(&[t * batch * n4]), None);
+})
+.panel(|a| Some((2, false, a.n[2], a.n[3])));
+
+/// `[b, hid, flags]`: the cell's backward from `c_prev` and whichever of
+/// `dh` (flag 1) and `dc` (flag 2) flowed, into `(dpreact, dc_prev)`. Two
+/// stores are written in place; otherwise both bounce through scratch.
+static LSTM_G: Entry = Entry::new("LstmG", |io| {
+    let ([b, hid, flags, ..], src) = (io.a.n, io.src);
+    let st = io.st.as_deref_mut().expect("lstm cell without its buffers");
+    let (gates, tanh_c) = buf(&mut st.buf).split_at(b * 4 * hid);
+    let cp = src.get(0);
+    let dh = (flags & 1 != 0).then(|| src.get(1));
+    let dc = (flags & 2 != 0).then(|| src.get(1 + (flags & 1)));
+    if io.mode[..2] == [Mode::Store; 2] {
+        let [dpre, dcp, _] = &mut io.out;
+        lstm_cell_backward_into(gates, tanh_c, cp, dh, dc, b, hid, dpre, dcp);
+    } else {
+        let (spre, rest) = io.scratch.split_at_mut(b * 4 * hid);
+        let scp = &mut rest[..b * hid];
+        lstm_cell_backward_into(gates, tanh_c, cp, dh, dc, b, hid, spre, scp);
+        apply(io.out[0], io.mode[0], |i| spre[i]);
+        apply(io.out[1], io.mode[1], |i| scp[i]);
+    }
+})
+.detour(Detour::Joint);
+
+/// `[off]`: `up` added into the hoisted block's gradient at `off`; the
+/// step that creates that gradient zeroes it first.
+static RECUR_SEQ_G: Entry = Entry::new("RecurSeqG", |io| {
+    if io.mode[0] == Mode::Store {
+        io.out[0].fill(0.0);
+    }
+    opk::block(io.out[0], Mode::Add, io.src.get(0), io.a.n[0], false);
+});
 
 impl Graph {
     /// Fused LSTM cell: consumes the packed pre-activation block `preact`
@@ -34,16 +109,11 @@ impl Graph {
     /// `c_prev` (`[B, H]`), returns `(h', c')` — two tape nodes backed by
     /// one cache-resident kernel pass and one closed-form backward.
     pub fn lstm_cell(&mut self, preact: Var, c_prev: Var) -> (Var, Var) {
-        let fwd = lstm_cell_forward(self.value(preact), self.value(c_prev));
-        let rg = self.requires(preact) || self.requires(c_prev);
-        // `h'` lands at index len()+1: right after its `c'` sibling.
-        let c = self.push(fwd.c, rg, Op::LstmCellC { h_out: Var(self.len() + 1) });
-        let h = self.push(
-            fwd.h,
-            rg,
-            Op::LstmCell { preact, c_prev, gates: fwd.gates, tanh_c: fwd.tanh_c, c_out: c },
-        );
-        (h, c)
+        let (b, hid) = (self.value(c_prev).dim(0), self.value(c_prev).dim(1));
+        let st = State::buf(b * 5 * hid);
+        let (a, outs): (_, [&[usize]; 2]) = (Attr::n(&[b, hid]), [&[b, hid], &[b, hid]]);
+        let h = self.record(&LSTM, &[preact, c_prev], &outs, a, Some(st));
+        (h, Var(h.0 - 1))
     }
 
     /// Sequence-hoisted LSTM input projection: computes the ENTIRE
@@ -54,15 +124,12 @@ impl Graph {
     /// bias)` bitwise — f32 addition commutes — but records ONE node and
     /// runs closed-form backward GEMMs over all timesteps at once.
     pub fn lstm_preact_seq(&mut self, x_pack: Var, w_x: Var, bias: Var) -> Var {
-        let xv = self.value(x_pack);
-        let wv = self.value(w_x);
-        assert_eq!(xv.ndim(), 2, "lstm_preact_seq x_pack must be 2-D");
-        assert_eq!(xv.dim(1), wv.dim(0), "lstm_preact_seq inner dims");
-        assert_eq!(self.value(bias).shape(), &[wv.dim(1)], "lstm_preact_seq bias shape");
-        let mut v = Tensor::repeat_rows(self.value(bias), xv.dim(0));
-        v.matmul_acc(xv, wv);
-        let rg = self.requires(x_pack) || self.requires(w_x) || self.requires(bias);
-        self.push(v, rg, Op::LstmPreactSeq { x_pack, w_x, bias })
+        let (xs, ws) = (self.shape(x_pack), self.shape(w_x));
+        assert_eq!(xs.len(), 2, "lstm_preact_seq x_pack must be 2-D");
+        assert_eq!(xs[1], ws[0], "lstm_preact_seq inner dims");
+        assert_eq!(self.shape(bias), [ws[1]], "lstm_preact_seq bias shape");
+        let a = Attr::n(&[xs[0], xs[1], ws[1]]);
+        self.record(&PREACT_SEQ, &[x_pack, w_x, bias], &[&[xs[0], ws[1]]], a, None)
     }
 
     /// One timestep of the hoisted recurrence: copies rows
@@ -72,92 +139,20 @@ impl Graph {
     /// result is the full pre-activation for step `t`, ready for
     /// [`Graph::lstm_cell`].
     pub fn lstm_recur_step(&mut self, seq: Var, t: usize, batch: usize, h: Var, w_h: Var) -> Var {
-        let sv = self.value(seq);
-        assert!( (t + 1) * batch <= sv.dim(0), "lstm_recur_step rows out of range");
-        assert_eq!(self.value(h).dim(0), batch, "lstm_recur_step h batch");
-        assert_eq!(self.value(h).dim(1), self.value(w_h).dim(0), "lstm_recur_step inner dims");
-        assert_eq!(self.value(w_h).dim(1), sv.dim(1), "lstm_recur_step width");
-        let mut v = sv.rows(t * batch, (t + 1) * batch);
-        let (hv, wv) = (self.value(h).clone(), self.value(w_h).clone());
-        v.matmul_acc(&hv, &wv);
-        let rg = self.requires(seq) || self.requires(h) || self.requires(w_h);
-        self.push(v, rg, Op::LstmRecurStep { seq, h, w_h, t, batch })
-    }
-
-    pub(crate) fn backward_lstm(&mut self, op: &Op, _v: Var, up: &Tensor) {
-        match op {
-            Op::LstmCell { preact, c_prev, gates, tanh_c, c_out } => {
-                // `up` is dL/dh'. The sweep visits h' before c' and all of
-                // c's consumers are later than h', so c's gradient is final.
-                let dc = self.nodes[c_out.0].grad.clone();
-                let (dpre, dcp) =
-                    lstm_cell_backward(gates, tanh_c, self.value(*c_prev), Some(up), dc.as_ref());
-                self.accumulate(*preact, dpre);
-                self.accumulate(*c_prev, dcp);
-            }
-            Op::LstmCellC { h_out } => {
-                if self.nodes[h_out.0].grad.is_some() {
-                    // The h' node already ran the joint rule (reading this
-                    // node's gradient); nothing left to do.
-                    return;
-                }
-                // h' is unused on the tape: run the rule with dh = 0. The
-                // cached intermediates live on the sibling (Arc-cheap to
-                // clone out).
-                let (preact, c_prev, gates, tanh_c) = match &self.nodes[h_out.0].op {
-                    Op::LstmCell { preact, c_prev, gates, tanh_c, .. } => {
-                        (*preact, *c_prev, gates.clone(), tanh_c.clone())
-                    }
-                    _ => unreachable!("LstmCellC sibling must be LstmCell"),
-                };
-                let (dpre, dcp) =
-                    lstm_cell_backward(&gates, &tanh_c, self.value(c_prev), None, Some(up));
-                self.accumulate(preact, dpre);
-                self.accumulate(c_prev, dcp);
-            }
-            Op::LstmPreactSeq { x_pack, w_x, bias } => {
-                // `up` is dL/dPreact for ALL timesteps' rows at once, so
-                // the weight and input gradients are one big GEMM each:
-                // dX = dP·W_xᵀ, dW_x = X_packᵀ·dP, db = Σ_rows dP.
-                let dx = up.matmul_t(self.value(*w_x));
-                let dw = self.value(*x_pack).t_matmul(up);
-                let db = up.sum_axis(0);
-                self.accumulate(*x_pack, dx);
-                self.accumulate(*w_x, dw);
-                self.accumulate(*bias, db);
-            }
-            Op::LstmRecurStep { seq, h, w_h, t, batch } => {
-                // dh = up·W_hᵀ and dW_h = hᵀ·up stay per-step (the
-                // recurrence is inherently sequential in h).
-                let dh = up.matmul_t(self.value(*w_h));
-                let dwh = self.value(*h).t_matmul(up);
-                self.accumulate(*h, dh);
-                self.accumulate(*w_h, dwh);
-                // dSeq: `up` flows unchanged into rows [t·B, (t+1)·B) of
-                // the hoisted block. Going through `accumulate` would build
-                // a full [T·B, 4H] zero tensor per step — O(T²) over the
-                // sweep — so add the row block into the seq grad slot
-                // directly. Sound for the same reason the generic path is:
-                // every consumer of `seq` (these recur-step nodes) has a
-                // higher index, so the sweep has not yet visited `seq`.
-                if self.nodes[seq.0].requires_grad {
-                    if self.nodes[seq.0].grad.is_none() {
-                        let z = self.nodes[seq.0].value.zeros_like();
-                        self.nodes[seq.0].grad = Some(z);
-                    }
-                    let g = self.nodes[seq.0].grad.as_mut().unwrap();
-                    let off = t * batch * up.dim(1);
-                    opk::block(g.as_mut_slice(), Mode::Add, up.as_slice(), off, false);
-                }
-            }
-            _ => unreachable!("backward_lstm on non-LSTM op"),
-        }
+        let (ss, hs, ws) = (self.shape(seq), self.shape(h), self.shape(w_h));
+        assert!((t + 1) * batch <= ss[0], "lstm_recur_step rows out of range");
+        assert_eq!(hs[0], batch, "lstm_recur_step h batch");
+        assert_eq!(hs[1], ws[0], "lstm_recur_step inner dims");
+        assert_eq!(ws[1], ss[1], "lstm_recur_step width");
+        let a = Attr::n(&[t, batch, hs[1], ws[1]]);
+        self.record(&RECUR_STEP, &[seq, h, w_h], &[&[batch, ss[1]]], a, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legw_tensor::Tensor;
     use crate::check::grad_check;
 
     fn seeded(seed: u64, dims: &[usize]) -> Tensor {

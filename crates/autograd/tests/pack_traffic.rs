@@ -80,7 +80,8 @@ fn one_replay_packs_each_weight_once_per_form() {
     let ins: Vec<&Tensor> = vec![&x, &zeros, &zeros];
     let feeds = Feeds { labels: &[&labels], ..Feeds::default() };
 
-    let tape = build(&x, &ps, &labels);
+    let mut tape = build(&x, &ps, &labels);
+    tape.g.backward(tape.loss);
     let spec = CaptureSpec {
         inputs: &tape.inputs,
         params: &tape.params,

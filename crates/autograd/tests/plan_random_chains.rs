@@ -75,7 +75,8 @@ proptest! {
         let n = rows * cols;
         let x0 = Tensor::from_vec(gen(seed, 1, n), &[rows, cols]);
         let w0 = Tensor::from_vec(gen(seed, 2, n), &[rows, cols]);
-        let (g, xv, wv, loss) = build(&x0, &w0, &ops);
+        let (mut g, xv, wv, loss) = build(&x0, &w0, &ops);
+        g.backward(loss);
         let spec = CaptureSpec { inputs: &[xv], params: &[wv], loss: Some(loss), outputs: &[] };
         let mut plan = Plan::capture(&g, &spec).expect("capture");
 

@@ -18,11 +18,11 @@
 //!   before the single optimizer step. The four workloads' steps plug in
 //!   via the one [`steps::ShardStep`] trait (split, weigh, run on the tape,
 //!   key, capture, replay).
-//! * [`plan_cache`] — compiled execution plans: one recorded step per
-//!   (worker, shape) is frozen into a `legw_autograd` plan and replayed
-//!   tape-free and allocation-free by [`exec::Executor::step_planned`],
-//!   with transparent fallback to the tape path when a capture declines
-//!   (only a mis-specified one does: every tape op has a plan instruction).
+//! * [`plan_cache`] — compiled execution plans: the first recorded step
+//!   per (worker, shape) — forward and backward, one tape — is compiled
+//!   into a `legw_autograd` plan and replayed tape-free and
+//!   allocation-free by [`exec::Executor::step_planned`] from then on. A
+//!   capture that fails is a bug and panics; there is no tape fallback.
 //! * [`eval`] — the one held-out evaluation sweep of each model family
 //!   (`Executor::eval_*`), sharded like training.
 //! * [`apps`] — the Table 1 registry: per-application synthetic dataset

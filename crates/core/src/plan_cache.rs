@@ -13,19 +13,19 @@
 //!   tails safe: a partial final batch simply captures its own plan, it
 //!   never replays a mismatched one.
 //! * [`Executor::step_planned`] — drop-in variant of [`Executor::step`]:
-//!   per shard, look up (or [`ShardStep::capture`]) the plan and
-//!   [`ShardStep::replay`] it; fall back to [`ShardStep::run_shard`]
-//!   transparently when the capture fails. Identical reduction, loss
-//!   bookkeeping, and gradient application.
+//!   per shard, look up the plan and [`ShardStep::replay`] it; on a miss,
+//!   [`ShardStep::capture`] runs the shard's tape step — the reference
+//!   path — compiles that same tape, and returns its result. Identical
+//!   reduction, loss bookkeeping, and gradient application.
 //!
-//! First sight of a key costs one extra forward (the capture tape runs the
-//! model once, then the replay recomputes it); every later step with that
-//! key skips tape construction entirely.
+//! First sight of a key costs one tape step plus the compile; every later
+//! step with that key skips tape construction entirely.
 
 use crate::exec::{Executor, StepOutcome};
 use crate::steps::ShardStep;
 use legw_models::StepPlan;
 use legw_nn::ParamSet;
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -101,12 +101,10 @@ impl<P> PlanCache<P> {
     }
 
     /// Runs `f` on the plan cached under `(slot, key)`, calling `make` to
-    /// capture it on first sight. `make` returning `None` (a mis-specified
-    /// capture) caches nothing and skips `f`, so the caller can fall back
-    /// to its tape path. The slot lock is held
-    /// across `f` — a plan's replay arena is mutable scratch, so this is
-    /// what serialises concurrent users of one slot (e.g. the inference
-    /// server's batch worker vs. ad-hoc engine calls).
+    /// capture it on first sight. The slot lock is held across `make` and
+    /// `f` — a plan's replay arena is mutable scratch, so this is what
+    /// serialises concurrent users of one slot (e.g. the inference server's
+    /// batch worker vs. ad-hoc engine calls).
     ///
     /// Every hit refreshes the entry's LRU stamp; on a bounded cache, an
     /// insert that would exceed the slot's capacity first evicts the
@@ -116,18 +114,18 @@ impl<P> PlanCache<P> {
         &self,
         slot: usize,
         key: Vec<usize>,
-        make: impl FnOnce() -> Option<P>,
+        make: impl FnOnce() -> P,
         f: impl FnOnce(&mut P) -> R,
-    ) -> Option<R> {
+    ) -> R {
         let mut guard = self.slots[slot].lock().unwrap();
         let s = &mut *guard;
         s.tick += 1;
         let tick = s.tick;
         if let Some(v) = s.map.get_mut(&key) {
             v.0 = tick;
-            return Some(f(&mut v.1));
+            return f(&mut v.1);
         }
-        let p = make()?;
+        let p = make();
         if let Some(cap) = self.capacity {
             while s.map.len() >= cap {
                 let oldest = s.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k.clone());
@@ -140,7 +138,7 @@ impl<P> PlanCache<P> {
             }
         }
         match s.map.entry(key) {
-            Entry::Vacant(v) => Some(f(&mut v.insert((tick, p)).1)),
+            Entry::Vacant(v) => f(&mut v.insert((tick, p)).1),
             // get_mut above returned None for this key under the same lock.
             Entry::Occupied(_) => unreachable!("plan inserted concurrently under the slot lock"),
         }
@@ -149,12 +147,12 @@ impl<P> PlanCache<P> {
 
 impl Executor {
     /// [`Executor::step`] with per-shard plan replay: each shard looks up
-    /// its [`ShardStep::plan_key`] in `cache`, captures on first sight, and
-    /// replays thereafter; a shard whose capture fails runs the ordinary
-    /// tape path. Reduction and gradient application are shared with
-    /// [`Executor::step`], so the two are interchangeable step-by-step —
-    /// including mid-run shape changes, which simply miss the cache and
-    /// capture fresh plans.
+    /// its [`ShardStep::plan_key`] in `cache` and replays the plan found;
+    /// on first sight it runs its tape step, compiles that tape into the
+    /// plan it caches, and returns the tape step's result. Reduction and
+    /// gradient application are shared with [`Executor::step`], so the two
+    /// are interchangeable step-by-step — including mid-run shape changes,
+    /// which simply miss the cache and capture fresh plans.
     pub fn step_planned<W: ShardStep>(
         &self,
         w: &W,
@@ -174,26 +172,21 @@ impl Executor {
             // Shard i's slot is only ever touched by shard task i, so the
             // slot lock is uncontended; it exists to keep `PlanCache` Sync
             // across the worker threads.
-            cache
-                .with_plan(
-                    i,
-                    w.plan_key(s),
-                    || {
-                        // Pre-size this worker's buffer pool to the plan's
-                        // exact peak live set, so even the *first* replay
-                        // allocates nothing. The capture runs on the
-                        // shard's worker thread, so the prewarm
-                        // (thread-local free list) lands where the replays
-                        // will run.
-                        let captured = w.capture(ps_ref, s);
-                        if let Some(plan) = &captured {
-                            legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
-                        }
-                        captured
-                    },
-                    |p| w.replay(ps_ref, p, s),
-                )
-                .unwrap_or_else(|| w.run_shard(ps_ref, i, s))
+            let first = Cell::new(None);
+            let make = || {
+                let (plan, out) = w.capture(ps_ref, i, s);
+                // Pre-size this worker's buffer pool to the plan's exact
+                // peak live set, so even the *first* replay allocates
+                // nothing. The capture runs on the shard's worker thread, so
+                // the prewarm (thread-local free list) lands where the
+                // replays will run.
+                legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
+                first.set(Some(out));
+                plan
+            };
+            cache.with_plan(i, w.plan_key(s), make, |p| {
+                first.take().unwrap_or_else(|| w.replay(ps_ref, p, s))
+            })
         });
         out.grad_sq_norm = grads.apply_with_sq_norm(ps);
         (out, extras)

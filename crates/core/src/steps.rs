@@ -7,7 +7,8 @@
 //! gradient — in two drivers over the one trait: [`Executor::step`] runs
 //! every shard on the tape (the reference the bitwise suites compare
 //! against), [`Executor::step_planned`](crate::plan_cache) replays cached
-//! plans and is what [`crate::trainer::train`] steps through.
+//! plans — compiling a shard's tape step the first time its shape is
+//! seen — and is what [`crate::trainer::train`] steps through.
 //!
 //! Workload-specific post-processing stays next to the workload:
 //! [`PtbStep::merge_states`] reassembles the carried LSTM state and
@@ -15,9 +16,10 @@
 //! the model.
 
 use crate::exec::{Executor, Reduce, ShardOut, StepOutcome};
+use legw_autograd::{Graph, Var};
 use legw_data::{LmBatch, TranslationBatch};
 use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, StepPlan};
-use legw_nn::{DropCtx, GradBuffer, ParamSet};
+use legw_nn::{Binding, DropCtx, GradBuffer, ParamSet};
 use legw_tensor::Tensor;
 use std::sync::Mutex;
 
@@ -51,11 +53,12 @@ pub trait ShardStep: Sync {
     /// differ.
     fn plan_key(&self, shard: &Self::Shard) -> Vec<usize>;
 
-    /// Captures a plan for this shard, or `None` when the capture is
-    /// mis-specified (see [`StepPlan::capture`]; no op is beyond a plan). The
-    /// executor then falls back to [`ShardStep::run_shard`] — and retries
-    /// the capture on the shape's next occurrence.
-    fn capture(&self, ps: &ParamSet, shard: &Self::Shard) -> Option<StepPlan>;
+    /// [`ShardStep::run_shard`], with the tape it ran compiled: the plan
+    /// that replays this shard's shape, and the tape step's own result. A
+    /// capture that fails is a bug in the workload, and panics with its
+    /// cause.
+    fn capture(&self, ps: &ParamSet, index: usize, shard: &Self::Shard)
+        -> (StepPlan, ShardOut<Self::Extra>);
 
     /// Replays the captured plan for one shard. Must produce the same
     /// [`ShardOut`] as [`ShardStep::run_shard`], bitwise.
@@ -82,16 +85,23 @@ impl Executor {
 
 /// Shared tail of every tape shard body: backward, drain the tape's
 /// gradients into a fresh buffer.
-fn collect_grads(
-    mut g: legw_autograd::Graph,
-    bd: legw_nn::Binding,
-    loss: legw_autograd::Var,
-    ps: &ParamSet,
-) -> GradBuffer {
+fn collect_grads(mut g: Graph, bd: Binding, loss: Var, ps: &ParamSet) -> GradBuffer {
     g.backward(loss);
+    drain(&g, &bd, ps)
+}
+
+/// The gradients of a tape whose backward has run, in a fresh buffer.
+fn drain(g: &Graph, bd: &Binding, ps: &ParamSet) -> GradBuffer {
     let mut buf = GradBuffer::for_params(ps);
-    bd.write_grads_to(&g, &mut buf);
+    bd.write_grads_to(g, &mut buf);
     buf
+}
+
+/// [`collect_grads`], with the tape then compiled into the plan replaying it.
+fn compile(mut g: Graph, bd: Binding, loss: Var, ps: &ParamSet) -> (StepPlan, GradBuffer) {
+    g.backward(loss);
+    let plan = StepPlan::capture(&g, &bd, loss, &[]).expect("a training step tape captures");
+    (plan, drain(&g, &bd, ps))
 }
 
 /// Shared tail of every replayed shard body: drain the plan's gradients
@@ -143,8 +153,16 @@ impl ShardStep for MnistStep<'_> {
         vec![sy.len()]
     }
 
-    fn capture(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_step_plan(ps, sx, sy)
+    fn capture(
+        &self,
+        ps: &ParamSet,
+        _i: usize,
+        (sx, sy): &Self::Shard,
+    ) -> (StepPlan, ShardOut<()>) {
+        let (g, bd, loss, _) = self.model.forward_loss(ps, sx, sy);
+        let lv = g.value(loss).item() as f64;
+        let (plan, grads) = compile(g, bd, loss, ps);
+        (plan, ShardOut { grads, loss: lv, extra: () })
     }
 
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sx, sy): &Self::Shard) -> ShardOut<()> {
@@ -242,8 +260,16 @@ impl ShardStep for PtbStep<'_> {
         vec![sw.tracks(), sw.inputs.len(), usize::from(self.drop.is_some())]
     }
 
-    fn capture(&self, ps: &ParamSet, (sw, ss, row0): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_window_plan(ps, sw, ss, self.drop_ctx(*row0).as_ref())
+    fn capture(
+        &self,
+        ps: &ParamSet,
+        _i: usize,
+        (sw, ss, row0): &Self::Shard,
+    ) -> (StepPlan, ShardOut<LmState>) {
+        let ctx = self.drop_ctx(*row0);
+        let (plan, (g, bd, _, nll, next)) =
+            self.model.capture_window_plan(ps, sw, ss, ctx.as_ref());
+        (plan, ShardOut { grads: drain(&g, &bd, ps), loss: nll, extra: next })
     }
 
     fn replay(
@@ -318,8 +344,15 @@ impl ShardStep for Seq2SeqStep<'_> {
         vec![sb.batch_size(), sb.src.len(), sb.dec_in.len(), usize::from(scale.is_some())]
     }
 
-    fn capture(&self, ps: &ParamSet, (sb, scale): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_step_plan(ps, sb, scale.as_deref())
+    fn capture(
+        &self,
+        ps: &ParamSet,
+        _i: usize,
+        (sb, scale): &Self::Shard,
+    ) -> (StepPlan, ShardOut<()>) {
+        let (g, bd, loss, nll) = self.model.forward_loss_scaled(ps, sb, scale.as_deref());
+        let (plan, grads) = compile(g, bd, loss, ps);
+        (plan, ShardOut { grads, loss: nll, extra: () })
     }
 
     fn replay(
@@ -409,8 +442,17 @@ impl ShardStep for ResnetStep<'_> {
         sx.shape().to_vec()
     }
 
-    fn capture(&self, ps: &ParamSet, (sx, sy, _): &Self::Shard) -> Option<StepPlan> {
-        self.model.capture_step_plan(ps, sx, sy)
+    fn capture(
+        &self,
+        ps: &ParamSet,
+        _i: usize,
+        (sx, sy, cell): &Self::Shard,
+    ) -> (StepPlan, ShardOut<(f32, ResNet)>) {
+        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
+        let (g, bd, loss, _) = m.forward_loss(ps, sx, sy);
+        let lv = g.value(loss).item() as f64;
+        let (plan, grads) = compile(g, bd, loss, ps);
+        (plan, ShardOut { grads, loss: lv, extra: (sy.len() as f32, m) })
     }
 
     /// Replays fold the step's BatchNorm batch statistics into the shard

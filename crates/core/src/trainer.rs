@@ -252,9 +252,10 @@ impl Workload for PtbWorkload<'_> {
     }
 }
 
-/// The GNMT-style seq2seq model (§5.1.3). Metric: test BLEU. Compiled
-/// plans cover the shape-static encoder, keyed by (batch, source length);
-/// the attention decoder stays tape-driven.
+/// The GNMT-style seq2seq model (§5.1.3). Metric: test BLEU. A training
+/// step — encoder, attention decoder and loss — replays as one plan per
+/// (batch, source length, decode steps, sharded); evaluation's greedy
+/// decoding runs on a tape.
 pub struct Seq2SeqWorkload<'a> {
     pub model: &'a Seq2Seq,
     pub data: &'a SynthTranslation,

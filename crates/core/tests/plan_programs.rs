@@ -1,0 +1,136 @@
+//! Golden programs: the plans compiled for steps shaped like the
+//! benchmark's. Each must have the per-kernel instruction histogram and the
+//! forward / backward instruction counts recorded when backward rules lived
+//! in the plan compiler, and an arena, peak live set, op state and scratch
+//! no larger than recorded then — so a change to how the backward is built
+//! cannot silently change what a replay runs or what it holds.
+
+use legw::{ExecConfig, Executor, MnistStep, Seq2SeqStep, ShardStep};
+use legw_data::{SynthImageNet, SynthMnist, SynthPtb, SynthTranslation};
+use legw_models::{
+    LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig, StepPlan,
+};
+use legw_nn::{DropCtx, ParamSet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// One recorded program: `describe()`'s kernel histogram, then
+/// `[fwd, bwd, arena, peak_live, state, scratch, panels]`.
+struct Golden {
+    name: &'static str,
+    kinds: &'static str,
+    stats: [usize; 7],
+}
+
+const MNIST: &str = "Gemm=35 AddBias=2 Tanh=1 PreactSeqF=1 RecurStepF=28 LstmF=28 CeF=1 CeG=1 \
+    ScaleG=2 ColSumG=3 LstmG=28 RecurSeqG=28 GemmAcc=27 BlockG=2 TanhG=1";
+const SEQ2SEQ: &str = "EmbedF=11 CopyBlock=15 PreactSeqF=3 RecurStepF=15 LstmF=27 \
+    ConcatColsF=35 Gemm=122 EwAdd=59 Tanh=30 SoftmaxF=6 SliceColsF=30 RowScale=30 AddBias=18 \
+    CeF=6 Scale=1 ScaleG=137 CeG=6 ColSumG=21 ColsBlockG=87 LstmG=27 RowScaleDx=30 \
+    RowScaleDs=30 ColsScatterG=30 SoftmaxG=6 TanhG=30 GemmAcc=88 EmbedG=11 RecurSeqG=15 BlockG=21";
+const SEQ2SEQ_DP2: &str = "EmbedF=11 CopyBlock=15 PreactSeqF=3 RecurStepF=15 LstmF=27 \
+    ConcatColsF=35 Gemm=122 EwAdd=59 Tanh=30 SoftmaxF=6 SliceColsF=30 RowScale=30 AddBias=18 \
+    CeF=6 EwMul=6 Scale=1 ScaleG=137 MulG=6 CeG=6 ColSumG=21 ColsBlockG=87 LstmG=27 \
+    RowScaleDx=30 RowScaleDs=30 ColsScatterG=30 SoftmaxG=6 TanhG=30 GemmAcc=88 EmbedG=11 \
+    RecurSeqG=15 BlockG=21";
+
+const GOLDEN: [Golden; 6] = [
+    Golden {
+        name: "mnist_b32",
+        kinds: MNIST,
+        stats: [63, 125, 4459012, 3522560, 2295040, 4096, 7],
+    },
+    Golden {
+        name: "mnist_b256_dp2",
+        kinds: MNIST,
+        stats: [63, 125, 17049604, 13303808, 9180160, 4096, 7],
+    },
+    Golden {
+        name: "resnet_b128",
+        kinds: "ConvF=9 BnF=9 Relu=7 EwAdd=3 GapF=1 Gemm=3 AddBias=1 CeF=1 CeG=1 ScaleG=7 \
+            ColSumG=1 GapG=1 ReluG=7 BnG=9 ConvG=9",
+        stats: [32, 37, 8433668, 5767168, 44439552, 1048672, 19],
+    },
+    Golden {
+        name: "seq2seq_b16",
+        kinds: SEQ2SEQ,
+        stats: [345, 602, 434508, 275204, 283776, 3456, 24],
+    },
+    Golden {
+        name: "seq2seq_b16_dp2",
+        kinds: SEQ2SEQ_DP2,
+        stats: [351, 608, 241836, 137604, 141888, 3456, 24],
+    },
+    Golden {
+        name: "ptb_dropout",
+        kinds: "EmbedF=6 DropoutF=12 CopyBlock=12 PreactSeqF=2 RecurStepF=12 LstmF=12 Gemm=19 \
+            AddBias=6 CeF=6 EwAdd=5 Scale=1 ScaleG=17 CeG=6 ColSumG=8 DropoutG=12 GemmAcc=25 \
+            LstmG=12 RecurSeqG=12 BlockG=16 EmbedG=6",
+        stats: [80, 127, 38412, 32256, 34560, 2688, 10],
+    },
+];
+
+/// The six steps, in `GOLDEN` order: MNIST 128/128 at batch 32 and one
+/// shard of batch 256 on two; ResNet width 8 on 16×16 inputs, 12 classes,
+/// batch 128; seq2seq 32/32/24 at batch 16, whole and one shard of two;
+/// one PTB window with dropout.
+fn plans() -> Vec<StepPlan> {
+    let two = Executor::new(ExecConfig::default().with_shards(2));
+    let mut out = Vec::new();
+
+    let mnist = SynthMnist::generate(2601, 256, 8);
+    let mut ps = ParamSet::new();
+    let model = MnistLstm::new(&mut ps, &mut StdRng::seed_from_u64(2601), 128, 128);
+    let (bx, by) = mnist.train.gather(&(0..32).collect::<Vec<_>>());
+    out.push(model.capture_step_plan(&ps, &bx, &by).expect("mnist"));
+    let (bx, by) = mnist.train.gather(&(0..256).collect::<Vec<_>>());
+    let (sx, sy) = &MnistStep { model: &model, bx: &bx, by: &by }.split(&two)[0];
+    out.push(model.capture_step_plan(&ps, sx, sy).expect("mnist shard"));
+
+    let images = SynthImageNet::generate_sized(2601, 12, 128, 12, 16);
+    let mut ps = ParamSet::new();
+    let model = ResNet::new(&mut ps, &mut StdRng::seed_from_u64(2601), 8, 12);
+    let (bx, by) = images.train.gather(&(0..128).collect::<Vec<_>>());
+    out.push(model.capture_step_plan(&ps, &bx, &by).expect("resnet"));
+
+    let text = SynthTranslation::generate_with(2501, 16, 4096, 256, 3, 5, false);
+    let mut ps = ParamSet::new();
+    let cfg = Seq2SeqConfig { vocab: text.vocab, embed: 32, hidden: 32, attn: 24, max_decode: 8 };
+    let model = Seq2Seq::new(&mut ps, &mut StdRng::seed_from_u64(2501), cfg);
+    let batch = &text.batches(true, 16)[0];
+    out.push(model.capture_step_plan(&ps, batch, None).expect("seq2seq"));
+    let (sb, scale) = &Seq2SeqStep { model: &model, batch }.split(&two)[0];
+    out.push(model.capture_step_plan(&ps, sb, scale.as_deref()).expect("seq2seq shard"));
+
+    let ptb = SynthPtb::generate(5, 40, 5, 6000, 1200);
+    let cfg = PtbLmConfig { vocab: 40, embed: 14, hidden: 14, layers: 2, keep: 0.7 };
+    let mut ps = ParamSet::new();
+    let model = PtbLm::new(&mut ps, &mut StdRng::seed_from_u64(23), cfg);
+    let window = &ptb.batches(true, 8, 6)[0];
+    let ctx = DropCtx { seed: 77, step: 0, row0: 0 };
+    out.push(model.capture_window_plan(&ps, window, &LmState::zeros(&cfg, 8), Some(&ctx)).0);
+    out
+}
+
+#[test]
+fn compiled_programs_match_the_recorded_ones() {
+    for (plan, want) in plans().iter().zip(&GOLDEN) {
+        let desc = plan.describe();
+        let kinds = desc.split_once(" | ").expect("a histogram").1;
+        let (got, name) = (kinds.split_whitespace(), want.name);
+        assert!(got.eq(want.kinds.split_whitespace()), "{name}: {desc}");
+
+        let s = plan.stats();
+        let [fwd, bwd, arena, peak, state, scratch, panels] = want.stats;
+        let counts = (s.fwd_instrs, s.bwd_instrs, s.panels);
+        assert_eq!(counts, (fwd, bwd, panels), "{name}: {desc}");
+        for (what, got, bound) in [
+            ("arena", s.arena_bytes, arena),
+            ("peak live", s.peak_live_bytes, peak),
+            ("state", s.state_bytes, state),
+            ("scratch", s.scratch_bytes, scratch),
+        ] {
+            assert!(got <= bound, "{name}: {what} {got} B > recorded {bound} B; {desc}");
+        }
+    }
+}

@@ -12,20 +12,18 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / labels.len().max(1) as f64
 }
 
-/// Top-k accuracy (the paper reports ImageNet top-5).
+/// Top-k accuracy (the paper reports ImageNet top-5). The target is ranked
+/// the way [`Tensor::argmax_rows`] ranks — an entry outranks it when it is
+/// greater, or equal and earlier — so top-1 is [`accuracy`]; a NaN target is
+/// never a hit.
 pub fn top_k_accuracy(logits: &Tensor, labels: &[usize], k: usize) -> f64 {
     assert_eq!(logits.dim(0), labels.len());
     let (b, c) = (logits.dim(0), logits.dim(1));
-    let k = k.min(c);
-    let src = logits.as_slice();
     let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &src[i * c..(i + 1) * c];
-        let target = row[label];
-        // count entries strictly greater than the target's logit; ties
-        // resolved in the target's favour (consistent with argmax-first)
-        let higher = row.iter().filter(|&&v| v > target).count();
-        if higher < k {
+    for (row, &label) in logits.as_slice().chunks_exact(c).zip(labels) {
+        let t = row[label];
+        let rank = row.iter().enumerate().filter(|&(j, &v)| v > t || (v == t && j < label)).count();
+        if !t.is_nan() && rank < k {
             correct += 1;
         }
     }
@@ -129,6 +127,25 @@ mod tests {
     }
 
     #[test]
+    fn top_k_breaks_ties_like_argmax() {
+        // An equal logit earlier in the row outranks the target.
+        let tie = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
+        assert_eq!(accuracy(&tie, &[1]), 0.0);
+        assert_eq!(top_k_accuracy(&tie, &[1], 1), 0.0);
+        assert_eq!(top_k_accuracy(&tie, &[1], 2), 1.0);
+        assert_eq!(top_k_accuracy(&tie, &[0], 1), 1.0);
+    }
+
+    #[test]
+    fn top_k_never_counts_a_nan_target() {
+        let row = Tensor::from_vec(vec![f32::NAN, 1.0, 2.0], &[1, 3]);
+        for k in 1..=3 {
+            assert_eq!(top_k_accuracy(&row, &[0], k), 0.0, "k = {k}");
+        }
+        assert_eq!(top_k_accuracy(&row, &[2], 1), 1.0);
+    }
+
+    #[test]
     fn perplexity_of_uniform_model() {
         // uniform over V: nll = ln V ⇒ ppl = V
         assert!((perplexity(100f64.ln()) - 100.0).abs() < 1e-9);
@@ -208,6 +225,20 @@ mod tests {
             let a = accuracy(&logits, &labels);
             prop_assert!((0.0..=1.0).contains(&a));
             prop_assert!(top_k_accuracy(&logits, &labels, c) == 1.0);
+        }
+
+        /// Top-1 is accuracy, on logits from a small integer set so that
+        /// ties are common.
+        #[test]
+        fn prop_top_1_is_accuracy(
+            c in 2usize..6,
+            vals in legw_propcheck::collection::vec(0u32..3, 30..31),
+            labels in legw_propcheck::collection::vec(0usize..6, 5..6),
+        ) {
+            let vals = vals[..5 * c].iter().map(|&v| v as f32).collect();
+            let logits = Tensor::from_vec(vals, &[5, c]);
+            let labels: Vec<usize> = labels.iter().map(|&l| l % c).collect();
+            prop_assert_eq!(top_k_accuracy(&logits, &labels, 1), accuracy(&logits, &labels));
         }
     }
 }

@@ -107,18 +107,19 @@ impl MnistLstm {
         (g, bd, loss, lv)
     }
 
-    /// Captures one training step into a replayable [`StepPlan`]. The
-    /// tape's input signature is `[packed rows, h0, c0]` (the order
-    /// [`MnistLstm::forward`] creates them); labels enter as a feed.
-    /// Returns `None` only if the capture is mis-specified (see
-    /// [`StepPlan::capture`]) — callers keep the tape path.
+    /// Records one training step, forward and backward, and compiles it
+    /// into a replayable [`StepPlan`]. The tape's input signature is
+    /// `[packed rows, h0, c0]` (the order [`MnistLstm::forward`] creates
+    /// them); labels enter as a feed. Never `None`: the `Option` remains only
+    /// because `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
         ps: &ParamSet,
         batch: &Tensor,
         labels: &[usize],
     ) -> Option<StepPlan> {
-        let (g, bd, loss, _) = self.forward_loss(ps, batch, labels);
+        let (mut g, bd, loss, _) = self.forward_loss(ps, batch, labels);
+        g.backward(loss);
         StepPlan::capture(&g, &bd, loss, &[])
     }
 
@@ -149,30 +150,6 @@ impl MnistLstm {
         let logits = self.forward(&mut g, &mut bd, ps, batch);
         (g, bd, logits)
     }
-
-    /// Captures the inference forward into a forward-only [`StepPlan`]
-    /// whose single output is the logits. Input signature is
-    /// `[packed rows, h0, c0]`, same as the training capture.
-    pub fn capture_infer_plan(&self, ps: &ParamSet, batch: &Tensor) -> Option<StepPlan> {
-        let (g, bd, logits) = self.forward_infer(ps, batch);
-        StepPlan::capture_forward(&g, &bd, &[logits])
-    }
-
-    /// Replays a captured inference plan on a fresh same-size batch,
-    /// returning the logits `[B, 10]`.
-    pub fn replay_infer_plan(
-        &self,
-        plan: &mut StepPlan,
-        ps: &ParamSet,
-        batch: &Tensor,
-    ) -> Tensor {
-        let b = batch.dim(0);
-        let packed = SynthMnist::row_steps_packed(batch);
-        let h0 = Tensor::zeros(&[b, self.cell.hidden()]);
-        let c0 = Tensor::zeros(&[b, self.cell.hidden()]);
-        plan.replay_forward(ps, &[&packed, &h0, &c0], &Feeds::default());
-        plan.output(0)
-    }
 }
 
 impl crate::planned::Infer for MnistLstm {
@@ -202,8 +179,11 @@ impl crate::planned::Infer for MnistLstm {
         vec![batch.dim(0)]
     }
 
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> Option<StepPlan> {
-        self.capture_infer_plan(ps, batch)
+    /// A forward-only plan whose single output is the logits; its input
+    /// signature is `[packed rows, h0, c0]`, as in the training capture.
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+        let (g, bd, logits) = self.forward_infer(ps, batch);
+        StepPlan::capture_forward(&g, &bd, &[logits]).expect("the MNIST forward captures")
     }
 
     fn replay_infer(
@@ -212,8 +192,12 @@ impl crate::planned::Infer for MnistLstm {
         ps: &ParamSet,
         batch: &Tensor,
     ) -> Vec<(Vec<f32>, ())> {
-        let logits = self.replay_infer_plan(plan, ps, batch);
-        crate::planned::tensor_rows(&logits).into_iter().map(|r| (r, ())).collect()
+        let b = batch.dim(0);
+        let packed = SynthMnist::row_steps_packed(batch);
+        let h0 = Tensor::zeros(&[b, self.cell.hidden()]);
+        let c0 = Tensor::zeros(&[b, self.cell.hidden()]);
+        plan.replay_forward(ps, &[&packed, &h0, &c0], &Feeds::default());
+        crate::planned::tensor_rows(&plan.output(0)).into_iter().map(|r| (r, ())).collect()
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &Tensor) -> Vec<(Vec<f32>, ())> {
@@ -325,7 +309,7 @@ mod tests {
         let (ps, m, d) = tiny();
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (batch, _) = d.train.gather(&[7, 8, 9]);
-        let mut plan = m.capture_infer(&ps, &cap_batch).expect("inference tape must capture");
+        let mut plan = m.capture_infer(&ps, &cap_batch);
         let planned = m.replay_infer(&mut plan, &ps, &batch);
         let taped = m.infer_tape(&ps, &batch);
         assert_eq!(planned.len(), 3);

@@ -25,14 +25,15 @@ pub struct StepPlan {
 }
 
 impl StepPlan {
-    /// Captures the training tape `g`, whose scalar loss is `loss`, into a
-    /// plan; `outputs` are further values read after each replay. The
-    /// plan's inputs are the tape's [`Graph::input`] leaves in creation
-    /// order; its parameters are the binding's bound parameters in binding
-    /// order. Returns `None` only for a mis-specified capture (an empty
-    /// tape, a leaf that is neither an input nor bound, a non-scalar loss, a
+    /// Compiles the training tape `g` — its forward and the backward that
+    /// [`Graph::backward`]`(loss)` recorded on it — into a plan; `outputs`
+    /// are further values read after each replay. The plan's inputs are the
+    /// tape's [`Graph::input`] leaves in creation order; its parameters are
+    /// the binding's bound parameters in binding order. Returns `None` only
+    /// for a mis-specified capture (an empty tape, a leaf that is neither an
+    /// input nor bound, a loss that is not the backward's scalar root, a
     /// leaf or repeated output — see [`Plan::capture`]); there is no op a
-    /// plan cannot replay. Callers fall back to the tape path.
+    /// plan cannot replay.
     pub fn capture(g: &Graph, bd: &Binding, loss: Var, outputs: &[Var]) -> Option<Self> {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
@@ -104,6 +105,11 @@ impl StepPlan {
         }
     }
 
+    /// The plan's one-line summary ([`Plan::describe`]).
+    pub fn describe(&self) -> String {
+        self.plan.describe()
+    }
+
     /// Static plan statistics (schedule/arena sizes).
     pub fn stats(&self) -> PlanStats {
         self.plan.stats()
@@ -161,11 +167,9 @@ pub trait Infer {
     /// shape dimensions the capture freezes).
     fn infer_key(&self, batch: &Self::Batch) -> Vec<usize>;
 
-    /// Captures a forward-only plan for this batch shape. `None` means
-    /// the capture was mis-specified (see [`StepPlan::capture`]), never that
-    /// the tape holds an op a plan cannot replay — callers fall back to
-    /// [`Infer::infer_tape`].
-    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> Option<StepPlan>;
+    /// Captures a forward-only plan for this batch shape. A capture that
+    /// fails is a bug in the model's capture, and panics with its cause.
+    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> StepPlan;
 
     /// Replays a captured plan on the batch, returning one
     /// `(output, carried state)` per row.
@@ -177,7 +181,7 @@ pub trait Infer {
     ) -> Vec<(Self::Out, Self::RowState)>;
 
     /// The live-tape forward on the same batch — the equivalence oracle
-    /// for the frozen path and the fallback when capture declines.
+    /// the frozen path is tested against.
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch)
         -> Vec<(Self::Out, Self::RowState)>;
 }

@@ -167,12 +167,7 @@ impl PtbLm {
         let mut g = Graph::new();
         let (bd, loss, finals) = self.window_tape(&mut g, ps, batch, state, drop, stepwise);
         let nll = g.value(loss).item() as f64;
-        let carried = LmState(
-            finals
-                .iter()
-                .map(|s| (g.value(s.h).clone(), g.value(s.c).clone()))
-                .collect(),
-        );
+        let carried = carried(&g, &finals);
         (g, bd, loss, nll, carried)
     }
 
@@ -235,23 +230,28 @@ impl PtbLm {
         (bd, loss, final_states)
     }
 
-    /// Captures one BPTT window into a replayable [`StepPlan`] whose
-    /// outputs are the final per-layer `[h, c]` states (so replays can
-    /// carry state across windows). Token ids, targets, and dropout masks
-    /// enter as feeds. Capture with the dropout context the training loop
-    /// will replay with — the mask *count* is frozen into the plan, the
-    /// mask *values* are per-replay feeds.
+    /// Records one BPTT window, forward and backward, and compiles that
+    /// tape into a replayable [`StepPlan`] whose outputs are the final
+    /// per-layer `[h, c]` states (so replays can carry state across
+    /// windows). Token ids, targets, and dropout masks enter as feeds.
+    /// Capture with the dropout context the training loop will replay with —
+    /// the mask *count* is frozen into the plan, the mask *values* are
+    /// per-replay feeds. Also returns the window's own step, as
+    /// [`PtbLm::forward_loss_with`] does, with its backward already run.
     pub fn capture_window_plan(
         &self,
         ps: &ParamSet,
         batch: &LmBatch,
         state: &LmState,
         drop: Option<&DropCtx>,
-    ) -> Option<StepPlan> {
+    ) -> (StepPlan, (Graph, Binding, Var, f64, LmState)) {
         let mut g = Graph::new();
         let (bd, loss, finals) = self.window_tape(&mut g, ps, batch, state, drop, false);
+        g.backward(loss);
         let outputs: Vec<Var> = finals.iter().flat_map(|s| [s.h, s.c]).collect();
-        StepPlan::capture(&g, &bd, loss, &outputs)
+        let plan = StepPlan::capture(&g, &bd, loss, &outputs).expect("a PTB window captures");
+        let (nll, carried) = (g.value(loss).item() as f64, carried(&g, &finals));
+        (plan, (g, bd, loss, nll, carried))
     }
 
     /// Replays a captured window on a fresh batch/state of the same shape:
@@ -322,45 +322,11 @@ impl PtbLm {
         let logits = self.head.forward(g, &mut bd, ps, last);
         (bd, logits, finals)
     }
+}
 
-    /// Captures a next-token inference window into a forward-only
-    /// [`StepPlan`]: output 0 is the last position's logits `[B, vocab]`;
-    /// outputs `1 + 2l` / `2 + 2l` are layer `l`'s final `h` / `c`, so
-    /// replays carry streaming state across requests. Inputs are the
-    /// per-layer `[h, c]` states; token ids enter as feeds.
-    pub fn capture_infer_plan(
-        &self,
-        ps: &ParamSet,
-        inputs_tm: &[Vec<usize>],
-        state: &LmState,
-    ) -> Option<StepPlan> {
-        let mut g = Graph::new();
-        let (bd, logits, finals) = self.infer_window_tape(&mut g, ps, inputs_tm, state);
-        let mut outputs = vec![logits];
-        outputs.extend(finals.iter().flat_map(|s| [s.h, s.c]));
-        StepPlan::capture_forward(&g, &bd, &outputs)
-    }
-
-    /// Replays a captured inference window on fresh tokens/state of the
-    /// same shape. Returns the last-position logits and the carried state.
-    pub fn replay_infer_plan(
-        &self,
-        plan: &mut StepPlan,
-        ps: &ParamSet,
-        inputs_tm: &[Vec<usize>],
-        state: &LmState,
-    ) -> (Tensor, LmState) {
-        let inputs: Vec<&Tensor> = state.0.iter().flat_map(|(h, c)| [h, c]).collect();
-        let ids: Vec<&[usize]> = inputs_tm.iter().map(|v| v.as_slice()).collect();
-        let feeds = Feeds { ids: &ids, ..Feeds::default() };
-        plan.replay_forward(ps, &inputs, &feeds);
-        let carried = LmState(
-            (0..state.0.len())
-                .map(|l| (plan.output(1 + 2 * l), plan.output(2 + 2 * l)))
-                .collect(),
-        );
-        (plan.output(0), carried)
-    }
+/// The detached values of the final per-layer states.
+fn carried(g: &Graph, finals: &[LstmState]) -> LmState {
+    LmState(finals.iter().map(|s| (g.value(s.h).clone(), g.value(s.c).clone())).collect())
 }
 
 impl crate::planned::Infer for PtbLm {
@@ -398,8 +364,17 @@ impl crate::planned::Infer for PtbLm {
         vec![batch.0[0].len(), batch.0.len()] // [B, T]
     }
 
-    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> Option<StepPlan> {
-        self.capture_infer_plan(ps, &batch.0, &batch.1)
+    /// A next-token inference window as a forward-only plan: output 0 is
+    /// the last position's logits `[B, vocab]`; outputs `1 + 2l` / `2 + 2l`
+    /// are layer `l`'s final `h` / `c`, so replays carry streaming state
+    /// across requests. Inputs are the per-layer `[h, c]` states; token ids
+    /// enter as feeds.
+    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> StepPlan {
+        let mut g = Graph::new();
+        let (bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
+        let mut outputs = vec![logits];
+        outputs.extend(finals.iter().flat_map(|s| [s.h, s.c]));
+        StepPlan::capture_forward(&g, &bd, &outputs).expect("a PTB inference window captures")
     }
 
     fn replay_infer(
@@ -408,8 +383,14 @@ impl crate::planned::Infer for PtbLm {
         ps: &ParamSet,
         batch: &Self::Batch,
     ) -> Vec<(Vec<f32>, LmState)> {
-        let (logits, carried) = self.replay_infer_plan(plan, ps, &batch.0, &batch.1);
-        crate::planned::tensor_rows(&logits)
+        let (inputs_tm, state) = batch;
+        let inputs: Vec<&Tensor> = state.0.iter().flat_map(|(h, c)| [h, c]).collect();
+        let ids: Vec<&[usize]> = inputs_tm.iter().map(|v| v.as_slice()).collect();
+        plan.replay_forward(ps, &inputs, &Feeds { ids: &ids, ..Feeds::default() });
+        let carried = LmState(
+            (0..state.0.len()).map(|l| (plan.output(1 + 2 * l), plan.output(2 + 2 * l))).collect(),
+        );
+        crate::planned::tensor_rows(&plan.output(0))
             .into_iter()
             .enumerate()
             .map(|(i, r)| (r, carried.slice_rows(i, i + 1)))
@@ -419,12 +400,7 @@ impl crate::planned::Infer for PtbLm {
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch) -> Vec<(Vec<f32>, LmState)> {
         let mut g = Graph::new();
         let (_bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
-        let carried = LmState(
-            finals
-                .iter()
-                .map(|s| (g.value(s.h).clone(), g.value(s.c).clone()))
-                .collect(),
-        );
+        let carried = carried(&g, &finals);
         crate::planned::tensor_rows(g.value(logits))
             .into_iter()
             .enumerate()
@@ -553,7 +529,7 @@ mod tests {
         let reqs: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
         let states = vec![m.zero_state(); 3];
         let batch = m.assemble(&reqs, &states);
-        let mut plan = m.capture_infer(&ps, &batch).expect("inference tape must capture");
+        let mut plan = m.capture_infer(&ps, &batch);
 
         // First window primes a non-zero carried state per row.
         let first = m.replay_infer(&mut plan, &ps, &batch);

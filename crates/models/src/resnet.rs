@@ -162,11 +162,13 @@ impl ResNet {
         (g, bd, loss, lv)
     }
 
-    /// Captures one training step into a replayable [`StepPlan`]. The
-    /// capture forward runs on a throwaway clone of `self` so the
-    /// running-statistics update of the capture pass is discarded — the
-    /// first replay applies that batch's statistics itself, keeping the
-    /// plan path's running stats in lockstep with the tape path.
+    /// Records one training step, forward and backward, and compiles it
+    /// into a replayable [`StepPlan`]. The capture forward runs on a
+    /// throwaway clone of `self` so the running-statistics update of the
+    /// capture pass is discarded — the first replay applies that batch's
+    /// statistics itself, keeping the plan path's running stats in lockstep
+    /// with the tape path. Never `None`: the `Option` remains only because
+    /// `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
         ps: &ParamSet,
@@ -174,7 +176,8 @@ impl ResNet {
         labels: &[usize],
     ) -> Option<StepPlan> {
         let mut probe = self.clone();
-        let (g, bd, loss, _) = probe.forward_loss(ps, images, labels);
+        let (mut g, bd, loss, _) = probe.forward_loss(ps, images, labels);
+        g.backward(loss);
         let plan = StepPlan::capture(&g, &bd, loss, &[])?;
         debug_assert_eq!(
             plan.num_batch_norms(),
@@ -245,28 +248,6 @@ impl ResNet {
         (g, bd, logits)
     }
 
-    /// Captures the eval-mode forward into a forward-only [`StepPlan`].
-    /// Eval BN folds gamma/beta and the running statistics into per-capture
-    /// constants, so the plan is valid only while parameters *and* running
-    /// stats stay frozen — exactly the serving contract.
-    pub fn capture_infer_plan(&self, ps: &ParamSet, images: &Tensor) -> Option<StepPlan> {
-        let (g, bd, logits) = self.forward_infer(ps, images);
-        StepPlan::capture_forward(&g, &bd, &[logits])
-    }
-
-    /// Replays a captured eval forward on fresh same-shape images,
-    /// returning the logits. The empty mask feed re-uses the captured
-    /// folded-BN scale masks.
-    pub fn replay_infer_plan(
-        &self,
-        plan: &mut StepPlan,
-        ps: &ParamSet,
-        images: &Tensor,
-    ) -> Tensor {
-        plan.replay_forward(ps, &[images], &Feeds::default());
-        plan.output(0)
-    }
-
     /// Running statistics `(mean, var)` of every BatchNorm layer in
     /// `ResNet::batch_norms` order — the non-parameter state a frozen
     /// artifact must carry alongside the checkpointed `ParamSet`.
@@ -332,18 +313,24 @@ impl crate::planned::Infer for ResNet {
         vec![batch.dim(0)]
     }
 
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> Option<StepPlan> {
-        self.capture_infer_plan(ps, batch)
+    /// The eval-mode forward as a forward-only plan. Eval BN folds
+    /// gamma/beta and the running statistics into per-capture constants, so
+    /// the plan is valid only while parameters *and* running stats stay
+    /// frozen — exactly the serving contract.
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+        let (g, bd, logits) = self.forward_infer(ps, batch);
+        StepPlan::capture_forward(&g, &bd, &[logits]).expect("the ResNet eval forward captures")
     }
 
+    /// The empty mask feed re-uses the captured folded-BN scale masks.
     fn replay_infer(
         &self,
         plan: &mut StepPlan,
         ps: &ParamSet,
         batch: &Tensor,
     ) -> Vec<(Vec<f32>, ())> {
-        let logits = self.replay_infer_plan(plan, ps, batch);
-        crate::planned::tensor_rows(&logits).into_iter().map(|r| (r, ())).collect()
+        plan.replay_forward(ps, &[batch], &Feeds::default());
+        crate::planned::tensor_rows(&plan.output(0)).into_iter().map(|r| (r, ())).collect()
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &Tensor) -> Vec<(Vec<f32>, ())> {
@@ -423,7 +410,7 @@ mod tests {
         }
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (fresh, _) = d.test.gather(&[3, 4, 5]);
-        let mut plan = m.capture_infer(&ps, &cap_batch).expect("eval tape must capture");
+        let mut plan = m.capture_infer(&ps, &cap_batch);
         let planned = m.replay_infer(&mut plan, &ps, &fresh);
         let taped = m.infer_tape(&ps, &fresh);
         for ((a, ()), (b, ())) in planned.iter().zip(&taped) {

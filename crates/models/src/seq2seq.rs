@@ -218,21 +218,22 @@ impl Seq2Seq {
         g.scale(total.expect("non-empty batch"), 1.0 / steps as f32)
     }
 
-    /// Captures one whole teacher-forced training step — encoder, attention
-    /// decoder, the per-step cross-entropies and their backward — into a
-    /// replayable [`StepPlan`]. Nothing in it is data-dependent: training
-    /// batches are padded to the corpus maximum, tokens and targets enter as
-    /// feeds and the shard loss scales as inputs, so one plan serves every
-    /// batch with the same `(batch, source length, decode steps, sharded)`.
-    /// Returns `None` only if the capture is mis-specified (see
-    /// [`StepPlan::capture`]) — callers keep the tape path.
+    /// Records one whole teacher-forced training step — encoder, attention
+    /// decoder, the per-step cross-entropies and their backward — and
+    /// compiles it into a replayable [`StepPlan`]. Nothing in it is
+    /// data-dependent: training batches are padded to the corpus maximum,
+    /// tokens and targets enter as feeds and the shard loss scales as
+    /// inputs, so one plan serves every batch with the same `(batch, source
+    /// length, decode steps, sharded)`. Never `None`: the `Option` remains
+    /// only because `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
         ps: &ParamSet,
         batch: &TranslationBatch,
         step_scale: Option<&[f32]>,
     ) -> Option<StepPlan> {
-        let (g, bd, loss, _) = self.forward_loss_scaled(ps, batch, step_scale);
+        let (mut g, bd, loss, _) = self.forward_loss_scaled(ps, batch, step_scale);
+        g.backward(loss);
         StepPlan::capture(&g, &bd, loss, &[])
     }
 
@@ -301,9 +302,9 @@ impl Seq2Seq {
     }
 
     /// The feedback decode loop over an already-encoded source — shared by
-    /// the tape path ([`Seq2Seq::greedy_decode`]) and the frozen-plan
-    /// path ([`Seq2Seq::greedy_decode_planned`]), so both decode
-    /// identically by construction.
+    /// the tape path ([`Seq2Seq::greedy_decode`]) and the frozen-plan path
+    /// ([`crate::Infer::replay_infer`]), so both decode identically by
+    /// construction.
     fn greedy_loop(
         &self,
         g: &mut Graph,
@@ -340,61 +341,6 @@ impl Seq2Seq {
         }
         hyps
     }
-
-    /// Captures the encoder (the shape-static part of greedy decoding) into
-    /// a *forward-only* plan for evaluation and frozen-model serving. Plan
-    /// outputs are the per-step top states, their attention projections,
-    /// and the final cell state — everything the decoder consumes. The final
-    /// *hidden* state is the same tape node as the last per-step state, so
-    /// it is not listed twice; [`Seq2Seq::greedy_decode_planned`]
-    /// reconstructs it from `states[t-1]`.
-    pub fn capture_infer_plan(
-        &self,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> Option<StepPlan> {
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        let mut outputs: Vec<Var> = Vec::with_capacity(2 * enc.states.len() + 1);
-        outputs.extend(&enc.states);
-        outputs.extend(&enc.proj);
-        outputs.push(enc.last.c);
-        StepPlan::capture_forward(&g, &bd, &outputs)
-    }
-
-    /// Greedy decoding with the encoder replayed from a forward-only plan:
-    /// the shape-static encoder runs tape-free; the data-dependent feedback
-    /// decoder runs on a small fresh tape over the replayed encoder
-    /// outputs, re-entered as plain (gradient-free) inputs. Matches
-    /// [`Seq2Seq::greedy_decode`] token-for-token on the same padded batch.
-    pub fn greedy_decode_planned(
-        &self,
-        plan: &mut StepPlan,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> Vec<Vec<usize>> {
-        let b = batch.batch_size();
-        let t_len = batch.src.len();
-        let zero_state = Tensor::zeros(&[b, self.cfg.hidden]);
-        let enc_inputs: Vec<&Tensor> = vec![&zero_state; 6];
-        let ids: Vec<&[usize]> = batch.src.iter().map(|v| v.as_slice()).collect();
-        let feeds = Feeds { ids: &ids, ..Feeds::default() };
-        plan.replay_forward(ps, &enc_inputs, &feeds);
-
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let states: Vec<Var> = (0..t_len).map(|t| g.input(plan.output(t))).collect();
-        let proj: Vec<Var> =
-            (0..t_len).map(|t| g.input(plan.output(t_len + t))).collect();
-        let last_c = g.input(plan.output(2 * t_len));
-        let enc = Encoded {
-            last: LstmState { h: states[t_len - 1], c: last_c },
-            states,
-            proj,
-        };
-        self.greedy_loop(&mut g, &mut bd, ps, &enc, b)
-    }
 }
 
 impl crate::planned::Infer for Seq2Seq {
@@ -419,17 +365,49 @@ impl crate::planned::Infer for Seq2Seq {
         vec![batch.batch_size(), batch.src.len()]
     }
 
-    fn capture_infer(&self, ps: &ParamSet, batch: &TranslationBatch) -> Option<StepPlan> {
-        self.capture_infer_plan(ps, batch)
+    /// The encoder (the shape-static part of greedy decoding) as a
+    /// forward-only plan. Plan outputs are the per-step top states, their
+    /// attention projections, and the final cell state — everything the
+    /// decoder consumes. The final *hidden* state is the same tape node as
+    /// the last per-step state, so it is not listed twice;
+    /// [`crate::Infer::replay_infer`] reconstructs it from `states[t-1]`.
+    fn capture_infer(&self, ps: &ParamSet, batch: &TranslationBatch) -> StepPlan {
+        let mut g = Graph::new();
+        let mut bd = Binding::new();
+        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
+        let mut outputs: Vec<Var> = Vec::with_capacity(2 * enc.states.len() + 1);
+        outputs.extend(&enc.states);
+        outputs.extend(&enc.proj);
+        outputs.push(enc.last.c);
+        StepPlan::capture_forward(&g, &bd, &outputs).expect("the seq2seq encoder captures")
     }
 
+    /// Greedy decoding with the encoder replayed from its forward-only
+    /// plan: the shape-static encoder runs tape-free; the data-dependent
+    /// feedback decoder runs on a small fresh tape over the replayed encoder
+    /// outputs, re-entered as plain (gradient-free) inputs. Matches
+    /// [`Seq2Seq::greedy_decode`] token-for-token on the same padded batch.
     fn replay_infer(
         &self,
         plan: &mut StepPlan,
         ps: &ParamSet,
         batch: &TranslationBatch,
     ) -> Vec<(Vec<usize>, ())> {
-        self.greedy_decode_planned(plan, ps, batch).into_iter().map(|h| (h, ())).collect()
+        let b = batch.batch_size();
+        let t_len = batch.src.len();
+        let zero_state = Tensor::zeros(&[b, self.cfg.hidden]);
+        let enc_inputs: Vec<&Tensor> = vec![&zero_state; 6];
+        let ids: Vec<&[usize]> = batch.src.iter().map(|v| v.as_slice()).collect();
+        plan.replay_forward(ps, &enc_inputs, &Feeds { ids: &ids, ..Feeds::default() });
+
+        let mut g = Graph::new();
+        let mut bd = Binding::new();
+        let states: Vec<Var> = (0..t_len).map(|t| g.input(plan.output(t))).collect();
+        let proj: Vec<Var> = (0..t_len).map(|t| g.input(plan.output(t_len + t))).collect();
+        let last_c = g.input(plan.output(2 * t_len));
+        let enc = Encoded { last: LstmState { h: states[t_len - 1], c: last_c }, states, proj };
+        let hyps = self.greedy_loop(&mut g, &mut bd, ps, &enc, b);
+        hyps.into_iter().map(|h| (h, ())).collect()
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<(Vec<usize>, ())> {
@@ -588,7 +566,7 @@ mod tests {
         };
         let cap_batch = m.assemble(&widen(&cap), &[(); 4]);
         let batch = m.assemble(&widen(&fresh), &[(); 4]);
-        let mut plan = m.capture_infer(&ps, &cap_batch).expect("encoder tape must capture");
+        let mut plan = m.capture_infer(&ps, &cap_batch);
         let planned = m.replay_infer(&mut plan, &ps, &batch);
         let taped = m.infer_tape(&ps, &batch);
         for ((a, ()), (b, ())) in planned.iter().zip(&taped) {

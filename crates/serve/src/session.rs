@@ -15,8 +15,8 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 /// The first batch of a given shape pays one tape build (the capture);
 /// every later batch of that shape replays the plan with zero tape
 /// recording, no gradient buffers, and (steady-state) zero pool
-/// allocation. A capture that declines (a mis-specified one; no tape op is
-/// beyond a plan) falls back to the live-graph forward transparently.
+/// allocation. A capture that fails is a bug in the model's capture and
+/// panics with its cause; nothing serves from the live graph.
 ///
 /// The plan cache is bounded ([`DEFAULT_PLAN_CAPACITY`] shapes, LRU):
 /// unlike training, a server's shape set is driven by client traffic, so
@@ -99,18 +99,15 @@ impl<M: Infer> InferEngine<M> {
         let go = || {
             let batch = self.model.assemble(reqs, states);
             let key = self.model.infer_key(&batch);
-            self.plans
-                .with_plan(
-                    0,
-                    key,
-                    || self.model.capture_infer(&self.ps, &batch),
-                    |plan| self.model.replay_infer(plan, &self.ps, &batch),
-                )
-                .unwrap_or_else(|| self.model.infer_tape(&self.ps, &batch))
+            self.plans.with_plan(
+                0,
+                key,
+                || self.model.capture_infer(&self.ps, &batch),
+                |plan| self.model.replay_infer(plan, &self.ps, &batch),
+            )
         };
-        // The bf16 flag is thread-local; scoping it here covers capture,
-        // replay, and the tape fallback alike on whichever thread runs
-        // this batch.
+        // The bf16 flag is thread-local; scoping it here covers capture and
+        // replay alike on whichever thread runs this batch.
         if self.bf16 {
             legw_tensor::with_bf16_gemm(go)
         } else {

@@ -91,6 +91,14 @@ impl Tensor {
         Self { data: Arc::new(buf), shape }
     }
 
+    /// A tensor whose contents are unspecified (stale pool data or zeros),
+    /// for a kernel that writes every element before reading any: it skips
+    /// the memset [`Tensor::zeros`] pays.
+    pub fn dirty(dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        Self { data: Arc::new(Buffer::dirty(shape.numel())), shape }
+    }
+
     /// All zeros.
     pub fn zeros(dims: &[usize]) -> Self {
         Self::full(dims, 0.0)

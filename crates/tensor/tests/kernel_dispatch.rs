@@ -14,9 +14,11 @@
 //! model's bound, and are printed so the freeze-equivalence story has
 //! recorded numbers).
 
-use legw_tensor::kernels::{self, Kernel};
-use legw_tensor::{lstm_cell_forward, with_bf16_gemm, Tensor};
+use legw_parallel::{with_pool, ThreadPool};
 use legw_propcheck::prelude::*;
+use legw_tensor::kernels::{self, Kernel};
+use legw_tensor::{gemm_into, gemm_into_packed, lstm_cell_forward, with_bf16_gemm, PackedB, Tensor};
+use std::sync::Arc;
 
 const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
 
@@ -250,6 +252,57 @@ fn bf16_accuracy_delta_bounded_and_recorded() {
 }
 
 proptest! {
+
+    /// A row of a product does not depend on how many rows the product
+    /// has: each row of an `m`-row GEMM is bitwise the same row of the GEMM
+    /// over its first `m2` rows — on every tier, at 1 and 2 threads (the
+    /// tile grid splits `m` differently), through both `gemm_into` and
+    /// `gemm_into_packed`. A plan that replays at fewer rows than it was
+    /// captured at (a symbolic batch dimension) rests on this.
+    #[test]
+    fn prop_gemm_rows_do_not_depend_on_m(
+        m in 2usize..300, cut in 0usize..300, k in 1usize..300, n in 1usize..48,
+        trans_a in legw_propcheck::bool::ANY, trans_b in legw_propcheck::bool::ANY,
+    ) {
+        let m2 = 1 + cut % (m - 1);
+        let a = lcg(m as u64 * 5 + k as u64, m * k);
+        let b = lcg(n as u64 * 11 + k as u64, k * n);
+        // The first `rows` rows of op(A): a prefix of A, or of each row of Aᵀ.
+        let rows_of = |rows: usize| -> Vec<f32> {
+            if trans_a {
+                a.chunks_exact(m).flat_map(|r| r[..rows].iter().copied()).collect()
+            } else {
+                a[..rows * k].to_vec()
+            }
+        };
+        let (full_a, part_a) = (rows_of(m), rows_of(m2));
+        for kern in available() {
+            for threads in [1, 2] {
+                let pool = Arc::new(ThreadPool::new(threads));
+                kernels::with_override(kern, || with_pool(&pool, || {
+                    let mut packed = PackedB::new(k, n);
+                    packed.pack(trans_b, &b);
+                    for panel in [false, true] {
+                        let product = |a: &[f32], rows: usize| {
+                            let mut out = vec![0.0; rows * n];
+                            if panel {
+                                gemm_into_packed(trans_a, a, &packed, rows, &mut out, false);
+                            } else {
+                                gemm_into(trans_a, trans_b, a, &b, rows, k, n, &mut out, false);
+                            }
+                            out
+                        };
+                        let (whole, prefix) = (product(&full_a, m), product(&part_a, m2));
+                        for (i, (x, y)) in prefix.iter().zip(&whole).enumerate() {
+                            prop_assert_eq!(x.to_bits(), y.to_bits(),
+                                "{:?}, {} threads, packed {}, ({},{}), k {} n {}: row {} of {} vs of {} rows",
+                                kern, threads, panel, trans_a, trans_b, k, n, i / n, m2, m);
+                        }
+                    }
+                }));
+            }
+        }
+    }
 
     /// Randomised shape fuzz over the full variant matrix: M, N off the
     /// tile grid and k occasionally > KC.
