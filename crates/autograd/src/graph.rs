@@ -234,16 +234,22 @@ impl Graph {
         let (f, d) = ins.k.scratch(&mode[..n], &lens[..n]);
         let (mut scratch, mut acc) = ((f > 0).then(|| Tensor::dirty(&[f])), vec![0.0f64; d]);
         let mut it = outs.iter_mut().map(|t| t.as_mut().map_or(&mut [][..], Tensor::as_mut_slice));
-        let mut io = Io {
+        // The op's buffer leaves its state for the call, as the outputs
+        // leave their nodes.
+        let mut buf = ins.st.and_then(|s| self.states[s as usize].buf.take());
+        (ins.k.run)(&mut Io {
             a: &ins.a,
             src: Srcs::Tape(&self.nodes, &ins.src),
             out: std::array::from_fn(|_| it.next().unwrap_or_default()),
             mode,
             st: ins.st.map(|s| &mut self.states[s as usize]),
+            buf: buf.as_mut().map_or(&mut [], Tensor::as_mut_slice),
             scratch: scratch.as_mut().map_or(&mut [], Tensor::as_mut_slice),
             acc: &mut acc,
-        };
-        (ins.k.run)(&mut io);
+        });
+        if let Some(s) = ins.st {
+            self.states[s as usize].buf = buf;
+        }
         for (&(v, _), t) in ins.dst.iter().zip(outs.into_iter().flatten()) {
             self.nodes[v.0].value = t;
         }

@@ -75,6 +75,39 @@ pub(crate) fn par_sweep_map(dst: &mut [f32], src: &[f32], sweep: fn(Kernel, &mut
     legw_parallel::par_chunks_mut(&pool, dst, EW_CHUNK, |_, chunk| sweep(kern, chunk));
 }
 
+/// `row(r, dst_row)` for every `cols`-wide row of `dst`, chunked like
+/// [`par_apply`] but in blocks of whole rows (about [`EW_CHUNK`] elements,
+/// at least one row), so a body broadcasts along a row without dividing an
+/// index per element.
+fn par_rows(dst: &mut [f32], cols: usize, row: impl Fn(usize, &mut [f32]) + Sync) {
+    if dst.is_empty() {
+        return;
+    }
+    let rows = |r0: usize, block: &mut [f32]| {
+        for (i, d) in block.chunks_exact_mut(cols).enumerate() {
+            row(r0 + i, d);
+        }
+    };
+    if dst.len() <= EW_CHUNK {
+        return rows(0, dst);
+    }
+    let pool = legw_parallel::current();
+    if pool.threads() == 1 {
+        return rows(0, dst);
+    }
+    let block = (EW_CHUNK / cols).max(1) * cols;
+    legw_parallel::par_chunks_mut(&pool, dst, block, |start, b| rows(start / cols, b));
+}
+
+/// Store-or-add `f(a[i])` over `dst`, as one zip the compiler vectorises.
+fn map_into(dst: &mut [f32], mode: Mode, a: &[f32], f: impl Fn(f32) -> f32) {
+    debug_assert_eq!(dst.len(), a.len());
+    match mode {
+        Mode::Store => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = f(x)),
+        Mode::Add => dst.iter_mut().zip(a).for_each(|(d, &x)| *d += f(x)),
+    }
+}
+
 /// Runs `body` — a kernel that overwrites its whole output — under the write
 /// protocol: straight into `dst` for `Store`; for `Add`, into
 /// `scratch[..dst.len()]` and from there added elementwise. The detour is
@@ -100,6 +133,34 @@ pub(crate) fn store_or_add(
 }
 
 // ------------------------------------------------------------- basic ops
+
+/// AddBias: `dst[r, j] (+)= x[r, j] + b[j]`.
+pub(crate) fn add_bias(dst: &mut [f32], mode: Mode, x: &[f32], b: &[f32]) {
+    let cols = b.len();
+    par_rows(dst, cols, |r, d| {
+        let x = &x[r * cols..(r + 1) * cols];
+        match mode {
+            Mode::Store => d.iter_mut().zip(x).zip(b).for_each(|((d, &x), &b)| *d = x + b),
+            Mode::Add => d.iter_mut().zip(x).zip(b).for_each(|((d, &x), &b)| *d += x + b),
+        }
+    });
+}
+
+/// RowScale and its input gradient: `dst[r, j] (+)= x[r, j] · s[r]`.
+pub(crate) fn row_scale(dst: &mut [f32], mode: Mode, x: &[f32], s: &[f32]) {
+    let cols = dst.len() / s.len().max(1);
+    par_rows(dst, cols, |r, d| {
+        let s = s[r];
+        map_into(d, mode, &x[r * cols..(r + 1) * cols], |x| x * s)
+    });
+}
+
+/// ConcatCols backward: `dst [rows, w] (+)=` columns `off..off + w` of the
+/// wider `up [rows, ·]`.
+pub(crate) fn cols_block(dst: &mut [f32], mode: Mode, up: &[f32], rows: usize, off: usize) {
+    let (w, uc) = (dst.len() / rows, up.len() / rows);
+    par_rows(dst, w, |r, d| map_into(d, mode, &up[r * uc + off..r * uc + off + w], |u| u));
+}
 
 /// Sum (or mean) of all elements, accumulated in f64.
 pub(crate) fn sum_all(x: &[f32], mean: bool) -> f32 {
@@ -476,7 +537,73 @@ mod tests {
         }
     }
 
+    /// `body` in both modes against `want(i)`, the per-element formula it
+    /// replaced: `Store` overwrites a prefilled destination with exactly
+    /// `want(i)`, `Add` adds exactly `want(i)` to it.
+    fn assert_body_is_formula(
+        what: &str,
+        prefill: &[f32],
+        body: impl Fn(&mut [f32], Mode),
+        want: impl Fn(usize) -> f32,
+    ) {
+        for mode in [Mode::Store, Mode::Add] {
+            let mut got = prefill.to_vec();
+            body(&mut got, mode);
+            for (i, (g, p)) in got.iter().zip(prefill).enumerate() {
+                let w = if mode == Mode::Store { want(i) } else { p + want(i) };
+                assert!(g.to_bits() == w.to_bits(), "{what} {mode:?}: element {i}: {g} vs {w}");
+            }
+        }
+    }
+
     proptest! {
+        /// The four row-broadcast bodies (AddBias, RowScale and RowScaleDx,
+        /// ColsBlockG), bit for bit against the per-element formulas they
+        /// replaced, on one and on two threads: rows · cols on both sides of
+        /// `EW_CHUNK`, one-column rows, rows wider than a chunk, and ragged
+        /// last blocks.
+        #[test]
+        fn row_broadcast_bodies_equal_their_per_element_formulas(
+            cols in prop_oneof![Just(1usize), 2usize..40, 40usize..3000, Just(EW_CHUNK + 3)],
+            target in prop_oneof![1usize..EW_CHUNK, EW_CHUNK..3 * EW_CHUNK],
+            off in 0usize..3,
+            data in vec(-2f32..2.0, 3000..3001),
+        ) {
+            let (cols, target): (usize, usize) = (cols, target);
+            let rows = (target / cols).max(1);
+            let n = rows * cols;
+            // Long operands drawn by cycling a short random pool.
+            let val = |k: usize, i: usize| data[(i * 7 + k * 13) % data.len()];
+            let (pre, x): (Vec<f32>, Vec<f32>) = (0..n).map(|i| (val(0, i), val(1, i))).unzip();
+            let b: Vec<f32> = (0..cols).map(|j| val(2, j)).collect();
+            let s: Vec<f32> = (0..rows).map(|r| val(3, r)).collect();
+            let uc = cols + 3;
+            let up: Vec<f32> = (0..rows * uc).map(|i| val(4, i)).collect();
+            for threads in [1, 2] {
+                let pool = std::sync::Arc::new(legw_parallel::ThreadPool::new(threads));
+                legw_parallel::with_pool(&pool, || {
+                    assert_body_is_formula(
+                        "add_bias",
+                        &pre,
+                        |d, m| add_bias(d, m, &x, &b),
+                        |i| x[i] + b[i % cols],
+                    );
+                    assert_body_is_formula(
+                        "row_scale",
+                        &pre,
+                        |d, m| row_scale(d, m, &x, &s),
+                        |i| x[i] * s[i / cols],
+                    );
+                    assert_body_is_formula(
+                        "cols_block",
+                        &pre,
+                        |d, m| cols_block(d, m, &up, rows, off),
+                        |i| up[(i / cols) * uc + off + i % cols],
+                    );
+                });
+            }
+        }
+
         /// Every `(dst, mode)` body, at shapes that include the degenerate
         /// ones the whole-tape suites never reach: `hw = 1`, `c = 1`, a
         /// 1-row softmax, repeated embedding ids, every label ignored.

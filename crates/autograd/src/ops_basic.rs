@@ -47,9 +47,7 @@ static EW_MUL: Entry = Entry::new("EwMul", |io| ew(io, |a, b| a * b)).grad(|g, n
 });
 
 static ADD_BIAS: Entry = Entry::new("AddBias", |io| {
-    let (x, b) = (io.src.get(0), io.src.get(1));
-    let cols = b.len();
-    par_apply(io.out[0], Mode::Store, |i| x[i] + b[i % cols]);
+    opk::add_bias(io.out[0], Mode::Store, io.src.get(0), io.src.get(1));
 })
 .grad(|g, n, u| {
     g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::s(1.0), None);
@@ -57,9 +55,7 @@ static ADD_BIAS: Entry = Entry::new("AddBias", |io| {
 });
 
 static ROW_SCALE: Entry = Entry::new("RowScale", |io| {
-    let (x, s) = (io.src.get(0), io.src.get(1));
-    let cols = io.out[0].len() / s.len().max(1);
-    par_apply(io.out[0], Mode::Store, |i| x[i] * s[i / cols]);
+    opk::row_scale(io.out[0], Mode::Store, io.src.get(0), io.src.get(1));
 })
 .grad(|g, n, u| {
     let [x, s] = [n.src[0], n.src[1]];
@@ -211,9 +207,7 @@ pub(crate) static COL_SUM_G: Entry = Entry::new("ColSumG", |io| {
 .detour(Detour::F64);
 
 static ROW_SCALE_DX: Entry = Entry::new("RowScaleDx", |io| {
-    let (u, s) = (io.src.get(0), io.src.get(1));
-    let cols = u.len() / s.len().max(1);
-    apply(io.out[0], io.mode[0], |i| u[i] * s[i / cols]);
+    opk::row_scale(io.out[0], io.mode[0], io.src.get(0), io.src.get(1));
 });
 
 static ROW_SCALE_DS: Entry = Entry::new("RowScaleDs", |io| {
@@ -224,9 +218,8 @@ static ROW_SCALE_DS: Entry = Entry::new("RowScaleDs", |io| {
 
 /// `[rows, off]`: the `[rows, ·]` column block of `up` starting at `off`.
 static COLS_BLOCK_G: Entry = Entry::new("ColsBlockG", |io| {
-    let ([rows, off, ..], u) = (io.a.n, io.src.get(0));
-    let (w, uc) = (io.out[0].len() / rows, u.len() / rows);
-    apply(io.out[0], io.mode[0], |i| u[(i / w) * uc + off + i % w]);
+    let [rows, off, ..] = io.a.n;
+    opk::cols_block(io.out[0], io.mode[0], io.src.get(0), rows, off);
 });
 
 /// `[rows, start]`: `up` scattered into columns `start..` of the wider

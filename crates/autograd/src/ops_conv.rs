@@ -6,18 +6,17 @@
 use crate::graph::{Graph, Var};
 use crate::ops_basic::up;
 use crate::opk::{self, apply, store_or_add};
-use crate::table::{buf, flags, Attr, BnStats, Detour, Entry, Role, State};
+use crate::table::{flags, Attr, BnStats, Detour, Entry, Role, State};
 use legw_tensor::{col2im_into, gemm_into, im2col_into, Conv2dGeom, Tensor};
 
 /// `[batch, oc, flags, ckk]`, the geometry in the state: im2col into the
-/// state's columns, one GEMM against `w [OC, C·KH·KW]` into its row-major
+/// buffer's columns, one GEMM against `w [OC, C·KH·KW]` into its row-major
 /// product, then the permute.
 static CONV: Entry = Entry::new("ConvF", |io| {
     let ([b, oc, _, ckk, _], src) = (io.a.n, io.src);
-    let st = io.st.as_deref_mut().expect("conv without its buffers");
-    let g = *st.geom.as_deref().expect("conv geometry");
+    let g = geom(&io.st);
     let (oh, ow) = (g.oh(), g.ow());
-    let (cols, out2) = buf(&mut st.buf).split_at_mut(b * oh * ow * ckk);
+    let (cols, out2) = io.buf.split_at_mut(b * oh * ow * ckk);
     im2col_into(src.get(0), b, &g, cols);
     src.gemm(false, true, cols, 1, [b * oh * ow, ckk, oc], out2, false);
     opk::to_nchw(out2, b, oc, oh, ow, io.out[0]);
@@ -30,6 +29,11 @@ static CONV: Entry = Entry::new("ConvF", |io| {
     g.contrib(&CONV_G, &[up(u), w], &to, a, n.st);
 })
 .panel(|a| Some((1, true, a.n[3], a.n[1])));
+
+/// A convolution's geometry, from its [`Io::st`](crate::table::Io::st).
+fn geom(st: &Option<&mut State>) -> Conv2dGeom {
+    *st.as_deref().and_then(|s| s.geom.as_deref()).expect("conv without its geometry")
+}
 
 /// `[nc, h, w]`: 2×2 stride-2 max pooling, recording each window's argmax.
 static MAX_POOL: Entry = Entry::new("MaxPoolF", |io| {
@@ -50,8 +54,8 @@ static BN: Entry = Entry::new("BnF", |io| {
     let st = io.st.as_deref_mut().expect("batch norm without its statistics");
     let r = st.bn.as_deref_mut().expect("batch norm without its statistics");
     opk::bn_stats(x, [n, c, hw], &mut r.mean, &mut r.var);
-    let (stats, xh) = ((&r.mean[..], &r.var[..]), buf(&mut st.buf));
-    opk::bn_fwd(x, [n, c, hw], stats, eps, gm, bt, &mut r.inv_std, xh, io.out[0]);
+    let stats = (&r.mean[..], &r.var[..]);
+    opk::bn_fwd(x, [n, c, hw], stats, eps, gm, bt, &mut r.inv_std, io.buf, io.out[0]);
     apply(&mut r.mean_f32, opk::Mode::Store, |ci| r.mean[ci] as f32);
     apply(&mut r.var_f32, opk::Mode::Store, |ci| r.var[ci] as f32);
 })
@@ -64,16 +68,15 @@ static BN: Entry = Entry::new("BnF", |io| {
 })
 .role(Role::Bn);
 
-/// ConvF's backward: `up` permuted into the state's row-major buffer, then
+/// ConvF's backward: `up` permuted into the buffer's row-major half, then
 /// `dW = up2ᵀ · cols` (flag 1) and `dx = col2im(up2 · W)` (flag 2), the
 /// latter overwriting the columns, whose last reader `dW` was.
 static CONV_G: Entry = Entry::new("ConvG", |io| {
     let ([b, oc, flags, ckk, _], src) = (io.a.n, io.src);
-    let st = io.st.as_deref_mut().expect("conv without its buffers");
-    let g = *st.geom.as_deref().expect("conv geometry");
+    let g = geom(&io.st);
     let (oh, ow) = (g.oh(), g.ow());
     let rows = b * oh * ow;
-    let (cols, up2) = buf(&mut st.buf).split_at_mut(rows * ckk);
+    let (cols, up2) = io.buf.split_at_mut(rows * ckk);
     opk::from_nchw(src.get(0), b, oc, oh, ow, up2);
     let mut j = 0;
     if flags & 1 != 0 {
@@ -105,7 +108,7 @@ static BN_G: Entry = Entry::new("BnG", |io| {
     let ([n, c, hw, flags, ..], u, gm) = (io.a.n, io.src.get(0), io.src.get(1));
     let st = io.st.as_deref_mut().expect("batch norm without its statistics");
     let r = st.bn.as_deref_mut().expect("batch norm without its statistics");
-    let xh = buf(&mut st.buf);
+    let xh = &*io.buf;
     opk::bn_bwd_sums(u, xh, c, hw, &mut r.sum_up, &mut r.sum_up_xh);
     let mut j = 0;
     for (bit, sums) in [(1, &r.sum_up_xh), (2, &r.sum_up)] {

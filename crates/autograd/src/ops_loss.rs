@@ -4,7 +4,7 @@
 use crate::graph::{Graph, Var, IGNORE_INDEX};
 use crate::ops_basic::up;
 use crate::opk;
-use crate::table::{buf, Attr, Detour, Entry, Role, State};
+use crate::table::{Attr, Detour, Entry, Role, State};
 use legw_tensor::softmax_rows_into;
 
 /// `[dim]`: `out[i, ·] = table[ids[i], ·]`, the ids a feed.
@@ -26,8 +26,7 @@ static SOFTMAX: Entry = Entry::new("SoftmaxF", |io| {
 /// keeps the probabilities and the active-row count for the backward.
 static CE: Entry = Entry::new("CeF", |io| {
     let st = io.st.as_deref_mut().expect("cross-entropy without its labels");
-    let probs = buf(&mut st.buf);
-    (io.out[0][0], st.active) = opk::ce_fwd(io.src.get(0), &st.ids, io.a.n[0], probs);
+    (io.out[0][0], st.active) = opk::ce_fwd(io.src.get(0), &st.ids, io.a.n[0], io.buf);
 })
 .grad(|g, n, u| g.contrib(&CE_G, &[up(u)], &n.src, n.a, n.st))
 .role(Role::Labels);
@@ -43,9 +42,9 @@ static SOFTMAX_G: Entry = Entry::new("SoftmaxG", |io| {
 });
 
 static CE_G: Entry = Entry::new("CeG", |io| {
-    let st = io.st.as_deref_mut().expect("cross-entropy without its labels");
+    let st = io.st.as_deref().expect("cross-entropy without its labels");
     let (seed, v) = (io.src.get(0)[0], io.a.n[0]);
-    opk::ce_bwd(io.out[0], io.mode[0], seed, buf(&mut st.buf), &st.ids, st.active, v);
+    opk::ce_bwd(io.out[0], io.mode[0], seed, io.buf, &st.ids, st.active, v);
 });
 
 impl Graph {

@@ -21,15 +21,14 @@
 use crate::graph::{Graph, Var};
 use crate::ops_basic::{up, COL_SUM_G, GEMM};
 use crate::opk::{self, apply, Mode};
-use crate::table::{buf, flags, Attr, Detour, Entry, State};
+use crate::table::{flags, Attr, Detour, Entry, State};
 use legw_tensor::{lstm_cell_backward_into, lstm_cell_forward_into, repeat_rows_into};
 
 /// `[b, hid]`: `(c', h')` from `preact [B, 4H]` (gates `i,f,ĝ,o`) and
 /// `c [B, H]`, keeping the activated gates and `tanh(c')`.
 static LSTM: Entry = Entry::new("LstmF", |io| {
     let [b, hid, ..] = io.a.n;
-    let st = io.st.as_deref_mut().expect("lstm cell without its buffers");
-    let (gates, tanh_c) = buf(&mut st.buf).split_at_mut(b * 4 * hid);
+    let (gates, tanh_c) = io.buf.split_at_mut(b * 4 * hid);
     let [c, h, _] = &mut io.out;
     lstm_cell_forward_into(io.src.get(0), io.src.get(1), b, hid, gates, c, tanh_c, h);
 })
@@ -76,8 +75,7 @@ static RECUR_STEP: Entry = Entry::new("RecurStepF", |io| {
 /// stores are written in place; otherwise both bounce through scratch.
 static LSTM_G: Entry = Entry::new("LstmG", |io| {
     let ([b, hid, flags, ..], src) = (io.a.n, io.src);
-    let st = io.st.as_deref_mut().expect("lstm cell without its buffers");
-    let (gates, tanh_c) = buf(&mut st.buf).split_at(b * 4 * hid);
+    let (gates, tanh_c) = io.buf.split_at(b * 4 * hid);
     let cp = src.get(0);
     let dh = (flags & 1 != 0).then(|| src.get(1));
     let dc = (flags & 2 != 0).then(|| src.get(1 + (flags & 1)));

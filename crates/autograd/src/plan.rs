@@ -87,9 +87,11 @@ pub struct PlanStats {
     pub arena_slots: usize,
     pub arena_bytes: usize,
     /// Exact peak of simultaneously-live arena bytes over the schedule
-    /// (equals `arena_bytes` unless slot sizes fragment the free list).
+    /// (`arena_bytes` is larger where values of different sizes cannot
+    /// share slots tightly).
     pub peak_live_bytes: usize,
-    /// Bytes of op-private state buffers (gates, probs, im2col columns…).
+    /// Bytes of the op buffers (gates, probs, im2col columns…): one per op,
+    /// or in a forward-only plan one shared by all.
     pub state_bytes: usize,
     /// Bytes of the shared scratch buffers (add-mode detours plus the
     /// f64 column-sum accumulators).
@@ -110,8 +112,9 @@ pub(crate) enum Loc {
     Par(u32),
     /// Tensor captured from the tape (non-input, non-param leaf).
     Const(u32),
-    /// Arena slot (an intermediate value or gradient).
-    Slot(u32),
+    /// Arena slot `k` (an intermediate value or gradient), whose first
+    /// `len` elements hold the value: `Slot(k, len)`.
+    Slot(u32, u32),
     /// Plan-owned output tensor.
     Out(u32),
     /// Gradient tensor of parameter `k`.
@@ -150,7 +153,7 @@ impl Instr {
 /// The arena slot a location names, if any.
 fn slot(l: &mut Loc) -> Option<&mut u32> {
     match l {
-        Loc::Slot(v) => Some(v),
+        Loc::Slot(v, _) => Some(v),
         _ => None,
     }
 }
@@ -190,7 +193,7 @@ pub(crate) struct Arena {
 /// sources can be read from the arena while it is written.
 enum Buf {
     None,
-    V(Vec<f32>),
+    V(Vec<f32>, usize),
     T(Tensor),
 }
 
@@ -205,7 +208,7 @@ impl Arena {
             Loc::In(i) => inputs[i as usize].as_slice(),
             Loc::Par(i) => params[i as usize].as_slice(),
             Loc::Const(i) => self.consts[i as usize].as_slice(),
-            Loc::Slot(i) => &self.slots[i as usize],
+            Loc::Slot(i, len) => &self.slots[i as usize][..len as usize],
             Loc::Out(i) => self.outs[i as usize].as_slice(),
             Loc::Grad(i) => self.grads[i as usize].as_slice(),
             Loc::Panel(_) => unreachable!("a panel is read only as a GEMM operand"),
@@ -233,7 +236,7 @@ impl Arena {
     fn take(&mut self, l: Loc) -> Buf {
         let ph = || self.placeholder.clone();
         match l {
-            Loc::Slot(i) => Buf::V(std::mem::take(&mut self.slots[i as usize])),
+            Loc::Slot(i, len) => Buf::V(std::mem::take(&mut self.slots[i as usize]), len as usize),
             Loc::Out(i) => Buf::T(std::mem::replace(&mut self.outs[i as usize], ph())),
             Loc::Grad(i) => Buf::T(std::mem::replace(&mut self.grads[i as usize], ph())),
             _ => unreachable!("{l:?} is not writable"),
@@ -242,7 +245,7 @@ impl Arena {
 
     fn put(&mut self, l: Loc, b: Buf) {
         match (l, b) {
-            (Loc::Slot(i), Buf::V(v)) => self.slots[i as usize] = v,
+            (Loc::Slot(i, _), Buf::V(v, _)) => self.slots[i as usize] = v,
             (Loc::Out(i), Buf::T(t)) => self.outs[i as usize] = t,
             (Loc::Grad(i), Buf::T(t)) => self.grads[i as usize] = t,
             _ => unreachable!("destination kind changed between take and put"),
@@ -254,7 +257,7 @@ impl Buf {
     fn slice(&mut self) -> &mut [f32] {
         match self {
             Buf::None => &mut [],
-            Buf::V(v) => v,
+            Buf::V(v, len) => &mut v[..*len],
             Buf::T(t) => t.as_mut_slice(),
         }
     }
@@ -274,6 +277,13 @@ pub struct Plan {
     nfwd: usize,
     arena: Arena,
     states: Vec<State>,
+    /// The op buffers ([`State::buf`]), state `s`'s `buf_len[s]` long: one
+    /// per state, or in a forward-only plan one shared by every op and
+    /// sized to the largest. Sharing is sound because a forward body writes
+    /// its whole buffer before reading any of it, and only the op's
+    /// backward reads what the forward left there.
+    bufs: Vec<Vec<f32>>,
+    buf_len: Vec<usize>,
     /// Shared scratch: f32 for add-mode detours, f64 for column sums.
     scratch: Vec<f32>,
     acc: Vec<f64>,
@@ -326,11 +336,20 @@ impl Plan {
     /// Re-executes the forward program on new data. `inputs` / `params`
     /// are in `spec` order and must match the captured shapes.
     pub fn replay_forward(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
-        self.check_bindings(inputs, params);
-        self.load_feeds(feeds);
         // New parameter values may arrive with every forward replay: whatever
         // the weight panels hold is stale from here on.
         self.arena.epoch += 1;
+        self.replay_forward_again(inputs, params, feeds);
+    }
+
+    /// [`Plan::replay_forward`] under the parameters of the replay before
+    /// it: `params` must be the tensors that replay was given, unchanged
+    /// since, under the same kernel tier and bf16 scope. The weight panels
+    /// it packed are reused instead of packed again — a decode loop replays
+    /// one step plan per token against one borrowed parameter set.
+    pub fn replay_forward_again(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
+        self.check_bindings(inputs, params);
+        self.load_feeds(feeds);
         self.run(0..self.nfwd, inputs, params);
     }
 
@@ -471,12 +490,20 @@ impl Plan {
             let mut bufs: [Buf; 3] =
                 std::array::from_fn(|j| dst.get(j).map_or(Buf::None, |&d| self.arena.take(d)));
             let mut it = bufs.iter_mut().map(Buf::slice);
+            let (st, buf): (_, &mut [f32]) = match ins.st.map(|s| s as usize) {
+                Some(s) => {
+                    let b = if self.forward_only { 0 } else { s };
+                    (Some(&mut self.states[s]), &mut self.bufs[b][..self.buf_len[s]])
+                }
+                None => (None, &mut []),
+            };
             (ins.k.run)(&mut Io {
                 a: &ins.a,
                 src: Srcs::Plan(&self.arena, src, inputs, params),
                 out: std::array::from_fn(|_| it.next().unwrap_or_default()),
                 mode: ins.mode,
-                st: ins.st.map(|s| &mut self.states[s as usize]),
+                st,
+                buf,
                 scratch: &mut self.scratch,
                 acc: &mut self.acc,
             });
@@ -558,8 +585,9 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
             loc[acc.0] = Some(Loc::Grad(k as u32));
         }
     }
+    let slot_of = |i: usize| Loc::Slot(i as u32, numel(i) as u32);
     let loc: Vec<Loc> =
-        loc.into_iter().enumerate().map(|(i, l)| l.unwrap_or(Loc::Slot(i as u32))).collect();
+        loc.into_iter().enumerate().map(|(i, l)| l.unwrap_or_else(|| slot_of(i))).collect();
 
     // ---- weight views: nodes whose value is a contiguous block
     // `(param, offset, len)` of a caller parameter — the parameter leaf, or a
@@ -632,7 +660,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
     }
     let is_view = |v: u32| view.get(v as usize).is_some_and(Option::is_some);
     prog.retain(|(_, ins)| match locs[ins.dst().start] {
-        Loc::Slot(v) => !(ins.k.is(&COPY_BLOCK) && is_view(v) && touches[v as usize] == 1),
+        Loc::Slot(v, _) => !(ins.k.is(&COPY_BLOCK) && is_view(v) && touches[v as usize] == 1),
         _ => true,
     });
 
@@ -644,38 +672,44 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
         }
     }
 
-    // ---- physical slot assignment: at each position allocate the
-    // intervals born there before freeing the ones that end there, so a
-    // slot is never its own instruction's source and destination.
-    let len = prog.len();
-    let mut births: Vec<Vec<u32>> = vec![Vec::new(); len];
-    let mut deaths: Vec<Vec<u32>> = vec![Vec::new(); len];
+    // ---- the peak live set: a value counts from its first toucher to its
+    // last, both included.
+    let mut delta = vec![0isize; prog.len() + 1];
     for (v, &u) in uses.iter().enumerate() {
         if let Some((first, last)) = u {
-            births[first].push(v as u32);
-            deaths[last].push(v as u32);
+            delta[first] += numel(v) as isize;
+            delta[last + 1] -= numel(v) as isize;
         }
     }
-    let mut free: HashMap<usize, Vec<u32>> = HashMap::new();
+    let mut live = 0;
+    let peak = delta.iter().map(|d| {
+        live += d;
+        live
+    });
+    let peak = peak.max().unwrap_or(0) as usize * 4;
+
+    // ---- physical slots, greedy by size: largest value first, each into
+    // the first slot whose values' intervals its own does not touch, else
+    // into a new slot of its size. Two values sharing a position never
+    // share a slot, so no instruction's source is its own destination.
+    let mut order: Vec<usize> = (0..n).filter(|&v| uses[v].is_some()).collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(numel(v)), uses[v]));
     let mut phys_sizes: Vec<usize> = Vec::new();
+    let mut held: Vec<Vec<(usize, usize)>> = Vec::new();
     let mut slot_map = vec![0u32; n];
-    let (mut live, mut peak) = (0usize, 0usize);
-    for pos in 0..len {
-        for &v in &births[pos] {
-            let sz = numel(v as usize);
-            let phys = free.get_mut(&sz).and_then(|f| f.pop()).unwrap_or_else(|| {
-                phys_sizes.push(sz);
-                (phys_sizes.len() - 1) as u32
-            });
-            slot_map[v as usize] = phys;
-            live += sz * 4;
-            peak = peak.max(live);
-        }
-        for &v in &deaths[pos] {
-            let sz = numel(v as usize);
-            free.entry(sz).or_default().push(slot_map[v as usize]);
-            live -= sz * 4;
-        }
+    for v in order {
+        let (first, last) = uses[v].expect("a used value");
+        let apart = |&(a, b): &(usize, usize)| b < first || a > last;
+        let phys = match held.iter().position(|iv| iv.iter().all(apart)) {
+            Some(p) => p,
+            None => {
+                phys_sizes.push(numel(v));
+                held.push(Vec::new());
+                held.len() - 1
+            }
+        };
+        held[phys].push((first, last));
+        slot_map[v] = phys as u32;
     }
     for (_, ins) in &prog {
         locs[ins.all()].iter_mut().filter_map(slot).for_each(|v| *v = slot_map[*v as usize]);
@@ -683,6 +717,12 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
 
     // ---- storage + stats
     let states: Vec<State> = g.states.iter().map(State::fresh).collect();
+    let buf_len: Vec<usize> = g.states.iter().map(State::buf_len).collect();
+    let bufs: Vec<Vec<f32>> = if forward_only {
+        vec![vec![0.0; buf_len.iter().copied().max().unwrap_or(0)]]
+    } else {
+        buf_len.iter().map(|&len| vec![0.0; len]).collect()
+    };
     let mut feeds: [Vec<u32>; 4] = Default::default();
     for node in &g.nodes[..fwd_end] {
         if let Op::K(ins) = &node.op {
@@ -701,7 +741,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
         arena_slots: phys_sizes.len(),
         arena_bytes: phys_sizes.iter().sum::<usize>() * 4,
         peak_live_bytes: peak,
-        state_bytes: states.iter().flat_map(|s| &s.buf).map(Tensor::numel).sum::<usize>() * 4,
+        state_bytes: bufs.iter().map(Vec::len).sum::<usize>() * 4,
         scratch_bytes: scratch * 4 + acc * 8,
         panels: panels.len(),
         panel_bytes: 0,
@@ -727,6 +767,8 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Option<Plan> {
             placeholder: Tensor::zeros(&[1]),
         },
         states,
+        bufs,
+        buf_len,
         scratch: vec![0.0; scratch],
         acc: vec![0.0; acc],
         feed_ids,
@@ -1150,7 +1192,13 @@ mod tests {
         let mut reg = fused_lstm_plan(&ps, true);
         assert_eq!(reg.stats().panels, 5);
         assert_eq!(count_kind(&reg, "CopyBlock"), 1, "{}", reg.describe());
-        assert!(reg.stats().arena_bytes >= plain.stats().arena_bytes + 4 * H * 4 * H);
+        // The copy lands in an arena slot that holds all of W_h ([H, 4H]).
+        let copy = reg.prog.iter().find(|i| i.k.is(&COPY_BLOCK)).expect("the W_h copy");
+        let Loc::Slot(k, len) = reg.locs[copy.dst().start] else {
+            panic!("the W_h copy writes {:?}, not a slot", reg.locs[copy.dst().start]);
+        };
+        assert_eq!(len as usize, H * 4 * H, "{}", reg.describe());
+        assert!(reg.arena.slots[k as usize].len() >= H * 4 * H);
         assert_fused_step_matches_tape(&mut reg, &ps, 252, true, "W_h read by a non-GEMM too");
     }
 

@@ -47,10 +47,12 @@ pub(crate) fn flags(bits: &[bool]) -> usize {
 /// node that recorded the op and re-created, sized alike, in a plan.
 #[derive(Default)]
 pub(crate) struct State {
-    /// One f32 buffer, pooled and written by the forward before anything
-    /// reads it: cross-entropy probabilities; a conv's im2col columns, then
-    /// its row-major product; BatchNorm's `x̂`; an LSTM cell's gates, then
-    /// `tanh(c')`.
+    /// One f32 buffer, which a body sees as [`Io::buf`]: cross-entropy
+    /// probabilities; a conv's im2col columns, then its row-major product;
+    /// BatchNorm's `x̂`; an LSTM cell's gates, then `tanh(c')`. The forward
+    /// body writes all of it before reading any, and only the op's backward
+    /// reads what it wrote. The tape keeps the buffer here, pooled; a plan
+    /// keeps its buffers itself and leaves this `None`.
     pub buf: Option<Tensor>,
     /// Embedding ids or cross-entropy labels — a per-replay feed.
     pub ids: Vec<usize>,
@@ -99,11 +101,16 @@ impl State {
         State { buf: Some(Tensor::dirty(&[len])), ..State::default() }
     }
 
-    /// The same state, zeroed, for a plan: buffers sized alike, and feeds
-    /// kept as the values a replay reuses when it is fed none.
+    /// The length of [`State::buf`].
+    pub(crate) fn buf_len(&self) -> usize {
+        self.buf.as_ref().map_or(0, Tensor::numel)
+    }
+
+    /// The same state, zeroed, for a plan: feeds kept as the values a
+    /// replay reuses when it is fed none, and no buffer.
     pub(crate) fn fresh(&self) -> State {
         State {
-            buf: self.buf.as_ref().map(kept_zeros),
+            buf: None,
             ids: self.ids.clone(),
             mask: self.mask.clone(),
             argmax: vec![0; self.argmax.len()],
@@ -118,11 +125,6 @@ impl State {
 /// not taken from the pool, which may hand out twice the size.
 pub(crate) fn kept_zeros(t: &Tensor) -> Tensor {
     Tensor::from_vec(vec![0.0; t.numel()], t.shape())
-}
-
-/// An op's buffer ([`State::buf`]).
-pub(crate) fn buf(b: &mut Option<Tensor>) -> &mut [f32] {
-    b.as_mut().expect("an op without its buffer").as_mut_slice()
 }
 
 /// Where a body's sources live: tape node values, or plan locations.
@@ -177,6 +179,9 @@ pub(crate) struct Io<'a> {
     pub out: [&'a mut [f32]; 3],
     pub mode: [Mode; 3],
     pub st: Option<&'a mut State>,
+    /// The op's buffer ([`State::buf`]), exactly as long as the tape made
+    /// it; empty for an op without one.
+    pub buf: &'a mut [f32],
     /// f32 scratch for add-mode detours ([`Detour`]).
     pub scratch: &'a mut [f32],
     /// f64 accumulators.

@@ -1,6 +1,7 @@
 //! Exact packed-panel traffic of one replayed training step: every weight
 //! is packed **once per transpose form per replay**, however many GEMMs
-//! read it.
+//! read it — and not at all by a forward replay under the parameters of the
+//! replay before it.
 //!
 //! Deliberately a **single test in its own integration binary**, like
 //! `legw-tensor`'s `pack_traffic`: the [`legw_tensor::pack_traffic`]
@@ -117,4 +118,14 @@ fn one_replay_packs_each_weight_once_per_form() {
     assert_eq!((st.panels, st.panel_bytes as u64), (5, F32 * panels));
     let second = f32_bytes_of(|| plan.replay_step(&ins, &pr, &feeds));
     assert_eq!(second, want, "every replay repacks each panel exactly once");
+
+    // Forward replays, as a decode loop runs them: the first packs the
+    // forward forms of the weights, the next ones under the same parameters
+    // pack only their A operands.
+    let fwd_a = t * b * i + t * (b * h) + b * h;
+    let fwd_panels = i * 4 * h + h * 4 * h + h * c;
+    let forward = f32_bytes_of(|| plan.replay_forward(&ins, &pr, &feeds));
+    assert_eq!(forward, F32 * (fwd_a + fwd_panels), "a forward replay packs its weights");
+    let again = f32_bytes_of(|| plan.replay_forward_again(&ins, &pr, &feeds));
+    assert_eq!(again, F32 * fwd_a, "a forward replay under the same parameters packs none");
 }

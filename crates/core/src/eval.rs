@@ -19,9 +19,10 @@
 //! floating-point association (one shard's weight is exactly 1).
 
 use crate::exec::Executor;
+use crate::plan_cache::PlanCache;
 use legw_autograd::{Graph, Var};
 use legw_data::{metrics, Classification, SynthPtb, SynthTranslation};
-use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
+use legw_models::{Infer, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
 use legw_nn::{Binding, ParamSet};
 use legw_tensor::Tensor;
 use std::ops::Range;
@@ -151,11 +152,41 @@ impl Executor {
         (weighted / windows.len() as f64).exp()
     }
 
+    /// Greedy decodes of the seq2seq model over the test split, in padded
+    /// batches of `batch` sharded over this executor's workers, one
+    /// hypothesis per test pair in corpus order. Each shard keeps one
+    /// key→plan map for the call (a [`PlanCache`] slot): the first batch of
+    /// a shape compiles the model's plans from its own tapes
+    /// ([`Infer::capture_infer`]); every later batch of that shape replays
+    /// them, building no tape.
+    pub fn decode_seq2seq(
+        &self,
+        model: &Seq2Seq,
+        ps: &ParamSet,
+        data: &SynthTranslation,
+        batch: usize,
+    ) -> Vec<Vec<usize>> {
+        let batches = data.batches(false, batch);
+        let groups = legw_parallel::split_evenly(batches.len(), self.shards());
+        let plans = PlanCache::new(groups.len());
+        let parts = self.map_shards(&groups, |i, g| {
+            let mut hyps = Vec::new();
+            for b in &batches[g.start..g.end] {
+                let capture = || model.capture_infer(ps, b);
+                let out = plans.with_plan(i, model.infer_key(b), capture, |plan| {
+                    model.replay_infer(plan, ps, b)
+                });
+                hyps.extend(out.into_iter().map(|(h, ())| h));
+            }
+            hyps
+        });
+        parts.concat()
+    }
+
     /// Corpus BLEU of the seq2seq model over the test split (paper metric,
-    /// higher is better), greedy-decoded in padded batches of `batch`
-    /// sharded over this executor's workers. Hypotheses and references
-    /// concatenate in batch order, so the score is identical for every
-    /// shard count.
+    /// higher is better), greedy-decoded by [`Executor::decode_seq2seq`].
+    /// Hypotheses concatenate in batch order, so the score is identical for
+    /// every shard count.
     pub fn eval_seq2seq_bleu(
         &self,
         model: &Seq2Seq,
@@ -163,27 +194,11 @@ impl Executor {
         data: &SynthTranslation,
         batch: usize,
     ) -> f64 {
-        let batches = data.batches(false, batch);
-        if batches.is_empty() {
+        if data.test.is_empty() {
             return 0.0;
         }
-        let groups = legw_parallel::split_evenly(batches.len(), self.shards());
-        let parts = self.map_shards(&groups, |_, g| {
-            let mut cands = Vec::new();
-            let mut refs = Vec::new();
-            for b in &batches[g.start..g.end] {
-                cands.extend(model.greedy_decode(ps, b));
-                refs.extend(b.refs.clone());
-            }
-            (cands, refs)
-        });
-        let mut cands = Vec::new();
-        let mut refs = Vec::new();
-        for (c, r) in parts {
-            cands.extend(c);
-            refs.extend(r);
-        }
-        metrics::corpus_bleu(&cands, &refs)
+        let refs: Vec<Vec<usize>> = data.test.iter().map(|(_, t)| t.clone()).collect();
+        metrics::corpus_bleu(&self.decode_seq2seq(model, ps, data, batch), &refs)
     }
 }
 

@@ -25,8 +25,6 @@ use crate::exec::{Executor, StepOutcome};
 use crate::steps::ShardStep;
 use legw_models::StepPlan;
 use legw_nn::ParamSet;
-use std::cell::Cell;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -100,11 +98,12 @@ impl<P> PlanCache<P> {
         self.len() == 0
     }
 
-    /// Runs `f` on the plan cached under `(slot, key)`, calling `make` to
-    /// capture it on first sight. The slot lock is held across `make` and
-    /// `f` — a plan's replay arena is mutable scratch, so this is what
-    /// serialises concurrent users of one slot (e.g. the inference server's
-    /// batch worker vs. ad-hoc engine calls).
+    /// Runs `replay` on the plan cached under `(slot, key)`. On first sight
+    /// of the key, `capture` runs instead: it compiles the plan, which is
+    /// cached, and returns it with its own result, which is returned. The
+    /// slot lock is held across either — a plan's replay arena is mutable
+    /// scratch, so this is what serialises concurrent users of one slot
+    /// (e.g. the inference server's batch worker vs. ad-hoc engine calls).
     ///
     /// Every hit refreshes the entry's LRU stamp; on a bounded cache, an
     /// insert that would exceed the slot's capacity first evicts the
@@ -114,8 +113,8 @@ impl<P> PlanCache<P> {
         &self,
         slot: usize,
         key: Vec<usize>,
-        make: impl FnOnce() -> P,
-        f: impl FnOnce(&mut P) -> R,
+        capture: impl FnOnce() -> (P, R),
+        replay: impl FnOnce(&mut P) -> R,
     ) -> R {
         let mut guard = self.slots[slot].lock().unwrap();
         let s = &mut *guard;
@@ -123,9 +122,9 @@ impl<P> PlanCache<P> {
         let tick = s.tick;
         if let Some(v) = s.map.get_mut(&key) {
             v.0 = tick;
-            return f(&mut v.1);
+            return replay(&mut v.1);
         }
-        let p = make();
+        let (p, out) = capture();
         if let Some(cap) = self.capacity {
             while s.map.len() >= cap {
                 let oldest = s.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k.clone());
@@ -137,11 +136,8 @@ impl<P> PlanCache<P> {
                 }
             }
         }
-        match s.map.entry(key) {
-            Entry::Vacant(v) => f(&mut v.insert((tick, p)).1),
-            // get_mut above returned None for this key under the same lock.
-            Entry::Occupied(_) => unreachable!("plan inserted concurrently under the slot lock"),
-        }
+        s.map.insert(key, (tick, p));
+        out
     }
 }
 
@@ -172,8 +168,7 @@ impl Executor {
             // Shard i's slot is only ever touched by shard task i, so the
             // slot lock is uncontended; it exists to keep `PlanCache` Sync
             // across the worker threads.
-            let first = Cell::new(None);
-            let make = || {
+            let capture = || {
                 let (plan, out) = w.capture(ps_ref, i, s);
                 // Pre-size this worker's buffer pool to the plan's exact
                 // peak live set, so even the *first* replay allocates
@@ -181,12 +176,9 @@ impl Executor {
                 // the prewarm (thread-local free list) lands where the
                 // replays will run.
                 legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
-                first.set(Some(out));
-                plan
+                (plan, out)
             };
-            cache.with_plan(i, w.plan_key(s), make, |p| {
-                first.take().unwrap_or_else(|| w.replay(ps_ref, p, s))
-            })
+            cache.with_plan(i, w.plan_key(s), capture, |p| w.replay(ps_ref, p, s))
         });
         out.grad_sq_norm = grads.apply_with_sq_norm(ps);
         (out, extras)

@@ -9,6 +9,9 @@
 //! executes the identical op schedule with the identical accumulation
 //! order.
 //!
+//! The seq2seq benchmark configuration also decodes its test split through
+//! the planned greedy decoder, against the tape decoder.
+//!
 //! Plus cache coverage: a partial final batch and a changed source length
 //! must transparently capture fresh plans in the same [`PlanCache`] rather
 //! than replaying a mismatched one, while changed seq2seq loss scales must
@@ -18,9 +21,9 @@ use legw::{
     DropPlan, ExecConfig, Executor, MnistStep, PlanCache, PtbStep, ResnetStep, Seq2SeqStep,
     ShardStep,
 };
-use legw_data::{SynthImageNet, SynthMnist, SynthPtb, SynthTranslation, TranslationBatch};
+use legw_data::{metrics, SynthImageNet, SynthMnist, SynthPtb, SynthTranslation, TranslationBatch};
 use legw_models::{
-    LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig, StepPlan,
+    Infer, LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig, StepPlan,
 };
 use legw_nn::ParamSet;
 use rand::rngs::StdRng;
@@ -267,12 +270,16 @@ fn seq2seq_loss_scales_are_fed_not_captured() {
 
 /// The benchmark's own `seq2seq_b16` configuration (corpus, model widths,
 /// batch 16) over 120 steps at 1 and 2 shards: plan against tape bitwise,
-/// with one plan per shard slot.
+/// with one plan per shard slot. Then the evaluation the benchmark runs on
+/// the model so trained — greedy decoding of the test split in batches of
+/// 64 through the encoder and decoder-step plans, at 1 and 2 shards — must
+/// give every hypothesis, and the BLEU, of the tape decoder.
 #[test]
 fn seq2seq_benchmark_configuration_replays_bitwise() {
     let data = SynthTranslation::generate_with(2501, 16, 4096, 256, 3, 5, false);
     let batches = data.batches(true, 16);
     let batches: Vec<&TranslationBatch> = batches.iter().take(120).collect();
+    let refs: Vec<Vec<usize>> = data.test.iter().map(|(_, t)| t.clone()).collect();
     for shards in [1, 2] {
         let (model, mut ps_t) = seq2seq_model(data.vocab, [32, 32, 24], 8, 2501);
         let mut ps_p = ps_t.clone();
@@ -281,6 +288,22 @@ fn seq2seq_benchmark_configuration_replays_bitwise() {
         let what = format!("seq2seq_b16 s{shards}");
         seq2seq_curve_bitwise(&model, &mut ps_t, &mut ps_p, &exec, &cache, &batches, &what);
         assert_eq!(cache.len(), shards, "one plan per shard slot");
+
+        let tape: Vec<Vec<usize>> = data
+            .batches(false, 64)
+            .iter()
+            .flat_map(|b| model.infer_tape(&ps_p, b))
+            .map(|(h, ())| h)
+            .collect();
+        assert!(tape.iter().any(|h| h.len() < 8), "some rows must stop at EOS");
+        let bleu = metrics::corpus_bleu(&tape, &refs);
+        for decode_shards in [1, 2] {
+            let exec = Executor::new(ExecConfig::default().with_shards(decode_shards));
+            let planned = exec.decode_seq2seq(&model, &ps_p, &data, 64);
+            assert!(planned == tape, "{what}: hypotheses decoded at {decode_shards} shards");
+            let eval = exec.eval_seq2seq_bleu(&model, &ps_p, &data, 64);
+            assert_eq!(eval.to_bits(), bleu.to_bits(), "{what}: BLEU at {decode_shards} shards");
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 
 use legw::{DropPlan, ExecConfig, Executor, MnistStep, PtbStep, Seq2SeqStep};
 use legw_data::{SynthMnist, SynthTranslation};
-use legw_models::{MnistLstm, Seq2Seq, Seq2SeqConfig};
+use legw_models::{Infer, MnistLstm, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
 use legw_propcheck::prelude::*;
 use rand::rngs::StdRng;
@@ -200,7 +200,7 @@ fn sharded_eval_matches_serial() {
     let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
     let (mut cands, mut refs) = (Vec::new(), Vec::new());
     for b in tdata.batches(false, 4) {
-        cands.extend(model.greedy_decode(&ps, &b));
+        cands.extend(model.infer_tape(&ps, &b).into_iter().map(|(h, ())| h));
         refs.extend(b.refs.clone());
     }
     let serial_bleu = metrics::corpus_bleu(&cands, &refs);

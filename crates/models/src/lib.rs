@@ -28,4 +28,4 @@ pub use mnist_lstm::MnistLstm;
 pub use planned::{Infer, StepPlan};
 pub use ptb_lm::{LmState, PtbLm, PtbLmConfig};
 pub use resnet::ResNet;
-pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
+pub use seq2seq::{Seq2Seq, Seq2SeqConfig, Seq2SeqPlan};

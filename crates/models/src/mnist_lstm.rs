@@ -157,6 +157,7 @@ impl crate::planned::Infer for MnistLstm {
     type Out = Vec<f32>;
     type RowState = ();
     type Batch = Tensor;
+    type Plan = StepPlan;
 
     fn zero_state(&self) {}
 
@@ -181,9 +182,11 @@ impl crate::planned::Infer for MnistLstm {
 
     /// A forward-only plan whose single output is the logits; its input
     /// signature is `[packed rows, h0, c0]`, as in the training capture.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
         let (g, bd, logits) = self.forward_infer(ps, batch);
-        StepPlan::capture_forward(&g, &bd, &[logits]).expect("the MNIST forward captures")
+        let plan =
+            StepPlan::capture_forward(&g, &bd, &[logits]).expect("the MNIST forward captures");
+        (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
     }
 
     fn replay_infer(
@@ -309,7 +312,8 @@ mod tests {
         let (ps, m, d) = tiny();
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (batch, _) = d.train.gather(&[7, 8, 9]);
-        let mut plan = m.capture_infer(&ps, &cap_batch);
+        let (mut plan, captured) = m.capture_infer(&ps, &cap_batch);
+        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture returns its logits");
         let planned = m.replay_infer(&mut plan, &ps, &batch);
         let taped = m.infer_tape(&ps, &batch);
         assert_eq!(planned.len(), 3);

@@ -71,6 +71,14 @@ impl StepPlan {
         self.plan.replay_forward(inputs, &pv, feeds);
     }
 
+    /// [`StepPlan::replay_forward`] again with `ps` unchanged since the
+    /// last one: reuses the weight panels that replay packed
+    /// ([`Plan::replay_forward_again`]).
+    pub fn replay_forward_again(&mut self, ps: &ParamSet, inputs: &[&Tensor], feeds: &Feeds) {
+        let pv = self.param_values(ps);
+        self.plan.replay_forward_again(inputs, &pv, feeds);
+    }
+
     /// The loss value of the last replay (loss-mode plans).
     pub fn loss(&self) -> f32 {
         self.plan.loss()
@@ -126,19 +134,22 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
 
 /// One model family's frozen-inference surface, unifying the per-model
 /// `capture_*_plan` / `replay_*_plan` zoo behind a single interface the
-/// serving stack (and any model-generic eval loop) can drive: assemble
-/// client rows into a batch, capture a forward-only plan for that batch
-/// shape, replay it tape-free, and carry per-row recurrent state between
-/// requests.
+/// serving stack and the evaluation sweeps drive: assemble client rows into
+/// a batch, capture the plan for that batch shape, replay it with no tape,
+/// and carry per-row recurrent state between requests.
 ///
 /// Implementations for the four families:
 ///
-/// | family      | `Req`         | `Out`          | `RowState` |
-/// |-------------|---------------|----------------|------------|
-/// | `MnistLstm` | 784 pixels    | 10 logits      | none       |
-/// | `PtbLm`     | token window  | vocab logits   | `LmState`  |
-/// | `Seq2Seq`   | source tokens | decoded tokens | none       |
-/// | `ResNet`    | 3·32·32 image | class logits   | none       |
+/// | family      | `Req`         | `Out`          | `RowState` | `Plan`        |
+/// |-------------|---------------|----------------|------------|---------------|
+/// | `MnistLstm` | 784 pixels    | 10 logits      | none       | `StepPlan`    |
+/// | `PtbLm`     | token window  | vocab logits   | `LmState`  | `StepPlan`    |
+/// | `Seq2Seq`   | source tokens | decoded tokens | none       | `Seq2SeqPlan` |
+/// | `ResNet`    | 3·32·32 image | class logits   | none       | `StepPlan`    |
+///
+/// A forward-only [`StepPlan`] is the whole forward for the first three;
+/// greedy decoding is data-dependent, so `Seq2Seq` replays its encoder plan
+/// once and a decoder-step plan once per token, looped from Rust.
 pub trait Infer {
     /// One client request (a single row).
     type Req: Send + 'static;
@@ -149,6 +160,9 @@ pub trait Infer {
     type RowState: Clone + Send + 'static;
     /// The assembled batch the forward consumes.
     type Batch;
+    /// What one capture compiles for a batch shape and every replay of
+    /// that shape reuses.
+    type Plan: Send;
 
     /// Fresh carried state for a new session.
     fn zero_state(&self) -> Self::RowState;
@@ -167,21 +181,30 @@ pub trait Infer {
     /// shape dimensions the capture freezes).
     fn infer_key(&self, batch: &Self::Batch) -> Vec<usize>;
 
-    /// Captures a forward-only plan for this batch shape. A capture that
-    /// fails is a bug in the model's capture, and panics with its cause.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> StepPlan;
+    /// Captures the plan for this batch shape from the tapes that compute
+    /// this batch, and returns their result with it, one `(output, carried
+    /// state)` per row: a cache miss costs the compile, not a second
+    /// forward. A capture that fails is a bug in the model's capture, and
+    /// panics with its cause.
+    #[allow(clippy::type_complexity)] // the plan, and one (output, carried state) per row
+    fn capture_infer(
+        &self,
+        ps: &ParamSet,
+        batch: &Self::Batch,
+    ) -> (Self::Plan, Vec<(Self::Out, Self::RowState)>);
 
-    /// Replays a captured plan on the batch, returning one
-    /// `(output, carried state)` per row.
+    /// Replays a captured plan on the batch, building no tape, and returns
+    /// one `(output, carried state)` per row — bitwise the result of
+    /// [`Infer::infer_tape`].
     fn replay_infer(
         &self,
-        plan: &mut StepPlan,
+        plan: &mut Self::Plan,
         ps: &ParamSet,
         batch: &Self::Batch,
     ) -> Vec<(Self::Out, Self::RowState)>;
 
     /// The live-tape forward on the same batch — the equivalence oracle
-    /// the frozen path is tested against.
+    /// the planned path is tested against.
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch)
         -> Vec<(Self::Out, Self::RowState)>;
 }

@@ -335,6 +335,7 @@ impl crate::planned::Infer for PtbLm {
     type RowState = LmState;
     /// Time-major token ids plus the gathered carried state.
     type Batch = (Vec<Vec<usize>>, LmState);
+    type Plan = StepPlan;
 
     fn zero_state(&self) -> LmState {
         LmState::zeros(&self.cfg, 1)
@@ -369,12 +370,18 @@ impl crate::planned::Infer for PtbLm {
     /// are layer `l`'s final `h` / `c`, so replays carry streaming state
     /// across requests. Inputs are the per-layer `[h, c]` states; token ids
     /// enter as feeds.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> StepPlan {
+    fn capture_infer(
+        &self,
+        ps: &ParamSet,
+        batch: &Self::Batch,
+    ) -> (StepPlan, Vec<(Vec<f32>, LmState)>) {
         let mut g = Graph::new();
         let (bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
         let mut outputs = vec![logits];
         outputs.extend(finals.iter().flat_map(|s| [s.h, s.c]));
-        StepPlan::capture_forward(&g, &bd, &outputs).expect("a PTB inference window captures")
+        let plan =
+            StepPlan::capture_forward(&g, &bd, &outputs).expect("a PTB inference window captures");
+        (plan, per_row(g.value(logits), &carried(&g, &finals)))
     }
 
     fn replay_infer(
@@ -390,23 +397,23 @@ impl crate::planned::Infer for PtbLm {
         let carried = LmState(
             (0..state.0.len()).map(|l| (plan.output(1 + 2 * l), plan.output(2 + 2 * l))).collect(),
         );
-        crate::planned::tensor_rows(&plan.output(0))
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (r, carried.slice_rows(i, i + 1)))
-            .collect()
+        per_row(&plan.output(0), &carried)
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch) -> Vec<(Vec<f32>, LmState)> {
         let mut g = Graph::new();
         let (_bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
-        let carried = carried(&g, &finals);
-        crate::planned::tensor_rows(g.value(logits))
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (r, carried.slice_rows(i, i + 1)))
-            .collect()
+        per_row(g.value(logits), &carried(&g, &finals))
     }
+}
+
+/// Each row's logits with its slice of the carried state.
+fn per_row(logits: &Tensor, carried: &LmState) -> Vec<(Vec<f32>, LmState)> {
+    crate::planned::tensor_rows(logits)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| (r, carried.slice_rows(i, i + 1)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -529,11 +536,17 @@ mod tests {
         let reqs: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
         let states = vec![m.zero_state(); 3];
         let batch = m.assemble(&reqs, &states);
-        let mut plan = m.capture_infer(&ps, &batch);
+        let (mut plan, captured) = m.capture_infer(&ps, &batch);
 
         // First window primes a non-zero carried state per row.
         let first = m.replay_infer(&mut plan, &ps, &batch);
         assert!(first[0].1 .0[0].0.l2_norm() > 0.0, "state must move off zero");
+        for ((la, sa), (lb, sb)) in captured.iter().zip(&first) {
+            assert_eq!(la, lb, "the capture returns its tape's logits");
+            for ((ha, ca), (hb, cb)) in sa.0.iter().zip(&sb.0) {
+                assert_eq!((ha.as_slice(), ca.as_slice()), (hb.as_slice(), cb.as_slice()));
+            }
+        }
 
         // Second window replays from the carried states; tape must agree.
         let reqs2: Vec<Vec<usize>> = vec![vec![9, 8, 7], vec![6, 5, 4], vec![3, 2, 1]];

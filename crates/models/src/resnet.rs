@@ -291,6 +291,7 @@ impl crate::planned::Infer for ResNet {
     type Out = Vec<f32>;
     type RowState = ();
     type Batch = Tensor;
+    type Plan = StepPlan;
 
     fn zero_state(&self) {}
 
@@ -317,9 +318,11 @@ impl crate::planned::Infer for ResNet {
     /// gamma/beta and the running statistics into per-capture constants, so
     /// the plan is valid only while parameters *and* running stats stay
     /// frozen — exactly the serving contract.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
         let (g, bd, logits) = self.forward_infer(ps, batch);
-        StepPlan::capture_forward(&g, &bd, &[logits]).expect("the ResNet eval forward captures")
+        let plan = StepPlan::capture_forward(&g, &bd, &[logits]);
+        let plan = plan.expect("the ResNet eval forward captures");
+        (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
     }
 
     /// The empty mask feed re-uses the captured folded-BN scale masks.
@@ -410,7 +413,8 @@ mod tests {
         }
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (fresh, _) = d.test.gather(&[3, 4, 5]);
-        let mut plan = m.capture_infer(&ps, &cap_batch);
+        let (mut plan, captured) = m.capture_infer(&ps, &cap_batch);
+        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture returns its logits");
         let planned = m.replay_infer(&mut plan, &ps, &fresh);
         let taped = m.infer_tape(&ps, &fresh);
         for ((a, ()), (b, ())) in planned.iter().zip(&taped) {

@@ -120,22 +120,23 @@ impl Seq2Seq {
         Encoded { states, proj, last: top }
     }
 
-    /// One decoder step: embeds `tokens`, attends with the previous top
-    /// hidden as query, advances both decoder layers, returns the logits
-    /// and the new states.
+    /// One decoder step: embeds `tokens`, attends over the encoder `states`
+    /// (with their projections `proj`) with the previous top hidden as
+    /// query, advances both decoder layers, returns the logits and the new
+    /// states.
     #[allow(clippy::too_many_arguments)]
     fn decode_step(
         &self,
         g: &mut Graph,
         bd: &mut Binding,
         ps: &ParamSet,
-        enc: &Encoded,
+        (states, proj): (&[Var], &[Var]),
         tokens: &[usize],
         s0: LstmState,
         s1: LstmState,
     ) -> (Var, LstmState, LstmState) {
         let emb = self.embedding.forward(g, bd, ps, tokens);
-        let (ctx, _) = self.attention.step(g, bd, ps, &enc.states, &enc.proj, s1.h);
+        let (ctx, _) = self.attention.step(g, bd, ps, states, proj, s1.h);
         let x = g.concat_cols(&[emb, ctx]);
         let ns0 = self.dec0.step(g, bd, ps, x, s0);
         let ns1 = self.dec1.step(g, bd, ps, ns0.h, s1);
@@ -199,8 +200,8 @@ impl Seq2Seq {
         }
         let mut total: Option<Var> = None;
         for t in 0..steps {
-            let (logits, ns0, ns1) =
-                self.decode_step(g, bd, ps, enc, &batch.dec_in[t], s0, s1);
+            let enc = (&enc.states[..], &enc.proj[..]);
+            let (logits, ns0, ns1) = self.decode_step(g, bd, ps, enc, &batch.dec_in[t], s0, s1);
             s0 = ns0;
             s1 = ns1;
             let mut step_loss = g.softmax_cross_entropy(logits, &batch.dec_tgt[t]);
@@ -292,38 +293,44 @@ impl Seq2Seq {
         nll
     }
 
-    /// Greedy decoding of one padded batch: feeds back the argmax token
-    /// until [`EOS`] or `max_decode`. Returns one hypothesis per sequence.
-    pub fn greedy_decode(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<Vec<usize>> {
+    /// Greedy decoding of one padded batch on one tape, encoder and every
+    /// decoder step recorded on it: the oracle the planned decoder is held
+    /// to, reached through [`crate::Infer::infer_tape`].
+    fn greedy_decode(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<Vec<usize>> {
+        self.greedy_loop(batch.batch_size(), self.tape_steps(ps, batch))
+    }
+
+    /// The tape decoder's steps: encodes `batch` on a tape, then each call
+    /// records one decoder step on that tape and returns its logits.
+    fn tape_steps<'a>(
+        &'a self,
+        ps: &'a ParamSet,
+        batch: &TranslationBatch,
+    ) -> impl FnMut(&[usize]) -> Tensor + 'a {
         let mut g = Graph::new();
         let mut bd = Binding::new();
         let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        self.greedy_loop(&mut g, &mut bd, ps, &enc, batch.batch_size())
+        let (mut s0, mut s1) = (self.dec0.zero_state(&mut g, batch.batch_size()), enc.last);
+        move |tokens| {
+            let states = (&enc.states[..], &enc.proj[..]);
+            let (logits, n0, n1) = self.decode_step(&mut g, &mut bd, ps, states, tokens, s0, s1);
+            (s0, s1) = (n0, n1);
+            g.value(logits).clone()
+        }
     }
 
-    /// The feedback decode loop over an already-encoded source — shared by
-    /// the tape path ([`Seq2Seq::greedy_decode`]) and the frozen-plan path
-    /// ([`crate::Infer::replay_infer`]), so both decode identically by
-    /// construction.
-    fn greedy_loop(
-        &self,
-        g: &mut Graph,
-        bd: &mut Binding,
-        ps: &ParamSet,
-        enc: &Encoded,
-        b: usize,
-    ) -> Vec<Vec<usize>> {
-        let mut s0 = self.dec0.zero_state(g, b);
-        let mut s1 = LstmState { h: enc.last.h, c: enc.last.c };
-
+    /// The greedy feedback loop over `b` rows, shared by the tape decoder
+    /// and the planned one: `step(tokens)` runs one decoder step on each
+    /// row's previous token ([`legw_data::BOS`] first) and returns its
+    /// logits `[b, vocab]`, whose row argmax is the row's next token. A
+    /// hypothesis ends at its row's first [`EOS`]; decoding stops when every
+    /// row has emitted one, or after `max_decode` steps.
+    fn greedy_loop(&self, b: usize, mut step: impl FnMut(&[usize]) -> Tensor) -> Vec<Vec<usize>> {
         let mut hyps: Vec<Vec<usize>> = vec![Vec::new(); b];
         let mut done = vec![false; b];
         let mut tokens = vec![legw_data::BOS; b];
         for _ in 0..self.cfg.max_decode {
-            let (logits, ns0, ns1) = self.decode_step(g, bd, ps, enc, &tokens, s0, s1);
-            s0 = ns0;
-            s1 = ns1;
-            let preds = g.value(logits).argmax_rows();
+            let preds = step(&tokens).argmax_rows();
             for i in 0..b {
                 if done[i] {
                     continue;
@@ -341,6 +348,144 @@ impl Seq2Seq {
         }
         hyps
     }
+
+    /// Compiles `batch`'s encoder tape into the encoder plan, and the tape
+    /// of its first decoder step — a tape of its own, over the encoder's
+    /// values — into the step plan. Returns the plans holding the state
+    /// after that step, the encoder's outputs (the T states, then their T
+    /// projections), and that step's logits.
+    fn capture_plans(
+        &self,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+    ) -> (Seq2SeqPlan, Vec<Tensor>, Tensor) {
+        let (b, t_len) = (batch.batch_size(), batch.src.len());
+        let mut g = Graph::new();
+        let mut bd = Binding::new();
+        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
+        let mut outputs: Vec<Var> = enc.states.iter().chain(&enc.proj).copied().collect();
+        outputs.push(enc.last.c);
+        let encoder =
+            StepPlan::capture_forward(&g, &bd, &outputs).expect("the seq2seq encoder captures");
+        let enc_out: Vec<Tensor> =
+            outputs[..2 * t_len].iter().map(|&v| g.value(v).clone()).collect();
+
+        let zeros = Tensor::zeros(&[b, self.cfg.hidden]);
+        let (h, c) = (g.value(enc.last.h), g.value(enc.last.c));
+        let init = [zeros.clone(), zeros.clone(), h.clone(), c.clone()];
+        let (step, first, state) = {
+            let (sg, sbd, outs) = self.step_tape(ps, &init, &enc_out, &vec![legw_data::BOS; b]);
+            let step = StepPlan::capture_forward(&sg, &sbd, &outs);
+            let step = step.expect("a seq2seq decoder step captures");
+            let state = std::array::from_fn(|k| sg.value(outs[1 + k]).clone());
+            (step, sg.value(outs[0]).clone(), state)
+        }; // the step tape drops here, leaving `state` the only owner of its buffers
+        (Seq2SeqPlan { encoder, step, zeros, state }, enc_out, first)
+    }
+
+    /// One decoder step on a tape of its own, the tape a step plan is
+    /// compiled from: the recurrent `state` (decoder layer 0's `h`, `c`,
+    /// then layer 1's) and the encoder outputs `enc` (the T states, then
+    /// their T projections) enter as inputs in that order, `tokens` as the
+    /// embedding's ids. Returns the tape, its binding, and the logits
+    /// followed by the four new states.
+    fn step_tape(
+        &self,
+        ps: &ParamSet,
+        state: &[Tensor],
+        enc: &[Tensor],
+        tokens: &[usize],
+    ) -> (Graph, Binding, [Var; 5]) {
+        let mut g = Graph::new();
+        let mut bd = Binding::new();
+        let ins: Vec<Var> = state.iter().chain(enc).map(|t| g.input(t.clone())).collect();
+        let (s, e) = ins.split_at(4);
+        let (s0, s1) = (LstmState { h: s[0], c: s[1] }, LstmState { h: s[2], c: s[3] });
+        let states = e.split_at(e.len() / 2);
+        let (logits, n0, n1) = self.decode_step(&mut g, &mut bd, ps, states, tokens, s0, s1);
+        (g, bd, [logits, n0.h, n0.c, n1.h, n1.c])
+    }
+}
+
+/// A [`Seq2Seq`]'s inference plans for one `[batch, source length]`: the
+/// encoder, and one decoder step that greedy decoding replays once per
+/// token. The `Plan` of `Infer for Seq2Seq`.
+pub struct Seq2SeqPlan {
+    encoder: StepPlan,
+    step: StepPlan,
+    /// `[B, H]` zeros, the encoder's six initial states.
+    zeros: Tensor,
+    /// The step's recurrent inputs, `[B, H]` each: decoder layer 0's `h`
+    /// and `c`, then layer 1's.
+    state: [Tensor; 4],
+}
+
+impl Seq2SeqPlan {
+    /// The encoder: its outputs are the T top-layer states, their T
+    /// attention projections, and the final cell state.
+    pub fn encoder(&self) -> &StepPlan {
+        &self.encoder
+    }
+
+    /// One decoder step: its inputs are the four recurrent states, the T
+    /// encoder states and their T projections, with the previous tokens as
+    /// the embedding's ids; its outputs are the logits and the four new
+    /// states.
+    pub fn step(&self) -> &StepPlan {
+        &self.step
+    }
+
+    /// Replays the encoder on `batch`, and sets the recurrent state to the
+    /// decoder's initial one: zeros for layer 0, the encoder's final state
+    /// for layer 1. Returns the encoder's outputs, its T states then their
+    /// T projections.
+    fn encode(&mut self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<Tensor> {
+        let t_len = batch.src.len();
+        let ids: Vec<&[usize]> = batch.src.iter().map(|v| v.as_slice()).collect();
+        let zeros = [&self.zeros; 6];
+        self.encoder.replay_forward(ps, &zeros, &Feeds { ids: &ids, ..Feeds::default() });
+        let enc: Vec<Tensor> = (0..2 * t_len).map(|k| self.encoder.output(k)).collect();
+        let last_c = self.encoder.output(2 * t_len);
+        let init = [&self.zeros, &self.zeros, &enc[t_len - 1], &last_c];
+        for (s, init) in self.state.iter_mut().zip(init) {
+            s.as_mut_slice().copy_from_slice(init.as_slice());
+        }
+        enc
+    }
+
+    /// The planned decoder's steps over the encoder outputs `enc`: each
+    /// call replays the step plan on the recurrent state and the previous
+    /// tokens, copies its new states into the recurrent state, the next
+    /// call's inputs, and returns its logits. `first`, the first step's
+    /// logits when a capture tape has just computed them, is returned by
+    /// the first call instead. The decode's first replay packs the weight
+    /// panels; the others reuse them, `ps` being borrowed throughout.
+    fn steps<'a>(
+        &'a mut self,
+        ps: &'a ParamSet,
+        enc: Vec<Tensor>,
+        mut first: Option<Tensor>,
+    ) -> impl FnMut(&[usize]) -> Tensor + 'a {
+        let mut packed = false;
+        move |tokens| {
+            if let Some(logits) = first.take() {
+                return logits;
+            }
+            let inputs: Vec<&Tensor> = self.state.iter().chain(&enc).collect();
+            let ids = [tokens];
+            let feeds = Feeds { ids: &ids, ..Feeds::default() };
+            if packed {
+                self.step.replay_forward_again(ps, &inputs, &feeds);
+            } else {
+                self.step.replay_forward(ps, &inputs, &feeds);
+                packed = true;
+            }
+            for (k, s) in self.state.iter_mut().enumerate() {
+                s.as_mut_slice().copy_from_slice(self.step.output(1 + k).as_slice());
+            }
+            self.step.output(0)
+        }
+    }
 }
 
 impl crate::planned::Infer for Seq2Seq {
@@ -348,6 +493,7 @@ impl crate::planned::Infer for Seq2Seq {
     type Out = Vec<usize>;
     type RowState = ();
     type Batch = TranslationBatch;
+    type Plan = Seq2SeqPlan;
 
     fn zero_state(&self) {}
 
@@ -365,48 +511,32 @@ impl crate::planned::Infer for Seq2Seq {
         vec![batch.batch_size(), batch.src.len()]
     }
 
-    /// The encoder (the shape-static part of greedy decoding) as a
-    /// forward-only plan. Plan outputs are the per-step top states, their
-    /// attention projections, and the final cell state — everything the
-    /// decoder consumes. The final *hidden* state is the same tape node as
-    /// the last per-step state, so it is not listed twice;
-    /// [`crate::Infer::replay_infer`] reconstructs it from `states[t-1]`.
-    fn capture_infer(&self, ps: &ParamSet, batch: &TranslationBatch) -> StepPlan {
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        let mut outputs: Vec<Var> = Vec::with_capacity(2 * enc.states.len() + 1);
-        outputs.extend(&enc.states);
-        outputs.extend(&enc.proj);
-        outputs.push(enc.last.c);
-        StepPlan::capture_forward(&g, &bd, &outputs).expect("the seq2seq encoder captures")
+    /// Compiles the encoder, and the first decoder step, from the tapes
+    /// that compute them for this batch; the decode goes on from that step
+    /// by replaying the step plan.
+    fn capture_infer(
+        &self,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+    ) -> (Seq2SeqPlan, Vec<(Vec<usize>, ())>) {
+        let (mut plan, enc, first) = self.capture_plans(ps, batch);
+        let hyps = self.greedy_loop(batch.batch_size(), plan.steps(ps, enc, Some(first)));
+        (plan, hyps.into_iter().map(|h| (h, ())).collect())
     }
 
-    /// Greedy decoding with the encoder replayed from its forward-only
-    /// plan: the shape-static encoder runs tape-free; the data-dependent
-    /// feedback decoder runs on a small fresh tape over the replayed encoder
-    /// outputs, re-entered as plain (gradient-free) inputs. Matches
-    /// [`Seq2Seq::greedy_decode`] token-for-token on the same padded batch.
+    /// Greedy decoding with no tape: the encoder plan replays once, then the
+    /// step plan once per token, its state carried between replays and the
+    /// tokens fed back from the host. Matches the tape decoder
+    /// ([`Infer::infer_tape`](crate::Infer::infer_tape)) token for token on
+    /// the same padded batch.
     fn replay_infer(
         &self,
-        plan: &mut StepPlan,
+        plan: &mut Seq2SeqPlan,
         ps: &ParamSet,
         batch: &TranslationBatch,
     ) -> Vec<(Vec<usize>, ())> {
-        let b = batch.batch_size();
-        let t_len = batch.src.len();
-        let zero_state = Tensor::zeros(&[b, self.cfg.hidden]);
-        let enc_inputs: Vec<&Tensor> = vec![&zero_state; 6];
-        let ids: Vec<&[usize]> = batch.src.iter().map(|v| v.as_slice()).collect();
-        plan.replay_forward(ps, &enc_inputs, &Feeds { ids: &ids, ..Feeds::default() });
-
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let states: Vec<Var> = (0..t_len).map(|t| g.input(plan.output(t))).collect();
-        let proj: Vec<Var> = (0..t_len).map(|t| g.input(plan.output(t_len + t))).collect();
-        let last_c = g.input(plan.output(2 * t_len));
-        let enc = Encoded { last: LstmState { h: states[t_len - 1], c: last_c }, states, proj };
-        let hyps = self.greedy_loop(&mut g, &mut bd, ps, &enc, b);
+        let enc = plan.encode(ps, batch);
+        let hyps = self.greedy_loop(batch.batch_size(), plan.steps(ps, enc, None));
         hyps.into_iter().map(|h| (h, ())).collect()
     }
 
@@ -546,32 +676,119 @@ mod tests {
         }
     }
 
-    /// Frozen-encoder greedy decoding vs the live-tape path: identical
-    /// token sequences on a ragged request set the plan was never captured
-    /// on, via the `Infer` surface (PAD-coalescing like evaluation).
+    /// `steps`, with the bits of every step's logits appended to `log`.
+    fn logged<'a>(
+        mut steps: impl FnMut(&[usize]) -> Tensor + 'a,
+        log: &'a mut Vec<Vec<u32>>,
+    ) -> impl FnMut(&[usize]) -> Tensor + 'a {
+        move |tokens| {
+            let logits = steps(tokens);
+            log.push(logits.as_slice().iter().map(|x| x.to_bits()).collect());
+            logits
+        }
+    }
+
+    /// Decodes `batch` on the tape, through plans captured on it, and
+    /// through `plan`, captured on another batch of its shape. All three
+    /// must give the same hypotheses and, step by step, bitwise the same
+    /// logits; the `Infer` surface must give those hypotheses too. Returns
+    /// them.
+    fn assert_decoders_agree(
+        m: &Seq2Seq,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+        plan: &mut Seq2SeqPlan,
+    ) -> Vec<Vec<usize>> {
+        use crate::planned::Infer;
+        let b = batch.batch_size();
+        let (mut tape_log, mut cap_log, mut rep_log) = (Vec::new(), Vec::new(), Vec::new());
+        let tape = m.greedy_loop(b, logged(m.tape_steps(ps, batch), &mut tape_log));
+        let (mut captured, enc, first) = m.capture_plans(ps, batch);
+        let cap = m.greedy_loop(b, logged(captured.steps(ps, enc, Some(first)), &mut cap_log));
+        let enc = plan.encode(ps, batch);
+        let rep = m.greedy_loop(b, logged(plan.steps(ps, enc, None), &mut rep_log));
+        assert_eq!(cap, tape, "decoding through the plans just captured");
+        assert_eq!(rep, tape, "decoding through plans captured on another batch");
+        assert_eq!(tape_log.len(), cap_log.len());
+        for (step, (t, (c, r))) in tape_log.iter().zip(cap_log.iter().zip(&rep_log)).enumerate() {
+            assert!(c == t && r == t, "step {step}: planned logits differ from the tape's");
+        }
+        let rows = |out: Vec<(Vec<usize>, ())>| -> Vec<Vec<usize>> {
+            out.into_iter().map(|(h, ())| h).collect()
+        };
+        assert_eq!(rows(m.capture_infer(ps, batch).1), tape, "Infer::capture_infer");
+        assert_eq!(rows(m.replay_infer(plan, ps, batch)), tape, "Infer::replay_infer");
+        assert_eq!(rows(m.infer_tape(ps, batch)), tape, "Infer::infer_tape");
+        tape
+    }
+
+    /// `b` source rows from `tiny`'s corpus from row `from` on, as one
+    /// inference batch padded to 5 steps, the corpus maximum: the first row
+    /// is lengthened to 5 tokens by repeating its first.
+    fn batch_of(d: &SynthTranslation, from: usize, b: usize) -> TranslationBatch {
+        let all = d.train.iter().chain(&d.test).map(|(s, _)| s.clone());
+        let mut rows: Vec<Vec<usize>> = all.cycle().skip(from).take(b).collect();
+        let fill = rows[0][0];
+        rows[0].resize(5, fill);
+        TranslationBatch::for_inference(&rows)
+    }
+
+    /// Ragged sources (3 to 5 tokens, PAD-padded) at batch 1, 2 and 64,
+    /// each decoded through plans captured on another batch of its shape,
+    /// under other weights: a decode packs its panels afresh.
     #[test]
     fn planned_greedy_decode_matches_tape() {
-        use crate::planned::Infer;
-        let (ps, m, d) = tiny();
-        let cap: Vec<Vec<usize>> = d.test.iter().map(|(s, _)| s.clone()).take(4).collect();
-        let fresh: Vec<Vec<usize>> =
-            d.test.iter().map(|(s, _)| s.clone()).skip(4).take(4).collect();
-        let pad_to = cap.iter().chain(&fresh).map(|s| s.len()).max().unwrap();
-        // Equal padded width so one captured plan serves both request sets.
-        let widen = |rows: &[Vec<usize>]| -> Vec<Vec<usize>> {
-            let mut rows = rows.to_vec();
-            let fill = rows[0][0];
-            rows[0].resize(pad_to, fill);
-            rows
-        };
-        let cap_batch = m.assemble(&widen(&cap), &[(); 4]);
-        let batch = m.assemble(&widen(&fresh), &[(); 4]);
-        let mut plan = m.capture_infer(&ps, &cap_batch);
-        let planned = m.replay_infer(&mut plan, &ps, &batch);
-        let taped = m.infer_tape(&ps, &batch);
-        for ((a, ()), (b, ())) in planned.iter().zip(&taped) {
-            assert_eq!(a, b, "frozen-path decode must match the tape token-for-token");
+        let (captured_under, m, d) = tiny();
+        let mut ps = captured_under.clone();
+        for (_, p) in ps.iter_mut() {
+            let v = p.value.clone();
+            p.value.axpy(0.25, &v);
         }
+        for b in [1, 2, 64] {
+            let mut plan = m.capture_plans(&captured_under, &batch_of(&d, 0, b)).0;
+            assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut plan);
+        }
+    }
+
+    /// Rows whose first token is EOS end there, while the others decode
+    /// on: the classifier's EOS bias is raised past the first step's top
+    /// logit on some rows and not on others.
+    #[test]
+    fn planned_greedy_decode_matches_tape_when_rows_end_at_step_one() {
+        let (mut ps, m, d) = tiny();
+        let batch = batch_of(&d, 3, 8);
+        let logits = m.tape_steps(&ps, &batch)(&[legw_data::BOS; 8]);
+        let vocab = logits.dim(1);
+        let mut margins: Vec<f32> = logits
+            .as_slice()
+            .chunks(vocab)
+            .map(|row| {
+                let top = row.iter().enumerate().filter(|&(j, _)| j != EOS).map(|(_, &v)| v);
+                top.fold(f32::NEG_INFINITY, f32::max) - row[EOS]
+            })
+            .collect();
+        margins.sort_by(f32::total_cmp);
+        let gap = (1..8).max_by(|&i, &j| {
+            (margins[i] - margins[i - 1]).total_cmp(&(margins[j] - margins[j - 1]))
+        });
+        let i = gap.expect("eight rows");
+        let bias = m.classifier.b.expect("the classifier has a bias");
+        ps.get_mut(bias).value.as_mut_slice()[EOS] += (margins[i - 1] + margins[i]) / 2.0;
+
+        let mut plan = m.capture_plans(&ps, &batch_of(&d, 40, 8)).0;
+        let hyps = assert_decoders_agree(&m, &ps, &batch, &mut plan);
+        assert_eq!(hyps.iter().filter(|h| h.is_empty()).count(), i, "{hyps:?}");
+    }
+
+    /// With EOS out of reach every row decodes for `max_decode` steps.
+    #[test]
+    fn planned_greedy_decode_matches_tape_up_to_max_decode() {
+        let (mut ps, m, d) = tiny();
+        let bias = m.classifier.b.expect("the classifier has a bias");
+        ps.get_mut(bias).value.as_mut_slice()[EOS] = -1e4;
+        let mut plan = m.capture_plans(&ps, &batch_of(&d, 11, 4)).0;
+        let hyps = assert_decoders_agree(&m, &ps, &batch_of(&d, 20, 4), &mut plan);
+        assert!(hyps.iter().all(|h| h.len() == m.cfg.max_decode), "{hyps:?}");
     }
 
     /// A whole-step plan captured on one batch and replayed on another of

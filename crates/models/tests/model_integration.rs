@@ -3,7 +3,7 @@
 //! tested where the evaluation sweeps live, in `legw::eval`.)
 
 use legw_data::{SynthMnist, SynthTranslation};
-use legw_models::{MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
+use legw_models::{Infer, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::{checkpoint, ParamSet};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -71,6 +71,6 @@ fn greedy_decode_is_deterministic() {
     let mut ps = ParamSet::new();
     let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
     let batch = &data.batches(false, 8)[0];
-    assert_eq!(model.greedy_decode(&ps, batch), model.greedy_decode(&ps, batch));
+    assert_eq!(model.infer_tape(&ps, batch), model.infer_tape(&ps, batch));
     let _ = &mut ps;
 }

@@ -2,7 +2,7 @@
 //! plans, with optional per-client recurrent state.
 
 use legw::PlanCache;
-use legw_models::{Infer, StepPlan};
+use legw_models::Infer;
 use legw_nn::ParamSet;
 
 /// Default bound on cached plans per engine: generous for honest traffic
@@ -10,13 +10,17 @@ use legw_nn::ParamSet;
 /// shape churn. Override with [`InferEngine::with_plan_capacity`].
 pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 
-/// A frozen model plus a shape-keyed cache of forward-only plans.
+/// A frozen model plus a shape-keyed cache of its inference plans
+/// ([`Infer::Plan`]).
 ///
-/// The first batch of a given shape pays one tape build (the capture);
-/// every later batch of that shape replays the plan with zero tape
-/// recording, no gradient buffers, and (steady-state) zero pool
-/// allocation. A capture that fails is a bug in the model's capture and
-/// panics with its cause; nothing serves from the live graph.
+/// The first batch of a given shape is a miss: it runs the model's tapes
+/// for that batch, compiles them into the plan the cache keeps, and answers
+/// with the tapes' result, so a miss costs the compile and no second
+/// forward. Every later batch of that shape replays the plan with no tape,
+/// no gradient buffers and, at steady state, no pool allocation — for
+/// seq2seq, an encoder replay and one decoder-step replay per token. A
+/// capture that fails is a bug in the model's capture and panics with its
+/// cause; nothing serves from the live graph.
 ///
 /// The plan cache is bounded ([`DEFAULT_PLAN_CAPACITY`] shapes, LRU):
 /// unlike training, a server's shape set is driven by client traffic, so
@@ -35,7 +39,7 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 pub struct InferEngine<M: Infer> {
     model: M,
     ps: ParamSet,
-    plans: PlanCache<StepPlan>,
+    plans: PlanCache<M::Plan>,
     bf16: bool,
 }
 

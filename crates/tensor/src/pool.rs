@@ -60,9 +60,11 @@ const SETTLE_BYTES: usize = 4 << 20;
 /// Keeps glibc from returning a dropped tape's memory to the kernel. Runs
 /// once per process, before the first buffer is taken or given.
 ///
-/// A tape holds every intermediate until it is dropped: one 64-row
-/// `Seq2Seq::greedy_decode` batch is about 350 pool-sized buffers, 3.3 MiB, of
-/// which the free list keeps [`MAX_POOLED`]. The rest is freed at once, and
+/// A tape holds every intermediate until it is dropped, and tapes are still
+/// recorded wherever a plan is captured (the first training step, eval batch
+/// or serving batch of a shape) and by the tape oracles. Each drops a burst
+/// of pool-sized buffers, of which the free list keeps [`MAX_POOLED`]. The
+/// rest is freed at once, and
 /// when more than `M_TRIM_THRESHOLD` lies free at the top of the heap glibc
 /// shrinks the heap — so the next batch faults the same pages back in. On
 /// the benchmark box that was 1.5 M minor faults in a 27 s `seq2seq_b16` run
