@@ -255,7 +255,8 @@ impl Workload for PtbWorkload<'_> {
 /// The GNMT-style seq2seq model (§5.1.3). Metric: test BLEU. A training
 /// step — encoder, attention decoder and loss — replays as one plan per
 /// (batch, source length, decode steps, sharded); evaluation's greedy
-/// decoding runs on a tape.
+/// decoding replays the encoder plan and a decode-step plan
+/// (`capture_infer` / `replay_infer`).
 pub struct Seq2SeqWorkload<'a> {
     pub model: &'a Seq2Seq,
     pub data: &'a SynthTranslation,

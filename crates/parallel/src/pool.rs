@@ -88,6 +88,9 @@ struct Run {
 // `done == tasks` — still holds `F` on its stack. Moving or sharing the
 // block itself moves no `F`.
 unsafe impl Send for Run {}
+// SAFETY: workers share a `Run` only through `&Run`, and the one thing they
+// reach through it beyond `Send + Sync` fields is `body`, called as `&F`
+// with `F: Sync` while the caller keeps `F` alive — the argument above.
 unsafe impl Sync for Run {}
 
 /// Calls the `F` behind `body` on index `i`.

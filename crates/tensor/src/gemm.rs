@@ -587,6 +587,12 @@ fn scratch_prefix<E: PackElem>(buf: &mut Vec<E>, len: usize) -> &mut [E] {
 /// `dst` is exactly the panels' length and every element of it is written:
 /// rows past `mb` in the last panel are zeroed so the microkernel needs no
 /// M-edge handling.
+// `#[inline]` hands every codegen unit that packs its own copy, which LLVM
+// specialises to the caller's constant `mr`; a single shared copy keeps
+// `mr` a run-time stride whenever rustc places a caller in another unit,
+// which costs a small-`n` GEMM (im2col-shaped: B repacked per row block)
+// up to a fifth of its speed. Same for `pack_b`.
+#[inline]
 #[allow(clippy::too_many_arguments)]
 fn pack_a<E: PackElem>(
     dst: &mut [E],
@@ -635,6 +641,7 @@ fn pack_a<E: PackElem>(
 /// element of it is written: columns past `nb` in the last panel are
 /// zeroed. The one pack loop behind both the per-tile scratch and
 /// [`PackedB`].
+#[inline]
 #[allow(clippy::too_many_arguments)]
 fn pack_b<E: PackElem>(
     dst: &mut [E],

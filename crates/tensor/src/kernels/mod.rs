@@ -12,6 +12,17 @@
 //! `is_x86_feature_detected!` the first time a kernel runs (or eagerly at
 //! executor/engine init).
 //!
+//! ## One body per vector kernel
+//!
+//! The vector tile, the `tanh`/`sigmoid` pipeline, the sweep and the gate
+//! row are each written once, in `simd.rs`, generic over a `Lanes` trait
+//! (one register of `f32` lanes: load, store, masked edge, add, mul, div,
+//! fmadd, min/max, saturate). `avx2.rs` and `avx512.rs` hold only their
+//! `Lanes` impl (`V8`, `V16`), the `#[target_feature]` entry points that
+//! instantiate the generic bodies, and (AVX2) the dot. `scalar.rs` stays
+//! separate: it is the reference every tier is tested against, and its
+//! gate row also finishes the columns past a vector row's last register.
+//!
 //! ## Selection
 //!
 //! Priority, first match wins:
@@ -76,6 +87,8 @@ pub(crate) mod scalar;
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 
 /// One instruction-set tier. Ordering is meaningful: later variants are
 /// wider.
@@ -392,7 +405,7 @@ pub(crate) fn lstm_gate_row(
     );
     debug_assert!(supported(k));
     match k {
-        Kernel::Scalar => scalar::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r),
+        Kernel::Scalar => scalar::lstm_gate_row(pa_r, cp_r, hid, 0, g_r, c_r, t_r, h_r),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `k` came from `selected()`, which yields only variants
         // `supported` confirmed, so AVX2 and FMA are present; the row
@@ -403,7 +416,7 @@ pub(crate) fn lstm_gate_row(
         // SAFETY: as for `Avx2`, with AVX-512F the confirmed feature.
         Kernel::Avx512 => unsafe { avx512::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::lstm_gate_row(pa_r, cp_r, hid, g_r, c_r, t_r, h_r),
+        _ => scalar::lstm_gate_row(pa_r, cp_r, hid, 0, g_r, c_r, t_r, h_r),
     }
 }
 
@@ -437,5 +450,79 @@ mod tests {
             }
         });
         assert_eq!(selected(), base);
+    }
+
+    /// Each vector tier's micro-tile, called directly for every corner
+    /// `rows×cols` of its tile, with and without `acc`, writes the corner
+    /// bit for bit as the scalar tile does and leaves every other element —
+    /// the `ldc − cols` gap of each row and the rows after the last —
+    /// untouched.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_tile_writes_exactly_its_corner() {
+        fn check<E: PackElem, M: Micro<E = E>>(tier: Kernel) {
+            const KB: usize = 5;
+            const SENTINEL: f32 = -7.25;
+            let (mr, nr) = (M::MR, M::NR);
+            let ldc = nr + 3;
+            let panel = |n: usize, seed: usize| -> Vec<E> {
+                (0..n).map(|i| E::pack(((i * 7 + seed) % 13) as f32 * 0.37 - 2.1)).collect()
+            };
+            let (ap, bp) = (panel(KB * mr, 1), panel(KB * nr, 2));
+            for rows in 1..=mr {
+                for cols in 1..=nr {
+                    for acc in [false, true] {
+                        let in_corner = |i: usize| i / ldc < rows && i % ldc < cols;
+                        let start: Vec<f32> = (0..(mr + 1) * ldc)
+                            .map(|i| if in_corner(i) { i as f32 * 0.25 } else { SENTINEL })
+                            .collect();
+                        let (mut got, mut want) = (start.clone(), start);
+                        // SAFETY: `tier` is supported (checked by the caller);
+                        // the panels hold `KB` micro-panels; the corner lies
+                        // inside `got`, rows `ldc >= cols` apart.
+                        unsafe { M::tile(KB, &ap, &bp, got.as_mut_ptr(), ldc, rows, cols, acc) };
+                        // The scalar tile is 8 columns wide: one call per
+                        // 8-column block of the corner.
+                        for c0 in (0..cols).step_by(scalar::TILE) {
+                            let bp8: Vec<E> = (0..KB * scalar::TILE)
+                                .map(|i| bp[(i / scalar::TILE) * nr + c0 + i % scalar::TILE])
+                                .collect();
+                            let w = (cols - c0).min(scalar::TILE);
+                            // SAFETY: as above, for columns `c0..c0 + w` of
+                            // the corner in `want`.
+                            unsafe {
+                                scalar::ScalarMicro::<E>::tile(
+                                    KB,
+                                    &ap,
+                                    &bp8,
+                                    want.as_mut_ptr().add(c0),
+                                    ldc,
+                                    rows,
+                                    w,
+                                    acc,
+                                )
+                            };
+                        }
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            let w = if in_corner(i) { *w } else { SENTINEL };
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{tier:?} {} {rows}x{cols} acc {acc}: element {i}",
+                                std::any::type_name::<E>()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        if supported(Kernel::Avx2) {
+            check::<f32, avx2::Avx2Micro<f32>>(Kernel::Avx2);
+            check::<u16, avx2::Avx2Micro<u16>>(Kernel::Avx2);
+        }
+        if supported(Kernel::Avx512) {
+            check::<f32, avx512::Avx512Micro<f32>>(Kernel::Avx512);
+            check::<u16, avx512::Avx512Micro<u16>>(Kernel::Avx512);
+        }
     }
 }

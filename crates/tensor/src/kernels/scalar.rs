@@ -111,20 +111,23 @@ pub(crate) fn sigmoid_sweep(v: &mut [f32]) {
     }
 }
 
-/// One fused LSTM gate row (see `lstm_cell.rs` for the layout): the
-/// original per-element loop, and the arithmetic contract for the vector
-/// variants — `c = f·cₚ + i·g` is mul/mul/add (rustc does not contract
-/// into FMA), matching the unfused tape ops bit for bit.
+/// One fused LSTM gate row (see `lstm_cell.rs` for the layout), columns
+/// `j0..hid`: the original per-element loop, and the arithmetic contract
+/// for the vector variants — `c = f·cₚ + i·g` is mul/mul/add (rustc does
+/// not contract into FMA), matching the unfused tape ops bit for bit. The
+/// vector rows call it for the columns past their last full register.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn lstm_gate_row(
     pa_r: &[f32],
     cp_r: &[f32],
     hid: usize,
+    j0: usize,
     g_r: &mut [f32],
     c_r: &mut [f32],
     t_r: &mut [f32],
     h_r: &mut [f32],
 ) {
-    for j in 0..hid {
+    for j in j0..hid {
         let i = fast_sigmoid(pa_r[j]);
         let f = fast_sigmoid(pa_r[hid + j]);
         let g = fast_tanh(pa_r[2 * hid + j]);

@@ -6,10 +6,9 @@
 //! * [`Tensor`] — contiguous storage behind `Arc<Vec<f32>>` with
 //!   copy-on-write semantics: cloning a tensor is O(1), the first in-place
 //!   mutation of a shared buffer copies it. The autograd tape exploits this
-//!   to record values without deep copies.
-//! * NumPy-style [broadcasting](crate::broadcast_shapes) for elementwise
-//!   binary ops, with fast paths for the shapes that dominate training
-//!   (same-shape, `[m,n] ∘ [n]` bias rows, `[m,n] ∘ [m,1]` column factors).
+//!   to record values without deep copies. Elementwise binary ops take two
+//!   tensors of one shape; row broadcasts (biases, per-row scales) are the
+//!   autograd crate's fused ops.
 //! * A packed, register-tiled GEMM engine (the `gemm` module) behind
 //!   [`Tensor::matmul`] and the transpose variants backward passes need
 //!   (`aᵀb`, `abᵀ`): MR×NR register tiles, pack-time transpose absorption,
@@ -20,9 +19,10 @@
 //!   `matvec` dot, the activation sweeps, the fused LSTM gate row) is a
 //!   runtime-dispatched SIMD variant — AVX-512F, AVX2+FMA, or scalar —
 //!   selected once per process (see the [`kernels`] module), so portable
-//!   builds keep their vector kernels; all variants are bitwise-equal. An
-//!   opt-in bf16 packed-storage mode ([`with_bf16_gemm`]) halves packed
-//!   panel bytes for frozen-weight serving, accumulating in f32. A B
+//!   builds keep their vector kernels; all variants are bitwise-equal, and
+//!   the two vector tiers share one body per kernel, generic over the lane
+//!   width. An opt-in bf16 packed-storage mode ([`with_bf16_gemm`]) halves
+//!   packed panel bytes for frozen-weight serving, accumulating in f32. A B
 //!   operand read by many calls (a weight) can be packed once into a
 //!   [`PackedB`] and multiplied through [`gemm_into_packed`], bitwise-equal
 //!   to [`gemm_into`].
@@ -67,7 +67,7 @@ pub use lstm_cell::{
 };
 pub use matmul::gemm_into;
 pub use reduce::{col_sums_into, softmax_rows_into};
-pub use shape::{broadcast_shapes, Shape};
+pub use shape::Shape;
 pub use tensor::{concat_cols_into, repeat_rows_into, slice_cols_into, Tensor};
 
 /// True when a GEMM with this inner dimension runs as a single k-block.

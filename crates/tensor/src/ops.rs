@@ -1,95 +1,22 @@
-//! Elementwise operations with broadcasting, unary maps, and the in-place
+//! Elementwise operations on equal shapes, unary maps, and the in-place
 //! update primitives the optimizers are built from.
 
-use crate::shape::{broadcast_shapes, Shape};
 use crate::tensor::Tensor;
 use crate::PAR_THRESHOLD;
 use legw_parallel::{current, par_chunks_mut};
 
-/// How one operand's shape relates to the broadcast output shape; used to
-/// pick a fast path.
-enum BroadcastKind {
-    /// Operand already has the output shape.
-    Same,
-    /// Operand is a single scalar element.
-    Scalar,
-    /// Output `[m, n]`, operand `[n]` (or `[1, n]`): repeat per row.
-    RowVector { n: usize },
-    /// Output `[m, n]`, operand `[m, 1]`: repeat per column.
-    ColVector { n: usize },
-    /// Anything else: generic strided iteration.
-    General,
-}
-
-fn classify(operand: &Shape, out: &Shape) -> BroadcastKind {
-    if operand == out {
-        return BroadcastKind::Same;
-    }
-    if operand.numel() == 1 {
-        return BroadcastKind::Scalar;
-    }
-    if out.ndim() == 2 {
-        let (m, n) = (out.dim(0), out.dim(1));
-        let d = operand.dims();
-        if d == [n] || d == [1, n] {
-            return BroadcastKind::RowVector { n };
-        }
-        if d == [m, 1] {
-            return BroadcastKind::ColVector { n };
-        }
-    }
-    BroadcastKind::General
-}
-
-/// Maps a flat output index to a flat operand index under broadcasting.
-fn broadcast_index(flat: usize, out: &Shape, operand: &Shape) -> usize {
-    let on = out.ndim();
-    let pn = operand.ndim();
-    let ostr = out.strides();
-    let pstr = operand.strides();
-    let mut rem = flat;
-    let mut idx = 0usize;
-    for (i, &stride) in ostr.iter().enumerate().take(on) {
-        let coord = rem / stride;
-        rem %= stride;
-        // align from trailing end
-        if i + pn >= on {
-            let pi = i + pn - on;
-            let pd = operand.dims()[pi];
-            let c = if pd == 1 { 0 } else { coord };
-            idx += c * pstr[pi];
-        }
-    }
-    idx
-}
-
 fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-    let out_shape = broadcast_shapes(a.shape_obj(), b.shape_obj()).unwrap_or_else(|| {
-        panic!("incompatible broadcast: {:?} vs {:?}", a.shape(), b.shape())
-    });
-    let n = out_shape.numel();
-    let mut out = vec![0.0f32; n];
-    let ka = classify(a.shape_obj(), &out_shape);
-    let kb = classify(b.shape_obj(), &out_shape);
+    assert!(
+        a.shape() == b.shape(),
+        "elementwise op needs equal shapes, got {:?} and {:?}",
+        a.shape(),
+        b.shape()
+    );
     let (av, bv) = (a.as_slice(), b.as_slice());
-
+    let n = av.len();
+    let mut out = vec![0.0f32; n];
     let fill = |start: usize, chunk: &mut [f32]| {
-        for (off, o) in chunk.iter_mut().enumerate() {
-            let i = start + off;
-            let x = match ka {
-                BroadcastKind::Same => av[i],
-                BroadcastKind::Scalar => av[0],
-                BroadcastKind::RowVector { n } => av[i % n],
-                BroadcastKind::ColVector { n } => av[i / n],
-                BroadcastKind::General => av[broadcast_index(i, &out_shape, a.shape_obj())],
-            };
-            let y = match kb {
-                BroadcastKind::Same => bv[i],
-                BroadcastKind::Scalar => bv[0],
-                BroadcastKind::RowVector { n } => bv[i % n],
-                BroadcastKind::ColVector { n } => bv[i / n],
-                BroadcastKind::General => bv[broadcast_index(i, &out_shape, b.shape_obj())],
-            };
+        for ((o, &x), &y) in chunk.iter_mut().zip(&av[start..]).zip(&bv[start..]) {
             *o = f(x, y);
         }
     };
@@ -100,7 +27,7 @@ fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tens
     } else {
         fill(0, &mut out);
     }
-    Tensor::from_vec(out, out_shape.dims())
+    Tensor::from_vec(out, a.shape())
 }
 
 /// Unary map through a runtime-dispatched sweep kernel (the activation
@@ -143,22 +70,22 @@ fn unary_op(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 impl Tensor {
     // ----------------------------------------------------- binary (allocating)
 
-    /// Elementwise sum with broadcasting.
+    /// Elementwise sum of two equal-shaped tensors.
     pub fn add(&self, rhs: &Tensor) -> Tensor {
         binary_op(self, rhs, |a, b| a + b)
     }
 
-    /// Elementwise difference with broadcasting.
+    /// Elementwise difference of two equal-shaped tensors.
     pub fn sub(&self, rhs: &Tensor) -> Tensor {
         binary_op(self, rhs, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product with broadcasting.
+    /// Elementwise (Hadamard) product of two equal-shaped tensors.
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
         binary_op(self, rhs, |a, b| a * b)
     }
 
-    /// Elementwise maximum with broadcasting.
+    /// Elementwise maximum of two equal-shaped tensors.
     pub fn maximum(&self, rhs: &Tensor) -> Tensor {
         binary_op(self, rhs, f32::max)
     }
@@ -329,42 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn add_row_broadcast() {
-        let a = t(vec![1., 2., 3., 4., 5., 6.], &[2, 3]);
-        let bias = t(vec![10., 20., 30.], &[3]);
-        assert_eq!(a.add(&bias).as_slice(), &[11., 22., 33., 14., 25., 36.]);
-    }
-
-    #[test]
-    fn mul_col_broadcast() {
-        let a = t(vec![1., 2., 3., 4., 5., 6.], &[2, 3]);
-        let col = t(vec![2., 10.], &[2, 1]);
-        assert_eq!(a.mul(&col).as_slice(), &[2., 4., 6., 40., 50., 60.]);
-    }
-
-    #[test]
-    fn scalar_broadcast_both_ways() {
-        let a = t(vec![1., 2.], &[2]);
-        let s = Tensor::scalar(5.);
-        assert_eq!(a.add(&s).as_slice(), &[6., 7.]);
-        assert_eq!(s.add(&a).as_slice(), &[6., 7.]);
-    }
-
-    #[test]
-    fn general_broadcast_3d() {
-        // [2,1,2] * [1,3,1] -> [2,3,2]
-        let a = t(vec![1., 2., 3., 4.], &[2, 1, 2]);
-        let b = t(vec![1., 10., 100.], &[1, 3, 1]);
-        let c = a.mul(&b);
-        assert_eq!(c.shape(), &[2, 3, 2]);
-        assert_eq!(
-            c.as_slice(),
-            &[1., 2., 10., 20., 100., 200., 3., 4., 30., 40., 300., 400.]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible broadcast")]
+    #[should_panic(expected = "needs equal shapes, got [2] and [3]")]
     fn incompatible_shapes_panic() {
         t(vec![1., 2.], &[2]).add(&t(vec![1., 2., 3.], &[3]));
     }
@@ -467,18 +359,6 @@ mod tests {
             let ones = Tensor::ones(&[n]);
             let prod = a.mul(&ones);
             prop_assert_eq!(prod.as_slice(), a.as_slice());
-        }
-
-        #[test]
-        fn prop_broadcast_row_equals_manual(m in 1usize..6, n in 1usize..6) {
-            let a = Tensor::from_vec((0..m*n).map(|x| x as f32).collect(), &[m, n]);
-            let r = Tensor::from_vec((0..n).map(|x| (x * 7) as f32).collect(), &[n]);
-            let c = a.add(&r);
-            for i in 0..m {
-                for j in 0..n {
-                    prop_assert_eq!(c.at2(i, j), a.at2(i, j) + (j * 7) as f32);
-                }
-            }
         }
 
         #[test]

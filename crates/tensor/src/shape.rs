@@ -1,4 +1,4 @@
-//! Shape arithmetic: dimension products, strides, and broadcasting rules.
+//! Shape arithmetic: dimension products and strides.
 
 /// A tensor shape: the extent of each dimension, outermost first.
 ///
@@ -83,35 +83,9 @@ impl From<&[usize]> for Shape {
     }
 }
 
-/// Computes the broadcast result shape of two shapes under NumPy rules:
-/// align trailing dimensions; each pair must be equal or one of them 1.
-///
-/// Returns `None` if the shapes are incompatible.
-pub fn broadcast_shapes(a: &Shape, b: &Shape) -> Option<Shape> {
-    let n = a.ndim().max(b.ndim());
-    let mut out = [1usize; 4];
-    for i in 0..n {
-        // index from the trailing end
-        let da = if i < a.ndim() { a.dims()[a.ndim() - 1 - i] } else { 1 };
-        let db = if i < b.ndim() { b.dims()[b.ndim() - 1 - i] } else { 1 };
-        let d = if da == db {
-            da
-        } else if da == 1 {
-            db
-        } else if db == 1 {
-            da
-        } else {
-            return None;
-        };
-        out[n - 1 - i] = d;
-    }
-    Some(Shape::new(&out[..n]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legw_propcheck::prelude::*;
 
     #[test]
     fn numel_and_dims() {
@@ -147,60 +121,5 @@ mod tests {
     #[should_panic(expected = "at most 4")]
     fn too_many_dims_rejected() {
         Shape::new(&[1, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn broadcast_basic() {
-        let a = Shape::new(&[4, 3]);
-        let b = Shape::new(&[3]);
-        assert_eq!(broadcast_shapes(&a, &b).unwrap().dims(), &[4, 3]);
-        let c = Shape::new(&[4, 1]);
-        assert_eq!(broadcast_shapes(&a, &c).unwrap().dims(), &[4, 3]);
-        let d = Shape::new(&[2, 3]);
-        assert!(broadcast_shapes(&a, &d).is_none());
-    }
-
-    #[test]
-    fn broadcast_scalar_with_anything() {
-        let a = Shape::new(&[2, 3, 4]);
-        let s = Shape::new(&[1]);
-        assert_eq!(broadcast_shapes(&a, &s).unwrap().dims(), &[2, 3, 4]);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_broadcast_commutative(
-            a in legw_propcheck::collection::vec(1usize..5, 1..4),
-            b in legw_propcheck::collection::vec(1usize..5, 1..4),
-        ) {
-            let sa = Shape::new(&a);
-            let sb = Shape::new(&b);
-            let ab = broadcast_shapes(&sa, &sb);
-            let ba = broadcast_shapes(&sb, &sa);
-            prop_assert_eq!(ab.clone().map(|s| s.dims().to_vec()), ba.map(|s| s.dims().to_vec()));
-            // broadcasting with itself is identity
-            let aa = broadcast_shapes(&sa, &sa).unwrap();
-            prop_assert_eq!(aa.dims(), sa.dims());
-        }
-
-        #[test]
-        fn prop_broadcast_result_dominates(
-            a in legw_propcheck::collection::vec(1usize..5, 1..4),
-            b in legw_propcheck::collection::vec(1usize..5, 1..4),
-        ) {
-            let sa = Shape::new(&a);
-            let sb = Shape::new(&b);
-            if let Some(r) = broadcast_shapes(&sa, &sb) {
-                // right-aligned, every output dim is the larger of the two
-                // input dims, or the only one present
-                let from_end = |dims: &[usize], i: usize| dims.iter().rev().nth(i).copied();
-                let want: Vec<usize> = (0..a.len().max(b.len()))
-                    .rev()
-                    .map(|i| from_end(&a, i).max(from_end(&b, i)).expect("one of the two has dim i"))
-                    .collect();
-                prop_assert_eq!(r.dims(), &want[..]);
-                prop_assert_eq!(r.numel(), want.iter().product::<usize>());
-            }
-        }
     }
 }

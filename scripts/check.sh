@@ -70,8 +70,9 @@ for tier in "${tiers[@]}"; do
 done
 
 if [[ "${1:-}" != "fast" ]]; then
-  echo "== cargo clippy --workspace --all-targets -- -D warnings"
-  cargo clippy "${flags[@]}" --workspace --all-targets -- -D warnings
+  # Every `unsafe` block and `unsafe impl` carries its own `// SAFETY:` text.
+  echo "== cargo clippy --workspace --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks"
+  cargo clippy "${flags[@]}" --workspace --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
 
   # Doc links rot silently otherwise. legw-perf is left out until a benchmark
   # PR fixes its one warning (`slowdown_at` links to the private `NEIGHBOURS`).
