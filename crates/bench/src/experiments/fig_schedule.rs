@@ -12,6 +12,15 @@ use legw_schedules::{BaselineSchedule, Legw};
 /// Returns `(batch, peak_lr, warmup_epochs)` per scale for the multistep
 /// family.
 pub fn fig2() -> Vec<(usize, f64, f64)> {
+    let (rows, table, curves) = fig2_tables();
+    table.emit("fig2");
+    let _ = curves.write_csv("fig2_curves");
+    rows
+}
+
+/// [`fig2`]'s rows, with the table it prints and the sampled curves it
+/// writes.
+fn fig2_tables() -> (Vec<(usize, f64, f64)>, Table, Table) {
     // the paper's configuration: baseline batch 1K, LR 2^2.5, warmup 0.3125
     // epochs, 90-epoch budget, drops at 30/60/80 (γ=0.1) or poly p=2
     let base_ms = BaselineSchedule::multistep(
@@ -56,8 +65,6 @@ pub fn fig2() -> Vec<(usize, f64, f64)> {
             curves.push((name.to_string(), batch, pts));
         }
     }
-    t.emit("fig2");
-
     let mut csv = Table::new("fig2 curves", &["decay", "batch", "epoch", "lr"]);
     for (name, batch, pts) in &curves {
         for (i, lr) in pts.iter().enumerate() {
@@ -69,8 +76,7 @@ pub fn fig2() -> Vec<(usize, f64, f64)> {
             ]);
         }
     }
-    let _ = csv.write_csv("fig2_curves");
-    out
+    (out, t, csv)
 }
 
 #[cfg(test)]
@@ -79,12 +85,25 @@ mod tests {
 
     #[test]
     fn fig2_reproduces_paper_scaling_columns() {
-        let rows = fig2();
+        let rows = fig2_tables().0;
         assert_eq!(rows.len(), 6);
         // batch 1K: 2^2.5, 0.3125 warmup; batch 32K: 2^5, 10 epochs
         assert!((rows[0].1 - 2f64.powf(2.5)).abs() < 1e-9);
         assert!((rows[0].2 - 0.3125).abs() < 1e-9);
         assert!((rows[5].1 - 2f64.powf(5.0)).abs() < 1e-9);
         assert!((rows[5].2 - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fig2_runs_and_matches_paper_schedule_columns() {
+        let (rows, table, curves) = fig2_tables();
+        assert_eq!(rows.len(), 6);
+        assert_eq!((table.len(), curves.len()), (12, 12 * 180));
+        // √k LR column and k× warmup column across the full 1K→32K range
+        for (i, &(batch, lr, warm)) in rows.iter().enumerate() {
+            let k = (batch / 1024) as f64;
+            assert!((lr - 2f64.powf(2.5) * k.sqrt()).abs() < 1e-9, "row {i}");
+            assert!((warm - 0.3125 * k).abs() < 1e-9, "row {i}");
+        }
     }
 }

@@ -68,6 +68,13 @@ pub fn fig4(seed: u64) -> Vec<(String, f64, f64, f64)> {
 /// single-TPU anecdote (2 h @ 256 vs 33 min @ 4K). Returns
 /// `(label, minutes)` rows.
 pub fn speedup_section7() -> Vec<(String, f64)> {
+    let (rows, table) = section7_table();
+    table.emit("speedup");
+    rows
+}
+
+/// [`speedup_section7`]'s rows, with the table it prints.
+fn section7_table() -> (Vec<(String, f64)>, Table) {
     let jobs = presets::paper_jobs();
     let mut t = Table::new(
         "§7 — wall-clock projections from the calibrated cluster model",
@@ -97,8 +104,7 @@ pub fn speedup_section7() -> Vec<(String, f64)> {
         ]);
         out.push((format!("gnmt@{batch}"), m));
     }
-    t.emit("speedup");
-    out
+    (out, t)
 }
 
 #[cfg(test)]
@@ -107,11 +113,20 @@ mod tests {
 
     #[test]
     fn section7_shape_holds() {
-        let rows = speedup_section7();
+        let rows = section7_table().0;
         let get = |k: &str| rows.iter().find(|(n, _)| n == k).unwrap().1;
         assert!(get("imagenet@32768") < get("imagenet@8192"));
         assert!(get("gnmt@4096") < get("gnmt@256"));
         // GNMT baseline is in the hours regime, scaled run in fractions of it
         assert!(get("gnmt@256") / get("gnmt@4096") > 2.5);
+    }
+
+    #[test]
+    fn speedup_section7_runs_and_orders_correctly() {
+        let (rows, table) = section7_table();
+        assert_eq!((rows.len(), table.len()), (4, 4));
+        let get = |k: &str| rows.iter().find(|(n, _)| n == k).unwrap().1;
+        assert!(get("imagenet@32768") < get("imagenet@8192"));
+        assert!(get("gnmt@4096") < get("gnmt@256"));
     }
 }

@@ -8,17 +8,20 @@
 //!
 //! 1. the batch is split into `P` contiguous shards ([`Executor::shards`]
 //!    workers, configured via [`ExecConfig`]);
-//! 2. each shard runs forward + [`legw_autograd::Graph::backward`] +
-//!    `Binding::write_grads_to` concurrently, on its own tape, into its
-//!    own [`GradBuffer`] — no shared `&mut ParamSet`;
+//! 2. each shard runs concurrently into its own [`GradBuffer`] — no shared
+//!    `&mut ParamSet`. [`Executor::step`] records the shard's tape
+//!    ([`ShardStep::record`]) and runs its backward;
+//!    [`Executor::step_planned`] replays the shard's cached plan instead,
+//!    compiling the recorded tape on first sight of its shape. The two
+//!    share every other line and differ only in that per-shard body;
 //! 3. shard buffers are weighted by shard example counts and merged with
-//!    the fixed-order pairwise tree of [`crate::reduce_sched`]. On a
-//!    parallel executor the merge is *streaming*: each shard's buffer
-//!    enters the tree the moment it completes, so reduction latency hides
-//!    behind still-running shards instead of waiting for the slowest one.
-//!    The merge schedule is data-independent, so the result is
-//!    byte-identical to the serial executor's post-barrier reduce (and
-//!    across runs) regardless of worker timing;
+//!    the fixed-order pairwise tree of [`crate::reduce_sched`], *streaming*
+//!    on every executor: each shard's buffer enters the tree the moment it
+//!    completes, so reduction latency hides behind still-running shards
+//!    instead of waiting for the slowest one. The merge schedule is
+//!    data-independent, so the result is byte-identical to the post-barrier
+//!    [`tree_reduce`](crate::reduce_sched::tree_reduce) the tests hold it
+//!    to (and across runs), regardless of worker timing;
 //! 4. the combined gradient is applied to the `ParamSet` and the caller
 //!    performs the single optimizer step.
 //!
@@ -38,12 +41,13 @@
 //! [`ExecConfig::from_env`] — the one place in the library that reads
 //! those two; `LEGW_KERNEL` is read once, by
 //! `legw_tensor::kernels`) and hand it to [`Executor::new`]. The four
-//! training workloads plug in through the
-//! [`ShardStep`](crate::steps::ShardStep) trait and run via
-//! [`Executor::step`](crate::steps).
+//! training workloads plug in through the [`ShardStep`] trait.
 
-use crate::reduce_sched::{tree_reduce, ReduceScheduler};
-use legw_nn::GradBuffer;
+use crate::plan_cache::PlanCache;
+use crate::reduce_sched::ReduceScheduler;
+use crate::steps::{ShardStep, ShardTape};
+use legw_models::StepPlan;
+use legw_nn::{GradBuffer, ParamSet};
 use legw_parallel::{default_threads, with_pool, ThreadPool};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -218,20 +222,21 @@ impl Executor {
         legw_parallel::split_evenly(n, self.shards)
     }
 
-    /// Runs `f` once per shard (concurrently when this executor is
-    /// parallel), combining the shard gradients with the fixed-order tree
-    /// reduction — streaming through [`ReduceScheduler`] as shards finish
-    /// on a parallel executor, with [`tree_reduce`] after the last shard on
-    /// the serial one. Returns the combined buffer, the aggregate
-    /// loss/divergence outcome, and the per-shard extras in shard order.
+    /// Runs `f` once per shard through [`Executor::map_shards`]
+    /// (concurrently when this executor is parallel), combining the shard
+    /// gradients with the fixed-order tree reduction, streamed through
+    /// [`ReduceScheduler`] as shards finish. Returns the combined buffer,
+    /// the aggregate loss/divergence outcome, and the per-shard extras in
+    /// shard order.
     ///
     /// `weights` are the [`Reduce::WeightedMean`] combination weights
     /// (shard example counts), one per shard; ignored by [`Reduce::Sum`].
     ///
     /// Determinism: `f` must be deterministic per shard; the merge
     /// schedule is data-independent (same pairs, same left/right roles —
-    /// see [`crate::reduce_sched`]), so repeated runs and both executors
-    /// are byte-identical.
+    /// see [`crate::reduce_sched`]), so repeated runs, every executor and
+    /// the post-barrier `tree_reduce` of the same scaled buffers are
+    /// byte-identical.
     pub fn run_shards<S, E, F>(
         &self,
         reduce: Reduce,
@@ -247,15 +252,11 @@ impl Executor {
         let n = shards.len();
         assert!(n >= 1, "run_shards needs at least one shard");
         assert_eq!(weights.len(), n, "one combination weight per shard");
-        assert!(
-            self.shard_pool.is_none() || n <= self.intra.len(),
-            "more shards than the executor was built for"
-        );
 
         // Combination fractions are fixed before any shard runs — this is
-        // what lets the streaming path scale a buffer the moment its shard
-        // completes. The fraction is computed in f64 and cast once at
-        // scale time, on both paths.
+        // what lets a worker scale its buffer the moment its shard
+        // completes. The fraction is computed in f64 and cast once at scale
+        // time.
         let fracs: Option<Vec<f64>> = match reduce {
             Reduce::WeightedMean if n > 1 => {
                 let total: f64 = weights.iter().sum();
@@ -264,50 +265,23 @@ impl Executor {
             _ => None,
         };
 
-        let (combined, losses, extras) = match &self.shard_pool {
-            Some(pool) if n > 1 => {
-                // Streaming reduction: the completing worker scales its own
-                // buffer and offers it to the scheduler, which immediately
-                // performs every tree merge the arrival enables.
-                let sched = ReduceScheduler::new(n);
-                let fr = fracs.as_deref();
-                let slots: Vec<Mutex<Option<(f64, E)>>> =
-                    (0..n).map(|_| Mutex::new(None)).collect();
-                pool.run(n, |i| {
-                    let out = with_pool(&self.intra[i], || f(i, &shards[i]));
-                    let mut buf = out.grads;
-                    if let Some(fr) = fr {
-                        buf.scale(fr[i] as f32);
-                    }
-                    sched.complete(i, buf);
-                    *slots[i].lock().unwrap() = Some((out.loss, out.extra));
-                });
-                let (losses, extras): (Vec<f64>, Vec<E>) = slots
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap().expect("shard task did not report"))
-                    .unzip();
-                (sched.finish(), losses, extras)
-            }
-            _ => {
-                // Serial executor, or a single shard: run every shard in
-                // order on the calling thread, then scale and tree-reduce.
-                let mut losses = Vec::with_capacity(n);
-                let mut bufs = Vec::with_capacity(n);
-                let mut extras = Vec::with_capacity(n);
-                for (i, s) in shards.iter().enumerate() {
-                    let o = f(i, s);
-                    losses.push(o.loss);
-                    bufs.push(o.grads);
-                    extras.push(o.extra);
-                }
+        // Streaming reduction: the completing worker scales its own buffer
+        // and offers it to the scheduler, which immediately performs every
+        // tree merge the arrival enables.
+        let sched = ReduceScheduler::new(n);
+        let (losses, extras): (Vec<f64>, Vec<E>) = self
+            .map_shards(shards, |i, s| {
+                let out = f(i, s);
+                let mut buf = out.grads;
                 if let Some(fr) = &fracs {
-                    for (buf, fr) in bufs.iter_mut().zip(fr) {
-                        buf.scale(*fr as f32);
-                    }
+                    buf.scale(fr[i] as f32);
                 }
-                (tree_reduce(bufs), losses, extras)
-            }
-        };
+                sched.complete(i, buf);
+                (out.loss, out.extra)
+            })
+            .into_iter()
+            .unzip();
+        let combined = sched.finish();
 
         let diverged = losses.iter().any(|l| !l.is_finite());
         let loss = if n == 1 {
@@ -325,13 +299,12 @@ impl Executor {
         (combined, StepOutcome { loss, diverged, grad_sq_norm: 0.0 }, extras)
     }
 
-    /// Forward-only companion to [`Executor::run_shards`]: runs `f` once
-    /// per item (concurrently on the shard pool when this executor is
-    /// parallel, serially in item order otherwise) and returns the
-    /// results in item order. No gradient combine, no loss bookkeeping —
-    /// this is what epoch-end validation uses so a sharded executor
-    /// accelerates evaluation too. Each shard runs under its private
-    /// intra-op pool, same as training shards.
+    /// Runs `f` once per item (concurrently on the shard pool when this
+    /// executor is parallel, serially in item order otherwise) and returns
+    /// the results in item order: the one fork behind
+    /// [`Executor::run_shards`] and epoch-end validation, so a sharded
+    /// executor accelerates evaluation too. When there are several, each
+    /// item runs under its shard's private intra-op pool.
     pub fn map_shards<S, R, F>(&self, shards: &[S], f: F) -> Vec<R>
     where
         S: Sync,
@@ -359,6 +332,96 @@ impl Executor {
             }
         }
     }
+}
+
+impl Executor {
+    /// One sharded training step of any [`ShardStep`] workload on the tape:
+    /// split, record and backward every shard (streaming the gradient
+    /// reduction as shards complete), apply the combined gradient into
+    /// `ps.grad` with the fused Σg² sweep. Returns the outcome plus the
+    /// per-shard extras in shard order. The caller clips/steps/zeroes as
+    /// usual.
+    pub fn step<W: ShardStep>(&self, w: &W, ps: &mut ParamSet) -> (StepOutcome, Vec<W::Extra>) {
+        self.drive(w, ps, |ps, _, s| run_tape(w.record(ps, s), ps, |_| ()).1)
+    }
+
+    /// [`Executor::step`] with per-shard plan replay: each shard looks up
+    /// its [`ShardStep::plan_key`] in `cache` and replays the plan found;
+    /// on first sight of the key it records its tape as
+    /// [`Executor::step`] does, compiles that finished tape into the plan
+    /// it caches, and returns the tape's result. The two steps share every
+    /// other line, so they are interchangeable step by step — including
+    /// mid-run shape changes, which simply miss the cache and capture fresh
+    /// plans.
+    pub fn step_planned<W: ShardStep>(
+        &self,
+        w: &W,
+        ps: &mut ParamSet,
+        cache: &PlanCache<StepPlan>,
+    ) -> (StepOutcome, Vec<W::Extra>) {
+        self.drive(w, ps, |ps, i, s| {
+            // Shard i's slot is only ever touched by shard task i, so the
+            // slot lock is uncontended; it exists to keep `PlanCache` Sync
+            // across the worker threads.
+            let capture = || {
+                let (plan, out) = run_tape(w.record(ps, s), ps, |t| {
+                    StepPlan::capture(&t.graph, &t.binding, t.loss, &t.outputs)
+                });
+                // Pre-size this worker's buffer pool to the plan's exact
+                // peak live set, so even the *first* replay allocates
+                // nothing. The capture runs on the shard's worker thread,
+                // so the prewarm (thread-local free list) lands where the
+                // replays will run.
+                legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
+                (plan, out)
+            };
+            cache.with_plan(i, w.plan_key(s), capture, |plan| {
+                let (loss, extra) = w.replay(ps, plan, s);
+                replayed(plan, ps, loss, extra)
+            })
+        })
+    }
+
+    /// The one body of both steps: split, run `shard` on every shard (given the
+    /// parameters, the shard index and the shard) with the streaming
+    /// reduce, apply the combined gradient.
+    fn drive<W: ShardStep>(
+        &self,
+        w: &W,
+        ps: &mut ParamSet,
+        shard: impl Fn(&ParamSet, usize, &W::Shard) -> ShardOut<W::Extra> + Sync,
+    ) -> (StepOutcome, Vec<W::Extra>) {
+        let shards = w.split(self);
+        let weights: Vec<f64> = shards.iter().map(|s| w.weight(s)).collect();
+        let ps_ref: &ParamSet = ps;
+        let (grads, mut out, extras) =
+            self.run_shards(w.reduce(), &shards, &weights, |i, s| shard(ps_ref, i, s));
+        out.grad_sq_norm = grads.apply_with_sq_norm(ps);
+        (out, extras)
+    }
+}
+
+/// A recorded shard tape's result: backward from its loss, `then` on the
+/// finished tape (a plan-cache miss compiles it there), and the tape's
+/// gradients drained into a fresh buffer.
+fn run_tape<E, P>(
+    mut t: ShardTape<E>,
+    ps: &ParamSet,
+    then: impl FnOnce(&ShardTape<E>) -> P,
+) -> (P, ShardOut<E>) {
+    t.graph.backward(t.loss);
+    let then = then(&t);
+    let mut grads = GradBuffer::for_params(ps);
+    t.binding.write_grads_to(&t.graph, &mut grads);
+    (then, ShardOut { grads, loss: t.value, extra: t.extra })
+}
+
+/// A replayed shard's result: the gradients the replay left in `plan`,
+/// drained into a fresh buffer.
+fn replayed<E>(plan: &StepPlan, ps: &ParamSet, loss: f64, extra: E) -> ShardOut<E> {
+    let mut grads = GradBuffer::for_params(ps);
+    plan.write_grads_to(&mut grads);
+    ShardOut { grads, loss, extra }
 }
 
 #[cfg(test)]
@@ -432,25 +495,35 @@ mod tests {
         assert!(out.diverged);
     }
 
-    /// The streaming reduce of a parallel executor against the serial
-    /// executor's post-barrier `tree_reduce`, for both `Reduce` kinds.
+    /// The streaming reduce of the serial and a parallel executor against
+    /// the post-barrier `tree_reduce` of the same scaled buffers, for both
+    /// `Reduce` kinds.
     #[test]
-    fn parallel_executor_matches_serial_bitwise() {
-        let serial = serial();
+    fn streaming_reduce_matches_post_barrier_tree_bitwise() {
+        use crate::reduce_sched::tree_reduce;
         let parallel = Executor::new(ExecConfig::default().with_shards(4));
         let cases = [(0.3f32, 1.0, 2.0), (0.7, 2.0, 3.0), (0.11, 3.0, 1.0), (0.013, 0.5, 5.0)];
         for reduce in [Reduce::WeightedMean, Reduce::Sum] {
             // An odd and an even shard count.
             for shards in [&cases[..3], &cases[..]] {
-                let (gs, os) = run_synthetic(&serial, reduce, shards);
-                for _ in 0..3 {
-                    let (gp, op) = run_synthetic(&parallel, reduce, shards);
-                    assert_eq!(
-                        gs.to_bits(),
-                        gp.to_bits(),
-                        "tree reduce must not depend on worker timing"
-                    );
-                    assert_eq!(os.loss.to_bits(), op.loss.to_bits());
+                let mut ps = ParamSet::new();
+                let id = ps.add("w", Tensor::zeros(&[1]));
+                let total: f64 = shards.iter().map(|c| c.2).sum();
+                let frac = |w: f64| if reduce == Reduce::WeightedMean { w / total } else { 1.0 };
+                let bufs = shards.iter().map(|&(g, _, w)| {
+                    let mut buf = GradBuffer::for_params(&ps);
+                    buf.accumulate(id, &Tensor::from_vec(vec![g], &[1]));
+                    if reduce == Reduce::WeightedMean {
+                        buf.scale(frac(w) as f32);
+                    }
+                    buf
+                });
+                let want = tree_reduce(bufs.collect()).get(id).unwrap().as_slice()[0];
+                let loss: f64 = shards.iter().map(|&(_, l, w)| frac(w) * l).sum();
+                for exec in [&serial(), &parallel, &parallel, &parallel] {
+                    let (g, out) = run_synthetic(exec, reduce, shards);
+                    assert_eq!(g.to_bits(), want.to_bits(), "the tree must not depend on timing");
+                    assert_eq!(out.loss.to_bits(), loss.to_bits());
                 }
             }
         }

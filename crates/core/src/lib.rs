@@ -16,13 +16,15 @@
 //!   shard gradients are combined with a deterministic fixed-order tree
 //!   reduction — streamed through [`reduce_sched`] as shards complete —
 //!   before the single optimizer step. The four workloads' steps plug in
-//!   via the one [`steps::ShardStep`] trait (split, weigh, run on the tape,
-//!   key, capture, replay).
+//!   via the one [`steps::ShardStep`] trait (split, weigh, reduce, key,
+//!   record a tape, replay a plan); the executor turns a recorded tape into
+//!   gradients, or into a plan.
 //! * [`plan_cache`] — compiled execution plans: the first recorded step
 //!   per (worker, shape) — forward and backward, one tape — is compiled
 //!   into a `legw_autograd` plan and replayed tape-free and
 //!   allocation-free by [`exec::Executor::step_planned`] from then on. A
-//!   capture that fails is a bug and panics; there is no tape fallback.
+//!   capture cannot fail: a mis-specified one is a bug and panics, and
+//!   there is no tape fallback.
 //! * [`eval`] — the one held-out evaluation sweep of each model family
 //!   (`Executor::eval_*`), sharded like training.
 //! * [`apps`] — the Table 1 registry: per-application synthetic dataset
@@ -58,5 +60,5 @@ pub mod tuning;
 
 pub use exec::{ExecConfig, Executor, StepOutcome};
 pub use plan_cache::PlanCache;
-pub use steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
+pub use steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep, ShardTape};
 pub use trainer::{train, TrainReport, Workload};

@@ -4,6 +4,8 @@
 //! right roughly linearly with batch size, so warmup should lengthen
 //! linearly in epochs.
 
+use crate::exec::{ExecConfig, Executor};
+use crate::steps::MnistStep;
 use crate::trainer::{env_executor, train, MnistWorkload};
 use legw_data::SynthMnist;
 use legw_models::MnistLstm;
@@ -96,10 +98,11 @@ pub fn mnist_lipschitz_trace(
 
     let probe_idx: Vec<usize> = (0..probe_batch.min(data.train.len())).collect();
     let (probe_x, probe_y) = data.train.gather(&probe_idx);
+    // The probe's gradient is one serial tape step: the same bits at any
+    // shard count the training run uses.
+    let serial = Executor::new(ExecConfig::default());
     let mut grad_fn = |ps: &mut ParamSet| {
-        let (mut g, bd, loss, _) = model.forward_loss(ps, &probe_x, &probe_y);
-        g.backward(loss);
-        bd.write_grads(&g, ps);
+        serial.step(&MnistStep { model: &model, bx: &probe_x, by: &probe_y }, ps);
     };
 
     let ipe = data.train.iters_per_epoch(schedule.batch_size());

@@ -1,30 +1,21 @@
-//! Compiled-plan execution of the sharded training step.
+//! The shape-keyed store of compiled training-step plans.
 //!
-//! [`Executor::step`] rebuilds a fresh autograd tape per shard per step.
-//! For the shape-static workloads that tape is identical every step modulo
-//! the batch data, so `legw-autograd`'s `Plan` can freeze one step's tape
-//! into a static schedule and replay it with zero tape recording and
-//! (steady-state) zero pool allocation. This module threads that through
-//! the executor:
-//!
-//! * [`PlanCache`] — one key→plan map per shard index. Keying by shard
-//!   index keeps replay buffers thread-local (a plan's arena is mutable
-//!   scratch) and keying by shape ([`ShardStep::plan_key`]) makes ragged
-//!   tails safe: a partial final batch simply captures its own plan, it
-//!   never replays a mismatched one.
-//! * [`Executor::step_planned`] — drop-in variant of [`Executor::step`]:
-//!   per shard, look up the plan and [`ShardStep::replay`] it; on a miss,
-//!   [`ShardStep::capture`] runs the shard's tape step — the reference
-//!   path — compiles that same tape, and returns its result. Identical
-//!   reduction, loss bookkeeping, and gradient application.
+//! [`Executor::step`] records a fresh autograd tape per shard per step. For
+//! the shape-static workloads that tape is identical every step modulo the
+//! batch data, so `legw-autograd`'s `Plan` can freeze one step's tape into
+//! a static schedule and replay it with zero tape recording and
+//! (steady-state) zero pool allocation. [`Executor::step_planned`] looks
+//! each shard's plan up in a [`PlanCache`]: one key→plan map per shard
+//! index. Keying by shard index keeps replay buffers thread-local (a plan's
+//! arena is mutable replay state) and keying by shape
+//! ([`ShardStep::plan_key`](crate::ShardStep::plan_key)) makes ragged tails
+//! safe: a partial final batch simply captures its own plan, it never
+//! replays a mismatched one.
 //!
 //! First sight of a key costs one tape step plus the compile; every later
 //! step with that key skips tape construction entirely.
 
-use crate::exec::{Executor, StepOutcome};
-use crate::steps::ShardStep;
-use legw_models::StepPlan;
-use legw_nn::ParamSet;
+use crate::exec::Executor;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -78,16 +69,6 @@ impl<P> PlanCache<P> {
         Self::new(exec.shards())
     }
 
-    /// Number of shard slots this cache was built for.
-    pub fn shard_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Per-slot plan capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Total number of cached plans across all shard slots.
     pub fn len(&self) -> usize {
         self.slots.iter().map(|s| s.lock().unwrap().map.len()).sum()
@@ -116,6 +97,8 @@ impl<P> PlanCache<P> {
         capture: impl FnOnce() -> (P, R),
         replay: impl FnOnce(&mut P) -> R,
     ) -> R {
+        let slots = self.slots.len();
+        assert!(slot < slots, "plan cache has {slots} shard slots; shard {slot} asked for one");
         let mut guard = self.slots[slot].lock().unwrap();
         let s = &mut *guard;
         s.tick += 1;
@@ -141,46 +124,32 @@ impl<P> PlanCache<P> {
     }
 }
 
-impl Executor {
-    /// [`Executor::step`] with per-shard plan replay: each shard looks up
-    /// its [`ShardStep::plan_key`] in `cache` and replays the plan found;
-    /// on first sight it runs its tape step, compiles that tape into the
-    /// plan it caches, and returns the tape step's result. Reduction and
-    /// gradient application are shared with [`Executor::step`], so the two
-    /// are interchangeable step-by-step — including mid-run shape changes,
-    /// which simply miss the cache and capture fresh plans.
-    pub fn step_planned<W: ShardStep>(
-        &self,
-        w: &W,
-        ps: &mut ParamSet,
-        cache: &PlanCache<StepPlan>,
-    ) -> (StepOutcome, Vec<W::Extra>) {
-        let shards = w.split(self);
-        assert!(
-            shards.len() <= cache.shard_slots(),
-            "plan cache has {} shard slots but the step split into {}",
-            cache.shard_slots(),
-            shards.len()
-        );
-        let weights: Vec<f64> = shards.iter().map(|s| w.weight(s)).collect();
-        let ps_ref: &ParamSet = ps;
-        let (grads, mut out, extras) = self.run_shards(w.reduce(), &shards, &weights, |i, s| {
-            // Shard i's slot is only ever touched by shard task i, so the
-            // slot lock is uncontended; it exists to keep `PlanCache` Sync
-            // across the worker threads.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A two-plan slot evicts its least recently used plan, a hit
+    /// refreshes recency, and only a miss runs the capture.
+    #[test]
+    fn bounded_cache_evicts_the_least_recently_used_plan() {
+        let cache: PlanCache<usize> = PlanCache::with_capacity(1, 2);
+        let captures = std::cell::Cell::new(0);
+        // Captures the plan `key · 10`; every use returns the plan it ran.
+        let run = |key: usize| {
             let capture = || {
-                let (plan, out) = w.capture(ps_ref, i, s);
-                // Pre-size this worker's buffer pool to the plan's exact
-                // peak live set, so even the *first* replay allocates
-                // nothing. The capture runs on the shard's worker thread, so
-                // the prewarm (thread-local free list) lands where the
-                // replays will run.
-                legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
-                (plan, out)
+                captures.set(captures.get() + 1);
+                (key * 10, key * 10)
             };
-            cache.with_plan(i, w.plan_key(s), capture, |p| w.replay(ps_ref, p, s))
-        });
-        out.grad_sq_norm = grads.apply_with_sq_norm(ps);
-        (out, extras)
+            cache.with_plan(0, vec![key], capture, |p| *p)
+        };
+        assert_eq!((run(1), run(2), run(1)), (10, 20, 10));
+        assert_eq!((cache.len(), captures.get()), (2, 2), "a hit does not capture");
+        // Key 2 is now the least recently used: key 3 evicts it.
+        run(3);
+        assert_eq!((cache.len(), captures.get()), (2, 3));
+        run(1);
+        assert_eq!(captures.get(), 3, "key 1 survived the eviction");
+        assert_eq!(run(2), 20, "an evicted key captures again");
+        assert_eq!((cache.len(), captures.get()), (2, 4));
     }
 }

@@ -1,35 +1,57 @@
 //! The four training workloads as pluggable [`ShardStep`] implementations.
 //!
-//! A workload says how to *split* its batch, what each shard *weighs*, how
-//! to *run* one shard on a fresh tape, and how to *key*, *capture* and
-//! *replay* that shard as a compiled plan. The executor owns the rest —
-//! shard scheduling, the gradient reduction, applying the combined
-//! gradient — in two drivers over the one trait: [`Executor::step`] runs
-//! every shard on the tape (the reference the bitwise suites compare
-//! against), [`Executor::step_planned`](crate::plan_cache) replays cached
-//! plans — compiling a shard's tape step the first time its shape is
-//! seen — and is what [`crate::trainer::train`] steps through.
+//! A workload says what differs per family: how to *split* its batch, what
+//! each shard *weighs*, how shard results *reduce*, how to *record* one
+//! shard's forward on a fresh tape, and how to *key* and *replay* that
+//! shard as a compiled plan. The executor owns everything else, once — the
+//! backward and gradient drain of a recorded tape, the compile of that tape
+//! on a plan-cache miss, the drain after a replay, shard scheduling, the
+//! gradient reduction and applying the combined gradient. Its two entry
+//! points share every other line and differ only in the per-shard body:
+//! [`Executor::step`] runs every shard's tape (the reference the bitwise
+//! suites compare against), [`Executor::step_planned`] replays cached
+//! plans and is what [`crate::trainer::train`] steps through.
 //!
 //! Workload-specific post-processing stays next to the workload:
 //! [`PtbStep::merge_states`] reassembles the carried LSTM state and
 //! [`ResnetStep::fold_stats`] folds shard BatchNorm statistics back into
 //! the model.
 
-use crate::exec::{Executor, Reduce, ShardOut, StepOutcome};
+use crate::exec::{Executor, Reduce};
 use legw_autograd::{Graph, Var};
 use legw_data::{LmBatch, TranslationBatch};
 use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, StepPlan};
-use legw_nn::{Binding, DropCtx, GradBuffer, ParamSet};
+use legw_nn::{Binding, DropCtx, ParamSet};
 use legw_tensor::Tensor;
 use std::sync::Mutex;
 
+/// One shard's forward, recorded on its own tape: what
+/// [`ShardStep::record`] returns and the executor turns into gradients —
+/// and, on a plan-cache miss, into the plan that replays the shard.
+pub struct ShardTape<E> {
+    /// The tape, its forward recorded.
+    pub graph: Graph,
+    /// The parameters the tape bound.
+    pub binding: Binding,
+    /// The scalar loss the backward starts from.
+    pub loss: Var,
+    /// The loss value the shard reports (per [`Reduce`] semantics).
+    pub value: f64,
+    /// The tape values a replay reads back (the plan's outputs), in the
+    /// order [`ShardStep::replay`] reads them.
+    pub outputs: Vec<Var>,
+    /// The shard's extra payload (e.g. the carried LSTM state).
+    pub extra: E,
+}
+
 /// One data-parallel training workload: how a batch splits into shards and
-/// how one shard computes its loss and gradients. Implementations are
-/// borrowed views over the model + batch, built per step.
+/// how one shard records its forward or replays its plan. Implementations
+/// are borrowed views over the model + batch, built per step.
 pub trait ShardStep: Sync {
     /// Per-shard owned work item (sliced inputs, shard state, …).
     type Shard: Sync;
-    /// Per-shard result payload returned alongside the [`StepOutcome`].
+    /// Per-shard result payload returned alongside the
+    /// [`StepOutcome`](crate::exec::StepOutcome).
     type Extra: Send;
 
     /// How shard gradients and losses combine.
@@ -42,74 +64,22 @@ pub trait ShardStep: Sync {
     /// one shard. Ignored for [`Reduce::Sum`] workloads.
     fn weight(&self, shard: &Self::Shard) -> f64;
 
-    /// Forward + backward for one shard. Must be deterministic per shard —
-    /// the executor may run it on any worker thread.
-    fn run_shard(&self, ps: &ParamSet, index: usize, shard: &Self::Shard)
-        -> ShardOut<Self::Extra>;
-
     /// The plan-cache key identifying this shard's tape structure. Two
-    /// shards of one workload with equal keys must build structurally
+    /// shards of one workload with equal keys must record structurally
     /// identical tapes (same ops, same shapes) — only the fed data may
     /// differ.
     fn plan_key(&self, shard: &Self::Shard) -> Vec<usize>;
 
-    /// [`ShardStep::run_shard`], with the tape it ran compiled: the plan
-    /// that replays this shard's shape, and the tape step's own result. A
-    /// capture that fails is a bug in the workload, and panics with its
-    /// cause.
-    fn capture(&self, ps: &ParamSet, index: usize, shard: &Self::Shard)
-        -> (StepPlan, ShardOut<Self::Extra>);
+    /// Records one shard's forward and loss on a fresh tape. Must be
+    /// deterministic per shard — the executor may run it on any worker
+    /// thread.
+    fn record(&self, ps: &ParamSet, shard: &Self::Shard) -> ShardTape<Self::Extra>;
 
-    /// Replays the captured plan for one shard. Must produce the same
-    /// [`ShardOut`] as [`ShardStep::run_shard`], bitwise.
+    /// Replays the plan compiled from this shard's [`ShardStep::record`]
+    /// tape, forward and backward, and returns the shard's `(loss, extra)`:
+    /// bitwise what the tape reports.
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, shard: &Self::Shard)
-        -> ShardOut<Self::Extra>;
-}
-
-impl Executor {
-    /// One sharded training step of any [`ShardStep`] workload: split, run
-    /// shards (streaming the gradient reduction as they complete), apply
-    /// the combined gradient into `ps.grad` with the fused Σg² sweep.
-    /// Returns the outcome plus the per-shard extras in shard order. The
-    /// caller clips/steps/zeroes as usual.
-    pub fn step<W: ShardStep>(&self, w: &W, ps: &mut ParamSet) -> (StepOutcome, Vec<W::Extra>) {
-        let shards = w.split(self);
-        let weights: Vec<f64> = shards.iter().map(|s| w.weight(s)).collect();
-        let ps_ref: &ParamSet = ps;
-        let (grads, mut out, extras) =
-            self.run_shards(w.reduce(), &shards, &weights, |i, s| w.run_shard(ps_ref, i, s));
-        out.grad_sq_norm = grads.apply_with_sq_norm(ps);
-        (out, extras)
-    }
-}
-
-/// Shared tail of every tape shard body: backward, drain the tape's
-/// gradients into a fresh buffer.
-fn collect_grads(mut g: Graph, bd: Binding, loss: Var, ps: &ParamSet) -> GradBuffer {
-    g.backward(loss);
-    drain(&g, &bd, ps)
-}
-
-/// The gradients of a tape whose backward has run, in a fresh buffer.
-fn drain(g: &Graph, bd: &Binding, ps: &ParamSet) -> GradBuffer {
-    let mut buf = GradBuffer::for_params(ps);
-    bd.write_grads_to(g, &mut buf);
-    buf
-}
-
-/// [`collect_grads`], with the tape then compiled into the plan replaying it.
-fn compile(mut g: Graph, bd: Binding, loss: Var, ps: &ParamSet) -> (StepPlan, GradBuffer) {
-    g.backward(loss);
-    let plan = StepPlan::capture(&g, &bd, loss, &[]).expect("a training step tape captures");
-    (plan, drain(&g, &bd, ps))
-}
-
-/// Shared tail of every replayed shard body: drain the plan's gradients
-/// into a fresh buffer.
-fn plan_grads(plan: &StepPlan, ps: &ParamSet) -> GradBuffer {
-    let mut buf = GradBuffer::for_params(ps);
-    plan.write_grads_to(&mut buf);
-    buf
+        -> (f64, Self::Extra);
 }
 
 /// The MNIST-LSTM classifier step.
@@ -143,31 +113,18 @@ impl ShardStep for MnistStep<'_> {
         shard.1.len() as f64
     }
 
-    fn run_shard(&self, ps: &ParamSet, _i: usize, (sx, sy): &Self::Shard) -> ShardOut<()> {
-        let (g, bd, loss, _) = self.model.forward_loss(ps, sx, sy);
-        let lv = g.value(loss).item() as f64;
-        ShardOut { grads: collect_grads(g, bd, loss, ps), loss: lv, extra: () }
-    }
-
     fn plan_key(&self, (_, sy): &Self::Shard) -> Vec<usize> {
         vec![sy.len()]
     }
 
-    fn capture(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sx, sy): &Self::Shard,
-    ) -> (StepPlan, ShardOut<()>) {
-        let (g, bd, loss, _) = self.model.forward_loss(ps, sx, sy);
-        let lv = g.value(loss).item() as f64;
-        let (plan, grads) = compile(g, bd, loss, ps);
-        (plan, ShardOut { grads, loss: lv, extra: () })
+    fn record(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> ShardTape<()> {
+        let (graph, binding, loss, _) = self.model.forward_loss(ps, sx, sy);
+        let value = graph.value(loss).item() as f64;
+        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra: () }
     }
 
-    fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sx, sy): &Self::Shard) -> ShardOut<()> {
-        let loss = self.model.replay_step_plan(plan, ps, sx, sy) as f64;
-        ShardOut { grads: plan_grads(plan, ps), loss, extra: () }
+    fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sx, sy): &Self::Shard) -> (f64, ()) {
+        (self.model.replay_step_plan(plan, ps, sx, sy) as f64, ())
     }
 }
 
@@ -243,33 +200,19 @@ impl ShardStep for PtbStep<'_> {
         shard.0.tracks() as f64
     }
 
-    fn run_shard(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sw, ss, row0): &Self::Shard,
-    ) -> ShardOut<LmState> {
-        let ctx = self.drop_ctx(*row0);
-        let (g, bd, loss, nll, next) = self.model.forward_loss_with(ps, sw, ss, ctx.as_ref());
-        ShardOut { grads: collect_grads(g, bd, loss, ps), loss: nll, extra: next }
-    }
-
     /// Tracks × window length × dropout arity. Dropout masks are feeds, so
     /// the *step* is not part of the key — one plan serves the whole run.
     fn plan_key(&self, (sw, _, _): &Self::Shard) -> Vec<usize> {
         vec![sw.tracks(), sw.inputs.len(), usize::from(self.drop.is_some())]
     }
 
-    fn capture(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sw, ss, row0): &Self::Shard,
-    ) -> (StepPlan, ShardOut<LmState>) {
+    /// The window's tape, with the final per-layer `[h, c]` as the values a
+    /// replay reads back: the state it carries into the next window.
+    fn record(&self, ps: &ParamSet, (sw, ss, row0): &Self::Shard) -> ShardTape<LmState> {
         let ctx = self.drop_ctx(*row0);
-        let (plan, (g, bd, _, nll, next)) =
-            self.model.capture_window_plan(ps, sw, ss, ctx.as_ref());
-        (plan, ShardOut { grads: drain(&g, &bd, ps), loss: nll, extra: next })
+        let (graph, binding, loss, value, extra, outputs) =
+            self.model.forward_loss_with(ps, sw, ss, ctx.as_ref());
+        ShardTape { graph, binding, loss, value, outputs, extra }
     }
 
     fn replay(
@@ -277,10 +220,9 @@ impl ShardStep for PtbStep<'_> {
         ps: &ParamSet,
         plan: &mut StepPlan,
         (sw, ss, row0): &Self::Shard,
-    ) -> ShardOut<LmState> {
+    ) -> (f64, LmState) {
         let ctx = self.drop_ctx(*row0);
-        let (nll, next) = self.model.replay_window_plan(plan, ps, sw, ss, ctx.as_ref());
-        ShardOut { grads: plan_grads(plan, ps), loss: nll, extra: next }
+        self.model.replay_window_plan(plan, ps, sw, ss, ctx.as_ref())
     }
 }
 
@@ -332,11 +274,6 @@ impl ShardStep for Seq2SeqStep<'_> {
         shard.0.batch_size() as f64
     }
 
-    fn run_shard(&self, ps: &ParamSet, _i: usize, (sb, scale): &Self::Shard) -> ShardOut<()> {
-        let (g, bd, loss, nll) = self.model.forward_loss_scaled(ps, sb, scale.as_deref());
-        ShardOut { grads: collect_grads(g, bd, loss, ps), loss: nll, extra: () }
-    }
-
     /// Batch size × source length × decode steps × sharded. The loss
     /// scales are plan inputs, so their values are not part of the key —
     /// one plan per shard slot serves the whole run.
@@ -344,25 +281,14 @@ impl ShardStep for Seq2SeqStep<'_> {
         vec![sb.batch_size(), sb.src.len(), sb.dec_in.len(), usize::from(scale.is_some())]
     }
 
-    fn capture(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sb, scale): &Self::Shard,
-    ) -> (StepPlan, ShardOut<()>) {
-        let (g, bd, loss, nll) = self.model.forward_loss_scaled(ps, sb, scale.as_deref());
-        let (plan, grads) = compile(g, bd, loss, ps);
-        (plan, ShardOut { grads, loss: nll, extra: () })
+    fn record(&self, ps: &ParamSet, (sb, scale): &Self::Shard) -> ShardTape<()> {
+        let (graph, binding, loss, value) =
+            self.model.forward_loss_scaled(ps, sb, scale.as_deref());
+        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra: () }
     }
 
-    fn replay(
-        &self,
-        ps: &ParamSet,
-        plan: &mut StepPlan,
-        (sb, scale): &Self::Shard,
-    ) -> ShardOut<()> {
-        let loss = self.model.replay_step_plan(plan, ps, sb, scale.as_deref());
-        ShardOut { grads: plan_grads(plan, ps), loss, extra: () }
+    fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sb, scale): &Self::Shard) -> (f64, ()) {
+        (self.model.replay_step_plan(plan, ps, sb, scale.as_deref()), ())
     }
 }
 
@@ -422,37 +348,18 @@ impl ShardStep for ResnetStep<'_> {
         shard.1.len() as f64
     }
 
-    fn run_shard(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sx, sy, cell): &Self::Shard,
-    ) -> ShardOut<(f32, ResNet)> {
-        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
-        let (g, bd, loss, _) = m.forward_loss(ps, sx, sy);
-        let lv = g.value(loss).item() as f64;
-        ShardOut {
-            grads: collect_grads(g, bd, loss, ps),
-            loss: lv,
-            extra: (sy.len() as f32, m),
-        }
-    }
-
     fn plan_key(&self, (sx, _, _): &Self::Shard) -> Vec<usize> {
         sx.shape().to_vec()
     }
 
-    fn capture(
-        &self,
-        ps: &ParamSet,
-        _i: usize,
-        (sx, sy, cell): &Self::Shard,
-    ) -> (StepPlan, ShardOut<(f32, ResNet)>) {
+    /// The forward runs on the shard clone, which keeps the tape's
+    /// BatchNorm running-statistics update.
+    fn record(&self, ps: &ParamSet, (sx, sy, cell): &Self::Shard) -> ShardTape<(f32, ResNet)> {
         let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
-        let (g, bd, loss, _) = m.forward_loss(ps, sx, sy);
-        let lv = g.value(loss).item() as f64;
-        let (plan, grads) = compile(g, bd, loss, ps);
-        (plan, ShardOut { grads, loss: lv, extra: (sy.len() as f32, m) })
+        let (graph, binding, loss, _) = m.forward_loss(ps, sx, sy);
+        let value = graph.value(loss).item() as f64;
+        let extra = (sy.len() as f32, m);
+        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra }
     }
 
     /// Replays fold the step's BatchNorm batch statistics into the shard
@@ -462,10 +369,10 @@ impl ShardStep for ResnetStep<'_> {
         ps: &ParamSet,
         plan: &mut StepPlan,
         (sx, sy, cell): &Self::Shard,
-    ) -> ShardOut<(f32, ResNet)> {
+    ) -> (f64, (f32, ResNet)) {
         let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
         let loss = m.replay_step_plan(plan, ps, sx, sy) as f64;
-        ShardOut { grads: plan_grads(plan, ps), loss, extra: (sy.len() as f32, m) }
+        (loss, (sy.len() as f32, m))
     }
 }
 

@@ -8,13 +8,13 @@
 //! buffers are one shared buffer, so their op state is the largest single
 //! op's buffer.
 
-use legw::{ExecConfig, Executor, MnistStep, Seq2SeqStep, ShardStep};
+use legw::{DropPlan, ExecConfig, Executor, MnistStep, PtbStep, Seq2SeqStep, ShardStep};
 use legw_autograd::PlanStats;
 use legw_data::{SynthImageNet, SynthMnist, SynthPtb, SynthTranslation, TranslationBatch};
 use legw_models::{
     Infer, LmState, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig, StepPlan,
 };
-use legw_nn::{DropCtx, ParamSet};
+use legw_nn::ParamSet;
 use legw_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +104,8 @@ const GOLDEN: [Golden; 10] = [
 /// six training steps — MNIST 128/128 at batch 32 and one shard of batch
 /// 256 on two; ResNet width 8 on 16×16 inputs, 12 classes, batch 128;
 /// seq2seq 32/32/24 at batch 16, whole and one shard of two; one PTB window
-/// with dropout — then the serving plans the benchmark's engines capture
+/// with dropout, recorded by its `ShardStep` and compiled as the executor
+/// compiles it on a plan-cache miss — then the serving plans the benchmark's engines capture
 /// for a 64-row batch: the MNIST and ResNet (32×32 requests) forwards, and
 /// the seq2seq encoder and decoder step.
 fn programs() -> Vec<(String, PlanStats)> {
@@ -149,8 +150,12 @@ fn programs() -> Vec<(String, PlanStats)> {
     let mut ps = ParamSet::new();
     let model = PtbLm::new(&mut ps, &mut StdRng::seed_from_u64(23), cfg);
     let window = &ptb.batches(true, 8, 6)[0];
-    let ctx = DropCtx { seed: 77, step: 0, row0: 0 };
-    plans.push(model.capture_window_plan(&ps, window, &LmState::zeros(&cfg, 8), Some(&ctx)).0);
+    let state = LmState::zeros(&cfg, 8);
+    let drop = Some(DropPlan { seed: 77, step: 0 });
+    let step = PtbStep { model: &model, window, state: &state, drop };
+    let mut tape = step.record(&ps, &step.split(&Executor::new(ExecConfig::default()))[0]);
+    tape.graph.backward(tape.loss);
+    plans.push(StepPlan::capture(&tape.graph, &tape.binding, tape.loss, &tape.outputs));
 
     let serving = [&mnist_serve, &resnet_serve, seq2seq_serve.encoder(), seq2seq_serve.step()];
     plans.iter().chain(serving).map(|p| (p.describe(), p.stats())).collect()

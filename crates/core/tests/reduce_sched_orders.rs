@@ -2,10 +2,10 @@
 //! ([`legw::reduce_sched`]): whatever order shard buffers arrive in, the
 //! scheduler must produce the *bit-identical* result of the serial
 //! fixed-order tree reduce — and a parallel executor's streaming reduce
-//! must be byte-equal to the serial executor's post-barrier reduce for
-//! every training workload.
+//! must be byte-equal to the post-barrier [`tree_reduce`] of the same
+//! scaled shard buffers for every training workload.
 
-use legw::exec::{ExecConfig, Executor};
+use legw::exec::{ExecConfig, Executor, Reduce};
 use legw::reduce_sched::{tree_reduce, ReduceScheduler};
 use legw::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
 use legw_data::{SynthMnist, SynthTranslation};
@@ -130,7 +130,7 @@ fn concurrent_completions_from_real_threads_match_serial_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel executor (streaming) vs serial executor (post-barrier): byte-equal
+// Parallel executor (streaming) vs the post-barrier tree reduce: byte-equal
 // for all four workloads.
 
 /// Shard counts exercised, including a prime and one exceeding some
@@ -142,8 +142,9 @@ fn grad_bits(ps: &ParamSet) -> Vec<u32> {
 }
 
 /// One step of `w` split for a `shards`-wide parallel executor. `streaming`
-/// runs it there; otherwise the *same* shards go through the serial
-/// executor, whose reduce is the post-barrier [`tree_reduce`].
+/// runs it there; otherwise the *same* shards' tapes are recorded, run
+/// backward and scaled here, in shard order, and combined by the
+/// post-barrier [`tree_reduce`].
 fn step_with<W: ShardStep>(
     shards: usize,
     streaming: bool,
@@ -156,12 +157,25 @@ fn step_with<W: ShardStep>(
         return (out.loss.to_bits(), extras);
     }
     let split = w.split(&parallel);
-    let weights: Vec<f64> = split.iter().map(|s| w.weight(s)).collect();
-    let ps_ref: &ParamSet = ps;
-    let (grads, out, extras) = Executor::new(ExecConfig::default())
-        .run_shards(w.reduce(), &split, &weights, |i, s| w.run_shard(ps_ref, i, s));
-    grads.apply_with_sq_norm(ps);
-    (out.loss.to_bits(), extras)
+    let total: f64 = split.iter().map(|s| w.weight(s)).sum();
+    let weighted = split.len() > 1 && w.reduce() == Reduce::WeightedMean;
+    let (mut bufs, mut loss, mut extras) = (Vec::new(), 0.0, Vec::new());
+    for s in &split {
+        let mut tape = w.record(ps, s);
+        tape.graph.backward(tape.loss);
+        let mut buf = GradBuffer::for_params(ps);
+        tape.binding.write_grads_to(&tape.graph, &mut buf);
+        let frac = w.weight(s) / total;
+        if weighted {
+            buf.scale(frac as f32);
+        }
+        // One shard reports its loss unscaled, as `0.0 + l` is `l`.
+        loss += if weighted { frac * tape.value } else { tape.value };
+        bufs.push(buf);
+        extras.push(tape.extra);
+    }
+    tree_reduce(bufs).apply_with_sq_norm(ps);
+    (loss.to_bits(), extras)
 }
 
 fn mnist_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {

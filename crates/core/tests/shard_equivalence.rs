@@ -141,6 +141,85 @@ fn fused_grad_norm_matches_explicit_sweep() {
     }
 }
 
+/// Applies and zeroes `ps`'s gradients as one plain SGD step.
+fn sgd_apply(ps: &mut ParamSet, lr: f32) {
+    for (_, p) in ps.iter_mut() {
+        let gr = p.grad.clone();
+        p.value.axpy(-lr, &gr);
+        p.grad.fill_(0.0);
+    }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-4 * (1.0 + b.abs())
+}
+
+/// Short SGD curves through the executor at shards {1, 2, 4} follow the
+/// serial curve on the models' own tapes within 1e-4 relative, for a fixed
+/// MNIST batch and for PTB windows whose state is carried (and merged back
+/// from the shards) across steps. The models' unit tests hold the same
+/// serial curves to their stepwise LSTM references.
+#[test]
+fn sharded_training_curves_follow_the_serial_curve() {
+    use legw_models::{LmState, PtbLm, PtbLmConfig};
+
+    let data = SynthMnist::generate(41, 64, 16);
+    let (bx, by) = data.train.gather(&(0..32).collect::<Vec<_>>());
+    let mut ps0 = ParamSet::new();
+    let model = MnistLstm::new(&mut ps0, &mut StdRng::seed_from_u64(17), 12, 12);
+    let mut ps = ps0.clone();
+    let serial: Vec<f64> = (0..6)
+        .map(|_| {
+            let (mut g, bd, loss, _) = model.forward_loss(&ps, &bx, &by);
+            let lv = g.value(loss).item() as f64;
+            g.backward(loss);
+            bd.write_grads(&g, &mut ps);
+            sgd_apply(&mut ps, 0.2);
+            lv
+        })
+        .collect();
+    for shards in [1usize, 2, 4] {
+        let mut ps = ps0.clone();
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
+        for (t, &r) in serial.iter().enumerate() {
+            let (out, _) = exec.step(&MnistStep { model: &model, bx: &bx, by: &by }, &mut ps);
+            assert!(!out.diverged);
+            assert!(close(out.loss, r), "mnist shards={shards} step {t}: {} vs {r}", out.loss);
+            sgd_apply(&mut ps, 0.2);
+        }
+    }
+
+    let data = legw_data::SynthPtb::generate(43, 30, 4, 4000, 800);
+    let cfg = PtbLmConfig { vocab: 30, embed: 12, hidden: 12, layers: 2, keep: 1.0 };
+    let mut ps0 = ParamSet::new();
+    let model = PtbLm::new(&mut ps0, &mut StdRng::seed_from_u64(19), cfg);
+    let windows = &data.batches(true, 8, 6)[..6];
+    let (mut ps, mut state) = (ps0.clone(), LmState::zeros(&cfg, 8));
+    let serial: Vec<f64> = windows
+        .iter()
+        .map(|w| {
+            let (mut g, bd, loss, nll, next) = model.forward_loss(&ps, w, &state);
+            g.backward(loss);
+            bd.write_grads(&g, &mut ps);
+            sgd_apply(&mut ps, 0.5);
+            state = next;
+            nll
+        })
+        .collect();
+    for shards in [1usize, 2, 4] {
+        let (mut ps, mut state) = (ps0.clone(), LmState::zeros(&cfg, 8));
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
+        for (t, (w, &r)) in windows.iter().zip(&serial).enumerate() {
+            let step = PtbStep { model: &model, window: w, state: &state, drop: None };
+            let (out, states) = exec.step(&step, &mut ps);
+            assert!(!out.diverged);
+            assert!(close(out.loss, r), "ptb shards={shards} step {t}: {} vs {r}", out.loss);
+            state = PtbStep::merge_states(states);
+            sgd_apply(&mut ps, 0.5);
+        }
+    }
+}
+
 /// Sharded epoch-end evaluation reproduces the serial sweep — written out
 /// here from the models' public forwards, since the library holds one
 /// sweep per family: exactly for the chunked evaluators (identical work

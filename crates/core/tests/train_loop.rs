@@ -121,7 +121,7 @@ fn before_step_observes_and_does_not_steer() {
 }
 
 /// Whole runs at shards {1, 2, 3} take the same steps and land on the same
-/// curve, within the tolerance `hoisted_equivalence.rs` allows its six-step
+/// curve, within the tolerance `shard_equivalence.rs` allows its six-step
 /// curves at different shard counts: `1e-4 · (1 + |reference|)`.
 #[test]
 fn whole_runs_are_shard_invariant() {

@@ -29,17 +29,17 @@ impl StepPlan {
     /// [`Graph::backward`]`(loss)` recorded on it — into a plan; `outputs`
     /// are further values read after each replay. The plan's inputs are the
     /// tape's [`Graph::input`] leaves in creation order; its parameters are
-    /// the binding's bound parameters in binding order. Returns `None` only
-    /// for a mis-specified capture (an empty tape, a leaf that is neither an
-    /// input nor bound, a loss that is not the backward's scalar root, a
-    /// leaf or repeated output — see [`Plan::capture`]); there is no op a
-    /// plan cannot replay.
-    pub fn capture(g: &Graph, bd: &Binding, loss: Var, outputs: &[Var]) -> Option<Self> {
+    /// the binding's bound parameters in binding order. Panics on a
+    /// mis-specified capture (an empty tape, a leaf that is neither an input
+    /// nor bound, a loss that is not the backward's scalar root, a leaf or
+    /// repeated output — see [`Plan::capture`]); there is no op a plan
+    /// cannot replay.
+    pub fn capture(g: &Graph, bd: &Binding, loss: Var, outputs: &[Var]) -> Self {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
         let spec =
             CaptureSpec { inputs: g.input_vars(), params: &params, loss: Some(loss), outputs };
-        Plan::capture(g, &spec).map(|plan| Self { plan, ids })
+        Self { plan: Plan::capture(g, &spec), ids }
     }
 
     /// Forward-only capture for inference serving: same wiring as
@@ -47,11 +47,11 @@ impl StepPlan {
     /// backward schedule, no gradient buffers, and a forward-liveness
     /// arena. Replays run through [`StepPlan::replay_forward`];
     /// [`StepPlan::replay_step`] panics on a plan captured this way.
-    pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Option<Self> {
+    pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Self {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
         let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss: None, outputs };
-        Plan::capture_forward(g, &spec).map(|plan| Self { plan, ids })
+        Self { plan: Plan::capture_forward(g, &spec), ids }
     }
 
     fn param_values<'a>(&self, ps: &'a ParamSet) -> Vec<&'a Tensor> {

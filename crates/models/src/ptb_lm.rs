@@ -127,63 +127,28 @@ impl PtbLm {
         batch: &LmBatch,
         state: &LmState,
     ) -> (Graph, Binding, Var, f64, LmState) {
-        self.forward_loss_with(ps, batch, state, None)
+        let (g, bd, loss, nll, carried, _) = self.forward_loss_with(ps, batch, state, None);
+        (g, bd, loss, nll, carried)
     }
 
     /// [`PtbLm::forward_loss`] with an optional dropout context. `Some`
     /// enables the training-mode masks (a no-op for `keep = 1.0` models);
     /// `None` is the evaluation path. Runs the sequence-hoisted LSTM path
-    /// ([`Lstm::forward_seq`]).
+    /// ([`Lstm::forward_seq`]). Also returns the final per-layer `[h, c]`
+    /// variables: compiled as a plan's outputs, they are what
+    /// [`PtbLm::replay_window_plan`] carries across windows. Token ids,
+    /// targets, and dropout masks enter a plan as feeds, so capture with
+    /// the dropout context the training loop will replay with — the mask
+    /// *count* is frozen into the plan, the mask *values* are per-replay.
+    #[allow(clippy::type_complexity)] // the tape, its loss and the carried state
     pub fn forward_loss_with(
         &self,
         ps: &ParamSet,
         batch: &LmBatch,
         state: &LmState,
         drop: Option<&DropCtx>,
-    ) -> (Graph, Binding, Var, f64, LmState) {
-        self.forward_loss_inner(ps, batch, state, drop, false)
-    }
-
-    /// [`PtbLm::forward_loss`] over the retained stepwise LSTM reference
-    /// ([`Lstm::forward_seq_stepwise`]) — the cross-check / benchmark twin
-    /// of the hoisted path.
-    pub fn forward_loss_stepwise(
-        &self,
-        ps: &ParamSet,
-        batch: &LmBatch,
-        state: &LmState,
-    ) -> (Graph, Binding, Var, f64, LmState) {
-        self.forward_loss_inner(ps, batch, state, None, true)
-    }
-
-    fn forward_loss_inner(
-        &self,
-        ps: &ParamSet,
-        batch: &LmBatch,
-        state: &LmState,
-        drop: Option<&DropCtx>,
-        stepwise: bool,
-    ) -> (Graph, Binding, Var, f64, LmState) {
-        let mut g = Graph::new();
-        let (bd, loss, finals) = self.window_tape(&mut g, ps, batch, state, drop, stepwise);
-        let nll = g.value(loss).item() as f64;
-        let carried = carried(&g, &finals);
-        (g, bd, loss, nll, carried)
-    }
-
-    /// Records one BPTT window onto an existing tape (callers reuse one
-    /// graph across windows via [`Graph::reset`]). Returns the binding,
-    /// the mean per-token loss variable, and the final per-layer states.
-    fn window_tape(
-        &self,
-        g: &mut Graph,
-        ps: &ParamSet,
-        batch: &LmBatch,
-        state: &LmState,
-        drop: Option<&DropCtx>,
-        stepwise: bool,
-    ) -> (Binding, Var, Vec<LstmState>) {
-        let mut bd = Binding::new();
+    ) -> (Graph, Binding, Var, f64, LmState, Vec<Var>) {
+        let (mut g, mut bd) = (Graph::new(), Binding::new());
         let dropout = match (&self.drop, drop) {
             (Some(d), Some(ctx)) => Some((d, ctx)),
             _ => None,
@@ -199,27 +164,23 @@ impl PtbLm {
             .iter()
             .enumerate()
             .map(|(t, ids)| {
-                let e = self.embedding.forward(g, &mut bd, ps, ids);
+                let e = self.embedding.forward(&mut g, &mut bd, ps, ids);
                 match dropout {
-                    Some((d, ctx)) => d.forward_train(g, e, ctx, 2 * t as u64),
+                    Some((d, ctx)) => d.forward_train(&mut g, e, ctx, 2 * t as u64),
                     None => e,
                 }
             })
             .collect();
-        let (outputs, final_states) = if stepwise {
-            self.lstm.forward_seq_stepwise(g, &mut bd, ps, &xs, states)
-        } else {
-            self.lstm.forward_seq(g, &mut bd, ps, &xs, states)
-        };
+        let (outputs, final_states) = self.lstm.forward_seq(&mut g, &mut bd, ps, &xs, states);
 
         let t_len = outputs.len();
         let mut total: Option<Var> = None;
         for (t, (out, tgt)) in outputs.iter().zip(&batch.targets).enumerate() {
             let h = match dropout {
-                Some((d, ctx)) => d.forward_train(g, *out, ctx, 2 * t as u64 + 1),
+                Some((d, ctx)) => d.forward_train(&mut g, *out, ctx, 2 * t as u64 + 1),
                 None => *out,
             };
-            let logits = self.head.forward(g, &mut bd, ps, h);
+            let logits = self.head.forward(&mut g, &mut bd, ps, h);
             let step_loss = g.softmax_cross_entropy(logits, tgt);
             total = Some(match total {
                 Some(acc) => g.add(acc, step_loss),
@@ -227,35 +188,15 @@ impl PtbLm {
             });
         }
         let loss = g.scale(total.expect("window has at least one step"), 1.0 / t_len as f32);
-        (bd, loss, final_states)
+        let nll = g.value(loss).item() as f64;
+        let carried = carried(&g, &final_states);
+        let outputs = final_states.iter().flat_map(|s| [s.h, s.c]).collect();
+        (g, bd, loss, nll, carried, outputs)
     }
 
-    /// Records one BPTT window, forward and backward, and compiles that
-    /// tape into a replayable [`StepPlan`] whose outputs are the final
-    /// per-layer `[h, c]` states (so replays can carry state across
-    /// windows). Token ids, targets, and dropout masks enter as feeds.
-    /// Capture with the dropout context the training loop will replay with —
-    /// the mask *count* is frozen into the plan, the mask *values* are
-    /// per-replay feeds. Also returns the window's own step, as
-    /// [`PtbLm::forward_loss_with`] does, with its backward already run.
-    pub fn capture_window_plan(
-        &self,
-        ps: &ParamSet,
-        batch: &LmBatch,
-        state: &LmState,
-        drop: Option<&DropCtx>,
-    ) -> (StepPlan, (Graph, Binding, Var, f64, LmState)) {
-        let mut g = Graph::new();
-        let (bd, loss, finals) = self.window_tape(&mut g, ps, batch, state, drop, false);
-        g.backward(loss);
-        let outputs: Vec<Var> = finals.iter().flat_map(|s| [s.h, s.c]).collect();
-        let plan = StepPlan::capture(&g, &bd, loss, &outputs).expect("a PTB window captures");
-        let (nll, carried) = (g.value(loss).item() as f64, carried(&g, &finals));
-        (plan, (g, bd, loss, nll, carried))
-    }
-
-    /// Replays a captured window on a fresh batch/state of the same shape:
-    /// forward + backward without a tape. Mirrors
+    /// Replays the plan compiled from a [`PtbLm::forward_loss_with`] window
+    /// tape, its final states as the outputs, on a fresh batch/state of the
+    /// same shape: forward + backward without a tape. Mirrors
     /// [`PtbLm::forward_loss_with`]: returns the mean NLL and the detached
     /// carried state; gradients are read with [`StepPlan::write_grads_to`].
     pub fn replay_window_plan(
@@ -379,8 +320,7 @@ impl crate::planned::Infer for PtbLm {
         let (bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
         let mut outputs = vec![logits];
         outputs.extend(finals.iter().flat_map(|s| [s.h, s.c]));
-        let plan =
-            StepPlan::capture_forward(&g, &bd, &outputs).expect("a PTB inference window captures");
+        let plan = StepPlan::capture_forward(&g, &bd, &outputs);
         (plan, per_row(g.value(logits), &carried(&g, &finals)))
     }
 
@@ -421,6 +361,51 @@ mod tests {
     use super::*;
     use legw_data::SynthPtb;
     use rand::{rngs::StdRng, SeedableRng};
+
+    impl PtbLm {
+        /// The window tape over the pre-hoisting time-major LSTM: per step,
+        /// per layer, one fused [`legw_nn::LstmCell::step`] — the reference
+        /// [`PtbLm::forward_loss`]'s sequence-hoisted path is held to.
+        /// Dropout-free.
+        fn forward_loss_stepwise(
+            &self,
+            ps: &ParamSet,
+            batch: &LmBatch,
+            state: &LmState,
+        ) -> (Graph, Binding, Var, f64, LmState) {
+            let (mut g, mut bd) = (Graph::new(), Binding::new());
+            let mut st: Vec<LstmState> = state
+                .0
+                .iter()
+                .map(|(h, c)| LstmState { h: g.input(h.clone()), c: g.input(c.clone()) })
+                .collect();
+            let xs: Vec<Var> = (batch.inputs.iter())
+                .map(|ids| self.embedding.forward(&mut g, &mut bd, ps, ids))
+                .collect();
+            let mut outputs = Vec::with_capacity(xs.len());
+            for &x in &xs {
+                let mut inp = x;
+                for (l, cell) in self.lstm.cells.iter().enumerate() {
+                    st[l] = cell.step(&mut g, &mut bd, ps, inp, st[l]);
+                    inp = st[l].h;
+                }
+                outputs.push(inp);
+            }
+            let mut total: Option<Var> = None;
+            for (&out, tgt) in outputs.iter().zip(&batch.targets) {
+                let logits = self.head.forward(&mut g, &mut bd, ps, out);
+                let step_loss = g.softmax_cross_entropy(logits, tgt);
+                total = Some(match total {
+                    Some(acc) => g.add(acc, step_loss),
+                    None => step_loss,
+                });
+            }
+            let loss = g.scale(total.unwrap(), 1.0 / xs.len() as f32);
+            let nll = g.value(loss).item() as f64;
+            let carried = carried(&g, &st);
+            (g, bd, loss, nll, carried)
+        }
+    }
 
     fn tiny() -> (ParamSet, PtbLm, SynthPtb) {
         let mut ps = ParamSet::new();
@@ -509,6 +494,45 @@ mod tests {
         }
     }
 
+    /// A stateful truncated-BPTT SGD curve (state carried across windows)
+    /// on the hoisted path matches the stepwise reference's within 1e-4
+    /// relative at every window.
+    #[test]
+    fn hoisted_training_curve_matches_stepwise() {
+        let data = SynthPtb::generate(43, 30, 4, 4000, 800);
+        let cfg = PtbLmConfig { vocab: 30, embed: 12, hidden: 12, layers: 2, keep: 1.0 };
+        let mut ps0 = ParamSet::new();
+        let model = PtbLm::new(&mut ps0, &mut StdRng::seed_from_u64(19), cfg);
+        let windows = data.batches(true, 8, 6);
+        let curve = |hoisted: bool| -> Vec<f64> {
+            let mut ps = ps0.clone();
+            let mut state = LmState::zeros(&cfg, 8);
+            (windows.iter().take(6))
+                .map(|w| {
+                    let (mut g, bd, loss, nll, next) = if hoisted {
+                        model.forward_loss(&ps, w, &state)
+                    } else {
+                        model.forward_loss_stepwise(&ps, w, &state)
+                    };
+                    g.backward(loss);
+                    bd.write_grads(&g, &mut ps);
+                    for (_, p) in ps.iter_mut() {
+                        let gr = p.grad.clone();
+                        p.value.axpy(-0.5, &gr);
+                        p.grad.fill_(0.0);
+                    }
+                    state = next;
+                    nll
+                })
+                .collect()
+        };
+        let (hoisted, reference) = (curve(true), curve(false));
+        assert_eq!(hoisted.len(), 6);
+        for (t, (h, r)) in hoisted.into_iter().zip(reference).enumerate() {
+            assert!((h - r).abs() <= 1e-4 * (1.0 + r.abs()), "window {t}: hoisted {h} vs {r}");
+        }
+    }
+
     #[test]
     fn dropout_masks_apply_only_with_context() {
         let mut ps = ParamSet::new();
@@ -520,9 +544,9 @@ mod tests {
         let s0 = LmState::zeros(m.config(), 4);
         let ctx = DropCtx { seed: 1, step: 0, row0: 0 };
         let (_, _, _, nll_eval, _) = m.forward_loss(&ps, &w[0], &s0);
-        let (_, _, _, nll_train, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
+        let (_, _, _, nll_train, _, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
         assert_ne!(nll_eval, nll_train, "masks must perturb the training loss");
-        let (_, _, _, nll_replay, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
+        let (_, _, _, nll_replay, _, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
         assert_eq!(nll_train, nll_replay, "same stream key replays the same masks");
     }
 

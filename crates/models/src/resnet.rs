@@ -167,7 +167,7 @@ impl ResNet {
     /// throwaway clone of `self` so the running-statistics update of the
     /// capture pass is discarded — the first replay applies that batch's
     /// statistics itself, keeping the plan path's running stats in lockstep
-    /// with the tape path. Never `None`: the `Option` remains only because
+    /// with the tape path. Always `Some`: the `Option` remains only because
     /// `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
@@ -178,7 +178,7 @@ impl ResNet {
         let mut probe = self.clone();
         let (mut g, bd, loss, _) = probe.forward_loss(ps, images, labels);
         g.backward(loss);
-        let plan = StepPlan::capture(&g, &bd, loss, &[])?;
+        let plan = StepPlan::capture(&g, &bd, loss, &[]);
         debug_assert_eq!(
             plan.num_batch_norms(),
             self.batch_norms().len(),
@@ -321,7 +321,6 @@ impl crate::planned::Infer for ResNet {
     fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
         let (g, bd, logits) = self.forward_infer(ps, batch);
         let plan = StepPlan::capture_forward(&g, &bd, &[logits]);
-        let plan = plan.expect("the ResNet eval forward captures");
         (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
     }
 

@@ -225,7 +225,7 @@ impl Seq2Seq {
     /// data-dependent: training batches are padded to the corpus maximum,
     /// tokens and targets enter as feeds and the shard loss scales as
     /// inputs, so one plan serves every batch with the same `(batch, source
-    /// length, decode steps, sharded)`. Never `None`: the `Option` remains
+    /// length, decode steps, sharded)`. Always `Some`: the `Option` remains
     /// only because `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
@@ -235,7 +235,7 @@ impl Seq2Seq {
     ) -> Option<StepPlan> {
         let (mut g, bd, loss, _) = self.forward_loss_scaled(ps, batch, step_scale);
         g.backward(loss);
-        StepPlan::capture(&g, &bd, loss, &[])
+        Some(StepPlan::capture(&g, &bd, loss, &[]))
     }
 
     /// Replays a captured step on a fresh batch of the same shape: forward +
@@ -267,8 +267,9 @@ impl Seq2Seq {
         plan.replay_step(ps, &inputs, &feeds) as f64
     }
 
-    /// [`Seq2Seq::capture_step_plan`] of an unsharded step. Kept only
-    /// because `crates/perf` calls it; goes with the next benchmark PR.
+    /// [`Seq2Seq::capture_step_plan`] of an unsharded step, so always
+    /// `Some`. Kept only because `crates/perf` calls it; goes with the next
+    /// benchmark PR.
     pub fn capture_encoder_plan(
         &self,
         ps: &ParamSet,
@@ -365,8 +366,7 @@ impl Seq2Seq {
         let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
         let mut outputs: Vec<Var> = enc.states.iter().chain(&enc.proj).copied().collect();
         outputs.push(enc.last.c);
-        let encoder =
-            StepPlan::capture_forward(&g, &bd, &outputs).expect("the seq2seq encoder captures");
+        let encoder = StepPlan::capture_forward(&g, &bd, &outputs);
         let enc_out: Vec<Tensor> =
             outputs[..2 * t_len].iter().map(|&v| g.value(v).clone()).collect();
 
@@ -376,7 +376,6 @@ impl Seq2Seq {
         let (step, first, state) = {
             let (sg, sbd, outs) = self.step_tape(ps, &init, &enc_out, &vec![legw_data::BOS; b]);
             let step = StepPlan::capture_forward(&sg, &sbd, &outs);
-            let step = step.expect("a seq2seq decoder step captures");
             let state = std::array::from_fn(|k| sg.value(outs[1 + k]).clone());
             (step, sg.value(outs[0]).clone(), state)
         }; // the step tape drops here, leaving `state` the only owner of its buffers

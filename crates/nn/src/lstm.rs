@@ -81,7 +81,7 @@ impl LstmCell {
     ///
     /// The cell interior (4 activations + hadamards + adds) is one fused
     /// two-output tape op ([`Graph::lstm_cell`]) — bit-identical to the
-    /// unfused per-gate chain (kept as [`LstmCell::step_unfused`]) but
+    /// unfused per-gate chain (the unit tests' `step_unfused`) but
     /// recording 2 nodes instead of ~13 and backpropagating in one
     /// closed-form pass.
     pub fn step(
@@ -169,39 +169,6 @@ impl LstmCell {
         let x_pack = g.concat_rows(xs);
         self.forward_seq_packed(g, bd, ps, x_pack, xs.len(), batch, state)
     }
-
-    /// The reference per-gate implementation the fused [`LstmCell::step`]
-    /// replaced: ~8 separate elementwise tape ops with derived backward.
-    /// Kept for gradient cross-checks against the fused kernel.
-    pub fn step_unfused(
-        &self,
-        g: &mut Graph,
-        bd: &mut Binding,
-        ps: &ParamSet,
-        x: Var,
-        state: LstmState,
-    ) -> LstmState {
-        let h = self.hidden;
-        let w = bd.bind(g, ps, self.w);
-        let b = bd.bind(g, ps, self.b);
-        let xh = g.concat_cols(&[x, state.h]);
-        let gates_lin = g.matmul(xh, w);
-        let gates = g.add_bias(gates_lin, b);
-        let i_lin = g.slice_cols(gates, 0, h);
-        let f_lin = g.slice_cols(gates, h, 2 * h);
-        let g_lin = g.slice_cols(gates, 2 * h, 3 * h);
-        let o_lin = g.slice_cols(gates, 3 * h, 4 * h);
-        let i = g.sigmoid(i_lin);
-        let f = g.sigmoid(f_lin);
-        let gg = g.tanh(g_lin);
-        let o = g.sigmoid(o_lin);
-        let fc = g.mul(f, state.c);
-        let ig = g.mul(i, gg);
-        let c = g.add(fc, ig);
-        let tc = g.tanh(c);
-        let hh = g.mul(o, tc);
-        LstmState { h: hh, c }
-    }
 }
 
 /// A stack of LSTM layers run over a sequence, with optional residual
@@ -274,9 +241,9 @@ impl Lstm {
     /// ([`LstmCell::forward_seq_packed`]). Layer-major and time-major
     /// orders compute the same recurrence — layer `l` at step `t` depends
     /// only on layer `l−1` step `t` and its own step `t−1`. Results match
-    /// the retained [`Lstm::forward_seq_stepwise`] reference to ~1e-5
-    /// relative (the hoisting splits the `[x,h]·W` k-sum at the `in_dim`
-    /// boundary), which the cross-check tests pin down.
+    /// the time-major reference the unit tests keep (`forward_seq_stepwise`)
+    /// to ~1e-5 relative (the hoisting splits the `[x,h]·W` k-sum at the
+    /// `in_dim` boundary).
     pub fn forward_seq(
         &self,
         g: &mut Graph,
@@ -304,43 +271,79 @@ impl Lstm {
         }
         (layer_in, state)
     }
-
-    /// The pre-hoisting time-major reference: per step, per layer, one
-    /// `concat_cols([x, h])` copy and a full `[B, in+hid] × [(in+hid), 4H]`
-    /// GEMM ([`LstmCell::step`]). Kept for cross-checks against the hoisted
-    /// [`Lstm::forward_seq`] and for back-to-back benchmarking.
-    pub fn forward_seq_stepwise(
-        &self,
-        g: &mut Graph,
-        bd: &mut Binding,
-        ps: &ParamSet,
-        xs: &[Var],
-        mut state: Vec<LstmState>,
-    ) -> (Vec<Var>, Vec<LstmState>) {
-        assert_eq!(state.len(), self.cells.len(), "one state per layer");
-        let mut outputs = Vec::with_capacity(xs.len());
-        for &x in xs {
-            let mut inp = x;
-            for (l, cell) in self.cells.iter().enumerate() {
-                let next = cell.step(g, bd, ps, inp, state[l]);
-                let out = if l >= self.residual_from {
-                    g.add(next.h, inp)
-                } else {
-                    next.h
-                };
-                state[l] = next;
-                inp = out;
-            }
-            outputs.push(inp);
-        }
-        (outputs, state)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    impl LstmCell {
+        /// The reference per-gate implementation the fused [`LstmCell::step`]
+        /// replaced: ~8 separate elementwise tape ops with derived backward.
+        fn step_unfused(
+            &self,
+            g: &mut Graph,
+            bd: &mut Binding,
+            ps: &ParamSet,
+            x: Var,
+            state: LstmState,
+        ) -> LstmState {
+            let h = self.hidden;
+            let w = bd.bind(g, ps, self.w);
+            let b = bd.bind(g, ps, self.b);
+            let xh = g.concat_cols(&[x, state.h]);
+            let gates_lin = g.matmul(xh, w);
+            let gates = g.add_bias(gates_lin, b);
+            let i_lin = g.slice_cols(gates, 0, h);
+            let f_lin = g.slice_cols(gates, h, 2 * h);
+            let g_lin = g.slice_cols(gates, 2 * h, 3 * h);
+            let o_lin = g.slice_cols(gates, 3 * h, 4 * h);
+            let i = g.sigmoid(i_lin);
+            let f = g.sigmoid(f_lin);
+            let gg = g.tanh(g_lin);
+            let o = g.sigmoid(o_lin);
+            let fc = g.mul(f, state.c);
+            let ig = g.mul(i, gg);
+            let c = g.add(fc, ig);
+            let tc = g.tanh(c);
+            let hh = g.mul(o, tc);
+            LstmState { h: hh, c }
+        }
+    }
+
+    impl Lstm {
+        /// The pre-hoisting time-major reference: per step, per layer, one
+        /// `concat_cols([x, h])` copy and a full `[B, in+hid] × [(in+hid), 4H]`
+        /// GEMM ([`LstmCell::step`]): the reference the hoisted
+        /// [`Lstm::forward_seq`] is held to.
+        fn forward_seq_stepwise(
+            &self,
+            g: &mut Graph,
+            bd: &mut Binding,
+            ps: &ParamSet,
+            xs: &[Var],
+            mut state: Vec<LstmState>,
+        ) -> (Vec<Var>, Vec<LstmState>) {
+            assert_eq!(state.len(), self.cells.len(), "one state per layer");
+            let mut outputs = Vec::with_capacity(xs.len());
+            for &x in xs {
+                let mut inp = x;
+                for (l, cell) in self.cells.iter().enumerate() {
+                    let next = cell.step(g, bd, ps, inp, state[l]);
+                    let out = if l >= self.residual_from {
+                        g.add(next.h, inp)
+                    } else {
+                        next.h
+                    };
+                    state[l] = next;
+                    inp = out;
+                }
+                outputs.push(inp);
+            }
+            (outputs, state)
+        }
+    }
 
     fn setup(in_dim: usize, hidden: usize) -> (ParamSet, LstmCell) {
         let mut ps = ParamSet::new();

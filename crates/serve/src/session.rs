@@ -5,9 +5,9 @@ use legw::PlanCache;
 use legw_models::Infer;
 use legw_nn::ParamSet;
 
-/// Default bound on cached plans per engine: generous for honest traffic
-/// (a server sees a handful of batch shapes), finite against adversarial
-/// shape churn. Override with [`InferEngine::with_plan_capacity`].
+/// The bound on cached plans per engine: generous for honest traffic (a
+/// server sees a handful of batch shapes), finite against adversarial shape
+/// churn.
 pub const DEFAULT_PLAN_CAPACITY: usize = 32;
 
 /// A frozen model plus a shape-keyed cache of its inference plans
@@ -56,14 +56,6 @@ impl<M: Infer> InferEngine<M> {
         Self { model, ps, plans: PlanCache::with_capacity(1, DEFAULT_PLAN_CAPACITY), bf16: false }
     }
 
-    /// Replaces the plan cache with one bounded to `capacity` shapes
-    /// (LRU-evicted; clamped to ≥ 1). Call before serving traffic —
-    /// replacing the cache drops any plans already captured.
-    pub fn with_plan_capacity(mut self, capacity: usize) -> Self {
-        self.plans = PlanCache::with_capacity(1, capacity);
-        self
-    }
-
     /// Enables (or disables) bf16 weight storage for this engine's GEMM
     /// packing. A pure serving-side memory/bandwidth knob: activations
     /// and accumulation stay f32, only the packed panels are rounded to
@@ -87,11 +79,6 @@ impl<M: Infer> InferEngine<M> {
     /// Number of distinct batch shapes captured so far.
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
-    }
-
-    /// Max cached plans (`None` = unbounded).
-    pub fn plan_capacity(&self) -> Option<usize> {
-        self.plans.capacity()
     }
 
     /// One batched forward over parallel request/state rows (all rows must

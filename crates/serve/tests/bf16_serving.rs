@@ -1,5 +1,4 @@
-//! Serving-side contracts for PR 10's bf16 weight-storage mode and the
-//! bounded (LRU) plan cache.
+//! Serving-side contracts for the bf16 weight-storage mode.
 //!
 //! The [`legw_tensor::pack_traffic`] counters are process-wide, so every
 //! test here grabs `PROC_LOCK` — the byte-accounting assertions need the
@@ -7,7 +6,7 @@
 
 use legw_models::MnistLstm;
 use legw_nn::ParamSet;
-use legw_serve::{InferEngine, DEFAULT_PLAN_CAPACITY};
+use legw_serve::InferEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -76,50 +75,6 @@ fn bf16_serving_stays_close_to_f32_and_halves_packed_bytes() {
     println!("bf16 serving max |logit delta| = {max_abs:.3e}");
     assert!(max_abs > 0.0, "bf16 mode must actually change the arithmetic");
     assert!(max_abs < 0.1, "bf16 logit drift too large: {max_abs}");
-}
-
-#[test]
-fn plan_cache_eviction_and_recapture_are_bitwise() {
-    let _g = PROC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let engine = mnist_engine().with_plan_capacity(2);
-    assert_eq!(engine.plan_capacity(), Some(2));
-
-    // Three batch sizes = three infer keys; capacity 2 forces eviction.
-    let run = |n: usize| -> Vec<Vec<f32>> {
-        let reqs = mnist_reqs(n);
-        let states = vec![(); n];
-        engine.run(&reqs, &states).into_iter().map(|(o, ())| o).collect()
-    };
-    let first = run(1);
-    run(2);
-    assert_eq!(engine.cached_plans(), 2, "two shapes fit the capacity");
-    run(3);
-    assert_eq!(engine.cached_plans(), 2, "third shape must evict the LRU plan");
-
-    // Batch size 1 was least recently used, so its plan is gone; this
-    // re-captures — and the re-captured plan must replay bitwise like the
-    // original (deterministic capture over frozen weights).
-    let again = run(1);
-    assert_eq!(engine.cached_plans(), 2);
-    assert_eq!(first, again, "re-captured plan must reproduce the evicted plan bitwise");
-
-    // A hit refreshes recency: touch batch 1, then add a fourth shape —
-    // batch 3 (now oldest) goes, batch 1 survives and still replays
-    // bitwise without growing the cache.
-    let third = run(1);
-    run(4);
-    assert_eq!(engine.cached_plans(), 2);
-    let fourth = run(1);
-    assert_eq!(engine.cached_plans(), 2, "batch-1 hit must not trigger a re-capture");
-    assert_eq!(third, fourth);
-    assert_eq!(first, third);
-}
-
-#[test]
-fn default_capacity_is_bounded() {
-    let _g = PROC_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let engine = mnist_engine();
-    assert_eq!(engine.plan_capacity(), Some(DEFAULT_PLAN_CAPACITY));
 }
 
 #[test]

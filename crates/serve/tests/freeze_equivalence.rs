@@ -6,7 +6,7 @@
 
 use legw_models::{Infer, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
-use legw_serve::{freeze, restore, FrozenModel, InferEngine, ModelConfig};
+use legw_serve::{freeze, restore, FrozenModel, InferEngine, ModelConfig, DEFAULT_PLAN_CAPACITY};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,6 +42,34 @@ fn mnist_frozen_forward_matches_live_bitwise() {
         assert_rows_bitwise(&served, &live, "mnist");
         assert_eq!(engine.cached_plans(), 1, "pass {pass} must use the one cached plan");
     }
+}
+
+/// The engine's plan cache holds `DEFAULT_PLAN_CAPACITY` batch shapes:
+/// one more evicts the least recently used, and that shape's re-capture
+/// over the same frozen weights replays bitwise like the evicted plan.
+#[test]
+fn engine_evicts_past_its_plan_capacity_and_recaptures_bitwise() {
+    let mut ps = ParamSet::new();
+    let model = MnistLstm::new(&mut ps, &mut StdRng::seed_from_u64(29), 16, 16);
+    let engine = InferEngine::new(model, ps);
+    // One batch size per infer key.
+    let run = |n: usize| -> Vec<Vec<f32>> {
+        let reqs: Vec<Vec<f32>> =
+            (0..n).map(|i| (0..784).map(|p| ((i * 7 + p) % 11) as f32 / 11.0).collect()).collect();
+        engine.run(&reqs, &vec![(); n]).into_iter().map(|(o, ())| o).collect()
+    };
+    let (first, second) = (run(1), run(2));
+    for n in 3..=DEFAULT_PLAN_CAPACITY {
+        run(n);
+    }
+    assert_eq!(engine.cached_plans(), DEFAULT_PLAN_CAPACITY, "every shape fits");
+    assert_eq!(run(1), first, "a hit replays the cached plan");
+    // Batch 1 was just refreshed, so one shape past the bound evicts batch
+    // 2's plan, and batch 2 then captures again.
+    run(DEFAULT_PLAN_CAPACITY + 1);
+    assert_eq!(engine.cached_plans(), DEFAULT_PLAN_CAPACITY, "one shape past the bound evicts");
+    assert_eq!(run(2), second, "the re-captured plan must reproduce the evicted one bitwise");
+    assert_eq!(engine.cached_plans(), DEFAULT_PLAN_CAPACITY);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Packed, register-tiled GEMM engine.
 //!
-//! One kernel serves all four matmul entry points (`matmul`, `t_matmul`,
-//! `matmul_t`, `matvec`) and the im2col conv path. The structure is the
+//! One kernel serves the three matmul entry points (`matmul`, `t_matmul`,
+//! `matmul_t`) and the im2col conv path. The structure is the
 //! classic three-level blocking of high-performance BLAS (GotoBLAS/BLIS),
 //! scaled to this crate's needs:
 //!
@@ -124,8 +124,8 @@ pub fn pack_traffic() -> PackTraffic {
 ///
 /// Numerics contract: inside the scope, `A·B` is computed bitwise as the
 /// f32 engine would compute `round_bf16(A) · round_bf16(B)` — rounding
-/// happens once per packed element, accumulation stays f32, and `matvec`
-/// (which packs nothing) is unaffected. See `kernels::bf16`.
+/// happens once per packed element and accumulation stays f32. See
+/// `kernels::bf16`.
 pub fn with_bf16<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -735,32 +735,6 @@ unsafe fn macro_kernel<M: Micro>(
     }
 }
 
-// --------------------------------------------------------------- mat × vec
-
-/// Dedicated matrix–vector kernel: `out[i] = a[i,·] · v`.
-///
-/// A GEMM with n = 1 wastes the whole blocking machinery (each packed B
-/// "panel" is one column), so `matvec` gets a straight multi-accumulator
-/// dot product over contiguous rows instead, parallelised over row chunks.
-/// The dot kernel is runtime-dispatched (scalar or the 256-bit AVX2
-/// variant — see `kernels`), read once here on the calling thread.
-pub(crate) fn gemv(pool: &ThreadPool, a: &[f32], v: &[f32], m: usize, k: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemv A size");
-    assert_eq!(v.len(), k, "gemv x size");
-    assert_eq!(out.len(), m, "gemv y size");
-    let kern = kernels::selected();
-    let rows_per_chunk = if m * k < PAR_FLOPS || pool.threads() == 1 {
-        m.max(1)
-    } else {
-        m.div_ceil(pool.threads() * 2).max(1)
-    };
-    par_chunks_mut(pool, out, rows_per_chunk, |row0, chunk| {
-        for (r, o) in chunk.iter_mut().enumerate() {
-            *o = kernels::dot(kern, &a[(row0 + r) * k..(row0 + r + 1) * k], v);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,26 +1013,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn gemv_matches_naive() {
-        let pool = ThreadPool::new(3);
-        for &(m, k) in &[(1, 1), (MR, KC), (MC + 7, 93), (257, 1025)] {
-            let a = lcg(9 + m as u64, m * k);
-            let v = lcg(11 + k as u64, k);
-            let mut got = vec![0.0f32; m];
-            gemv(&pool, &a, &v, m, k, &mut got);
-            for i in 0..m {
-                let want: f64 =
-                    (0..k).map(|l| (a[i * k + l] * v[l]) as f64).sum();
-                assert!(
-                    (got[i] - want as f32).abs() <= 1e-3 * (1.0 + want.abs() as f32),
-                    "m={m} k={k} row {i}: {} vs {want}",
-                    got[i]
-                );
-            }
-        }
     }
 
     #[test]

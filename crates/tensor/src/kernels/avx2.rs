@@ -1,7 +1,6 @@
-//! The AVX2+FMA tier: [`V8`], one 256-bit register of 8 `f32` lanes; the
-//! `#[target_feature]` entry points that compile `simd.rs`'s bodies at
-//! that width; and the 8-lane `matvec` dot, which AVX-512 dispatch reuses
-//! (see `kernels/mod.rs`).
+//! The AVX2+FMA tier: [`V8`], one 256-bit register of 8 `f32` lanes, and
+//! the `#[target_feature]` entry points that compile `simd.rs`'s bodies at
+//! that width.
 //!
 //! The tile's column edge uses `maskload` / `maskstore` with a lane mask,
 //! as AVX-512 uses its mask registers.
@@ -162,36 +161,4 @@ pub(crate) unsafe fn lstm_gate_row(
     h_r: &mut [f32],
 ) {
     simd::lstm_gate_row::<V8>(pa_r, cp_r, hid, g_r, c_r, t_r, h_r)
-}
-
-/// 256-bit dot product reproducing `scalar::dot`'s 8 accumulator lanes:
-/// one vector register *is* the lane array, the horizontal reduction spills
-/// it and sums lanes in the same sequential order, and the tail is the
-/// same scalar loop.
-///
-/// # Safety
-/// AVX2 must be available (`kernels::dot` routes here only for variants
-/// `supported` reports); `y` must be at least as long as `x`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-    const L: usize = 8;
-    debug_assert!(y.len() >= x.len(), "dot: y shorter than x");
-    let chunks = x.len() / L;
-    let mut acc = _mm256_setzero_ps();
-    for i in 0..chunks {
-        // SAFETY: `i < x.len() / 8`, so `i·8 + 8 <= x.len() <= y.len()`:
-        // both 8-float loads stay inside their slices.
-        let xv = _mm256_loadu_ps(x.as_ptr().add(i * L));
-        let yv = _mm256_loadu_ps(y.as_ptr().add(i * L));
-        // mul + add (two roundings), like the scalar lanes.
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, yv));
-    }
-    let mut lanes = [0.0f32; L];
-    // SAFETY: `lanes` is a local array of 8 floats.
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut s = lanes.iter().sum::<f32>();
-    for i in chunks * L..x.len() {
-        s += x[i] * y[i];
-    }
-    s
 }

@@ -3,11 +3,6 @@
 //! that width. The tile's column edge uses AVX-512's native store/load
 //! masks.
 //!
-//! The `matvec` dot deliberately has **no** 512-bit variant: a 16-lane
-//! accumulator would change the partial-sum grouping relative to the
-//! scalar 8-lane contract, so AVX-512 dispatch routes `dot` to `avx2::dot`
-//! (see `kernels/mod.rs`).
-//!
 //! # Safety
 //! Every `unsafe fn` here requires AVX-512F at run time; dispatch routes
 //! here only after `supported(Kernel::Avx512)` confirmed it.

@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD microkernels.
 //!
 //! Every hot kernel in this crate — the packed GEMM micro-tile, the
-//! `matvec` dot product, the `fast_tanh`/`fast_sigmoid` sweeps, and the
-//! fused LSTM gate row — used to get its SIMD exclusively from
+//! `fast_tanh`/`fast_sigmoid` sweeps, and the fused LSTM gate row — used
+//! to get its SIMD exclusively from
 //! `-C target-cpu=native` auto-vectorisation, which a *shipped* binary
 //! cannot assume: a portable build silently dropped every one of those
 //! kernels to scalar. This module makes instruction-set selection a
@@ -18,8 +18,8 @@
 //! row are each written once, in `simd.rs`, generic over a `Lanes` trait
 //! (one register of `f32` lanes: load, store, masked edge, add, mul, div,
 //! fmadd, min/max, saturate). `avx2.rs` and `avx512.rs` hold only their
-//! `Lanes` impl (`V8`, `V16`), the `#[target_feature]` entry points that
-//! instantiate the generic bodies, and (AVX2) the dot. `scalar.rs` stays
+//! `Lanes` impl (`V8`, `V16`) and the `#[target_feature]` entry points that
+//! instantiate the generic bodies. `scalar.rs` stays
 //! separate: it is the reference every tier is tested against, and its
 //! gate row also finishes the columns past a vector row's last register.
 //!
@@ -53,11 +53,6 @@
 //!   from 8 to 16 columns (AVX-512) regroups which elements share a
 //!   register, but each element's accumulation chain is untouched, so even
 //!   the 16-wide tile is bitwise-equal to scalar.
-//! * **dot** (`matvec`): the scalar kernel owes its value order to its 8
-//!   independent accumulator lanes; the AVX2 variant maps those lanes onto
-//!   one 256-bit register and reduces them in the same sequential lane
-//!   order. AVX-512 *reuses the 256-bit dot* — a 16-lane dot would change
-//!   the partial-sum grouping and break bitwise equality.
 //! * **activations**: `fast_tanh` is built on `f32::mul_add`, a true
 //!   fused multiply-add (one rounding), so the vector versions use
 //!   `fmadd` intrinsics and match exactly — including on portable scalar
@@ -359,26 +354,6 @@ pub fn sigmoid_sweep(k: Kernel, v: &mut [f32]) {
         Kernel::Avx512 => unsafe { avx512::sigmoid_sweep(v) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::sigmoid_sweep(v),
-    }
-}
-
-/// Dot product with the scalar kernel's exact 8-lane accumulation order.
-/// AVX-512 deliberately routes to the 256-bit kernel (see module docs).
-/// `k` is the caller's [`selected`] variant, read once per GEMV.
-pub(crate) fn dot(k: Kernel, x: &[f32], y: &[f32]) -> f32 {
-    assert!(y.len() >= x.len(), "dot: {} against {} elements", x.len(), y.len());
-    debug_assert!(supported(k));
-    match k {
-        Kernel::Scalar => scalar::dot(x, y),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `k` came from `selected()`, which yields only variants
-        // `supported` confirmed (`force`, `with_override` and
-        // `default_kernel` each check), and every AVX-512F CPU has AVX2,
-        // the feature the callee enables. `y` is at least as long as `x`
-        // (asserted above), the bound its raw loads rely on.
-        Kernel::Avx2 | Kernel::Avx512 => unsafe { avx2::dot(x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::dot(x, y),
     }
 }
 

@@ -6,8 +6,7 @@
 //! portable build they execute as written). Their arithmetic order
 //! *defines* the contract in `kernels/mod.rs`: separate mul/add roundings
 //! in the GEMM tile and the LSTM cell update, true fused `mul_add` in the
-//! activations, 8 independent accumulator lanes summed sequentially in
-//! the dot product.
+//! activations.
 
 use super::{Micro, PackElem};
 use crate::fastmath::{fast_sigmoid, fast_tanh};
@@ -73,28 +72,6 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
             }
         }
     }
-}
-
-/// Branch-free dot product with eight independent accumulator lanes so the
-/// reduction vectorises despite f32 non-associativity. The lane structure
-/// (and the sequential lane sum) is the value contract `avx2::dot`
-/// reproduces.
-pub(crate) fn dot(x: &[f32], y: &[f32]) -> f32 {
-    const L: usize = 8;
-    let mut acc = [0.0f32; L];
-    let chunks = x.len() / L;
-    for i in 0..chunks {
-        let xa: &[f32; L] = x[i * L..i * L + L].try_into().unwrap();
-        let ya: &[f32; L] = y[i * L..i * L + L].try_into().unwrap();
-        for l in 0..L {
-            acc[l] += xa[l] * ya[l];
-        }
-    }
-    let mut s = acc.iter().sum::<f32>();
-    for i in chunks * L..x.len() {
-        s += x[i] * y[i];
-    }
-    s
 }
 
 /// In-place `fast_tanh` map.

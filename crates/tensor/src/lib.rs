@@ -16,7 +16,7 @@
 //!   packing scratch reused across calls. Kernel outputs come from a
 //!   recycling buffer pool, so steady-state training loops stop paying the
 //!   allocator per call. The micro-tile (and the other hot kernels: the
-//!   `matvec` dot, the activation sweeps, the fused LSTM gate row) is a
+//!   activation sweeps, the fused LSTM gate row) is a
 //!   runtime-dispatched SIMD variant — AVX-512F, AVX2+FMA, or scalar —
 //!   selected once per process (see the [`kernels`] module), so portable
 //!   builds keep their vector kernels; all variants are bitwise-equal, and

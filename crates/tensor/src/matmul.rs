@@ -1,14 +1,11 @@
-//! Matrix-product entry points: `matmul`, the transpose variants used by
-//! backward passes, and `matvec`.
+//! Matrix-product entry points: `matmul` and the transpose variants used by
+//! backward passes.
 //!
 //! All of them route through the packed, register-tiled engine in
 //! [`crate::gemm`] — operand transposition is absorbed at pack time, so
-//! there is one compute kernel instead of per-variant loops. `matvec` uses
-//! the engine's dedicated dot-product kernel (a GEMM with n = 1 would waste
-//! the blocking machinery on a single output column).
+//! there is one compute kernel instead of per-variant loops.
 
 use crate::gemm;
-use crate::pool::Buffer;
 use crate::tensor::Tensor;
 use legw_parallel::current;
 
@@ -56,43 +53,6 @@ impl Tensor {
         )
     }
 
-    /// Accumulating matrix product `self += a @ b` (the GEMM beta = 1 store
-    /// variant). `self` is `[m,n]`, `a` is `[m,k]`, `b` is `[k,n]`; `k = 0`
-    /// is a no-op. The sequence-hoisted LSTM path uses this to fold each
-    /// timestep's recurrent `h·W_h` product into the pre-computed
-    /// input-projection block without a temporary + add pass.
-    ///
-    /// # Panics
-    /// If any operand is not 2-D or the dimensions disagree.
-    pub fn matmul_acc(&mut self, a: &Tensor, b: &Tensor) {
-        assert_eq!(self.ndim(), 2, "matmul_acc out must be 2-D, got {:?}", self.shape());
-        assert_eq!(a.ndim(), 2, "matmul_acc lhs must be 2-D, got {:?}", a.shape());
-        assert_eq!(b.ndim(), 2, "matmul_acc rhs must be 2-D, got {:?}", b.shape());
-        let (m, k) = (a.dim(0), a.dim(1));
-        let (k2, n) = (b.dim(0), b.dim(1));
-        assert_eq!(k, k2, "matmul_acc inner dims: {:?} @ {:?}", a.shape(), b.shape());
-        assert_eq!(
-            (self.dim(0), self.dim(1)),
-            (m, n),
-            "matmul_acc out dims: {:?} += {:?} @ {:?}",
-            self.shape(),
-            a.shape(),
-            b.shape()
-        );
-        gemm::gemm_into(
-            &current(),
-            false,
-            false,
-            a.as_slice(),
-            b.as_slice(),
-            m,
-            k,
-            n,
-            self.as_mut_slice(),
-            true,
-        );
-    }
-
     /// `selfᵀ @ rhs` for `[k,m]ᵀ @ [k,n] = [m,n]` without materialising the
     /// transpose (used for weight gradients `xᵀ · δ`).
     pub fn t_matmul(&self, rhs: &Tensor) -> Tensor {
@@ -119,26 +79,6 @@ impl Tensor {
             gemm::gemm(false, true, self.as_slice(), rhs.as_slice(), m, k, n),
             &[m, n],
         )
-    }
-
-    /// Matrix–vector product `[m,k] @ [k] = [m]` via a dedicated
-    /// dot-product kernel.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        assert_eq!(v.ndim(), 1);
-        let (m, k) = (self.dim(0), self.dim(1));
-        assert_eq!(k, v.dim(0), "matvec dims: {:?} @ {:?}", self.shape(), v.shape());
-        let mut out = Buffer::zeroed(m);
-        gemm::gemv(&current(), self.as_slice(), v.as_slice(), m, k, &mut out);
-        Tensor::from_buffer(out, &[m])
-    }
-
-    /// Outer product of two vectors: `[m] ⊗ [n] = [m,n]`.
-    pub fn outer(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 1);
-        assert_eq!(v.ndim(), 1);
-        let (m, n) = (self.dim(0), v.dim(0));
-        self.reshape(&[m, 1]).matmul(&v.reshape(&[1, n]))
     }
 }
 
@@ -170,6 +110,15 @@ mod tests {
         }
     }
 
+    /// Row-major identity matrix of size `n`.
+    fn eye(n: usize) -> Tensor {
+        let mut v = vec![0.0; n * n];
+        for i in 0..n {
+            v[i * n + i] = 1.0;
+        }
+        Tensor::from_vec(v, &[n, n])
+    }
+
     fn rng_tensor(seed: u64, dims: &[usize]) -> Tensor {
         // tiny deterministic LCG; avoids pulling `rand` into this module
         let n: usize = dims.iter().product();
@@ -185,7 +134,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = rng_tensor(1, &[5, 5]);
-        let i = Tensor::eye(5);
+        let i = eye(5);
         assert_close(&a.matmul(&i), &a, 1e-6);
         assert_close(&i.matmul(&a), &a, 1e-6);
     }
@@ -226,24 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_outer() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2]);
-        let v = Tensor::from_vec(vec![1., 1.], &[2]);
-        assert_eq!(a.matvec(&v).as_slice(), &[3., 7.]);
-        let u = Tensor::from_vec(vec![1., 2.], &[2]);
-        let w = Tensor::from_vec(vec![3., 4., 5.], &[3]);
-        assert_eq!(u.outer(&w).as_slice(), &[3., 4., 5., 6., 8., 10.]);
-    }
-
-    #[test]
-    fn matvec_matches_matmul_reshape() {
-        let a = rng_tensor(20, &[37, 61]);
-        let v = rng_tensor(21, &[61]);
-        let via_mm = a.matmul(&v.reshape(&[61, 1])).reshape(&[37]);
-        assert_close(&a.matvec(&v), &via_mm, 1e-4);
-    }
-
-    #[test]
     fn steady_state_matmul_reuses_output_buffers() {
         let a = rng_tensor(30, &[64, 64]);
         let b = rng_tensor(31, &[64, 64]);
@@ -268,46 +199,12 @@ mod tests {
         rng_tensor(1, &[2, 3]).matmul(&rng_tensor(2, &[4, 2]));
     }
 
-    #[test]
-    fn matmul_acc_equals_matmul_plus_add() {
-        // Includes odd / non-multiple-of-8 extents and a parallel-sized case.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (8, 8, 8), (9, 7, 13), (65, 93, 101)] {
-            let c0 = rng_tensor(40 + m as u64, &[m, n]);
-            let a = rng_tensor(41 + k as u64, &[m, k]);
-            let b = rng_tensor(42 + n as u64, &[k, n]);
-            let mut c = c0.clone();
-            c.matmul_acc(&a, &b);
-            assert_close(&c, &c0.add(&a.matmul(&b)), 1e-4);
-        }
-    }
-
-    // NOTE: `Shape` rejects zero-sized dimensions, so the k = 0 (empty
-    // reduction) beta semantics are covered at the slice level by
-    // `gemm::tests::empty_k_beta_semantics` instead of through `Tensor`.
-
-    #[test]
-    #[should_panic(expected = "out dims")]
-    fn matmul_acc_bad_out_shape_panics() {
-        let mut c = rng_tensor(51, &[3, 3]);
-        c.matmul_acc(&rng_tensor(52, &[2, 4]), &rng_tensor(53, &[4, 3]));
-    }
-
     proptest! {
         #[test]
         fn prop_matmul_associates_with_naive(m in 1usize..12, k in 1usize..12, n in 1usize..12, seed in 0u64..1000) {
             let a = rng_tensor(seed, &[m, k]);
             let b = rng_tensor(seed + 1, &[k, n]);
             assert_close(&a.matmul(&b), &naive(&a, &b), 1e-4);
-        }
-
-        #[test]
-        fn prop_matmul_acc_matches_matmul_add(m in 1usize..20, k in 1usize..20, n in 1usize..20, seed in 0u64..1000) {
-            let c0 = rng_tensor(seed, &[m, n]);
-            let a = rng_tensor(seed + 1, &[m, k]);
-            let b = rng_tensor(seed + 2, &[k, n]);
-            let mut c = c0.clone();
-            c.matmul_acc(&a, &b);
-            assert_close(&c, &c0.add(&a.matmul(&b)), 1e-4);
         }
 
         #[test]

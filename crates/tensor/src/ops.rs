@@ -85,11 +85,6 @@ impl Tensor {
         binary_op(self, rhs, |a, b| a * b)
     }
 
-    /// Elementwise maximum of two equal-shaped tensors.
-    pub fn maximum(&self, rhs: &Tensor) -> Tensor {
-        binary_op(self, rhs, f32::max)
-    }
-
     // ------------------------------------------------------------- scalar ops
 
     /// Adds a scalar to every element.
@@ -117,11 +112,6 @@ impl Tensor {
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
         unary_op(self, f32::sqrt)
-    }
-
-    /// Elementwise square.
-    pub fn square(&self) -> Tensor {
-        unary_op(self, |x| x * x)
     }
 
     /// Elementwise absolute value.

@@ -80,12 +80,6 @@ impl Tensor {
         }
     }
 
-    /// Mean along `axis` of a 2-D tensor.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let divisor = self.dim(axis) as f32;
-        self.sum_axis(axis).scale(1.0 / divisor)
-    }
-
     /// Index of the largest element (first occurrence on ties).
     pub fn argmax(&self) -> usize {
         let mut best = 0;
@@ -168,7 +162,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3]);
         assert_eq!(a.sum_axis(0).as_slice(), &[5., 7., 9.]);
         assert_eq!(a.sum_axis(1).as_slice(), &[6., 15.]);
-        assert_eq!(a.mean_axis(0).as_slice(), &[2.5, 3.5, 4.5]);
     }
 
     #[test]

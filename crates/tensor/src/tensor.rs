@@ -119,25 +119,11 @@ impl Tensor {
         Self::from_vec(vec![value], &[1])
     }
 
-    /// Row-major identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut v = vec![0.0; n * n];
-        for i in 0..n {
-            v[i * n + i] = 1.0;
-        }
-        Self::from_vec(v, &[n, n])
-    }
-
     // ------------------------------------------------------------ accessors
 
     /// The shape's dimension extents.
     pub fn shape(&self) -> &[usize] {
         self.shape.dims()
-    }
-
-    /// The shape object.
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
     }
 
     /// Number of dimensions.
@@ -165,11 +151,6 @@ impl Tensor {
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         let buf: &mut Buffer = Arc::make_mut(&mut self.data);
         buf
-    }
-
-    /// True if this tensor currently shares its buffer with another.
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
     }
 
     /// The single value of a 1-element tensor.
@@ -266,21 +247,6 @@ impl Tensor {
         Tensor::from_vec(data, &dims)
     }
 
-    /// Stacks 2-D tensors with identical shapes along a new leading axis,
-    /// producing `[k, rows, cols]`.
-    pub fn stack(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "stack of zero tensors");
-        let s0 = parts[0].shape().to_vec();
-        let mut data = Vec::with_capacity(parts[0].numel() * parts.len());
-        for p in parts {
-            assert_eq!(p.shape(), &s0[..], "stack shape mismatch");
-            data.extend_from_slice(p.as_slice());
-        }
-        let mut dims = vec![parts.len()];
-        dims.extend_from_slice(&s0);
-        Tensor::from_vec(data, &dims)
-    }
-
     /// Transposes a 2-D tensor (copies into a new buffer).
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose expects 2-D, got {:?}", self.shape);
@@ -364,11 +330,11 @@ mod tests {
     fn cow_clone_is_cheap_and_isolated() {
         let mut a = Tensor::zeros(&[4, 4]);
         let b = a.clone();
-        assert!(a.is_shared());
+        assert_eq!(Arc::strong_count(&a.data), 2, "a clone shares the buffer");
         a.as_mut_slice()[0] = 7.0;
         assert_eq!(a.as_slice()[0], 7.0);
         assert_eq!(b.as_slice()[0], 0.0, "clone must not observe mutation");
-        assert!(!a.is_shared());
+        assert_eq!(Arc::strong_count(&a.data), 1, "the write copied");
     }
 
     #[test]
@@ -403,23 +369,6 @@ mod tests {
         assert_eq!(cat.shape(), &[2, 5]);
         assert_eq!(cat.slice_cols(0, 3), a);
         assert_eq!(cat.slice_cols(3, 5), b);
-    }
-
-    #[test]
-    fn stack_builds_leading_axis() {
-        let a = Tensor::ones(&[2, 2]);
-        let b = Tensor::zeros(&[2, 2]);
-        let s = Tensor::stack(&[&a, &b]);
-        assert_eq!(s.shape(), &[2, 2, 2]);
-        assert_eq!(s.as_slice()[..4], [1., 1., 1., 1.]);
-        assert_eq!(s.as_slice()[4..], [0., 0., 0., 0.]);
-    }
-
-    #[test]
-    fn eye_diagonal() {
-        let i = Tensor::eye(3);
-        assert_eq!(i.at2(0, 0), 1.0);
-        assert_eq!(i.at2(2, 1), 0.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Every runtime-dispatched kernel variant — scalar, AVX2+FMA, AVX-512F —
 //! must produce **bitwise identical** results for GEMM (all transpose
-//! modes, edge shapes, k spanning multiple KC blocks), `matvec`, the
-//! activation sweeps, and the fused LSTM cell. Variants the running CPU
+//! modes, edge shapes, k spanning multiple KC blocks), the activation
+//! sweeps, and the fused LSTM cell. Variants the running CPU
 //! lacks are skipped (the suite is still meaningful on any x86-64: scalar
 //! always runs, and the scalar-vs-selected checks in the crate's unit
 //! tests cover the rest).
@@ -95,27 +95,6 @@ fn gemm_bitwise_equal_across_variants() {
                     &format!("gemm {:?} ({trans_a},{trans_b}) {m}x{k}x{n}", kern),
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn matvec_bitwise_equal_across_variants() {
-    let avail = available();
-    for &(m, k) in &[(1usize, 1usize), (3, 7), (8, 64), (17, 300), (129, 1025)] {
-        let a = lcg(31 + m as u64, m * k);
-        let v = lcg(47 + k as u64, k);
-        let run = |kern: Kernel| {
-            kernels::with_override(kern, || {
-                Tensor::from_vec(a.clone(), &[m, k])
-                    .matvec(&Tensor::from_vec(v.clone(), &[k]))
-                    .as_slice()
-                    .to_vec()
-            })
-        };
-        let reference = run(Kernel::Scalar);
-        for &kern in &avail {
-            assert_bits_eq(&run(kern), &reference, &format!("matvec {:?} {m}x{k}", kern));
         }
     }
 }

@@ -35,6 +35,10 @@ for example in quickstart serve_mnist; do
   cargo run -q --release "${flags[@]}" --example "$example"
 done
 
+# Tests leave the tree as they found it: no test writes into the checkout.
+tree_state() { git status --porcelain --untracked-files=all 2>/dev/null || true; }
+tree_before=$(tree_state)
+
 echo "== cargo test --workspace: unit, integration and doc tests"
 cargo test -q "${flags[@]}" --workspace
 
@@ -68,6 +72,13 @@ for tier in "${tiers[@]}"; do
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test freeze_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test bf16_serving -- --test-threads=1
 done
+
+echo "== the test legs left the tree as they found it"
+if [[ "$(tree_state)" != "$tree_before" ]]; then
+  echo "check.sh: the tests changed the working tree:" >&2
+  diff <(echo "$tree_before") <(tree_state) >&2 || true
+  exit 1
+fi
 
 if [[ "${1:-}" != "fast" ]]; then
   # Every `unsafe` block and `unsafe impl` carries its own `// SAFETY:` text.
