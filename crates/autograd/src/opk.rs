@@ -41,7 +41,8 @@ pub(crate) fn apply(dst: &mut [f32], mode: Mode, f: impl Fn(usize) -> f32) {
 /// Elementwise sweeps longer than this fan out in fixed-size chunks over
 /// the ambient thread pool. Chunks are disjoint and every element is a pure
 /// function of the operands, so any thread count produces the serial
-/// sweep's bits; reductions stay serial.
+/// sweep's bits. A reduction fans out only over its outputs (BatchNorm's
+/// per-channel sums), each summed by one task in its serial order.
 const EW_CHUNK: usize = 16 * 1024;
 
 /// [`apply`], chunked over [`legw_parallel::current`] when the sweep is
@@ -97,6 +98,18 @@ fn par_rows(dst: &mut [f32], cols: usize, row: impl Fn(usize, &mut [f32]) + Sync
     }
     let block = (EW_CHUNK / cols).max(1) * cols;
     legw_parallel::par_chunks_mut(&pool, dst, block, |start, b| rows(start / cols, b));
+}
+
+/// `f(i, &mut items[i])` for every item, one item per task over
+/// [`legw_parallel::current`] when the pass touches more than [`EW_CHUNK`]
+/// elements (`work`). Each item is one task's alone, so any thread count
+/// produces the serial loop's bits.
+fn par_each<T: Send>(items: &mut [T], work: usize, f: impl Fn(usize, &mut T) + Sync) {
+    let pool = legw_parallel::current();
+    if work <= EW_CHUNK || pool.threads() == 1 {
+        return items.iter_mut().enumerate().for_each(|(i, t)| f(i, t));
+    }
+    legw_parallel::par_chunks_mut(&pool, items, 1, |i, t| f(i, &mut t[0]));
 }
 
 /// Store-or-add `f(a[i])` over `dst`, as one zip the compiler vectorises.
@@ -215,33 +228,30 @@ pub(crate) fn cols_scatter(
 
 // ------------------------------------------------------------- conv family
 
-/// Permutes a channels-last matmul result `[N·OH·OW, OC]` into `[N,OC,OH,OW]`.
+/// Permutes a channels-last matmul result `[N·OH·OW, OC]` into `[N,OC,OH,OW]`,
+/// whole images per task.
 pub(crate) fn to_nchw(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
     debug_assert!(src.len() == n * oc * oh * ow && out.len() == src.len());
-    for ni in 0..n {
-        for y in 0..oh {
-            for x in 0..ow {
-                let row = ((ni * oh + y) * ow + x) * oc;
-                for o in 0..oc {
-                    out[((ni * oc + o) * oh + y) * ow + x] = src[row + o];
-                }
-            }
+    let hw = oh * ow;
+    par_rows(out, oc * hw, |ni, img| {
+        let rows = &src[ni * hw * oc..(ni + 1) * hw * oc];
+        for (o, plane) in img.chunks_exact_mut(hw).enumerate() {
+            plane.iter_mut().zip(rows.iter().skip(o).step_by(oc)).for_each(|(d, &v)| *d = v);
         }
-    }
+    });
 }
 
-/// Inverse of [`to_nchw`]: `[N,OC,OH,OW]` → `[N·OH·OW, OC]`.
+/// Inverse of [`to_nchw`]: `[N,OC,OH,OW]` → `[N·OH·OW, OC]`, whole images
+/// per task.
 pub(crate) fn from_nchw(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
     debug_assert!(src.len() == n * oc * oh * ow && out.len() == src.len());
-    for ni in 0..n {
-        for o in 0..oc {
-            for y in 0..oh {
-                for x in 0..ow {
-                    out[((ni * oh + y) * ow + x) * oc + o] = src[((ni * oc + o) * oh + y) * ow + x];
-                }
-            }
+    let hw = oh * ow;
+    par_rows(out, hw * oc, |ni, rows| {
+        let img = &src[ni * oc * hw..(ni + 1) * oc * hw];
+        for (p, row) in rows.chunks_exact_mut(oc).enumerate() {
+            row.iter_mut().zip(img.iter().skip(p).step_by(hw)).for_each(|(d, &v)| *d = v);
         }
-    }
+    });
 }
 
 /// 2×2 stride-2 max pooling of `nc` planes of `h × w`: the window maxima
@@ -318,37 +328,33 @@ pub(crate) fn gap_bwd(dst: &mut [f32], mode: Mode, up: &[f32], hw: usize) {
 }
 
 /// Per-channel batch mean and biased variance of `x [n, c, hw]` over
-/// `(n, hw)`, two passes in f64. `mean` and `var` (length `c`) are
-/// overwritten.
+/// `(n, hw)`, two passes in f64, one channel per task: each channel sums
+/// its planes in order. `mean` and `var` (length `c`) are overwritten.
 pub(crate) fn bn_stats(x: &[f32], [n, c, hw]: [usize; 3], mean: &mut [f64], var: &mut [f64]) {
     debug_assert!(x.len() == n * c * hw && mean.len() == c && var.len() == c);
     let m = (n * hw) as f64;
-    mean.fill(0.0);
-    var.fill(0.0);
-    for (i, plane) in x.chunks_exact(hw).enumerate() {
-        let mu = &mut mean[i % c];
-        for &v in plane {
-            *mu += v as f64;
+    let channel = |ci: usize| (0..n).flat_map(move |ni| &x[(ni * c + ci) * hw..(ni * c + ci + 1) * hw]);
+    par_each(mean, x.len(), |ci, mu| {
+        let mut s = 0.0f64;
+        for &v in channel(ci) {
+            s += v as f64;
         }
-    }
-    for mu in mean.iter_mut() {
-        *mu /= m;
-    }
-    for (i, plane) in x.chunks_exact(hw).enumerate() {
-        let (mu, va) = (mean[i % c], &mut var[i % c]);
-        for &v in plane {
+        *mu = s / m;
+    });
+    let mean = &*mean;
+    par_each(var, x.len(), |ci, va| {
+        let (mu, mut s) = (mean[ci], 0.0f64);
+        for &v in channel(ci) {
             let d = v as f64 - mu;
-            *va += d * d;
+            s += d * d;
         }
-    }
-    for va in var.iter_mut() {
-        *va /= m;
-    }
+        *va = s / m;
+    });
 }
 
 /// Training-mode BatchNorm forward from the batch statistics of
 /// [`bn_stats`]: fills `inv_std [c]`, the normalised `xhat` and
-/// `out = gamma · xhat + beta`.
+/// `out = gamma · xhat + beta`, blocks of whole planes per task.
 #[allow(clippy::too_many_arguments)] // one op: its operands, its statistics, its three outputs
 pub(crate) fn bn_fwd(
     x: &[f32],
@@ -363,22 +369,26 @@ pub(crate) fn bn_fwd(
 ) {
     debug_assert!(x.len() == n * c * hw && xhat.len() == x.len() && out.len() == x.len());
     apply(inv_std, Mode::Store, |ci| (1.0 / (var[ci] + eps as f64).sqrt()) as f32);
-    for (i, ((plane, xh), o)) in
-        x.chunks_exact(hw).zip(xhat.chunks_exact_mut(hw)).zip(out.chunks_exact_mut(hw)).enumerate()
-    {
-        let ci = i % c;
-        let (mu, is) = (mean[ci] as f32, inv_std[ci]);
-        for k in 0..hw {
-            let xhat_v = (plane[k] - mu) * is;
-            xh[k] = xhat_v;
-            o[k] = gamma[ci] * xhat_v + beta[ci];
+    let inv_std = &*inv_std;
+    let block = (EW_CHUNK / hw.max(1)).max(1) * hw;
+    let mut blocks: Vec<_> = xhat.chunks_mut(block).zip(out.chunks_mut(block)).collect();
+    par_each(&mut blocks, x.len(), |b, (xh, o)| {
+        for (j, (xh, o)) in xh.chunks_exact_mut(hw).zip(o.chunks_exact_mut(hw)).enumerate() {
+            let i = b * block / hw + j;
+            let ci = i % c;
+            let (mu, is, gm, bt) = (mean[ci] as f32, inv_std[ci], gamma[ci], beta[ci]);
+            for ((xh, o), &v) in xh.iter_mut().zip(o.iter_mut()).zip(&x[i * hw..(i + 1) * hw]) {
+                *xh = (v - mu) * is;
+                *o = gm * *xh + bt;
+            }
         }
-    }
+    });
 }
 
 /// BatchNorm backward, the per-channel f64 sums `Σ up` and `Σ up·xhat`
-/// (each product rounded to f32 first); both outputs are overwritten. As
-/// f32 they are the `beta` and `gamma` gradients.
+/// (each product rounded to f32 first), one channel per task, its planes in
+/// order; both outputs are overwritten. As f32 they are the `beta` and
+/// `gamma` gradients.
 pub(crate) fn bn_bwd_sums(
     up: &[f32],
     xhat: &[f32],
@@ -388,19 +398,24 @@ pub(crate) fn bn_bwd_sums(
     sum_up_xh: &mut [f64],
 ) {
     debug_assert!(up.len() == xhat.len() && sum_up.len() == c && sum_up_xh.len() == c);
-    sum_up.fill(0.0);
-    sum_up_xh.fill(0.0);
-    for (i, (us, xh)) in up.chunks_exact(hw).zip(xhat.chunks_exact(hw)).enumerate() {
-        let ci = i % c;
-        for k in 0..hw {
-            sum_up[ci] += us[k] as f64;
-            sum_up_xh[ci] += (us[k] * xh[k]) as f64;
+    let n = up.len() / (c * hw).max(1);
+    let mut sums: Vec<_> = sum_up.iter_mut().zip(sum_up_xh.iter_mut()).collect();
+    par_each(&mut sums, up.len(), |ci, (su, suxh)| {
+        let (mut a, mut b) = (0.0f64, 0.0f64);
+        for ni in 0..n {
+            let plane = (ni * c + ci) * hw..(ni * c + ci + 1) * hw;
+            for (&u, &xh) in up[plane.clone()].iter().zip(&xhat[plane]) {
+                a += u as f64;
+                b += (u * xh) as f64;
+            }
         }
-    }
+        (**su, **suxh) = (a, b);
+    });
 }
 
 /// BatchNorm backward, the input gradient from the sums of [`bn_bwd_sums`]:
-/// `dx (+)= gamma·inv_std/m · (m·up − Σup − xhat·Σ(up·xhat))`, `m = n·hw`.
+/// `dx (+)= gamma·inv_std/m · (m·up − Σup − xhat·Σ(up·xhat))`, `m = n·hw`,
+/// blocks of whole planes per task.
 #[allow(clippy::too_many_arguments)] // one op: destination, operands, cached statistics
 pub(crate) fn bn_bwd_dx(
     dst: &mut [f32],
@@ -414,12 +429,26 @@ pub(crate) fn bn_bwd_dx(
 ) {
     debug_assert!(dst.len() == n * c * hw && up.len() == dst.len() && xhat.len() == dst.len());
     let m = (n * hw) as f32;
-    for (i, plane) in dst.chunks_exact_mut(hw).enumerate() {
+    par_rows(dst, hw, |i, plane| {
         let (ci, base) = (i % c, i * hw);
         let coef = gamma[ci] * inv_std[ci] / m;
         let (su, suxh) = (sum_up[ci] as f32, sum_up_xh[ci] as f32);
         apply(plane, mode, |k| coef * (m * up[base + k] - su - xhat[base + k] * suxh));
-    }
+    });
+}
+
+/// Eval-mode BatchNorm (ChannelAffineF) and its input gradient over the
+/// `hw`-long planes of `x [n, c, hw]`: `dst (+)= f(ci)(x)`, `f(ci)` the
+/// element map of channel `ci`, blocks of whole planes per task.
+pub(crate) fn channel_map<F: Fn(f32) -> f32>(
+    dst: &mut [f32],
+    mode: Mode,
+    x: &[f32],
+    [c, hw]: [usize; 2],
+    f: impl Fn(usize) -> F + Sync,
+) {
+    debug_assert_eq!(dst.len(), x.len());
+    par_rows(dst, hw, |i, plane| map_into(plane, mode, &x[i * hw..(i + 1) * hw], f(i % c)));
 }
 
 // ------------------------------------------------------------- loss family
@@ -556,9 +585,194 @@ mod tests {
         }
     }
 
+    /// The serial permute the kernels replaced, as the oracle.
+    fn to_nchw_oracle(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
+        for ni in 0..n {
+            for y in 0..oh {
+                for x in 0..ow {
+                    let row = ((ni * oh + y) * ow + x) * oc;
+                    for o in 0..oc {
+                        out[((ni * oc + o) * oh + y) * ow + x] = src[row + o];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The serial inverse permute the kernels replaced, as the oracle.
+    fn from_nchw_oracle(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
+        for ni in 0..n {
+            for o in 0..oc {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        out[((ni * oh + y) * ow + x) * oc + o] = src[((ni * oc + o) * oh + y) * ow + x];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The serial BatchNorm statistics the kernels replaced, as the oracle.
+    fn bn_stats_oracle(x: &[f32], [n, c, hw]: [usize; 3], mean: &mut [f64], var: &mut [f64]) {
+        let m = (n * hw) as f64;
+        mean.fill(0.0);
+        var.fill(0.0);
+        for (i, plane) in x.chunks_exact(hw).enumerate() {
+            for &v in plane {
+                mean[i % c] += v as f64;
+            }
+        }
+        for mu in mean.iter_mut() {
+            *mu /= m;
+        }
+        for (i, plane) in x.chunks_exact(hw).enumerate() {
+            for &v in plane {
+                let d = v as f64 - mean[i % c];
+                var[i % c] += d * d;
+            }
+        }
+        for va in var.iter_mut() {
+            *va /= m;
+        }
+    }
+
+    /// The serial BatchNorm forward the kernels replaced, as the oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn bn_fwd_oracle(
+        x: &[f32],
+        [c, hw]: [usize; 2],
+        (mean, var): (&[f64], &[f64]),
+        eps: f32,
+        (gamma, beta): (&[f32], &[f32]),
+        inv_std: &mut [f32],
+        xhat: &mut [f32],
+        out: &mut [f32],
+    ) {
+        for ci in 0..c {
+            inv_std[ci] = (1.0 / (var[ci] + eps as f64).sqrt()) as f32;
+        }
+        for i in 0..x.len() / hw {
+            let ci = i % c;
+            let (mu, is) = (mean[ci] as f32, inv_std[ci]);
+            for k in i * hw..(i + 1) * hw {
+                let xhat_v = (x[k] - mu) * is;
+                xhat[k] = xhat_v;
+                out[k] = gamma[ci] * xhat_v + beta[ci];
+            }
+        }
+    }
+
+    /// The serial BatchNorm backward sums the kernels replaced, as the
+    /// oracle.
+    fn bn_bwd_sums_oracle(up: &[f32], xhat: &[f32], [c, hw]: [usize; 2], sums: (&mut [f64], &mut [f64])) {
+        let (sum_up, sum_up_xh) = sums;
+        sum_up.fill(0.0);
+        sum_up_xh.fill(0.0);
+        for (i, (us, xh)) in up.chunks_exact(hw).zip(xhat.chunks_exact(hw)).enumerate() {
+            for k in 0..hw {
+                sum_up[i % c] += us[k] as f64;
+                sum_up_xh[i % c] += (us[k] * xh[k]) as f64;
+            }
+        }
+    }
+
+    /// The serial BatchNorm input gradient the kernels replaced, as the
+    /// oracle.
+    fn bn_bwd_dx_oracle(
+        dst: &mut [f32],
+        mode: Mode,
+        (up, xhat): (&[f32], &[f32]),
+        [n, c, hw]: [usize; 3],
+        (gamma, inv_std): (&[f32], &[f32]),
+        (sum_up, sum_up_xh): (&[f64], &[f64]),
+    ) {
+        let m = (n * hw) as f32;
+        for (i, plane) in dst.chunks_exact_mut(hw).enumerate() {
+            let (ci, base) = (i % c, i * hw);
+            let coef = gamma[ci] * inv_std[ci] / m;
+            let (su, suxh) = (sum_up[ci] as f32, sum_up_xh[ci] as f32);
+            apply(plane, mode, |k| coef * (m * up[base + k] - su - xhat[base + k] * suxh));
+        }
+    }
+
+    fn assert_bits<T: Copy + Into<f64>>(what: &str, got: &[T], want: &[T]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&a, &b)) in got.iter().zip(want).enumerate() {
+            let (a, b): (f64, f64) = (a.into(), b.into());
+            assert!(a.to_bits() == b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+    }
+
     proptest! {
-        /// The four row-broadcast bodies (AddBias, RowScale and RowScaleDx,
-        /// ColsBlockG), bit for bit against the per-element formulas they
+        /// The NCHW permutes and BatchNorm's passes, bit for bit against
+        /// the serial bodies they replaced, on pools of 1, 2 and 4 threads:
+        /// one-element planes, one channel, one image, and passes on both
+        /// sides of `EW_CHUNK`. Destinations start NaN (or, for an `Add`,
+        /// hold values), so an element a kernel does not write fails; the
+        /// operands are random, so a channel sum taken in another order
+        /// fails.
+        #[test]
+        fn permutes_and_batch_norm_equal_their_serial_oracles(
+            n in prop_oneof![Just(1usize), 2usize..4, Just(33usize)],
+            c in prop_oneof![Just(1usize), 2usize..7],
+            oh in prop_oneof![Just(1usize), 2usize..9, 20usize..27],
+            ow in prop_oneof![Just(1usize), 2usize..9, 20usize..27],
+            data in vec(-2f32..2.0, 997..998),
+        ) {
+            let (hw, len) = (oh * ow, n * c * oh * ow);
+            let val = |k: usize, i: usize| data[(i * 7 + k * 13) % data.len()];
+            let [x, up, pre]: [Vec<f32>; 3] = [0, 1, 2].map(|k| (0..len).map(|i| val(k, i)).collect());
+            let (gamma, beta): (Vec<f32>, Vec<f32>) = (0..c).map(|i| (val(3, i), val(4, i))).unzip();
+            let nan = || vec![f32::NAN; len];
+
+            let (mut to, mut from) = (nan(), nan());
+            to_nchw_oracle(&x, n, c, oh, ow, &mut to);
+            from_nchw_oracle(&x, n, c, oh, ow, &mut from);
+            let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
+            bn_stats_oracle(&x, [n, c, hw], &mut mean, &mut var);
+            let (mut inv_std, mut xhat, mut y) = (vec![0.0f32; c], nan(), nan());
+            let affine = (&gamma[..], &beta[..]);
+            bn_fwd_oracle(&x, [c, hw], (&mean, &var), 1e-5, affine, &mut inv_std, &mut xhat, &mut y);
+            let (mut su, mut suxh) = (vec![0.0f64; c], vec![0.0f64; c]);
+            bn_bwd_sums_oracle(&up, &xhat, [c, hw], (&mut su, &mut suxh));
+            let (mut dx_store, mut dx_add) = (nan(), pre.clone());
+            for (dx, mode) in [(&mut dx_store, Mode::Store), (&mut dx_add, Mode::Add)] {
+                let stats = (&su[..], &suxh[..]);
+                bn_bwd_dx_oracle(dx, mode, (&up, &xhat), [n, c, hw], (&gamma, &inv_std), stats);
+            }
+
+            for threads in [1, 2, 4] {
+                let pool = std::sync::Arc::new(legw_parallel::ThreadPool::new(threads));
+                legw_parallel::with_pool(&pool, || {
+                    let mut got = nan();
+                    to_nchw(&x, n, c, oh, ow, &mut got);
+                    assert_bits("to_nchw", &got, &to);
+                    from_nchw(&x, n, c, oh, ow, &mut got);
+                    assert_bits("from_nchw", &got, &from);
+
+                    let (mut m, mut v) = (vec![f64::NAN; c], vec![f64::NAN; c]);
+                    bn_stats(&x, [n, c, hw], &mut m, &mut v);
+                    assert_bits("bn_stats mean", &m, &mean);
+                    assert_bits("bn_stats var", &v, &var);
+                    let (mut is, mut xh, mut out) = (vec![f32::NAN; c], nan(), nan());
+                    bn_fwd(&x, [n, c, hw], (&m, &v), 1e-5, &gamma, &beta, &mut is, &mut xh, &mut out);
+                    assert_bits("bn_fwd inv_std", &is, &inv_std);
+                    assert_bits("bn_fwd xhat", &xh, &xhat);
+                    assert_bits("bn_fwd out", &out, &y);
+                    let (mut s, mut sx) = (vec![f64::NAN; c], vec![f64::NAN; c]);
+                    bn_bwd_sums(&up, &xh, c, hw, &mut s, &mut sx);
+                    assert_bits("bn_bwd_sums up", &s, &su);
+                    assert_bits("bn_bwd_sums up·xhat", &sx, &suxh);
+                    for (mut dx, mode, want) in [(nan(), Mode::Store, &dx_store), (pre.clone(), Mode::Add, &dx_add)] {
+                        bn_bwd_dx(&mut dx, mode, &up, &xh, [n, c, hw], &gamma, &is, (&s, &sx));
+                        assert_bits("bn_bwd_dx", &dx, want);
+                    }
+                });
+            }
+        }
+
+        /// The row-broadcast bodies (AddBias, RowScale and RowScaleDx,
+        /// ColsBlockG, ChannelAffineF), bit for bit against the per-element formulas they
         /// replaced, on one and on two threads: rows · cols on both sides of
         /// `EW_CHUNK`, one-column rows, rows wider than a chunk, and ragged
         /// last blocks.
@@ -599,6 +813,17 @@ mod tests {
                         &pre,
                         |d, m| cols_block(d, m, &up, rows, off),
                         |i| up[(i / cols) * uc + off + i % cols],
+                    );
+                    // Rows as planes of `cols`, over `c` channels.
+                    let c = rows.div_ceil(2);
+                    assert_body_is_formula(
+                        "channel_map",
+                        &pre,
+                        |d, m| channel_map(d, m, &x, [c, cols], |ci| {
+                            let (s, b) = (s[ci], b[ci % cols]);
+                            move |v| v * s + b
+                        }),
+                        |i| x[i] * s[i / cols % c] + b[i / cols % c % cols],
                     );
                 });
             }

@@ -1,9 +1,10 @@
 //! Convolutional ops: Conv2d (via im2col), 2×2 max pooling, global average
-//! pooling, and training-mode batch normalisation.
+//! pooling, training-mode batch normalisation and its eval-mode form, a
+//! per-channel affine map.
 //!
 //! Feature maps are `[N, C, H, W]` row-major throughout.
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::up;
 use crate::opk::{self, apply, store_or_add};
 use crate::table::{flags, Attr, BnStats, Detour, Entry, Role, State};
@@ -67,6 +68,27 @@ static BN: Entry = Entry::new("BnF", |io| {
     g.contrib(&BN_G, &[up(u), gamma], &to, a, n.st);
 })
 .role(Role::Bn);
+
+/// `[c, hw]`: eval-mode BatchNorm, `x · scale[c] + shift[c]` over the
+/// planes of `x`, the product rounded before the add; `scale` and `shift`
+/// are `[C]` constants.
+static CHANNEL_AFFINE: Entry = Entry::new("ChannelAffineF", |io| {
+    let (x, scale, shift) = (io.src.get(0), io.src.get(1), io.src.get(2));
+    opk::channel_map(io.out[0], opk::Mode::Store, x, [io.a.n[0], io.a.n[1]], |ci| {
+        let (s, b) = (scale[ci], shift[ci]);
+        move |v| v * s + b
+    });
+})
+.grad(|g, n, u| g.contrib(&CHANNEL_AFFINE_G, &[up(u), n.src[1]], &n.src[..1], n.a, None));
+
+/// ChannelAffineF's input gradient: `dx (+)= up · scale[c]`.
+static CHANNEL_AFFINE_G: Entry = Entry::new("ChannelAffineG", |io| {
+    let (u, scale) = (io.src.get(0), io.src.get(1));
+    opk::channel_map(io.out[0], io.mode[0], u, [io.a.n[0], io.a.n[1]], |ci| {
+        let s = scale[ci];
+        move |v| v * s
+    });
+});
 
 /// ConvF's backward: `up` permuted into the buffer's row-major half, then
 /// `dW = up2ᵀ · cols` (flag 1) and `dx = col2im(up2 · W)` (flag 2), the
@@ -184,27 +206,19 @@ impl Graph {
 
     /// Inference-time channel affine `y[n,c,h,w] = x · scale[c] + shift[c]`
     /// with constant (non-learned) scale/shift — used by BatchNorm in eval
-    /// mode with running statistics folded into `scale`/`shift`: a dropout
-    /// by the expanded scale, then an add of the expanded shift as a
-    /// constant leaf (pushed directly, not via [`Graph::input`], so a plan
-    /// captures it rather than expecting it as a replay input).
+    /// mode with running statistics folded into `scale`/`shift`. One op over
+    /// `x` and two `[C]` constant leaves (pushed directly, not via
+    /// [`Graph::input`], so a plan captures them rather than expecting them
+    /// as replay inputs).
     pub fn channel_affine(&mut self, x: Var, scale: &[f32], shift: &[f32]) -> Var {
         let s = self.shape(x);
         assert_eq!(s.len(), 4);
         assert_eq!(scale.len(), s[1]);
         assert_eq!(shift.len(), s[1]);
-        let hw = s[2] * s[3];
-        let expand = |per: &[f32]| {
-            let mut v = Vec::with_capacity(s[0] * s[1] * hw);
-            for _ in 0..s[0] {
-                per.iter().for_each(|&p| v.extend(std::iter::repeat_n(p, hw)));
-            }
-            Tensor::from_vec(v, &s)
-        };
-        let (mask, shift) = (expand(scale), expand(shift));
-        let scaled = self.dropout(x, mask);
-        let sh = self.push(shift, false, crate::graph::Op::Leaf);
-        self.add(scaled, sh)
+        let [scale, shift] = [scale, shift]
+            .map(|per| self.push(Tensor::from_vec(per.to_vec(), &[per.len()]), false, Op::Leaf));
+        let a = Attr::n(&[s[1], s[2] * s[3]]);
+        self.record(&CHANNEL_AFFINE, &[x, scale, shift], &[&s], a, None)
     }
 }
 

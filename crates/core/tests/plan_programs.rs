@@ -84,8 +84,8 @@ const GOLDEN: [Golden; 10] = [
     },
     Golden {
         name: "resnet_serve_b64",
-        kinds: "ConvF=9 DropoutF=9 EwAdd=12 Relu=7 GapF=1 Gemm=1 AddBias=1",
-        stats: [40, 0, 6291456, 6291456, 20971520, 0, 10],
+        kinds: "ConvF=9 ChannelAffineF=9 Relu=7 EwAdd=3 GapF=1 Gemm=1 AddBias=1",
+        stats: [31, 0, 6291456, 6291456, 20971520, 0, 10],
     },
     Golden {
         name: "seq2seq_encoder_b64",

@@ -324,7 +324,8 @@ impl crate::planned::Infer for ResNet {
         (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
     }
 
-    /// The empty mask feed re-uses the captured folded-BN scale masks.
+    /// No feeds: eval BatchNorm's folded scale and shift are constants of
+    /// the plan.
     fn replay_infer(
         &self,
         plan: &mut StepPlan,

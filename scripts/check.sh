@@ -58,17 +58,20 @@ cargo test -q "${flags[@]}" -p legw-serve -- --test-threads=1
 # models crate's plan-vs-tape unit tests (the planned greedy decoder among
 # them), the core crate's evaluation sweeps and shard equivalence (seq2seq
 # evaluation decodes through the plans' weight panels), plan replay against
-# the tape, and the two serving suites (frozen forward, bf16 panels).
+# the tape, ResNet's trained bits pinned to constants (what plan and tape
+# share, neither can check), and the two serving suites (frozen forward, bf16
+# panels).
 tiers=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then tiers+=(avx2); fi
 for tier in "${tiers[@]}"; do
-  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence), freeze_equivalence, bf16_serving"
+  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, bf16_serving"
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-tensor
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-autograd
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-models
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --lib
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test shard_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test plan_replay_equivalence
+  LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test resnet_bits
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test freeze_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test bf16_serving -- --test-threads=1
 done
