@@ -15,7 +15,7 @@
 //! The op set is exactly what the LEGW paper's models need — LSTMs
 //! (concat/slice/σ/tanh/hadamard), language-model heads (embedding, softmax
 //! cross-entropy with optional ignore-index masking), attention (row softmax,
-//! row scaling), and CNNs (conv2d via im2col, max/avg pooling, batch norm).
+//! row scaling), and CNNs (conv2d on the GEMM engine, max/avg pooling, batch norm).
 //!
 //! Every op's backward rule is validated against central finite differences
 //! in the test suite via [`check::grad_check`].

@@ -1,10 +1,10 @@
 //! Slice bodies for the ops whose arithmetic has a rounding chain of its
-//! own — a reduction or f64 accumulator, a normaliser, a scatter-add, a
-//! layout permute, the loss — and the elementwise sweeps every other kernel
-//! runs. The kernel table's entries (`ops_*.rs`) call these on whatever
-//! storage the tape or the plan hands them. (Row softmax, column sums,
-//! column concat/slice, im2col and the fused LSTM cell live one crate down,
-//! as `legw_tensor`'s `_into` functions.)
+//! own — a reduction or f64 accumulator, a normaliser, a scatter-add, the
+//! loss — and the elementwise sweeps every other kernel runs. The kernel
+//! table's entries (`ops_*.rs`) call these on whatever storage the tape or
+//! the plan hands them. (Row softmax, column sums, column concat/slice, the
+//! convolutions and the fused LSTM cell live one crate down, as
+//! `legw_tensor`'s `_into` functions.)
 //!
 //! The write protocol: the first contribution to a gradient stores, later
 //! ones add. For any body taking `(dst, mode)`, `Add` into a prefilled `dst`
@@ -227,32 +227,6 @@ pub(crate) fn cols_scatter(
 }
 
 // ------------------------------------------------------------- conv family
-
-/// Permutes a channels-last matmul result `[N·OH·OW, OC]` into `[N,OC,OH,OW]`,
-/// whole images per task.
-pub(crate) fn to_nchw(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
-    debug_assert!(src.len() == n * oc * oh * ow && out.len() == src.len());
-    let hw = oh * ow;
-    par_rows(out, oc * hw, |ni, img| {
-        let rows = &src[ni * hw * oc..(ni + 1) * hw * oc];
-        for (o, plane) in img.chunks_exact_mut(hw).enumerate() {
-            plane.iter_mut().zip(rows.iter().skip(o).step_by(oc)).for_each(|(d, &v)| *d = v);
-        }
-    });
-}
-
-/// Inverse of [`to_nchw`]: `[N,OC,OH,OW]` → `[N·OH·OW, OC]`, whole images
-/// per task.
-pub(crate) fn from_nchw(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
-    debug_assert!(src.len() == n * oc * oh * ow && out.len() == src.len());
-    let hw = oh * ow;
-    par_rows(out, hw * oc, |ni, rows| {
-        let img = &src[ni * oc * hw..(ni + 1) * oc * hw];
-        for (p, row) in rows.chunks_exact_mut(oc).enumerate() {
-            row.iter_mut().zip(img.iter().skip(p).step_by(hw)).for_each(|(d, &v)| *d = v);
-        }
-    });
-}
 
 /// 2×2 stride-2 max pooling of `nc` planes of `h × w`: the window maxima
 /// into `out`, and into `argmax` the flat input index each came from.
@@ -585,33 +559,6 @@ mod tests {
         }
     }
 
-    /// The serial permute the kernels replaced, as the oracle.
-    fn to_nchw_oracle(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
-        for ni in 0..n {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let row = ((ni * oh + y) * ow + x) * oc;
-                    for o in 0..oc {
-                        out[((ni * oc + o) * oh + y) * ow + x] = src[row + o];
-                    }
-                }
-            }
-        }
-    }
-
-    /// The serial inverse permute the kernels replaced, as the oracle.
-    fn from_nchw_oracle(src: &[f32], n: usize, oc: usize, oh: usize, ow: usize, out: &mut [f32]) {
-        for ni in 0..n {
-            for o in 0..oc {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        out[((ni * oh + y) * ow + x) * oc + o] = src[((ni * oc + o) * oh + y) * ow + x];
-                    }
-                }
-            }
-        }
-    }
-
     /// The serial BatchNorm statistics the kernels replaced, as the oracle.
     fn bn_stats_oracle(x: &[f32], [n, c, hw]: [usize; 3], mean: &mut [f64], var: &mut [f64]) {
         let m = (n * hw) as f64;
@@ -704,15 +651,15 @@ mod tests {
     }
 
     proptest! {
-        /// The NCHW permutes and BatchNorm's passes, bit for bit against
-        /// the serial bodies they replaced, on pools of 1, 2 and 4 threads:
+        /// BatchNorm's passes, bit for bit against the serial bodies they
+        /// replaced, on pools of 1, 2 and 4 threads:
         /// one-element planes, one channel, one image, and passes on both
         /// sides of `EW_CHUNK`. Destinations start NaN (or, for an `Add`,
         /// hold values), so an element a kernel does not write fails; the
         /// operands are random, so a channel sum taken in another order
         /// fails.
         #[test]
-        fn permutes_and_batch_norm_equal_their_serial_oracles(
+        fn batch_norm_passes_equal_their_serial_oracles(
             n in prop_oneof![Just(1usize), 2usize..4, Just(33usize)],
             c in prop_oneof![Just(1usize), 2usize..7],
             oh in prop_oneof![Just(1usize), 2usize..9, 20usize..27],
@@ -725,9 +672,6 @@ mod tests {
             let (gamma, beta): (Vec<f32>, Vec<f32>) = (0..c).map(|i| (val(3, i), val(4, i))).unzip();
             let nan = || vec![f32::NAN; len];
 
-            let (mut to, mut from) = (nan(), nan());
-            to_nchw_oracle(&x, n, c, oh, ow, &mut to);
-            from_nchw_oracle(&x, n, c, oh, ow, &mut from);
             let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
             bn_stats_oracle(&x, [n, c, hw], &mut mean, &mut var);
             let (mut inv_std, mut xhat, mut y) = (vec![0.0f32; c], nan(), nan());
@@ -744,12 +688,6 @@ mod tests {
             for threads in [1, 2, 4] {
                 let pool = std::sync::Arc::new(legw_parallel::ThreadPool::new(threads));
                 legw_parallel::with_pool(&pool, || {
-                    let mut got = nan();
-                    to_nchw(&x, n, c, oh, ow, &mut got);
-                    assert_bits("to_nchw", &got, &to);
-                    from_nchw(&x, n, c, oh, ow, &mut got);
-                    assert_bits("from_nchw", &got, &from);
-
                     let (mut m, mut v) = (vec![f64::NAN; c], vec![f64::NAN; c]);
                     bn_stats(&x, [n, c, hw], &mut m, &mut v);
                     assert_bits("bn_stats mean", &m, &mean);

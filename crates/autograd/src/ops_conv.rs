@@ -1,6 +1,6 @@
-//! Convolutional ops: Conv2d (via im2col), 2×2 max pooling, global average
-//! pooling, training-mode batch normalisation and its eval-mode form, a
-//! per-channel affine map.
+//! Convolutional ops: Conv2d (GEMMs packed straight from the NCHW maps),
+//! 2×2 max pooling, global average pooling, training-mode batch
+//! normalisation and its eval-mode form, a per-channel affine map.
 //!
 //! Feature maps are `[N, C, H, W]` row-major throughout.
 
@@ -8,28 +8,20 @@ use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::up;
 use crate::opk::{self, apply, store_or_add};
 use crate::table::{flags, Attr, BnStats, Detour, Entry, Role, State};
-use legw_tensor::{col2im_into, gemm_into, im2col_into, Conv2dGeom, Tensor};
+use legw_tensor::{conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, Conv2dGeom, Tensor};
 
-/// `[batch, oc, flags, ckk]`, the geometry in the state: im2col into the
-/// buffer's columns, one GEMM against `w [OC, C·KH·KW]` into its row-major
-/// product, then the permute.
+/// `[batch, oc]`, the geometry in the state: the convolution straight from
+/// the NCHW input into the NCHW output, with no column matrix.
 static CONV: Entry = Entry::new("ConvF", |io| {
-    let ([b, oc, _, ckk, _], src) = (io.a.n, io.src);
-    let g = geom(&io.st);
-    let (oh, ow) = (g.oh(), g.ow());
-    let (cols, out2) = io.buf.split_at_mut(b * oh * ow * ckk);
-    im2col_into(src.get(0), b, &g, cols);
-    src.gemm(false, true, cols, 1, [b * oh * ow, ckk, oc], out2, false);
-    opk::to_nchw(out2, b, oc, oh, ow, io.out[0]);
+    let [b, oc, ..] = io.a.n;
+    conv2d_into(io.src.get(0), io.src.get(1), b, oc, &geom(&io.st), io.out[0]);
 })
 .grad(|g, n, u| {
     let [x, w] = [n.src[0], n.src[1]];
     let to: Vec<Var> = [w, x].into_iter().filter(|&v| g.requires(v)).collect();
-    let flags = flags(&[g.requires(w), g.requires(x)]);
-    let a = Attr { n: [n.a.n[0], n.a.n[1], flags, n.a.n[3], 0], ..n.a };
-    g.contrib(&CONV_G, &[up(u), w], &to, a, n.st);
-})
-.panel(|a| Some((1, true, a.n[3], a.n[1])));
+    let a = Attr::n(&[n.a.n[0], n.a.n[1], flags(&[g.requires(w), g.requires(x)])]);
+    g.contrib(&CONV_G, &[up(u), w, x], &to, a, n.st);
+});
 
 /// A convolution's geometry, from its [`Io::st`](crate::table::Io::st).
 fn geom(st: &Option<&mut State>) -> Conv2dGeom {
@@ -90,30 +82,24 @@ static CHANNEL_AFFINE_G: Entry = Entry::new("ChannelAffineG", |io| {
     });
 });
 
-/// ConvF's backward: `up` permuted into the buffer's row-major half, then
-/// `dW = up2ᵀ · cols` (flag 1) and `dx = col2im(up2 · W)` (flag 2), the
-/// latter overwriting the columns, whose last reader `dW` was.
+/// `[batch, oc, flags]`: ConvF's backward from the NCHW `up`, the weight
+/// and ConvF's input: `dW` (flag 1), reduced over every output pixel, and
+/// `dx` (flag 2), each image folded from its `Wᵀ · up` columns.
 static CONV_G: Entry = Entry::new("ConvG", |io| {
-    let ([b, oc, flags, ckk, _], src) = (io.a.n, io.src);
-    let g = geom(&io.st);
-    let (oh, ow) = (g.oh(), g.ow());
-    let rows = b * oh * ow;
-    let (cols, up2) = io.buf.split_at_mut(rows * ckk);
-    opk::from_nchw(src.get(0), b, oc, oh, ow, up2);
+    let ([b, oc, flags, ..], src) = (io.a.n, io.src);
+    let (g, up) = (geom(&io.st), src.get(0));
     let mut j = 0;
     if flags & 1 != 0 {
-        store_or_add(io.out[0], io.mode[0], io.scratch, |o| {
-            gemm_into(true, false, up2, cols, oc, rows, ckk, o, false)
-        });
+        let x = src.get(2);
+        store_or_add(io.out[0], io.mode[0], io.scratch, |o| conv2d_grad_w_into(x, up, b, oc, &g, o));
         j = 1;
     }
     if flags & 2 != 0 {
-        src.gemm(false, false, up2, 1, [rows, oc, ckk], cols, false);
-        store_or_add(io.out[j], io.mode[j], io.scratch, |o| col2im_into(cols, b, &g, o));
+        let w = src.get(1);
+        store_or_add(io.out[j], io.mode[j], io.scratch, |o| conv2d_grad_x_into(up, w, b, oc, &g, o));
     }
 })
-.detour(Detour::Each)
-.panel(|a| (a.n[2] & 2 != 0).then(|| (1, false, a.n[1], a.n[3])));
+.detour(Detour::Each);
 
 static MAX_POOL_G: Entry = Entry::new("MaxPoolG", |io| {
     let st = io.st.as_deref().expect("max pool without its argmax");
@@ -153,10 +139,9 @@ impl Graph {
         let (xs, ws) = (self.shape(x), self.shape(w));
         assert_eq!(xs.len(), 4, "conv2d input must be [N,C,H,W]");
         assert_eq!(ws[1], geom.c * geom.kh * geom.kw, "weight columns must be C·KH·KW");
-        let (n, oc, rows) = (xs[0], ws[0], xs[0] * geom.oh() * geom.ow());
-        let st = State { geom: Some(Box::new(geom)), ..State::buf(rows * (ws[1] + oc)) };
-        let a = Attr::n(&[n, oc, 0, ws[1]]);
-        self.record(&CONV, &[x, w], &[&[n, oc, geom.oh(), geom.ow()]], a, Some(st))
+        let (n, oc) = (xs[0], ws[0]);
+        let st = State { geom: Some(Box::new(geom)), ..State::default() };
+        self.record(&CONV, &[x, w], &[&[n, oc, geom.oh(), geom.ow()]], Attr::n(&[n, oc]), Some(st))
     }
 
     /// 2×2 max pooling with stride 2 on `[N,C,H,W]` (H, W must be even).

@@ -90,7 +90,7 @@ pub struct PlanStats {
     /// (`arena_bytes` is larger where values of different sizes cannot
     /// share slots tightly).
     pub peak_live_bytes: usize,
-    /// Bytes of the op buffers (gates, probs, im2col columns…): one per op,
+    /// Bytes of the op buffers (gates, probs, `x̂`…): one per op,
     /// or in a forward-only plan one shared by all.
     pub state_bytes: usize,
     /// Bytes of the shared scratch buffers (add-mode detours plus the

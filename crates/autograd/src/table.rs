@@ -48,11 +48,11 @@ pub(crate) fn flags(bits: &[bool]) -> usize {
 #[derive(Default)]
 pub(crate) struct State {
     /// One f32 buffer, which a body sees as [`Io::buf`]: cross-entropy
-    /// probabilities; a conv's im2col columns, then its row-major product;
-    /// BatchNorm's `x̂`; an LSTM cell's gates, then `tanh(c')`. The forward
-    /// body writes all of it before reading any, and only the op's backward
-    /// reads what it wrote. The tape keeps the buffer here, pooled; a plan
-    /// keeps its buffers itself and leaves this `None`.
+    /// probabilities; BatchNorm's `x̂`; an LSTM cell's gates, then
+    /// `tanh(c')`. The forward body writes all of it before reading any,
+    /// and only the op's backward reads what it wrote. The tape keeps the
+    /// buffer here, pooled; a plan keeps its buffers itself and leaves this
+    /// `None`.
     pub buf: Option<Tensor>,
     /// Embedding ids or cross-entropy labels — a per-replay feed.
     pub ids: Vec<usize>,
@@ -64,7 +64,7 @@ pub(crate) struct State {
     pub active: usize,
     /// BatchNorm's per-channel statistics.
     pub bn: Option<Box<BnStats>>,
-    /// A convolution's geometry.
+    /// A convolution's geometry, all the state a convolution keeps.
     pub geom: Option<Box<Conv2dGeom>>,
 }
 

@@ -1,7 +1,7 @@
 //! ResNet's trained bits, pinned.
 //!
 //! The plan-vs-tape suites compare two paths that share every kernel, so a
-//! change to a shared kernel — im2col and col2im, the NCHW permutes,
+//! change to a shared kernel — the convolutions' GEMMs and their pack loops,
 //! BatchNorm's passes, eval-mode BatchNorm — is invisible to them. This
 //! test trains the benchmark's ResNet configuration (width 8, 16×16 inputs,
 //! 12 classes, batch 128, LARS under LEGW) for four steps on a small split,

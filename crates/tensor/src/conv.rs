@@ -1,21 +1,28 @@
-//! Convolution lowering: `im2col` / `col2im` so Conv2d forward and backward
-//! become matrix multiplications.
+//! Conv2d forward and gradients as GEMMs with no column matrix.
 //!
-//! Layout convention: images are `[N, C, H, W]` row-major; the column matrix
-//! is `[N·OH·OW, C·KH·KW]` so that `cols @ weight[CKK, OC]` yields the output
-//! `[N·OH·OW, OC]`.
+//! Layout convention: images and feature maps are `[N, C, H, W]` row-major,
+//! a weight is `[OC, C·KH·KW]`. The im2col matrix of a batch is
+//! `[N·OH·OW, C·KH·KW]` — one row per output pixel, one column per tap
+//! `(channel, ky, kx)` — and the three products of a convolution are
+//! products with it: the output is `w · im2colᵀ`, the weight gradient
+//! `up · im2col`, the input gradient the fold (col2im) of `wᵀ · up`.
 //!
-//! Both kernels only move data, so they are written to run at memory speed:
-//! the unfold writes every column element exactly once, padding zeros
-//! inline, over row blocks of the pool; the fold gives each image its own
-//! pool task. The kernel width is a compile-time constant for the widths
-//! the models use (1 and 3), so an in-bounds span is a fixed number of
-//! moves; any other width runs the same body at a run-time width.
+//! None of them builds it. The GEMM engine packs its operands a block at a
+//! time, and the pack loops here gather those blocks straight from the
+//! images: [`pack_pixels`] as panels of output pixels (the forward's B),
+//! [`pack_taps`] as panels of taps (the weight gradient's B), and
+//! [`pack_planes`] reads an NCHW gradient as `[channels, pixels]` (the
+//! weight gradient's A). The forward writes each image's product straight
+//! into its NCHW block, and the input gradient reads `up`'s planes as they
+//! are, so no permute runs either. Each product sums the same terms in the
+//! same order as the lowering it replaced, so every bit is the lowering's;
+//! the tests hold the kernels to that lowering, built from serial oracles.
 
+use crate::gemm::{self, zero_tail};
+use crate::kernels::PackElem;
 use crate::pool::Buffer;
 use crate::tensor::Tensor;
 use legw_parallel::{current, par_chunks_mut};
-use std::ops::Range;
 
 /// Geometry of a 2-D convolution: input/kernel/stride/padding extents and
 /// the derived output size.
@@ -62,58 +69,79 @@ impl Conv2dGeom {
     }
 }
 
-/// Unfolds `input [N, C, H, W]` into a column matrix `[N·OH·OW, C·KH·KW]`.
+/// Conv2d forward: `out [n, oc, oh, ow]` from images `x [n, c, h, w]` and
+/// a weight `w [oc, c·kh·kw]`. Per image one GEMM, `w · Unfold(xᵢ)ᵀ`, whose
+/// B panels are gathered straight from the image and whose product is the
+/// image's NCHW output block; every element of `out` is overwritten.
 ///
-/// Output rows are independent, so the unfold runs over row blocks of the
-/// column matrix on the pool. Each element is written once, so the output
-/// starts as a dirty pooled buffer.
+/// Bitwise, this is the im2col lowering it replaced — `im2col(x) · wᵀ`
+/// permuted to NCHW — at any thread count.
+pub fn conv2d_into(x: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, out: &mut [f32]) {
+    check(g, x, n, "conv2d_into input");
+    assert_eq!(w.len(), oc * g.c * g.kh * g.kw, "conv2d_into weight length");
+    assert_eq!(out.len(), n * oc * g.oh() * g.ow(), "conv2d_into out length");
+    gemm::conv_forward(&current(), x, w, n, oc, g, out);
+}
+
+/// Conv2d weight gradient: `dw [oc, c·kh·kw] = Σ` over every output pixel
+/// of the batch of `up[·, o, pixel] · Unfold(x)[pixel, ·]`, from the images
+/// `x [n, c, h, w]` and the output gradient `up [n, oc, oh, ow]`, both read
+/// where they are. The reduction is split across the pool at the GEMM
+/// engine's own k-blocks and summed back in block order, so the bits are
+/// the serial product's — `up2ᵀ · im2col(x)` of the lowering it replaced —
+/// at any thread count. `dw` is overwritten.
+pub fn conv2d_grad_w_into(x: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dw: &mut [f32]) {
+    check(g, x, n, "conv2d_grad_w_into input");
+    assert_eq!(up.len(), n * oc * g.oh() * g.ow(), "conv2d_grad_w_into up length");
+    assert_eq!(dw.len(), oc * g.c * g.kh * g.kw, "conv2d_grad_w_into dw length");
+    gemm::conv_dw(&current(), x, up, n, oc, g, dw);
+}
+
+/// Conv2d input gradient: `dx [n, c, h, w]`, the fold (col2im) of
+/// `wᵀ · upᵢ` per image, from the output gradient `up [n, oc, oh, ow]` and
+/// the weight `w [oc, c·kh·kw]`. Each image's columns exist only in a
+/// per-thread scratch between its GEMM and its fold, and each pixel still
+/// receives its contributions in output-pixel order, so the bits are the
+/// lowering's — `col2im(up2 · w)` — at any thread count. `dx` is
+/// overwritten.
+pub fn conv2d_grad_x_into(up: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dx: &mut [f32]) {
+    check(g, dx, n, "conv2d_grad_x_into dx");
+    assert_eq!(up.len(), n * oc * g.oh() * g.ow(), "conv2d_grad_x_into up length");
+    assert_eq!(w.len(), oc * g.c * g.kh * g.kw, "conv2d_grad_x_into weight length");
+    gemm::conv_dx(&current(), up, w, n, oc, g, dx);
+}
+
+/// Validates `g` and that `images` holds `n` images of its input shape.
+fn check(g: &Conv2dGeom, images: &[f32], n: usize, what: &str) {
+    g.validate();
+    assert_eq!(images.len(), n * g.c * g.h * g.w, "{what} length");
+}
+
+/// Unfolds `input [N, C, H, W]` into a column matrix `[N·OH·OW, C·KH·KW]`:
+/// one row per output pixel, one column per tap `(channel, ky, kx)`.
+///
+/// The convolutions never build this matrix: they gather its blocks as
+/// they pack them. This runs the same gather as the weight gradient's tap
+/// panels over the whole batch, at one panel as wide as a row. Row blocks
+/// run on the pool; every element is written once, so the output starts as
+/// a dirty pooled buffer.
 pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
     g.validate();
     assert_eq!(input.ndim(), 4, "im2col expects [N,C,H,W], got {:?}", input.shape());
     let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     assert_eq!((c, h, w), (g.c, g.h, g.w), "geometry mismatch");
-    let (oh, ow) = (g.oh(), g.ow());
-    let ckk = c * g.kh * g.kw;
-    let rows = n * oh * ow;
+    let (ckk, rows) = (c * g.kh * g.kw, n * g.oh() * g.ow());
     let mut out = Buffer::dirty(rows * ckk);
-    fill_cols(input.as_slice(), n, g, &mut out);
-    Tensor::from_buffer(out, &[rows, ckk])
-}
-
-/// Slice-level [`im2col`] into a caller-owned, already-sized buffer
-/// (`[N·OH·OW, C·KH·KW]` elements) whose contents do not matter: the
-/// kernel `im2col` uses overwrites all of it, so precompiled execution
-/// plans reproduce the tape path bit-for-bit without allocating.
-pub fn im2col_into(input: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    g.validate();
-    assert_eq!(input.len(), n * g.c * g.h * g.w, "im2col_into input length");
-    let ckk = g.c * g.kh * g.kw;
-    assert_eq!(out.len(), n * g.oh() * g.ow() * ckk, "im2col_into out length");
-    fill_cols(input, n, g, out);
-}
-
-/// The output columns whose `kw`-wide kernel span lies wholly inside the
-/// image (empty when none does): there a span is a plain copy, with no
-/// padding to clip.
-fn interior(g: &Conv2dGeom, kw: usize) -> Range<usize> {
-    let ow = g.ow();
-    let start = g.pad.div_ceil(g.stride).min(ow);
-    let end = match (g.w + g.pad).checked_sub(kw) {
-        Some(room) => (room / g.stride + 1).min(ow),
-        None => 0,
+    let pool = current();
+    let rows_per_task = if out.len() < crate::PAR_THRESHOLD || pool.threads() == 1 {
+        rows.max(1)
+    } else {
+        rows.div_ceil(pool.threads() * 4).max(1)
     };
-    start..end.max(start)
-}
-
-/// `(x0, lo, hi)` for output column `ox` of a `kw`-wide kernel: the input
-/// column under kernel column 0 (negative inside the left padding), and the
-/// kernel columns `lo..hi` that fall inside the image (`lo == hi` when none
-/// does).
-fn in_bounds(g: &Conv2dGeom, kw: usize, ox: usize) -> (isize, usize, usize) {
-    let x0 = (ox * g.stride) as isize - g.pad as isize;
-    let lo = (-x0).clamp(0, kw as isize) as usize;
-    let hi = (g.w as isize - x0).clamp(lo as isize, kw as isize) as usize;
-    (x0, lo, hi)
+    par_chunks_mut(&pool, &mut out, rows_per_task * ckk, |start, block| {
+        pack_taps::<f32>(block, input.as_slice(), g, 0, ckk, start / ckk, block.len() / ckk, ckk);
+    });
+    Tensor::from_buffer(out, &[rows, ckk])
 }
 
 /// The input row under kernel row `ky` of output row `oy`, if it is inside
@@ -122,153 +150,227 @@ fn in_row(g: &Conv2dGeom, oy: usize, ky: usize) -> Option<usize> {
     (oy * g.stride + ky).checked_sub(g.pad).filter(|&iy| iy < g.h)
 }
 
-/// The unfold behind [`im2col`] / [`im2col_into`], at a compile-time kernel
-/// width where the models have one.
-fn fill_cols(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    match g.kw {
-        1 => fill_cols_kw::<1>(src, n, g, out),
-        3 => fill_cols_kw::<3>(src, n, g, out),
-        _ => fill_cols_kw::<0>(src, n, g, out),
+/// The `j` in `0..len` for which output column `ox0 + j` puts kernel
+/// column `kx` inside the image, as `(lo, hi)` with `lo <= hi`.
+fn in_cols(g: &Conv2dGeom, kx: usize, ox0: usize, len: usize) -> (usize, usize) {
+    let s = g.stride;
+    // The input column under output column `ox0`.
+    let x0 = (ox0 * s + kx) as isize - g.pad as isize;
+    let lo = if x0 >= 0 { 0 } else { x0.unsigned_abs().div_ceil(s) };
+    let hi = (g.w as isize - x0).max(0) as usize;
+    (lo.min(len), hi.div_ceil(s).clamp(lo.min(len), len))
+}
+
+/// `d[j] = line[(ox0 + j)·stride + kx − pad]` where that is inside the
+/// line, zero where it is padding.
+#[inline(always)]
+fn gather_row<E: PackElem>(d: &mut [E], line: &[f32], g: &Conv2dGeom, ox0: usize, kx: usize) {
+    let (lo, hi) = in_cols(g, kx, ox0, d.len());
+    d[..lo].fill(E::default());
+    d[hi..].fill(E::default());
+    if lo < hi {
+        let from = (ox0 + lo) * g.stride + kx - g.pad;
+        let src = line[from..].iter().step_by(g.stride);
+        d[lo..hi].iter_mut().zip(src).for_each(|(d, &v)| *d = E::pack(v));
     }
 }
 
-/// Writes every element of `out`, padding zeros included, so `out` may hold
-/// anything on entry. The unit of work is one output row of one image:
-/// `OW` rows of the column matrix, a few KB.
-fn fill_cols_kw<const KW: usize>(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    let (img_len, oh) = (g.c * g.h * g.w, g.oh());
-    let line_len = g.ow() * g.c * g.kh * g.kw;
-    let (pool, lines) = (current(), n * oh);
-    let lines_per_task = if out.len() < crate::PAR_THRESHOLD || pool.threads() == 1 {
-        lines.max(1)
+/// [`Src::Unfold`](crate::gemm::Src)'s pack loop: the `rows × kb` block at
+/// `(p0, k0)` of the im2col matrix `[pixels, taps]` of `x` into `w`-row
+/// micro-panels, k-major — per tap, `w` consecutive output pixels, which
+/// are stretches of output rows, each a strided run of one input line.
+/// Rows past `rows` in the last panel are zeroed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_pixels<E: PackElem>(
+    dst: &mut [E],
+    x: &[f32],
+    g: &Conv2dGeom,
+    p0: usize,
+    rows: usize,
+    k0: usize,
+    kb: usize,
+    w: usize,
+) {
+    let (ow, ohw, img, plane) = (g.ow(), g.oh() * g.ow(), g.c * g.h * g.w, g.h * g.w);
+    for (pi, panel) in dst.chunks_exact_mut(kb * w).enumerate() {
+        let first = p0 + pi * w;
+        let live = w.min(p0 + rows - first);
+        let mut off = 0;
+        while off < live {
+            // One stretch of output row `oy` of image `ni`: columns
+            // `ox0..ox0 + len`, panel rows `off..off + len`.
+            let (ni, p) = ((first + off) / ohw, (first + off) % ohw);
+            let (oy, ox0) = (p / ow, p % ow);
+            let len = (ow - ox0).min(live - off);
+            let image = &x[ni * img..(ni + 1) * img];
+            let (mut ci, mut ky, mut kx) = tap_at(g, k0);
+            for kk in 0..kb {
+                let d = &mut panel[kk * w + off..kk * w + off + len];
+                match in_row(g, oy, ky) {
+                    Some(iy) => gather_row(d, &image[ci * plane + iy * g.w..][..g.w], g, ox0, kx),
+                    None => d.fill(E::default()),
+                }
+                (ci, ky, kx) = next_tap(g, ci, ky, kx);
+            }
+            off += len;
+        }
+        zero_tail(panel, live, kb, w);
+    }
+}
+
+/// Im2col column `q` as its tap `(channel, ky, kx)`.
+fn tap_at(g: &Conv2dGeom, q: usize) -> (usize, usize, usize) {
+    (q / (g.kh * g.kw), q / g.kw % g.kh, q % g.kw)
+}
+
+/// The tap after `(ci, ky, kx)` in im2col column order.
+#[inline(always)]
+fn next_tap(g: &Conv2dGeom, ci: usize, ky: usize, kx: usize) -> (usize, usize, usize) {
+    if kx + 1 < g.kw {
+        (ci, ky, kx + 1)
+    } else if ky + 1 < g.kh {
+        (ci, ky + 1, 0)
     } else {
-        lines.div_ceil(pool.threads() * 4).max(1)
-    };
-    par_chunks_mut(&pool, out, lines_per_task * line_len, |start, block| {
-        for (i, dst) in block.chunks_exact_mut(line_len).enumerate() {
-            let (ni, oy) = ((start / line_len + i) / oh, (start / line_len + i) % oh);
-            fill_line::<KW>(&src[ni * img_len..(ni + 1) * img_len], g, oy, dst);
-        }
-    });
+        (ci + 1, 0, 0)
+    }
 }
 
-/// Output row `oy` of image `img` into its `[OW, C·KH·KW]` block of the
-/// column matrix, one `(channel, ky)` input line at a time. `KW` is the
-/// kernel width as a compile-time constant, or 0 for `g.kw` read at run
-/// time. Inlined into its caller: called as a function, the fold below runs
-/// at half its speed, so both bodies are kept inline alike.
-#[inline(always)]
-fn fill_line<const KW: usize>(img: &[f32], g: &Conv2dGeom, oy: usize, dst: &mut [f32]) {
-    let kw = if KW == 0 { g.kw } else { KW };
-    let (hw, w, stride, pad) = (g.h * g.w, g.w, g.stride, g.pad);
-    let (ow, ckk, inner) = (g.ow(), g.c * g.kh * kw, interior(g, kw));
-    for (ci, plane) in img.chunks_exact(hw).enumerate() {
-        for ky in 0..g.kh {
-            let col = (ci * g.kh + ky) * kw;
-            let Some(iy) = in_row(g, oy, ky) else {
-                for ox in 0..ow {
-                    dst[ox * ckk + col..ox * ckk + col + kw].fill(0.0);
+/// Taps one pass of [`pack_taps`] tables: a GEMM column block.
+const TAP_TABLE: usize = gemm::NC;
+
+/// [`Src::Unfold`](crate::gemm::Src)`{ trans: true }`'s pack loop: the
+/// `rows × kb` block at `(t0, k0)` of the transposed im2col matrix
+/// `[taps, pixels]` of `x` into `w`-row micro-panels, k-major — per output
+/// pixel, `w` consecutive taps of each panel. Up to [`TAP_TABLE`] taps at a
+/// time are tabled (kernel row, kernel column, offset from the receptive
+/// field's corner), so a pixel whose receptive field lies inside the image
+/// is, in every panel, a gather at fixed offsets from its corner; only
+/// border pixels check each tap. Rows past `rows` in the last panel are
+/// zeroed. At `w = c·kh·kw` the block is one panel whose k-steps are im2col
+/// rows, which is how [`im2col`] runs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_taps<E: PackElem>(
+    dst: &mut [E],
+    x: &[f32],
+    g: &Conv2dGeom,
+    t0: usize,
+    rows: usize,
+    k0: usize,
+    kb: usize,
+    w: usize,
+) {
+    let (ow, ohw, img, plane) = (g.ow(), g.oh() * g.ow(), g.c * g.h * g.w, g.h * g.w);
+    let (ih, iw, kh, kw) = (g.h as isize, g.w as isize, g.kh as isize, g.kw as isize);
+    // Whole panels per pass where they fit the table.
+    let chunk = if w <= TAP_TABLE { TAP_TABLE / w * w } else { TAP_TABLE };
+    for c0 in (0..rows).step_by(chunk) {
+        let taps = chunk.min(rows - c0);
+        let (mut ky, mut kx, mut off) = ([0isize; TAP_TABLE], [0isize; TAP_TABLE], [0usize; TAP_TABLE]);
+        let mut tap = tap_at(g, t0 + c0);
+        for t in 0..taps {
+            let (ci, y, x) = tap;
+            (ky[t], kx[t], off[t]) = (y as isize, x as isize, ci * plane + y * g.w + x);
+            tap = next_tap(g, ci, y, x);
+        }
+        let (mut ni, mut oy, mut ox) = (k0 / ohw, k0 % ohw / ow, k0 % ow);
+        for kk in 0..kb {
+            let image = &x[ni * img..(ni + 1) * img];
+            // The receptive field's corner.
+            let (y0, x0) = ((oy * g.stride) as isize - g.pad as isize, (ox * g.stride) as isize - g.pad as isize);
+            let inside = y0 >= 0 && x0 >= 0 && y0 + kh <= ih && x0 + kw <= iw;
+            let field = inside.then(|| &image[(y0 * iw + x0) as usize..]);
+            // The pass's taps, a stretch of one panel at a time.
+            let (mut t, mut p, mut c) = (0, c0 / w, c0 % w);
+            while t < taps {
+                let len = (w - c).min(taps - t);
+                let row = &mut dst[(p * kb + kk) * w + c..][..len];
+                if let Some(field) = field {
+                    row.iter_mut().zip(&off[t..t + len]).for_each(|(d, &o)| *d = E::pack(field[o]));
+                } else {
+                    for (j, d) in row.iter_mut().enumerate() {
+                        let (iy, ix) = (y0 + ky[t + j], x0 + kx[t + j]);
+                        let at = y0 * iw + x0 + off[t + j] as isize;
+                        let inside = (0..ih).contains(&iy) && (0..iw).contains(&ix);
+                        *d = if inside { E::pack(image[at as usize]) } else { E::default() };
+                    }
                 }
-                continue;
+                (t, p, c) = (t + len, p + 1, 0);
+            }
+            (ni, oy, ox) = if ox + 1 < ow {
+                (ni, oy, ox + 1)
+            } else if oy + 1 < g.oh() {
+                (ni, oy + 1, 0)
+            } else {
+                (ni + 1, 0, 0)
             };
-            let line = &plane[iy * w..(iy + 1) * w];
-            for ox in (0..inner.start).chain(inner.end..ow) {
-                let (x0, lo, hi) = in_bounds(g, kw, ox);
-                let span = &mut dst[ox * ckk + col..ox * ckk + col + kw];
-                span[..lo].fill(0.0);
-                span[hi..].fill(0.0);
-                if lo < hi {
-                    let from = (x0 + lo as isize) as usize;
-                    span[lo..hi].copy_from_slice(&line[from..from + hi - lo]);
+        }
+    }
+    if let Some(last) = dst.chunks_exact_mut(kb * w).last() {
+        zero_tail(last, rows - (rows - 1) / w * w, kb, w);
+    }
+}
+
+/// [`Src::Planes`](crate::gemm::Src)'s pack loop: the `rows × kb` block at
+/// `(c0, k0)` of feature maps `x [n, c, hw]` read as `[c, n·hw]` into
+/// `w`-row micro-panels, k-major: each channel row a run of contiguous
+/// plane stretches, stored with stride `w`. Rows past `rows` in the last
+/// panel are zeroed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_planes<E: PackElem>(
+    dst: &mut [E],
+    x: &[f32],
+    c: usize,
+    hw: usize,
+    c0: usize,
+    rows: usize,
+    k0: usize,
+    kb: usize,
+    w: usize,
+) {
+    for (pi, panel) in dst.chunks_exact_mut(kb * w).enumerate() {
+        let first = c0 + pi * w;
+        let live = w.min(c0 + rows - first);
+        for r in 0..live {
+            let (mut kk, mut ni, mut p) = (0, k0 / hw, k0 % hw);
+            while kk < kb {
+                let len = (hw - p).min(kb - kk);
+                let src = &x[(ni * c + first + r) * hw + p..][..len];
+                for (j, &v) in src.iter().enumerate() {
+                    panel[(kk + j) * w + r] = E::pack(v);
                 }
-            }
-            for ox in inner.clone() {
-                let (o, x) = (ox * ckk + col, ox * stride - pad);
-                dst[o..o + kw].copy_from_slice(&line[x..x + kw]);
+                (kk, ni, p) = (kk + len, ni + 1, 0);
             }
         }
+        zero_tail(panel, live, kb, w);
     }
 }
 
-/// Folds a column-matrix gradient `[N·OH·OW, C·KH·KW]` back into an image
-/// gradient `[N, C, H, W]`, summing overlapping contributions (the adjoint of
-/// [`im2col`]).
-pub fn col2im(cols: &Tensor, n: usize, g: &Conv2dGeom) -> Tensor {
-    g.validate();
-    let (oh, ow) = (g.oh(), g.ow());
-    let ckk = g.c * g.kh * g.kw;
-    assert_eq!(cols.shape(), &[n * oh * ow, ckk], "col2im shape mismatch");
-    let mut out = Buffer::dirty(n * g.c * g.h * g.w);
-    fold_cols(cols.as_slice(), n, g, &mut out);
-    Tensor::from_buffer(out, &[n, g.c, g.h, g.w])
-}
-
-/// Slice-level [`col2im`] into a caller-owned buffer (`N·C·H·W` elements)
-/// whose contents do not matter: the fold `col2im` uses zeroes each image
-/// before it accumulates into it.
-pub fn col2im_into(cols: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    g.validate();
-    assert_eq!(cols.len(), n * g.oh() * g.ow() * g.c * g.kh * g.kw, "col2im_into cols length");
-    assert_eq!(out.len(), n * g.c * g.h * g.w, "col2im_into out length");
-    fold_cols(cols, n, g, out);
-}
-
-/// The fold behind [`col2im`] / [`col2im_into`], at a compile-time kernel
-/// width where the models have one.
-fn fold_cols(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    match g.kw {
-        1 => fold_cols_kw::<1>(src, n, g, out),
-        3 => fold_cols_kw::<3>(src, n, g, out),
-        _ => fold_cols_kw::<0>(src, n, g, out),
-    }
-}
-
-/// One pool task per image: images' planes are disjoint.
-fn fold_cols_kw<const KW: usize>(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
-    let (img_len, img_cols) = (g.c * g.h * g.w, g.oh() * g.ow() * g.c * g.kh * g.kw);
-    let pool = current();
-    let imgs_per_task = if n * img_cols < crate::PAR_THRESHOLD { n.max(1) } else { 1 };
-    par_chunks_mut(&pool, out, imgs_per_task * img_len, |start, imgs| {
-        for (i, img) in imgs.chunks_exact_mut(img_len).enumerate() {
-            let ni = start / img_len + i;
-            fold_image::<KW>(&src[ni * img_cols..(ni + 1) * img_cols], g, img);
-        }
-    });
-}
-
-/// Zeroes `img`, then adds its column-matrix rows `cols` into it: output
-/// rows in order, and within one, each `(channel, ky)` input line takes its
-/// output columns in order. A pixel lies under one `(ky, kx)` of any one
-/// column matrix row, so it receives its contributions in row order, as the
-/// serial fold adds them. `KW` is the kernel width as a compile-time
-/// constant, or 0 for `g.kw` read at run time. Inlined, as [`fill_line`].
-#[inline(always)]
-fn fold_image<const KW: usize>(cols: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
-    let kw = if KW == 0 { g.kw } else { KW };
-    let (hw, w, stride, pad) = (g.h * g.w, g.w, g.stride, g.pad);
-    let (ow, ckk, inner) = (g.ow(), g.c * g.kh * kw, interior(g, kw));
+/// Zeroes `img`, then adds one image's tap-major columns
+/// `cols [c·kh·kw, oh·ow]` into it: the adjoint of the unfold. Output rows
+/// in order; within one, each `(channel, ky)` input line takes its kernel
+/// columns from the last to the first, each over all output columns in
+/// order. A pixel lies under one `(ky, kx)` of any one output pixel, and
+/// down the kernel columns its output column rises, so it receives its
+/// contributions in output-pixel order: the row-major fold's order, hence
+/// its bits.
+pub(crate) fn fold_taps(cols: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
+    let (hw, ow, ohw) = (g.h * g.w, g.ow(), g.oh() * g.ow());
+    debug_assert!(cols.len() == g.c * g.kh * g.kw * ohw && img.len() == g.c * hw);
     img.fill(0.0);
-    for (oy, rows) in cols.chunks_exact(ow * ckk).enumerate() {
+    for oy in 0..g.oh() {
         for (ci, plane) in img.chunks_exact_mut(hw).enumerate() {
             for ky in 0..g.kh {
                 let Some(iy) = in_row(g, oy, ky) else { continue };
-                let line = &mut plane[iy * w..(iy + 1) * w];
-                let col = (ci * g.kh + ky) * kw;
-                let border = |line: &mut [f32], ox: usize| {
-                    let (x0, lo, hi) = in_bounds(g, kw, ox);
+                let line = &mut plane[iy * g.w..(iy + 1) * g.w];
+                for kx in (0..g.kw).rev() {
+                    let q = (ci * g.kh + ky) * g.kw + kx;
+                    let (lo, hi) = in_cols(g, kx, 0, ow);
                     if lo < hi {
-                        let (from, o) = ((x0 + lo as isize) as usize, ox * ckk + col);
-                        let span = &rows[o + lo..o + hi];
-                        line[from..from + hi - lo].iter_mut().zip(span).for_each(|(d, &v)| *d += v);
+                        let src = &cols[q * ohw + oy * ow + lo..q * ohw + oy * ow + hi];
+                        let dst = line[lo * g.stride + kx - g.pad..].iter_mut().step_by(g.stride);
+                        dst.zip(src).for_each(|(d, &v)| *d += v);
                     }
-                };
-                // Output columns in order: left border, interior, right border.
-                (0..inner.start).for_each(|ox| border(line, ox));
-                for ox in inner.clone() {
-                    let (o, x) = (ox * ckk + col, ox * stride - pad);
-                    line[x..x + kw].iter_mut().zip(&rows[o..o + kw]).for_each(|(d, &v)| *d += v);
                 }
-                (inner.end..ow).for_each(|ox| border(line, ox));
             }
         }
     }
@@ -277,8 +379,12 @@ fn fold_image<const KW: usize>(cols: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::KC;
+    use crate::kernels::{self, Kernel};
+    use legw_parallel::{with_pool, ThreadPool};
     use legw_propcheck::collection::vec;
     use legw_propcheck::prelude::*;
+    use std::sync::Arc;
 
     fn geom(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Conv2dGeom {
         Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad }
@@ -306,25 +412,14 @@ mod tests {
     }
 
     #[test]
-    fn im2col_matmul_equals_direct_conv() {
-        // direct convolution vs im2col+matmul on a small case
+    fn conv2d_equals_direct_conv() {
         let g = geom(2, 5, 5, 3, 1, 1);
-        let n = 2;
-        let oc = 3;
-        let x = Tensor::from_vec(
-            (0..n * 2 * 25).map(|v| ((v * 37 % 11) as f32) - 5.0).collect(),
-            &[n, 2, 5, 5],
-        );
-        let wgt = Tensor::from_vec(
-            (0..oc * 2 * 9).map(|v| ((v * 13 % 7) as f32) * 0.1 - 0.3).collect(),
-            &[oc, 2 * 9],
-        );
-        // im2col path: [N*OH*OW, CKK] @ [CKK, OC]
-        let cols = im2col(&x, &g);
-        let out = cols.matmul(&wgt.transpose()); // [N*OH*OW, OC]
-
-        // direct path
+        let (n, oc) = (2, 3);
+        let x: Vec<f32> = (0..n * 2 * 25).map(|v| ((v * 37 % 11) as f32) - 5.0).collect();
+        let wgt: Vec<f32> = (0..oc * 2 * 9).map(|v| ((v * 13 % 7) as f32) * 0.1 - 0.3).collect();
         let (oh, ow) = (g.oh(), g.ow());
+        let mut out = vec![f32::NAN; n * oc * oh * ow];
+        conv2d_into(&x, &wgt, n, oc, &g, &mut out);
         for ni in 0..n {
             for o in 0..oc {
                 for oy in 0..oh {
@@ -336,15 +431,13 @@ mod tests {
                                     let iy = oy as isize + ky as isize - 1;
                                     let ix = ox as isize + kx as isize - 1;
                                     if (0..5).contains(&iy) && (0..5).contains(&ix) {
-                                        let xi = x.as_slice()
-                                            [((ni * 2 + ci) * 5 + iy as usize) * 5 + ix as usize];
-                                        let wi = wgt.at2(o, (ci * 3 + ky) * 3 + kx);
-                                        acc += xi * wi;
+                                        let xi = x[((ni * 2 + ci) * 5 + iy as usize) * 5 + ix as usize];
+                                        acc += xi * wgt[o * 18 + (ci * 3 + ky) * 3 + kx];
                                     }
                                 }
                             }
                         }
-                        let got = out.at2((ni * oh + oy) * ow + ox, o);
+                        let got = out[((ni * oc + o) * oh + oy) * ow + ox];
                         assert!((got - acc).abs() < 1e-4, "{got} vs {acc}");
                     }
                 }
@@ -353,34 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of the transpose, which is exactly what backward needs.
-        let g = geom(2, 6, 5, 3, 2, 1);
-        let n = 2;
-        let x = Tensor::from_vec(
-            (0..n * g.c * g.h * g.w).map(|v| ((v % 17) as f32) - 8.0).collect(),
-            &[n, g.c, g.h, g.w],
-        );
-        let cols = im2col(&x, &g);
-        let y = Tensor::from_vec(
-            (0..cols.numel()).map(|v| ((v % 23) as f32) * 0.5 - 5.0).collect(),
-            cols.shape(),
-        );
-        let lhs = cols.flatten().dot(&y.flatten());
-        let folded = col2im(&y, n, &g);
-        let rhs = x.flatten().dot(&folded.flatten());
-        assert!((lhs - rhs).abs() < 1.0, "adjoint identity: {lhs} vs {rhs}");
-    }
-
-    #[test]
     #[should_panic(expected = "larger than padded input")]
     fn oversized_kernel_rejected() {
         geom(1, 2, 2, 5, 1, 0).validate();
     }
 
-    /// The serial unfold the kernels replaced, as the oracle: zeroes `out`,
-    /// then copies each in-bounds span of each row.
+    /// The serial unfold, as the oracle: zeroes `out`, then copies each
+    /// in-bounds span of each row.
     fn fill_cols_oracle(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
         let (c, h, w) = (g.c, g.h, g.w);
         let (oh, ow) = (g.oh(), g.ow());
@@ -408,8 +480,8 @@ mod tests {
         }
     }
 
-    /// The serial fold the kernels replaced, as the oracle: zeroes `out`,
-    /// then adds every in-bounds column element, rows in order.
+    /// The serial fold (col2im), as the oracle: zeroes `out`, then adds
+    /// every in-bounds column element, rows in order.
     fn fold_cols_oracle(src: &[f32], n: usize, g: &Conv2dGeom, out: &mut [f32]) {
         let (oh, ow) = (g.oh(), g.ow());
         let ckk = g.c * g.kh * g.kw;
@@ -436,6 +508,53 @@ mod tests {
         }
     }
 
+    /// `[n·hw, c]` ↔ `[n, c, hw]`, serially: `to_planes` picks the NCHW
+    /// direction.
+    fn permute(src: &[f32], n: usize, c: usize, hw: usize, to_planes: bool) -> Vec<f32> {
+        let mut out = vec![0.0; src.len()];
+        for ni in 0..n {
+            for ci in 0..c {
+                for p in 0..hw {
+                    let (rows, planes) = ((ni * hw + p) * c + ci, (ni * c + ci) * hw + p);
+                    if to_planes {
+                        out[planes] = src[rows];
+                    } else {
+                        out[rows] = src[planes];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The im2col lowering the kernels replaced, as the oracle: the
+    /// unfold, one GEMM on a one-lane pool, the NCHW permutes and the fold.
+    /// Returns `(out, dw, dx)`.
+    fn lowering_oracle(
+        x: &[f32],
+        w: &[f32],
+        up: &[f32],
+        n: usize,
+        oc: usize,
+        g: &Conv2dGeom,
+    ) -> [Vec<f32>; 3] {
+        let (hw, ckk) = (g.oh() * g.ow(), g.c * g.kh * g.kw);
+        let rows = n * hw;
+        let one = ThreadPool::new(1);
+        let mut cols = vec![0.0; rows * ckk];
+        fill_cols_oracle(x, n, g, &mut cols);
+        let mut out2 = vec![0.0; rows * oc];
+        gemm::gemm_into(&one, false, true, &cols, w, rows, ckk, oc, &mut out2, false);
+        let up2 = permute(up, n, oc, hw, false);
+        let mut dw = vec![0.0; oc * ckk];
+        gemm::gemm_into(&one, true, false, &up2, &cols, oc, rows, ckk, &mut dw, false);
+        let mut dcols = vec![0.0; rows * ckk];
+        gemm::gemm_into(&one, false, false, &up2, w, rows, oc, ckk, &mut dcols, false);
+        let mut dx = vec![0.0; x.len()];
+        fold_cols_oracle(&dcols, n, g, &mut dx);
+        [permute(&out2, n, oc, hw, true), dw, dx]
+    }
+
     fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (i, (a, b)) in got.iter().zip(want).enumerate() {
@@ -443,18 +562,53 @@ mod tests {
         }
     }
 
+    /// The three kernels against [`lowering_oracle`], bit for bit, on
+    /// pools of 1, 2 and 4 lanes, into NaN-poisoned destinations.
+    fn assert_kernels_equal_lowering(x: &[f32], w: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2dGeom) {
+        let [out, dw, dx] = lowering_oracle(x, w, up, n, oc, g);
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(ThreadPool::new(threads));
+            with_pool(&pool, || {
+                let mut got = vec![f32::NAN; out.len()];
+                conv2d_into(x, w, n, oc, g, &mut got);
+                assert_bits(&format!("conv2d_into {g:?} n={n} oc={oc} threads={threads}"), &got, &out);
+                let mut got = vec![f32::NAN; dw.len()];
+                conv2d_grad_w_into(x, up, n, oc, g, &mut got);
+                assert_bits(&format!("conv2d_grad_w_into {g:?} n={n} oc={oc} threads={threads}"), &got, &dw);
+                let mut got = vec![f32::NAN; dx.len()];
+                conv2d_grad_x_into(up, w, n, oc, g, &mut got);
+                assert_bits(&format!("conv2d_grad_x_into {g:?} n={n} oc={oc} threads={threads}"), &got, &dx);
+            });
+        }
+    }
+
+    /// Runs `f` under every kernel tier this CPU has, in f32 and in bf16
+    /// panel mode.
+    fn for_each_mode(mut f: impl FnMut()) {
+        for tier in [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512] {
+            if kernels::supported(tier) {
+                kernels::with_override(tier, || {
+                    f();
+                    gemm::with_bf16(&mut f);
+                });
+            }
+        }
+    }
+
     proptest! {
-        /// im2col and col2im, bit for bit against the serial kernels they
-        /// replaced, on pools of 1, 2 and 4 threads, at every kernel width
-        /// 1..=5 (1 and 3 are the compile-time bodies), stride 1..=3 and
-        /// padding 0..=2: planes down to 1×1, odd sides, and batches large
-        /// enough to fan out. Destinations start NaN, so an element the
-        /// kernel does not write fails; the fold's operands are random, so
-        /// a fold that sums a pixel's contributions in another order fails.
+        /// Forward, weight and input gradient, bit for bit against the
+        /// im2col lowering they replaced, and `im2col` against its serial
+        /// oracle, at every kernel width 1..=5,
+        /// stride 1..=3 and padding 0..=2: planes down to 1×1, odd sides,
+        /// one and several output channels, batches deep enough that the
+        /// weight gradient splits its reduction over the pool. Destinations
+        /// start NaN, so an element a kernel does not write fails; the
+        /// operands are random, so a sum taken in another order fails.
         #[test]
-        fn unfold_and_fold_equal_their_serial_oracles(
-            n in prop_oneof![Just(1usize), 2usize..4, Just(9usize), Just(24usize)],
+        fn kernels_equal_the_im2col_lowering(
+            n in prop_oneof![Just(1usize), 2usize..4, Just(24usize)],
             c in prop_oneof![Just(1usize), 2usize..5],
+            oc in prop_oneof![Just(1usize), 2usize..9, Just(17usize)],
             dh in prop_oneof![Just(0usize), 1usize..13],
             dw in prop_oneof![Just(0usize), 1usize..13],
             data in vec(-2f32..2.0, 997..998),
@@ -466,50 +620,96 @@ mod tests {
                 let side = |d: usize| k.saturating_sub(2 * pad).max(1) + d;
                 let g = Conv2dGeom { c, h: side(dh), w: side(dw), kh: k, kw: k, stride, pad };
                 let x: Vec<f32> = (0..n * c * g.h * g.w).map(|i| val(0, i)).collect();
-                let cols_len = n * g.oh() * g.ow() * c * k * k;
-                let y: Vec<f32> = (0..cols_len).map(|i| val(1, i)).collect();
-                let (mut want_cols, mut want_img) = (vec![0.0; cols_len], vec![0.0; x.len()]);
-                fill_cols_oracle(&x, n, &g, &mut want_cols);
-                fold_cols_oracle(&y, n, &g, &mut want_img);
-                for threads in [1, 2, 4] {
-                    let pool = std::sync::Arc::new(legw_parallel::ThreadPool::new(threads));
-                    legw_parallel::with_pool(&pool, || {
-                        let mut cols = vec![f32::NAN; cols_len];
-                        im2col_into(&x, n, &g, &mut cols);
-                        assert_bits("im2col_into", &cols, &want_cols);
-                        let t = im2col(&Tensor::from_vec(x.clone(), &[n, c, g.h, g.w]), &g);
-                        assert_bits("im2col", t.as_slice(), &want_cols);
-
-                        let mut img = vec![f32::NAN; x.len()];
-                        col2im_into(&y, n, &g, &mut img);
-                        assert_bits("col2im_into", &img, &want_img);
-                        let cols_t = Tensor::from_vec(y.clone(), &[n * g.oh() * g.ow(), c * k * k]);
-                        assert_bits("col2im", col2im(&cols_t, n, &g).as_slice(), &want_img);
-                    });
-                }
+                let w: Vec<f32> = (0..oc * c * k * k).map(|i| val(1, i)).collect();
+                let up: Vec<f32> = (0..n * oc * g.oh() * g.ow()).map(|i| val(2, i)).collect();
+                assert_kernels_equal_lowering(&x, &w, &up, n, oc, &g);
+                assert_im2col_equals_oracle(&x, n, &g);
             }
         }
 
+        /// `⟨conv(x, w), up⟩ = ⟨x, dx(up, w)⟩ = ⟨w, dw(x, up)⟩`: the two
+        /// gradients are the forward's adjoints.
         #[test]
-        fn prop_adjoint_identity(
+        fn gradients_are_the_forward_adjoints(
             h in 3usize..8, w in 3usize..8, k in 1usize..4,
             stride in 1usize..3, pad in 0usize..2,
         ) {
             prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let (n, oc) = (2, 3);
             let g = Conv2dGeom { c: 2, h, w, kh: k, kw: k, stride, pad };
-            let n = 1;
-            let x = Tensor::from_vec(
-                (0..n * 2 * h * w).map(|v| ((v * 31 % 13) as f32) - 6.0).collect(),
-                &[n, 2, h, w],
-            );
-            let cols = im2col(&x, &g);
-            let y = Tensor::from_vec(
-                (0..cols.numel()).map(|v| ((v * 7 % 19) as f32) - 9.0).collect(),
-                cols.shape(),
-            );
-            let lhs = cols.flatten().dot(&y.flatten()) as f64;
-            let rhs = x.flatten().dot(&col2im(&y, n, &g).flatten()) as f64;
-            prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
+            let x: Vec<f32> = (0..n * 2 * h * w).map(|v| ((v * 31 % 13) as f32) - 6.0).collect();
+            let wt: Vec<f32> = (0..oc * 2 * k * k).map(|v| ((v * 5 % 7) as f32) - 3.0).collect();
+            let up: Vec<f32> = (0..n * oc * g.oh() * g.ow()).map(|v| ((v * 7 % 19) as f32) - 9.0).collect();
+            let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum::<f64>();
+            let mut y = vec![0.0; up.len()];
+            conv2d_into(&x, &wt, n, oc, &g, &mut y);
+            let mut dx = vec![0.0; x.len()];
+            conv2d_grad_x_into(&up, &wt, n, oc, &g, &mut dx);
+            let mut dwt = vec![0.0; wt.len()];
+            conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dwt);
+            let lhs = dot(&y, &up);
+            prop_assert!((lhs - dot(&x, &dx)).abs() < 1e-3 * (1.0 + lhs.abs()));
+            prop_assert!((lhs - dot(&wt, &dwt)).abs() < 1e-3 * (1.0 + lhs.abs()));
+        }
+    }
+
+    #[test]
+    fn kernels_equal_the_lowering_on_every_tier_and_panel_mode() {
+        // The benchmark's shapes, cut to a few images: a 3×3 stem, a
+        // stride-2 3×3 and 1×1 projection, and a conv whose taps (288) and
+        // weight-gradient reduction (over 4 · 64 pixels) both cross a KC
+        // block. Each runs on every tier this CPU has, in f32 and bf16.
+        let shapes = [(3, 16, 8, 3, 1, 1), (8, 16, 16, 3, 2, 1), (8, 16, 16, 1, 2, 0), (32, 8, 16, 3, 1, 1)];
+        for (c, side, oc, k, stride, pad) in shapes {
+            let g = geom(c, side, side, k, stride, pad);
+            let n = 4;
+            let x: Vec<f32> = (0..n * c * side * side).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
+            let w: Vec<f32> = (0..oc * c * k * k).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
+            let up: Vec<f32> = (0..n * oc * g.oh() * g.ow()).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
+            for_each_mode(|| assert_kernels_equal_lowering(&x, &w, &up, n, oc, &g));
+        }
+    }
+
+    #[test]
+    fn weight_gradient_splits_over_waves_of_k_blocks() {
+        // A reduction long enough (16 KC blocks) that the partial products
+        // do not fit one wave of slots: the slots are reused, and the sum
+        // must still run in block order.
+        let (n, oc) = (4, 32);
+        let g = geom(64, 32, 32, 3, 1, 1);
+        assert!(n * g.oh() * g.ow() > 8 * KC);
+        let x: Vec<f32> = (0..n * 64 * 32 * 32).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
+        let w: Vec<f32> = (0..oc * 64 * 9).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
+        let up: Vec<f32> = (0..n * oc * 32 * 32).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
+        assert_kernels_equal_lowering(&x, &w, &up, n, oc, &g);
+    }
+
+    #[test]
+    fn im2col_equals_its_serial_oracle() {
+        // The last two have more taps (288, 300) than one pass of
+        // `pack_taps` tables, so a pass starts partway through a row.
+        let cases = [
+            (3, geom(2, 7, 5, 3, 2, 1)),
+            (24, geom(3, 16, 16, 3, 1, 1)),
+            (2, geom(4, 6, 6, 5, 1, 2)),
+            (2, geom(32, 8, 8, 3, 1, 1)),
+            (3, geom(12, 9, 7, 5, 2, 2)),
+        ];
+        for (n, g) in cases {
+            let x: Vec<f32> = (0..n * g.c * g.h * g.w).map(|i| i as f32).collect();
+            assert_im2col_equals_oracle(&x, n, &g);
+        }
+    }
+
+    /// [`im2col`] against [`fill_cols_oracle`], bit for bit, on pools of
+    /// 1, 2 and 4 lanes.
+    fn assert_im2col_equals_oracle(x: &[f32], n: usize, g: &Conv2dGeom) {
+        let mut want = vec![0.0; n * g.oh() * g.ow() * g.c * g.kh * g.kw];
+        fill_cols_oracle(x, n, g, &mut want);
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(ThreadPool::new(threads));
+            let got = with_pool(&pool, || im2col(&Tensor::from_vec(x.to_vec(), &[n, g.c, g.h, g.w]), g));
+            assert_bits(&format!("im2col {g:?} n={n} threads={threads}"), got.as_slice(), &want);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Packed, register-tiled GEMM engine.
 //!
 //! One kernel serves the three matmul entry points (`matmul`, `t_matmul`,
-//! `matmul_t`) and the im2col conv path. The structure is the
+//! `matmul_t`) and the three GEMMs of a convolution. The structure is the
 //! classic three-level blocking of high-performance BLAS (GotoBLAS/BLIS),
 //! scaled to this crate's needs:
 //!
@@ -48,7 +48,7 @@
 //!   dispatched via [`legw_parallel::par_tiles_2d`], and loops over shared
 //!   [`KC`]-deep slices of the k dimension internally. Block sizes shrink
 //!   adaptively (see [`plan_blocks`]) so tall-skinny/short-wide shapes —
-//!   the LSTM-gate and im2col shapes large-batch training produces — still
+//!   the LSTM-gate and convolution shapes large-batch training produces — still
 //!   fan out over every worker instead of leaving threads idle the way the
 //!   old row-chunk decomposition did.
 //! * **Scratch reuse** — the per-call packing buffers are thread-local (one
@@ -57,10 +57,12 @@
 //!   repacks; and outputs come from the [`crate::pool`] recycler, so the
 //!   steady-state training loop performs no per-call heap allocation here.
 
+use crate::conv::{self, Conv2dGeom};
 use crate::kernels::{self, Kernel, Micro, PackElem};
 use crate::pool::Buffer;
 use legw_parallel::{current, par_chunks_mut, par_tiles_2d, ThreadPool};
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Scalar/AVX2 microkernel rows: the M-extent of the register tile. (The
@@ -88,6 +90,17 @@ thread_local! {
     static SCRATCH_F32: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
     /// bf16-mode packing scratch (bf16 bit patterns).
     static SCRATCH_BF16: RefCell<(Vec<u16>, Vec<u16>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// A whole operand packed ahead of a call whose tiles share it (a
+    /// convolution's weight), one per packed element type. Held by the
+    /// issuing thread across the call; tile tasks never touch it.
+    static WHOLE_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static WHOLE_BF16: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
+    /// One image's tap-major input-gradient columns, between a conv's
+    /// input-gradient GEMM and its fold.
+    static TAPS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// A k-split GEMM's per-block partial products, held by the issuing
+    /// thread across the call.
+    static PARTIALS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Whether GEMMs issued from this thread pack panels as bf16.
     static BF16_MODE: Cell<bool> = const { Cell::new(false) };
 }
@@ -147,6 +160,8 @@ pub fn bf16_enabled() -> bool {
 /// element type's view of a [`PackedB`]'s storage.
 trait PackScratch: PackElem {
     fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
+    /// This thread's whole-operand panel scratch.
+    fn with_whole<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
     fn counter() -> &'static AtomicU64;
     /// The vector of `p` that holds panels of this element type.
     fn panels(p: &PackedB) -> &Vec<Self>;
@@ -159,6 +174,9 @@ impl PackScratch for f32 {
             let (a, b) = &mut *s.borrow_mut();
             f(a, b)
         })
+    }
+    fn with_whole<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+        WHOLE_F32.with(|w| f(&mut w.borrow_mut()))
     }
     fn counter() -> &'static AtomicU64 {
         &PACKED_F32_BYTES
@@ -177,6 +195,9 @@ impl PackScratch for u16 {
             let (a, b) = &mut *s.borrow_mut();
             f(a, b)
         })
+    }
+    fn with_whole<R>(f: impl FnOnce(&mut Vec<u16>) -> R) -> R {
+        WHOLE_BF16.with(|w| f(&mut w.borrow_mut()))
     }
     fn counter() -> &'static AtomicU64 {
         &PACKED_BF16_BYTES
@@ -316,9 +337,11 @@ pub(crate) fn gemm_into(
     if m == 0 || n == 0 || k == 0 {
         return empty_product(out, acc);
     }
+    let a = Src::Dense { data: a, ld: if trans_a { m } else { k }, trans: trans_a };
+    // B is read as Bᵀ `[n, k]`: stored `[n, k]` is its plain form.
+    let b = Src::Dense { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
     with_micro!(kernels::selected(), bf16_enabled(), M => {
-        let b = BOperand::Raw { b, trans: trans_b };
-        gemm_blocked::<M>(pool, trans_a, a, b, m, k, n, out, acc)
+        gemm_blocked::<M>(pool, Operand::Src(a), Operand::Src(b), m, k, n, out, acc)
     })
 }
 
@@ -388,28 +411,44 @@ impl PackedB {
         M::E: PackScratch,
     {
         let (k, n) = (self.k, self.n);
-        let n_pad = n.next_multiple_of(M::NR);
         let buf = M::E::panels_mut(self);
         // A no-op once the layout is settled: every element is overwritten
         // below, so only growth (first pack, or a new tier) fills.
-        buf.resize(k * n_pad, M::E::default());
-        let ldb = if trans_b { k } else { n };
-        // Micro-panels per task: all of them for a small operand, about two
-        // tasks per lane for one worth forking over.
-        let tasks = if k * n >= crate::PAR_THRESHOLD { 2 * pool.threads() } else { 1 };
-        let group = (n_pad / M::NR).div_ceil(tasks).max(1);
-        for k0 in (0..k).step_by(KC) {
-            let kb = KC.min(k - k0);
-            let block = &mut buf[k0 * n_pad..(k0 + kb) * n_pad];
-            par_chunks_mut(pool, block, group * kb * M::NR, |start, chunk| {
-                // Chunks are whole micro-panels of `kb·NR` elements each.
-                let j0 = start / kb;
-                let nb = (chunk.len() / kb).min(n - j0);
-                pack_b::<M::E>(chunk, b, trans_b, ldb, k0, kb, j0, nb, M::NR);
-            });
-        }
-        M::E::counter().fetch_add(std::mem::size_of_val(&buf[..]) as u64, Ordering::Relaxed);
+        buf.resize(k * n.next_multiple_of(M::NR), M::E::default());
+        let bt = Src::Dense { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
+        pack_whole(pool, buf, bt, n, k, M::NR);
     }
+}
+
+/// Packs all of `src` (`rows × k`) into `buf` as `w`-row micro-panels, one
+/// `kb × rows_pad` block per [`KC`] slice of k (`rows_pad` = rows rounded
+/// up to `w`): the layout [`Operand::Packed`] reads. Forks over micro-panels
+/// on `pool` when the operand is large. `buf` must hold exactly that many
+/// elements, and every one is overwritten.
+fn pack_whole<E: PackScratch>(
+    pool: &ThreadPool,
+    buf: &mut [E],
+    src: Src<'_>,
+    rows: usize,
+    k: usize,
+    w: usize,
+) {
+    let pad = rows.next_multiple_of(w);
+    debug_assert_eq!(buf.len(), k * pad, "whole-operand panel length");
+    // Micro-panels per task: all of them for a small operand, about two
+    // tasks per lane for one worth forking over.
+    let tasks = if k * rows >= crate::PAR_THRESHOLD { 2 * pool.threads() } else { 1 };
+    let group = (pad / w).div_ceil(tasks).max(1);
+    for k0 in (0..k).step_by(KC) {
+        let kb = KC.min(k - k0);
+        let block = &mut buf[k0 * pad..(k0 + kb) * pad];
+        par_chunks_mut(pool, block, group * kb * w, |start, chunk| {
+            // Chunks are whole micro-panels of `kb·w` elements each.
+            let r0 = start / kb;
+            src.pack(chunk, r0, (chunk.len() / kb).min(rows - r0), k0, kb, w);
+        });
+    }
+    E::counter().fetch_add(std::mem::size_of_val(buf) as u64, Ordering::Relaxed);
 }
 
 /// `out (+)= op(a) · B` with B taken from `b`'s panels instead of being
@@ -444,29 +483,147 @@ pub fn gemm_into_packed(
     }
     with_micro!(mode.0, mode.1, M => {
         let panels = <<M as Micro>::E as PackScratch>::panels(b);
-        gemm_blocked::<M>(&current(), trans_a, a, BOperand::Packed(panels), m, k, n, out, acc)
+        let a = Operand::Src(Src::Dense { data: a, ld: if trans_a { m } else { k }, trans: trans_a });
+        let b = Operand::Packed(panels, n.next_multiple_of(M::NR));
+        gemm_blocked::<M>(&current(), a, b, m, k, n, out, acc)
     })
 }
 
-/// Where the blocked engine gets B's micro-panels from.
+/// A matrix the engine reads as `[rows, k]` — A as it is, B transposed —
+/// and packs into `w`-row micro-panels, k-major, a block at a time: the one
+/// place operand layout is absorbed.
 #[derive(Clone, Copy)]
-enum BOperand<'a, E> {
-    /// An unpacked operand (`[k, n]`, or `[n, k]` when `trans`): every tile
-    /// packs the block it needs into its thread's scratch.
-    Raw { b: &'a [f32], trans: bool },
-    /// The panels of a [`PackedB`], shared read-only by every tile.
-    Packed(&'a [E]),
+pub(crate) enum Src<'a> {
+    /// Row-major `[rows, k]` with row stride `ld`, or stored `[k, rows]`
+    /// (row stride `ld`) when `trans`.
+    Dense { data: &'a [f32], ld: usize, trans: bool },
+    /// The im2col matrix of the images `x` under `g` — `[pixels, taps]`,
+    /// output pixels image-major, taps `(channel, ky, kx)` — or, when
+    /// `trans`, its transpose `[taps, pixels]`. Never materialised: each
+    /// block is gathered from the images as it is packed.
+    Unfold { x: &'a [f32], g: &'a Conv2dGeom, trans: bool },
+    /// Feature maps `x [n, c, hw]` read as `[c, n·hw]`: channels are rows,
+    /// every image's pixels run along k.
+    Planes { x: &'a [f32], c: usize, hw: usize },
 }
 
-/// The blocked engine, monomorphised per micro-tile variant. The loop
-/// structure (and, for the scalar f32 instantiation, every arithmetic
-/// step) is identical to the pre-dispatch engine.
+impl Src<'_> {
+    /// Packs the `rows × kb` block at `(r0, k0)` into `dst`, exactly the
+    /// panels' length; every element is written, rows past `rows` in the
+    /// last panel as zeros, so the microkernel needs no edge handling.
+    // Inlined, with `pack_dense`, into every tile body, which LLVM then
+    // specialises to the tile's constant `w`; a shared copy keeps `w` a
+    // run-time stride, which costs a small GEMM up to a fifth of its speed.
+    // The gathers of the convolutions stay calls: inlined too, they make
+    // the body too large for LLVM to keep inlining it.
+    #[inline(always)]
+    fn pack<E: PackElem>(&self, dst: &mut [E], r0: usize, rows: usize, k0: usize, kb: usize, w: usize) {
+        debug_assert_eq!(dst.len(), rows.div_ceil(w) * kb * w, "packed block length");
+        match *self {
+            Src::Dense { data, ld, trans } => pack_dense(dst, data, trans, ld, r0, rows, k0, kb, w),
+            Src::Unfold { x, g, trans: false } => conv::pack_pixels(dst, x, g, r0, rows, k0, kb, w),
+            Src::Unfold { x, g, trans: true } => conv::pack_taps(dst, x, g, r0, rows, k0, kb, w),
+            Src::Planes { x, c, hw } => conv::pack_planes(dst, x, c, hw, r0, rows, k0, kb, w),
+        }
+    }
+}
+
+/// Where the blocked engine takes an operand's micro-panels from.
+#[derive(Clone, Copy)]
+enum Operand<'a, E> {
+    /// Packed into the tile's thread scratch, block by block, as it runs.
+    Src(Src<'a>),
+    /// Every block packed ahead of the call ([`pack_whole`]'s layout, with
+    /// its `rows_pad`), shared read-only by every tile.
+    Packed(&'a [E], usize),
+}
+
+impl<'a, E: PackElem> Operand<'a, E> {
+    /// The `rows × kb` block at `(r0, k0)` in `w`-row micro-panels, and the
+    /// elements packed to get it. `r0` is on the micro-panel grid.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn block<'s>(
+        &self,
+        scratch: &'s mut Vec<E>,
+        r0: usize,
+        rows: usize,
+        k0: usize,
+        kb: usize,
+        w: usize,
+    ) -> (&'s [E], usize)
+    where
+        'a: 's,
+    {
+        let len = rows.div_ceil(w) * kb * w;
+        match *self {
+            Operand::Src(src) => {
+                let dst = scratch_prefix(scratch, len);
+                src.pack(dst, r0, rows, k0, kb, w);
+                (dst, len)
+            }
+            // Block `k0` starts at `k0 · pad`; inside it the micro-panel of
+            // row `r0` starts at `(r0 / w) · kb · w`.
+            Operand::Packed(p, pad) => (&p[k0 * pad + r0 * kb..][..len], 0),
+        }
+    }
+}
+
+/// `C (+)= A·B` on output rows `i0..i0+mb` × columns `j0..j0+nb` of the
+/// `ldc`-stride matrix at `out`, over the [`KC`] blocks of the k range `ks`
+/// (`ks.start` a multiple of KC): the body of every engine task. Each block
+/// packs (or looks up) its A and B panels on this thread and runs the
+/// micro-tiles; the first block stores unless `acc`, later ones add their
+/// partial sums.
+///
+/// # Safety
+/// The caller must own that output rectangle exclusively for the call, all
+/// of it inside the allocation `out` points into; `i0` and `j0` must lie on
+/// the micro-panel grid; a [`Operand::Packed`] operand must hold panels of
+/// `M`'s tier and element type; and the dispatch layer must have checked
+/// that `M` runs on this CPU.
+#[allow(clippy::too_many_arguments)]
+unsafe fn block_product<M: Micro>(
+    a: Operand<'_, M::E>,
+    b: Operand<'_, M::E>,
+    (i0, mb): (usize, usize),
+    (j0, nb): (usize, usize),
+    ks: Range<usize>,
+    out: *mut f32,
+    ldc: usize,
+    acc: bool,
+) where
+    M::E: PackScratch,
+{
+    debug_assert!(i0 % M::MR == 0 && j0 % M::NR == 0, "block off the micro-panel grid");
+    M::E::with_scratch(|abuf, bbuf| {
+        for k0 in ks.clone().step_by(KC) {
+            let kb = KC.min(ks.end - k0);
+            let (ap, packed_a) = a.block(abuf, i0, mb, k0, kb, M::MR);
+            let (bp, packed_b) = b.block(bbuf, j0, nb, k0, kb, M::NR);
+            M::E::counter().fetch_add(
+                ((packed_a + packed_b) * std::mem::size_of::<M::E>()) as u64,
+                Ordering::Relaxed,
+            );
+            // SAFETY: the caller's contract: it owns the rectangle, `M` runs
+            // here; `ap` / `bp` hold the `mb×kb` / `kb×nb` blocks in `M`'s
+            // micro-panel layout (packed just above, or panels of `M`'s
+            // tier and element type).
+            unsafe {
+                macro_kernel::<M>(ap, bp, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
+            };
+        }
+    });
+}
+
+/// The blocked engine, monomorphised per micro-tile variant: the output cut
+/// into an `(mc × nc)` tile grid, one [`block_product`] over all of k per
+/// tile.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<M: Micro>(
     pool: &ThreadPool,
-    trans_a: bool,
-    a: &[f32],
-    b: BOperand<'_, M::E>,
+    a: Operand<'_, M::E>,
+    b: Operand<'_, M::E>,
     m: usize,
     k: usize,
     n: usize,
@@ -475,65 +632,23 @@ fn gemm_blocked<M: Micro>(
 ) where
     M::E: PackScratch,
 {
-    let lda = if trans_a { m } else { k };
-    let n_pad = n.next_multiple_of(M::NR);
-    if let BOperand::Packed(p) = b {
-        // One `kb × n_pad` block per k-slice: Σ kb · n_pad.
-        debug_assert_eq!(p.len(), k * n_pad, "PackedB panel length");
-    }
-
     let parallel = m * n * k >= PAR_FLOPS && pool.threads() > 1;
     let (mc, nc) =
         if parallel { plan_blocks(m, n, pool.threads(), M::MR, M::NR) } else { (MC, NC) };
 
     let base = OutPtr(out.as_mut_ptr());
     let tile = |ti: usize, tj: usize| {
-        let i0 = ti * mc;
-        let mb = mc.min(m - i0);
-        let j0 = tj * nc;
-        let nb = nc.min(n - j0);
-        // Column tiles start on a micro-panel boundary (`nc` is a multiple
-        // of NR), which is what lets a tile address whole panels of a
-        // `PackedB`.
-        debug_assert_eq!(j0 % M::NR, 0, "column tile off the micro-panel grid");
-        M::E::with_scratch(|abuf, bbuf| {
-            for k0 in (0..k).step_by(KC) {
-                let kb = KC.min(k - k0);
-                let ap = scratch_prefix(abuf, mb.div_ceil(M::MR) * kb * M::MR);
-                pack_a::<M::E>(ap, a, trans_a, lda, i0, mb, k0, kb, M::MR);
-                let b_len = nb.div_ceil(M::NR) * kb * M::NR;
-                let (bp, packed_here): (&[M::E], usize) = match b {
-                    BOperand::Raw { b, trans } => {
-                        let ldb = if trans { k } else { n };
-                        let bp = scratch_prefix(bbuf, b_len);
-                        pack_b::<M::E>(bp, b, trans, ldb, k0, kb, j0, nb, M::NR);
-                        (&*bp, ap.len() + b_len)
-                    }
-                    // Block `k0` starts at `k0 · n_pad`; inside it the
-                    // micro-panel of column `j0` starts at `(j0 / NR) · kb · NR`.
-                    BOperand::Packed(p) => (&p[k0 * n_pad + j0 * kb..][..b_len], ap.len()),
-                };
-                M::E::counter().fetch_add(
-                    (packed_here * std::mem::size_of::<M::E>()) as u64,
-                    Ordering::Relaxed,
-                );
-                // Only the first k-block of a beta=0 GEMM overwrites; later
-                // k-blocks always accumulate partial sums.
-                let acc_block = acc || k0 > 0;
-                // SAFETY: this (ti, tj) task is the only one that writes
-                // output rows i0..i0+mb × columns j0..j0+nb — the tile grid
-                // partitions `out`, which has `m·n` elements (asserted by
-                // the entry points) and stays mutably borrowed until every
-                // tile has run; `ap` / `bp` hold the `mb×kb` / `kb×nb`
-                // blocks in micro-panel layout (packed just above, or a
-                // `PackedB` whose tier and element type the entry point
-                // checked against `M`); and the dispatch layer only selects
-                // variants this CPU supports.
-                unsafe {
-                    macro_kernel::<M>(ap, bp, mb, nb, kb, base.get(), n, i0, j0, acc_block)
-                };
-            }
-        });
+        let (i0, j0) = (ti * mc, tj * nc);
+        // SAFETY: this (ti, tj) task is the only one that writes output
+        // rows i0..i0+mb × columns j0..j0+nb — the tile grid partitions
+        // `out`, which has `m·n` elements (asserted by the entry points) and
+        // stays mutably borrowed until every tile has run; `mc` and `nc`
+        // are multiples of MR and NR; a packed operand was checked against
+        // `M` by the entry point, which dispatched `M` for this CPU.
+        unsafe {
+            let (rows, cols) = ((i0, mc.min(m - i0)), (j0, nc.min(n - j0)));
+            block_product::<M>(a, b, rows, cols, 0..k, base.get(), n, acc)
+        }
     };
 
     let (tiles_m, tiles_n) = (m.div_ceil(mc), n.div_ceil(nc));
@@ -546,6 +661,236 @@ fn gemm_blocked<M: Micro>(
             }
         }
     }
+}
+
+// ------------------------------------------------------------ convolutions
+//
+// The three GEMMs of a convolution read their operands where they already
+// are: the weight, the images (through `Src::Unfold`, the im2col matrix
+// gathered block by block) and the NCHW output gradient (`Src::Planes`).
+// Each is the product the im2col lowering computed, with the operands of
+// every multiply swapped where the product is transposed — `a·b` is `b·a` in
+// IEEE arithmetic, the k-blocks are the same [`KC`] slices and each tile
+// still sums its k-steps in order — so every output element keeps its bits.
+
+/// Packs all of `src` (`rows × k`) into this thread's whole-operand scratch
+/// for `f`, as the [`Operand::Packed`] every tile of the call reads.
+fn with_whole_operand<E: PackScratch, R>(
+    pool: &ThreadPool,
+    src: Src<'_>,
+    rows: usize,
+    k: usize,
+    w: usize,
+    f: impl FnOnce(Operand<'_, E>) -> R,
+) -> R {
+    E::with_whole(|buf| {
+        let pad = rows.next_multiple_of(w);
+        let panels = scratch_prefix(buf, k * pad);
+        pack_whole(pool, panels, src, rows, k, w);
+        f(Operand::Packed(panels, pad))
+    })
+}
+
+/// Column block of a per-image product with `n` columns over `imgs` images:
+/// [`NC`], halved (on the micro-panel grid) while there are fewer than two
+/// tasks per lane of `threads`.
+fn image_block(n: usize, imgs: usize, threads: usize, nr: usize) -> usize {
+    let mut nc = NC.min(n.next_multiple_of(nr));
+    while imgs * n.div_ceil(nc) < 2 * threads && nc > 2 * nr {
+        nc = (nc / 2).next_multiple_of(nr);
+    }
+    nc
+}
+
+/// Conv2d forward: `out [imgs, oc, oh·ow]`, image `i` being
+/// `w [oc, ckk] · Unfold(xᵢ)ᵀ`. The weight is packed once for the call;
+/// each image's B panels are gathered straight from its planes, and its
+/// product is stored as its own `[oc, oh·ow]` block of the NCHW output. One
+/// task per (image, column block).
+pub(crate) fn conv_forward(
+    pool: &ThreadPool,
+    x: &[f32],
+    w: &[f32],
+    imgs: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    out: &mut [f32],
+) {
+    let (ckk, hw, img) = (g.c * g.kh * g.kw, g.oh() * g.ow(), g.c * g.h * g.w);
+    debug_assert!(x.len() == imgs * img && w.len() == oc * ckk && out.len() == imgs * oc * hw);
+    if out.is_empty() || ckk == 0 {
+        return empty_product(out, false);
+    }
+    let parallel = imgs * oc * ckk * hw >= PAR_FLOPS && pool.threads() > 1;
+    let weight = Src::Dense { data: w, ld: ckk, trans: false };
+    with_micro!(kernels::selected(), bf16_enabled(), M => {
+        with_whole_operand::<<M as Micro>::E, _>(pool, weight, oc, ckk, M::MR, |a| {
+            let nc = image_block(hw, imgs, if parallel { pool.threads() } else { 0 }, M::NR);
+            let tiles = hw.div_ceil(nc);
+            let base = OutPtr(out.as_mut_ptr());
+            let task = |t: usize| {
+                let (i, j0) = (t / tiles, t % tiles * nc);
+                let b = Operand::Src(Src::Unfold { x: &x[i * img..(i + 1) * img], g, trans: false });
+                for i0 in (0..oc).step_by(MC) {
+                    // SAFETY: task (i, j0) alone writes columns j0..j0+nb of
+                    // image i's `[oc, hw]` block, which lies inside `out`
+                    // (`imgs·oc·hw` elements, borrowed until every task
+                    // ran); `i0` steps by MC and `j0` by `nc`, multiples of
+                    // MR and NR; `a` was packed for `M` just above, on the
+                    // tier dispatch chose for this CPU.
+                    unsafe {
+                        let img_out = base.get().add(i * oc * hw);
+                        let (rows, cols) = ((i0, MC.min(oc - i0)), (j0, nc.min(hw - j0)));
+                        block_product::<M>(a, b, rows, cols, 0..ckk, img_out, hw, false)
+                    }
+                }
+            };
+            if parallel {
+                pool.run(imgs * tiles, task);
+            } else {
+                (0..imgs * tiles).for_each(task);
+            }
+        })
+    })
+}
+
+/// Conv2d input gradient: image `i` of `dx [imgs, c, h·w]` is the fold
+/// (col2im) of `wᵀ [ckk, oc] · upᵢ [oc, oh·ow]`. The weight is packed once
+/// for the call and B is read straight from `up`'s NCHW planes; the
+/// product, one image's tap-major columns, goes to this thread's scratch
+/// and from there [`conv::fold_taps`] adds it into the image. One task per
+/// image. Overwrites `dx`.
+pub(crate) fn conv_dx(
+    pool: &ThreadPool,
+    up: &[f32],
+    w: &[f32],
+    imgs: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    dx: &mut [f32],
+) {
+    let (ckk, hw, img) = (g.c * g.kh * g.kw, g.oh() * g.ow(), g.c * g.h * g.w);
+    debug_assert!(up.len() == imgs * oc * hw && w.len() == oc * ckk && dx.len() == imgs * img);
+    if dx.is_empty() || oc == 0 {
+        return empty_product(dx, false);
+    }
+    let parallel = imgs * oc * ckk * hw >= PAR_FLOPS && pool.threads() > 1;
+    let weight_t = Src::Dense { data: w, ld: ckk, trans: true };
+    with_micro!(kernels::selected(), bf16_enabled(), M => {
+        with_whole_operand::<<M as Micro>::E, _>(pool, weight_t, ckk, oc, M::MR, |a| {
+            par_chunks_mut(pool, dx, if parallel { img } else { dx.len() }, |start, grads| {
+                TAPS.with(|taps| {
+                    let mut taps = taps.borrow_mut();
+                    let cols = scratch_prefix(&mut taps, ckk * hw);
+                    for (j, grad) in grads.chunks_exact_mut(img).enumerate() {
+                        let i = start / img + j;
+                        let upi = &up[i * oc * hw..(i + 1) * oc * hw];
+                        let b = Operand::Src(Src::Dense { data: upi, ld: hw, trans: true });
+                        for i0 in (0..ckk).step_by(MC) {
+                            for j0 in (0..hw).step_by(NC) {
+                                let (rows, at) = ((i0, MC.min(ckk - i0)), (j0, NC.min(hw - j0)));
+                                // SAFETY: `cols` is this thread's `[ckk, hw]`
+                                // scratch, borrowed for the whole loop, and
+                                // the blocks step by MC and NC over it; `a`
+                                // was packed for `M` above, the tier
+                                // dispatch chose.
+                                unsafe {
+                                    block_product::<M>(a, b, rows, at, 0..oc, cols.as_mut_ptr(), hw, false)
+                                }
+                            }
+                        }
+                        conv::fold_taps(cols, g, grad);
+                    }
+                })
+            })
+        })
+    })
+}
+
+/// Conv2d weight gradient `dw [oc, ckk] = up [oc, imgs·oh·ow] · Unfold(x)`,
+/// A read straight from `up`'s NCHW planes and B gathered from the images.
+/// The reduction runs over every output pixel of the batch, so it is split
+/// across the pool at the engine's own k-blocks ([`gemm_k_split`]).
+/// Overwrites `dw`.
+pub(crate) fn conv_dw(
+    pool: &ThreadPool,
+    x: &[f32],
+    up: &[f32],
+    imgs: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    dw: &mut [f32],
+) {
+    let (ckk, hw) = (g.c * g.kh * g.kw, g.oh() * g.ow());
+    debug_assert!(x.len() == imgs * g.c * g.h * g.w && up.len() == imgs * oc * hw);
+    debug_assert_eq!(dw.len(), oc * ckk);
+    if dw.is_empty() || imgs == 0 {
+        return empty_product(dw, false);
+    }
+    let (a, b) = (Src::Planes { x: up, c: oc, hw }, Src::Unfold { x, g, trans: true });
+    with_micro!(kernels::selected(), bf16_enabled(), M => gemm_k_split::<M>(pool, a, b, oc, imgs * hw, ckk, dw))
+}
+
+/// Partial-product floats [`gemm_k_split`] keeps at once, 1 MiB.
+const SPLIT_FLOATS: usize = 1 << 18;
+
+/// `out = A·B` (beta = 0) for a deep reduction into a small output — a
+/// weight gradient, whose tile grid cannot fill the pool. Each task
+/// computes one [`KC`] block's product over the whole output, every element
+/// started from zero as the engine's tiles start it, into a slot of its
+/// own; the slots are then added into `out` in block order. Those are the
+/// adds the serial engine makes, block after block, so the bits are its
+/// bits at any thread count. Blocks run a wave at a time, so the slots stay
+/// near [`SPLIT_FLOATS`]. On ResNet's eight weight gradients at batch 128
+/// (2-core AVX-512 host) this takes about 0.6× the time of
+/// [`gemm_blocked`]'s tile grid over the same operands.
+fn gemm_k_split<M: Micro>(
+    pool: &ThreadPool,
+    a: Src<'_>,
+    b: Src<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) where
+    M::E: PackScratch,
+{
+    let (a, b, blocks) = (Operand::Src(a), Operand::Src(b), k.div_ceil(KC));
+    if blocks < 2 || m * n * k < PAR_FLOPS || pool.threads() == 1 {
+        return gemm_blocked::<M>(pool, a, b, m, k, n, out, false);
+    }
+    let wave = (SPLIT_FLOATS / (m * n)).max(2 * pool.threads()).min(blocks);
+    PARTIALS.with(|partials| {
+        let mut partials = partials.borrow_mut();
+        let slots = scratch_prefix(&mut partials, wave * m * n);
+        for first in (0..blocks).step_by(wave) {
+            let count = wave.min(blocks - first);
+            let base = OutPtr(slots.as_mut_ptr());
+            pool.run(count, |t| {
+                let k0 = (first + t) * KC;
+                for i0 in (0..m).step_by(MC) {
+                    for j0 in (0..n).step_by(NC) {
+                        // SAFETY: slot `t` — `m·n` elements at `t·m·n` of
+                        // `slots`, which holds `wave·m·n` and `t < count <=
+                        // wave` — is task t's alone, and the blocks step by
+                        // MC and NC over it; `M` is the tier dispatch chose.
+                        unsafe {
+                            let slot = base.get().add(t * m * n);
+                            let (rows, cols) = ((i0, MC.min(m - i0)), (j0, NC.min(n - j0)));
+                            block_product::<M>(a, b, rows, cols, k0..k.min(k0 + KC), slot, n, false)
+                        }
+                    }
+                }
+            });
+            for (t, slot) in slots.chunks_exact(m * n).take(count).enumerate() {
+                if first + t == 0 {
+                    out.copy_from_slice(slot);
+                } else {
+                    out.iter_mut().zip(slot).for_each(|(o, &s)| *o += s);
+                }
+            }
+        }
+    })
 }
 
 /// Chooses (MC, NC) for this problem: start from the cache-friendly
@@ -581,104 +926,54 @@ fn scratch_prefix<E: PackElem>(buf: &mut Vec<E>, len: usize) -> &mut [E] {
     &mut buf[..len]
 }
 
-/// Packs the `mb×kb` block of A starting at `(i0, k0)` into `mr`-row
+/// [`Src::Dense`]'s pack loop: the `rows×kb` block at `(r0, k0)` of a
+/// `[rows, k]` matrix (stored `[k, rows]` when `trans`) into `w`-row
 /// micro-panels, k-major within each panel, converting each element via
 /// [`PackElem::pack`] (identity for f32, round-to-nearest-even for bf16).
-/// `dst` is exactly the panels' length and every element of it is written:
-/// rows past `mb` in the last panel are zeroed so the microkernel needs no
-/// M-edge handling.
-// `#[inline]` hands every codegen unit that packs its own copy, which LLVM
-// specialises to the caller's constant `mr`; a single shared copy keeps
-// `mr` a run-time stride whenever rustc places a caller in another unit,
-// which costs a small-`n` GEMM (im2col-shaped: B repacked per row block)
-// up to a fifth of its speed. Same for `pack_b`.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pack_a<E: PackElem>(
+fn pack_dense<E: PackElem>(
     dst: &mut [E],
     a: &[f32],
     trans: bool,
-    lda: usize,
-    i0: usize,
-    mb: usize,
+    ld: usize,
+    r0: usize,
+    rows: usize,
     k0: usize,
     kb: usize,
-    mr: usize,
+    w: usize,
 ) {
-    debug_assert_eq!(dst.len(), mb.div_ceil(mr) * kb * mr, "packed A length");
-    for (p, dst) in dst.chunks_exact_mut(kb * mr).enumerate() {
-        let r0 = i0 + p * mr;
-        let rows = mr.min(i0 + mb - r0);
+    for (p, dst) in dst.chunks_exact_mut(kb * w).enumerate() {
+        let p0 = r0 + p * w;
+        let live = w.min(r0 + rows - p0);
         if trans {
-            // A stored [k, m]: row kk of the source is already contiguous
-            // in i, so each k-step is a straight converting copy.
+            // Stored [k, rows]: each k-step is a contiguous converting copy.
             for kk in 0..kb {
-                let src = &a[(k0 + kk) * lda + r0..(k0 + kk) * lda + r0 + rows];
-                for (d, &v) in dst[kk * mr..kk * mr + rows].iter_mut().zip(src) {
+                let src = &a[(k0 + kk) * ld + p0..][..live];
+                for (d, &v) in dst[kk * w..kk * w + live].iter_mut().zip(src) {
                     *d = E::pack(v);
                 }
             }
         } else {
-            // A stored [m, k]: gather each row's k-slice with stride mr.
-            for r in 0..rows {
-                let src = &a[(r0 + r) * lda + k0..][..kb];
+            // Stored [rows, k]: gather each row's k-slice with stride w.
+            for r in 0..live {
+                let src = &a[(p0 + r) * ld + k0..][..kb];
                 for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * mr + r] = E::pack(v);
+                    dst[kk * w + r] = E::pack(v);
                 }
             }
         }
-        if rows < mr {
-            for kk in 0..kb {
-                dst[kk * mr + rows..(kk + 1) * mr].fill(E::default());
-            }
-        }
+        zero_tail(dst, live, kb, w);
     }
 }
 
-/// Packs the `kb×nb` block of B starting at `(k0, j0)` into `nr`-column
-/// micro-panels, k-major within each panel, converting via
-/// [`PackElem::pack`]. `dst` is exactly the panels' length and every
-/// element of it is written: columns past `nb` in the last panel are
-/// zeroed. The one pack loop behind both the per-tile scratch and
-/// [`PackedB`].
+/// Zeroes rows `live..w` of every k-step of one `w`-row micro-panel: the
+/// padding past an operand's last row.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn pack_b<E: PackElem>(
-    dst: &mut [E],
-    b: &[f32],
-    trans: bool,
-    ldb: usize,
-    k0: usize,
-    kb: usize,
-    j0: usize,
-    nb: usize,
-    nr: usize,
-) {
-    debug_assert_eq!(dst.len(), nb.div_ceil(nr) * kb * nr, "packed B length");
-    for (p, dst) in dst.chunks_exact_mut(kb * nr).enumerate() {
-        let c0 = j0 + p * nr;
-        let cols = nr.min(j0 + nb - c0);
-        if trans {
-            // B stored [n, k]: gather each column's k-slice with stride nr.
-            for c in 0..cols {
-                let src = &b[(c0 + c) * ldb + k0..][..kb];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * nr + c] = E::pack(v);
-                }
-            }
-        } else {
-            // B stored [k, n]: each k-step is a contiguous converting copy.
-            for kk in 0..kb {
-                let src = &b[(k0 + kk) * ldb + c0..][..cols];
-                for (d, &v) in dst[kk * nr..kk * nr + cols].iter_mut().zip(src) {
-                    *d = E::pack(v);
-                }
-            }
-        }
-        if cols < nr {
-            for kk in 0..kb {
-                dst[kk * nr + cols..(kk + 1) * nr].fill(E::default());
-            }
+pub(crate) fn zero_tail<E: PackElem>(panel: &mut [E], live: usize, kb: usize, w: usize) {
+    if live < w {
+        for kk in 0..kb {
+            panel[kk * w + live..(kk + 1) * w].fill(E::default());
         }
     }
 }

@@ -27,7 +27,8 @@
 //!   [`PackedB`] and multiplied through [`gemm_into_packed`], bitwise-equal
 //!   to [`gemm_into`].
 //! * Axis [reductions](Tensor::sum_axis), softmax/log-softmax rows, argmax.
-//! * [`im2col`]/[`col2im`] for convolution lowered onto matmul.
+//! * Conv2d forward and gradients ([`conv2d_into`] and friends) on the same
+//!   GEMM engine, its operands packed straight from the NCHW images.
 //! * Seeded random initialisers (uniform, Gaussian via Box–Muller) — the
 //!   `rand` crate supplies the generator, distributions are implemented here.
 //!
@@ -57,7 +58,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, col2im_into, im2col, im2col_into, Conv2dGeom};
+pub use conv::{conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, im2col, Conv2dGeom};
 pub use gemm::{
     bf16_enabled, gemm_into_packed, pack_traffic, with_bf16 as with_bf16_gemm, PackTraffic, PackedB,
 };

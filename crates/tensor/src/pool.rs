@@ -1,7 +1,7 @@
 //! Recycling allocator for kernel output buffers.
 //!
 //! Training loops produce the same tensor shapes step after step: every
-//! matmul, im2col, and gradient accumulation allocates an output buffer,
+//! matmul and gradient accumulation allocates an output buffer,
 //! uses it briefly, and drops it when the autograd tape is discarded. Paying
 //! the allocator (and page-faulting fresh zero pages) for each of those is
 //! measurable churn at large batch sizes, so `Buffer` — the storage behind
