@@ -36,6 +36,11 @@
 //! against the global pool and is bit-identical to the historical serial
 //! trainer path.
 //!
+//! Forward-only evaluation ([`crate::eval`]) splits the rows of each of its
+//! chunks: `Executor::map_lanes` runs one row group per lane, on the
+//! shard pool when there is one and, for the replays of a planned decode,
+//! on the caller's kernel pool otherwise.
+//!
 //! Configuration is explicit: build an [`ExecConfig`] (or parse the
 //! `LEGW_SHARDS` / `LEGW_THREADS` environment variables with
 //! [`ExecConfig::from_env`] — the one place in the library that reads
@@ -50,7 +55,7 @@ use legw_models::StepPlan;
 use legw_nn::{GradBuffer, ParamSet};
 use legw_parallel::{default_threads, with_pool, ThreadPool};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Executor configuration: how many shards each batch is split into and
 /// the total worker-thread budget. Build with the `with_*` methods or
@@ -302,9 +307,10 @@ impl Executor {
     /// Runs `f` once per item (concurrently on the shard pool when this
     /// executor is parallel, serially in item order otherwise) and returns
     /// the results in item order: the one fork behind
-    /// [`Executor::run_shards`] and epoch-end validation, so a sharded
-    /// executor accelerates evaluation too. When there are several, each
-    /// item runs under its shard's private intra-op pool.
+    /// [`Executor::run_shards`], [`Executor::eval_ptb_perplexity`]'s track
+    /// slices and, on a sharded executor, `Executor::map_lanes`. When
+    /// there are several, each item runs under its shard's private intra-op
+    /// pool.
     pub fn map_shards<S, R, F>(&self, shards: &[S], f: F) -> Vec<R>
     where
         S: Sync,
@@ -312,26 +318,68 @@ impl Executor {
         F: Fn(usize, &S) -> R + Sync,
     {
         let n = shards.len();
-        if n == 0 {
-            return Vec::new();
-        }
         match &self.shard_pool {
             None => shards.iter().enumerate().map(|(i, s)| f(i, s)).collect(),
-            Some(_) if n == 1 => vec![f(0, &shards[0])],
+            Some(_) if n <= 1 => shards.iter().map(|s| f(0, s)).collect(),
             Some(pool) => {
                 assert!(n <= self.intra.len(), "more shards than the executor was built for");
-                let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-                pool.run(n, |i| {
-                    let out = with_pool(&self.intra[i], || f(i, &shards[i]));
-                    *slots[i].lock().unwrap() = Some(out);
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap().expect("shard task did not report"))
-                    .collect()
+                fork(pool, n, |i| with_pool(&self.intra[i], || f(i, &shards[i])))
             }
         }
     }
+
+    /// How many row groups [`Executor::map_lanes`] runs at once: the shard
+    /// count on a sharded executor, the lanes of the calling thread's
+    /// kernel pool ([`legw_parallel::current`]) on the one-shard executor.
+    pub(crate) fn lanes(&self) -> usize {
+        match self.shard_pool {
+            Some(_) => self.shards,
+            None => legw_parallel::current().threads(),
+        }
+    }
+
+    /// Runs `f` once per item, at most [`Executor::lanes`] of them, one
+    /// item per lane, and returns the results in item order: the fork
+    /// behind the forward-only evaluation sweeps. A sharded executor forks
+    /// on its shard pool through [`Executor::map_shards`], each item under
+    /// its shard's intra-op pool; the one-shard executor forks on the
+    /// caller's kernel pool, adding no thread, and runs each of several
+    /// items under a one-lane intra-op pool, so a lane's kernels run inline
+    /// instead of forking onto lanes that are busy with the other items.
+    /// One item runs as it would have without the fork, on the caller's
+    /// thread and pool. A kernel-pool worker keeps what it allocates in its
+    /// own malloc arena, so on the one-shard executor an item should
+    /// replay a plan the caller captured rather than record a tape
+    /// ([`crate::eval`]).
+    pub(crate) fn map_lanes<S, R, F>(&self, items: &[S], f: F) -> Vec<R>
+    where
+        S: Sync,
+        R: Send,
+        F: Fn(usize, &S) -> R + Sync,
+    {
+        let n = items.len();
+        if self.shard_pool.is_some() || n <= 1 {
+            return self.map_shards(items, f);
+        }
+        fork(&legw_parallel::current(), n, |i| with_pool(inline_pool(), || f(i, &items[i])))
+    }
+}
+
+/// Runs `f(i)` for every `i < n` as one fork/join on `pool` and returns the
+/// results in index order. A panic in any `f` is re-raised by the pool once
+/// every task has finished.
+fn fork<R: Send>(pool: &ThreadPool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    pool.run(n, |i| *slots[i].lock().unwrap() = Some(f(i)));
+    slots.into_iter().map(|s| s.into_inner().unwrap().expect("a task did not report")).collect()
+}
+
+/// The intra-op pool a lane of the one-shard executor's fork runs under:
+/// one lane owns no thread, so every lane shares this one, and the kernels
+/// under it run inline on their lane's thread.
+fn inline_pool() -> &'static Arc<ThreadPool> {
+    static POOL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
+    POOL.get_or_init(|| Arc::new(ThreadPool::new(1)))
 }
 
 impl Executor {

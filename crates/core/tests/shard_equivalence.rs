@@ -8,9 +8,11 @@ use legw::{DropPlan, ExecConfig, Executor, MnistStep, PtbStep, Seq2SeqStep};
 use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{Infer, MnistLstm, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
+use legw_parallel::{with_pool, ThreadPool};
 use legw_propcheck::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Shard counts exercised against the serial reference, including a prime
 /// (3) and one larger than some test batches (7 — ranges cap at the batch).
@@ -220,17 +222,39 @@ fn sharded_training_curves_follow_the_serial_curve() {
     }
 }
 
-/// Sharded epoch-end evaluation reproduces the serial sweep — written out
-/// here from the models' public forwards, since the library holds one
-/// sweep per family: exactly for the chunked evaluators (identical work
-/// items, integer/concatenation combine) and within fp tolerance for the
-/// track-sliced PTB stream, whose one-shard sweep is exact too.
+/// Runs `check(exec, label)` on every executor an evaluation must agree
+/// across: every sharded one of [`SHARD_COUNTS`], and the one-shard
+/// executor under 1-, 2- and 3-lane kernel pools, whose lanes split each
+/// decode batch's rows.
+fn on_every_executor(check: impl Fn(&Executor, &str)) {
+    for shards in SHARD_COUNTS {
+        let exec = Executor::new(ExecConfig::default().with_shards(shards));
+        check(&exec, &format!("shards={shards}"));
+    }
+    let one = Executor::new(ExecConfig::default());
+    for lanes in [1usize, 2, 3] {
+        with_pool(&Arc::new(ThreadPool::new(lanes)), || {
+            check(&one, &format!("one shard, {lanes} lanes"))
+        });
+    }
+}
+
+/// Epoch-end evaluation on every executor reproduces the serial sweep —
+/// written out here from the models' public forwards, since the library
+/// holds one sweep per family: bit for bit for the chunked evaluators
+/// (integer hit counts over n, hypotheses concatenated in row order), at
+/// chunk sizes below the lane count and with a ragged last chunk; within
+/// fp tolerance for the track-sliced PTB stream, whose one-shard sweep is
+/// exact on any kernel pool.
 #[test]
 fn sharded_eval_matches_serial() {
     use legw_data::{metrics, SynthImageNet};
     use legw_models::{LmState, PtbLm, PtbLmConfig, ResNet};
 
-    // MNIST: integer correct counts — identical at every shard count.
+    // Hits among `rows` rows at accuracy `frac`, as the integer it is.
+    let hits = |frac: f64, rows: usize| (frac * rows as f64).round();
+
+    // MNIST: integer correct counts.
     let data = SynthMnist::generate(17, 48, 40);
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(13);
@@ -239,14 +263,15 @@ fn sharded_eval_matches_serial() {
     for start in (0..40).step_by(16) {
         let (bx, by) = data.test.gather(&(start..(start + 16).min(40)).collect::<Vec<_>>());
         let (_, _, _, logits) = model.forward_loss(&ps, &bx, &by);
-        correct += metrics::accuracy(&logits, &by) * by.len() as f64;
+        correct += hits(metrics::accuracy(&logits, &by), by.len());
     }
     let serial_acc = correct / 40.0;
-    for shards in SHARD_COUNTS {
-        let exec = Executor::new(ExecConfig::default().with_shards(shards));
-        let acc = exec.eval_mnist(&model, &ps, &data.test, 16);
-        assert!((acc - serial_acc).abs() < 1e-12, "mnist shards={shards}: {acc} vs {serial_acc}");
-    }
+    on_every_executor(|exec, label| {
+        for chunk in [2usize, 7, 16] {
+            let acc = exec.eval_mnist(&model, &ps, &data.test, chunk);
+            assert_eq!(acc.to_bits(), serial_acc.to_bits(), "mnist {label} chunk={chunk}");
+        }
+    });
 
     // ResNet in evaluation mode (running statistics primed by one training
     // forward): integer top-1 / top-k counts.
@@ -260,18 +285,21 @@ fn sharded_eval_matches_serial() {
     for start in (0..24).step_by(6) {
         let (bx, by) = idata.test.gather(&(start..start + 6).collect::<Vec<_>>());
         let (g, _, logits) = model.forward_infer(&ps, &bx);
-        top1 += metrics::accuracy(g.value(logits), &by) * 6.0;
-        top2 += metrics::top_k_accuracy(g.value(logits), &by, 2) * 6.0;
+        top1 += hits(metrics::accuracy(g.value(logits), &by), 6);
+        top2 += hits(metrics::top_k_accuracy(g.value(logits), &by, 2), 6);
     }
     assert!(top2 >= top1, "top-k must dominate top-1");
-    for shards in SHARD_COUNTS {
-        let exec = Executor::new(ExecConfig::default().with_shards(shards));
-        let (t1, t2) = exec.eval_resnet(&model, &ps, &idata.test, 6, 2);
-        assert!((t1 - top1 / 24.0).abs() < 1e-12, "resnet top-1 shards={shards}: {t1}");
-        assert!((t2 - top2 / 24.0).abs() < 1e-12, "resnet top-2 shards={shards}: {t2}");
-    }
+    let (top1, top2) = (top1 / 24.0, top2 / 24.0);
+    on_every_executor(|exec, label| {
+        for chunk in [2usize, 5, 6] {
+            let (t1, t2) = exec.eval_resnet(&model, &ps, &idata.test, chunk, 2);
+            assert_eq!(t1.to_bits(), top1.to_bits(), "resnet top-1 {label} chunk={chunk}");
+            assert_eq!(t2.to_bits(), top2.to_bits(), "resnet top-2 {label} chunk={chunk}");
+        }
+    });
 
-    // Seq2seq BLEU: identical decode batches — identical score.
+    // Seq2seq BLEU: the same hypotheses — the same score. Every batch size
+    // pads to the corpus's longest source.
     let tdata = SynthTranslation::generate(9, 12, 48, 8, 2, 5);
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(19);
@@ -284,14 +312,12 @@ fn sharded_eval_matches_serial() {
     }
     let serial_bleu = metrics::corpus_bleu(&cands, &refs);
     assert!((0.0..30.0).contains(&serial_bleu), "untrained BLEU {serial_bleu}");
-    for shards in SHARD_COUNTS {
-        let exec = Executor::new(ExecConfig::default().with_shards(shards));
-        let bleu = exec.eval_seq2seq_bleu(&model, &ps, &tdata, 4);
-        assert!(
-            (bleu - serial_bleu).abs() < 1e-12,
-            "seq2seq shards={shards}: {bleu} vs {serial_bleu}"
-        );
-    }
+    on_every_executor(|exec, label| {
+        for batch in [2usize, 3, 4] {
+            let bleu = exec.eval_seq2seq_bleu(&model, &ps, &tdata, batch);
+            assert_eq!(bleu.to_bits(), serial_bleu.to_bits(), "seq2seq {label} batch={batch}");
+        }
+    });
 
     // PTB: track-sliced; weighted mean matches within fp tolerance, and
     // the single-shard sweep matches the full-batch sweep exactly.
@@ -310,8 +336,11 @@ fn sharded_eval_matches_serial() {
     }
     let serial_ppl = (total / windows.len() as f64).exp();
     assert!(serial_ppl > pdata.perplexity_floor());
-    let one = Executor::new(ExecConfig::default()).eval_ptb_perplexity(&model, &ps, &pdata, 8, 12);
-    assert_eq!(one.to_bits(), serial_ppl.to_bits(), "single-shard PTB eval must be exact");
+    let one = Executor::new(ExecConfig::default());
+    let ppl = || one.eval_ptb_perplexity(&model, &ps, &pdata, 8, 12);
+    for ppl in [ppl(), with_pool(&Arc::new(ThreadPool::new(3)), ppl)] {
+        assert_eq!(ppl.to_bits(), serial_ppl.to_bits(), "single-shard PTB eval must be exact");
+    }
     for shards in SHARD_COUNTS {
         let exec = Executor::new(ExecConfig::default().with_shards(shards));
         let ppl = exec.eval_ptb_perplexity(&model, &ps, &pdata, 8, 12);

@@ -335,25 +335,7 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-
-    /// Runs `f` on its own thread and fails, instead of hanging the suite,
-    /// if it has not finished after a minute.
-    fn must_finish(f: impl FnOnce() + Send + 'static) {
-        let (tx, rx) = mpsc::channel();
-        let t = thread::spawn(move || {
-            f();
-            let _ = tx.send(());
-        });
-        match rx.recv_timeout(Duration::from_secs(60)) {
-            Ok(()) => t.join().unwrap(),
-            // The sender is dropped without a send when `f` panicked.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(t.join().unwrap_err())
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: not finished after 60 s"),
-        }
-    }
+    use legw_propcheck::must_finish;
 
     /// Waits until every worker of `pool` is asleep on the condvar.
     fn until_parked(pool: &ThreadPool) {

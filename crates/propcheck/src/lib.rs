@@ -28,6 +28,26 @@ pub fn run(name: &str, mut case: impl FnMut(&mut TestRng)) {
     }
 }
 
+/// Runs `f` on its own thread and fails, instead of hanging the suite, if
+/// it has not finished after a minute: the guard of the tests that drive a
+/// thread pool into a deadlock-prone path. A panic in `f` is re-raised.
+pub fn must_finish(f: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc;
+    let (tx, rx) = mpsc::channel();
+    let t = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(()) => t.join().unwrap(),
+        // The sender is dropped without a send when `f` panicked.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(t.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: not finished after 60 s"),
+    }
+}
+
 pub struct TestRng {
     s: u64,
 }

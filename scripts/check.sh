@@ -24,6 +24,25 @@ if [[ "$(readlink -f .claude/skills/verify/stubs/rand.rs)" != "$PWD/crates/rand/
   exit 1
 fi
 
+# One test stays ignored: the 8x test of tests/legw_scaling.rs, until the
+# paired-seed protocol of ROADMAP item 1 retires it. Any other ignored test
+# fails here, named by file, line and function.
+echo "== no test is ignored but the 8x test of tests/legw_scaling.rs"
+ignored=$(git ls-files -z '*.rs' | xargs -0 awk '
+  FNR == 1 { pending = "" }
+  /#\[(cfg_attr\(.*,[[:space:]]*)?ignore([^A-Za-z0-9_]|$)/ { pending = FILENAME ":" FNR }
+  pending != "" && match($0, /fn [A-Za-z0-9_]+/) {
+    name = substr($0, RSTART + 3, RLENGTH - 3)
+    if (FILENAME != "tests/legw_scaling.rs" || name != "fixed_lr_at_large_batch_underperforms_legw")
+      print pending " (" name ")"
+    pending = ""
+  }')
+if [[ -n "$ignored" ]]; then
+  echo "check.sh: ignored tests beyond the one tests/legw_scaling.rs keeps:" >&2
+  echo "$ignored" >&2
+  exit 1
+fi
+
 echo "== cargo build --release: every library, binary and example"
 cargo build --release "${flags[@]}" --workspace --bins --examples
 
