@@ -164,8 +164,8 @@ impl Graph {
     /// Training-mode batch normalisation over `(N,H,W)` per channel with
     /// affine parameters `gamma [C]`, `beta [C]`.
     ///
-    /// Returns the normalised tensor; [`Graph::batch_norm_stats`] gives the
-    /// batch statistics for running-average updates.
+    /// Returns the normalised tensor; [`Graph::bn_batch_stats`] gives the
+    /// batch statistics the op computed, for running-average updates.
     pub fn batch_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let s = self.shape(x);
         assert_eq!(s.len(), 4, "batch_norm input must be [N,C,H,W]");
@@ -177,8 +177,19 @@ impl Graph {
         self.record(&BN, &[x, gamma, beta], &[&s], a, Some(st))
     }
 
-    /// Per-channel batch mean and (biased) variance of `[N,C,H,W]` — what a
-    /// layer needs to maintain running statistics for inference.
+    /// Batch statistics `(mean, var)` of every [`Graph::batch_norm`] op on
+    /// the tape, in recording order: the list [`crate::Plan::bn_batch_stats`]
+    /// gives after a replay.
+    pub fn bn_batch_stats(&self) -> Vec<(&[f32], &[f32])> {
+        let bns = self.nodes.iter().filter_map(|n| match &n.op {
+            Op::K(ins) if ins.k.role == Role::Bn => ins.st,
+            _ => None,
+        });
+        bns.map(|s| self.states[s as usize].bn_batch_stats()).collect()
+    }
+
+    /// Per-channel batch mean and (biased) variance of `[N,C,H,W]`, the
+    /// statistics a [`Graph::batch_norm`] op computes over its input.
     pub fn batch_norm_stats(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
         let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
         let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);

@@ -429,16 +429,12 @@ impl Plan {
         self.par_grad_present[k].then(|| &self.arena.grads[k])
     }
 
-    /// Batch statistics `(mean, var)` of BatchNorm op `i` (node order)
-    /// from the last forward replay — what a layer's running averages
-    /// consume.
-    pub fn bn_batch_stats(&self, i: usize) -> (&[f32], &[f32]) {
-        let b = self.states[self.bns[i] as usize].bn.as_deref().expect("batch norm statistics");
-        (&b.mean_f32, &b.var_f32)
-    }
-
-    pub fn num_batch_norms(&self) -> usize {
-        self.bns.len()
+    /// Batch statistics `(mean, var)` of every BatchNorm op, in node
+    /// order, from the last forward replay — what a layer's running
+    /// averages consume, and the list [`Graph::bn_batch_stats`] gives for
+    /// the tape.
+    pub fn bn_batch_stats(&self) -> Vec<(&[f32], &[f32])> {
+        self.bns.iter().map(|&s| self.states[s as usize].bn_batch_stats()).collect()
     }
 
     /// Footprint of the compiled schedule.
@@ -1256,7 +1252,6 @@ mod tests {
             outputs: &[],
         };
         let mut plan = Plan::capture(&tape.g, &spec);
-        assert_eq!(plan.num_batch_norms(), 1);
 
         let ps1 = conv_params(72);
         let x1 = t(81, &[2, 3, 6, 6]);
@@ -1274,11 +1269,14 @@ mod tests {
                 "conv grad",
             );
         }
-        // replayed batch statistics must equal the tape's
-        let (mean, var) = plan.bn_batch_stats(0);
+        // replayed batch statistics must equal the tape's, which equal a
+        // fresh pass over the normalised input
+        let stats = plan.bn_batch_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(fresh.g.bn_batch_stats(), stats);
         let (tm, tv) = Graph::batch_norm_stats(fresh.g.value(tape_conv_out(&fresh)));
-        assert_bits(mean, &tm, "bn mean");
-        assert_bits(var, &tv, "bn var");
+        assert_bits(stats[0].0, &tm, "bn mean");
+        assert_bits(stats[0].1, &tv, "bn var");
     }
 
     fn tape_conv_out(t: &ConvTape) -> Var {

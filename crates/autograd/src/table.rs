@@ -106,6 +106,13 @@ impl State {
         self.buf.as_ref().map_or(0, Tensor::numel)
     }
 
+    /// A BatchNorm op's batch statistics `(mean, var)` from its last
+    /// forward.
+    pub(crate) fn bn_batch_stats(&self) -> (&[f32], &[f32]) {
+        let b = self.bn.as_deref().expect("batch norm statistics");
+        (&b.mean_f32, &b.var_f32)
+    }
+
     /// The same state, zeroed, for a plan: feeds kept as the values a
     /// replay reuses when it is fed none, and no buffer.
     pub(crate) fn fresh(&self) -> State {

@@ -149,10 +149,8 @@ impl Executor {
     }
 
     /// `(top-1, top-k)` accuracy of the ResNet over a dataset in
-    /// evaluation mode, in `chunk`-sized batches, each split over this
-    /// executor's shards. Each row group evaluates a clone of the model
-    /// (evaluation mode only reads the BN running stats, but the forward
-    /// signature is `&mut`).
+    /// evaluation mode (BatchNorm with the running statistics), in
+    /// `chunk`-sized batches, each split over this executor's shards.
     pub fn eval_resnet(
         &self,
         model: &ResNet,
@@ -162,7 +160,7 @@ impl Executor {
         k: usize,
     ) -> (f64, f64) {
         self.eval_classifier(data, chunk, Some(k), |g, bd, x| {
-            model.clone().forward(g, bd, ps, x, false)
+            model.forward(g, bd, ps, x, false)
         })
     }
 
@@ -403,8 +401,8 @@ mod tests {
     }
 
     /// Evaluation mode reads the running statistics (primed here by one
-    /// training forward), so neither chunking nor sharding may move the
-    /// counts.
+    /// training tape's folded batch statistics), so neither chunking nor
+    /// sharding may move the counts.
     #[test]
     fn eval_resnet_is_shard_and_chunk_invariant() {
         let data = SynthImageNet::generate_sized(11, 4, 48, 24, 16);
@@ -412,7 +410,11 @@ mod tests {
         let mut ps = ParamSet::new();
         let mut model = ResNet::new(&mut ps, &mut rng, 4, 4);
         let (bx, by) = data.train.gather(&(0..24).collect::<Vec<_>>());
-        let _ = model.forward_loss(&ps, &bx, &by);
+        let (g, ..) = model.forward_loss(&ps, &bx, &by);
+        model.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+        for (mean, var) in model.bn_running_stats() {
+            assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "primed");
+        }
         let serial = Executor::new(ExecConfig::default()).eval_resnet(&model, &ps, &data.test, 6, 2);
         assert!((0.0..=1.0).contains(&serial.0));
         assert!(serial.1 >= serial.0, "top-k must dominate top-1");

@@ -14,8 +14,8 @@
 //!
 //! Workload-specific post-processing stays next to the workload:
 //! [`PtbStep::merge_states`] reassembles the carried LSTM state and
-//! [`ResnetStep::fold_stats`] folds shard BatchNorm statistics back into
-//! the model.
+//! [`ResnetStep::fold_stats`] folds the shards' BatchNorm batch statistics
+//! into the model.
 
 use crate::exec::{Executor, Reduce};
 use legw_autograd::{Graph, Var};
@@ -23,7 +23,6 @@ use legw_data::{LmBatch, TranslationBatch};
 use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, StepPlan};
 use legw_nn::{Binding, DropCtx, ParamSet};
 use legw_tensor::Tensor;
-use std::sync::Mutex;
 
 /// One shard's forward, recorded on its own tape: what
 /// [`ShardStep::record`] returns and the executor turns into gradients —
@@ -292,35 +291,41 @@ impl ShardStep for Seq2SeqStep<'_> {
     }
 }
 
-/// One step of the ResNet. Each shard trains a clone of the model
-/// (BatchNorm normalises with shard statistics — the standard
-/// non-synchronised distributed-BN semantics); the shard running stats
-/// come back as extras and must be folded into the model with
-/// [`ResnetStep::fold_stats`]. The single-shard fold uses weight 1.0, so
-/// the serial path stays bit-identical to mutating the model in place.
+/// One step of the ResNet. Each shard normalises with its own batch
+/// statistics (the standard non-synchronised distributed-BN semantics) and
+/// returns them, with its example count, as its extra; no forward writes
+/// the model, so every shard reads the one `model`. Fold the extras into
+/// the model's running statistics with [`ResnetStep::fold_stats`].
 pub struct ResnetStep<'a> {
     pub model: &'a ResNet,
     pub bx: &'a Tensor,
     pub by: &'a [usize],
 }
 
+/// Per BatchNorm op in tape order, its batch `(mean, var)`.
+pub type BnBatchStats = Vec<(Vec<f32>, Vec<f32>)>;
+
 impl ResnetStep<'_> {
-    /// Folds per-shard `(example count, trained clone)` extras back into
+    /// Folds per-shard `(example count, batch statistics)` extras into
     /// `model`'s BatchNorm running statistics, weighted by example
-    /// fraction. Deterministic: extras arrive in shard order.
-    pub fn fold_stats(model: &mut ResNet, extras: &[(f32, ResNet)]) {
+    /// fraction ([`ResNet::fold_batch_stats`]). Deterministic: extras
+    /// arrive in shard order, and one shard folds with weight 1.0, the
+    /// serial update.
+    pub fn fold_stats(model: &mut ResNet, extras: &[(f32, BnBatchStats)]) {
         let total: f32 = extras.iter().map(|(c, _)| c).sum();
-        let sources: Vec<(f32, &ResNet)> =
-            extras.iter().map(|(c, m)| (c / total, m)).collect();
-        model.merge_shard_stats(&sources);
+        let shards: Vec<_> = extras.iter().map(|(c, s)| (c / total, &s[..])).collect();
+        model.fold_batch_stats(&shards);
     }
 }
 
+/// The batch statistics a tape or plan keeps, copied out of it.
+fn owned(stats: Vec<(&[f32], &[f32])>) -> BnBatchStats {
+    stats.into_iter().map(|(mean, var)| (mean.to_vec(), var.to_vec())).collect()
+}
+
 impl ShardStep for ResnetStep<'_> {
-    /// The clone travels in a `Mutex<Option<…>>` so the worker can move it
-    /// out (forward mutates BN running stats) and return it as the extra.
-    type Shard = (Tensor, Vec<usize>, Mutex<Option<ResNet>>);
-    type Extra = (f32, ResNet);
+    type Shard = (Tensor, Vec<usize>);
+    type Extra = (f32, BnBatchStats);
 
     fn reduce(&self) -> Reduce {
         Reduce::WeightedMean
@@ -329,17 +334,11 @@ impl ShardStep for ResnetStep<'_> {
     fn split(&self, exec: &Executor) -> Vec<Self::Shard> {
         let ranges = exec.shard_ranges(self.by.len());
         if ranges.len() == 1 {
-            vec![(self.bx.clone(), self.by.to_vec(), Mutex::new(Some(self.model.clone())))]
+            vec![(self.bx.clone(), self.by.to_vec())]
         } else {
             ranges
                 .iter()
-                .map(|r| {
-                    (
-                        self.bx.slice_outer(r.start, r.end),
-                        self.by[r.start..r.end].to_vec(),
-                        Mutex::new(Some(self.model.clone())),
-                    )
-                })
+                .map(|r| (self.bx.slice_outer(r.start, r.end), self.by[r.start..r.end].to_vec()))
                 .collect()
         }
     }
@@ -348,31 +347,25 @@ impl ShardStep for ResnetStep<'_> {
         shard.1.len() as f64
     }
 
-    fn plan_key(&self, (sx, _, _): &Self::Shard) -> Vec<usize> {
+    fn plan_key(&self, (sx, _): &Self::Shard) -> Vec<usize> {
         sx.shape().to_vec()
     }
 
-    /// The forward runs on the shard clone, which keeps the tape's
-    /// BatchNorm running-statistics update.
-    fn record(&self, ps: &ParamSet, (sx, sy, cell): &Self::Shard) -> ShardTape<(f32, ResNet)> {
-        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
-        let (graph, binding, loss, _) = m.forward_loss(ps, sx, sy);
+    fn record(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> ShardTape<Self::Extra> {
+        let (graph, binding, loss, _) = self.model.forward_loss(ps, sx, sy);
         let value = graph.value(loss).item() as f64;
-        let extra = (sy.len() as f32, m);
+        let extra = (sy.len() as f32, owned(graph.bn_batch_stats()));
         ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra }
     }
 
-    /// Replays fold the step's BatchNorm batch statistics into the shard
-    /// clone like the tape path.
     fn replay(
         &self,
         ps: &ParamSet,
         plan: &mut StepPlan,
-        (sx, sy, cell): &Self::Shard,
-    ) -> (f64, (f32, ResNet)) {
-        let mut m = cell.lock().unwrap().take().expect("resnet shard clone already taken");
-        let loss = m.replay_step_plan(plan, ps, sx, sy) as f64;
-        (loss, (sy.len() as f32, m))
+        (sx, sy): &Self::Shard,
+    ) -> (f64, Self::Extra) {
+        let loss = self.model.replay_step_plan(plan, ps, sx, sy) as f64;
+        (loss, (sy.len() as f32, owned(plan.bn_batch_stats())))
     }
 }
 

@@ -49,6 +49,13 @@ fn named_grads(ps: &ParamSet) -> Vec<(String, Vec<f32>)> {
     ps.iter().map(|(_, p)| (p.name.clone(), p.grad.as_slice().to_vec())).collect()
 }
 
+/// A ResNet's BatchNorm running statistics, one named list per mean and
+/// per variance.
+fn named_bn_stats(model: &ResNet) -> Vec<(String, Vec<f32>)> {
+    let stats = model.bn_running_stats().into_iter().enumerate();
+    stats.flat_map(|(i, (m, v))| [(format!("bn{i}.mean"), m), (format!("bn{i}.var"), v)]).collect()
+}
+
 fn assert_bitwise(tape: &[(String, Vec<f32>)], plan: &[(String, Vec<f32>)], what: &str) {
     for ((name, a), (_, b)) in tape.iter().zip(plan) {
         for (x, y) in a.iter().zip(b) {
@@ -134,9 +141,9 @@ fn ptb_plan_replay_matches_tape_bitwise_with_dropout() {
     }
 }
 
-/// ResNet: loss, parameters, and BatchNorm running statistics bitwise —
-/// the replay folds each step's batch statistics exactly as the tape
-/// forward does.
+/// ResNet: loss, parameters, and BatchNorm running statistics bitwise
+/// after every step — a replay's batch statistics fold exactly as the
+/// tape's do.
 #[test]
 fn resnet_plan_replay_matches_tape_bitwise_including_bn_stats() {
     let data = SynthImageNet::generate(6, 5, 72, 12);
@@ -163,15 +170,15 @@ fn resnet_plan_replay_matches_tape_bitwise_including_bn_stats() {
             ResnetStep::fold_stats(&mut model_p, &ex_p);
             assert_eq!(ot.loss.to_bits(), op.loss.to_bits(), "resnet loss s{shards} step {step}");
             assert_bitwise(&named_grads(&ps_t), &named_grads(&ps_p), "resnet grads");
+            let (stats_t, stats_p) = (named_bn_stats(&model_t), named_bn_stats(&model_p));
+            assert_eq!(stats_t.len(), stats_p.len());
+            assert_bitwise(&stats_t, &stats_p, &format!("resnet BN stats s{shards} step {step}"));
+            let (mean, var) = &model_t.bn_running_stats()[0];
+            assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "folded");
             sgd_apply(&mut ps_t, LR);
             sgd_apply(&mut ps_p, LR);
         }
         assert_bitwise(&named_values(&ps_t), &named_values(&ps_p), "resnet params");
-        // Running statistics travel outside the ParamSet; compare via an
-        // eval forward, which folds them into the output.
-        let (t1_t, _) = exec.eval_resnet(&model_t, &ps_t, &data.test, 6, 3);
-        let (t1_p, _) = exec.eval_resnet(&model_p, &ps_p, &data.test, 6, 3);
-        assert_eq!(t1_t.to_bits(), t1_p.to_bits(), "resnet eval after fold s{shards}");
     }
 }
 

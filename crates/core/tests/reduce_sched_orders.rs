@@ -226,11 +226,13 @@ fn resnet_bits(shards: usize, streaming: bool) -> (u64, Vec<u32>) {
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(6);
     let mut model = ResNet::new(&mut ps, &mut rng, 8, 8);
-    let snapshot = model.clone();
-    let step = ResnetStep { model: &snapshot, bx: &bx, by: &by };
+    let step = ResnetStep { model: &model, bx: &bx, by: &by };
     let (loss, stats) = step_with(shards, streaming, &step, &mut ps);
     ResnetStep::fold_stats(&mut model, &stats);
-    (loss, grad_bits(&ps))
+    let mut bits = grad_bits(&ps);
+    let running = model.bn_running_stats();
+    bits.extend(running.iter().flat_map(|(m, v)| m.iter().chain(v)).map(|x| x.to_bits()));
+    (loss, bits)
 }
 
 #[test]

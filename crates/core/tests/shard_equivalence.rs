@@ -274,13 +274,17 @@ fn sharded_eval_matches_serial() {
     });
 
     // ResNet in evaluation mode (running statistics primed by one training
-    // forward): integer top-1 / top-k counts.
+    // tape's folded batch statistics): integer top-1 / top-k counts.
     let idata = SynthImageNet::generate_sized(11, 4, 48, 24, 16);
     let mut ps = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(12);
     let mut model = ResNet::new(&mut ps, &mut rng, 4, 4);
     let (bx, by) = idata.train.gather(&(0..24).collect::<Vec<_>>());
-    let _ = model.forward_loss(&ps, &bx, &by);
+    let (g, ..) = model.forward_loss(&ps, &bx, &by);
+    model.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+    for (mean, var) in model.bn_running_stats() {
+        assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "primed");
+    }
     let (mut top1, mut top2) = (0.0, 0.0);
     for start in (0..24).step_by(6) {
         let (bx, by) = idata.test.gather(&(start..start + 6).collect::<Vec<_>>());

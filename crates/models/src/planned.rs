@@ -91,15 +91,10 @@ impl StepPlan {
         self.plan.output(k)
     }
 
-    /// Batch statistics `(mean, var)` of the `i`-th BatchNorm op (tape
-    /// order) from the last forward replay.
-    pub fn bn_batch_stats(&self, i: usize) -> (&[f32], &[f32]) {
-        self.plan.bn_batch_stats(i)
-    }
-
-    /// Number of BatchNorm ops in the plan.
-    pub fn num_batch_norms(&self) -> usize {
-        self.plan.num_batch_norms()
+    /// Batch statistics `(mean, var)` of every BatchNorm op, in tape
+    /// order, from the last forward replay ([`Plan::bn_batch_stats`]).
+    pub fn bn_batch_stats(&self) -> Vec<(&[f32], &[f32])> {
+        self.plan.bn_batch_stats()
     }
 
     /// Accumulates the last replay's parameter gradients into `buf`,

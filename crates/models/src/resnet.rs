@@ -46,14 +46,7 @@ impl Block {
         }
     }
 
-    fn forward(
-        &mut self,
-        g: &mut Graph,
-        bd: &mut Binding,
-        ps: &ParamSet,
-        x: Var,
-        train: bool,
-    ) -> Var {
+    fn forward(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, x: Var, train: bool) -> Var {
         let y = self.conv1.forward(g, bd, ps, x);
         let y = if train {
             self.bn1.forward_train(g, bd, ps, y)
@@ -67,7 +60,7 @@ impl Block {
         } else {
             self.bn2.forward_eval(g, ps, y)
         };
-        let skip = match &mut self.proj {
+        let skip = match &self.proj {
             Some((conv, bn)) => {
                 let s = conv.forward(g, bd, ps, x);
                 if train {
@@ -85,10 +78,12 @@ impl Block {
 
 /// The ResNet-8 stand-in.
 ///
-/// `Clone` copies the layer wiring *and* the BatchNorm running statistics;
-/// the data-parallel executor clones the model per batch shard (forward
-/// passes mutate BN state) and folds the shard stats back with
-/// [`ResNet::merge_shard_stats`].
+/// Every forward reads the BatchNorm running statistics and none writes
+/// them: a training tape or replay keeps each BatchNorm op's batch
+/// statistics ([`Graph::bn_batch_stats`], [`StepPlan::bn_batch_stats`]),
+/// and the step folds them into the model once, with
+/// [`ResNet::fold_batch_stats`]. `Clone` copies the layer wiring *and* the
+/// running statistics.
 #[derive(Clone)]
 pub struct ResNet {
     stem: Conv2d,
@@ -125,7 +120,7 @@ impl ResNet {
     /// Forward pass producing logits. `train` selects batch-statistics vs
     /// running-statistics normalisation.
     pub fn forward(
-        &mut self,
+        &self,
         g: &mut Graph,
         bd: &mut Binding,
         ps: &ParamSet,
@@ -140,7 +135,7 @@ impl ResNet {
             self.stem_bn.forward_eval(g, ps, y)
         };
         let mut y = g.relu(y);
-        for b in &mut self.blocks {
+        for b in &self.blocks {
             y = b.forward(g, bd, ps, y, train);
         }
         let pooled = g.global_avg_pool(y);
@@ -149,7 +144,7 @@ impl ResNet {
 
     /// Builds the tape for one training step.
     pub fn forward_loss(
-        &mut self,
+        &self,
         ps: &ParamSet,
         images: &Tensor,
         labels: &[usize],
@@ -163,37 +158,25 @@ impl ResNet {
     }
 
     /// Records one training step, forward and backward, and compiles it
-    /// into a replayable [`StepPlan`]. The capture forward runs on a
-    /// throwaway clone of `self` so the running-statistics update of the
-    /// capture pass is discarded — the first replay applies that batch's
-    /// statistics itself, keeping the plan path's running stats in lockstep
-    /// with the tape path. Always `Some`: the `Option` remains only because
-    /// `crates/perf` unwraps it.
+    /// into a replayable [`StepPlan`]. Always `Some`: the `Option` remains
+    /// only because `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
         ps: &ParamSet,
         images: &Tensor,
         labels: &[usize],
     ) -> Option<StepPlan> {
-        let mut probe = self.clone();
-        let (mut g, bd, loss, _) = probe.forward_loss(ps, images, labels);
+        let (mut g, bd, loss, _) = self.forward_loss(ps, images, labels);
         g.backward(loss);
-        let plan = StepPlan::capture(&g, &bd, loss, &[]);
-        debug_assert_eq!(
-            plan.num_batch_norms(),
-            self.batch_norms().len(),
-            "plan BN count must match the model's BN layers"
-        );
-        Some(plan)
+        Some(StepPlan::capture(&g, &bd, loss, &[]))
     }
 
     /// Replays a captured step on a fresh same-shape batch: forward +
-    /// backward without a tape, then folds each BatchNorm's batch
-    /// statistics into the running averages (the tape order of BN ops
-    /// equals `ResNet::batch_norms` order). Returns the loss; gradients
-    /// are read with [`StepPlan::write_grads_to`].
+    /// backward without a tape. Returns the loss; gradients are read with
+    /// [`StepPlan::write_grads_to`] and the batch statistics with
+    /// [`StepPlan::bn_batch_stats`].
     pub fn replay_step_plan(
-        &mut self,
+        &self,
         plan: &mut StepPlan,
         ps: &ParamSet,
         images: &Tensor,
@@ -201,12 +184,7 @@ impl ResNet {
     ) -> f32 {
         let label_feed: [&[usize]; 1] = [labels];
         let feeds = Feeds { labels: &label_feed, ..Feeds::default() };
-        let loss = plan.replay_step(ps, &[images], &feeds);
-        for (i, bn) in self.batch_norms_mut().into_iter().enumerate() {
-            let (mean, var) = plan.bn_batch_stats(i);
-            bn.update_running_stats(mean, var);
-        }
-        loss
+        plan.replay_step(ps, &[images], &feeds)
     }
 
     /// Every BatchNorm layer in forward order.
@@ -236,15 +214,12 @@ impl ResNet {
         bns
     }
 
-    /// Builds an eval-mode (running-statistics) inference tape on a
-    /// throwaway clone — eval never mutates BN state, but `forward` takes
-    /// `&mut self` for the training path's sake. Returns graph/binding and
-    /// the logits variable.
+    /// Builds an eval-mode (running-statistics) inference tape. Returns
+    /// graph/binding and the logits variable.
     pub fn forward_infer(&self, ps: &ParamSet, images: &Tensor) -> (Graph, Binding, Var) {
-        let mut probe = self.clone();
         let mut g = Graph::new();
         let mut bd = Binding::new();
-        let logits = probe.forward(&mut g, &mut bd, ps, images, false);
+        let logits = self.forward(&mut g, &mut bd, ps, images, false);
         (g, bd, logits)
     }
 
@@ -269,19 +244,19 @@ impl ResNet {
         }
     }
 
-    /// Replaces this model's BatchNorm running statistics with the
-    /// weighted average of the shard clones' statistics (weights must sum
-    /// to 1; use shard-example fractions). Deterministic: iterates shards
-    /// in the order given.
-    pub fn merge_shard_stats(&mut self, shards: &[(f32, &ResNet)]) {
-        let shard_bns: Vec<Vec<&BatchNorm2d>> = shards.iter().map(|(_, m)| m.batch_norms()).collect();
-        for (i, bn) in self.batch_norms_mut().into_iter().enumerate() {
-            let sources: Vec<(f32, &BatchNorm2d)> = shards
-                .iter()
-                .zip(&shard_bns)
-                .map(|((w, _), bns)| (*w, bns[i]))
-                .collect();
-            bn.set_stats_weighted(&sources);
+    /// Folds one step's BatchNorm batch statistics into the running
+    /// averages: per data-parallel shard, in shard order, its weight
+    /// (example fraction; the weights sum to 1) and the batch statistics of
+    /// its BatchNorm ops in tape order, which is `ResNet::batch_norms`
+    /// order ([`Graph::bn_batch_stats`], [`StepPlan::bn_batch_stats`]),
+    /// borrowed or owned. See [`BatchNorm2d::fold_batch_stats`].
+    pub fn fold_batch_stats<S: AsRef<[f32]>>(&mut self, shards: &[(f32, &[(S, S)])]) {
+        let bns = self.batch_norms_mut();
+        assert!(shards.iter().all(|(_, s)| s.len() == bns.len()), "one entry per BatchNorm");
+        for (i, bn) in bns.into_iter().enumerate() {
+            let batches: Vec<(f32, &[f32], &[f32])> =
+                shards.iter().map(|(w, s)| (*w, s[i].0.as_ref(), s[i].1.as_ref())).collect();
+            bn.fold_batch_stats(&batches);
         }
     }
 }
@@ -358,7 +333,7 @@ mod tests {
 
     #[test]
     fn forward_shapes_and_untrained_loss() {
-        let (ps, mut m, d) = tiny();
+        let (ps, m, d) = tiny();
         let (batch, labels) = d.train.gather(&[0, 1, 2, 3]);
         let (g, _, loss, logits) = m.forward_loss(&ps, &batch, &labels);
         assert_eq!(logits.shape(), &[4, 6]);
@@ -367,7 +342,7 @@ mod tests {
 
     #[test]
     fn gradients_reach_every_parameter() {
-        let (mut ps, mut m, d) = tiny();
+        let (mut ps, m, d) = tiny();
         let (batch, labels) = d.train.gather(&[0, 1, 2, 3]);
         let (mut g, bd, loss, _) = m.forward_loss(&ps, &batch, &labels);
         g.backward(loss);
@@ -379,7 +354,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_fixed_batch() {
-        let (mut ps, mut m, d) = tiny();
+        let (mut ps, m, d) = tiny();
         let (batch, labels) = d.train.gather(&(0..12).collect::<Vec<_>>());
         let mut first = 0.0;
         let mut last = 0.0;
@@ -400,16 +375,45 @@ mod tests {
         assert!(last < first, "loss should fall: {first} → {last}");
     }
 
+    /// A training tape's batch statistics, folded into `m`'s running
+    /// statistics as one single-shard step.
+    fn fold_train_stats(m: &mut ResNet, ps: &ParamSet, batch: &Tensor, labels: &[usize]) {
+        let (g, ..) = m.forward_loss(ps, batch, labels);
+        m.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+    }
+
+    #[test]
+    fn fold_moves_every_layer_by_its_own_batch_stats() {
+        let (ps, mut m, d) = tiny();
+        let (batch, labels) = d.train.gather(&[0, 1, 2, 3]);
+        let (g, ..) = m.forward_loss(&ps, &batch, &labels);
+        let batch_stats = g.bn_batch_stats();
+        assert_eq!(batch_stats.len(), m.bn_running_stats().len(), "one entry per BatchNorm");
+        fold_train_stats(&mut m, &ps, &batch, &labels);
+        for ((mean, var), (bm, bv)) in m.bn_running_stats().iter().zip(&batch_stats) {
+            assert_eq!(mean.len(), bm.len(), "tape order is batch_norms order");
+            for c in 0..mean.len() {
+                assert_eq!(mean[c], 0.9 * 0.0 + 0.1 * bm[c]);
+                assert_eq!(var[c], 0.9 * 1.0 + 0.1 * bv[c]);
+            }
+        }
+    }
+
     /// Eval-mode inference plan vs the live eval tape: bitwise logits on a
-    /// fresh batch, after training passes have moved the BN running stats
-    /// off their initial values (so the folded constants matter).
+    /// fresh batch, after folded training statistics have moved the BN
+    /// running stats off their initial values (so the folded constants
+    /// matter).
     #[test]
     fn infer_plan_matches_eval_tape_bitwise() {
         use crate::planned::Infer;
         let (ps, mut m, d) = tiny();
         let (batch, labels) = d.train.gather(&(0..8).collect::<Vec<_>>());
         for _ in 0..2 {
-            let _ = m.forward_loss(&ps, &batch, &labels);
+            fold_train_stats(&mut m, &ps, &batch, &labels);
+        }
+        for (mean, var) in m.bn_running_stats() {
+            assert!(mean.iter().all(|&x| x != 0.0), "running means left their init");
+            assert!(var.iter().all(|&x| x != 1.0), "running vars left their init");
         }
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (fresh, _) = d.test.gather(&[3, 4, 5]);

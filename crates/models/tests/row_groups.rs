@@ -71,7 +71,7 @@ fn mnist_lstm_rows_do_not_depend_on_the_batch() {
 }
 
 /// The ResNet in evaluation mode, with running statistics moved off their
-/// initial values by two training forwards.
+/// initial values by two training tapes' folded batch statistics.
 #[test]
 fn resnet_eval_rows_do_not_depend_on_the_batch() {
     let data = SynthImageNet::generate_sized(5, 4, 16, 10, 16);
@@ -79,7 +79,11 @@ fn resnet_eval_rows_do_not_depend_on_the_batch() {
     let mut model = ResNet::new(&mut ps, &mut StdRng::seed_from_u64(6), 4, 4);
     let (bx, by) = data.train.gather(&(0..16).collect::<Vec<_>>());
     for _ in 0..2 {
-        let _ = model.forward_loss(&ps, &bx, &by);
+        let (g, ..) = model.forward_loss(&ps, &bx, &by);
+        model.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+    }
+    for (mean, var) in model.bn_running_stats() {
+        assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "primed");
     }
     let group = |r: Range<usize>| data.test.gather(&r.collect::<Vec<_>>()).0;
     assert_rows_split_exactly(&model, &ps, 10, group, logit_bits);

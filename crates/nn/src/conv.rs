@@ -80,7 +80,7 @@ pub struct BatchNorm2d {
     channels: usize,
     eps: f32,
     momentum: f32,
-    /// Running mean, updated by [`BatchNorm2d::forward_train`].
+    /// Running mean, updated by [`BatchNorm2d::fold_batch_stats`].
     pub running_mean: Vec<f32>,
     /// Running (biased) variance.
     pub running_var: Vec<f32>,
@@ -107,49 +107,30 @@ impl BatchNorm2d {
         self.channels
     }
 
-    /// Training-mode forward: normalises with batch statistics and updates
-    /// the running averages.
-    pub fn forward_train(
-        &mut self,
-        g: &mut Graph,
-        b: &mut Binding,
-        ps: &ParamSet,
-        x: Var,
-    ) -> Var {
-        let (mean, var) = Graph::batch_norm_stats(g.value(x));
-        self.update_running_stats(&mean, &var);
+    /// Training-mode forward: normalises with the batch statistics, which
+    /// the op keeps ([`Graph::bn_batch_stats`]) for
+    /// [`BatchNorm2d::fold_batch_stats`]. Reads no running statistic.
+    pub fn forward_train(&self, g: &mut Graph, b: &mut Binding, ps: &ParamSet, x: Var) -> Var {
         let gamma = b.bind(g, ps, self.gamma);
         let beta = b.bind(g, ps, self.beta);
         g.batch_norm(x, gamma, beta, self.eps)
     }
 
-    /// Folds one batch's statistics into the running averages — the same
-    /// momentum update [`BatchNorm2d::forward_train`] performs. Public so
-    /// a plan replay (which computes the batch statistics without a tape,
-    /// [`legw_autograd::Plan::bn_batch_stats`]) can keep the running
-    /// stats in lockstep with the tape path.
-    pub fn update_running_stats(&mut self, mean: &[f32], var: &[f32]) {
+    /// Folds one step's batch statistics into the running averages, the
+    /// one place training updates them. `batches` holds one `(weight, mean,
+    /// var)` per data-parallel shard, weights summing to 1 (example
+    /// fractions). Each shard's momentum update `(1−m)·r + m·b` starts from
+    /// the same pre-step `r`, and the shards combine by weighted sum in the
+    /// order given; with one shard of weight 1 that is the serial update.
+    /// The variance average drops the between-shard term, the usual
+    /// non-synchronised distributed-BN behaviour.
+    pub fn fold_batch_stats(&mut self, batches: &[(f32, &[f32], &[f32])]) {
+        let m = self.momentum;
+        let step = |r: f32, b: f32| (1.0 - m) * r + m * b;
         for c in 0..self.channels {
-            self.running_mean[c] =
-                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
-            self.running_var[c] =
-                (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
-        }
-    }
-
-    /// Overwrites the running statistics with the weighted average of the
-    /// `sources` stats (weights must sum to 1).
-    ///
-    /// The data-parallel executor trains shard-local clones of BN layers
-    /// and folds them back with shard-example-count weights; because every
-    /// clone starts from the same pre-step stats, the weighted average of
-    /// the updated means reproduces the serial running-mean update exactly
-    /// (the variance average drops the between-shard term, the usual
-    /// non-synchronised distributed-BN behaviour).
-    pub fn set_stats_weighted(&mut self, sources: &[(f32, &BatchNorm2d)]) {
-        for c in 0..self.channels {
-            self.running_mean[c] = sources.iter().map(|(w, s)| w * s.running_mean[c]).sum();
-            self.running_var[c] = sources.iter().map(|(w, s)| w * s.running_var[c]).sum();
+            let (mean, var) = (self.running_mean[c], self.running_var[c]);
+            self.running_mean[c] = batches.iter().map(|(w, bm, _)| w * step(mean, bm[c])).sum();
+            self.running_var[c] = batches.iter().map(|(w, _, bv)| w * step(var, bv[c])).sum();
         }
     }
 
@@ -207,18 +188,34 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_train_updates_running_stats() {
+    fn batchnorm_train_folds_its_batch_stats() {
         let mut ps = ParamSet::new();
         let mut bn = BatchNorm2d::new(&mut ps, "bn", 2);
         let mut g = Graph::new();
         let mut b = Binding::new();
         let x = g.input(image(4, 2, 4, 1.1).add_scalar(3.0));
-        let before = bn.running_mean.clone();
         let y = bn.forward_train(&mut g, &mut b, &ps, x);
         assert_eq!(g.value(y).shape(), &[4, 2, 4, 4]);
-        assert_ne!(bn.running_mean, before, "running mean must move toward batch mean");
         // batch-normalised output has ~zero mean
         assert!(g.value(y).mean().abs() < 1e-4);
+        let (mean, var) = Graph::batch_norm_stats(g.value(x));
+        let stats = g.bn_batch_stats();
+        assert_eq!(stats, [(&mean[..], &var[..])], "the op keeps its batch statistics");
+        bn.fold_batch_stats(&[(1.0, stats[0].0, stats[0].1)]);
+        for c in 0..2 {
+            assert_eq!(bn.running_mean[c], 0.9 * 0.0 + 0.1 * mean[c]);
+            assert_eq!(bn.running_var[c], 0.9 * 1.0 + 0.1 * var[c]);
+        }
+    }
+
+    #[test]
+    fn batchnorm_fold_weights_each_shard_update() {
+        let mut ps = ParamSet::new();
+        let mut bn = BatchNorm2d::new(&mut ps, "bn", 1);
+        bn.fold_batch_stats(&[(0.75, &[4.0], &[2.0]), (0.25, &[8.0], &[6.0])]);
+        // per shard 0.9·r + 0.1·b, then 0.75·a + 0.25·b
+        assert_eq!(bn.running_mean, [0.75 * 0.4 + 0.25 * 0.8]);
+        assert_eq!(bn.running_var, [0.75 * (0.9 + 0.2) + 0.25 * (0.9 + 0.6)]);
     }
 
     #[test]
@@ -241,7 +238,7 @@ mod tests {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(1);
         let conv = Conv2d::new(&mut ps, &mut rng, "c", 1, 2, 3, 1, 1);
-        let mut bn = BatchNorm2d::new(&mut ps, "bn", 2);
+        let bn = BatchNorm2d::new(&mut ps, "bn", 2);
         let mut g = Graph::new();
         let mut b = Binding::new();
         let x = g.input(image(2, 1, 4, 0.9));

@@ -157,15 +157,20 @@ fn resnet_frozen_forward_matches_live_bitwise_including_bn_stats() {
     let mut rng = StdRng::seed_from_u64(19);
     let mut model = ResNet::new(&mut ps, &mut rng, 4, 6);
 
-    // Move the BN running statistics off their init values so the artifact
-    // must actually carry them for the eval forwards to agree.
+    // Move the BN running statistics off their init values, by folding two
+    // training tapes' batch statistics, so the artifact must actually carry
+    // them for the eval forwards to agree.
     let images = legw_tensor::Tensor::from_vec(
         (0..8 * 3 * 32 * 32).map(|i| ((i % 23) as f32 - 11.0) / 11.0).collect(),
         &[8, 3, 32, 32],
     );
     let labels: Vec<usize> = (0..8).map(|i| i % 6).collect();
     for _ in 0..2 {
-        let _ = model.forward_loss(&ps, &images, &labels);
+        let (g, ..) = model.forward_loss(&ps, &images, &labels);
+        model.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+    }
+    for (mean, var) in model.bn_running_stats() {
+        assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "primed");
     }
 
     let blob = freeze(

@@ -46,10 +46,11 @@ fi
 echo "== cargo build --release: every library, binary and example"
 cargo build --release "${flags[@]}" --workspace --bins --examples
 
-# The two examples that finish in seconds. serve_mnist exits non-zero unless
-# train -> freeze -> restore -> serve ends in an engine that answers its
-# held-out rows.
-for example in quickstart serve_mnist; do
+# The three examples that finish in seconds. serve_mnist exits non-zero
+# unless train -> freeze -> restore -> serve ends in an engine that answers
+# its held-out rows; imagenet_lars is the one that trains through
+# train_resnet, and so through the BatchNorm statistics fold, in release.
+for example in quickstart serve_mnist imagenet_lars; do
   echo "== cargo run --release --example $example"
   cargo run -q --release "${flags[@]}" --example "$example"
 done
