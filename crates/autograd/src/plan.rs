@@ -30,13 +30,22 @@
 //!   [`legw_tensor::gemm_into_packed`] at every later one. A panel lives for
 //!   one replay: [`Plan::replay_forward`] starts a new generation, the
 //!   backward replay that follows keeps it, and nothing is looked up by
-//!   address or kept across an optimizer step;
+//!   address or kept across an optimizer step. The exception is a plan
+//!   over parameters that never change (inference): after
+//!   [`Plan::freeze_panels`] each panel is packed once, at its first read
+//!   (or by [`Plan::pack_panels`]), and never again;
 //! - a weight slice every reader of which became a panel GEMM is not copied
 //!   into the arena at all.
 //!
 //! Dynamic per-step data — embedding ids, cross-entropy labels, dropout
 //! masks — is fed at replay time through [`Feeds`]; everything
 //! shape-changing needs another plan (callers key plans by shape).
+//!
+//! A plan is mutable replay state, so two threads cannot replay one plan at
+//! once. `Plan::clone` is the copy that lets them: it gets its own writable
+//! storage and shares what no replay writes, the captured constants and
+//! the packed panels of a frozen plan, so a copy costs the arena and not
+//! the weights again.
 
 use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
@@ -45,6 +54,7 @@ use crate::table::{kept_zeros, Attr, Entry, Io, Role, Srcs, State};
 use legw_tensor::{PackedB, Tensor};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// What to capture from a tape: which leaves are per-step inputs, which
 /// are parameters (gradient targets), and what the step produces.
@@ -98,9 +108,14 @@ pub struct PlanStats {
     pub scratch_bytes: usize,
     /// Weight operands held as packed GEMM panels (one per tape node and
     /// transpose form), and the bytes they hold right now — nothing before
-    /// the first replay; reserved at capture, so a replay allocates none.
+    /// the first replay or [`Plan::pack_panels`]; reserved at capture, so
+    /// a replay allocates none.
     pub panels: usize,
     pub panel_bytes: usize,
+    /// Of `panel_bytes`, the bytes held in common with copies of this plan
+    /// (`Plan::clone`): a frozen plan's panels, stored once for the plan and
+    /// all its copies, and counted in each of them.
+    pub shared_panel_bytes: usize,
 }
 
 /// Where an instruction reads or writes a value.
@@ -125,6 +140,7 @@ pub(crate) enum Loc {
 
 /// One replay instruction: a tape node's kernel over resolved locations —
 /// its sources, then its destinations, at `at` in the plan's `locs`.
+#[derive(Clone)]
 struct Instr {
     k: &'static Entry,
     at: u32,
@@ -161,14 +177,17 @@ fn slot(l: &mut Loc) -> Option<&mut u32> {
 /// The packed form of one weight operand, owned by the plan: elements
 /// `off..off + len` of parameter `par` — the parameter itself, or the
 /// row-slice / reshape of it one tape node stood for — as the B of GEMMs
-/// that read it with this `tb`.
+/// that read it with this `tb`. Shared with the plan's copies; a copy that
+/// repacks (its plan is not frozen) gets a panel of its own first.
+#[derive(Clone)]
 struct Panel {
     par: u32,
     off: usize,
     len: usize,
     tb: bool,
-    packed: PackedB,
-    /// [`Arena::epoch`] of the replay that packed it.
+    packed: Arc<PackedB>,
+    /// [`Arena::epoch`] of the replay that packed it, at least 1; 0 before
+    /// its first pack.
     epoch: u64,
 }
 
@@ -181,8 +200,12 @@ pub(crate) struct Arena {
     panels: Vec<Panel>,
     /// Counts forward replays. A panel is current iff it was packed in this
     /// epoch: parameters are only guaranteed unchanged from a forward replay
-    /// to the backward replay that follows it, so no panel outlives that.
+    /// to the backward replay that follows it, so no panel outlives that —
+    /// unless the plan is frozen.
     epoch: u64,
+    /// Set by [`Plan::freeze_panels`]: the parameters never change, so a
+    /// panel is packed once and never repacked.
+    frozen: bool,
     /// 1-element tensor used to displace an output or gradient while an
     /// instruction writes it (an `Arc` clone, so displacement never
     /// allocates).
@@ -215,21 +238,48 @@ impl Arena {
         }
     }
 
-    /// Panel `p`, packed this replay.
+    /// Panel `p`, packed this replay or, frozen, at all.
     pub(crate) fn panel(&self, p: u32, tb: bool) -> &PackedB {
         let p = &self.panels[p as usize];
-        debug_assert!(p.epoch == self.epoch && p.tb == tb, "stale or foreign panel");
+        let current = p.epoch == self.epoch || (self.frozen && p.epoch > 0);
+        debug_assert!(current && p.tb == tb, "stale or foreign panel");
         &p.packed
     }
 
     /// Brings panel `i` up to this replay's parameter values: packed at its
-    /// first read since the last forward replay began, left alone after.
+    /// first read since the last forward replay began — or, frozen, at its
+    /// first read ever — and left alone after.
     fn refresh(&mut self, i: u32, params: &[&Tensor]) {
-        let p = &mut self.panels[i as usize];
-        if p.epoch != self.epoch {
-            let w = params[p.par as usize].as_slice();
-            p.packed.pack(p.tb, &w[p.off..p.off + p.len]);
-            p.epoch = self.epoch;
+        let p = &self.panels[i as usize];
+        let stale = if self.frozen { p.epoch == 0 } else { p.epoch != self.epoch };
+        if stale {
+            self.pack(i as usize, params);
+        }
+    }
+
+    /// Packs panel `i` from `params`, into storage of its own if a copy
+    /// shares it.
+    fn pack(&mut self, i: usize, params: &[&Tensor]) {
+        let p = &mut self.panels[i];
+        let w = params[p.par as usize].as_slice();
+        Arc::make_mut(&mut p.packed).pack(p.tb, &w[p.off..p.off + p.len]);
+        p.epoch = self.epoch.max(1);
+    }
+
+    /// A copy with storage of its own for everything a replay writes —
+    /// slots, outputs, gradients — sized alike and allocated exactly on
+    /// this thread; the constants and panels are shared.
+    fn copy(&self) -> Arena {
+        let own = |ts: &[Tensor]| ts.iter().map(kept_zeros).collect();
+        Arena {
+            slots: self.slots.iter().map(|s| vec![0.0; s.len()]).collect(),
+            outs: own(&self.outs),
+            grads: own(&self.grads),
+            consts: self.consts.clone(),
+            panels: self.panels.clone(),
+            epoch: self.epoch,
+            frozen: self.frozen,
+            placeholder: Tensor::zeros(&[1]),
         }
     }
 
@@ -339,23 +389,38 @@ impl Plan {
     }
 
     /// Re-executes the forward program on new data. `inputs` / `params`
-    /// are in `spec` order and must match the captured shapes.
+    /// are in `spec` order and must match the captured shapes; a frozen
+    /// plan's `params` must be the values its panels were packed from.
     pub fn replay_forward(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
         // New parameter values may arrive with every forward replay: whatever
         // the weight panels hold is stale from here on.
         self.arena.epoch += 1;
-        self.replay_forward_again(inputs, params, feeds);
-    }
-
-    /// [`Plan::replay_forward`] under the parameters of the replay before
-    /// it: `params` must be the tensors that replay was given, unchanged
-    /// since, under the same kernel tier and bf16 scope. The weight panels
-    /// it packed are reused instead of packed again — a decode loop replays
-    /// one step plan per token against one borrowed parameter set.
-    pub fn replay_forward_again(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
         self.check_bindings(inputs, params);
         self.load_feeds(feeds);
         self.run(0..self.nfwd, inputs, params);
+    }
+
+    /// Declares the parameters frozen: from now on each weight panel is
+    /// packed once, at its first read, and kept for the plan's life, so a
+    /// replay packs only its activations. For a plan whose parameters never
+    /// change — a frozen model's. Every replay must then be given the
+    /// parameter values of the first, under its kernel tier and bf16 scope
+    /// (a panel packed under another refuses to multiply).
+    pub fn freeze_panels(&mut self) {
+        self.arena.frozen = true;
+    }
+
+    /// Packs now, from `params`, every panel of a frozen plan that no replay
+    /// has packed yet, under the calling thread's kernel tier and bf16
+    /// scope: what a copy made after this shares instead of packing its own.
+    pub fn pack_panels(&mut self, params: &[&Tensor]) {
+        assert!(self.arena.frozen, "pack_panels on a plan that repacks every replay");
+        assert_eq!(params.len(), self.par_shapes.len(), "param count mismatch");
+        for i in 0..self.arena.panels.len() {
+            if self.arena.panels[i].epoch == 0 {
+                self.arena.pack(i, params);
+            }
+        }
     }
 
     /// Runs the backward program, seeded with `dL/dL = 1`.
@@ -439,8 +504,14 @@ impl Plan {
 
     /// Footprint of the compiled schedule.
     pub fn stats(&self) -> PlanStats {
-        let panel_bytes = self.arena.panels.iter().map(|p| p.packed.bytes()).sum();
-        PlanStats { panel_bytes, ..self.stats }
+        let (mut panel_bytes, mut shared_panel_bytes) = (0, 0);
+        for p in &self.arena.panels {
+            panel_bytes += p.packed.bytes();
+            if Arc::strong_count(&p.packed) > 1 {
+                shared_panel_bytes += p.packed.bytes();
+            }
+        }
+        PlanStats { panel_bytes, shared_panel_bytes, ..self.stats }
     }
 
     fn check_bindings(&self, inputs: &[&Tensor], params: &[&Tensor]) {
@@ -511,6 +582,41 @@ impl Plan {
             for (&d, b) in dst.iter().zip(bufs) {
                 self.arena.put(d, b);
             }
+        }
+    }
+}
+
+/// The copy: the same program over storage of its own for everything a
+/// replay writes — arena slots, outputs, gradients, op states and buffers,
+/// scratch — allocated on the calling thread, and the captured constants
+/// and weight panels shared with `self`. A copy replays independently of
+/// the original and bitwise like it. The packed panels of a frozen plan
+/// stay shared for the copy's life ([`Plan::pack_panels`] packs them before
+/// the copy); a panel that is packed again, in a plan that is not frozen or
+/// one not packed yet, is packed into storage of its own.
+impl Clone for Plan {
+    fn clone(&self) -> Plan {
+        Plan {
+            prog: self.prog.clone(),
+            locs: self.locs.clone(),
+            nfwd: self.nfwd,
+            arena: self.arena.copy(),
+            states: self.states.iter().map(State::fresh).collect(),
+            bufs: self.bufs.iter().map(|b| vec![0.0; b.len()]).collect(),
+            buf_len: self.buf_len.clone(),
+            scratch: vec![0.0; self.scratch.len()],
+            acc: vec![0.0; self.acc.len()],
+            feed_ids: self.feed_ids.clone(),
+            feed_labels: self.feed_labels.clone(),
+            feed_masks: self.feed_masks.clone(),
+            bns: self.bns.clone(),
+            forward_only: self.forward_only,
+            in_shapes: self.in_shapes.clone(),
+            par_shapes: self.par_shapes.clone(),
+            out_of_k: self.out_of_k.clone(),
+            loss_out: self.loss_out,
+            par_grad_present: self.par_grad_present.clone(),
+            stats: self.stats,
         }
     }
 }
@@ -619,7 +725,8 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
             if let Some((par, off, len)) = view.get(ins.src[j].0).copied().flatten() {
                 debug_assert_eq!(len, k * nn, "weight view does not match its GEMM");
                 let p = *panel_of.entry((ins.src[j].0, tb)).or_insert_with(|| {
-                    panels.push(Panel { par, off, len, tb, packed: PackedB::new(k, nn), epoch: 0 });
+                    let packed = Arc::new(PackedB::new(k, nn));
+                    panels.push(Panel { par, off, len, tb, packed, epoch: 0 });
                     (panels.len() - 1) as u32
                 });
                 src[j] = Loc::Panel(p);
@@ -740,6 +847,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         scratch_bytes: scratch * 4 + acc * 8,
         panels: panels.len(),
         panel_bytes: 0,
+        shared_panel_bytes: 0,
     };
     let shapes = |vs: &[Var]| vs.iter().map(|&v| g.shape(v)).collect();
     Plan {
@@ -759,6 +867,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
             consts,
             panels,
             epoch: 0,
+            frozen: false,
             placeholder: Tensor::zeros(&[1]),
         },
         states,
@@ -871,6 +980,55 @@ mod tests {
                 "mlp grad",
             );
         }
+    }
+
+    /// A copy replays on its own: other data and parameters, bitwise the
+    /// tape's, while the original keeps what its last replay left. A copy
+    /// of a plan that repacks packs panels of its own; a frozen plan's
+    /// copies share its panels.
+    #[test]
+    fn a_copy_replays_alone_and_shares_only_frozen_panels() {
+        let ps0 = mlp_params(11);
+        let x0 = t(20, &[4, 8]);
+        let lab0 = vec![0usize, 3, 1, 2];
+        let pr0: Vec<&Tensor> = ps0.iter().collect();
+        let mut tape = mlp_tape(&x0, &pr0, &lab0);
+        tape.g.backward(tape.loss);
+        let spec = CaptureSpec {
+            inputs: &[tape.x],
+            params: &tape.params,
+            loss: Some(tape.loss),
+            outputs: &[],
+        };
+        let mut plan = Plan::capture(&tape.g, &spec);
+        plan.replay_step(&[&x0], &pr0, &Feeds { labels: &[&lab0], ..Feeds::default() });
+        let (loss0, grad0) = (plan.loss(), plan.param_grad(0).unwrap().as_slice().to_vec());
+
+        let mut copy = plan.clone();
+        let ps1 = mlp_params(77);
+        let x1 = t(21, &[4, 8]);
+        let lab1 = vec![2usize, 0, 3, 3];
+        let pr1: Vec<&Tensor> = ps1.iter().collect();
+        copy.replay_step(&[&x1], &pr1, &Feeds { labels: &[&lab1], ..Feeds::default() });
+        let mut fresh = mlp_tape(&x1, &pr1, &lab1);
+        fresh.g.backward(fresh.loss);
+        assert_bits(&[copy.loss()], fresh.g.value(fresh.loss).as_slice(), "copy loss");
+        for (k, &pvar) in fresh.params.iter().enumerate() {
+            let want = fresh.g.grad(pvar).expect("tape grad").as_slice();
+            assert_bits(copy.param_grad(k).expect("grad").as_slice(), want, "copy grad");
+        }
+        assert_bits(&[plan.loss()], &[loss0], "the original's loss");
+        assert_bits(plan.param_grad(0).unwrap().as_slice(), &grad0, "the original's grad");
+        let (own, orig) = (copy.stats(), plan.stats());
+        assert!(own.panel_bytes > 0 && own.panel_bytes == orig.panel_bytes);
+        assert_eq!((own.shared_panel_bytes, orig.shared_panel_bytes), (0, 0), "repacked apart");
+
+        plan.freeze_panels();
+        plan.pack_panels(&pr0);
+        let frozen = plan.clone();
+        let (a, b) = (plan.stats(), frozen.stats());
+        assert_eq!((a.shared_panel_bytes, b.shared_panel_bytes), (a.panel_bytes, a.panel_bytes));
+        assert_eq!(b.panel_bytes, orig.panel_bytes, "one set of panels, not two");
     }
 
     #[test]

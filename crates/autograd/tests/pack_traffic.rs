@@ -1,7 +1,6 @@
 //! Exact packed-panel traffic of one replayed training step: every weight
 //! is packed **once per transpose form per replay**, however many GEMMs
-//! read it — and not at all by a forward replay under the parameters of the
-//! replay before it.
+//! read it — and not at all by a replay of a frozen plan, or of its copy.
 //!
 //! Deliberately a **single test in its own integration binary**, like
 //! `legw-tensor`'s `pack_traffic`: the [`legw_tensor::pack_traffic`]
@@ -119,13 +118,24 @@ fn one_replay_packs_each_weight_once_per_form() {
     let second = f32_bytes_of(|| plan.replay_step(&ins, &pr, &feeds));
     assert_eq!(second, want, "every replay repacks each panel exactly once");
 
-    // Forward replays, as a decode loop runs them: the first packs the
-    // forward forms of the weights, the next ones under the same parameters
-    // pack only their A operands.
+    // A forward replay packs the forward forms of the weights.
     let fwd_a = t * b * i + t * (b * h) + b * h;
     let fwd_panels = i * 4 * h + h * 4 * h + h * c;
     let forward = f32_bytes_of(|| plan.replay_forward(&ins, &pr, &feeds));
     assert_eq!(forward, F32 * (fwd_a + fwd_panels), "a forward replay packs its weights");
-    let again = f32_bytes_of(|| plan.replay_forward_again(&ins, &pr, &feeds));
-    assert_eq!(again, F32 * fwd_a, "a forward replay under the same parameters packs none");
+
+    // A frozen forward-only plan packs its weights once, before any replay
+    // here, and then its replays, and its copy's, pack only their A operands.
+    let spec = CaptureSpec { loss: None, ..spec };
+    let mut frozen = Plan::capture_forward(&tape.g, &spec);
+    frozen.freeze_panels();
+    let packed = f32_bytes_of(|| frozen.pack_panels(&pr));
+    assert_eq!(packed, F32 * fwd_panels, "freezing packs each forward weight once");
+    let mut copy = frozen.clone();
+    for _ in 0..2 {
+        let again = f32_bytes_of(|| frozen.replay_forward(&ins, &pr, &feeds));
+        assert_eq!(again, F32 * fwd_a, "a frozen plan's forward replay packs no weight");
+        let copied = f32_bytes_of(|| copy.replay_forward(&ins, &pr, &feeds));
+        assert_eq!(copied, F32 * fwd_a, "nor does its copy's");
+    }
 }

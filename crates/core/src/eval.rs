@@ -19,9 +19,11 @@
 //!   pool ([`legw_parallel::current`]), each group under a one-lane
 //!   intra-op pool, adding no thread: its GEMMs (16–64 rows against hidden
 //!   32) are too small to fork, so without the split every lane but the
-//!   caller's sat idle through the decode. The caller captures every plan
-//!   a lane will replay, decoding the group it captures from, before the
-//!   lanes start.
+//!   caller's sat idle through the decode. Before the lanes start, the
+//!   caller captures each group shape once, decoding the group it captures
+//!   from, and gives every other lane that meets the shape a copy of that
+//!   plan ([`InferPlan::copy`]: an arena of its own, the weight panels
+//!   shared).
 //!
 //! The rule is about memory. A worker that records a tape allocates it
 //! from its own glibc malloc arena, which keeps those pages after the tape
@@ -56,10 +58,9 @@
 //! caller's thread, and its tracks are not split over lanes.
 
 use crate::exec::Executor;
-use crate::plan_cache::PlanCache;
 use legw_autograd::{Graph, Var};
 use legw_data::{metrics, Classification, SynthPtb, SynthTranslation};
-use legw_models::{Infer, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
+use legw_models::{Infer, InferPlan, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, Seq2SeqPlan};
 use legw_nn::{Binding, ParamSet};
 use legw_tensor::Tensor;
 use std::collections::HashMap;
@@ -206,12 +207,12 @@ impl Executor {
     /// Each batch is split into row groups over this executor's lanes
     /// (`Executor::lanes`), each group a
     /// [`TranslationBatch::slice`](legw_data::TranslationBatch::slice) that
-    /// keeps the batch's padded source length. Each lane keeps one key→plan
-    /// map for the call (a [`PlanCache`] slot). Before the sweep, the
-    /// caller walks the groups in order and compiles each lane's plans from
-    /// the first group of each shape the lane will meet
-    /// ([`Infer::capture_infer`]), keeping that group's decodes; the lanes
-    /// then replay the plans on every other group, recording no tape.
+    /// keeps the batch's padded source length. Each lane keeps one plan per
+    /// group shape it meets. Before the sweep, the caller walks the groups
+    /// in order, compiles each shape's plans from the first group of that
+    /// shape ([`Infer::capture_infer`]), keeping that group's decodes, and
+    /// gives every other lane that meets the shape a copy of them; the lanes
+    /// then replay their plans on every other group, recording no tape.
     pub fn decode_seq2seq(
         &self,
         model: &Seq2Seq,
@@ -221,22 +222,33 @@ impl Executor {
     ) -> Vec<Vec<usize>> {
         let batches = data.batches(false, batch);
         let lanes = self.lanes();
-        let plans = PlanCache::new(lanes);
-        // The caller records every capture tape: a tape recorded on a
-        // kernel-pool worker would stay resident in its malloc arena.
+        // The caller records every capture tape and makes every copy: a tape
+        // recorded on a kernel-pool worker would stay resident in its malloc
+        // arena, and a copy's arena comes from the thread that makes it.
+        let mut plans: HashMap<(usize, Vec<usize>), Mutex<Seq2SeqPlan>> = HashMap::new();
+        let mut captured_on: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut captured = HashMap::new();
         for (i, b) in batches.iter().enumerate() {
             let groups = legw_parallel::split_evenly(b.batch_size(), lanes);
             for (lane, r) in groups.into_iter().enumerate() {
                 let group = b.slice(r.start, r.end);
-                let capture = || {
-                    let (plan, hyps) = model.capture_infer(ps, &group);
-                    (plan, Some(hyps))
-                };
                 let key = model.infer_key(&group);
-                if let Some(hyps) = plans.with_plan(lane, key, capture, |_| None) {
-                    captured.insert((i, lane), hyps);
+                if plans.contains_key(&(lane, key.clone())) {
+                    continue;
                 }
+                let plan = match captured_on.get(&key) {
+                    Some(&from) => {
+                        let first = plans.get_mut(&(from, key.clone())).expect("captured");
+                        first.get_mut().unwrap().copy(ps)
+                    }
+                    None => {
+                        let (plan, hyps) = model.capture_infer(ps, &group);
+                        captured.insert((i, lane), hyps);
+                        captured_on.insert(key.clone(), lane);
+                        plan
+                    }
+                };
+                plans.insert((lane, key), Mutex::new(plan));
             }
         }
         let groups = self.sweep(lanes, &batches, |b| b.batch_size(), |lane, i, r| {
@@ -244,10 +256,8 @@ impl Executor {
                 return hyps.clone();
             }
             let group = batches[i].slice(r.start, r.end);
-            let capture = || unreachable!("the caller captured every plan");
-            plans.with_plan(lane, model.infer_key(&group), capture, |plan| {
-                model.replay_infer(plan, ps, &group)
-            })
+            let mut plan = plans[&(lane, model.infer_key(&group))].lock().unwrap();
+            model.replay_infer(&mut plan, ps, &group)
         });
         groups.into_iter().flatten().map(|(h, ())| h).collect()
     }

@@ -53,9 +53,9 @@ use crate::reduce_sched::ReduceScheduler;
 use crate::steps::{ShardStep, ShardTape};
 use legw_models::StepPlan;
 use legw_nn::{GradBuffer, ParamSet};
-use legw_parallel::{default_threads, with_pool, ThreadPool};
+use legw_parallel::{default_threads, fork, with_pool, ThreadPool};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Executor configuration: how many shards each batch is split into and
 /// the total worker-thread budget. Build with the `with_*` methods or
@@ -343,43 +343,22 @@ impl Executor {
     /// behind the forward-only evaluation sweeps. A sharded executor forks
     /// on its shard pool through [`Executor::map_shards`], each item under
     /// its shard's intra-op pool; the one-shard executor forks on the
-    /// caller's kernel pool, adding no thread, and runs each of several
-    /// items under a one-lane intra-op pool, so a lane's kernels run inline
-    /// instead of forking onto lanes that are busy with the other items.
-    /// One item runs as it would have without the fork, on the caller's
-    /// thread and pool. A kernel-pool worker keeps what it allocates in its
-    /// own malloc arena, so on the one-shard executor an item should
-    /// replay a plan the caller captured rather than record a tape
-    /// ([`crate::eval`]).
+    /// caller's kernel pool through [`legw_parallel::map_lanes`], adding no
+    /// thread, each of several items under a one-lane intra-op pool. A
+    /// kernel-pool worker keeps what it allocates in its own malloc arena,
+    /// so on the one-shard executor an item should replay a plan the caller
+    /// captured rather than record a tape ([`crate::eval`]).
     pub(crate) fn map_lanes<S, R, F>(&self, items: &[S], f: F) -> Vec<R>
     where
         S: Sync,
         R: Send,
         F: Fn(usize, &S) -> R + Sync,
     {
-        let n = items.len();
-        if self.shard_pool.is_some() || n <= 1 {
-            return self.map_shards(items, f);
+        match self.shard_pool {
+            Some(_) => self.map_shards(items, f),
+            None => legw_parallel::map_lanes(items, f),
         }
-        fork(&legw_parallel::current(), n, |i| with_pool(inline_pool(), || f(i, &items[i])))
     }
-}
-
-/// Runs `f(i)` for every `i < n` as one fork/join on `pool` and returns the
-/// results in index order. A panic in any `f` is re-raised by the pool once
-/// every task has finished.
-fn fork<R: Send>(pool: &ThreadPool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool.run(n, |i| *slots[i].lock().unwrap() = Some(f(i)));
-    slots.into_iter().map(|s| s.into_inner().unwrap().expect("a task did not report")).collect()
-}
-
-/// The intra-op pool a lane of the one-shard executor's fork runs under:
-/// one lane owns no thread, so every lane shares this one, and the kernels
-/// under it run inline on their lane's thread.
-fn inline_pool() -> &'static Arc<ThreadPool> {
-    static POOL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
-    POOL.get_or_init(|| Arc::new(ThreadPool::new(1)))
 }
 
 impl Executor {

@@ -34,10 +34,9 @@ impl<P> Slot<P> {
 
 /// Shape-keyed plan store for [`Executor::step_planned`]: one map per
 /// shard index, so concurrent shard workers never contend and every plan's
-/// mutable replay arena stays with its worker slot. An evaluation decode
-/// ([`Executor::decode_seq2seq`]) builds one for the call with one slot per
-/// lane (`Executor::lanes`): the caller captures every slot's plans, and
-/// each lane replays its own slot's plans on its row group of every batch.
+/// mutable replay arena stays with its worker slot. Inference serving
+/// (`legw_serve::InferEngine`) keeps one bounded slot whose entry per
+/// batch shape holds one plan per row group of the batch.
 ///
 /// A cache built with [`PlanCache::with_capacity`] holds at most `capacity`
 /// plans **per slot**, evicting the least-recently-used entry to make room

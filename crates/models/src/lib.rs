@@ -25,7 +25,7 @@ mod resnet;
 mod seq2seq;
 
 pub use mnist_lstm::MnistLstm;
-pub use planned::{Infer, StepPlan};
+pub use planned::{Infer, InferPlan, StepPlan};
 pub use ptb_lm::{LmState, PtbLm, PtbLmConfig};
 pub use resnet::ResNet;
 pub use seq2seq::{Seq2Seq, Seq2SeqConfig, Seq2SeqPlan};

@@ -137,6 +137,10 @@ impl crate::planned::Infer for MnistLstm {
         Tensor::from_vec(flat, &[b, IMG])
     }
 
+    fn slice(&self, batch: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
+        batch.slice_outer(rows.start, rows.end)
+    }
+
     fn infer_key(&self, batch: &Tensor) -> Vec<usize> {
         vec![batch.dim(0)]
     }

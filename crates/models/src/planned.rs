@@ -16,6 +16,7 @@
 use legw_autograd::{CaptureSpec, Feeds, Graph, Plan, PlanStats, Var};
 use legw_nn::{Binding, GradBuffer, ParamId, ParamSet};
 use legw_tensor::Tensor;
+use std::ops::Range;
 
 /// A captured training-step plan plus the parameter wiring needed to
 /// replay it against a [`ParamSet`].
@@ -42,16 +43,21 @@ impl StepPlan {
         Self { plan: Plan::capture(g, &spec), ids }
     }
 
-    /// Forward-only capture for inference serving: same wiring as
-    /// [`StepPlan::capture`], but via [`Plan::capture_forward`] — no
-    /// backward schedule, no gradient buffers, and a forward-liveness
-    /// arena. Replays run through [`StepPlan::replay_forward`];
+    /// Forward-only capture for inference over parameters that never
+    /// change: same wiring as [`StepPlan::capture`], but via
+    /// [`Plan::capture_forward`] — no backward schedule, no gradient
+    /// buffers, and a forward-liveness arena — with frozen weight panels
+    /// ([`Plan::freeze_panels`]): each is packed once, at its first read,
+    /// or for the first copy ([`InferPlan::copy`]). Every replay, through
+    /// [`StepPlan::replay_forward`], must be given the same parameter values;
     /// [`StepPlan::replay_step`] panics on a plan captured this way.
     pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Self {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
         let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss: None, outputs };
-        Self { plan: Plan::capture_forward(g, &spec), ids }
+        let mut plan = Plan::capture_forward(g, &spec);
+        plan.freeze_panels();
+        Self { plan, ids }
     }
 
     fn param_values<'a>(&self, ps: &'a ParamSet) -> Vec<&'a Tensor> {
@@ -69,14 +75,6 @@ impl StepPlan {
     pub fn replay_forward(&mut self, ps: &ParamSet, inputs: &[&Tensor], feeds: &Feeds) {
         let pv = self.param_values(ps);
         self.plan.replay_forward(inputs, &pv, feeds);
-    }
-
-    /// [`StepPlan::replay_forward`] again with `ps` unchanged since the
-    /// last one: reuses the weight panels that replay packed
-    /// ([`Plan::replay_forward_again`]).
-    pub fn replay_forward_again(&mut self, ps: &ParamSet, inputs: &[&Tensor], feeds: &Feeds) {
-        let pv = self.param_values(ps);
-        self.plan.replay_forward_again(inputs, &pv, feeds);
     }
 
     /// The loss value of the last replay (loss-mode plans).
@@ -119,6 +117,26 @@ impl StepPlan {
     }
 }
 
+/// An inference plan another thread can replay through a copy: what
+/// [`Infer::Plan`] is.
+pub trait InferPlan: Send {
+    /// A copy of this plan for another thread to replay, made on this one:
+    /// storage of its own for everything a replay writes, and the weight
+    /// panels shared. Panels no replay has packed yet are packed first,
+    /// from `ps` — the parameters every replay is given — under this
+    /// thread's kernel tier and bf16 scope, so that the copy shares them.
+    fn copy(&mut self, ps: &ParamSet) -> Self;
+}
+
+/// A forward-only plan's copy: [`Plan`]'s clone, after
+/// [`Plan::pack_panels`].
+impl InferPlan for StepPlan {
+    fn copy(&mut self, ps: &ParamSet) -> Self {
+        self.plan.pack_panels(&self.param_values(ps));
+        StepPlan { plan: self.plan.clone(), ids: self.ids.clone() }
+    }
+}
+
 /// Splits a row-major tensor into one `Vec<f32>` per leading-dimension
 /// row — the scatter half of batched serving.
 pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
@@ -145,7 +163,14 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
 /// A forward-only [`StepPlan`] is the whole forward for the first three;
 /// greedy decoding is data-dependent, so `Seq2Seq` replays its encoder plan
 /// once and a decoder-step plan once per token, looped from Rust.
-pub trait Infer {
+///
+/// A plan serves parameters that stay frozen for its life: each weight
+/// panel is packed once, under the kernel tier and bf16 scope of the
+/// capture, and never repacked. Another thread replays a copy of it
+/// ([`InferPlan::copy`]), which shares the panels. A batch's row groups
+/// ([`Infer::slice`]) can be computed on several threads at once, so the
+/// model and its batches are `Sync`.
+pub trait Infer: Sync {
     /// One client request (a single row).
     type Req: Send + 'static;
     /// One row's inference result.
@@ -154,10 +179,10 @@ pub trait Infer {
     /// stateless families).
     type RowState: Clone + Send + 'static;
     /// The assembled batch the forward consumes.
-    type Batch;
+    type Batch: Sync;
     /// What one capture compiles for a batch shape and every replay of
     /// that shape reuses.
-    type Plan: Send;
+    type Plan: InferPlan;
 
     /// Fresh carried state for a new session.
     fn zero_state(&self) -> Self::RowState;
@@ -171,6 +196,12 @@ pub trait Infer {
     /// Packs coalesced rows and their carried states into one batch.
     /// `reqs` and `states` are parallel slices.
     fn assemble(&self, reqs: &[Self::Req], states: &[Self::RowState]) -> Self::Batch;
+
+    /// The rows `rows` of an assembled batch, as a batch of their own that
+    /// computes each of them bitwise as `batch` does: a seq2seq group keeps
+    /// the batch's padded source length, a PTB group its rows' carried
+    /// state.
+    fn slice(&self, batch: &Self::Batch, rows: Range<usize>) -> Self::Batch;
 
     /// Plan-cache key of an assembled batch (batch size plus whatever
     /// shape dimensions the capture freezes).

@@ -71,6 +71,11 @@ impl LmState {
         )
     }
 
+    /// Each layer's `(h, c)`, `[batch, hidden]` each.
+    pub fn layers(&self) -> &[(Tensor, Tensor)] {
+        &self.0
+    }
+
     /// Reassembles per-shard carried states (given in shard order) back
     /// into the full-batch state. Inverse of [`LmState::slice_rows`].
     pub fn concat(parts: &[LmState]) -> LmState {
@@ -300,6 +305,11 @@ impl crate::planned::Infer for PtbLm {
             }
         }
         (tm, LmState::concat(states))
+    }
+
+    fn slice(&self, (tm, state): &Self::Batch, rows: std::ops::Range<usize>) -> Self::Batch {
+        let tm = tm.iter().map(|step| step[rows.clone()].to_vec()).collect();
+        (tm, state.slice_rows(rows.start, rows.end))
     }
 
     fn infer_key(&self, batch: &Self::Batch) -> Vec<usize> {

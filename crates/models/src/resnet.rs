@@ -285,6 +285,10 @@ impl crate::planned::Infer for ResNet {
         Tensor::from_vec(flat, &[b, 3, 32, 32])
     }
 
+    fn slice(&self, batch: &Tensor, rows: std::ops::Range<usize>) -> Tensor {
+        batch.slice_outer(rows.start, rows.end)
+    }
+
     fn infer_key(&self, batch: &Tensor) -> Vec<usize> {
         vec![batch.dim(0)]
     }

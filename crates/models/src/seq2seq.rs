@@ -7,7 +7,7 @@
 //! layers and keeps the bidirectional first layer, attention mechanism,
 //! shared embeddings, and encoder-state initialisation of the decoder.
 
-use crate::planned::StepPlan;
+use crate::planned::{InferPlan, StepPlan};
 use legw_autograd::{Feeds, Graph, Var};
 use legw_data::{TranslationBatch, EOS};
 use legw_nn::{
@@ -419,6 +419,21 @@ pub struct Seq2SeqPlan {
     state: [Tensor; 4],
 }
 
+/// The copy: copies of both plans, and a recurrent state of its own,
+/// allocated on the calling thread so that a replay on another one
+/// allocates none.
+impl InferPlan for Seq2SeqPlan {
+    fn copy(&mut self, ps: &ParamSet) -> Self {
+        let own = |t: &Tensor| Tensor::from_vec(t.as_slice().to_vec(), t.shape());
+        Seq2SeqPlan {
+            encoder: self.encoder.copy(ps),
+            step: self.step.copy(ps),
+            zeros: self.zeros.clone(),
+            state: self.state.each_ref().map(own),
+        }
+    }
+}
+
 impl Seq2SeqPlan {
     /// The encoder: its outputs are the T top-layer states, their T
     /// attention projections, and the final cell state.
@@ -457,28 +472,21 @@ impl Seq2SeqPlan {
     /// tokens, copies its new states into the recurrent state, the next
     /// call's inputs, and returns its logits. `first`, the first step's
     /// logits when a capture tape has just computed them, is returned by
-    /// the first call instead. The decode's first replay packs the weight
-    /// panels; the others reuse them, `ps` being borrowed throughout.
+    /// the first call instead. The plans' panels are frozen: the first
+    /// replay of each packs them from `ps`, and no later one does.
     fn steps<'a>(
         &'a mut self,
         ps: &'a ParamSet,
         enc: Vec<Tensor>,
         mut first: Option<Tensor>,
     ) -> impl FnMut(&[usize]) -> Tensor + 'a {
-        let mut packed = false;
         move |tokens| {
             if let Some(logits) = first.take() {
                 return logits;
             }
             let inputs: Vec<&Tensor> = self.state.iter().chain(&enc).collect();
             let ids = [tokens];
-            let feeds = Feeds { ids: &ids, ..Feeds::default() };
-            if packed {
-                self.step.replay_forward_again(ps, &inputs, &feeds);
-            } else {
-                self.step.replay_forward(ps, &inputs, &feeds);
-                packed = true;
-            }
+            self.step.replay_forward(ps, &inputs, &Feeds { ids: &ids, ..Feeds::default() });
             for (k, s) in self.state.iter_mut().enumerate() {
                 s.as_mut_slice().copy_from_slice(self.step.output(1 + k).as_slice());
             }
@@ -504,6 +512,10 @@ impl crate::planned::Infer for Seq2Seq {
 
     fn assemble(&self, reqs: &[Vec<usize>], _states: &[()]) -> TranslationBatch {
         TranslationBatch::for_inference(reqs)
+    }
+
+    fn slice(&self, batch: &TranslationBatch, rows: std::ops::Range<usize>) -> TranslationBatch {
+        batch.slice(rows.start, rows.end)
     }
 
     fn infer_key(&self, batch: &TranslationBatch) -> Vec<usize> {
@@ -734,17 +746,14 @@ mod tests {
 
     /// Ragged sources (3 to 5 tokens, PAD-padded) at batch 1, 2 and 64,
     /// each decoded through plans captured on another batch of its shape,
-    /// under other weights: a decode packs its panels afresh.
+    /// and through a copy of those plans made before they ever replayed.
     #[test]
     fn planned_greedy_decode_matches_tape() {
-        let (captured_under, m, d) = tiny();
-        let mut ps = captured_under.clone();
-        for (_, p) in ps.iter_mut() {
-            let v = p.value.clone();
-            p.value.axpy(0.25, &v);
-        }
+        let (ps, m, d) = tiny();
         for b in [1, 2, 64] {
-            let mut plan = m.capture_plans(&captured_under, &batch_of(&d, 0, b)).0;
+            let mut plan = m.capture_plans(&ps, &batch_of(&d, 0, b)).0;
+            let mut copy = plan.copy(&ps);
+            assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut copy);
             assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut plan);
         }
     }

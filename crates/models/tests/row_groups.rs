@@ -1,12 +1,13 @@
 //! A row of a batch does not depend on the rows beside it: every model's
 //! forward computes a batch's rows the same as it computes them split into
-//! contiguous sub-batches — bitwise for logits, token for token for greedy
-//! decodes. This is what lets evaluation split a chunk's rows over lanes
-//! and still count exactly the hits, and decode exactly the hypotheses, of
-//! one whole-chunk forward.
+//! contiguous sub-batches — bitwise for logits and carried state, token for
+//! token for greedy decodes. This is what lets evaluation split a chunk's
+//! rows over lanes and still count exactly the hits, and decode exactly the
+//! hypotheses, of one whole-chunk forward, and lets inference serving split
+//! a batch over lanes and serve exactly its bits.
 
 use legw_data::{SynthImageNet, SynthMnist, SynthTranslation};
-use legw_models::{Infer, MnistLstm, ResNet, Seq2Seq, Seq2SeqConfig};
+use legw_models::{Infer, MnistLstm, PtbLm, PtbLmConfig, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::ParamSet;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
@@ -25,17 +26,16 @@ fn splits(rows: usize) -> [Vec<Range<usize>>; 3] {
 /// out the same from each split's groups: on the tape, from a plan
 /// captured on the group, and from replaying the plan captured on the
 /// split's first group of that size. `group(r)` is the sub-batch of rows
-/// `r`; `key` turns one row's output into what must match.
+/// `r`; `key` turns one row's output and carried state into what must
+/// match.
 fn assert_rows_split_exactly<M: Infer, K: PartialEq + Debug>(
     m: &M,
     ps: &ParamSet,
     rows: usize,
     group: impl Fn(Range<usize>) -> M::Batch,
-    key: impl Fn(M::Out) -> K,
+    key: impl Fn((M::Out, M::RowState)) -> K,
 ) -> Vec<K> {
-    let keys = |out: Vec<(M::Out, M::RowState)>| -> Vec<K> {
-        out.into_iter().map(|(o, _)| key(o)).collect()
-    };
+    let keys = |out: Vec<(M::Out, M::RowState)>| -> Vec<K> { out.into_iter().map(&key).collect() };
     let whole = keys(m.infer_tape(ps, &group(0..rows)));
     assert_eq!(whole.len(), rows);
     for split in splits(rows) {
@@ -56,8 +56,12 @@ fn assert_rows_split_exactly<M: Infer, K: PartialEq + Debug>(
     whole
 }
 
-fn logit_bits(row: Vec<f32>) -> Vec<u32> {
-    row.iter().map(|x| x.to_bits()).collect()
+fn bits(t: &[f32]) -> Vec<u32> {
+    t.iter().map(|x| x.to_bits()).collect()
+}
+
+fn logit_bits((row, ()): (Vec<f32>, ())) -> Vec<u32> {
+    bits(&row)
 }
 
 /// The MNIST LSTM's logits, on the tape and through its forward plan.
@@ -102,6 +106,30 @@ fn seq2seq_greedy_rows_do_not_depend_on_the_batch() {
     let padded = batch.src.len();
     assert!(batch.sources.iter().any(|s| s.len() < padded), "some row must be padded");
     let group = |r: Range<usize>| batch.slice(r.start, r.end);
-    let hyps = assert_rows_split_exactly(&model, &ps, 16, group, |h| h);
+    let hyps = assert_rows_split_exactly(&model, &ps, 16, group, |(h, ())| h);
     assert!(hyps.iter().any(|h| !h.is_empty()), "the decoder must emit tokens: {hyps:?}");
+}
+
+/// The PTB language model's next-token logits and carried state, from a
+/// window whose rows carry the state an earlier window left them. Each
+/// group is the model's own [`Infer::slice`] of the assembled batch.
+#[test]
+fn ptb_rows_do_not_depend_on_the_batch_or_its_carried_state() {
+    let cfg = PtbLmConfig { vocab: 30, embed: 12, hidden: 12, layers: 2, keep: 1.0 };
+    let mut ps = ParamSet::new();
+    let model = PtbLm::new(&mut ps, &mut StdRng::seed_from_u64(8), cfg);
+    let rows = 10;
+    let window = |w: usize| -> Vec<Vec<usize>> {
+        (0..rows).map(|i| (0..5).map(|t| (7 * i + 3 * t + 11 * w) % 30).collect()).collect()
+    };
+    let zero = vec![model.zero_state(); rows];
+    let first = model.infer_tape(&ps, &model.assemble(&window(0), &zero));
+    let carried: Vec<_> = first.into_iter().map(|(_, s)| s).collect();
+    let batch = model.assemble(&window(1), &carried);
+    let group = |r: Range<usize>| model.slice(&batch, r);
+    let key = |(logits, state): (Vec<f32>, legw_models::LmState)| {
+        let layers = state.layers().iter().map(|(h, c)| (bits(h.as_slice()), bits(c.as_slice())));
+        (bits(&logits), layers.collect::<Vec<_>>())
+    };
+    assert_rows_split_exactly(&model, &ps, rows, group, key);
 }

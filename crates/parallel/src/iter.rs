@@ -2,6 +2,7 @@
 
 use crate::pool::ThreadPool;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Splits `0..len` into at most `max_parts` near-equal contiguous ranges.
 ///
@@ -23,6 +24,15 @@ pub fn split_evenly(len: usize, max_parts: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, len);
     out
+}
+
+/// Runs `f(i)` for every `i < n` as one fork/join on `pool` and returns the
+/// results in index order. A panic in any `f` is re-raised by the pool once
+/// every task has finished.
+pub fn fork<R: Send>(pool: &ThreadPool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    pool.run(n, |i| *slots[i].lock().unwrap() = Some(f(i)));
+    slots.into_iter().map(|s| s.into_inner().unwrap().expect("a task did not report")).collect()
 }
 
 /// Runs `body` over contiguous sub-ranges of `0..len` in parallel.

@@ -25,6 +25,10 @@
 //!   parallelism (e.g. data-parallel shard workers in the training
 //!   executor) can give each outer worker its own small intra-op pool
 //!   instead of oversubscribing the global one.
+//! * [`fork`] / [`map_lanes`] — one fork/join that returns a result per
+//!   task in order; [`map_lanes`] runs one item per lane of [`current`],
+//!   each item's kernels inline on its lane (the row groups of evaluation
+//!   and of inference serving).
 //!
 //! ## How a fork/join is dispatched and completed
 //!
@@ -83,8 +87,8 @@ mod iter;
 mod scope;
 
 pub use pool::ThreadPool;
-pub use iter::{par_chunks_mut, par_tiles_2d, parallel_for, split_evenly};
-pub use scope::{current, with_pool, PoolHandle};
+pub use iter::{fork, par_chunks_mut, par_tiles_2d, parallel_for, split_evenly};
+pub use scope::{current, map_lanes, with_pool, PoolHandle};
 
 use std::sync::OnceLock;
 

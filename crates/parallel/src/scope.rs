@@ -13,12 +13,17 @@
 //! The override is per-thread and restored (even on panic) when the
 //! closure returns, so scoping one shard never affects kernels launched
 //! from the main thread or from other shards.
+//!
+//! [`map_lanes`] is the other split of the same budget: work cut into one
+//! item per lane of the caller's pool, each item's kernels inline on its
+//! lane.
 
+use crate::iter::fork;
 use crate::pool::ThreadPool;
 use crate::global;
 use std::cell::RefCell;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     static CURRENT: RefCell<Option<Arc<ThreadPool>>> = const { RefCell::new(None) };
@@ -73,6 +78,37 @@ pub fn with_pool<R>(pool: &Arc<ThreadPool>, f: impl FnOnce() -> R) -> R {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(pool)));
     let _restore = Restore(prev);
     f()
+}
+
+/// Runs `f(i, &items[i])` for every item as one fork on the calling
+/// thread's pool ([`current`]), adding no thread, and returns the results in
+/// item order. Each of several items runs under a one-lane pool, so its
+/// kernels run inline on its lane instead of forking onto lanes that are
+/// busy with the other items; one item runs as it would have without the
+/// fork, on the caller's thread and pool. Meant for one item per lane: the
+/// row groups of a batch whose kernels are too small to fork well.
+///
+/// A pool worker keeps what it allocates in its own malloc arena, so an
+/// item should replay what the caller prepared rather than build large
+/// short-lived structures of its own.
+pub fn map_lanes<S, R, F>(items: &[S], f: F) -> Vec<R>
+where
+    S: Sync,
+    R: Send,
+    F: Fn(usize, &S) -> R + Sync,
+{
+    if items.len() <= 1 {
+        return items.iter().map(|s| f(0, s)).collect();
+    }
+    fork(&current(), items.len(), |i| with_pool(inline_pool(), || f(i, &items[i])))
+}
+
+/// The pool a lane of [`map_lanes`] runs under: one lane owns no thread, so
+/// every lane shares this one, and the kernels under it run inline on their
+/// lane's thread.
+fn inline_pool() -> &'static Arc<ThreadPool> {
+    static POOL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
+    POOL.get_or_init(|| Arc::new(ThreadPool::new(1)))
 }
 
 #[cfg(test)]

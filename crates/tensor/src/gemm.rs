@@ -356,6 +356,7 @@ pub(crate) fn gemm_into(
 /// [`with_bf16`](crate::with_bf16_gemm) mode it was packed under;
 /// [`gemm_into_packed`] refuses it under any other. It does not remember
 /// *which* values it packed: whoever owns it repacks when B changes.
+#[derive(Clone)]
 pub struct PackedB {
     k: usize,
     n: usize,
