@@ -30,10 +30,10 @@
 //!   [`legw_tensor::gemm_into_packed`] at every later one. A panel lives for
 //!   one replay: [`Plan::replay_forward`] starts a new generation, the
 //!   backward replay that follows keeps it, and nothing is looked up by
-//!   address or kept across an optimizer step. The exception is a plan
-//!   over parameters that never change (inference): after
-//!   [`Plan::freeze_panels`] each panel is packed once, at its first read
-//!   (or by [`Plan::pack_panels`]), and never again;
+//!   address or kept across an optimizer step. The exception is a
+//!   forward-only plan ([`Plan::capture_forward`]), an inference plan over
+//!   parameters that never change: its panels are frozen, each packed once,
+//!   at its first read (or by [`Plan::pack_panels`]), and never again;
 //! - a weight slice every reader of which became a panel GEMM is not copied
 //!   into the arena at all.
 //!
@@ -44,8 +44,8 @@
 //! A plan is mutable replay state, so two threads cannot replay one plan at
 //! once. `Plan::clone` is the copy that lets them: it gets its own writable
 //! storage and shares what no replay writes, the captured constants and
-//! the packed panels of a frozen plan, so a copy costs the arena and not
-//! the weights again.
+//! the packed panels of a forward-only plan, so a copy costs the arena and
+//! not the weights again.
 
 use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
@@ -112,10 +112,6 @@ pub struct PlanStats {
     /// a replay allocates none.
     pub panels: usize,
     pub panel_bytes: usize,
-    /// Of `panel_bytes`, the bytes held in common with copies of this plan
-    /// (`Plan::clone`): a frozen plan's panels, stored once for the plan and
-    /// all its copies, and counted in each of them.
-    pub shared_panel_bytes: usize,
 }
 
 /// Where an instruction reads or writes a value.
@@ -178,7 +174,7 @@ fn slot(l: &mut Loc) -> Option<&mut u32> {
 /// `off..off + len` of parameter `par` — the parameter itself, or the
 /// row-slice / reshape of it one tape node stood for — as the B of GEMMs
 /// that read it with this `tb`. Shared with the plan's copies; a copy that
-/// repacks (its plan is not frozen) gets a panel of its own first.
+/// repacks (its plan is not forward-only) gets a panel of its own first.
 #[derive(Clone)]
 struct Panel {
     par: u32,
@@ -201,11 +197,12 @@ pub(crate) struct Arena {
     /// Counts forward replays. A panel is current iff it was packed in this
     /// epoch: parameters are only guaranteed unchanged from a forward replay
     /// to the backward replay that follows it, so no panel outlives that —
-    /// unless the plan is frozen.
+    /// unless the plan is forward-only.
     epoch: u64,
-    /// Set by [`Plan::freeze_panels`]: the parameters never change, so a
-    /// panel is packed once and never repacked.
-    frozen: bool,
+    /// Set by [`Plan::capture_forward`]: the plan has no backward, and its
+    /// parameters never change (inference), so its panels are frozen —
+    /// each packed once and never repacked.
+    forward_only: bool,
     /// 1-element tensor used to displace an output or gradient while an
     /// instruction writes it (an `Arc` clone, so displacement never
     /// allocates).
@@ -241,7 +238,7 @@ impl Arena {
     /// Panel `p`, packed this replay or, frozen, at all.
     pub(crate) fn panel(&self, p: u32, tb: bool) -> &PackedB {
         let p = &self.panels[p as usize];
-        let current = p.epoch == self.epoch || (self.frozen && p.epoch > 0);
+        let current = p.epoch == self.epoch || (self.forward_only && p.epoch > 0);
         debug_assert!(current && p.tb == tb, "stale or foreign panel");
         &p.packed
     }
@@ -251,7 +248,7 @@ impl Arena {
     /// first read ever — and left alone after.
     fn refresh(&mut self, i: u32, params: &[&Tensor]) {
         let p = &self.panels[i as usize];
-        let stale = if self.frozen { p.epoch == 0 } else { p.epoch != self.epoch };
+        let stale = if self.forward_only { p.epoch == 0 } else { p.epoch != self.epoch };
         if stale {
             self.pack(i as usize, params);
         }
@@ -278,7 +275,7 @@ impl Arena {
             consts: self.consts.clone(),
             panels: self.panels.clone(),
             epoch: self.epoch,
-            frozen: self.frozen,
+            forward_only: self.forward_only,
             placeholder: Tensor::zeros(&[1]),
         }
     }
@@ -343,7 +340,6 @@ pub struct Plan {
     feed_masks: Vec<u32>,
     /// BatchNorm states in node order.
     bns: Vec<u32>,
-    forward_only: bool,
     in_shapes: Vec<Vec<usize>>,
     par_shapes: Vec<Vec<usize>>,
     /// Per `spec.outputs` entry, the index into the plan's outputs.
@@ -384,13 +380,21 @@ impl Plan {
     /// [`Plan::replay_backward_loss`] panics on a plan captured this way.
     /// Panics on a `spec` that does not describe the tape, as
     /// [`Plan::capture`] does.
+    ///
+    /// The parameters are taken to be frozen, a fixed model's: each weight
+    /// panel is packed once, at its first read (or by [`Plan::pack_panels`]),
+    /// and kept for the plan's life, so a replay packs only its activations.
+    /// Every replay must be given the parameter values of the first, under
+    /// its kernel tier and bf16 scope (a panel packed under another refuses
+    /// to multiply).
     pub fn capture_forward(g: &Graph, spec: &CaptureSpec) -> Plan {
         compile(g, spec, g.bwd.map_or(g.nodes.len(), |(_, start)| start))
     }
 
     /// Re-executes the forward program on new data. `inputs` / `params`
-    /// are in `spec` order and must match the captured shapes; a frozen
-    /// plan's `params` must be the values its panels were packed from.
+    /// are in `spec` order and must match the captured shapes; a
+    /// forward-only plan's `params` must be the values its panels were
+    /// packed from.
     pub fn replay_forward(&mut self, inputs: &[&Tensor], params: &[&Tensor], feeds: &Feeds) {
         // New parameter values may arrive with every forward replay: whatever
         // the weight panels hold is stale from here on.
@@ -400,21 +404,12 @@ impl Plan {
         self.run(0..self.nfwd, inputs, params);
     }
 
-    /// Declares the parameters frozen: from now on each weight panel is
-    /// packed once, at its first read, and kept for the plan's life, so a
-    /// replay packs only its activations. For a plan whose parameters never
-    /// change — a frozen model's. Every replay must then be given the
-    /// parameter values of the first, under its kernel tier and bf16 scope
-    /// (a panel packed under another refuses to multiply).
-    pub fn freeze_panels(&mut self) {
-        self.arena.frozen = true;
-    }
-
-    /// Packs now, from `params`, every panel of a frozen plan that no replay
-    /// has packed yet, under the calling thread's kernel tier and bf16
-    /// scope: what a copy made after this shares instead of packing its own.
+    /// Packs now, from `params`, every panel no replay has packed yet,
+    /// under the calling thread's kernel tier and bf16 scope, to be kept:
+    /// what a copy of a forward-only plan made after this shares instead of
+    /// packing its own. For a forward-only plan; a training plan's next
+    /// forward replay repacks every panel regardless.
     pub fn pack_panels(&mut self, params: &[&Tensor]) {
-        assert!(self.arena.frozen, "pack_panels on a plan that repacks every replay");
         assert_eq!(params.len(), self.par_shapes.len(), "param count mismatch");
         for i in 0..self.arena.panels.len() {
             if self.arena.panels[i].epoch == 0 {
@@ -432,7 +427,7 @@ impl Plan {
     /// # Panics
     /// If the plan was captured with [`Plan::capture_forward`].
     pub fn replay_backward_loss(&mut self, inputs: &[&Tensor], params: &[&Tensor]) {
-        assert!(!self.forward_only, "replay_backward_loss on a forward-only plan");
+        assert!(!self.arena.forward_only, "replay_backward_loss on a forward-only plan");
         self.run(self.nfwd..self.prog.len(), inputs, params);
     }
 
@@ -504,14 +499,8 @@ impl Plan {
 
     /// Footprint of the compiled schedule.
     pub fn stats(&self) -> PlanStats {
-        let (mut panel_bytes, mut shared_panel_bytes) = (0, 0);
-        for p in &self.arena.panels {
-            panel_bytes += p.packed.bytes();
-            if Arc::strong_count(&p.packed) > 1 {
-                shared_panel_bytes += p.packed.bytes();
-            }
-        }
-        PlanStats { panel_bytes, shared_panel_bytes, ..self.stats }
+        let panel_bytes = self.arena.panels.iter().map(|p| p.packed.bytes()).sum();
+        PlanStats { panel_bytes, ..self.stats }
     }
 
     fn check_bindings(&self, inputs: &[&Tensor], params: &[&Tensor]) {
@@ -564,7 +553,7 @@ impl Plan {
             let mut it = bufs.iter_mut().map(Buf::slice);
             let (st, buf): (_, &mut [f32]) = match ins.st.map(|s| s as usize) {
                 Some(s) => {
-                    let b = if self.forward_only { 0 } else { s };
+                    let b = if self.arena.forward_only { 0 } else { s };
                     (Some(&mut self.states[s]), &mut self.bufs[b][..self.buf_len[s]])
                 }
                 None => (None, &mut []),
@@ -590,9 +579,9 @@ impl Plan {
 /// replay writes — arena slots, outputs, gradients, op states and buffers,
 /// scratch — allocated on the calling thread, and the captured constants
 /// and weight panels shared with `self`. A copy replays independently of
-/// the original and bitwise like it. The packed panels of a frozen plan
-/// stay shared for the copy's life ([`Plan::pack_panels`] packs them before
-/// the copy); a panel that is packed again, in a plan that is not frozen or
+/// the original and bitwise like it. The packed panels of a forward-only
+/// plan stay shared for the copy's life ([`Plan::pack_panels`] packs them
+/// before the copy); a panel that is packed again, in a training plan or
 /// one not packed yet, is packed into storage of its own.
 impl Clone for Plan {
     fn clone(&self) -> Plan {
@@ -610,7 +599,6 @@ impl Clone for Plan {
             feed_labels: self.feed_labels.clone(),
             feed_masks: self.feed_masks.clone(),
             bns: self.bns.clone(),
-            forward_only: self.forward_only,
             in_shapes: self.in_shapes.clone(),
             par_shapes: self.par_shapes.clone(),
             out_of_k: self.out_of_k.clone(),
@@ -847,7 +835,6 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         scratch_bytes: scratch * 4 + acc * 8,
         panels: panels.len(),
         panel_bytes: 0,
-        shared_panel_bytes: 0,
     };
     let shapes = |vs: &[Var]| vs.iter().map(|&v| g.shape(v)).collect();
     Plan {
@@ -867,7 +854,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
             consts,
             panels,
             epoch: 0,
-            frozen: false,
+            forward_only,
             placeholder: Tensor::zeros(&[1]),
         },
         states,
@@ -879,7 +866,6 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         feed_labels,
         feed_masks,
         bns,
-        forward_only,
         in_shapes: shapes(spec.inputs),
         par_shapes: shapes(spec.params),
         out_of_k,
@@ -982,10 +968,16 @@ mod tests {
         }
     }
 
+    /// How many weight panels `a` and `b` hold in one storage.
+    fn shared_panels(a: &Plan, b: &Plan) -> usize {
+        let pairs = a.arena.panels.iter().zip(&b.arena.panels);
+        pairs.filter(|(p, q)| Arc::ptr_eq(&p.packed, &q.packed)).count()
+    }
+
     /// A copy replays on its own: other data and parameters, bitwise the
     /// tape's, while the original keeps what its last replay left. A copy
-    /// of a plan that repacks packs panels of its own; a frozen plan's
-    /// copies share its panels.
+    /// of a training plan packs panels of its own; a forward-only plan's
+    /// copies share its panels, and keep sharing them through replays.
     #[test]
     fn a_copy_replays_alone_and_shares_only_frozen_panels() {
         let ps0 = mlp_params(11);
@@ -1021,14 +1013,21 @@ mod tests {
         assert_bits(plan.param_grad(0).unwrap().as_slice(), &grad0, "the original's grad");
         let (own, orig) = (copy.stats(), plan.stats());
         assert!(own.panel_bytes > 0 && own.panel_bytes == orig.panel_bytes);
-        assert_eq!((own.shared_panel_bytes, orig.shared_panel_bytes), (0, 0), "repacked apart");
+        assert_eq!(shared_panels(&plan, &copy), 0, "a training plan's copy repacks apart");
 
-        plan.freeze_panels();
-        plan.pack_panels(&pr0);
-        let frozen = plan.clone();
-        let (a, b) = (plan.stats(), frozen.stats());
-        assert_eq!((a.shared_panel_bytes, b.shared_panel_bytes), (a.panel_bytes, a.panel_bytes));
-        assert_eq!(b.panel_bytes, orig.panel_bytes, "one set of panels, not two");
+        let mut frozen = Plan::capture_forward(&tape.g, &spec);
+        frozen.pack_panels(&pr0);
+        let mut copy = frozen.clone();
+        let packed = frozen.stats();
+        assert!(packed.panel_bytes > 0 && copy.stats().panel_bytes == packed.panel_bytes);
+        assert_eq!(shared_panels(&frozen, &copy), packed.panels, "one set of panels, not two");
+        let feeds = Feeds { labels: &[&lab1], ..Feeds::default() };
+        copy.replay_forward(&[&x1], &pr0, &feeds);
+        frozen.replay_forward(&[&x0], &pr0, &Feeds { labels: &[&lab0], ..Feeds::default() });
+        let fresh = mlp_tape(&x1, &pr0, &lab1);
+        assert_bits(&[copy.loss()], fresh.g.value(fresh.loss).as_slice(), "frozen copy loss");
+        assert_bits(&[frozen.loss()], &[loss0], "the frozen original's loss");
+        assert_eq!(shared_panels(&frozen, &copy), packed.panels, "no replay repacks them");
     }
 
     #[test]

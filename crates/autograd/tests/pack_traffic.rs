@@ -128,7 +128,6 @@ fn one_replay_packs_each_weight_once_per_form() {
     // here, and then its replays, and its copy's, pack only their A operands.
     let spec = CaptureSpec { loss: None, ..spec };
     let mut frozen = Plan::capture_forward(&tape.g, &spec);
-    frozen.freeze_panels();
     let packed = f32_bytes_of(|| frozen.pack_panels(&pr));
     assert_eq!(packed, F32 * fwd_panels, "freezing packs each forward weight once");
     let mut copy = frozen.clone();

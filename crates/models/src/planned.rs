@@ -46,18 +46,16 @@ impl StepPlan {
     /// Forward-only capture for inference over parameters that never
     /// change: same wiring as [`StepPlan::capture`], but via
     /// [`Plan::capture_forward`] — no backward schedule, no gradient
-    /// buffers, and a forward-liveness arena — with frozen weight panels
-    /// ([`Plan::freeze_panels`]): each is packed once, at its first read,
-    /// or for the first copy ([`InferPlan::copy`]). Every replay, through
+    /// buffers, and a forward-liveness arena — with frozen weight panels:
+    /// each is packed once, at its first read, or for the first copy
+    /// ([`InferPlan::copy`]). Every replay, through
     /// [`StepPlan::replay_forward`], must be given the same parameter values;
     /// [`StepPlan::replay_step`] panics on a plan captured this way.
     pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Self {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
         let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss: None, outputs };
-        let mut plan = Plan::capture_forward(g, &spec);
-        plan.freeze_panels();
-        Self { plan, ids }
+        Self { plan: Plan::capture_forward(g, &spec), ids }
     }
 
     fn param_values<'a>(&self, ps: &'a ParamSet) -> Vec<&'a Tensor> {

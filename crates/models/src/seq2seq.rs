@@ -745,13 +745,20 @@ mod tests {
     }
 
     /// Ragged sources (3 to 5 tokens, PAD-padded) at batch 1, 2 and 64,
-    /// each decoded through plans captured on another batch of its shape,
-    /// and through a copy of those plans made before they ever replayed.
+    /// each decoded through plans captured on another batch of its shape
+    /// under other weights — a capture bakes in no weight value — and
+    /// through a copy of those plans made, before they ever replayed, under
+    /// the weights they decode with.
     #[test]
     fn planned_greedy_decode_matches_tape() {
-        let (ps, m, d) = tiny();
+        let (captured_under, m, d) = tiny();
+        let mut ps = captured_under.clone();
+        for (_, p) in ps.iter_mut() {
+            let v = p.value.clone();
+            p.value.axpy(0.25, &v);
+        }
         for b in [1, 2, 64] {
-            let mut plan = m.capture_plans(&ps, &batch_of(&d, 0, b)).0;
+            let mut plan = m.capture_plans(&captured_under, &batch_of(&d, 0, b)).0;
             let mut copy = plan.copy(&ps);
             assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut copy);
             assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut plan);
