@@ -8,7 +8,7 @@ use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::up;
 use crate::opk::{self, apply, store_or_add};
 use crate::table::{flags, Attr, BnStats, Detour, Entry, Role, State};
-use legw_tensor::{conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, Conv2dGeom, Tensor};
+use legw_tensor::{conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, Conv2dGeom};
 
 /// `[batch, oc]`, the geometry in the state: the convolution straight from
 /// the NCHW input into the NCHW output, with no column matrix.
@@ -188,9 +188,26 @@ impl Graph {
         bns.map(|s| self.states[s as usize].bn_batch_stats()).collect()
     }
 
+    /// Inference-time channel affine `y[n,c,h,w] = x · scale[c] + shift[c]`
+    /// with non-learned `[C]` operands `scale` and `shift` — used by
+    /// BatchNorm in eval mode with the running statistics folded into them.
+    /// The operands are values like any other: a plan reads them where the
+    /// tape got them, so when they are [`Graph::input`]s every replay is
+    /// given its own.
+    pub fn channel_affine(&mut self, x: Var, scale: Var, shift: Var) -> Var {
+        let s = self.shape(x);
+        assert_eq!(s.len(), 4);
+        assert_eq!(self.shape(scale), [s[1]]);
+        assert_eq!(self.shape(shift), [s[1]]);
+        let a = Attr::n(&[s[1], s[2] * s[3]]);
+        self.record(&CHANNEL_AFFINE, &[x, scale, shift], &[&s], a, None)
+    }
+
     /// Per-channel batch mean and (biased) variance of `[N,C,H,W]`, the
-    /// statistics a [`Graph::batch_norm`] op computes over its input.
-    pub fn batch_norm_stats(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    /// statistics a [`Graph::batch_norm`] op computes over its input: the
+    /// oracle the tests hold [`Graph::bn_batch_stats`] to.
+    #[cfg(test)]
+    pub(crate) fn batch_norm_stats(x: &legw_tensor::Tensor) -> (Vec<f32>, Vec<f32>) {
         let (n, c, hw) = (x.dim(0), x.dim(1), x.dim(2) * x.dim(3));
         let (mut mean, mut var) = (vec![0.0f64; c], vec![0.0f64; c]);
         opk::bn_stats(x.as_slice(), [n, c, hw], &mut mean, &mut var);
@@ -199,29 +216,13 @@ impl Graph {
             var.into_iter().map(|x| x as f32).collect(),
         )
     }
-
-    /// Inference-time channel affine `y[n,c,h,w] = x · scale[c] + shift[c]`
-    /// with constant (non-learned) scale/shift — used by BatchNorm in eval
-    /// mode with running statistics folded into `scale`/`shift`. One op over
-    /// `x` and two `[C]` constant leaves (pushed directly, not via
-    /// [`Graph::input`], so a plan captures them rather than expecting them
-    /// as replay inputs).
-    pub fn channel_affine(&mut self, x: Var, scale: &[f32], shift: &[f32]) -> Var {
-        let s = self.shape(x);
-        assert_eq!(s.len(), 4);
-        assert_eq!(scale.len(), s[1]);
-        assert_eq!(shift.len(), s[1]);
-        let [scale, shift] = [scale, shift]
-            .map(|per| self.push(Tensor::from_vec(per.to_vec(), &[per.len()]), false, Op::Leaf));
-        let a = Attr::n(&[s[1], s[2] * s[3]]);
-        self.record(&CHANNEL_AFFINE, &[x, scale, shift], &[&s], a, None)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::grad_check;
+    use legw_tensor::Tensor;
 
     fn img(n: usize, c: usize, h: usize, w: usize, f: impl Fn(usize) -> f32) -> Tensor {
         Tensor::from_vec((0..n * c * h * w).map(f).collect(), &[n, c, h, w])
@@ -343,7 +344,9 @@ mod tests {
     fn channel_affine_applies_running_stats() {
         let mut g = Graph::new();
         let x = g.param(img(1, 2, 2, 2, |i| i as f32));
-        let y = g.channel_affine(x, &[2.0, 0.5], &[1.0, -1.0]);
+        let scale = g.input(Tensor::from_vec(vec![2.0, 0.5], &[2]));
+        let shift = g.input(Tensor::from_vec(vec![1.0, -1.0], &[2]));
+        let y = g.channel_affine(x, scale, shift);
         let yv = g.value(y);
         assert_eq!(yv.as_slice()[0], 0.0 * 2.0 + 1.0);
         assert_eq!(yv.as_slice()[4], 4.0 * 0.5 - 1.0);

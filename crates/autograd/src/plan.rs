@@ -31,9 +31,9 @@
 //!   one replay: [`Plan::replay_forward`] starts a new generation, the
 //!   backward replay that follows keeps it, and nothing is looked up by
 //!   address or kept across an optimizer step. The exception is a
-//!   forward-only plan ([`Plan::capture_forward`]), an inference plan over
-//!   parameters that never change: its panels are frozen, each packed once,
-//!   at its first read (or by [`Plan::pack_panels`]), and never again;
+//!   forward-only plan ([`Plan::capture_forward`]), an inference plan: its
+//!   panels are packed once per parameter version, at their first read,
+//!   and again only at [`Plan::renew`];
 //! - a weight slice every reader of which became a panel GEMM is not copied
 //!   into the arena at all.
 //!
@@ -173,8 +173,8 @@ fn slot(l: &mut Loc) -> Option<&mut u32> {
 /// The packed form of one weight operand, owned by the plan: elements
 /// `off..off + len` of parameter `par` — the parameter itself, or the
 /// row-slice / reshape of it one tape node stood for — as the B of GEMMs
-/// that read it with this `tb`. Shared with the plan's copies; a copy that
-/// repacks (its plan is not forward-only) gets a panel of its own first.
+/// that read it with this `tb`. Shared with the plan's copies; a plan that
+/// repacks a shared panel gets one of its own first.
 #[derive(Clone)]
 struct Panel {
     par: u32,
@@ -190,6 +190,8 @@ struct Panel {
 /// The storage instructions read and write by location.
 pub(crate) struct Arena {
     slots: Vec<Vec<f32>>,
+    /// Each slot's length, also while [`Plan::renew`] lends it out.
+    sizes: Vec<usize>,
     outs: Vec<Tensor>,
     grads: Vec<Tensor>,
     consts: Vec<Tensor>,
@@ -200,8 +202,8 @@ pub(crate) struct Arena {
     /// unless the plan is forward-only.
     epoch: u64,
     /// Set by [`Plan::capture_forward`]: the plan has no backward, and its
-    /// parameters never change (inference), so its panels are frozen —
-    /// each packed once and never repacked.
+    /// owner says when its parameters change (inference), so a panel, once
+    /// packed, stays current until [`Plan::renew`].
     forward_only: bool,
     /// 1-element tensor used to displace an output or gradient while an
     /// instruction writes it (an `Arc` clone, so displacement never
@@ -235,7 +237,7 @@ impl Arena {
         }
     }
 
-    /// Panel `p`, packed this replay or, frozen, at all.
+    /// Panel `p`, packed this replay or, forward-only, at all.
     pub(crate) fn panel(&self, p: u32, tb: bool) -> &PackedB {
         let p = &self.panels[p as usize];
         let current = p.epoch == self.epoch || (self.forward_only && p.epoch > 0);
@@ -244,8 +246,8 @@ impl Arena {
     }
 
     /// Brings panel `i` up to this replay's parameter values: packed at its
-    /// first read since the last forward replay began — or, frozen, at its
-    /// first read ever — and left alone after.
+    /// first read since the last forward replay began — or, forward-only,
+    /// at its first read of this parameter version — and left alone after.
     fn refresh(&mut self, i: u32, params: &[&Tensor]) {
         let p = &self.panels[i as usize];
         let stale = if self.forward_only { p.epoch == 0 } else { p.epoch != self.epoch };
@@ -269,7 +271,8 @@ impl Arena {
     fn copy(&self) -> Arena {
         let own = |ts: &[Tensor]| ts.iter().map(kept_zeros).collect();
         Arena {
-            slots: self.slots.iter().map(|s| vec![0.0; s.len()]).collect(),
+            slots: self.sizes.iter().map(|&s| vec![0.0; s]).collect(),
+            sizes: self.sizes.clone(),
             outs: own(&self.outs),
             grads: own(&self.grads),
             consts: self.consts.clone(),
@@ -381,12 +384,12 @@ impl Plan {
     /// Panics on a `spec` that does not describe the tape, as
     /// [`Plan::capture`] does.
     ///
-    /// The parameters are taken to be frozen, a fixed model's: each weight
-    /// panel is packed once, at its first read (or by [`Plan::pack_panels`]),
-    /// and kept for the plan's life, so a replay packs only its activations.
-    /// Every replay must be given the parameter values of the first, under
-    /// its kernel tier and bf16 scope (a panel packed under another refuses
-    /// to multiply).
+    /// Each weight panel is packed once per parameter version, at its first
+    /// read (or by [`Plan::pack_panels`]) and again at [`Plan::renew`],
+    /// so a replay packs only its activations. A version's replays must be
+    /// given the parameter values its panels were packed from, under their
+    /// kernel tier and bf16 scope (a panel packed under another refuses to
+    /// multiply).
     pub fn capture_forward(g: &Graph, spec: &CaptureSpec) -> Plan {
         compile(g, spec, g.bwd.map_or(g.nodes.len(), |(_, start)| start))
     }
@@ -415,6 +418,26 @@ impl Plan {
             if self.arena.panels[i].epoch == 0 {
                 self.arena.pack(i, params);
             }
+        }
+    }
+
+    /// For a forward-only plan used now and then: `None` lends its arena
+    /// slots to this thread's buffer pool; `Some(params)` takes slots back if
+    /// lent (a replay writes a slot before reading it) and starts a parameter
+    /// version, every panel packed now from `params`, under this thread's
+    /// kernel tier and bf16 scope, into storage of its own if shared.
+    pub fn renew(&mut self, params: Option<&[&Tensor]>) {
+        assert!(self.arena.forward_only, "renew on a training plan");
+        let arena = &mut self.arena;
+        for (slot, &len) in arena.slots.iter_mut().zip(&arena.sizes) {
+            match params {
+                None => legw_tensor::pool::give_back(std::mem::take(slot)),
+                Some(_) if slot.is_empty() => *slot = legw_tensor::pool::lend(len),
+                Some(_) => {}
+            }
+        }
+        if let Some(params) = params {
+            (0..arena.panels.len()).for_each(|i| arena.pack(i, params));
         }
     }
 
@@ -580,9 +603,9 @@ impl Plan {
 /// scratch — allocated on the calling thread, and the captured constants
 /// and weight panels shared with `self`. A copy replays independently of
 /// the original and bitwise like it. The packed panels of a forward-only
-/// plan stay shared for the copy's life ([`Plan::pack_panels`] packs them
-/// before the copy); a panel that is packed again, in a training plan or
-/// one not packed yet, is packed into storage of its own.
+/// plan stay shared for their parameter version ([`Plan::pack_panels`]
+/// packs them before the copy); a panel that is packed again is packed
+/// into storage of its own.
 impl Clone for Plan {
     fn clone(&self) -> Plan {
         Plan {
@@ -843,6 +866,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         nfwd,
         arena: Arena {
             slots: phys_sizes.iter().map(|&s| vec![0.0f32; s]).collect(),
+            sizes: phys_sizes,
             outs,
             // A forward-only plan never reads or writes parameter gradients,
             // so don't double the frozen parameters' memory with zeros.

@@ -1,71 +1,59 @@
 //! Epoch-end evaluation: the forward-only side of the data-parallel
-//! executor, and the one evaluation sweep of each model family. There is
-//! no separate serial sweep: the serial result is the one-shard executor's,
-//! `Executor::new(ExecConfig::default())`, whatever lanes it runs on.
+//! executor, and the one evaluation sweep of each model family. The serial
+//! result is the one-shard executor's, whatever lanes it runs on.
 //!
-//! The chunked sweeps (MNIST, ResNet, seq2seq) walk the serial chunks in
-//! dataset order and compute each chunk as contiguous row groups, one per
-//! lane, through `Executor::map_lanes`. What a lane is depends on the
-//! executor and on what a group runs, by one rule: a tape is recorded only
-//! on the caller's thread or a shard's, and a kernel-pool worker only
-//! replays plans the caller captured.
+//! The chunked sweeps (MNIST, ResNet, seq2seq) share one routine,
+//! `Executor::forward_sweep`: every chunk in dataset order, as contiguous
+//! row groups, one per lane (`Executor::map_lanes`), each replaying an
+//! inference plan of its shape. The lane rule: a tape is recorded only on
+//! the caller's thread or a shard's, never on a kernel-pool worker, whose
+//! glibc malloc arena would keep its pages. So a shard captures its own
+//! plans, and on the one-shard executor the caller captures each shape
+//! from its first group ([`Infer::capture_infer`], keeping that group's
+//! result) and copies the plan for the other lanes ([`InferPlan::copy`]).
 //!
-//! - On a sharded executor a lane is a shard: each group runs on the shard
-//!   pool under its shard's intra-op pool, as a training shard does. The
-//!   classifiers' tapes and the decode's replays both split this way.
-//! - On the one-shard executor the classifiers run each chunk as one group
-//!   on the caller's thread, their kernels forking on the caller's kernel
-//!   pool. The seq2seq decode splits each batch over the lanes of that
-//!   pool ([`legw_parallel::current`]), each group under a one-lane
-//!   intra-op pool, adding no thread: its GEMMs (16–64 rows against hidden
-//!   32) are too small to fork, so without the split every lane but the
-//!   caller's sat idle through the decode. Before the lanes start, the
-//!   caller captures each group shape once, decoding the group it captures
-//!   from, and gives every other lane that meets the shape a copy of that
-//!   plan ([`InferPlan::copy`]: an arena of its own, the weight panels
-//!   shared).
-//!
-//! The rule is about memory. A worker that records a tape allocates it
-//! from its own glibc malloc arena, which keeps those pages after the tape
-//! is dropped and which the caller's later work cannot reuse; row-group
-//! tapes on the kernel pool's worker raised the benchmark's `peak_rss_mb`
-//! by 6–11 % on `resnet_b128_lars` and 3 % on `seq2seq_b16` (2-core
-//! AVX-512 host). A plan's arena comes from the thread that captures it,
-//! so a lane that only replays allocates little of its own. Shard threads
-//! record training tapes anyway.
-//!
-//! Rows are split within a chunk; whole chunks are not spread over lanes.
-//! Concurrent chunks would keep one full chunk tape per lane alive: two
-//! 256-row MNIST tapes at once raised an eval's peak RSS from 78 to 148 MB,
-//! where two 128-row groups stayed at 78 MB and ran as fast. Splitting
-//! rows also keeps every lane busy on a sweep with one chunk and on the
-//! ragged last one.
+//! The executor keeps the plans across calls, per model family, for the
+//! last model it evaluated ([`Infer::params`] and their shapes tell models
+//! apart), per group shape and lane: every eval call but a run's first
+//! captures nothing. A plan captures no value, so a call starts by
+//! repacking its plans' weight panels and ends by lending the caller's
+//! plans' arenas to its buffer pool ([`InferPlan::renew`]). A call holds
+//! its family's plans alone, so two threads may evaluate on one executor,
+//! and a call that panics drops them: the next captures again. DESIGN.md §6
+//! has the measurements behind each choice.
 //!
 //! Exactness: every forward kernel computes a row the same way however many
-//! rows and lanes share the call (`prop_gemm_rows_do_not_depend_on_m` for
-//! the GEMM, `crates/models/tests/row_groups.rs` per model), and a seq2seq
-//! group is a [`TranslationBatch::slice`](legw_data::TranslationBatch::slice)
-//! of the padded batch, which keeps the batch's source length. So every
-//! row's logits and decoded tokens are the same for any shard count, lane
-//! count and chunk size, and the results combine exactly: integer hit
-//! counts add, hypotheses concatenate in row order.
+//! rows share the call (`crates/models/tests/row_groups.rs`), a plan
+//! replays its tape bitwise, and a seq2seq group is a
+//! [`TranslationBatch::slice`](legw_data::TranslationBatch::slice) that
+//! keeps the batch's source length. So every row's logits and decoded
+//! tokens are the same for any shard count, lane count and chunk size:
+//! integer hit counts add, hypotheses concatenate in row order.
 //!
-//! PTB keeps its own path. Its stream carries recurrent state across
-//! windows, so its only parallel axis is the track (row) dimension, and
-//! shard NLLs combine by a track-count weighted mean, which matches the
-//! full-batch mean only up to floating-point association. One shard's
-//! weight is exactly 1, so the one-shard sweep is exact; it runs on the
-//! caller's thread, and its tracks are not split over lanes.
+//! PTB keeps its own path, on the tape: its NLL is the loss kernel's, which
+//! an inference plan does not return. Shard NLLs combine by a track-count
+//! weighted mean, exact only up to floating-point association; one shard's
+//! weight is exactly 1, so the one-shard sweep is exact.
 
 use crate::exec::Executor;
-use legw_autograd::{Graph, Var};
 use legw_data::{metrics, Classification, SynthPtb, SynthTranslation};
-use legw_models::{Infer, InferPlan, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, Seq2SeqPlan};
-use legw_nn::{Binding, ParamSet};
+use legw_models::{Infer, InferPlan, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
+use legw_nn::{ParamId, ParamSet};
 use legw_tensor::Tensor;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+
+/// One `(output, carried state)` per row.
+type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
+
+/// One family's kept plans, by group shape and lane, and their model's
+/// parameters with their shapes.
+type Kept<P> = (Vec<(ParamId, Vec<usize>)>, HashMap<(Vec<usize>, usize), P>);
+
+/// One [`Kept`] per model family; never locked across a replay.
+pub(crate) type KeptPlans = Mutex<HashMap<TypeId, Box<dyn Any + Send>>>;
 
 /// The serial chunk boundaries for `n` examples: `⌈n/chunk⌉` index ranges
 /// of at most `chunk` examples, in dataset order.
@@ -75,69 +63,123 @@ fn chunk_ranges(n: usize, chunk: usize) -> Vec<Range<usize>> {
 }
 
 impl Executor {
-    /// The one chunked sweep: every chunk in order, each as contiguous row
-    /// groups over at most `lanes` lanes ([`Executor::map_lanes`]).
-    /// `group(lane, i, rows)` computes the rows `rows` (indices within
-    /// chunk `i`) on lane `lane`. Returns the groups' results in row order.
-    fn sweep<C: Sync, R: Send>(
+    /// The one forward sweep: every chunk in order, cut into contiguous row
+    /// groups over at most [`Executor::lanes`] lanes
+    /// ([`legw_parallel::split_evenly`] of its `rows`), each group's batch
+    /// built by `group(chunk, rows)` and computed on its lane by a kept
+    /// plan, as the module docs describe. Returns each chunk's rows in row
+    /// order.
+    fn forward_sweep<M, C>(
         &self,
-        lanes: usize,
+        model: &M,
+        ps: &ParamSet,
         chunks: &[C],
         rows: impl Fn(&C) -> usize,
-        group: impl Fn(usize, usize, Range<usize>) -> R + Sync,
-    ) -> Vec<R> {
-        let mut out = Vec::new();
-        for (i, c) in chunks.iter().enumerate() {
-            let groups = legw_parallel::split_evenly(rows(c), lanes);
-            out.extend(self.map_lanes(&groups, |lane, r| group(lane, i, r.clone())));
+        group: impl Fn(&C, Range<usize>) -> M::Batch,
+    ) -> Vec<Rows<M>>
+    where
+        M: Infer + 'static,
+        M::Plan: 'static,
+    {
+        let store = || self.kept.lock().unwrap_or_else(PoisonError::into_inner);
+        let id: Vec<_> = model.params().iter().map(|&p| (p, ps.value(p).shape().to_vec())).collect();
+        let taken = store().remove(&TypeId::of::<M>()).and_then(|k| k.downcast::<Kept<M::Plan>>().ok());
+        let mut plans = taken.filter(|k| k.0 == id).map_or_else(HashMap::new, |k| k.1);
+        plans.values_mut().for_each(|plan| plan.renew(Some(ps)));
+        let mut out = Vec::with_capacity(chunks.len());
+        let sharded = self.shards() > 1;
+        for c in chunks {
+            let ranges = legw_parallel::split_evenly(rows(c), self.lanes());
+            let groups: Vec<M::Batch> = ranges.into_iter().map(|r| group(c, r)).collect();
+            let keys: Vec<_> = groups.iter().enumerate().map(|(j, g)| (model.infer_key(g), j)).collect();
+            // The caller gives each group's lane a plan; a shard captures its own.
+            let mut captured: Vec<Option<Rows<M>>> = groups.iter().map(|_| None).collect();
+            for (j, key) in keys.iter().enumerate() {
+                if sharded || plans.contains_key(key) {
+                    continue;
+                }
+                let plan = match plans.iter_mut().find(|(k, _)| k.0 == key.0) {
+                    Some((_, plan)) => plan.copy(ps),
+                    None => {
+                        let (plan, rows) = model.capture_infer(ps, &groups[j]);
+                        captured[j] = Some(rows);
+                        plan
+                    }
+                };
+                plans.insert(key.clone(), plan);
+            }
+            // Each lane locks its own group's plan, once.
+            let mut lanes: Vec<Option<Mutex<&mut M::Plan>>> = groups.iter().map(|_| None).collect();
+            for (key, plan) in plans.iter_mut() {
+                if keys.get(key.1) == Some(key) && captured[key.1].is_none() {
+                    lanes[key.1] = Some(Mutex::new(plan));
+                }
+            }
+            let computed = self.map_lanes(&lanes, |j, plan| match plan {
+                Some(plan) => {
+                    let plan = &mut **plan.lock().unwrap_or_else(PoisonError::into_inner);
+                    (Some(model.replay_infer(plan, ps, &groups[j])), None)
+                }
+                None if !sharded => (None, None),
+                None => {
+                    let (plan, rows) = model.capture_infer(ps, &groups[j]);
+                    (Some(rows), Some(plan))
+                }
+            });
+            drop(lanes);
+            let mut chunk = Vec::new();
+            for ((key, (replayed, plan)), captured) in keys.into_iter().zip(computed).zip(captured) {
+                plans.extend(plan.map(|plan| (key, plan)));
+                chunk.extend(captured.or(replayed).expect("every group computed"));
+            }
+            out.push(chunk);
         }
+        if !sharded {
+            plans.values_mut().for_each(|plan| plan.renew(None));
+        }
+        store().insert(TypeId::of::<M>(), Box::new((id, plans)));
         out
     }
 
     /// The chunked classification sweep behind [`Executor::eval_mnist`]
     /// and [`Executor::eval_resnet`]: `chunk`-sized batches in dataset
-    /// order, each split into row groups over the shards (a group records
-    /// a tape, so the one-shard executor runs each chunk whole on the
-    /// caller's thread), `(top-1, top-k)` hits counted as integers so they
-    /// combine exactly. `forward` records one row group's inference
-    /// forward on the tape it is given and returns the logits.
-    fn eval_classifier(
+    /// order through [`Executor::forward_sweep`], `(top-1, top-k)` hits
+    /// counted as integers so they combine exactly.
+    fn eval_classifier<M>(
         &self,
+        model: &M,
+        ps: &ParamSet,
         data: &Classification,
         chunk: usize,
         k: Option<usize>,
-        forward: impl Fn(&mut Graph, &mut Binding, &Tensor) -> Var + Sync,
-    ) -> (f64, f64) {
+    ) -> (f64, f64)
+    where
+        M: Infer<Batch = Tensor, Out = Vec<f32>> + 'static,
+        M::Plan: 'static,
+    {
         let n = data.len();
         if n == 0 {
             return (0.0, 0.0);
         }
         let chunks = chunk_ranges(n, chunk);
-        let lanes = self.shards();
-        // One tape per lane, reset between groups: a fresh tape per 256-row
-        // chunk cost `mnist_b32` 31 % of its eval throughput (4 pairs,
-        // 2-core AVX-512 host), most likely because the reset tape's live
-        // node Vec keeps glibc from trimming the heap top a dropped tape
-        // leaves free, which the next tape would fault back in.
-        let tapes: Vec<Mutex<Graph>> = (0..lanes).map(|_| Mutex::new(Graph::new())).collect();
-        let hits = self.sweep(lanes, &chunks, |c| c.len(), |lane, i, r| {
-            let start = chunks[i].start;
-            let idx: Vec<usize> = (start + r.start..start + r.end).collect();
-            let (batch, labels) = data.gather(&idx);
-            let mut graph = tapes[lane].lock().unwrap();
-            graph.reset();
-            let logits = forward(&mut graph, &mut Binding::new(), &batch);
-            let lv = graph.value(logits);
-            let count = |frac: f64| (frac * labels.len() as f64).round() as u64;
-            let top_k = k.map_or(0, |k| count(metrics::top_k_accuracy(lv, &labels, k)));
-            (count(metrics::accuracy(lv, &labels)), top_k)
+        let rows = self.forward_sweep(model, ps, &chunks, |c| c.len(), |c, r| {
+            data.features.slice_outer(c.start + r.start, c.start + r.end)
         });
-        let (c1, ck) = hits.into_iter().fold((0u64, 0u64), |(a, b), (x, y)| (a + x, b + y));
+        let (mut c1, mut ck) = (0u64, 0u64);
+        for (c, rows) in chunks.iter().zip(rows) {
+            let labels = &data.labels[c.clone()];
+            let width = rows[0].0.len();
+            let flat: Vec<f32> = rows.into_iter().flat_map(|(r, _)| r).collect();
+            let lv = Tensor::from_vec(flat, &[labels.len(), width]);
+            let count = |frac: f64| (frac * labels.len() as f64).round() as u64;
+            c1 += count(metrics::accuracy(&lv, labels));
+            ck += k.map_or(0, |k| count(metrics::top_k_accuracy(&lv, labels, k)));
+        }
         (c1 as f64 / n as f64, ck as f64 / n as f64)
     }
 
     /// Top-1 accuracy of the MNIST-LSTM classifier over a dataset in
-    /// `chunk`-sized batches, each split over this executor's shards. The
+    /// `chunk`-sized batches, each split over this executor's lanes. The
     /// same metric for every shard count, lane count and chunk size.
     pub fn eval_mnist(
         &self,
@@ -146,12 +188,12 @@ impl Executor {
         data: &Classification,
         chunk: usize,
     ) -> f64 {
-        self.eval_classifier(data, chunk, None, |g, bd, x| model.forward(g, bd, ps, x)).0
+        self.eval_classifier(model, ps, data, chunk, None).0
     }
 
     /// `(top-1, top-k)` accuracy of the ResNet over a dataset in
     /// evaluation mode (BatchNorm with the running statistics), in
-    /// `chunk`-sized batches, each split over this executor's shards.
+    /// `chunk`-sized batches, each split over this executor's lanes.
     pub fn eval_resnet(
         &self,
         model: &ResNet,
@@ -160,9 +202,7 @@ impl Executor {
         chunk: usize,
         k: usize,
     ) -> (f64, f64) {
-        self.eval_classifier(data, chunk, Some(k), |g, bd, x| {
-            model.forward(g, bd, ps, x, false)
-        })
+        self.eval_classifier(model, ps, data, chunk, Some(k))
     }
 
     /// Validation perplexity of the PTB language model over `batch`
@@ -203,16 +243,11 @@ impl Executor {
     }
 
     /// Greedy decodes of the seq2seq model over the test split, in padded
-    /// batches of `batch`, one hypothesis per test pair in corpus order.
-    /// Each batch is split into row groups over this executor's lanes
-    /// (`Executor::lanes`), each group a
+    /// batches of `batch`, one hypothesis per test pair in corpus order,
+    /// through `Executor::forward_sweep`: each batch is split into row
+    /// groups over this executor's lanes, each group a
     /// [`TranslationBatch::slice`](legw_data::TranslationBatch::slice) that
-    /// keeps the batch's padded source length. Each lane keeps one plan per
-    /// group shape it meets. Before the sweep, the caller walks the groups
-    /// in order, compiles each shape's plans from the first group of that
-    /// shape ([`Infer::capture_infer`]), keeping that group's decodes, and
-    /// gives every other lane that meets the shape a copy of them; the lanes
-    /// then replay their plans on every other group, recording no tape.
+    /// keeps the batch's padded source length.
     pub fn decode_seq2seq(
         &self,
         model: &Seq2Seq,
@@ -221,45 +256,10 @@ impl Executor {
         batch: usize,
     ) -> Vec<Vec<usize>> {
         let batches = data.batches(false, batch);
-        let lanes = self.lanes();
-        // The caller records every capture tape and makes every copy: a tape
-        // recorded on a kernel-pool worker would stay resident in its malloc
-        // arena, and a copy's arena comes from the thread that makes it.
-        let mut plans: HashMap<(usize, Vec<usize>), Mutex<Seq2SeqPlan>> = HashMap::new();
-        let mut captured_on: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut captured = HashMap::new();
-        for (i, b) in batches.iter().enumerate() {
-            let groups = legw_parallel::split_evenly(b.batch_size(), lanes);
-            for (lane, r) in groups.into_iter().enumerate() {
-                let group = b.slice(r.start, r.end);
-                let key = model.infer_key(&group);
-                if plans.contains_key(&(lane, key.clone())) {
-                    continue;
-                }
-                let plan = match captured_on.get(&key) {
-                    Some(&from) => {
-                        let first = plans.get_mut(&(from, key.clone())).expect("captured");
-                        first.get_mut().unwrap().copy(ps)
-                    }
-                    None => {
-                        let (plan, hyps) = model.capture_infer(ps, &group);
-                        captured.insert((i, lane), hyps);
-                        captured_on.insert(key.clone(), lane);
-                        plan
-                    }
-                };
-                plans.insert((lane, key), Mutex::new(plan));
-            }
-        }
-        let groups = self.sweep(lanes, &batches, |b| b.batch_size(), |lane, i, r| {
-            if let Some(hyps) = captured.get(&(i, lane)) {
-                return hyps.clone();
-            }
-            let group = batches[i].slice(r.start, r.end);
-            let mut plan = plans[&(lane, model.infer_key(&group))].lock().unwrap();
-            model.replay_infer(&mut plan, ps, &group)
+        let rows = self.forward_sweep(model, ps, &batches, |b| b.batch_size(), |b, r| {
+            model.slice(b, r)
         });
-        groups.into_iter().flatten().map(|(h, ())| h).collect()
+        rows.into_iter().flatten().map(|(h, ())| h).collect()
     }
 
     /// Corpus BLEU of the seq2seq model over the test split (paper metric,
@@ -348,47 +348,203 @@ mod tests {
         }
     }
 
-    /// A forward that panics on one row group reaches the sweep's caller as
-    /// the pool's re-raised panic, without a hang, and the same executor's
-    /// next evals return the serial results: on the one-shard executor,
+    /// A row group whose kept plan panics in its replay reaches the sweep's
+    /// caller as the pool's re-raised panic, without a hang, and the plans
+    /// that call held are dropped: the same executor's next evals capture
+    /// again and return the serial results. On the one-shard executor,
     /// whose sweep forks on a 3-lane kernel pool, and on sharded ones.
     #[test]
     fn a_failing_row_group_reaches_the_caller_and_the_next_eval_is_serial() {
         must_finish(|| {
-            let data = SynthMnist::generate(31, 16, 30);
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut ps = ParamSet::new();
-            let model = MnistLstm::new(&mut ps, &mut rng, 8, 8);
-            let tdata = SynthTranslation::generate(9, 12, 16, 12, 2, 5);
-            let cfg =
-                Seq2SeqConfig { vocab: tdata.vocab, embed: 8, hidden: 8, attn: 6, max_decode: 6 };
-            let s2s = Seq2Seq::new(&mut ps, &mut rng, cfg);
-            let evals = |exec: &Executor| {
-                let acc = exec.eval_mnist(&model, &ps, &data.test, 12);
-                (acc.to_bits(), exec.decode_seq2seq(&s2s, &ps, &tdata, 4))
-            };
-            let serial = under_lanes(1, || evals(&Executor::new(ExecConfig::default())));
-            let chunks = chunk_ranges(data.test.len(), 12);
+            let fx = Fixture::new();
+            let serial = under_lanes(1, || fx.evals(&Executor::new(ExecConfig::default())));
+            let chunks = chunk_ranges(fx.mnist.test.len(), 12);
             for shards in [1usize, 2, 3] {
                 let exec = Executor::new(ExecConfig::default().with_shards(shards));
                 under_lanes(3, || {
+                    assert_eq!(fx.evals(&exec), serial, "shards={shards}: the first evals");
+                    // Every shape has a kept plan now. Row group 3 is one
+                    // pixel per row short: its shape key is its row count,
+                    // so it replays a kept plan, which refuses the batch.
                     let calls = AtomicUsize::new(0);
                     let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        exec.sweep(exec.lanes(), &chunks, |c| c.len(), |_, i, r| {
-                            let call = calls.fetch_add(1, Ordering::Relaxed);
-                            assert_ne!(call, 3, "row group 3 fails");
-                            let start = chunks[i].start;
-                            let idx: Vec<usize> = (start + r.start..start + r.end).collect();
-                            model.forward_infer(&ps, &data.test.gather(&idx).0).0.len()
+                        exec.forward_sweep(&fx.lstm, &fx.ps, &chunks, |c| c.len(), |c, r| {
+                            let x = fx.mnist.test.features.slice_outer(c.start + r.start, c.start + r.end);
+                            if calls.fetch_add(1, Ordering::Relaxed) != 3 {
+                                return x;
+                            }
+                            let short: Vec<f32> = x.as_slice().chunks(784).flat_map(|p| &p[1..]).copied().collect();
+                            Tensor::from_vec(short, &[x.dim(0), 783])
                         })
                     }));
                     let payload = failed.expect_err("the failed row group must reach the caller");
                     let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
                     assert_eq!(msg, "a task panicked inside ThreadPool::run", "shards={shards}");
-                    assert_eq!(evals(&exec), serial, "shards={shards}");
+                    assert_eq!(fx.evals(&exec), serial, "shards={shards}");
                 });
             }
         });
+    }
+
+    /// Two MNIST LSTMs (one a different size in its own store), a ResNet
+    /// and a seq2seq model, with test splits small enough for many evals.
+    struct Fixture {
+        ps: ParamSet,
+        lstm: MnistLstm,
+        other_ps: ParamSet,
+        other: MnistLstm,
+        resnet: ResNet,
+        s2s: Seq2Seq,
+        mnist: SynthMnist,
+        images: SynthImageNet,
+        pairs: SynthTranslation,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut ps = ParamSet::new();
+            let lstm = MnistLstm::new(&mut ps, &mut rng, 8, 8);
+            let images = SynthImageNet::generate_sized(11, 4, 24, 20, 16);
+            let mut resnet = ResNet::new(&mut ps, &mut rng, 4, 4);
+            let pairs = SynthTranslation::generate(9, 12, 16, 12, 2, 5);
+            let cfg =
+                Seq2SeqConfig { vocab: pairs.vocab, embed: 8, hidden: 8, attn: 6, max_decode: 6 };
+            let s2s = Seq2Seq::new(&mut ps, &mut rng, cfg);
+            let mut other_ps = ParamSet::new();
+            let other = MnistLstm::new(&mut other_ps, &mut rng, 6, 12);
+            prime_bn(&mut resnet, &ps, &images, 0);
+            let mnist = SynthMnist::generate(31, 16, 30);
+            Fixture { ps, lstm, other_ps, other, resnet, s2s, mnist, images, pairs }
+        }
+
+        /// MNIST accuracy, ResNet's top-1 and top-2, as bits, and the
+        /// seq2seq decodes.
+        fn evals(&self, exec: &Executor) -> ([u64; 3], Vec<Vec<usize>>) {
+            let acc = exec.eval_mnist(&self.lstm, &self.ps, &self.mnist.test, 12);
+            let (t1, t2) = exec.eval_resnet(&self.resnet, &self.ps, &self.images.test, 6, 2);
+            ([acc, t1, t2].map(f64::to_bits), exec.decode_seq2seq(&self.s2s, &self.ps, &self.pairs, 4))
+        }
+    }
+
+    /// Folds the batch statistics of a training tape over `images`'
+    /// training rows from `at` on into `model`'s running statistics.
+    fn prime_bn(model: &mut ResNet, ps: &ParamSet, images: &SynthImageNet, at: usize) {
+        let (bx, by) = images.train.gather(&(at..at + 12).collect::<Vec<_>>());
+        let (g, ..) = model.forward_loss(ps, &bx, &by);
+        model.fold_batch_stats(&[(1.0, &g.bn_batch_stats()[..])]);
+    }
+
+    /// Every row's logits as bits, in chunks of `chunk`: through `exec`'s
+    /// kept plans, or with no executor, each chunk on the tape.
+    fn logits<M>(exec: Option<&Executor>, model: &M, ps: &ParamSet, data: &Classification) -> Vec<u32>
+    where
+        M: Infer<Batch = Tensor, Out = Vec<f32>, RowState = ()> + 'static,
+        M::Plan: 'static,
+    {
+        let chunks = chunk_ranges(data.len(), 7);
+        let rows = match exec {
+            Some(exec) => exec.forward_sweep(model, ps, &chunks, |c| c.len(), |c, r| {
+                data.features.slice_outer(c.start + r.start, c.start + r.end)
+            }),
+            None => chunks.iter().map(|c| model.infer_tape(ps, &data.features.slice_outer(c.start, c.end))).collect(),
+        };
+        rows.into_iter().flatten().flat_map(|(r, ())| r).map(f32::to_bits).collect()
+    }
+
+    /// A kept plan is not stale: after new weights and new running
+    /// statistics, the same executor's eval is bitwise a fresh executor's
+    /// and the tape's, at every lane count.
+    #[test]
+    fn kept_plans_follow_new_weights_and_running_statistics() {
+        let mut fx = Fixture::new();
+        for lanes in [1usize, 3] {
+            under_lanes(lanes, || {
+                let exec = Executor::new(ExecConfig::default());
+                for round in 0..3 {
+                    let fresh = Executor::new(ExecConfig::default());
+                    let (m, r) = (&fx.lstm, &fx.resnet);
+                    let lstm = logits(Some(&exec), m, &fx.ps, &fx.mnist.test);
+                    assert_eq!(lstm, logits(None, m, &fx.ps, &fx.mnist.test), "MNIST {round}");
+                    assert_eq!(lstm, logits(Some(&fresh), m, &fx.ps, &fx.mnist.test));
+                    let resnet = logits(Some(&exec), r, &fx.ps, &fx.images.test);
+                    assert_eq!(resnet, logits(None, r, &fx.ps, &fx.images.test), "ResNet {round}");
+                    assert_eq!(resnet, logits(Some(&fresh), r, &fx.ps, &fx.images.test));
+                    assert_eq!(fx.evals(&exec), fx.evals(&fresh), "lanes={lanes} round={round}");
+                    for (_, p) in fx.ps.iter_mut() {
+                        let step = p.value.map(|x| 0.25 * (x * 7.0 + round as f32).sin());
+                        p.value = p.value.add(&step);
+                    }
+                    prime_bn(&mut fx.resnet, &fx.ps, &fx.images, 12 * (round % 2));
+                }
+            });
+        }
+    }
+
+    /// A kept plan is never another model's: two equal-sized MNIST models
+    /// in one store, evaluated in turn, and two of different sizes in
+    /// stores of their own (the same parameter ids), each give their own
+    /// tape's logits on one executor.
+    #[test]
+    fn kept_plans_are_never_another_models() {
+        let fx = Fixture::new();
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut ps = fx.ps.clone();
+        let twin = MnistLstm::new(&mut ps, &mut rng, 8, 8);
+        let data = &fx.mnist.test;
+        let models = [(&fx.lstm, &ps), (&twin, &ps), (&fx.other, &fx.other_ps), (&fx.lstm, &fx.ps)];
+        let tapes: Vec<Vec<u32>> = models.iter().map(|&(m, p)| logits(None, m, p, data)).collect();
+        assert_ne!(tapes[0], tapes[1], "the twins compute different logits");
+        for lanes in [1usize, 2] {
+            under_lanes(lanes, || {
+                for shards in [1usize, 2] {
+                    let exec = Executor::new(ExecConfig::default().with_shards(shards));
+                    for _ in 0..2 {
+                        for (&(m, p), tape) in models.iter().zip(&tapes) {
+                            assert_eq!(&logits(Some(&exec), m, p, data), tape, "shards={shards}");
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// One executor under 1-, 2- and 3-lane kernel pools in turn keeps
+    /// plans for each lane count's group shapes, and every eval is the
+    /// serial one.
+    #[test]
+    fn kept_plans_serve_every_lane_count_in_turn() {
+        let fx = Fixture::new();
+        let serial = under_lanes(1, || fx.evals(&Executor::new(ExecConfig::default())));
+        let exec = Executor::new(ExecConfig::default());
+        for lanes in [1usize, 2, 3, 2, 1, 3] {
+            assert_eq!(under_lanes(lanes, || fx.evals(&exec)), serial, "lanes={lanes}");
+        }
+    }
+
+    /// Two threads evaluating on one executor at once each hold their
+    /// family's plans alone for a call, so every result is a fresh serial
+    /// executor's, on the one-shard executor and a 2-shard one.
+    #[test]
+    fn two_threads_share_one_executors_kept_plans() {
+        for shards in [1usize, 2] {
+            must_finish(move || {
+                let fx = Fixture::new();
+                let serial = under_lanes(1, || fx.evals(&Executor::new(ExecConfig::default())));
+                let exec = Executor::new(ExecConfig::default().with_shards(shards));
+                std::thread::scope(|s| {
+                    for lanes in [2usize, 3] {
+                        let (fx, exec, serial) = (&fx, &exec, &serial);
+                        s.spawn(move || {
+                            for round in 0..3 {
+                                let got = under_lanes(lanes, || fx.evals(exec));
+                                assert_eq!(&got, serial, "shards={shards} lanes={lanes} round={round}");
+                            }
+                        });
+                    }
+                });
+            });
+        }
     }
 
     /// The serial sweep is the one-shard executor; every other shard count

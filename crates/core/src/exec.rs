@@ -37,9 +37,9 @@
 //! trainer path.
 //!
 //! Forward-only evaluation ([`crate::eval`]) splits the rows of each of its
-//! chunks: `Executor::map_lanes` runs one row group per lane, on the
-//! shard pool when there is one and, for the replays of a planned decode,
-//! on the caller's kernel pool otherwise.
+//! chunks: `Executor::map_lanes` runs one row group per lane, each
+//! replaying an inference plan the executor keeps across calls, on the
+//! shard pool when there is one and on the caller's kernel pool otherwise.
 //!
 //! Configuration is explicit: build an [`ExecConfig`] (or parse the
 //! `LEGW_SHARDS` / `LEGW_THREADS` environment variables with
@@ -179,6 +179,8 @@ pub struct Executor {
     /// Per-shard intra-op pools installed via `with_pool` while the shard
     /// closure runs.
     intra: Vec<Arc<ThreadPool>>,
+    /// The inference plans evaluation keeps across calls ([`crate::eval`]).
+    pub(crate) kept: crate::eval::KeptPlans,
 }
 
 impl Executor {
@@ -205,7 +207,7 @@ impl Executor {
         legw_tensor::kernels::init();
         let shards = config.shards.max(1);
         if shards == 1 {
-            return Self { shards, shard_pool: None, intra: Vec::new() };
+            return Self { shards, shard_pool: None, intra: Vec::new(), kept: Default::default() };
         }
         let budget = default_threads();
         let intra_threads = (budget / shards).max(1);
@@ -213,6 +215,7 @@ impl Executor {
             shards,
             shard_pool: Some(ThreadPool::new(shards)),
             intra: (0..shards).map(|_| Arc::new(ThreadPool::new(intra_threads))).collect(),
+            kept: Default::default(),
         }
     }
 

@@ -10,7 +10,7 @@
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
 use legw_data::SynthMnist;
-use legw_nn::{Binding, Linear, LstmCell, ParamSet};
+use legw_nn::{Binding, Linear, LstmCell, ParamId, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
 
@@ -19,6 +19,7 @@ pub struct MnistLstm {
     proj: Linear,
     cell: LstmCell,
     classifier: Linear,
+    params: Vec<ParamId>,
 }
 
 impl MnistLstm {
@@ -26,10 +27,12 @@ impl MnistLstm {
     /// `proj = hidden = 128`; the experiments here default to 64 for speed
     /// (documented in DESIGN.md).
     pub fn new<R: Rng>(ps: &mut ParamSet, rng: &mut R, proj: usize, hidden: usize) -> Self {
+        let first = ps.len();
         Self {
             proj: Linear::new(ps, rng, "mnist.proj", 28, proj, true),
             cell: LstmCell::new(ps, rng, "mnist.lstm", proj, hidden),
             classifier: Linear::new(ps, rng, "mnist.fc", hidden, 10, true),
+            params: ps.iter().skip(first).map(|(id, _)| id).collect(),
         }
     }
 
@@ -119,6 +122,10 @@ impl crate::planned::Infer for MnistLstm {
     type RowState = ();
     type Batch = Tensor;
     type Plan = StepPlan;
+
+    fn params(&self) -> &[ParamId] {
+        &self.params
+    }
 
     fn zero_state(&self) {}
 

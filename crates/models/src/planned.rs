@@ -43,12 +43,12 @@ impl StepPlan {
         Self { plan: Plan::capture(g, &spec), ids }
     }
 
-    /// Forward-only capture for inference over parameters that never
-    /// change: same wiring as [`StepPlan::capture`], but via
-    /// [`Plan::capture_forward`] — no backward schedule, no gradient
-    /// buffers, and a forward-liveness arena — with frozen weight panels:
-    /// each is packed once, at its first read, or for the first copy
-    /// ([`InferPlan::copy`]). Every replay, through
+    /// Forward-only capture for inference: same wiring as
+    /// [`StepPlan::capture`], but via [`Plan::capture_forward`] — no
+    /// backward schedule, no gradient buffers, and a forward-liveness arena
+    /// — with weight panels packed once per parameter version: at their
+    /// first read, or for the first copy ([`InferPlan::copy`]), and again at
+    /// [`InferPlan::renew`]. Every replay of a version, through
     /// [`StepPlan::replay_forward`], must be given the same parameter values;
     /// [`StepPlan::replay_step`] panics on a plan captured this way.
     pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Self {
@@ -124,6 +124,11 @@ pub trait InferPlan: Send {
     /// from `ps` — the parameters every replay is given — under this
     /// thread's kernel tier and bf16 scope, so that the copy shares them.
     fn copy(&mut self, ps: &ParamSet) -> Self;
+
+    /// For a plan kept between uses: `None` lends its arena to this thread's
+    /// buffer pool, `Some(ps)` takes one back and starts a parameter version,
+    /// every weight panel packed again from `ps` ([`Plan::renew`]).
+    fn renew(&mut self, ps: Option<&ParamSet>);
 }
 
 /// A forward-only plan's copy: [`Plan`]'s clone, after
@@ -132,6 +137,11 @@ impl InferPlan for StepPlan {
     fn copy(&mut self, ps: &ParamSet) -> Self {
         self.plan.pack_panels(&self.param_values(ps));
         StepPlan { plan: self.plan.clone(), ids: self.ids.clone() }
+    }
+
+    fn renew(&mut self, ps: Option<&ParamSet>) {
+        let params = ps.map(|ps| self.param_values(ps));
+        self.plan.renew(params.as_deref());
     }
 }
 
@@ -143,7 +153,7 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
     t.as_slice().chunks(w).map(|c| c.to_vec()).collect()
 }
 
-/// One model family's frozen-inference surface, unifying the per-model
+/// One model family's inference surface, unifying the per-model
 /// `capture_*_plan` / `replay_*_plan` zoo behind a single interface the
 /// serving stack and the evaluation sweeps drive: assemble client rows into
 /// a batch, capture the plan for that batch shape, replay it with no tape,
@@ -162,9 +172,10 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
 /// greedy decoding is data-dependent, so `Seq2Seq` replays its encoder plan
 /// once and a decoder-step plan once per token, looped from Rust.
 ///
-/// A plan serves parameters that stay frozen for its life: each weight
-/// panel is packed once, under the kernel tier and bf16 scope of the
-/// capture, and never repacked. Another thread replays a copy of it
+/// A plan captures no value: every replay reads the parameters, and ResNet's
+/// BatchNorm fold. Its weight panels are packed once per parameter version,
+/// and again at [`InferPlan::renew`]: serving is the single version, eval
+/// starts one per call. Another thread replays a copy of a plan
 /// ([`InferPlan::copy`]), which shares the panels. A batch's row groups
 /// ([`Infer::slice`]) can be computed on several threads at once, so the
 /// model and its batches are `Sync`.
@@ -181,6 +192,10 @@ pub trait Infer: Sync {
     /// What one capture compiles for a batch shape and every replay of
     /// that shape reuses.
     type Plan: InferPlan;
+
+    /// Every parameter the model registered, in order: with their shapes,
+    /// they tell one model's plans from another's.
+    fn params(&self) -> &[ParamId];
 
     /// Fresh carried state for a new session.
     fn zero_state(&self) -> Self::RowState;

@@ -4,7 +4,7 @@
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
 use legw_data::LmBatch;
-use legw_nn::{Binding, DropCtx, Dropout, Embedding, Linear, Lstm, LstmState, ParamSet};
+use legw_nn::{Binding, DropCtx, Dropout, Embedding, Linear, Lstm, LstmState, ParamId, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
 
@@ -103,17 +103,20 @@ pub struct PtbLm {
     /// output (mask stream site `2t`) and pre-head activation (site
     /// `2t + 1`), the paper's standard non-recurrent LSTM-LM placement.
     drop: Option<Dropout>,
+    params: Vec<ParamId>,
 }
 
 impl PtbLm {
     /// Builds the model into `ps`.
     pub fn new<R: Rng>(ps: &mut ParamSet, rng: &mut R, cfg: PtbLmConfig) -> Self {
+        let first = ps.len();
         Self {
             cfg,
             embedding: Embedding::new(ps, rng, "lm.embed", cfg.vocab, cfg.embed),
             lstm: Lstm::new(ps, rng, "lm.lstm", cfg.embed, cfg.hidden, cfg.layers),
             head: Linear::new(ps, rng, "lm.head", cfg.hidden, cfg.vocab, true),
             drop: (cfg.keep < 1.0).then(|| Dropout::new(cfg.keep)),
+            params: ps.iter().skip(first).map(|(id, _)| id).collect(),
         }
     }
 
@@ -282,6 +285,10 @@ impl crate::planned::Infer for PtbLm {
     /// Time-major token ids plus the gathered carried state.
     type Batch = (Vec<Vec<usize>>, LmState);
     type Plan = StepPlan;
+
+    fn params(&self) -> &[ParamId] {
+        &self.params
+    }
 
     fn zero_state(&self) -> LmState {
         LmState::zeros(&self.cfg, 1)

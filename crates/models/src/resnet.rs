@@ -8,7 +8,7 @@
 
 use crate::planned::StepPlan;
 use legw_autograd::{Feeds, Graph, Var};
-use legw_nn::{BatchNorm2d, Binding, Conv2d, Linear, ParamSet};
+use legw_nn::{BatchNorm2d, Binding, Conv2d, Linear, ParamId, ParamSet};
 use legw_tensor::Tensor;
 use rand::Rng;
 
@@ -91,6 +91,7 @@ pub struct ResNet {
     blocks: Vec<Block>,
     head: Linear,
     n_classes: usize,
+    params: Vec<ParamId>,
 }
 
 impl ResNet {
@@ -98,7 +99,7 @@ impl ResNet {
     /// outputs. `width` is the stem channel count (default experiments
     /// use 8; channels double per stage).
     pub fn new<R: Rng>(ps: &mut ParamSet, rng: &mut R, width: usize, n_classes: usize) -> Self {
-        let w = width;
+        let (w, first) = (width, ps.len());
         Self {
             stem: Conv2d::new(ps, rng, "resnet.stem", 3, w, 3, 1, 1),
             stem_bn: BatchNorm2d::new(ps, "resnet.stem_bn", w),
@@ -109,6 +110,7 @@ impl ResNet {
             ],
             head: Linear::new(ps, rng, "resnet.head", 4 * w, n_classes, true),
             n_classes,
+            params: ps.iter().skip(first).map(|(id, _)| id).collect(),
         }
     }
 
@@ -268,6 +270,10 @@ impl crate::planned::Infer for ResNet {
     type Batch = Tensor;
     type Plan = StepPlan;
 
+    fn params(&self) -> &[ParamId] {
+        &self.params
+    }
+
     fn zero_state(&self) {}
 
     fn coalesce_key(&self, _req: &Vec<f32>) -> Vec<usize> {
@@ -293,25 +299,27 @@ impl crate::planned::Infer for ResNet {
         vec![batch.dim(0)]
     }
 
-    /// The eval-mode forward as a forward-only plan. Eval BN folds
-    /// gamma/beta and the running statistics into per-capture constants, so
-    /// the plan is valid only while parameters *and* running stats stay
-    /// frozen — exactly the serving contract.
+    /// The eval-mode forward as a forward-only plan. Its inputs are the
+    /// images, then each BatchNorm's folded scale and shift in
+    /// `ResNet::batch_norms` order, so the plan captures no value: it stays
+    /// valid under new parameters and new running statistics.
     fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
         let (g, bd, logits) = self.forward_infer(ps, batch);
         let plan = StepPlan::capture_forward(&g, &bd, &[logits]);
         (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
     }
 
-    /// No feeds: eval BatchNorm's folded scale and shift are constants of
-    /// the plan.
+    /// No feeds: the inputs are the images and every BatchNorm's scale and
+    /// shift, folded again ([`BatchNorm2d::eval_affine`]).
     fn replay_infer(
         &self,
         plan: &mut StepPlan,
         ps: &ParamSet,
         batch: &Tensor,
     ) -> Vec<(Vec<f32>, ())> {
-        plan.replay_forward(ps, &[batch], &Feeds::default());
+        let folds: Vec<_> = self.batch_norms().iter().map(|bn| bn.eval_affine(ps)).collect();
+        let inputs: Vec<&Tensor> = std::iter::once(batch).chain(folds.iter().flatten()).collect();
+        plan.replay_forward(ps, &inputs, &Feeds::default());
         crate::planned::tensor_rows(&plan.output(0)).into_iter().map(|r| (r, ())).collect()
     }
 

@@ -49,6 +49,7 @@ pub struct Seq2Seq {
     dec1: LstmCell,
     attention: BahdanauAttention,
     classifier: Linear,
+    params: Vec<legw_nn::ParamId>,
 }
 
 struct Encoded {
@@ -63,7 +64,7 @@ struct Encoded {
 impl Seq2Seq {
     /// Builds the model into `ps`.
     pub fn new<R: Rng>(ps: &mut ParamSet, rng: &mut R, cfg: Seq2SeqConfig) -> Self {
-        let h = cfg.hidden;
+        let (h, first) = (cfg.hidden, ps.len());
         Self {
             cfg,
             embedding: Embedding::new(ps, rng, "s2s.embed", cfg.vocab, cfg.embed),
@@ -74,6 +75,7 @@ impl Seq2Seq {
             dec1: LstmCell::new(ps, rng, "s2s.dec1", h, h),
             attention: BahdanauAttention::new(ps, rng, "s2s.attn", h, h, cfg.attn),
             classifier: Linear::new(ps, rng, "s2s.fc", 2 * h, cfg.vocab, true),
+            params: ps.iter().skip(first).map(|(id, _)| id).collect(),
         }
     }
 
@@ -432,6 +434,11 @@ impl InferPlan for Seq2SeqPlan {
             state: self.state.each_ref().map(own),
         }
     }
+
+    fn renew(&mut self, ps: Option<&ParamSet>) {
+        self.encoder.renew(ps);
+        self.step.renew(ps);
+    }
 }
 
 impl Seq2SeqPlan {
@@ -472,8 +479,8 @@ impl Seq2SeqPlan {
     /// tokens, copies its new states into the recurrent state, the next
     /// call's inputs, and returns its logits. `first`, the first step's
     /// logits when a capture tape has just computed them, is returned by
-    /// the first call instead. The plans' panels are frozen: the first
-    /// replay of each packs them from `ps`, and no later one does.
+    /// the first call instead. No replay packs a panel but the first of a
+    /// parameter version ([`InferPlan::renew`] starts one).
     fn steps<'a>(
         &'a mut self,
         ps: &'a ParamSet,
@@ -501,6 +508,10 @@ impl crate::planned::Infer for Seq2Seq {
     type RowState = ();
     type Batch = TranslationBatch;
     type Plan = Seq2SeqPlan;
+
+    fn params(&self) -> &[legw_nn::ParamId] {
+        &self.params
+    }
 
     fn zero_state(&self) {}
 

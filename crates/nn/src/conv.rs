@@ -134,19 +134,24 @@ impl BatchNorm2d {
         }
     }
 
-    /// Inference-mode forward: folds the running statistics and affine
-    /// parameters into a per-channel scale/shift.
+    /// The eval-mode layer as a per-channel affine: `[scale, shift]`, `[C]`
+    /// each, the running statistics folded into gamma and beta. The one
+    /// fold: [`BatchNorm2d::forward_eval`] records it as the tape's inputs,
+    /// and an inference plan is given it again at every replay.
+    pub fn eval_affine(&self, ps: &ParamSet) -> [Tensor; 2] {
+        let (gm, bt) = (ps.value(self.gamma).as_slice(), ps.value(self.beta).as_slice());
+        let inv = |c: usize| 1.0 / (self.running_var[c] + self.eps).sqrt();
+        let scale = (0..self.channels).map(|c| gm[c] * inv(c)).collect();
+        let shift = (0..self.channels).map(|c| bt[c] - gm[c] * self.running_mean[c] * inv(c));
+        [scale, shift.collect()].map(|v| Tensor::from_vec(v, &[self.channels]))
+    }
+
+    /// Inference-mode forward: the running statistics and affine parameters
+    /// folded into a per-channel scale and shift ([`BatchNorm2d::eval_affine`]),
+    /// which the tape holds as [`Graph::input`]s.
     pub fn forward_eval(&self, g: &mut Graph, ps: &ParamSet, x: Var) -> Var {
-        let gm = ps.value(self.gamma).as_slice().to_vec();
-        let bt = ps.value(self.beta).as_slice().to_vec();
-        let mut scale = vec![0.0f32; self.channels];
-        let mut shift = vec![0.0f32; self.channels];
-        for c in 0..self.channels {
-            let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
-            scale[c] = gm[c] * inv;
-            shift[c] = bt[c] - gm[c] * self.running_mean[c] * inv;
-        }
-        g.channel_affine(x, &scale, &shift)
+        let [scale, shift] = self.eval_affine(ps).map(|t| g.input(t));
+        g.channel_affine(x, scale, shift)
     }
 }
 
@@ -198,10 +203,17 @@ mod tests {
         assert_eq!(g.value(y).shape(), &[4, 2, 4, 4]);
         // batch-normalised output has ~zero mean
         assert!(g.value(y).mean().abs() < 1e-4);
-        let (mean, var) = Graph::batch_norm_stats(g.value(x));
         let stats = g.bn_batch_stats();
-        assert_eq!(stats, [(&mean[..], &var[..])], "the op keeps its batch statistics");
-        bn.fold_batch_stats(&[(1.0, stats[0].0, stats[0].1)]);
+        assert_eq!(stats.len(), 1, "the op keeps its batch statistics");
+        let (mean, var) = stats[0];
+        let xv = g.value(x).as_slice();
+        for c in 0..2 {
+            let plane: Vec<f32> = (0..4).flat_map(|n| &xv[(n * 2 + c) * 16..][..16]).copied().collect();
+            let m = plane.iter().sum::<f32>() / 64.0;
+            let v = plane.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / 64.0;
+            assert!((mean[c] - m).abs() < 1e-5 && (var[c] - v).abs() < 1e-5, "channel {c}");
+        }
+        bn.fold_batch_stats(&[(1.0, mean, var)]);
         for c in 0..2 {
             assert_eq!(bn.running_mean[c], 0.9 * 0.0 + 0.1 * mean[c]);
             assert_eq!(bn.running_var[c], 0.9 * 1.0 + 0.1 * var[c]);

@@ -43,10 +43,12 @@ type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
 /// that fails is a bug in the model's capture and panics with its cause;
 /// nothing serves from the live graph.
 ///
-/// Frozen parameters are what make this sound and cheap. A plan's weight
-/// panels are packed once, from parameters that never change, and no later
-/// request repacks them; the copies share them, so splitting a batch over
-/// lanes costs arenas, not weights.
+/// Frozen parameters are what make this cheap. A plan reads the parameters
+/// at every replay, but packs its weight panels once per parameter version
+/// ([`InferPlan::renew`]); the engine's parameters never change, so it is
+/// the single version: no request after a shape's first repacks a weight,
+/// and the copies share the panels, so splitting a batch over lanes costs
+/// arenas, not weights.
 ///
 /// The plan cache is bounded ([`DEFAULT_PLAN_CAPACITY`] batch shapes, LRU):
 /// unlike training, a server's shape set is driven by client traffic, so
@@ -76,8 +78,8 @@ pub struct InferEngine<M: Infer> {
 
 impl<M: Infer> InferEngine<M> {
     /// Wraps a model and its (frozen) parameters. The parameters are
-    /// owned and never mutated — freezing is what makes plan reuse, packing
-    /// each plan's weights once and ResNet's folded-BN capture sound.
+    /// owned and never mutated — freezing is what lets each plan pack its
+    /// weights once.
     ///
     /// Also pins the process-wide kernel choice (first caller wins), so
     /// every capture and replay this engine issues runs the same SIMD

@@ -134,6 +134,22 @@ fn take(len: usize, zero: bool) -> Vec<f32> {
     }
 }
 
+/// Lends a `len`-long vector from this thread's free list (or the
+/// allocator), its contents unspecified, to storage that is not a tensor's
+/// and lives longer: a kept inference plan's arena. Not counted as a live
+/// buffer. Hand it back with [`give_back`].
+pub fn lend(len: usize) -> Vec<f32> {
+    let v = take(len, false);
+    LIVE_BYTES.fetch_sub(v.capacity() * 4, Ordering::Relaxed);
+    v
+}
+
+/// Offers a vector back to this thread's free list, where the next tapes'
+/// buffers are carved from (dropped if over budget or too small).
+pub fn give_back(v: Vec<f32>) {
+    give(v);
+}
+
 /// Takes a zeroed, `len`-long vector — recycled if the pool has a fit.
 fn take_zeroed(len: usize) -> Vec<f32> {
     take(len, true)
