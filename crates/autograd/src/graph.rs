@@ -3,16 +3,19 @@
 use crate::opk::Mode;
 use crate::ops_basic::SCALE_G;
 use crate::table::{Attr, Entry, Io, Srcs, State};
-use legw_tensor::Tensor;
+use legw_tensor::{Shape, Tensor};
 
 /// A handle to a value on the tape. Cheap to copy; only valid for the
 /// [`Graph`] that created it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// One tape entry: a value and what produced it.
+/// One tape entry: a shape, a value unless a shape-only tape recorded a
+/// kernel's output (or a gradient contribution, which holds none), and
+/// what produced it.
 pub(crate) struct Node {
-    pub value: Tensor,
+    pub shape: Shape,
+    pub value: Option<Tensor>,
     pub requires_grad: bool,
     pub op: Op,
 }
@@ -54,6 +57,11 @@ pub const IGNORE_INDEX: usize = usize::MAX;
 /// A reverse-mode tape. Create one per forward pass, or keep one around
 /// and [`Graph::reset`] it between passes so the node `Vec` allocation is
 /// reused (real training tapes run to thousands of nodes).
+///
+/// [`Graph::new`] runs each op's kernel as it records it. A
+/// [`Graph::shape_only`] tape, what a [`crate::Plan`] is captured from,
+/// records the same nodes with their shapes and runs no kernel: its leaves
+/// keep their values, and a kernel output holds no buffer at all.
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     /// Leaves recorded via [`Graph::input`], in creation order — the
@@ -66,8 +74,8 @@ pub struct Graph {
     pub(crate) grads: Vec<Option<Var>>,
     /// The first backward's root and the index of its first node.
     pub(crate) bwd: Option<(Var, usize)>,
-    /// The value of nodes that hold none (gradient contributions).
-    empty: Tensor,
+    /// Whether recording runs each kernel.
+    eager: bool,
 }
 
 /// Initial node capacity: a PTB training tape records a few thousand nodes,
@@ -81,7 +89,7 @@ impl Default for Graph {
 }
 
 impl Graph {
-    /// An empty tape.
+    /// An empty eager tape.
     pub fn new() -> Self {
         Self {
             nodes: Vec::with_capacity(INITIAL_NODES),
@@ -89,8 +97,14 @@ impl Graph {
             states: Vec::new(),
             grads: Vec::new(),
             bwd: None,
-            empty: Tensor::zeros(&[1]),
+            eager: true,
         }
+    }
+
+    /// An empty shape-only tape: ops record their nodes and shapes and run
+    /// no kernel, so [`Graph::value`] panics on anything but a leaf.
+    pub fn shape_only() -> Self {
+        Self { eager: false, ..Self::new() }
     }
 
     /// Clears the tape for reuse by the next forward pass, keeping the
@@ -114,8 +128,8 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    pub(crate) fn push(&mut self, value: Tensor, requires_grad: bool, op: Op) -> Var {
-        self.nodes.push(Node { value, requires_grad, op });
+    fn push(&mut self, shape: Shape, value: Option<Tensor>, requires_grad: bool, op: Op) -> Var {
+        self.nodes.push(Node { shape, value, requires_grad, op });
         Var(self.nodes.len() - 1)
     }
 
@@ -123,13 +137,18 @@ impl Graph {
         self.nodes[v.0].requires_grad
     }
 
-    pub(crate) fn shape(&self, v: Var) -> Vec<usize> {
-        self.nodes[v.0].value.shape().to_vec()
+    /// The shape of `v`, on either kind of tape.
+    pub fn shape(&self, v: Var) -> Vec<usize> {
+        self.nodes[v.0].shape.dims().to_vec()
+    }
+
+    pub(crate) fn numel(&self, v: Var) -> usize {
+        self.nodes[v.0].shape.numel()
     }
 
     /// Records a constant input leaf (receives no gradient).
     pub fn input(&mut self, value: Tensor) -> Var {
-        let v = self.push(value, false, Op::Leaf);
+        let v = self.push(Shape::new(value.shape()), Some(value), false, Op::Leaf);
         self.inputs.push(v);
         v
     }
@@ -143,24 +162,23 @@ impl Graph {
 
     /// Records a parameter leaf (participates in backward).
     pub fn param(&mut self, value: Tensor) -> Var {
-        self.push(value, true, Op::Leaf)
+        self.push(Shape::new(value.shape()), Some(value), true, Op::Leaf)
     }
 
-    /// The forward value of `v`.
+    /// The forward value of `v`; on a shape-only tape, a leaf's only.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.nodes[v.0].value.as_ref().expect("a shape-only tape computes no value")
     }
 
     /// The accumulated gradient of `v`, if backward has reached it.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         let g = self.grads.get(v.0).copied().flatten()?;
-        Some(&self.nodes[g.0].value)
+        Some(self.value(g))
     }
 
     /// Records kernel `k` over `src` as a forward op with one output per
     /// shape in `outs`, and runs it. The op's node holds the last output;
-    /// the others are [`Op::Out`] nodes right before it. Outputs are fresh
-    /// pooled buffers left as they come: a store overwrites all of them.
+    /// the others are [`Op::Out`] nodes right before it.
     pub(crate) fn record(
         &mut self,
         k: &'static Entry,
@@ -172,7 +190,7 @@ impl Graph {
         let rg = src.iter().any(|&v| self.requires(v));
         let dst = outs
             .iter()
-            .map(|s| (self.push(Tensor::dirty(s), rg, Op::Out), Mode::Store))
+            .map(|s| (self.push(Shape::new(s), None, rg, Op::Out), Mode::Store))
             .collect();
         let st = st.map(|s| {
             self.states.push(s);
@@ -189,7 +207,7 @@ impl Graph {
     /// the gradients of `to` in order: the first contribution to a gradient
     /// stores into a new accumulator, later ones add. An output for a
     /// variable that needs no gradient lands in a throwaway accumulator;
-    /// nothing is appended if none of `to` needs one.
+    /// nothing is appended if none of `to` needs one. Runs it.
     pub(crate) fn contrib(
         &mut self,
         k: &'static Entry,
@@ -207,8 +225,7 @@ impl Graph {
             dst.push(match self.grads[v.0] {
                 Some(acc) if rg => (acc, Mode::Add),
                 _ => {
-                    let value = Tensor::dirty(self.nodes[v.0].value.shape());
-                    let acc = self.push(value, false, Op::Out);
+                    let acc = self.push(self.nodes[v.0].shape.clone(), None, false, Op::Out);
                     if rg {
                         self.grads[v.0] = Some(acc);
                     }
@@ -218,16 +235,21 @@ impl Graph {
         }
         let ins = Ins { k, src: src.to_vec(), dst, a, st };
         self.eval(&ins);
-        self.push(self.empty.clone(), false, Op::K(ins));
+        self.push(Shape::scalar(), None, false, Op::K(ins));
     }
 
-    /// Runs one kernel on the tape: its destinations are node values moved
-    /// out for the call, its sources the values of other nodes.
+    /// Runs one kernel on an eager tape (a shape-only one runs none): its
+    /// destinations are node values moved out for the call (a store's is a
+    /// fresh pooled buffer, which it overwrites), its sources the values of
+    /// other nodes.
     fn eval(&mut self, ins: &Ins) {
-        let (n, empty) = (ins.dst.len(), &self.empty);
+        if !self.eager {
+            return;
+        }
+        let n = ins.dst.len();
         let mut outs: [Option<Tensor>; 3] = std::array::from_fn(|j| {
-            let v = ins.dst.get(j)?.0;
-            Some(std::mem::replace(&mut self.nodes[v.0].value, empty.clone()))
+            let node = &mut self.nodes[ins.dst.get(j)?.0 .0];
+            Some(node.value.take().unwrap_or_else(|| Tensor::dirty(node.shape.dims())))
         });
         let mode = std::array::from_fn(|j| ins.dst.get(j).map_or(Mode::Store, |d| d.1));
         let lens: [usize; 3] = std::array::from_fn(|j| outs[j].as_ref().map_or(0, Tensor::numel));
@@ -235,8 +257,11 @@ impl Graph {
         let (mut scratch, mut acc) = ((f > 0).then(|| Tensor::dirty(&[f])), vec![0.0f64; d]);
         let mut it = outs.iter_mut().map(|t| t.as_mut().map_or(&mut [][..], Tensor::as_mut_slice));
         // The op's buffer leaves its state for the call, as the outputs
-        // leave their nodes.
-        let mut buf = ins.st.and_then(|s| self.states[s as usize].buf.take());
+        // leave their nodes; its forward takes a fresh one.
+        let mut buf = ins.st.and_then(|s| {
+            let st = &mut self.states[s as usize];
+            st.buf.take().or_else(|| (st.buf_len > 0).then(|| Tensor::dirty(&[st.buf_len])))
+        });
         (ins.k.run)(&mut Io {
             a: &ins.a,
             src: Srcs::Tape(&self.nodes, &ins.src),
@@ -251,7 +276,7 @@ impl Graph {
             self.states[s as usize].buf = buf;
         }
         for (&(v, _), t) in ins.dst.iter().zip(outs.into_iter().flatten()) {
-            self.nodes[v.0].value = t;
+            self.nodes[v.0].value = Some(t);
         }
     }
 
@@ -261,13 +286,9 @@ impl Graph {
     /// # Panics
     /// If `loss` is not scalar-shaped.
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(
-            self.nodes[loss.0].value.numel(),
-            1,
-            "backward() root must be a scalar, got {:?}",
-            self.nodes[loss.0].value.shape()
-        );
-        self.backward_seeded(loss, Tensor::ones(self.nodes[loss.0].value.shape()));
+        let shape = self.shape(loss);
+        assert_eq!(self.numel(loss), 1, "backward() root must be a scalar, got {shape:?}");
+        self.backward_seeded(loss, Tensor::ones(&shape));
     }
 
     /// [`Graph::backward`] with an explicit gradient `seed` for `root`.
@@ -284,7 +305,7 @@ impl Graph {
         let start = self.nodes.len();
         self.bwd.get_or_insert((root, start));
         self.grads.resize(start, None);
-        let seed = self.push(seed, false, Op::Leaf);
+        let seed = self.push(Shape::new(seed.shape()), Some(seed), false, Op::Leaf);
         match self.grads[root.0] {
             None => self.grads[root.0] = Some(seed),
             Some(_) => self.contrib(&SCALE_G, &[seed], &[root], Attr::s(1.0), None),
@@ -313,7 +334,7 @@ impl Graph {
             .filter(|(_, n)| matches!(n.op, Op::Leaf) && n.requires_grad)
             .map(|(i, n)| {
                 let g = self.grad(Var(i)).cloned();
-                (Var(i), g.unwrap_or_else(|| n.value.zeros_like()))
+                (Var(i), g.unwrap_or_else(|| Tensor::zeros(n.shape.dims())))
             })
             .collect()
     }

@@ -122,9 +122,9 @@ pub(crate) static COPY_BLOCK: Entry = Entry::new("CopyBlock", |io| {
     }
 })
 .grad(|g, n, u| {
-    let ([so, mut off, ..], total) = (n.a.n, g.value(n.me()).numel());
+    let ([so, mut off, ..], total) = (n.a.n, g.numel(n.me()));
     for &v in &n.src {
-        let len = (g.value(v).numel() - so).min(total - off);
+        let len = (g.numel(v) - so).min(total - off);
         g.contrib(&BLOCK_G, &[up(u)], &[v], Attr::n(&[off, so]), None);
         off += len;
     }
@@ -145,7 +145,7 @@ static CONCAT_COLS: Entry = Entry::new("ConcatColsF", |io| {
     let mut off = 0;
     for &p in &n.src {
         g.contrib(&COLS_BLOCK_G, &[up(u)], &[p], Attr::n(&[n.a.n[0], off]), None);
-        off += g.value(p).dim(1);
+        off += g.shape(p)[1];
     }
 });
 
@@ -330,7 +330,7 @@ impl Graph {
 
     /// Reinterprets under a new shape.
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
-        let n = self.value(a).numel();
+        let n = self.numel(a);
         assert_eq!(n, dims.iter().product::<usize>(), "cannot reshape {n} elements to {dims:?}");
         self.record(&COPY_BLOCK, &[a], &[dims], Attr::default(), None)
     }
@@ -338,7 +338,7 @@ impl Graph {
     /// Concatenates 2-D variables along columns.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols of nothing");
-        let rows = self.value(parts[0]).dim(0);
+        let rows = self.shape(parts[0])[0];
         let mut total = 0;
         for &p in parts {
             let s = self.shape(p);
@@ -360,7 +360,7 @@ impl Graph {
     /// `[T·B, n]` block with this.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_rows of nothing");
-        let cols = self.value(parts[0]).dim(1);
+        let cols = self.shape(parts[0])[1];
         let mut rows = 0;
         for &p in parts {
             let s = self.shape(p);

@@ -107,7 +107,7 @@ impl Graph {
     /// `c_prev` (`[B, H]`), returns `(h', c')` — two tape nodes backed by
     /// one cache-resident kernel pass and one closed-form backward.
     pub fn lstm_cell(&mut self, preact: Var, c_prev: Var) -> (Var, Var) {
-        let (b, hid) = (self.value(c_prev).dim(0), self.value(c_prev).dim(1));
+        let (b, hid) = (self.shape(c_prev)[0], self.shape(c_prev)[1]);
         let st = State::buf(b * 5 * hid);
         let (a, outs): (_, [&[usize]; 2]) = (Attr::n(&[b, hid]), [&[b, hid], &[b, hid]]);
         let h = self.record(&LSTM, &[preact, c_prev], &outs, a, Some(st));

@@ -3,7 +3,9 @@
 //!
 //! A tape after [`Graph::backward`] holds the whole step — the forward ops
 //! and, appended after them, the gradient contributions — as kernel nodes
-//! of one form ([`crate::table`]). [`Plan::capture`] compiles it node for
+//! of one form ([`crate::table`]). The compile reads their shapes and the
+//! leaves' values alone, so the tape may be a [`Graph::shape_only`] one,
+//! which computed nothing. [`Plan::capture`] compiles it node for
 //! node into instructions of that same form whose operands are resolved
 //! *locations*: caller-supplied inputs and parameters, captured constants,
 //! plan-owned outputs and parameter gradients, or slots of a preplanned
@@ -51,7 +53,7 @@ use crate::graph::{Graph, Op, Var};
 use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
 use crate::opk::Mode;
 use crate::table::{kept_zeros, Attr, Entry, Io, Role, Srcs, State};
-use legw_tensor::{PackedB, Tensor};
+use legw_tensor::{pool, PackedB, Tensor};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -189,8 +191,9 @@ struct Panel {
 
 /// The storage instructions read and write by location.
 pub(crate) struct Arena {
+    /// Empty until [`Arena::fill`], and while [`Plan::renew`] lends them.
     slots: Vec<Vec<f32>>,
-    /// Each slot's length, also while [`Plan::renew`] lends it out.
+    /// Each slot's length, also while it is empty.
     sizes: Vec<usize>,
     outs: Vec<Tensor>,
     grads: Vec<Tensor>,
@@ -265,11 +268,22 @@ impl Arena {
         p.epoch = self.epoch.max(1);
     }
 
+    /// Lends each empty slot a buffer of this thread's pool, unzeroed (a
+    /// replay writes a slot before it reads it): a plan never replayed
+    /// holds no arena.
+    fn fill(&mut self) {
+        for (slot, &len) in self.slots.iter_mut().zip(&self.sizes) {
+            if slot.is_empty() {
+                *slot = pool::lend(len);
+            }
+        }
+    }
+
     /// A copy with storage of its own for everything a replay writes —
     /// slots, outputs, gradients — sized alike and allocated exactly on
     /// this thread; the constants and panels are shared.
     fn copy(&self) -> Arena {
-        let own = |ts: &[Tensor]| ts.iter().map(kept_zeros).collect();
+        let own = |ts: &[Tensor]| ts.iter().map(|t| kept_zeros(t.shape())).collect();
         Arena {
             slots: self.sizes.iter().map(|&s| vec![0.0; s]).collect(),
             sizes: self.sizes.clone(),
@@ -422,22 +436,19 @@ impl Plan {
     }
 
     /// For a forward-only plan used now and then: `None` lends its arena
-    /// slots to this thread's buffer pool; `Some(params)` takes slots back if
-    /// lent (a replay writes a slot before reading it) and starts a parameter
-    /// version, every panel packed now from `params`, under this thread's
-    /// kernel tier and bf16 scope, into storage of its own if shared.
+    /// slots to this thread's buffer pool; `Some(params)` fills the empty
+    /// ones from it and starts a parameter version, every panel packed now
+    /// from `params`, under this thread's kernel tier and bf16 scope, into
+    /// storage of its own if shared.
     pub fn renew(&mut self, params: Option<&[&Tensor]>) {
         assert!(self.arena.forward_only, "renew on a training plan");
         let arena = &mut self.arena;
-        for (slot, &len) in arena.slots.iter_mut().zip(&arena.sizes) {
-            match params {
-                None => legw_tensor::pool::give_back(std::mem::take(slot)),
-                Some(_) if slot.is_empty() => *slot = legw_tensor::pool::lend(len),
-                Some(_) => {}
+        match params {
+            None => arena.slots.iter_mut().map(std::mem::take).for_each(pool::give_back),
+            Some(params) => {
+                arena.fill();
+                (0..arena.panels.len()).for_each(|i| arena.pack(i, params));
             }
-        }
-        if let Some(params) = params {
-            (0..arena.panels.len()).for_each(|i| arena.pack(i, params));
         }
     }
 
@@ -564,6 +575,7 @@ impl Plan {
     /// the arena, call the kernel on them and on its sources where they
     /// live, and put them back.
     fn run(&mut self, range: Range<usize>, inputs: &[&Tensor], params: &[&Tensor]) {
+        self.arena.fill();
         for ins in &self.prog[range] {
             let (src, dst) = (&self.locs[ins.src()], &self.locs[ins.dst()]);
             for &l in src {
@@ -638,7 +650,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
     assert!(n > 0, "capture of an empty tape");
     let fwd_end = g.bwd.map_or(n, |(_, start)| start.min(n));
     let forward_only = fwd_end == n;
-    let numel = |i: usize| g.nodes[i].value.numel();
+    let numel = |i: usize| g.nodes[i].shape.numel();
 
     // ---- every leaf is an input, a parameter or a captured constant
     let mut loc: Vec<Option<Loc>> = vec![None; n];
@@ -660,7 +672,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
             // Its leaf_grads entry could not be served.
             assert!(!node.requires_grad, "requires_grad leaf {i} is not in spec.params");
             loc[i] = Some(Loc::Const(consts.len() as u32));
-            consts.push(node.value.clone());
+            consts.push(g.value(Var(i)).clone());
         }
     }
 
@@ -673,16 +685,16 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         assert!(ok, "spec.outputs[{k}] is a leaf, a gradient or listed twice");
         loc[v.0] = Some(Loc::Out(outs.len() as u32));
         out_of_k.push(outs.len() as u32);
-        outs.push(kept_zeros(&g.nodes[v.0].value));
+        outs.push(kept_zeros(&g.shape(v)));
     }
     let mut loss_out = None;
     if let Some(l) = spec.loss {
         let node = &g.nodes[l.0];
-        let ok = node.value.numel() == 1 && node.requires_grad && !matches!(node.op, Op::Leaf);
+        let ok = node.shape.numel() == 1 && node.requires_grad && !matches!(node.op, Op::Leaf);
         assert!(ok, "the loss is not a computed, differentiable scalar");
         if loc[l.0].is_none() {
             loc[l.0] = Some(Loc::Out(outs.len() as u32));
-            outs.push(kept_zeros(&node.value));
+            outs.push(kept_zeros(node.shape.dims()));
         }
         loss_out = match loc[l.0] {
             Some(Loc::Out(k)) => Some(k),
@@ -830,7 +842,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
 
     // ---- storage + stats
     let states: Vec<State> = g.states.iter().map(State::fresh).collect();
-    let buf_len: Vec<usize> = g.states.iter().map(State::buf_len).collect();
+    let buf_len: Vec<usize> = g.states.iter().map(|s| s.buf_len).collect();
     let bufs: Vec<Vec<f32>> = if forward_only {
         vec![vec![0.0; buf_len.iter().copied().max().unwrap_or(0)]]
     } else {
@@ -865,7 +877,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         locs,
         nfwd,
         arena: Arena {
-            slots: phys_sizes.iter().map(|&s| vec![0.0f32; s]).collect(),
+            slots: phys_sizes.iter().map(|_| Vec::new()).collect(),
             sizes: phys_sizes,
             outs,
             // A forward-only plan never reads or writes parameter gradients,
@@ -873,7 +885,7 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
             grads: spec
                 .params
                 .iter()
-                .map(|&v| if forward_only { Tensor::zeros(&[1]) } else { kept_zeros(g.value(v)) })
+                .map(|&v| if forward_only { Tensor::zeros(&[1]) } else { kept_zeros(&g.shape(v)) })
                 .collect(),
             consts,
             panels,
@@ -1233,8 +1245,13 @@ mod tests {
     /// row-slices `W_x` / `W_h` feed the hoisted projection and the
     /// recurrent steps. With `reg`, `W_h` also feeds an elementwise L2 term
     /// — a reader that is not a GEMM.
-    fn fused_lstm_tape(x_pack: &Tensor, ps: &[&Tensor], labels: &[usize], reg: bool) -> LstmTape {
-        let mut g = Graph::new();
+    fn fused_lstm_tape(
+        mut g: Graph,
+        x_pack: &Tensor,
+        ps: &[&Tensor],
+        labels: &[usize],
+        reg: bool,
+    ) -> LstmTape {
         let xv = g.input(x_pack.clone());
         let h0 = g.input(Tensor::zeros(&[B, H]));
         let c0 = g.input(Tensor::zeros(&[B, H]));
@@ -1264,11 +1281,12 @@ mod tests {
         vec![t(seed, &[IN + H, 4 * H]), t(seed + 1, &[4 * H]), t(seed + 2, &[H, C])]
     }
 
-    /// Captures the fused-kernel chain and drops the capture tape, so the
-    /// parameter tensors are unshared again (as in the trainer, where an
-    /// optimizer step then updates them in place).
+    /// Captures the fused-kernel chain from shapes and drops the capture
+    /// tape, so the parameter tensors are unshared again (as in the
+    /// trainer, where an optimizer step then updates them in place).
     fn fused_lstm_plan(ps: &[Tensor], reg: bool) -> Plan {
-        let mut tape = fused_lstm_tape(&t(200, &[T * B, IN]), &ps.iter().collect::<Vec<_>>(), &[0, 1], reg);
+        let (x, ps) = (t(200, &[T * B, IN]), ps.iter().collect::<Vec<_>>());
+        let mut tape = fused_lstm_tape(Graph::shape_only(), &x, &ps, &[0, 1], reg);
         tape.g.backward(tape.loss);
         let spec = CaptureSpec {
             inputs: &tape.inputs,
@@ -1288,7 +1306,7 @@ mod tests {
         let pr: Vec<&Tensor> = ps.iter().collect();
         let zeros = Tensor::zeros(&[B, H]);
         plan.replay_step(&[&x, &zeros, &zeros], &pr, &Feeds { labels: &[&lab], ..Feeds::default() });
-        let mut fresh = fused_lstm_tape(&x, &pr, &lab, reg);
+        let mut fresh = fused_lstm_tape(Graph::new(), &x, &pr, &lab, reg);
         fresh.g.backward(fresh.loss);
         assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), what);
         for (k, &pvar) in fresh.params.iter().enumerate() {
@@ -1373,7 +1391,7 @@ mod tests {
             panic!("the W_h copy writes {:?}, not a slot", reg.locs[copy.dst().start]);
         };
         assert_eq!(len as usize, H * 4 * H, "{}", reg.describe());
-        assert!(reg.arena.slots[k as usize].len() >= H * 4 * H);
+        assert!(reg.arena.sizes[k as usize] >= H * 4 * H);
         assert_fused_step_matches_tape(&mut reg, &ps, 252, true, "W_h read by a non-GEMM too");
     }
 
@@ -1399,9 +1417,8 @@ mod tests {
         conv_out: Var,
     }
 
-    fn conv_tape(x: &Tensor, ps: &[&Tensor], labels: &[usize]) -> ConvTape {
+    fn conv_tape(mut g: Graph, x: &Tensor, ps: &[&Tensor], labels: &[usize]) -> ConvTape {
         let geom = Conv2dGeom { c: 3, h: 6, w: 6, kh: 3, kw: 3, stride: 1, pad: 1 };
-        let mut g = Graph::new();
         let xv = g.input(x.clone());
         let pv: Vec<Var> = ps.iter().map(|p| g.param((*p).clone())).collect();
         let (w, gamma, beta, w_o) = (pv[0], pv[1], pv[2], pv[3]);
@@ -1424,7 +1441,7 @@ mod tests {
         let ps0 = conv_params(71);
         let x0 = t(80, &[2, 3, 6, 6]);
         let lab0 = vec![0usize, 2];
-        let mut tape = conv_tape(&x0, &ps0.iter().collect::<Vec<_>>(), &lab0);
+        let mut tape = conv_tape(Graph::shape_only(), &x0, &ps0.iter().collect::<Vec<_>>(), &lab0);
         tape.g.backward(tape.loss);
         let spec = CaptureSpec {
             inputs: &[tape.x],
@@ -1440,7 +1457,7 @@ mod tests {
         let pr: Vec<&Tensor> = ps1.iter().collect();
         plan.replay_step(&[&x1], &pr, &Feeds { labels: &[&lab1], ..Feeds::default() });
 
-        let mut fresh = conv_tape(&x1, &pr, &lab1);
+        let mut fresh = conv_tape(Graph::new(), &x1, &pr, &lab1);
         fresh.g.backward(fresh.loss);
         assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), "conv loss");
         for (k, &pvar) in fresh.params.iter().enumerate() {
@@ -1504,13 +1521,13 @@ mod tests {
     }
 
     fn mixed_tape(
+        mut g: Graph,
         x2: &Tensor,
         table: &Tensor,
         sv: &Tensor,
         ids: &[usize],
         mask: &Tensor,
     ) -> MixedTape {
-        let mut g = Graph::new();
         let x2v = g.input(x2.clone());
         let tv = g.param(table.clone());
         let svv = g.param(sv.clone());
@@ -1545,7 +1562,7 @@ mod tests {
         let x20 = t(102, &[2, 12]);
         let ids0 = vec![1usize, 4, 6, 0];
         let mask0 = t(103, &[4, 6]);
-        let mut tape = mixed_tape(&x20, &table0, &sv0, &ids0, &mask0);
+        let mut tape = mixed_tape(Graph::shape_only(), &x20, &table0, &sv0, &ids0, &mask0);
         tape.g.backward(tape.loss);
         let spec = CaptureSpec {
             inputs: &[tape.x2],
@@ -1567,7 +1584,7 @@ mod tests {
         );
         plan.replay_backward_loss(&[&x21], &[&table1, &sv1]);
 
-        let mut fresh = mixed_tape(&x21, &table1, &sv1, &ids1, &mask1);
+        let mut fresh = mixed_tape(Graph::new(), &x21, &table1, &sv1, &ids1, &mask1);
         fresh.g.backward(fresh.loss);
         assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), "mixed loss");
         for (k, &pvar) in fresh.params.iter().enumerate() {
@@ -1577,6 +1594,26 @@ mod tests {
                 "mixed grad",
             );
         }
+    }
+
+    /// A shape-only tape records the eager tape's nodes and runs no kernel:
+    /// no output has a value, and the two compile into the same program.
+    #[test]
+    fn a_shape_only_tape_compiles_the_eager_tapes_program() {
+        let (table, sv, x2, mask) = (t(1, &[7, 6]), t(2, &[4, 1]), t(3, &[2, 12]), t(4, &[4, 6]));
+        let ids = [1usize, 4, 6, 0];
+        let plans = [Graph::new(), Graph::shape_only()].map(|g| {
+            let mut tape = mixed_tape(g, &x2, &table, &sv, &ids, &mask);
+            tape.g.backward(tape.loss);
+            let (params, loss) = (&tape.params[..], Some(tape.loss));
+            let spec = CaptureSpec { inputs: &[tape.x2], params, loss, outputs: &[] };
+            let plan = Plan::capture(&tape.g, &spec);
+            let computed = tape.g.nodes.iter().filter(|n| matches!(n.op, Op::Out | Op::K(_)));
+            (computed.filter(|n| n.value.is_some()).count(), plan.describe())
+        });
+        assert!(plans[0].0 > 0);
+        assert_eq!(plans[1].0, 0, "a shape-only tape computes nothing");
+        assert_eq!(plans[0].1, plans[1].1);
     }
 
     // ---- the two arms small shapes never reach ---------------------------

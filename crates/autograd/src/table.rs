@@ -47,12 +47,13 @@ pub(crate) fn flags(bits: &[bool]) -> usize {
 /// node that recorded the op and re-created, sized alike, in a plan.
 #[derive(Default)]
 pub(crate) struct State {
-    /// One f32 buffer, which a body sees as [`Io::buf`]: cross-entropy
-    /// probabilities; BatchNorm's `x̂`; an LSTM cell's gates, then
-    /// `tanh(c')`. The forward body writes all of it before reading any,
-    /// and only the op's backward reads what it wrote. The tape keeps the
-    /// buffer here, pooled; a plan keeps its buffers itself and leaves this
-    /// `None`.
+    /// The length of one f32 buffer, which a body sees as [`Io::buf`]:
+    /// cross-entropy probabilities; BatchNorm's `x̂`; an LSTM cell's gates,
+    /// then `tanh(c')`. The forward body writes all of it before reading
+    /// any, and only the op's backward reads what it wrote.
+    pub buf_len: usize,
+    /// That buffer on an eager tape, pooled, from the op's forward on; a
+    /// plan keeps its buffers itself and leaves this `None`.
     pub buf: Option<Tensor>,
     /// Embedding ids or cross-entropy labels — a per-replay feed.
     pub ids: Vec<usize>,
@@ -98,12 +99,7 @@ impl BnStats {
 
 impl State {
     pub(crate) fn buf(len: usize) -> State {
-        State { buf: Some(Tensor::dirty(&[len])), ..State::default() }
-    }
-
-    /// The length of [`State::buf`].
-    pub(crate) fn buf_len(&self) -> usize {
-        self.buf.as_ref().map_or(0, Tensor::numel)
+        State { buf_len: len, ..State::default() }
     }
 
     /// A BatchNorm op's batch statistics `(mean, var)` from its last
@@ -117,6 +113,7 @@ impl State {
     /// replay reuses when it is fed none, and no buffer.
     pub(crate) fn fresh(&self) -> State {
         State {
+            buf_len: self.buf_len,
             buf: None,
             ids: self.ids.clone(),
             mask: self.mask.clone(),
@@ -128,10 +125,10 @@ impl State {
     }
 }
 
-/// Zeros shaped like `t` for a buffer a plan keeps: allocated exactly,
+/// Zeros of shape `dims` for a buffer a plan keeps: allocated exactly,
 /// not taken from the pool, which may hand out twice the size.
-pub(crate) fn kept_zeros(t: &Tensor) -> Tensor {
-    Tensor::from_vec(vec![0.0; t.numel()], t.shape())
+pub(crate) fn kept_zeros(dims: &[usize]) -> Tensor {
+    Tensor::from_vec(vec![0.0; dims.iter().product()], dims)
 }
 
 /// Where a body's sources live: tape node values, or plan locations.
@@ -152,7 +149,7 @@ impl<'a> Srcs<'a> {
     /// Source `i`.
     pub(crate) fn get(&self, i: usize) -> &'a [f32] {
         match *self {
-            Srcs::Tape(nodes, s) => nodes[s[i].0].value.as_slice(),
+            Srcs::Tape(nodes, s) => nodes[s[i].0].value.as_ref().expect("eager").as_slice(),
             Srcs::Plan(arena, s, inputs, params) => arena.read(s[i], inputs, params),
         }
     }

@@ -9,8 +9,10 @@
 //! the caller's thread or a shard's, never on a kernel-pool worker, whose
 //! glibc malloc arena would keep its pages. So a shard captures its own
 //! plans, and on the one-shard executor the caller captures each shape
-//! from its first group ([`Infer::capture_infer`], keeping that group's
-//! result) and copies the plan for the other lanes ([`InferPlan::copy`]).
+//! from its first group and copies the plan for the other lanes
+//! ([`InferPlan::copy`]). A capture ([`Infer::capture_infer`]) records a
+//! shape-only tape and runs no kernel: a group whose plan was just
+//! captured computes its rows by replaying it, like every other group.
 //!
 //! The executor keeps the plans across calls, per model family, for the
 //! last model it evaluated ([`Infer::params`] and their shapes tell models
@@ -93,7 +95,6 @@ impl Executor {
             let groups: Vec<M::Batch> = ranges.into_iter().map(|r| group(c, r)).collect();
             let keys: Vec<_> = groups.iter().enumerate().map(|(j, g)| (model.infer_key(g), j)).collect();
             // The caller gives each group's lane a plan; a shard captures its own.
-            let mut captured: Vec<Option<Rows<M>>> = groups.iter().map(|_| None).collect();
             for (j, key) in keys.iter().enumerate() {
                 if sharded || plans.contains_key(key) {
                     continue;
@@ -101,8 +102,8 @@ impl Executor {
                 let plan = match plans.iter_mut().find(|(k, _)| k.0 == key.0) {
                     Some((_, plan)) => plan.copy(ps),
                     None => {
-                        let (plan, rows) = model.capture_infer(ps, &groups[j]);
-                        captured[j] = Some(rows);
+                        let mut plan = model.capture_infer(ps, &groups[j]);
+                        plan.renew(Some(ps)); // its arena, from the caller's pool
                         plan
                     }
                 };
@@ -111,26 +112,25 @@ impl Executor {
             // Each lane locks its own group's plan, once.
             let mut lanes: Vec<Option<Mutex<&mut M::Plan>>> = groups.iter().map(|_| None).collect();
             for (key, plan) in plans.iter_mut() {
-                if keys.get(key.1) == Some(key) && captured[key.1].is_none() {
+                if keys.get(key.1) == Some(key) {
                     lanes[key.1] = Some(Mutex::new(plan));
                 }
             }
             let computed = self.map_lanes(&lanes, |j, plan| match plan {
                 Some(plan) => {
                     let plan = &mut **plan.lock().unwrap_or_else(PoisonError::into_inner);
-                    (Some(model.replay_infer(plan, ps, &groups[j])), None)
+                    (model.replay_infer(plan, ps, &groups[j]), None)
                 }
-                None if !sharded => (None, None),
                 None => {
-                    let (plan, rows) = model.capture_infer(ps, &groups[j]);
-                    (Some(rows), Some(plan))
+                    let mut plan = model.capture_infer(ps, &groups[j]);
+                    (model.replay_infer(&mut plan, ps, &groups[j]), Some(plan))
                 }
             });
             drop(lanes);
             let mut chunk = Vec::new();
-            for ((key, (replayed, plan)), captured) in keys.into_iter().zip(computed).zip(captured) {
+            for (key, (rows, plan)) in keys.into_iter().zip(computed) {
                 plans.extend(plan.map(|plan| (key, plan)));
-                chunk.extend(captured.or(replayed).expect("every group computed"));
+                chunk.extend(rows);
             }
             out.push(chunk);
         }

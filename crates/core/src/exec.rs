@@ -9,11 +9,12 @@
 //! 1. the batch is split into `P` contiguous shards ([`Executor::shards`]
 //!    workers, configured via [`ExecConfig`]);
 //! 2. each shard runs concurrently into its own [`GradBuffer`] — no shared
-//!    `&mut ParamSet`. [`Executor::step`] records the shard's tape
-//!    ([`ShardStep::record`]) and runs its backward;
-//!    [`Executor::step_planned`] replays the shard's cached plan instead,
-//!    compiling the recorded tape on first sight of its shape. The two
-//!    share every other line and differ only in that per-shard body;
+//!    `&mut ParamSet`. [`Executor::step`] records the shard's eager tape
+//!    ([`ShardStep::record`]) and runs its backward: the oracle.
+//!    [`Executor::step_planned`] replays the shard's cached plan instead;
+//!    on first sight of a shape it records the shard on a shape-only tape,
+//!    which runs no kernel, compiles it and replays the plan. The two share
+//!    every other line and differ only in that per-shard body;
 //! 3. shard buffers are weighted by shard example counts and merged with
 //!    the fixed-order pairwise tree of [`crate::reduce_sched`], *streaming*
 //!    on every executor: each shard's buffer enters the tree the moment it
@@ -50,9 +51,10 @@
 
 use crate::plan_cache::PlanCache;
 use crate::reduce_sched::ReduceScheduler;
-use crate::steps::{ShardStep, ShardTape};
+use crate::steps::ShardStep;
+use legw_autograd::Graph;
 use legw_models::StepPlan;
-use legw_nn::{GradBuffer, ParamSet};
+use legw_nn::{Binding, GradBuffer, ParamSet};
 use legw_parallel::{default_threads, fork, with_pool, ThreadPool};
 use std::ops::Range;
 use std::sync::Arc;
@@ -365,24 +367,33 @@ impl Executor {
 }
 
 impl Executor {
-    /// One sharded training step of any [`ShardStep`] workload on the tape:
-    /// split, record and backward every shard (streaming the gradient
-    /// reduction as shards complete), apply the combined gradient into
-    /// `ps.grad` with the fused Σg² sweep. Returns the outcome plus the
-    /// per-shard extras in shard order. The caller clips/steps/zeroes as
-    /// usual.
+    /// One sharded training step of any [`ShardStep`] workload on the eager
+    /// tape — the oracle the planned step is held to: split, record and
+    /// backward every shard (streaming the gradient reduction as shards
+    /// complete), apply the combined gradient into `ps.grad` with the fused
+    /// Σg² sweep. Returns the outcome plus the per-shard extras in shard
+    /// order. The caller clips/steps/zeroes as usual.
     pub fn step<W: ShardStep>(&self, w: &W, ps: &mut ParamSet) -> (StepOutcome, Vec<W::Extra>) {
-        self.drive(w, ps, |ps, _, s| run_tape(w.record(ps, s), ps, |_| ()).1)
+        self.drive(w, ps, |ps, _, s| {
+            let (mut g, mut bd) = (Graph::new(), Binding::new());
+            let (loss, outputs) = w.record(&mut g, &mut bd, ps, s);
+            let extra = w.tape_extra(&g, &outputs, s);
+            g.backward(loss);
+            let mut grads = GradBuffer::for_params(ps);
+            bd.write_grads_to(&g, &mut grads);
+            ShardOut { grads, loss: g.value(loss).item() as f64, extra }
+        })
     }
 
     /// [`Executor::step`] with per-shard plan replay: each shard looks up
-    /// its [`ShardStep::plan_key`] in `cache` and replays the plan found;
-    /// on first sight of the key it records its tape as
-    /// [`Executor::step`] does, compiles that finished tape into the plan
-    /// it caches, and returns the tape's result. The two steps share every
-    /// other line, so they are interchangeable step by step — including
-    /// mid-run shape changes, which simply miss the cache and capture fresh
-    /// plans.
+    /// its [`ShardStep::plan_key`] in `cache` and replays the plan found.
+    /// On first sight of the key it records the shard on a shape-only tape,
+    /// compiles that ([`StepPlan::capture`]), caches the plan and replays it
+    /// for the shard's result, which the plan equivalence suites hold
+    /// bitwise to the tape's.
+    /// The two steps share every other line, so they are interchangeable
+    /// step by step — including mid-run shape changes, which simply miss
+    /// the cache and capture fresh plans.
     pub fn step_planned<W: ShardStep>(
         &self,
         w: &W,
@@ -390,25 +401,26 @@ impl Executor {
         cache: &PlanCache<StepPlan>,
     ) -> (StepOutcome, Vec<W::Extra>) {
         self.drive(w, ps, |ps, i, s| {
+            let replay = |plan: &mut StepPlan| {
+                let (loss, extra) = w.replay(ps, plan, s);
+                let mut grads = GradBuffer::for_params(ps);
+                plan.write_grads_to(&mut grads);
+                ShardOut { grads, loss, extra }
+            };
             // Shard i's slot is only ever touched by shard task i, so the
             // slot lock is uncontended; it exists to keep `PlanCache` Sync
             // across the worker threads.
             let capture = || {
-                let (plan, out) = run_tape(w.record(ps, s), ps, |t| {
-                    StepPlan::capture(&t.graph, &t.binding, t.loss, &t.outputs)
-                });
+                let mut plan = StepPlan::capture(|g, bd| w.record(g, bd, ps, s));
                 // Pre-size this worker's buffer pool to the plan's exact
-                // peak live set, so even the *first* replay allocates
-                // nothing. The capture runs on the shard's worker thread,
-                // so the prewarm (thread-local free list) lands where the
-                // replays will run.
+                // peak live set. The capture runs on the shard's worker
+                // thread, so the prewarm (thread-local free list) lands
+                // where the replays will run.
                 legw_tensor::pool::prewarm(plan.stats().peak_live_bytes);
+                let out = replay(&mut plan);
                 (plan, out)
             };
-            cache.with_plan(i, w.plan_key(s), capture, |plan| {
-                let (loss, extra) = w.replay(ps, plan, s);
-                replayed(plan, ps, loss, extra)
-            })
+            cache.with_plan(i, w.plan_key(s), capture, replay)
         })
     }
 
@@ -429,29 +441,6 @@ impl Executor {
         out.grad_sq_norm = grads.apply_with_sq_norm(ps);
         (out, extras)
     }
-}
-
-/// A recorded shard tape's result: backward from its loss, `then` on the
-/// finished tape (a plan-cache miss compiles it there), and the tape's
-/// gradients drained into a fresh buffer.
-fn run_tape<E, P>(
-    mut t: ShardTape<E>,
-    ps: &ParamSet,
-    then: impl FnOnce(&ShardTape<E>) -> P,
-) -> (P, ShardOut<E>) {
-    t.graph.backward(t.loss);
-    let then = then(&t);
-    let mut grads = GradBuffer::for_params(ps);
-    t.binding.write_grads_to(&t.graph, &mut grads);
-    (then, ShardOut { grads, loss: t.value, extra: t.extra })
-}
-
-/// A replayed shard's result: the gradients the replay left in `plan`,
-/// drained into a fresh buffer.
-fn replayed<E>(plan: &StepPlan, ps: &ParamSet, loss: f64, extra: E) -> ShardOut<E> {
-    let mut grads = GradBuffer::for_params(ps);
-    plan.write_grads_to(&mut grads);
-    ShardOut { grads, loss, extra }
 }
 
 #[cfg(test)]

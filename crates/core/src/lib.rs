@@ -17,14 +17,16 @@
 //!   reduction — streamed through [`reduce_sched`] as shards complete —
 //!   before the single optimizer step. The four workloads' steps plug in
 //!   via the one [`steps::ShardStep`] trait (split, weigh, reduce, key,
-//!   record a tape, replay a plan); the executor turns a recorded tape into
-//!   gradients, or into a plan.
-//! * [`plan_cache`] — compiled execution plans: the first recorded step
-//!   per (worker, shape) — forward and backward, one tape — is compiled
-//!   into a `legw_autograd` plan and replayed tape-free and
-//!   allocation-free by [`exec::Executor::step_planned`] from then on. A
+//!   record a tape, capture and replay a plan); the executor turns a
+//!   recorded tape, or a replayed plan, into gradients.
+//! * [`plan_cache`] — compiled execution plans: on first sight of a
+//!   (worker, shape), the step — forward and backward, one tape — is
+//!   recorded on a shape-only tape that runs no kernel, compiled into a
+//!   `legw_autograd` plan, and replayed tape-free and allocation-free by
+//!   [`exec::Executor::step_planned`], that first step included. A
 //!   capture cannot fail: a mis-specified one is a bug and panics, and
-//!   there is no tape fallback.
+//!   there is no tape fallback. The eager tape is the oracle,
+//!   [`exec::Executor::step`].
 //! * [`eval`] — the one held-out evaluation sweep of each model family
 //!   (`Executor::eval_*`), sharded like training.
 //! * [`apps`] — the Table 1 registry: per-application synthetic dataset
@@ -60,5 +62,5 @@ pub mod tuning;
 
 pub use exec::{ExecConfig, Executor, StepOutcome};
 pub use plan_cache::PlanCache;
-pub use steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep, ShardTape};
+pub use steps::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
 pub use trainer::{train, TrainReport, Workload};

@@ -5,6 +5,7 @@
 //! linearly in epochs.
 
 use crate::exec::{ExecConfig, Executor};
+use crate::plan_cache::PlanCache;
 use crate::steps::MnistStep;
 use crate::trainer::{env_executor, train, MnistWorkload};
 use legw_data::SynthMnist;
@@ -98,11 +99,12 @@ pub fn mnist_lipschitz_trace(
 
     let probe_idx: Vec<usize> = (0..probe_batch.min(data.train.len())).collect();
     let (probe_x, probe_y) = data.train.gather(&probe_idx);
-    // The probe's gradient is one serial tape step: the same bits at any
-    // shard count the training run uses.
+    // The probe's gradient is one serial step replayed from a kept plan:
+    // the tape's bits, at any shard count the training run uses.
     let serial = Executor::new(ExecConfig::default());
+    let plan = PlanCache::new(1);
     let mut grad_fn = |ps: &mut ParamSet| {
-        serial.step(&MnistStep { model: &model, bx: &probe_x, by: &probe_y }, ps);
+        serial.step_planned(&MnistStep { model: &model, bx: &probe_x, by: &probe_y }, ps, &plan);
     };
 
     let ipe = data.train.iters_per_epoch(schedule.batch_size());

@@ -2,8 +2,8 @@
 //!
 //! [`Executor::step`] records a fresh autograd tape per shard per step. For
 //! the shape-static workloads that tape is identical every step modulo the
-//! batch data, so `legw-autograd`'s `Plan` can freeze one step's tape into
-//! a static schedule and replay it with zero tape recording and
+//! batch data, so `legw-autograd`'s `Plan` can compile one step's shapes
+//! into a static schedule and replay it with zero tape recording and
 //! (steady-state) zero pool allocation. [`Executor::step_planned`] looks
 //! each shard's plan up in a [`PlanCache`]: one key→plan map per shard
 //! index. Keying by shard index keeps replay buffers thread-local (a plan's
@@ -12,8 +12,9 @@
 //! safe: a partial final batch simply captures its own plan, it never
 //! replays a mismatched one.
 //!
-//! First sight of a key costs one tape step plus the compile; every later
-//! step with that key skips tape construction entirely.
+//! First sight of a key costs one shape-only tape, which runs no kernel,
+//! the compile and one replay; every later step with that key skips tape
+//! construction entirely.
 
 use crate::exec::Executor;
 use std::collections::HashMap;
@@ -83,7 +84,8 @@ impl<P> PlanCache<P> {
 
     /// Runs `replay` on the plan cached under `(slot, key)`. On first sight
     /// of the key, `capture` runs instead: it compiles the plan, which is
-    /// cached, and returns it with its own result, which is returned. The
+    /// cached, and returns it with the call's result, which is returned (a
+    /// training step's capture replays the plan for it). The
     /// slot lock is held across either — a plan's replay arena is mutable
     /// scratch, so this is what serialises concurrent users of one slot
     /// (e.g. the inference server's batch worker vs. ad-hoc engine calls).

@@ -2,15 +2,16 @@
 //!
 //! A workload says what differs per family: how to *split* its batch, what
 //! each shard *weighs*, how shard results *reduce*, how to *record* one
-//! shard's forward on a fresh tape, and how to *key* and *replay* that
-//! shard as a compiled plan. The executor owns everything else, once — the
-//! backward and gradient drain of a recorded tape, the compile of that tape
-//! on a plan-cache miss, the drain after a replay, shard scheduling, the
-//! gradient reduction and applying the combined gradient. Its two entry
-//! points share every other line and differ only in the per-shard body:
-//! [`Executor::step`] runs every shard's tape (the reference the bitwise
-//! suites compare against), [`Executor::step_planned`] replays cached
-//! plans and is what [`crate::trainer::train`] steps through.
+//! shard's forward onto a tape, and how to *key* and *replay* that shard as
+//! a compiled plan. The executor owns everything else, once — the backward
+//! and gradient drain of an eager tape, the capture of a plan from a
+//! shape-only tape on a plan-cache miss, the drain after a replay, shard
+//! scheduling, the gradient reduction and applying the combined gradient.
+//! Its two entry points share every other line and differ only in the
+//! per-shard body: [`Executor::step`] runs every shard's eager tape (the
+//! oracle the bitwise suites compare against), [`Executor::step_planned`]
+//! replays cached plans, capturing one on a miss and replaying it at once,
+//! and is what [`crate::trainer::train`] steps through.
 //!
 //! Workload-specific post-processing stays next to the workload:
 //! [`PtbStep::merge_states`] reassembles the carried LSTM state and
@@ -23,25 +24,6 @@ use legw_data::{LmBatch, TranslationBatch};
 use legw_models::{LmState, MnistLstm, PtbLm, ResNet, Seq2Seq, StepPlan};
 use legw_nn::{Binding, DropCtx, ParamSet};
 use legw_tensor::Tensor;
-
-/// One shard's forward, recorded on its own tape: what
-/// [`ShardStep::record`] returns and the executor turns into gradients —
-/// and, on a plan-cache miss, into the plan that replays the shard.
-pub struct ShardTape<E> {
-    /// The tape, its forward recorded.
-    pub graph: Graph,
-    /// The parameters the tape bound.
-    pub binding: Binding,
-    /// The scalar loss the backward starts from.
-    pub loss: Var,
-    /// The loss value the shard reports (per [`Reduce`] semantics).
-    pub value: f64,
-    /// The tape values a replay reads back (the plan's outputs), in the
-    /// order [`ShardStep::replay`] reads them.
-    pub outputs: Vec<Var>,
-    /// The shard's extra payload (e.g. the carried LSTM state).
-    pub extra: E,
-}
 
 /// One data-parallel training workload: how a batch splits into shards and
 /// how one shard records its forward or replays its plan. Implementations
@@ -69,13 +51,19 @@ pub trait ShardStep: Sync {
     /// differ.
     fn plan_key(&self, shard: &Self::Shard) -> Vec<usize>;
 
-    /// Records one shard's forward and loss on a fresh tape. Must be
-    /// deterministic per shard — the executor may run it on any worker
-    /// thread.
-    fn record(&self, ps: &ParamSet, shard: &Self::Shard) -> ShardTape<Self::Extra>;
+    /// Records one shard's forward and scalar loss onto `g` — eager, or
+    /// shape-only for a plan — binding parameters through `bd`. Returns the
+    /// loss and the values a replay reads back. Must be deterministic per
+    /// shard: the executor may run it on any worker thread.
+    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, shard: &Self::Shard)
+        -> (Var, Vec<Var>);
 
-    /// Replays the plan compiled from this shard's [`ShardStep::record`]
-    /// tape, forward and backward, and returns the shard's `(loss, extra)`:
+    /// The shard's extra, read from its eager tape `g` and the `outputs`
+    /// [`ShardStep::record`] returned.
+    fn tape_extra(&self, g: &Graph, outputs: &[Var], shard: &Self::Shard) -> Self::Extra;
+
+    /// Replays the plan compiled from this shard's [`ShardStep::record`],
+    /// forward and backward, and returns the shard's `(loss, extra)`:
     /// bitwise what the tape reports.
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, shard: &Self::Shard)
         -> (f64, Self::Extra);
@@ -116,11 +104,13 @@ impl ShardStep for MnistStep<'_> {
         vec![sy.len()]
     }
 
-    fn record(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> ShardTape<()> {
-        let (graph, binding, loss, _) = self.model.forward_loss(ps, sx, sy);
-        let value = graph.value(loss).item() as f64;
-        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra: () }
+    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, (sx, sy): &Self::Shard)
+        -> (Var, Vec<Var>) {
+        let logits = self.model.forward(g, bd, ps, sx);
+        (g.softmax_cross_entropy(logits, sy), Vec::new())
     }
+
+    fn tape_extra(&self, _: &Graph, _: &[Var], _: &Self::Shard) {}
 
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sx, sy): &Self::Shard) -> (f64, ()) {
         (self.model.replay_step_plan(plan, ps, sx, sy) as f64, ())
@@ -205,13 +195,20 @@ impl ShardStep for PtbStep<'_> {
         vec![sw.tracks(), sw.inputs.len(), usize::from(self.drop.is_some())]
     }
 
-    /// The window's tape, with the final per-layer `[h, c]` as the values a
+    /// The window, with the final per-layer `[h, c]` as the values a
     /// replay reads back: the state it carries into the next window.
-    fn record(&self, ps: &ParamSet, (sw, ss, row0): &Self::Shard) -> ShardTape<LmState> {
-        let ctx = self.drop_ctx(*row0);
-        let (graph, binding, loss, value, extra, outputs) =
-            self.model.forward_loss_with(ps, sw, ss, ctx.as_ref());
-        ShardTape { graph, binding, loss, value, outputs, extra }
+    fn record(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        (sw, ss, row0): &Self::Shard,
+    ) -> (Var, Vec<Var>) {
+        self.model.record_window(g, bd, ps, sw, ss, self.drop_ctx(*row0).as_ref())
+    }
+
+    fn tape_extra(&self, g: &Graph, outputs: &[Var], _: &Self::Shard) -> LmState {
+        LmState::from_tape(g, outputs)
     }
 
     fn replay(
@@ -280,11 +277,17 @@ impl ShardStep for Seq2SeqStep<'_> {
         vec![sb.batch_size(), sb.src.len(), sb.dec_in.len(), usize::from(scale.is_some())]
     }
 
-    fn record(&self, ps: &ParamSet, (sb, scale): &Self::Shard) -> ShardTape<()> {
-        let (graph, binding, loss, value) =
-            self.model.forward_loss_scaled(ps, sb, scale.as_deref());
-        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra: () }
+    fn record(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        (sb, scale): &Self::Shard,
+    ) -> (Var, Vec<Var>) {
+        (self.model.record_loss(g, bd, ps, sb, scale.as_deref()), Vec::new())
     }
+
+    fn tape_extra(&self, _: &Graph, _: &[Var], _: &Self::Shard) {}
 
     fn replay(&self, ps: &ParamSet, plan: &mut StepPlan, (sb, scale): &Self::Shard) -> (f64, ()) {
         (self.model.replay_step_plan(plan, ps, sb, scale.as_deref()), ())
@@ -351,11 +354,14 @@ impl ShardStep for ResnetStep<'_> {
         sx.shape().to_vec()
     }
 
-    fn record(&self, ps: &ParamSet, (sx, sy): &Self::Shard) -> ShardTape<Self::Extra> {
-        let (graph, binding, loss, _) = self.model.forward_loss(ps, sx, sy);
-        let value = graph.value(loss).item() as f64;
-        let extra = (sy.len() as f32, owned(graph.bn_batch_stats()));
-        ShardTape { graph, binding, loss, value, outputs: Vec::new(), extra }
+    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, (sx, sy): &Self::Shard)
+        -> (Var, Vec<Var>) {
+        let logits = self.model.forward(g, bd, ps, sx, true);
+        (g.softmax_cross_entropy(logits, sy), Vec::new())
+    }
+
+    fn tape_extra(&self, g: &Graph, _: &[Var], (_, sy): &Self::Shard) -> Self::Extra {
+        (sy.len() as f32, owned(g.bn_batch_stats()))
     }
 
     fn replay(

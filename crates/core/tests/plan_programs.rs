@@ -107,9 +107,9 @@ const GOLDEN: [Golden; 10] = [
 /// six training steps — MNIST 128/128 at batch 32 and one shard of batch
 /// 256 on two; ResNet width 8 on 16×16 inputs, 12 classes, batch 128;
 /// seq2seq 32/32/24 at batch 16, whole and one shard of two; one PTB window
-/// with dropout, recorded by its `ShardStep` and compiled as the executor
-/// compiles it on a plan-cache miss — then the serving plans the benchmark's engines capture
-/// for a 64-row batch: the MNIST and ResNet (32×32 requests) forwards, and
+/// with dropout, captured by its `ShardStep` as the executor captures it
+/// on a plan-cache miss — then the serving plans the benchmark's engines
+/// capture for a 64-row batch: the MNIST and ResNet (32×32 requests) forwards, and
 /// the seq2seq encoder and decoder step.
 fn programs() -> Vec<(String, PlanStats)> {
     let two = Executor::new(ExecConfig::default().with_shards(2));
@@ -124,7 +124,7 @@ fn programs() -> Vec<(String, PlanStats)> {
     let (sx, sy) = &MnistStep { model: &model, bx: &bx, by: &by }.split(&two)[0];
     plans.push(model.capture_step_plan(&ps, sx, sy).expect("mnist shard"));
     let (tx, _) = mnist.test.gather(&(0..64).collect::<Vec<_>>());
-    let mnist_serve = model.capture_infer(&ps, &tx).0;
+    let mnist_serve = model.capture_infer(&ps, &tx);
 
     let images = SynthImageNet::generate_sized(2601, 12, 128, 12, 16);
     let mut ps = ParamSet::new();
@@ -135,7 +135,7 @@ fn programs() -> Vec<(String, PlanStats)> {
         (0..64 * 3 * 32 * 32).map(|i| ((i % 29) as f32 - 14.0) / 14.0).collect(),
         &[64, 3, 32, 32],
     );
-    let resnet_serve = model.capture_infer(&ps, &served).0;
+    let resnet_serve = model.capture_infer(&ps, &served);
 
     let text = SynthTranslation::generate_with(2501, 16, 4096, 256, 3, 5, false);
     let mut ps = ParamSet::new();
@@ -146,7 +146,7 @@ fn programs() -> Vec<(String, PlanStats)> {
     let (sb, scale) = &Seq2SeqStep { model: &model, batch }.split(&two)[0];
     plans.push(model.capture_step_plan(&ps, sb, scale.as_deref()).expect("seq2seq shard"));
     let sources: Vec<Vec<usize>> = text.test[..64].iter().map(|(s, _)| s.clone()).collect();
-    let seq2seq_serve = model.capture_infer(&ps, &TranslationBatch::for_inference(&sources)).0;
+    let seq2seq_serve = model.capture_infer(&ps, &TranslationBatch::for_inference(&sources));
 
     let ptb = SynthPtb::generate(5, 40, 5, 6000, 1200);
     let cfg = PtbLmConfig { vocab: 40, embed: 14, hidden: 14, layers: 2, keep: 0.7 };
@@ -156,9 +156,8 @@ fn programs() -> Vec<(String, PlanStats)> {
     let state = LmState::zeros(&cfg, 8);
     let drop = Some(DropPlan { seed: 77, step: 0 });
     let step = PtbStep { model: &model, window, state: &state, drop };
-    let mut tape = step.record(&ps, &step.split(&Executor::new(ExecConfig::default()))[0]);
-    tape.graph.backward(tape.loss);
-    plans.push(StepPlan::capture(&tape.graph, &tape.binding, tape.loss, &tape.outputs));
+    let shard = &step.split(&Executor::new(ExecConfig::default()))[0];
+    plans.push(StepPlan::capture(|g, bd| step.record(g, bd, &ps, shard)));
 
     let serving = [&mnist_serve, &resnet_serve, seq2seq_serve.encoder(), seq2seq_serve.step()];
     plans.iter().chain(serving).map(|p| (p.describe(), p.stats())).collect()

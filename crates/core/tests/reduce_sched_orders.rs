@@ -8,9 +8,10 @@
 use legw::exec::{ExecConfig, Executor, Reduce};
 use legw::reduce_sched::{tree_reduce, ReduceScheduler};
 use legw::{DropPlan, MnistStep, PtbStep, ResnetStep, Seq2SeqStep, ShardStep};
+use legw_autograd::Graph;
 use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{MnistLstm, ResNet, Seq2Seq, Seq2SeqConfig};
-use legw_nn::{GradBuffer, ParamId, ParamSet};
+use legw_nn::{Binding, GradBuffer, ParamId, ParamSet};
 use legw_tensor::Tensor;
 use legw_propcheck::prelude::*;
 use rand::rngs::StdRng;
@@ -161,18 +162,20 @@ fn step_with<W: ShardStep>(
     let weighted = split.len() > 1 && w.reduce() == Reduce::WeightedMean;
     let (mut bufs, mut loss, mut extras) = (Vec::new(), 0.0, Vec::new());
     for s in &split {
-        let mut tape = w.record(ps, s);
-        tape.graph.backward(tape.loss);
+        let (mut g, mut bd) = (Graph::new(), Binding::new());
+        let (l, outputs) = w.record(&mut g, &mut bd, ps, s);
+        extras.push(w.tape_extra(&g, &outputs, s));
+        g.backward(l);
         let mut buf = GradBuffer::for_params(ps);
-        tape.binding.write_grads_to(&tape.graph, &mut buf);
+        bd.write_grads_to(&g, &mut buf);
         let frac = w.weight(s) / total;
         if weighted {
             buf.scale(frac as f32);
         }
         // One shard reports its loss unscaled, as `0.0 + l` is `l`.
-        loss += if weighted { frac * tape.value } else { tape.value };
+        let value = g.value(l).item() as f64;
+        loss += if weighted { frac * value } else { value };
         bufs.push(buf);
-        extras.push(tape.extra);
     }
     tree_reduce(bufs).apply_with_sq_norm(ps);
     (loss.to_bits(), extras)

@@ -71,8 +71,9 @@ impl MnistLstm {
         (g, bd, loss, lv)
     }
 
-    /// Records one training step, forward and backward, and compiles it
-    /// into a replayable [`StepPlan`]. The tape's input signature is
+    /// Records one training step, forward and backward, on a shape-only
+    /// tape and compiles it into a replayable [`StepPlan`]. The tape's
+    /// input signature is
     /// `[packed rows, h0, c0]` (the order [`MnistLstm::forward`] creates
     /// them); labels enter as a feed. Always `Some`: the `Option` remains only
     /// because `crates/perf` unwraps it.
@@ -82,9 +83,10 @@ impl MnistLstm {
         batch: &Tensor,
         labels: &[usize],
     ) -> Option<StepPlan> {
-        let (mut g, bd, loss, _) = self.forward_loss(ps, batch, labels);
-        g.backward(loss);
-        Some(StepPlan::capture(&g, &bd, loss, &[]))
+        Some(StepPlan::capture(|g, bd| {
+            let logits = self.forward(g, bd, ps, batch);
+            (g.softmax_cross_entropy(logits, labels), Vec::new())
+        }))
     }
 
     /// Replays a captured step on a fresh batch of the same size:
@@ -154,10 +156,8 @@ impl crate::planned::Infer for MnistLstm {
 
     /// A forward-only plan whose single output is the logits; its input
     /// signature is `[packed rows, h0, c0]`, as in the training capture.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
-        let (g, bd, logits) = self.forward_infer(ps, batch);
-        let plan = StepPlan::capture_forward(&g, &bd, &[logits]);
-        (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+        StepPlan::capture_forward(|g, bd| vec![self.forward(g, bd, ps, batch)])
     }
 
     fn replay_infer(
@@ -357,8 +357,9 @@ mod tests {
         let (ps, m, d) = tiny();
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (batch, _) = d.train.gather(&[7, 8, 9]);
-        let (mut plan, captured) = m.capture_infer(&ps, &cap_batch);
-        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture returns its logits");
+        let mut plan = m.capture_infer(&ps, &cap_batch);
+        let captured = m.replay_infer(&mut plan, &ps, &cap_batch);
+        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture batch replays");
         let planned = m.replay_infer(&mut plan, &ps, &batch);
         let taped = m.infer_tape(&ps, &batch);
         assert_eq!(planned.len(), 3);

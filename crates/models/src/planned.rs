@@ -1,9 +1,10 @@
 //! Captured-plan execution of one model training step.
 //!
 //! [`StepPlan`] glues a [`legw_autograd::Plan`] to the `ParamSet` world:
-//! it captures a just-built tape using the tape's own positional input
-//! signature ([`legw_autograd::Graph::input_vars`]) and the binding's
-//! parameter order ([`legw_nn::Binding::bound`]), then replays steps
+//! it records a step on a shape-only tape and captures it using the tape's
+//! own positional input signature ([`legw_autograd::Graph::input_vars`])
+//! and the binding's parameter order ([`legw_nn::Binding::bound`]), then
+//! replays steps
 //! against fresh batch tensors with the parameter *values* read straight
 //! from the store and the parameter *gradients* written back by
 //! [`ParamId`]. Each model exposes a `capture_*_plan` constructor that
@@ -26,36 +27,39 @@ pub struct StepPlan {
 }
 
 impl StepPlan {
-    /// Compiles the training tape `g` — its forward and the backward that
-    /// [`Graph::backward`]`(loss)` recorded on it — into a plan; `outputs`
-    /// are further values read after each replay. The plan's inputs are the
-    /// tape's [`Graph::input`] leaves in creation order; its parameters are
-    /// the binding's bound parameters in binding order. Panics on a
-    /// mis-specified capture (an empty tape, a leaf that is neither an input
-    /// nor bound, a loss that is not the backward's scalar root, a leaf or
-    /// repeated output — see [`Plan::capture`]); there is no op a plan
-    /// cannot replay.
-    pub fn capture(g: &Graph, bd: &Binding, loss: Var, outputs: &[Var]) -> Self {
-        let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
-        let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
-        let spec =
-            CaptureSpec { inputs: g.input_vars(), params: &params, loss: Some(loss), outputs };
-        Self { plan: Plan::capture(g, &spec), ids }
+    /// Compiles a training step recorded on a shape-only tape, which runs
+    /// no kernel: `record` adds the forward, binding parameters through the
+    /// binding given, and returns the scalar loss, whose backward follows,
+    /// and the values read after each replay. The plan's inputs are the
+    /// tape's [`Graph::input`] leaves in order, its parameters the bound
+    /// ones in binding order. Panics on a mis-specified capture.
+    pub fn capture(record: impl FnOnce(&mut Graph, &mut Binding) -> (Var, Vec<Var>)) -> Self {
+        let (mut g, mut bd) = (Graph::shape_only(), Binding::new());
+        let (loss, outputs) = record(&mut g, &mut bd);
+        g.backward(loss);
+        Self::compile(&g, &bd, Some(loss), &outputs)
     }
 
-    /// Forward-only capture for inference: same wiring as
-    /// [`StepPlan::capture`], but via [`Plan::capture_forward`] — no
-    /// backward schedule, no gradient buffers, and a forward-liveness arena
-    /// — with weight panels packed once per parameter version: at their
-    /// first read, or for the first copy ([`InferPlan::copy`]), and again at
-    /// [`InferPlan::renew`]. Every replay of a version, through
-    /// [`StepPlan::replay_forward`], must be given the same parameter values;
-    /// [`StepPlan::replay_step`] panics on a plan captured this way.
-    pub fn capture_forward(g: &Graph, bd: &Binding, outputs: &[Var]) -> Self {
+    /// [`StepPlan::capture`] of a forward that returns its outputs, for
+    /// inference ([`Plan::capture_forward`]): weight panels are packed once
+    /// per parameter version, at their first read, for the first copy
+    /// ([`InferPlan::copy`]) or at [`InferPlan::renew`], so every replay of
+    /// a version must be given the same parameter values.
+    pub fn capture_forward(record: impl FnOnce(&mut Graph, &mut Binding) -> Vec<Var>) -> Self {
+        let (mut g, mut bd) = (Graph::shape_only(), Binding::new());
+        let outputs = record(&mut g, &mut bd);
+        Self::compile(&g, &bd, None, &outputs)
+    }
+
+    fn compile(g: &Graph, bd: &Binding, loss: Option<Var>, outputs: &[Var]) -> Self {
         let params: Vec<Var> = bd.bound().iter().map(|&(_, v)| v).collect();
         let ids: Vec<ParamId> = bd.bound().iter().map(|&(id, _)| id).collect();
-        let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss: None, outputs };
-        Self { plan: Plan::capture_forward(g, &spec), ids }
+        let spec = CaptureSpec { inputs: g.input_vars(), params: &params, loss, outputs };
+        let plan = match loss {
+            Some(_) => Plan::capture(g, &spec),
+            None => Plan::capture_forward(g, &spec),
+        };
+        Self { plan, ids }
     }
 
     fn param_values<'a>(&self, ps: &'a ParamSet) -> Vec<&'a Tensor> {
@@ -126,8 +130,9 @@ pub trait InferPlan: Send {
     fn copy(&mut self, ps: &ParamSet) -> Self;
 
     /// For a plan kept between uses: `None` lends its arena to this thread's
-    /// buffer pool, `Some(ps)` takes one back and starts a parameter version,
-    /// every weight panel packed again from `ps` ([`Plan::renew`]).
+    /// buffer pool, `Some(ps)` takes one from it — also a fresh capture's,
+    /// which has none — and starts a parameter version, every weight panel
+    /// packed again from `ps` ([`Plan::renew`]).
     fn renew(&mut self, ps: Option<&ParamSet>);
 }
 
@@ -172,8 +177,10 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
 /// greedy decoding is data-dependent, so `Seq2Seq` replays its encoder plan
 /// once and a decoder-step plan once per token, looped from Rust.
 ///
-/// A plan captures no value: every replay reads the parameters, and ResNet's
-/// BatchNorm fold. Its weight panels are packed once per parameter version,
+/// A plan is captured from shapes ([`StepPlan::capture_forward`]) and
+/// captures no value: every replay reads the parameters, and ResNet's
+/// BatchNorm fold. The eager tape stays as the oracle, [`Infer::infer_tape`].
+/// A plan's weight panels are packed once per parameter version,
 /// and again at [`InferPlan::renew`]: serving is the single version, eval
 /// starts one per call. Another thread replays a copy of a plan
 /// ([`InferPlan::copy`]), which shares the panels. A batch's row groups
@@ -220,17 +227,11 @@ pub trait Infer: Sync {
     /// shape dimensions the capture freezes).
     fn infer_key(&self, batch: &Self::Batch) -> Vec<usize>;
 
-    /// Captures the plan for this batch shape from the tapes that compute
-    /// this batch, and returns their result with it, one `(output, carried
-    /// state)` per row: a cache miss costs the compile, not a second
-    /// forward. A capture that fails is a bug in the model's capture, and
-    /// panics with its cause.
-    #[allow(clippy::type_complexity)] // the plan, and one (output, carried state) per row
-    fn capture_infer(
-        &self,
-        ps: &ParamSet,
-        batch: &Self::Batch,
-    ) -> (Self::Plan, Vec<(Self::Out, Self::RowState)>);
+    /// Captures the plan for this batch shape from a shape-only tape: no
+    /// kernel runs and no value of `batch` is read, so the plan computes
+    /// nothing until it replays ([`Infer::replay_infer`]). A capture that
+    /// fails is a bug in the model's capture, and panics with its cause.
+    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> Self::Plan;
 
     /// Replays a captured plan on the batch, building no tape, and returns
     /// one `(output, carried state)` per row — bitwise the result of
@@ -243,7 +244,8 @@ pub trait Infer: Sync {
     ) -> Vec<(Self::Out, Self::RowState)>;
 
     /// The live-tape forward on the same batch — the equivalence oracle
-    /// the planned path is tested against.
+    /// the planned path is tested against, and what a serving miss
+    /// computes its rows with.
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch)
         -> Vec<(Self::Out, Self::RowState)>;
 }

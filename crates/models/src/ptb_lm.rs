@@ -71,6 +71,12 @@ impl LmState {
         )
     }
 
+    /// The state an eager tape computed at `vars`: each layer's `h`, then
+    /// its `c`.
+    pub fn from_tape(g: &Graph, vars: &[Var]) -> LmState {
+        Self(vars.chunks(2).map(|hc| (g.value(hc[0]).clone(), g.value(hc[1]).clone())).collect())
+    }
+
     /// Each layer's `(h, c)`, `[batch, hidden]` each.
     pub fn layers(&self) -> &[(Tensor, Tensor)] {
         &self.0
@@ -135,28 +141,43 @@ impl PtbLm {
         batch: &LmBatch,
         state: &LmState,
     ) -> (Graph, Binding, Var, f64, LmState) {
-        let (g, bd, loss, nll, carried, _) = self.forward_loss_with(ps, batch, state, None);
-        (g, bd, loss, nll, carried)
+        self.forward_loss_with(ps, batch, state, None)
     }
 
     /// [`PtbLm::forward_loss`] with an optional dropout context. `Some`
     /// enables the training-mode masks (a no-op for `keep = 1.0` models);
     /// `None` is the evaluation path. Runs the sequence-hoisted LSTM path
-    /// ([`Lstm::forward_seq`]). Also returns the final per-layer `[h, c]`
-    /// variables: compiled as a plan's outputs, they are what
-    /// [`PtbLm::replay_window_plan`] carries across windows. Token ids,
-    /// targets, and dropout masks enter a plan as feeds, so capture with
-    /// the dropout context the training loop will replay with — the mask
-    /// *count* is frozen into the plan, the mask *values* are per-replay.
-    #[allow(clippy::type_complexity)] // the tape, its loss and the carried state
+    /// ([`Lstm::forward_seq`]).
     pub fn forward_loss_with(
         &self,
         ps: &ParamSet,
         batch: &LmBatch,
         state: &LmState,
         drop: Option<&DropCtx>,
-    ) -> (Graph, Binding, Var, f64, LmState, Vec<Var>) {
+    ) -> (Graph, Binding, Var, f64, LmState) {
         let (mut g, mut bd) = (Graph::new(), Binding::new());
+        let (loss, finals) = self.record_window(&mut g, &mut bd, ps, batch, state, drop);
+        let nll = g.value(loss).item() as f64;
+        let carried = LmState::from_tape(&g, &finals);
+        (g, bd, loss, nll, carried)
+    }
+
+    /// Records one window of [`PtbLm::forward_loss_with`] onto `g`, eager
+    /// or shape-only. Returns the mean per-token loss and the final
+    /// per-layer `[h, c]`: compiled as a plan's outputs, they are what
+    /// [`PtbLm::replay_window_plan`] carries across windows. Token ids,
+    /// targets and dropout masks enter a plan as feeds, so capture with the
+    /// dropout context the training loop will replay with — the mask
+    /// *count* is frozen into the plan, the mask *values* are per-replay.
+    pub fn record_window(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        batch: &LmBatch,
+        state: &LmState,
+        drop: Option<&DropCtx>,
+    ) -> (Var, Vec<Var>) {
         let dropout = match (&self.drop, drop) {
             (Some(d), Some(ctx)) => Some((d, ctx)),
             _ => None,
@@ -172,23 +193,23 @@ impl PtbLm {
             .iter()
             .enumerate()
             .map(|(t, ids)| {
-                let e = self.embedding.forward(&mut g, &mut bd, ps, ids);
+                let e = self.embedding.forward(g, bd, ps, ids);
                 match dropout {
-                    Some((d, ctx)) => d.forward_train(&mut g, e, ctx, 2 * t as u64),
+                    Some((d, ctx)) => d.forward_train(g, e, ctx, 2 * t as u64),
                     None => e,
                 }
             })
             .collect();
-        let (outputs, final_states) = self.lstm.forward_seq(&mut g, &mut bd, ps, &xs, states);
+        let (outputs, final_states) = self.lstm.forward_seq(g, bd, ps, &xs, states);
 
         let t_len = outputs.len();
         let mut total: Option<Var> = None;
         for (t, (out, tgt)) in outputs.iter().zip(&batch.targets).enumerate() {
             let h = match dropout {
-                Some((d, ctx)) => d.forward_train(&mut g, *out, ctx, 2 * t as u64 + 1),
+                Some((d, ctx)) => d.forward_train(g, *out, ctx, 2 * t as u64 + 1),
                 None => *out,
             };
-            let logits = self.head.forward(&mut g, &mut bd, ps, h);
+            let logits = self.head.forward(g, bd, ps, h);
             let step_loss = g.softmax_cross_entropy(logits, tgt);
             total = Some(match total {
                 Some(acc) => g.add(acc, step_loss),
@@ -196,15 +217,12 @@ impl PtbLm {
             });
         }
         let loss = g.scale(total.expect("window has at least one step"), 1.0 / t_len as f32);
-        let nll = g.value(loss).item() as f64;
-        let carried = carried(&g, &final_states);
-        let outputs = final_states.iter().flat_map(|s| [s.h, s.c]).collect();
-        (g, bd, loss, nll, carried, outputs)
+        (loss, final_states.iter().flat_map(|s| [s.h, s.c]).collect())
     }
 
-    /// Replays the plan compiled from a [`PtbLm::forward_loss_with`] window
-    /// tape, its final states as the outputs, on a fresh batch/state of the
-    /// same shape: forward + backward without a tape. Mirrors
+    /// Replays the plan compiled from a [`PtbLm::record_window`] window on a
+    /// fresh batch/state of the same shape: forward + backward without a
+    /// tape. Mirrors
     /// [`PtbLm::forward_loss_with`]: returns the mean NLL and the detached
     /// carried state; gradients are read with [`StepPlan::write_grads_to`].
     pub fn replay_window_plan(
@@ -248,35 +266,31 @@ impl PtbLm {
     /// Records a loss-free next-token inference window onto `g`: embeds the
     /// time-major ids, runs the hoisted LSTM from `state`, and applies the
     /// head at the *last* position only (a streaming next-token query).
-    /// No dropout — inference is always eval-mode. Returns the binding, the
-    /// logits variable `[B, vocab]`, and the final per-layer states.
-    fn infer_window_tape(
+    /// No dropout — inference is always eval-mode. Returns the logits
+    /// variable `[B, vocab]` followed by the final per-layer `[h, c]`.
+    fn infer_window(
         &self,
         g: &mut Graph,
+        bd: &mut Binding,
         ps: &ParamSet,
         inputs_tm: &[Vec<usize>],
         state: &LmState,
-    ) -> (Binding, Var, Vec<LstmState>) {
-        let mut bd = Binding::new();
+    ) -> Vec<Var> {
         let mut states = Vec::with_capacity(state.0.len());
         for (h, c) in &state.0 {
             states.push(LstmState { h: g.input(h.clone()), c: g.input(c.clone()) });
         }
         let mut xs = Vec::with_capacity(inputs_tm.len());
         for ids in inputs_tm {
-            xs.push(self.embedding.forward(g, &mut bd, ps, ids));
+            xs.push(self.embedding.forward(g, bd, ps, ids));
         }
-        let (outputs, finals) = self.lstm.forward_seq(g, &mut bd, ps, &xs, states);
+        let (outputs, finals) = self.lstm.forward_seq(g, bd, ps, &xs, states);
         let last = *outputs.last().expect("window has at least one step");
-        let logits = self.head.forward(g, &mut bd, ps, last);
-        (bd, logits, finals)
+        let logits = self.head.forward(g, bd, ps, last);
+        std::iter::once(logits).chain(finals.iter().flat_map(|s| [s.h, s.c])).collect()
     }
 }
 
-/// The detached values of the final per-layer states.
-fn carried(g: &Graph, finals: &[LstmState]) -> LmState {
-    LmState(finals.iter().map(|s| (g.value(s.h).clone(), g.value(s.c).clone())).collect())
-}
 
 impl crate::planned::Infer for PtbLm {
     type Req = Vec<usize>;
@@ -328,17 +342,8 @@ impl crate::planned::Infer for PtbLm {
     /// are layer `l`'s final `h` / `c`, so replays carry streaming state
     /// across requests. Inputs are the per-layer `[h, c]` states; token ids
     /// enter as feeds.
-    fn capture_infer(
-        &self,
-        ps: &ParamSet,
-        batch: &Self::Batch,
-    ) -> (StepPlan, Vec<(Vec<f32>, LmState)>) {
-        let mut g = Graph::new();
-        let (bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
-        let mut outputs = vec![logits];
-        outputs.extend(finals.iter().flat_map(|s| [s.h, s.c]));
-        let plan = StepPlan::capture_forward(&g, &bd, &outputs);
-        (plan, per_row(g.value(logits), &carried(&g, &finals)))
+    fn capture_infer(&self, ps: &ParamSet, batch: &Self::Batch) -> StepPlan {
+        StepPlan::capture_forward(|g, bd| self.infer_window(g, bd, ps, &batch.0, &batch.1))
     }
 
     fn replay_infer(
@@ -358,9 +363,9 @@ impl crate::planned::Infer for PtbLm {
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch) -> Vec<(Vec<f32>, LmState)> {
-        let mut g = Graph::new();
-        let (_bd, logits, finals) = self.infer_window_tape(&mut g, ps, &batch.0, &batch.1);
-        per_row(g.value(logits), &carried(&g, &finals))
+        let (mut g, mut bd) = (Graph::new(), Binding::new());
+        let outputs = self.infer_window(&mut g, &mut bd, ps, &batch.0, &batch.1);
+        per_row(g.value(outputs[0]), &LmState::from_tape(&g, &outputs[1..]))
     }
 }
 
@@ -419,7 +424,8 @@ mod tests {
             }
             let loss = g.scale(total.unwrap(), 1.0 / xs.len() as f32);
             let nll = g.value(loss).item() as f64;
-            let carried = carried(&g, &st);
+            let finals: Vec<Var> = st.iter().flat_map(|s| [s.h, s.c]).collect();
+            let carried = LmState::from_tape(&g, &finals);
             (g, bd, loss, nll, carried)
         }
     }
@@ -561,9 +567,9 @@ mod tests {
         let s0 = LmState::zeros(m.config(), 4);
         let ctx = DropCtx { seed: 1, step: 0, row0: 0 };
         let (_, _, _, nll_eval, _) = m.forward_loss(&ps, &w[0], &s0);
-        let (_, _, _, nll_train, _, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
+        let (_, _, _, nll_train, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
         assert_ne!(nll_eval, nll_train, "masks must perturb the training loss");
-        let (_, _, _, nll_replay, _, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
+        let (_, _, _, nll_replay, _) = m.forward_loss_with(&ps, &w[0], &s0, Some(&ctx));
         assert_eq!(nll_train, nll_replay, "same stream key replays the same masks");
     }
 
@@ -577,13 +583,13 @@ mod tests {
         let reqs: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
         let states = vec![m.zero_state(); 3];
         let batch = m.assemble(&reqs, &states);
-        let (mut plan, captured) = m.capture_infer(&ps, &batch);
+        let mut plan = m.capture_infer(&ps, &batch);
 
         // First window primes a non-zero carried state per row.
         let first = m.replay_infer(&mut plan, &ps, &batch);
         assert!(first[0].1 .0[0].0.l2_norm() > 0.0, "state must move off zero");
-        for ((la, sa), (lb, sb)) in captured.iter().zip(&first) {
-            assert_eq!(la, lb, "the capture returns its tape's logits");
+        for ((la, sa), (lb, sb)) in m.infer_tape(&ps, &batch).iter().zip(&first) {
+            assert_eq!(la, lb, "the first window's logits are the tape's");
             for ((ha, ca), (hb, cb)) in sa.0.iter().zip(&sb.0) {
                 assert_eq!((ha.as_slice(), ca.as_slice()), (hb.as_slice(), cb.as_slice()));
             }

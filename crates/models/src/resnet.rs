@@ -159,8 +159,8 @@ impl ResNet {
         (g, bd, loss, lv)
     }
 
-    /// Records one training step, forward and backward, and compiles it
-    /// into a replayable [`StepPlan`]. Always `Some`: the `Option` remains
+    /// Records one training step, forward and backward, on a shape-only
+    /// tape and compiles it into a replayable [`StepPlan`]. Always `Some`: the `Option` remains
     /// only because `crates/perf` unwraps it.
     pub fn capture_step_plan(
         &self,
@@ -168,9 +168,10 @@ impl ResNet {
         images: &Tensor,
         labels: &[usize],
     ) -> Option<StepPlan> {
-        let (mut g, bd, loss, _) = self.forward_loss(ps, images, labels);
-        g.backward(loss);
-        Some(StepPlan::capture(&g, &bd, loss, &[]))
+        Some(StepPlan::capture(|g, bd| {
+            let logits = self.forward(g, bd, ps, images, true);
+            (g.softmax_cross_entropy(logits, labels), Vec::new())
+        }))
     }
 
     /// Replays a captured step on a fresh same-shape batch: forward +
@@ -303,10 +304,8 @@ impl crate::planned::Infer for ResNet {
     /// images, then each BatchNorm's folded scale and shift in
     /// `ResNet::batch_norms` order, so the plan captures no value: it stays
     /// valid under new parameters and new running statistics.
-    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> (StepPlan, Vec<(Vec<f32>, ())>) {
-        let (g, bd, logits) = self.forward_infer(ps, batch);
-        let plan = StepPlan::capture_forward(&g, &bd, &[logits]);
-        (plan, crate::planned::tensor_rows(g.value(logits)).into_iter().map(|r| (r, ())).collect())
+    fn capture_infer(&self, ps: &ParamSet, batch: &Tensor) -> StepPlan {
+        StepPlan::capture_forward(|g, bd| vec![self.forward(g, bd, ps, batch, false)])
     }
 
     /// No feeds: the inputs are the images and every BatchNorm's scale and
@@ -429,8 +428,9 @@ mod tests {
         }
         let (cap_batch, _) = d.train.gather(&[0, 1, 2]);
         let (fresh, _) = d.test.gather(&[3, 4, 5]);
-        let (mut plan, captured) = m.capture_infer(&ps, &cap_batch);
-        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture returns its logits");
+        let mut plan = m.capture_infer(&ps, &cap_batch);
+        let captured = m.replay_infer(&mut plan, &ps, &cap_batch);
+        assert_eq!(captured, m.infer_tape(&ps, &cap_batch), "the capture batch replays");
         let planned = m.replay_infer(&mut plan, &ps, &fresh);
         let taped = m.infer_tape(&ps, &fresh);
         for ((a, ()), (b, ())) in planned.iter().zip(&taped) {

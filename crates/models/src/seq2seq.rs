@@ -177,10 +177,23 @@ impl Seq2Seq {
     ) -> (Graph, Binding, Var, f64) {
         let mut g = Graph::new();
         let mut bd = Binding::new();
-        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        let loss = self.decode_loss(&mut g, &mut bd, ps, &enc, batch, step_scale);
+        let loss = self.record_loss(&mut g, &mut bd, ps, batch, step_scale);
         let nll = g.value(loss).item() as f64;
         (g, bd, loss, nll)
+    }
+
+    /// Records [`Seq2Seq::forward_loss_scaled`]'s encoder, teacher-forced
+    /// decoder and loss onto `g`, eager or shape-only, and returns the loss.
+    pub fn record_loss(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        batch: &TranslationBatch,
+        step_scale: Option<&[f32]>,
+    ) -> Var {
+        let enc = self.encode(g, bd, ps, &batch.src);
+        self.decode_loss(g, bd, ps, &enc, batch, step_scale)
     }
 
     /// Teacher-forced decoder + loss over an already-encoded source.
@@ -222,8 +235,8 @@ impl Seq2Seq {
     }
 
     /// Records one whole teacher-forced training step — encoder, attention
-    /// decoder, the per-step cross-entropies and their backward — and
-    /// compiles it into a replayable [`StepPlan`]. Nothing in it is
+    /// decoder, the per-step cross-entropies and their backward — on a
+    /// shape-only tape, and compiles it into a replayable [`StepPlan`]. Nothing in it is
     /// data-dependent: training batches are padded to the corpus maximum,
     /// tokens and targets enter as feeds and the shard loss scales as
     /// inputs, so one plan serves every batch with the same `(batch, source
@@ -235,9 +248,9 @@ impl Seq2Seq {
         batch: &TranslationBatch,
         step_scale: Option<&[f32]>,
     ) -> Option<StepPlan> {
-        let (mut g, bd, loss, _) = self.forward_loss_scaled(ps, batch, step_scale);
-        g.backward(loss);
-        Some(StepPlan::capture(&g, &bd, loss, &[]))
+        Some(StepPlan::capture(|g, bd| {
+            (self.record_loss(g, bd, ps, batch, step_scale), Vec::new())
+        }))
     }
 
     /// Replays a captured step on a fresh batch of the same shape: forward +
@@ -296,15 +309,9 @@ impl Seq2Seq {
         nll
     }
 
-    /// Greedy decoding of one padded batch on one tape, encoder and every
-    /// decoder step recorded on it: the oracle the planned decoder is held
-    /// to, reached through [`crate::Infer::infer_tape`].
-    fn greedy_decode(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<Vec<usize>> {
-        self.greedy_loop(batch.batch_size(), self.tape_steps(ps, batch))
-    }
-
-    /// The tape decoder's steps: encodes `batch` on a tape, then each call
-    /// records one decoder step on that tape and returns its logits.
+    /// The tape decoder's steps, the oracle the planned decoder is held to:
+    /// encodes `batch` on a tape, then each call records one decoder step
+    /// on that tape and returns its logits.
     fn tape_steps<'a>(
         &'a self,
         ps: &'a ParamSet,
@@ -350,61 +357,6 @@ impl Seq2Seq {
             }
         }
         hyps
-    }
-
-    /// Compiles `batch`'s encoder tape into the encoder plan, and the tape
-    /// of its first decoder step — a tape of its own, over the encoder's
-    /// values — into the step plan. Returns the plans holding the state
-    /// after that step, the encoder's outputs (the T states, then their T
-    /// projections), and that step's logits.
-    fn capture_plans(
-        &self,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> (Seq2SeqPlan, Vec<Tensor>, Tensor) {
-        let (b, t_len) = (batch.batch_size(), batch.src.len());
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let enc = self.encode(&mut g, &mut bd, ps, &batch.src);
-        let mut outputs: Vec<Var> = enc.states.iter().chain(&enc.proj).copied().collect();
-        outputs.push(enc.last.c);
-        let encoder = StepPlan::capture_forward(&g, &bd, &outputs);
-        let enc_out: Vec<Tensor> =
-            outputs[..2 * t_len].iter().map(|&v| g.value(v).clone()).collect();
-
-        let zeros = Tensor::zeros(&[b, self.cfg.hidden]);
-        let (h, c) = (g.value(enc.last.h), g.value(enc.last.c));
-        let init = [zeros.clone(), zeros.clone(), h.clone(), c.clone()];
-        let (step, first, state) = {
-            let (sg, sbd, outs) = self.step_tape(ps, &init, &enc_out, &vec![legw_data::BOS; b]);
-            let step = StepPlan::capture_forward(&sg, &sbd, &outs);
-            let state = std::array::from_fn(|k| sg.value(outs[1 + k]).clone());
-            (step, sg.value(outs[0]).clone(), state)
-        }; // the step tape drops here, leaving `state` the only owner of its buffers
-        (Seq2SeqPlan { encoder, step, zeros, state }, enc_out, first)
-    }
-
-    /// One decoder step on a tape of its own, the tape a step plan is
-    /// compiled from: the recurrent `state` (decoder layer 0's `h`, `c`,
-    /// then layer 1's) and the encoder outputs `enc` (the T states, then
-    /// their T projections) enter as inputs in that order, `tokens` as the
-    /// embedding's ids. Returns the tape, its binding, and the logits
-    /// followed by the four new states.
-    fn step_tape(
-        &self,
-        ps: &ParamSet,
-        state: &[Tensor],
-        enc: &[Tensor],
-        tokens: &[usize],
-    ) -> (Graph, Binding, [Var; 5]) {
-        let mut g = Graph::new();
-        let mut bd = Binding::new();
-        let ins: Vec<Var> = state.iter().chain(enc).map(|t| g.input(t.clone())).collect();
-        let (s, e) = ins.split_at(4);
-        let (s0, s1) = (LstmState { h: s[0], c: s[1] }, LstmState { h: s[2], c: s[3] });
-        let states = e.split_at(e.len() / 2);
-        let (logits, n0, n1) = self.decode_step(&mut g, &mut bd, ps, states, tokens, s0, s1);
-        (g, bd, [logits, n0.h, n0.c, n1.h, n1.c])
     }
 }
 
@@ -477,20 +429,14 @@ impl Seq2SeqPlan {
     /// The planned decoder's steps over the encoder outputs `enc`: each
     /// call replays the step plan on the recurrent state and the previous
     /// tokens, copies its new states into the recurrent state, the next
-    /// call's inputs, and returns its logits. `first`, the first step's
-    /// logits when a capture tape has just computed them, is returned by
-    /// the first call instead. No replay packs a panel but the first of a
-    /// parameter version ([`InferPlan::renew`] starts one).
+    /// call's inputs, and returns its logits. No replay packs a panel but
+    /// the first of a parameter version ([`InferPlan::renew`] starts one).
     fn steps<'a>(
         &'a mut self,
         ps: &'a ParamSet,
         enc: Vec<Tensor>,
-        mut first: Option<Tensor>,
     ) -> impl FnMut(&[usize]) -> Tensor + 'a {
         move |tokens| {
-            if let Some(logits) = first.take() {
-                return logits;
-            }
             let inputs: Vec<&Tensor> = self.state.iter().chain(&enc).collect();
             let ids = [tokens];
             self.step.replay_forward(ps, &inputs, &Feeds { ids: &ids, ..Feeds::default() });
@@ -533,17 +479,28 @@ impl crate::planned::Infer for Seq2Seq {
         vec![batch.batch_size(), batch.src.len()]
     }
 
-    /// Compiles the encoder, and the first decoder step, from the tapes
-    /// that compute them for this batch; the decode goes on from that step
-    /// by replaying the step plan.
-    fn capture_infer(
-        &self,
-        ps: &ParamSet,
-        batch: &TranslationBatch,
-    ) -> (Seq2SeqPlan, Vec<(Vec<usize>, ())>) {
-        let (mut plan, enc, first) = self.capture_plans(ps, batch);
-        let hyps = self.greedy_loop(batch.batch_size(), plan.steps(ps, enc, Some(first)));
-        (plan, hyps.into_iter().map(|h| (h, ())).collect())
+    /// Compiles the encoder, and one decoder step, from shape-only tapes
+    /// of this batch's shape. The step's inputs, zeros read for their
+    /// shapes alone, are the recurrent state (decoder layer 0's `h`, `c`,
+    /// then layer 1's), the T encoder states and their T projections; the
+    /// previous tokens are its embedding's ids.
+    fn capture_infer(&self, ps: &ParamSet, batch: &TranslationBatch) -> Seq2SeqPlan {
+        let (b, t_len, h) = (batch.batch_size(), batch.src.len(), self.cfg.hidden);
+        let encoder = StepPlan::capture_forward(|g, bd| {
+            let enc = self.encode(g, bd, ps, &batch.src);
+            enc.states.iter().chain(&enc.proj).copied().chain([enc.last.c]).collect()
+        });
+        let step = StepPlan::capture_forward(|g, bd| {
+            let width = |k| if k < 4 + t_len { h } else { self.cfg.attn };
+            let ins: Vec<Var> =
+                (0..4 + 2 * t_len).map(|k| g.input(Tensor::zeros(&[b, width(k)]))).collect();
+            let (s0, s1) = (LstmState { h: ins[0], c: ins[1] }, LstmState { h: ins[2], c: ins[3] });
+            let (enc, tokens) = (ins[4..].split_at(t_len), vec![legw_data::BOS; b]);
+            let (logits, n0, n1) = self.decode_step(g, bd, ps, enc, &tokens, s0, s1);
+            vec![logits, n0.h, n0.c, n1.h, n1.c]
+        });
+        let state = std::array::from_fn(|_| Tensor::zeros(&[b, h]));
+        Seq2SeqPlan { encoder, step, zeros: Tensor::zeros(&[b, h]), state }
     }
 
     /// Greedy decoding with no tape: the encoder plan replays once, then the
@@ -558,18 +515,20 @@ impl crate::planned::Infer for Seq2Seq {
         batch: &TranslationBatch,
     ) -> Vec<(Vec<usize>, ())> {
         let enc = plan.encode(ps, batch);
-        let hyps = self.greedy_loop(batch.batch_size(), plan.steps(ps, enc, None));
+        let hyps = self.greedy_loop(batch.batch_size(), plan.steps(ps, enc));
         hyps.into_iter().map(|h| (h, ())).collect()
     }
 
     fn infer_tape(&self, ps: &ParamSet, batch: &TranslationBatch) -> Vec<(Vec<usize>, ())> {
-        self.greedy_decode(ps, batch).into_iter().map(|h| (h, ())).collect()
+        let hyps = self.greedy_loop(batch.batch_size(), self.tape_steps(ps, batch));
+        hyps.into_iter().map(|h| (h, ())).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planned::Infer;
     use legw_data::SynthTranslation;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -607,7 +566,7 @@ mod tests {
     fn greedy_decode_shapes_and_token_range() {
         let (ps, m, d) = tiny();
         let batch = &d.batches(false, 8)[0];
-        let hyps = m.greedy_decode(&ps, batch);
+        let hyps: Vec<Vec<usize>> = m.infer_tape(&ps, batch).into_iter().map(|r| r.0).collect();
         assert_eq!(hyps.len(), 8);
         for h in &hyps {
             assert!(h.len() <= 8);
@@ -721,14 +680,14 @@ mod tests {
         batch: &TranslationBatch,
         plan: &mut Seq2SeqPlan,
     ) -> Vec<Vec<usize>> {
-        use crate::planned::Infer;
         let b = batch.batch_size();
         let (mut tape_log, mut cap_log, mut rep_log) = (Vec::new(), Vec::new(), Vec::new());
         let tape = m.greedy_loop(b, logged(m.tape_steps(ps, batch), &mut tape_log));
-        let (mut captured, enc, first) = m.capture_plans(ps, batch);
-        let cap = m.greedy_loop(b, logged(captured.steps(ps, enc, Some(first)), &mut cap_log));
+        let mut captured = m.capture_infer(ps, batch);
+        let enc = captured.encode(ps, batch);
+        let cap = m.greedy_loop(b, logged(captured.steps(ps, enc), &mut cap_log));
         let enc = plan.encode(ps, batch);
-        let rep = m.greedy_loop(b, logged(plan.steps(ps, enc, None), &mut rep_log));
+        let rep = m.greedy_loop(b, logged(plan.steps(ps, enc), &mut rep_log));
         assert_eq!(cap, tape, "decoding through the plans just captured");
         assert_eq!(rep, tape, "decoding through plans captured on another batch");
         assert_eq!(tape_log.len(), cap_log.len());
@@ -738,7 +697,6 @@ mod tests {
         let rows = |out: Vec<(Vec<usize>, ())>| -> Vec<Vec<usize>> {
             out.into_iter().map(|(h, ())| h).collect()
         };
-        assert_eq!(rows(m.capture_infer(ps, batch).1), tape, "Infer::capture_infer");
         assert_eq!(rows(m.replay_infer(plan, ps, batch)), tape, "Infer::replay_infer");
         assert_eq!(rows(m.infer_tape(ps, batch)), tape, "Infer::infer_tape");
         tape
@@ -769,7 +727,7 @@ mod tests {
             p.value.axpy(0.25, &v);
         }
         for b in [1, 2, 64] {
-            let mut plan = m.capture_plans(&captured_under, &batch_of(&d, 0, b)).0;
+            let mut plan = m.capture_infer(&captured_under, &batch_of(&d, 0, b));
             let mut copy = plan.copy(&ps);
             assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut copy);
             assert_decoders_agree(&m, &ps, &batch_of(&d, 7, b), &mut plan);
@@ -801,7 +759,7 @@ mod tests {
         let bias = m.classifier.b.expect("the classifier has a bias");
         ps.get_mut(bias).value.as_mut_slice()[EOS] += (margins[i - 1] + margins[i]) / 2.0;
 
-        let mut plan = m.capture_plans(&ps, &batch_of(&d, 40, 8)).0;
+        let mut plan = m.capture_infer(&ps, &batch_of(&d, 40, 8));
         let hyps = assert_decoders_agree(&m, &ps, &batch, &mut plan);
         assert_eq!(hyps.iter().filter(|h| h.is_empty()).count(), i, "{hyps:?}");
     }
@@ -812,7 +770,7 @@ mod tests {
         let (mut ps, m, d) = tiny();
         let bias = m.classifier.b.expect("the classifier has a bias");
         ps.get_mut(bias).value.as_mut_slice()[EOS] = -1e4;
-        let mut plan = m.capture_plans(&ps, &batch_of(&d, 11, 4)).0;
+        let mut plan = m.capture_infer(&ps, &batch_of(&d, 11, 4));
         let hyps = assert_decoders_agree(&m, &ps, &batch_of(&d, 20, 4), &mut plan);
         assert!(hyps.iter().all(|h| h.len() == m.cfg.max_decode), "{hyps:?}");
     }

@@ -44,8 +44,8 @@ fn assert_rows_split_exactly<M: Infer, K: PartialEq + Debug>(
         for r in &split {
             let b = group(r.clone());
             tape.extend(keys(m.infer_tape(ps, &b)));
-            let (plan, out) = m.capture_infer(ps, &b);
-            captured.extend(keys(out));
+            let mut plan = m.capture_infer(ps, &b);
+            captured.extend(keys(m.replay_infer(&mut plan, ps, &b)));
             let plan = plans.entry(r.len()).or_insert(plan);
             replayed.extend(keys(m.replay_infer(plan, ps, &b)));
         }

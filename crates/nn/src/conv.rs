@@ -59,11 +59,11 @@ impl Conv2d {
 
     /// Applies the convolution to `x [N,C,H,W]`.
     pub fn forward(&self, g: &mut Graph, b: &mut Binding, ps: &ParamSet, x: Var) -> Var {
-        let xv = g.value(x);
+        let xs = g.shape(x);
         let mut geom = self.geom_template;
-        geom.h = xv.dim(2);
-        geom.w = xv.dim(3);
-        assert_eq!(xv.dim(1), geom.c, "channel mismatch into conv");
+        geom.h = xs[2];
+        geom.w = xs[3];
+        assert_eq!(xs[1], geom.c, "channel mismatch into conv");
         let w = b.bind(g, ps, self.w);
         g.conv2d(x, w, geom)
     }

@@ -116,7 +116,7 @@ impl Dropout {
         if self.keep >= 1.0 {
             return x;
         }
-        let shape = g.value(x).shape().to_vec();
+        let shape = g.shape(x);
         assert_eq!(shape.len(), 2, "row-streamed dropout expects a [rows, cols] activation");
         let mask = self.mask(shape[0], shape[1], ctx, site);
         g.dropout(x, mask)

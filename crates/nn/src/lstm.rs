@@ -109,7 +109,7 @@ impl LstmCell {
     /// loop. `W_x` is a row-slice view of the fused kernel (same
     /// `ParamId`, same checkpoint layout).
     pub fn preact_seq(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, x_pack: Var) -> Var {
-        assert_eq!(g.value(x_pack).dim(1), self.in_dim, "preact_seq input width");
+        assert_eq!(g.shape(x_pack)[1], self.in_dim, "preact_seq input width");
         let w = bd.bind(g, ps, self.w);
         let b = bd.bind(g, ps, self.b);
         let w_x = g.slice_rows(w, 0, self.in_dim);
@@ -139,7 +139,7 @@ impl LstmCell {
         batch: usize,
         state: LstmState,
     ) -> (Vec<Var>, LstmState) {
-        assert_eq!(g.value(x_pack).dim(0), t_len * batch, "preact_seq packed rows");
+        assert_eq!(g.shape(x_pack)[0], t_len * batch, "preact_seq packed rows");
         let seq = self.preact_seq(g, bd, ps, x_pack);
         let w = bd.bind(g, ps, self.w); // same node preact_seq bound (deduped)
         let w_h = g.slice_rows(w, self.in_dim, self.in_dim + self.hidden);
@@ -165,7 +165,7 @@ impl LstmCell {
         state: LstmState,
     ) -> (Vec<Var>, LstmState) {
         assert!(!xs.is_empty(), "forward_seq over an empty sequence");
-        let batch = g.value(xs[0]).dim(0);
+        let batch = g.shape(xs[0])[0];
         let x_pack = g.concat_rows(xs);
         self.forward_seq_packed(g, bd, ps, x_pack, xs.len(), batch, state)
     }
@@ -256,7 +256,7 @@ impl Lstm {
         if xs.is_empty() {
             return (Vec::new(), state);
         }
-        let batch = g.value(xs[0]).dim(0);
+        let batch = g.shape(xs[0])[0];
         let t_len = xs.len();
         let mut layer_in: Vec<Var> = xs.to_vec();
         for (l, cell) in self.cells.iter().enumerate() {

@@ -29,19 +29,21 @@ type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
 /// split changes no served bit.
 ///
 /// The first batch of a given shape is a miss, computed on the caller's
-/// thread and pool: every group runs on the model's tapes, and the first
-/// group of each distinct group shape is compiled into that shape's plan.
-/// A miss costs one compile per group shape and no second forward. The
-/// shape's first hit gives every group past the first of its shape a copy
-/// of that shape's plan ([`InferPlan::copy`]: an arena of its own, the
-/// weight panels shared), also on the caller, so a shape seen once holds
-/// one plan per group shape, never replayed. From then on each batch of that shape
+/// thread and pool: every group's rows come from the model's eager tape
+/// ([`Infer::infer_tape`]), and each distinct group shape gets its plan
+/// from a shape-only tape ([`Infer::capture_infer`], which runs no kernel).
+/// The miss replays nothing, and a captured plan holds no arena: an
+/// engine that serves a shape once keeps no arena pages (DESIGN.md §12).
+/// The shape's first hit, also on the caller, gives each captured plan
+/// its arena ([`InferPlan::renew`]) and every group past the first of its
+/// shape a copy of that shape's plan ([`InferPlan::copy`]: an arena of its
+/// own, the weight panels shared). From then on each batch of that shape
 /// replays on every lane with no tape, no gradient buffers and, at steady
 /// state, no pool allocation — for seq2seq, an encoder replay and one
 /// decoder-step replay per token. A kernel-pool worker only replays: a
 /// tape recorded on one would stay resident in its malloc arena. A capture
 /// that fails is a bug in the model's capture and panics with its cause;
-/// nothing serves from the live graph.
+/// after a shape's miss, nothing serves from the live graph.
 ///
 /// Frozen parameters are what make this cheap. A plan reads the parameters
 /// at every replay, but packs its weight panels once per parameter version
@@ -146,19 +148,17 @@ impl<M: Infer> InferEngine<M> {
             .expect("one row in, one row out")
     }
 
-    /// A miss: every group on the tape, the first group of each shape
-    /// `keys` names compiled into that shape's plan. Returns the plans, in
-    /// order of their shapes' first groups, and every row's result.
+    /// A miss: every group on the tape, and one plan per distinct group
+    /// shape `keys` names, captured from that shape alone. Returns the
+    /// plans, in order of their shapes' first groups, and every row's
+    /// result.
     fn capture(&self, groups: &[M::Batch], keys: &[Vec<usize>]) -> (Vec<M::Plan>, Rows<M>) {
         let (mut plans, mut out) = (Vec::new(), Vec::new());
         for (i, group) in groups.iter().enumerate() {
-            if keys[..i].contains(&keys[i]) {
-                out.extend(self.model.infer_tape(&self.ps, group));
-            } else {
-                let (plan, rows) = self.model.capture_infer(&self.ps, group);
-                plans.push(plan);
-                out.extend(rows);
+            if !keys[..i].contains(&keys[i]) {
+                plans.push(self.model.capture_infer(&self.ps, group));
             }
+            out.extend(self.model.infer_tape(&self.ps, group));
         }
         (plans, out)
     }
@@ -174,7 +174,9 @@ impl<M: Infer> InferEngine<M> {
         keys: &[Vec<usize>],
     ) -> Rows<M> {
         if plans.len() < groups.len() {
-            let mut captured = std::mem::take(plans).into_iter();
+            let mut captured = std::mem::take(plans);
+            captured.iter_mut().for_each(|plan| self.scoped(|| plan.renew(Some(&self.ps))));
+            let mut captured = captured.into_iter();
             for (i, key) in keys.iter().enumerate() {
                 let plan = match keys[..i].iter().position(|k| k == key) {
                     Some(j) => self.scoped(|| plans[j].copy(&self.ps)),

@@ -75,16 +75,18 @@ cargo test -q "${flags[@]}" -p legw-serve -- --test-threads=1
 # them run again on the tiers detection did not pick: the tensor crate with
 # its cross-tier dispatch matrix, the autograd crate's plan-vs-tape suites
 # (the plan unit tests, random chains, gradient fuzzing, pack traffic), the
-# models crate's plan-vs-tape unit tests (the planned greedy decoder among
-# them), the core crate's evaluation sweeps and shard equivalence (seq2seq
-# evaluation decodes through the plans' weight panels), plan replay against
-# the tape, ResNet's trained bits pinned to constants (what plan and tape
-# share, neither can check), and the two serving suites (frozen forward, bf16
-# panels).
+# models crate's plan-vs-tape tests (the planned greedy decoder among them,
+# and plans captured from NaN batches and weights replaying the tape), the
+# core crate's evaluation sweeps and shard equivalence (seq2seq evaluation
+# decodes through the plans' weight panels), plan replay against the tape,
+# ResNet's trained bits pinned to constants (what plan and tape share,
+# neither can check), and the serving suites (frozen forward, bf16 panels,
+# and the steady-state pool test, alone in its process because it reads the
+# process-wide pool counters).
 tiers=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then tiers+=(avx2); fi
 for tier in "${tiers[@]}"; do
-  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, bf16_serving"
+  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, steady_state_pool, bf16_serving"
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-tensor
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-autograd
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-models
@@ -93,6 +95,7 @@ for tier in "${tiers[@]}"; do
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test plan_replay_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test resnet_bits
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test freeze_equivalence
+  LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test steady_state_pool
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test bf16_serving -- --test-threads=1
 done
 
