@@ -7,22 +7,26 @@
 //! products with it: the output is `w · im2colᵀ`, the weight gradient
 //! `up · im2col`, the input gradient the fold (col2im) of `wᵀ · up`.
 //!
-//! None of them builds it. The GEMM engine packs its operands a block at a
-//! time, and the pack loops here gather those blocks straight from the
-//! images: [`pack_pixels`] as panels of output pixels (the forward's B),
-//! [`pack_taps`] as panels of taps (the weight gradient's B), and
-//! [`pack_planes`] reads an NCHW gradient as `[channels, pixels]` (the
-//! weight gradient's A). The forward writes each image's product straight
-//! into its NCHW block, and the input gradient reads `up`'s planes as they
-//! are, so no permute runs either. Each product sums the same terms in the
-//! same order as the lowering it replaced, so every bit is the lowering's;
-//! the tests hold the kernels to that lowering, built from serial oracles.
+//! None of them builds it. The forward multiplies straight from the image:
+//! each image is copied once, laid out by [`ImageCopy`] so that every tap's
+//! im2col row is a contiguous run of the copy, and the GEMM micro-tile
+//! loads each k-step's B row from the copy at that tap's offset instead of
+//! from a packed panel. The weight gradient's operands are packed a block
+//! at a time by the loops here, gathered straight from the images:
+//! [`pack_taps`] as panels of taps (its B), and [`pack_planes`] reads an
+//! NCHW gradient as `[channels, pixels]` (its A). The forward writes each
+//! image's product straight into its NCHW block, and the input gradient
+//! reads `up`'s planes as they are, so no permute runs either. Each product
+//! sums the same terms in the same order as the lowering it replaced, so
+//! every bit is the lowering's; the tests hold the kernels to that
+//! lowering, built from serial oracles.
 
 use crate::gemm::{self, zero_tail};
 use crate::kernels::PackElem;
 use crate::pool::Buffer;
 use crate::tensor::Tensor;
 use legw_parallel::{current, par_chunks_mut};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: input/kernel/stride/padding extents and
 /// the derived output size.
@@ -71,11 +75,16 @@ impl Conv2dGeom {
 
 /// Conv2d forward: `out [n, oc, oh, ow]` from images `x [n, c, h, w]` and
 /// a weight `w [oc, c·kh·kw]`. Per image one GEMM, `w · Unfold(xᵢ)ᵀ`, whose
-/// B panels are gathered straight from the image and whose product is the
-/// image's NCHW output block; every element of `out` is overwritten.
+/// B rows the micro-tile reads in place from one copy of the image
+/// (`ImageCopy`: zero-padded, its stride phases split out) at per-tap
+/// offsets, and whose product is the image's NCHW output block; every
+/// element of `out` is overwritten. Work is split over images, and over
+/// pixel ranges too when there are fewer than two images per lane.
 ///
 /// Bitwise, this is the im2col lowering it replaced — `im2col(x) · wᵀ`
-/// permuted to NCHW — at any thread count.
+/// permuted to NCHW — on every kernel tier and at any thread count: the
+/// k-blocks, the tile's mul + add order and its stores are the GEMM
+/// engine's.
 pub fn conv2d_into(x: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, out: &mut [f32]) {
     check(g, x, n, "conv2d_into input");
     assert_eq!(w.len(), oc * g.c * g.kh * g.kw, "conv2d_into weight length");
@@ -150,71 +159,171 @@ fn in_row(g: &Conv2dGeom, oy: usize, ky: usize) -> Option<usize> {
     (oy * g.stride + ky).checked_sub(g.pad).filter(|&iy| iy < g.h)
 }
 
-/// The `j` in `0..len` for which output column `ox0 + j` puts kernel
-/// column `kx` inside the image, as `(lo, hi)` with `lo <= hi`.
-fn in_cols(g: &Conv2dGeom, kx: usize, ox0: usize, len: usize) -> (usize, usize) {
+/// The `j` in `0..len` for which `j·stride + k − pad` lies in `0..extent`,
+/// as `(lo, hi)` with `lo <= hi`: the output columns (rows) that put kernel
+/// column (row) `k` inside an image `extent` wide (high).
+fn inside(g: &Conv2dGeom, extent: usize, k: usize, len: usize) -> (usize, usize) {
     let s = g.stride;
-    // The input column under output column `ox0`.
-    let x0 = (ox0 * s + kx) as isize - g.pad as isize;
+    // The input column under output column 0.
+    let x0 = k as isize - g.pad as isize;
     let lo = if x0 >= 0 { 0 } else { x0.unsigned_abs().div_ceil(s) };
-    let hi = (g.w as isize - x0).max(0) as usize;
+    let hi = (extent as isize - x0).max(0) as usize;
     (lo.min(len), hi.div_ceil(s).clamp(lo.min(len), len))
 }
 
-/// `d[j] = line[(ox0 + j)·stride + kx − pad]` where that is inside the
-/// line, zero where it is padding.
-#[inline(always)]
-fn gather_row<E: PackElem>(d: &mut [E], line: &[f32], g: &Conv2dGeom, ox0: usize, kx: usize) {
-    let (lo, hi) = in_cols(g, kx, ox0, d.len());
-    d[..lo].fill(E::default());
-    d[hi..].fill(E::default());
-    if lo < hi {
-        let from = (ox0 + lo) * g.stride + kx - g.pad;
-        let src = line[from..].iter().step_by(g.stride);
-        d[lo..hi].iter_mut().zip(src).for_each(|(d, &v)| *d = E::pack(v));
-    }
+/// The layout of the copy of one image that the conv forward multiplies
+/// from: every tap's im2col row (its value at each output pixel) is, along
+/// each run of output pixels, a contiguous run of the copy.
+///
+/// The copy is a stack of planes, one per `(channel, ky mod stride, φ)`.
+/// Row `r` of a plane holds, at column `u`, the zero-padded image at row
+/// `r·stride + ky mod stride` and column `u·stride + φ`. Output pixel
+/// `(oy, ox)` sits at `oy·pitch + ox` of every plane, and tap
+/// `(ci, ky, kx)` reads the plane of `φ = kx mod shift` at `(ky / stride)·
+/// pitch + kx / shift` from there: its offset. Two shapes of this one
+/// layout:
+///
+/// * **padded** (`shift = stride`): the padded image once, its row and
+///   column phases split out for a stride — a plane row is a padded input
+///   row, `pitch = ow + (kw − 1) / stride`. A run is one output row.
+/// * **shifted** (`shift = kw`): one plane per kernel column, shifted by
+///   it, so `pitch = ow` and a run is every output pixel, across rows: the
+///   micro-tile stays full on maps narrower than it, at `kw` times the
+///   copy.
+///
+/// [`ImageCopy::new`] takes the shape that runs fewer micro-tiles, the padded
+/// one on a tie. The two read the same values, so the product's bits do
+/// not depend on the choice. Either way a 1×1 stride-2 projection copies a
+/// quarter of the image.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ImageCopy {
+    /// Column step between a tap and its plane: `stride` or `kw`.
+    shift: usize,
+    /// Row phases: `min(stride, kh)`.
+    phases: usize,
+    /// Column planes per row phase: `min(shift, kw)`.
+    cols: usize,
+    /// Rows per plane: `oh + (kh − 1) / stride`.
+    rows: usize,
+    /// Elements per plane row: `ow + (kw − 1) / shift`.
+    pitch: usize,
+    /// Output width.
+    ow: usize,
 }
 
-/// [`Src::Unfold`](crate::gemm::Src)'s pack loop: the `rows × kb` block at
-/// `(p0, k0)` of the im2col matrix `[pixels, taps]` of `x` into `w`-row
-/// micro-panels, k-major — per tap, `w` consecutive output pixels, which
-/// are stretches of output rows, each a strided run of one input line.
-/// Rows past `rows` in the last panel are zeroed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_pixels<E: PackElem>(
-    dst: &mut [E],
-    x: &[f32],
-    g: &Conv2dGeom,
-    p0: usize,
-    rows: usize,
-    k0: usize,
-    kb: usize,
-    w: usize,
-) {
-    let (ow, ohw, img, plane) = (g.ow(), g.oh() * g.ow(), g.c * g.h * g.w, g.h * g.w);
-    for (pi, panel) in dst.chunks_exact_mut(kb * w).enumerate() {
-        let first = p0 + pi * w;
-        let live = w.min(p0 + rows - first);
-        let mut off = 0;
-        while off < live {
-            // One stretch of output row `oy` of image `ni`: columns
-            // `ox0..ox0 + len`, panel rows `off..off + len`.
-            let (ni, p) = ((first + off) / ohw, (first + off) % ohw);
-            let (oy, ox0) = (p / ow, p % ow);
-            let len = (ow - ox0).min(live - off);
-            let image = &x[ni * img..(ni + 1) * img];
-            let (mut ci, mut ky, mut kx) = tap_at(g, k0);
-            for kk in 0..kb {
-                let d = &mut panel[kk * w + off..kk * w + off + len];
-                match in_row(g, oy, ky) {
-                    Some(iy) => gather_row(d, &image[ci * plane + iy * g.w..][..g.w], g, ox0, kx),
-                    None => d.fill(E::default()),
-                }
-                (ci, ky, kx) = next_tap(g, ci, ky, kx);
-            }
-            off += len;
+impl ImageCopy {
+    /// The layout for `g` under a micro-tile `nr` pixels wide.
+    pub(crate) fn new(g: &Conv2dGeom, nr: usize) -> ImageCopy {
+        let (oh, ow, s) = (g.oh(), g.ow(), g.stride);
+        let shift = if oh * ow.div_ceil(nr) <= (oh * ow).div_ceil(nr) { s } else { g.kw };
+        ImageCopy {
+            shift,
+            phases: s.min(g.kh),
+            cols: shift.min(g.kw),
+            rows: oh + (g.kh - 1) / s,
+            pitch: ow + (g.kw - 1) / shift,
+            ow,
         }
-        zero_tail(panel, live, kb, w);
+    }
+
+    /// Elements per plane.
+    fn plane(&self) -> usize {
+        self.rows * self.pitch
+    }
+
+    /// Writes every tap's offset, `off[q]` for im2col column `q`, into `off`
+    /// (`c·kh·kw` long).
+    pub(crate) fn offsets(&self, g: &Conv2dGeom, off: &mut [usize]) {
+        debug_assert_eq!(off.len(), g.c * g.kh * g.kw);
+        for (q, o) in off.iter_mut().enumerate() {
+            let (ci, ky, kx) = tap_at(g, q);
+            let plane = (ci * self.phases + ky % g.stride) * self.cols + kx % self.shift;
+            *o = plane * self.plane() + ky / g.stride * self.pitch + kx / self.shift;
+        }
+    }
+
+    /// The grid a pixel range split over tasks keeps to: whole micro-tiles
+    /// `nr` wide where one run crosses output rows, whole rows elsewhere.
+    pub(crate) fn run_grid(&self, nr: usize) -> usize {
+        if self.pitch == self.ow {
+            nr
+        } else {
+            self.ow
+        }
+    }
+
+    /// The runs of output pixels `pixels` whose copy positions are
+    /// contiguous, as `(pixels, position of the first)`: all of them when
+    /// `pitch = ow`, else the part in each output row.
+    pub(crate) fn runs(&self, pixels: Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> {
+        let (ow, pitch) = (self.ow, self.pitch);
+        let mut p = pixels.start;
+        std::iter::from_fn(move || {
+            (p < pixels.end).then(|| {
+                let end = if pitch == ow { pixels.end } else { pixels.end.min((p / ow + 1) * ow) };
+                let run = (p..end, p / ow * pitch + p % ow);
+                p = end;
+                run
+            })
+        })
+    }
+
+    /// Copies into `dst` the plane rows that the output pixels `pixels`
+    /// read from `image [c, h, w]`, each value through [`PackElem::pack`].
+    /// Returns the copy — `tail` elements longer than the planes, so that
+    /// `tail` values from any pixel's position plus any tap's offset lie
+    /// inside it — and the number of elements written. Rows that `pixels`
+    /// do not read keep whatever `dst` held.
+    pub(crate) fn copy<'d, E: PackElem>(
+        &self,
+        g: &Conv2dGeom,
+        image: &[f32],
+        dst: &'d mut Vec<E>,
+        pixels: Range<usize>,
+        tail: usize,
+    ) -> (&'d [E], usize) {
+        debug_assert!(image.len() == g.c * g.h * g.w && !pixels.is_empty() && pixels.end <= g.oh() * self.ow);
+        let (s, pitch, plane) = (g.stride, self.pitch, self.plane());
+        let planes = g.c * self.phases * self.cols;
+        let buf = gemm::scratch_prefix(dst, planes * plane + tail);
+        let rows = pixels.start / self.ow..(pixels.end - 1) / self.ow + 1 + (g.kh - 1) / s;
+        if rows.len() == self.rows {
+            buf[..planes * plane].fill(E::default());
+        } else {
+            for d in buf.chunks_exact_mut(plane).take(planes) {
+                d[rows.start * pitch..rows.end * pitch].fill(E::default());
+            }
+        }
+        for phase in 0..self.phases {
+            // Plane rows `r0..r1` of this phase lie inside the image, from
+            // image row `iy0` on with step `s`.
+            let (r0, r1) = inside(g, g.h, phase, self.rows);
+            let (r0, r1) = (r0.max(rows.start), r1.min(rows.end));
+            let iy0 = (r0 * s + phase).wrapping_sub(g.pad);
+            for phi in 0..self.cols {
+                // Columns `lo..hi` of a `φ` plane lie inside the image, from
+                // image column `from` on with step `s`.
+                let (lo, hi) = inside(g, g.w, phi, pitch);
+                let from = (lo * s + phi).wrapping_sub(g.pad);
+                if lo == hi {
+                    continue;
+                }
+                for ci in 0..g.c {
+                    let at = ((ci * self.phases + phase) * self.cols + phi) * plane + lo;
+                    let channel = &image[ci * g.h * g.w..(ci + 1) * g.h * g.w];
+                    for r in r0..r1 {
+                        let d = &mut buf[at + r * pitch..][..hi - lo];
+                        let line = &channel[(iy0 + (r - r0) * s) * g.w + from..][..(hi - lo - 1) * s + 1];
+                        if s == 1 {
+                            d.iter_mut().zip(line).for_each(|(d, &v)| *d = E::pack(v));
+                        } else {
+                            d.iter_mut().zip(line.iter().step_by(s)).for_each(|(d, &v)| *d = E::pack(v));
+                        }
+                    }
+                }
+            }
+        }
+        (buf, planes * rows.len() * pitch)
     }
 }
 
@@ -238,7 +347,7 @@ fn next_tap(g: &Conv2dGeom, ci: usize, ky: usize, kx: usize) -> (usize, usize, u
 /// Taps one pass of [`pack_taps`] tables: a GEMM column block.
 const TAP_TABLE: usize = gemm::NC;
 
-/// [`Src::Unfold`](crate::gemm::Src)`{ trans: true }`'s pack loop: the
+/// [`Src::Unfold`](crate::gemm::Src)'s pack loop: the
 /// `rows × kb` block at `(t0, k0)` of the transposed im2col matrix
 /// `[taps, pixels]` of `x` into `w`-row micro-panels, k-major — per output
 /// pixel, `w` consecutive taps of each panel. Up to [`TAP_TABLE`] taps at a
@@ -364,7 +473,7 @@ pub(crate) fn fold_taps(cols: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
                 let line = &mut plane[iy * g.w..(iy + 1) * g.w];
                 for kx in (0..g.kw).rev() {
                     let q = (ci * g.kh + ky) * g.kw + kx;
-                    let (lo, hi) = in_cols(g, kx, 0, ow);
+                    let (lo, hi) = inside(g, g.w, kx, ow);
                     if lo < hi {
                         let src = &cols[q * ohw + oy * ow + lo..q * ohw + oy * ow + hi];
                         let dst = line[lo * g.stride + kx - g.pad..].iter_mut().step_by(g.stride);
@@ -655,18 +764,50 @@ mod tests {
 
     #[test]
     fn kernels_equal_the_lowering_on_every_tier_and_panel_mode() {
-        // The benchmark's shapes, cut to a few images: a 3×3 stem, a
-        // stride-2 3×3 and 1×1 projection, and a conv whose taps (288) and
-        // weight-gradient reduction (over 4 · 64 pixels) both cross a KC
-        // block. Each runs on every tier this CPU has, in f32 and bf16.
-        let shapes = [(3, 16, 8, 3, 1, 1), (8, 16, 16, 3, 2, 1), (8, 16, 16, 1, 2, 0), (32, 8, 16, 3, 1, 1)];
-        for (c, side, oc, k, stride, pad) in shapes {
-            let g = geom(c, side, side, k, stride, pad);
-            let n = 4;
-            let x: Vec<f32> = (0..n * c * side * side).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
-            let w: Vec<f32> = (0..oc * c * k * k).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
+        // `(n, c, h, w, k, stride, pad, oc)`, each run on every tier this
+        // CPU has, in f32 and bf16, on 1, 2 and 4 lanes, into NaN-poisoned
+        // outputs. The forward reads its image copy in place, so the list
+        // is where that copy has edges: output widths 1, 7, 8, 9, 15, 16,
+        // 17 and 33 (below, at and past both tile widths, 8 and 16),
+        // `oh·ow` off both tile grids, taps crossing two and three KC
+        // blocks (c = 29 and 60), 1, 9 and 17 output channels; then the
+        // benchmark's training shapes, cut to a few images (a 3×3 stem,
+        // a stride-2 3×3 and 1×1 projection, and a conv whose taps, 288,
+        // and weight-gradient reduction, over 4 · 64 pixels, both cross a
+        // KC block); and a 32×32 request through the served network's
+        // strides, its 1×1 stride-2 projections included.
+        let cases = [
+            (3, 2, 3, 1, 3, 1, 1, 9),
+            (2, 3, 5, 7, 3, 1, 1, 9),
+            (2, 2, 8, 8, 3, 1, 1, 17),
+            (3, 3, 4, 9, 3, 1, 1, 1),
+            (2, 2, 3, 15, 3, 1, 1, 9),
+            (2, 2, 5, 16, 3, 1, 1, 9),
+            (2, 2, 3, 17, 3, 1, 1, 17),
+            (2, 1, 3, 33, 3, 1, 1, 9),
+            (2, 3, 9, 9, 3, 2, 1, 9),
+            (2, 2, 17, 17, 5, 3, 2, 9),
+            (2, 29, 5, 5, 3, 1, 1, 9),
+            (2, 60, 4, 6, 3, 1, 1, 17),
+            (4, 3, 16, 16, 3, 1, 1, 8),
+            (4, 8, 16, 16, 3, 2, 1, 16),
+            (4, 8, 16, 16, 1, 2, 0, 16),
+            (4, 32, 8, 8, 3, 1, 1, 16),
+            (2, 3, 32, 32, 3, 1, 1, 8),
+            (2, 8, 32, 32, 3, 1, 1, 8),
+            (2, 8, 32, 32, 3, 2, 1, 16),
+            (2, 8, 32, 32, 1, 2, 0, 16),
+            (2, 16, 16, 16, 3, 1, 1, 16),
+            (2, 16, 16, 16, 3, 2, 1, 32),
+            (2, 16, 16, 16, 1, 2, 0, 32),
+            (2, 32, 8, 8, 3, 1, 1, 32),
+        ];
+        for (n, c, h, w, k, stride, pad, oc) in cases {
+            let g = Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad };
+            let x: Vec<f32> = (0..n * c * h * w).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
+            let wt: Vec<f32> = (0..oc * c * k * k).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
             let up: Vec<f32> = (0..n * oc * g.oh() * g.ow()).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
-            for_each_mode(|| assert_kernels_equal_lowering(&x, &w, &up, n, oc, &g));
+            for_each_mode(|| assert_kernels_equal_lowering(&x, &wt, &up, n, oc, &g));
         }
     }
 

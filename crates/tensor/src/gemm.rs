@@ -51,14 +51,30 @@
 //!   the LSTM-gate and convolution shapes large-batch training produces — still
 //!   fan out over every worker instead of leaving threads idle the way the
 //!   old row-chunk decomposition did.
-//! * **Scratch reuse** — the per-call packing buffers are thread-local (one
-//!   pair per packed element type), grow to `MC·KC` / `KC·NC` once and are
-//!   then sliced, never cleared; a [`PackedB`] keeps its allocation across
-//!   repacks; and outputs come from the [`crate::pool`] recycler, so the
+//! * **Convolutions** — the three products of a convolution run on this
+//!   engine without a column matrix (`conv.rs` has the lowering they equal).
+//!   The forward's B is not packed at all: each task copies its image once
+//!   into its B scratch, laid out (`conv::ImageCopy`) so that every tap's
+//!   im2col row is a contiguous run, and the micro-tile reads each k-step's
+//!   B row from that copy at the tap's offset ([`Taps`]) where a GEMM reads
+//!   it from a packed panel ([`Panel`]) — one tile body for both. The
+//!   weight gradient gathers its B (`Src::Unfold`) and reads its A
+//!   (`Src::Planes`) block by block; the input gradient reads `up`'s planes
+//!   as they are and folds each image's product back. The weight is packed
+//!   once per call as the whole A operand of the forward and the input
+//!   gradient.
+//! * **Scratch reuse** — the per-call buffers are thread-local: a
+//!   (packed-A, packed-B) pair per packed element type, which grows to
+//!   `MC·KC` / `KC·NC` once and is then sliced, never cleared (a conv
+//!   forward task copies its image into the B half); a whole-operand panel
+//!   per element type (a conv's weight); a conv forward's tap offsets; the
+//!   input gradient's tap-major columns of one image; and a k-split GEMM's
+//!   partial products. A [`PackedB`] keeps its allocation across repacks,
+//!   and outputs come from the [`crate::pool`] recycler, so the
 //!   steady-state training loop performs no per-call heap allocation here.
 
 use crate::conv::{self, Conv2dGeom};
-use crate::kernels::{self, Kernel, Micro, PackElem};
+use crate::kernels::{self, Kernel, Micro, PackElem, Panel, Taps};
 use crate::pool::Buffer;
 use legw_parallel::{current, par_chunks_mut, par_tiles_2d, ThreadPool};
 use std::cell::{Cell, RefCell};
@@ -86,7 +102,8 @@ const PAR_FLOPS: usize = 64 * 64 * 64;
 
 thread_local! {
     /// Reused (packed-A, packed-B) f32 scratch; grows to `MC·KC` / `KC·NC`
-    /// once and is then reused by every GEMM call on this thread.
+    /// once and is then reused by every GEMM call on this thread. A conv
+    /// forward task copies its image into the B half.
     static SCRATCH_F32: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
     /// bf16-mode packing scratch (bf16 bit patterns).
     static SCRATCH_BF16: RefCell<(Vec<u16>, Vec<u16>)> = const { RefCell::new((Vec::new(), Vec::new())) };
@@ -95,6 +112,9 @@ thread_local! {
     /// issuing thread across the call; tile tasks never touch it.
     static WHOLE_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static WHOLE_BF16: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
+    /// A conv forward's per-tap offsets into its image copies, held by the
+    /// issuing thread across the call.
+    static TAP_OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     /// One image's tap-major input-gradient columns, between a conv's
     /// input-gradient GEMM and its fold.
     static TAPS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -110,15 +130,16 @@ static PACKED_F32_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes written into bf16 packed panels, process-wide.
 static PACKED_BF16_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Cumulative packed-panel traffic (process-wide, monotonic). The bf16
-/// serving mode's "half the packed weight bytes" claim is measured against
-/// these counters; both count bytes *written to pack buffers*, so for one
-/// shape the bf16 number is exactly half the f32 number.
+/// Cumulative packed-operand traffic (process-wide, monotonic): bytes
+/// written into packed panels and into the conv forward's image copies.
+/// The bf16 serving mode's "half the packed weight bytes" claim is measured
+/// against these counters; both count bytes *written*, so for one shape
+/// the bf16 number is exactly half the f32 number.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PackTraffic {
-    /// Bytes packed by f32-mode GEMMs.
+    /// Bytes packed (or copied) by f32-mode GEMMs and convolutions.
     pub f32_bytes: u64,
-    /// Bytes packed by bf16-mode GEMMs.
+    /// Bytes packed (or copied) by bf16-mode GEMMs and convolutions.
     pub bf16_bytes: u64,
 }
 
@@ -498,11 +519,11 @@ pub(crate) enum Src<'a> {
     /// Row-major `[rows, k]` with row stride `ld`, or stored `[k, rows]`
     /// (row stride `ld`) when `trans`.
     Dense { data: &'a [f32], ld: usize, trans: bool },
-    /// The im2col matrix of the images `x` under `g` — `[pixels, taps]`,
-    /// output pixels image-major, taps `(channel, ky, kx)` — or, when
-    /// `trans`, its transpose `[taps, pixels]`. Never materialised: each
-    /// block is gathered from the images as it is packed.
-    Unfold { x: &'a [f32], g: &'a Conv2dGeom, trans: bool },
+    /// The transposed im2col matrix of the images `x` under `g`,
+    /// `[taps, pixels]`: taps `(channel, ky, kx)`, output pixels
+    /// image-major — a weight gradient's B. Never materialised: each block
+    /// is gathered from the images as it is packed.
+    Unfold { x: &'a [f32], g: &'a Conv2dGeom },
     /// Feature maps `x [n, c, hw]` read as `[c, n·hw]`: channels are rows,
     /// every image's pixels run along k.
     Planes { x: &'a [f32], c: usize, hw: usize },
@@ -522,8 +543,7 @@ impl Src<'_> {
         debug_assert_eq!(dst.len(), rows.div_ceil(w) * kb * w, "packed block length");
         match *self {
             Src::Dense { data, ld, trans } => pack_dense(dst, data, trans, ld, r0, rows, k0, kb, w),
-            Src::Unfold { x, g, trans: false } => conv::pack_pixels(dst, x, g, r0, rows, k0, kb, w),
-            Src::Unfold { x, g, trans: true } => conv::pack_taps(dst, x, g, r0, rows, k0, kb, w),
+            Src::Unfold { x, g } => conv::pack_taps(dst, x, g, r0, rows, k0, kb, w),
             Src::Planes { x, c, hw } => conv::pack_planes(dst, x, c, hw, r0, rows, k0, kb, w),
         }
     }
@@ -606,12 +626,15 @@ unsafe fn block_product<M: Micro>(
                 ((packed_a + packed_b) * std::mem::size_of::<M::E>()) as u64,
                 Ordering::Relaxed,
             );
+            debug_assert_eq!(bp.len(), nb.div_ceil(M::NR) * kb * M::NR, "B panels");
+            let panel = |jp: usize| Panel(&bp[jp * kb * M::NR..][..kb * M::NR]);
             // SAFETY: the caller's contract: it owns the rectangle, `M` runs
             // here; `ap` / `bp` hold the `mb×kb` / `kb×nb` blocks in `M`'s
             // micro-panel layout (packed just above, or panels of `M`'s
-            // tier and element type).
+            // tier and element type), so each `panel(jp)` is a whole
+            // `kb`-step micro-panel.
             unsafe {
-                macro_kernel::<M>(ap, bp, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
+                macro_kernel::<M, _>(ap, panel, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
             };
         }
     });
@@ -667,8 +690,9 @@ fn gemm_blocked<M: Micro>(
 // ------------------------------------------------------------ convolutions
 //
 // The three GEMMs of a convolution read their operands where they already
-// are: the weight, the images (through `Src::Unfold`, the im2col matrix
-// gathered block by block) and the NCHW output gradient (`Src::Planes`).
+// are: the weight, the images (the forward's tiles read a per-image copy in
+// place; the weight gradient gathers `Src::Unfold`, the transposed im2col
+// matrix, block by block) and the NCHW output gradient (`Src::Planes`).
 // Each is the product the im2col lowering computed, with the operands of
 // every multiply swapped where the product is transposed — `a·b` is `b·a` in
 // IEEE arithmetic, the k-blocks are the same [`KC`] slices and each tile
@@ -692,22 +716,16 @@ fn with_whole_operand<E: PackScratch, R>(
     })
 }
 
-/// Column block of a per-image product with `n` columns over `imgs` images:
-/// [`NC`], halved (on the micro-panel grid) while there are fewer than two
-/// tasks per lane of `threads`.
-fn image_block(n: usize, imgs: usize, threads: usize, nr: usize) -> usize {
-    let mut nc = NC.min(n.next_multiple_of(nr));
-    while imgs * n.div_ceil(nc) < 2 * threads && nc > 2 * nr {
-        nc = (nc / 2).next_multiple_of(nr);
-    }
-    nc
-}
-
 /// Conv2d forward: `out [imgs, oc, oh·ow]`, image `i` being
-/// `w [oc, ckk] · Unfold(xᵢ)ᵀ`. The weight is packed once for the call;
-/// each image's B panels are gathered straight from its planes, and its
-/// product is stored as its own `[oc, oh·ow]` block of the NCHW output. One
-/// task per (image, column block).
+/// `w [oc, ckk] · Unfold(xᵢ)ᵀ`, multiplied straight from the image. The
+/// weight is packed once for the call as the whole A operand. Each task
+/// copies the rows of its image it reads, once, into this thread's B
+/// scratch ([`conv::ImageCopy`]'s planes, rounded like a packed panel), and
+/// its micro-tiles load each k-step's B row from that copy at the tap's
+/// offset ([`Taps`]) instead of from a packed panel. The k-blocks, the
+/// tile and the stores are the engine's, so the bits are the im2col
+/// product's. Tasks are images, each cut into pixel ranges when there are
+/// fewer than two images per lane.
 pub(crate) fn conv_forward(
     pool: &ThreadPool,
     x: &[f32],
@@ -722,36 +740,88 @@ pub(crate) fn conv_forward(
     if out.is_empty() || ckk == 0 {
         return empty_product(out, false);
     }
-    let parallel = imgs * oc * ckk * hw >= PAR_FLOPS && pool.threads() > 1;
+    let lanes = if imgs * oc * ckk * hw >= PAR_FLOPS { pool.threads() } else { 1 };
     let weight = Src::Dense { data: w, ld: ckk, trans: false };
     with_micro!(kernels::selected(), bf16_enabled(), M => {
+        let layout = conv::ImageCopy::new(g, M::NR);
+        // Pixel ranges per image, whole output rows where runs are rows.
+        let cuts = if imgs >= 2 * lanes { 1 } else { (2 * lanes).div_ceil(imgs) };
+        let span = hw.div_ceil(cuts).next_multiple_of(layout.run_grid(M::NR)).min(hw);
+        let ranges = hw.div_ceil(span);
         with_whole_operand::<<M as Micro>::E, _>(pool, weight, oc, ckk, M::MR, |a| {
-            let nc = image_block(hw, imgs, if parallel { pool.threads() } else { 0 }, M::NR);
-            let tiles = hw.div_ceil(nc);
-            let base = OutPtr(out.as_mut_ptr());
-            let task = |t: usize| {
-                let (i, j0) = (t / tiles, t % tiles * nc);
-                let b = Operand::Src(Src::Unfold { x: &x[i * img..(i + 1) * img], g, trans: false });
-                for i0 in (0..oc).step_by(MC) {
-                    // SAFETY: task (i, j0) alone writes columns j0..j0+nb of
-                    // image i's `[oc, hw]` block, which lies inside `out`
+            TAP_OFFSETS.with(|off| {
+                let mut off = off.borrow_mut();
+                let off = scratch_prefix(&mut off, ckk);
+                layout.offsets(g, off);
+                let (off, base) = (&*off, OutPtr(out.as_mut_ptr()));
+                let task = |t: usize| {
+                    let (i, p0) = (t / ranges, t % ranges * span);
+                    let image = &x[i * img..(i + 1) * img];
+                    // SAFETY: task t alone writes columns `p0..p0 + span`
+                    // of image i's `[oc, hw]` block, which lies inside `out`
                     // (`imgs·oc·hw` elements, borrowed until every task
-                    // ran); `i0` steps by MC and `j0` by `nc`, multiples of
-                    // MR and NR; `a` was packed for `M` just above, on the
-                    // tier dispatch chose for this CPU.
+                    // ran); `a` was packed for `M` just above, on the tier
+                    // dispatch chose for this CPU.
                     unsafe {
                         let img_out = base.get().add(i * oc * hw);
-                        let (rows, cols) = ((i0, MC.min(oc - i0)), (j0, nc.min(hw - j0)));
-                        block_product::<M>(a, b, rows, cols, 0..ckk, img_out, hw, false)
+                        conv_pixels::<M>(a, image, g, &layout, off, oc, p0..hw.min(p0 + span), img_out)
                     }
+                };
+                if lanes > 1 {
+                    pool.run(imgs * ranges, task);
+                } else {
+                    (0..imgs * ranges).for_each(task);
                 }
-            };
-            if parallel {
-                pool.run(imgs * tiles, task);
-            } else {
-                (0..imgs * tiles).for_each(task);
-            }
+            })
         })
+    })
+}
+
+/// One conv forward task: output pixels `pixels` of one image, all `oc`
+/// channels, into the image's `[oc, oh·ow]` output block at `out`. Copies
+/// what the pixels read of `image` into this thread's B scratch, then runs
+/// the engine's k-blocks over each run of pixels, B's rows read from the
+/// copy at the taps' offsets `off`.
+///
+/// # Safety
+/// The caller must own columns `pixels` of the `[oc, oh·ow]` block at `out`
+/// exclusively, all of it inside the allocation `out` points into; `a`
+/// must hold the weight's panels in `M`'s layout; and the dispatch layer
+/// must have checked that `M` runs on this CPU.
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_pixels<M: Micro>(
+    a: Operand<'_, M::E>,
+    image: &[f32],
+    g: &Conv2dGeom,
+    layout: &conv::ImageCopy,
+    off: &[usize],
+    oc: usize,
+    pixels: Range<usize>,
+    out: *mut f32,
+) where
+    M::E: PackScratch,
+{
+    let (ckk, hw) = (off.len(), g.oh() * g.ow());
+    M::E::with_scratch(|abuf, bbuf| {
+        let (copy, copied) = layout.copy(g, image, bbuf, pixels.clone(), M::NR);
+        M::E::counter().fetch_add((copied * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+        for (run, at) in layout.runs(pixels) {
+            for k0 in (0..ckk).step_by(KC) {
+                let kb = KC.min(ckk - k0);
+                let taps = |jp: usize| Taps { data: copy, at: at + jp * M::NR, off: &off[k0..k0 + kb] };
+                for i0 in (0..oc).step_by(MC) {
+                    let mb = MC.min(oc - i0);
+                    let (ap, _) = a.block(abuf, i0, mb, k0, kb, M::MR);
+                    // SAFETY: the caller owns the run's columns of the
+                    // block and vouches for `a` and `M`; `i0` steps by MC,
+                    // a multiple of MR. Each tile reads B's rows at a
+                    // pixel's copy position plus a tap's offset, and
+                    // `ImageCopy::copy` makes the copy `NR` elements longer
+                    // than any such sum, so every row lies inside it.
+                    unsafe { macro_kernel::<M, _>(ap, taps, mb, run.len(), kb, out, hw, i0, run.start, k0 > 0) };
+                }
+            }
+        }
     })
 }
 
@@ -828,7 +898,7 @@ pub(crate) fn conv_dw(
     if dw.is_empty() || imgs == 0 {
         return empty_product(dw, false);
     }
-    let (a, b) = (Src::Planes { x: up, c: oc, hw }, Src::Unfold { x, g, trans: true });
+    let (a, b) = (Src::Planes { x: up, c: oc, hw }, Src::Unfold { x, g });
     with_micro!(kernels::selected(), bf16_enabled(), M => gemm_k_split::<M>(pool, a, b, oc, imgs * hw, ckk, dw))
 }
 
@@ -920,9 +990,9 @@ fn plan_blocks(m: usize, n: usize, threads: usize, mr: usize, nr: usize) -> (usi
 /// The first `len` elements of a per-thread scratch vector, which grows on
 /// demand and is never cleared: what is handed out holds whatever an
 /// earlier call left there, and the pack loops overwrite all of it.
-fn scratch_prefix<E: PackElem>(buf: &mut Vec<E>, len: usize) -> &mut [E] {
+pub(crate) fn scratch_prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        buf.resize(len, E::default());
+        buf.resize(len, T::default());
     }
     &mut buf[..len]
 }
@@ -979,22 +1049,24 @@ pub(crate) fn zero_tail<E: PackElem>(panel: &mut [E], live: usize, kb: usize, w:
     }
 }
 
-/// Runs the micro-tile over every tile of one packed (mb×nb) block and
-/// stores into `out` (row stride `ldc`, block origin `(i0, j0)`):
-/// `C += tile` when `acc`, `C = tile` otherwise (the beta=1/beta=0 store
-/// variants — only the store differs, the compute path is shared).
+/// Runs the micro-tile over every tile of one (mb×nb) block — A packed,
+/// B micro-panel `jp`'s rows from `b(jp)` — and stores into `out` (row
+/// stride `ldc`, block origin `(i0, j0)`): `C += tile` when `acc`,
+/// `C = tile` otherwise (the beta=1/beta=0 store variants — only the store
+/// differs, the compute path is shared).
 ///
 /// # Safety
 /// The caller must own output rows `i0..i0+mb` × columns `j0..j0+nb` of the
 /// `ldc`-stride matrix at `out` exclusively for the duration of the call,
-/// all of them inside the allocation `out` points into; `apack` / `bpack`
-/// must hold `⌈mb/MR⌉` / `⌈nb/NR⌉` micro-panels of `kb` k-steps in `M`'s
-/// layout; and `M` must be runnable on this CPU (guaranteed by the
-/// dispatch layer).
+/// all of them inside the allocation `out` points into; `apack` must hold
+/// `⌈mb/MR⌉` micro-panels of `kb` k-steps in `M`'s layout and each `b(jp)`,
+/// `jp < ⌈nb/NR⌉`, rows that meet [`kernels::Rows::row`]'s contract for
+/// `kb` k-steps at `M::NR`; and `M` must be runnable on this CPU
+/// (guaranteed by the dispatch layer).
 #[allow(clippy::too_many_arguments)]
-unsafe fn macro_kernel<M: Micro>(
+unsafe fn macro_kernel<M: Micro, B: kernels::Rows<M::E>>(
     apack: &[M::E],
-    bpack: &[M::E],
+    b: impl Fn(usize) -> B,
     mb: usize,
     nb: usize,
     kb: usize,
@@ -1005,18 +1077,18 @@ unsafe fn macro_kernel<M: Micro>(
     acc: bool,
 ) {
     debug_assert_eq!(apack.len(), mb.div_ceil(M::MR) * kb * M::MR, "A panels");
-    debug_assert_eq!(bpack.len(), nb.div_ceil(M::NR) * kb * M::NR, "B panels");
     debug_assert!(j0 + nb <= ldc, "column block outside the output row");
     for jp in 0..nb.div_ceil(M::NR) {
-        let bp = &bpack[jp * kb * M::NR..(jp + 1) * kb * M::NR];
+        let bp = b(jp);
         let cols = M::NR.min(nb - jp * M::NR);
         for ip in 0..mb.div_ceil(M::MR) {
             let ap = &apack[ip * kb * M::MR..(ip + 1) * kb * M::MR];
             let rows = M::MR.min(mb - ip * M::MR);
             // SAFETY: the `rows×cols` corner stored at this offset lies
             // inside the caller's `mb×nb` rectangle (`ip·MR + rows ≤ mb`,
-            // `jp·NR + cols ≤ nb`), which the caller owns; the panels are
-            // `kb` k-steps long as sliced above.
+            // `jp·NR + cols ≤ nb`), which the caller owns; the A panel is
+            // `kb` k-steps long as sliced above, and B's rows are the
+            // caller's to vouch for.
             M::tile(
                 kb,
                 ap,

@@ -11,7 +11,7 @@
 //! `supported(Kernel::Avx2)` confirmed both.
 
 use super::simd::{self, Elem, Lanes};
-use super::{scalar, Micro};
+use super::{scalar, Micro, Rows};
 use crate::fastmath::SATURATE;
 use std::arch::x86_64::*;
 use std::marker::PhantomData;
@@ -113,17 +113,17 @@ impl<E: Elem> Micro for Avx2Micro<E> {
     /// # Safety
     /// The contract of [`Micro::tile`].
     #[target_feature(enable = "avx2")]
-    unsafe fn tile(
+    unsafe fn tile<B: Rows<E>>(
         kb: usize,
         ap: &[E],
-        bp: &[E],
+        b: B,
         out: *mut f32,
         ldc: usize,
         rows: usize,
         cols: usize,
         acc: bool,
     ) {
-        simd::tile::<V8, E>(kb, ap, bp, out, ldc, rows, cols, acc)
+        simd::tile::<V8, E, B>(kb, ap, b, out, ldc, rows, cols, acc)
     }
 }
 

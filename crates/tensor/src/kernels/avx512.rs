@@ -8,7 +8,7 @@
 //! here only after `supported(Kernel::Avx512)` confirmed it.
 
 use super::simd::{self, Elem, Lanes};
-use super::{scalar, Micro};
+use super::{scalar, Micro, Rows};
 use crate::fastmath::SATURATE;
 use std::arch::x86_64::*;
 use std::marker::PhantomData;
@@ -107,17 +107,17 @@ impl<E: Elem> Micro for Avx512Micro<E> {
     /// # Safety
     /// The contract of [`Micro::tile`].
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile(
+    unsafe fn tile<B: Rows<E>>(
         kb: usize,
         ap: &[E],
-        bp: &[E],
+        b: B,
         out: *mut f32,
         ldc: usize,
         rows: usize,
         cols: usize,
         acc: bool,
     ) {
-        simd::tile::<V16, E>(kb, ap, bp, out, ldc, rows, cols, acc)
+        simd::tile::<V16, E, B>(kb, ap, b, out, ldc, rows, cols, acc)
     }
 }
 

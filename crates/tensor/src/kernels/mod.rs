@@ -17,11 +17,14 @@
 //! The vector tile, the `tanh`/`sigmoid` pipeline, the sweep and the gate
 //! row are each written once, in `simd.rs`, generic over a `Lanes` trait
 //! (one register of `f32` lanes: load, store, masked edge, add, mul, div,
-//! fmadd, min/max, saturate). `avx2.rs` and `avx512.rs` hold only their
-//! `Lanes` impl (`V8`, `V16`) and the `#[target_feature]` entry points that
-//! instantiate the generic bodies. `scalar.rs` stays
-//! separate: it is the reference every tier is tested against, and its
-//! gate row also finishes the columns past a vector row's last register.
+//! fmadd, min/max, saturate). The tile is also written once over where its
+//! B rows come from (`Rows`): a packed panel, or a convolution's image copy
+//! read in place through a table of per-tap offsets. `avx2.rs` and
+//! `avx512.rs` hold only their `Lanes` impl (`V8`, `V16`) and the
+//! `#[target_feature]` entry points that instantiate the generic bodies.
+//! `scalar.rs` stays separate: it is the reference every tier is tested
+//! against, and its gate row also finishes the columns past a vector row's
+//! last register.
 //!
 //! ## Selection
 //!
@@ -65,12 +68,13 @@
 //!
 //! ## bf16 packed storage
 //!
-//! [`Micro`] is generic over the packed-panel element, which is what the
-//! bf16-storage GEMM path plugs into: panels are converted f32→bf16
-//! (round-to-nearest-even) at pack time and widened back to f32 (exact, a
-//! bit shift) inside the micro-tile, with all accumulation in f32. Only
-//! the packed panels change layout — operands, outputs, and the blocking
-//! machinery are untouched. See [`bf16`] and `gemm.rs`.
+//! The micro-tile (`Micro`) is generic over the packed element, which is
+//! what the bf16-storage GEMM path plugs into: panels (and a convolution's
+//! image copy) are converted f32→bf16 (round-to-nearest-even) as they are
+//! written and widened back to f32 (exact, a bit shift) inside the
+//! micro-tile, with all accumulation in f32. Only the packed operands
+//! change layout — operands, outputs, and the blocking machinery are
+//! untouched. See [`bf16`] and `gemm.rs`.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -272,15 +276,79 @@ impl PackElem for u16 {
     }
 }
 
+/// Where a micro-tile reads its B operand: k-step `kk`'s `NR` values lie
+/// contiguous at [`Rows::row`]. A packed micro-panel ([`Panel`]) and a
+/// convolution's image copy read through per-tap offsets ([`Taps`]) are the
+/// two sources; every tier's tile body is the same for both, and a panel is
+/// the case `offset = kk·NR`.
+///
+/// # Safety
+/// Implementors promise that `row` computes its pointer from the source
+/// alone, so that the caller's bound on the source bounds the pointer.
+pub(crate) unsafe trait Rows<E>: Copy {
+    /// The first of k-step `kk`'s values, in a tile `nr` columns wide.
+    ///
+    /// # Safety
+    /// `kk` lies below the `kb` the tile runs, and the `nr` elements from
+    /// the returned pointer lie inside the source (each implementor states
+    /// its bound).
+    unsafe fn row(self, kk: usize, nr: usize) -> *const E;
+}
+
+/// One packed micro-panel: k-step `kk` at `kk·nr`. In bounds for `kk < kb`
+/// when the panel holds `kb·nr` elements.
+#[derive(Clone, Copy)]
+pub(crate) struct Panel<'a, E>(pub &'a [E]);
+
+// SAFETY: `row` offsets the panel's own pointer.
+unsafe impl<E: Copy> Rows<E> for Panel<'_, E> {
+    #[inline(always)]
+    unsafe fn row(self, kk: usize, nr: usize) -> *const E {
+        debug_assert!((kk + 1) * nr <= self.0.len(), "k-step {kk} past the panel");
+        // SAFETY: the caller's contract puts `kk·nr .. + nr` inside the panel.
+        unsafe { self.0.as_ptr().add(kk * nr) }
+    }
+}
+
+/// A convolution's B rows read in place: k-step `kk` (tap `k0 + kk` of the
+/// block) at `data[at + off[kk]..]`, where `data` is the image copy, `at`
+/// the tile's first output pixel and `off` the block's slice of the tap
+/// offset table (see `conv::ImageCopy`). In bounds for `kk < off.len()` when
+/// `at + off[kk] + nr <= data.len()`.
+#[derive(Clone, Copy)]
+pub(crate) struct Taps<'a, E> {
+    pub data: &'a [E],
+    pub at: usize,
+    pub off: &'a [usize],
+}
+
+// SAFETY: `row` offsets the copy's own pointer.
+unsafe impl<E: Copy> Rows<E> for Taps<'_, E> {
+    #[inline(always)]
+    unsafe fn row(self, kk: usize, nr: usize) -> *const E {
+        debug_assert!(kk < self.off.len(), "k-step {kk} past the tap block");
+        // SAFETY: the caller's contract: `kk < off.len()`, and the row's
+        // `nr` elements from `at + off[kk]` lie inside `data`.
+        unsafe {
+            let at = self.at + *self.off.get_unchecked(kk);
+            debug_assert!(at + nr <= self.data.len(), "tap row past the image copy");
+            self.data.as_ptr().add(at)
+        }
+    }
+}
+
 /// One GEMM register micro-tile variant: computes an `MR×NR` tile of
-/// `A·B` from packed panels and stores (or accumulates) the `rows×cols`
-/// valid corner into the output.
+/// `A·B` from a packed A panel and B's rows, and stores (or accumulates)
+/// the `rows×cols` valid corner into the output.
 ///
 /// Packed-panel layout contract (shared with `gemm.rs`'s pack loops):
-/// `ap[kk·MR + r]` is `A[r, kk]` of the current micro-panel, `bp[kk·NR + c]`
-/// is `B[kk, c]`; edge panels are zero-padded to full width.
-pub trait Micro {
-    /// Packed element type of both panels.
+/// `ap[kk·MR + r]` is `A[r, kk]` of the current micro-panel; B's k-step
+/// `kk` is the `NR` values at `b.row(kk, NR)` ([`Rows`]), which for a
+/// packed panel is `bp[kk·NR + c]`; edge panels are zero-padded to full
+/// width, and B lanes past `cols` may hold anything — they only reach
+/// columns that are never stored.
+pub(crate) trait Micro {
+    /// Packed element type of both operands.
     type E: PackElem;
     /// Tile rows.
     const MR: usize;
@@ -295,15 +363,16 @@ pub trait Micro {
     /// The caller must (a) own the `rows×cols` output region at `out`
     /// (`rows <= MR`, `cols <= NR`, rows `ldc >= cols` apart) exclusively,
     /// (b) only invoke a variant whose instruction set [`supported`] reports
-    /// available — dispatch guarantees (b) — and (c) pass panels of at least
-    /// `kb·MR` (`ap`) and `kb·NR` (`bp`) elements.
+    /// available — dispatch guarantees (b) — and (c) pass an A panel of at
+    /// least `kb·MR` elements and B rows that meet [`Rows::row`]'s contract
+    /// for every `kk < kb` at `nr = NR`.
     // One flat call per micro-tile from the GEMM's innermost loop: the
     // eight scalars are the tile's whole description.
     #[allow(clippy::missing_safety_doc, clippy::too_many_arguments)]
-    unsafe fn tile(
+    unsafe fn tile<B: Rows<Self::E>>(
         kb: usize,
         ap: &[Self::E],
-        bp: &[Self::E],
+        b: B,
         out: *mut f32,
         ldc: usize,
         rows: usize,
@@ -455,7 +524,7 @@ mod tests {
                         // SAFETY: `tier` is supported (checked by the caller);
                         // the panels hold `KB` micro-panels; the corner lies
                         // inside `got`, rows `ldc >= cols` apart.
-                        unsafe { M::tile(KB, &ap, &bp, got.as_mut_ptr(), ldc, rows, cols, acc) };
+                        unsafe { M::tile(KB, &ap, Panel(&bp), got.as_mut_ptr(), ldc, rows, cols, acc) };
                         // The scalar tile is 8 columns wide: one call per
                         // 8-column block of the corner.
                         for c0 in (0..cols).step_by(scalar::TILE) {
@@ -469,7 +538,7 @@ mod tests {
                                 scalar::ScalarMicro::<E>::tile(
                                     KB,
                                     &ap,
-                                    &bp8,
+                                    Panel(&bp8),
                                     want.as_mut_ptr().add(c0),
                                     ldc,
                                     rows,

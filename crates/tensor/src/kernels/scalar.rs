@@ -8,12 +8,13 @@
 //! in the GEMM tile and the LSTM cell update, true fused `mul_add` in the
 //! activations.
 
-use super::{Micro, PackElem};
+use super::{Micro, PackElem, Rows};
 use crate::fastmath::{fast_sigmoid, fast_tanh};
 use std::marker::PhantomData;
 
 /// The scalar 8×8 micro-tile, generic over the packed element (`f32` or
-/// bf16 bits — unpacking is the identity for f32 and compiles away).
+/// bf16 bits — unpacking is the identity for f32 and compiles away) and over
+/// where B's rows are read from.
 pub(crate) struct ScalarMicro<E>(PhantomData<E>);
 
 /// Scalar tile extent (rows and columns).
@@ -26,10 +27,10 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
 
     /// # Safety
     /// The contract of [`Micro::tile`].
-    unsafe fn tile(
+    unsafe fn tile<B: Rows<E>>(
         kb: usize,
         ap: &[E],
-        bp: &[E],
+        b: B,
         out: *mut f32,
         ldc: usize,
         rows: usize,
@@ -46,8 +47,11 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
             for r in 0..TILE {
                 a8[r] = ap[kk * TILE + r].unpack();
             }
-            for c in 0..TILE {
-                b8[c] = bp[kk * TILE + c].unpack();
+            // SAFETY: `kk < kb`: the row's `TILE` elements lie inside B's
+            // source (the trait's contract).
+            let row = std::slice::from_raw_parts(b.row(kk, TILE), TILE);
+            for (bc, &v) in b8.iter_mut().zip(row) {
+                *bc = v.unpack();
             }
             for (tr, &ar) in t.iter_mut().zip(a8.iter()) {
                 for (tv, &bv) in tr.iter_mut().zip(b8.iter()) {

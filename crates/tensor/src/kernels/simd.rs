@@ -16,7 +16,7 @@
 //! tile and the cell update, `fmadd` exactly where `fastmath` calls
 //! `f32::mul_add`, and the data operand second in `min`/`max`.
 
-use super::{scalar, PackElem};
+use super::{scalar, PackElem, Rows};
 use crate::fastmath::{A1, A11, A13, A3, A5, A7, A9, B0, B2, B4, B6, CLAMP};
 
 /// One vector register of [`Lanes::N`] `f32` lanes.
@@ -88,36 +88,36 @@ impl Elem for u16 {
 pub(crate) const MR: usize = 8;
 
 /// The `MR×N` GEMM micro-tile, the body of both vector tiers'
-/// [`super::Micro::tile`].
+/// [`super::Micro::tile`], whatever its B rows are read from.
 ///
 /// # Safety
 /// The contract of `Micro::tile` with `NR = V::N`, inside a function with
 /// `V`'s features enabled.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn tile<V: Lanes, E: Elem>(
+pub(crate) unsafe fn tile<V: Lanes, E: Elem, B: Rows<E>>(
     kb: usize,
     ap: &[E],
-    bp: &[E],
+    b: B,
     out: *mut f32,
     ldc: usize,
     rows: usize,
     cols: usize,
     acc: bool,
 ) {
-    debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * V::N, "packed panels shorter than kb");
+    debug_assert!(ap.len() >= kb * MR, "packed A panel shorter than kb");
     debug_assert!(rows <= MR && cols <= V::N && cols <= ldc, "tile corner {rows}x{cols}, ldc {ldc}");
-    let (ap, bp) = (ap.as_ptr(), bp.as_ptr());
+    let ap = ap.as_ptr();
     let mut t = [V::splat(0.0); MR];
     for kk in 0..kb {
-        // SAFETY: `kk < kb`, so `bp + kk·N .. + N` and `ap + kk·MR + r`
-        // (`r < MR`) lie inside the `kb` full micro-panels the caller
-        // passes (asserted above).
-        let b = E::load::<V>(bp.add(kk * V::N));
+        // SAFETY: `kk < kb`: B's row meets `Rows::row`'s contract (the
+        // caller's), and `ap + kk·MR + r` (`r < MR`) lies inside the `kb`
+        // full micro-panel the caller passes (asserted above).
+        let bv = E::load::<V>(b.row(kk, V::N));
         for (r, tr) in t.iter_mut().enumerate() {
             let a = V::splat((*ap.add(kk * MR + r)).unpack());
             // mul + add, not fmadd: the scalar tile rounds twice per k-step.
-            *tr = tr.add(a.mul(b));
+            *tr = tr.add(a.mul(bv));
         }
     }
     for (r, tr) in t.iter().enumerate().take(rows) {

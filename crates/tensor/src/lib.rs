@@ -28,7 +28,9 @@
 //!   to [`gemm_into`].
 //! * Axis [reductions](Tensor::sum_axis), softmax/log-softmax rows, argmax.
 //! * Conv2d forward and gradients ([`conv2d_into`] and friends) on the same
-//!   GEMM engine, its operands packed straight from the NCHW images.
+//!   GEMM engine and micro-tile: the forward reads its B rows in place from
+//!   one copy of each image, the gradients pack straight from the NCHW
+//!   maps.
 //! * Seeded random initialisers (uniform, Gaussian via Box–Muller) — the
 //!   `rand` crate supplies the generator, distributions are implemented here.
 //!

@@ -2,8 +2,9 @@
 //!
 //! Every runtime-dispatched kernel variant — scalar, AVX2+FMA, AVX-512F —
 //! must produce **bitwise identical** results for GEMM (all transpose
-//! modes, edge shapes, k spanning multiple KC blocks), the activation
-//! sweeps, and the fused LSTM cell. Variants the running CPU
+//! modes, edge shapes, k spanning multiple KC blocks), the convolutions
+//! (forward, weight and input gradient), the activation sweeps, and the
+//! fused LSTM cell. Variants the running CPU
 //! lacks are skipped (the suite is still meaningful on any x86-64: scalar
 //! always runs, and the scalar-vs-selected checks in the crate's unit
 //! tests cover the rest).
@@ -17,7 +18,10 @@
 use legw_parallel::{with_pool, ThreadPool};
 use legw_propcheck::prelude::*;
 use legw_tensor::kernels::{self, Kernel};
-use legw_tensor::{gemm_into, gemm_into_packed, lstm_cell_forward, with_bf16_gemm, PackedB, Tensor};
+use legw_tensor::{
+    conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, gemm_into, gemm_into_packed,
+    lstm_cell_forward, with_bf16_gemm, Conv2dGeom, PackedB, Tensor,
+};
 use std::sync::Arc;
 
 const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
@@ -94,6 +98,55 @@ fn gemm_bitwise_equal_across_variants() {
                     &reference,
                     &format!("gemm {:?} ({trans_a},{trans_b}) {m}x{k}x{n}", kern),
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn conv_bitwise_equal_across_variants() {
+    // `(n, c, side, k, stride, pad, oc)`: maps wider and narrower than every
+    // tier's tile (8 or 16 pixels), both strides of the served ResNet, a
+    // 1×1 projection, a 5×5 with stride 3, and taps (c·k·k = 261) crossing a
+    // KC block. Each tier runs the three kernels on two lanes, in f32 and in
+    // bf16 panel mode, against the scalar tier.
+    let pool = Arc::new(ThreadPool::new(2));
+    let cases = [
+        (3, 3, 32, 3, 1, 1, 8),
+        (2, 8, 16, 3, 2, 1, 16),
+        (2, 8, 16, 1, 2, 0, 16),
+        (3, 16, 8, 3, 1, 1, 9),
+        (4, 32, 4, 3, 1, 1, 17),
+        (2, 5, 13, 5, 3, 2, 7),
+        (2, 29, 6, 3, 1, 1, 9),
+    ];
+    for (n, c, side, k, stride, pad, oc) in cases {
+        let g = Conv2dGeom { c, h: side, w: side, kh: k, kw: k, stride, pad };
+        let hw = g.oh() * g.ow();
+        let x = lcg(301 + c as u64, n * c * side * side);
+        let w = lcg(303 + oc as u64, oc * c * k * k);
+        let up = lcg(307 + hw as u64, n * oc * hw);
+        for bf16 in [false, true] {
+            let run = |kern: Kernel| {
+                let kernels3 = || {
+                    let mut y = vec![f32::NAN; n * oc * hw];
+                    conv2d_into(&x, &w, n, oc, &g, &mut y);
+                    let mut dw = vec![f32::NAN; w.len()];
+                    conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dw);
+                    let mut dx = vec![f32::NAN; x.len()];
+                    conv2d_grad_x_into(&up, &w, n, oc, &g, &mut dx);
+                    [y, dw, dx]
+                };
+                kernels::with_override(kern, || {
+                    with_pool(&pool, || if bf16 { with_bf16_gemm(kernels3) } else { kernels3() })
+                })
+            };
+            let reference = run(Kernel::Scalar);
+            for &kern in &available() {
+                let got = run(kern);
+                for (what, (got, want)) in ["forward", "dW", "dx"].iter().zip(got.iter().zip(&reference)) {
+                    assert_bits_eq(got, want, &format!("conv {what} {kern:?} bf16 {bf16} {g:?} n={n} oc={oc}"));
+                }
             }
         }
     }

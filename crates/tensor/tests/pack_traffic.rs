@@ -1,21 +1,24 @@
 //! Exact-delta checks of the two process-wide counter sets: packed-panel
-//! bytes ([`legw_tensor::pack_traffic`]) and buffer-pool traffic
+//! and conv image-copy bytes ([`legw_tensor::pack_traffic`]) and
+//! buffer-pool traffic
 //! ([`legw_tensor::pool::stats`]).
 //!
 //! Deliberately a **single test in its own integration binary**: the
 //! counters are process-wide, so the before/after deltas are exact only
 //! when this is the one thread in the process issuing GEMMs and allocating
-//! tensors. The three phases therefore run in sequence inside one `#[test]`
+//! tensors. The four phases therefore run in sequence inside one `#[test]`
 //! — separate tests would run on parallel harness threads.
 
 use legw_tensor::{
-    gemm_into, gemm_into_packed, pack_traffic, pool, with_bf16_gemm, PackedB, Tensor,
+    conv2d_into, gemm_into, gemm_into_packed, pack_traffic, pool, with_bf16_gemm, Conv2dGeom,
+    PackedB, Tensor,
 };
 
 #[test]
 fn process_wide_counters_move_by_exact_deltas() {
     bf16_mode_packs_exactly_half_the_bytes();
     packed_b_moves_the_pack_out_of_the_call();
+    conv_forward_counts_its_image_copies();
     pool_counters_track_allocations_and_recycles();
 }
 
@@ -99,6 +102,30 @@ fn packed_b_moves_the_pack_out_of_the_call() {
     assert_eq!(pack16, (0, pb_bytes16));
     assert_eq!(call16, (0, a_bytes / 2));
     assert_eq!(plain16, (0, (a_bytes + pb_bytes) / 2));
+}
+
+/// A conv forward counts the weight's panels and each image's copy, in the
+/// counter of its mode, and bf16 counts exactly half.
+fn conv_forward_counts_its_image_copies() {
+    // Small enough to run serially, so each image is copied once, whole.
+    let g = Conv2dGeom { c: 3, h: 9, w: 9, kh: 3, kw: 3, stride: 1, pad: 1 };
+    let (n, oc) = (2usize, 5usize);
+    let x = vec![0.5f32; n * 3 * 81];
+    let w = vec![0.25f32; oc * 27];
+    let mut out = vec![0.0f32; n * oc * 81];
+    let t0 = pack_traffic();
+    conv2d_into(&x, &w, n, oc, &g, &mut out);
+    let t1 = pack_traffic();
+    with_bf16_gemm(|| conv2d_into(&x, &w, n, oc, &g, &mut out));
+    let t2 = pack_traffic();
+    assert_eq!((t1.bf16_bytes, t2.f32_bytes), (t0.bf16_bytes, t1.f32_bytes), "one counter per mode");
+    // The weight in 8-row micro-panels of its 27 taps, and per image, on
+    // every tier (9 output columns leave either tile width half empty, so
+    // runs cross rows), 9 planes — 3 channels, 3 kernel columns — of
+    // 11 rows × 9 columns.
+    let elems = (8 * 27 + n * 9 * 11 * 9) as u64;
+    assert_eq!(t1.f32_bytes - t0.f32_bytes, 4 * elems, "weight panels and image copies, f32");
+    assert_eq!(t2.bf16_bytes - t1.bf16_bytes, 2 * elems, "the same elements, bf16");
 }
 
 /// A take that follows a drop of the same size recycles and does not
