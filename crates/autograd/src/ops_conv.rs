@@ -84,7 +84,8 @@ static CHANNEL_AFFINE_G: Entry = Entry::new("ChannelAffineG", |io| {
 
 /// `[batch, oc, flags]`: ConvF's backward from the NCHW `up`, the weight
 /// and ConvF's input: `dW` (flag 1), reduced over every output pixel, and
-/// `dx` (flag 2), each image folded from its `Wᵀ · up` columns.
+/// `dx` (flag 2), each image's `Wᵀ · up` added straight into a padded copy
+/// of it.
 static CONV_G: Entry = Entry::new("ConvG", |io| {
     let ([b, oc, flags, ..], src) = (io.a.n, io.src);
     let (g, up) = (geom(&io.st), src.get(0));

@@ -7,22 +7,30 @@
 //! products with it: the output is `w · im2colᵀ`, the weight gradient
 //! `up · im2col`, the input gradient the fold (col2im) of `wᵀ · up`.
 //!
-//! None of them builds it. The forward multiplies straight from the image:
-//! each image is copied once, laid out by [`ImageCopy`] so that every tap's
-//! im2col row is a contiguous run of the copy, and the GEMM micro-tile
-//! loads each k-step's B row from the copy at that tap's offset instead of
-//! from a packed panel. The weight gradient's operands are packed a block
-//! at a time by the loops here, gathered straight from the images:
-//! [`pack_taps`] as panels of taps (its B), and [`pack_planes`] reads an
-//! NCHW gradient as `[channels, pixels]` (its A). The forward writes each
-//! image's product straight into its NCHW block, and the input gradient
-//! reads `up`'s planes as they are, so no permute runs either. Each product
-//! sums the same terms in the same order as the lowering it replaced, so
-//! every bit is the lowering's; the tests hold the kernels to that
-//! lowering, built from serial oracles.
+//! None of them builds it, and none gathers an operand tap by tap. Each
+//! image is copied once, laid out by [`ImageCopy`] so that every tap's
+//! im2col row is a run of the copy at a per-tap offset, and the GEMM
+//! micro-tile reads the image from that copy in place:
+//!
+//! * the **forward** loads each k-step's B row from the copy at the tap's
+//!   offset instead of from a packed panel, and writes each image's product
+//!   straight into its NCHW block;
+//! * the **weight gradient** is computed as its transpose: taps are the
+//!   tile's rows, whose A scalars it reads from the copies of a k-block's
+//!   images at a tap's offset plus a pixel's position, and output channels
+//!   its columns, [`pack_planes`] packing `up`'s channels over the block;
+//! * the **input gradient** reads `up`'s planes as they are for its B rows
+//!   and adds each tile of `wᵀ · up` straight into a zero-padded copy of the
+//!   image — the adjoint of the forward's — from which the image is copied
+//!   out once.
+//!
+//! Each product sums the same terms in the same order as the lowering it
+//! replaced (the input gradient adds into each pixel in output-pixel order,
+//! as the fold does), so every bit is the lowering's; the tests hold the
+//! kernels to that lowering, built from serial oracles.
 
 use crate::gemm::{self, zero_tail};
-use crate::kernels::PackElem;
+use crate::kernels::{PackElem, Stretches};
 use crate::pool::Buffer;
 use crate::tensor::Tensor;
 use legw_parallel::{current, par_chunks_mut};
@@ -94,11 +102,13 @@ pub fn conv2d_into(x: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, ou
 
 /// Conv2d weight gradient: `dw [oc, c·kh·kw] = Σ` over every output pixel
 /// of the batch of `up[·, o, pixel] · Unfold(x)[pixel, ·]`, from the images
-/// `x [n, c, h, w]` and the output gradient `up [n, oc, oh, ow]`, both read
-/// where they are. The reduction is split across the pool at the GEMM
-/// engine's own k-blocks and summed back in block order, so the bits are
-/// the serial product's — `up2ᵀ · im2col(x)` of the lowering it replaced —
-/// at any thread count. `dw` is overwritten.
+/// `x [n, c, h, w]` and the output gradient `up [n, oc, oh, ow]`. Computed
+/// as its transpose, `[c·kh·kw, oc]`: the tiles read the taps in place from
+/// one padded copy of each image per k-block, and `up`'s channels from a
+/// panel packed per block. The reduction is split across the pool at the
+/// GEMM engine's own k-blocks and summed back in block order, so the bits
+/// are the serial product's — `up2ᵀ · im2col(x)` of the lowering it
+/// replaced — at any thread count. `dw` is overwritten.
 pub fn conv2d_grad_w_into(x: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dw: &mut [f32]) {
     check(g, x, n, "conv2d_grad_w_into input");
     assert_eq!(up.len(), n * oc * g.oh() * g.ow(), "conv2d_grad_w_into up length");
@@ -108,10 +118,11 @@ pub fn conv2d_grad_w_into(x: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2d
 
 /// Conv2d input gradient: `dx [n, c, h, w]`, the fold (col2im) of
 /// `wᵀ · upᵢ` per image, from the output gradient `up [n, oc, oh, ow]` and
-/// the weight `w [oc, c·kh·kw]`. Each image's columns exist only in a
-/// per-thread scratch between its GEMM and its fold, and each pixel still
-/// receives its contributions in output-pixel order, so the bits are the
-/// lowering's — `col2im(up2 · w)` — at any thread count. `dx` is
+/// the weight `w [oc, c·kh·kw]`. Each tile of `wᵀ · upᵢ` reads `up`'s planes
+/// in place and is added straight into a per-thread padded copy of the
+/// image, tiles in pixel order and taps from the last to the first, so each
+/// pixel receives its contributions in output-pixel order and the bits are
+/// the lowering's — `col2im(up2 · w)` — at any thread count. `dx` is
 /// overwritten.
 pub fn conv2d_grad_x_into(up: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dx: &mut [f32]) {
     check(g, dx, n, "conv2d_grad_x_into dx");
@@ -129,11 +140,9 @@ fn check(g: &Conv2dGeom, images: &[f32], n: usize, what: &str) {
 /// Unfolds `input [N, C, H, W]` into a column matrix `[N·OH·OW, C·KH·KW]`:
 /// one row per output pixel, one column per tap `(channel, ky, kx)`.
 ///
-/// The convolutions never build this matrix: they gather its blocks as
-/// they pack them. This runs the same gather as the weight gradient's tap
-/// panels over the whole batch, at one panel as wide as a row. Row blocks
-/// run on the pool; every element is written once, so the output starts as
-/// a dirty pooled buffer.
+/// The convolutions never build this matrix: they read the images in
+/// place. Row blocks run on the pool; every element is written once, so the
+/// output starts as a dirty pooled buffer.
 pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
     g.validate();
     assert_eq!(input.ndim(), 4, "im2col expects [N,C,H,W], got {:?}", input.shape());
@@ -148,15 +157,9 @@ pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
         rows.div_ceil(pool.threads() * 4).max(1)
     };
     par_chunks_mut(&pool, &mut out, rows_per_task * ckk, |start, block| {
-        pack_taps::<f32>(block, input.as_slice(), g, 0, ckk, start / ckk, block.len() / ckk, ckk);
+        pack_taps(block, input.as_slice(), g, start / ckk);
     });
     Tensor::from_buffer(out, &[rows, ckk])
-}
-
-/// The input row under kernel row `ky` of output row `oy`, if it is inside
-/// the image.
-fn in_row(g: &Conv2dGeom, oy: usize, ky: usize) -> Option<usize> {
-    (oy * g.stride + ky).checked_sub(g.pad).filter(|&iy| iy < g.h)
 }
 
 /// The `j` in `0..len` for which `j·stride + k − pad` lies in `0..extent`,
@@ -171,9 +174,10 @@ fn inside(g: &Conv2dGeom, extent: usize, k: usize, len: usize) -> (usize, usize)
     (lo.min(len), hi.div_ceil(s).clamp(lo.min(len), len))
 }
 
-/// The layout of the copy of one image that the conv forward multiplies
-/// from: every tap's im2col row (its value at each output pixel) is, along
-/// each run of output pixels, a contiguous run of the copy.
+/// The layout of the copy of one image that the conv kernels multiply
+/// from (and that the input gradient adds into): every tap's im2col row
+/// (its value at each output pixel) is, along each run of output pixels, a
+/// contiguous run of the copy.
 ///
 /// The copy is a stack of planes, one per `(channel, ky mod stride, φ)`.
 /// Row `r` of a plane holds, at column `u`, the zero-padded image at row
@@ -191,10 +195,13 @@ fn inside(g: &Conv2dGeom, extent: usize, k: usize, len: usize) -> (usize, usize)
 ///   micro-tile stays full on maps narrower than it, at `kw` times the
 ///   copy.
 ///
-/// [`ImageCopy::new`] takes the shape that runs fewer micro-tiles, the padded
-/// one on a tie. The two read the same values, so the product's bits do
-/// not depend on the choice. Either way a 1×1 stride-2 projection copies a
-/// quarter of the image.
+/// The forward ([`ImageCopy::new`]) takes the shape that runs fewer
+/// micro-tiles, the padded one on a tie. The two read the same values, so
+/// the product's bits do not depend on the choice. The gradients take the
+/// padded one ([`ImageCopy::padded`]): the weight gradient reads its taps
+/// through a table of pixel positions, so rows need not be contiguous, and
+/// in it an image pixel has one place, into which the input gradient adds.
+/// Either way a 1×1 stride-2 projection copies a quarter of the image.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ImageCopy {
     /// Column step between a tap and its plane: `stride` or `kw`.
@@ -214,21 +221,42 @@ pub(crate) struct ImageCopy {
 impl ImageCopy {
     /// The layout for `g` under a micro-tile `nr` pixels wide.
     pub(crate) fn new(g: &Conv2dGeom, nr: usize) -> ImageCopy {
-        let (oh, ow, s) = (g.oh(), g.ow(), g.stride);
-        let shift = if oh * ow.div_ceil(nr) <= (oh * ow).div_ceil(nr) { s } else { g.kw };
+        let (oh, ow) = (g.oh(), g.ow());
+        let shift = if oh * ow.div_ceil(nr) <= (oh * ow).div_ceil(nr) { g.stride } else { g.kw };
+        ImageCopy::with_shift(g, shift)
+    }
+
+    /// The padded shape for `g`: the smallest copy, and the one in which an
+    /// image pixel has one place.
+    pub(crate) fn padded(g: &Conv2dGeom) -> ImageCopy {
+        ImageCopy::with_shift(g, g.stride)
+    }
+
+    fn with_shift(g: &Conv2dGeom, shift: usize) -> ImageCopy {
+        let s = g.stride;
         ImageCopy {
             shift,
             phases: s.min(g.kh),
             cols: shift.min(g.kw),
-            rows: oh + (g.kh - 1) / s,
-            pitch: ow + (g.kw - 1) / shift,
-            ow,
+            rows: g.oh() + (g.kh - 1) / s,
+            pitch: g.ow() + (g.kw - 1) / shift,
+            ow: g.ow(),
         }
     }
 
     /// Elements per plane.
     fn plane(&self) -> usize {
         self.rows * self.pitch
+    }
+
+    /// Elements of one image's copy.
+    pub(crate) fn len(&self, g: &Conv2dGeom) -> usize {
+        g.c * self.phases * self.cols * self.plane()
+    }
+
+    /// Output pixel `p`'s position in every plane.
+    pub(crate) fn position(&self, p: usize) -> usize {
+        p / self.ow * self.pitch + p % self.ow
     }
 
     /// Writes every tap's offset, `off[q]` for im2col column `q`, into `off`
@@ -255,45 +283,100 @@ impl ImageCopy {
     /// The runs of output pixels `pixels` whose copy positions are
     /// contiguous, as `(pixels, position of the first)`: all of them when
     /// `pitch = ow`, else the part in each output row.
-    pub(crate) fn runs(&self, pixels: Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> {
-        let (ow, pitch) = (self.ow, self.pitch);
+    pub(crate) fn runs(&self, pixels: Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
         let mut p = pixels.start;
         std::iter::from_fn(move || {
             (p < pixels.end).then(|| {
-                let end = if pitch == ow { pixels.end } else { pixels.end.min((p / ow + 1) * ow) };
-                let run = (p..end, p / ow * pitch + p % ow);
+                let end = if self.pitch == self.ow { pixels.end } else { pixels.end.min((p / self.ow + 1) * self.ow) };
+                let run = (p..end, self.position(p));
                 p = end;
                 run
             })
         })
     }
 
-    /// Copies into `dst` the plane rows that the output pixels `pixels`
-    /// read from `image [c, h, w]`, each value through [`PackElem::pack`].
-    /// Returns the copy — `tail` elements longer than the planes, so that
-    /// `tail` values from any pixel's position plus any tap's offset lie
-    /// inside it — and the number of elements written. Rows that `pixels`
-    /// do not read keep whatever `dst` held.
-    pub(crate) fn copy<'d, E: PackElem>(
-        &self,
-        g: &Conv2dGeom,
-        image: &[f32],
-        dst: &'d mut Vec<E>,
-        pixels: Range<usize>,
-        tail: usize,
-    ) -> (&'d [E], usize) {
+    /// Copies into `dst`, one image's copy long, the plane rows that the
+    /// output pixels `pixels` read from `image [c, h, w]`, each value
+    /// through [`PackElem::pack`], and returns the number of elements
+    /// written. Rows that `pixels` do not read keep whatever `dst` held.
+    pub(crate) fn copy<E: PackElem>(&self, g: &Conv2dGeom, image: &[f32], dst: &mut [E], pixels: Range<usize>) -> usize {
         debug_assert!(image.len() == g.c * g.h * g.w && !pixels.is_empty() && pixels.end <= g.oh() * self.ow);
-        let (s, pitch, plane) = (g.stride, self.pitch, self.plane());
-        let planes = g.c * self.phases * self.cols;
-        let buf = gemm::scratch_prefix(dst, planes * plane + tail);
+        debug_assert_eq!(dst.len(), self.len(g));
+        let (s, pitch) = (g.stride, self.pitch);
         let rows = pixels.start / self.ow..(pixels.end - 1) / self.ow + 1 + (g.kh - 1) / s;
         if rows.len() == self.rows {
-            buf[..planes * plane].fill(E::default());
+            dst.fill(E::default());
         } else {
-            for d in buf.chunks_exact_mut(plane).take(planes) {
+            for d in dst.chunks_exact_mut(self.plane()) {
                 d[rows.start * pitch..rows.end * pitch].fill(E::default());
             }
         }
+        if s == 2 && self.cols == 2 {
+            self.copy_pairs(g, image, dst, rows.clone());
+        } else {
+            self.lines(g, rows.clone(), |at, from, len| {
+                let (d, line) = (&mut dst[at..at + len], &image[from..from + (len - 1) * s + 1]);
+                if s == 1 {
+                    d.iter_mut().zip(line).for_each(|(d, &v)| *d = E::pack(v));
+                } else {
+                    d.iter_mut().zip(line.iter().step_by(s)).for_each(|(d, &v)| *d = E::pack(v));
+                }
+            });
+        }
+        dst.len() / self.rows * rows.len()
+    }
+
+    /// [`ImageCopy::copy`]'s rows at stride 2 with both column planes: one
+    /// pass over each image row writes its even columns into one plane and
+    /// its odd ones into the other, where a pass per plane reads the row
+    /// twice. On the benchmark's two stride-2 3×3 weight gradients this
+    /// took about 0.83× the time of two passes.
+    fn copy_pairs<E: PackElem>(&self, g: &Conv2dGeom, image: &[f32], dst: &mut [E], rows: Range<usize>) {
+        let plane = self.plane();
+        // Image column 0 lies in one plane and column 1 in the other; `a` is
+        // the stretch of a plane row that takes columns 0, 2, …, `b` the one
+        // that takes columns 1, 3, ….
+        let [(lo0, hi0), (lo1, hi1)] = [0, 1].map(|phi| inside(g, g.w, phi, self.pitch));
+        let first = g.pad % 2;
+        for phase in 0..self.phases {
+            let (r0, r1) = inside(g, g.h, phase, self.rows);
+            let (r0, r1) = (r0.max(rows.start), r1.min(rows.end));
+            let iy0 = (r0 * 2 + phase).wrapping_sub(g.pad);
+            for ci in 0..g.c {
+                let at = (ci * self.phases + phase) * 2 * plane;
+                for r in r0..r1 {
+                    let line = &image[(ci * g.h + iy0 + (r - r0) * 2) * g.w..][..g.w];
+                    let (d0, d1) = dst[at + r * self.pitch..].split_at_mut(plane);
+                    let (d0, d1) = (&mut d0[lo0..hi0], &mut d1[lo1..hi1]);
+                    let (a, b) = if first == 0 { (d0, d1) } else { (d1, d0) };
+                    let n = a.len().min(b.len());
+                    for ((x, y), p) in a.iter_mut().zip(b.iter_mut()).zip(line.chunks_exact(2)) {
+                        (*x, *y) = (E::pack(p[0]), E::pack(p[1]));
+                    }
+                    a.iter_mut().enumerate().skip(n).for_each(|(j, x)| *x = E::pack(line[2 * j]));
+                    b.iter_mut().enumerate().skip(n).for_each(|(j, y)| *y = E::pack(line[2 * j + 1]));
+                }
+            }
+        }
+    }
+
+    /// The adjoint of [`ImageCopy::copy`] over all output pixels: `image
+    /// [c, h, w]` from a padded copy `src`, each pixel the value at its one
+    /// place in the copy, zero where it has none (a pixel no tap reads).
+    pub(crate) fn copy_out(&self, g: &Conv2dGeom, src: &[f32], image: &mut [f32]) {
+        debug_assert!(self.shift == g.stride && src.len() == self.len(g) && image.len() == g.c * g.h * g.w);
+        image.fill(0.0);
+        self.lines(g, 0..self.rows, |at, from, len| {
+            let line = image[from..from + (len - 1) * g.stride + 1].iter_mut().step_by(g.stride);
+            line.zip(&src[at..at + len]).for_each(|(d, &v)| *d = v);
+        });
+    }
+
+    /// Calls `f(at, from, len)` for each stretch of a row in `rows` of a
+    /// plane that lies inside the image: `len` copy elements from `at` hold
+    /// the image's elements from `from` on, `stride` apart.
+    fn lines(&self, g: &Conv2dGeom, rows: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
+        let (s, pitch, plane) = (g.stride, self.pitch, self.plane());
         for phase in 0..self.phases {
             // Plane rows `r0..r1` of this phase lie inside the image, from
             // image row `iy0` on with step `s`.
@@ -310,20 +393,22 @@ impl ImageCopy {
                 }
                 for ci in 0..g.c {
                     let at = ((ci * self.phases + phase) * self.cols + phi) * plane + lo;
-                    let channel = &image[ci * g.h * g.w..(ci + 1) * g.h * g.w];
                     for r in r0..r1 {
-                        let d = &mut buf[at + r * pitch..][..hi - lo];
-                        let line = &channel[(iy0 + (r - r0) * s) * g.w + from..][..(hi - lo - 1) * s + 1];
-                        if s == 1 {
-                            d.iter_mut().zip(line).for_each(|(d, &v)| *d = E::pack(v));
-                        } else {
-                            d.iter_mut().zip(line.iter().step_by(s)).for_each(|(d, &v)| *d = E::pack(v));
-                        }
+                        f(at + r * pitch, (ci * g.h + iy0 + (r - r0) * s) * g.w + from, hi - lo);
                     }
                 }
             }
         }
-        (buf, planes * rows.len() * pitch)
+    }
+
+    /// Where a tile of output pixels `p0..p0 + cols` goes in a padded copy:
+    /// the first pixel's position, and the stretches
+    /// ([`kernels::Micro::scatter`](crate::kernels::Micro::scatter)) a row
+    /// of the tile is cut into, one per output row.
+    pub(crate) fn stretches(&self, p0: usize, cols: usize) -> (usize, Stretches) {
+        let (ow, gap) = (self.ow, self.pitch - self.ow);
+        let first = if gap == 0 { cols } else { ow - p0 % ow };
+        (self.position(p0), Stretches { first, run: ow, gap })
     }
 }
 
@@ -344,66 +429,44 @@ fn next_tap(g: &Conv2dGeom, ci: usize, ky: usize, kx: usize) -> (usize, usize, u
     }
 }
 
-/// Taps one pass of [`pack_taps`] tables: a GEMM column block.
-const TAP_TABLE: usize = gemm::NC;
+/// Taps one pass of [`pack_taps`] tables.
+const TAP_TABLE: usize = 256;
 
-/// [`Src::Unfold`](crate::gemm::Src)'s pack loop: the
-/// `rows × kb` block at `(t0, k0)` of the transposed im2col matrix
-/// `[taps, pixels]` of `x` into `w`-row micro-panels, k-major — per output
-/// pixel, `w` consecutive taps of each panel. Up to [`TAP_TABLE`] taps at a
-/// time are tabled (kernel row, kernel column, offset from the receptive
-/// field's corner), so a pixel whose receptive field lies inside the image
-/// is, in every panel, a gather at fixed offsets from its corner; only
-/// border pixels check each tap. Rows past `rows` in the last panel are
-/// zeroed. At `w = c·kh·kw` the block is one panel whose k-steps are im2col
-/// rows, which is how [`im2col`] runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_taps<E: PackElem>(
-    dst: &mut [E],
-    x: &[f32],
-    g: &Conv2dGeom,
-    t0: usize,
-    rows: usize,
-    k0: usize,
-    kb: usize,
-    w: usize,
-) {
+/// [`im2col`]'s gather: rows `k0..` of the im2col matrix of `x` into `dst`,
+/// whole rows of `c·kh·kw` taps. Up to [`TAP_TABLE`] taps at a time are
+/// tabled (kernel row, kernel column, offset from the receptive field's
+/// corner), so a pixel whose receptive field lies inside the image is a
+/// gather at fixed offsets from its corner; only border pixels check each
+/// tap.
+fn pack_taps(dst: &mut [f32], x: &[f32], g: &Conv2dGeom, k0: usize) {
     let (ow, ohw, img, plane) = (g.ow(), g.oh() * g.ow(), g.c * g.h * g.w, g.h * g.w);
     let (ih, iw, kh, kw) = (g.h as isize, g.w as isize, g.kh as isize, g.kw as isize);
-    // Whole panels per pass where they fit the table.
-    let chunk = if w <= TAP_TABLE { TAP_TABLE / w * w } else { TAP_TABLE };
-    for c0 in (0..rows).step_by(chunk) {
-        let taps = chunk.min(rows - c0);
+    let ckk = g.c * g.kh * g.kw;
+    for c0 in (0..ckk).step_by(TAP_TABLE) {
+        let taps = TAP_TABLE.min(ckk - c0);
         let (mut ky, mut kx, mut off) = ([0isize; TAP_TABLE], [0isize; TAP_TABLE], [0usize; TAP_TABLE]);
-        let mut tap = tap_at(g, t0 + c0);
+        let mut tap = tap_at(g, c0);
         for t in 0..taps {
             let (ci, y, x) = tap;
             (ky[t], kx[t], off[t]) = (y as isize, x as isize, ci * plane + y * g.w + x);
             tap = next_tap(g, ci, y, x);
         }
         let (mut ni, mut oy, mut ox) = (k0 / ohw, k0 % ohw / ow, k0 % ow);
-        for kk in 0..kb {
+        for row in dst.chunks_exact_mut(ckk) {
             let image = &x[ni * img..(ni + 1) * img];
             // The receptive field's corner.
             let (y0, x0) = ((oy * g.stride) as isize - g.pad as isize, (ox * g.stride) as isize - g.pad as isize);
-            let inside = y0 >= 0 && x0 >= 0 && y0 + kh <= ih && x0 + kw <= iw;
-            let field = inside.then(|| &image[(y0 * iw + x0) as usize..]);
-            // The pass's taps, a stretch of one panel at a time.
-            let (mut t, mut p, mut c) = (0, c0 / w, c0 % w);
-            while t < taps {
-                let len = (w - c).min(taps - t);
-                let row = &mut dst[(p * kb + kk) * w + c..][..len];
-                if let Some(field) = field {
-                    row.iter_mut().zip(&off[t..t + len]).for_each(|(d, &o)| *d = E::pack(field[o]));
-                } else {
-                    for (j, d) in row.iter_mut().enumerate() {
-                        let (iy, ix) = (y0 + ky[t + j], x0 + kx[t + j]);
-                        let at = y0 * iw + x0 + off[t + j] as isize;
-                        let inside = (0..ih).contains(&iy) && (0..iw).contains(&ix);
-                        *d = if inside { E::pack(image[at as usize]) } else { E::default() };
-                    }
+            let row = &mut row[c0..c0 + taps];
+            if y0 >= 0 && x0 >= 0 && y0 + kh <= ih && x0 + kw <= iw {
+                let field = &image[(y0 * iw + x0) as usize..];
+                row.iter_mut().zip(&off[..taps]).for_each(|(d, &o)| *d = field[o]);
+            } else {
+                for (j, d) in row.iter_mut().enumerate() {
+                    let (iy, ix) = (y0 + ky[j], x0 + kx[j]);
+                    let at = y0 * iw + x0 + off[j] as isize;
+                    let inside = (0..ih).contains(&iy) && (0..iw).contains(&ix);
+                    *d = if inside { image[at as usize] } else { 0.0 };
                 }
-                (t, p, c) = (t + len, p + 1, 0);
             }
             (ni, oy, ox) = if ox + 1 < ow {
                 (ni, oy, ox + 1)
@@ -414,16 +477,13 @@ pub(crate) fn pack_taps<E: PackElem>(
             };
         }
     }
-    if let Some(last) = dst.chunks_exact_mut(kb * w).last() {
-        zero_tail(last, rows - (rows - 1) / w * w, kb, w);
-    }
 }
 
-/// [`Src::Planes`](crate::gemm::Src)'s pack loop: the `rows × kb` block at
-/// `(c0, k0)` of feature maps `x [n, c, hw]` read as `[c, n·hw]` into
-/// `w`-row micro-panels, k-major: each channel row a run of contiguous
-/// plane stretches, stored with stride `w`. Rows past `rows` in the last
-/// panel are zeroed.
+/// The `rows × kb` block at `(c0, k0)` of feature maps `x [n, c, hw]` read
+/// as `[c, n·hw]` into `w`-row micro-panels, k-major: each channel row a run
+/// of contiguous plane stretches, stored with stride `w`. Rows past `rows`
+/// in the last panel are zeroed. A weight gradient's B: the output
+/// gradient's channels over a k-block of pixels.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_planes<E: PackElem>(
     dst: &mut [E],
@@ -451,37 +511,6 @@ pub(crate) fn pack_planes<E: PackElem>(
             }
         }
         zero_tail(panel, live, kb, w);
-    }
-}
-
-/// Zeroes `img`, then adds one image's tap-major columns
-/// `cols [c·kh·kw, oh·ow]` into it: the adjoint of the unfold. Output rows
-/// in order; within one, each `(channel, ky)` input line takes its kernel
-/// columns from the last to the first, each over all output columns in
-/// order. A pixel lies under one `(ky, kx)` of any one output pixel, and
-/// down the kernel columns its output column rises, so it receives its
-/// contributions in output-pixel order: the row-major fold's order, hence
-/// its bits.
-pub(crate) fn fold_taps(cols: &[f32], g: &Conv2dGeom, img: &mut [f32]) {
-    let (hw, ow, ohw) = (g.h * g.w, g.ow(), g.oh() * g.ow());
-    debug_assert!(cols.len() == g.c * g.kh * g.kw * ohw && img.len() == g.c * hw);
-    img.fill(0.0);
-    for oy in 0..g.oh() {
-        for (ci, plane) in img.chunks_exact_mut(hw).enumerate() {
-            for ky in 0..g.kh {
-                let Some(iy) = in_row(g, oy, ky) else { continue };
-                let line = &mut plane[iy * g.w..(iy + 1) * g.w];
-                for kx in (0..g.kw).rev() {
-                    let q = (ci * g.kh + ky) * g.kw + kx;
-                    let (lo, hi) = inside(g, g.w, kx, ow);
-                    if lo < hi {
-                        let src = &cols[q * ohw + oy * ow + lo..q * ohw + oy * ow + hi];
-                        let dst = line[lo * g.stride + kx - g.pad..].iter_mut().step_by(g.stride);
-                        dst.zip(src).for_each(|(d, &v)| *d += v);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -775,7 +804,13 @@ mod tests {
         // a stride-2 3×3 and 1×1 projection, and a conv whose taps, 288,
         // and weight-gradient reduction, over 4 · 64 pixels, both cross a
         // KC block); and a 32×32 request through the served network's
-        // strides, its 1×1 stride-2 projections included.
+        // strides, its 1×1 stride-2 projections included. Then where the
+        // backward has edges: 260 output channels, so that the input
+        // gradient's sum over them crosses a KC block; 5×7 maps at n = 9,
+        // so that the weight gradient's second 256-pixel block starts
+        // mid-image and mid-row, and 4×4 maps at n = 20, whose blocks take
+        // 16 images and then 4; a stride-2 3×3 on an odd side; and 8 output
+        // channels (the narrower tile on an AVX-512 host) beside 24.
         let cases = [
             (3, 2, 3, 1, 3, 1, 1, 9),
             (2, 3, 5, 7, 3, 1, 1, 9),
@@ -801,6 +836,12 @@ mod tests {
             (2, 16, 16, 16, 3, 2, 1, 32),
             (2, 16, 16, 16, 1, 2, 0, 32),
             (2, 32, 8, 8, 3, 1, 1, 32),
+            (2, 2, 5, 5, 3, 1, 1, 260),
+            (9, 3, 5, 7, 3, 1, 1, 9),
+            (20, 4, 4, 4, 3, 1, 1, 17),
+            (3, 5, 11, 11, 3, 2, 1, 12),
+            (2, 6, 7, 7, 3, 1, 1, 8),
+            (2, 6, 7, 7, 3, 1, 1, 24),
         ];
         for (n, c, h, w, k, stride, pad, oc) in cases {
             let g = Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad };

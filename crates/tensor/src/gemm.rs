@@ -52,29 +52,35 @@
 //!   fan out over every worker instead of leaving threads idle the way the
 //!   old row-chunk decomposition did.
 //! * **Convolutions** — the three products of a convolution run on this
-//!   engine without a column matrix (`conv.rs` has the lowering they equal).
-//!   The forward's B is not packed at all: each task copies its image once
-//!   into its B scratch, laid out (`conv::ImageCopy`) so that every tap's
-//!   im2col row is a contiguous run, and the micro-tile reads each k-step's
-//!   B row from that copy at the tap's offset ([`Taps`]) where a GEMM reads
-//!   it from a packed panel ([`Panel`]) — one tile body for both. The
-//!   weight gradient gathers its B (`Src::Unfold`) and reads its A
-//!   (`Src::Planes`) block by block; the input gradient reads `up`'s planes
-//!   as they are and folds each image's product back. The weight is packed
-//!   once per call as the whole A operand of the forward and the input
-//!   gradient.
+//!   engine without a column matrix (`conv.rs` has the lowering they equal),
+//!   and none gathers an operand tap by tap. Each image is copied once into
+//!   a layout (`conv::ImageCopy`) in which every tap's im2col row is a run
+//!   of the copy at a per-tap offset. The forward's micro-tile reads each
+//!   k-step's B row from that copy ([`Taps`]) where a GEMM reads it from a
+//!   packed panel ([`Panel`]). The weight gradient swaps the product's
+//!   sides: taps are its tile rows, whose A scalars the tile reads from the
+//!   copies at a tap's offset plus a pixel's position ([`Gather`]), and
+//!   `up`'s channels are its columns, packed a k-block at a time. The input
+//!   gradient reads its B rows in place from `up`'s planes ([`Planes`]) and
+//!   adds each tile straight into a zero-padded copy of the image
+//!   (`Micro::scatter`), the adjoint of the forward's copy. One tile body
+//!   serves every source. The weight is packed once per call as the whole
+//!   A operand of the forward and the input gradient.
 //! * **Scratch reuse** — the per-call buffers are thread-local: a
 //!   (packed-A, packed-B) pair per packed element type, which grows to
 //!   `MC·KC` / `KC·NC` once and is then sliced, never cleared (a conv
-//!   forward task copies its image into the B half); a whole-operand panel
-//!   per element type (a conv's weight); a conv forward's tap offsets; the
-//!   input gradient's tap-major columns of one image; and a k-split GEMM's
-//!   partial products. A [`PackedB`] keeps its allocation across repacks,
-//!   and outputs come from the [`crate::pool`] recycler, so the
-//!   steady-state training loop performs no per-call heap allocation here.
+//!   forward task copies its image into the B half, a weight-gradient task
+//!   its images into the A half; an input gradient in bf16 rounds `up`'s
+//!   planes into the B half); a whole-operand panel per element type (a
+//!   conv's weight); a conv's tap offsets; a weight-gradient task's pixel
+//!   positions; an input-gradient task's padded image; and a weight
+//!   gradient's per-block partial products. A [`PackedB`] keeps its
+//!   allocation across repacks, and outputs come from the [`crate::pool`]
+//!   recycler, so the steady-state training loop performs no per-call heap
+//!   allocation here.
 
 use crate::conv::{self, Conv2dGeom};
-use crate::kernels::{self, Kernel, Micro, PackElem, Panel, Taps};
+use crate::kernels::{self, Gather, Kernel, Micro, PackElem, Panel, Planes, Taps};
 use crate::pool::Buffer;
 use legw_parallel::{current, par_chunks_mut, par_tiles_2d, ThreadPool};
 use std::cell::{Cell, RefCell};
@@ -112,12 +118,13 @@ thread_local! {
     /// issuing thread across the call; tile tasks never touch it.
     static WHOLE_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static WHOLE_BF16: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
-    /// A conv forward's per-tap offsets into its image copies, held by the
+    /// A convolution's per-tap offsets into its image copies, held by the
     /// issuing thread across the call.
     static TAP_OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    /// One image's tap-major input-gradient columns, between a conv's
-    /// input-gradient GEMM and its fold.
-    static TAPS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// A conv weight-gradient task's pixel positions in its image copies.
+    static POSITIONS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// A conv input-gradient task's padded image, which its tiles add into.
+    static PADDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// A k-split GEMM's per-block partial products, held by the issuing
     /// thread across the call.
     static PARTIALS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -187,6 +194,8 @@ trait PackScratch: PackElem {
     /// The vector of `p` that holds panels of this element type.
     fn panels(p: &PackedB) -> &Vec<Self>;
     fn panels_mut(p: &mut PackedB) -> &mut Vec<Self>;
+    /// `x` itself when it is already this element type.
+    fn in_place(x: &[f32]) -> Option<&[Self]>;
 }
 
 impl PackScratch for f32 {
@@ -208,6 +217,9 @@ impl PackScratch for f32 {
     fn panels_mut(p: &mut PackedB) -> &mut Vec<f32> {
         &mut p.f32_panels
     }
+    fn in_place(x: &[f32]) -> Option<&[f32]> {
+        Some(x)
+    }
 }
 
 impl PackScratch for u16 {
@@ -228,6 +240,9 @@ impl PackScratch for u16 {
     }
     fn panels_mut(p: &mut PackedB) -> &mut Vec<u16> {
         &mut p.bf16_panels
+    }
+    fn in_place(_: &[f32]) -> Option<&[u16]> {
+        None
     }
 }
 
@@ -358,9 +373,9 @@ pub(crate) fn gemm_into(
     if m == 0 || n == 0 || k == 0 {
         return empty_product(out, acc);
     }
-    let a = Src::Dense { data: a, ld: if trans_a { m } else { k }, trans: trans_a };
+    let a = Src { data: a, ld: if trans_a { m } else { k }, trans: trans_a };
     // B is read as Bᵀ `[n, k]`: stored `[n, k]` is its plain form.
-    let b = Src::Dense { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
+    let b = Src { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
     with_micro!(kernels::selected(), bf16_enabled(), M => {
         gemm_blocked::<M>(pool, Operand::Src(a), Operand::Src(b), m, k, n, out, acc)
     })
@@ -437,7 +452,7 @@ impl PackedB {
         // A no-op once the layout is settled: every element is overwritten
         // below, so only growth (first pack, or a new tier) fills.
         buf.resize(k * n.next_multiple_of(M::NR), M::E::default());
-        let bt = Src::Dense { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
+        let bt = Src { data: b, ld: if trans_b { k } else { n }, trans: !trans_b };
         pack_whole(pool, buf, bt, n, k, M::NR);
     }
 }
@@ -505,7 +520,7 @@ pub fn gemm_into_packed(
     }
     with_micro!(mode.0, mode.1, M => {
         let panels = <<M as Micro>::E as PackScratch>::panels(b);
-        let a = Operand::Src(Src::Dense { data: a, ld: if trans_a { m } else { k }, trans: trans_a });
+        let a = Operand::Src(Src { data: a, ld: if trans_a { m } else { k }, trans: trans_a });
         let b = Operand::Packed(panels, n.next_multiple_of(M::NR));
         gemm_blocked::<M>(&current(), a, b, m, k, n, out, acc)
     })
@@ -513,20 +528,13 @@ pub fn gemm_into_packed(
 
 /// A matrix the engine reads as `[rows, k]` — A as it is, B transposed —
 /// and packs into `w`-row micro-panels, k-major, a block at a time: the one
-/// place operand layout is absorbed.
+/// place operand layout is absorbed. Row-major `[rows, k]` with row stride
+/// `ld`, or stored `[k, rows]` (row stride `ld`) when `trans`.
 #[derive(Clone, Copy)]
-pub(crate) enum Src<'a> {
-    /// Row-major `[rows, k]` with row stride `ld`, or stored `[k, rows]`
-    /// (row stride `ld`) when `trans`.
-    Dense { data: &'a [f32], ld: usize, trans: bool },
-    /// The transposed im2col matrix of the images `x` under `g`,
-    /// `[taps, pixels]`: taps `(channel, ky, kx)`, output pixels
-    /// image-major — a weight gradient's B. Never materialised: each block
-    /// is gathered from the images as it is packed.
-    Unfold { x: &'a [f32], g: &'a Conv2dGeom },
-    /// Feature maps `x [n, c, hw]` read as `[c, n·hw]`: channels are rows,
-    /// every image's pixels run along k.
-    Planes { x: &'a [f32], c: usize, hw: usize },
+pub(crate) struct Src<'a> {
+    data: &'a [f32],
+    ld: usize,
+    trans: bool,
 }
 
 impl Src<'_> {
@@ -536,16 +544,10 @@ impl Src<'_> {
     // Inlined, with `pack_dense`, into every tile body, which LLVM then
     // specialises to the tile's constant `w`; a shared copy keeps `w` a
     // run-time stride, which costs a small GEMM up to a fifth of its speed.
-    // The gathers of the convolutions stay calls: inlined too, they make
-    // the body too large for LLVM to keep inlining it.
     #[inline(always)]
     fn pack<E: PackElem>(&self, dst: &mut [E], r0: usize, rows: usize, k0: usize, kb: usize, w: usize) {
         debug_assert_eq!(dst.len(), rows.div_ceil(w) * kb * w, "packed block length");
-        match *self {
-            Src::Dense { data, ld, trans } => pack_dense(dst, data, trans, ld, r0, rows, k0, kb, w),
-            Src::Unfold { x, g } => conv::pack_taps(dst, x, g, r0, rows, k0, kb, w),
-            Src::Planes { x, c, hw } => conv::pack_planes(dst, x, c, hw, r0, rows, k0, kb, w),
-        }
+        pack_dense(dst, self.data, self.trans, self.ld, r0, rows, k0, kb, w)
     }
 }
 
@@ -627,14 +629,14 @@ unsafe fn block_product<M: Micro>(
                 Ordering::Relaxed,
             );
             debug_assert_eq!(bp.len(), nb.div_ceil(M::NR) * kb * M::NR, "B panels");
-            let panel = |jp: usize| Panel(&bp[jp * kb * M::NR..][..kb * M::NR]);
+            let b_panel = |jp: usize| Panel(&bp[jp * kb * M::NR..][..kb * M::NR]);
             // SAFETY: the caller's contract: it owns the rectangle, `M` runs
             // here; `ap` / `bp` hold the `mb×kb` / `kb×nb` blocks in `M`'s
             // micro-panel layout (packed just above, or panels of `M`'s
-            // tier and element type), so each `panel(jp)` is a whole
-            // `kb`-step micro-panel.
+            // tier and element type), so each panel is a whole `kb`-step
+            // micro-panel.
             unsafe {
-                macro_kernel::<M, _>(ap, panel, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
+                macro_kernel::<M, _>(ap, b_panel, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
             };
         }
     });
@@ -690,29 +692,44 @@ fn gemm_blocked<M: Micro>(
 // ------------------------------------------------------------ convolutions
 //
 // The three GEMMs of a convolution read their operands where they already
-// are: the weight, the images (the forward's tiles read a per-image copy in
-// place; the weight gradient gathers `Src::Unfold`, the transposed im2col
-// matrix, block by block) and the NCHW output gradient (`Src::Planes`).
-// Each is the product the im2col lowering computed, with the operands of
-// every multiply swapped where the product is transposed — `a·b` is `b·a` in
-// IEEE arithmetic, the k-blocks are the same [`KC`] slices and each tile
-// still sums its k-steps in order — so every output element keeps its bits.
+// are: the weight, the images (read in place from per-image copies, laid out
+// by `conv::ImageCopy`: as the forward's B rows and the weight gradient's A
+// scalars) and the NCHW output gradient (the input gradient's B rows in
+// place, the weight gradient's B packed a block at a time). Each is the
+// product the im2col lowering computed, with the operands of every multiply
+// swapped where the product is transposed — `a·b` is `b·a` in IEEE
+// arithmetic, the k-blocks are the same [`KC`] slices and each tile still
+// sums its k-steps in order — so every output element keeps its bits.
 
 /// Packs all of `src` (`rows × k`) into this thread's whole-operand scratch
-/// for `f`, as the [`Operand::Packed`] every tile of the call reads.
+/// for `f`, as the panels and padded row count every tile of the call
+/// reads ([`pack_whole`]'s layout).
 fn with_whole_operand<E: PackScratch, R>(
     pool: &ThreadPool,
     src: Src<'_>,
     rows: usize,
     k: usize,
     w: usize,
-    f: impl FnOnce(Operand<'_, E>) -> R,
+    f: impl FnOnce(&[E], usize) -> R,
 ) -> R {
     E::with_whole(|buf| {
         let pad = rows.next_multiple_of(w);
         let panels = scratch_prefix(buf, k * pad);
         pack_whole(pool, panels, src, rows, k, w);
-        f(Operand::Packed(panels, pad))
+        f(panels, pad)
+    })
+}
+
+/// Writes `layout`'s offset of every tap into this thread's tap table, `len`
+/// long (taps past `c·kh·kw` at offset 0), for `f`.
+fn with_tap_offsets<R>(layout: &conv::ImageCopy, g: &Conv2dGeom, len: usize, f: impl FnOnce(&[usize]) -> R) -> R {
+    TAP_OFFSETS.with(|off| {
+        let mut off = off.borrow_mut();
+        let off = scratch_prefix(&mut off, len);
+        let ckk = g.c * g.kh * g.kw;
+        layout.offsets(g, &mut off[..ckk]);
+        off[ckk..].fill(0);
+        f(off)
     })
 }
 
@@ -741,19 +758,16 @@ pub(crate) fn conv_forward(
         return empty_product(out, false);
     }
     let lanes = if imgs * oc * ckk * hw >= PAR_FLOPS { pool.threads() } else { 1 };
-    let weight = Src::Dense { data: w, ld: ckk, trans: false };
+    let weight = Src { data: w, ld: ckk, trans: false };
     with_micro!(kernels::selected(), bf16_enabled(), M => {
         let layout = conv::ImageCopy::new(g, M::NR);
         // Pixel ranges per image, whole output rows where runs are rows.
         let cuts = if imgs >= 2 * lanes { 1 } else { (2 * lanes).div_ceil(imgs) };
         let span = hw.div_ceil(cuts).next_multiple_of(layout.run_grid(M::NR)).min(hw);
         let ranges = hw.div_ceil(span);
-        with_whole_operand::<<M as Micro>::E, _>(pool, weight, oc, ckk, M::MR, |a| {
-            TAP_OFFSETS.with(|off| {
-                let mut off = off.borrow_mut();
-                let off = scratch_prefix(&mut off, ckk);
-                layout.offsets(g, off);
-                let (off, base) = (&*off, OutPtr(out.as_mut_ptr()));
+        with_whole_operand::<<M as Micro>::E, _>(pool, weight, oc, ckk, M::MR, |panels, pad| {
+            with_tap_offsets(&layout, g, ckk, |off| {
+                let (a, base) = (Operand::Packed(panels, pad), OutPtr(out.as_mut_ptr()));
                 let task = |t: usize| {
                     let (i, p0) = (t / ranges, t % ranges * span);
                     let image = &x[i * img..(i + 1) * img];
@@ -803,8 +817,12 @@ unsafe fn conv_pixels<M: Micro>(
 {
     let (ckk, hw) = (off.len(), g.oh() * g.ow());
     M::E::with_scratch(|abuf, bbuf| {
-        let (copy, copied) = layout.copy(g, image, bbuf, pixels.clone(), M::NR);
+        // `NR` elements past the planes, so that `NR` values from any
+        // pixel's position plus any tap's offset lie inside the copy.
+        let copy = scratch_prefix(bbuf, layout.len(g) + M::NR);
+        let copied = layout.copy(g, image, &mut copy[..layout.len(g)], pixels.clone());
         M::E::counter().fetch_add((copied * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+        let copy = &*copy;
         for (run, at) in layout.runs(pixels) {
             for k0 in (0..ckk).step_by(KC) {
                 let kb = KC.min(ckk - k0);
@@ -815,9 +833,9 @@ unsafe fn conv_pixels<M: Micro>(
                     // SAFETY: the caller owns the run's columns of the
                     // block and vouches for `a` and `M`; `i0` steps by MC,
                     // a multiple of MR. Each tile reads B's rows at a
-                    // pixel's copy position plus a tap's offset, and
-                    // `ImageCopy::copy` makes the copy `NR` elements longer
-                    // than any such sum, so every row lies inside it.
+                    // pixel's copy position plus a tap's offset, and the
+                    // copy is `NR` elements longer than any such sum, so
+                    // every row lies inside it.
                     unsafe { macro_kernel::<M, _>(ap, taps, mb, run.len(), kb, out, hw, i0, run.start, k0 > 0) };
                 }
             }
@@ -825,12 +843,13 @@ unsafe fn conv_pixels<M: Micro>(
     })
 }
 
+/// Floats of the widest micro-tile, `MR·NR` of the AVX-512 tier.
+const TILE_FLOATS: usize = 8 * 16;
+
 /// Conv2d input gradient: image `i` of `dx [imgs, c, h·w]` is the fold
 /// (col2im) of `wᵀ [ckk, oc] · upᵢ [oc, oh·ow]`. The weight is packed once
-/// for the call and B is read straight from `up`'s NCHW planes; the
-/// product, one image's tap-major columns, goes to this thread's scratch
-/// and from there [`conv::fold_taps`] adds it into the image. One task per
-/// image. Overwrites `dx`.
+/// for the call as the whole A operand; B's rows are read in place from
+/// `up`'s planes. One task per image ([`dx_image`]). Overwrites `dx`.
 pub(crate) fn conv_dx(
     pool: &ThreadPool,
     up: &[f32],
@@ -846,31 +865,17 @@ pub(crate) fn conv_dx(
         return empty_product(dx, false);
     }
     let parallel = imgs * oc * ckk * hw >= PAR_FLOPS && pool.threads() > 1;
-    let weight_t = Src::Dense { data: w, ld: ckk, trans: true };
+    let (weight_t, layout) = (Src { data: w, ld: ckk, trans: true }, conv::ImageCopy::padded(g));
     with_micro!(kernels::selected(), bf16_enabled(), M => {
-        with_whole_operand::<<M as Micro>::E, _>(pool, weight_t, ckk, oc, M::MR, |a| {
-            par_chunks_mut(pool, dx, if parallel { img } else { dx.len() }, |start, grads| {
-                TAPS.with(|taps| {
-                    let mut taps = taps.borrow_mut();
-                    let cols = scratch_prefix(&mut taps, ckk * hw);
+        const { assert!(M::MR * M::NR <= TILE_FLOATS) };
+        with_whole_operand::<<M as Micro>::E, _>(pool, weight_t, ckk, oc, M::MR, |wt, pad| {
+            with_tap_offsets(&layout, g, ckk, |off| {
+                par_chunks_mut(pool, dx, if parallel { img } else { dx.len() }, |start, grads| {
                     for (j, grad) in grads.chunks_exact_mut(img).enumerate() {
                         let i = start / img + j;
-                        let upi = &up[i * oc * hw..(i + 1) * oc * hw];
-                        let b = Operand::Src(Src::Dense { data: upi, ld: hw, trans: true });
-                        for i0 in (0..ckk).step_by(MC) {
-                            for j0 in (0..hw).step_by(NC) {
-                                let (rows, at) = ((i0, MC.min(ckk - i0)), (j0, NC.min(hw - j0)));
-                                // SAFETY: `cols` is this thread's `[ckk, hw]`
-                                // scratch, borrowed for the whole loop, and
-                                // the blocks step by MC and NC over it; `a`
-                                // was packed for `M` above, the tier
-                                // dispatch chose.
-                                unsafe {
-                                    block_product::<M>(a, b, rows, at, 0..oc, cols.as_mut_ptr(), hw, false)
-                                }
-                            }
-                        }
-                        conv::fold_taps(cols, g, grad);
+                        // SAFETY: `wt` holds wᵀ's panels in `M`'s layout,
+                        // packed just above on the tier dispatch chose.
+                        unsafe { dx_image::<M>(wt, pad, &up[i * oc * hw..(i + 1) * oc * hw], g, &layout, off, grad) };
                     }
                 })
             })
@@ -878,11 +883,106 @@ pub(crate) fn conv_dx(
     })
 }
 
+/// One image of a conv input gradient, `grad [c, h·w]`, from its output
+/// gradient `up [oc, oh·ow]` and `wt`, wᵀ's whole-operand panels (`pad`
+/// rows). Each micro-tile is `MR` taps × `NR` output pixels of `wᵀ · up`,
+/// its B rows read in place from `up`'s planes (their bf16 copy in bf16
+/// mode; a packed panel for a ragged last pixel tile), summed over `oc` at
+/// the engine's k-blocks into a tile on the stack, then added straight into
+/// this thread's padded image ([`conv::ImageCopy::scatter`]). Pixel tiles
+/// run in order and the tap panels of each from the last to the first, so
+/// every image pixel receives its contributions in output-pixel order, as
+/// the lowering's fold adds them. The image is copied out of the padded one
+/// at the end.
+///
+/// # Safety
+/// `wt` must hold wᵀ's panels in `M`'s layout, and the dispatch layer must
+/// have checked that `M` runs on this CPU.
+#[allow(clippy::too_many_arguments)]
+unsafe fn dx_image<M: Micro>(
+    wt: &[M::E],
+    pad: usize,
+    up: &[f32],
+    g: &Conv2dGeom,
+    layout: &conv::ImageCopy,
+    off: &[usize],
+    grad: &mut [f32],
+) where
+    M::E: PackScratch,
+{
+    let (ckk, hw) = (off.len(), g.oh() * g.ow());
+    let oc = up.len() / hw;
+    M::E::with_scratch(|abuf, bbuf| {
+        PADDED.with(|padded| {
+            let mut padded = padded.borrow_mut();
+            let padded = scratch_prefix(&mut padded, layout.len(g));
+            padded.fill(0.0);
+            let mut packed = 0;
+            let planes: &[M::E] = match M::E::in_place(up) {
+                Some(up) => up,
+                None => {
+                    let b = scratch_prefix(bbuf, up.len());
+                    b.iter_mut().zip(up).for_each(|(d, &v)| *d = M::E::pack(v));
+                    packed += b.len();
+                    b
+                }
+            };
+            let mut tile = [0.0f32; TILE_FLOATS];
+            for p0 in (0..hw).step_by(M::NR) {
+                let cols = M::NR.min(hw - p0);
+                let (at_copy, stretches) = layout.stretches(p0, cols);
+                // A whole tile reads its `NR` pixels in place; a ragged one
+                // from `oc` k-steps packed `NR` wide.
+                let (rows_of, at, ld) = if cols == M::NR {
+                    (planes, p0, hw)
+                } else {
+                    let b = scratch_prefix(abuf, oc * M::NR);
+                    Src { data: up, ld: hw, trans: true }.pack(b, p0, cols, 0, oc, M::NR);
+                    packed += b.len();
+                    (&*b, 0, M::NR)
+                };
+                for ip in (0..ckk.div_ceil(M::MR)).rev() {
+                    let rows = M::MR.min(ckk - ip * M::MR);
+                    for k0 in (0..oc).step_by(KC) {
+                        let kb = KC.min(oc - k0);
+                        let a = Panel(&wt[k0 * pad + ip * M::MR * kb..][..kb * M::MR]);
+                        let b = Planes { data: rows_of, at: at + k0 * ld, ld };
+                        // SAFETY: the stack tile holds `MR·NR` floats
+                        // (asserted by the caller), rows `NR` apart; `a` is
+                        // a whole `kb`-step micro-panel of wᵀ; B's rows are
+                        // `oc` planes `ld` apart from which `NR` values at
+                        // `at` lie inside `rows_of` (a whole tile's pixels,
+                        // or the packed panel); `M` is the caller's.
+                        unsafe { M::tile(kb, a, b, tile.as_mut_ptr(), M::NR, rows, cols, k0 > 0) };
+                    }
+                    let taps = &off[ip * M::MR..ip * M::MR + rows];
+                    let last = layout.position(p0 + cols - 1) - layout.position(p0);
+                    debug_assert!(taps.iter().all(|&o| o + at_copy + last < padded.len()));
+                    let dst = padded.as_mut_ptr();
+                    // SAFETY: the stack tile holds `rows` rows of `NR`; a
+                    // tap's offset plus a pixel's position lies inside the
+                    // padded copy, which this thread owns; `M` is the
+                    // caller's.
+                    unsafe { M::scatter(&tile[..rows * M::NR], dst.add(at_copy), taps, cols, stretches) };
+                }
+            }
+            M::E::counter().fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+            layout.copy_out(g, padded, grad);
+        })
+    })
+}
+
 /// Conv2d weight gradient `dw [oc, ckk] = up [oc, imgs·oh·ow] · Unfold(x)`,
-/// A read straight from `up`'s NCHW planes and B gathered from the images.
-/// The reduction runs over every output pixel of the batch, so it is split
-/// across the pool at the engine's own k-blocks ([`gemm_k_split`]).
-/// Overwrites `dw`.
+/// computed as its transpose `Unfold(x)ᵀ · upᵀ`: taps are the tiles' rows,
+/// read in place from copies of the images ([`Gather`]), and output
+/// channels their columns, `up`'s planes packed a [`KC`] block of pixels at
+/// a time. The reduction runs over every output pixel of the batch, so each
+/// task computes one k-block's product over the whole output, every element
+/// started from zero as the engine's tiles start it, into a `[ckk, oc]`
+/// slot of its own; the slots are then added in block order and transposed
+/// into `dw`. Those are the adds the serial engine makes, block after block,
+/// so the bits are its bits at any thread count. Blocks run a wave at a
+/// time, so the slots stay near [`SPLIT_FLOATS`]. Overwrites `dw`.
 pub(crate) fn conv_dw(
     pool: &ThreadPool,
     x: &[f32],
@@ -892,77 +992,138 @@ pub(crate) fn conv_dw(
     g: &Conv2dGeom,
     dw: &mut [f32],
 ) {
-    let (ckk, hw) = (g.c * g.kh * g.kw, g.oh() * g.ow());
-    debug_assert!(x.len() == imgs * g.c * g.h * g.w && up.len() == imgs * oc * hw);
+    let (ckk, k) = (g.c * g.kh * g.kw, imgs * g.oh() * g.ow());
+    debug_assert!(x.len() == imgs * g.c * g.h * g.w && up.len() == oc * k);
     debug_assert_eq!(dw.len(), oc * ckk);
-    if dw.is_empty() || imgs == 0 {
+    if dw.is_empty() || k == 0 {
         return empty_product(dw, false);
     }
-    let (a, b) = (Src::Planes { x: up, c: oc, hw }, Src::Unfold { x, g });
-    with_micro!(kernels::selected(), bf16_enabled(), M => gemm_k_split::<M>(pool, a, b, oc, imgs * hw, ckk, dw))
-}
-
-/// Partial-product floats [`gemm_k_split`] keeps at once, 1 MiB.
-const SPLIT_FLOATS: usize = 1 << 18;
-
-/// `out = A·B` (beta = 0) for a deep reduction into a small output — a
-/// weight gradient, whose tile grid cannot fill the pool. Each task
-/// computes one [`KC`] block's product over the whole output, every element
-/// started from zero as the engine's tiles start it, into a slot of its
-/// own; the slots are then added into `out` in block order. Those are the
-/// adds the serial engine makes, block after block, so the bits are its
-/// bits at any thread count. Blocks run a wave at a time, so the slots stay
-/// near [`SPLIT_FLOATS`]. On ResNet's eight weight gradients at batch 128
-/// (2-core AVX-512 host) this takes about 0.6× the time of
-/// [`gemm_blocked`]'s tile grid over the same operands.
-fn gemm_k_split<M: Micro>(
-    pool: &ThreadPool,
-    a: Src<'_>,
-    b: Src<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) where
-    M::E: PackScratch,
-{
-    let (a, b, blocks) = (Operand::Src(a), Operand::Src(b), k.div_ceil(KC));
-    if blocks < 2 || m * n * k < PAR_FLOPS || pool.threads() == 1 {
-        return gemm_blocked::<M>(pool, a, b, m, k, n, out, false);
-    }
-    let wave = (SPLIT_FLOATS / (m * n)).max(2 * pool.threads()).min(blocks);
-    PARTIALS.with(|partials| {
-        let mut partials = partials.borrow_mut();
-        let slots = scratch_prefix(&mut partials, wave * m * n);
-        for first in (0..blocks).step_by(wave) {
-            let count = wave.min(blocks - first);
-            let base = OutPtr(slots.as_mut_ptr());
-            pool.run(count, |t| {
-                let k0 = (first + t) * KC;
-                for i0 in (0..m).step_by(MC) {
-                    for j0 in (0..n).step_by(NC) {
-                        // SAFETY: slot `t` — `m·n` elements at `t·m·n` of
-                        // `slots`, which holds `wave·m·n` and `t < count <=
-                        // wave` — is task t's alone, and the blocks step by
-                        // MC and NC over it; `M` is the tier dispatch chose.
+    let blocks = k.div_ceil(KC);
+    let lanes = if oc * ckk * k >= PAR_FLOPS && blocks > 1 { pool.threads() } else { 1 };
+    let wave = (SPLIT_FLOATS / (ckk * oc)).max(2 * lanes).min(blocks);
+    let layout = conv::ImageCopy::padded(g);
+    // Eight output channels or fewer fill the AVX2 tile's 8 columns but half
+    // of the AVX-512 tile's 16; on an AVX-512 host the narrower tile ran the
+    // ResNet's two such weight gradients in 0.7× the time. Every tier
+    // computes the same bits.
+    let kernel = match kernels::selected() {
+        Kernel::Avx512 if oc <= 8 && kernels::supported(Kernel::Avx2) => Kernel::Avx2,
+        k => k,
+    };
+    with_micro!(kernel, bf16_enabled(), M => {
+        // Taps past the last, in the last tap panel, read the copies' first
+        // plane: rows that are never stored.
+        with_tap_offsets(&layout, g, ckk.next_multiple_of(M::MR), |off| {
+            PARTIALS.with(|partials| {
+                let mut partials = partials.borrow_mut();
+                let slots = scratch_prefix(&mut partials, wave * ckk * oc);
+                for first in (0..blocks).step_by(wave) {
+                    let count = wave.min(blocks - first);
+                    let base = OutPtr(slots.as_mut_ptr());
+                    let task = |t: usize| {
+                        let k0 = (first + t) * KC;
+                        // SAFETY: slot `t` — `ckk·oc` elements at `t·ckk·oc`
+                        // of `slots`, which holds `wave·ckk·oc` and `t <
+                        // count <= wave` — is task t's alone; `M` is the
+                        // tier dispatch chose.
                         unsafe {
-                            let slot = base.get().add(t * m * n);
-                            let (rows, cols) = ((i0, MC.min(m - i0)), (j0, NC.min(n - j0)));
-                            block_product::<M>(a, b, rows, cols, k0..k.min(k0 + KC), slot, n, false)
+                            let slot = base.get().add(t * ckk * oc);
+                            dw_block::<M>(x, up, g, &layout, off, oc, k0..k.min(k0 + KC), slot)
+                        }
+                    };
+                    if lanes > 1 {
+                        pool.run(count, task);
+                    } else {
+                        (0..count).for_each(task);
+                    }
+                    for (t, slot) in slots.chunks_exact(ckk * oc).take(count).enumerate() {
+                        for (q, row) in slot.chunks_exact(oc).enumerate() {
+                            for (o, &v) in row.iter().enumerate() {
+                                let d = &mut dw[o * ckk + q];
+                                *d = if first + t == 0 { v } else { *d + v };
+                            }
                         }
                     }
                 }
-            });
-            for (t, slot) in slots.chunks_exact(m * n).take(count).enumerate() {
-                if first + t == 0 {
-                    out.copy_from_slice(slot);
-                } else {
-                    out.iter_mut().zip(slot).for_each(|(o, &s)| *o += s);
-                }
-            }
-        }
+            })
+        })
     })
 }
+
+/// One k-block of a conv weight gradient, output pixels `ks` of the batch,
+/// into `slot [ckk, oc]`. Copies what the block's pixels read of each of its
+/// images into this thread's A scratch ([`conv::ImageCopy`]'s padded
+/// planes, one image's copy after another), tables each pixel's position in
+/// those copies, packs `up`'s channels over the block into its B scratch,
+/// and runs the micro-tiles, A's scalars read from the copies at a tap's
+/// offset plus a pixel's position.
+///
+/// # Safety
+/// The caller must own the `ckk·oc` elements at `slot` exclusively; `off`
+/// must hold `layout`'s offset of every tap, then zeros to a whole tap panel
+/// of `M`; and the dispatch layer must have checked that `M` runs on this
+/// CPU.
+#[allow(clippy::too_many_arguments)]
+unsafe fn dw_block<M: Micro>(
+    x: &[f32],
+    up: &[f32],
+    g: &Conv2dGeom,
+    layout: &conv::ImageCopy,
+    off: &[usize],
+    oc: usize,
+    ks: Range<usize>,
+    slot: *mut f32,
+) where
+    M::E: PackScratch,
+{
+    let (ckk, hw, img, per) = (g.c * g.kh * g.kw, g.oh() * g.ow(), g.c * g.h * g.w, layout.len(g));
+    let (kb, images) = (ks.len(), ks.start / hw..(ks.end - 1) / hw + 1);
+    M::E::with_scratch(|abuf, bbuf| {
+        POSITIONS.with(|pos| {
+            let copies = scratch_prefix(abuf, images.len() * per);
+            let mut pos = pos.borrow_mut();
+            let pos = scratch_prefix(&mut pos, kb);
+            let (mut packed, mut kk) = (0, 0);
+            for (j, i) in images.enumerate() {
+                let pixels = ks.start.max(i * hw) - i * hw..ks.end.min((i + 1) * hw) - i * hw;
+                let copy = &mut copies[j * per..(j + 1) * per];
+                packed += layout.copy(g, &x[i * img..(i + 1) * img], copy, pixels.clone());
+                for (run, at) in layout.runs(pixels) {
+                    pos[kk..kk + run.len()].iter_mut().zip(j * per + at..).for_each(|(p, a)| *p = a);
+                    kk += run.len();
+                }
+            }
+            let bp = scratch_prefix(bbuf, oc.div_ceil(M::NR) * kb * M::NR);
+            conv::pack_planes(bp, up, oc, hw, 0, oc, ks.start, kb, M::NR);
+            packed += bp.len();
+            M::E::counter().fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+            let (copies, pos, bp) = (&*copies, &*pos, &*bp);
+            for ip in 0..ckk.div_ceil(M::MR) {
+                let taps = Gather { data: copies, off: &off[ip * M::MR..(ip + 1) * M::MR], pos };
+                let rows = M::MR.min(ckk - ip * M::MR);
+                for jp in 0..oc.div_ceil(M::NR) {
+                    let channels = Panel(&bp[jp * kb * M::NR..][..kb * M::NR]);
+                    let cols = M::NR.min(oc - jp * M::NR);
+                    // SAFETY: the caller owns the `[ckk, oc]` slot, in which
+                    // this tile's corner lies, and vouches for `M`; `taps`
+                    // has `MR` offsets (`off` runs to a whole tap panel) and
+                    // `kb` positions, and an offset plus a position lies
+                    // inside the copies: a tap reads its pixel's copy at most
+                    // `(kh − 1) / stride` rows and `(kw − 1) / stride`
+                    // columns past the pixel's position, inside its plane;
+                    // `channels` is a whole `kb`-step micro-panel.
+                    unsafe {
+                        let out = slot.add(ip * M::MR * oc + jp * M::NR);
+                        M::tile(kb, taps, channels, out, oc, rows, cols, false)
+                    };
+                }
+            }
+        })
+    })
+}
+
+/// Partial-product floats [`conv_dw`] keeps at once, 1 MiB.
+const SPLIT_FLOATS: usize = 1 << 18;
 
 /// Chooses (MC, NC) for this problem: start from the cache-friendly
 /// defaults and halve the proportionally larger block until the tile grid
@@ -1091,7 +1252,7 @@ unsafe fn macro_kernel<M: Micro, B: kernels::Rows<M::E>>(
             // caller's to vouch for.
             M::tile(
                 kb,
-                ap,
+                Panel(ap),
                 bp,
                 out.add((i0 + ip * M::MR) * ldc + j0 + jp * M::NR),
                 ldc,

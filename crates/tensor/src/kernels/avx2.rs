@@ -11,7 +11,7 @@
 //! `supported(Kernel::Avx2)` confirmed both.
 
 use super::simd::{self, Elem, Lanes};
-use super::{scalar, Micro, Rows};
+use super::{scalar, Lhs, Micro, Rows, Stretches};
 use crate::fastmath::SATURATE;
 use std::arch::x86_64::*;
 use std::marker::PhantomData;
@@ -113,9 +113,9 @@ impl<E: Elem> Micro for Avx2Micro<E> {
     /// # Safety
     /// The contract of [`Micro::tile`].
     #[target_feature(enable = "avx2")]
-    unsafe fn tile<B: Rows<E>>(
+    unsafe fn tile<A: Lhs<E>, B: Rows<E>>(
         kb: usize,
-        ap: &[E],
+        a: A,
         b: B,
         out: *mut f32,
         ldc: usize,
@@ -123,7 +123,14 @@ impl<E: Elem> Micro for Avx2Micro<E> {
         cols: usize,
         acc: bool,
     ) {
-        simd::tile::<V8, E, B>(kb, ap, b, out, ldc, rows, cols, acc)
+        simd::tile::<V8, E, A, B>(kb, a, b, out, ldc, rows, cols, acc)
+    }
+
+    /// # Safety
+    /// The contract of [`Micro::scatter`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn scatter(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches) {
+        simd::scatter::<V8>(tile, dst, off, cols, s)
     }
 }
 

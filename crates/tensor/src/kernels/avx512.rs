@@ -8,7 +8,7 @@
 //! here only after `supported(Kernel::Avx512)` confirmed it.
 
 use super::simd::{self, Elem, Lanes};
-use super::{scalar, Micro, Rows};
+use super::{scalar, Lhs, Micro, Rows, Stretches};
 use crate::fastmath::SATURATE;
 use std::arch::x86_64::*;
 use std::marker::PhantomData;
@@ -107,9 +107,9 @@ impl<E: Elem> Micro for Avx512Micro<E> {
     /// # Safety
     /// The contract of [`Micro::tile`].
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile<B: Rows<E>>(
+    unsafe fn tile<A: Lhs<E>, B: Rows<E>>(
         kb: usize,
-        ap: &[E],
+        a: A,
         b: B,
         out: *mut f32,
         ldc: usize,
@@ -117,7 +117,14 @@ impl<E: Elem> Micro for Avx512Micro<E> {
         cols: usize,
         acc: bool,
     ) {
-        simd::tile::<V16, E, B>(kb, ap, b, out, ldc, rows, cols, acc)
+        simd::tile::<V16, E, A, B>(kb, a, b, out, ldc, rows, cols, acc)
+    }
+
+    /// # Safety
+    /// The contract of [`Micro::scatter`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scatter(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches) {
+        simd::scatter::<V16>(tile, dst, off, cols, s)
     }
 }
 

@@ -14,14 +14,18 @@
 //!
 //! ## One body per vector kernel
 //!
-//! The vector tile, the `tanh`/`sigmoid` pipeline, the sweep and the gate
-//! row are each written once, in `simd.rs`, generic over a `Lanes` trait
-//! (one register of `f32` lanes: load, store, masked edge, add, mul, div,
-//! fmadd, min/max, saturate). The tile is also written once over where its
-//! B rows come from (`Rows`): a packed panel, or a convolution's image copy
-//! read in place through a table of per-tap offsets. `avx2.rs` and
-//! `avx512.rs` hold only their `Lanes` impl (`V8`, `V16`) and the
-//! `#[target_feature]` entry points that instantiate the generic bodies.
+//! The vector tile, the scatter of a tile into a padded image, the
+//! `tanh`/`sigmoid` pipeline, the sweep and the gate row are each written
+//! once, in `simd.rs`, generic over a `Lanes` trait (one register of `f32`
+//! lanes: load, store, masked edge, add, mul, div, fmadd, min/max,
+//! saturate). The tile is also written once over where it reads its
+//! operands. Its A scalars (`Lhs`) come from a packed panel, or, in a conv
+//! weight gradient, from the images' copies read in place at a tap's offset
+//! plus a pixel's position. Its B rows (`Rows`) come from a packed panel,
+//! from a conv forward's image copy read in place at a tap's offset, or, in
+//! a conv input gradient, from the output gradient's planes as they are.
+//! `avx2.rs` and `avx512.rs` hold only their `Lanes` impl (`V8`, `V16`) and
+//! the `#[target_feature]` entry points that instantiate the generic bodies.
 //! `scalar.rs` stays separate: it is the reference every tier is tested
 //! against, and its gate row also finishes the columns past a vector row's
 //! last register.
@@ -337,16 +341,94 @@ unsafe impl<E: Copy> Rows<E> for Taps<'_, E> {
     }
 }
 
+/// Where a micro-tile reads its A operand: `A[r, kk]` of the tile's `MR`
+/// rows is [`Lhs::at`]. A packed micro-panel ([`Panel`]) and a convolution's
+/// image copy read through per-tap offsets and per-pixel positions
+/// ([`Gather`]) are the two sources; a panel is the case `kk·MR + r`.
+///
+/// # Safety
+/// Implementors promise that `at` reads from the source alone, so that the
+/// caller's bound on the source bounds the read.
+pub(crate) unsafe trait Lhs<E>: Copy {
+    /// `A[r, kk]`, in a tile `mr` rows high.
+    ///
+    /// # Safety
+    /// `kk` lies below the `kb` the tile runs and `r` below `mr`, and the
+    /// element lies inside the source (each implementor states its bound).
+    unsafe fn at(self, kk: usize, r: usize, mr: usize) -> E;
+}
+
+// SAFETY: `at` indexes the panel's own pointer.
+unsafe impl<E: Copy> Lhs<E> for Panel<'_, E> {
+    #[inline(always)]
+    unsafe fn at(self, kk: usize, r: usize, mr: usize) -> E {
+        debug_assert!(kk * mr + r < self.0.len(), "k-step {kk} past the panel");
+        // SAFETY: the caller's contract puts `kk·mr + r` inside the panel.
+        unsafe { *self.0.as_ptr().add(kk * mr + r) }
+    }
+}
+
+/// A convolution's A scalars read in place: `A[r, kk]` (tap `r` of the
+/// tile, pixel `kk` of the k-block) at `data[off[r] + pos[kk]]`, where
+/// `data` holds the image copies of the block, `off` the tile's slice of the
+/// tap offset table and `pos` each pixel's position in the copies (see
+/// `conv::ImageCopy`). In bounds for `r < off.len()` and `kk < pos.len()`
+/// when every `off[r] + pos[kk] < data.len()`.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a, E> {
+    pub data: &'a [E],
+    pub off: &'a [usize],
+    pub pos: &'a [usize],
+}
+
+// SAFETY: `at` indexes the copy's own pointer.
+unsafe impl<E: Copy> Lhs<E> for Gather<'_, E> {
+    #[inline(always)]
+    unsafe fn at(self, kk: usize, r: usize, _mr: usize) -> E {
+        debug_assert!(r < self.off.len() && kk < self.pos.len(), "tap {r} or pixel {kk} past the tables");
+        // SAFETY: the caller's contract: both indices lie inside their
+        // tables, and their sum inside `data`.
+        unsafe {
+            let at = *self.off.as_ptr().add(r) + *self.pos.as_ptr().add(kk);
+            debug_assert!(at < self.data.len(), "tap read past the image copies");
+            *self.data.as_ptr().add(at)
+        }
+    }
+}
+
+/// B rows read in place from feature-map planes: k-step `kk` (channel `kk`
+/// of the block) at `data[at + kk·ld..]`, where `ld` is the plane length and
+/// `at` the tile's first pixel. In bounds for `kk < kb` when
+/// `at + (kb − 1)·ld + nr <= data.len()`.
+#[derive(Clone, Copy)]
+pub(crate) struct Planes<'a, E> {
+    pub data: &'a [E],
+    pub at: usize,
+    pub ld: usize,
+}
+
+// SAFETY: `row` offsets the planes' own pointer.
+unsafe impl<E: Copy> Rows<E> for Planes<'_, E> {
+    #[inline(always)]
+    unsafe fn row(self, kk: usize, nr: usize) -> *const E {
+        debug_assert!(self.at + kk * self.ld + nr <= self.data.len(), "plane row past the planes");
+        // SAFETY: the caller's contract puts the row's `nr` elements inside
+        // `data`.
+        unsafe { self.data.as_ptr().add(self.at + kk * self.ld) }
+    }
+}
+
 /// One GEMM register micro-tile variant: computes an `MR×NR` tile of
-/// `A·B` from a packed A panel and B's rows, and stores (or accumulates)
-/// the `rows×cols` valid corner into the output.
+/// `A·B` from A's scalars and B's rows, and stores (or accumulates) the
+/// `rows×cols` valid corner into the output.
 ///
 /// Packed-panel layout contract (shared with `gemm.rs`'s pack loops):
-/// `ap[kk·MR + r]` is `A[r, kk]` of the current micro-panel; B's k-step
-/// `kk` is the `NR` values at `b.row(kk, NR)` ([`Rows`]), which for a
-/// packed panel is `bp[kk·NR + c]`; edge panels are zero-padded to full
-/// width, and B lanes past `cols` may hold anything — they only reach
-/// columns that are never stored.
+/// `A[r, kk]` is `a.at(kk, r, MR)` ([`Lhs`]), which for a packed panel is
+/// `ap[kk·MR + r]`; B's k-step `kk` is the `NR` values at `b.row(kk, NR)`
+/// ([`Rows`]), which for a packed panel is `bp[kk·NR + c]`; edge panels are
+/// zero-padded to full width, and A rows past `rows` and B lanes past
+/// `cols` may hold anything — they only reach elements that are never
+/// stored.
 pub(crate) trait Micro {
     /// Packed element type of both operands.
     type E: PackElem;
@@ -363,15 +445,15 @@ pub(crate) trait Micro {
     /// The caller must (a) own the `rows×cols` output region at `out`
     /// (`rows <= MR`, `cols <= NR`, rows `ldc >= cols` apart) exclusively,
     /// (b) only invoke a variant whose instruction set [`supported`] reports
-    /// available — dispatch guarantees (b) — and (c) pass an A panel of at
-    /// least `kb·MR` elements and B rows that meet [`Rows::row`]'s contract
-    /// for every `kk < kb` at `nr = NR`.
+    /// available — dispatch guarantees (b) — and (c) pass A scalars that
+    /// meet [`Lhs::at`]'s contract for every `kk < kb`, `r < MR` and B rows
+    /// that meet [`Rows::row`]'s for every `kk < kb` at `nr = NR`.
     // One flat call per micro-tile from the GEMM's innermost loop: the
     // eight scalars are the tile's whole description.
     #[allow(clippy::missing_safety_doc, clippy::too_many_arguments)]
-    unsafe fn tile<B: Rows<Self::E>>(
+    unsafe fn tile<A: Lhs<Self::E>, B: Rows<Self::E>>(
         kb: usize,
-        ap: &[Self::E],
+        a: A,
         b: B,
         out: *mut f32,
         ldc: usize,
@@ -379,6 +461,31 @@ pub(crate) trait Micro {
         cols: usize,
         acc: bool,
     );
+
+    /// Adds the first `cols` columns of an `off.len() × NR` tile (`tile`,
+    /// rows `NR` apart) into `dst`: row `r` at `dst + off[r]`, cut into
+    /// `s`'s stretches. Rows go from the last to the first, so a place two
+    /// rows share receives the later row first.
+    ///
+    /// # Safety
+    /// The caller must own, exclusively, every place a row's stretches name
+    /// (see [`Stretches`]), all of them inside the allocation `dst` points
+    /// into; `tile` must hold `off.len() · NR` floats and `off.len() <= MR`,
+    /// `cols <= NR`; and the variant must run on this CPU.
+    #[allow(clippy::missing_safety_doc)]
+    unsafe fn scatter(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches);
+}
+
+/// How [`Micro::scatter`] cuts a tile row into runs of contiguous places:
+/// columns `0..first` go to the row's place onwards, and each next `run`
+/// columns `gap` places further on than contiguous. A tile of output pixels
+/// added into a padded image copy is cut at each output row, whose copy rows
+/// are `gap` places longer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stretches {
+    pub first: usize,
+    pub run: usize,
+    pub gap: usize,
 }
 
 // ------------------------------------------------- dispatched entry points
@@ -524,7 +631,7 @@ mod tests {
                         // SAFETY: `tier` is supported (checked by the caller);
                         // the panels hold `KB` micro-panels; the corner lies
                         // inside `got`, rows `ldc >= cols` apart.
-                        unsafe { M::tile(KB, &ap, Panel(&bp), got.as_mut_ptr(), ldc, rows, cols, acc) };
+                        unsafe { M::tile(KB, Panel(&ap), Panel(&bp), got.as_mut_ptr(), ldc, rows, cols, acc) };
                         // The scalar tile is 8 columns wide: one call per
                         // 8-column block of the corner.
                         for c0 in (0..cols).step_by(scalar::TILE) {
@@ -537,7 +644,7 @@ mod tests {
                             unsafe {
                                 scalar::ScalarMicro::<E>::tile(
                                     KB,
-                                    &ap,
+                                    Panel(&ap),
                                     Panel(&bp8),
                                     want.as_mut_ptr().add(c0),
                                     ldc,

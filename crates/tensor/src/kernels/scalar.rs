@@ -8,13 +8,13 @@
 //! in the GEMM tile and the LSTM cell update, true fused `mul_add` in the
 //! activations.
 
-use super::{Micro, PackElem, Rows};
+use super::{Lhs, Micro, PackElem, Rows, Stretches};
 use crate::fastmath::{fast_sigmoid, fast_tanh};
 use std::marker::PhantomData;
 
 /// The scalar 8×8 micro-tile, generic over the packed element (`f32` or
 /// bf16 bits — unpacking is the identity for f32 and compiles away) and over
-/// where B's rows are read from.
+/// where A's scalars and B's rows are read from.
 pub(crate) struct ScalarMicro<E>(PhantomData<E>);
 
 /// Scalar tile extent (rows and columns).
@@ -27,9 +27,9 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
 
     /// # Safety
     /// The contract of [`Micro::tile`].
-    unsafe fn tile<B: Rows<E>>(
+    unsafe fn tile<A: Lhs<E>, B: Rows<E>>(
         kb: usize,
-        ap: &[E],
+        a: A,
         b: B,
         out: *mut f32,
         ldc: usize,
@@ -44,11 +44,12 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
         for kk in 0..kb {
             let mut a8 = [0.0f32; TILE];
             let mut b8 = [0.0f32; TILE];
-            for r in 0..TILE {
-                a8[r] = ap[kk * TILE + r].unpack();
+            // SAFETY: `kk < kb` and `r < TILE`: A's scalars and the row's
+            // `TILE` elements lie inside their sources (the trait's
+            // contract).
+            for (r, ar) in a8.iter_mut().enumerate() {
+                *ar = a.at(kk, r, TILE).unpack();
             }
-            // SAFETY: `kk < kb`: the row's `TILE` elements lie inside B's
-            // source (the trait's contract).
             let row = std::slice::from_raw_parts(b.row(kk, TILE), TILE);
             for (bc, &v) in b8.iter_mut().zip(row) {
                 *bc = v.unpack();
@@ -73,6 +74,26 @@ impl<E: PackElem> Micro for ScalarMicro<E> {
                 }
             } else {
                 dst.copy_from_slice(&tr[..cols]);
+            }
+        }
+    }
+
+    /// # Safety
+    /// The contract of [`Micro::scatter`].
+    unsafe fn scatter(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches) {
+        debug_assert!(cols <= TILE && tile.len() >= off.len() * TILE);
+        for (r, &o) in off.iter().enumerate().rev() {
+            let row = &tile[r * TILE..r * TILE + cols];
+            let (mut lo, mut hi, mut at) = (0, s.first.min(cols), o);
+            loop {
+                // SAFETY: the caller owns the places of each stretch of the
+                // row, `dst + at + lo..dst + at + hi` (the trait's contract).
+                let d = std::slice::from_raw_parts_mut(dst.add(at + lo), hi - lo);
+                d.iter_mut().zip(&row[lo..hi]).for_each(|(d, &v)| *d += v);
+                if hi == cols {
+                    break;
+                }
+                (lo, hi, at) = (hi, (hi + s.run).min(cols), at + s.gap);
             }
         }
     }

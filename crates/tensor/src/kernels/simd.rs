@@ -16,7 +16,7 @@
 //! tile and the cell update, `fmadd` exactly where `fastmath` calls
 //! `f32::mul_add`, and the data operand second in `min`/`max`.
 
-use super::{scalar, PackElem, Rows};
+use super::{scalar, Lhs, PackElem, Rows, Stretches};
 use crate::fastmath::{A1, A11, A13, A3, A5, A7, A9, B0, B2, B4, B6, CLAMP};
 
 /// One vector register of [`Lanes::N`] `f32` lanes.
@@ -88,16 +88,16 @@ impl Elem for u16 {
 pub(crate) const MR: usize = 8;
 
 /// The `MR×N` GEMM micro-tile, the body of both vector tiers'
-/// [`super::Micro::tile`], whatever its B rows are read from.
+/// [`super::Micro::tile`], whatever its operands are read from.
 ///
 /// # Safety
 /// The contract of `Micro::tile` with `NR = V::N`, inside a function with
 /// `V`'s features enabled.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn tile<V: Lanes, E: Elem, B: Rows<E>>(
+pub(crate) unsafe fn tile<V: Lanes, E: Elem, A: Lhs<E>, B: Rows<E>>(
     kb: usize,
-    ap: &[E],
+    a: A,
     b: B,
     out: *mut f32,
     ldc: usize,
@@ -105,17 +105,14 @@ pub(crate) unsafe fn tile<V: Lanes, E: Elem, B: Rows<E>>(
     cols: usize,
     acc: bool,
 ) {
-    debug_assert!(ap.len() >= kb * MR, "packed A panel shorter than kb");
     debug_assert!(rows <= MR && cols <= V::N && cols <= ldc, "tile corner {rows}x{cols}, ldc {ldc}");
-    let ap = ap.as_ptr();
     let mut t = [V::splat(0.0); MR];
     for kk in 0..kb {
-        // SAFETY: `kk < kb`: B's row meets `Rows::row`'s contract (the
-        // caller's), and `ap + kk·MR + r` (`r < MR`) lies inside the `kb`
-        // full micro-panel the caller passes (asserted above).
+        // SAFETY: `kk < kb` and `r < MR`: B's row and A's scalars meet
+        // `Rows::row`'s and `Lhs::at`'s contracts (the caller's).
         let bv = E::load::<V>(b.row(kk, V::N));
         for (r, tr) in t.iter_mut().enumerate() {
-            let a = V::splat((*ap.add(kk * MR + r)).unpack());
+            let a = V::splat(a.at(kk, r, MR).unpack());
             // mul + add, not fmadd: the scalar tile rounds twice per k-step.
             *tr = tr.add(a.mul(bv));
         }
@@ -132,6 +129,42 @@ pub(crate) unsafe fn tile<V: Lanes, E: Elem, B: Rows<E>>(
         } else {
             let v = if acc { V::load_first(dst, cols).add(*tr) } else { *tr };
             v.store_first(dst, cols);
+        }
+    }
+}
+
+/// Adds the first `cols` columns of an `off.len() × N` tile at `tile` (rows
+/// `N` apart) into `dst`: row `r` at `dst + off[r]`, cut into `s`'s
+/// stretches, from the last row to the first (the body of both vector
+/// tiers' [`super::Micro::scatter`]). A stretch as wide as the tile is one
+/// register; a narrower one goes place by place, which measured faster on
+/// an AVX-512 host than masked loads and stores: consecutive rows overlap,
+/// and a load waits for the masked store before it.
+///
+/// # Safety
+/// The contract of `Micro::scatter` with `NR = V::N`, inside a function
+/// with `V`'s features enabled.
+#[inline(always)]
+pub(crate) unsafe fn scatter<V: Lanes>(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches) {
+    debug_assert!(cols <= V::N && tile.len() >= off.len() * V::N, "tile of {} rows, {cols} columns", off.len());
+    for (r, &o) in off.iter().enumerate().rev() {
+        // SAFETY: `r < off.len()`: the row's `N` floats lie inside `tile`
+        // (asserted above); each stretch touches only the places of its
+        // columns, which the caller owns (the trait's contract).
+        let t = tile.as_ptr().add(r * V::N);
+        let (mut lo, mut hi, mut p) = (0, s.first.min(cols), dst.add(o));
+        loop {
+            if hi - lo == V::N {
+                V::load(p).add(V::load(t)).store(p);
+            } else {
+                for c in lo..hi {
+                    *p.add(c) += *t.add(c);
+                }
+            }
+            if hi == cols {
+                break;
+            }
+            (lo, hi, p) = (hi, (hi + s.run).min(cols), p.add(s.gap));
         }
     }
 }

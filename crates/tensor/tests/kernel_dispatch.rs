@@ -105,25 +105,35 @@ fn gemm_bitwise_equal_across_variants() {
 
 #[test]
 fn conv_bitwise_equal_across_variants() {
-    // `(n, c, side, k, stride, pad, oc)`: maps wider and narrower than every
+    // `(n, c, h, w, k, stride, pad, oc)`: maps wider and narrower than every
     // tier's tile (8 or 16 pixels), both strides of the served ResNet, a
     // 1×1 projection, a 5×5 with stride 3, and taps (c·k·k = 261) crossing a
-    // KC block. Each tier runs the three kernels on two lanes, in f32 and in
-    // bf16 panel mode, against the scalar tier.
+    // KC block; then the backward's edges: 260 output channels (the input
+    // gradient's sum crosses a KC block), weight-gradient blocks of 256
+    // pixels that start mid-image and mid-row (5×7 maps, n = 9) or take 16
+    // whole images (4×4 maps, n = 20), a stride-2 3×3 on an odd side, and
+    // 8 output channels beside 24. Each tier runs the three kernels on two
+    // lanes, in f32 and in bf16 panel mode, against the scalar tier.
     let pool = Arc::new(ThreadPool::new(2));
     let cases = [
-        (3, 3, 32, 3, 1, 1, 8),
-        (2, 8, 16, 3, 2, 1, 16),
-        (2, 8, 16, 1, 2, 0, 16),
-        (3, 16, 8, 3, 1, 1, 9),
-        (4, 32, 4, 3, 1, 1, 17),
-        (2, 5, 13, 5, 3, 2, 7),
-        (2, 29, 6, 3, 1, 1, 9),
+        (3, 3, 32, 32, 3, 1, 1, 8),
+        (2, 8, 16, 16, 3, 2, 1, 16),
+        (2, 8, 16, 16, 1, 2, 0, 16),
+        (3, 16, 8, 8, 3, 1, 1, 9),
+        (4, 32, 4, 4, 3, 1, 1, 17),
+        (2, 5, 13, 13, 5, 3, 2, 7),
+        (2, 29, 6, 6, 3, 1, 1, 9),
+        (2, 2, 5, 5, 3, 1, 1, 260),
+        (9, 3, 5, 7, 3, 1, 1, 9),
+        (20, 4, 4, 4, 3, 1, 1, 17),
+        (3, 5, 11, 11, 3, 2, 1, 12),
+        (2, 6, 7, 7, 3, 1, 1, 8),
+        (2, 6, 7, 7, 3, 1, 1, 24),
     ];
-    for (n, c, side, k, stride, pad, oc) in cases {
-        let g = Conv2dGeom { c, h: side, w: side, kh: k, kw: k, stride, pad };
+    for (n, c, h, width, k, stride, pad, oc) in cases {
+        let g = Conv2dGeom { c, h, w: width, kh: k, kw: k, stride, pad };
         let hw = g.oh() * g.ow();
-        let x = lcg(301 + c as u64, n * c * side * side);
+        let x = lcg(301 + c as u64, n * c * h * width);
         let w = lcg(303 + oc as u64, oc * c * k * k);
         let up = lcg(307 + hw as u64, n * oc * hw);
         for bf16 in [false, true] {

@@ -10,8 +10,8 @@
 //! — separate tests would run on parallel harness threads.
 
 use legw_tensor::{
-    conv2d_into, gemm_into, gemm_into_packed, pack_traffic, pool, with_bf16_gemm, Conv2dGeom,
-    PackedB, Tensor,
+    conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, gemm_into, gemm_into_packed,
+    pack_traffic, pool, with_bf16_gemm, Conv2dGeom, PackTraffic, PackedB, Tensor,
 };
 
 #[test]
@@ -19,6 +19,7 @@ fn process_wide_counters_move_by_exact_deltas() {
     bf16_mode_packs_exactly_half_the_bytes();
     packed_b_moves_the_pack_out_of_the_call();
     conv_forward_counts_its_image_copies();
+    conv_gradients_count_their_copies_and_panels();
     pool_counters_track_allocations_and_recycles();
 }
 
@@ -126,6 +127,45 @@ fn conv_forward_counts_its_image_copies() {
     let elems = (8 * 27 + n * 9 * 11 * 9) as u64;
     assert_eq!(t1.f32_bytes - t0.f32_bytes, 4 * elems, "weight panels and image copies, f32");
     assert_eq!(t2.bf16_bytes - t1.bf16_bytes, 2 * elems, "the same elements, bf16");
+}
+
+/// A conv weight gradient counts each image's copy and the output
+/// gradient's panels; an input gradient counts the weight's panels and reads
+/// the output gradient in place, or, in bf16, counts its rounded copy. The
+/// weight gradient's bf16 bytes are exactly half its f32 bytes.
+fn conv_gradients_count_their_copies_and_panels() {
+    // One weight-gradient block (2 · 64 pixels) and 64-pixel maps, whole
+    // tiles on every tier: small enough to run serially.
+    let g = Conv2dGeom { c: 3, h: 8, w: 8, kh: 3, kw: 3, stride: 1, pad: 1 };
+    let (n, oc) = (2usize, 5usize);
+    let x = vec![0.5f32; n * 3 * 64];
+    let up = vec![0.25f32; n * oc * 64];
+    let w = vec![0.75f32; oc * 27];
+    let mut dw = vec![0.0f32; oc * 27];
+    let mut dx = vec![0.0f32; x.len()];
+    let delta = |f: &mut dyn FnMut()| {
+        let t0 = pack_traffic();
+        f();
+        let t1 = pack_traffic();
+        PackTraffic { f32_bytes: t1.f32_bytes - t0.f32_bytes, bf16_bytes: t1.bf16_bytes - t0.bf16_bytes }
+    };
+    let dw32 = delta(&mut || conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dw));
+    let dw16 = delta(&mut || with_bf16_gemm(|| conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dw)));
+    let dx32 = delta(&mut || conv2d_grad_x_into(&up, &w, n, oc, &g, &mut dx));
+    let dx16 = delta(&mut || with_bf16_gemm(|| conv2d_grad_x_into(&up, &w, n, oc, &g, &mut dx)));
+    // Per image, 3 channel planes of the padded image, 10 × 10; the 5
+    // output channels in one 8-column panel over the block's 128 pixels
+    // (8 columns on every tier: 5 channels take the AVX2 tile on an AVX-512
+    // host).
+    let dw_elems = (n * 3 * 10 * 10 + 8 * n * 64) as u64;
+    assert_eq!((dw32.f32_bytes, dw32.bf16_bytes), (4 * dw_elems, 0), "image copies and up panels, f32");
+    assert_eq!((dw16.f32_bytes, dw16.bf16_bytes), (0, 2 * dw_elems), "the same elements, bf16: half");
+    // wᵀ in 8-row micro-panels of its 27 taps over 5 channels; in bf16, also
+    // each image's output gradient, rounded once.
+    let wt_elems = (32 * oc) as u64;
+    assert_eq!((dx32.f32_bytes, dx32.bf16_bytes), (4 * wt_elems, 0), "the weight's panels; up read in place");
+    let up_elems = (n * oc * 64) as u64;
+    assert_eq!((dx16.f32_bytes, dx16.bf16_bytes), (0, 2 * (wt_elems + up_elems)), "and up's bf16 copy");
 }
 
 /// A take that follows a drop of the same size recycles and does not
