@@ -308,7 +308,7 @@ impl Graph {
         let seed = self.push(Shape::new(seed.shape()), Some(seed), false, Op::Leaf);
         match self.grads[root.0] {
             None => self.grads[root.0] = Some(seed),
-            Some(_) => self.contrib(&SCALE_G, &[seed], &[root], Attr::s(1.0), None),
+            Some(_) => self.contrib(&SCALE_G, &[seed], &[root], Attr::Scalar(1.0), None),
         }
         for i in (0..=root.0).rev() {
             let Op::K(ins) = &self.nodes[i].op else { continue };

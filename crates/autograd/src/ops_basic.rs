@@ -4,7 +4,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::opk::{self, apply, par_apply, par_sweep_map, store_or_add, Mode};
-use crate::table::{Attr, Detour, Entry, Io, Role, State};
+use crate::table::{Attr, Detour, Entry, Gemm, Io, Role, State};
 use legw_tensor::{col_sums_into, concat_cols_into, kernels, slice_cols_into, Tensor};
 
 /// The gradient flowing into a single-output op.
@@ -24,34 +24,40 @@ fn ew_grad(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
     par_apply(io.out[0], io.mode[0], |i| f(u[i], o[i]));
 }
 
-/// `out = f(a, s)` elementwise, `s` the kernel's scalar.
-fn unary(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
-    let (a, s) = (io.src.get(0), io.a.s);
-    par_apply(io.out[0], Mode::Store, |i| f(a[i], s));
+/// `out = f(a, c)` elementwise, `c` the kernel's scalar.
+fn scalar(io: &mut Io, f: impl Fn(f32, f32) -> f32 + Sync) {
+    let (Attr::Scalar(c), a) = (*io.a, io.src.get(0)) else { unreachable!() };
+    par_apply(io.out[0], Mode::Store, |i| f(a[i], c));
+}
+
+/// `da = u · bᵀ`, then `db = aᵀ · u`: the backward of the untransposed `a · b`.
+pub(crate) fn matmul_grads(g: &mut Graph, Gemm { m, k, n, .. }: Gemm, [u, a, b]: [Var; 3]) {
+    g.contrib(&GEMM, &[u, b], &[a], Attr::Gemm(Gemm { ta: false, tb: true, m, k: n, n: k }), None);
+    g.contrib(&GEMM, &[a, u], &[b], Attr::Gemm(Gemm { ta: true, tb: false, m: k, k: m, n }), None);
 }
 
 pub(crate) static EW_ADD: Entry = Entry::new("EwAdd", |io| ew(io, |a, b| a + b)).grad(|g, n, u| {
     for &v in &n.src {
-        g.contrib(&SCALE_G, &[up(u)], &[v], Attr::s(1.0), None);
+        g.contrib(&SCALE_G, &[up(u)], &[v], Attr::Scalar(1.0), None);
     }
 });
 
 static EW_SUB: Entry = Entry::new("EwSub", |io| ew(io, |a, b| a - b)).grad(|g, n, u| {
-    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::s(1.0), None);
-    g.contrib(&SCALE_G, &[up(u)], &[n.src[1]], Attr::s(-1.0), None);
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::Scalar(1.0), None);
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[1]], Attr::Scalar(-1.0), None);
 });
 
 static EW_MUL: Entry = Entry::new("EwMul", |io| ew(io, |a, b| a * b)).grad(|g, n, u| {
-    g.contrib(&MUL_G, &[up(u), n.src[1]], &[n.src[0]], Attr::default(), None);
-    g.contrib(&MUL_G, &[up(u), n.src[0]], &[n.src[1]], Attr::default(), None);
+    g.contrib(&MUL_G, &[up(u), n.src[1]], &[n.src[0]], Attr::None, None);
+    g.contrib(&MUL_G, &[up(u), n.src[0]], &[n.src[1]], Attr::None, None);
 });
 
 static ADD_BIAS: Entry = Entry::new("AddBias", |io| {
     opk::add_bias(io.out[0], Mode::Store, io.src.get(0), io.src.get(1));
 })
 .grad(|g, n, u| {
-    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::s(1.0), None);
-    g.contrib(&COL_SUM_G, &[up(u)], &[n.src[1]], Attr::default(), None);
+    g.contrib(&SCALE_G, &[up(u)], &[n.src[0]], Attr::Scalar(1.0), None);
+    g.contrib(&COL_SUM_G, &[up(u)], &[n.src[1]], Attr::None, None);
 });
 
 static ROW_SCALE: Entry = Entry::new("RowScale", |io| {
@@ -59,27 +65,21 @@ static ROW_SCALE: Entry = Entry::new("RowScale", |io| {
 })
 .grad(|g, n, u| {
     let [x, s] = [n.src[0], n.src[1]];
-    g.contrib(&ROW_SCALE_DX, &[up(u), s], &[x], Attr::default(), None);
-    g.contrib(&ROW_SCALE_DS, &[up(u), x], &[s], Attr::default(), None);
+    g.contrib(&ROW_SCALE_DX, &[up(u), s], &[x], Attr::None, None);
+    g.contrib(&ROW_SCALE_DS, &[up(u), x], &[s], Attr::None, None);
 });
 
-/// `[ta, tb, m, k, n]`: `out (+)= op(src 0) · op(src 1)` over `[m, k] × [k, n]`.
-/// An add-mode output detours through scratch ([`store_or_add`]): adding
-/// in-engine across k-blocks would reassociate the sums.
+/// `Gemm`: `out (+)= op(src 0) · op(src 1)`. An add-mode output detours
+/// through scratch ([`store_or_add`]): adding in-engine across k-blocks
+/// would reassociate the sums.
 pub(crate) static GEMM: Entry = Entry::new("Gemm", |io| {
-    let ([ta, tb, m, k, n], src) = (io.a.n, io.src);
-    store_or_add(io.out[0], io.mode[0], io.scratch, |o| {
-        src.gemm(ta != 0, tb != 0, src.get(0), 1, [m, k, n], o, false)
-    });
+    store_or_add(io.out[0], io.mode[0], io.scratch, |o| io.src.gemm(io.a, io.src.get(0), o, false));
 })
 .grad(|g, n, u| {
-    // Forward matmuls only: dA = up · Bᵀ, dB = Aᵀ · up.
-    let ([_, _, m, k, nn], [a, b]) = (n.a.n, [n.src[0], n.src[1]]);
-    g.contrib(&GEMM, &[up(u), b], &[a], Attr::n(&[0, 1, m, nn, k]), None);
-    g.contrib(&GEMM, &[a, up(u)], &[b], Attr::n(&[1, 0, k, m, nn]), None);
+    let Attr::Gemm(gm) = n.a else { unreachable!() };
+    matmul_grads(g, gm, [up(u), n.src[0], n.src[1]]);
 })
-.detour(Detour::Each)
-.panel(|a| Some((1, a.n[1] != 0, a.n[3], a.n[4])));
+.detour(Detour::Each);
 
 /// An add-mode [`GEMM`] whose inner dimension is a single k-block
 /// ([`legw_tensor::gemm_single_k_block`]) accumulates in-engine: each output
@@ -87,52 +87,56 @@ pub(crate) static GEMM: Entry = Entry::new("Gemm", |io| {
 /// detour would have added, so the bits match without the scratch. Only a
 /// plan chooses it.
 pub(crate) static GEMM_ACC: Entry = Entry::new("GemmAcc", |io| {
-    let ([ta, tb, m, k, n], src) = (io.a.n, io.src);
-    debug_assert!(legw_tensor::gemm_single_k_block(k));
-    src.gemm(ta != 0, tb != 0, src.get(0), 1, [m, k, n], io.out[0], true);
+    debug_assert!(matches!(*io.a, Attr::Gemm(g) if legw_tensor::gemm_single_k_block(g.k)));
+    io.src.gemm(io.a, io.src.get(0), io.out[0], true);
 });
 
-static SCALE: Entry = Entry::new("Scale", |io| unary(io, |x, c| x * c))
+static SCALE: Entry = Entry::new("Scale", |io| scalar(io, |x, c| x * c))
     .grad(|g, n, u| g.contrib(&SCALE_G, &[up(u)], &n.src, n.a, None));
 
-static ADD_SCALAR: Entry = Entry::new("AddScalar", |io| unary(io, |x, c| x + c))
-    .grad(|g, n, u| g.contrib(&SCALE_G, &[up(u)], &n.src, Attr::s(1.0), None));
+static ADD_SCALAR: Entry = Entry::new("AddScalar", |io| scalar(io, |x, c| x + c))
+    .grad(|g, n, u| g.contrib(&SCALE_G, &[up(u)], &n.src, Attr::Scalar(1.0), None));
 
 static SIGMOID: Entry =
     Entry::new("Sigmoid", |io| par_sweep_map(io.out[0], io.src.get(0), kernels::sigmoid_sweep))
-        .grad(|g, n, u| g.contrib(&SIGMOID_G, &[up(u), n.me()], &n.src, Attr::default(), None));
+        .grad(|g, n, u| g.contrib(&SIGMOID_G, &[up(u), n.me()], &n.src, Attr::None, None));
 
 static TANH: Entry =
     Entry::new("Tanh", |io| par_sweep_map(io.out[0], io.src.get(0), kernels::tanh_sweep))
-        .grad(|g, n, u| g.contrib(&TANH_G, &[up(u), n.me()], &n.src, Attr::default(), None));
+        .grad(|g, n, u| g.contrib(&TANH_G, &[up(u), n.me()], &n.src, Attr::None, None));
 
-static RELU: Entry = Entry::new("Relu", |io| unary(io, |x, _| x.max(0.0)))
-    .grad(|g, n, u| g.contrib(&RELU_G, &[up(u), n.src[0]], &n.src, Attr::default(), None));
+static RELU: Entry = Entry::new("Relu", |io| {
+    let x = io.src.get(0);
+    par_apply(io.out[0], Mode::Store, |i| x[i].max(0.0));
+})
+.grad(|g, n, u| g.contrib(&RELU_G, &[up(u), n.src[0]], &n.src, Attr::None, None));
 
-/// `[src_off, dst_off]`: each source, from element `src_off` on, fills the
-/// next block of the output from `dst_off` on, as much as fits. Reshape,
-/// row slices and row concatenation; a plan runs one instruction per source.
+/// `Block`: each source, from element `src_off` on, fills the next block
+/// of the output from `dst_off` on, as much as fits. Reshape, row slices
+/// and row concatenation; a plan runs one instruction per source.
 pub(crate) static COPY_BLOCK: Entry = Entry::new("CopyBlock", |io| {
-    let [so, mut off, ..] = io.a.n;
+    let Attr::Block { src_off, mut dst_off } = *io.a else { unreachable!() };
     for j in 0..io.src.len() {
-        let s = &io.src.get(j)[so..];
-        let len = s.len().min(io.out[0].len() - off);
-        io.out[0][off..off + len].copy_from_slice(&s[..len]);
-        off += len;
+        let s = &io.src.get(j)[src_off..];
+        let len = s.len().min(io.out[0].len() - dst_off);
+        io.out[0][dst_off..dst_off + len].copy_from_slice(&s[..len]);
+        dst_off += len;
     }
 })
 .grad(|g, n, u| {
-    let ([so, mut off, ..], total) = (n.a.n, g.numel(n.me()));
+    let Attr::Block { src_off, mut dst_off } = n.a else { unreachable!() };
+    let total = g.numel(n.me());
     for &v in &n.src {
-        let len = (g.numel(v) - so).min(total - off);
-        g.contrib(&BLOCK_G, &[up(u)], &[v], Attr::n(&[off, so]), None);
-        off += len;
+        let len = (g.numel(v) - src_off).min(total - dst_off);
+        let a = Attr::Block { src_off: dst_off, dst_off: src_off };
+        g.contrib(&BLOCK_G, &[up(u)], &[v], a, None);
+        dst_off += len;
     }
 });
 
-/// `[rows]`: the sources side by side.
+/// `Cols`: the sources side by side.
 static CONCAT_COLS: Entry = Entry::new("ConcatColsF", |io| {
-    let rows = io.a.n[0];
+    let Attr::Cols { rows, .. } = *io.a else { unreachable!() };
     let total = io.out[0].len() / rows;
     let mut off = 0;
     for j in 0..io.src.len() {
@@ -142,24 +146,25 @@ static CONCAT_COLS: Entry = Entry::new("ConcatColsF", |io| {
     }
 })
 .grad(|g, n, u| {
-    let mut off = 0;
+    let Attr::Cols { rows, mut off } = n.a else { unreachable!() };
     for &p in &n.src {
-        g.contrib(&COLS_BLOCK_G, &[up(u)], &[p], Attr::n(&[n.a.n[0], off]), None);
+        g.contrib(&COLS_BLOCK_G, &[up(u)], &[p], Attr::Cols { rows, off }, None);
         off += g.shape(p)[1];
     }
 });
 
-/// `[rows, start]`: columns `start..` of the source, as many as the output has.
+/// `Cols`: columns `off..` of the source, as many as the output has.
 static SLICE_COLS: Entry = Entry::new("SliceColsF", |io| {
-    let ([rows, start, ..], x) = (io.a.n, io.src.get(0));
+    let (Attr::Cols { rows, off: start }, x) = (*io.a, io.src.get(0)) else { unreachable!() };
     let end = start + io.out[0].len() / rows;
     slice_cols_into(x, rows, x.len() / rows, start, end, io.out[0]);
 })
 .grad(|g, n, u| g.contrib(&COLS_SCATTER_G, &[up(u)], &n.src, n.a, None));
 
-/// `[mean]`: the sum, or the mean, of all elements, accumulated in f64.
+/// `Sum`: the sum, or the mean, of all elements, accumulated in f64.
 static SUM_ALL: Entry = Entry::new("SumAllF", |io| {
-    io.out[0][0] = opk::sum_all(io.src.get(0), io.a.n[0] != 0);
+    let Attr::Sum { mean } = *io.a else { unreachable!() };
+    io.out[0][0] = opk::sum_all(io.src.get(0), mean);
 })
 .grad(|g, n, u| g.contrib(&SUM_ALL_G, &[up(u)], &n.src, n.a, None));
 
@@ -167,7 +172,7 @@ static DROPOUT: Entry = Entry::new("DropoutF", |io| {
     let (x, m) = (io.src.get(0), mask(&io.st));
     par_apply(io.out[0], Mode::Store, |i| x[i] * m[i]);
 })
-.grad(|g, n, u| g.contrib(&DROPOUT_G, &[up(u)], &n.src, Attr::default(), n.st))
+.grad(|g, n, u| g.contrib(&DROPOUT_G, &[up(u)], &n.src, Attr::None, n.st))
 .role(Role::Mask);
 
 /// The dropout mask of an [`Io::st`].
@@ -177,9 +182,9 @@ fn mask<'a>(st: &'a Option<&mut State>) -> &'a [f32] {
 
 // ------------------------------------------------------------- gradients
 
-/// `out (+)= up · c`; `c = 1` is the plain gradient copy.
+/// `Scalar`: `out (+)= up · c`; `c = 1` is the plain gradient copy.
 pub(crate) static SCALE_G: Entry = Entry::new("ScaleG", |io| {
-    let (u, c) = (io.src.get(0), io.a.s);
+    let (Attr::Scalar(c), u) = (*io.a, io.src.get(0)) else { unreachable!() };
     par_apply(io.out[0], io.mode[0], |i| u[i] * c);
 });
 
@@ -216,32 +221,32 @@ static ROW_SCALE_DS: Entry = Entry::new("RowScaleDs", |io| {
     opk::row_scale_ds(io.out[0], io.mode[0], u, x, cols);
 });
 
-/// `[rows, off]`: the `[rows, ·]` column block of `up` starting at `off`.
+/// `Cols`: the `[rows, ·]` column block of `up` starting at `off`.
 static COLS_BLOCK_G: Entry = Entry::new("ColsBlockG", |io| {
-    let [rows, off, ..] = io.a.n;
+    let Attr::Cols { rows, off } = *io.a else { unreachable!() };
     opk::cols_block(io.out[0], io.mode[0], io.src.get(0), rows, off);
 });
 
-/// `[rows, start]`: `up` scattered into columns `start..` of the wider
-/// gradient; its other columns receive the dense gradient's literal zeros.
+/// `Cols`: `up` scattered into columns `off..` of the wider gradient; its
+/// other columns receive the dense gradient's literal zeros.
 static COLS_SCATTER_G: Entry = Entry::new("ColsScatterG", |io| {
-    let ([rows, start, ..], u) = (io.a.n, io.src.get(0));
+    let (Attr::Cols { rows, off: start }, u) = (*io.a, io.src.get(0)) else { unreachable!() };
     let (cols, end) = (io.out[0].len() / rows, start + u.len() / rows);
     opk::cols_scatter(io.out[0], io.mode[0], u, cols, start, end);
 });
 
-/// `[up_off, dst_off]`: the block of `up` from `up_off` into the gradient
-/// from `dst_off`, as much as fits; the rest of the gradient receives zeros.
+/// `Block`: the block of `up` from `src_off` into the gradient from
+/// `dst_off`, as much as fits; the rest of the gradient receives zeros.
 static BLOCK_G: Entry = Entry::new("BlockG", |io| {
-    let ([uo, d, ..], u) = (io.a.n, io.src.get(0));
-    let len = (u.len() - uo).min(io.out[0].len() - d);
-    opk::block(io.out[0], io.mode[0], &u[uo..uo + len], d, true);
+    let (Attr::Block { src_off, dst_off }, u) = (*io.a, io.src.get(0)) else { unreachable!() };
+    let len = (u.len() - src_off).min(io.out[0].len() - dst_off);
+    opk::block(io.out[0], io.mode[0], &u[src_off..src_off + len], dst_off, true);
 });
 
-/// `[mean]`: every element receives `up`, or `up / n`.
+/// `Sum`: every element receives `up`, or `up / n`.
 static SUM_ALL_G: Entry = Entry::new("SumAllG", |io| {
-    let u = io.src.get(0)[0];
-    let g = if io.a.n[0] != 0 { u / io.out[0].len() as f32 } else { u };
+    let (Attr::Sum { mean }, u) = (*io.a, io.src.get(0)[0]) else { unreachable!() };
+    let g = if mean { u / io.out[0].len() as f32 } else { u };
     apply(io.out[0], io.mode[0], |_| g);
 });
 
@@ -249,12 +254,12 @@ impl Graph {
     fn binary(&mut self, k: &'static Entry, a: Var, b: Var, what: &str) -> Var {
         let s = self.shape(a);
         assert_eq!(s, self.shape(b), "{what} shape mismatch");
-        self.record(k, &[a, b], &[&s], Attr::default(), None)
+        self.record(k, &[a, b], &[&s], Attr::None, None)
     }
 
-    fn unary(&mut self, k: &'static Entry, a: Var, s: f32) -> Var {
+    fn unary(&mut self, k: &'static Entry, a: Var, at: Attr) -> Var {
         let shape = self.shape(a);
-        self.record(k, &[a], &[&shape], Attr::s(s), None)
+        self.record(k, &[a], &[&shape], at, None)
     }
 
     // ------------------------------------------------------------ arithmetic
@@ -279,14 +284,14 @@ impl Graph {
         let s = self.shape(x);
         assert_eq!(s.len(), 2, "add_bias x must be 2-D");
         assert_eq!(self.shape(bias), [s[1]], "bias must be [cols] of x");
-        self.record(&ADD_BIAS, &[x, bias], &[&s], Attr::default(), None)
+        self.record(&ADD_BIAS, &[x, bias], &[&s], Attr::None, None)
     }
 
     /// Scales each row of `x [m,n]` by the scalar in `s [m,1]`.
     pub fn row_scale(&mut self, x: Var, s: Var) -> Var {
         let shape = self.shape(x);
         assert_eq!(self.shape(s), [shape[0], 1], "row_scale scale must be [m,1]");
-        self.record(&ROW_SCALE, &[x, s], &[&shape], Attr::default(), None)
+        self.record(&ROW_SCALE, &[x, s], &[&shape], Attr::None, None)
     }
 
     /// Matrix product of 2-D variables.
@@ -295,35 +300,35 @@ impl Graph {
         assert_eq!(sa.len(), 2, "matmul lhs must be 2-D, got {sa:?}");
         assert_eq!(sb.len(), 2, "matmul rhs must be 2-D, got {sb:?}");
         assert_eq!(sa[1], sb[0], "matmul inner dims: {sa:?} @ {sb:?}");
-        let a_ = Attr::n(&[0, 0, sa[0], sa[1], sb[1]]);
+        let a_ = Attr::Gemm(Gemm { ta: false, tb: false, m: sa[0], k: sa[1], n: sb[1] });
         self.record(&GEMM, &[a, b], &[&[sa[0], sb[1]]], a_, None)
     }
 
     /// Multiplies by a constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        self.unary(&SCALE, a, c)
+        self.unary(&SCALE, a, Attr::Scalar(c))
     }
 
     /// Adds a constant.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        self.unary(&ADD_SCALAR, a, c)
+        self.unary(&ADD_SCALAR, a, Attr::Scalar(c))
     }
 
     // ----------------------------------------------------------- activations
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary(&SIGMOID, a, 0.0)
+        self.unary(&SIGMOID, a, Attr::None)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary(&TANH, a, 0.0)
+        self.unary(&TANH, a, Attr::None)
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        self.unary(&RELU, a, 0.0)
+        self.unary(&RELU, a, Attr::None)
     }
 
     // ----------------------------------------------------------------- shape
@@ -332,7 +337,7 @@ impl Graph {
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
         let n = self.numel(a);
         assert_eq!(n, dims.iter().product::<usize>(), "cannot reshape {n} elements to {dims:?}");
-        self.record(&COPY_BLOCK, &[a], &[dims], Attr::default(), None)
+        self.record(&COPY_BLOCK, &[a], &[dims], Attr::Block { src_off: 0, dst_off: 0 }, None)
     }
 
     /// Concatenates 2-D variables along columns.
@@ -345,14 +350,15 @@ impl Graph {
             assert!(s.len() == 2 && s[0] == rows, "concat_cols expects 2-D parts of {rows} rows");
             total += s[1];
         }
-        self.record(&CONCAT_COLS, parts, &[&[rows, total]], Attr::n(&[rows]), None)
+        self.record(&CONCAT_COLS, parts, &[&[rows, total]], Attr::Cols { rows, off: 0 }, None)
     }
 
     /// Extracts columns `[start, end)` of a 2-D variable.
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
         let s = self.shape(a);
         assert!(s.len() == 2 && start < end && end <= s[1], "column slice {start}..{end} of {s:?}");
-        self.record(&SLICE_COLS, &[a], &[&[s[0], end - start]], Attr::n(&[s[0], start]), None)
+        let a_ = Attr::Cols { rows: s[0], off: start };
+        self.record(&SLICE_COLS, &[a], &[&[s[0], end - start]], a_, None)
     }
 
     /// Concatenates 2-D variables along rows (equal column counts). The
@@ -368,7 +374,8 @@ impl Graph {
             assert_eq!(s[1], cols, "concat_rows column mismatch");
             rows += s[0];
         }
-        self.record(&COPY_BLOCK, parts, &[&[rows, cols]], Attr::default(), None)
+        let a_ = Attr::Block { src_off: 0, dst_off: 0 };
+        self.record(&COPY_BLOCK, parts, &[&[rows, cols]], a_, None)
     }
 
     /// Extracts rows `[start, end)` of a 2-D variable (e.g. the `W_x` or
@@ -376,19 +383,20 @@ impl Graph {
     pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
         let s = self.shape(a);
         assert!(s.len() == 2 && start <= end && end <= s[0], "row slice {start}..{end} of {s:?}");
-        self.record(&COPY_BLOCK, &[a], &[&[end - start, s[1]]], Attr::n(&[start * s[1]]), None)
+        let a_ = Attr::Block { src_off: start * s[1], dst_off: 0 };
+        self.record(&COPY_BLOCK, &[a], &[&[end - start, s[1]]], a_, None)
     }
 
     // ------------------------------------------------------------ reductions
 
     /// Sum of all elements → scalar.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        self.record(&SUM_ALL, &[a], &[&[1]], Attr::n(&[0]), None)
+        self.record(&SUM_ALL, &[a], &[&[1]], Attr::Sum { mean: false }, None)
     }
 
     /// Mean of all elements → scalar.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        self.record(&SUM_ALL, &[a], &[&[1]], Attr::n(&[1]), None)
+        self.record(&SUM_ALL, &[a], &[&[1]], Attr::Sum { mean: true }, None)
     }
 
     // --------------------------------------------------------- regularisation
@@ -400,7 +408,7 @@ impl Graph {
         let s = self.shape(a);
         assert_eq!(s, mask.shape(), "dropout mask shape mismatch");
         let st = State { mask: Some(mask), ..State::default() };
-        self.record(&DROPOUT, &[a], &[&s], Attr::default(), Some(st))
+        self.record(&DROPOUT, &[a], &[&s], Attr::None, Some(st))
     }
 }
 

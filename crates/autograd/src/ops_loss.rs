@@ -7,44 +7,48 @@ use crate::opk;
 use crate::table::{Attr, Detour, Entry, Role, State};
 use legw_tensor::softmax_rows_into;
 
-/// `[dim]`: `out[i, ·] = table[ids[i], ·]`, the ids a feed.
+/// `Row`: `out[i, ·] = table[ids[i], ·]`, the ids a feed.
 static EMBED: Entry = Entry::new("EmbedF", |io| {
+    let Attr::Row { width } = *io.a else { unreachable!() };
     let ids = &io.st.as_deref().expect("embedding without its ids").ids;
-    opk::embed_fwd(io.src.get(0), ids, io.a.n[0], io.out[0]);
+    opk::embed_fwd(io.src.get(0), ids, width, io.out[0]);
 })
 .grad(|g, n, u| g.contrib(&EMBED_G, &[up(u)], &n.src, n.a, n.st))
 .role(Role::Ids);
 
-/// `[cols]`: row softmax.
+/// `Row`: row softmax.
 static SOFTMAX: Entry = Entry::new("SoftmaxF", |io| {
-    let (x, n) = (io.src.get(0), io.a.n[0]);
-    softmax_rows_into(x, x.len() / n, n, io.out[0]);
+    let (Attr::Row { width }, x) = (*io.a, io.src.get(0)) else { unreachable!() };
+    softmax_rows_into(x, x.len() / width, width, io.out[0]);
 })
 .grad(|g, n, u| g.contrib(&SOFTMAX_G, &[up(u), n.me()], &n.src, n.a, None));
 
-/// `[v]`: mean cross-entropy of `logits [b, v]` against the label feed;
-/// keeps the probabilities and the active-row count for the backward.
+/// `Row`: mean cross-entropy of `logits [b, width]` against the label
+/// feed; keeps the probabilities and the active-row count for the backward.
 static CE: Entry = Entry::new("CeF", |io| {
+    let Attr::Row { width } = *io.a else { unreachable!() };
     let st = io.st.as_deref_mut().expect("cross-entropy without its labels");
-    (io.out[0][0], st.active) = opk::ce_fwd(io.src.get(0), &st.ids, io.a.n[0], io.buf);
+    (io.out[0][0], st.active) = opk::ce_fwd(io.src.get(0), &st.ids, width, io.buf);
 })
 .grad(|g, n, u| g.contrib(&CE_G, &[up(u)], &n.src, n.a, n.st))
 .role(Role::Labels);
 
 static EMBED_G: Entry = Entry::new("EmbedG", |io| {
+    let Attr::Row { width } = *io.a else { unreachable!() };
     let ids = &io.st.as_deref().expect("embedding without its ids").ids;
-    opk::embed_bwd(io.out[0], io.mode[0], io.scratch, io.src.get(0), ids, io.a.n[0]);
+    opk::embed_bwd(io.out[0], io.mode[0], io.scratch, io.src.get(0), ids, width);
 })
 .detour(Detour::Each);
 
 static SOFTMAX_G: Entry = Entry::new("SoftmaxG", |io| {
-    opk::softmax_bwd(io.out[0], io.mode[0], io.src.get(0), io.src.get(1), io.a.n[0]);
+    let Attr::Row { width } = *io.a else { unreachable!() };
+    opk::softmax_bwd(io.out[0], io.mode[0], io.src.get(0), io.src.get(1), width);
 });
 
 static CE_G: Entry = Entry::new("CeG", |io| {
+    let (Attr::Row { width }, seed) = (*io.a, io.src.get(0)[0]) else { unreachable!() };
     let st = io.st.as_deref().expect("cross-entropy without its labels");
-    let (seed, v) = (io.src.get(0)[0], io.a.n[0]);
-    opk::ce_bwd(io.out[0], io.mode[0], seed, io.buf, &st.ids, st.active, v);
+    opk::ce_bwd(io.out[0], io.mode[0], seed, io.buf, &st.ids, st.active, width);
 });
 
 impl Graph {
@@ -53,13 +57,13 @@ impl Graph {
         let t = self.shape(table);
         assert_eq!(t.len(), 2, "embedding table must be 2-D");
         let st = State { ids: ids.to_vec(), ..State::default() };
-        self.record(&EMBED, &[table], &[&[ids.len(), t[1]]], Attr::n(&[t[1]]), Some(st))
+        self.record(&EMBED, &[table], &[&[ids.len(), t[1]]], Attr::Row { width: t[1] }, Some(st))
     }
 
     /// Row-wise softmax (used for attention weights).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let s = self.shape(a);
-        self.record(&SOFTMAX, &[a], &[&s], Attr::n(&[s[1]]), None)
+        self.record(&SOFTMAX, &[a], &[&s], Attr::Row { width: s[1] }, None)
     }
 
     /// Mean softmax cross-entropy of `logits [B,V]` against integer labels.
@@ -72,7 +76,7 @@ impl Graph {
         assert_eq!(s.len(), 2, "logits must be [B,V]");
         assert_eq!(labels.len(), s[0], "one label per logit row");
         let st = State { ids: labels.to_vec(), ..State::buf(s[0] * s[1]) };
-        self.record(&CE, &[logits], &[&[1]], Attr::n(&[s[1]]), Some(st))
+        self.record(&CE, &[logits], &[&[1]], Attr::Row { width: s[1] }, Some(st))
     }
 
     /// The sentinel label excluded from [`Graph::softmax_cross_entropy`].

@@ -19,66 +19,64 @@
 //! them exists (`dh = 0` when only the cell state feeds the loss).
 
 use crate::graph::{Graph, Var};
-use crate::ops_basic::{up, COL_SUM_G, GEMM};
+use crate::ops_basic::{matmul_grads, up, COL_SUM_G};
 use crate::opk::{self, apply, Mode};
-use crate::table::{flags, Attr, Detour, Entry, State};
+use crate::table::{Attr, Detour, Entry, Gemm, State};
 use legw_tensor::{lstm_cell_backward_into, lstm_cell_forward_into, repeat_rows_into};
 
-/// `[b, hid]`: `(c', h')` from `preact [B, 4H]` (gates `i,f,ĝ,o`) and
+/// `Lstm`: `(c', h')` from `preact [B, 4H]` (gates `i,f,ĝ,o`) and
 /// `c [B, H]`, keeping the activated gates and `tanh(c')`.
 static LSTM: Entry = Entry::new("LstmF", |io| {
-    let [b, hid, ..] = io.a.n;
+    let Attr::Lstm { b, hid, .. } = *io.a else { unreachable!() };
     let (gates, tanh_c) = io.buf.split_at_mut(b * 4 * hid);
     let [c, h, _] = &mut io.out;
     lstm_cell_forward_into(io.src.get(0), io.src.get(1), b, hid, gates, c, tanh_c, h);
 })
 .grad(|g, n, u| {
-    let (dc, dh) = (u[0], u[1]);
+    let (Attr::Lstm { b, hid, .. }, dc, dh) = (n.a, u[0], u[1]) else { unreachable!() };
     let src: Vec<Var> = [Some(n.src[1]), dh, dc].into_iter().flatten().collect();
-    let a = Attr::n(&[n.a.n[0], n.a.n[1], flags(&[dh.is_some(), dc.is_some()])]);
+    let a = Attr::Lstm { b, hid, dh: dh.is_some(), dc: dc.is_some() };
     g.contrib(&LSTM_G, &src, &n.src, a, n.st);
 });
 
-/// `[rows, k, n4]`: `x_pack [T·B, in] · w_x [in, 4H] + bias [4H]` for the
-/// whole sequence, one GEMM accumulated onto the row-tiled bias. Equals
+/// `Gemm`: `x_pack [T·B, in] · w_x [in, 4H] + bias [4H]` for the whole
+/// sequence, one GEMM accumulated onto the row-tiled bias. Equals
 /// `add_bias(matmul(x_pack, w_x), bias)` bitwise (f32 addition commutes).
 static PREACT_SEQ: Entry = Entry::new("PreactSeqF", |io| {
-    let ([rows, k, n4, ..], src) = (io.a.n, io.src);
-    repeat_rows_into(src.get(2), rows, io.out[0]);
-    src.gemm(false, false, src.get(0), 1, [rows, k, n4], io.out[0], true);
+    let (Attr::Gemm(gm), src) = (*io.a, io.src) else { unreachable!() };
+    repeat_rows_into(src.get(2), gm.m, io.out[0]);
+    src.gemm(io.a, src.get(0), io.out[0], true);
 })
 .grad(|g, n, u| {
-    let ([rows, k, n4, ..], [x, w, bias]) = (n.a.n, [n.src[0], n.src[1], n.src[2]]);
-    g.contrib(&GEMM, &[up(u), w], &[x], Attr::n(&[0, 1, rows, n4, k]), None);
-    g.contrib(&GEMM, &[x, up(u)], &[w], Attr::n(&[1, 0, k, rows, n4]), None);
-    g.contrib(&COL_SUM_G, &[up(u)], &[bias], Attr::default(), None);
-})
-.panel(|a| Some((1, false, a.n[1], a.n[2])));
+    let Attr::Gemm(gm) = n.a else { unreachable!() };
+    matmul_grads(g, gm, [up(u), n.src[0], n.src[1]]);
+    g.contrib(&COL_SUM_G, &[up(u)], &[n.src[2]], Attr::None, None);
+});
 
-/// `[t, batch, hid, n4]`: rows `[t·batch, (t+1)·batch)` of the hoisted
-/// block plus `h [B, hid] · w_h [hid, 4H]`, accumulated in-engine.
+/// `Recur`: rows `[t·m, (t+1)·m)` of the hoisted block plus
+/// `h [m, hid] · w_h [hid, 4H]`, accumulated in-engine.
 static RECUR_STEP: Entry = Entry::new("RecurStepF", |io| {
-    let ([t, batch, hid, n4, ..], src) = (io.a.n, io.src);
-    io.out[0].copy_from_slice(&src.get(0)[t * batch * n4..(t + 1) * batch * n4]);
-    src.gemm(false, false, src.get(1), 2, [batch, hid, n4], io.out[0], true);
+    let (Attr::Recur { t, gemm }, src) = (*io.a, io.src) else { unreachable!() };
+    let step = gemm.m * gemm.n;
+    io.out[0].copy_from_slice(&src.get(0)[t * step..(t + 1) * step]);
+    src.gemm(io.a, src.get(1), io.out[0], true);
 })
 .grad(|g, n, u| {
-    let ([t, batch, hid, n4, ..], [seq, h, w_h]) = (n.a.n, [n.src[0], n.src[1], n.src[2]]);
-    g.contrib(&GEMM, &[up(u), w_h], &[h], Attr::n(&[0, 1, batch, n4, hid]), None);
-    g.contrib(&GEMM, &[h, up(u)], &[w_h], Attr::n(&[1, 0, hid, batch, n4]), None);
-    g.contrib(&RECUR_SEQ_G, &[up(u)], &[seq], Attr::n(&[t * batch * n4]), None);
-})
-.panel(|a| Some((2, false, a.n[2], a.n[3])));
+    let Attr::Recur { t, gemm } = n.a else { unreachable!() };
+    matmul_grads(g, gemm, [up(u), n.src[1], n.src[2]]);
+    let a = Attr::Block { src_off: 0, dst_off: t * gemm.m * gemm.n };
+    g.contrib(&RECUR_SEQ_G, &[up(u)], &[n.src[0]], a, None);
+});
 
-/// `[b, hid, flags]`: the cell's backward from `c_prev` and whichever of
-/// `dh` (flag 1) and `dc` (flag 2) flowed, into `(dpreact, dc_prev)`. Two
-/// stores are written in place; otherwise both bounce through scratch.
+/// `Lstm`: the cell's backward from `c_prev` and whichever of `dh` and `dc`
+/// flowed, into `(dpreact, dc_prev)`. Two stores are written in place;
+/// otherwise both bounce through scratch.
 static LSTM_G: Entry = Entry::new("LstmG", |io| {
-    let ([b, hid, flags, ..], src) = (io.a.n, io.src);
+    let (Attr::Lstm { b, hid, dh, dc }, src) = (*io.a, io.src) else { unreachable!() };
     let (gates, tanh_c) = io.buf.split_at(b * 4 * hid);
     let cp = src.get(0);
-    let dh = (flags & 1 != 0).then(|| src.get(1));
-    let dc = (flags & 2 != 0).then(|| src.get(1 + (flags & 1)));
+    let dh = dh.then(|| src.get(1));
+    let dc = dc.then(|| src.get(1 + usize::from(dh.is_some())));
     if io.mode[..2] == [Mode::Store; 2] {
         let [dpre, dcp, _] = &mut io.out;
         lstm_cell_backward_into(gates, tanh_c, cp, dh, dc, b, hid, dpre, dcp);
@@ -92,13 +90,14 @@ static LSTM_G: Entry = Entry::new("LstmG", |io| {
 })
 .detour(Detour::Joint);
 
-/// `[off]`: `up` added into the hoisted block's gradient at `off`; the
+/// `Block`: `up` added into the hoisted block's gradient at `dst_off`; the
 /// step that creates that gradient zeroes it first.
 static RECUR_SEQ_G: Entry = Entry::new("RecurSeqG", |io| {
+    let Attr::Block { dst_off, .. } = *io.a else { unreachable!() };
     if io.mode[0] == Mode::Store {
         io.out[0].fill(0.0);
     }
-    opk::block(io.out[0], Mode::Add, io.src.get(0), io.a.n[0], false);
+    opk::block(io.out[0], Mode::Add, io.src.get(0), dst_off, false);
 });
 
 impl Graph {
@@ -109,8 +108,8 @@ impl Graph {
     pub fn lstm_cell(&mut self, preact: Var, c_prev: Var) -> (Var, Var) {
         let (b, hid) = (self.shape(c_prev)[0], self.shape(c_prev)[1]);
         let st = State::buf(b * 5 * hid);
-        let (a, outs): (_, [&[usize]; 2]) = (Attr::n(&[b, hid]), [&[b, hid], &[b, hid]]);
-        let h = self.record(&LSTM, &[preact, c_prev], &outs, a, Some(st));
+        let a = Attr::Lstm { b, hid, dh: false, dc: false };
+        let h = self.record(&LSTM, &[preact, c_prev], &[&[b, hid], &[b, hid]], a, Some(st));
         (h, Var(h.0 - 1))
     }
 
@@ -126,7 +125,7 @@ impl Graph {
         assert_eq!(xs.len(), 2, "lstm_preact_seq x_pack must be 2-D");
         assert_eq!(xs[1], ws[0], "lstm_preact_seq inner dims");
         assert_eq!(self.shape(bias), [ws[1]], "lstm_preact_seq bias shape");
-        let a = Attr::n(&[xs[0], xs[1], ws[1]]);
+        let a = Attr::Gemm(Gemm { ta: false, tb: false, m: xs[0], k: xs[1], n: ws[1] });
         self.record(&PREACT_SEQ, &[x_pack, w_x, bias], &[&[xs[0], ws[1]]], a, None)
     }
 
@@ -142,7 +141,8 @@ impl Graph {
         assert_eq!(hs[0], batch, "lstm_recur_step h batch");
         assert_eq!(hs[1], ws[0], "lstm_recur_step inner dims");
         assert_eq!(ws[1], ss[1], "lstm_recur_step width");
-        let a = Attr::n(&[t, batch, hs[1], ws[1]]);
+        let gemm = Gemm { ta: false, tb: false, m: batch, k: hs[1], n: ws[1] };
+        let a = Attr::Recur { t, gemm };
         self.record(&RECUR_STEP, &[seq, h, w_h], &[&[batch, ss[1]]], a, None)
     }
 }

@@ -49,11 +49,11 @@
 //! the packed panels of a forward-only plan, so a copy costs the arena and
 //! not the weights again.
 
-use crate::graph::{Graph, Op, Var};
+use crate::graph::{Graph, Ins, Op, Var};
 use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
 use crate::opk::Mode;
 use crate::table::{kept_zeros, Attr, Entry, Io, Role, Srcs, State};
-use legw_tensor::{pool, PackedB, Tensor};
+use legw_tensor::{gemm_single_k_block, pool, PackedB, Tensor};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -723,8 +723,10 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
     for i in 0..fwd_end {
         view[i] = match (&g.nodes[i].op, loc[i]) {
             (Op::Leaf, Loc::Par(k)) => Some((k, 0, numel(i))),
-            (Op::K(ins), _) if ins.k.is(&COPY_BLOCK) && ins.src.len() == 1 && ins.a.n[1] == 0 => {
-                view[ins.src[0].0].map(|(k, off, _)| (k, off + ins.a.n[0], numel(i)))
+            (Op::K(Ins { k, src, a: Attr::Block { src_off, dst_off: 0 }, .. }), _)
+                if k.is(&COPY_BLOCK) && src.len() == 1 =>
+            {
+                view[src[0].0].map(|(par, off, _)| (par, off + src_off, numel(i)))
             }
             _ => None,
         };
@@ -744,12 +746,12 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
     for (i, node) in g.nodes[..n].iter().enumerate() {
         let Op::K(ins) = &node.op else { continue };
         let mut src: Vec<Loc> = ins.src.iter().map(|v| loc[v.0]).collect();
-        if let Some((j, tb, k, nn)) = (ins.k.panel)(&ins.a) {
+        if let Some((j, gm)) = ins.a.gemm() {
             if let Some((par, off, len)) = view.get(ins.src[j].0).copied().flatten() {
-                debug_assert_eq!(len, k * nn, "weight view does not match its GEMM");
-                let p = *panel_of.entry((ins.src[j].0, tb)).or_insert_with(|| {
-                    let packed = Arc::new(PackedB::new(k, nn));
-                    panels.push(Panel { par, off, len, tb, packed, epoch: 0 });
+                debug_assert_eq!(len, gm.k * gm.n, "weight view does not match its GEMM");
+                let p = *panel_of.entry((ins.src[j].0, gm.tb)).or_insert_with(|| {
+                    let packed = Arc::new(PackedB::new(gm.k, gm.n));
+                    panels.push(Panel { par, off, len, tb: gm.tb, packed, epoch: 0 });
                     (panels.len() - 1) as u32
                 });
                 src[j] = Loc::Panel(p);
@@ -757,18 +759,15 @@ fn compile(g: &Graph, spec: &CaptureSpec, n: usize) -> Plan {
         }
         let dst: Vec<Loc> = ins.dst.iter().map(|&(v, _)| loc[v.0]).collect();
         let mode = std::array::from_fn(|j| ins.dst.get(j).map_or(Mode::Store, |d| d.1));
-        let mut k = ins.k;
-        if k.is(&GEMM) && mode[0] == Mode::Add && legw_tensor::gemm_single_k_block(ins.a.n[3]) {
-            k = &GEMM_ACC;
-        }
+        let one_k = matches!(ins.a, Attr::Gemm(g) if gemm_single_k_block(g.k));
+        let k = if ins.k.is(&GEMM) && mode[0] == Mode::Add && one_k { &GEMM_ACC } else { ins.k };
         let lens: Vec<usize> = ins.dst.iter().map(|&(v, _)| numel(v.0)).collect();
         let (f, d) = k.scratch(&mode[..lens.len()], &lens);
         (scratch, acc) = (scratch.max(f), acc.max(d));
-        if k.is(&COPY_BLOCK) && src.len() > 1 {
-            let [so, mut off, ..] = ins.a.n;
+        if let (true, Attr::Block { src_off, mut dst_off }) = (k.is(&COPY_BLOCK), ins.a) {
             for (&l, v) in src.iter().zip(&ins.src) {
-                push(i, k, &[l], &dst, mode, Attr::n(&[so, off]), None);
-                off += (numel(v.0) - so).min(numel(i) - off);
+                push(i, k, &[l], &dst, mode, Attr::Block { src_off, dst_off }, None);
+                dst_off += (numel(v.0) - src_off).min(numel(i) - dst_off);
             }
         } else {
             push(i, k, &src, &dst, mode, ins.a, ins.st);

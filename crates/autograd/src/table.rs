@@ -3,9 +3,11 @@
 //! Every operation — a forward op, a gradient contribution, an accumulating
 //! GEMM — is an [`Entry`]: a name, a body over slices, and what a compiler
 //! needs to know about it (its backward rule, its scratch, the feed it
-//! reads, the operand a weight panel may stand for). Entries are `static`s
-//! beside their ops in `ops_*.rs`; a node or instruction holds a reference
-//! to one plus its operands and its [`Attr`] constants.
+//! reads). Entries are `static`s beside their ops in `ops_*.rs`; a node or
+//! instruction holds a reference to one plus its operands and its [`Attr`]:
+//! its constants, each named (a GEMM's `m`, a conv's geometry, the outputs
+//! a gradient writes), which also give the GEMM it issues and the source it
+//! reads as B, the operand a weight panel may stand for ([`Attr::gemm`]).
 //!
 //! A body sees its operands through [`Io`]: sources by position, up to three
 //! destinations with their [`Mode`], the op's [`State`], and scratch. The
@@ -18,29 +20,56 @@ use crate::opk::Mode;
 use crate::plan::{Arena, Loc};
 use legw_tensor::{gemm_into, gemm_into_packed, Conv2dGeom, Tensor};
 
-/// A kernel's constants, laid out per kernel: dims, offsets and flags in
-/// `n`, and one scalar.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Attr {
-    pub n: [usize; 5],
-    pub s: f32,
+/// A kernel's constants, one variant per layout shared by a forward and its
+/// gradients; a body binds its variant's fields by name, panicking on another.
+/// - `Scalar`: `Scale`, `AddScalar`, `ScaleG`: the factor or the added constant.
+/// - `Gemm`: `Gemm`, `GemmAcc`, `PreactSeqF`: a product whose B operand is source 1.
+/// - `Recur`: `RecurStepF`: step `t`'s rows of source 0, plus a product whose B is source 2.
+/// - `Block`: `CopyBlock`, `BlockG`, `RecurSeqG`: from element `src_off` into `dst_off` on.
+/// - `Cols`: `ConcatColsF`, `SliceColsF`, `ColsBlockG`, `ColsScatterG`: column `off` on.
+/// - `Row`: `EmbedF`, `SoftmaxF`, `CeF` and their gradients: the row width.
+/// - `Sum`: `SumAllF`, `SumAllG`: the mean rather than the sum.
+/// - `Pool`: `MaxPoolF`: `nc` planes of `h × w`.
+/// - `Channels`: `GapF`, `ChannelAffineF` and their gradients: `c` planes of `hw` a row.
+/// - `Conv`: `ConvF`, `ConvG`: `b` images into `oc` channels; what `ConvG` writes, in order.
+/// - `Bn`: `BnF`, `BnG`: `n` images of `c` planes of `hw`; what `BnG` writes, in order.
+/// - `Lstm`: `LstmF`, `LstmG`: `b` rows of `hid` units; which of `dh`, `dc` are sources.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Attr {
+    None,
+    Scalar(f32),
+    Gemm(Gemm),
+    Recur { t: usize, gemm: Gemm },
+    Block { src_off: usize, dst_off: usize },
+    Cols { rows: usize, off: usize },
+    Row { width: usize },
+    Sum { mean: bool },
+    Pool { nc: usize, h: usize, w: usize },
+    Channels { c: usize, hw: usize },
+    Conv { b: usize, oc: usize, geom: Conv2dGeom, dw: bool, dx: bool },
+    Bn { n: usize, c: usize, hw: usize, eps: f32, dgamma: bool, dbeta: bool, dx: bool },
+    Lstm { b: usize, hid: usize, dh: bool, dc: bool },
+}
+
+/// `op(a) · op(b)` over `[m, k] × [k, n]`, `op` transposing where `ta` / `tb` is set.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Gemm {
+    pub ta: bool,
+    pub tb: bool,
+    pub m: usize,
+    pub k: usize,
+    pub n: usize,
 }
 
 impl Attr {
-    pub(crate) fn n(n: &[usize]) -> Attr {
-        let mut a = Attr::default();
-        a.n[..n.len()].copy_from_slice(n);
-        a
+    /// The GEMM a kernel issues and its B source, which a weight panel may stand for.
+    pub(crate) fn gemm(&self) -> Option<(usize, Gemm)> {
+        match *self {
+            Attr::Gemm(g) => Some((1, g)),
+            Attr::Recur { gemm, .. } => Some((2, gemm)),
+            _ => None,
+        }
     }
-
-    pub(crate) fn s(s: f32) -> Attr {
-        Attr { s, ..Attr::default() }
-    }
-}
-
-/// A flag word: bit `i` set where `bits[i]` holds.
-pub(crate) fn flags(bits: &[bool]) -> usize {
-    bits.iter().enumerate().map(|(i, &b)| usize::from(b) << i).sum()
 }
 
 /// An op's data between its forward and its backward, owned by the tape
@@ -65,8 +94,6 @@ pub(crate) struct State {
     pub active: usize,
     /// BatchNorm's per-channel statistics.
     pub bn: Option<Box<BnStats>>,
-    /// A convolution's geometry, all the state a convolution keeps.
-    pub geom: Option<Box<Conv2dGeom>>,
 }
 
 /// BatchNorm's f64 accumulators and the f32 batch statistics it exposes.
@@ -84,16 +111,9 @@ pub(crate) struct BnStats {
 impl BnStats {
     /// Statistics for `c` channels.
     pub(crate) fn zeros(c: usize) -> Box<BnStats> {
-        let (d, f) = (vec![0.0; c], vec![0.0; c]);
-        Box::new(BnStats {
-            mean: d.clone(),
-            var: d.clone(),
-            sum_up: d.clone(),
-            sum_up_xh: d,
-            inv_std: f.clone(),
-            mean_f32: f.clone(),
-            var_f32: f,
-        })
+        let [mean, var, sum_up, sum_up_xh] = std::array::from_fn(|_| vec![0.0; c]);
+        let [inv_std, mean_f32, var_f32] = std::array::from_fn(|_| vec![0.0; c]);
+        Box::new(BnStats { mean, var, sum_up, sum_up_xh, inv_std, mean_f32, var_f32 })
     }
 }
 
@@ -120,7 +140,6 @@ impl State {
             argmax: vec![0; self.argmax.len()],
             active: 0,
             bn: self.bn.as_ref().map(|b| BnStats::zeros(b.mean.len())),
-            geom: self.geom.clone(),
         }
     }
 }
@@ -154,19 +173,10 @@ impl<'a> Srcs<'a> {
         }
     }
 
-    /// `out (+)= op(a) · op(src b)` — the one GEMM every body issues. A plan
-    /// may hold source `b` as a weight panel packed this replay.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gemm(
-        &self,
-        ta: bool,
-        tb: bool,
-        a: &[f32],
-        b: usize,
-        [m, k, n]: [usize; 3],
-        out: &mut [f32],
-        acc: bool,
-    ) {
+    /// `out (+)= op(a) · op(B)`, the one GEMM every body issues, as `at` gives it
+    /// ([`Attr::gemm`]). A plan may hold B as a weight panel packed this replay.
+    pub(crate) fn gemm(&self, at: &Attr, a: &[f32], out: &mut [f32], acc: bool) {
+        let (b, Gemm { ta, tb, m, k, n }) = at.gemm().expect("a kernel without a GEMM");
         if let Srcs::Plan(arena, s, ..) = *self {
             if let Loc::Panel(p) = s[b] {
                 return gemm_into_packed(ta, a, arena.panel(p, tb), m, out, acc);
@@ -219,10 +229,6 @@ pub(crate) enum Role {
 /// its sources' gradients.
 pub(crate) type Rule = fn(&mut Graph, &Ins, &[Option<Var>]);
 
-/// A source a GEMM reads as its B operand: `(source, transposed, k, n)` of
-/// a `[·, k] × [k, n]` product.
-pub(crate) type PanelUse = Option<(usize, bool, usize, usize)>;
-
 /// One kernel.
 pub(crate) struct Entry {
     pub name: &'static str,
@@ -230,12 +236,11 @@ pub(crate) struct Entry {
     pub grad: Option<Rule>,
     pub detour: Detour,
     pub role: Role,
-    pub panel: fn(&Attr) -> PanelUse,
 }
 
 impl Entry {
     pub(crate) const fn new(name: &'static str, run: fn(&mut Io)) -> Entry {
-        Entry { name, run, grad: None, detour: Detour::None, role: Role::None, panel: |_| None }
+        Entry { name, run, grad: None, detour: Detour::None, role: Role::None }
     }
 
     pub(crate) const fn grad(self, grad: Rule) -> Entry {
@@ -248,10 +253,6 @@ impl Entry {
 
     pub(crate) const fn role(self, role: Role) -> Entry {
         Entry { role, ..self }
-    }
-
-    pub(crate) const fn panel(self, panel: fn(&Attr) -> PanelUse) -> Entry {
-        Entry { panel, ..self }
     }
 
     /// `(f32, f64)` scratch elements for outputs of these modes and sizes.

@@ -1,6 +1,6 @@
 //! Dynamic batch-size schedules — the "don't decay the learning rate,
 //! increase the batch size" alternative (Smith, Kindermans & Le 2017),
-//! which the paper cites as a related direction [27]. Implemented here as
+//! which the paper cites as a related direction \[27\]. Implemented here as
 //! an extension so the ablation harness can compare it against LR decay
 //! under LEGW warmup.
 

@@ -889,7 +889,7 @@ pub(crate) fn conv_dx(
 /// its B rows read in place from `up`'s planes (their bf16 copy in bf16
 /// mode; a packed panel for a ragged last pixel tile), summed over `oc` at
 /// the engine's k-blocks into a tile on the stack, then added straight into
-/// this thread's padded image ([`conv::ImageCopy::scatter`]). Pixel tiles
+/// this thread's padded image ([`Micro::scatter`]). Pixel tiles
 /// run in order and the tap panels of each from the last to the first, so
 /// every image pixel receives its contributions in output-pixel order, as
 /// the lowering's fold adds them. The image is copied out of the padded one
@@ -1158,7 +1158,7 @@ pub(crate) fn scratch_prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) ->
     &mut buf[..len]
 }
 
-/// [`Src::Dense`]'s pack loop: the `rows×kb` block at `(r0, k0)` of a
+/// [`Src::pack`]'s loop: the `rows×kb` block at `(r0, k0)` of a
 /// `[rows, k]` matrix (stored `[k, rows]` when `trans`) into `w`-row
 /// micro-panels, k-major within each panel, converting each element via
 /// [`PackElem::pack`] (identity for f32, round-to-nearest-even for bf16).

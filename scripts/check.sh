@@ -111,10 +111,13 @@ if [[ "${1:-}" != "fast" ]]; then
   echo "== cargo clippy --workspace --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks"
   cargo clippy "${flags[@]}" --workspace --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
 
-  # Doc links rot silently otherwise. legw-perf is left out until a benchmark
-  # PR fixes its one warning (`slowdown_at` links to the private `NEIGHBOURS`).
-  echo "== cargo doc --workspace --exclude legw-perf, warnings denied"
-  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${flags[@]}" --workspace --exclude legw-perf
+  # Doc links rot silently otherwise, private ones too: the kernel table and
+  # the SIMD kernels are crate-private. legw-perf is left out until a
+  # benchmark PR fixes its one warning (`slowdown_at` links to the private
+  # `NEIGHBOURS`).
+  echo "== cargo doc --workspace --exclude legw-perf --document-private-items, warnings denied"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${flags[@]}" --workspace --exclude legw-perf \
+    --document-private-items
 fi
 
 echo "check.sh: all gates passed"
