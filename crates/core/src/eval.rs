@@ -5,24 +5,26 @@
 //! The chunked sweeps (MNIST, ResNet, seq2seq) share one routine,
 //! `Executor::forward_sweep`: every chunk in dataset order, as contiguous
 //! row groups, one per lane (`Executor::map_lanes`), each replaying an
-//! inference plan of its shape. The lane rule: a tape is recorded only on
-//! the caller's thread or a shard's, never on a kernel-pool worker, whose
-//! glibc malloc arena would keep its pages. So a shard captures its own
-//! plans, and on the one-shard executor the caller captures each shape
-//! from its first group and copies the plan for the other lanes
-//! ([`InferPlan::copy`]). A capture ([`Infer::capture_infer`]) records a
-//! shape-only tape and runs no kernel: a group whose plan was just
-//! captured computes its rows by replaying it, like every other group.
+//! inference plan of its shape. The caller gives every group its plan
+//! before the lanes start ([`group_plans`], the routine serving calls too):
+//! for a chunk shape it has no plans for, each group shape's first plan is
+//! captured from shapes ([`Infer::capture_infer`], which runs no kernel)
+//! and every later group of that shape gets a copy ([`InferPlan::copy`]).
+//! So no lane records a tape: a kernel-pool worker's glibc malloc arena
+//! would keep its pages. A group whose plan was just captured computes its
+//! rows by replaying it, like every other group.
 //!
 //! The executor keeps the plans across calls, per model family, for the
 //! last model it evaluated ([`Infer::params`] and their shapes tell models
-//! apart), per group shape and lane: every eval call but a run's first
-//! captures nothing. A plan captures no value, so a call starts by
-//! repacking its plans' weight panels and ends by lending the caller's
-//! plans' arenas to its buffer pool ([`InferPlan::renew`]). A call holds
-//! its family's plans alone, so two threads may evaluate on one executor,
-//! and a call that panics drops them: the next captures again. DESIGN.md §6
-//! has the measurements behind each choice.
+//! apart): one plan per row group of each chunk shape, keyed by its groups'
+//! keys, as serving keeps one per batch shape. Every eval call but a run's
+//! first captures nothing. A plan captures no value, so a call starts by
+//! repacking its plans' weight panels ([`InferPlan::renew`]). On the
+//! one-shard executor it ends by lending their arenas to the caller's
+//! buffer pool; a sharded executor keeps them. A call holds its family's
+//! plans alone, so two threads may evaluate on one executor, and a call
+//! that panics drops them: the next captures again. DESIGN.md §6 has the
+//! measurements behind each choice.
 //!
 //! Exactness: every forward kernel computes a row the same way however many
 //! rows share the call (`crates/models/tests/row_groups.rs`), a plan
@@ -39,7 +41,7 @@
 
 use crate::exec::Executor;
 use legw_data::{metrics, Classification, SynthPtb, SynthTranslation};
-use legw_models::{Infer, InferPlan, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
+use legw_models::{group_plans, Infer, InferPlan, LmState, MnistLstm, PtbLm, ResNet, Seq2Seq};
 use legw_nn::{ParamId, ParamSet};
 use legw_tensor::Tensor;
 use std::any::{Any, TypeId};
@@ -50,9 +52,9 @@ use std::sync::{Mutex, PoisonError};
 /// One `(output, carried state)` per row.
 type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
 
-/// One family's kept plans, by group shape and lane, and their model's
-/// parameters with their shapes.
-type Kept<P> = (Vec<(ParamId, Vec<usize>)>, HashMap<(Vec<usize>, usize), P>);
+/// One family's kept plans, one per row group of each chunk shape (keyed
+/// by its groups' keys), and their model's parameters with their shapes.
+type Kept<P> = (Vec<(ParamId, Vec<usize>)>, HashMap<Vec<usize>, Vec<P>>);
 
 /// One [`Kept`] per model family; never locked across a replay.
 pub(crate) type KeptPlans = Mutex<HashMap<TypeId, Box<dyn Any + Send>>>;
@@ -86,58 +88,26 @@ impl Executor {
         let store = || self.kept.lock().unwrap_or_else(PoisonError::into_inner);
         let id: Vec<_> = model.params().iter().map(|&p| (p, ps.value(p).shape().to_vec())).collect();
         let taken = store().remove(&TypeId::of::<M>()).and_then(|k| k.downcast::<Kept<M::Plan>>().ok());
-        let mut plans = taken.filter(|k| k.0 == id).map_or_else(HashMap::new, |k| k.1);
-        plans.values_mut().for_each(|plan| plan.renew(Some(ps)));
+        let mut kept = taken.filter(|k| k.0 == id).map_or_else(HashMap::new, |k| k.1);
+        kept.values_mut().flatten().for_each(|plan| plan.renew(Some(ps)));
         let mut out = Vec::with_capacity(chunks.len());
-        let sharded = self.shards() > 1;
         for c in chunks {
             let ranges = legw_parallel::split_evenly(rows(c), self.lanes());
             let groups: Vec<M::Batch> = ranges.into_iter().map(|r| group(c, r)).collect();
-            let keys: Vec<_> = groups.iter().enumerate().map(|(j, g)| (model.infer_key(g), j)).collect();
-            // The caller gives each group's lane a plan; a shard captures its own.
-            for (j, key) in keys.iter().enumerate() {
-                if sharded || plans.contains_key(key) {
-                    continue;
-                }
-                let plan = match plans.iter_mut().find(|(k, _)| k.0 == key.0) {
-                    Some((_, plan)) => plan.copy(ps),
-                    None => {
-                        let mut plan = model.capture_infer(ps, &groups[j]);
-                        plan.renew(Some(ps)); // its arena, from the caller's pool
-                        plan
-                    }
-                };
-                plans.insert(key.clone(), plan);
-            }
-            // Each lane locks its own group's plan, once.
-            let mut lanes: Vec<Option<Mutex<&mut M::Plan>>> = groups.iter().map(|_| None).collect();
-            for (key, plan) in plans.iter_mut() {
-                if keys.get(key.1) == Some(key) {
-                    lanes[key.1] = Some(Mutex::new(plan));
-                }
-            }
-            let computed = self.map_lanes(&lanes, |j, plan| match plan {
-                Some(plan) => {
-                    let plan = &mut **plan.lock().unwrap_or_else(PoisonError::into_inner);
-                    (model.replay_infer(plan, ps, &groups[j]), None)
-                }
-                None => {
-                    let mut plan = model.capture_infer(ps, &groups[j]);
-                    (model.replay_infer(&mut plan, ps, &groups[j]), Some(plan))
-                }
+            let keys: Vec<Vec<usize>> = groups.iter().map(|g| model.infer_key(g)).collect();
+            let plans = kept.entry(keys.concat()).or_default();
+            group_plans(model, ps, plans, &groups, &keys);
+            let lanes: Vec<Mutex<&mut M::Plan>> = plans.iter_mut().map(Mutex::new).collect();
+            let computed = self.map_lanes(&lanes, |j, plan| {
+                let plan = &mut **plan.lock().unwrap_or_else(PoisonError::into_inner);
+                model.replay_infer(plan, ps, &groups[j])
             });
-            drop(lanes);
-            let mut chunk = Vec::new();
-            for (key, (rows, plan)) in keys.into_iter().zip(computed) {
-                plans.extend(plan.map(|plan| (key, plan)));
-                chunk.extend(rows);
-            }
-            out.push(chunk);
+            out.push(computed.into_iter().flatten().collect());
         }
-        if !sharded {
-            plans.values_mut().for_each(|plan| plan.renew(None));
+        if self.shards() == 1 {
+            kept.values_mut().flatten().for_each(|plan| plan.renew(None));
         }
-        store().insert(TypeId::of::<M>(), Box::new((id, plans)));
+        store().insert(TypeId::of::<M>(), Box::new((id, kept)));
         out
     }
 

@@ -36,8 +36,10 @@ impl<P> Slot<P> {
 /// Shape-keyed plan store for [`Executor::step_planned`]: one map per
 /// shard index, so concurrent shard workers never contend and every plan's
 /// mutable replay arena stays with its worker slot. Inference serving
-/// (`legw_serve::InferEngine`) keeps one bounded slot whose entry per
-/// batch shape holds one plan per row group of the batch.
+/// (`legw_serve::InferEngine`) keeps one bounded slot. Its entry per batch
+/// shape, keyed by the row groups' keys, holds one plan per group, or none
+/// after the shape's miss; [`legw_models::group_plans`] gives the groups
+/// their plans at a miss and at the first hit, as it does in eval's sweep.
 ///
 /// A cache built with [`PlanCache::with_capacity`] holds at most `capacity`
 /// plans **per slot**, evicting the least-recently-used entry to make room

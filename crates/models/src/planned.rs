@@ -136,6 +136,37 @@ pub trait InferPlan: Send {
     fn renew(&mut self, ps: Option<&ParamSet>);
 }
 
+/// Gives each row group of one batch shape its plan, on the calling thread:
+/// how eval and serving get the plans they replay, one per group, in group
+/// order. `plans` is the shape's entry: one plan per group, kept as it is,
+/// or none. Then each group shape's first plan is captured from shapes
+/// ([`Infer::capture_infer`]; `keys[i]` is group `i`'s [`Infer::infer_key`])
+/// and renewed: an arena from this thread's buffer pool, every panel packed
+/// from `ps` ([`InferPlan::renew`]). Each later group of that shape gets a
+/// copy of it ([`InferPlan::copy`]): an arena of its own, the panels shared.
+pub fn group_plans<M: Infer>(
+    model: &M,
+    ps: &ParamSet,
+    plans: &mut Vec<M::Plan>,
+    groups: &[M::Batch],
+    keys: &[Vec<usize>],
+) {
+    if !plans.is_empty() {
+        return;
+    }
+    for (i, key) in keys.iter().enumerate() {
+        let plan = match keys[..i].iter().position(|k| k == key) {
+            Some(j) => plans[j].copy(ps),
+            None => {
+                let mut plan = model.capture_infer(ps, &groups[i]);
+                plan.renew(Some(ps));
+                plan
+            }
+        };
+        plans.push(plan);
+    }
+}
+
 /// A forward-only plan's copy: [`Plan`]'s clone, after
 /// [`Plan::pack_panels`].
 impl InferPlan for StepPlan {
@@ -183,9 +214,10 @@ pub(crate) fn tensor_rows(t: &Tensor) -> Vec<Vec<f32>> {
 /// A plan's weight panels are packed once per parameter version,
 /// and again at [`InferPlan::renew`]: serving is the single version, eval
 /// starts one per call. Another thread replays a copy of a plan
-/// ([`InferPlan::copy`]), which shares the panels. A batch's row groups
-/// ([`Infer::slice`]) can be computed on several threads at once, so the
-/// model and its batches are `Sync`.
+/// ([`InferPlan::copy`]), which shares the panels; [`group_plans`] gives
+/// a batch's row groups their plans, for eval and serving alike. A
+/// batch's row groups ([`Infer::slice`]) can be computed on several
+/// threads at once, so the model and its batches are `Sync`.
 pub trait Infer: Sync {
     /// One client request (a single row).
     type Req: Send + 'static;
@@ -243,9 +275,10 @@ pub trait Infer: Sync {
         batch: &Self::Batch,
     ) -> Vec<(Self::Out, Self::RowState)>;
 
-    /// The live-tape forward on the same batch — the equivalence oracle
-    /// the planned path is tested against, and what a serving miss
-    /// computes its rows with.
+    /// The live-tape forward on the same batch: the oracle that
+    /// [`Infer::replay_infer`] is held to, bitwise. Outside tests only the
+    /// benchmark calls it, to judge served rows and to time the tape; no
+    /// eval or serving path computes a row with it.
     fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch)
         -> Vec<(Self::Out, Self::RowState)>;
 }

@@ -9,8 +9,9 @@
 //!   statistics). `restore` rebuilds the model and reloads the parameters
 //!   all-or-nothing.
 //! * [`session`] — [`InferEngine`]: frozen params + a shape-keyed cache of
-//!   *forward-only* plans ([`legw_models::Infer`]), so steady-state serving
-//!   runs tape-free with no gradient buffers and no backward schedule.
+//!   *forward-only* plans ([`legw_models::Infer`]), so serving runs
+//!   tape-free, a shape's first batch included, with no gradient buffers
+//!   and no backward schedule.
 //! * [`server`] — [`Server`]: a dynamic batcher that coalesces concurrent
 //!   single-row queries into one batched forward under a max-latency
 //!   deadline ([`BatchConfig`]), grouping compatible requests

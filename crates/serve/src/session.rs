@@ -2,7 +2,7 @@
 //! plans, with optional per-client recurrent state.
 
 use legw::PlanCache;
-use legw_models::{Infer, InferPlan};
+use legw_models::{group_plans, Infer};
 use legw_nn::ParamSet;
 use std::sync::Mutex;
 
@@ -28,29 +28,28 @@ type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
 /// group computes each of its rows bitwise as the whole batch does, so the
 /// split changes no served bit.
 ///
-/// The first batch of a given shape is a miss, computed on the caller's
-/// thread and pool: every group's rows come from the model's eager tape
-/// ([`Infer::infer_tape`]), and each distinct group shape gets its plan
-/// from a shape-only tape ([`Infer::capture_infer`], which runs no kernel).
-/// The miss replays nothing, and a captured plan holds no arena: an
-/// engine that serves a shape once keeps no arena pages (DESIGN.md §12).
-/// The shape's first hit, also on the caller, gives each captured plan
-/// its arena ([`InferPlan::renew`]) and every group past the first of its
-/// shape a copy of that shape's plan ([`InferPlan::copy`]: an arena of its
-/// own, the weight panels shared). From then on each batch of that shape
-/// replays on every lane with no tape, no gradient buffers and, at steady
-/// state, no pool allocation — for seq2seq, an encoder replay and one
-/// decoder-step replay per token. A kernel-pool worker only replays: a
-/// tape recorded on one would stay resident in its malloc arena. A capture
-/// that fails is a bug in the model's capture and panics with its cause;
-/// after a shape's miss, nothing serves from the live graph.
+/// A miss and a hit run one routine, [`group_plans`], which eval shares.
+/// On the caller's thread and pool, each distinct group shape's first plan
+/// is captured from a shape-only tape ([`Infer::capture_infer`], which runs
+/// no kernel), gets its arena and packs its weight panels
+/// ([`InferPlan::renew`]); each later group of that shape gets a copy
+/// ([`InferPlan::copy`]: an arena of its own, the panels shared). Then each
+/// lane replays its group's plan. A miss keeps none of its plans, so an
+/// engine that serves a shape once holds no arena (DESIGN.md §12); the
+/// shape's first hit captures again, which is bitwise, and keeps its plans.
+/// From then on each batch of that shape replays on every lane with no
+/// tape, no gradient buffers and, at steady state, no pool allocation —
+/// for seq2seq, an encoder replay and one decoder-step replay per token. A
+/// kernel-pool worker only replays. A capture that fails is a bug in the
+/// model's capture and panics with its cause; nothing serves from the live
+/// graph.
 ///
 /// Frozen parameters are what make this cheap. A plan reads the parameters
 /// at every replay, but packs its weight panels once per parameter version
 /// ([`InferPlan::renew`]); the engine's parameters never change, so it is
-/// the single version: no request after a shape's first repacks a weight,
-/// and the copies share the panels, so splitting a batch over lanes costs
-/// arenas, not weights.
+/// the single version: no request after a shape's first hit repacks a
+/// weight, and the copies share the panels, so splitting a batch over lanes
+/// costs arenas, not weights.
 ///
 /// The plan cache is bounded ([`DEFAULT_PLAN_CAPACITY`] batch shapes, LRU):
 /// unlike training, a server's shape set is driven by client traffic, so
@@ -63,17 +62,20 @@ type Rows<M> = Vec<(<M as Infer>::Out, <M as Infer>::RowState)>;
 /// for its GEMMs: packed panels hold bf16 (half the bytes, f32
 /// accumulation), trading ≤2⁻⁸ relative rounding per operand for memory
 /// bandwidth. Off by default; never used in training. The mode is
-/// thread-local, so the engine sets it on the caller for a capture and
-/// inside each lane for its replay.
+/// thread-local, so the engine sets it on the caller while it gives the
+/// groups their plans and inside each lane for its replay.
 ///
 /// `run` takes `&self`: the cache synchronises internally (a batch holds
 /// its shape's plans for the whole call), so one engine can be shared
 /// across threads behind an [`std::sync::Arc`].
+///
+/// [`InferPlan::renew`]: legw_models::InferPlan::renew
+/// [`InferPlan::copy`]: legw_models::InferPlan::copy
 pub struct InferEngine<M: Infer> {
     model: M,
     ps: ParamSet,
-    /// Per batch shape and row-group count: one plan per row group, or,
-    /// until the shape's first replay, one per distinct group shape.
+    /// Per batch shape, keyed by its groups' keys: one plan per row group,
+    /// or none after the shape's miss.
     plans: PlanCache<Vec<M::Plan>>,
     bf16: bool,
 }
@@ -114,8 +116,8 @@ impl<M: Infer> InferEngine<M> {
         &self.model
     }
 
-    /// Number of distinct batch shapes captured so far: one per shape and
-    /// row-group count, however many plans and copies its groups hold.
+    /// Number of batch shapes cached: one per shape and row-group count,
+    /// however many plans its groups hold (none after the shape's miss).
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
     }
@@ -129,16 +131,15 @@ impl<M: Infer> InferEngine<M> {
         assert!(!reqs.is_empty(), "empty inference batch");
         let batch = self.model.assemble(reqs, states);
         let rows = legw_parallel::split_evenly(reqs.len(), legw_parallel::current().threads());
-        let mut key = self.model.infer_key(&batch);
-        key.push(rows.len());
         let groups = match rows.len() {
             1 => vec![batch],
             _ => rows.into_iter().map(|r| self.model.slice(&batch, r)).collect(),
         };
         let keys: Vec<Vec<usize>> = groups.iter().map(|g| self.model.infer_key(g)).collect();
-        let capture = || self.scoped(|| self.capture(&groups, &keys));
-        let replay = |plans: &mut Vec<M::Plan>| self.replay(plans, &groups, &keys);
-        self.plans.with_plan(0, key, capture, replay)
+        // A shape served once keeps no plan, and so no arena (DESIGN.md §12).
+        let miss = || (Vec::new(), self.replay(&mut Vec::new(), &groups, &keys));
+        let hit = |plans: &mut Vec<M::Plan>| self.replay(plans, &groups, &keys);
+        self.plans.with_plan(0, keys.concat(), miss, hit)
     }
 
     /// Single-row convenience around [`InferEngine::run`].
@@ -148,24 +149,8 @@ impl<M: Infer> InferEngine<M> {
             .expect("one row in, one row out")
     }
 
-    /// A miss: every group on the tape, and one plan per distinct group
-    /// shape `keys` names, captured from that shape alone. Returns the
-    /// plans, in order of their shapes' first groups, and every row's
-    /// result.
-    fn capture(&self, groups: &[M::Batch], keys: &[Vec<usize>]) -> (Vec<M::Plan>, Rows<M>) {
-        let (mut plans, mut out) = (Vec::new(), Vec::new());
-        for (i, group) in groups.iter().enumerate() {
-            if !keys[..i].contains(&keys[i]) {
-                plans.push(self.model.capture_infer(&self.ps, group));
-            }
-            out.extend(self.model.infer_tape(&self.ps, group));
-        }
-        (plans, out)
-    }
-
-    /// A hit: each group's plan replays on its lane, in the engine's bf16
-    /// scope. The batch shape's first hit first gives each group past the
-    /// first of its shape a copy of that shape's plan, on the caller.
+    /// Gives every group its plan on the caller ([`group_plans`]), then
+    /// replays each group's plan on its lane, in the engine's bf16 scope.
     /// Returns every row's result in row order.
     fn replay(
         &self,
@@ -173,18 +158,7 @@ impl<M: Infer> InferEngine<M> {
         groups: &[M::Batch],
         keys: &[Vec<usize>],
     ) -> Rows<M> {
-        if plans.len() < groups.len() {
-            let mut captured = std::mem::take(plans);
-            captured.iter_mut().for_each(|plan| self.scoped(|| plan.renew(Some(&self.ps))));
-            let mut captured = captured.into_iter();
-            for (i, key) in keys.iter().enumerate() {
-                let plan = match keys[..i].iter().position(|k| k == key) {
-                    Some(j) => self.scoped(|| plans[j].copy(&self.ps)),
-                    None => captured.next().expect("one plan per group shape"),
-                };
-                plans.push(plan);
-            }
-        }
+        self.scoped(|| group_plans(&self.model, &self.ps, plans, groups, keys));
         let lanes: Vec<Mutex<&mut M::Plan>> = plans.iter_mut().map(Mutex::new).collect();
         let out = legw_parallel::map_lanes(&lanes, |i, plan| {
             let plan = &mut **plan.lock().unwrap();

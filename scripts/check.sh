@@ -43,6 +43,21 @@ if [[ -n "$ignored" ]]; then
   exit 1
 fi
 
+# The eager tape is the oracle and nothing else: outside tests, only
+# crates/models, which defines `Infer::infer_tape`, and crates/perf, whose
+# benchmark checks every served row against it, call it. Outside tests means
+# above a file's first #[cfg(test)], and not under a tests/ directory.
+echo "== outside tests, nothing but crates/models and crates/perf calls infer_tape"
+taped=$(git ls-files '*.rs' | grep -Ev '^(crates/(models|perf)/|(.*/)?tests/)' | xargs awk '
+  FNR == 1 { lib = 1 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { lib = 0 }
+  lib && !/^[[:space:]]*\/\// && /infer_tape[[:space:]]*\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$taped" ]]; then
+  echo "check.sh: library code calls the eager tape outside crates/models and crates/perf:" >&2
+  echo "$taped" >&2
+  exit 1
+fi
+
 echo "== cargo build --release: every library, binary and example"
 cargo build --release "${flags[@]}" --workspace --bins --examples
 
@@ -81,12 +96,13 @@ cargo test -q "${flags[@]}" -p legw-serve -- --test-threads=1
 # decodes through the plans' weight panels), plan replay against the tape,
 # ResNet's trained bits pinned to constants (what plan and tape share,
 # neither can check), and the serving suites (frozen forward, bf16 panels,
-# and the steady-state pool test, alone in its process because it reads the
-# process-wide pool counters).
+# and the two pool tests, the steady state and the miss that keeps no arena,
+# each alone in its process because it reads the process-wide pool
+# counters).
 tiers=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then tiers+=(avx2); fi
 for tier in "${tiers[@]}"; do
-  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, steady_state_pool, bf16_serving"
+  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, steady_state_pool, miss_keeps_no_arena, bf16_serving"
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-tensor
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-autograd
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-models
@@ -96,6 +112,7 @@ for tier in "${tiers[@]}"; do
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test resnet_bits
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test freeze_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test steady_state_pool
+  LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test miss_keeps_no_arena
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test bf16_serving -- --test-threads=1
 done
 
