@@ -243,7 +243,9 @@ pub(crate) fn max_pool_fwd(
     argmax: &mut [u32],
 ) {
     let (oh, ow) = (h / 2, w / 2);
-    debug_assert!(src.len() == nc * h * w && out.len() == nc * oh * ow && argmax.len() == out.len());
+    debug_assert!(
+        src.len() == nc * h * w && out.len() == nc * oh * ow && argmax.len() == out.len()
+    );
     for p in 0..nc {
         let base = p * h * w;
         for y in 0..oh {
@@ -307,7 +309,8 @@ pub(crate) fn gap_bwd(dst: &mut [f32], mode: Mode, up: &[f32], hw: usize) {
 pub(crate) fn bn_stats(x: &[f32], [n, c, hw]: [usize; 3], mean: &mut [f64], var: &mut [f64]) {
     debug_assert!(x.len() == n * c * hw && mean.len() == c && var.len() == c);
     let m = (n * hw) as f64;
-    let channel = |ci: usize| (0..n).flat_map(move |ni| &x[(ni * c + ci) * hw..(ni * c + ci + 1) * hw]);
+    let channel =
+        |ci: usize| (0..n).flat_map(move |ni| &x[(ni * c + ci) * hw..(ni * c + ci + 1) * hw]);
     par_each(mean, x.len(), |ci, mu| {
         let mut s = 0.0f64;
         for &v in channel(ci) {
@@ -474,7 +477,12 @@ pub(crate) fn softmax_bwd(dst: &mut [f32], mode: Mode, up: &[f32], y: &[f32], n:
 /// Mean softmax cross-entropy of `logits [b, v]` against `labels`, rows
 /// labelled [`IGNORE_INDEX`] excluded. Fills `probs` with the row softmax
 /// and returns `(loss, active rows)`; the loss of zero active rows is 0.
-pub(crate) fn ce_fwd(logits: &[f32], labels: &[usize], v: usize, probs: &mut [f32]) -> (f32, usize) {
+pub(crate) fn ce_fwd(
+    logits: &[f32],
+    labels: &[usize],
+    v: usize,
+    probs: &mut [f32],
+) -> (f32, usize) {
     softmax_rows_into(logits, labels.len(), v, probs);
     let mut total = 0.0f64;
     let mut active = 0usize;
@@ -611,7 +619,12 @@ mod tests {
 
     /// The serial BatchNorm backward sums the kernels replaced, as the
     /// oracle.
-    fn bn_bwd_sums_oracle(up: &[f32], xhat: &[f32], [c, hw]: [usize; 2], sums: (&mut [f64], &mut [f64])) {
+    fn bn_bwd_sums_oracle(
+        up: &[f32],
+        xhat: &[f32],
+        [c, hw]: [usize; 2],
+        sums: (&mut [f64], &mut [f64]),
+    ) {
         let (sum_up, sum_up_xh) = sums;
         sum_up.fill(0.0);
         sum_up_xh.fill(0.0);

@@ -420,7 +420,10 @@ mod tests {
     #[test]
     fn add_sub_mul_grads() {
         grad_check(
-            &[Tensor::from_vec(vec![1., -2., 3.], &[3]), Tensor::from_vec(vec![0.5, 2., -1.], &[3])],
+            &[
+                Tensor::from_vec(vec![1., -2., 3.], &[3]),
+                Tensor::from_vec(vec![0.5, 2., -1.], &[3]),
+            ],
             |g, vs| {
                 let s = g.add(vs[0], vs[1]);
                 let d = g.sub(s, vs[1]);
@@ -544,12 +547,15 @@ mod tests {
 
     #[test]
     fn reshape_and_scale_grads() {
-        grad_check(&[Tensor::from_vec((0..8).map(|i| i as f32 * 0.25).collect(), &[2, 4])], |g, vs| {
-            let r = g.reshape(vs[0], &[4, 2]);
-            let s = g.scale(r, 3.0);
-            let a = g.add_scalar(s, -1.0);
-            g.mean_all(a)
-        });
+        grad_check(
+            &[Tensor::from_vec((0..8).map(|i| i as f32 * 0.25).collect(), &[2, 4])],
+            |g, vs| {
+                let r = g.reshape(vs[0], &[4, 2]);
+                let s = g.scale(r, 3.0);
+                let a = g.add_scalar(s, -1.0);
+                g.mean_all(a)
+            },
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Feature maps are `[N, C, H, W]` row-major throughout.
 
 use crate::graph::{Graph, Op, Var};
-use crate::ops_basic::up;
 use crate::opk::{self, apply, store_or_add};
+use crate::ops_basic::up;
 use crate::table::{Attr, BnStats, Detour, Entry, Role, State};
 use legw_tensor::{conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, Conv2dGeom};
 
@@ -251,7 +251,10 @@ mod tests {
         grad_check(
             &[
                 img(2, 2, 4, 4, |i| ((i * 7 % 13) as f32) * 0.1 - 0.6),
-                Tensor::from_vec((0..3 * 18).map(|i| ((i * 5 % 11) as f32) * 0.1 - 0.5).collect(), &[3, 18]),
+                Tensor::from_vec(
+                    (0..3 * 18).map(|i| ((i * 5 % 11) as f32) * 0.1 - 0.5).collect(),
+                    &[3, 18],
+                ),
             ],
             |g, vs| {
                 let y = g.conv2d(vs[0], vs[1], geom);
@@ -267,7 +270,10 @@ mod tests {
         grad_check(
             &[
                 img(1, 1, 6, 6, |i| ((i * 3 % 17) as f32) * 0.1 - 0.8),
-                Tensor::from_vec((0..2 * 9).map(|i| ((i * 7 % 5) as f32) * 0.2 - 0.4).collect(), &[2, 9]),
+                Tensor::from_vec(
+                    (0..2 * 9).map(|i| ((i * 7 % 5) as f32) * 0.2 - 0.4).collect(),
+                    &[2, 9],
+                ),
             ],
             |g, vs| {
                 let y = g.conv2d(vs[0], vs[1], geom);
@@ -286,7 +292,10 @@ mod tests {
         let geom = Conv2dGeom { c: 2, h: 4, w: 4, kh: 3, kw: 3, stride: 1, pad: 1 };
         let vals = [
             img(2, 2, 4, 4, |i| ((i * 7 % 13) as f32) * 0.1 - 0.6),
-            Tensor::from_vec((0..54).map(|i| ((i * 5 % 11) as f32) * 0.1 - 0.5).collect(), &[3, 18]),
+            Tensor::from_vec(
+                (0..54).map(|i| ((i * 5 % 11) as f32) * 0.1 - 0.5).collect(),
+                &[3, 18],
+            ),
             Tensor::from_vec(vec![1.2, 0.8, 1.1], &[3]),
             Tensor::from_vec(vec![-0.1, 0.3, 0.2], &[3]),
         ];

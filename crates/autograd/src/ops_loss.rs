@@ -2,8 +2,8 @@
 //! ignore-index masking for padded sequence batches).
 
 use crate::graph::{Graph, Var, IGNORE_INDEX};
-use crate::ops_basic::up;
 use crate::opk;
+use crate::ops_basic::up;
 use crate::table::{Attr, Detour, Entry, Role, State};
 use legw_tensor::softmax_rows_into;
 
@@ -88,8 +88,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legw_tensor::Tensor;
     use crate::check::grad_check;
+    use legw_tensor::Tensor;
 
     #[test]
     fn embedding_forward_picks_rows() {
@@ -113,23 +113,23 @@ mod tests {
 
     #[test]
     fn embedding_grad_check() {
-        grad_check(&[Tensor::from_vec((0..8).map(|x| x as f32 * 0.1).collect(), &[4, 2])], |g, vs| {
-            let e = g.embedding(vs[0], &[3, 1, 1, 0]);
-            let t = g.tanh(e);
-            g.mean_all(t)
-        });
+        grad_check(
+            &[Tensor::from_vec((0..8).map(|x| x as f32 * 0.1).collect(), &[4, 2])],
+            |g, vs| {
+                let e = g.embedding(vs[0], &[3, 1, 1, 0]);
+                let t = g.tanh(e);
+                g.mean_all(t)
+            },
+        );
     }
 
     #[test]
     fn softmax_rows_grad_check() {
-        grad_check(
-            &[Tensor::from_vec(vec![0.1, 1.2, -0.4, 0.9, -1.0, 0.0], &[2, 3])],
-            |g, vs| {
-                let s = g.softmax_rows(vs[0]);
-                let sq = g.mul(s, s); // non-trivial downstream
-                g.sum_all(sq)
-            },
-        );
+        grad_check(&[Tensor::from_vec(vec![0.1, 1.2, -0.4, 0.9, -1.0, 0.0], &[2, 3])], |g, vs| {
+            let s = g.softmax_rows(vs[0]);
+            let sq = g.mul(s, s); // non-trivial downstream
+            g.sum_all(sq)
+        });
     }
 
     #[test]
@@ -146,10 +146,9 @@ mod tests {
 
     #[test]
     fn cross_entropy_grad_check() {
-        grad_check(
-            &[Tensor::from_vec(vec![0.5, -0.3, 0.8, 1.2, 0.1, -0.7], &[2, 3])],
-            |g, vs| g.softmax_cross_entropy(vs[0], &[2, 0]),
-        );
+        grad_check(&[Tensor::from_vec(vec![0.5, -0.3, 0.8, 1.2, 0.1, -0.7], &[2, 3])], |g, vs| {
+            g.softmax_cross_entropy(vs[0], &[2, 0])
+        });
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! them exists (`dh = 0` when only the cell state feeds the loss).
 
 use crate::graph::{Graph, Var};
-use crate::ops_basic::{matmul_grads, up, COL_SUM_G};
 use crate::opk::{self, apply, Mode};
+use crate::ops_basic::{matmul_grads, up, COL_SUM_G};
 use crate::table::{Attr, Detour, Entry, Gemm, State};
 use legw_tensor::{lstm_cell_backward_into, lstm_cell_forward_into, repeat_rows_into};
 
@@ -150,8 +150,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legw_tensor::Tensor;
     use crate::check::grad_check;
+    use legw_tensor::Tensor;
 
     fn seeded(seed: u64, dims: &[usize]) -> Tensor {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -290,7 +290,8 @@ mod tests {
         let (_hu, cu) = unfused_cell(&mut gu, pa_u, cp_u, 5);
         let su = gu.sum_all(cu);
         gu.backward(su);
-        for (x, y) in gf.grad(pa_f).unwrap().as_slice().iter().zip(gu.grad(pa_u).unwrap().as_slice())
+        for (x, y) in
+            gf.grad(pa_f).unwrap().as_slice().iter().zip(gu.grad(pa_u).unwrap().as_slice())
         {
             assert!((x - y).abs() < 1e-6, "{x} vs {y}");
         }
@@ -301,7 +302,9 @@ mod tests {
     /// computes the identical per-element sum), with identical gradients.
     #[test]
     fn preact_seq_matches_matmul_add_bias() {
-        for &(rows, ind, hid4) in &[(1usize, 1usize, 4usize), (6, 5, 12), (13, 7, 20), (24, 28, 512)] {
+        for &(rows, ind, hid4) in
+            &[(1usize, 1usize, 4usize), (6, 5, 12), (13, 7, 20), (24, 28, 512)]
+        {
             let x0 = seeded(rows as u64 * 3 + ind as u64, &[rows, ind]);
             let w0 = seeded(rows as u64 * 7 + hid4 as u64, &[ind, hid4]);
             let b0 = seeded(rows as u64 + 11, &[hid4]);
@@ -339,14 +342,11 @@ mod tests {
     /// Finite-difference check straight through the hoisted projection op.
     #[test]
     fn preact_seq_finite_difference_check() {
-        grad_check(
-            &[seeded(61, &[6, 3]), seeded(62, &[3, 8]), seeded(63, &[8])],
-            |g, vs| {
-                let p = g.lstm_preact_seq(vs[0], vs[1], vs[2]);
-                let t = g.tanh(p);
-                g.sum_all(t)
-            },
-        );
+        grad_check(&[seeded(61, &[6, 3]), seeded(62, &[3, 8]), seeded(63, &[8])], |g, vs| {
+            let p = g.lstm_preact_seq(vs[0], vs[1], vs[2]);
+            let t = g.tanh(p);
+            g.sum_all(t)
+        });
     }
 
     /// A full hoisted two-step recurrence (preact_seq + recur_step +
@@ -462,11 +462,8 @@ mod tests {
             let p1 = g.param(pa1.clone());
             let p2 = g.param(pa2.clone());
             let c = g.param(c0.clone());
-            let (h1, c1) = if fused {
-                g.lstm_cell(p1, c)
-            } else {
-                unfused_cell(&mut g, p1, c, hid)
-            };
+            let (h1, c1) =
+                if fused { g.lstm_cell(p1, c) } else { unfused_cell(&mut g, p1, c, hid) };
             let (h2, c2) =
                 if fused { g.lstm_cell(p2, c1) } else { unfused_cell(&mut g, p2, c1, hid) };
             let hs = g.add(h1, h2);

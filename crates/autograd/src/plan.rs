@@ -50,8 +50,8 @@
 //! not the weights again.
 
 use crate::graph::{Graph, Ins, Op, Var};
-use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
 use crate::opk::Mode;
+use crate::ops_basic::{COPY_BLOCK, GEMM, GEMM_ACC};
 use crate::table::{kept_zeros, Attr, Entry, Io, Role, Srcs, State};
 use legw_tensor::{gemm_single_k_block, pool, PackedB, Tensor};
 use std::collections::HashMap;
@@ -931,10 +931,7 @@ mod tests {
     fn assert_bits(a: &[f32], b: &[f32], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "{what}: bit mismatch at {i}: {x} vs {y}"
-            );
+            assert!(x.to_bits() == y.to_bits(), "{what}: bit mismatch at {i}: {x} vs {y}");
         }
     }
 
@@ -989,11 +986,7 @@ mod tests {
 
         let mut fresh = mlp_tape(&x1, &pr, &lab1);
         fresh.g.backward(fresh.loss);
-        assert_bits(
-            &[plan.loss()],
-            fresh.g.value(fresh.loss).as_slice(),
-            "mlp loss",
-        );
+        assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), "mlp loss");
         for (k, &pvar) in fresh.params.iter().enumerate() {
             assert_bits(
                 plan.param_grad(k).expect("grad present").as_slice(),
@@ -1137,7 +1130,6 @@ mod tests {
         inputs: Vec<Var>,
         params: Vec<Var>,
         loss: Var,
-
     }
 
     fn lstm_tape(x_pack: &Tensor, ps: &[&Tensor], labels: &[usize]) -> LstmTape {
@@ -1222,9 +1214,9 @@ mod tests {
         let zeros = Tensor::zeros(&[B, H]);
         let ins: Vec<&Tensor> = vec![&x, &zeros, &zeros];
         plan.replay_step(&ins, &pr, &Feeds::default()); // warm-up
-        // The counters are process-wide, so tolerate unrelated test threads
-        // by retrying: at least one quiet window must show zero allocations
-        // attributable to the replay itself.
+                                                        // The counters are process-wide, so tolerate unrelated test threads
+                                                        // by retrying: at least one quiet window must show zero allocations
+                                                        // attributable to the replay itself.
         let mut clean = false;
         for _ in 0..20 {
             let before = legw_tensor::pool::stats();
@@ -1299,12 +1291,22 @@ mod tests {
     /// One replayed step against a tape rebuilt from the same values, under
     /// whatever kernel tier and bf16 scope the caller set: loss and every
     /// gradient bitwise.
-    fn assert_fused_step_matches_tape(plan: &mut Plan, ps: &[Tensor], seed: u64, reg: bool, what: &str) {
+    fn assert_fused_step_matches_tape(
+        plan: &mut Plan,
+        ps: &[Tensor],
+        seed: u64,
+        reg: bool,
+        what: &str,
+    ) {
         let x = t(seed, &[T * B, IN]);
         let lab = vec![(seed % C as u64) as usize, 2];
         let pr: Vec<&Tensor> = ps.iter().collect();
         let zeros = Tensor::zeros(&[B, H]);
-        plan.replay_step(&[&x, &zeros, &zeros], &pr, &Feeds { labels: &[&lab], ..Feeds::default() });
+        plan.replay_step(
+            &[&x, &zeros, &zeros],
+            &pr,
+            &Feeds { labels: &[&lab], ..Feeds::default() },
+        );
         let mut fresh = fused_lstm_tape(Graph::new(), &x, &pr, &lab, reg);
         fresh.g.backward(fresh.loss);
         assert_bits(&[plan.loss()], fresh.g.value(fresh.loss).as_slice(), what);
@@ -1337,7 +1339,13 @@ mod tests {
             }
             let after: Vec<*const f32> = ps.iter().map(|p| p.as_slice().as_ptr()).collect();
             assert_eq!(before, after, "the update must be in place for this test to bite");
-            assert_fused_step_matches_tape(&mut plan, &ps, 211 + round, false, "after an in-place update");
+            assert_fused_step_matches_tape(
+                &mut plan,
+                &ps,
+                211 + round,
+                false,
+                "after an in-place update",
+            );
         }
     }
 
@@ -1505,7 +1513,11 @@ mod tests {
         // replay with the empty window in the other sample
         let x1 = Tensor::from_vec(vec![ninf, ninf, ninf, ninf, 1., 2., 7., 3.], &[2, 1, 2, 2]);
         plan.replay_step(&[], &[&x1], &Feeds::default());
-        assert_eq!(plan.param_grad(0).unwrap().as_slice(), &[1., 0., 0., 0., 0., 0., 1., 0.], "plan");
+        assert_eq!(
+            plan.param_grad(0).unwrap().as_slice(),
+            &[1., 0., 0., 0., 0., 0., 1., 0.],
+            "plan"
+        );
         plan.replay_step(&[], &[&x0], &Feeds::default());
         assert_eq!(plan.param_grad(0).unwrap().as_slice(), &want0, "plan, first input");
     }

@@ -7,8 +7,8 @@
 
 use legw_autograd::check::grad_check_tol;
 use legw_autograd::{Graph, Var};
-use legw_tensor::Tensor;
 use legw_propcheck::prelude::*;
+use legw_tensor::Tensor;
 
 /// The unary/binary op vocabulary the fuzzer draws from. Each entry maps a
 /// current variable (and optionally the auxiliary input) to a new variable,
@@ -24,7 +24,7 @@ enum FuzzOp {
     SubAux,
     MatmulSquare, // multiply by a fixed square matrix (needs cols == rows of aux)
     SoftmaxRows,
-    SliceAndPad,  // slice half the columns then concat with itself
+    SliceAndPad, // slice half the columns then concat with itself
 }
 
 fn apply(op: FuzzOp, g: &mut Graph, cur: Var, aux: Var, square: Var) -> Var {

@@ -101,13 +101,13 @@ fn one_replay_packs_each_weight_once_per_form() {
         + (t - 1) * (b * 4 * h)       // dpre · W_hᵀ (h_0 is an input: no gradient)
         + t * (h * b)                 // T × hᵀ · dpre
         + i * t * b; //                  x_packᵀ · dseq
-    // B operands that are activations or gradients: still packed per call.
+                     // B operands that are activations or gradients: still packed per call.
     let b_per_call = b * c            // dlogits as the B of dW_o
         + t * (b * 4 * h)             // dpre as the B of every dW_h
         + t * b * 4 * h; //              dseq as the B of dW_x
-    // The weights: W_x in its forward form only (x is an input, so there is
-    // no dx GEMM), W_h and W_o forward and transposed — not W_h once per
-    // each of its T forward and T − 1 backward readers.
+                         // The weights: W_x in its forward form only (x is an input, so there is
+                         // no dx GEMM), W_h and W_o forward and transposed — not W_h once per
+                         // each of its T forward and T − 1 backward readers.
     let panels = i * 4 * h + 2 * (h * 4 * h) + 2 * (h * c);
     let want = F32 * (a_panels + b_per_call + panels);
 

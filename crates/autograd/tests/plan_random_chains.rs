@@ -7,8 +7,8 @@
 //! live range than its neighbours in the arena.
 
 use legw_autograd::{CaptureSpec, Feeds, Graph, Plan, Var};
-use legw_tensor::Tensor;
 use legw_propcheck::prelude::*;
+use legw_tensor::Tensor;
 
 #[derive(Clone, Copy, Debug)]
 enum ChainOp {

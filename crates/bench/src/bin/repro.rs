@@ -84,7 +84,12 @@ fn main() {
                 eprintln!("cannot read {}: {e}", a[0]);
                 std::process::exit(2);
             });
-            match legw_bench::plot::series_from_csv(&csv, &a[1], &a[2], a.get(3).map(|s| s.as_str())) {
+            match legw_bench::plot::series_from_csv(
+                &csv,
+                &a[1],
+                &a[2],
+                a.get(3).map(|s| s.as_str()),
+            ) {
                 Ok(series) => println!("{}", legw_bench::plot::line_chart(&series, 72, 20)),
                 Err(e) => {
                     eprintln!("plot error: {e}");
@@ -100,8 +105,21 @@ fn main() {
 
     if which == "all" {
         for name in [
-            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-            "fig7", "fig8", "fig9", "fig10", "speedup", "ablations",
+            "table1",
+            "table2",
+            "table3",
+            "fig1",
+            "fig2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "speedup",
+            "ablations",
         ] {
             let t = Instant::now();
             println!("\n##### {name} #####");

@@ -17,7 +17,9 @@ use legw_data::SynthMnist;
 use legw_models::MnistLstm;
 use legw_nn::ParamSet;
 use legw_optim::{build, SolverKind};
-use legw_schedules::{scale_with, BaselineSchedule, BatchGrowth, Legw, ScalingRule, WarmupRule, WarmupShape};
+use legw_schedules::{
+    scale_with, BaselineSchedule, BatchGrowth, Legw, ScalingRule, WarmupRule, WarmupShape,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,23 +94,11 @@ pub fn batch_growth_ablation(seed: u64) -> (f64, f64) {
     let gamma = 0.5;
 
     // (a) fixed batch, LR halved at each milestone
-    let lr_decay = BaselineSchedule::multistep(
-        base_batch,
-        0.2,
-        0.0625,
-        epochs,
-        milestones.clone(),
-        gamma,
-    );
-    let acc_decay = legw::trainer::train_mnist(
-        &data,
-        24,
-        24,
-        &lr_decay,
-        SolverKind::Momentum,
-        seed,
-    )
-    .final_metric;
+    let lr_decay =
+        BaselineSchedule::multistep(base_batch, 0.2, 0.0625, epochs, milestones.clone(), gamma);
+    let acc_decay =
+        legw::trainer::train_mnist(&data, 24, 24, &lr_decay, SolverKind::Momentum, seed)
+            .final_metric;
 
     // (b) constant LR, batch doubled at each milestone (linear-scaling
     // equivalent of halving the LR)
@@ -193,12 +183,7 @@ pub fn warmup_shape_ablation(seed: u64) -> Vec<(&'static str, f64, f64)> {
         let exp = lin.with_warmup_shape(WarmupShape::Exponential);
         let m_lin = apps::run(app, &lin, spec.solver, seed).final_metric;
         let m_exp = apps::run(app, &exp, spec.solver, seed).final_metric;
-        t.row(vec![
-            name.into(),
-            batch.to_string(),
-            format!("{m_lin:.4}"),
-            format!("{m_exp:.4}"),
-        ]);
+        t.row(vec![name.into(), batch.to_string(), format!("{m_lin:.4}"), format!("{m_exp:.4}")]);
         out.push((name, m_lin, m_exp));
     }
     t.emit("ablation_warmup_shape");

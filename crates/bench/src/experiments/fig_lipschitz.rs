@@ -39,8 +39,7 @@ pub fn fig3(seed: u64) -> Vec<(usize, f64, f64)> {
     // along plain SGD trajectories
     let base = BaselineSchedule::constant(64, 0.05, 0.0, 3.0);
     let budget = 3.0;
-    let batches: Vec<usize> =
-        if quick_mode() { vec![64, 128] } else { vec![64, 128, 256, 512] };
+    let batches: Vec<usize> = if quick_mode() { vec![64, 128] } else { vec![64, 128, 256, 512] };
 
     let mut t = Table::new(
         "Figure 3 — L(x,g) landmarks shift right (in epochs) as batch grows; warmup must lengthen",
@@ -52,16 +51,8 @@ pub fn fig3(seed: u64) -> Vec<(usize, f64, f64)> {
         let sched = Legw::scale_to(&base, batch);
         let ipe = 2048usize.div_ceil(batch);
         let probe_every = (ipe / 16).max(1);
-        let trace = mnist_lipschitz_trace(
-            &data,
-            24,
-            24,
-            &sched,
-            SolverKind::Sgd,
-            seed,
-            probe_every,
-            128,
-        );
+        let trace =
+            mnist_lipschitz_trace(&data, 24, 24, &sched, SolverKind::Sgd, seed, probe_every, 128);
         for s in &trace {
             csv.row(vec![
                 batch.to_string(),

@@ -151,11 +151,20 @@ fn fig7_or_8(
         for (lr, m) in &trials {
             t.row(vec![name.into(), format!("{lr:.4}"), format!("{m:.4}"), String::new()]);
         }
-        let best = trials
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(if hib { f64::MIN } else { f64::MAX }, |a, b| if hib { a.max(b) } else { a.min(b) });
-        t.row(vec![name.into(), "LEGW".into(), format!("(best tuned {best:.4})"), format!("{legw:.4}")]);
+        let best =
+            trials.iter().map(|&(_, m)| m).fold(if hib { f64::MIN } else { f64::MAX }, |a, b| {
+                if hib {
+                    a.max(b)
+                } else {
+                    a.min(b)
+                }
+            });
+        t.row(vec![
+            name.into(),
+            "LEGW".into(),
+            format!("(best tuned {best:.4})"),
+            format!("{legw:.4}"),
+        ]);
         out.push((name, best, legw));
     }
     t.emit(id);
@@ -179,12 +188,7 @@ pub fn fig9(seed: u64) -> Vec<(&'static str, usize, f64, f64)> {
             let sd = BaselineSchedule::constant(batch, 1.0, 0.0, spec.baseline.total_epochs());
             let adam = apps::run(app, &sa, SolverKind::Adam, seed).final_metric;
             let ada = apps::run(app, &sd, SolverKind::Adadelta, seed).final_metric;
-            t.row(vec![
-                name.into(),
-                batch.to_string(),
-                format!("{adam:.4}"),
-                format!("{ada:.4}"),
-            ]);
+            t.row(vec![name.into(), batch.to_string(), format!("{adam:.4}"), format!("{ada:.4}")]);
             out.push((name, batch, adam, ada));
         }
     }

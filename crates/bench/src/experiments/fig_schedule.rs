@@ -36,8 +36,15 @@ fn fig2_tables() -> (Vec<(usize, f64, f64)>, Table, Table) {
     let mut t = Table::new(
         "Figure 2 — LEGW schedules across batch scales (ImageNet config)",
         &[
-            "decay", "batch", "peak LR", "warmup ep", "lr@wu end", "lr@15ep", "lr@45ep",
-            "lr@70ep", "lr@85ep",
+            "decay",
+            "batch",
+            "peak LR",
+            "warmup ep",
+            "lr@wu end",
+            "lr@15ep",
+            "lr@45ep",
+            "lr@70ep",
+            "lr@85ep",
         ],
     );
     let mut out = Vec::new();

@@ -32,8 +32,7 @@ pub fn fig4(seed: u64) -> Vec<(String, f64, f64, f64)> {
     let mut speedups = Vec::new();
     for (app, name) in apps_list {
         let spec = apps::spec(app);
-        let max_batch =
-            if quick_mode() { spec.baseline.batch_size() * 4 } else { spec.max_batch };
+        let max_batch = if quick_mode() { spec.baseline.batch_size() * 4 } else { spec.max_batch };
         let base_rep = apps::run(app, &spec.baseline, spec.solver, seed);
         let big_sched = Legw::scale_to(&spec.baseline, max_batch);
         let big_rep = apps::run(app, &big_sched, spec.solver, seed);
@@ -82,8 +81,7 @@ fn section7_table() -> (Vec<(String, f64)>, Table) {
     );
     let mut out = Vec::new();
 
-    let (_, imagenet, pod) =
-        jobs.iter().find(|(n, _, _)| *n == "imagenet-resnet50").unwrap();
+    let (_, imagenet, pod) = jobs.iter().find(|(n, _, _)| *n == "imagenet-resnet50").unwrap();
     for (batch, paper) in [(8192usize, "16 min"), (32768, "7 min")] {
         let m = imagenet.time_to_train_secs(pod, batch) / 60.0;
         t.row(vec![
@@ -97,11 +95,7 @@ fn section7_table() -> (Vec<(String, f64)>, Table) {
     let (_, gnmt, tpu) = jobs.iter().find(|(n, _, _)| *n == "gnmt").unwrap();
     for (batch, paper) in [(256usize, ">120 min"), (4096, "33 min")] {
         let m = gnmt.time_to_train_secs(tpu, batch) / 60.0;
-        t.row(vec![
-            format!("GNMT @ {batch} on one TPU-v2"),
-            format!("{m:.1}"),
-            paper.into(),
-        ]);
+        t.row(vec![format!("GNMT @ {batch} on one TPU-v2"), format!("{m:.1}"), paper.into()]);
         out.push((format!("gnmt@{batch}"), m));
     }
     (out, t)

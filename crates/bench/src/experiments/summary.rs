@@ -110,11 +110,7 @@ pub fn check_fig4(dir: &Path) -> Verdict {
         return Verdict::Warn("no AVERAGE row".into());
     };
     let s = avg_row[4].trim_end_matches(|c: char| !c.is_ascii_digit() && c != '.');
-    let avg: f64 = s
-        .split('x')
-        .next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+    let avg: f64 = s.split('x').next().and_then(|v| v.parse().ok()).unwrap_or(0.0);
     if (4.0..=7.0).contains(&avg) {
         Verdict::Pass
     } else {
@@ -216,9 +212,17 @@ mod tests {
     #[test]
     fn fig3_monotonicity_checked() {
         let d = tmpdir("f3");
-        write_csv(&d, "fig3", "batch,probes,l0,dip,recross,lend\n64,9,0.1,0.4,1.0,2.0\n128,9,0.1,0.9,1.4,2.0\n");
+        write_csv(
+            &d,
+            "fig3",
+            "batch,probes,l0,dip,recross,lend\n64,9,0.1,0.4,1.0,2.0\n128,9,0.1,0.9,1.4,2.0\n",
+        );
         assert_eq!(check_fig3(&d), Verdict::Pass);
-        write_csv(&d, "fig3", "batch,probes,l0,dip,recross,lend\n64,9,0.1,1.4,1.0,2.0\n128,9,0.1,0.2,1.4,2.0\n");
+        write_csv(
+            &d,
+            "fig3",
+            "batch,probes,l0,dip,recross,lend\n64,9,0.1,1.4,1.0,2.0\n128,9,0.1,0.2,1.4,2.0\n",
+        );
         assert!(matches!(check_fig3(&d), Verdict::Warn(_)));
         let _ = std::fs::remove_dir_all(&d);
     }

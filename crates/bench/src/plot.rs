@@ -15,8 +15,7 @@ pub type Series = (String, Vec<(f64, f64)>);
 pub fn line_chart(series: &[Series], width: usize, height: usize) -> String {
     assert!(width >= 16 && height >= 4, "chart too small: {width}x{height}");
     let glyphs = ['*', 'o', '+', 'x', '#', '@', '%', '&'];
-    let pts: Vec<(f64, f64)> =
-        series.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+    let pts: Vec<(f64, f64)> = series.iter().flat_map(|(_, p)| p.iter().copied()).collect();
     if pts.is_empty() {
         return "(no data)\n".into();
     }
@@ -98,10 +97,21 @@ pub fn series_from_csv(
         }
         let fields: Vec<&str> = line.split(',').collect();
         if fields.len() != cols.len() {
-            return Err(format!("row {} has {} fields, expected {}", ln + 2, fields.len(), cols.len()));
+            return Err(format!(
+                "row {} has {} fields, expected {}",
+                ln + 2,
+                fields.len(),
+                cols.len()
+            ));
         }
-        let x: f64 = fields[xi].trim().parse().map_err(|_| format!("bad x '{}' row {}", fields[xi], ln + 2))?;
-        let y: f64 = fields[yi].trim().parse().map_err(|_| format!("bad y '{}' row {}", fields[yi], ln + 2))?;
+        let x: f64 = fields[xi]
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad x '{}' row {}", fields[xi], ln + 2))?;
+        let y: f64 = fields[yi]
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad y '{}' row {}", fields[yi], ln + 2))?;
         let key = gi.map(|g| fields[g].trim().to_string()).unwrap_or_else(|| y_col.to_string());
         groups.entry(key).or_default().push((x, y));
     }
@@ -156,10 +166,7 @@ mod tests {
 
     #[test]
     fn multiple_series_get_distinct_glyphs() {
-        let s = vec![
-            ("one".to_string(), vec![(0.0, 0.0)]),
-            ("two".to_string(), vec![(1.0, 1.0)]),
-        ];
+        let s = vec![("one".to_string(), vec![(0.0, 0.0)]), ("two".to_string(), vec![(1.0, 1.0)])];
         let c = line_chart(&s, 16, 4);
         assert!(c.contains("* one"));
         assert!(c.contains("o two"));

@@ -125,8 +125,7 @@ impl TrainingJob {
         small_batch: usize,
         big_batch: usize,
     ) -> f64 {
-        self.time_to_train_secs(cluster, small_batch)
-            / self.time_to_train_secs(cluster, big_batch)
+        self.time_to_train_secs(cluster, small_batch) / self.time_to_train_secs(cluster, big_batch)
     }
 }
 

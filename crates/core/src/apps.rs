@@ -192,9 +192,7 @@ pub fn run(app: App, schedule: &BaselineSchedule, solver: SolverKind, seed: u64)
                 seed,
             )
         }
-        App::ImageNet => {
-            trainer::train_resnet(imagenet_data(), 8, 3, schedule, solver, 1e-4, seed)
-        }
+        App::ImageNet => trainer::train_resnet(imagenet_data(), 8, 3, schedule, solver, 1e-4, seed),
     }
 }
 

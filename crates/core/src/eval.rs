@@ -86,8 +86,10 @@ impl Executor {
         M::Plan: 'static,
     {
         let store = || self.kept.lock().unwrap_or_else(PoisonError::into_inner);
-        let id: Vec<_> = model.params().iter().map(|&p| (p, ps.value(p).shape().to_vec())).collect();
-        let taken = store().remove(&TypeId::of::<M>()).and_then(|k| k.downcast::<Kept<M::Plan>>().ok());
+        let id: Vec<_> =
+            model.params().iter().map(|&p| (p, ps.value(p).shape().to_vec())).collect();
+        let taken =
+            store().remove(&TypeId::of::<M>()).and_then(|k| k.downcast::<Kept<M::Plan>>().ok());
         let mut kept = taken.filter(|k| k.0 == id).map_or_else(HashMap::new, |k| k.1);
         kept.values_mut().flatten().for_each(|plan| plan.renew(Some(ps)));
         let mut out = Vec::with_capacity(chunks.len());
@@ -132,9 +134,13 @@ impl Executor {
             return (0.0, 0.0);
         }
         let chunks = chunk_ranges(n, chunk);
-        let rows = self.forward_sweep(model, ps, &chunks, |c| c.len(), |c, r| {
-            data.features.slice_outer(c.start + r.start, c.start + r.end)
-        });
+        let rows = self.forward_sweep(
+            model,
+            ps,
+            &chunks,
+            |c| c.len(),
+            |c, r| data.features.slice_outer(c.start + r.start, c.start + r.end),
+        );
         let (mut c1, mut ck) = (0u64, 0u64);
         for (c, rows) in chunks.iter().zip(rows) {
             let labels = &data.labels[c.clone()];
@@ -226,9 +232,8 @@ impl Executor {
         batch: usize,
     ) -> Vec<Vec<usize>> {
         let batches = data.batches(false, batch);
-        let rows = self.forward_sweep(model, ps, &batches, |b| b.batch_size(), |b, r| {
-            model.slice(b, r)
-        });
+        let rows =
+            self.forward_sweep(model, ps, &batches, |b| b.batch_size(), |b, r| model.slice(b, r));
         rows.into_iter().flatten().map(|(h, ())| h).collect()
     }
 
@@ -338,14 +343,29 @@ mod tests {
                     // so it replays a kept plan, which refuses the batch.
                     let calls = AtomicUsize::new(0);
                     let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        exec.forward_sweep(&fx.lstm, &fx.ps, &chunks, |c| c.len(), |c, r| {
-                            let x = fx.mnist.test.features.slice_outer(c.start + r.start, c.start + r.end);
-                            if calls.fetch_add(1, Ordering::Relaxed) != 3 {
-                                return x;
-                            }
-                            let short: Vec<f32> = x.as_slice().chunks(784).flat_map(|p| &p[1..]).copied().collect();
-                            Tensor::from_vec(short, &[x.dim(0), 783])
-                        })
+                        exec.forward_sweep(
+                            &fx.lstm,
+                            &fx.ps,
+                            &chunks,
+                            |c| c.len(),
+                            |c, r| {
+                                let x = fx
+                                    .mnist
+                                    .test
+                                    .features
+                                    .slice_outer(c.start + r.start, c.start + r.end);
+                                if calls.fetch_add(1, Ordering::Relaxed) != 3 {
+                                    return x;
+                                }
+                                let short: Vec<f32> = x
+                                    .as_slice()
+                                    .chunks(784)
+                                    .flat_map(|p| &p[1..])
+                                    .copied()
+                                    .collect();
+                                Tensor::from_vec(short, &[x.dim(0), 783])
+                            },
+                        )
                     }));
                     let payload = failed.expect_err("the failed row group must reach the caller");
                     let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -393,7 +413,10 @@ mod tests {
         fn evals(&self, exec: &Executor) -> ([u64; 3], Vec<Vec<usize>>) {
             let acc = exec.eval_mnist(&self.lstm, &self.ps, &self.mnist.test, 12);
             let (t1, t2) = exec.eval_resnet(&self.resnet, &self.ps, &self.images.test, 6, 2);
-            ([acc, t1, t2].map(f64::to_bits), exec.decode_seq2seq(&self.s2s, &self.ps, &self.pairs, 4))
+            (
+                [acc, t1, t2].map(f64::to_bits),
+                exec.decode_seq2seq(&self.s2s, &self.ps, &self.pairs, 4),
+            )
         }
     }
 
@@ -407,17 +430,29 @@ mod tests {
 
     /// Every row's logits as bits, in chunks of `chunk`: through `exec`'s
     /// kept plans, or with no executor, each chunk on the tape.
-    fn logits<M>(exec: Option<&Executor>, model: &M, ps: &ParamSet, data: &Classification) -> Vec<u32>
+    fn logits<M>(
+        exec: Option<&Executor>,
+        model: &M,
+        ps: &ParamSet,
+        data: &Classification,
+    ) -> Vec<u32>
     where
         M: Infer<Batch = Tensor, Out = Vec<f32>, RowState = ()> + 'static,
         M::Plan: 'static,
     {
         let chunks = chunk_ranges(data.len(), 7);
         let rows = match exec {
-            Some(exec) => exec.forward_sweep(model, ps, &chunks, |c| c.len(), |c, r| {
-                data.features.slice_outer(c.start + r.start, c.start + r.end)
-            }),
-            None => chunks.iter().map(|c| model.infer_tape(ps, &data.features.slice_outer(c.start, c.end))).collect(),
+            Some(exec) => exec.forward_sweep(
+                model,
+                ps,
+                &chunks,
+                |c| c.len(),
+                |c, r| data.features.slice_outer(c.start + r.start, c.start + r.end),
+            ),
+            None => chunks
+                .iter()
+                .map(|c| model.infer_tape(ps, &data.features.slice_outer(c.start, c.end)))
+                .collect(),
         };
         rows.into_iter().flatten().flat_map(|(r, ())| r).map(f32::to_bits).collect()
     }
@@ -508,7 +543,10 @@ mod tests {
                         s.spawn(move || {
                             for round in 0..3 {
                                 let got = under_lanes(lanes, || fx.evals(exec));
-                                assert_eq!(&got, serial, "shards={shards} lanes={lanes} round={round}");
+                                assert_eq!(
+                                    &got, serial,
+                                    "shards={shards} lanes={lanes} round={round}"
+                                );
                             }
                         });
                     }
@@ -551,7 +589,8 @@ mod tests {
         for (mean, var) in model.bn_running_stats() {
             assert!(mean.iter().all(|&x| x != 0.0) && var.iter().all(|&x| x != 1.0), "primed");
         }
-        let serial = Executor::new(ExecConfig::default()).eval_resnet(&model, &ps, &data.test, 6, 2);
+        let serial =
+            Executor::new(ExecConfig::default()).eval_resnet(&model, &ps, &data.test, 6, 2);
         assert!((0.0..=1.0).contains(&serial.0));
         assert!(serial.1 >= serial.0, "top-k must dominate top-1");
         for shards in [1usize, 2, 3, 7] {

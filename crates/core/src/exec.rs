@@ -475,11 +475,8 @@ mod tests {
     #[test]
     fn weighted_mean_weights_by_example_count() {
         let exec = serial(); // serial executor still reduces n shards
-        let (g, out) = run_synthetic(
-            &exec,
-            Reduce::WeightedMean,
-            &[(1.0, 1.0, 3.0), (5.0, 5.0, 1.0)],
-        );
+        let (g, out) =
+            run_synthetic(&exec, Reduce::WeightedMean, &[(1.0, 1.0, 3.0), (5.0, 5.0, 1.0)]);
         // (3/4)·1 + (1/4)·5 = 2
         assert!((g - 2.0).abs() < 1e-6);
         assert!((out.loss - 2.0).abs() < 1e-9);
@@ -489,8 +486,7 @@ mod tests {
     #[test]
     fn sum_reduce_ignores_weights() {
         let exec = serial();
-        let (g, out) =
-            run_synthetic(&exec, Reduce::Sum, &[(1.0, 0.5, 99.0), (2.0, 0.25, 1.0)]);
+        let (g, out) = run_synthetic(&exec, Reduce::Sum, &[(1.0, 0.5, 99.0), (2.0, 0.25, 1.0)]);
         assert!((g - 3.0).abs() < 1e-6);
         assert!((out.loss - 0.75).abs() < 1e-9);
     }
@@ -506,11 +502,8 @@ mod tests {
     #[test]
     fn divergence_aggregates_across_shards() {
         let exec = serial();
-        let (_, out) = run_synthetic(
-            &exec,
-            Reduce::WeightedMean,
-            &[(1.0, 1.0, 1.0), (1.0, f64::NAN, 1.0)],
-        );
+        let (_, out) =
+            run_synthetic(&exec, Reduce::WeightedMean, &[(1.0, 1.0, 1.0), (1.0, f64::NAN, 1.0)]);
         assert!(out.diverged);
     }
 

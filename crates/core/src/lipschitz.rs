@@ -26,11 +26,7 @@ use rand::SeedableRng;
 /// `L = |gᵀ(H·u)| / ‖g‖`.
 ///
 /// Parameters are restored exactly before returning.
-pub fn local_lipschitz(
-    ps: &mut ParamSet,
-    eps: f32,
-    grad_fn: &mut dyn FnMut(&mut ParamSet),
-) -> f32 {
+pub fn local_lipschitz(ps: &mut ParamSet, eps: f32, grad_fn: &mut dyn FnMut(&mut ParamSet)) -> f32 {
     assert!(eps > 0.0, "probe step must be positive");
     ps.zero_grad();
     grad_fn(ps);
@@ -125,10 +121,7 @@ pub fn mnist_lipschitz_trace(
 /// The epoch position of the largest probe in a trace — Figure 3's "peak",
 /// which the paper observes shifting right as batch grows.
 pub fn peak_epoch(trace: &[LipschitzSample]) -> Option<f64> {
-    trace
-        .iter()
-        .max_by(|a, b| a.value.total_cmp(&b.value))
-        .map(|s| s.epoch)
+    trace.iter().max_by(|a, b| a.value.total_cmp(&b.value)).map(|s| s.epoch)
 }
 
 #[cfg(test)]
@@ -175,8 +168,7 @@ mod tests {
     fn mnist_trace_produces_positive_probes() {
         let data = SynthMnist::generate(6, 160, 20);
         let sched = BaselineSchedule::constant(16, 0.1, 0.2, 2.0);
-        let trace =
-            mnist_lipschitz_trace(&data, 12, 12, &sched, SolverKind::Momentum, 1, 2, 32);
+        let trace = mnist_lipschitz_trace(&data, 12, 12, &sched, SolverKind::Momentum, 1, 2, 32);
         assert!(trace.len() >= 8, "expected ≥8 probes, got {}", trace.len());
         assert!(trace.iter().all(|s| s.value.is_finite()));
         assert!(trace.iter().any(|s| s.value > 0.0));

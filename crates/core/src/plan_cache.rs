@@ -60,7 +60,10 @@ pub struct PlanCache<P> {
 impl<P> PlanCache<P> {
     /// An unbounded cache for up to `shards` shard slots.
     pub fn new(shards: usize) -> Self {
-        Self { slots: (0..shards.max(1)).map(|_| Mutex::new(Slot::new())).collect(), capacity: None }
+        Self {
+            slots: (0..shards.max(1)).map(|_| Mutex::new(Slot::new())).collect(),
+            capacity: None,
+        }
     }
 
     /// A cache holding at most `capacity` plans per shard slot (clamped to

@@ -55,8 +55,13 @@ pub trait ShardStep: Sync {
     /// shape-only for a plan — binding parameters through `bd`. Returns the
     /// loss and the values a replay reads back. Must be deterministic per
     /// shard: the executor may run it on any worker thread.
-    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, shard: &Self::Shard)
-        -> (Var, Vec<Var>);
+    fn record(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        shard: &Self::Shard,
+    ) -> (Var, Vec<Var>);
 
     /// The shard's extra, read from its eager tape `g` and the `outputs`
     /// [`ShardStep::record`] returned.
@@ -104,8 +109,13 @@ impl ShardStep for MnistStep<'_> {
         vec![sy.len()]
     }
 
-    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, (sx, sy): &Self::Shard)
-        -> (Var, Vec<Var>) {
+    fn record(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        (sx, sy): &Self::Shard,
+    ) -> (Var, Vec<Var>) {
         let logits = self.model.forward(g, bd, ps, sx);
         (g.softmax_cross_entropy(logits, sy), Vec::new())
     }
@@ -354,8 +364,13 @@ impl ShardStep for ResnetStep<'_> {
         sx.shape().to_vec()
     }
 
-    fn record(&self, g: &mut Graph, bd: &mut Binding, ps: &ParamSet, (sx, sy): &Self::Shard)
-        -> (Var, Vec<Var>) {
+    fn record(
+        &self,
+        g: &mut Graph,
+        bd: &mut Binding,
+        ps: &ParamSet,
+        (sx, sy): &Self::Shard,
+    ) -> (Var, Vec<Var>) {
         let logits = self.model.forward(g, bd, ps, sx, true);
         (g.softmax_cross_entropy(logits, sy), Vec::new())
     }
@@ -403,8 +418,7 @@ mod tests {
                 out.grad_sq_norm.sqrt(),
                 norm
             );
-            let grads: Vec<f32> =
-                ps.iter().flat_map(|(_, p)| p.grad.as_slice().to_vec()).collect();
+            let grads: Vec<f32> = ps.iter().flat_map(|(_, p)| p.grad.as_slice().to_vec()).collect();
             (out.loss, grads)
         };
         let (l1, g1) = grads_at(1);

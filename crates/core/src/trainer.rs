@@ -428,7 +428,11 @@ mod tests {
         let sched = BaselineSchedule::constant(32, 0.4, 0.2, 3.0);
         let rep = train_mnist(&data, 24, 24, &sched, SolverKind::Momentum, 7);
         assert!(!rep.diverged);
-        assert!(rep.final_metric > 0.25, "3-epoch accuracy {:.3} should beat chance", rep.final_metric);
+        assert!(
+            rep.final_metric > 0.25,
+            "3-epoch accuracy {:.3} should beat chance",
+            rep.final_metric
+        );
         assert_eq!(rep.history.len(), 3);
         assert!(rep.iterations > 0);
     }
@@ -461,7 +465,8 @@ mod tests {
     #[test]
     fn seq2seq_short_run_moves_loss() {
         let data = SynthTranslation::generate(3, 16, 128, 32, 3, 5);
-        let cfg = Seq2SeqConfig { vocab: data.vocab, embed: 16, hidden: 16, attn: 12, max_decode: 7 };
+        let cfg =
+            Seq2SeqConfig { vocab: data.vocab, embed: 16, hidden: 16, attn: 12, max_decode: 7 };
         let sched = BaselineSchedule::constant(16, 0.5, 0.2, 2.0);
         let rep = train_seq2seq(&data, cfg, &sched, SolverKind::Momentum, 5);
         assert!(!rep.diverged);

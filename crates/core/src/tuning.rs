@@ -45,9 +45,7 @@ pub fn grid_search(
 pub fn log2_grid(base: f64, lo_exp: f64, hi_exp: f64, per_octave: usize) -> Vec<f64> {
     assert!(hi_exp >= lo_exp && per_octave >= 1);
     let steps = ((hi_exp - lo_exp) * per_octave as f64).round() as usize;
-    (0..=steps)
-        .map(|i| base * 2f64.powf(lo_exp + i as f64 / per_octave as f64))
-        .collect()
+    (0..=steps).map(|i| base * 2f64.powf(lo_exp + i as f64 / per_octave as f64)).collect()
 }
 
 /// Linear grid `lo, lo+step, …` of `n` values — the paper's Adam tuning

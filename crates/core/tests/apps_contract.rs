@@ -4,8 +4,7 @@
 use legw::apps::{self, App, PTB_SEQ_LEN};
 use legw_schedules::Legw;
 
-const ALL: [App; 5] =
-    [App::MnistLstm, App::PtbSmall, App::PtbLarge, App::Gnmt, App::ImageNet];
+const ALL: [App; 5] = [App::MnistLstm, App::PtbSmall, App::PtbLarge, App::Gnmt, App::ImageNet];
 
 /// Every LEGW-scaled schedule in the sweep must stay well-formed: positive
 /// LR, warmup within the budget, same decay/budget as the baseline.

@@ -59,15 +59,10 @@ fn named_bn_stats(model: &ResNet) -> Vec<(String, Vec<f32>)> {
 fn assert_bitwise(tape: &[(String, Vec<f32>)], plan: &[(String, Vec<f32>)], what: &str) {
     for ((name, a), (_, b)) in tape.iter().zip(plan) {
         for (x, y) in a.iter().zip(b) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: {name} diverged: tape {x} vs plan {y}"
-            );
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {name} diverged: tape {x} vs plan {y}");
         }
     }
 }
-
 
 /// MNIST-LSTM: loss and every parameter bitwise across a 3-step curve at
 /// each shard count; steps 2+ are cache hits.
@@ -121,10 +116,8 @@ fn ptb_plan_replay_matches_tape_bitwise_with_dropout() {
         let mut state_p = LmState::zeros(&cfg, 8);
         for (step, window) in windows.iter().take(STEPS).enumerate() {
             let drop = Some(DropPlan { seed: 77, step: step as u64 });
-            let (ot, st) = exec.step(
-                &PtbStep { model: &model, window, state: &state_t, drop },
-                &mut ps_t,
-            );
+            let (ot, st) =
+                exec.step(&PtbStep { model: &model, window, state: &state_t, drop }, &mut ps_t);
             let (op, sp) = exec.step_planned(
                 &PtbStep { model: &model, window, state: &state_p, drop },
                 &mut ps_p,

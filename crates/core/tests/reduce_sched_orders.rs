@@ -12,8 +12,8 @@ use legw_autograd::Graph;
 use legw_data::{SynthMnist, SynthTranslation};
 use legw_models::{MnistLstm, ResNet, Seq2Seq, Seq2SeqConfig};
 use legw_nn::{Binding, GradBuffer, ParamId, ParamSet};
-use legw_tensor::Tensor;
 use legw_propcheck::prelude::*;
+use legw_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -139,7 +139,9 @@ fn concurrent_completions_from_real_threads_match_serial_reference() {
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
 fn grad_bits(ps: &ParamSet) -> Vec<u32> {
-    ps.iter().flat_map(|(_, p)| p.grad.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()).collect()
+    ps.iter()
+        .flat_map(|(_, p)| p.grad.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        .collect()
 }
 
 /// One step of `w` split for a `shards`-wide parallel executor. `streaming`

@@ -36,7 +36,13 @@ struct ClassSpec {
     comps: Vec<(f32, f32, f32, [f32; 3])>,
 }
 
-fn render(spec: &ClassSpec, side: usize, phase_jitter: f32, gain: f32, rng: &mut StdRng) -> Vec<f32> {
+fn render(
+    spec: &ClassSpec,
+    side: usize,
+    phase_jitter: f32,
+    gain: f32,
+    rng: &mut StdRng,
+) -> Vec<f32> {
     let mut img = vec![0.0f32; CHANNELS * side * side];
     for &(fy, fx, ph, amp) in &spec.comps {
         for y in 0..side {

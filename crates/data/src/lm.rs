@@ -27,7 +27,13 @@ pub struct SynthPtb {
 impl SynthPtb {
     /// Generates a corpus: `vocab` tokens, `branch` successors per token,
     /// `train_len`/`valid_len` stream lengths.
-    pub fn generate(seed: u64, vocab: usize, branch: usize, train_len: usize, valid_len: usize) -> Self {
+    pub fn generate(
+        seed: u64,
+        vocab: usize,
+        branch: usize,
+        train_len: usize,
+        valid_len: usize,
+    ) -> Self {
         assert!(vocab >= 2 && branch >= 2 && branch <= vocab);
         let mut rng = StdRng::seed_from_u64(seed);
         // Zipf weights shared across states, successor identities per state.
@@ -43,10 +49,7 @@ impl SynthPtb {
                         succ.push(t);
                     }
                 }
-                succ.into_iter()
-                    .enumerate()
-                    .map(|(r, t)| (t, weights[r] / wsum))
-                    .collect()
+                succ.into_iter().enumerate().map(|(r, t)| (t, weights[r] / wsum)).collect()
             })
             .collect();
 

@@ -198,10 +198,10 @@ mod tests {
         }
         let mut correct = 0;
         for (i, &l) in d.train.labels.iter().enumerate().take(50) {
-            let dist = |m: &Vec<f32>| -> f32 {
-                (0..784).map(|j| (f[i * 784 + j] - m[j]).powi(2)).sum()
-            };
-            let best = (0..10).min_by(|&a, &b| dist(&means[a]).total_cmp(&dist(&means[b]))).unwrap();
+            let dist =
+                |m: &Vec<f32>| -> f32 { (0..784).map(|j| (f[i * 784 + j] - m[j]).powi(2)).sum() };
+            let best =
+                (0..10).min_by(|&a, &b| dist(&means[a]).total_cmp(&dist(&means[b]))).unwrap();
             if best == l {
                 correct += 1;
             }

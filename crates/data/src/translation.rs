@@ -91,8 +91,7 @@ impl SynthTranslation {
 
     fn sample_pair(&self, rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
         let len = rng.gen_range(self.min_len..=self.max_len);
-        let src: Vec<usize> =
-            (0..len).map(|_| rng.gen_range(FIRST_CONTENT..self.vocab)).collect();
+        let src: Vec<usize> = (0..len).map(|_| rng.gen_range(FIRST_CONTENT..self.vocab)).collect();
         (src.clone(), self.translate(&src))
     }
 

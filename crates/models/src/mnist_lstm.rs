@@ -274,10 +274,7 @@ mod tests {
         // lr 0.5 eventually overshoots on this tiny batch (expected for raw
         // SGD); assert that optimisation made clear progress at some point.
         let best = losses.iter().cloned().fold(f32::INFINITY, f32::min);
-        assert!(
-            best < losses[0] * 0.92,
-            "loss must decrease on a fixed batch: {losses:?}"
-        );
+        assert!(best < losses[0] * 0.92, "loss must decrease on a fixed batch: {losses:?}");
     }
 
     /// Hoisted forward/loss/grads vs the retained stepwise reference:
@@ -297,8 +294,7 @@ mod tests {
             g.backward(loss);
             let mut ps2 = ps.clone();
             bd.write_grads(&g, &mut ps2);
-            let grads =
-                ps2.iter().map(|(_, p)| (p.name.clone(), p.grad.clone())).collect();
+            let grads = ps2.iter().map(|(_, p)| (p.name.clone(), p.grad.clone())).collect();
             (logits, lv, grads)
         };
         let (lh, lossh, gh) = run(true, &ps);

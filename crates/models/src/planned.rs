@@ -279,6 +279,5 @@ pub trait Infer: Sync {
     /// [`Infer::replay_infer`] is held to, bitwise. Outside tests only the
     /// benchmark calls it, to judge served rows and to time the tape; no
     /// eval or serving path computes a row with it.
-    fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch)
-        -> Vec<(Self::Out, Self::RowState)>;
+    fn infer_tape(&self, ps: &ParamSet, batch: &Self::Batch) -> Vec<(Self::Out, Self::RowState)>;
 }

@@ -50,12 +50,7 @@ impl LmState {
     pub fn zeros(cfg: &PtbLmConfig, batch: usize) -> Self {
         Self(
             (0..cfg.layers)
-                .map(|_| {
-                    (
-                        Tensor::zeros(&[batch, cfg.hidden]),
-                        Tensor::zeros(&[batch, cfg.hidden]),
-                    )
-                })
+                .map(|_| (Tensor::zeros(&[batch, cfg.hidden]), Tensor::zeros(&[batch, cfg.hidden])))
                 .collect(),
         )
     }
@@ -63,12 +58,7 @@ impl LmState {
     /// Rows `[start, end)` of every layer's `(h, c)` — the state slice for
     /// one batch shard in the data-parallel executor.
     pub fn slice_rows(&self, start: usize, end: usize) -> LmState {
-        Self(
-            self.0
-                .iter()
-                .map(|(h, c)| (h.rows(start, end), c.rows(start, end)))
-                .collect(),
-        )
+        Self(self.0.iter().map(|(h, c)| (h.rows(start, end), c.rows(start, end))).collect())
     }
 
     /// The state an eager tape computed at `vars`: each layer's `h`, then
@@ -245,9 +235,7 @@ impl PtbLm {
                 let t_len = batch.inputs.len();
                 let mut ms = Vec::with_capacity(2 * t_len);
                 ms.extend((0..t_len).map(|t| d.mask(b, self.cfg.embed, ctx, 2 * t as u64)));
-                ms.extend(
-                    (0..t_len).map(|t| d.mask(b, self.cfg.hidden, ctx, 2 * t as u64 + 1)),
-                );
+                ms.extend((0..t_len).map(|t| d.mask(b, self.cfg.hidden, ctx, 2 * t as u64 + 1)));
                 ms
             }
             _ => Vec::new(),
@@ -256,9 +244,7 @@ impl PtbLm {
         let feeds = Feeds { ids: &ids, labels: &labels, masks: &mask_refs };
         let nll = plan.replay_step(ps, &inputs, &feeds) as f64;
         let carried = LmState(
-            (0..state.0.len())
-                .map(|l| (plan.output(2 * l), plan.output(2 * l + 1)))
-                .collect(),
+            (0..state.0.len()).map(|l| (plan.output(2 * l), plan.output(2 * l + 1))).collect(),
         );
         (nll, carried)
     }
@@ -290,7 +276,6 @@ impl PtbLm {
         std::iter::once(logits).chain(finals.iter().flat_map(|s| [s.h, s.c])).collect()
     }
 }
-
 
 impl crate::planned::Infer for PtbLm {
     type Req = Vec<usize>;

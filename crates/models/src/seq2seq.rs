@@ -113,9 +113,8 @@ impl Seq2Seq {
         bwd_states.reverse();
 
         // unidirectional top layer over the concatenated bi outputs
-        let cats: Vec<Var> = (0..t_len)
-            .map(|t| g.concat_cols(&[fwd_states[t], bwd_states[t]]))
-            .collect();
+        let cats: Vec<Var> =
+            (0..t_len).map(|t| g.concat_cols(&[fwd_states[t], bwd_states[t]])).collect();
         let s = self.enc_top.zero_state(g, b);
         let (states, top) = self.enc_top.forward_seq(g, bd, ps, &cats, s);
         let proj = self.attention.project_encoder(g, bd, ps, &states);

@@ -114,9 +114,8 @@ mod tests {
         let (ps, attn) = setup();
         let mut g = Graph::new();
         let mut bd = Binding::new();
-        let enc: Vec<Var> = (0..5)
-            .map(|t| g.input(Tensor::full(&[2, 4], 0.2 * t as f32 - 0.4)))
-            .collect();
+        let enc: Vec<Var> =
+            (0..5).map(|t| g.input(Tensor::full(&[2, 4], 0.2 * t as f32 - 0.4))).collect();
         let proj = attn.project_encoder(&mut g, &mut bd, &ps, &enc);
         let q = g.input(Tensor::full(&[2, 4], 0.3));
         let (ctx, w) = attn.step(&mut g, &mut bd, &ps, &enc, &proj, q);
@@ -151,9 +150,8 @@ mod tests {
         let (mut ps, attn) = setup();
         let mut g = Graph::new();
         let mut bd = Binding::new();
-        let enc: Vec<Var> = (0..4)
-            .map(|t| g.input(Tensor::full(&[1, 4], (t as f32 - 1.5) * 0.3)))
-            .collect();
+        let enc: Vec<Var> =
+            (0..4).map(|t| g.input(Tensor::full(&[1, 4], (t as f32 - 1.5) * 0.3))).collect();
         let proj = attn.project_encoder(&mut g, &mut bd, &ps, &enc);
         let q = g.input(Tensor::full(&[1, 4], 0.1));
         let (ctx, _) = attn.step(&mut g, &mut bd, &ps, &enc, &proj, q);

@@ -68,16 +68,25 @@ impl std::fmt::Display for CheckpointError {
             Self::UnsupportedDtype(d) => write!(f, "unsupported checkpoint dtype {d}"),
             Self::Truncated(what) => write!(f, "checkpoint truncated in {what}"),
             Self::CrcMismatch { stored, computed } => {
-                write!(f, "checkpoint CRC mismatch: stored {stored:#010x}, computed {computed:#010x}")
+                write!(
+                    f,
+                    "checkpoint CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+                )
             }
             Self::CountMismatch { checkpoint, store } => {
                 write!(f, "checkpoint has {checkpoint} params, store has {store}")
             }
             Self::NameMismatch { index, checkpoint, store } => {
-                write!(f, "parameter {index} name mismatch: checkpoint {checkpoint:?}, store {store:?}")
+                write!(
+                    f,
+                    "parameter {index} name mismatch: checkpoint {checkpoint:?}, store {store:?}"
+                )
             }
             Self::ShapeMismatch { name, checkpoint, store } => {
-                write!(f, "parameter {name} shape mismatch: checkpoint {checkpoint:?}, store {store:?}")
+                write!(
+                    f,
+                    "parameter {name} shape mismatch: checkpoint {checkpoint:?}, store {store:?}"
+                )
             }
             Self::BadField { what, name } => write!(f, "bad {what} for {name}"),
             Self::NonUtf8Name => write!(f, "non-UTF8 parameter name"),
@@ -258,10 +267,8 @@ fn parse_param(r: &mut Reader<'_>) -> Result<Staged, CheckpointError> {
         return Err(CheckpointError::BadField { what: "payload length", name });
     }
     let raw = r.bytes(payload_bytes, "payload")?;
-    let vals: Vec<f32> = raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let vals: Vec<f32> =
+        raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
     Ok((name, dims, vals))
 }
 
@@ -416,10 +423,7 @@ mod tests {
         let mut reshaped = ParamSet::new();
         reshaped.add("layer.w", Tensor::zeros(&[3, 2]));
         reshaped.add("layer.b", Tensor::zeros(&[3]));
-        assert!(matches!(
-            load(&mut reshaped, &blob),
-            Err(CheckpointError::ShapeMismatch { .. })
-        ));
+        assert!(matches!(load(&mut reshaped, &blob), Err(CheckpointError::ShapeMismatch { .. })));
     }
 
     #[test]
@@ -436,10 +440,7 @@ mod tests {
         let mut bad = blob.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
-        assert!(matches!(
-            load(&mut ps, &bad),
-            Err(CheckpointError::CrcMismatch { .. })
-        ));
+        assert!(matches!(load(&mut ps, &bad), Err(CheckpointError::CrcMismatch { .. })));
         // unknown version, and the retired v1 layout
         for v in [9u8, 1] {
             let mut wrong_ver = blob.clone();
@@ -464,7 +465,10 @@ mod tests {
             b
         };
         // count = u32::MAX with nothing behind it
-        assert_eq!(load(&mut ps, &header(u32::MAX)), Err(CheckpointError::Truncated("name length")));
+        assert_eq!(
+            load(&mut ps, &header(u32::MAX)),
+            Err(CheckpointError::Truncated("name length"))
+        );
 
         // one parameter record named "w", up to its payload
         let param = |dims: &[u32], payload_len: u64| {

@@ -33,10 +33,8 @@ impl Conv2d {
         pad: usize,
     ) -> Self {
         let fan_in = in_channels * kernel * kernel;
-        let w = ps.add(
-            format!("{name}.w"),
-            Tensor::he_normal(rng, &[out_channels, fan_in], fan_in),
-        );
+        let w =
+            ps.add(format!("{name}.w"), Tensor::he_normal(rng, &[out_channels, fan_in], fan_in));
         Self {
             w,
             geom_template: Conv2dGeom {
@@ -208,7 +206,8 @@ mod tests {
         let (mean, var) = stats[0];
         let xv = g.value(x).as_slice();
         for c in 0..2 {
-            let plane: Vec<f32> = (0..4).flat_map(|n| &xv[(n * 2 + c) * 16..][..16]).copied().collect();
+            let plane: Vec<f32> =
+                (0..4).flat_map(|n| &xv[(n * 2 + c) * 16..][..16]).copied().collect();
             let m = plane.iter().sum::<f32>() / 64.0;
             let v = plane.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / 64.0;
             assert!((mean[c] - m).abs() < 1e-5 && (var[c] - v).abs() < 1e-5, "channel {c}");

@@ -22,10 +22,8 @@ impl Embedding {
         vocab: usize,
         dim: usize,
     ) -> Self {
-        let table = ps.add(
-            format!("{name}.table"),
-            Tensor::rand_normal(rng, &[vocab, dim], 0.0, 0.1),
-        );
+        let table =
+            ps.add(format!("{name}.table"), Tensor::rand_normal(rng, &[vocab, dim], 0.0, 0.1));
         Self { table, vocab, dim }
     }
 

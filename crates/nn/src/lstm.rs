@@ -48,10 +48,8 @@ impl LstmCell {
         in_dim: usize,
         hidden: usize,
     ) -> Self {
-        let w = ps.add(
-            format!("{name}.w"),
-            Tensor::xavier_uniform(rng, in_dim + hidden, 4 * hidden),
-        );
+        let w =
+            ps.add(format!("{name}.w"), Tensor::xavier_uniform(rng, in_dim + hidden, 4 * hidden));
         let mut bias = vec![0.0f32; 4 * hidden];
         bias[hidden..2 * hidden].iter_mut().for_each(|v| *v = 1.0);
         let b = ps.add(format!("{name}.b"), Tensor::from_vec(bias, &[4 * hidden]));
@@ -331,11 +329,7 @@ mod tests {
                 let mut inp = x;
                 for (l, cell) in self.cells.iter().enumerate() {
                     let next = cell.step(g, bd, ps, inp, state[l]);
-                    let out = if l >= self.residual_from {
-                        g.add(next.h, inp)
-                    } else {
-                        next.h
-                    };
+                    let out = if l >= self.residual_from { g.add(next.h, inp) } else { next.h };
                     state[l] = next;
                     inp = out;
                 }
@@ -603,9 +597,7 @@ mod tests {
         let mut g = Graph::new();
         let mut bd = Binding::new();
         let s0 = lstm.zero_state(&mut g, 2);
-        let xs: Vec<_> = (0..5)
-            .map(|t| g.input(Tensor::full(&[2, 4], 0.1 * t as f32)))
-            .collect();
+        let xs: Vec<_> = (0..5).map(|t| g.input(Tensor::full(&[2, 4], 0.1 * t as f32))).collect();
         let (outs, s_final) = lstm.forward_seq(&mut g, &mut bd, &ps, &xs, s0);
         assert_eq!(outs.len(), 5);
         assert_eq!(g.value(outs[4]).shape(), &[2, 6]);

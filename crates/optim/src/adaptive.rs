@@ -206,9 +206,7 @@ impl Optimizer for Adadelta {
                 Tensor::from_vec(
                     gs.iter()
                         .zip(ag.iter().zip(ad))
-                        .map(|(&gi, (&agi, &adi))| {
-                            -((adi + eps).sqrt() / (agi + eps).sqrt()) * gi
-                        })
+                        .map(|(&gi, (&agi, &adi))| -((adi + eps).sqrt() / (agi + eps).sqrt()) * gi)
                         .collect(),
                     g.shape(),
                 )
@@ -323,11 +321,7 @@ mod tests {
                 ps.get_mut(id).grad = Tensor::zeros(&[1]);
                 opt.step(&mut ps, 0.05);
             }
-            assert!(
-                ps.value(id).as_slice()[0] < 1.0,
-                "{} ignored weight decay",
-                opt.name()
-            );
+            assert!(ps.value(id).as_slice()[0] < 1.0, "{} ignored weight decay", opt.name());
         }
     }
 }

@@ -119,11 +119,7 @@ mod tests {
             // Adadelta's self-scaled steps start near √ε and grow slowly —
             // genuine behaviour, so it only has to make clear progress.
             let factor = if kind == SolverKind::Adadelta { 0.9 } else { 0.5 };
-            assert!(
-                fin < initial * factor,
-                "{} failed to descend: {initial} → {fin}",
-                opt.name()
-            );
+            assert!(fin < initial * factor, "{} failed to descend: {initial} → {fin}", opt.name());
             assert!(ps.value(w).all_finite(), "{} diverged", opt.name());
         }
     }

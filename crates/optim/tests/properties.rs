@@ -3,8 +3,8 @@
 
 use legw_nn::ParamSet;
 use legw_optim::{build, Adam, Momentum, Nesterov, Optimizer, Sgd, SolverKind};
-use legw_tensor::Tensor;
 use legw_propcheck::prelude::*;
+use legw_tensor::Tensor;
 
 fn one_param(vals: &[f32]) -> (ParamSet, legw_nn::ParamId) {
     let mut ps = ParamSet::new();

@@ -82,12 +82,12 @@
 //! assert_eq!(out[123], 246);
 //! ```
 
-mod pool;
 mod iter;
+mod pool;
 mod scope;
 
-pub use pool::ThreadPool;
 pub use iter::{fork, par_chunks_mut, par_tiles_2d, parallel_for, split_evenly};
+pub use pool::ThreadPool;
 pub use scope::{current, map_lanes, with_pool, PoolHandle};
 
 use std::sync::OnceLock;
@@ -121,9 +121,7 @@ pub fn default_threads() -> usize {
     if let Some(&n) = DEFAULT_THREADS.get() {
         return n;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //! item per lane of the caller's pool, each item's kernels inline on its
 //! lane.
 
+use crate::global;
 use crate::iter::fork;
 use crate::pool::ThreadPool;
-use crate::global;
 use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};

@@ -14,12 +14,7 @@ fn stream_of_seed_42() {
     let raw: [u64; 4] = std::array::from_fn(|_| rng.next_u64());
     assert_eq!(
         raw,
-        [
-            0xbdd732262feb6e95,
-            0x28efe333b266f103,
-            0x47526757130f9f52,
-            0x581ce1ff0e4ae394
-        ]
+        [0xbdd732262feb6e95, 0x28efe333b266f103, 0x47526757130f9f52, 0x581ce1ff0e4ae394]
     );
     // The draws below continue the same stream, so they also pin that each
     // call consumes exactly one `next_u64` (`shuffle` of n: n − 1).
@@ -39,15 +34,9 @@ fn mnist_lstm_initial_weights_at_seed_42() {
     let mut ps = ParamSet::new();
     let _ = MnistLstm::new(&mut ps, &mut StdRng::seed_from_u64(42), 64, 128);
     let weights = |name: &str| {
-        let (_, p) = ps
-            .iter()
-            .find(|(_, p)| p.name == name)
-            .expect("parameter exists");
+        let (_, p) = ps.iter().find(|(_, p)| p.name == name).expect("parameter exists");
         p.value.as_slice()
     };
     assert_eq!(weights("mnist.proj.w")[0].to_bits(), 0x3dfcaec4);
-    assert_eq!(
-        weights("mnist.fc.w").last().expect("not empty").to_bits(),
-        0xbe3be7e1
-    );
+    assert_eq!(weights("mnist.fc.w").last().expect("not empty").to_bits(), 0xbe3be7e1);
 }

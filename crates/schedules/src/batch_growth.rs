@@ -53,9 +53,7 @@ impl BatchGrowth {
     /// Batch size in effect at epoch position `e`.
     pub fn batch_at_epoch(&self, e: f64) -> usize {
         let crossed = self.milestones.iter().filter(|&&m| e >= m).count() as u32;
-        self.base_batch
-            .saturating_mul(self.factor.saturating_pow(crossed))
-            .min(self.max_batch)
+        self.base_batch.saturating_mul(self.factor.saturating_pow(crossed)).min(self.max_batch)
     }
 
     /// The LR-decay factor that is linear-scaling-equivalent to the batch

@@ -1,8 +1,8 @@
 //! Tests for the warmup-shape extension and its interaction with LEGW
 //! scaling.
 
-use legw_schedules::{BaselineSchedule, Legw, WarmupShape};
 use legw_propcheck::prelude::*;
+use legw_schedules::{BaselineSchedule, Legw, WarmupShape};
 
 #[test]
 fn shapes_agree_at_endpoints() {
@@ -30,8 +30,8 @@ fn default_shape_is_linear() {
 
 #[test]
 fn legw_preserves_warmup_shape() {
-    let s = BaselineSchedule::constant(32, 0.2, 1.0, 10.0)
-        .with_warmup_shape(WarmupShape::Exponential);
+    let s =
+        BaselineSchedule::constant(32, 0.2, 1.0, 10.0).with_warmup_shape(WarmupShape::Exponential);
     let big = Legw::scale_to(&s, 256);
     assert_eq!(big.warmup_shape(), WarmupShape::Exponential);
     // and the ramp is actually applied: mid-warmup LR below linear's value

@@ -108,10 +108,9 @@ impl ModelConfig {
         };
         let (&tag, mut buf) = buf.split_first().ok_or(ArtifactError::BadConfig("empty config"))?;
         let cfg = match tag {
-            TAG_MNIST => Self::MnistLstm {
-                proj: u32_field(&mut buf)?,
-                hidden: u32_field(&mut buf)?,
-            },
+            TAG_MNIST => {
+                Self::MnistLstm { proj: u32_field(&mut buf)?, hidden: u32_field(&mut buf)? }
+            }
             TAG_PTB => Self::PtbLm {
                 vocab: u32_field(&mut buf)?,
                 embed: u32_field(&mut buf)?,
@@ -317,10 +316,7 @@ mod tests {
             Err(ArtifactError::BadConfig("truncated field"))
         );
         ok.push(0);
-        assert_eq!(
-            ModelConfig::decode(&ok),
-            Err(ArtifactError::BadConfig("trailing bytes"))
-        );
+        assert_eq!(ModelConfig::decode(&ok), Err(ArtifactError::BadConfig("trailing bytes")));
         // Header-driven sizes: u32::MAX layers with nothing behind them, and
         // one layer claiming u32::MAX channels, must not drive allocation.
         let resnet = |layers: u32| {

@@ -231,11 +231,7 @@ fn batch_loop<M: Infer>(
     }
 }
 
-fn execute<M: Infer>(
-    engine: &InferEngine<M>,
-    round: Vec<Job<M>>,
-    stats: &Arc<Mutex<ServerStats>>,
-) {
+fn execute<M: Infer>(engine: &InferEngine<M>, round: Vec<Job<M>>, stats: &Arc<Mutex<ServerStats>>) {
     let started = Instant::now();
     let mut reqs = Vec::with_capacity(round.len());
     let mut states = Vec::with_capacity(round.len());

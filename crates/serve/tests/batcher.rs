@@ -36,9 +36,7 @@ fn concurrent_clients_coalesce_and_match_serial() {
     // time (identical math — the batched GEMM is row-independent, and the
     // per-shape plan cache keys B=1 and B=k separately).
     let expected: Vec<Vec<Vec<f32>>> = (0..CLIENTS)
-        .map(|c| {
-            (0..ROUNDS).map(|r| engine.run_one(mnist_req(c * ROUNDS + r), ()).0).collect()
-        })
+        .map(|c| (0..ROUNDS).map(|r| engine.run_one(mnist_req(c * ROUNDS + r), ()).0).collect())
         .collect();
 
     // A barrier before every round releases all clients at once, so each

@@ -89,10 +89,7 @@ fn ptb_frozen_forward_matches_live_bitwise_with_state() {
     let cfg = PtbLmConfig { vocab: 30, embed: 12, hidden: 12, layers: 2, keep: 1.0 };
     let model = PtbLm::new(&mut ps, &mut rng, cfg);
 
-    let blob = freeze(
-        &ModelConfig::PtbLm { vocab: 30, embed: 12, hidden: 12, layers: 2 },
-        &ps,
-    );
+    let blob = freeze(&ModelConfig::PtbLm { vocab: 30, embed: 12, hidden: 12, layers: 2 }, &ps);
     let (frozen, ps2) = restore(&blob).expect("round-trip restore");
     let FrozenModel::PtbLm(served) = frozen else { panic!("wrong family") };
     let engine = InferEngine::new(served, ps2);
@@ -136,10 +133,8 @@ fn seq2seq_frozen_decode_matches_live_tokens() {
         let cfg = Seq2SeqConfig { vocab: 23, embed, hidden, attn: 8, max_decode: 8 };
         let model = Seq2Seq::new(&mut ps, &mut rng, cfg);
 
-        let blob = freeze(
-            &ModelConfig::Seq2Seq { vocab: 23, embed, hidden, attn: 8, max_decode: 8 },
-            &ps,
-        );
+        let blob =
+            freeze(&ModelConfig::Seq2Seq { vocab: 23, embed, hidden, attn: 8, max_decode: 8 }, &ps);
         let (frozen, ps2) = restore(&blob).expect("round-trip restore");
         let FrozenModel::Seq2Seq(served) = frozen else { panic!("wrong family") };
         let engine = InferEngine::new(served, ps2);
@@ -184,11 +179,7 @@ fn resnet_frozen_forward_matches_live_bitwise_including_bn_stats() {
     }
 
     let blob = freeze(
-        &ModelConfig::ResNet {
-            width: 4,
-            n_classes: 6,
-            bn_stats: model.bn_running_stats(),
-        },
+        &ModelConfig::ResNet { width: 4, n_classes: 6, bn_stats: model.bn_running_stats() },
         &ps,
     );
     let (frozen, ps2) = restore(&blob).expect("round-trip restore");
@@ -241,7 +232,8 @@ fn assert_split_serving_exact<M: Infer, K: PartialEq + Debug>(
     states: &[M::RowState],
     key: impl Fn((M::Out, M::RowState)) -> K,
 ) {
-    let keys = |rows: Vec<(M::Out, M::RowState)>| -> Vec<K> { rows.into_iter().map(&key).collect() };
+    let keys =
+        |rows: Vec<(M::Out, M::RowState)>| -> Vec<K> { rows.into_iter().map(&key).collect() };
     let engine = || {
         let (model, ps) = build();
         InferEngine::new(model, ps).with_bf16(bf16)
@@ -259,7 +251,11 @@ fn assert_split_serving_exact<M: Infer, K: PartialEq + Debug>(
             let fresh = engine();
             for pass in 0..2 {
                 let what = format!("{n} rows on {lanes} lanes, pass {pass}");
-                assert_eq!(keys(under_lanes(lanes, || fresh.run(reqs, states))), one_lane, "{what}");
+                assert_eq!(
+                    keys(under_lanes(lanes, || fresh.run(reqs, states))),
+                    one_lane,
+                    "{what}"
+                );
                 let got = keys(under_lanes(lanes, || shared.run(reqs, states)));
                 assert_eq!(got, one_lane, "{what}, on the shared engine");
             }

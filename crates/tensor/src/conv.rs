@@ -109,7 +109,14 @@ pub fn conv2d_into(x: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, ou
 /// GEMM engine's own k-blocks and summed back in block order, so the bits
 /// are the serial product's — `up2ᵀ · im2col(x)` of the lowering it
 /// replaced — at any thread count. `dw` is overwritten.
-pub fn conv2d_grad_w_into(x: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dw: &mut [f32]) {
+pub fn conv2d_grad_w_into(
+    x: &[f32],
+    up: &[f32],
+    n: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    dw: &mut [f32],
+) {
     check(g, x, n, "conv2d_grad_w_into input");
     assert_eq!(up.len(), n * oc * g.oh() * g.ow(), "conv2d_grad_w_into up length");
     assert_eq!(dw.len(), oc * g.c * g.kh * g.kw, "conv2d_grad_w_into dw length");
@@ -124,7 +131,14 @@ pub fn conv2d_grad_w_into(x: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2d
 /// pixel receives its contributions in output-pixel order and the bits are
 /// the lowering's — `col2im(up2 · w)` — at any thread count. `dx` is
 /// overwritten.
-pub fn conv2d_grad_x_into(up: &[f32], w: &[f32], n: usize, oc: usize, g: &Conv2dGeom, dx: &mut [f32]) {
+pub fn conv2d_grad_x_into(
+    up: &[f32],
+    w: &[f32],
+    n: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    dx: &mut [f32],
+) {
     check(g, dx, n, "conv2d_grad_x_into dx");
     assert_eq!(up.len(), n * oc * g.oh() * g.ow(), "conv2d_grad_x_into up length");
     assert_eq!(w.len(), oc * g.c * g.kh * g.kw, "conv2d_grad_x_into weight length");
@@ -283,11 +297,18 @@ impl ImageCopy {
     /// The runs of output pixels `pixels` whose copy positions are
     /// contiguous, as `(pixels, position of the first)`: all of them when
     /// `pitch = ow`, else the part in each output row.
-    pub(crate) fn runs(&self, pixels: Range<usize>) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
+    pub(crate) fn runs(
+        &self,
+        pixels: Range<usize>,
+    ) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
         let mut p = pixels.start;
         std::iter::from_fn(move || {
             (p < pixels.end).then(|| {
-                let end = if self.pitch == self.ow { pixels.end } else { pixels.end.min((p / self.ow + 1) * self.ow) };
+                let end = if self.pitch == self.ow {
+                    pixels.end
+                } else {
+                    pixels.end.min((p / self.ow + 1) * self.ow)
+                };
                 let run = (p..end, self.position(p));
                 p = end;
                 run
@@ -299,8 +320,16 @@ impl ImageCopy {
     /// output pixels `pixels` read from `image [c, h, w]`, each value
     /// through [`PackElem::pack`], and returns the number of elements
     /// written. Rows that `pixels` do not read keep whatever `dst` held.
-    pub(crate) fn copy<E: PackElem>(&self, g: &Conv2dGeom, image: &[f32], dst: &mut [E], pixels: Range<usize>) -> usize {
-        debug_assert!(image.len() == g.c * g.h * g.w && !pixels.is_empty() && pixels.end <= g.oh() * self.ow);
+    pub(crate) fn copy<E: PackElem>(
+        &self,
+        g: &Conv2dGeom,
+        image: &[f32],
+        dst: &mut [E],
+        pixels: Range<usize>,
+    ) -> usize {
+        debug_assert!(
+            image.len() == g.c * g.h * g.w && !pixels.is_empty() && pixels.end <= g.oh() * self.ow
+        );
         debug_assert_eq!(dst.len(), self.len(g));
         let (s, pitch) = (g.stride, self.pitch);
         let rows = pixels.start / self.ow..(pixels.end - 1) / self.ow + 1 + (g.kh - 1) / s;
@@ -331,7 +360,13 @@ impl ImageCopy {
     /// its odd ones into the other, where a pass per plane reads the row
     /// twice. On the benchmark's two stride-2 3×3 weight gradients this
     /// took about 0.83× the time of two passes.
-    fn copy_pairs<E: PackElem>(&self, g: &Conv2dGeom, image: &[f32], dst: &mut [E], rows: Range<usize>) {
+    fn copy_pairs<E: PackElem>(
+        &self,
+        g: &Conv2dGeom,
+        image: &[f32],
+        dst: &mut [E],
+        rows: Range<usize>,
+    ) {
         let plane = self.plane();
         // Image column 0 lies in one plane and column 1 in the other; `a` is
         // the stretch of a plane row that takes columns 0, 2, …, `b` the one
@@ -354,7 +389,10 @@ impl ImageCopy {
                         (*x, *y) = (E::pack(p[0]), E::pack(p[1]));
                     }
                     a.iter_mut().enumerate().skip(n).for_each(|(j, x)| *x = E::pack(line[2 * j]));
-                    b.iter_mut().enumerate().skip(n).for_each(|(j, y)| *y = E::pack(line[2 * j + 1]));
+                    b.iter_mut()
+                        .enumerate()
+                        .skip(n)
+                        .for_each(|(j, y)| *y = E::pack(line[2 * j + 1]));
                 }
             }
         }
@@ -364,7 +402,9 @@ impl ImageCopy {
     /// [c, h, w]` from a padded copy `src`, each pixel the value at its one
     /// place in the copy, zero where it has none (a pixel no tap reads).
     pub(crate) fn copy_out(&self, g: &Conv2dGeom, src: &[f32], image: &mut [f32]) {
-        debug_assert!(self.shift == g.stride && src.len() == self.len(g) && image.len() == g.c * g.h * g.w);
+        debug_assert!(
+            self.shift == g.stride && src.len() == self.len(g) && image.len() == g.c * g.h * g.w
+        );
         image.fill(0.0);
         self.lines(g, 0..self.rows, |at, from, len| {
             let line = image[from..from + (len - 1) * g.stride + 1].iter_mut().step_by(g.stride);
@@ -444,7 +484,8 @@ fn pack_taps(dst: &mut [f32], x: &[f32], g: &Conv2dGeom, k0: usize) {
     let ckk = g.c * g.kh * g.kw;
     for c0 in (0..ckk).step_by(TAP_TABLE) {
         let taps = TAP_TABLE.min(ckk - c0);
-        let (mut ky, mut kx, mut off) = ([0isize; TAP_TABLE], [0isize; TAP_TABLE], [0usize; TAP_TABLE]);
+        let (mut ky, mut kx, mut off) =
+            ([0isize; TAP_TABLE], [0isize; TAP_TABLE], [0usize; TAP_TABLE]);
         let mut tap = tap_at(g, c0);
         for t in 0..taps {
             let (ci, y, x) = tap;
@@ -455,7 +496,10 @@ fn pack_taps(dst: &mut [f32], x: &[f32], g: &Conv2dGeom, k0: usize) {
         for row in dst.chunks_exact_mut(ckk) {
             let image = &x[ni * img..(ni + 1) * img];
             // The receptive field's corner.
-            let (y0, x0) = ((oy * g.stride) as isize - g.pad as isize, (ox * g.stride) as isize - g.pad as isize);
+            let (y0, x0) = (
+                (oy * g.stride) as isize - g.pad as isize,
+                (ox * g.stride) as isize - g.pad as isize,
+            );
             let row = &mut row[c0..c0 + taps];
             if y0 >= 0 && x0 >= 0 && y0 + kh <= ih && x0 + kw <= iw {
                 let field = &image[(y0 * iw + x0) as usize..];
@@ -569,7 +613,8 @@ mod tests {
                                     let iy = oy as isize + ky as isize - 1;
                                     let ix = ox as isize + kx as isize - 1;
                                     if (0..5).contains(&iy) && (0..5).contains(&ix) {
-                                        let xi = x[((ni * 2 + ci) * 5 + iy as usize) * 5 + ix as usize];
+                                        let xi =
+                                            x[((ni * 2 + ci) * 5 + iy as usize) * 5 + ix as usize];
                                         acc += xi * wgt[o * 18 + (ci * 3 + ky) * 3 + kx];
                                     }
                                 }
@@ -633,10 +678,11 @@ mod tests {
                             let iy = (oy * g.stride + ky) as isize - g.pad as isize;
                             for kx in 0..g.kw {
                                 let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                                if iy >= 0 && (iy as usize) < g.h && ix >= 0 && (ix as usize) < g.w {
+                                if iy >= 0 && (iy as usize) < g.h && ix >= 0 && (ix as usize) < g.w
+                                {
                                     let col = (ci * g.kh + ky) * g.kw + kx;
-                                    out[((ni * g.c + ci) * g.h + iy as usize) * g.w + ix as usize] +=
-                                        src[row + col];
+                                    out[((ni * g.c + ci) * g.h + iy as usize) * g.w
+                                        + ix as usize] += src[row + col];
                                 }
                             }
                         }
@@ -702,20 +748,39 @@ mod tests {
 
     /// The three kernels against [`lowering_oracle`], bit for bit, on
     /// pools of 1, 2 and 4 lanes, into NaN-poisoned destinations.
-    fn assert_kernels_equal_lowering(x: &[f32], w: &[f32], up: &[f32], n: usize, oc: usize, g: &Conv2dGeom) {
+    fn assert_kernels_equal_lowering(
+        x: &[f32],
+        w: &[f32],
+        up: &[f32],
+        n: usize,
+        oc: usize,
+        g: &Conv2dGeom,
+    ) {
         let [out, dw, dx] = lowering_oracle(x, w, up, n, oc, g);
         for threads in [1, 2, 4] {
             let pool = Arc::new(ThreadPool::new(threads));
             with_pool(&pool, || {
                 let mut got = vec![f32::NAN; out.len()];
                 conv2d_into(x, w, n, oc, g, &mut got);
-                assert_bits(&format!("conv2d_into {g:?} n={n} oc={oc} threads={threads}"), &got, &out);
+                assert_bits(
+                    &format!("conv2d_into {g:?} n={n} oc={oc} threads={threads}"),
+                    &got,
+                    &out,
+                );
                 let mut got = vec![f32::NAN; dw.len()];
                 conv2d_grad_w_into(x, up, n, oc, g, &mut got);
-                assert_bits(&format!("conv2d_grad_w_into {g:?} n={n} oc={oc} threads={threads}"), &got, &dw);
+                assert_bits(
+                    &format!("conv2d_grad_w_into {g:?} n={n} oc={oc} threads={threads}"),
+                    &got,
+                    &dw,
+                );
                 let mut got = vec![f32::NAN; dx.len()];
                 conv2d_grad_x_into(up, w, n, oc, g, &mut got);
-                assert_bits(&format!("conv2d_grad_x_into {g:?} n={n} oc={oc} threads={threads}"), &got, &dx);
+                assert_bits(
+                    &format!("conv2d_grad_x_into {g:?} n={n} oc={oc} threads={threads}"),
+                    &got,
+                    &dx,
+                );
             });
         }
     }
@@ -845,9 +910,13 @@ mod tests {
         ];
         for (n, c, h, w, k, stride, pad, oc) in cases {
             let g = Conv2dGeom { c, h, w, kh: k, kw: k, stride, pad };
-            let x: Vec<f32> = (0..n * c * h * w).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
-            let wt: Vec<f32> = (0..oc * c * k * k).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
-            let up: Vec<f32> = (0..n * oc * g.oh() * g.ow()).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
+            let x: Vec<f32> =
+                (0..n * c * h * w).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
+            let wt: Vec<f32> =
+                (0..oc * c * k * k).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
+            let up: Vec<f32> = (0..n * oc * g.oh() * g.ow())
+                .map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0)
+                .collect();
             for_each_mode(|| assert_kernels_equal_lowering(&x, &wt, &up, n, oc, &g));
         }
     }
@@ -860,9 +929,11 @@ mod tests {
         let (n, oc) = (4, 32);
         let g = geom(64, 32, 32, 3, 1, 1);
         assert!(n * g.oh() * g.ow() > 8 * KC);
-        let x: Vec<f32> = (0..n * 64 * 32 * 32).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
+        let x: Vec<f32> =
+            (0..n * 64 * 32 * 32).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect();
         let w: Vec<f32> = (0..oc * 64 * 9).map(|i| ((i * 13 % 29) as f32) / 14.0 - 1.0).collect();
-        let up: Vec<f32> = (0..n * oc * 32 * 32).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
+        let up: Vec<f32> =
+            (0..n * oc * 32 * 32).map(|i| ((i * 17 % 31) as f32) / 15.0 - 1.0).collect();
         assert_kernels_equal_lowering(&x, &w, &up, n, oc, &g);
     }
 
@@ -890,7 +961,8 @@ mod tests {
         fill_cols_oracle(x, n, g, &mut want);
         for threads in [1, 2, 4] {
             let pool = Arc::new(ThreadPool::new(threads));
-            let got = with_pool(&pool, || im2col(&Tensor::from_vec(x.to_vec(), &[n, g.c, g.h, g.w]), g));
+            let got =
+                with_pool(&pool, || im2col(&Tensor::from_vec(x.to_vec(), &[n, g.c, g.h, g.w]), g));
             assert_bits(&format!("im2col {g:?} n={n} threads={threads}"), got.as_slice(), &want);
         }
     }

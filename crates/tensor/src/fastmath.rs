@@ -120,10 +120,7 @@ mod tests {
         for &x in &[1e-8f32, 1e-6, 1e-4, 1e-3, 0.01] {
             let y = fast_tanh(x);
             let exact = (x as f64).tanh() as f32;
-            assert!(
-                (y - exact).abs() <= 2e-7 * (1.0 + exact.abs()),
-                "x={x} got {y} want {exact}"
-            );
+            assert!((y - exact).abs() <= 2e-7 * (1.0 + exact.abs()), "x={x} got {y} want {exact}");
         }
     }
 

@@ -545,7 +545,15 @@ impl Src<'_> {
     // specialises to the tile's constant `w`; a shared copy keeps `w` a
     // run-time stride, which costs a small GEMM up to a fifth of its speed.
     #[inline(always)]
-    fn pack<E: PackElem>(&self, dst: &mut [E], r0: usize, rows: usize, k0: usize, kb: usize, w: usize) {
+    fn pack<E: PackElem>(
+        &self,
+        dst: &mut [E],
+        r0: usize,
+        rows: usize,
+        k0: usize,
+        kb: usize,
+        w: usize,
+    ) {
         debug_assert_eq!(dst.len(), rows.div_ceil(w) * kb * w, "packed block length");
         pack_dense(dst, self.data, self.trans, self.ld, r0, rows, k0, kb, w)
     }
@@ -636,7 +644,18 @@ unsafe fn block_product<M: Micro>(
             // tier and element type), so each panel is a whole `kb`-step
             // micro-panel.
             unsafe {
-                macro_kernel::<M, _>(ap, b_panel, mb, nb, kb, out, ldc, i0, j0, acc || k0 > ks.start)
+                macro_kernel::<M, _>(
+                    ap,
+                    b_panel,
+                    mb,
+                    nb,
+                    kb,
+                    out,
+                    ldc,
+                    i0,
+                    j0,
+                    acc || k0 > ks.start,
+                )
             };
         }
     });
@@ -722,7 +741,12 @@ fn with_whole_operand<E: PackScratch, R>(
 
 /// Writes `layout`'s offset of every tap into this thread's tap table, `len`
 /// long (taps past `c·kh·kw` at offset 0), for `f`.
-fn with_tap_offsets<R>(layout: &conv::ImageCopy, g: &Conv2dGeom, len: usize, f: impl FnOnce(&[usize]) -> R) -> R {
+fn with_tap_offsets<R>(
+    layout: &conv::ImageCopy,
+    g: &Conv2dGeom,
+    len: usize,
+    f: impl FnOnce(&[usize]) -> R,
+) -> R {
     TAP_OFFSETS.with(|off| {
         let mut off = off.borrow_mut();
         let off = scratch_prefix(&mut off, len);
@@ -826,7 +850,8 @@ unsafe fn conv_pixels<M: Micro>(
         for (run, at) in layout.runs(pixels) {
             for k0 in (0..ckk).step_by(KC) {
                 let kb = KC.min(ckk - k0);
-                let taps = |jp: usize| Taps { data: copy, at: at + jp * M::NR, off: &off[k0..k0 + kb] };
+                let taps =
+                    |jp: usize| Taps { data: copy, at: at + jp * M::NR, off: &off[k0..k0 + kb] };
                 for i0 in (0..oc).step_by(MC) {
                     let mb = MC.min(oc - i0);
                     let (ap, _) = a.block(abuf, i0, mb, k0, kb, M::MR);
@@ -836,7 +861,20 @@ unsafe fn conv_pixels<M: Micro>(
                     // pixel's copy position plus a tap's offset, and the
                     // copy is `NR` elements longer than any such sum, so
                     // every row lies inside it.
-                    unsafe { macro_kernel::<M, _>(ap, taps, mb, run.len(), kb, out, hw, i0, run.start, k0 > 0) };
+                    unsafe {
+                        macro_kernel::<M, _>(
+                            ap,
+                            taps,
+                            mb,
+                            run.len(),
+                            kb,
+                            out,
+                            hw,
+                            i0,
+                            run.start,
+                            k0 > 0,
+                        )
+                    };
                 }
             }
         }
@@ -963,10 +1001,13 @@ unsafe fn dx_image<M: Micro>(
                     // tap's offset plus a pixel's position lies inside the
                     // padded copy, which this thread owns; `M` is the
                     // caller's.
-                    unsafe { M::scatter(&tile[..rows * M::NR], dst.add(at_copy), taps, cols, stretches) };
+                    unsafe {
+                        M::scatter(&tile[..rows * M::NR], dst.add(at_copy), taps, cols, stretches)
+                    };
                 }
             }
-            M::E::counter().fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+            M::E::counter()
+                .fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
             layout.copy_out(g, padded, grad);
         })
     })
@@ -1089,14 +1130,18 @@ unsafe fn dw_block<M: Micro>(
                 let copy = &mut copies[j * per..(j + 1) * per];
                 packed += layout.copy(g, &x[i * img..(i + 1) * img], copy, pixels.clone());
                 for (run, at) in layout.runs(pixels) {
-                    pos[kk..kk + run.len()].iter_mut().zip(j * per + at..).for_each(|(p, a)| *p = a);
+                    pos[kk..kk + run.len()]
+                        .iter_mut()
+                        .zip(j * per + at..)
+                        .for_each(|(p, a)| *p = a);
                     kk += run.len();
                 }
             }
             let bp = scratch_prefix(bbuf, oc.div_ceil(M::NR) * kb * M::NR);
             conv::pack_planes(bp, up, oc, hw, 0, oc, ks.start, kb, M::NR);
             packed += bp.len();
-            M::E::counter().fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
+            M::E::counter()
+                .fetch_add((packed * std::mem::size_of::<M::E>()) as u64, Ordering::Relaxed);
             let (copies, pos, bp) = (&*copies, &*pos, &*bp);
             for ip in 0..ckk.div_ceil(M::MR) {
                 let taps = Gather { data: copies, off: &off[ip * M::MR..(ip + 1) * M::MR], pos };
@@ -1383,9 +1428,7 @@ mod tests {
         for_each_mode(|| {
             let pb = packed(pool, trans_b, &b, k, n);
             for acc in [false, true] {
-                assert_packed_matches_unpacked(
-                    pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], acc,
-                );
+                assert_packed_matches_unpacked(pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], acc);
             }
         });
     }
@@ -1438,8 +1481,7 @@ mod tests {
         // column block with a ragged last micro-panel, and B is large
         // enough for the pack itself to fork.
         let (k, n) = (KC + 3, NC + 5);
-        let pools: Vec<Arc<ThreadPool>> =
-            (1..=4).map(|t| Arc::new(ThreadPool::new(t))).collect();
+        let pools: Vec<Arc<ThreadPool>> = (1..=4).map(|t| Arc::new(ThreadPool::new(t))).collect();
         for trans_b in [false, true] {
             let b = lcg(41 + trans_b as u64, k * n);
             for_each_mode(|| {
@@ -1450,7 +1492,14 @@ mod tests {
                         for pool in &pools {
                             for acc in [false, true] {
                                 assert_packed_matches_unpacked(
-                                    pool, trans_a, trans_b, &a, &b, &pb, [m, k, n], acc,
+                                    pool,
+                                    trans_a,
+                                    trans_b,
+                                    &a,
+                                    &b,
+                                    &pb,
+                                    [m, k, n],
+                                    acc,
                                 );
                             }
                         }

@@ -385,7 +385,10 @@ pub(crate) struct Gather<'a, E> {
 unsafe impl<E: Copy> Lhs<E> for Gather<'_, E> {
     #[inline(always)]
     unsafe fn at(self, kk: usize, r: usize, _mr: usize) -> E {
-        debug_assert!(r < self.off.len() && kk < self.pos.len(), "tap {r} or pixel {kk} past the tables");
+        debug_assert!(
+            r < self.off.len() && kk < self.pos.len(),
+            "tap {r} or pixel {kk} past the tables"
+        );
         // SAFETY: the caller's contract: both indices lie inside their
         // tables, and their sum inside `data`.
         unsafe {
@@ -631,7 +634,18 @@ mod tests {
                         // SAFETY: `tier` is supported (checked by the caller);
                         // the panels hold `KB` micro-panels; the corner lies
                         // inside `got`, rows `ldc >= cols` apart.
-                        unsafe { M::tile(KB, Panel(&ap), Panel(&bp), got.as_mut_ptr(), ldc, rows, cols, acc) };
+                        unsafe {
+                            M::tile(
+                                KB,
+                                Panel(&ap),
+                                Panel(&bp),
+                                got.as_mut_ptr(),
+                                ldc,
+                                rows,
+                                cols,
+                                acc,
+                            )
+                        };
                         // The scalar tile is 8 columns wide: one call per
                         // 8-column block of the corner.
                         for c0 in (0..cols).step_by(scalar::TILE) {

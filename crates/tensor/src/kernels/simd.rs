@@ -105,7 +105,10 @@ pub(crate) unsafe fn tile<V: Lanes, E: Elem, A: Lhs<E>, B: Rows<E>>(
     cols: usize,
     acc: bool,
 ) {
-    debug_assert!(rows <= MR && cols <= V::N && cols <= ldc, "tile corner {rows}x{cols}, ldc {ldc}");
+    debug_assert!(
+        rows <= MR && cols <= V::N && cols <= ldc,
+        "tile corner {rows}x{cols}, ldc {ldc}"
+    );
     let mut t = [V::splat(0.0); MR];
     for kk in 0..kb {
         // SAFETY: `kk < kb` and `r < MR`: B's row and A's scalars meet
@@ -145,8 +148,18 @@ pub(crate) unsafe fn tile<V: Lanes, E: Elem, A: Lhs<E>, B: Rows<E>>(
 /// The contract of `Micro::scatter` with `NR = V::N`, inside a function
 /// with `V`'s features enabled.
 #[inline(always)]
-pub(crate) unsafe fn scatter<V: Lanes>(tile: &[f32], dst: *mut f32, off: &[usize], cols: usize, s: Stretches) {
-    debug_assert!(cols <= V::N && tile.len() >= off.len() * V::N, "tile of {} rows, {cols} columns", off.len());
+pub(crate) unsafe fn scatter<V: Lanes>(
+    tile: &[f32],
+    dst: *mut f32,
+    off: &[usize],
+    cols: usize,
+    s: Stretches,
+) {
+    debug_assert!(
+        cols <= V::N && tile.len() >= off.len() * V::N,
+        "tile of {} rows, {cols} columns",
+        off.len()
+    );
     for (r, &o) in off.iter().enumerate().rev() {
         // SAFETY: `r < off.len()`: the row's `N` floats lie inside `tile`
         // (asserted above); each stretch touches only the places of its
@@ -239,7 +252,10 @@ pub(crate) unsafe fn lstm_gate_row<V: Lanes>(
     h_r: &mut [f32],
 ) {
     debug_assert!(pa_r.len() >= 4 * hid && g_r.len() >= 4 * hid, "gate rows shorter than 4·hid");
-    debug_assert!(cp_r.len().min(c_r.len()).min(t_r.len()).min(h_r.len()) >= hid, "state rows shorter than hid");
+    debug_assert!(
+        cp_r.len().min(c_r.len()).min(t_r.len()).min(h_r.len()) >= hid,
+        "state rows shorter than hid"
+    );
     let (pa, cp, g) = (pa_r.as_ptr(), cp_r.as_ptr(), g_r.as_mut_ptr());
     let (c_o, t_o, h_o) = (c_r.as_mut_ptr(), t_r.as_mut_ptr(), h_r.as_mut_ptr());
     let mut j = 0;

@@ -206,11 +206,7 @@ impl Tensor {
 
     /// Euclidean (ℓ₂) norm of the flattened tensor, accumulated in f64.
     pub fn l2_norm(&self) -> f32 {
-        self.as_slice()
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
+        self.as_slice().iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
     }
 
     /// Dot product of two same-shaped tensors (flattened), in f64.

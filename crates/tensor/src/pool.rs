@@ -98,10 +98,9 @@ fn take(len: usize, zero: bool) -> Vec<f32> {
     let reused = POOL
         .try_with(|p| {
             let mut p = p.borrow_mut();
-            let pos = p
-                .bufs
-                .iter()
-                .position(|b| b.capacity() >= len && b.capacity() <= WASTE_FACTOR * len.max(MIN_POOL_ELEMS));
+            let pos = p.bufs.iter().position(|b| {
+                b.capacity() >= len && b.capacity() <= WASTE_FACTOR * len.max(MIN_POOL_ELEMS)
+            });
             match pos {
                 Some(i) => {
                     let b = p.bufs.swap_remove(i);

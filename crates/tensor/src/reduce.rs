@@ -27,7 +27,10 @@ pub fn softmax_rows_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 /// order while the matrix is read contiguously — the kernel behind
 /// [`Tensor::sum_axis`]`(0)`.
 pub fn col_sums_into(src: &[f32], rows: usize, cols: usize, acc: &mut [f64]) {
-    assert!(src.len() == rows * cols && acc.len() == cols, "col_sums_into: [{rows},{cols}] buffers");
+    assert!(
+        src.len() == rows * cols && acc.len() == cols,
+        "col_sums_into: [{rows},{cols}] buffers"
+    );
     acc.fill(0.0);
     for row in src.chunks_exact(cols) {
         for (a, &x) in acc.iter_mut().zip(row) {
@@ -133,8 +136,7 @@ impl Tensor {
         for i in 0..m {
             let row = &src[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = mx
-                + (row.iter().map(|&x| ((x - mx) as f64).exp()).sum::<f64>()).ln() as f32;
+            let lse = mx + (row.iter().map(|&x| ((x - mx) as f64).exp()).sum::<f64>()).ln() as f32;
             for (o, &x) in out[i * n..(i + 1) * n].iter_mut().zip(row.iter()) {
                 *o = x - lse;
             }

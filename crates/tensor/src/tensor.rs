@@ -17,7 +17,14 @@ pub fn repeat_rows_into(v: &[f32], rows: usize, out: &mut [f32]) {
 /// Copies the row-major `[rows, width]` matrix `part` into columns
 /// `off..off + width` of the `[rows, total]` matrix `out` — one operand of
 /// [`Tensor::concat_cols`].
-pub fn concat_cols_into(part: &[f32], rows: usize, width: usize, out: &mut [f32], total: usize, off: usize) {
+pub fn concat_cols_into(
+    part: &[f32],
+    rows: usize,
+    width: usize,
+    out: &mut [f32],
+    total: usize,
+    off: usize,
+) {
     assert!(part.len() == rows * width && out.len() == rows * total && off + width <= total);
     for (src, dst) in part.chunks_exact(width).zip(out.chunks_exact_mut(total)) {
         dst[off..off + width].copy_from_slice(src);
@@ -27,7 +34,14 @@ pub fn concat_cols_into(part: &[f32], rows: usize, width: usize, out: &mut [f32]
 /// Copies columns `start..end` of the row-major `[rows, cols]` matrix `src`
 /// into the `[rows, end - start]` matrix `out` — the kernel behind
 /// [`Tensor::slice_cols`].
-pub fn slice_cols_into(src: &[f32], rows: usize, cols: usize, start: usize, end: usize, out: &mut [f32]) {
+pub fn slice_cols_into(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    start: usize,
+    end: usize,
+    out: &mut [f32],
+) {
     assert!(start < end && end <= cols, "column slice {start}..{end} out of {cols}");
     assert!(src.len() == rows * cols && out.len() == rows * (end - start));
     for (src, dst) in src.chunks_exact(cols).zip(out.chunks_exact_mut(end - start)) {

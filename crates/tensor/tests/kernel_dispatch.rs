@@ -154,8 +154,14 @@ fn conv_bitwise_equal_across_variants() {
             let reference = run(Kernel::Scalar);
             for &kern in &available() {
                 let got = run(kern);
-                for (what, (got, want)) in ["forward", "dW", "dx"].iter().zip(got.iter().zip(&reference)) {
-                    assert_bits_eq(got, want, &format!("conv {what} {kern:?} bf16 {bf16} {g:?} n={n} oc={oc}"));
+                for (what, (got, want)) in
+                    ["forward", "dW", "dx"].iter().zip(got.iter().zip(&reference))
+                {
+                    assert_bits_eq(
+                        got,
+                        want,
+                        &format!("conv {what} {kern:?} bf16 {bf16} {g:?} n={n} oc={oc}"),
+                    );
                 }
             }
         }

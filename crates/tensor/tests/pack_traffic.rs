@@ -10,8 +10,8 @@
 //! — separate tests would run on parallel harness threads.
 
 use legw_tensor::{
-    conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, gemm_into, gemm_into_packed,
-    pack_traffic, pool, with_bf16_gemm, Conv2dGeom, PackTraffic, PackedB, Tensor,
+    conv2d_grad_w_into, conv2d_grad_x_into, conv2d_into, gemm_into, gemm_into_packed, pack_traffic,
+    pool, with_bf16_gemm, Conv2dGeom, PackTraffic, PackedB, Tensor,
 };
 
 #[test]
@@ -119,7 +119,11 @@ fn conv_forward_counts_its_image_copies() {
     let t1 = pack_traffic();
     with_bf16_gemm(|| conv2d_into(&x, &w, n, oc, &g, &mut out));
     let t2 = pack_traffic();
-    assert_eq!((t1.bf16_bytes, t2.f32_bytes), (t0.bf16_bytes, t1.f32_bytes), "one counter per mode");
+    assert_eq!(
+        (t1.bf16_bytes, t2.f32_bytes),
+        (t0.bf16_bytes, t1.f32_bytes),
+        "one counter per mode"
+    );
     // The weight in 8-row micro-panels of its 27 taps, and per image, on
     // every tier (9 output columns leave either tile width half empty, so
     // runs cross rows), 9 planes — 3 channels, 3 kernel columns — of
@@ -147,7 +151,10 @@ fn conv_gradients_count_their_copies_and_panels() {
         let t0 = pack_traffic();
         f();
         let t1 = pack_traffic();
-        PackTraffic { f32_bytes: t1.f32_bytes - t0.f32_bytes, bf16_bytes: t1.bf16_bytes - t0.bf16_bytes }
+        PackTraffic {
+            f32_bytes: t1.f32_bytes - t0.f32_bytes,
+            bf16_bytes: t1.bf16_bytes - t0.bf16_bytes,
+        }
     };
     let dw32 = delta(&mut || conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dw));
     let dw16 = delta(&mut || with_bf16_gemm(|| conv2d_grad_w_into(&x, &up, n, oc, &g, &mut dw)));
@@ -158,14 +165,30 @@ fn conv_gradients_count_their_copies_and_panels() {
     // (8 columns on every tier: 5 channels take the AVX2 tile on an AVX-512
     // host).
     let dw_elems = (n * 3 * 10 * 10 + 8 * n * 64) as u64;
-    assert_eq!((dw32.f32_bytes, dw32.bf16_bytes), (4 * dw_elems, 0), "image copies and up panels, f32");
-    assert_eq!((dw16.f32_bytes, dw16.bf16_bytes), (0, 2 * dw_elems), "the same elements, bf16: half");
+    assert_eq!(
+        (dw32.f32_bytes, dw32.bf16_bytes),
+        (4 * dw_elems, 0),
+        "image copies and up panels, f32"
+    );
+    assert_eq!(
+        (dw16.f32_bytes, dw16.bf16_bytes),
+        (0, 2 * dw_elems),
+        "the same elements, bf16: half"
+    );
     // wᵀ in 8-row micro-panels of its 27 taps over 5 channels; in bf16, also
     // each image's output gradient, rounded once.
     let wt_elems = (32 * oc) as u64;
-    assert_eq!((dx32.f32_bytes, dx32.bf16_bytes), (4 * wt_elems, 0), "the weight's panels; up read in place");
+    assert_eq!(
+        (dx32.f32_bytes, dx32.bf16_bytes),
+        (4 * wt_elems, 0),
+        "the weight's panels; up read in place"
+    );
     let up_elems = (n * oc * 64) as u64;
-    assert_eq!((dx16.f32_bytes, dx16.bf16_bytes), (0, 2 * (wt_elems + up_elems)), "and up's bf16 copy");
+    assert_eq!(
+        (dx16.f32_bytes, dx16.bf16_bytes),
+        (0, 2 * (wt_elems + up_elems)),
+        "and up's bf16 copy"
+    );
 }
 
 /// A take that follows a drop of the same size recycles and does not

@@ -18,9 +18,7 @@ fn main() {
             continue; // pod case below
         }
         println!("{name}:");
-        let base = presets::paper_batch_ranges()
-            .into_iter()
-            .find(|(n, _, _)| *n == name);
+        let base = presets::paper_batch_ranges().into_iter().find(|(n, _, _)| *n == name);
         let (small, big) = match base {
             Some((_, s, b)) => (s, b),
             None => (256, 4096),
@@ -36,10 +34,8 @@ fn main() {
     }
 
     println!("TPU-v2 pod, ImageNet/ResNet-50 (the §7 anecdote):");
-    let (_, job, pod) = presets::paper_jobs()
-        .into_iter()
-        .find(|(n, _, _)| *n == "imagenet-resnet50")
-        .unwrap();
+    let (_, job, pod) =
+        presets::paper_jobs().into_iter().find(|(n, _, _)| *n == "imagenet-resnet50").unwrap();
     for batch in [8192usize, 16384, 32768] {
         let mins = job.time_to_train_secs(&pod, batch) / 60.0;
         println!("  batch {batch:>6}: {mins:>6.1} min");

@@ -17,7 +17,10 @@ fn main() {
     // poly-decay (p=2) baseline, as in Figure 2.2 / PTB-large
     let baseline = BaselineSchedule::poly(16, 4.0, 0.125, 4.0, 2.0);
 
-    println!("{:>6}  {:>10}  {:>12}  {:>8}  {:>8}", "batch", "init LR", "warmup (ep)", "top-1", "top-3");
+    println!(
+        "{:>6}  {:>10}  {:>12}  {:>8}  {:>8}",
+        "batch", "init LR", "warmup (ep)", "top-1", "top-3"
+    );
     for k in [1usize, 2, 4] {
         let batch = 16 * k;
         let sched = Legw::scale_to(&baseline, batch);
@@ -31,5 +34,7 @@ fn main() {
         );
     }
     println!("\nLEGW derives every row from the first — compare the paper's Table 3,");
-    println!("where batch 1K→32K keeps ~93% top-5 with LR 2^2.5→2^5.0 and warmup 0.3125→10 epochs.");
+    println!(
+        "where batch 1K→32K keeps ~93% top-5 with LR 2^2.5→2^5.0 and warmup 0.3125→10 epochs."
+    );
 }

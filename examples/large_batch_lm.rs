@@ -20,10 +20,7 @@ fn main() {
     let cfg = PtbLmConfig { vocab: 64, embed: 32, hidden: 32, layers: 2, keep: 1.0 };
     let baseline = BaselineSchedule::exponential(8, 1.0, 0.1, 3.0, 2.0, 0.4);
 
-    println!(
-        "corpus entropy floor: perplexity {:.2} (perfect model)",
-        data.perplexity_floor()
-    );
+    println!("corpus entropy floor: perplexity {:.2} (perfect model)", data.perplexity_floor());
     println!("{:>6}  {:>12}  {:>18}", "batch", "LEGW ppl", "linear-scaling ppl");
     for k in [1usize, 2, 4, 8] {
         let batch = 8 * k;

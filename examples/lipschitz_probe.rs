@@ -36,10 +36,7 @@ fn main() {
         for s in trace.iter().take(6) {
             println!("  iter {:>4} (epoch {:.2}): L = {:.4}", s.iteration, s.epoch, s.value);
         }
-        println!(
-            "  … peak at epoch {:.3}\n",
-            peak_epoch(&trace).unwrap_or(f64::NAN)
-        );
+        println!("  … peak at epoch {:.3}\n", peak_epoch(&trace).unwrap_or(f64::NAN));
     }
     println!("The larger batch peaks later in epoch terms — hence *linear-epoch* warmup.");
 }

@@ -25,7 +25,12 @@ fn main() {
         5.0,    // total epochs
     );
 
-    println!("baseline: batch {}, lr {}, warmup {} epochs", baseline.batch_size(), baseline.peak_lr(), baseline.warmup_epochs());
+    println!(
+        "baseline: batch {}, lr {}, warmup {} epochs",
+        baseline.batch_size(),
+        baseline.peak_lr(),
+        baseline.warmup_epochs()
+    );
     let rep = train_mnist(&data, 32, 32, &baseline, SolverKind::Momentum, 42);
     println!("  → test accuracy {:.4}\n", rep.final_metric);
 

@@ -28,7 +28,9 @@ use legw_repro::models::MnistLstm;
 use legw_repro::nn::ParamSet;
 use legw_repro::optim::{build, SolverKind};
 use legw_repro::schedules::BaselineSchedule;
-use legw_repro::serve::{freeze, restore, BatchConfig, FrozenModel, InferEngine, ModelConfig, Server};
+use legw_repro::serve::{
+    freeze, restore, BatchConfig, FrozenModel, InferEngine, ModelConfig, Server,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -53,8 +55,7 @@ fn main() {
     // would shard every batch over n workers.
     let exec = Executor::new(ExecConfig::default());
     let mut workload = MnistWorkload { model: &model, data: &data };
-    let report =
-        train(&mut workload, &mut ps, opt.as_mut(), &schedule, &mut rng, &exec, |_, _| {});
+    let report = train(&mut workload, &mut ps, opt.as_mut(), &schedule, &mut rng, &exec, |_, _| {});
     for ((epoch, acc), loss) in report.history.iter().zip(&report.epoch_losses) {
         println!("epoch {epoch:.0}: mean loss {loss:.4}, test accuracy {acc:.4}");
     }
@@ -75,8 +76,7 @@ fn main() {
 
     // --- Serve directly --------------------------------------------------
     let (eval_batch, eval_labels) = data.test.gather(&(0..16).collect::<Vec<_>>());
-    let rows: Vec<Vec<f32>> =
-        eval_batch.as_slice().chunks(784).map(|c| c.to_vec()).collect();
+    let rows: Vec<Vec<f32>> = eval_batch.as_slice().chunks(784).map(|c| c.to_vec()).collect();
     let direct: Vec<usize> =
         rows.iter().map(|row| argmax(&engine.run_one(row.clone(), ()).0)).collect();
     let correct = direct.iter().zip(&eval_labels).filter(|(p, l)| p == l).count();

@@ -83,10 +83,7 @@ fn unequal_shards_do_not_average_to_the_full_gradient_naively() {
         .zip(&naive)
         .map(|(f, n)| f.sub(n).l2_norm() / f.l2_norm().max(1e-6))
         .fold(0.0f32, f32::max);
-    assert!(
-        max_rel > 1e-3,
-        "naive unweighted averaging of unequal shards should visibly deviate"
-    );
+    assert!(max_rel > 1e-3, "naive unweighted averaging of unequal shards should visibly deviate");
 
     // sample-count weighting restores the equivalence
     let mut weighted: Vec<Tensor> = full.iter().map(|t| t.zeros_like()).collect();

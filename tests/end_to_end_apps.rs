@@ -58,10 +58,6 @@ fn all_seven_solvers_train_the_same_model() {
         let sched = BaselineSchedule::constant(32, lr, 0.1, 4.0);
         let rep = train_mnist(&data, 16, 16, &sched, kind, 3);
         assert!(!rep.diverged, "{kind:?} diverged");
-        assert!(
-            rep.final_metric > 0.2,
-            "{kind:?} failed to beat chance: {:.3}",
-            rep.final_metric
-        );
+        assert!(rep.final_metric > 0.2, "{kind:?} failed to beat chance: {:.3}", rep.final_metric);
     }
 }

@@ -16,8 +16,7 @@ use legw_repro::schedules::{scale_with, BaselineSchedule, Legw, ScalingRule, War
 fn legw_preserves_mnist_accuracy_at_4x_batch() {
     let data = SynthMnist::generate(21, 1536, 384);
     let baseline = BaselineSchedule::constant(32, 0.2, 0.0625, 4.0);
-    let base_acc =
-        train_mnist(&data, 24, 24, &baseline, SolverKind::Momentum, 5).final_metric;
+    let base_acc = train_mnist(&data, 24, 24, &baseline, SolverKind::Momentum, 5).final_metric;
     let scaled = Legw::scale_to(&baseline, 128);
     let legw_acc = train_mnist(&data, 24, 24, &scaled, SolverKind::Momentum, 5).final_metric;
     assert!(base_acc > 0.85, "baseline must train well, got {base_acc}");

@@ -11,11 +11,7 @@ use legw_repro::schedules::{BaselineSchedule, Legw};
 use legw_repro::tensor::Tensor;
 
 fn dip_epoch(trace: &[LipschitzSample]) -> f64 {
-    trace
-        .iter()
-        .min_by(|a, b| a.value.total_cmp(&b.value))
-        .map(|s| s.epoch)
-        .unwrap_or(0.0)
+    trace.iter().min_by(|a, b| a.value.total_cmp(&b.value)).map(|s| s.epoch).unwrap_or(0.0)
 }
 
 #[test]
@@ -26,23 +22,12 @@ fn curvature_landmarks_shift_right_with_batch() {
     for &batch in &[32usize, 128] {
         let sched = Legw::scale_to(&base, batch);
         let ipe = 1024usize.div_ceil(batch);
-        let trace = mnist_lipschitz_trace(
-            &data,
-            16,
-            16,
-            &sched,
-            SolverKind::Sgd,
-            3,
-            (ipe / 12).max(1),
-            96,
-        );
+        let trace =
+            mnist_lipschitz_trace(&data, 16, 16, &sched, SolverKind::Sgd, 3, (ipe / 12).max(1), 96);
         assert!(trace.len() >= 8, "batch {batch}: too few probes");
         dips.push(dip_epoch(&trace));
     }
-    assert!(
-        dips[1] > dips[0],
-        "L(x,g) dip should arrive later (epochs) at 4x batch: {dips:?}"
-    );
+    assert!(dips[1] > dips[0], "L(x,g) dip should arrive later (epochs) at 4x batch: {dips:?}");
 }
 
 #[test]

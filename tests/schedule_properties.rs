@@ -1,8 +1,8 @@
 //! Cross-crate property tests of the schedule machinery against real
 //! dataset epoch arithmetic.
 
-use legw_repro::schedules::{scale_with, BaselineSchedule, Decay, Legw, ScalingRule, WarmupRule};
 use legw_propcheck::prelude::*;
+use legw_repro::schedules::{scale_with, BaselineSchedule, Decay, Legw, ScalingRule, WarmupRule};
 
 proptest! {
     /// LEGW commutes with composition: scaling b→kb→mb equals b→(km)b.
