@@ -191,7 +191,7 @@ struct Panel {
 
 /// The storage instructions read and write by location.
 pub(crate) struct Arena {
-    /// Empty until [`Arena::fill`], and while [`Plan::renew`] lends them.
+    /// Empty until [`Arena::fill`], then the plan's until it is dropped.
     slots: Vec<Vec<f32>>,
     /// Each slot's length, also while it is empty.
     sizes: Vec<usize>,
@@ -435,21 +435,16 @@ impl Plan {
         }
     }
 
-    /// For a forward-only plan used now and then: `None` lends its arena
-    /// slots to this thread's buffer pool; `Some(params)` fills the empty
-    /// ones from it and starts a parameter version, every panel packed now
-    /// from `params`, under this thread's kernel tier and bf16 scope, into
-    /// storage of its own if shared.
-    pub fn renew(&mut self, params: Option<&[&Tensor]>) {
+    /// Starts a parameter version of a forward-only plan kept across them:
+    /// fills the arena if it is still empty (a fresh capture's, from this
+    /// thread's buffer pool), then packs every panel now from `params`,
+    /// under this thread's kernel tier and bf16 scope, into storage of its
+    /// own if shared. The plan keeps its arena until it is dropped.
+    pub fn renew(&mut self, params: &[&Tensor]) {
         assert!(self.arena.forward_only, "renew on a training plan");
         let arena = &mut self.arena;
-        match params {
-            None => arena.slots.iter_mut().map(std::mem::take).for_each(pool::give_back),
-            Some(params) => {
-                arena.fill();
-                (0..arena.panels.len()).for_each(|i| arena.pack(i, params));
-            }
-        }
+        arena.fill();
+        (0..arena.panels.len()).for_each(|i| arena.pack(i, params));
     }
 
     /// Runs the backward program, seeded with `dL/dL = 1`.

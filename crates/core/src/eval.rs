@@ -19,10 +19,10 @@
 //! apart): one plan per row group of each chunk shape, keyed by its groups'
 //! keys, as serving keeps one per batch shape. Every eval call but a run's
 //! first captures nothing. A plan captures no value, so a call starts by
-//! repacking its plans' weight panels ([`InferPlan::renew`]). On the
-//! one-shard executor it ends by lending their arenas to the caller's
-//! buffer pool; a sharded executor keeps them. A call holds its family's
-//! plans alone, so two threads may evaluate on one executor, and a call
+//! repacking its plans' weight panels ([`InferPlan::renew`]). A kept plan
+//! keeps its arena, on every executor as in serving, until it is dropped:
+//! a later call takes nothing from the buffer pool but its chunks' inputs
+//! (`tests/eval_keeps_arenas.rs`). A call holds its family's plans alone, so two threads may evaluate on one executor, and a call
 //! that panics drops them: the next captures again. DESIGN.md §6 has the
 //! measurements behind each choice.
 //!
@@ -91,7 +91,7 @@ impl Executor {
         let taken =
             store().remove(&TypeId::of::<M>()).and_then(|k| k.downcast::<Kept<M::Plan>>().ok());
         let mut kept = taken.filter(|k| k.0 == id).map_or_else(HashMap::new, |k| k.1);
-        kept.values_mut().flatten().for_each(|plan| plan.renew(Some(ps)));
+        kept.values_mut().flatten().for_each(|plan| plan.renew(ps));
         let mut out = Vec::with_capacity(chunks.len());
         for c in chunks {
             let ranges = legw_parallel::split_evenly(rows(c), self.lanes());
@@ -105,9 +105,6 @@ impl Executor {
                 model.replay_infer(plan, ps, &groups[j])
             });
             out.push(computed.into_iter().flatten().collect());
-        }
-        if self.shards() == 1 {
-            kept.values_mut().flatten().for_each(|plan| plan.renew(None));
         }
         store().insert(TypeId::of::<M>(), Box::new((id, kept)));
         out

@@ -129,11 +129,11 @@ pub trait InferPlan: Send {
     /// thread's kernel tier and bf16 scope, so that the copy shares them.
     fn copy(&mut self, ps: &ParamSet) -> Self;
 
-    /// For a plan kept between uses: `None` lends its arena to this thread's
-    /// buffer pool, `Some(ps)` takes one from it — also a fresh capture's,
-    /// which has none — and starts a parameter version, every weight panel
-    /// packed again from `ps` ([`Plan::renew`]).
-    fn renew(&mut self, ps: Option<&ParamSet>);
+    /// Starts a parameter version of a plan kept across them: a fresh
+    /// capture takes its arena from this thread's buffer pool, and every
+    /// weight panel is packed again from `ps` ([`Plan::renew`]). A plan
+    /// keeps its arena until it is dropped.
+    fn renew(&mut self, ps: &ParamSet);
 }
 
 /// Gives each row group of one batch shape its plan, on the calling thread:
@@ -159,7 +159,7 @@ pub fn group_plans<M: Infer>(
             Some(j) => plans[j].copy(ps),
             None => {
                 let mut plan = model.capture_infer(ps, &groups[i]);
-                plan.renew(Some(ps));
+                plan.renew(ps);
                 plan
             }
         };
@@ -175,9 +175,8 @@ impl InferPlan for StepPlan {
         StepPlan { plan: self.plan.clone(), ids: self.ids.clone() }
     }
 
-    fn renew(&mut self, ps: Option<&ParamSet>) {
-        let params = ps.map(|ps| self.param_values(ps));
-        self.plan.renew(params.as_deref());
+    fn renew(&mut self, ps: &ParamSet) {
+        self.plan.renew(&self.param_values(ps));
     }
 }
 

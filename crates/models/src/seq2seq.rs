@@ -386,7 +386,7 @@ impl InferPlan for Seq2SeqPlan {
         }
     }
 
-    fn renew(&mut self, ps: Option<&ParamSet>) {
+    fn renew(&mut self, ps: &ParamSet) {
         self.encoder.renew(ps);
         self.step.renew(ps);
     }

@@ -60,11 +60,12 @@ const SETTLE_BYTES: usize = 4 << 20;
 /// Keeps glibc from returning a dropped tape's memory to the kernel. Runs
 /// once per process, before the first buffer is taken or given.
 ///
-/// A tape holds every intermediate until it is dropped, and tapes are still
-/// recorded wherever a plan is captured (the first training step, eval batch
-/// or serving batch of a shape) and by the tape oracles. Each drops a burst
-/// of pool-sized buffers, of which the free list keeps [`MAX_POOLED`]. The
-/// rest is freed at once, and
+/// A tape holds every intermediate until it is dropped. No plan capture
+/// records one (a plan is compiled from a shape-only tape), but tapes are
+/// still recorded by PTB's perplexity sweep, by the oracles a plan is checked
+/// against (`Executor::step` and `Infer::infer_tape`) and by the batch-growth
+/// ablation's training loop. Each drops a burst of pool-sized buffers, of
+/// which the free list keeps [`MAX_POOLED`]. The rest is freed at once, and
 /// when more than `M_TRIM_THRESHOLD` lies free at the top of the heap glibc
 /// shrinks the heap — so the next batch faults the same pages back in. On
 /// the benchmark box that was 1.5 M minor faults in a 27 s `seq2seq_b16` run
@@ -135,18 +136,12 @@ fn take(len: usize, zero: bool) -> Vec<f32> {
 
 /// Lends a `len`-long vector from this thread's free list (or the
 /// allocator), its contents unspecified, to storage that is not a tensor's
-/// and lives longer: a kept inference plan's arena. Not counted as a live
-/// buffer. Hand it back with [`give_back`].
+/// and lives longer: a kept inference plan's arena, which keeps it until
+/// the plan is dropped. Not counted as a live buffer, and never given back.
 pub fn lend(len: usize) -> Vec<f32> {
     let v = take(len, false);
     LIVE_BYTES.fetch_sub(v.capacity() * 4, Ordering::Relaxed);
     v
-}
-
-/// Offers a vector back to this thread's free list, where the next tapes'
-/// buffers are carved from (dropped if over budget or too small).
-pub fn give_back(v: Vec<f32>) {
-    give(v);
 }
 
 /// Takes a zeroed, `len`-long vector — recycled if the pool has a fit.

@@ -58,6 +58,12 @@ if [[ -n "$taped" ]]; then
   exit 1
 fi
 
+# One layout: every tracked Rust file outside crates/perf is as rustfmt
+# (edition 2021, the root rustfmt.toml) writes it. crates/perf is left out
+# until a benchmark PR formats it.
+echo "== rustfmt --check: every tracked .rs file outside crates/perf"
+git ls-files -z '*.rs' | grep -zv '^crates/perf/' | xargs -0 rustfmt --edition 2021 --check
+
 echo "== cargo build --release: every library, binary and example"
 cargo build --release "${flags[@]}" --workspace --bins --examples
 
@@ -98,11 +104,12 @@ cargo test -q "${flags[@]}" -p legw-serve -- --test-threads=1
 # neither can check), and the serving suites (frozen forward, bf16 panels,
 # and the two pool tests, the steady state and the miss that keeps no arena,
 # each alone in its process because it reads the process-wide pool
-# counters).
+# counters), and eval's pool test, that a kept plan keeps its arena, alone
+# for the same reason.
 tiers=(scalar)
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then tiers+=(avx2); fi
 for tier in "${tiers[@]}"; do
-  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits), freeze_equivalence, steady_state_pool, miss_keeps_no_arena, bf16_serving"
+  echo "== LEGW_KERNEL=$tier: legw-tensor, legw-autograd, legw-models, legw (lib, shard_equivalence, plan_replay_equivalence, resnet_bits, eval_keeps_arenas), freeze_equivalence, steady_state_pool, miss_keeps_no_arena, bf16_serving"
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-tensor
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-autograd
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-models
@@ -110,6 +117,7 @@ for tier in "${tiers[@]}"; do
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test shard_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test plan_replay_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test resnet_bits
+  LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw --test eval_keeps_arenas
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test freeze_equivalence
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test steady_state_pool
   LEGW_KERNEL=$tier cargo test -q "${flags[@]}" -p legw-serve --test miss_keeps_no_arena
