@@ -22,9 +22,10 @@
 //! repacking its plans' weight panels ([`InferPlan::renew`]). A kept plan
 //! keeps its arena, on every executor as in serving, until it is dropped:
 //! a later call takes nothing from the buffer pool but its chunks' inputs
-//! (`tests/eval_keeps_arenas.rs`). A call holds its family's plans alone, so two threads may evaluate on one executor, and a call
-//! that panics drops them: the next captures again. DESIGN.md §6 has the
-//! measurements behind each choice.
+//! (`tests/eval_keeps_arenas.rs`). A call holds its family's plans alone,
+//! so two threads may evaluate on one executor, and a call that panics
+//! drops them: the next captures again. DESIGN.md §6 has the measurements
+//! behind each choice.
 //!
 //! Exactness: every forward kernel computes a row the same way however many
 //! rows share the call (`crates/models/tests/row_groups.rs`), a plan

@@ -61,10 +61,7 @@ fn an_eval_call_after_the_first_takes_no_arena() {
                 let delta = stats().since(&before);
                 assert_eq!(acc.to_bits(), first.to_bits(), "{lanes} lanes, call {call}");
                 let taken = delta.allocations + delta.recycles;
-                assert!(
-                    taken <= inputs,
-                    "{lanes} lanes, call {call}: took {taken} buffers, its chunks' inputs are {inputs}"
-                );
+                assert!(taken <= inputs, "{lanes} lanes, call {call}: {taken} buffers > {inputs}");
             }
         });
     }
